@@ -25,6 +25,10 @@ var pinnedKernels = []string{
 	"Gemm64",
 	"Gemm256/naive",
 	"Gemm256/blocked",
+	"Gemm16x16x72/zero-laden",
+	"ConvFwd/vgg2",
+	"ConvBwd/vgg2",
+	"LossGrad/VGGNano-b16",
 	"StepVGGNano",
 	"StepResNetNano",
 	"AdamStep/64k",
@@ -32,9 +36,9 @@ var pinnedKernels = []string{
 
 // ratioFloor is the minimum intra-run speedup of the blocked Gemm over the
 // retained naive reference at 256x256. The packed SSE2 micro-kernel
-// measures ~3x on the recording host (naive scalar code is pinned at one
+// measures ~2.7x on the recording host (naive scalar code is pinned at one
 // multiply-add per cycle; the packed kernel retires two), so the 1.5x
-// floor leaves 2x headroom for runner jitter while still tripping if the
+// floor leaves headroom for runner jitter while still tripping if the
 // kernel ever falls back to scalar speed.
 const ratioFloor = 1.5
 

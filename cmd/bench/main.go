@@ -140,6 +140,57 @@ func gemm256Setup(naive bool, workers int) func() {
 	}
 }
 
+// The conv rows time the conv training path at the shapes the Fig 9 / Fig 10
+// cells run: VGGNano's second conv layer (8x4x4 in, k3 p1, 16 filters,
+// batch 16) forward and backward, and one full VGGNano LossGrad on the
+// quick-scale 1x8x8 input. Operands carry the exact zeros real training
+// has: post-ReLU activations forward, post-pool (75% zero) gradients back.
+func zeroLaden(r *rng.Rand, m *tensor.Matrix, zeroFrac float64) *tensor.Matrix {
+	for i := range m.Data {
+		if m.Data[i] = r.NormFloat64(); r.Float64() < zeroFrac {
+			m.Data[i] = 0
+		}
+	}
+	return m
+}
+
+func convSetup(backward bool) func() {
+	r := rng.New(31)
+	c := nn.NewConv2D(8, 4, 4, 3, 1, 1, 16)
+	params := make([]float64, c.ParamLen())
+	c.Init(params, r.Split())
+	in := zeroLaden(r, tensor.NewMatrix(16, c.InDim()), 0.5)
+	if !backward {
+		return func() { c.Forward(params, in) }
+	}
+	dOut := zeroLaden(r, tensor.NewMatrix(16, c.OutDim()), 0.75)
+	dParams := make([]float64, len(params))
+	c.Forward(params, in)
+	return func() { c.Backward(params, dOut, dParams) }
+}
+
+func lossGradSetup(net *nn.Network, classes int) func() {
+	r := rng.New(32)
+	net.InitParams(r.Split())
+	batch := data.Batch{X: zeroLaden(r, tensor.NewMatrix(16, net.InDim()), 0), Y: make([]int, 16)}
+	for i := range batch.Y {
+		batch.Y[i] = r.Intn(classes)
+	}
+	grad := make([]float64, net.ParamLen())
+	return func() { net.LossGrad(batch, grad) }
+}
+
+// gemmZeroLadenSetup is the per-sample dPatches product of that conv layer
+// with a half-zero coefficient matrix: the operand pattern that kept real
+// training off the packed kernel before PR 12.
+func gemmZeroLadenSetup() func() {
+	r := rng.New(33)
+	a := zeroLaden(r, tensor.NewMatrix(16, 16), 0.5)
+	b := zeroLaden(r, tensor.NewMatrix(16, 72), 0)
+	c := tensor.NewMatrix(16, 72)
+	return func() { tensor.Gemm(1, a, b, 0, c) }
+}
+
 func stepSetup(net *nn.Network, dim int) func() {
 	net.InitParams(rng.New(1))
 	r := rng.New(2)
@@ -359,12 +410,19 @@ func main() {
 		n    int // 0 = the -n default
 		fn   func() func()
 	}{
-		{"Gemm64", 0, gemmSetup},
+		// 64^3 is ~30 us now: 100 iterations would be a 3 ms sample.
+		{"Gemm64", 2000, gemmSetup},
 		{"Gemm256/naive", 30, func() func() { return gemm256Setup(true, 1) }},
 		{"Gemm256/blocked", 30, func() func() { return gemm256Setup(false, 1) }},
 		// The parallel variant only separates from /blocked on multi-core
 		// hosts; on a 1-core recorder it documents the dispatch overhead.
 		{"Gemm256/blocked-par4", 30, func() func() { return gemm256Setup(false, 4) }},
+		{"Gemm16x16x72/zero-laden", 20000, gemmZeroLadenSetup},
+		{"ConvFwd/vgg2", 2000, func() func() { return convSetup(false) }},
+		{"ConvBwd/vgg2", 2000, func() func() { return convSetup(true) }},
+		{"LossGrad/VGGNano-b16", 500, func() func() {
+			return lossGradSetup(nn.NewVGGNano(data.ImageShape{Channels: 1, Height: 8, Width: 8}, 10), 10)
+		}},
 		{"StepVGGNano", 0, func() func() { return stepSetup(nn.NewVGGNano(shape, 4), shape.Len()) }},
 		{"StepResNetNano", 0, func() func() { return stepSetup(nn.NewResNetNano(shape, 4), shape.Len()) }},
 		{"AdamStep/64k", 0, func() func() { return adamStepSetup(1 << 16) }},

@@ -132,12 +132,18 @@
 // multiply and add per term — the exact arithmetic of the naive triple
 // loop, which ships alongside as the parity oracle (GemmNaive etc.,
 // internal/tensor/parity_test.go). Within that contract the blocked
-// kernels reorder only the loop NEST (row tiles x kc-panels), and on
-// amd64 the alpha==1 Gemm hot path drops into a packed SSE2 micro-kernel
-// (gemm_amd64.s) whose vector lanes hold independent C elements — two
-// multiply-adds retired per cycle instead of one, ~3x over naive at
-// 256x256, with FMA deliberately off the table (fused rounding would
-// change bits). tensor.SetWorkers(n) optionally fans output-row panels
+// kernels reorder only the loop NEST (C rows x kc-panels); the axpy-form
+// kernels (Gemm, GemmTA) compress each row's non-zero coefficients into a
+// list once and issue only those terms, so the exact zeros ReLU and
+// pooling leave in conv gradients cost nothing; and on amd64 the inner
+// loops of Gemm, GemmTA and GemmTB are packed SSE2 micro-kernels
+// (gemm_amd64.s; -tags purego builds without them) whose vector lanes hold
+// independent C elements — two multiply-adds retired per instruction
+// instead of one, with FMA deliberately off the table (fused rounding
+// would change bits). nn.Conv2D lowers each sample through a precomputed
+// index table (tensor.ConvPlan) and multiplies without transposing
+// anything (internal/tensor/naive.go explains why that is exact).
+// tensor.SetWorkers(n) optionally fans output-row panels
 // across goroutines; panels never share output rows, so results are
 // bit-identical at every worker count (raced in CI). Separately,
 // compress.Spec gained a wire format (WireFloat32, spec modifier "+f32",

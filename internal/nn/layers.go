@@ -126,29 +126,41 @@ func (l *ReLU) ParamLen() int { return 0 }
 // Init implements Layer (no parameters).
 func (l *ReLU) Init([]float64, *rng.Rand) {}
 
-// Forward implements Layer.
+// reluKeep returns an all-ones mask when ReLU passes the value with bit
+// pattern b through (positive, or NaN of either sign) and zero when it
+// clamps it (zeros, negatives, -Inf): integer arithmetic only, so the
+// element loops carry no data-dependent branch for random signs to
+// mispredict.
+func reluKeep(b uint64) uint64 {
+	const inf = 0x7FF0000000000000
+	neg := int64(b) >> 63                  // all ones when the sign bit is set
+	nan := (inf - int64(b&^(1<<63))) >> 63 // all ones when |v| is above Inf
+	return uint64(^neg | nan)
+}
+
+// Forward implements Layer: v where v > 0, +0 where v <= 0, and NaN where v
+// is NaN (sign and payload kept) — a diverged activation stays visible
+// instead of turning into a finite zero.
 func (l *ReLU) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
 	out := ensureMat(&l.outBuf, in.Rows, in.Cols)
+	dst := out.Data[:len(in.Data)]
 	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
+		b := math.Float64bits(v)
+		dst[i] = math.Float64frombits(b & reluKeep(b))
 	}
 	l.lastOut = out
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer: the gradient passes wherever Forward passed
+// the value (NaN activations included) and is +0 elsewhere.
 func (l *ReLU) Backward(_ []float64, dOut *tensor.Matrix, _ []float64) *tensor.Matrix {
 	dIn := ensureMat(&l.dInBuf, dOut.Rows, dOut.Cols)
-	for i, v := range l.lastOut.Data {
-		if v > 0 {
-			dIn.Data[i] = dOut.Data[i]
-		} else {
-			dIn.Data[i] = 0
-		}
+	dst, src := dIn.Data[:len(l.lastOut.Data)], dOut.Data[:len(l.lastOut.Data)]
+	for i, y := range l.lastOut.Data {
+		// Forward's output is +0 exactly where it clamped.
+		b := math.Float64bits(y)
+		dst[i] = math.Float64frombits(math.Float64bits(src[i]) & uint64(-int64((b|-b)>>63)))
 	}
 	return dIn
 }
@@ -203,17 +215,26 @@ func (l *Tanh) Clone() Layer { return NewTanh(l.dim) }
 
 // Conv2D is a 2-D convolution over channel-major flattened images,
 // implemented with im2col so the per-sample work is one matrix multiply.
-// Parameters: filters (F x C*K*K, row-major) followed by biases (F).
+// Parameters: filters W (F x C*K*K, row-major) followed by biases (F).
+//
+// Operand layouts, per sample (P = outH*outW positions, L = C*K*K): the
+// lowered patches X are P x L, one row per output position; a sample's
+// output row, and its gradient G, read as the F x P matrix they already are
+// in channel-major order. Forward is out = W*X^T (GemmTB, dot form);
+// Backward is dW += G*X (Gemm) and dX = G^T*W (GemmTA), both axpy form with
+// G as the coefficient operand, so the exact zeros ReLU and pooling leave
+// in G are skipped, not multiplied. No product is ever transposed.
 type Conv2D struct {
 	shape   tensor.ConvShape
+	plan    *tensor.ConvPlan // im2col/col2im index table, shared by clones
 	filters int
 	// patches is the forward cache: the lowered-patches matrices of every
 	// batch row, stacked vertically (batch*P rows x PatchLen cols) in one
-	// reused buffer instead of one Clone per sample per call.
+	// reused buffer. Only plan.Gather writes it, which leaves its padding
+	// elements at the zero they were allocated with.
 	patches *tensor.Matrix
 
-	outBuf, dInBuf               *tensor.Matrix // scratch arena
-	prodBuf, dProdBuf, dPatchBuf *tensor.Matrix
+	outBuf, dInBuf, dPatchBuf *tensor.Matrix // scratch arena
 }
 
 // NewConv2D creates a convolution from the given input shape to `filters`
@@ -226,7 +247,7 @@ func NewConv2D(channels, height, width, kernel, stride, pad, filters int) *Conv2
 	if s.OutHeight() < 1 || s.OutWidth() < 1 || filters < 1 {
 		panic("nn: Conv2D produces empty output")
 	}
-	return &Conv2D{shape: s, filters: filters}
+	return &Conv2D{shape: s, plan: tensor.NewConvPlan(s), filters: filters}
 }
 
 // OutShape returns the (channels, height, width) of the output images.
@@ -261,15 +282,14 @@ func (c *Conv2D) kernelMatrix(params []float64) *tensor.Matrix {
 		Data: params[:c.filters*c.shape.PatchLen()]}
 }
 
+// positions returns P, the number of output positions per channel.
+func (c *Conv2D) positions() int { return c.shape.OutHeight() * c.shape.OutWidth() }
+
 // samplePatches returns the lowered-patches view of batch row i inside the
-// stacked patches buffer. The returned header is written into view to keep
-// the hot path allocation-free.
-func (c *Conv2D) samplePatches(view *tensor.Matrix, i int) *tensor.Matrix {
-	p := c.shape.OutHeight() * c.shape.OutWidth()
-	pl := c.shape.PatchLen()
-	view.Rows, view.Cols = p, pl
-	view.Data = c.patches.Data[i*p*pl : (i+1)*p*pl]
-	return view
+// stacked patches buffer.
+func (c *Conv2D) samplePatches(i int) tensor.Matrix {
+	p, pl := c.positions(), c.shape.PatchLen()
+	return tensor.Matrix{Rows: p, Cols: pl, Data: c.patches.Data[i*p*pl : (i+1)*p*pl]}
 }
 
 // Forward implements Layer. Output rows are channel-major flattened images
@@ -277,21 +297,18 @@ func (c *Conv2D) samplePatches(view *tensor.Matrix, i int) *tensor.Matrix {
 func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	w := c.kernelMatrix(params)
 	bias := params[c.filters*c.shape.PatchLen():]
-	outH, outW := c.shape.OutHeight(), c.shape.OutWidth()
-	p := outH * outW
+	p := c.positions()
 	out := ensureMat(&c.outBuf, in.Rows, c.filters*p)
 	ensureMat(&c.patches, in.Rows*p, c.shape.PatchLen())
-	prod := ensureMat(&c.prodBuf, p, c.filters)
-	var lowered tensor.Matrix
 	for i := 0; i < in.Rows; i++ {
-		c.samplePatches(&lowered, i)
-		tensor.Im2Col(c.shape, in.Row(i), &lowered)
-		tensor.GemmTB(1, &lowered, w, 0, prod) // (P x F), beta=0 overwrites
-		dst := out.Row(i)
-		for f := 0; f < c.filters; f++ {
-			b := bias[f]
-			for pos := 0; pos < p; pos++ {
-				dst[f*p+pos] = prod.At(pos, f) + b
+		x := c.samplePatches(i)
+		c.plan.Gather(in.Row(i), &x)
+		y := tensor.Matrix{Rows: c.filters, Cols: p, Data: out.Row(i)}
+		tensor.GemmTB(1, w, &x, 0, &y) // (F x P), beta=0 overwrites
+		for f, b := range bias {
+			row := y.Row(f)
+			for pos := range row {
+				row[pos] += b
 			}
 		}
 	}
@@ -304,33 +321,49 @@ func (c *Conv2D) Backward(params []float64, dOut *tensor.Matrix, dParams []float
 	dW := &tensor.Matrix{Rows: c.filters, Cols: c.shape.PatchLen(),
 		Data: dParams[:c.filters*c.shape.PatchLen()]}
 	dB := dParams[c.filters*c.shape.PatchLen():]
-	outH, outW := c.shape.OutHeight(), c.shape.OutWidth()
-	p := outH * outW
+	p := c.positions()
 	dIn := ensureMat(&c.dInBuf, dOut.Rows, c.InDim())
-	tensor.Zero(dIn.Data) // Col2Im scatter-adds into dIn rows
-	dProd := ensureMat(&c.dProdBuf, p, c.filters)
+	tensor.Zero(dIn.Data) // Scatter adds into dIn rows
 	dPatches := ensureMat(&c.dPatchBuf, p, c.shape.PatchLen())
-	var patches tensor.Matrix
 	for i := 0; i < dOut.Rows; i++ {
-		src := dOut.Row(i)
-		for f := 0; f < c.filters; f++ {
-			for pos := 0; pos < p; pos++ {
-				g := src[f*p+pos]
-				dProd.Set(pos, f, g)
-				dB[f] += g
-			}
-		}
-		// dW += dProd^T * patches ; dPatches = dProd * W.
-		tensor.GemmTA(1, dProd, c.samplePatches(&patches, i), 1, dW)
-		tensor.Gemm(1, dProd, w, 0, dPatches) // beta=0 overwrites
-		tensor.Col2Im(c.shape, dPatches, dIn.Row(i))
+		g := tensor.Matrix{Rows: c.filters, Cols: p, Data: dOut.Row(i)}
+		addRowSums(&g, dB)
+		x := c.samplePatches(i)
+		tensor.Gemm(1, &g, &x, 1, dW)        // dW += G * X
+		tensor.GemmTA(1, &g, w, 0, dPatches) // dX = G^T * W, beta=0 overwrites
+		c.plan.Scatter(dPatches, dIn.Row(i))
 	}
 	return dIn
 }
 
+// addRowSums adds each row of g into its element of acc, left to right.
+// Four rows advance together: a row's sum is one dependent chain of adds,
+// and four independent chains keep the adder busy instead of waiting on it.
+func addRowSums(g *tensor.Matrix, acc []float64) {
+	f := 0
+	for ; f+4 <= g.Rows; f += 4 {
+		r0, r1, r2, r3 := g.Row(f), g.Row(f+1), g.Row(f+2), g.Row(f+3)
+		s0, s1, s2, s3 := acc[f], acc[f+1], acc[f+2], acc[f+3]
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		acc[f], acc[f+1], acc[f+2], acc[f+3] = s0, s1, s2, s3
+	}
+	for ; f < g.Rows; f++ {
+		s := acc[f]
+		for _, v := range g.Row(f) {
+			s += v
+		}
+		acc[f] = s
+	}
+}
+
 // Clone implements Layer.
 func (c *Conv2D) Clone() Layer {
-	return &Conv2D{shape: c.shape, filters: c.filters}
+	return &Conv2D{shape: c.shape, plan: c.plan, filters: c.filters}
 }
 
 // MaxPool2x2 downsamples channel-major images by taking the max over
@@ -371,37 +404,52 @@ func (m *MaxPool2x2) Init([]float64, *rng.Rand) {}
 
 // Forward implements Layer.
 func (m *MaxPool2x2) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
-	oh, ow := m.height/2, m.width/2
-	out := ensureMat(&m.outBuf, in.Rows, m.channels*oh*ow)
-	if need := in.Rows * m.OutDim(); cap(m.argmax) < need {
+	n := m.OutDim()
+	out := ensureMat(&m.outBuf, in.Rows, n)
+	if need := in.Rows * n; cap(m.argmax) < need {
 		m.argmax = make([]int, need)
 	} else {
 		m.argmax = m.argmax[:need]
 	}
 	for i := 0; i < in.Rows; i++ {
-		src := in.Row(i)
-		dst := out.Row(i)
-		am := m.argmax[i*m.OutDim() : (i+1)*m.OutDim()]
-		for ch := 0; ch < m.channels; ch++ {
-			base := ch * m.height * m.width
-			obase := ch * oh * ow
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					bestIdx := base + (2*oy)*m.width + 2*ox
-					best := src[bestIdx]
-					for _, d := range [3]int{1, m.width, m.width + 1} {
-						if idx := base + (2*oy)*m.width + 2*ox + d; src[idx] > best {
-							best, bestIdx = src[idx], idx
-						}
-					}
-					o := obase + oy*ow + ox
-					dst[o] = best
-					am[o] = bestIdx
-				}
-			}
-		}
+		poolImage(in.Row(i), m.width, out.Row(i), m.argmax[i*n:(i+1)*n])
 	}
 	return out
+}
+
+// poolImage pools the 2x2 windows of src into dst and records each winner's
+// offset in src. Channels are stacked image rows with an even row count, so
+// the image is walked as one tall plane, two rows at a time. The first of
+// equal maxima wins, in the order (0,0), (0,1), (1,0), (1,1). A function of
+// its own so the loop's handful of live values stay in registers.
+func poolImage(src []float64, width int, dst []float64, argmax []int) {
+	argmax = argmax[:len(dst)]
+	p, rowEnd := 0, width // p: the window's top-left element
+	for o := range dst {
+		top, bot := src[p:p+2:p+2], src[p+width:p+width+2:p+width+2]
+		best, at := pickMax(top[0], p, top[1], p+1)
+		best, at = pickMax(best, at, bot[0], p+width)
+		best, at = pickMax(best, at, bot[1], p+width+1)
+		dst[o], argmax[o] = best, at
+		if p += 2; p == rowEnd { // next pair of image rows
+			p += width
+			rowEnd += 2 * width
+		}
+	}
+}
+
+// pickMax returns (v, vIdx) when v > best and (best, bestIdx) otherwise —
+// the comparison a branch would make (false on NaN, false on equal zeros of
+// either sign), applied as a bit mask: activations are as good as random to
+// a branch predictor.
+func pickMax(best float64, bestIdx int, v float64, vIdx int) (float64, int) {
+	var take uint64
+	if v > best {
+		take = 1
+	}
+	take = -take
+	b, vb := math.Float64bits(best), math.Float64bits(v)
+	return math.Float64frombits(b ^ (b^vb)&take), bestIdx ^ (bestIdx^vIdx)&int(take)
 }
 
 // Backward implements Layer.

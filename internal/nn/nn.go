@@ -38,7 +38,12 @@ type Layer interface {
 	// Init writes an initialization into params (length ParamLen).
 	Init(params []float64, r *rng.Rand)
 	// Forward computes the layer output for a batch (rows are examples)
-	// and caches whatever Backward needs.
+	// and caches whatever Backward needs. An elementwise layer maps NaN to
+	// NaN, whatever its sign or payload: a diverged activation must reach
+	// the loss as NaN, not be laundered into a finite value on the way
+	// (ReLU passes NaN through where a bare `v > 0` test would clamp it to
+	// 0). MaxPool2x2 is a comparison, not elementwise: a NaN that is not
+	// first in its window loses to any number.
 	Forward(params []float64, in *tensor.Matrix) *tensor.Matrix
 	// Backward consumes the gradient w.r.t. the layer output, accumulates
 	// the parameter gradient into dParams (length ParamLen, NOT zeroed),

@@ -68,10 +68,11 @@ func NewResNetNano(shape data.ImageShape, classes int) *Network {
 	stem := NewConv2D(c, h, w, 3, 1, 1, 8)
 	_, hs, ws := stem.OutShape()
 
+	// The four trunk convolutions have one shape: clones of one layer share
+	// its im2col table instead of building four.
+	trunk := NewConv2D(8, hs, ws, 3, 1, 1, 8)
 	block := func() Layer {
-		conv1 := NewConv2D(8, hs, ws, 3, 1, 1, 8)
-		conv2 := NewConv2D(8, hs, ws, 3, 1, 1, 8)
-		return NewResidual(conv1, NewReLU(conv1.OutDim()), conv2)
+		return NewResidual(trunk.Clone(), NewReLU(trunk.OutDim()), trunk.Clone())
 	}
 
 	pool := NewMaxPool2x2(8, hs, ws)

@@ -1,32 +1,36 @@
 package tensor
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/par"
 )
 
-// Blocked, register-tiled implementations of the Gem*/Gemv* kernels. The
-// contract with naive.go: every output element accumulates exactly the same
-// sequence of floating-point operations as the naive reference — beta-scale
-// (or overwrite) first, then one addition per term in ascending reduction
-// index, with the axpy-form zero-coefficient skip preserved — so results are
+// Blocked implementations of the Gem*/Gemv* kernels. The contract with
+// naive.go: every output element accumulates exactly the same sequence of
+// floating-point operations as the naive reference — beta-scale (or
+// overwrite) first, then one addition per term in ascending reduction index,
+// with the axpy-form zero-coefficient skip preserved — so results are
 // bit-identical to the reference at every worker count. The speed comes from
-// where values live, not from reassociating arithmetic: register tiles share
-// one streamed B (or x) load across several output rows, k-panel blocking
-// keeps the streamed operand resident in cache, and the optional fan-out
-// gives each goroutine a disjoint set of output rows. On amd64 the alpha==1
-// Gemm hot path additionally dispatches to a packed SSE2 micro-kernel
-// (gemm_amd64.s) whose lanes hold independent C elements — same per-element
-// multiply/add sequence, two retired per cycle instead of one.
+// where values live and from work that is never issued, not from
+// reassociating arithmetic: output elements stay in registers across a whole
+// k-block, the axpy-form kernels compress each row's non-zero coefficients
+// once and touch only those terms, and the optional fan-out gives each
+// goroutine a disjoint set of output rows. On amd64 the inner loops of Gemm,
+// GemmTA and GemmTB are packed SSE2 micro-kernels (gemm_amd64.s) whose lanes
+// hold independent C elements — same per-element multiply/add sequence, two
+// retired per instruction instead of one.
 
 const (
-	// rowTile is the register tile height: output rows updated per streamed
-	// B-row (or x) load in the axpy-form kernels.
+	// rowTile is the register tile height of Gemv: output rows updated per
+	// streamed x load.
 	rowTile = 4
-	// kcBlock is the k-panel size: the B panel (kcBlock x N floats) stays
-	// cache-resident while every row tile of the panel consumes it.
-	kcBlock = 256
+	// kcBlock is the k-panel size of the axpy-form kernels: the B panel
+	// (kcBlock x N floats) stays cache-resident while every row of the panel
+	// consumes it, and a row's coefficient list (coefList, zeroed per call)
+	// stays at 1 KiB of stack. A power of two.
+	kcBlock = 64
 	// panelRows is the parallel work-unit height. Panels are contiguous and
 	// disjoint, so each output row has exactly one writer.
 	panelRows = 32
@@ -102,8 +106,14 @@ func scaleRows(beta float64, c *Matrix) {
 	}
 }
 
-func gemmBlocked(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	m, k, n := a.Rows, a.Cols, b.Cols
+// axpyFormBlocked is C = alpha*op(A)*B + beta*C for both axpy-form
+// products. Coefficient (i, kk) of op(A) sits at a.Data[i*iStride +
+// kk*kStride]: (a.Cols, 1) reads A as stored (Gemm), (1, a.Cols) reads it
+// transposed (GemmTA). The naive GemmTA walks k outermost; for a fixed C
+// element the terms still arrive in ascending k, so working by C-row panels
+// reorders nothing per element.
+func axpyFormBlocked(alpha float64, a, b *Matrix, beta float64, c *Matrix, iStride, kStride int) {
+	m, k, n := c.Rows, b.Rows, b.Cols
 	scaleRows(beta, c)
 	if m == 0 || n == 0 || k == 0 {
 		return
@@ -115,334 +125,91 @@ func gemmBlocked(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 		aa, bb, cc := *a, *b, *c
 		par.ForEach(panels, Workers(), func(p int) {
 			lo, hi := panelBounds(p, m)
-			gemmPanel(alpha, &aa, &bb, &cc, lo, hi, k)
+			gemmPanel(alpha, &aa, &bb, &cc, lo, hi, iStride, kStride)
 		})
 		return
 	}
-	gemmPanel(alpha, a, b, c, 0, m, k)
+	gemmPanel(alpha, a, b, c, 0, m, iStride, kStride)
 }
 
-// gemmPanel computes C rows [lo, hi) with the GEBP loop nest: k-panels
-// outermost (so every element still accumulates k-terms in ascending
-// order), then 4-column j-strips, then 2-row micro-tiles. With the j-strip
-// OUTSIDE the row loop, the B column strip the micro-kernel streams
-// (kcBlock rows x 32 bytes) stays L1-resident and is reused by every row
-// pair of the panel; nesting the other way re-streams the whole B panel
-// per row pair from L2 or memory.
-func gemmPanel(alpha float64, a, b, c *Matrix, lo, hi, k int) {
-	if useAsmGemm && alpha == 1 {
-		gemmPanelSSE(a, b, c, lo, hi, k)
-		return
-	}
-	n := b.Cols
+// gemmPanel computes C rows [lo, hi) of an axpy-form product after the beta
+// pre-pass. The k-blocks are outermost, so every element still accumulates
+// its terms in ascending k. Per C row and k-block the non-zero coefficients
+// are compressed ONCE into a list (coefList), and the row is then updated
+// from the listed B rows only: the naive kernel's zero skip becomes work
+// that is never issued, which is what makes post-ReLU / post-pool gradient
+// operands (50-90% exact zeros) cheap instead of a reason to leave the
+// packed kernel.
+func gemmPanel(alpha float64, a, b, c *Matrix, lo, hi, iStride, kStride int) {
+	var l coefList
+	k, n := b.Rows, b.Cols
 	for k0 := 0; k0 < k; k0 += kcBlock {
-		k1 := k0 + kcBlock
-		if k1 > k {
-			k1 = k
-		}
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			i := lo
-			for ; i+2 <= hi; i += 2 {
-				gemmMicro2x4(alpha, a, b, c, i, j, k0, k1)
-			}
-			for ; i < hi; i++ {
-				gemmMicro1x4(alpha, a.Row(i), b, c.Row(i), j, k0, k1)
-			}
-		}
-		for ; j < n; j++ {
-			for i := lo; i < hi; i++ {
-				gemmMicro1x1(alpha, a.Row(i), b, c.Row(i), j, k0, k1)
+		kn := min(kcBlock, k-k0)
+		for i := lo; i < hi; i++ {
+			nnz := l.compress(alpha, a.Data[i*iStride+k0*kStride:], kStride, kn, k0*n, n)
+			if nnz > 0 {
+				axpyList(&l, nnz, b.Data, c.Row(i))
 			}
 		}
 	}
 }
 
-// gemmPanelSSE is the alpha == 1 panel body dispatching to the packed SSE2
-// micro-kernel (gemm_amd64.s). The kernel has no zero-skip branch, so a Go
-// pre-scan classifies each panel row once per k-block: row pairs with no
-// exact-zero coefficient take the 2x8 packed kernel, anything else falls
-// back to the scalar micro-kernels, which preserve the skip. On dense data
-// (trained weights, normalized activations) the scan almost always passes
-// and costs two reads per coefficient against sixteen multiply-adds.
-func gemmPanelSSE(a, b, c *Matrix, lo, hi, k int) {
-	var nz [panelRows]bool
-	n, step := b.Cols, b.Cols
-	for k0 := 0; k0 < k; k0 += kcBlock {
-		k1 := k0 + kcBlock
-		if k1 > k {
-			k1 = k
-		}
-		// The serial path covers all m rows in one call, so re-chunk into
-		// panelRows strips to bound the nz scratch.
-		for i0 := lo; i0 < hi; i0 += panelRows {
-			i2 := i0 + panelRows
-			if i2 > hi {
-				i2 = hi
-			}
-			for r := i0; r < i2; r++ {
-				nz[r-i0] = rowNoZeros(a.Row(r)[k0:k1])
-			}
-			j := 0
-			for ; j+8 <= n; j += 8 {
-				i := i0
-				for ; i+2 <= i2; i += 2 {
-					if nz[i-i0] && nz[i-i0+1] {
-						ap0, ap1 := a.Row(i), a.Row(i+1)
-						c0, c1 := c.Row(i), c.Row(i+1)
-						gemmMadd2x8(&ap0[k0], &ap1[k0], &b.Data[k0*step+j],
-							&c0[j], &c1[j], step*8, k1-k0)
-						continue
-					}
-					gemmMicro2x4(1, a, b, c, i, j, k0, k1)
-					gemmMicro2x4(1, a, b, c, i, j+4, k0, k1)
-				}
-				for ; i < i2; i++ {
-					gemmMicro1x4(1, a.Row(i), b, c.Row(i), j, k0, k1)
-					gemmMicro1x4(1, a.Row(i), b, c.Row(i), j+4, k0, k1)
-				}
-			}
-			for ; j+4 <= n; j += 4 {
-				i := i0
-				for ; i+2 <= i2; i += 2 {
-					gemmMicro2x4(1, a, b, c, i, j, k0, k1)
-				}
-				for ; i < i2; i++ {
-					gemmMicro1x4(1, a.Row(i), b, c.Row(i), j, k0, k1)
-				}
-			}
-			for ; j < n; j++ {
-				for i := i0; i < i2; i++ {
-					gemmMicro1x1(1, a.Row(i), b, c.Row(i), j, k0, k1)
-				}
-			}
-		}
-	}
+// coefList is the compressed coefficient list of one C row over one k-block:
+// val[t] is the t-th non-zero alpha*a, off[t] the offset in B.Data of the B
+// row it scales. Entries are in ascending k.
+type coefList struct {
+	off [kcBlock]int
+	val [kcBlock]float64
 }
 
-// rowNoZeros reports whether s is free of exact zeros, i.e. the naive
-// kernel's zero-coefficient skip cannot fire on this coefficient range.
-func rowNoZeros(s []float64) bool {
-	for _, v := range s {
-		if v == 0 {
-			return false
-		}
+// compress fills l from the kn coefficients a[0], a[stride], ... whose B
+// rows start at boff, boff+ldb, ... and returns the number kept. A
+// coefficient is dropped exactly when the naive kernels skip it (alpha*a ==
+// 0, either sign; NaN is kept). The count advances by integer arithmetic on
+// the bit pattern: a compare-and-branch here would mispredict on every
+// other element of a half-zero operand. Not inlined: inside gemmPanel the
+// loop's counters spill to the stack.
+//
+//go:noinline
+func (l *coefList) compress(alpha float64, a []float64, stride, kn, boff, ldb int) int {
+	n := 0
+	for t := 0; kn > 0; kn-- {
+		v := alpha * a[t]
+		l.off[n&(kcBlock-1)] = boff
+		l.val[n&(kcBlock-1)] = v
+		mag := math.Float64bits(v) << 1 // drops the sign: zero iff v == 0
+		n += int((mag | -mag) >> 63)
+		t += stride
+		boff += ldb
 	}
-	return true
+	return n
 }
 
-// gemmMicro2x4 accumulates the 2x4 C block at (i, j) over the k-panel
-// [k0, k1) in eight register accumulators, so the inner loop's only memory
-// traffic is two A coefficients and four B values per k — the streamed-C
-// axpy form pays two L1 ops per multiply-add instead. Eight accumulators
-// plus six streamed values fit amd64's sixteen XMM registers; a wider tile
-// spills and runs SLOWER. Bit-exactness holds because each element's
-// accumulator receives one addition per k in ascending order, seeded from
-// the (already beta-scaled) C value, and a zero coefficient skips its four
-// additions exactly like the naive kernel's k-skip.
-func gemmMicro2x4(alpha float64, a, b, c *Matrix, i, j, k0, k1 int) {
-	ap0 := a.Row(i)[k0:k1]
-	ap1 := a.Row(i + 1)[k0:k1]
-	ap1 = ap1[:len(ap0)]
-	c0 := c.Row(i)[j : j+4]
-	c1 := c.Row(i + 1)[j : j+4]
-	s00, s01, s02, s03 := c0[0], c0[1], c0[2], c0[3]
-	s10, s11, s12, s13 := c1[0], c1[1], c1[2], c1[3]
-	// Walk B by flat offset: one add per k instead of a row multiply and
-	// double reslice in the hottest loop of the package.
-	bd, step := b.Data, b.Cols
-	off := k0*step + j
-	if alpha == 1 {
-		// alpha == 1 fast path: 1*x is bit-identical to x for every finite,
-		// infinite, and quiet-NaN value (only signaling-NaN payloads would
-		// differ, and the engines never produce those), so dropping the two
-		// coefficient multiplies per k preserves the parity contract while
-		// returning a quarter of the FP-port budget to the accumulators.
-		for kk, v0 := range ap0 {
-			brow := bd[off : off+4 : off+4]
-			bv0, bv1, bv2, bv3 := brow[0], brow[1], brow[2], brow[3]
-			off += step
-			v1 := ap1[kk]
-			if v0 != 0 && v1 != 0 {
-				s00 += v0 * bv0
-				s01 += v0 * bv1
-				s02 += v0 * bv2
-				s03 += v0 * bv3
-				s10 += v1 * bv0
-				s11 += v1 * bv1
-				s12 += v1 * bv2
-				s13 += v1 * bv3
-				continue
-			}
-			if v0 != 0 {
-				s00 += v0 * bv0
-				s01 += v0 * bv1
-				s02 += v0 * bv2
-				s03 += v0 * bv3
-			}
-			if v1 != 0 {
-				s10 += v1 * bv0
-				s11 += v1 * bv1
-				s12 += v1 * bv2
-				s13 += v1 * bv3
-			}
+// axpyListGo is crow[j] += sum_t l.val[t] * b[l.off[t]+j] for j in [j0,
+// len(crow)), every element taking its terms in list order. Four columns
+// share each coefficient load; the accumulators stay in registers across
+// the whole list.
+func axpyListGo(l *coefList, nnz int, b []float64, crow []float64, j0 int) {
+	off, val := l.off[:nnz], l.val[:nnz]
+	j := j0
+	for ; j+4 <= len(crow); j += 4 {
+		cs := crow[j : j+4 : j+4]
+		s0, s1, s2, s3 := cs[0], cs[1], cs[2], cs[3]
+		for t, v := range val {
+			bs := b[off[t]+j : off[t]+j+4 : off[t]+j+4]
+			s0 += v * bs[0]
+			s1 += v * bs[1]
+			s2 += v * bs[2]
+			s3 += v * bs[3]
 		}
-	} else {
-		for kk, av0 := range ap0 {
-			brow := bd[off : off+4 : off+4]
-			bv0, bv1, bv2, bv3 := brow[0], brow[1], brow[2], brow[3]
-			off += step
-			v0 := alpha * av0
-			v1 := alpha * ap1[kk]
-			if v0 != 0 && v1 != 0 {
-				s00 += v0 * bv0
-				s01 += v0 * bv1
-				s02 += v0 * bv2
-				s03 += v0 * bv3
-				s10 += v1 * bv0
-				s11 += v1 * bv1
-				s12 += v1 * bv2
-				s13 += v1 * bv3
-				continue
-			}
-			if v0 != 0 {
-				s00 += v0 * bv0
-				s01 += v0 * bv1
-				s02 += v0 * bv2
-				s03 += v0 * bv3
-			}
-			if v1 != 0 {
-				s10 += v1 * bv0
-				s11 += v1 * bv1
-				s12 += v1 * bv2
-				s13 += v1 * bv3
-			}
-		}
+		cs[0], cs[1], cs[2], cs[3] = s0, s1, s2, s3
 	}
-	c0[0], c0[1], c0[2], c0[3] = s00, s01, s02, s03
-	c1[0], c1[1], c1[2], c1[3] = s10, s11, s12, s13
-}
-
-// gemmMicro1x4 is the single-row tail of gemmMicro2x4.
-func gemmMicro1x4(alpha float64, arow []float64, b *Matrix, crow []float64, j, k0, k1 int) {
-	cs := crow[j : j+4]
-	s0, s1, s2, s3 := cs[0], cs[1], cs[2], cs[3]
-	for kk, av := range arow[k0:k1] {
-		v := alpha * av
-		if v == 0 {
-			continue
+	for ; j < len(crow); j++ {
+		s := crow[j]
+		for t, v := range val {
+			s += v * b[off[t]+j]
 		}
-		brow := b.Row(k0 + kk)[j : j+4 : j+4]
-		s0 += v * brow[0]
-		s1 += v * brow[1]
-		s2 += v * brow[2]
-		s3 += v * brow[3]
-	}
-	cs[0], cs[1], cs[2], cs[3] = s0, s1, s2, s3
-}
-
-// gemmMicro1x1 is the scalar column-remainder kernel.
-func gemmMicro1x1(alpha float64, arow []float64, b *Matrix, crow []float64, j, k0, k1 int) {
-	s := crow[j]
-	for kk, av := range arow[k0:k1] {
-		v := alpha * av
-		if v == 0 {
-			continue
-		}
-		s += v * b.Row(k0 + kk)[j]
-	}
-	crow[j] = s
-}
-
-// axpyRow is dst += v * src over exactly len(src) elements; the reslice
-// makes the loop bounds-check-free.
-func axpyRow(dst []float64, v float64, src []float64) {
-	dst = dst[:len(src)]
-	for j, sv := range src {
-		dst[j] += v * sv
-	}
-}
-
-func gemmTABlocked(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	k, m, n := a.Rows, a.Cols, b.Cols // C is m x n, reduction over A's rows
-	scaleRows(beta, c)
-	if m == 0 || n == 0 || k == 0 {
-		return
-	}
-	// The naive kernel walks k outermost; for a fixed C element the terms
-	// still arrive in ascending k, so interchanging to C-row panels (i
-	// outer) reorders nothing per element.
-	if panels := parPanels(m, m*n*k); panels > 0 {
-		aa, bb, cc := *a, *b, *c // header copies: keep caller headers off the heap
-		par.ForEach(panels, Workers(), func(p int) {
-			lo, hi := panelBounds(p, m)
-			gemmTAPanel(alpha, &aa, &bb, &cc, lo, hi, k)
-		})
-		return
-	}
-	gemmTAPanel(alpha, a, b, c, 0, m, k)
-}
-
-func gemmTAPanel(alpha float64, a, b, c *Matrix, lo, hi, k int) {
-	for k0 := 0; k0 < k; k0 += kcBlock {
-		k1 := k0 + kcBlock
-		if k1 > k {
-			k1 = k
-		}
-		i := lo
-		for ; i+rowTile <= hi; i += rowTile {
-			gemmTATile4(alpha, a, b, c, i, k0, k1)
-		}
-		for ; i < hi; i++ {
-			gemmTATile1(alpha, a, b, c.Row(i), i, k0, k1)
-		}
-	}
-}
-
-// gemmTATile4 is gemmTile4 with A read transposed: coefficients for C rows
-// i..i+3 sit adjacent in each A row, so the strided reads stay within one
-// cache line per k.
-func gemmTATile4(alpha float64, a, b, c *Matrix, i, k0, k1 int) {
-	c0, c1, c2, c3 := c.Row(i), c.Row(i+1), c.Row(i+2), c.Row(i+3)
-	for kk := k0; kk < k1; kk++ {
-		arow := a.Row(kk)
-		v0 := alpha * arow[i]
-		v1 := alpha * arow[i+1]
-		v2 := alpha * arow[i+2]
-		v3 := alpha * arow[i+3]
-		brow := b.Row(kk)
-		if v0 != 0 && v1 != 0 && v2 != 0 && v3 != 0 {
-			c0, c1, c2, c3 := c0[:len(brow)], c1[:len(brow)], c2[:len(brow)], c3[:len(brow)]
-			for j, bv := range brow {
-				c0[j] += v0 * bv
-				c1[j] += v1 * bv
-				c2[j] += v2 * bv
-				c3[j] += v3 * bv
-			}
-			continue
-		}
-		if v0 != 0 {
-			axpyRow(c0, v0, brow)
-		}
-		if v1 != 0 {
-			axpyRow(c1, v1, brow)
-		}
-		if v2 != 0 {
-			axpyRow(c2, v2, brow)
-		}
-		if v3 != 0 {
-			axpyRow(c3, v3, brow)
-		}
-	}
-}
-
-func gemmTATile1(alpha float64, a, b *Matrix, crow []float64, i, k0, k1 int) {
-	for kk := k0; kk < k1; kk++ {
-		aik := alpha * a.Row(kk)[i]
-		if aik == 0 {
-			continue
-		}
-		axpyRow(crow, aik, b.Row(kk))
+		crow[j] = s
 	}
 }
 
@@ -462,12 +229,21 @@ func gemmTBBlocked(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	gemmTBPanel(alpha, a, b, beta, c, 0, m, n)
 }
 
+// axpby is the dot-form epilogue: alpha*s + beta*c, with beta == 0
+// overwriting.
+func axpby(alpha, s, beta, c float64) float64 {
+	if beta == 0 {
+		return alpha * s
+	}
+	return alpha*s + beta*c
+}
+
 func gemmTBPanel(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi, n int) {
 	i := lo
 	for ; i+2 <= hi; i += 2 {
 		a0, a1 := a.Row(i), a.Row(i+1)
 		c0, c1 := c.Row(i), c.Row(i+1)
-		j := 0
+		j := dotTiles8(alpha, a0, a1, b, beta, c0, c1)
 		for ; j+2 <= n; j += 2 {
 			// 2x2 register tile: four dot products sharing every
 			// streamed A and B element; each accumulator sums in
@@ -486,17 +262,10 @@ func gemmTBPanel(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi, n
 				s10 += av1 * bv0
 				s11 += av1 * bv1
 			}
-			if beta == 0 {
-				c0[j] = alpha * s00
-				c0[j+1] = alpha * s01
-				c1[j] = alpha * s10
-				c1[j+1] = alpha * s11
-			} else {
-				c0[j] = alpha*s00 + beta*c0[j]
-				c0[j+1] = alpha*s01 + beta*c0[j+1]
-				c1[j] = alpha*s10 + beta*c1[j]
-				c1[j+1] = alpha*s11 + beta*c1[j+1]
-			}
+			c0[j] = axpby(alpha, s00, beta, c0[j])
+			c0[j+1] = axpby(alpha, s01, beta, c0[j+1])
+			c1[j] = axpby(alpha, s10, beta, c1[j])
+			c1[j+1] = axpby(alpha, s11, beta, c1[j+1])
 		}
 		for ; j < n; j++ {
 			brow := b.Row(j)
@@ -506,26 +275,25 @@ func gemmTBPanel(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi, n
 				s0 += av0 * bv
 				s1 += a1[kk] * bv
 			}
-			if beta == 0 {
-				c0[j] = alpha * s0
-				c1[j] = alpha * s1
-			} else {
-				c0[j] = alpha*s0 + beta*c0[j]
-				c1[j] = alpha*s1 + beta*c1[j]
-			}
+			c0[j] = axpby(alpha, s0, beta, c0[j])
+			c1[j] = axpby(alpha, s1, beta, c1[j])
 		}
 	}
 	for ; i < hi; i++ {
 		arow := a.Row(i)
 		crow := c.Row(i)
 		for j := 0; j < n; j++ {
-			s := Dot(arow, b.Row(j))
-			if beta == 0 {
-				crow[j] = alpha * s
-			} else {
-				crow[j] = alpha*s + beta*crow[j]
-			}
+			crow[j] = axpby(alpha, Dot(arow, b.Row(j)), beta, crow[j])
 		}
+	}
+}
+
+// axpyRow is dst += v * src over exactly len(src) elements; the reslice
+// makes the loop bounds-check-free.
+func axpyRow(dst []float64, v float64, src []float64) {
+	dst = dst[:len(src)]
+	for j, sv := range src {
+		dst[j] += v * sv
 	}
 }
 

@@ -1,11 +1,14 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package tensor
 
-// Non-amd64 builds run the pure-Go micro-kernels in blocked.go; the
-// constant keeps the asm dispatch dead-code-eliminated.
-const useAsmGemm = false
+// Non-amd64 and -tags purego builds run the pure-Go kernels in blocked.go.
 
-func gemmMadd2x8(ap0, ap1, b, c0, c1 *float64, stepBytes, kn int) {
-	panic("tensor: gemmMadd2x8 is amd64-only")
+func axpyList(l *coefList, nnz int, b []float64, crow []float64) {
+	axpyListGo(l, nnz, b, crow, 0)
+}
+
+// dotTiles8 covers no columns: the 2x2 Go tile in gemmTBPanel takes them all.
+func dotTiles8(alpha float64, a0, a1 []float64, b *Matrix, beta float64, c0, c1 []float64) int {
+	return 0
 }

@@ -4,10 +4,37 @@ package tensor
 // kernels in blocked.go must match bit for bit. They define the canonical
 // reduce order: every output element starts from its beta-scaled destination
 // (beta == 0 overwrites) and accumulates terms in ascending reduction index,
-// one addition per term; terms whose A coefficient is exactly zero are
-// skipped in the axpy-form kernels (Gemm, GemmTA, GemvT). Parity tests and
-// cmd/bench compare against these, so they must stay byte-for-byte what the
-// repository shipped before the blocked rewrite.
+// one addition per term. Parity tests and cmd/bench compare against these,
+// so they must stay byte-for-byte what the repository shipped before the
+// blocked rewrite.
+//
+// The products come in two forms, and the form decides what a zero does:
+//
+//   - Dot form (Gemv, GemmTB): an element is alpha*s + beta*c, where s sums
+//     EVERY term from +0. No term is skipped: a zero coefficient still
+//     multiplies its partner, so 0 x Inf or 0 x NaN poisons the sum, and s is
+//     never -0.
+//   - Axpy form (Gemm, GemmTA, GemvT): an element starts from beta*c and
+//     adds (alpha*a)*b term by term; a term whose coefficient alpha*a is
+//     exactly zero (either sign) is SKIPPED, so it hides an Inf or NaN
+//     partner and leaves a -0 destination -0. The coefficient operand is A.
+//
+// The blocked kernels turn the skip into speed (blocked.go: a row's non-zero
+// coefficients are compressed to a list once, then only those terms are
+// issued), so which operand a caller puts in the coefficient seat matters.
+// nn.Conv2D, per sample, with W the F x L filters, X the P x L lowered
+// patches and G the F x P output gradient:
+//
+//   - Forward, out = W*X^T, is GemmTB(W, X): dot form, as the P x F product
+//     GemmTB(X, W) it replaces was. Dot multiplies term by term and a*b ==
+//     b*a bit for bit, so swapping the operands only transposes the result —
+//     into the channel-major order the output row already has.
+//   - Backward, dW += G*X, is Gemm(G, X), and dX = G^T*W is GemmTA(G, W):
+//     axpy form with G as the coefficient operand, term for term the
+//     GemmTA(G^T, X) and Gemm(G^T, W) they replace (same products, same
+//     ascending position/filter order, same skip on G == 0). G is what ReLU
+//     and max-pooling fill with exact zeros, so the skip lands where the
+//     zeros are.
 
 // GemvNaive is the reference Gemv: y = alpha*A*x + beta*y.
 func GemvNaive(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {

@@ -3,9 +3,9 @@
 // with the handful of BLAS-like kernels (axpy, dot, gemv, gemm, im2col) that
 // mini-batch SGD on MLPs and small CNNs requires.
 //
-// Everything is plain Go over []float64 — no assembly, no cgo — because the
-// reproduction targets algorithmic shape (error-vs-simulated-time curves),
-// not absolute FLOP throughput.
+// Everything is plain Go over []float64 except two SSE2 micro-kernels behind
+// the matmul entry points on amd64 (gemm_amd64.s; -tags purego builds
+// without them). No cgo.
 package tensor
 
 import (
@@ -139,13 +139,14 @@ func (m *Matrix) Clone() *Matrix {
 // distinction matters because 0 * NaN = NaN — a destination holding stale
 // NaN/Inf (e.g. a reused scratch buffer) must not poison the result.
 //
-// The Gem*/Gemv* kernels below are cache-blocked and register-tiled (see
-// blocked.go) and optionally fan output-row panels across a goroutine pool
-// (SetWorkers; default 1 = serial). Every variant is bit-identical to its
-// naive reference in naive.go at every worker count: per output element the
-// floating-point operation sequence is the canonical reduce order — the
-// beta-scaled destination plus one addition per term in ascending reduction
-// index, with exact-zero A coefficients skipped in the axpy-form kernels.
+// The Gem*/Gemv* kernels below are blocked (see blocked.go) and optionally
+// fan output-row panels across a goroutine pool (SetWorkers; default 1 =
+// serial). Every variant is bit-identical to its naive reference in naive.go
+// at every worker count: per output element the floating-point operation
+// sequence is the canonical reduce order — the beta-scaled destination plus
+// one addition per term in ascending reduction index, with exact-zero A
+// coefficients skipped in the axpy-form kernels (naive.go says which those
+// are and why it matters to callers).
 
 // Gemv computes y = alpha*A*x + beta*y for a row-major A (Rows x Cols),
 // len(x) == Cols, len(y) == Rows. beta == 0 overwrites y.
@@ -171,7 +172,7 @@ func Gemm(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("tensor: Gemm dimension mismatch")
 	}
-	gemmBlocked(alpha, a, b, beta, c)
+	axpyFormBlocked(alpha, a, b, beta, c, a.Cols, 1)
 }
 
 // GemmTA computes C = alpha*A^T*B + beta*C. A is (K x M), B is (K x N),
@@ -180,7 +181,7 @@ func GemmTA(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic("tensor: GemmTA dimension mismatch")
 	}
-	gemmTABlocked(alpha, a, b, beta, c)
+	axpyFormBlocked(alpha, a, b, beta, c, 1, a.Cols)
 }
 
 // GemmTB computes C = alpha*A*B^T + beta*C. A is (M x K), B is (N x K),

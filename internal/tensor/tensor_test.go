@@ -443,3 +443,113 @@ func TestGemvBetaZeroOverwritesStaleNaN(t *testing.T) {
 		}
 	}
 }
+
+// im2colRef and col2imRef are the loops Im2Col and Col2Im shipped with
+// before they lost their per-element bounds test: the definition the faster
+// references and the ConvPlan table are checked against.
+func im2colRef(s ConvShape, img []float64, dst *Matrix) {
+	row := 0
+	for oy := 0; oy < s.OutHeight(); oy++ {
+		for ox := 0; ox < s.OutWidth(); ox++ {
+			d := dst.Row(row)
+			idx := 0
+			for c := 0; c < s.Channels; c++ {
+				base := c * s.Height * s.Width
+				for ky := 0; ky < s.Kernel; ky++ {
+					iy := oy*s.Stride + ky - s.Pad
+					for kx := 0; kx < s.Kernel; kx++ {
+						ix := ox*s.Stride + kx - s.Pad
+						if iy < 0 || iy >= s.Height || ix < 0 || ix >= s.Width {
+							d[idx] = 0
+						} else {
+							d[idx] = img[base+iy*s.Width+ix]
+						}
+						idx++
+					}
+				}
+			}
+			row++
+		}
+	}
+}
+
+func col2imRef(s ConvShape, patches *Matrix, dst []float64) {
+	row := 0
+	for oy := 0; oy < s.OutHeight(); oy++ {
+		for ox := 0; ox < s.OutWidth(); ox++ {
+			p := patches.Row(row)
+			idx := 0
+			for c := 0; c < s.Channels; c++ {
+				base := c * s.Height * s.Width
+				for ky := 0; ky < s.Kernel; ky++ {
+					iy := oy*s.Stride + ky - s.Pad
+					for kx := 0; kx < s.Kernel; kx++ {
+						ix := ox*s.Stride + kx - s.Pad
+						if iy >= 0 && iy < s.Height && ix >= 0 && ix < s.Width {
+							dst[base+iy*s.Width+ix] += p[idx]
+						}
+						idx++
+					}
+				}
+			}
+			row++
+		}
+	}
+}
+
+// TestConvLoweringParity compares, bit for bit, Im2Col/Col2Im and the
+// ConvPlan table against the per-element reference loops, over the layer
+// shapes in use plus stride 2, no padding, a 1x1 kernel, a non-square image
+// and padding at least as wide as the kernel (whole kernel rows out of
+// bounds). Values include -0, and Col2Im accumulates onto a non-zero image,
+// so a reordered or dropped addition shows.
+func TestConvLoweringParity(t *testing.T) {
+	shapes := []ConvShape{
+		{Channels: 1, Height: 8, Width: 8, Kernel: 3, Stride: 1, Pad: 1},
+		{Channels: 8, Height: 4, Width: 4, Kernel: 3, Stride: 1, Pad: 1},
+		{Channels: 3, Height: 7, Width: 7, Kernel: 3, Stride: 2, Pad: 1},
+		{Channels: 2, Height: 5, Width: 6, Kernel: 3, Stride: 1, Pad: 0},
+		{Channels: 2, Height: 3, Width: 4, Kernel: 1, Stride: 1, Pad: 0},
+		{Channels: 1, Height: 3, Width: 2, Kernel: 2, Stride: 1, Pad: 2},
+		{Channels: 2, Height: 4, Width: 5, Kernel: 3, Stride: 2, Pad: 3},
+	}
+	r := parityRNG(13)
+	for _, s := range shapes {
+		n := s.Channels * s.Height * s.Width
+		rows, cols := s.OutHeight()*s.OutWidth(), s.PatchLen()
+		plan := NewConvPlan(s)
+		gathered := NewMatrix(rows, cols) // zero, then only ever Gather-written
+		for round := 0; round < 2; round++ {
+			img := make([]float64, n)
+			fillParity(&r, img)
+			want := NewMatrix(rows, cols)
+			im2colRef(s, img, want)
+
+			got := parityMatrix(&r, rows, cols) // stale contents must not survive
+			Im2Col(s, img, got)
+			if i, ok := bitsEqual(got.Data, want.Data); !ok {
+				t.Fatalf("Im2Col %+v: element %d = %v want %v", s, i, got.Data[i], want.Data[i])
+			}
+			plan.Gather(img, gathered)
+			if i, ok := bitsEqual(gathered.Data, want.Data); !ok {
+				t.Fatalf("Gather %+v round %d: element %d = %v want %v", s, round, i, gathered.Data[i], want.Data[i])
+			}
+
+			patches := parityMatrix(&r, rows, cols)
+			base := make([]float64, n)
+			fillParity(&r, base)
+			wantImg := append([]float64(nil), base...)
+			col2imRef(s, patches, wantImg)
+			for name, f := range map[string]func(*Matrix, []float64){
+				"Col2Im":  func(p *Matrix, dst []float64) { Col2Im(s, p, dst) },
+				"Scatter": plan.Scatter,
+			} {
+				gotImg := append([]float64(nil), base...)
+				f(patches, gotImg)
+				if i, ok := bitsEqual(gotImg, wantImg); !ok {
+					t.Fatalf("%s %+v: element %d = %v want %v", name, s, i, gotImg[i], wantImg[i])
+				}
+			}
+		}
+	}
+}
