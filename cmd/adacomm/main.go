@@ -58,14 +58,14 @@ func main() {
 	lr := flag.Float64("lr", 0.08, "base learning rate")
 	variableLR := flag.Bool("variable-lr", false, "10x decay at epoch milestones 15/30/45")
 	batch := flag.Int("batch", 16, "per-worker mini-batch size")
-	momentum := flag.Float64("momentum", 0, "local momentum factor")
-	blockMomentum := flag.Float64("block-momentum", 0, "global block momentum factor")
+	momentum := flag.Float64("momentum", 0, "local momentum factor (alias for -optimizer momentum:F)")
+	blockMomentum := flag.Float64("block-momentum", 0, "global block momentum factor (alias for -global-momentum)")
 	optimizerFlag := flag.String("optimizer", "",
-		"local update rule (internal/opt); forms: "+opt.Forms()+"; empty = plain SGD (excludes the legacy -momentum shorthand)")
+		"local update rule (internal/opt); forms: "+opt.Forms()+"; empty = plain SGD (excludes the -momentum alias)")
 	adamBeta2 := flag.Float64("adam-beta2", 0,
 		"second-moment decay beta2 for the adam/adamw forms of -optimizer (0 = default 0.999)")
 	globalMomentum := flag.Float64("global-momentum", 0,
-		"SlowMo-style slow momentum filtering every sync point under any strategy (0 = off; excludes -block-momentum)")
+		"SlowMo-style slow momentum filtering every sync point under any strategy (0 = off; excludes the -block-momentum alias)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
 	compressFlag := flag.String("compress", "none",
@@ -152,6 +152,23 @@ func main() {
 		}
 		optCfg.Beta2 = *adamBeta2
 	}
+	// -momentum and -block-momentum only fill the Opt / GlobalMomentum that
+	// -optimizer / -global-momentum fill, so the engines' one validated path
+	// rejects their bad values too.
+	if *momentum != 0 {
+		if !optCfg.IsZero() {
+			fmt.Fprintln(os.Stderr, "adacomm: set -momentum or -optimizer, not both")
+			os.Exit(2)
+		}
+		optCfg = opt.Config{Rule: opt.RuleMomentum, Momentum: *momentum}
+	}
+	if *blockMomentum != 0 {
+		if *globalMomentum != 0 {
+			fmt.Fprintln(os.Stderr, "adacomm: set -block-momentum or -global-momentum, not both")
+			os.Exit(2)
+		}
+		*globalMomentum = *blockMomentum
+	}
 	if *bandwidth < 0 {
 		fmt.Fprintf(os.Stderr, "adacomm: -bandwidth %g must be >= 0 (0 = infinite)\n", *bandwidth)
 		os.Exit(2)
@@ -200,10 +217,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "adacomm: -edge-links prices gossip graph rounds; not available with -async")
 		case *adaptGossipGamma:
 			fmt.Fprintln(os.Stderr, "adacomm: -adapt-gossip-gamma needs -strategy ring; not available with -async")
-		case *blockMomentum != 0 || *globalMomentum != 0:
+		case *globalMomentum != 0:
 			fmt.Fprintln(os.Stderr, "adacomm: -async has no sync barrier for block/global momentum to filter")
-		case *momentum != 0 && !optCfg.IsZero():
-			fmt.Fprintln(os.Stderr, "adacomm: set -momentum or -optimizer, not both")
 		case *variableLR:
 			fmt.Fprintln(os.Stderr, "adacomm: -async uses a constant learning rate; -variable-lr does not apply")
 		case *clients < 0:
@@ -211,12 +226,6 @@ func main() {
 		case *participation < 0:
 			fmt.Fprintf(os.Stderr, "adacomm: -participation %d must be >= 0\n", *participation)
 		default:
-			if *momentum != 0 {
-				// The legacy shorthand maps onto the optimizer layer; the
-				// engine itself rejects adaptive rules (their per-client
-				// state would defeat client sharding).
-				optCfg = opt.Config{Rule: opt.RuleMomentum, Momentum: *momentum}
-			}
 			runAsync(asyncOpts{
 				arch: *arch, classes: *classes, clients: *clients, workers: *workers,
 				participation: *participation, tau: *tau, batch: *batch, lr: *lr,
@@ -268,8 +277,6 @@ func main() {
 
 	cfg := cluster.Config{
 		BatchSize:        *batch,
-		Momentum:         *momentum,
-		BlockMomentum:    *blockMomentum,
 		Opt:              optCfg,
 		GlobalMomentum:   *globalMomentum,
 		MaxTime:          *budget,
@@ -286,7 +293,7 @@ func main() {
 	}
 	// Construct directly (not via experiments.Workload.Engine, which
 	// panics): invalid flag combinations — a gossip gamma without a ring,
-	// a topology or block momentum with a non-full strategy — surface as
+	// a collective topology with a non-full strategy — surface as
 	// cluster validation errors and must exit like any other bad flag.
 	engine, err := cluster.New(w.Proto, w.Shards, w.Train, w.Test, w.Delay, cfg)
 	if err != nil {

@@ -156,7 +156,7 @@
 // declarative fault schedule (faults.Parse — "crash:W@rR", "blip:W@rR1-R2",
 // "slow:WxF@rR1-R2", "drop:P") injecting permanent crashes, crash-recover
 // blips, slow-down episodes, and retried message drops into EVERY engine:
-// the lock-step cluster (serial and pooled backends), the event-driven
+// the lock-step cluster (serial and pooled), the event-driven
 // engine, and the parameter server (-faults on cmd/adacomm, cmd/figures,
 // cmd/sweep). Membership is dynamic end to end — comm.Communicator carries
 // the active-set view (SetActive/ActiveCount; inactive endpoints are
@@ -179,18 +179,19 @@
 // Local update rules are a first-class layer: internal/opt defines the
 // Optimizer interface (Step, enumerable state vectors with per-vector sync
 // policies, SyncReset at averaging points) with plain SGD, heavy-ball and
-// Nesterov momentum, and Local Adam/AdamW; every engine — both lock-step
-// backends, the event-driven engine, and the parameter server — steps
+// Nesterov momentum, and Local Adam/AdamW; every engine — the lock-step
+// cluster, the event-driven engine, and the parameter server — steps
 // through it (cluster.Config.Opt, AsyncConfig.Opt, -optimizer on the cmds;
-// zero values stay bit-identical to every pre-optimizer golden, and the
-// legacy Momentum/BlockMomentum shorthands map onto the layer bit for bit).
+// zero values stay bit-identical to every pre-optimizer golden, and
+// cmd/adacomm's -momentum / -block-momentum are flag aliases that fill
+// Opt / GlobalMomentum).
 // Adam's second moments are an ablation axis: worker-local, or SYNCED
 // through the averaging fabric (Opt.SyncedMoments) — synced vectors extend
 // every averaged payload from dim to dim+len(state), riding the SAME
 // compressed, narrowed, byte-priced CHOCO gossip messages the parameters
 // do, and rejoin reconciliation restores them so a recovered worker matches
 // a never-crashed one bit for bit, step clocks included. At sync points,
-// cluster.Config.GlobalMomentum generalizes BlockMomentum to every strategy
+// cluster.Config.GlobalMomentum generalizes block momentum to every strategy
 // (SlowMo-style slow momentum: one shared buffer under full averaging,
 // per-node buffers under gossip/elastic, renormalized over the surviving
 // active set under churn); the async engine instead takes a SERVER-side

@@ -17,6 +17,7 @@ import (
 	"repro/internal/delaymodel"
 	"repro/internal/metrics"
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/sgd"
 )
@@ -35,12 +36,14 @@ func main() {
 	dm := delaymodel.VGG16Profile().Model(workers, delaymodel.ConstantScaling{})
 
 	cfg := cluster.Config{
-		BatchSize:     16,
-		Momentum:      0.9, // local momentum, reset at each averaging step
-		BlockMomentum: 0.3, // global momentum on the per-round displacement
-		MaxTime:       120,
-		EvalEvery:     100,
-		Seed:          5,
+		BatchSize: 16,
+		// Local momentum, reset at each averaging step.
+		Opt: opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9},
+		// Global momentum on the per-round displacement.
+		GlobalMomentum: 0.3,
+		MaxTime:        120,
+		EvalEvery:      100,
+		Seed:           5,
 	}
 	sched := sgd.Const{Eta: 0.02}
 

@@ -227,40 +227,14 @@ func TestChocoGossipConvergesAtAggressiveRatio(t *testing.T) {
 
 func TestChocoGossipComputeWorkersBitIdentical(t *testing.T) {
 	// The estimate state is engine-owned and only touched inside the
-	// fixed-order sync, so neither the compute pool width nor the
-	// goroutine-parallel backend can change a bit of the trajectory.
-	base := func() Config {
-		cfg := baseCfg()
-		cfg.Strategy = RingGossip
-		cfg.MaxIters = 200
-		cfg.Compress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}
-		cfg.GossipGamma = 0.8
-		return cfg
-	}
-	s := newSetup(t, 4, 1)
-	cfg := base()
-	cfg.ComputeWorkers = 1
-	serial := s.engine(t, cfg)
-	serial.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "serial")
-
-	cfg = base()
-	cfg.ComputeWorkers = 4
-	pool := s.engine(t, cfg)
-	pool.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "pool4")
-
-	cfg = base()
-	par := s.engine(t, cfg)
-	par.RunParallel(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "goroutine")
-
-	ps, pp, pg := serial.GlobalParams(), pool.GlobalParams(), par.GlobalParams()
-	for i := range ps {
-		if ps[i] != pp[i] {
-			t.Fatalf("compute pool diverged at param %d", i)
-		}
-		if ps[i] != pg[i] {
-			t.Fatalf("goroutine backend diverged at param %d", i)
-		}
-	}
+	// fixed-order sync, so the compute pool width cannot change a bit of
+	// the trajectory.
+	cfg := baseCfg()
+	cfg.Strategy = RingGossip
+	cfg.MaxIters = 200
+	cfg.Compress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}
+	cfg.GossipGamma = 0.8
+	poolMatchesSerial(t, newSetup(t, 4, 1), cfg, FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}})
 }
 
 func TestRingGossipTwoNodeMixIsPairAverage(t *testing.T) {

@@ -31,22 +31,16 @@
 // ignores payload size, reproduces pre-compression traces bit for bit
 // (enforced by the golden tests).
 //
-// Two execution backends are provided: the deterministic lock-step engine
-// (Engine.Run) used by all experiments, and a goroutine-parallel backend
-// (Engine.RunParallel) in which every worker runs in its own goroutine and
-// model averaging is a real barrier all-reduce over channels. Both produce
-// bitwise-identical parameter trajectories given the same seed, which the
-// test suite verifies.
-//
-// The lock-step engine's local-update phase is itself parallel: each
-// round's tau per-worker update loops fan out across a bounded goroutine
-// pool (Config.ComputeWorkers, default GOMAXPROCS). Workers are
-// independent between averaging points — each owns its model replica,
-// sampler RNG stream, optimizer, and gradient buffer — and the averaging
-// step always reduces contributions in fixed worker order, so the pool
-// width and goroutine scheduling cannot change a single bit of the
-// trajectory. ComputeWorkers: 1 forces the legacy serial loop; the golden
-// and determinism tests pin serial and parallel traces bit-identical.
+// The engine (Engine.Run) is deterministic and lock-step, and its
+// local-update phase is genuinely concurrent: each round's tau per-worker
+// update loops fan out across a bounded goroutine pool
+// (Config.ComputeWorkers, default GOMAXPROCS). Workers are independent
+// between averaging points — each owns its model replica, sampler RNG
+// stream, optimizer, and gradient buffer — and the averaging step always
+// reduces contributions in fixed worker order, so the pool width and
+// goroutine scheduling cannot change a single bit of the trajectory.
+// ComputeWorkers: 1 forces the legacy serial loop; the golden and
+// determinism tests pin serial and parallel traces bit-identical.
 package cluster
 
 import (
@@ -73,31 +67,21 @@ import (
 type Config struct {
 	BatchSize int // per-worker mini-batch size
 
-	// Optimizer settings applied at every worker. The legacy
-	// Momentum/WeightDecay fields are heavy-ball shorthand; Opt selects any
-	// internal/opt rule (plain SGD, momentum, Nesterov, Local Adam/AdamW,
-	// with the synced-second-moment ablation axis). Setting Opt alongside a
-	// non-zero legacy field is rejected; the zero values of both mean plain
-	// SGD, bit-identical to every pre-optimizer-layer golden.
-	Momentum    float64 // local momentum factor (0 = plain SGD)
-	WeightDecay float64
-	Opt         opt.Config
+	// Opt is the update rule applied at every worker: any internal/opt rule
+	// (plain SGD, momentum, Nesterov, Local Adam/AdamW, with the
+	// synced-second-moment ablation axis). The zero value is plain SGD,
+	// bit-identical to every pre-optimizer-layer golden.
+	Opt opt.Config
 
-	// BlockMomentum is the global momentum factor beta_glob applied to the
-	// accumulated per-round update at averaging time (paper eq 24-25);
-	// 0 disables it. When enabled, local momentum buffers are reset at
-	// each averaging step (paper Sec 5.3.1 / CNTK practice). It remains the
-	// FullAveraging-only legacy knob; GlobalMomentum below is the
-	// strategy-generic generalization, and the two are mutually exclusive.
-	BlockMomentum float64
-
-	// GlobalMomentum applies SlowMo-style global momentum at every sync
-	// point under ANY strategy: full averaging filters the population
-	// displacement through one shared buffer (the same arithmetic as
-	// BlockMomentum), while gossip and elastic averaging keep one buffer
-	// per node, filtering each node's own mixing displacement. GlobalLR is
-	// the slow learning rate alpha applied to the buffered update
-	// (0 = 1, the BMUF/legacy form). 0 disables.
+	// GlobalMomentum is the global momentum factor beta_glob applied to the
+	// accumulated per-round update at every sync point (the paper's block
+	// momentum, eq 24-25, generalized SlowMo-style to ANY strategy): full
+	// averaging filters the population displacement through one shared
+	// buffer, while gossip and elastic averaging keep one buffer per node,
+	// filtering each node's own mixing displacement. When enabled, local
+	// momentum buffers are reset at each sync (paper Sec 5.3.1 / CNTK
+	// practice). GlobalLR is the slow learning rate alpha applied to the
+	// buffered update (0 = 1, the BMUF form). 0 disables.
 	GlobalMomentum float64
 	GlobalLR       float64
 
@@ -135,7 +119,7 @@ type Config struct {
 
 	// Strategy selects the mixing rule at synchronization points:
 	// FullAveraging (PASGD, the default), RingGossip (decentralized), or
-	// ElasticAveraging (EASGD). Block momentum requires FullAveraging.
+	// ElasticAveraging (EASGD).
 	Strategy Strategy
 	// ElasticAlpha/ElasticBeta are the EASGD pull strengths (defaults 0.5
 	// each when Strategy is ElasticAveraging). Explicit values must lie in
@@ -202,9 +186,9 @@ type Config struct {
 	// worker's transfer times in the round schedule. The schedule is a
 	// pure function of (Seed, round) and consumes no RNG from any engine
 	// stream; nil (or an empty schedule) keeps every trajectory
-	// bit-identical to the fault-free engine. Run, RunParallel, and the
-	// async engine honor it; the manual StepLocal/SyncNow drivers do not
-	// advance the schedule.
+	// bit-identical to the fault-free engine. Run and the async engine
+	// honor it; the manual StepLocal/SyncNow drivers do not advance the
+	// schedule.
 	Faults *faults.Schedule
 
 	Seed uint64
@@ -223,14 +207,8 @@ func (c Config) validate(m int) error {
 	if c.ComputeWorkers < 0 {
 		return fmt.Errorf("cluster: compute workers %d < 0", c.ComputeWorkers)
 	}
-	if c.BlockMomentum != 0 && c.Strategy != FullAveraging {
-		return fmt.Errorf("cluster: block momentum requires FullAveraging, got %s", c.Strategy)
-	}
 	if err := c.Opt.Validate(); err != nil {
 		return err
-	}
-	if !c.Opt.IsZero() && (c.Momentum != 0 || c.WeightDecay != 0) {
-		return fmt.Errorf("cluster: set either Opt or the legacy Momentum/WeightDecay fields, not both")
 	}
 	if c.Opt.SyncedMoments && c.Strategy == ElasticAveraging {
 		// Elastic averaging has no averaging step to ship the moment
@@ -241,9 +219,6 @@ func (c Config) validate(m int) error {
 	}
 	if math.IsNaN(c.GlobalMomentum) || c.GlobalMomentum < 0 || c.GlobalMomentum >= 1 {
 		return fmt.Errorf("cluster: global momentum %v outside [0,1)", c.GlobalMomentum)
-	}
-	if c.GlobalMomentum != 0 && c.BlockMomentum != 0 {
-		return fmt.Errorf("cluster: BlockMomentum and GlobalMomentum are the same buffer; set one")
 	}
 	if c.GlobalLR != 0 {
 		if c.GlobalMomentum == 0 {
@@ -306,21 +281,6 @@ func checkMixCoeff(name string, v float64) error {
 		return fmt.Errorf("cluster: %s %v out of [0,1] (0 uses the default)", name, v)
 	}
 	return nil
-}
-
-// optConfig maps the configured update rule onto internal/opt: Opt when
-// set, else the legacy Momentum/WeightDecay heavy-ball shorthand (which
-// internal/opt reproduces bit for bit).
-func (c Config) optConfig() opt.Config {
-	if !c.Opt.IsZero() {
-		return c.Opt
-	}
-	oc := opt.Config{WeightDecay: c.WeightDecay}
-	if c.Momentum != 0 {
-		oc.Rule = opt.RuleMomentum
-		oc.Momentum = c.Momentum
-	}
-	return oc
 }
 
 // RoundInfo is the engine state visible to a Controller before each round.
@@ -413,16 +373,12 @@ type Engine struct {
 
 	global []float64 // synchronized model parameters
 
-	// Optimizer-layer state. optCfg is the effective per-worker rule
-	// (Config.Opt, or the legacy Momentum/WeightDecay mapped onto it);
-	// optReset caches whether it carries SyncReset-policy state (the
-	// reset-at-averaging gate, equivalent to the legacy Momentum != 0
-	// check); optSteps counts the local steps a continuously-active worker
-	// has taken (the Adam second-moment clock rejoin reconciliation
+	// Optimizer-layer state. optReset is the reset-at-averaging gate (see
+	// resetWorkerOpt); optSteps counts the local steps a continuously-active
+	// worker has taken (the Adam second-moment clock rejoin reconciliation
 	// re-derives). gmom is the shared global-momentum buffer of
-	// FullAveraging (BlockMomentum or GlobalMomentum — same arithmetic);
-	// gmoms are the per-node buffers of the gossip/elastic strategies.
-	optCfg   opt.Config
+	// FullAveraging; gmoms are the per-node buffers of the gossip/elastic
+	// strategies.
 	optReset bool
 	optSteps int
 	gmom     *opt.Global
@@ -613,31 +569,29 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		e.slow = scaled
 	}
 	// Global momentum: FullAveraging keeps one shared buffer on the
-	// reference model (BlockMomentum and GlobalMomentum are the same
-	// arithmetic); gossip and elastic keep one buffer per node. None of
+	// reference model; gossip and elastic keep one buffer per node. None of
 	// this consumes RNG.
-	if gBeta := cfg.BlockMomentum + cfg.GlobalMomentum; gBeta != 0 {
+	if cfg.GlobalMomentum != 0 {
 		if cfg.Strategy == FullAveraging {
-			e.gmom = opt.NewGlobal(gBeta, cfg.GlobalLR, e.dim)
+			e.gmom = opt.NewGlobal(cfg.GlobalMomentum, cfg.GlobalLR, e.dim)
 		} else {
 			e.gmoms = make([]*opt.Global, m)
 			for i := range e.gmoms {
-				e.gmoms[i] = opt.NewGlobal(gBeta, cfg.GlobalLR, e.dim)
+				e.gmoms[i] = opt.NewGlobal(cfg.GlobalMomentum, cfg.GlobalLR, e.dim)
 			}
 		}
 	}
-	e.optCfg = cfg.optConfig()
 	for i := 0; i < m; i++ {
 		w := &worker{
 			model:   proto.Clone(),
 			sampler: data.NewSampler(shards[i], cfg.BatchSize, root.Split()),
-			opt:     opt.New(e.optCfg, proto.ParamLen()),
+			opt:     opt.New(cfg.Opt, proto.ParamLen()),
 			grad:    make([]float64, proto.ParamLen()),
 		}
 		w.sync = opt.SyncedVecs(w.opt)
 		e.workers = append(e.workers, w)
 	}
-	e.optReset = opt.HasResetState(e.workers[0].opt)
+	e.optReset = opt.HasResetState(e.workers[0].opt) || cfg.GlobalMomentum != 0
 	// Wire-visible synced state extends every averaged payload: xdim is
 	// the extended vector length all averaging scratch below is sized to
 	// (== dim without synced moments, leaving every legacy path untouched).
@@ -862,19 +816,6 @@ func (e *Engine) roundTime(steps int) (compute, comm float64) {
 	return mx, comm
 }
 
-// advanceClock charges the round's sampled compute and communication time to
-// the engine state shared by Run and RunParallel, keeping info.Time's
-// floating-point accumulation identical to the pre-timing-fields engine
-// (compute + comm summed first, then added).
-func advanceClock(info *RoundInfo, e *Engine, steps int) {
-	compute, comm := e.roundTime(steps)
-	info.Time += compute + comm
-	info.ComputeTime += compute
-	info.CommTime += comm
-	info.LastCommTime = comm
-	info.LinkTimes = e.linkTimes
-}
-
 // CommBytesPerRound returns the per-link payload charged for the most
 // recent synchronization (the round's largest message).
 func (e *Engine) CommBytesPerRound() int { return e.lastReport.Max }
@@ -911,31 +852,25 @@ func (e *Engine) setCompressionBits(b int) {
 	}
 }
 
-// runSteps advances one worker by `steps` local SGD iterations at lr. All
-// state it touches — replica, sampler stream, optimizer, gradient buffer —
-// is owned by this worker, which is what makes the fan-out below safe AND
-// bit-identical: no execution schedule can change any worker's arithmetic.
-func (w *worker) runSteps(steps int, lr float64) {
-	w.opt.SetLR(lr)
-	for k := 0; k < steps; k++ {
-		b := w.sampler.Next()
-		w.model.LossGrad(b, w.grad)
-		w.opt.Step(w.model.Params(), w.grad)
-	}
-}
-
-// localUpdates advances every worker by `steps` local iterations at lr,
+// localUpdates advances every worker by `steps` local SGD iterations at lr,
 // fanning the per-worker update loops across the bounded compute pool
-// (Config.ComputeWorkers). Workers do not interact between averaging
-// points, so the result is bit-identical to the serial loop regardless of
-// pool width or scheduling; the averaging that follows always reduces in
-// fixed worker order.
+// (Config.ComputeWorkers). All state a loop touches — replica, sampler
+// stream, optimizer, gradient buffer — is owned by its worker, which is what
+// makes the fan-out safe AND bit-identical to the serial loop at any pool
+// width or scheduling; the averaging that follows always reduces in fixed
+// worker order.
 func (e *Engine) localUpdates(steps int, lr float64) {
 	par.ForEach(e.m, e.pool, func(i int) {
 		if e.fltActive != nil && !e.fltActive[i] {
 			return // down workers freeze: no steps, no sampler draws
 		}
-		e.workers[i].runSteps(steps, lr)
+		w := e.workers[i]
+		w.opt.SetLR(lr)
+		for k := 0; k < steps; k++ {
+			b := w.sampler.Next()
+			w.model.LossGrad(b, w.grad)
+			w.opt.Step(w.model.Params(), w.grad)
+		}
 	})
 }
 
@@ -969,10 +904,9 @@ func (e *Engine) storeExt(i int, row []float64) {
 // resetWorkerOpt applies the reset-at-averaging discipline: local
 // SyncReset-policy state (heavy-ball buffers, Adam first moments) restarts
 // whenever the rule carries any, or when a global-momentum buffer filters
-// the sync (paper Sec 5.3.1 / SlowMo practice). Equivalent to the legacy
-// Momentum/BlockMomentum gates for the legacy rules.
+// the sync (paper Sec 5.3.1 / SlowMo practice).
 func (e *Engine) resetWorkerOpt(w *worker) {
-	if e.optReset || e.gmom != nil || e.gmoms != nil {
+	if e.optReset {
 		w.opt.SyncReset()
 	}
 }
@@ -1073,8 +1007,8 @@ func (e *Engine) averageFull() {
 // communicator's sparse index-merge — O(k*m) instead of the O(dim*m) a
 // decompress-to-dense loop would pay. avg receives x_glob +
 // mean(delta_hat_i). Compression happens in fixed worker order on the
-// engine's own streams, which is why Run and RunParallel stay bitwise
-// identical under every compressor.
+// engine's own streams, outside the fanned-out local-update phase, which is
+// why the compute pool stays bitwise identical under every compressor.
 func (e *Engine) compressedDeltaMean(avg []float64) {
 	for i, w := range e.workers {
 		if e.fltActive != nil && !e.fltActive[i] {
@@ -1172,7 +1106,14 @@ func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 		// draws from the other's RNG stream, so the order swap leaves
 		// legacy traces untouched.
 		e.average()
-		advanceClock(&info, e, steps)
+		// compute + comm is summed first, then added: info.Time's
+		// accumulation order predates the split timing fields.
+		compute, comm := e.roundTime(steps)
+		info.Time += compute + comm
+		info.ComputeTime += compute
+		info.CommTime += comm
+		info.LastCommTime = comm
+		info.LinkTimes = e.linkTimes
 		info.Round++
 		info.Epoch = e.workers[0].sampler.Epoch()
 		info.LastTau = tau
@@ -1194,8 +1135,8 @@ func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 // learning rate WITHOUT averaging, and returns the number of local
 // iterations performed. It is the low-level hook used by experiment
 // drivers (e.g. the Fig 14 local-vs-synchronized accuracy probe) that need
-// to inspect unsynchronized replicas mid-period. Run and RunParallel do not
-// share state with this method's iteration accounting.
+// to inspect unsynchronized replicas mid-period. Run does not share state
+// with this method's iteration accounting.
 func (e *Engine) StepLocal(k int, lr float64) int {
 	e.localUpdates(k, lr)
 	e.optSteps += k

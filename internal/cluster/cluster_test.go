@@ -7,6 +7,7 @@ import (
 	"repro/internal/data"
 	"repro/internal/delaymodel"
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/sgd"
 )
@@ -130,18 +131,22 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	// The goroutine backend must produce the bitwise-identical parameter
-	// trajectory: same seed, same controller.
-	s := newSetup(t, 4, 1)
-	e1 := s.engine(t, baseCfg())
-	e2 := s.engine(t, baseCfg())
-	tr1 := e1.Run(FixedTau{Tau: 7, Schedule: sgd.Const{Eta: 0.1}}, "seq")
-	tr2 := e2.RunParallel(FixedTau{Tau: 7, Schedule: sgd.Const{Eta: 0.1}}, "par")
+// poolMatchesSerial runs one config under the serial local-update loop and
+// under a four-wide compute pool and requires bit-identical parameters and
+// trace: workers own all their state between averaging points and every
+// sync reduces in fixed worker order, so real concurrency cannot move a bit.
+func poolMatchesSerial(t *testing.T, s *testSetup, cfg Config, ctrl Controller) {
+	t.Helper()
+	cfg.ComputeWorkers = 1
+	e1 := s.engine(t, cfg)
+	tr1 := e1.Run(ctrl, "serial")
+	cfg.ComputeWorkers = 4
+	e2 := s.engine(t, cfg)
+	tr2 := e2.Run(ctrl, "pool4")
 	p1, p2 := e1.GlobalParams(), e2.GlobalParams()
 	for i := range p1 {
 		if p1[i] != p2[i] {
-			t.Fatalf("parallel backend diverged at param %d: %v vs %v", i, p1[i], p2[i])
+			t.Fatalf("compute pool diverged at param %d: %v vs %v", i, p1[i], p2[i])
 		}
 	}
 	if tr1.Len() != tr2.Len() {
@@ -149,26 +154,20 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	for i := range tr1.Points {
 		if tr1.Points[i].Loss != tr2.Points[i].Loss || tr1.Points[i].Time != tr2.Points[i].Time {
-			t.Fatalf("traces differ at %d", i)
+			t.Fatalf("traces differ at point %d", i)
 		}
 	}
 }
 
+func TestParallelMatchesSequential(t *testing.T) {
+	poolMatchesSerial(t, newSetup(t, 4, 1), baseCfg(), FixedTau{Tau: 7, Schedule: sgd.Const{Eta: 0.1}})
+}
+
 func TestParallelMatchesSequentialWithBlockMomentum(t *testing.T) {
-	s := newSetup(t, 4, 1)
 	cfg := baseCfg()
-	cfg.Momentum = 0.9
-	cfg.BlockMomentum = 0.3
-	e1 := s.engine(t, cfg)
-	e2 := s.engine(t, cfg)
-	e1.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.05}}, "seq")
-	e2.RunParallel(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.05}}, "par")
-	p1, p2 := e1.GlobalParams(), e2.GlobalParams()
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("block-momentum parallel diverged at %d", i)
-		}
-	}
+	cfg.Opt = opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9}
+	cfg.GlobalMomentum = 0.3
+	poolMatchesSerial(t, newSetup(t, 4, 1), cfg, FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.05}})
 }
 
 func TestLargerTauFasterWallClockPerIteration(t *testing.T) {
@@ -286,8 +285,8 @@ func TestEvalSubset(t *testing.T) {
 func TestBlockMomentumTrainsStably(t *testing.T) {
 	s := newSetup(t, 4, 1)
 	cfg := baseCfg()
-	cfg.Momentum = 0.9
-	cfg.BlockMomentum = 0.3
+	cfg.Opt = opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9}
+	cfg.GlobalMomentum = 0.3
 	cfg.MaxIters = 600
 	e := s.engine(t, cfg)
 	trace := e.Run(FixedTau{Tau: 10, Schedule: sgd.Const{Eta: 0.05}}, "bm")
@@ -435,12 +434,5 @@ func TestRoundInfoTimingFields(t *testing.T) {
 		if probe.linkTimes[3] <= probe.linkTimes[i] {
 			t.Fatalf("slow link not slowest: %v", probe.linkTimes)
 		}
-	}
-	// The parallel backend reports the same timing.
-	e2 := s.engine(t, baseCfg())
-	probe2 := &timingProbe{}
-	e2.RunParallel(probe2, "timing-parallel")
-	if probe2.lastInfo.CommTime != info.CommTime || probe2.lastInfo.ComputeTime != info.ComputeTime {
-		t.Fatalf("parallel timing diverged: %+v vs %+v", probe2.lastInfo, info)
 	}
 }

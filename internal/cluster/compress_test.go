@@ -28,24 +28,7 @@ func TestParallelMatchesSequentialUnderEveryCompressor(t *testing.T) {
 			cfg := baseCfg()
 			cfg.MaxIters = 200
 			cfg.Compress = spec
-			e1 := s.engine(t, cfg)
-			e2 := s.engine(t, cfg)
-			tr1 := e1.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "seq")
-			tr2 := e2.RunParallel(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "par")
-			p1, p2 := e1.GlobalParams(), e2.GlobalParams()
-			for i := range p1 {
-				if p1[i] != p2[i] {
-					t.Fatalf("parallel diverged at param %d: %v vs %v", i, p1[i], p2[i])
-				}
-			}
-			if tr1.Len() != tr2.Len() {
-				t.Fatalf("trace lengths differ: %d vs %d", tr1.Len(), tr2.Len())
-			}
-			for i := range tr1.Points {
-				if tr1.Points[i].Loss != tr2.Points[i].Loss || tr1.Points[i].Time != tr2.Points[i].Time {
-					t.Fatalf("traces differ at point %d", i)
-				}
-			}
+			poolMatchesSerial(t, s, cfg, FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}})
 		})
 	}
 }

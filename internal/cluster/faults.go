@@ -16,8 +16,8 @@ import (
 // beginRound refreshes the round's membership view from the fault schedule:
 // the active set (installed into the communicator), the down mask and the
 // per-worker transfer multipliers roundTime charges, and the reconciliation
-// pulls of workers rejoining after a blip. Run and RunParallel call it at
-// the top of every round; the manual StepLocal/SyncNow drivers do not.
+// pulls of workers rejoining after a blip. Run calls it at the top of every
+// round; the manual StepLocal/SyncNow drivers do not.
 func (e *Engine) beginRound(round int) {
 	if e.fltActive == nil {
 		return
@@ -96,10 +96,8 @@ func (e *Engine) reconcile(i int) {
 			off += len(v)
 		}
 	}
-	if e.gmom != nil || e.gmoms != nil || e.optReset {
-		w.opt.SyncReset()
-	}
-	if e.optCfg.Adaptive() {
+	e.resetWorkerOpt(w)
+	if e.cfg.Opt.Adaptive() {
 		w.opt.AlignSteps(e.optSteps)
 	}
 	if e.gmoms != nil {

@@ -87,7 +87,7 @@ func TestFaultFreeSchedulesBitIdentical(t *testing.T) {
 
 // TestChurnMatrixCompletes is the deadlock-freedom matrix: every strategy,
 // under crash + crash-recover churn + slow-down + message drop, must finish
-// both the lock-step and the goroutine-parallel backend with a finite loss.
+// with a finite loss.
 // The churn takes two of five workers down mid-run (one permanently), so
 // every renormalization and subgraph path is exercised. Bounded by go
 // test's timeout: a deadlock fails the suite.
@@ -95,18 +95,9 @@ func TestChurnMatrixCompletes(t *testing.T) {
 	const spec = "blip:0@r5-12,blip:1@r20-28,crash:2@r40,slow:3x4@r10-30,drop:0.1"
 	for name, cfg := range faultVariantCfgs() {
 		cfg.Faults = mustFaults(t, spec)
-		for _, backend := range []string{"run", "parallel"} {
-			s := newSetup(t, 5, 1)
-			e := s.engine(t, cfg)
-			var tr interface{ FinalLoss() float64 }
-			if backend == "run" {
-				tr = e.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, name)
-			} else {
-				tr = e.RunParallel(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, name)
-			}
-			if loss := tr.FinalLoss(); math.IsNaN(loss) || math.IsInf(loss, 0) {
-				t.Errorf("%s/%s: final loss %v under churn", name, backend, loss)
-			}
+		tr := newSetup(t, 5, 1).engine(t, cfg).Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, name)
+		if loss := tr.FinalLoss(); math.IsNaN(loss) || math.IsInf(loss, 0) {
+			t.Errorf("%s: final loss %v under churn", name, loss)
 		}
 	}
 }

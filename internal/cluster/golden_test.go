@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/metrics"
+	"repro/internal/opt"
 	"repro/internal/sgd"
 )
 
@@ -53,8 +54,8 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 	elastic.Strategy = ElasticAveraging
 
 	blockmom := base
-	blockmom.Momentum = 0.9
-	blockmom.BlockMomentum = 0.3
+	blockmom.Opt = opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9}
+	blockmom.GlobalMomentum = 0.3
 
 	topk := base
 	topk.Compress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true}

@@ -259,33 +259,17 @@ func TestPerEdgeStragglerGatesGossipRounds(t *testing.T) {
 }
 
 func TestPerEdgeGossipParallelBitIdentical(t *testing.T) {
-	// The goroutine backend must stay bitwise identical under a graph
-	// topology with per-edge pricing (the adjacency is published inside the
-	// fixed-order sync, which both backends share).
-	mk := func() *Engine {
-		s := newSetup(t, 16, 1)
-		s.dm.EdgeLinks = map[delaymodel.Edge]delaymodel.Link{
-			{From: 3, To: 4}: {Latency: 10},
-			{From: 4, To: 3}: {Latency: 10},
-		}
-		cfg := baseCfg()
-		cfg.Strategy = RingGossip
-		cfg.Topology = mustTopo(t, "varying:torus:4x4,expander@B=2")
-		cfg.MaxIters = 100
-		return s.engine(t, cfg)
+	// The compute pool must stay bitwise identical under a graph topology
+	// with per-edge pricing (the adjacency is published inside the
+	// fixed-order sync, outside the fanned-out phase).
+	s := newSetup(t, 16, 1)
+	s.dm.EdgeLinks = map[delaymodel.Edge]delaymodel.Link{
+		{From: 3, To: 4}: {Latency: 10},
+		{From: 4, To: 3}: {Latency: 10},
 	}
-	e1, e2 := mk(), mk()
-	tr1 := e1.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "seq")
-	tr2 := e2.RunParallel(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "par")
-	p1, p2 := e1.GlobalParams(), e2.GlobalParams()
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("parallel diverged at param %d", i)
-		}
-	}
-	for i := range tr1.Points {
-		if tr1.Points[i].Time != tr2.Points[i].Time {
-			t.Fatalf("trace times differ at %d", i)
-		}
-	}
+	cfg := baseCfg()
+	cfg.Strategy = RingGossip
+	cfg.Topology = mustTopo(t, "varying:torus:4x4,expander@B=2")
+	cfg.MaxIters = 100
+	poolMatchesSerial(t, s, cfg, FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}})
 }

@@ -8,31 +8,6 @@ import (
 	"repro/internal/sgd"
 )
 
-// TestLegacyShorthandsMatchOptimizerLayer: the legacy Config.Momentum /
-// Config.BlockMomentum shorthands and their optimizer-layer spellings
-// (Opt momentum rule; GlobalMomentum) are the same arithmetic down to the
-// bit — the refactor moved the code, not the trajectory.
-func TestLegacyShorthandsMatchOptimizerLayer(t *testing.T) {
-	run := func(cfg Config) (uint64, uint64) {
-		s := newSetup(t, 4, 1)
-		e := s.engine(t, cfg)
-		tr := e.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "legacy-vs-opt")
-		return hashParams(e.GlobalParams()), hashTrace(tr)
-	}
-	legacy := baseCfg()
-	legacy.Momentum = 0.9
-	legacy.BlockMomentum = 0.3
-	layered := baseCfg()
-	layered.Opt = opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9}
-	layered.GlobalMomentum = 0.3
-	lp, lt := run(legacy)
-	op, ot := run(layered)
-	if lp != op || lt != ot {
-		t.Fatalf("optimizer-layer spelling diverged from legacy shorthand (params %#x/%#x trace %#x/%#x)",
-			op, lp, ot, lt)
-	}
-}
-
 // TestOptimizerSerialPoolBitIdentical extends the golden pool contract to
 // the new update rules: workers remain independent between averaging points
 // under Adam (local and wire-synced moments through CHOCO) and under
@@ -63,19 +38,7 @@ func TestOptimizerSerialPoolBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(pool int) (uint64, uint64) {
-				s := newSetup(t, 4, 1)
-				cfg := tc.cfg
-				cfg.ComputeWorkers = pool
-				e := s.engine(t, cfg)
-				tr := e.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.05}}, tc.name)
-				return hashParams(e.GlobalParams()), hashTrace(tr)
-			}
-			sp, st := run(1)
-			pp, pt := run(4)
-			if sp != pp || st != pt {
-				t.Fatalf("pool4 diverged from serial (params %#x/%#x trace %#x/%#x)", pp, sp, pt, st)
-			}
+			poolMatchesSerial(t, newSetup(t, 4, 1), tc.cfg, FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.05}})
 		})
 	}
 }

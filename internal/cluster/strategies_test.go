@@ -19,16 +19,6 @@ func TestStrategyString(t *testing.T) {
 	}
 }
 
-func TestBlockMomentumRejectedForNonFullStrategies(t *testing.T) {
-	s := newSetup(t, 4, 1)
-	cfg := baseCfg()
-	cfg.Strategy = RingGossip
-	cfg.BlockMomentum = 0.3
-	if _, err := New(s.proto, s.shards, s.train, s.test, s.dm, cfg); err == nil {
-		t.Fatal("accepted block momentum with ring gossip")
-	}
-}
-
 func TestRingGossipTrains(t *testing.T) {
 	s := newSetup(t, 4, 1)
 	cfg := baseCfg()
@@ -158,20 +148,10 @@ func paramDist(a, b []float64) float64 {
 
 func TestStrategiesParallelMatchesSequential(t *testing.T) {
 	for _, strat := range []Strategy{RingGossip, ElasticAveraging} {
-		s := newSetup(t, 4, 1)
 		cfg := baseCfg()
 		cfg.Strategy = strat
 		cfg.MaxIters = 200
-		e1 := s.engine(t, cfg)
-		e2 := s.engine(t, cfg)
-		e1.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "seq")
-		e2.RunParallel(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "par")
-		p1, p2 := e1.GlobalParams(), e2.GlobalParams()
-		for i := range p1 {
-			if p1[i] != p2[i] {
-				t.Fatalf("%s: parallel backend diverged at %d", strat, i)
-			}
-		}
+		poolMatchesSerial(t, newSetup(t, 4, 1), cfg, FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}})
 	}
 }
 

@@ -107,7 +107,7 @@ func TestMismatchedLinksRejected(t *testing.T) {
 }
 
 func TestParallelMatchesSequentialUnderTopologyAndLinks(t *testing.T) {
-	// The goroutine backend must stay bitwise identical when the comm layer
+	// The compute pool must stay bitwise identical when the comm layer
 	// prices a non-trivial topology over heterogeneous links.
 	s := newSetup(t, 4, 1)
 	s.dm.Bandwidth = 128
@@ -115,19 +115,5 @@ func TestParallelMatchesSequentialUnderTopologyAndLinks(t *testing.T) {
 	cfg := baseCfg()
 	cfg.MaxIters = 200
 	cfg.Topology = comm.Ring
-	e1 := s.engine(t, cfg)
-	e2 := s.engine(t, cfg)
-	tr1 := e1.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "seq")
-	tr2 := e2.RunParallel(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "par")
-	p1, p2 := e1.GlobalParams(), e2.GlobalParams()
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("parallel diverged at param %d", i)
-		}
-	}
-	for i := range tr1.Points {
-		if tr1.Points[i].Time != tr2.Points[i].Time {
-			t.Fatalf("trace times differ at %d", i)
-		}
-	}
+	poolMatchesSerial(t, s, cfg, FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}})
 }

@@ -1,9 +1,9 @@
 // Package comm is the unified communication layer of the simulator: every
 // model/gradient exchange — the PASGD averaging all-reduce in
-// internal/cluster (both the lock-step and goroutine backends), the ring and
-// elastic mixing strategies, and the parameter-server push/pull in
-// internal/paramserver — routes its wire messages through a Communicator, so
-// payload accounting and aggregation arithmetic live in exactly one place.
+// internal/cluster, the ring and elastic mixing strategies, and the
+// parameter-server push/pull in internal/paramserver — routes its wire
+// messages through a Communicator, so payload accounting and aggregation
+// arithmetic live in exactly one place.
 //
 // Messages are internal/compress wire messages. The aggregation hot path
 // accumulates them by sparse index-merge (compress.AddDecoded): summing m
@@ -51,8 +51,8 @@ type Report struct {
 //   - Pull accounts for one worker receiving a payload from the root.
 //
 // Implementations must be deterministic: aggregation happens in fixed worker
-// order, which is what keeps the cluster engine's lock-step and goroutine
-// backends bitwise identical.
+// order, which is what keeps the cluster engine bitwise identical at any
+// compute-pool width.
 //
 // The communicator also carries the round's MEMBERSHIP VIEW: SetActive
 // installs which workers currently exist (crashed and blipped-out workers

@@ -22,8 +22,8 @@
 // compressed PASGD convergent: WithErrorFeedback wraps any Compressor with a
 // residual accumulator that re-injects what previous rounds dropped
 // (Karimireddy et al. 2019). All compressors are deterministic given their
-// seed stream, which is what lets the cluster engine's lock-step and
-// goroutine backends stay bitwise identical under compression.
+// seed stream, which is what lets the cluster engine stay bitwise identical
+// at any compute-pool width under compression.
 package compress
 
 import (

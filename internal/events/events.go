@@ -106,6 +106,12 @@ func (q *Queue) Push(e Event) {
 	q.up(len(q.h) - 1)
 }
 
+// Reset discards every queued event (a K-sync server cancelling its
+// stragglers). The push counter and the tie-break stream keep running, so
+// the pop order stays a pure function of (seed, push sequence) across
+// resets.
+func (q *Queue) Reset() { q.h = q.h[:0] }
+
 // Pop removes and returns the earliest event; ok is false on an empty
 // queue.
 func (q *Queue) Pop() (e Event, ok bool) {

@@ -129,6 +129,53 @@ func TestInterleavedPushPop(t *testing.T) {
 	}
 }
 
+func TestResetEmptiesQueueAndKeepsTieBreakStream(t *testing.T) {
+	// tied pushes 32 same-time events and returns the order they pop in.
+	tied := func(q *Queue, pop bool) (order []int) {
+		for i := 0; i < 32; i++ {
+			q.Push(Event{Time: 1, Worker: i, Kind: Arrival})
+		}
+		if !pop {
+			return nil
+		}
+		for _, e := range drain(q) {
+			order = append(order, e.Worker)
+		}
+		return order
+	}
+	// Reference: two tied batches drained back to back on one queue.
+	ref := NewQueue(5)
+	first, second := tied(ref, true), tied(ref, true)
+
+	// Same pushes, but the first batch is Reset away instead of popped: the
+	// second must pop exactly as on the reference queue (the stream kept
+	// running), which is not the first batch's order (it was not rewound).
+	q := NewQueue(5)
+	tied(q, false)
+	q.Reset()
+	if _, ok := q.Pop(); ok || q.Len() != 0 {
+		t.Fatalf("queue not empty after Reset (Len %d)", q.Len())
+	}
+	got := tied(q, true)
+	rewound := true
+	for i := range got {
+		if got[i] != second[i] {
+			t.Fatalf("pop %d after Reset: worker %d, want %d", i, got[i], second[i])
+		}
+		rewound = rewound && got[i] == first[i]
+	}
+	if rewound {
+		t.Fatal("Reset rewound the tie-break stream")
+	}
+	// Time still dominates the ordering after a Reset.
+	for i, tm := range []float64{3, 1, 2} {
+		q.Push(Event{Time: tm, Worker: i})
+	}
+	if evs := drain(q); evs[0].Worker != 1 || evs[1].Worker != 2 || evs[2].Worker != 0 {
+		t.Fatalf("post-Reset time order %v, want workers 1 2 0", evs)
+	}
+}
+
 func TestPushRejectsDegenerateTimes(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
 		func() {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/opt"
 	"repro/internal/sgd"
 )
 
@@ -35,8 +36,8 @@ type TrainSpec struct {
 	Tau0     int     // AdaComm initial period
 	Interval float64 // AdaComm T0
 
-	Momentum      float64 // local momentum
-	BlockMomentum float64 // global block momentum (Sec 5.3)
+	Opt            opt.Config // per-worker update rule (zero = plain SGD)
+	GlobalMomentum float64    // global block momentum (Sec 5.3)
 
 	EvalEvery  int
 	EvalSubset int
@@ -94,8 +95,8 @@ func RunComparison(spec TrainSpec) *Comparison {
 
 	cfg := cluster.Config{
 		BatchSize:      spec.BatchSize,
-		Momentum:       spec.Momentum,
-		BlockMomentum:  spec.BlockMomentum,
+		Opt:            spec.Opt,
+		GlobalMomentum: spec.GlobalMomentum,
 		MaxTime:        spec.TimeBudget,
 		EvalEvery:      spec.EvalEvery,
 		EvalSubset:     spec.EvalSubset,
@@ -293,7 +294,8 @@ func Fig11Spec(arch Arch, classes int, scale Scale) TrainSpec {
 		BatchSize: 16, BaseLR: 0.04, VariableLR: true,
 		TimeBudget: budget,
 		Taus:       taus, Tau0: tau0, Interval: budget / 10,
-		Momentum: 0.9, BlockMomentum: 0.3,
+		Opt:            opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9},
+		GlobalMomentum: 0.3,
 	}
 }
 

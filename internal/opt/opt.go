@@ -90,14 +90,19 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("opt: unknown rule %d", int(c.Rule))
 	}
-	if c.Momentum < 0 || c.Momentum >= 1 {
+	// Negated in-range checks: NaN fails every comparison, so testing for
+	// the bad side would let it through.
+	if !(c.Momentum >= 0 && c.Momentum < 1) {
 		return fmt.Errorf("opt: momentum %v outside [0,1)", c.Momentum)
 	}
-	if c.Beta2 < 0 || c.Beta2 >= 1 {
+	if !(c.Beta2 >= 0 && c.Beta2 < 1) {
 		return fmt.Errorf("opt: beta2 %v outside [0,1)", c.Beta2)
 	}
-	if c.Eps < 0 {
-		return fmt.Errorf("opt: eps %v negative", c.Eps)
+	if !(c.Eps >= 0 && c.Eps < math.Inf(1)) {
+		return fmt.Errorf("opt: eps %v not a finite non-negative number", c.Eps)
+	}
+	if !(c.WeightDecay >= 0 && c.WeightDecay < math.Inf(1)) {
+		return fmt.Errorf("opt: weight decay %v not a finite non-negative number", c.WeightDecay)
 	}
 	if (c.Rule == RuleMomentum || c.Rule == RuleNesterov) && c.Momentum == 0 {
 		return fmt.Errorf("opt: rule %s requires momentum > 0", c.Rule)

@@ -65,6 +65,15 @@ func TestValidate(t *testing.T) {
 		{Rule: RuleMomentum},
 		{SyncedMoments: true},
 		{Rule: RuleMomentum, Momentum: 0.9, SyncedMoments: true},
+		// NaN and Inf compare false against every bound.
+		{Rule: RuleMomentum, Momentum: math.NaN()},
+		{Rule: RuleMomentum, Momentum: math.Inf(1)},
+		{Rule: RuleAdam, Beta2: math.NaN()},
+		{Rule: RuleAdam, Eps: math.NaN()},
+		{Rule: RuleAdam, Eps: math.Inf(1)},
+		{WeightDecay: math.NaN()},
+		{WeightDecay: math.Inf(1)},
+		{WeightDecay: -0.01},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -28,10 +28,19 @@
 // reconstruction (Config.PullCompress); Config.Links gives workers
 // heterogeneous uplinks/downlinks. Every zero-value knob preserves the
 // legacy protocol byte for byte (enforced by golden tests).
+//
+// Both modes are one pop-collect-apply-redispatch loop over the event
+// substrate the async cluster engine runs on (internal/events): each
+// in-flight worker has one Arrival queued at its gradient's completion
+// time, and the modes differ only in who is restarted after an update
+// (K-sync cancels the stragglers and restarts everyone, K-async restarts
+// the workers that arrived). Arrivals at exactly equal times — reachable
+// only with a non-continuous ComputeY — are served by the queue's seeded
+// tie-break priority, not by worker index, so a K-of-m round over identical
+// workers does not degenerate into "the first K worker ids".
 package paramserver
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -39,6 +48,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/delaymodel"
+	"repro/internal/events"
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/nn"
@@ -215,26 +225,6 @@ func (c Config) validate() error {
 	return nil
 }
 
-// event is a worker finishing a gradient computation.
-type event struct {
-	at     float64 // completion time
-	worker int
-	seq    uint64 // tie-break for determinism
-}
-
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any     { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-
 // psWorker is one worker in the event simulation.
 type psWorker struct {
 	model   *nn.Network // holds the pulled parameters it computes on
@@ -253,8 +243,12 @@ type Server struct {
 	version int
 	clock   float64
 
-	queue eventQueue
-	seq   uint64
+	// queue holds one Arrival per in-flight worker (its gradient's
+	// completion time); gradSum accumulates a round's arrivals in pop order
+	// and redispatch lists the workers to restart after the update.
+	queue      *events.Queue
+	gradSum    []float64
+	redispatch []int
 
 	evalModel *nn.Network
 	evalBatch data.Batch
@@ -313,6 +307,10 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 		params:    append([]float64(nil), proto.Params()...),
 		evalModel: proto.Clone(),
 		delayRand: root.Split(),
+		// Seeded from cfg.Seed directly: a draw from root would shift every
+		// stream below it.
+		queue:   events.NewQueue(cfg.Seed),
+		gradSum: make([]float64, proto.ParamLen()),
 	}
 	for i := range shards {
 		s.workers = append(s.workers, &psWorker{
@@ -482,8 +480,7 @@ func (s *Server) dispatch(i int) {
 		s.inflight[i] = true
 	}
 	s.linkTimes[i] = transfer
-	s.seq++
-	heap.Push(&s.queue, event{at: s.clock + dur, worker: i, seq: s.seq})
+	s.queue.Push(events.Event{Time: s.clock + dur, Worker: i, Kind: events.Arrival})
 }
 
 // setCompressionBits forwards a controller-chosen quantizer width to every
@@ -515,31 +512,26 @@ func (s *Server) computeGradient(i int) []float64 {
 	w := s.workers[i]
 	b := w.sampler.Next()
 	w.model.LossGrad(b, w.grad)
-	if s.comps != nil {
-		msg, err := s.comps[i].Compress(w.grad)
-		if err != nil {
-			panic(fmt.Sprintf("paramserver: worker %d compress: %v", i, err))
-		}
-		if _, err := s.com.Push(i, msg, s.decBuf); err != nil {
-			panic(fmt.Sprintf("paramserver: worker %d push: %v", i, err))
-		}
-		copy(w.grad, s.decBuf)
+	if s.comps == nil {
+		return w.grad
 	}
-	return w.grad
+	msg, err := s.comps[i].Compress(w.grad)
+	if err != nil {
+		panic(fmt.Sprintf("paramserver: worker %d compress: %v", i, err))
+	}
+	if _, err := s.com.Push(i, msg, s.decBuf); err != nil {
+		panic(fmt.Sprintf("paramserver: worker %d push: %v", i, err))
+	}
+	return s.decBuf // valid until the next arrival; the caller sums it at once
 }
 
-// applyUpdate performs x -= lr * mean(grads) — or, with Config.ServerOpt
-// set, steps the server rule on the mean gradient. Either way it publishes
-// the mean gradient's norm for norm-tracking controllers.
-func (s *Server) applyUpdate(grads [][]float64, lr float64) {
-	if len(grads) == 0 {
-		return
-	}
-	avg := make([]float64, len(s.params))
-	for _, g := range grads {
-		tensor.Axpy(1, g, avg)
-	}
-	inv := 1 / float64(len(grads))
+// applyUpdate performs x -= lr * mean(grads) over the n gradients summed
+// into gradSum — or, with Config.ServerOpt set, steps the server rule on the
+// mean gradient. Either way it publishes the mean gradient's norm for
+// norm-tracking controllers.
+func (s *Server) applyUpdate(n int, lr float64) {
+	avg := s.gradSum
+	inv := 1 / float64(n)
 	s.lastGradNorm = tensor.Norm2(avg) * inv
 	if s.srvOpt != nil {
 		// Gated: the plain rule's params -= lr*(avg*inv) rounds differently
@@ -551,14 +543,22 @@ func (s *Server) applyUpdate(grads [][]float64, lr float64) {
 		s.srvOpt.SetLR(lr)
 		s.srvOpt.Step(s.params, s.srvGrad)
 	} else {
-		tensor.Axpy(-lr/float64(len(grads)), avg, s.params)
+		tensor.Axpy(-lr/float64(n), avg, s.params)
 	}
 	s.version++
 }
 
+// cancelInflight drops every queued completion event.
+func (s *Server) cancelInflight() {
+	s.queue.Reset()
+	clear(s.inflight)
+}
+
 // Run executes the configured protocol under the controller and returns the
 // loss-vs-time trace plus staleness statistics (K-async only; K-sync
-// staleness is identically zero).
+// staleness is identically zero). A Server is single-run, like
+// cluster.Engine: model, version and clock carry over, so a second Run
+// continues from them — with no work left in flight from the first.
 func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Summary) {
 	trace := metrics.NewTrace(traceName)
 	evalLoss := func() float64 { return s.Loss() }
@@ -573,7 +573,9 @@ func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Sum
 
 	var staleSamples []float64
 	nextEval := s.cfg.EvalEvery
+	async := s.cfg.Mode == KAsync
 
+	s.cancelInflight()
 	for i := range s.workers {
 		if s.fltDown != nil && s.cfg.Faults.Down(i, 0) {
 			continue // down at start: parked until recovery
@@ -598,7 +600,7 @@ func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Sum
 					s.dispatch(i)
 				}
 			}
-			if len(s.queue) == 0 {
+			if s.queue.Len() == 0 {
 				break // every worker is down: terminate cleanly
 			}
 		}
@@ -616,82 +618,55 @@ func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Sum
 			k = s.m
 		}
 
-		stalled := false
-		switch s.cfg.Mode {
-		case KSync:
-			// All workers are computing at the current version. Take the
-			// fastest K arrivals, cancel the rest, update, redispatch all.
-			// Under faults, arrivals from workers that went down mid-compute
-			// are discarded, and K is effectively clamped to the surviving
-			// queue.
-			grads := make([][]float64, 0, k)
-			var last float64
-			for len(grads) < k && len(s.queue) > 0 {
-				ev := heap.Pop(&s.queue).(event)
-				if s.fltDown != nil {
-					s.inflight[ev.worker] = false
-					if s.fltDown[ev.worker] {
-						continue // crashed mid-compute: gradient lost
-					}
-				}
-				last = ev.at
-				g := append([]float64(nil), s.computeGradient(ev.worker)...)
-				grads = append(grads, g)
-			}
-			if len(grads) == 0 {
-				stalled = true // queue drained with nothing applicable
+		// Collect the next K arrivals, summing their gradients in pop order.
+		// K-sync workers all computed at the current version; K-async
+		// arrivals carry whatever version they were dispatched at. Under
+		// faults an arrival from a worker that went down mid-compute is
+		// discarded (gradient lost, worker stays parked), so K is
+		// effectively clamped to the surviving queue. The K-async server
+		// waited for a discarded arrival and its clock says so; the K-sync
+		// clock is the last contributing arrival's time.
+		clear(s.gradSum)
+		s.redispatch = s.redispatch[:0]
+		for len(s.redispatch) < k {
+			ev, ok := s.queue.Pop()
+			if !ok {
 				break
 			}
-			s.clock = last
-			s.applyUpdate(grads, lr)
-			// Cancel stragglers: clear the queue and restart everyone (every
-			// survivor, under faults) at the new model.
-			s.queue = s.queue[:0]
-			if s.inflight != nil {
-				for i := range s.inflight {
-					s.inflight[i] = false
-				}
+			down := false
+			if s.fltDown != nil {
+				s.inflight[ev.Worker] = false
+				down = s.fltDown[ev.Worker]
 			}
+			if async || !down {
+				s.clock = ev.Time
+			}
+			if down {
+				continue
+			}
+			tensor.Axpy(1, s.computeGradient(ev.Worker), s.gradSum)
+			if async {
+				staleSamples = append(staleSamples, float64(s.version-s.workers[ev.Worker].version))
+			}
+			s.redispatch = append(s.redispatch, ev.Worker)
+		}
+		if len(s.redispatch) == 0 {
+			break // no survivor can contribute; Run returns cleanly
+		}
+		s.applyUpdate(len(s.redispatch), lr)
+		// K-async restarts the workers that just arrived. K-sync cancels the
+		// stragglers and restarts every survivor at the new model.
+		if !async {
+			s.cancelInflight()
+			s.redispatch = s.redispatch[:0]
 			for i := range s.workers {
-				if s.fltDown != nil && s.fltDown[i] {
-					continue
+				if s.fltDown == nil || !s.fltDown[i] {
+					s.redispatch = append(s.redispatch, i)
 				}
-				s.dispatch(i)
-			}
-
-		case KAsync:
-			// Collect the next K arrivals (whatever version they computed
-			// on), update once, and redispatch only those workers. A down
-			// worker's arrival is discarded (the clock still advances — the
-			// server waited for it) and the worker stays parked.
-			grads := make([][]float64, 0, k)
-			arrived := make([]int, 0, k)
-			for len(grads) < k && len(s.queue) > 0 {
-				ev := heap.Pop(&s.queue).(event)
-				s.clock = ev.at
-				if s.fltDown != nil {
-					s.inflight[ev.worker] = false
-					if s.fltDown[ev.worker] {
-						continue
-					}
-				}
-				w := s.workers[ev.worker]
-				g := append([]float64(nil), s.computeGradient(ev.worker)...)
-				grads = append(grads, g)
-				staleSamples = append(staleSamples, float64(s.version-w.version))
-				arrived = append(arrived, ev.worker)
-			}
-			if len(grads) == 0 {
-				stalled = true
-				break
-			}
-			s.applyUpdate(grads, lr)
-			for _, i := range arrived {
-				s.dispatch(i)
 			}
 		}
-		if stalled {
-			break // no survivor can contribute; Run returns cleanly
+		for _, i := range s.redispatch {
+			s.dispatch(i)
 		}
 
 		if s.version >= nextEval {

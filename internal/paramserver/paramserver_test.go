@@ -10,6 +10,7 @@ import (
 	"repro/internal/delaymodel"
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 func psSetup(t *testing.T, m int) (*nn.Network, []*data.Dataset, *data.Dataset) {
@@ -118,6 +119,36 @@ func TestDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("non-deterministic at %d", i)
 		}
+	}
+}
+
+func TestKSyncExactTiesServeEveryWorker(t *testing.T) {
+	// Constant compute and push times make every round's m arrivals tie
+	// exactly. The queue's seeded tie-break must spread the fastest-K set
+	// over all workers (index order would starve workers K..m-1 forever),
+	// and the run must still be a pure function of the seed.
+	const m = 8
+	run := func() *Server {
+		proto, shards, train := psSetup(t, m)
+		cfg := psConfig(KSync)
+		cfg.ComputeY = rng.Constant{Value: 1}
+		cfg.MaxUpdates = 50
+		s, err := New(proto, shards, train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(FixedK{K: m / 2, LR: 0.1}, "ties")
+		return s
+	}
+	a, b := run(), run()
+	for i, w := range a.workers {
+		// w.grad is written only when w's arrival is collected.
+		if tensor.Norm2(w.grad) == 0 {
+			t.Errorf("worker %d never contributed a gradient", i)
+		}
+	}
+	if fnvParams(a.Params()) != fnvParams(b.Params()) {
+		t.Fatal("two runs of one seed diverged")
 	}
 }
 
