@@ -20,7 +20,11 @@ import (
 // End-to-end benchmarks (Fig9Quick, AsyncRun, ...) are deliberately not
 // ns/op-gated: their wall clock depends on pool scheduling and host load.
 
-// pinnedKernels are the ns/op-gated benchmarks: pure compute hot loops.
+// pinnedKernels are the ns/op-gated benchmarks: pure compute hot loops,
+// single-goroutine and input-cycled where a fixed operand would flatter
+// them. The top-k rows allocate their message (2 allocs/op, gated exactly
+// by check 2); AsyncDispatchParked is an engine run, pinned because its
+// wall is the dispatch walk and nothing a pool or host load schedules.
 var pinnedKernels = []string{
 	"Gemm64",
 	"Gemm256/naive",
@@ -32,6 +36,9 @@ var pinnedKernels = []string{
 	"StepVGGNano",
 	"StepResNetNano",
 	"AdamStep/64k",
+	"TopK16400/r0.25",
+	"TopKEF650/r0.1",
+	"AsyncDispatchParked/2048",
 }
 
 // ratioFloor is the minimum intra-run speedup of the blocked Gemm over the

@@ -47,6 +47,7 @@ import (
 	"repro/internal/delaymodel"
 	"repro/internal/events"
 	"repro/internal/experiments"
+	"repro/internal/faults"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	optpkg "repro/internal/opt"
@@ -340,12 +341,11 @@ func asyncRunSetup(clients, k, updates int) func() {
 	}
 }
 
-// asyncShardSetup is the client-sharding memory benchmark: 1024 simulated
-// clients at K=32. B/op is the evidence for the "memory proportional to K,
-// not N" claim — it must stay orders of magnitude below 1024 materialized
-// replicas (1024 * dim * 8 bytes per update batch).
-func asyncShardSetup() func() {
-	const clients, dim, classes = 1024, 16, 4
+// asyncPopulationSetup builds a population of IID-sharded blob clients on a
+// 64-parameter logistic model and returns an op that constructs and runs
+// one event-driven engine over it.
+func asyncPopulationSetup(clients int, cfg cluster.AsyncConfig) func() {
+	const dim, classes = 16, 4
 	r := rng.New(7)
 	train := data.GaussianBlobs(data.GaussianBlobsConfig{
 		Classes: classes, Dim: dim, N: 4096, Separation: 4, Noise: 1.5,
@@ -354,10 +354,6 @@ func asyncShardSetup() func() {
 	proto.InitParams(r.Split())
 	shards := data.ShardIID(train, clients, r.Split())
 	dm := delaymodel.FederatedProfile(1, 4096).Model(clients, nil)
-	cfg := cluster.AsyncConfig{
-		Participation: 32, Tau: 2, BatchSize: 4, LR: 0.1,
-		MaxUpdates: 5, EvalEvery: 1 << 30, Seed: 8,
-	}
 	return func() {
 		e, err := cluster.NewAsync(proto, shards, train, nil, dm, cfg)
 		if err != nil {
@@ -365,6 +361,64 @@ func asyncShardSetup() func() {
 		}
 		e.Run("bench")
 	}
+}
+
+// asyncShardSetup is the client-sharding memory benchmark: 1024 simulated
+// clients at K=32. B/op is the evidence for the "memory proportional to K,
+// not N" claim — it must stay orders of magnitude below 1024 materialized
+// replicas (1024 * dim * 8 bytes per update batch).
+func asyncShardSetup() func() {
+	return asyncPopulationSetup(1024, cluster.AsyncConfig{
+		Participation: 32, Tau: 2, BatchSize: 4, LR: 0.1,
+		MaxUpdates: 5, EvalEvery: 1 << 30, Seed: 8,
+	})
+}
+
+// topKSetup times one Compress at a shape the repository benchmark serves
+// (16 400 coordinates on wire_mix, 650 on ps_adasync). It cycles 64 inputs:
+// a selection fed one fixed vector trains the branch predictor on a pattern
+// no run repeats, and the quickselect these rows replaced read half its
+// real cost that way. With error feedback the residual carries from call to
+// call, as it does in a run.
+func topKSetup(spec string, dim int) func() {
+	s, err := compress.ParseSpec(spec)
+	if err != nil {
+		panic(err)
+	}
+	c, err := s.New(nil)
+	if err != nil {
+		panic(err)
+	}
+	r := rng.New(41)
+	vecs := make([][]float64, 64)
+	for i := range vecs {
+		vecs[i] = make([]float64, dim)
+		for j := range vecs[i] {
+			vecs[i][j] = r.NormFloat64()
+		}
+	}
+	i := 0
+	return func() {
+		if _, err := c.Compress(vecs[i%len(vecs)]); err != nil {
+			panic(err)
+		}
+		i++
+	}
+}
+
+// asyncDispatchParkedSetup times the event-driven engine where dispatch is
+// the work: 2048 clients, one local step each, under a schedule that keeps
+// clients parked at every version, so each of the ~6400 dispatches samples
+// the idle list around them.
+func asyncDispatchParkedSetup() func() {
+	sched, err := faults.Parse("blip:5@r0-150,blip:900@r20-400,crash:1500@r1,slow:9x4@r10-100")
+	if err != nil {
+		panic(err)
+	}
+	return asyncPopulationSetup(2048, cluster.AsyncConfig{
+		Participation: 32, Tau: 1, BatchSize: 2, LR: 0.1,
+		MaxUpdates: 200, EvalEvery: 1 << 30, Faults: sched, Seed: 8,
+	})
 }
 
 // fig9Setup regenerates the quick Fig 9 comparison with the given
@@ -426,6 +480,8 @@ func main() {
 		{"StepVGGNano", 0, func() func() { return stepSetup(nn.NewVGGNano(shape, 4), shape.Len()) }},
 		{"StepResNetNano", 0, func() func() { return stepSetup(nn.NewResNetNano(shape, 4), shape.Len()) }},
 		{"AdamStep/64k", 0, func() func() { return adamStepSetup(1 << 16) }},
+		{"TopK16400/r0.25", 2000, func() func() { return topKSetup("topk:0.25", 16400) }},
+		{"TopKEF650/r0.1", 20000, func() func() { return topKSetup("topk:0.1+ef", 650) }},
 		{"PASGDRound/serial", 0, func() func() { return pasgdSetup(1) }},
 		{"PASGDRound/pool4", 0, func() func() { return pasgdSetup(4) }},
 		{"GlobalMomentumRound", 0, func() func() { return globalMomentumSetup() }},
@@ -448,6 +504,7 @@ func main() {
 		{"EventQueue/4096", 0, func() func() { return eventQueueSetup() }},
 		{"AsyncRun/8of64", 20, func() func() { return asyncRunSetup(64, 8, 10) }},
 		{"AsyncShard/1024", 10, func() func() { return asyncShardSetup() }},
+		{"AsyncDispatchParked/2048", 10, asyncDispatchParkedSetup},
 		// Fig9Quick is an end-to-end figure regeneration (seconds per op);
 		// 2 iterations bound the total runtime.
 		{"Fig9Quick/serial", 2, func() func() { return fig9Setup(1) }},

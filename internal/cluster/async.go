@@ -52,6 +52,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/compress"
@@ -287,7 +288,14 @@ type AsyncEngine struct {
 
 	clients []asyncClient
 	idle    []int // idle client ids; sampled uniformly at dispatch
-	eligBuf []int // fault-path scratch: idle-list positions of active clients
+
+	// Fault path only (nil without a schedule): where each client sits on
+	// the idle list (-1 in flight), the clients down at downVersion, and
+	// scratch for their idle-list positions.
+	idlePos     []int
+	down        []int
+	downVersion int
+	parkBuf     []int
 
 	q      *events.Queue
 	clocks *events.Clocks
@@ -425,6 +433,10 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		}
 		e.idle = append(e.idle, i)
 	}
+	if cfg.Faults.Enabled() {
+		e.idlePos = append([]int(nil), e.idle...) // client i starts at position i
+		e.downVersion = -1
+	}
 	if cfg.Compress.Enabled() {
 		c, err := cfg.Compress.New(root.Split())
 		if err != nil {
@@ -532,23 +544,35 @@ func (e *AsyncEngine) dispatchNew(t float64) bool {
 		return false
 	}
 	j := -1
-	if e.cfg.Faults.Enabled() {
-		e.eligBuf = e.eligBuf[:0]
-		for p, id := range e.idle {
-			if !e.cfg.Faults.Down(id, e.version) {
-				e.eligBuf = append(e.eligBuf, p)
-			}
-		}
-		if len(e.eligBuf) == 0 {
+	if e.idlePos != nil {
+		// The r-th active position is r stepped past every parked position
+		// at or below it. Only the schedule's down events are walked, not
+		// the idle population: the draw and the client it lands on are the
+		// ones a filtered copy of the idle list would give.
+		parked := e.parkedPositions()
+		active := len(e.idle) - len(parked)
+		if active == 0 {
 			return false
 		}
-		j = e.eligBuf[e.serverRng.Intn(len(e.eligBuf))]
+		j = e.serverRng.Intn(active)
+		for _, p := range parked {
+			if p > j {
+				break
+			}
+			j++
+		}
 	} else {
 		j = e.serverRng.Intn(len(e.idle))
 	}
 	id := e.idle[j]
-	e.idle[j] = e.idle[len(e.idle)-1]
-	e.idle = e.idle[:len(e.idle)-1]
+	last := len(e.idle) - 1
+	moved := e.idle[last]
+	e.idle[j] = moved
+	e.idle = e.idle[:last]
+	if e.idlePos != nil {
+		e.idlePos[moved] = j
+		e.idlePos[id] = -1
+	}
 	// The client is committed (off the idle list) the moment its Dispatch
 	// is scheduled — counting here, not at dispatch time, is what keeps the
 	// refill loop from over-committing past InFlight.
@@ -559,6 +583,24 @@ func (e *AsyncEngine) dispatchNew(t float64) bool {
 	}
 	e.q.Push(events.Event{Time: t, Worker: id, Kind: events.Dispatch})
 	return true
+}
+
+// parkedPositions returns the idle-list positions of the clients down at
+// the current version, ascending. The down set is a function of the version
+// alone, so it is rebuilt once per aggregation, not per dispatch.
+func (e *AsyncEngine) parkedPositions() []int {
+	if e.downVersion != e.version {
+		e.down = e.cfg.Faults.DownAt(e.version, e.down[:0])
+		e.downVersion = e.version
+	}
+	e.parkBuf = e.parkBuf[:0]
+	for _, id := range e.down {
+		if p := e.idlePos[id]; p >= 0 {
+			e.parkBuf = append(e.parkBuf, p)
+		}
+	}
+	slices.Sort(e.parkBuf)
+	return e.parkBuf
 }
 
 // denseBuf returns a recycled (or fresh) dim-length buffer for the
@@ -654,6 +696,16 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 	e.q.Push(events.Event{Time: arrival, Worker: i, Kind: events.Arrival})
 }
 
+// goIdle returns client i to the idle list.
+func (e *AsyncEngine) goIdle(i int) {
+	e.clients[i].inflight = false
+	e.nInFlight--
+	if e.idlePos != nil {
+		e.idlePos[i] = len(e.idle)
+	}
+	e.idle = append(e.idle, i)
+}
+
 // arrive folds client i's delivered message into the pending aggregate (or
 // discards it as expired, immediately dispatching a replacement) and reports
 // whether the round completed. Non-expired early arrivals do NOT trigger a
@@ -663,9 +715,7 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 // twice toward one aggregate.
 func (e *AsyncEngine) arrive(i int, t float64) (roundDone bool) {
 	c := &e.clients[i]
-	c.inflight = false
-	e.nInFlight--
-	e.idle = append(e.idle, i)
+	e.goIdle(i)
 
 	if e.cfg.Faults.Enabled() && e.cfg.Faults.Down(i, e.version) {
 		// The sender crashed (or blipped out) while its message was in

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/faults"
+	"repro/internal/rng"
 	"repro/internal/sgd"
 )
 
@@ -242,6 +243,68 @@ func TestAsyncAllDownTerminates(t *testing.T) {
 	}
 	if e.Version() >= 1000 {
 		t.Fatal("run did not stop at the crash wall")
+	}
+}
+
+// TestAsyncDispatchMatchesFilteredIdleList holds the parked-position walk to
+// the rule it replaced: filter the idle list through Down, client by
+// client, and index the survivors with the same draw. Overlapping events on
+// one client, a client down from version 0 and a crash are in the schedule;
+// the idle list is churned so parked clients sit at arbitrary positions.
+func TestAsyncDispatchMatchesFilteredIdleList(t *testing.T) {
+	s := asyncSetup(t, 32)
+	cfg := baseAsyncCfg()
+	cfg.Faults = mustFaults(t, "blip:0@r1-4,blip:0@r3-6,blip:31@r0-2,crash:7@r5,blip:12@r2-2,blip:13@r2-8,slow:3x5@r0-9")
+	e := s.async(t, cfg)
+	churn := rng.New(3)
+	refused, parkedSeen := 0, 0
+	for step := 0; step < 4000; step++ {
+		var elig []int
+		for p, id := range e.idle {
+			if !cfg.Faults.Down(id, e.version) {
+				elig = append(elig, p)
+			}
+		}
+		want := -1
+		if len(elig) < len(e.idle) {
+			parkedSeen++
+		}
+		if len(elig) == 0 {
+			refused++
+		} else {
+			probe := *e.serverRng // same draw, engine stream untouched
+			want = e.idle[elig[probe.Intn(len(elig))]]
+		}
+		if ok := e.dispatchNew(0); ok != (want >= 0) {
+			t.Fatalf("step %d: dispatched=%v with %d eligible", step, ok, len(elig))
+		}
+		if want >= 0 {
+			if ev, _ := e.q.Pop(); ev.Worker != want {
+				t.Fatalf("step %d (version %d): dispatched client %d, filtered idle list gives %d", step, e.version, ev.Worker, want)
+			}
+		}
+		for p, id := range e.idle {
+			if e.idlePos[id] != p {
+				t.Fatalf("step %d: idlePos[%d] = %d, client sits at %d", step, id, e.idlePos[id], p)
+			}
+		}
+		// Return in-flight clients at random so the list keeps moving; every
+		// other hundred steps return so few that it drains to the parked.
+		rate := 4
+		if step/100%2 == 1 {
+			rate = 64
+		}
+		for id := range e.clients {
+			if e.clients[id].inflight && churn.Intn(rate) == 0 {
+				e.goIdle(id)
+			}
+		}
+		if step%300 == 299 {
+			e.version++
+		}
+	}
+	if refused == 0 || parkedSeen < 1000 {
+		t.Fatalf("schedule too mild to test anything: %d refusals, %d dispatches past a parked client", refused, parkedSeen)
 	}
 }
 

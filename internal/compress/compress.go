@@ -24,11 +24,68 @@
 // (Karimireddy et al. 2019). All compressors are deterministic given their
 // seed stream, which is what lets the cluster engine stay bitwise identical
 // at any compute-pool width under compression.
+//
+// # Top-k: selection, order, NaN
+//
+// Top-k runs once per worker per exchange on a vector the size of the
+// model, so its cost is simulator overhead on every compressed run. It is
+// three branch-free passes over the vector and a little work on what is
+// left:
+//
+//   - Order. Magnitudes are compared as the IEEE-754 bit pattern of |v| (the
+//     word with its sign bit cleared) under unsigned integer order. For
+//     non-negative doubles that order IS the numeric one — +0 and -0 both
+//     map to 0, subnormals sit between zero and the normals, +Inf is the
+//     largest non-NaN — so every message equals what a float comparison
+//     would build. NaN patterns lie above +Inf: a NaN coordinate is the
+//     LARGEST magnitude, always kept, and a message always has exactly
+//     k = ceil(ratio*dim) entries with 12k (or 8k on a float32 wire) bytes
+//     to price. A float comparison has no such answer: NaN compares false
+//     against everything, a comparison-based select that meets one returns
+//     a NaN threshold nothing passes, and the diverged worker ships an
+//     empty, zero-byte message.
+//   - Selection (selectKthLargest) is an exact radix select on those
+//     patterns. Pass one counts the top 12 bits — exponent plus one mantissa
+//     bit, half-octave buckets — into a 4096-counter histogram, fused with
+//     taking |v|; a 64-bit occupancy word records which 64-bucket groups
+//     were touched, so the walk down from the top bucket to the one holding
+//     rank k, and the clear that restores the all-zero histogram, cost a few
+//     dozen counters on a bell-shaped vector instead of 4096 (a 650-wide
+//     vector cannot afford more). Pass two compacts that bucket's members:
+//     store unconditionally, advance the cursor by a 0/1 computed from the
+//     bits. The candidates (about a fifth of a Gaussian vector) are then
+//     narrowed by range-adaptive digits — their own [min, max] spread over
+//     about one counter each, at most 1024 — until 16 or fewer remain for an
+//     insertion sort, or all are equal. Range adaptation is what keeps
+//     clustered and heavily tied inputs at one or two tail passes; every
+//     tail pass strictly shrinks the range, so it terminates on any input.
+//     No pass branches on the data, which is the whole gain: to a
+//     comparison-based select every test against the pivot is a coin flip
+//     the branch predictor loses half the time — unless a benchmark feeds it
+//     one fixed vector and lets it learn the answers (bench_test.go cycles
+//     64 inputs for that reason).
+//   - Emission. Strictly-greater coordinates go out in ascending index
+//     order, again by unconditional store and 0/1 advance — fewer than k
+//     exist, so the k-long buffers cannot overflow — then coordinates tied
+//     with the threshold, lowest index first, until there are k. That order
+//     and tie rule are the wire contract the goldens pin.
+//
+// # Error feedback on a sparse message
+//
+// The residual is (vec + residual) minus what the message reconstructs. A
+// sparse message reconstructs to zero off its k kept coordinates, and
+// x - 0 == x bit for bit for every x including -0, NaN and the infinities,
+// so ErrorFeedback makes the compressed input the new residual by swapping
+// two buffers and subtracts the k shipped values in place, with no dense
+// reconstruction and no dim-wide subtract. The bits equal theirs as long as
+// a message's indices are distinct, which top-k and random-k guarantee. Dense and quantized messages keep the reconstruct-and-subtract
+// path.
 package compress
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/rng"
 )
@@ -251,12 +308,21 @@ func checkDim(msg Message, dst []float64) error {
 // ---------------------------------------------------------------------------
 
 type topKCompressor struct {
-	ratio  float64
-	magBuf []float64
+	ratio float64
+	keys  []uint64 // |v| bit patterns, compacted in place to the candidates
+	// hist is all zero between calls: each count clears the range it
+	// touched, so a 650-wide vector never pays for 4096 counters.
+	hist [1 << topBits]uint32
 }
 
-// NewTopK returns a top-k sparsifier keeping the ceil(ratio*dim)
-// largest-magnitude coordinates.
+// NewTopK returns a top-k sparsifier keeping the k = ceil(ratio*dim)
+// largest-magnitude coordinates. Magnitudes are ordered by the IEEE bit
+// pattern of |v| (see the package comment): for every non-NaN value that is
+// the numeric order, and a NaN ranks above +Inf. A message therefore always
+// carries exactly k entries, and a diverged (NaN) coordinate is shipped and
+// priced like any other instead of silently emptying the message. Entries
+// strictly above the k-th magnitude come first in ascending index order,
+// then coordinates tied with it, lowest index first.
 func NewTopK(ratio float64) Compressor {
 	return &topKCompressor{ratio: clampRatio(ratio)}
 }
@@ -271,31 +337,34 @@ func (t *topKCompressor) Ratio() float64 { return t.ratio }
 
 func (t *topKCompressor) Compress(vec []float64) (Message, error) {
 	dim := len(vec)
+	if dim == 0 {
+		return Message{Enc: EncSparse}, nil
+	}
 	k := keepCount(t.ratio, dim)
-	if cap(t.magBuf) < dim {
-		t.magBuf = make([]float64, dim)
+	if cap(t.keys) < dim {
+		t.keys = make([]uint64, dim)
 	}
-	mags := t.magBuf[:dim]
-	for i, v := range vec {
-		mags[i] = math.Abs(v)
-	}
-	thresh := selectKthLargest(mags, k)
+	thresh := selectKthLargest(vec, k, t.keys[:dim], &t.hist)
 
-	idx := make([]int32, 0, k)
-	vals := make([]float64, 0, k)
+	// Fewer than k magnitudes are strictly above the k-th largest, so the
+	// unconditional store at n stays inside the k-long buffers and the only
+	// data-dependent step is the cursor's 0/1 advance.
+	idx := make([]int32, k)
+	vals := make([]float64, k)
+	n := 0
 	for i, v := range vec {
-		if math.Abs(v) > thresh {
-			idx = append(idx, int32(i))
-			vals = append(vals, v)
-		}
+		idx[n] = int32(i)
+		vals[n] = v
+		n += int((thresh - math.Float64bits(v)&absMask) >> 63)
 	}
 	// Fill the remaining slots with threshold-magnitude coordinates in
-	// ascending index order so ties resolve deterministically.
-	for i := 0; len(idx) < k && i < dim; i++ {
-		if math.Abs(vec[i]) == thresh {
-			idx = append(idx, int32(i))
-			vals = append(vals, vec[i])
-		}
+	// ascending index order so ties resolve deterministically. At least
+	// k-n of them exist, which is what ends the loop.
+	for i := 0; n < k; i++ {
+		v := vec[i]
+		idx[n] = int32(i)
+		vals[n] = v
+		n += int(((math.Float64bits(v)&absMask ^ thresh) - 1) >> 63)
 	}
 	return Message{Dim: dim, Enc: EncSparse, Indices: idx, Values: vals}, nil
 }
@@ -317,38 +386,110 @@ func scatterSparse(msg Message, dst []float64) error {
 	return nil
 }
 
-// selectKthLargest returns the k-th largest value of a, permuting a in the
-// process (callers pass scratch). Deterministic middle-element pivots keep
-// runs reproducible; three-way partitioning handles duplicate magnitudes.
-func selectKthLargest(a []float64, k int) float64 {
-	lo, hi := 0, len(a) // active window [lo, hi)
-	idx := k - 1        // target position in descending order
-	for hi-lo > 1 {
-		p := a[lo+(hi-lo)/2]
-		lt, gt := lo, hi // invariant: [lo,lt) > p, [gt,hi) < p
-		for i := lo; i < gt; {
-			switch {
-			case a[i] > p:
-				a[i], a[lt] = a[lt], a[i]
-				lt++
-				i++
-			case a[i] < p:
-				gt--
-				a[i], a[gt] = a[gt], a[i]
-			default:
-				i++
-			}
-		}
-		switch {
-		case idx < lt:
-			hi = lt
-		case idx >= gt:
-			lo = gt
-		default:
-			return p
-		}
+const (
+	absMask = 1<<63 - 1 // clears the sign: the bit pattern of |v|
+
+	// The first digit is the 11 exponent bits plus the top mantissa bit:
+	// half-octave buckets, so a bell-shaped vector leaves a fifth of itself
+	// in the k-th bucket and a 650-wide one clears a few dozen counters.
+	topBits    = 12
+	topShift   = 63 - topBits
+	groupShift = topShift + 6 // 64 first-digit buckets per occupancy bit
+
+	tailBuckets = 1024 // most counters a tail pass spreads a candidate range over
+	smallSelect = 16   // candidates left to an insertion sort
+)
+
+// selectKthLargest returns the bit pattern of the k-th largest |v| over vec
+// (1 <= k <= len(vec)) under the unsigned order of those patterns. keys is
+// len(vec) words of scratch and hist must be all zero; it is all zero again
+// on return.
+//
+// It is an exact radix select with no data-dependent branch in any pass
+// over the vector: count one digit into hist, walk down from the top bucket
+// to the one holding rank k, keep that bucket's members (compacted in place
+// by an unconditional store and a 0/1 cursor advance), and repeat on them.
+// The first digit is fixed so its count fuses with the |v| pass; every
+// later digit is range-adaptive — the candidates' own [lo, hi] spread over
+// about one counter per candidate — so a tightly clustered or heavily tied
+// vector converges as fast as a spread one.
+func selectKthLargest(vec []float64, k int, keys []uint64, hist *[1 << topBits]uint32) uint64 {
+	// occ marks which 64-bucket groups the vector reaches, so the walk and
+	// the clear touch those groups only.
+	var occ uint64
+	for _, v := range vec {
+		b := math.Float64bits(v) & absMask
+		hist[b>>topShift]++
+		occ |= 1 << (b >> groupShift & 63)
 	}
-	return a[lo]
+	base := uint64(bits.TrailingZeros64(occ)) * 64
+	bucket, rank := walkDown(hist[base:bits.Len64(occ)*64], k)
+	bucket += base
+	n := 0
+	for _, v := range vec {
+		b := math.Float64bits(v) & absMask
+		keys[n] = b
+		n += int(((b>>topShift ^ bucket) - 1) >> 63)
+	}
+	cand := keys[:n]
+
+	for len(cand) > smallSelect {
+		lo, hi := cand[0], cand[0]
+		for _, c := range cand[1:] {
+			lo = min(lo, c)
+			hi = max(hi, c)
+		}
+		if lo == hi {
+			return lo
+		}
+		// Spread hi-lo over the fewest power-of-two counters that give each
+		// candidate about one, at most tailBuckets.
+		nb := min(bits.Len(uint(len(cand)-1)), bits.Len(tailBuckets-1))
+		shift := max(bits.Len64(hi-lo)-nb, 0)
+		for _, c := range cand {
+			hist[(c-lo)>>(shift&63)]++
+		}
+		bucket, rank = walkDown(hist[:(hi-lo)>>shift+1], rank)
+		cand = keepBucket(cand, lo, shift, bucket)
+	}
+	// Insertion sort, descending.
+	for i := 1; i < len(cand); i++ {
+		c := cand[i]
+		j := i
+		for ; j > 0 && cand[j-1] < c; j-- {
+			cand[j] = cand[j-1]
+		}
+		cand[j] = c
+	}
+	return cand[rank-1]
+}
+
+// walkDown finds the bucket holding the rank-th largest element given the
+// per-bucket counts, returns it with the rank restated within that bucket,
+// and zeroes counts.
+func walkDown(counts []uint32, rank int) (bucket uint64, within int) {
+	b := len(counts) - 1
+	for above := 0; ; b-- {
+		c := int(counts[b])
+		if above+c >= rank {
+			within = rank - above
+			break
+		}
+		above += c
+	}
+	clear(counts)
+	return uint64(b), within
+}
+
+// keepBucket compacts keys in place to the members of one bucket, in their
+// original order, and returns them.
+func keepBucket(keys []uint64, lo uint64, shift int, bucket uint64) []uint64 {
+	n := 0
+	for _, b := range keys {
+		keys[n] = b
+		n += int((((b-lo)>>(shift&63) ^ bucket) - 1) >> 63)
+	}
+	return keys[:n]
 }
 
 // ---------------------------------------------------------------------------
@@ -513,7 +654,7 @@ type ErrorFeedback struct {
 	inner  Compressor
 	resid  []float64
 	buf    []float64
-	decBuf []float64
+	decBuf []float64 // dense reconstruction; sparse messages never need it
 }
 
 // WithErrorFeedback wraps c with residual accumulation.
@@ -566,19 +707,40 @@ func (e *ErrorFeedback) Bits() int {
 
 // Compress compresses vec plus the carried residual and updates the residual
 // with what this round's message failed to represent.
+//
+// A sparse message reconstructs to zero everywhere but its k kept
+// coordinates, and x - 0 == x for every x (NaN and -0 included), so the
+// compressed input itself becomes the residual and only those k entries are
+// corrected. That is bit-identical to subtracting the dense reconstruction
+// as long as the message's indices are distinct, which every sparsifier in
+// this package guarantees.
 func (e *ErrorFeedback) Compress(vec []float64) (Message, error) {
 	dim := len(vec)
 	if len(e.resid) != dim {
 		e.resid = make([]float64, dim)
 		e.buf = make([]float64, dim)
-		e.decBuf = make([]float64, dim)
 	}
+	buf, resid := e.buf[:dim], e.resid[:dim]
 	for i, v := range vec {
-		e.buf[i] = v + e.resid[i]
+		buf[i] = v + resid[i]
 	}
-	msg, err := e.inner.Compress(e.buf)
+	msg, err := e.inner.Compress(buf)
 	if err != nil {
 		return Message{}, err
+	}
+	if msg.Enc == EncSparse {
+		if err := checkDim(msg, buf); err != nil {
+			return Message{}, err
+		}
+		e.resid, e.buf = buf, resid
+		vals := msg.Values[:len(msg.Indices)]
+		for j, ix := range msg.Indices {
+			buf[ix] -= vals[j]
+		}
+		return msg, nil
+	}
+	if len(e.decBuf) != dim {
+		e.decBuf = make([]float64, dim)
 	}
 	if err := e.inner.Decompress(msg, e.decBuf); err != nil {
 		return Message{}, err

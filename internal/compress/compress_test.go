@@ -337,18 +337,6 @@ func TestDecompressDimMismatch(t *testing.T) {
 	}
 }
 
-func TestSelectKthLargest(t *testing.T) {
-	a := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
-	// Descending: 9 6 5 5 4 3 3 2 1 1
-	want := []float64{9, 6, 5, 5, 4, 3, 3, 2, 1, 1}
-	for k := 1; k <= len(a); k++ {
-		scratch := append([]float64(nil), a...)
-		if got := selectKthLargest(scratch, k); got != want[k-1] {
-			t.Fatalf("k=%d: got %v, want %v", k, got, want[k-1])
-		}
-	}
-}
-
 func norm(v []float64) float64 {
 	s := 0.0
 	for _, x := range v {

@@ -22,6 +22,7 @@ package faults
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -114,6 +115,24 @@ func (s *Schedule) Down(worker, round int) bool {
 		}
 	}
 	return false
+}
+
+// DownAt appends to dst every worker that is down at the given round, in
+// ascending order and without repeats, and returns the extended slice. It
+// costs one pass over the events, not one Down query per worker: the way to
+// ask "who is down" of a large population.
+func (s *Schedule) DownAt(round int, dst []int) []int {
+	if s == nil {
+		return dst
+	}
+	base := len(dst)
+	for _, e := range s.events {
+		if e.Kind != KindSlow && round >= e.From && round <= e.To {
+			dst = append(dst, e.Worker)
+		}
+	}
+	slices.Sort(dst[base:])
+	return dst[:base+len(slices.Compact(dst[base:]))]
 }
 
 // Rejoins reports whether the worker comes back up at this round after

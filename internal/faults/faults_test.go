@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -117,6 +118,27 @@ func TestDownRejoinSemantics(t *testing.T) {
 	}
 }
 
+// TestDownAtMatchesDown: DownAt is the set {w : Down(w, round)}, ascending,
+// with a worker two overlapping events name listed once, after whatever dst
+// already held.
+func TestDownAtMatchesDown(t *testing.T) {
+	s := mustParse(t, "blip:6@r2-5,crash:1@r4,blip:6@r4-9,slow:3x2@r0-9,blip:0@r0-0,drop:0.1")
+	for round := 0; round <= 11; round++ {
+		want := []int{-7}
+		for w := 0; w < 8; w++ {
+			if s.Down(w, round) {
+				want = append(want, w)
+			}
+		}
+		if got := s.DownAt(round, []int{-7}); !slices.Equal(got, want) {
+			t.Errorf("DownAt(%d) = %v, want %v", round, got, want)
+		}
+	}
+	if got := (*Schedule)(nil).DownAt(3, nil); len(got) != 0 {
+		t.Errorf("nil schedule DownAt = %v", got)
+	}
+}
+
 func TestLinkScale(t *testing.T) {
 	s := mustParse(t, "slow:2x4@r10-20,slow:2x2@r15-15")
 	cases := []struct {
@@ -186,12 +208,14 @@ func TestValidate(t *testing.T) {
 func TestHotPathAllocationFree(t *testing.T) {
 	s := mustParse(t, "crash:0@r5,blip:1@r3-6,slow:2x4@r10-20,drop:0.2")
 	active := make([]bool, 8)
+	down := make([]int, 0, 8)
 	if n := testing.AllocsPerRun(100, func() {
 		s.Down(1, 4)
 		s.Rejoins(1, 7)
 		s.LinkScale(2, 12)
 		s.Retries(42, 7, 3)
 		s.ActiveInto(4, active)
+		down = s.DownAt(4, down[:0])
 	}); n != 0 {
 		t.Errorf("hot path allocates %g/op", n)
 	}
