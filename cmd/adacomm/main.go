@@ -33,6 +33,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/comm"
 	"repro/internal/compress"
@@ -43,8 +44,12 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/opt"
 	"repro/internal/sgd"
-	"repro/internal/tensor"
 )
+
+// fail and check are the exit-2 contract (internal/cli): one "adacomm: ..."
+// line, before any workload is built.
+func fail(format string, a ...any) { cli.Fatalf("adacomm", format, a...) }
+func check(err error)              { cli.Check("adacomm", err) }
 
 func main() {
 	arch := flag.String("arch", "vgg", "workload: vgg | resnet | logistic")
@@ -108,48 +113,28 @@ func main() {
 	flag.Parse()
 
 	spec, err := compress.ParseSpec(*compressFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
-	}
+	check(err)
 	wire, err := compress.ParseWire(*wireFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
-	}
+	check(err)
 	if *wireFlag != "" {
 		if spec.Wire == compress.WireFloat32 && wire == compress.WireFloat64 {
-			fmt.Fprintf(os.Stderr, "adacomm: -wire %s conflicts with the +f32 modifier in -compress %s\n",
-				*wireFlag, *compressFlag)
-			os.Exit(2)
+			fail("-wire %s conflicts with the +f32 modifier in -compress %s", *wireFlag, *compressFlag)
 		}
 		spec.Wire = wire
 	}
-	if *kernelWorkers < 1 {
-		fmt.Fprintf(os.Stderr, "adacomm: -kernel-workers %d must be >= 1\n", *kernelWorkers)
-		os.Exit(2)
-	}
-	tensor.SetWorkers(*kernelWorkers)
+	check(cli.KernelWorkers(*kernelWorkers))
 	fsched, err := faults.Parse(*faultsFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
-	}
+	check(err)
 	optCfg, err := opt.Parse(*optimizerFlag)
 	if err != nil {
 		// opt.Parse errors already enumerate the valid forms.
-		fmt.Fprintf(os.Stderr, "adacomm: -optimizer: %v\n", err)
-		os.Exit(2)
+		fail("-optimizer: %v", err)
 	}
 	if *adamBeta2 != 0 {
 		if !optCfg.Adaptive() {
-			fmt.Fprintln(os.Stderr, "adacomm: -adam-beta2 tunes the second-moment decay; it needs an adam/adamw -optimizer")
-			os.Exit(2)
+			fail("-adam-beta2 tunes the second-moment decay; it needs an adam/adamw -optimizer")
 		}
-		if math.IsNaN(*adamBeta2) || *adamBeta2 <= 0 || *adamBeta2 >= 1 {
-			fmt.Fprintf(os.Stderr, "adacomm: -adam-beta2 %g outside (0, 1)\n", *adamBeta2)
-			os.Exit(2)
-		}
+		check(cli.OpenUnit("-adam-beta2", *adamBeta2))
 		optCfg.Beta2 = *adamBeta2
 	}
 	// -momentum and -block-momentum only fill the Opt / GlobalMomentum that
@@ -157,37 +142,61 @@ func main() {
 	// rejects their bad values too.
 	if *momentum != 0 {
 		if !optCfg.IsZero() {
-			fmt.Fprintln(os.Stderr, "adacomm: set -momentum or -optimizer, not both")
-			os.Exit(2)
+			fail("set -momentum or -optimizer, not both")
 		}
 		optCfg = opt.Config{Rule: opt.RuleMomentum, Momentum: *momentum}
 	}
 	if *blockMomentum != 0 {
 		if *globalMomentum != 0 {
-			fmt.Fprintln(os.Stderr, "adacomm: set -block-momentum or -global-momentum, not both")
-			os.Exit(2)
+			fail("set -block-momentum or -global-momentum, not both")
 		}
 		*globalMomentum = *blockMomentum
 	}
-	if *bandwidth < 0 {
-		fmt.Fprintf(os.Stderr, "adacomm: -bandwidth %g must be >= 0 (0 = infinite)\n", *bandwidth)
-		os.Exit(2)
+	if !(*bandwidth >= 0) {
+		fail("-bandwidth %g must be >= 0 (0 = infinite)", *bandwidth)
+	}
+	// Sizes and rates the builders below would panic on, or train to NaN
+	// with, or never stop on.
+	switch experiments.Arch(*arch) {
+	case experiments.ArchVGG, experiments.ArchResNet, experiments.ArchLogistic:
+	default:
+		fail("unknown -arch %q (want vgg | resnet | logistic)", *arch)
+	}
+	if *workers < 1 {
+		fail("-workers %d must be >= 1", *workers)
+	}
+	if *classes < 2 {
+		fail("-classes %d must be >= 2", *classes)
+	}
+	finitePositive := func(flag string, v float64) {
+		if !(v > 0) || math.IsInf(v, 1) {
+			fail("%s %g must be finite and > 0", flag, v)
+		}
+	}
+	finitePositive("-lr", *lr)
+	finitePositive("-budget", *budget)
+	switch {
+	case *method == "adacomm":
+		if *tau0 < 1 {
+			fail("-tau0 %d must be >= 1", *tau0)
+		}
+		finitePositive("-interval", *interval)
+	case *method != "fixed":
+		fail("unknown -method %q (want adacomm | fixed)", *method)
+	case *tau < 1:
+		fail("-tau %d must be >= 1", *tau)
 	}
 	if *adaptCompression && !spec.Enabled() {
-		fmt.Fprintln(os.Stderr, "adacomm: -adapt-compression needs a -compress scheme")
-		os.Exit(2)
+		fail("-adapt-compression needs a -compress scheme")
 	}
 	if *adaptCompression && spec.Kind == compress.KindIdentity {
-		fmt.Fprintln(os.Stderr, "adacomm: -adapt-compression needs an adaptive compressor (topk/randk/qsgd)")
-		os.Exit(2)
+		fail("-adapt-compression needs an adaptive compressor (topk/randk/qsgd)")
 	}
 	if *adaptCompression && *method != "adacomm" {
-		fmt.Fprintln(os.Stderr, "adacomm: -adapt-compression requires -method adacomm")
-		os.Exit(2)
+		fail("-adapt-compression requires -method adacomm")
 	}
 	if *linkAware && *method != "adacomm" && !*async {
-		fmt.Fprintln(os.Stderr, "adacomm: -link-aware requires -method adacomm or -async")
-		os.Exit(2)
+		fail("-link-aware requires -method adacomm or -async")
 	}
 
 	// The event-driven engine has no tau controller, runs the full-averaging
@@ -196,79 +205,85 @@ func main() {
 	// rather than silently ignored.
 	if !*async {
 		if *participation != 0 {
-			fmt.Fprintln(os.Stderr, "adacomm: -participation requires -async")
-			os.Exit(2)
+			fail("-participation requires -async")
 		}
 		if *clients != 0 {
-			fmt.Fprintln(os.Stderr, "adacomm: -clients requires -async")
-			os.Exit(2)
+			fail("-clients requires -async")
 		}
 	} else {
 		switch {
 		case *method == "adacomm":
-			fmt.Fprintln(os.Stderr, "adacomm: -async runs without a tau controller; use -method fixed -tau")
+			fail("-async runs without a tau controller; use -method fixed -tau")
 		case *adaptCompression:
-			fmt.Fprintln(os.Stderr, "adacomm: -adapt-compression needs the AdaComm controller; not available with -async")
+			fail("-adapt-compression needs the AdaComm controller; not available with -async")
 		case *strategyFlag != "full":
-			fmt.Fprintln(os.Stderr, "adacomm: -async supports only -strategy full (K-of-m averaging)")
+			fail("-async supports only -strategy full (K-of-m averaging)")
 		case *topologyFlag != "allgather":
-			fmt.Fprintln(os.Stderr, "adacomm: -async prices point-to-point links; -topology does not apply")
+			fail("-async prices point-to-point links; -topology does not apply")
 		case *edgeLinksFlag != "":
-			fmt.Fprintln(os.Stderr, "adacomm: -edge-links prices gossip graph rounds; not available with -async")
+			fail("-edge-links prices gossip graph rounds; not available with -async")
 		case *adaptGossipGamma:
-			fmt.Fprintln(os.Stderr, "adacomm: -adapt-gossip-gamma needs -strategy ring; not available with -async")
+			fail("-adapt-gossip-gamma needs -strategy ring; not available with -async")
 		case *globalMomentum != 0:
-			fmt.Fprintln(os.Stderr, "adacomm: -async has no sync barrier for block/global momentum to filter")
+			fail("-async has no sync barrier for block/global momentum to filter")
 		case *variableLR:
-			fmt.Fprintln(os.Stderr, "adacomm: -async uses a constant learning rate; -variable-lr does not apply")
+			fail("-async uses a constant learning rate; -variable-lr does not apply")
 		case *clients < 0:
-			fmt.Fprintf(os.Stderr, "adacomm: -clients %d must be >= 0\n", *clients)
+			fail("-clients %d must be >= 0", *clients)
 		case *participation < 0:
-			fmt.Fprintf(os.Stderr, "adacomm: -participation %d must be >= 0\n", *participation)
-		default:
-			runAsync(asyncOpts{
-				arch: *arch, classes: *classes, clients: *clients, workers: *workers,
-				participation: *participation, tau: *tau, batch: *batch, lr: *lr,
-				budget: *budget, seed: *seed, quick: *quick, spec: spec,
-				bandwidth: *bandwidth, links: *linksFlag, linkAware: *linkAware,
-				faults: fsched, opt: optCfg,
-			})
-			return
+			fail("-participation %d must be >= 0", *participation)
 		}
-		os.Exit(2)
 	}
 
 	topology, err := comm.ParseTopology(*topologyFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
-	}
+	check(err)
 	strategy, err := cluster.ParseStrategy(*strategyFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
-	}
+	check(err)
 
-	scale := experiments.ScaleFull
-	if *quick {
-		scale = experiments.ScaleQuick
+	// n simulated nodes: -workers, or the -clients population under -async.
+	n := *workers
+	if *clients != 0 {
+		n = *clients
 	}
-	w := experiments.BuildWorkload(experiments.Arch(*arch), *classes, *workers, scale, *seed)
+	w := experiments.BuildWorkload(experiments.Arch(*arch), *classes, n, cli.Scale(*quick), *seed)
 	if *bandwidth > 0 {
 		w.Delay.Bandwidth = *bandwidth
 	}
-	links, err := delaymodel.ParseLinks(*linksFlag, *workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
+	w.Delay.Links, err = delaymodel.ParseLinks(*linksFlag, n)
+	check(err)
+	w.Delay.EdgeLinks, err = delaymodel.ParseEdgeLinks(*edgeLinksFlag, n)
+	check(err)
+
+	if *async {
+		// Aggregate the first k arrivals per update (default: all n, the
+		// barrier expressed as events).
+		k := *participation
+		if k == 0 {
+			k = n
+		}
+		engine, err := cluster.NewAsync(w.Proto, w.Shards, w.Train, w.Test, w.Delay, cluster.AsyncConfig{
+			Participation: k,
+			Tau:           *tau,
+			BatchSize:     *batch,
+			LR:            *lr,
+			Opt:           optCfg,
+			MaxTime:       *budget,
+			EvalEvery:     100,
+			EvalSubset:    512,
+			Compress:      spec,
+			LinkAware:     *linkAware,
+			Seed:          *seed + 1,
+			Faults:        fsched,
+		})
+		check(err)
+		emit(engine.Run(fmt.Sprintf("async K=%d/%d", k, n)), engine.TestAccuracy())
+		st := engine.Stats()
+		fmt.Fprintf(os.Stderr,
+			"async: %d updates, %d applied (%d expired), mean staleness %.2f, peak in-flight %d, %d replicas + %d scratch vectors\n",
+			st.Updates, st.Applied, st.Expired, st.MeanStaleness, st.PeakInFlight,
+			st.MaterializedReplicas, st.ScratchVectors)
+		return
 	}
-	w.Delay.Links = links
-	edgeLinks, err := delaymodel.ParseEdgeLinks(*edgeLinksFlag, *workers)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
-	}
-	w.Delay.EdgeLinks = edgeLinks
 
 	var sched sgd.Schedule = sgd.Const{Eta: *lr}
 	if *variableLR {
@@ -296,16 +311,10 @@ func main() {
 	// a collective topology with a non-full strategy — surface as
 	// cluster validation errors and must exit like any other bad flag.
 	engine, err := cluster.New(w.Proto, w.Shards, w.Train, w.Test, w.Delay, cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
-	}
+	check(err)
 
-	var ctrl cluster.Controller
-	switch *method {
-	case "fixed":
-		ctrl = cluster.FixedTau{Tau: *tau, Schedule: sched}
-	case "adacomm":
+	var ctrl cluster.Controller = cluster.FixedTau{Tau: *tau, Schedule: sched}
+	if *method == "adacomm" {
 		coreCfg := core.Config{
 			Tau0:         *tau0,
 			Interval:     *interval,
@@ -321,18 +330,19 @@ func main() {
 		} else {
 			ctrl = core.NewAdaComm(coreCfg)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "adacomm: unknown method %q\n", *method)
-		os.Exit(2)
 	}
 
-	trace := engine.Run(ctrl, ctrl.Name())
+	emit(engine.Run(ctrl, ctrl.Name()), engine.TestAccuracy())
+}
+
+// emit writes the trace as CSV to stdout and the one-line summary to stderr.
+func emit(trace *metrics.Trace, testAccuracy float64) {
 	if err := metrics.WriteCSV(os.Stdout, trace); err != nil {
 		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "final loss %.5f, min loss %.5f, test acc %.2f%%, %d iters in %.1f sim-s\n",
-		trace.FinalLoss(), trace.MinLoss(), 100*engine.TestAccuracy(),
+		trace.FinalLoss(), trace.MinLoss(), 100*testAccuracy,
 		trace.Last().Iter, trace.Last().Time)
 }
 
@@ -341,87 +351,4 @@ func couplingFlag(variable bool) core.Coupling {
 		return core.SqrtCoupling
 	}
 	return core.NoCoupling
-}
-
-// asyncOpts carries the validated flag set for the event-driven path.
-type asyncOpts struct {
-	arch          string
-	classes       int
-	clients       int
-	workers       int
-	participation int
-	tau           int
-	batch         int
-	lr            float64
-	budget        float64
-	seed          uint64
-	quick         bool
-	spec          compress.Spec
-	bandwidth     float64
-	links         string
-	linkAware     bool
-	faults        *faults.Schedule
-	opt           opt.Config
-}
-
-// runAsync builds and runs the event-driven engine: -clients shards
-// (default -workers), aggregating the first -participation arrivals per
-// update. Exits 2 on invalid configurations, mirroring the barrier path.
-func runAsync(o asyncOpts) {
-	n := o.clients
-	if n == 0 {
-		n = o.workers
-	}
-	k := o.participation
-	if k == 0 {
-		k = n
-	}
-	scale := experiments.ScaleFull
-	if o.quick {
-		scale = experiments.ScaleQuick
-	}
-	w := experiments.BuildWorkload(experiments.Arch(o.arch), o.classes, n, scale, o.seed)
-	if o.bandwidth > 0 {
-		w.Delay.Bandwidth = o.bandwidth
-	}
-	links, err := delaymodel.ParseLinks(o.links, n)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
-	}
-	w.Delay.Links = links
-
-	cfg := cluster.AsyncConfig{
-		Participation: k,
-		Tau:           o.tau,
-		BatchSize:     o.batch,
-		LR:            o.lr,
-		Opt:           o.opt,
-		MaxTime:       o.budget,
-		EvalEvery:     100,
-		EvalSubset:    512,
-		Compress:      o.spec,
-		LinkAware:     o.linkAware,
-		Seed:          o.seed + 1,
-		Faults:        o.faults,
-	}
-	engine, err := cluster.NewAsync(w.Proto, w.Shards, w.Train, w.Test, w.Delay, cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(2)
-	}
-	trace := engine.Run(fmt.Sprintf("async K=%d/%d", k, n))
-	if err := metrics.WriteCSV(os.Stdout, trace); err != nil {
-		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
-		os.Exit(1)
-	}
-	st := engine.Stats()
-	fmt.Fprintf(os.Stderr,
-		"final loss %.5f, min loss %.5f, test acc %.2f%%, %d iters in %.1f sim-s\n",
-		trace.FinalLoss(), trace.MinLoss(), 100*engine.TestAccuracy(),
-		trace.Last().Iter, trace.Last().Time)
-	fmt.Fprintf(os.Stderr,
-		"async: %d updates, %d applied (%d expired), mean staleness %.2f, peak in-flight %d, %d replicas + %d scratch vectors\n",
-		st.Updates, st.Applied, st.Expired, st.MeanStaleness, st.PeakInFlight,
-		st.MaterializedReplicas, st.ScratchVectors)
 }

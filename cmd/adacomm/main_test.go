@@ -1,31 +1,22 @@
 package main
 
 import (
-	"bytes"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli/clitest"
 )
 
 func TestCommandLine(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "adacomm")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	// run executes a small logistic job plus extra flags.
+	bin := clitest.Build(t)
+	// run executes a small logistic job plus extra flags (a later flag
+	// overrides an earlier one, so a case can replace -method or -tau).
 	run := func(extra ...string) (stdout, stderr string, code int) {
-		cmd := exec.Command(bin, append(strings.Fields("-arch logistic -method fixed -tau 5 -quick -budget 20"), extra...)...)
-		var out, errb bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &errb
-		if err := cmd.Run(); err != nil {
-			code = cmd.ProcessState.ExitCode()
-		}
-		return out.String(), errb.String(), code
+		return bin(append(strings.Fields("-arch logistic -method fixed -tau 5 -quick -budget 20"), extra...)...)
 	}
 
 	// Every bad value a user can type exits 2 with one "adacomm: ..." line:
-	// never a panic trace, never a run that trains to NaN.
+	// never a panic trace, never a run that trains to NaN, never a hang.
 	for _, bad := range []string{
 		"-momentum 1.5",
 		"-momentum NaN",
@@ -36,15 +27,35 @@ func TestCommandLine(t *testing.T) {
 		"-faults crash:x@r1",
 		"-wire float16",
 		"-topology torus:0x0",
+		// The workload builders and controllers panic on these.
+		"-tau 0",
+		"-workers 0",
+		"-classes 1",
+		"-arch foo",
+		"-method bogus",
+		"-method adacomm -tau0 0",
+		"-method adacomm -interval 0",
+		"-method adacomm -interval NaN",
+		"-async -tau 0",
+		"-async -workers 0",
+		// These train to NaN.
+		"-lr NaN",
+		"-lr -1",
+		// A run under these never stops: Time >= NaN is never true.
+		"-budget NaN",
+		"-budget +Inf",
+		"-async -budget NaN",
+		"-async -budget +Inf",
+		"-budget 0",
+		"-kernel-workers 0",
+		"-adam-beta2 1 -optimizer adam",
+		"-bandwidth NaN",
+		"-links 0:0,:,:,:",
+		"-strategy ring -edge-links 3-3:1:",
 	} {
 		t.Run(bad, func(t *testing.T) {
 			stdout, stderr, code := run(strings.Fields(bad)...)
-			if code != 2 || stdout != "" {
-				t.Errorf("exit %d with %d bytes of trace, want exit 2 and none", code, len(stdout))
-			}
-			if !strings.HasPrefix(stderr, "adacomm: ") || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "goroutine") {
-				t.Errorf("stderr is not one adacomm: line:\n%s", stderr)
-			}
+			clitest.WantExit2(t, "adacomm", stdout, stderr, code)
 		})
 	}
 

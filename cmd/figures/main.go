@@ -1,7 +1,8 @@
 // Command figures regenerates the data behind every table and figure of
-// the paper's evaluation. By default it runs everything at full scale and
-// prints text tables to stdout; -csv additionally dumps raw training traces
-// for external plotting.
+// the paper's evaluation — and nothing else: the ablations that are not in
+// the paper live behind cmd/sweep. By default it runs everything at full
+// scale and prints text tables to stdout; -csv additionally dumps raw
+// training traces for external plotting.
 //
 // Usage:
 //
@@ -11,14 +12,8 @@
 //	figures -quick          # reduced sizes (smoke test)
 //	figures -csv out/       # also write trace CSVs into out/
 //	figures -workers 8      # run up to 8 methods per figure concurrently
-//	figures -async          # async-vs-sync ablation (event-driven engine)
-//	figures -wire float32   # float32-vs-float64 wire ablation
-//	figures -gossip -wire float32  # gossip grid with narrowed compressed cells
-//	figures -topology       # mixing-topology ablation under a slow edge
-//	figures -churn          # fault-injection ablation (crash/recover/drop churn)
-//	figures -churn -faults "blip:0@r8-20,drop:0.1"  # ... with a custom schedule
-//	figures -optimizer      # local-update-rule ablation (SGD/momentum/Adam/SlowMo)
-//	figures -optimizer -adam-beta2 0.99 -global-momentum 0.2  # ... tuned rows
+//
+// A -fig or -table number the paper does not have exits 2.
 //
 // Each figure's methods are independent training runs, so they execute
 // concurrently on the experiment pool (default width GOMAXPROCS); the
@@ -41,11 +36,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/compress"
+	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/metrics"
-	"repro/internal/tensor"
 )
 
 func main() {
@@ -59,247 +52,118 @@ func main() {
 		"per-link bandwidth in bytes per simulated second for -bytes pricing (0 = infinite)")
 	workers := flag.Int("workers", 0,
 		"concurrent experiment configurations per grid (0 = GOMAXPROCS, 1 = serial); output is identical at any width")
-	gossip := flag.Bool("gossip", false,
-		"run the gossip-compression ablation grid (CHOCO ring vs shared-reference averaging) instead of the paper figures")
-	topology := flag.Bool("topology", false,
-		"run the mixing-topology ablation (ring/torus/random-regular/complete under a slow edge) instead of the paper figures")
-	async := flag.Bool("async", false,
-		"run the async-vs-sync ablation (event-driven K-of-m vs round-barrier engines under a 10x straggler) instead of the paper figures")
-	churn := flag.Bool("churn", false,
-		"run the churn ablation (every strategy fault-free and under crash-recover churn plus drops) instead of the paper figures")
-	faultsFlag := flag.String("faults", "",
-		"with -churn: override the fault schedule, comma-separated events ("+faults.Forms+")")
-	optimizer := flag.Bool("optimizer", false,
-		"run the optimizer ablation (plain SGD / momentum / Nesterov / Local Adam / wire-synced Adam / SlowMo / norm-driven bit-width) instead of the paper figures")
-	adamBeta2 := flag.Float64("adam-beta2", 0,
-		"with -optimizer: second-moment decay beta2 of the Adam rows, in (0, 1) (0 = default 0.999)")
-	globalMomentum := flag.Float64("global-momentum", 0,
-		"with -optimizer: slow-momentum factor of the slowmo row, in (0, 1) (0 = default 0.1)")
-	wireFlag := flag.String("wire", "",
-		"with -gossip: wire precision (float64 | float32) of the compressed cells; alone, -wire float32 runs the float32-vs-float64 wire ablation")
 	kernelWorkers := flag.Int("kernel-workers", 1,
 		"goroutines the tensor kernels may fan output-row panels across (bit-identical results at any setting; >1 oversubscribes when the experiment pool is already saturated)")
 	flag.Parse()
 
-	if *workers > 0 {
-		experiments.SetWorkers(*workers)
-	}
-	wire, err := compress.ParseWire(*wireFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-		os.Exit(2)
-	}
-	if *kernelWorkers < 1 {
-		fmt.Fprintf(os.Stderr, "figures: -kernel-workers %d must be >= 1\n", *kernelWorkers)
-		os.Exit(2)
-	}
-	tensor.SetWorkers(*kernelWorkers)
-
-	if *bytes < 0 || *bandwidth < 0 {
-		fmt.Fprintf(os.Stderr, "figures: -bytes %d and -bandwidth %g must be >= 0\n", *bytes, *bandwidth)
-		os.Exit(2)
+	cli.Check("figures", cli.PoolWorkers(*workers))
+	cli.Check("figures", cli.KernelWorkers(*kernelWorkers))
+	if *bytes < 0 || !(*bandwidth >= 0) {
+		cli.Fatalf("figures", "-bytes %d and -bandwidth %g must be >= 0", *bytes, *bandwidth)
 	}
 	if *bytes > 0 && *bandwidth <= 0 {
-		fmt.Fprintln(os.Stderr, "figures: -bytes needs a finite -bandwidth to price the transfer")
-		os.Exit(2)
+		cli.Fatalf("figures", "-bytes needs a finite -bandwidth to price the transfer")
 	}
-
-	scale := experiments.ScaleFull
-	if *quick {
-		scale = experiments.ScaleQuick
-	}
+	scale := cli.Scale(*quick)
 	out := os.Stdout
-	modes := 0
-	for _, on := range []bool{*gossip, *async, *topology, *churn, *optimizer} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "figures: -gossip, -async, -topology, -churn, and -optimizer are separate ablations; pick one")
-		os.Exit(2)
-	}
-	if *faultsFlag != "" && !*churn {
-		fmt.Fprintln(os.Stderr, "figures: -faults overrides the churn schedule; it requires -churn")
-		os.Exit(2)
-	}
-	if (*adamBeta2 != 0 || *globalMomentum != 0) && !*optimizer {
-		fmt.Fprintln(os.Stderr, "figures: -adam-beta2 and -global-momentum tune the optimizer ablation; they require -optimizer")
-		os.Exit(2)
-	}
-	if *optimizer {
-		if *fig != 0 || *table != 0 || *bytes != 0 || *csvDir != "" || *wireFlag != "" {
-			fmt.Fprintln(os.Stderr, "figures: -optimizer runs only the optimizer ablation; it cannot combine with -fig/-table/-bytes/-csv/-wire")
-			os.Exit(2)
-		}
-		if *adamBeta2 != 0 && !(*adamBeta2 > 0 && *adamBeta2 < 1) {
-			fmt.Fprintf(os.Stderr, "figures: -adam-beta2 %g outside (0, 1)\n", *adamBeta2)
-			os.Exit(2)
-		}
-		if *globalMomentum != 0 && !(*globalMomentum > 0 && *globalMomentum < 1) {
-			fmt.Fprintf(os.Stderr, "figures: -global-momentum %g outside (0, 1)\n", *globalMomentum)
-			os.Exit(2)
-		}
-		spec := experiments.DefaultOptimizerSpec(scale)
-		spec.AdamBeta2 = *adamBeta2
-		if *globalMomentum != 0 {
-			spec.GlobalMomentum = *globalMomentum
-		}
-		target, rows := experiments.OptimizerAblation(spec)
-		experiments.PrintLinkAware(out, "local update rules (internal/opt)", target, rows)
-		return
-	}
-	if *churn {
-		if *fig != 0 || *table != 0 || *bytes != 0 || *csvDir != "" || *wireFlag != "" {
-			fmt.Fprintln(os.Stderr, "figures: -churn runs only the churn ablation; it cannot combine with -fig/-table/-bytes/-csv/-wire")
-			os.Exit(2)
-		}
-		spec := experiments.DefaultChurnSpec(scale)
-		if *faultsFlag != "" {
-			spec.Faults = *faultsFlag
-		}
-		sched, err := faults.Parse(spec.Faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(2)
-		}
-		if err := sched.Validate(spec.Workers); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(2)
-		}
-		target, rows := experiments.ChurnAblation(spec)
-		experiments.PrintLinkAware(out, "strategies under crash-recover churn", target, rows)
-		return
-	}
-	if *topology {
-		if *fig != 0 || *table != 0 || *bytes != 0 || *csvDir != "" || *wireFlag != "" {
-			fmt.Fprintln(os.Stderr, "figures: -topology runs only the topology ablation; it cannot combine with -fig/-table/-bytes/-csv/-wire")
-			os.Exit(2)
-		}
-		experiments.PrintTopologyGrid(out, experiments.RunTopologyGrid(experiments.DefaultTopologyGrid(scale)))
-		return
-	}
-	// Standalone -wire runs the wire ablation; with -gossip it narrows the
-	// grid's compressed cells instead. Any other combination is rejected.
-	if *wireFlag != "" && !*gossip {
-		if *async || *fig != 0 || *table != 0 || *bytes != 0 || *csvDir != "" {
-			fmt.Fprintln(os.Stderr, "figures: -wire runs only the wire ablation (or modifies -gossip); it cannot combine with -fig/-table/-bytes/-csv/-async")
-			os.Exit(2)
-		}
-		if wire != compress.WireFloat32 {
-			fmt.Fprintln(os.Stderr, "figures: the wire ablation already includes the float64 baseline; use -wire float32")
-			os.Exit(2)
-		}
-		experiments.PrintWireAblation(out, experiments.WireAblation(scale))
-		return
-	}
-	if *async {
-		if *fig != 0 || *table != 0 || *bytes != 0 || *csvDir != "" {
-			fmt.Fprintln(os.Stderr, "figures: -async runs only the async ablation; it cannot combine with -fig/-table/-bytes/-csv")
-			os.Exit(2)
-		}
-		target, rows := experiments.AsyncAblation(experiments.DefaultAsyncSpec(scale))
-		experiments.PrintLinkAware(out, "async vs sync under 10x straggler", target, rows)
-		return
-	}
-	if *gossip {
-		if *fig != 0 || *table != 0 || *bytes != 0 || *csvDir != "" {
-			fmt.Fprintln(os.Stderr, "figures: -gossip runs only the gossip grid; it cannot combine with -fig/-table/-bytes/-csv")
-			os.Exit(2)
-		}
-		spec := experiments.DefaultGossipGrid(scale)
-		spec.Wire = wire
-		if *bandwidth > 0 {
-			spec.Bandwidth = *bandwidth
-		}
-		experiments.PrintGossipGrid(out, experiments.RunGossipGrid(spec))
-		return
-	}
-	all := *fig == 0 && *table == 0
 
-	dump := func(name string, cmp *experiments.Comparison) {
-		cmp.Print(out)
-		fmt.Fprintln(out)
-		if *csvDir == "" {
-			return
-		}
+	// writeCSV dumps one comparison's traces into the -csv directory.
+	writeCSV := func(name string, cmp *experiments.Comparison) error {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		var traces []*metrics.Trace
 		for _, n := range cmp.Order {
 			traces = append(traces, cmp.Traces[n])
 		}
-		if err := metrics.WriteCSV(f, traces...); err != nil {
-			fmt.Fprintf(os.Stderr, "figures: %v\n", err)
-			os.Exit(1)
+		return metrics.WriteCSV(f, traces...)
+	}
+	// trains is a figure made of training comparisons: panels a, b, c...
+	// when there are several, each printed and (with -csv) written out.
+	trains := func(name string, specs ...experiments.TrainSpec) func() {
+		return func() {
+			for i, spec := range specs {
+				panel := name
+				if len(specs) > 1 {
+					panel += string(rune('a' + i))
+				}
+				if i > 0 {
+					fmt.Fprintln(out)
+				}
+				cmp := experiments.RunComparison(spec)
+				cmp.Print(out)
+				if *csvDir == "" {
+					continue
+				}
+				if err := writeCSV(panel, cmp); err != nil {
+					fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+					os.Exit(1)
+				}
+			}
 		}
 	}
 
-	if all || *fig == 1 {
-		dump("fig1", experiments.RunComparison(experiments.Fig1Spec(scale)))
+	// The paper's evaluation in print order, one row per figure or table:
+	// what -fig / -table select from, and what an unknown number is checked
+	// against. A blank line follows each row.
+	items := []struct {
+		fig, table int
+		run        func()
+	}{
+		{fig: 1, run: trains("fig1", experiments.Fig1Spec(scale))},
+		{fig: 4, run: func() { experiments.PrintFig4(out, experiments.Fig4()) }},
+		{fig: 5, run: func() {
+			trials := 200000
+			if *quick {
+				trials = 20000
+			}
+			experiments.PrintFig5(out, experiments.Fig5Bytes(trials, 1, *bytes, *bandwidth))
+		}},
+		{fig: 6, run: func() { experiments.PrintFig6(out, experiments.Fig6(200)) }},
+		{fig: 7, run: func() {
+			c := experiments.SizeAwareConstants(experiments.Fig6Constants(), *bytes, *bandwidth)
+			experiments.PrintFig7(out, experiments.Fig7(c, 60, 10, 64))
+		}},
+		{fig: 8, run: func() { experiments.PrintFig8(out, experiments.Fig8Bytes(4, 2, *bytes, *bandwidth)) }},
+		{fig: 9, run: trains("fig9", experiments.Fig9Spec(10, true, scale),
+			experiments.Fig9Spec(10, false, scale), experiments.Fig9Spec(100, false, scale))},
+		{fig: 10, run: trains("fig10", experiments.Fig10Spec(10, true, scale),
+			experiments.Fig10Spec(10, false, scale), experiments.Fig10Spec(100, false, scale))},
+		{fig: 11, run: trains("fig11", experiments.Fig11Spec(experiments.ArchResNet, 10, scale),
+			experiments.Fig11Spec(experiments.ArchVGG, 10, scale), experiments.Fig11Spec(experiments.ArchResNet, 100, scale))},
+		{fig: 12, run: trains("fig12", experiments.Fig12Spec(10, true, scale), experiments.Fig12Spec(100, false, scale))},
+		{fig: 13, run: trains("fig13", experiments.Fig13Spec(10, true, scale), experiments.Fig13Spec(100, false, scale))},
+		{fig: 14, run: func() { experiments.PrintFig14(out, experiments.Fig14(scale, 5)) }},
+		{table: 1, run: func() { experiments.PrintTable1(out, experiments.Table1(scale)) }},
 	}
-	if all || *fig == 4 {
-		experiments.PrintFig4(out, experiments.Fig4())
-		fmt.Fprintln(out)
-	}
-	if all || *fig == 5 {
-		trials := 200000
-		if scale == experiments.ScaleQuick {
-			trials = 20000
+
+	figOK, tableOK := *fig == 0, *table == 0
+	var figs, tables []int
+	for _, it := range items {
+		if it.fig != 0 {
+			figs = append(figs, it.fig)
+			figOK = figOK || it.fig == *fig
+		} else {
+			tables = append(tables, it.table)
+			tableOK = tableOK || it.table == *table
 		}
-		experiments.PrintFig5(out, experiments.Fig5Bytes(trials, 1, *bytes, *bandwidth))
-		fmt.Fprintln(out)
 	}
-	if all || *fig == 6 {
-		experiments.PrintFig6(out, experiments.Fig6(200))
-		fmt.Fprintln(out)
+	if !figOK {
+		cli.Fatalf("figures", "-fig %d: the paper's evaluation has figures %v (ablations beyond the paper are cmd/sweep's)", *fig, figs)
 	}
-	if all || *fig == 7 {
-		c := experiments.SizeAwareConstants(experiments.Fig6Constants(), *bytes, *bandwidth)
-		experiments.PrintFig7(out, experiments.Fig7(c, 60, 10, 64))
-		fmt.Fprintln(out)
+	if !tableOK {
+		cli.Fatalf("figures", "-table %d: the paper's evaluation has tables %v", *table, tables)
 	}
-	if all || *fig == 8 {
-		experiments.PrintFig8(out, experiments.Fig8Bytes(4, 2, *bytes, *bandwidth))
-		fmt.Fprintln(out)
-	}
-	if all || *fig == 9 {
-		dump("fig9a", experiments.RunComparison(experiments.Fig9Spec(10, true, scale)))
-		dump("fig9b", experiments.RunComparison(experiments.Fig9Spec(10, false, scale)))
-		dump("fig9c", experiments.RunComparison(experiments.Fig9Spec(100, false, scale)))
-	}
-	if all || *fig == 10 {
-		dump("fig10a", experiments.RunComparison(experiments.Fig10Spec(10, true, scale)))
-		dump("fig10b", experiments.RunComparison(experiments.Fig10Spec(10, false, scale)))
-		dump("fig10c", experiments.RunComparison(experiments.Fig10Spec(100, false, scale)))
-	}
-	if all || *fig == 11 {
-		dump("fig11a", experiments.RunComparison(experiments.Fig11Spec(experiments.ArchResNet, 10, scale)))
-		dump("fig11b", experiments.RunComparison(experiments.Fig11Spec(experiments.ArchVGG, 10, scale)))
-		dump("fig11c", experiments.RunComparison(experiments.Fig11Spec(experiments.ArchResNet, 100, scale)))
-	}
-	if all || *fig == 12 {
-		dump("fig12a", experiments.RunComparison(experiments.Fig12Spec(10, true, scale)))
-		dump("fig12b", experiments.RunComparison(experiments.Fig12Spec(100, false, scale)))
-	}
-	if all || *fig == 13 {
-		dump("fig13a", experiments.RunComparison(experiments.Fig13Spec(10, true, scale)))
-		dump("fig13b", experiments.RunComparison(experiments.Fig13Spec(100, false, scale)))
-	}
-	if all || *fig == 14 {
-		experiments.PrintFig14(out, experiments.Fig14(scale, 5))
-		fmt.Fprintln(out)
-	}
-	if all || *table == 1 {
-		experiments.PrintTable1(out, experiments.Table1(scale))
-		fmt.Fprintln(out)
+	all := *fig == 0 && *table == 0
+	for _, it := range items {
+		if all || (it.fig != 0 && it.fig == *fig) || (it.table != 0 && it.table == *table) {
+			it.run()
+			fmt.Fprintln(out)
+		}
 	}
 }

@@ -1,0 +1,43 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"repro/internal/cli/clitest"
+)
+
+func TestCommandLine(t *testing.T) {
+	run := clitest.Build(t)
+
+	// The analytic figures are cheap enough to run here (the training
+	// figures take a minute at -quick; experiments_test.go covers them).
+	for _, ok := range []string{"-fig 4", "-fig 5", "-fig 6", "-fig 7", "-fig 8",
+		"-fig 5 -bytes 800000 -bandwidth 4e6", "-fig 4 -workers 1 -kernel-workers 2"} {
+		stdout, stderr, code := run(append([]string{"-quick"}, strings.Fields(ok)...)...)
+		if code != 0 || !strings.HasPrefix(stdout, "== ") || stderr != "" {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q", ok, code, stdout, stderr)
+		}
+	}
+
+	for _, bad := range []string{
+		"-fig 99",
+		"-fig 2",
+		"-table 7",
+		"-fig 4 -table 7",
+		"-kernel-workers 0",
+		"-workers -1",
+		"-bytes -1",
+		"-bandwidth NaN",
+		"-fig 5 -bytes 800000",
+		// The ablations are cmd/sweep's: not flags here, so the flag
+		// package rejects them.
+		"-gossip", "-async", "-topology", "-churn", "-optimizer",
+		"-wire float32", "-faults drop:0.1", "-adam-beta2 0.99", "-global-momentum 0.2",
+	} {
+		t.Run(bad, func(t *testing.T) {
+			stdout, stderr, code := run(append([]string{"-quick"}, strings.Fields(bad)...)...)
+			clitest.WantExit2(t, "figures", stdout, stderr, code)
+		})
+	}
+}

@@ -1,25 +1,22 @@
-// Command sweep runs the ablation grids called out in DESIGN.md Sec 4:
-// the tau grid search (how tau_0 is picked), the gamma saturation-decay
-// ablation, the LR-coupling-rule ablation (eq 19 vs eq 20), the interval
-// length T0 sensitivity, and the delay-distribution straggler ablation.
+// Command sweep runs the repo's ablations: the tau grid search (how tau_0 is
+// picked), the gamma saturation-decay ablation, the LR-coupling-rule
+// ablation (eq 19 vs eq 20), the interval length T0 sensitivity, the
+// delay-distribution straggler ablation, and every extension ablation added
+// since (gossip, async, wire, topology, churn, optimizer). It is the ONE
+// front door to them: each is a row of the registry in
+// internal/experiments/registry.go, and `sweep -h` lists the rows.
 //
 // Usage:
 //
-//	sweep -ablation tau0     # grid over fixed tau
-//	sweep -ablation gamma    # gamma in {1, 0.5, 0.25}
-//	sweep -ablation coupling # none vs sqrt vs full under LR decay
-//	sweep -ablation t0       # interval length sensitivity
-//	sweep -ablation delay    # constant vs exponential vs Pareto Y
-//	sweep -ablation gossip   # CHOCO ring gossip vs shared-reference averaging
-//	sweep -ablation gossip -wire float32  # ... with narrowed compressed cells
-//	sweep -ablation async    # event-driven K-of-m vs round-barrier engines
-//	sweep -ablation wire     # float32 vs float64 wire at fixed tau
-//	sweep -ablation topology # mixing graphs under a per-edge straggler
-//	sweep -ablation churn    # every strategy under crash-recover churn + drops
-//	sweep -ablation churn -faults "blip:0@r8-20,drop:0.1"  # ... custom schedule
-//	sweep -ablation optimizer # local update rules: SGD/momentum/Adam/SlowMo
+//	sweep -ablation tau0                  # one row
+//	sweep -ablation all                   # every row, in registry order
+//	sweep -ablation gossip -wire float32  # gossip grid with narrowed compressed cells
+//	sweep -ablation churn -faults "blip:0@r8-20,drop:0.1"  # custom schedule
 //	sweep -ablation optimizer -adam-beta2 0.99 -global-momentum 0.2
-//	sweep -ablation all
+//
+// A tuning flag (-wire, -faults, -adam-beta2, -global-momentum) that the
+// selected ablation would ignore, an unknown -ablation name and any
+// malformed value exit 2 with one "sweep: ..." line before anything runs.
 //
 // Grid cells are independent configurations and run concurrently on the
 // experiment pool (-workers, default GOMAXPROCS); the output is
@@ -31,18 +28,17 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/compress"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/tensor"
 )
 
 func main() {
-	which := flag.String("ablation", "all", "tau0 | gamma | coupling | t0 | delay | strategy | adasync | gossip | async | wire | topology | churn | optimizer | all")
+	which := flag.String("ablation", "all", experiments.AblationUsage())
 	quick := flag.Bool("quick", false, "use reduced sizes")
 	workers := flag.Int("workers", 0,
 		"concurrent experiment configurations per grid (0 = GOMAXPROCS, 1 = serial); output is identical at any width")
-	wireFlag := flag.String("wire", "",
+	wire := flag.String("wire", "",
 		"wire precision (float64 | float32) of the gossip grid's compressed cells; only meaningful with -ablation gossip or all")
 	kernelWorkers := flag.Int("kernel-workers", 1,
 		"goroutines the tensor kernels may fan output-row panels across (bit-identical results at any setting; >1 oversubscribes when the experiment pool is already saturated)")
@@ -54,126 +50,21 @@ func main() {
 		"slow-momentum factor of the optimizer ablation's slowmo row, in (0, 1); only meaningful with -ablation optimizer or all (0 = default 0.1)")
 	flag.Parse()
 
-	if *workers > 0 {
-		experiments.SetWorkers(*workers)
+	check := func(err error) { cli.Check("sweep", err) }
+	check(cli.PoolWorkers(*workers))
+	check(cli.KernelWorkers(*kernelWorkers))
+	check(cli.OpenUnit("-adam-beta2", *adamBeta2))
+	check(cli.OpenUnit("-global-momentum", *globalMomentum))
+	sel, err := experiments.SelectAblations(*which)
+	check(err)
+	opts := experiments.AblationOptions{
+		Scale: cli.Scale(*quick), Wire: *wire, Faults: *faultsFlag,
+		AdamBeta2: *adamBeta2, GlobalMomentum: *globalMomentum,
 	}
-	wire, err := compress.ParseWire(*wireFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(2)
-	}
-	if *wireFlag != "" && *which != "gossip" && *which != "all" {
-		fmt.Fprintf(os.Stderr, "sweep: -wire only modifies the gossip grid; -ablation %s ignores it (use -ablation gossip or all)\n", *which)
-		os.Exit(2)
-	}
-	if *faultsFlag != "" && *which != "churn" && *which != "all" {
-		fmt.Fprintf(os.Stderr, "sweep: -faults only modifies the churn ablation; -ablation %s ignores it (use -ablation churn or all)\n", *which)
-		os.Exit(2)
-	}
-	// Reject a malformed schedule before any grid runs, not after -ablation
-	// all has burned through the earlier tables.
-	if _, err := faults.Parse(*faultsFlag); err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-		os.Exit(2)
-	}
-	if (*adamBeta2 != 0 || *globalMomentum != 0) && *which != "optimizer" && *which != "all" {
-		fmt.Fprintf(os.Stderr, "sweep: -adam-beta2 and -global-momentum only tune the optimizer ablation; -ablation %s ignores them (use -ablation optimizer or all)\n", *which)
-		os.Exit(2)
-	}
-	if *adamBeta2 != 0 && !(*adamBeta2 > 0 && *adamBeta2 < 1) {
-		fmt.Fprintf(os.Stderr, "sweep: -adam-beta2 %g outside (0, 1)\n", *adamBeta2)
-		os.Exit(2)
-	}
-	if *globalMomentum != 0 && !(*globalMomentum > 0 && *globalMomentum < 1) {
-		fmt.Fprintf(os.Stderr, "sweep: -global-momentum %g outside (0, 1)\n", *globalMomentum)
-		os.Exit(2)
-	}
-	if *kernelWorkers < 1 {
-		fmt.Fprintf(os.Stderr, "sweep: -kernel-workers %d must be >= 1\n", *kernelWorkers)
-		os.Exit(2)
-	}
-	tensor.SetWorkers(*kernelWorkers)
+	check(opts.Validate(sel))
 
-	scale := experiments.ScaleFull
-	if *quick {
-		scale = experiments.ScaleQuick
-	}
-	all := *which == "all"
-	out := os.Stdout
-
-	if all || *which == "tau0" {
-		experiments.PrintTauGrid(out, experiments.TauGridAblation(scale))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "gamma" {
-		experiments.PrintGammaAblation(out, experiments.GammaAblation(scale))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "coupling" {
-		experiments.PrintCouplingAblation(out, experiments.CouplingAblation(scale))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "t0" {
-		experiments.PrintIntervalAblation(out, experiments.IntervalAblation(scale))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "strategy" {
-		experiments.PrintStrategyAblation(out, experiments.StrategyAblation(scale))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "adasync" {
-		experiments.PrintAdaSync(out, experiments.AdaSyncExperiment(scale))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "delay" {
-		experiments.PrintDelayAblation(out, experiments.DelayAblation(scale))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "gossip" {
-		spec := experiments.DefaultGossipGrid(scale)
-		spec.Wire = wire
-		experiments.PrintGossipGrid(out, experiments.RunGossipGrid(spec))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "async" {
-		target, rows := experiments.AsyncAblation(experiments.DefaultAsyncSpec(scale))
-		experiments.PrintLinkAware(out, "async vs sync under 10x straggler", target, rows)
-		fmt.Fprintln(out)
-	}
-	if all || *which == "wire" {
-		experiments.PrintWireAblation(out, experiments.WireAblation(scale))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "topology" {
-		experiments.PrintTopologyGrid(out, experiments.RunTopologyGrid(experiments.DefaultTopologyGrid(scale)))
-		fmt.Fprintln(out)
-	}
-	if all || *which == "churn" {
-		spec := experiments.DefaultChurnSpec(scale)
-		if *faultsFlag != "" {
-			spec.Faults = *faultsFlag
-		}
-		sched, err := faults.Parse(spec.Faults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(2)
-		}
-		if err := sched.Validate(spec.Workers); err != nil {
-			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)
-			os.Exit(2)
-		}
-		target, rows := experiments.ChurnAblation(spec)
-		experiments.PrintLinkAware(out, "strategies under crash-recover churn", target, rows)
-		fmt.Fprintln(out)
-	}
-	if all || *which == "optimizer" {
-		spec := experiments.DefaultOptimizerSpec(scale)
-		spec.AdamBeta2 = *adamBeta2
-		if *globalMomentum != 0 {
-			spec.GlobalMomentum = *globalMomentum
-		}
-		target, rows := experiments.OptimizerAblation(spec)
-		experiments.PrintLinkAware(out, "local update rules (internal/opt)", target, rows)
-		fmt.Fprintln(out)
+	for _, a := range sel {
+		check(a.Run(os.Stdout, opts))
+		fmt.Println()
 	}
 }

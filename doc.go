@@ -8,7 +8,13 @@
 // training stack in internal/{tensor,nn,sgd,data,rng}. Executables are
 // under cmd/, runnable examples under examples/, and every figure and table
 // of the paper's evaluation regenerates via cmd/figures or the benchmark
-// harness in bench_test.go at this directory.
+// harness in bench_test.go at this directory. Every ablation beyond the
+// paper is one row of the registry in internal/experiments/registry.go and
+// runs through ONE front door, cmd/sweep -ablation NAME (sweep -h lists
+// them); the three commands share their exit-2 contract for bad flag values
+// through internal/cli. A round's communication delay is priced by ONE loop,
+// delaymodel.SampleDRound: one D0 draw, the slowest active transfer gates,
+// nil fault masks mean everyone up at scale 1.
 //
 // Beyond the paper, internal/compress models the communication-VOLUME axis
 // of the trade-off: gradient/delta compression (top-k, random-k, QSGD-style
@@ -29,7 +35,7 @@
 // reconstructed from its own traffic (an invariant test hides the replicas
 // behind an interface that panics on out-of-band reads). Lossless
 // compression reproduces raw ring gossip bit for bit; the gossip-compression
-// ablation (cmd/figures -gossip, cmd/sweep -ablation gossip) quantifies
+// ablation (cmd/sweep -ablation gossip) quantifies
 // CHOCO against the shared-reference centralized baseline at several ring
 // sizes and keep-ratios.
 //
@@ -50,8 +56,7 @@
 // delaymodel.Model.EdgeLinks prices individual links so the slowest
 // ACTIVE edge gates each gossip round (unset: bit-identical to the
 // per-worker path), which is what lets a sparse graph genuinely win
-// wall-clock: the topology ablation (cmd/figures -topology, cmd/sweep
-// -ablation topology) shows a 4x4 torus beating BOTH the ring and full
+// wall-clock: the topology ablation (cmd/sweep -ablation topology) shows a 4x4 torus beating BOTH the ring and full
 // averaging on time-to-loss under a single 10x edge, because it routes
 // around the slow link while mixing with an O(1/n) spectral gap. Parse
 // specs: "graph:ring", "torus:4x4", "regular:4@seed", "expander",
@@ -72,7 +77,7 @@
 // The adaptive controllers are heterogeneity-aware end to end: the engines
 // report observed timing back to the controllers — cluster.RoundInfo carries
 // the per-round communication/compute wall-clock split and the per-worker
-// transfer times of each round's schedule (delaymodel.SampleDScheduleInto),
+// transfer times of each round's schedule (delaymodel.SampleDRound),
 // and paramserver.RoundInfo the per-worker exchange transfer times. With
 // core.Config.LinkAware, AdaComm (and the joint AdaCommCompress) scales its
 // proposed tau by sqrt of the measured comm/compute ratio alpha, so slow
@@ -102,7 +107,7 @@
 // event-scheduled, giving true stale-update semantics with memory
 // proportional to K, not N. examples/federated runs 1024 non-IID clients
 // at K=32 in two replicas plus four scratch vectors; the async ablation
-// (cmd/figures -async, cmd/sweep -ablation async, cmd/adacomm -async
+// (cmd/sweep -ablation async, cmd/adacomm -async
 // -participation -clients) shows K-of-m beating the full barrier on
 // simulated wall-clock under a 10x straggler. delaymodel.Model.Jitter
 // gives every worker a persistent seeded compute-speed factor so arrival
@@ -149,7 +154,7 @@
 // compress.Spec gained a wire format (WireFloat32, spec modifier "+f32",
 // -wire float32 on the cmds): payload values are narrowed to float32 on
 // the wire — halving every byte-priced message — while model state stays
-// float64; the wire ablation (cmd/figures -wire float32) quantifies the
+// float64; the wire ablation (cmd/sweep -ablation wire) quantifies the
 // loss-vs-runtime payoff on a bandwidth-constrained link.
 //
 // Robustness is a first-class axis: internal/faults defines a seeded,
@@ -157,8 +162,8 @@
 // "slow:WxF@rR1-R2", "drop:P") injecting permanent crashes, crash-recover
 // blips, slow-down episodes, and retried message drops into EVERY engine:
 // the lock-step cluster (serial and pooled), the event-driven
-// engine, and the parameter server (-faults on cmd/adacomm, cmd/figures,
-// cmd/sweep). Membership is dynamic end to end — comm.Communicator carries
+// engine, and the parameter server (-faults on cmd/adacomm and cmd/sweep).
+// Membership is dynamic end to end — comm.Communicator carries
 // the active-set view (SetActive/ActiveCount; inactive endpoints are
 // rejected, inactive contributions skipped), full and elastic averaging
 // renormalize over survivors, gossip mixes over the induced active subgraph
@@ -171,8 +176,8 @@
 // event-driven and parameter-server modes the dispatch-time pull IS the
 // reconcile. The schedule is a pure function of (spec, seed, round) and
 // consumes no RNG from the delay/jitter streams, so every zero-fault config
-// stays bit-identical to its golden; the churn ablation (cmd/figures
-// -churn, cmd/sweep -ablation churn) pins that under 20% mid-run
+// stays bit-identical to its golden; the churn ablation (cmd/sweep
+// -ablation churn) pins that under 20% mid-run
 // crash-recover churn plus drops every strategy completes without deadlock
 // and degrades gracefully on time-to-loss.
 //
@@ -201,8 +206,8 @@
 // effective learning rate eta/(1-beta), and the norm-decay width rule
 // (compress.NormDecayBits, shared by AdaCommCompress and AdaSync) grows a
 // QSGD quantizer one bit per halving of the observed gradient norm. The
-// optimizer ablation (cmd/figures -optimizer, cmd/sweep -ablation
-// optimizer, -adam-beta2/-global-momentum) puts every rule on one
+// optimizer ablation (cmd/sweep -ablation optimizer, tuned by
+// -adam-beta2/-global-momentum) puts every rule on one
 // error-runtime table, including a wire-synced-Adam row through CHOCO over
 // a float32 wire.
 //

@@ -1,0 +1,67 @@
+// Package cli holds the few things cmd/adacomm, cmd/figures and cmd/sweep
+// all repeat: the exit-2 contract for bad flag values, the -quick switch,
+// and the range checks of the flags the three share. It is deliberately not
+// a flag-set framework — each command still declares its own flags.
+package cli
+
+import (
+	"fmt"
+	"os"
+
+	"repro/internal/experiments"
+	"repro/internal/tensor"
+)
+
+// Fatalf is the bad-input contract of every command: ONE line on stderr,
+// "cmd: message", and exit status 2 — before any workload is built, never a
+// goroutine trace, never a run that trains to NaN.
+func Fatalf(cmd, format string, a ...any) {
+	fmt.Fprintf(os.Stderr, cmd+": "+format+"\n", a...)
+	os.Exit(2)
+}
+
+// Check is Fatalf on a non-nil error and nothing otherwise.
+func Check(cmd string, err error) {
+	if err != nil {
+		Fatalf(cmd, "%v", err)
+	}
+}
+
+// Scale maps the -quick flag to the experiment sizing.
+func Scale(quick bool) experiments.Scale {
+	if quick {
+		return experiments.ScaleQuick
+	}
+	return experiments.ScaleFull
+}
+
+// KernelWorkers applies -kernel-workers (goroutines per tensor kernel, at
+// least 1).
+func KernelWorkers(n int) error {
+	if n < 1 {
+		return fmt.Errorf("-kernel-workers %d must be >= 1", n)
+	}
+	tensor.SetWorkers(n)
+	return nil
+}
+
+// PoolWorkers applies the experiment pool's -workers (0 keeps the
+// GOMAXPROCS default, 1 is serial).
+func PoolWorkers(n int) error {
+	if n < 0 {
+		return fmt.Errorf("-workers %d must be >= 0 (0 = GOMAXPROCS)", n)
+	}
+	if n > 0 {
+		experiments.SetWorkers(n)
+	}
+	return nil
+}
+
+// OpenUnit checks a factor flag that must lie in the open interval (0, 1).
+// Zero, the flags' "unset, use the default", passes; NaN does not.
+func OpenUnit(flag string, v float64) error {
+	if v != 0 && !(v > 0 && v < 1) {
+		return fmt.Errorf("%s %g outside (0, 1)", flag, v)
+	}
+	return nil
+}

@@ -189,6 +189,10 @@ func (c AsyncConfig) validate(n int) error {
 	if c.MaxTime <= 0 && c.MaxUpdates <= 0 {
 		return fmt.Errorf("cluster: async run has no stop condition")
 	}
+	// NaN passes the <= test above, and Time >= NaN or +Inf never stops a run.
+	if math.IsNaN(c.MaxTime) || math.IsInf(c.MaxTime, 0) {
+		return fmt.Errorf("cluster: async max time %v (want finite)", c.MaxTime)
+	}
 	if math.IsNaN(c.LR) || math.IsInf(c.LR, 0) || c.LR <= 0 {
 		return fmt.Errorf("cluster: async lr %v (want finite > 0)", c.LR)
 	}

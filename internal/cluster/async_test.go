@@ -102,6 +102,32 @@ func TestAsyncValidation(t *testing.T) {
 	}
 }
 
+func TestAsyncRejectsNonFiniteMaxTime(t *testing.T) {
+	s := asyncSetup(t, 8)
+	for _, tc := range []struct {
+		name       string
+		maxTime    float64
+		maxUpdates int
+	}{
+		{"NaN alone", math.NaN(), 0},
+		{"+Inf alone", math.Inf(1), 0},
+		{"NaN beside MaxUpdates", math.NaN(), 40},
+		{"+Inf beside MaxUpdates", math.Inf(1), 40},
+		{"-Inf beside MaxUpdates", math.Inf(-1), 40},
+	} {
+		cfg := baseAsyncCfg()
+		cfg.MaxTime, cfg.MaxUpdates = tc.maxTime, tc.maxUpdates
+		if _, err := NewAsync(s.proto, s.shards, s.train, s.test, s.dm, cfg); err == nil {
+			t.Errorf("%s: accepted MaxTime %v", tc.name, tc.maxTime)
+		}
+	}
+	cfg := baseAsyncCfg()
+	cfg.MaxTime, cfg.MaxUpdates = 50, 0
+	if _, err := NewAsync(s.proto, s.shards, s.train, s.test, s.dm, cfg); err != nil {
+		t.Errorf("finite MaxTime rejected: %v", err)
+	}
+}
+
 func TestStalenessWeight(t *testing.T) {
 	cases := []struct {
 		pow  float64

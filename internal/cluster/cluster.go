@@ -201,6 +201,10 @@ func (c Config) validate(m int) error {
 	if c.MaxIters <= 0 && c.MaxTime <= 0 {
 		return fmt.Errorf("cluster: no stop condition set")
 	}
+	// NaN passes the <= test above, and Time >= NaN or +Inf never stops a run.
+	if math.IsNaN(c.MaxTime) || math.IsInf(c.MaxTime, 0) {
+		return fmt.Errorf("cluster: max time %v (want finite)", c.MaxTime)
+	}
 	if c.StragglerFactor != nil && len(c.StragglerFactor) != m {
 		return fmt.Errorf("cluster: straggler factors %d != workers %d", len(c.StragglerFactor), m)
 	}
@@ -311,7 +315,7 @@ type RoundInfo struct {
 	GradNorm float64
 
 	// LinkTimes[i] is worker i's own transfer time in the previous round's
-	// schedule (delaymodel.SampleDScheduleInto: link latency times the
+	// schedule (delaymodel.SampleDRound: link latency times the
 	// topology's hops plus wire bytes over the link's bandwidth, before the
 	// model's scale factor) — which link gated the round and by how much.
 	// Under per-edge pricing (delaymodel.Model.EdgeLinks on a gossip graph)
@@ -779,9 +783,9 @@ func (e *Engine) TestAccuracy() float64 {
 // the next RoundInfo. When per-edge links are configured (Model.EdgeLinks)
 // and a gossip graph is active (e.activeAdj, published by the sync just
 // performed), each transfer is priced on its actual edges instead and the
-// slowest ACTIVE edge gates the round; with either absent the call delegates
-// to the per-worker path bit for bit. On a homogeneous infinite-bandwidth
-// all-gather comm is the paper's fixed D.
+// slowest ACTIVE edge gates the round; with either absent every worker is
+// priced on its own link. On a homogeneous infinite-bandwidth all-gather comm
+// is the paper's fixed D.
 func (e *Engine) roundTime(steps int) (compute, comm float64) {
 	mx := math.Inf(-1)
 	for i := 0; i < e.m; i++ {
@@ -802,18 +806,17 @@ func (e *Engine) roundTime(steps int) (compute, comm float64) {
 	if math.IsInf(mx, -1) {
 		mx = 0 // every worker down: the round is pure waiting
 	}
-	if e.fltActive == nil {
-		comm = e.delay.SampleDEdgeScheduleInto(e.r, e.lastReport.Bytes, e.activeAdj, e.latHops, e.bytesFactor, e.linkTimes)
-		return mx, comm
-	}
 	// Fault path: rejoin-reconcile payloads ride the round's schedule, down
 	// workers ship nothing, and slow-down/drop-retry factors multiply the
-	// survivors' transfers.
-	for i := range e.fltBytesBuf {
-		e.fltBytesBuf[i] = e.lastReport.Bytes[i] + e.reconBytes[i]
+	// survivors' transfers. Fault-free, both masks are nil.
+	bytes := e.lastReport.Bytes
+	if e.fltActive != nil {
+		for i := range e.fltBytesBuf {
+			e.fltBytesBuf[i] = bytes[i] + e.reconBytes[i]
+		}
+		bytes = e.fltBytesBuf
 	}
-	comm = e.delay.SampleDEdgeScheduleFaultyInto(e.r, e.fltBytesBuf, e.activeAdj, e.latHops, e.bytesFactor, e.fltDown, e.fltScale, e.linkTimes)
-	return mx, comm
+	return mx, e.delay.SampleDRound(e.r, bytes, e.activeAdj, e.latHops, e.bytesFactor, e.fltDown, e.fltScale, e.linkTimes)
 }
 
 // CommBytesPerRound returns the per-link payload charged for the most

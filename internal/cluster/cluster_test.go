@@ -88,6 +88,34 @@ func TestEngineValidation(t *testing.T) {
 	}
 }
 
+// A non-finite budget must be refused at construction: NaN passes every
+// "<= 0" test and Time >= NaN (or +Inf) is never true, so Run never returned.
+func TestEngineRejectsNonFiniteMaxTime(t *testing.T) {
+	s := newSetup(t, 4, 1)
+	for _, tc := range []struct {
+		name     string
+		maxTime  float64
+		maxIters int
+	}{
+		{"NaN alone", math.NaN(), 0},
+		{"+Inf alone", math.Inf(1), 0},
+		{"NaN beside MaxIters", math.NaN(), 400},
+		{"+Inf beside MaxIters", math.Inf(1), 400},
+		{"-Inf beside MaxIters", math.Inf(-1), 400},
+	} {
+		cfg := baseCfg()
+		cfg.MaxTime, cfg.MaxIters = tc.maxTime, tc.maxIters
+		if _, err := New(s.proto, s.shards, s.train, s.test, s.dm, cfg); err == nil {
+			t.Errorf("%s: accepted MaxTime %v", tc.name, tc.maxTime)
+		}
+	}
+	cfg := baseCfg()
+	cfg.MaxTime, cfg.MaxIters = 50, 0
+	if _, err := New(s.proto, s.shards, s.train, s.test, s.dm, cfg); err != nil {
+		t.Errorf("finite MaxTime rejected: %v", err)
+	}
+}
+
 func TestPASGDReducesLoss(t *testing.T) {
 	s := newSetup(t, 4, 1)
 	e := s.engine(t, baseCfg())

@@ -43,7 +43,7 @@ func benchCompressor(b *testing.B, c Compressor, dim int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := c.Decompress(msg, dst); err != nil {
+		if err := Decode(msg, dst); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -142,12 +142,12 @@ func (m Message) Bytes() int {
 	panic(fmt.Sprintf("compress: unknown encoding %d", int(m.Enc)))
 }
 
-// Decode reconstructs msg into dst, overwriting it entirely (including zeros
-// for coordinates a sparse message dropped). It is the message-driven
-// counterpart of Compressor.Decompress: any wire message can be decoded
+// Decode reconstructs msg into dst (len(dst) must equal msg.Dim),
+// overwriting it entirely (including zeros for coordinates a sparse message
+// dropped). Messages are self-describing: any wire message can be decoded
 // without the compressor that produced it, which is what lets the receiving
 // side of a simulated link (internal/comm) reconstruct payloads it did not
-// compress.
+// compress — so compressors have no decompress half.
 func Decode(msg Message, dst []float64) error {
 	switch msg.Enc {
 	case EncDense:
@@ -196,12 +196,10 @@ func AddDecoded(msg Message, dst []float64) error {
 	return fmt.Errorf("compress: unknown encoding %d", int(msg.Enc))
 }
 
-// Compressor maps a vector to a wire Message and back. Decompress writes the
-// reconstruction into dst (len(dst) must equal msg.Dim); it overwrites dst
-// entirely, including zeros for coordinates a sparse message dropped.
+// Compressor maps a vector to a self-describing wire Message; Decode and
+// AddDecoded are the way back.
 type Compressor interface {
 	Compress(vec []float64) (Message, error)
-	Decompress(msg Message, dst []float64) error
 	Name() string
 }
 
@@ -284,15 +282,6 @@ func (Identity) Compress(vec []float64) (Message, error) {
 	return Message{Dim: len(vec), Enc: EncDense, Dense: append([]float64(nil), vec...)}, nil
 }
 
-// Decompress copies the dense payload back.
-func (Identity) Decompress(msg Message, dst []float64) error {
-	if err := checkDim(msg, dst); err != nil {
-		return err
-	}
-	copy(dst, msg.Dense)
-	return nil
-}
-
 // Name implements Compressor.
 func (Identity) Name() string { return "identity" }
 
@@ -367,10 +356,6 @@ func (t *topKCompressor) Compress(vec []float64) (Message, error) {
 		n += int(((math.Float64bits(v)&absMask ^ thresh) - 1) >> 63)
 	}
 	return Message{Dim: dim, Enc: EncSparse, Indices: idx, Values: vals}, nil
-}
-
-func (t *topKCompressor) Decompress(msg Message, dst []float64) error {
-	return scatterSparse(msg, dst)
 }
 
 func scatterSparse(msg Message, dst []float64) error {
@@ -545,10 +530,6 @@ func (c *randKCompressor) Compress(vec []float64) (Message, error) {
 	return Message{Dim: dim, Enc: EncSparse, Indices: idx, Values: vals}, nil
 }
 
-func (c *randKCompressor) Decompress(msg Message, dst []float64) error {
-	return scatterSparse(msg, dst)
-}
-
 // ---------------------------------------------------------------------------
 // QSGD-style stochastic quantization
 // ---------------------------------------------------------------------------
@@ -624,10 +605,6 @@ func (q *qsgdCompressor) Compress(vec []float64) (Message, error) {
 		msg.Levels[i] = lv
 	}
 	return msg, nil
-}
-
-func (q *qsgdCompressor) Decompress(msg Message, dst []float64) error {
-	return dequantize(msg, dst)
 }
 
 func dequantize(msg Message, dst []float64) error {
@@ -742,16 +719,11 @@ func (e *ErrorFeedback) Compress(vec []float64) (Message, error) {
 	if len(e.decBuf) != dim {
 		e.decBuf = make([]float64, dim)
 	}
-	if err := e.inner.Decompress(msg, e.decBuf); err != nil {
+	if err := Decode(msg, e.decBuf); err != nil {
 		return Message{}, err
 	}
 	for i := range e.resid {
 		e.resid[i] = e.buf[i] - e.decBuf[i]
 	}
 	return msg, nil
-}
-
-// Decompress implements Compressor.
-func (e *ErrorFeedback) Decompress(msg Message, dst []float64) error {
-	return e.inner.Decompress(msg, dst)
 }

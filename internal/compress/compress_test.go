@@ -27,7 +27,7 @@ func TestIdentityRoundTripExact(t *testing.T) {
 		t.Fatalf("identity bytes %d, want %d", msg.Bytes(), 8*len(v))
 	}
 	out := make([]float64, len(v))
-	if err := c.Decompress(msg, out); err != nil {
+	if err := Decode(msg, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range v {
@@ -74,7 +74,7 @@ func TestTopKSupport(t *testing.T) {
 		}
 	}
 	out := make([]float64, dim)
-	if err := c.Decompress(msg, out); err != nil {
+	if err := Decode(msg, out); err != nil {
 		t.Fatal(err)
 	}
 	for i := range out {
@@ -119,7 +119,7 @@ func unbiasednessCheck(t *testing.T, v []float64, build func(r *rng.Rand) Compre
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Decompress(msg, out); err != nil {
+		if err := Decode(msg, out); err != nil {
 			t.Fatal(err)
 		}
 		for i := range sum {
@@ -159,7 +159,7 @@ func TestQSGDRoundTripShape(t *testing.T) {
 		t.Fatalf("qsgd bytes %d, want %d", msg.Bytes(), wantBytes)
 	}
 	out := make([]float64, 100)
-	if err := c.Decompress(msg, out); err != nil {
+	if err := Decode(msg, out); err != nil {
 		t.Fatal(err)
 	}
 	// Reconstruction error is bounded by one quantization level per coord.
@@ -178,7 +178,7 @@ func TestQSGDZeroVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]float64, 10)
-	if err := c.Decompress(msg, out); err != nil {
+	if err := Decode(msg, out); err != nil {
 		t.Fatal(err)
 	}
 	for _, x := range out {
@@ -205,7 +205,7 @@ func TestErrorFeedbackResidualBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ef.Decompress(msg, out); err != nil {
+		if err := Decode(msg, out); err != nil {
 			t.Fatal(err)
 		}
 		for i := range acc {
@@ -332,7 +332,7 @@ func TestSpecNewNone(t *testing.T) {
 func TestDecompressDimMismatch(t *testing.T) {
 	c := Identity{}
 	msg, _ := c.Compress(make([]float64, 4))
-	if err := c.Decompress(msg, make([]float64, 5)); err == nil {
+	if err := Decode(msg, make([]float64, 5)); err == nil {
 		t.Fatal("accepted wrong dst length")
 	}
 }
@@ -346,8 +346,22 @@ func norm(v []float64) float64 {
 }
 
 func TestDecodeMatchesDecompress(t *testing.T) {
-	// Message-driven Decode must agree with every compressor's own
-	// Decompress, and AddDecoded must accumulate the same reconstruction.
+	// Message-driven Decode must agree with the per-encoding decoder each
+	// compressor's own Decompress method forwarded to before Decode became
+	// the only way back, and AddDecoded must accumulate the same
+	// reconstruction.
+	decompress := map[Kind]func(Message, []float64) error{
+		KindIdentity: func(msg Message, dst []float64) error {
+			if err := checkDim(msg, dst); err != nil {
+				return err
+			}
+			copy(dst, msg.Dense)
+			return nil
+		},
+		KindTopK:  scatterSparse,
+		KindRandK: scatterSparse,
+		KindQSGD:  dequantize,
+	}
 	r := rng.New(60)
 	vec := make([]float64, 257)
 	for i := range vec {
@@ -369,7 +383,7 @@ func TestDecodeMatchesDecompress(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]float64, len(vec))
-		if err := c.Decompress(msg, want); err != nil {
+		if err := decompress[spec.Kind](msg, want); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]float64, len(vec))

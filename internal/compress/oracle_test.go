@@ -82,8 +82,6 @@ func (t *refTopK) Compress(vec []float64) (Message, error) {
 	return Message{Dim: dim, Enc: EncSparse, Indices: idx, Values: vals}, nil
 }
 
-func (t *refTopK) Decompress(msg Message, dst []float64) error { return scatterSparse(msg, dst) }
-
 // refErrorFeedback subtracts the dense reconstruction over all dim
 // coordinates.
 type refErrorFeedback struct {
@@ -107,17 +105,13 @@ func (e *refErrorFeedback) Compress(vec []float64) (Message, error) {
 	if err != nil {
 		return Message{}, err
 	}
-	if err := e.inner.Decompress(msg, e.decBuf); err != nil {
+	if err := Decode(msg, e.decBuf); err != nil {
 		return Message{}, err
 	}
 	for i := range e.resid {
 		e.resid[i] = e.buf[i] - e.decBuf[i]
 	}
 	return msg, nil
-}
-
-func (e *refErrorFeedback) Decompress(msg Message, dst []float64) error {
-	return e.inner.Decompress(msg, dst)
 }
 
 // Input families for the oracles. Every one is a pure function of (dim,

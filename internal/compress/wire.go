@@ -56,7 +56,7 @@ func ParseWire(str string) (WireFormat, error) {
 func Narrow32(v float64) float64 { return float64(float32(v)) }
 
 // wireNarrow wraps a Compressor so its messages carry float32-rounded values
-// and 4-byte-per-value accounting. Decompression needs no inverse: the
+// and 4-byte-per-value accounting. Decode needs no inverse: the
 // narrowed float64 values decode exactly. Like ErrorFeedback, it passes
 // Adaptive through to the inner compressor; wrap order in Spec.New puts
 // ErrorFeedback outermost so the residual also captures narrowing loss.
@@ -83,11 +83,6 @@ func (w wireNarrow) Compress(vec []float64) (Message, error) {
 	}
 	msg.Norm = Narrow32(msg.Norm)
 	return msg, nil
-}
-
-// Decompress implements Compressor.
-func (w wireNarrow) Decompress(msg Message, dst []float64) error {
-	return w.inner.Decompress(msg, dst)
 }
 
 // SetRatio implements Adaptive when the inner compressor does.

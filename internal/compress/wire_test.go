@@ -90,7 +90,7 @@ func TestWireNarrowRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := make([]float64, dim)
-	if err := c.Decompress(msg, dst); err != nil {
+	if err := Decode(msg, dst); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range vec {

@@ -26,7 +26,7 @@
 // link.
 //
 // Heterogeneous clusters set Model.Links, giving each worker its own
-// Link{Latency, Bandwidth}; SampleDSchedule then prices a round from the
+// Link{Latency, Bandwidth}; SampleDRound then prices a round from the
 // topology's actual transfer schedule (per-worker wire bytes from
 // internal/comm plus the topology's hop multipliers), with the slowest link
 // gating the round.
@@ -125,7 +125,7 @@ type Model struct {
 	// one transfer (latency replaces the worker link's latency; bandwidth 0
 	// inherits the worker link's, then the shared Bandwidth). Only the
 	// gossip engines consume it — a round over a mixing graph is gated by
-	// its slowest ACTIVE edge (SampleDEdgeScheduleInto), so a slow edge a
+	// its slowest ACTIVE edge (SampleDRound), so a slow edge a
 	// sparse graph routes around costs nothing. nil keeps the per-worker
 	// Links path on every topology, bit for bit.
 	EdgeLinks map[Edge]Link
@@ -166,12 +166,25 @@ func (dm *Model) JitterScales() ([]float64, error) {
 	return s, nil
 }
 
-// CheckLinks validates the per-worker link table: the length must match the
-// worker count, and every latency and bandwidth must be finite and
+// check rejects a link whose latency or bandwidth is not finite and
 // non-negative — a negative or NaN entry would silently produce degenerate
-// (negative or NaN) transfer times that poison every round's delay. Zero
-// stays legal: zero latency is a real value and zero bandwidth means
-// "inherit Model.Bandwidth" by construction.
+// (negative or NaN) transfer times that poison every round that uses the
+// link. Zero stays legal: zero latency is a real value and zero bandwidth
+// means "inherit" by construction. what names the entry in the error.
+func (l Link) check(what string) error {
+	if !(l.Latency >= 0) || math.IsInf(l.Latency, 1) {
+		return fmt.Errorf("delaymodel: %s latency %v (want finite >= 0)", what, l.Latency)
+	}
+	if !(l.Bandwidth >= 0) || math.IsInf(l.Bandwidth, 1) {
+		return fmt.Errorf("delaymodel: %s bandwidth %v (want finite >= 0; 0 inherits)", what, l.Bandwidth)
+	}
+	return nil
+}
+
+// CheckLinks validates the per-worker link table: the length must match the
+// worker count and every entry must pass the link check (finite,
+// non-negative latency and bandwidth; a zero bandwidth inherits
+// Model.Bandwidth).
 func (dm *Model) CheckLinks() error {
 	if dm.Links == nil {
 		return nil
@@ -180,11 +193,8 @@ func (dm *Model) CheckLinks() error {
 		return fmt.Errorf("delaymodel: %d links for %d workers", len(dm.Links), dm.M)
 	}
 	for i, l := range dm.Links {
-		if math.IsNaN(l.Latency) || math.IsInf(l.Latency, 0) || l.Latency < 0 {
-			return fmt.Errorf("delaymodel: worker %d link latency %v (want finite >= 0)", i, l.Latency)
-		}
-		if math.IsNaN(l.Bandwidth) || math.IsInf(l.Bandwidth, 0) || l.Bandwidth < 0 {
-			return fmt.Errorf("delaymodel: worker %d link bandwidth %v (want finite >= 0; 0 inherits the shared bandwidth)", i, l.Bandwidth)
+		if err := l.check(fmt.Sprintf("worker %d link", i)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -199,10 +209,9 @@ type Edge struct {
 
 // CheckEdgeLinks validates the per-edge link table the way CheckLinks
 // validates the per-worker one: node ids must be in range, self-edges are
-// meaningless, and every latency and bandwidth must be finite and
-// non-negative — a NaN or negative entry would silently poison every round
-// that activates the edge. Entries are checked in sorted order so the
-// first error is deterministic.
+// meaningless, and every entry must pass the same link check (a zero
+// bandwidth inherits the worker link's). Entries are checked in sorted
+// order so the first error is deterministic.
 func (dm *Model) CheckEdgeLinks() error {
 	if dm.EdgeLinks == nil {
 		return nil
@@ -224,12 +233,8 @@ func (dm *Model) CheckEdgeLinks() error {
 		if e.From == e.To {
 			return fmt.Errorf("delaymodel: edge (%d,%d) is a self-loop", e.From, e.To)
 		}
-		l := dm.EdgeLinks[e]
-		if math.IsNaN(l.Latency) || math.IsInf(l.Latency, 0) || l.Latency < 0 {
-			return fmt.Errorf("delaymodel: edge (%d,%d) latency %v (want finite >= 0)", e.From, e.To, l.Latency)
-		}
-		if math.IsNaN(l.Bandwidth) || math.IsInf(l.Bandwidth, 0) || l.Bandwidth < 0 {
-			return fmt.Errorf("delaymodel: edge (%d,%d) bandwidth %v (want finite >= 0; 0 inherits the worker link)", e.From, e.To, l.Bandwidth)
+		if err := dm.EdgeLinks[e].check(fmt.Sprintf("edge (%d,%d)", e.From, e.To)); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -289,62 +294,73 @@ func (dm *Model) AlphaBytes(bytes int) float64 {
 	return dm.MeanDBytes(bytes) / dm.MeanY()
 }
 
-// SampleDSchedule draws the communication delay of one synchronization round
-// from its actual transfer schedule: bytesPerWorker is each worker's wire
-// volume (internal/comm's Report.Bytes), latHops the topology's count of
-// sequential message launches, and bytesFactor the multiple of the payload
-// each link carries over the whole collective (comm.Topology.LatencyHops and
-// BytesFactor; both 1 for the legacy overlapped all-gather).
+// SampleDRound draws the communication delay of one synchronization round
+// from its actual transfer schedule. It is the ONE round pricer: every
+// engine round, fault-free or not, graph or collective, is this loop.
 //
-// With nil Links the round is gated by the largest message against the
-// shared Bandwidth — for latHops = bytesFactor = 1 this is exactly
-// SampleDBytes(max bytes): same value, same single RNG draw, so every legacy
-// trace is preserved bit for bit. With Links set, each worker's transfer is
-// priced on its own link (falling back to the shared Bandwidth when the
-// link's is 0) and the slowest link gates the round.
-func (dm *Model) SampleDSchedule(r *rng.Rand, bytesPerWorker []int, latHops, bytesFactor float64) float64 {
-	return dm.SampleDScheduleInto(r, bytesPerWorker, latHops, bytesFactor, nil)
-}
-
-// SampleDScheduleInto is SampleDSchedule that additionally records each
-// worker's own transfer time into times (when non-nil; len(times) must be at
-// least len(bytesPerWorker)): the worker's link latency times latHops plus
-// its wire bytes times bytesFactor over its link's effective bandwidth,
-// BEFORE the model's Scale factor and the shared D0 draw. This per-worker
-// schedule is the signal link-aware controllers consume (which link gates the
-// round, and by how much). Total value and RNG consumption are exactly
-// SampleDSchedule's, so recording times never perturbs a trace.
-func (dm *Model) SampleDScheduleInto(r *rng.Rand, bytesPerWorker []int, latHops, bytesFactor float64, times []float64) float64 {
+// bytesPerWorker is each worker's wire volume (internal/comm's
+// Report.Bytes), latHops the topology's count of sequential message
+// launches, and bytesFactor the multiple of the payload each link carries
+// over the whole collective (comm.Topology.LatencyHops and BytesFactor;
+// both 1 for the legacy overlapped all-gather). A worker's transfer is
+//
+//	latency*latHops + bytes*bytesFactor/bandwidth
+//
+// on its own link (Links[i]; a zero bandwidth, or nil Links, falls back to
+// the shared Bandwidth, and 0 there is an infinite link). When adj is
+// non-nil AND EdgeLinks is set the round runs over a mixing graph: adj[i]
+// lists the peers node i multicasts to, each directed transfer (i,j) is
+// priced on its EdgeLinks entry if present (else worker i's link), and node
+// i's transfer is its SLOWEST ACTIVE EDGE — so an expensive edge no active
+// graph uses costs nothing.
+//
+// down and scale are the fault masks; nil means everyone up, at scale 1.
+// down[i] excludes worker i entirely (it neither sends nor gates the round,
+// times[i] is 0) and deactivates every edge touching it; scale[i]
+// multiplies worker i's transfer (slow-down episodes and retry charges).
+// times (when non-nil, len >= the schedule) receives each worker's own
+// transfer, BEFORE the Scale factor and the shared D0 draw — the signal
+// link-aware controllers consume.
+//
+// Exactly ONE D0 draw is consumed whatever the arguments, so masks, graphs
+// and recording never shift the delay stream, and the slowest active
+// transfer gates the round: D = (D0*latHops + slowest) * s(M). With nil
+// Links and unit multipliers that is SampleDBytes(max bytes), same value,
+// same draw.
+func (dm *Model) SampleDRound(r *rng.Rand, bytesPerWorker []int, adj [][]int, latHops, bytesFactor float64, down []bool, scale, times []float64) float64 {
 	dm.checkScheduleWidth(len(bytesPerWorker))
-	d := dm.D0.Sample(r) * latHops
-	if dm.Links == nil {
-		mx := 0
-		for i, b := range bytesPerWorker {
-			if times != nil {
-				times[i] = 0
-				if dm.Bandwidth > 0 && b > 0 {
-					times[i] = float64(b) * bytesFactor / dm.Bandwidth
-				}
-			}
-			if b > mx {
-				mx = b
-			}
-		}
-		if dm.Bandwidth > 0 && mx > 0 {
-			d += float64(mx) * bytesFactor / dm.Bandwidth
-		}
-		return d * dm.Scale.Factor(dm.M)
+	byEdge := adj != nil && dm.EdgeLinks != nil
+	if byEdge && len(adj) < len(bytesPerWorker) {
+		panic(fmt.Sprintf("delaymodel: schedule for %d workers over a %d-node adjacency", len(bytesPerWorker), len(adj)))
 	}
+	d := dm.D0.Sample(r) * latHops
 	slow := 0.0
 	for i, b := range bytesPerWorker {
-		l := dm.Links[i]
-		t := l.Latency * latHops
-		bw := l.Bandwidth
-		if bw == 0 {
-			bw = dm.Bandwidth
-		}
-		if bw > 0 && b > 0 {
-			t += float64(b) * bytesFactor / bw
+		t := 0.0
+		if down == nil || !down[i] {
+			var own Link
+			if dm.Links != nil {
+				own = dm.Links[i]
+			}
+			if !byEdge {
+				t = dm.transfer(own, own, b, latHops, bytesFactor)
+			} else {
+				for _, j := range adj[i] {
+					if down != nil && down[j] {
+						continue
+					}
+					l, ok := dm.EdgeLinks[Edge{From: i, To: j}]
+					if !ok {
+						l = own
+					}
+					if et := dm.transfer(l, own, b, latHops, bytesFactor); et > t {
+						t = et
+					}
+				}
+			}
+			if scale != nil {
+				t *= scale[i]
+			}
 		}
 		if times != nil {
 			times[i] = t
@@ -356,59 +372,33 @@ func (dm *Model) SampleDScheduleInto(r *rng.Rand, bytesPerWorker []int, latHops,
 	return (d + slow) * dm.Scale.Factor(dm.M)
 }
 
-// SampleDEdgeScheduleInto prices one gossip round over a mixing graph,
-// edge by edge: adj[i] lists the peers node i multicasts its
-// bytesPerWorker[i] payload to this round, each directed transfer (i,j) is
-// priced on its own link — the EdgeLinks entry if present, else worker i's
-// per-worker link — and the SLOWEST ACTIVE EDGE gates the round, so an
-// expensive edge that no active graph uses costs nothing. times[i] (when
-// non-nil) receives node i's slowest outgoing transfer, the same
-// controller-visible signal SampleDScheduleInto records.
-//
-// With a nil adjacency or a nil EdgeLinks table the call delegates to
-// SampleDScheduleInto — identical value, identical single D0 draw — so
-// every per-worker-priced trace is preserved bit for bit on every
-// topology.
+// transfer prices one transfer of b bytes on link l, whose zero bandwidth
+// inherits the sending worker's own link, then the shared Bandwidth.
+func (dm *Model) transfer(l, own Link, b int, latHops, bytesFactor float64) float64 {
+	bw := l.Bandwidth
+	if bw == 0 {
+		bw = own.Bandwidth
+	}
+	if bw == 0 {
+		bw = dm.Bandwidth
+	}
+	t := l.Latency * latHops
+	if bw > 0 && b > 0 {
+		t += float64(b) * bytesFactor / bw
+	}
+	return t
+}
+
+// SampleDScheduleInto is SampleDRound over per-worker links with everyone
+// up (no adjacency, nil masks). benchmark/probes.go times it.
+func (dm *Model) SampleDScheduleInto(r *rng.Rand, bytesPerWorker []int, latHops, bytesFactor float64, times []float64) float64 {
+	return dm.SampleDRound(r, bytesPerWorker, nil, latHops, bytesFactor, nil, nil, times)
+}
+
+// SampleDEdgeScheduleInto is SampleDRound over the mixing graph adj with
+// everyone up (nil masks). benchmark/probes.go times it.
 func (dm *Model) SampleDEdgeScheduleInto(r *rng.Rand, bytesPerWorker []int, adj [][]int, latHops, bytesFactor float64, times []float64) float64 {
-	if adj == nil || dm.EdgeLinks == nil {
-		return dm.SampleDScheduleInto(r, bytesPerWorker, latHops, bytesFactor, times)
-	}
-	dm.checkScheduleWidth(len(bytesPerWorker))
-	if len(adj) < len(bytesPerWorker) {
-		panic(fmt.Sprintf("delaymodel: schedule for %d workers over a %d-node adjacency", len(bytesPerWorker), len(adj)))
-	}
-	d := dm.D0.Sample(r) * latHops
-	slow := 0.0
-	for i, b := range bytesPerWorker {
-		wt := 0.0
-		for _, j := range adj[i] {
-			l, ok := dm.EdgeLinks[Edge{From: i, To: j}]
-			if !ok && dm.Links != nil {
-				l = dm.Links[i]
-			}
-			bw := l.Bandwidth
-			if bw == 0 && dm.Links != nil {
-				bw = dm.Links[i].Bandwidth
-			}
-			if bw == 0 {
-				bw = dm.Bandwidth
-			}
-			t := l.Latency * latHops
-			if bw > 0 && b > 0 {
-				t += float64(b) * bytesFactor / bw
-			}
-			if t > wt {
-				wt = t
-			}
-		}
-		if times != nil {
-			times[i] = wt
-		}
-		if wt > slow {
-			slow = wt
-		}
-	}
-	return (d + slow) * dm.Scale.Factor(dm.M)
+	return dm.SampleDRound(r, bytesPerWorker, adj, latHops, bytesFactor, nil, nil, times)
 }
 
 // checkScheduleWidth guards the per-worker link table against a schedule
@@ -421,185 +411,6 @@ func (dm *Model) checkScheduleWidth(workers int) {
 	if dm.Links != nil && len(dm.Links) < workers {
 		panic(fmt.Sprintf("delaymodel: schedule for %d workers but only %d links (Links must cover every worker)", workers, len(dm.Links)))
 	}
-}
-
-// SampleDScheduleFaultyInto is SampleDScheduleInto under a fault mask:
-// down[i] excludes worker i from the schedule entirely (it neither sends
-// nor gates the round, and times[i] is recorded as 0), and scale[i]
-// multiplies worker i's transfer time (slow-down episodes; retry charges
-// fold in here too). With both nil the call delegates bit-identically to
-// the legacy method — either way exactly one D0 draw is consumed, so
-// enabling faults never shifts the delay RNG stream.
-func (dm *Model) SampleDScheduleFaultyInto(r *rng.Rand, bytesPerWorker []int, latHops, bytesFactor float64, down []bool, scale []float64, times []float64) float64 {
-	if down == nil && scale == nil {
-		return dm.SampleDScheduleInto(r, bytesPerWorker, latHops, bytesFactor, times)
-	}
-	dm.checkScheduleWidth(len(bytesPerWorker))
-	d := dm.D0.Sample(r) * latHops
-	slow := 0.0
-	for i, b := range bytesPerWorker {
-		if down != nil && down[i] {
-			if times != nil {
-				times[i] = 0
-			}
-			continue
-		}
-		var t float64
-		if dm.Links == nil {
-			if dm.Bandwidth > 0 && b > 0 {
-				t = float64(b) * bytesFactor / dm.Bandwidth
-			}
-		} else {
-			l := dm.Links[i]
-			t = l.Latency * latHops
-			bw := l.Bandwidth
-			if bw == 0 {
-				bw = dm.Bandwidth
-			}
-			if bw > 0 && b > 0 {
-				t += float64(b) * bytesFactor / bw
-			}
-		}
-		if scale != nil {
-			t *= scale[i]
-		}
-		if times != nil {
-			times[i] = t
-		}
-		if t > slow {
-			slow = t
-		}
-	}
-	return (d + slow) * dm.Scale.Factor(dm.M)
-}
-
-// SampleDEdgeScheduleFaultyInto is SampleDEdgeScheduleInto under a fault
-// mask: a down endpoint deactivates every edge touching it (the induced
-// active subgraph is what the gossip engine prices), and scale[i]
-// multiplies node i's outgoing transfer times. With both nil it delegates
-// bit-identically to the legacy method; with no EdgeLinks table it
-// delegates to the per-worker faulty path. One D0 draw either way.
-func (dm *Model) SampleDEdgeScheduleFaultyInto(r *rng.Rand, bytesPerWorker []int, adj [][]int, latHops, bytesFactor float64, down []bool, scale []float64, times []float64) float64 {
-	if down == nil && scale == nil {
-		return dm.SampleDEdgeScheduleInto(r, bytesPerWorker, adj, latHops, bytesFactor, times)
-	}
-	if adj == nil || dm.EdgeLinks == nil {
-		return dm.SampleDScheduleFaultyInto(r, bytesPerWorker, latHops, bytesFactor, down, scale, times)
-	}
-	dm.checkScheduleWidth(len(bytesPerWorker))
-	if len(adj) < len(bytesPerWorker) {
-		panic(fmt.Sprintf("delaymodel: schedule for %d workers over a %d-node adjacency", len(bytesPerWorker), len(adj)))
-	}
-	d := dm.D0.Sample(r) * latHops
-	slow := 0.0
-	for i, b := range bytesPerWorker {
-		if down != nil && down[i] {
-			if times != nil {
-				times[i] = 0
-			}
-			continue
-		}
-		wt := 0.0
-		for _, j := range adj[i] {
-			if down != nil && down[j] {
-				continue
-			}
-			l, ok := dm.EdgeLinks[Edge{From: i, To: j}]
-			if !ok && dm.Links != nil {
-				l = dm.Links[i]
-			}
-			bw := l.Bandwidth
-			if bw == 0 && dm.Links != nil {
-				bw = dm.Links[i].Bandwidth
-			}
-			if bw == 0 {
-				bw = dm.Bandwidth
-			}
-			t := l.Latency * latHops
-			if bw > 0 && b > 0 {
-				t += float64(b) * bytesFactor / bw
-			}
-			if t > wt {
-				wt = t
-			}
-		}
-		if scale != nil {
-			wt *= scale[i]
-		}
-		if times != nil {
-			times[i] = wt
-		}
-		if wt > slow {
-			slow = wt
-		}
-	}
-	return (d + slow) * dm.Scale.Factor(dm.M)
-}
-
-// ParseEdgeLinks parses the per-edge link flag syntax: a comma-separated
-// list of "I-J:latency:bandwidth" entries. Each entry prices the edge in
-// BOTH directions (a slow cable slows traffic both ways); latency and
-// bandwidth follow ParseLinks' conventions — either may be empty for its
-// zero value, an explicit zero bandwidth is rejected (leave it empty to
-// inherit), and non-finite or negative values are rejected. "" returns a
-// nil table (the per-worker pricing path, bit for bit).
-func ParseEdgeLinks(s string, m int) (map[Edge]Link, error) {
-	if s == "" {
-		return nil, nil
-	}
-	table := make(map[Edge]Link)
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimSpace(p)
-		pair, rest, ok := strings.Cut(p, ":")
-		if !ok {
-			return nil, fmt.Errorf("delaymodel: edge link %q needs I-J:latency:bandwidth", p)
-		}
-		is, js, ok := strings.Cut(pair, "-")
-		if !ok {
-			return nil, fmt.Errorf("delaymodel: edge link %q needs an I-J node pair", p)
-		}
-		i, err1 := strconv.Atoi(is)
-		j, err2 := strconv.Atoi(js)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("delaymodel: bad node pair in %q", p)
-		}
-		if i < 0 || i >= m || j < 0 || j >= m {
-			return nil, fmt.Errorf("delaymodel: edge link %q nodes out of [0,%d)", p, m)
-		}
-		if i == j {
-			return nil, fmt.Errorf("delaymodel: edge link %q is a self-loop", p)
-		}
-		if _, dup := table[Edge{From: i, To: j}]; dup {
-			return nil, fmt.Errorf("delaymodel: edge %d-%d listed twice", i, j)
-		}
-		lat, bw, ok := strings.Cut(rest, ":")
-		if !ok {
-			return nil, fmt.Errorf("delaymodel: edge link %q needs I-J:latency:bandwidth", p)
-		}
-		var l Link
-		if lat != "" {
-			if l.Latency, err1 = strconv.ParseFloat(lat, 64); err1 != nil {
-				return nil, fmt.Errorf("delaymodel: bad latency in %q: %v", p, err1)
-			}
-			if math.IsNaN(l.Latency) || math.IsInf(l.Latency, 0) || l.Latency < 0 {
-				return nil, fmt.Errorf("delaymodel: edge link %q latency %v (want finite >= 0)", p, l.Latency)
-			}
-		}
-		if bw != "" {
-			if l.Bandwidth, err1 = strconv.ParseFloat(bw, 64); err1 != nil {
-				return nil, fmt.Errorf("delaymodel: bad bandwidth in %q: %v", p, err1)
-			}
-			if math.IsNaN(l.Bandwidth) || math.IsInf(l.Bandwidth, 0) || l.Bandwidth < 0 {
-				return nil, fmt.Errorf("delaymodel: edge link %q bandwidth %v (want finite > 0)", p, l.Bandwidth)
-			}
-			if l.Bandwidth == 0 {
-				return nil, fmt.Errorf("delaymodel: edge link %q has explicit zero bandwidth; leave the part empty to inherit", p)
-			}
-		}
-		table[Edge{From: i, To: j}] = l
-		table[Edge{From: j, To: i}] = l
-	}
-	return table, nil
 }
 
 // SampleTransfer draws the wall-clock cost of ONE point-to-point transfer
@@ -629,15 +440,41 @@ func (dm *Model) SampleTransfer(r *rng.Rand, worker, bytes int) float64 {
 	return d
 }
 
+// parseLink parses one "latency:bandwidth" pair, the grammar ParseLinks
+// and ParseEdgeLinks share. Either part may be EMPTY for its zero value
+// ("0:" = ":" = transparent link; an empty bandwidth inherits). An explicit
+// bandwidth of 0 is rejected — written out, "0 bytes per second" reads as a
+// dead link, but the zero value actually means "inherit", which silently
+// becomes an INFINITE link on a model with no shared bandwidth; leave the
+// part empty to inherit on purpose. Negative and non-finite values are
+// rejected by the same check CheckLinks and CheckEdgeLinks apply, so an
+// accepted spec always validates. kind and entry name the flag entry in
+// errors.
+func parseLink(kind, entry, pair string) (l Link, err error) {
+	lat, bw, ok := strings.Cut(pair, ":")
+	if !ok {
+		return l, fmt.Errorf("delaymodel: %s %q needs latency:bandwidth", kind, entry)
+	}
+	if lat != "" {
+		if l.Latency, err = strconv.ParseFloat(lat, 64); err != nil {
+			return l, fmt.Errorf("delaymodel: bad latency in %q: %v", entry, err)
+		}
+	}
+	if bw != "" {
+		if l.Bandwidth, err = strconv.ParseFloat(bw, 64); err != nil {
+			return l, fmt.Errorf("delaymodel: bad bandwidth in %q: %v", entry, err)
+		}
+		if l.Bandwidth == 0 {
+			return l, fmt.Errorf("delaymodel: %s %q has explicit zero bandwidth; leave the part empty (%q) to inherit", kind, entry, lat+":")
+		}
+	}
+	return l, l.check(fmt.Sprintf("%s %q", kind, entry))
+}
+
 // ParseLinks parses the per-worker link flag syntax: a comma-separated list
-// of "latency:bandwidth" pairs, one per worker (e.g. "0:4096,0:4096,0:409.6"
-// gives the last worker a 10x slower link). Either part may be EMPTY for its
-// zero value ("0:" = ":" = transparent link; an empty bandwidth inherits the
-// model's shared one). An explicit bandwidth of 0 is rejected — written out,
-// "0 bytes per second" reads as a dead link, but the zero value actually
-// means "inherit", which silently becomes an INFINITE link on a model with
-// no shared bandwidth; leave the part empty to inherit on purpose. Negative
-// and non-finite values are rejected for both parts.
+// of "latency:bandwidth" pairs (see parseLink), one per worker — e.g.
+// "0:4096,0:4096,0:409.6" gives the last worker a 10x slower link. "" returns
+// nil links (the homogeneous model, bit for bit).
 func ParseLinks(s string, m int) ([]Link, error) {
 	if s == "" {
 		return nil, nil
@@ -648,32 +485,56 @@ func ParseLinks(s string, m int) ([]Link, error) {
 	}
 	links := make([]Link, m)
 	for i, p := range parts {
-		lat, bw, ok := strings.Cut(strings.TrimSpace(p), ":")
-		if !ok {
-			return nil, fmt.Errorf("delaymodel: link %q needs latency:bandwidth", p)
-		}
 		var err error
-		if lat != "" {
-			if links[i].Latency, err = strconv.ParseFloat(lat, 64); err != nil {
-				return nil, fmt.Errorf("delaymodel: bad latency in %q: %v", p, err)
-			}
-			if math.IsNaN(links[i].Latency) || math.IsInf(links[i].Latency, 0) || links[i].Latency < 0 {
-				return nil, fmt.Errorf("delaymodel: link %q latency %v (want finite >= 0)", p, links[i].Latency)
-			}
-		}
-		if bw != "" {
-			if links[i].Bandwidth, err = strconv.ParseFloat(bw, 64); err != nil {
-				return nil, fmt.Errorf("delaymodel: bad bandwidth in %q: %v", p, err)
-			}
-			if math.IsNaN(links[i].Bandwidth) || math.IsInf(links[i].Bandwidth, 0) || links[i].Bandwidth < 0 {
-				return nil, fmt.Errorf("delaymodel: link %q bandwidth %v (want finite > 0)", p, links[i].Bandwidth)
-			}
-			if links[i].Bandwidth == 0 {
-				return nil, fmt.Errorf("delaymodel: link %q has explicit zero bandwidth; leave the part empty (%q) to inherit the shared bandwidth", p, lat+":")
-			}
+		if links[i], err = parseLink("link", p, strings.TrimSpace(p)); err != nil {
+			return nil, err
 		}
 	}
 	return links, nil
+}
+
+// ParseEdgeLinks parses the per-edge link flag syntax: a comma-separated
+// list of "I-J:latency:bandwidth" entries, the pair after the node ids
+// following ParseLinks' grammar. Each entry prices the edge in BOTH
+// directions (a slow cable slows traffic both ways). "" returns a nil table
+// (the per-worker pricing path, bit for bit).
+func ParseEdgeLinks(s string, m int) (map[Edge]Link, error) {
+	if s == "" {
+		return nil, nil
+	}
+	table := make(map[Edge]Link)
+	for _, p := range strings.Split(s, ",") {
+		p = strings.TrimSpace(p)
+		nodes, pair, ok := strings.Cut(p, ":")
+		if !ok {
+			return nil, fmt.Errorf("delaymodel: edge link %q needs I-J:latency:bandwidth", p)
+		}
+		is, js, ok := strings.Cut(nodes, "-")
+		if !ok {
+			return nil, fmt.Errorf("delaymodel: edge link %q needs an I-J node pair", p)
+		}
+		i, err1 := strconv.Atoi(is)
+		j, err2 := strconv.Atoi(js)
+		if err1 != nil || err2 != nil {
+			return nil, fmt.Errorf("delaymodel: bad node pair in %q", p)
+		}
+		if i < 0 || i >= m || j < 0 || j >= m {
+			return nil, fmt.Errorf("delaymodel: edge link %q nodes out of [0,%d)", p, m)
+		}
+		if i == j {
+			return nil, fmt.Errorf("delaymodel: edge link %q is a self-loop", p)
+		}
+		if _, dup := table[Edge{From: i, To: j}]; dup {
+			return nil, fmt.Errorf("delaymodel: edge %d-%d listed twice", i, j)
+		}
+		l, err := parseLink("edge link", p, pair)
+		if err != nil {
+			return nil, err
+		}
+		table[Edge{From: i, To: j}] = l
+		table[Edge{From: j, To: i}] = l
+	}
+	return table, nil
 }
 
 // SampleSyncIteration draws one iteration time of fully synchronous SGD

@@ -321,7 +321,7 @@ func TestSampleDScheduleHomogeneousMatchesSampleDBytes(t *testing.T) {
 	r1, r2 := rng.New(3), rng.New(3)
 	for i := 0; i < 50; i++ {
 		a := dm.SampleDBytes(r1, 640)
-		b := dm.SampleDSchedule(r2, []int{100, 640, 10, 5}, 1, 1)
+		b := dm.SampleDScheduleInto(r2, []int{100, 640, 10, 5}, 1, 1, nil)
 		if a != b {
 			t.Fatalf("schedule %v != legacy %v at draw %d", b, a, i)
 		}
@@ -333,7 +333,7 @@ func TestSampleDScheduleHopMultipliers(t *testing.T) {
 	dm.Bandwidth = 100
 	r := rng.New(1)
 	// latHops scales the base latency, bytesFactor the transfer term.
-	got := dm.SampleDSchedule(r, []int{200}, 3, 1.5)
+	got := dm.SampleDScheduleInto(r, []int{200}, 3, 1.5, nil)
 	want := 2*3 + 200*1.5/100.0
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("schedule delay %v, want %v", got, want)
@@ -347,7 +347,7 @@ func TestSampleDScheduleSlowestLinkGates(t *testing.T) {
 	r := rng.New(1)
 	// Worker 0 inherits 100 B/s (1 s), worker 1 pays 100/10 = 10 s, worker 2
 	// pays 5 s latency plus 1 s transfer: the 10 s link gates the round.
-	got := dm.SampleDSchedule(r, []int{100, 100, 100}, 1, 1)
+	got := dm.SampleDScheduleInto(r, []int{100, 100, 100}, 1, 1, nil)
 	if want := 1 + 10.0; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("gated delay %v, want %v", got, want)
 	}
@@ -449,7 +449,7 @@ func TestSampleDScheduleIntoMatchesSampleDSchedule(t *testing.T) {
 		r1, r2 := rng.New(3), rng.New(3)
 		times := make([]float64, 4)
 		for i := 0; i < 50; i++ {
-			a := dm.SampleDSchedule(r1, bytes, 2, 1.5)
+			a := dm.SampleDScheduleInto(r1, bytes, 2, 1.5, nil)
 			b := dm.SampleDScheduleInto(r2, bytes, 2, 1.5, times)
 			if a != b {
 				t.Fatalf("links=%v draw %d: into %v != plain %v", links, i, b, a)

@@ -14,7 +14,7 @@ func TestSampleDScheduleFaultyNilMasksDelegate(t *testing.T) {
 	faulty := make([]float64, 3)
 
 	want := dm.SampleDScheduleInto(rng.New(1), bytes, 1, 1, legacy)
-	got := dm.SampleDScheduleFaultyInto(rng.New(1), bytes, 1, 1, nil, nil, faulty)
+	got := dm.SampleDRound(rng.New(1), bytes, nil, 1, 1, nil, nil, faulty)
 	if got != want {
 		t.Fatalf("nil/nil delegation: %v != %v", got, want)
 	}
@@ -25,7 +25,7 @@ func TestSampleDScheduleFaultyNilMasksDelegate(t *testing.T) {
 	}
 
 	// All-up masks with unit scales reproduce the legacy schedule exactly.
-	got = dm.SampleDScheduleFaultyInto(rng.New(1), bytes, 1, 1,
+	got = dm.SampleDRound(rng.New(1), bytes, nil, 1, 1,
 		[]bool{false, false, false}, []float64{1, 1, 1}, faulty)
 	if got != want {
 		t.Fatalf("all-up masks: %v != %v", got, want)
@@ -40,7 +40,7 @@ func TestSampleDScheduleFaultyExcludesDownAndScales(t *testing.T) {
 
 	// Worker 1 owns the slow link; taking it down hands the round to the
 	// survivors and zeroes its schedule entry.
-	d := dm.SampleDScheduleFaultyInto(rng.New(1), bytes, 1, 1,
+	d := dm.SampleDRound(rng.New(1), bytes, nil, 1, 1,
 		[]bool{false, true, false}, nil, times)
 	if times[1] != 0 {
 		t.Fatalf("down worker time %v, want 0", times[1])
@@ -51,7 +51,7 @@ func TestSampleDScheduleFaultyExcludesDownAndScales(t *testing.T) {
 	}
 
 	// A 3x slow-down episode on worker 0 triples its transfer time.
-	d = dm.SampleDScheduleFaultyInto(rng.New(1), bytes, 1, 1,
+	d = dm.SampleDRound(rng.New(1), bytes, nil, 1, 1,
 		[]bool{false, true, false}, []float64{3, 1, 1}, times)
 	if times[0] != 3*want {
 		t.Fatalf("scaled time %v, want %v", times[0], 3*want)
@@ -76,14 +76,14 @@ func TestSampleDEdgeScheduleFaultyDeactivatesEdgesOfDownNodes(t *testing.T) {
 	times := make([]float64, 3)
 
 	// With everyone up the slow 0<->1 edge gates the round.
-	d := dm.SampleDEdgeScheduleFaultyInto(rng.New(1), bytes, adj, 1, 1,
+	d := dm.SampleDRound(rng.New(1), bytes, adj, 1, 1,
 		[]bool{false, false, false}, nil, times)
 	if d != 5 {
 		t.Fatalf("all-up edge round %v, want 5", d)
 	}
 	// Node 1 down: every edge touching it deactivates, the 0<->2 edge
 	// gates, and node 1's entry zeroes.
-	d = dm.SampleDEdgeScheduleFaultyInto(rng.New(1), bytes, adj, 1, 1,
+	d = dm.SampleDRound(rng.New(1), bytes, adj, 1, 1,
 		[]bool{false, true, false}, nil, times)
 	if d != 1 || times[1] != 0 {
 		t.Fatalf("down-endpoint round %v times %v, want 1 / times[1]=0", d, times)

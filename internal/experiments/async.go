@@ -32,7 +32,7 @@ type AsyncSpec struct {
 	Seed          uint64
 }
 
-// DefaultAsyncSpec returns the sizing used by cmd/figures and cmd/sweep.
+// DefaultAsyncSpec returns the sizing cmd/sweep -ablation async runs.
 func DefaultAsyncSpec(scale Scale) AsyncSpec {
 	s := AsyncSpec{
 		Scale:         scale,

@@ -41,7 +41,7 @@ type ChurnSpec struct {
 	Seed   uint64
 }
 
-// DefaultChurnSpec returns the sizing used by cmd/figures and cmd/sweep.
+// DefaultChurnSpec returns the sizing cmd/sweep -ablation churn runs.
 func DefaultChurnSpec(scale Scale) ChurnSpec {
 	s := ChurnSpec{
 		Scale:      scale,

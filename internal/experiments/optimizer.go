@@ -36,7 +36,7 @@ type OptimizerSpec struct {
 	Seed           uint64
 }
 
-// DefaultOptimizerSpec returns the sizing used by cmd/figures and cmd/sweep.
+// DefaultOptimizerSpec returns the sizing cmd/sweep -ablation optimizer runs.
 func DefaultOptimizerSpec(scale Scale) OptimizerSpec {
 	s := OptimizerSpec{
 		Scale:          scale,

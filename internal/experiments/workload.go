@@ -1,7 +1,8 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation, plus the ablations called out in DESIGN.md. Every
 // driver is deterministic given its seed, returns a structured result, and
-// can render itself as text; cmd/figures and the benchmark harness in the
+// can render itself as text; cmd/figures (the paper's figures), cmd/sweep
+// (the ablation registry in registry.go) and the benchmark harness in the
 // repository root are thin wrappers around this package.
 //
 // Sizing: the paper's experiments train VGG-16/ResNet-50 on CIFAR for tens

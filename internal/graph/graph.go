@@ -77,7 +77,7 @@ func (g *Graph) MaxDegree() int {
 
 // Adjacency returns the full neighbor table, indexed by node. It is
 // graph-owned and must not be mutated; the delay model's per-edge round
-// pricing consumes it directly (delaymodel.SampleDEdgeScheduleInto).
+// pricing consumes it directly (delaymodel.SampleDRound).
 func (g *Graph) Adjacency() [][]int { return g.adj }
 
 // MixOrder returns the nodes of row i's mix — i's neighborhood including i

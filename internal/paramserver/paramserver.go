@@ -202,6 +202,10 @@ func (c Config) validate() error {
 	if c.MaxUpdates <= 0 && c.MaxTime <= 0 {
 		return fmt.Errorf("paramserver: no stop condition")
 	}
+	// NaN passes the <= test above, and Time >= NaN or +Inf never stops a run.
+	if math.IsNaN(c.MaxTime) || math.IsInf(c.MaxTime, 0) {
+		return fmt.Errorf("paramserver: max time %v (want finite)", c.MaxTime)
+	}
 	if c.ComputeY == nil || c.PushDelay == nil {
 		return fmt.Errorf("paramserver: delay distributions required")
 	}

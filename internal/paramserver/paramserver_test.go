@@ -68,6 +68,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+func TestConfigRejectsNonFiniteMaxTime(t *testing.T) {
+	proto, shards, train := psSetup(t, 4)
+	for _, tc := range []struct {
+		name       string
+		maxTime    float64
+		maxUpdates int
+	}{
+		{"NaN alone", math.NaN(), 0},
+		{"+Inf alone", math.Inf(1), 0},
+		{"NaN beside MaxUpdates", math.NaN(), 200},
+		{"+Inf beside MaxUpdates", math.Inf(1), 200},
+		{"-Inf beside MaxUpdates", math.Inf(-1), 200},
+	} {
+		for _, mode := range []Mode{KSync, KAsync} {
+			cfg := psConfig(mode)
+			cfg.MaxTime, cfg.MaxUpdates = tc.maxTime, tc.maxUpdates
+			if _, err := New(proto, shards, train, cfg); err == nil {
+				t.Errorf("%s (%s): accepted MaxTime %v", tc.name, mode, tc.maxTime)
+			}
+		}
+	}
+	cfg := psConfig(KSync)
+	cfg.MaxTime, cfg.MaxUpdates = 50, 0
+	if _, err := New(proto, shards, train, cfg); err != nil {
+		t.Errorf("finite MaxTime rejected: %v", err)
+	}
+}
+
 func TestKSyncTrains(t *testing.T) {
 	proto, shards, train := psSetup(t, 4)
 	s, err := New(proto, shards, train, psConfig(KSync))
