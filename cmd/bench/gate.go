@@ -22,9 +22,11 @@ import (
 
 // pinnedKernels are the ns/op-gated benchmarks: pure compute hot loops,
 // single-goroutine and input-cycled where a fixed operand would flatter
-// them. The top-k rows allocate their message (2 allocs/op, gated exactly
-// by check 2); AsyncDispatchParked is an engine run, pinned because its
-// wall is the dispatch walk and nothing a pool or host load schedules.
+// them. The TopK rows build a fresh message per call (2 allocs/op, 3 under
+// error feedback, gated exactly by check 2); the CompressInto rows recycle
+// one and are gated on that alone (0 allocs/op) — their arithmetic is the
+// TopK rows'. AsyncDispatchParked is an engine run, pinned because its wall
+// is the dispatch walk and nothing a pool or host load schedules.
 var pinnedKernels = []string{
 	"Gemm64",
 	"Gemm256/naive",

@@ -51,6 +51,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/nn"
 	optpkg "repro/internal/opt"
+	"repro/internal/paramserver"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -374,18 +375,20 @@ func asyncShardSetup() func() {
 	})
 }
 
-// topKSetup times one Compress at a shape the repository benchmark serves
-// (16 400 coordinates on wire_mix, 650 on ps_adasync). It cycles 64 inputs:
-// a selection fed one fixed vector trains the branch predictor on a pattern
-// no run repeats, and the quickselect these rows replaced read half its
-// real cost that way. With error feedback the residual carries from call to
-// call, as it does in a run.
-func topKSetup(spec string, dim int) func() {
+// compressSetup times one compression at a shape the repository benchmark
+// serves (16 400 coordinates on wire_mix, 650 on ps_adasync and
+// async_fleet). It cycles 64 inputs: a selection fed one fixed vector trains
+// the branch predictor on a pattern no run repeats, and the quickselect the
+// top-k rows replaced read half its real cost that way. With error feedback
+// the residual carries from call to call, as it does in a run. The TopK rows
+// build a fresh message per call (Compress); the CompressInto rows recycle
+// one the way the engines do, and must stay at 0 allocs/op.
+func compressSetup(spec string, dim int, into bool) func() {
 	s, err := compress.ParseSpec(spec)
 	if err != nil {
 		panic(err)
 	}
-	c, err := s.New(nil)
+	c, err := s.New(rng.New(42)) // its own stream: the inputs below stay BENCH_14's
 	if err != nil {
 		panic(err)
 	}
@@ -398,11 +401,50 @@ func topKSetup(spec string, dim int) func() {
 		}
 	}
 	i := 0
+	msg := new(compress.Message) // heap storage: &local would escape per call
 	return func() {
-		if _, err := c.Compress(vecs[i%len(vecs)]); err != nil {
+		var err error
+		if into {
+			err = c.CompressInto(vecs[i%len(vecs)], msg)
+		} else {
+			_, err = c.Compress(vecs[i%len(vecs)])
+		}
+		if err != nil {
 			panic(err)
 		}
 		i++
+	}
+}
+
+// psUpdateSetup times the parameter server at ps_adasync's wire — top-k with
+// error feedback up, a priced identity pull down, 650 parameters, m = 64 —
+// as one K-async run of 256 updates at K = 8 on a fresh server. allocs/op is
+// therefore construction plus the trace and staleness log; an allocation
+// inside an update shows as +256.
+func psUpdateSetup() func() {
+	const dim, classes, m = 64, 10, 64
+	r := rng.New(51)
+	train := data.GaussianBlobs(data.GaussianBlobsConfig{
+		Classes: classes, Dim: dim, N: 4096, Separation: 4, Noise: 1.5,
+	}, r)
+	proto := nn.NewLogisticRegression(dim, classes)
+	proto.InitParams(r.Split())
+	shards := data.ShardIID(train, m, r.Split())
+	cfg := paramserver.Config{
+		Mode: paramserver.KAsync, BatchSize: 4,
+		ComputeY:     rng.Exponential{MeanVal: 1},
+		PushDelay:    rng.Constant{Value: 0.1},
+		Bandwidth:    1 << 16,
+		Compress:     compress.Spec{Kind: compress.KindTopK, Ratio: 0.1, ErrorFeedback: true},
+		PullCompress: compress.Spec{Kind: compress.KindIdentity},
+		MaxUpdates:   256, EvalEvery: 1 << 30, EvalSubset: 256, Seed: 9,
+	}
+	return func() {
+		s, err := paramserver.New(proto, shards, train, cfg)
+		if err != nil {
+			panic(err)
+		}
+		s.Run(paramserver.FixedK{K: 8, LR: 0.05}, "bench")
 	}
 }
 
@@ -480,8 +522,10 @@ func main() {
 		{"StepVGGNano", 0, func() func() { return stepSetup(nn.NewVGGNano(shape, 4), shape.Len()) }},
 		{"StepResNetNano", 0, func() func() { return stepSetup(nn.NewResNetNano(shape, 4), shape.Len()) }},
 		{"AdamStep/64k", 0, func() func() { return adamStepSetup(1 << 16) }},
-		{"TopK16400/r0.25", 2000, func() func() { return topKSetup("topk:0.25", 16400) }},
-		{"TopKEF650/r0.1", 20000, func() func() { return topKSetup("topk:0.1+ef", 650) }},
+		{"TopK16400/r0.25", 2000, func() func() { return compressSetup("topk:0.25", 16400, false) }},
+		{"TopKEF650/r0.1", 20000, func() func() { return compressSetup("topk:0.1+ef", 650, false) }},
+		{"CompressInto650/topk-ef", 20000, func() func() { return compressSetup("topk:0.1+ef", 650, true) }},
+		{"CompressInto16400/qsgd", 2000, func() func() { return compressSetup("qsgd:4", 16400, true) }},
 		{"PASGDRound/serial", 0, func() func() { return pasgdSetup(1) }},
 		{"PASGDRound/pool4", 0, func() func() { return pasgdSetup(4) }},
 		{"GlobalMomentumRound", 0, func() func() { return globalMomentumSetup() }},
@@ -505,6 +549,7 @@ func main() {
 		{"AsyncRun/8of64", 20, func() func() { return asyncRunSetup(64, 8, 10) }},
 		{"AsyncShard/1024", 10, func() func() { return asyncShardSetup() }},
 		{"AsyncDispatchParked/2048", 10, asyncDispatchParkedSetup},
+		{"PSUpdate/kasync", 20, psUpdateSetup},
 		// Fig9Quick is an end-to-end figure regeneration (seconds per op);
 		// 2 iterations bound the total runtime.
 		{"Fig9Quick/serial", 2, func() func() { return fig9Setup(1) }},

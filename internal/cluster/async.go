@@ -309,8 +309,11 @@ type AsyncEngine struct {
 	slow      []float64
 	serverRng *rng.Rand
 
-	com  comm.Communicator
-	comp compress.Compressor // shared: compression happens serially at dispatch
+	com comm.Communicator
+	// comp encodes every upload (shared: compression happens serially at
+	// dispatch); the uncompressed wire is the identity scheme, so the dense
+	// and compressed paths are one.
+	comp compress.Compressor
 
 	computeModel *nn.Network // THE materialized replica slot
 	opt          opt.Optimizer
@@ -319,8 +322,15 @@ type AsyncEngine struct {
 	deltaBuf     []float64
 	decodeBuf    []float64
 	aggBuf       []float64
-	pullBuf      []float64   // float32-rounded global for WireFloat32 pulls
-	freeDense    [][]float64 // recycled dense message buffers (no-compression path)
+	pullBuf      []float64 // float32-rounded global for WireFloat32 pulls
+	// sampler is reset onto each dispatched client's shard and stream; nil
+	// until the first dispatch (building one draws from a client's stream).
+	sampler *data.Sampler
+	// freeMsgs recycles delivered and expired wire messages, storage and
+	// all, whatever their encoding: a dispatch takes one before it builds
+	// any, so no more messages exist than clients were ever in flight at
+	// once (AsyncStats.PeakInFlight) and the steady state allocates none.
+	freeMsgs []compress.Message
 
 	policy    paramserver.ArrivalPolicy
 	curK      int       // arrivals the current round waits for
@@ -441,6 +451,7 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		e.idlePos = append([]int(nil), e.idle...) // client i starts at position i
 		e.downVersion = -1
 	}
+	e.comp = compress.Identity{}
 	if cfg.Compress.Enabled() {
 		c, err := cfg.Compress.New(root.Split())
 		if err != nil {
@@ -607,24 +618,9 @@ func (e *AsyncEngine) parkedPositions() []int {
 	return e.parkBuf
 }
 
-// denseBuf returns a recycled (or fresh) dim-length buffer for the
-// no-compression wire path; released buffers come back via releaseMsg, so
-// the steady-state dense path allocates nothing.
-func (e *AsyncEngine) denseBuf() []float64 {
-	if k := len(e.freeDense); k > 0 {
-		b := e.freeDense[k-1]
-		e.freeDense = e.freeDense[:k-1]
-		return b
-	}
-	return make([]float64, e.dim)
-}
-
-// releaseMsg evicts a delivered (or expired) message, recycling its dense
-// buffer if it owned one.
+// releaseMsg evicts a delivered (or expired) message to the free list.
 func (e *AsyncEngine) releaseMsg(c *asyncClient) {
-	if e.comp == nil && c.msg.Dense != nil {
-		e.freeDense = append(e.freeDense, c.msg.Dense)
-	}
+	e.freeMsgs = append(e.freeMsgs, c.msg)
 	c.msg = compress.Message{}
 }
 
@@ -655,11 +651,15 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 	// history, so any momentum buffer restarts from zero (a no-op for the
 	// stateless plain rule).
 	e.computeModel.SetParams(pulled)
-	sampler := data.NewSampler(c.shard, e.cfg.BatchSize, c.model)
+	if e.sampler == nil {
+		e.sampler = data.NewSampler(c.shard, e.cfg.BatchSize, c.model)
+	} else {
+		e.sampler.Reset(c.shard, c.model)
+	}
 	e.opt.ResetState()
 	e.opt.SetLR(e.cfg.LR)
 	for k := 0; k < e.cfg.Tau; k++ {
-		b := sampler.Next()
+		b := e.sampler.Next()
 		e.computeModel.LossGrad(b, e.deltaBuf)
 		e.opt.Step(e.computeModel.Params(), e.deltaBuf)
 	}
@@ -669,18 +669,15 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 	}
 	compute *= e.slow[i]
 
-	// Evict: the client's surviving state is the wire message.
+	// Evict: the client's surviving state is the wire message, encoded into
+	// recycled storage when any has come back.
 	tensor.Sub(e.deltaBuf, e.computeModel.Params(), e.global)
-	if e.comp != nil {
-		msg, err := e.comp.Compress(e.deltaBuf)
-		if err != nil {
-			panic(fmt.Sprintf("cluster: client %d compress: %v", i, err))
-		}
-		c.msg = msg
-	} else {
-		buf := e.denseBuf()
-		copy(buf, e.deltaBuf)
-		c.msg = compress.Message{Dim: e.dim, Enc: compress.EncDense, Dense: buf}
+	if k := len(e.freeMsgs); k > 0 {
+		c.msg = e.freeMsgs[k-1]
+		e.freeMsgs = e.freeMsgs[:k-1]
+	}
+	if err := e.comp.CompressInto(e.deltaBuf, &c.msg); err != nil {
+		panic(fmt.Sprintf("cluster: client %d compress: %v", i, err))
 	}
 	c.base = e.version
 	c.steps = e.cfg.Tau

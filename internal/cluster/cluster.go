@@ -410,8 +410,10 @@ type Engine struct {
 
 	// Communication state: every model exchange routes through com
 	// (internal/comm), and lastReport is the most recent round's transfer
-	// schedule, charged by roundTime. latHops/bytesFactor are the
-	// configured topology's schedule multipliers, fixed at construction.
+	// schedule, charged by roundTime in the same round (an all-reduce's
+	// Bytes are the communicator's scratch, rewritten by the next one — by
+	// which time lastReport has been replaced too). latHops/bytesFactor are
+	// the configured topology's schedule multipliers, fixed at construction.
 	com         comm.Communicator
 	lastReport  comm.Report
 	latHops     float64
@@ -420,11 +422,16 @@ type Engine struct {
 
 	// Compression state: comps[i] is worker i's compressor (owning its
 	// error-feedback residual and stochastic stream); nil when the legacy
-	// raw-vector path is active.
+	// raw-vector path is active. The engine owns every wire message:
+	// msgBuf[i] is worker i's all-reduce slot, recompressed into each round
+	// (on the raw path it only borrows the replica as a dense view), and
+	// wireMsg is the one slot gossip and elastic exchanges share — each
+	// message is decoded before the next worker compresses.
 	comps    []compress.Compressor
 	deltaBuf []float64
 	sumBuf   []float64
 	msgBuf   []compress.Message
+	wireMsg  compress.Message
 	avgBuf   []float64 // averaging / post-mix scratch, reused every round
 
 	// Strategy scratch, engine-owned and reused every sync per the PR-4
@@ -863,18 +870,30 @@ func (e *Engine) setCompressionBits(b int) {
 // width or scheduling; the averaging that follows always reduces in fixed
 // worker order.
 func (e *Engine) localUpdates(steps int, lr float64) {
-	par.ForEach(e.m, e.pool, func(i int) {
-		if e.fltActive != nil && !e.fltActive[i] {
-			return // down workers freeze: no steps, no sampler draws
+	if e.pool <= 1 {
+		// par.ForEach would run the same loop, but its fn parameter escapes
+		// into the pool's goroutines, so even the serial call pays for a
+		// heap closure every round.
+		for i := range e.workers {
+			e.workerSteps(i, steps, lr)
 		}
-		w := e.workers[i]
-		w.opt.SetLR(lr)
-		for k := 0; k < steps; k++ {
-			b := w.sampler.Next()
-			w.model.LossGrad(b, w.grad)
-			w.opt.Step(w.model.Params(), w.grad)
-		}
-	})
+		return
+	}
+	par.ForEach(e.m, e.pool, func(i int) { e.workerSteps(i, steps, lr) })
+}
+
+// workerSteps is one worker's share of localUpdates.
+func (e *Engine) workerSteps(i, steps int, lr float64) {
+	if e.fltActive != nil && !e.fltActive[i] {
+		return // down workers freeze: no steps, no sampler draws
+	}
+	w := e.workers[i]
+	w.opt.SetLR(lr)
+	for k := 0; k < steps; k++ {
+		b := w.sampler.Next()
+		w.model.LossGrad(b, w.grad)
+		w.opt.Step(w.model.Params(), w.grad)
+	}
 }
 
 // loadExt marshals worker i's parameters followed by its SyncAverage
@@ -1017,7 +1036,8 @@ func (e *Engine) compressedDeltaMean(avg []float64) {
 		if e.fltActive != nil && !e.fltActive[i] {
 			// Down workers contribute nothing and their compressor state
 			// (error-feedback residual, stochastic stream) freezes with them.
-			e.msgBuf[i] = compress.Message{}
+			// The slot keeps its last message, storage and all: the
+			// communicator skips inactive workers without reading it.
 			continue
 		}
 		if e.ext {
@@ -1025,11 +1045,9 @@ func (e *Engine) compressedDeltaMean(avg []float64) {
 		} else {
 			tensor.Sub(e.deltaBuf, w.model.Params(), e.global)
 		}
-		msg, err := e.comps[i].Compress(e.deltaBuf)
-		if err != nil {
+		if err := e.comps[i].CompressInto(e.deltaBuf, &e.msgBuf[i]); err != nil {
 			panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
 		}
-		e.msgBuf[i] = msg
 	}
 	rep, err := e.com.AllReduce(e.msgBuf, e.sumBuf)
 	if err != nil {

@@ -281,16 +281,15 @@ func (e *Engine) averageRingChoco() {
 			// vector, through the same compressor and wire narrowing.
 			params = e.loadExt(i)
 		}
-		var msg compress.Message
-		if g.lossless {
-			msg = compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: params}
-		} else {
+		// The lossless message is a borrowed view of the parameters; it must
+		// never reach wireMsg, whose arrays CompressInto overwrites.
+		msg := compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: params}
+		if !g.lossless {
 			tensor.Sub(e.deltaBuf, params, g.hat[i])
-			var err error
-			msg, err = e.comps[i].Compress(e.deltaBuf)
-			if err != nil {
+			if err := e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg); err != nil {
 				panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
 			}
+			msg = e.wireMsg
 		}
 		pay, err := e.com.PushMulti(i, gr.Neighbors(i), msg, g.rec)
 		if err != nil {
@@ -409,11 +408,10 @@ func (e *Engine) averageElastic() {
 		p := w.model.Params()
 		if e.comps != nil {
 			tensor.Sub(e.deltaBuf, p, e.global)
-			msg, err := e.comps[i].Compress(e.deltaBuf)
-			if err != nil {
+			if err := e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg); err != nil {
 				panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
 			}
-			pay, err := e.com.Push(i, msg, e.deltaBuf)
+			pay, err := e.com.Push(i, e.wireMsg, e.deltaBuf)
 			if err != nil {
 				panic(fmt.Sprintf("cluster: worker %d push: %v", i, err))
 			}

@@ -34,6 +34,10 @@ type Payload struct {
 // Report describes one collective round's transfer schedule: the wire bytes
 // each worker put on its link, and the largest single message (the legacy
 // "per-link payload" the homogeneous delay model charges).
+//
+// A Report returned by AllReduce borrows its Bytes from the communicator
+// and is valid until that communicator's next AllReduce — the arena rule the
+// nn layers follow. Price the round (or copy Bytes) before reducing again.
 type Report struct {
 	Bytes []int // per-worker wire bytes, indexed by worker
 	Max   int   // max over Bytes
@@ -65,8 +69,9 @@ type Report struct {
 type Communicator interface {
 	// AllReduce zeroes sum, accumulates every message's reconstruction into
 	// it in worker order (sparse index-merge), and returns the round's
-	// transfer Report. Inactive workers' messages are skipped: they add
-	// nothing and ship zero bytes (callers renormalize by ActiveCount).
+	// transfer Report, whose Bytes are communicator-owned scratch valid
+	// until the next AllReduce. Inactive workers' messages are skipped: they
+	// add nothing and ship zero bytes (callers renormalize by ActiveCount).
 	AllReduce(msgs []compress.Message, sum []float64) (Report, error)
 	// SetActive installs the active worker set for subsequent calls. nil
 	// restores the full membership (the legacy fixed-m view); otherwise
@@ -89,16 +94,17 @@ type Communicator interface {
 }
 
 // Simulated is the in-process Communicator used by the whole simulator.
-// Apart from its shape and the installed membership view it is stateless,
-// so one instance may serve any number of rounds; it owns no RNG and
-// therefore never perturbs the engines' random streams. The topology
-// itself only carries pricing multipliers (LatencyHops/BytesFactor),
-// which callers read at construction time.
+// Apart from its shape, the installed membership view and the scratch behind
+// the last AllReduce's Report it is stateless, so one instance may serve any
+// number of rounds; it owns no RNG and therefore never perturbs the engines'
+// random streams. The topology itself only carries pricing multipliers
+// (LatencyHops/BytesFactor), which callers read at construction time.
 type Simulated struct {
-	topo    Topology
-	m       int
-	active  []bool // nil = everyone (the legacy fixed-m view)
-	nActive int
+	topo     Topology
+	m        int
+	active   []bool // nil = everyone (the legacy fixed-m view)
+	nActive  int
+	repBytes []int // Report.Bytes of the most recent AllReduce
 }
 
 // New builds a communicator for m workers on the given topology.
@@ -106,7 +112,7 @@ func New(topo Topology, m int) *Simulated {
 	if m < 1 {
 		panic("comm: need at least one worker")
 	}
-	return &Simulated{topo: topo, m: m, nActive: m}
+	return &Simulated{topo: topo, m: m, nActive: m, repBytes: make([]int, m)}
 }
 
 // SetActive implements Communicator.
@@ -141,7 +147,8 @@ func (c *Simulated) isActive(i int) bool { return c.active == nil || c.active[i]
 // AllReduce implements Communicator. Messages are accumulated in worker
 // order; sparse messages merge by index in O(k) each. With an active set
 // installed, inactive workers' messages are skipped entirely (zero
-// contribution, zero bytes).
+// contribution, zero bytes). The returned Report's Bytes are overwritten by
+// the next call.
 func (c *Simulated) AllReduce(msgs []compress.Message, sum []float64) (Report, error) {
 	if len(msgs) != c.m {
 		return Report{}, fmt.Errorf("comm: %d messages for %d workers", len(msgs), c.m)
@@ -149,7 +156,8 @@ func (c *Simulated) AllReduce(msgs []compress.Message, sum []float64) (Report, e
 	for i := range sum {
 		sum[i] = 0
 	}
-	rep := Report{Bytes: make([]int, c.m)}
+	clear(c.repBytes)
+	rep := Report{Bytes: c.repBytes}
 	for i, msg := range msgs {
 		if !c.isActive(i) {
 			continue

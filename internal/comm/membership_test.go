@@ -54,6 +54,35 @@ func TestSetActiveSkipsInactiveContributions(t *testing.T) {
 	}
 }
 
+// TestAllReduceReportIsReusedScratch: the Report's Bytes are the
+// communicator's, rewritten (not accumulated) by the next AllReduce — a
+// worker that drops out reads zero even though the slot held its last
+// payload — and a round allocates nothing.
+func TestAllReduceReportIsReusedScratch(t *testing.T) {
+	const dim, m = 4, 3
+	c := New(AllGather, m)
+	msgs := []compress.Message{denseMsg(dim, 1), denseMsg(dim, 10), denseMsg(dim, 100)}
+	sum := make([]float64, dim)
+	first, err := c.AllReduce(msgs, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetActive([]bool{true, false, true})
+	second, err := c.AllReduce(msgs, sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &first.Bytes[0] != &second.Bytes[0] {
+		t.Fatal("AllReduce allocated a new Report.Bytes")
+	}
+	if second.Bytes[1] != 0 || second.Bytes[0] != 8*dim || second.Max != 8*dim {
+		t.Fatalf("second report %+v: stale bytes survived the reuse", second)
+	}
+	if n := testing.AllocsPerRun(10, func() { c.AllReduce(msgs, sum) }); n != 0 {
+		t.Fatalf("%v allocs per AllReduce, want 0", n)
+	}
+}
+
 func TestPushRejectsInactiveEndpoints(t *testing.T) {
 	const dim, m = 4, 3
 	c := New(AllGather, m)

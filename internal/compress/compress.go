@@ -80,6 +80,30 @@
 // reconstruction and no dim-wide subtract. The bits equal theirs as long as
 // a message's indices are distinct, which top-k and random-k guarantee. Dense and quantized messages keep the reconstruct-and-subtract
 // path.
+//
+// # Who owns a message
+//
+// A Message's backing arrays (Dense, Indices, Values, Levels) belong to
+// whoever holds the Message — never to the compressor that filled it and
+// never to the vector it was filled from. A compressor keeps no reference to
+// a message after CompressInto returns, a filled message shares no memory
+// with vec or with compressor scratch, and wrappers (float32 narrowing,
+// error feedback) hand the caller's *Message inward and touch its arrays
+// only during the call. The holder may therefore keep a message across any
+// number of later calls on the same compressor, mutate it, or pass it to
+// CompressInto again, which is how the engines run allocation-free:
+// CompressInto overwrites every field and reuses each array whose capacity
+// suffices, so one long-lived Message per wire slot serves every round.
+// Recycling is exact — a dirty message (another encoding, a larger k, stale
+// Wire/Norm/Bits) comes back bit-identical to a fresh one.
+//
+// Where the Message lives matters. CompressInto is an interface method, so
+// the compiler must assume the pointer escapes: the address of a local
+// Message moves that local to the heap on every call, one allocation per
+// message. Compress into a struct field or a slice element of storage that
+// is already on the heap (Engine.msgBuf[i], Server.pushMsg, a client's msg).
+// Compress(vec) is CompressInto on a zero Message, for callers that want a
+// fresh message and accept its allocations.
 package compress
 
 import (
@@ -104,8 +128,14 @@ const (
 )
 
 // Message is one compressed payload. Exactly one encoding's fields are
-// populated, according to Enc. Messages do not alias the compressor's
-// scratch buffers and stay valid across subsequent Compress calls.
+// populated, according to Enc; the other encodings' arrays have length zero.
+//
+// The backing arrays belong to the holder of the Message (see "Who owns a
+// message" in the package comment): they alias neither the compressor's
+// scratch nor the compressed vector, stay valid across later calls on the
+// same compressor, and are what CompressInto reuses when the Message is
+// handed back. Copying a Message copies the headers, not the arrays — two
+// copies share storage, so recycle only one of them.
 type Message struct {
 	Dim  int // uncompressed vector length
 	Enc  Encoding
@@ -199,8 +229,33 @@ func AddDecoded(msg Message, dst []float64) error {
 // Compressor maps a vector to a self-describing wire Message; Decode and
 // AddDecoded are the way back.
 type Compressor interface {
+	// CompressInto encodes vec into msg, overwriting every field and reusing
+	// msg's arrays where their capacity suffices. The result depends on vec
+	// and the compressor's state only, never on what msg held; msg keeps no
+	// reference to vec. After an error msg's contents are unspecified.
+	CompressInto(vec []float64, msg *Message) error
+	// Compress is CompressInto on a zero Message.
 	Compress(vec []float64) (Message, error)
 	Name() string
+}
+
+// reset starts a new encoding in m: scalar fields take their values for a
+// float64 wire and all four arrays are emptied with their capacity kept, so
+// the scheme that follows grows only the ones it fills.
+func (m *Message) reset(dim int, enc Encoding) {
+	*m = Message{
+		Dim: dim, Enc: enc,
+		Dense: m.Dense[:0], Indices: m.Indices[:0], Values: m.Values[:0], Levels: m.Levels[:0],
+	}
+}
+
+// grow returns s with length n, reallocating only when its capacity is
+// short. Contents are unspecified: every caller overwrites all n entries.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Adaptive is implemented by compressors whose aggressiveness can be retuned
@@ -277,9 +332,17 @@ func clampRatio(r float64) float64 {
 // Identity is the lossless dense compressor.
 type Identity struct{}
 
-// Compress copies the vector into a dense message.
-func (Identity) Compress(vec []float64) (Message, error) {
-	return Message{Dim: len(vec), Enc: EncDense, Dense: append([]float64(nil), vec...)}, nil
+// CompressInto copies the vector into a dense message.
+func (Identity) CompressInto(vec []float64, msg *Message) error {
+	msg.reset(len(vec), EncDense)
+	msg.Dense = append(msg.Dense, vec...)
+	return nil
+}
+
+// Compress implements Compressor.
+func (c Identity) Compress(vec []float64) (msg Message, err error) {
+	err = c.CompressInto(vec, &msg)
+	return msg, err
 }
 
 // Name implements Compressor.
@@ -324,10 +387,16 @@ func (t *topKCompressor) SetRatio(r float64) { t.ratio = clampRatio(r) }
 // Ratio implements Adaptive.
 func (t *topKCompressor) Ratio() float64 { return t.ratio }
 
-func (t *topKCompressor) Compress(vec []float64) (Message, error) {
+func (t *topKCompressor) Compress(vec []float64) (msg Message, err error) {
+	err = t.CompressInto(vec, &msg)
+	return msg, err
+}
+
+func (t *topKCompressor) CompressInto(vec []float64, msg *Message) error {
 	dim := len(vec)
+	msg.reset(dim, EncSparse)
 	if dim == 0 {
-		return Message{Enc: EncSparse}, nil
+		return nil
 	}
 	k := keepCount(t.ratio, dim)
 	if cap(t.keys) < dim {
@@ -338,8 +407,8 @@ func (t *topKCompressor) Compress(vec []float64) (Message, error) {
 	// Fewer than k magnitudes are strictly above the k-th largest, so the
 	// unconditional store at n stays inside the k-long buffers and the only
 	// data-dependent step is the cursor's 0/1 advance.
-	idx := make([]int32, k)
-	vals := make([]float64, k)
+	idx := grow(msg.Indices, k)
+	vals := grow(msg.Values, k)
 	n := 0
 	for i, v := range vec {
 		idx[n] = int32(i)
@@ -355,7 +424,8 @@ func (t *topKCompressor) Compress(vec []float64) (Message, error) {
 		vals[n] = v
 		n += int(((math.Float64bits(v)&absMask ^ thresh) - 1) >> 63)
 	}
-	return Message{Dim: dim, Enc: EncSparse, Indices: idx, Values: vals}, nil
+	msg.Indices, msg.Values = idx, vals
+	return nil
 }
 
 func scatterSparse(msg Message, dst []float64) error {
@@ -505,8 +575,14 @@ func (c *randKCompressor) SetRatio(r float64) { c.ratio = clampRatio(r) }
 // Ratio implements Adaptive.
 func (c *randKCompressor) Ratio() float64 { return c.ratio }
 
-func (c *randKCompressor) Compress(vec []float64) (Message, error) {
+func (c *randKCompressor) Compress(vec []float64) (msg Message, err error) {
+	err = c.CompressInto(vec, &msg)
+	return msg, err
+}
+
+func (c *randKCompressor) CompressInto(vec []float64, msg *Message) error {
 	dim := len(vec)
+	msg.reset(dim, EncSparse)
 	k := keepCount(c.ratio, dim)
 	if len(c.idxBuf) != dim {
 		c.idxBuf = make([]int32, dim)
@@ -521,13 +597,14 @@ func (c *randKCompressor) Compress(vec []float64) (Message, error) {
 		c.idxBuf[i], c.idxBuf[j] = c.idxBuf[j], c.idxBuf[i]
 	}
 	scale := float64(dim) / float64(k)
-	idx := make([]int32, k)
-	vals := make([]float64, k)
+	idx := grow(msg.Indices, k)
+	vals := grow(msg.Values, k)
 	copy(idx, c.idxBuf[:k])
 	for i, ix := range idx {
 		vals[i] = vec[ix] * scale
 	}
-	return Message{Dim: dim, Enc: EncSparse, Indices: idx, Values: vals}, nil
+	msg.Indices, msg.Values = idx, vals
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -580,16 +657,24 @@ func (q *qsgdCompressor) Bits() int { return q.bits }
 
 func (q *qsgdCompressor) levels() float64 { return float64(int(1)<<q.bits - 1) }
 
-func (q *qsgdCompressor) Compress(vec []float64) (Message, error) {
+func (q *qsgdCompressor) Compress(vec []float64) (msg Message, err error) {
+	err = q.CompressInto(vec, &msg)
+	return msg, err
+}
+
+func (q *qsgdCompressor) CompressInto(vec []float64, msg *Message) error {
 	dim := len(vec)
 	norm := 0.0
 	for _, v := range vec {
 		norm += v * v
 	}
 	norm = math.Sqrt(norm)
-	msg := Message{Dim: dim, Enc: EncQuant, Norm: norm, Bits: q.bits, Levels: make([]int16, dim)}
+	msg.reset(dim, EncQuant)
+	levels := grow(msg.Levels, dim)
+	msg.Norm, msg.Bits, msg.Levels = norm, q.bits, levels
 	if norm == 0 {
-		return msg, nil
+		clear(levels) // a recycled array holds the last message's
+		return nil
 	}
 	s := q.levels()
 	for i, v := range vec {
@@ -602,9 +687,9 @@ func (q *qsgdCompressor) Compress(vec []float64) (Message, error) {
 		if v < 0 {
 			lv = -lv
 		}
-		msg.Levels[i] = lv
+		levels[i] = lv
 	}
-	return msg, nil
+	return nil
 }
 
 func dequantize(msg Message, dst []float64) error {
@@ -682,8 +767,14 @@ func (e *ErrorFeedback) Bits() int {
 	return 0
 }
 
-// Compress compresses vec plus the carried residual and updates the residual
-// with what this round's message failed to represent.
+// Compress implements Compressor.
+func (e *ErrorFeedback) Compress(vec []float64) (msg Message, err error) {
+	err = e.CompressInto(vec, &msg)
+	return msg, err
+}
+
+// CompressInto compresses vec plus the carried residual into msg and updates
+// the residual with what this round's message failed to represent.
 //
 // A sparse message reconstructs to zero everywhere but its k kept
 // coordinates, and x - 0 == x for every x (NaN and -0 included), so the
@@ -691,7 +782,7 @@ func (e *ErrorFeedback) Bits() int {
 // corrected. That is bit-identical to subtracting the dense reconstruction
 // as long as the message's indices are distinct, which every sparsifier in
 // this package guarantees.
-func (e *ErrorFeedback) Compress(vec []float64) (Message, error) {
+func (e *ErrorFeedback) CompressInto(vec []float64, msg *Message) error {
 	dim := len(vec)
 	if len(e.resid) != dim {
 		e.resid = make([]float64, dim)
@@ -701,29 +792,28 @@ func (e *ErrorFeedback) Compress(vec []float64) (Message, error) {
 	for i, v := range vec {
 		buf[i] = v + resid[i]
 	}
-	msg, err := e.inner.Compress(buf)
-	if err != nil {
-		return Message{}, err
+	if err := e.inner.CompressInto(buf, msg); err != nil {
+		return err
 	}
 	if msg.Enc == EncSparse {
-		if err := checkDim(msg, buf); err != nil {
-			return Message{}, err
+		if err := checkDim(*msg, buf); err != nil {
+			return err
 		}
 		e.resid, e.buf = buf, resid
 		vals := msg.Values[:len(msg.Indices)]
 		for j, ix := range msg.Indices {
 			buf[ix] -= vals[j]
 		}
-		return msg, nil
+		return nil
 	}
 	if len(e.decBuf) != dim {
 		e.decBuf = make([]float64, dim)
 	}
-	if err := Decode(msg, e.decBuf); err != nil {
-		return Message{}, err
+	if err := Decode(*msg, e.decBuf); err != nil {
+		return err
 	}
 	for i := range e.resid {
 		e.resid[i] = e.buf[i] - e.decBuf[i]
 	}
-	return msg, nil
+	return nil
 }

@@ -67,12 +67,19 @@ type wireNarrow struct {
 // Name implements Compressor.
 func (w wireNarrow) Name() string { return w.inner.Name() + "+f32" }
 
-// Compress narrows the inner compressor's message values in place (messages
-// never alias compressor scratch, so this mutates only the fresh payload).
-func (w wireNarrow) Compress(vec []float64) (Message, error) {
-	msg, err := w.inner.Compress(vec)
-	if err != nil {
-		return Message{}, err
+// Compress implements Compressor.
+func (w wireNarrow) Compress(vec []float64) (msg Message, err error) {
+	err = w.CompressInto(vec, &msg)
+	return msg, err
+}
+
+// CompressInto has the inner compressor fill msg and narrows the values in
+// place: msg's arrays are the caller's, aliasing neither vec nor any
+// compressor's scratch, so the rounding touches only the payload just
+// written.
+func (w wireNarrow) CompressInto(vec []float64, msg *Message) error {
+	if err := w.inner.CompressInto(vec, msg); err != nil {
+		return err
 	}
 	msg.Wire = WireFloat32
 	for i, v := range msg.Dense {
@@ -82,7 +89,7 @@ func (w wireNarrow) Compress(vec []float64) (Message, error) {
 		msg.Values[i] = Narrow32(v)
 	}
 	msg.Norm = Narrow32(msg.Norm)
-	return msg, nil
+	return nil
 }
 
 // SetRatio implements Adaptive when the inner compressor does.

@@ -177,16 +177,46 @@ func NewSampler(ds *Dataset, batchSize int, r *rng.Rand) *Sampler {
 	if batchSize < 1 {
 		panic("data: batch size must be >= 1")
 	}
-	if ds.N() == 0 {
-		panic("data: cannot sample from empty dataset")
-	}
-	s := &Sampler{ds: ds, batchSize: batchSize, r: r}
-	s.reshuffle()
+	s := &Sampler{batchSize: batchSize}
+	s.Reset(ds, r)
 	return s
 }
 
+// Reset points the sampler at another dataset and stream, at the start of
+// epoch 0, keeping its batch size: it draws from r exactly what
+// NewSampler(ds, batchSize, r) would and yields the same batches after. The
+// permutation and batch buffers are reused where they are large enough, so a
+// caller that activates many short-lived clients (the async engine's
+// dispatch) resets one sampler instead of building one per client. Like a
+// call to Next, Reset invalidates the Batch Next returned before it.
+func (s *Sampler) Reset(ds *Dataset, r *rng.Rand) {
+	if ds.N() == 0 {
+		panic("data: cannot sample from empty dataset")
+	}
+	s.ds, s.r, s.epoch = ds, r, 0
+	// Next fills only the target slice the dataset has; drop the other so a
+	// batch never carries the previous dataset's.
+	if ds.Y == nil {
+		s.batch.Y = nil
+	}
+	if ds.T == nil {
+		s.batch.T = nil
+	}
+	s.reshuffle()
+}
+
+// reshuffle draws the next epoch's permutation in place: identity order,
+// then Fisher-Yates — the draws of rng.Perm without its allocation.
 func (s *Sampler) reshuffle() {
-	s.perm = s.r.Perm(s.ds.N())
+	n := s.ds.N()
+	if cap(s.perm) < n {
+		s.perm = make([]int, n)
+	}
+	s.perm = s.perm[:n]
+	for i := range s.perm {
+		s.perm[i] = i
+	}
+	s.r.ShuffleInts(s.perm)
 	s.pos = 0
 }
 
@@ -197,9 +227,9 @@ func (s *Sampler) Epoch() int { return s.epoch }
 // boundaries. The final partial batch of an epoch is emitted as-is.
 //
 // The returned Batch shares the sampler's internal buffers and is valid
-// only until the next call to Next — the training hot path consumes each
-// batch immediately, so reusing the storage keeps per-step allocations at
-// zero. Callers that retain a batch must copy it.
+// only until the next call to Next or Reset — the training hot path
+// consumes each batch immediately, so reusing the storage keeps per-step
+// allocations at zero. Callers that retain a batch must copy it.
 func (s *Sampler) Next() Batch {
 	if s.pos >= len(s.perm) {
 		s.epoch++

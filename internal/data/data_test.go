@@ -280,6 +280,67 @@ func TestSamplerDeterministic(t *testing.T) {
 	}
 }
 
+// TestSamplerResetMatchesNewSampler walks one sampler over datasets of
+// different sizes, widths and target kinds (mid-epoch, after a wrap, onto a
+// larger one) and holds every batch, the epoch counter and the stream's
+// position to a sampler built fresh for each — the async dispatch resets
+// one sampler where it used to build one per client.
+func TestSamplerResetMatchesNewSampler(t *testing.T) {
+	reg, _, _ := LinearRegressionData(LinearRegressionConfig{Dim: 3, N: 23, Noise: 0.1}, rng.New(2))
+	sets := []*Dataset{blobs(t, 40), blobs(t, 7), reg, blobs(t, 90), reg}
+	var reused *Sampler
+	for i, ds := range sets {
+		seed := uint64(20 + i)
+		rFresh, rReused := rng.New(seed), rng.New(seed)
+		fresh := NewSampler(ds, 6, rFresh)
+		if reused == nil {
+			reused = NewSampler(ds, 6, rReused)
+		} else {
+			reused.Reset(ds, rReused)
+		}
+		for k := 0; k < 2+3*i; k++ { // stops mid-epoch on some sets, past a wrap on others
+			want, got := fresh.Next(), reused.Next()
+			if got.X.Rows != want.X.Rows || got.X.Cols != want.X.Cols || len(got.Y) != len(want.Y) || len(got.T) != len(want.T) {
+				t.Fatalf("set %d batch %d: shape %dx%d/%d/%d, want %dx%d/%d/%d", i, k,
+					got.X.Rows, got.X.Cols, len(got.Y), len(got.T), want.X.Rows, want.X.Cols, len(want.Y), len(want.T))
+			}
+			for j := range want.X.Data {
+				if got.X.Data[j] != want.X.Data[j] {
+					t.Fatalf("set %d batch %d: inputs differ at %d", i, k, j)
+				}
+			}
+			for j := range want.Y {
+				if got.Y[j] != want.Y[j] {
+					t.Fatalf("set %d batch %d: labels differ at %d", i, k, j)
+				}
+			}
+			for j := range want.T {
+				if got.T[j] != want.T[j] {
+					t.Fatalf("set %d batch %d: targets differ at %d", i, k, j)
+				}
+			}
+			if reused.Epoch() != fresh.Epoch() {
+				t.Fatalf("set %d batch %d: epoch %d, want %d", i, k, reused.Epoch(), fresh.Epoch())
+			}
+		}
+		if rReused.Uint64() != rFresh.Uint64() {
+			t.Fatalf("set %d: Reset drew differently from NewSampler", i)
+		}
+	}
+	// Once its buffers have seen the largest dataset, resetting and sampling
+	// allocate nothing.
+	big, r := sets[3], rng.New(1)
+	reused.Reset(big, r)
+	if n := testing.AllocsPerRun(10, func() {
+		reused.Reset(big, r)
+		for k := 0; k < 20; k++ { // crosses an epoch: the reshuffle is in place
+			reused.Next()
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocs per reset + 20 batches, want 0", n)
+	}
+}
+
 func TestFullBatch(t *testing.T) {
 	ds := blobs(t, 20)
 	b := FullBatch(ds)

@@ -248,11 +248,13 @@ type Server struct {
 	clock   float64
 
 	// queue holds one Arrival per in-flight worker (its gradient's
-	// completion time); gradSum accumulates a round's arrivals in pop order
-	// and redispatch lists the workers to restart after the update.
-	queue      *events.Queue
-	gradSum    []float64
-	redispatch []int
+	// completion time); gradSum accumulates a round's arrivals in pop order,
+	// redispatch lists the workers to restart after the update, and
+	// staleSamples is the current Run's per-arrival staleness (K-async).
+	queue        *events.Queue
+	gradSum      []float64
+	redispatch   []int
+	staleSamples []float64
 
 	evalModel *nn.Network
 	evalBatch data.Batch
@@ -264,17 +266,24 @@ type Server struct {
 	// gradient compressor (nil slice when disabled); pushBytes is the
 	// per-exchange uplink payload (compressed sizes are data-independent,
 	// so the scheduler can price an exchange before the gradient exists).
+	// pushMsg is the one uplink wire slot every worker compresses into: a
+	// message is decoded into decBuf before the next arrival is computed.
 	com       comm.Communicator
 	comps     []compress.Compressor
+	pushMsg   compress.Message
 	decBuf    []float64
 	pushBytes int
 	linkTimes []float64 // per-worker transfer time of the latest dispatch
 
 	// Pull state (PullCompress enabled): pullComps[i] compresses the model
-	// delta the server sends worker i, lastPulled[i] is the reconstruction
-	// both sides agreed on at i's previous pull, and lastPullBytes is the
-	// most recent pull's downlink payload.
+	// delta the server sends worker i and lastPullBytes is the most recent
+	// pull's downlink payload. A lossy pull also keeps lastPulled[i], the
+	// reconstruction both sides agreed on at i's previous pull, and the
+	// downlink wire slot pullMsg (decoded into pullBuf within the dispatch
+	// that fills it); a lossless one (lastPulled == nil) delivers the model
+	// itself and needs none of it.
 	pullComps     []compress.Compressor
+	pullMsg       compress.Message
 	lastPulled    [][]float64
 	pullDelta     []float64
 	pullBuf       []float64
@@ -357,17 +366,21 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	// stream.
 	if cfg.PullCompress.Enabled() {
 		s.pullComps = make([]compress.Compressor, s.m)
-		s.lastPulled = make([][]float64, s.m)
 		for i := range s.pullComps {
 			c, err := cfg.PullCompress.New(root.Split())
 			if err != nil {
 				return nil, err
 			}
 			s.pullComps[i] = c
-			s.lastPulled[i] = append([]float64(nil), s.params...)
 		}
-		s.pullDelta = make([]float64, dim)
-		s.pullBuf = make([]float64, dim)
+		if !cfg.PullCompress.Lossless() {
+			s.lastPulled = make([][]float64, s.m)
+			for i := range s.lastPulled {
+				s.lastPulled[i] = append([]float64(nil), s.params...)
+			}
+			s.pullDelta = make([]float64, dim)
+			s.pullBuf = make([]float64, dim)
+		}
 	}
 	// Fault state last; it consumes no RNG, so attaching a schedule cannot
 	// shift any existing stream.
@@ -418,32 +431,31 @@ func (s *Server) dispatch(i int) {
 	w := s.workers[i]
 	pullBytes := 0
 	if s.pullComps != nil {
-		// The server ships x - lastPulled[i]; both sides advance their
-		// shared reconstruction, so anything this pull's compressor drops
-		// is automatically part of the next pull's delta.
-		tensor.Sub(s.pullDelta, s.params, s.lastPulled[i])
-		msg, err := s.pullComps[i].Compress(s.pullDelta)
-		if err != nil {
-			panic(fmt.Sprintf("paramserver: worker %d pull compress: %v", i, err))
+		// A full-precision dense pull is lossless: the worker takes the
+		// server model exactly — not lp + (x - lp), which need not
+		// round-trip in floating point — and the message, dim float64s
+		// whatever it held, is priced without being built. That is the
+		// identity pull's "priced but exact" guarantee.
+		pulled := s.params
+		pullBytes = s.cfg.PullCompress.WireBytes(len(s.params))
+		if s.lastPulled != nil {
+			// The server ships x - lastPulled[i]; both sides advance their
+			// shared reconstruction by what the wire delivered, so anything
+			// this pull's compressor drops (a float32 wire's rounding
+			// included) is automatically part of the next pull's delta.
+			pulled = s.lastPulled[i]
+			tensor.Sub(s.pullDelta, s.params, pulled)
+			if err := s.pullComps[i].CompressInto(s.pullDelta, &s.pullMsg); err != nil {
+				panic(fmt.Sprintf("paramserver: worker %d pull compress: %v", i, err))
+			}
+			if err := compress.Decode(s.pullMsg, s.pullBuf); err != nil {
+				panic(fmt.Sprintf("paramserver: worker %d pull decode: %v", i, err))
+			}
+			tensor.Axpy(1, s.pullBuf, pulled)
+			pullBytes = s.pullMsg.Bytes()
 		}
-		if err := compress.Decode(msg, s.pullBuf); err != nil {
-			panic(fmt.Sprintf("paramserver: worker %d pull decode: %v", i, err))
-		}
-		lp := s.lastPulled[i]
-		if msg.Enc == compress.EncDense && msg.Wire == compress.WireFloat64 {
-			// A full-precision dense delta is lossless, so both sides can
-			// snap to the server model exactly instead of trusting
-			// lp + (x - lp) to round-trip in floating point — this is what
-			// makes the identity pull's "priced but exact" guarantee
-			// literal. A float32 wire is lossy, so it accumulates the
-			// narrowed delta like the sparsifying kinds (the next pull's
-			// delta carries whatever this one's rounding dropped).
-			copy(lp, s.params)
-		} else {
-			tensor.Axpy(1, s.pullBuf, lp)
-		}
-		w.model.SetParams(lp)
-		pullBytes = s.com.Pull(i, msg.Bytes()).DownBytes
+		w.model.SetParams(pulled)
+		pullBytes = s.com.Pull(i, pullBytes).DownBytes
 		s.lastPullBytes = pullBytes
 	} else {
 		w.model.SetParams(s.params)
@@ -519,11 +531,10 @@ func (s *Server) computeGradient(i int) []float64 {
 	if s.comps == nil {
 		return w.grad
 	}
-	msg, err := s.comps[i].Compress(w.grad)
-	if err != nil {
+	if err := s.comps[i].CompressInto(w.grad, &s.pushMsg); err != nil {
 		panic(fmt.Sprintf("paramserver: worker %d compress: %v", i, err))
 	}
-	if _, err := s.com.Push(i, msg, s.decBuf); err != nil {
+	if _, err := s.com.Push(i, s.pushMsg, s.decBuf); err != nil {
 		panic(fmt.Sprintf("paramserver: worker %d push: %v", i, err))
 	}
 	return s.decBuf // valid until the next arrival; the caller sums it at once
@@ -558,6 +569,81 @@ func (s *Server) cancelInflight() {
 	clear(s.inflight)
 }
 
+// update performs one server update: ask the controller for (K, lr), collect
+// the next K arrivals, apply their mean gradient and restart the workers the
+// mode restarts. It reports ok == false, changing nothing but the clock and
+// the in-flight bookkeeping, when no surviving worker could contribute.
+// Steady state allocates nothing (K-async appends one staleness sample per
+// arrival to staleSamples).
+func (s *Server) update(ctrl Controller, evalLoss func() float64) (k int, lr float64, ok bool) {
+	async := s.cfg.Mode == KAsync
+	k, lr = ctrl.Next(RoundInfo{
+		Time: s.clock, Version: s.version,
+		LinkTimes: s.linkTimes, GradNorm: s.lastGradNorm,
+	}, evalLoss)
+	if bc, ok := ctrl.(BitsController); ok {
+		s.setCompressionBits(bc.QuantBits())
+	}
+	if k < 1 {
+		k = 1
+	}
+	if k > s.m {
+		k = s.m
+	}
+
+	// Collect the next K arrivals, summing their gradients in pop order.
+	// K-sync workers all computed at the current version; K-async
+	// arrivals carry whatever version they were dispatched at. Under
+	// faults an arrival from a worker that went down mid-compute is
+	// discarded (gradient lost, worker stays parked), so K is
+	// effectively clamped to the surviving queue. The K-async server
+	// waited for a discarded arrival and its clock says so; the K-sync
+	// clock is the last contributing arrival's time.
+	clear(s.gradSum)
+	s.redispatch = s.redispatch[:0]
+	for len(s.redispatch) < k {
+		ev, ok := s.queue.Pop()
+		if !ok {
+			break
+		}
+		down := false
+		if s.fltDown != nil {
+			s.inflight[ev.Worker] = false
+			down = s.fltDown[ev.Worker]
+		}
+		if async || !down {
+			s.clock = ev.Time
+		}
+		if down {
+			continue
+		}
+		tensor.Axpy(1, s.computeGradient(ev.Worker), s.gradSum)
+		if async {
+			s.staleSamples = append(s.staleSamples, float64(s.version-s.workers[ev.Worker].version))
+		}
+		s.redispatch = append(s.redispatch, ev.Worker)
+	}
+	if len(s.redispatch) == 0 {
+		return k, lr, false
+	}
+	s.applyUpdate(len(s.redispatch), lr)
+	// K-async restarts the workers that just arrived. K-sync cancels the
+	// stragglers and restarts every survivor at the new model.
+	if !async {
+		s.cancelInflight()
+		s.redispatch = s.redispatch[:0]
+		for i := range s.workers {
+			if s.fltDown == nil || !s.fltDown[i] {
+				s.redispatch = append(s.redispatch, i)
+			}
+		}
+	}
+	for _, i := range s.redispatch {
+		s.dispatch(i)
+	}
+	return k, lr, true
+}
+
 // Run executes the configured protocol under the controller and returns the
 // loss-vs-time trace plus staleness statistics (K-async only; K-sync
 // staleness is identically zero). A Server is single-run, like
@@ -575,17 +661,9 @@ func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Sum
 	}
 	record(0, 0)
 
-	var staleSamples []float64
+	s.staleSamples = s.staleSamples[:0]
 	nextEval := s.cfg.EvalEvery
-	async := s.cfg.Mode == KAsync
-
-	s.cancelInflight()
-	for i := range s.workers {
-		if s.fltDown != nil && s.cfg.Faults.Down(i, 0) {
-			continue // down at start: parked until recovery
-		}
-		s.dispatch(i)
-	}
+	s.start()
 
 	for {
 		if s.cfg.MaxUpdates > 0 && s.version >= s.cfg.MaxUpdates {
@@ -608,71 +686,10 @@ func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Sum
 				break // every worker is down: terminate cleanly
 			}
 		}
-		k, lr := ctrl.Next(RoundInfo{
-			Time: s.clock, Version: s.version,
-			LinkTimes: s.linkTimes, GradNorm: s.lastGradNorm,
-		}, evalLoss)
-		if bc, ok := ctrl.(BitsController); ok {
-			s.setCompressionBits(bc.QuantBits())
-		}
-		if k < 1 {
-			k = 1
-		}
-		if k > s.m {
-			k = s.m
-		}
-
-		// Collect the next K arrivals, summing their gradients in pop order.
-		// K-sync workers all computed at the current version; K-async
-		// arrivals carry whatever version they were dispatched at. Under
-		// faults an arrival from a worker that went down mid-compute is
-		// discarded (gradient lost, worker stays parked), so K is
-		// effectively clamped to the surviving queue. The K-async server
-		// waited for a discarded arrival and its clock says so; the K-sync
-		// clock is the last contributing arrival's time.
-		clear(s.gradSum)
-		s.redispatch = s.redispatch[:0]
-		for len(s.redispatch) < k {
-			ev, ok := s.queue.Pop()
-			if !ok {
-				break
-			}
-			down := false
-			if s.fltDown != nil {
-				s.inflight[ev.Worker] = false
-				down = s.fltDown[ev.Worker]
-			}
-			if async || !down {
-				s.clock = ev.Time
-			}
-			if down {
-				continue
-			}
-			tensor.Axpy(1, s.computeGradient(ev.Worker), s.gradSum)
-			if async {
-				staleSamples = append(staleSamples, float64(s.version-s.workers[ev.Worker].version))
-			}
-			s.redispatch = append(s.redispatch, ev.Worker)
-		}
-		if len(s.redispatch) == 0 {
+		k, lr, ok := s.update(ctrl, evalLoss)
+		if !ok {
 			break // no survivor can contribute; Run returns cleanly
 		}
-		s.applyUpdate(len(s.redispatch), lr)
-		// K-async restarts the workers that just arrived. K-sync cancels the
-		// stragglers and restarts every survivor at the new model.
-		if !async {
-			s.cancelInflight()
-			s.redispatch = s.redispatch[:0]
-			for i := range s.workers {
-				if s.fltDown == nil || !s.fltDown[i] {
-					s.redispatch = append(s.redispatch, i)
-				}
-			}
-		}
-		for _, i := range s.redispatch {
-			s.dispatch(i)
-		}
-
 		if s.version >= nextEval {
 			record(k, lr)
 			for nextEval <= s.version {
@@ -682,10 +699,22 @@ func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Sum
 	}
 	record(0, 0)
 
-	if len(staleSamples) == 0 {
-		staleSamples = []float64{0}
+	if len(s.staleSamples) == 0 {
+		return trace, rng.Summarize([]float64{0})
 	}
-	return trace, rng.Summarize(staleSamples)
+	return trace, rng.Summarize(s.staleSamples)
+}
+
+// start drops whatever a previous Run left in flight and dispatches every
+// worker that is up at version 0 of the fault schedule.
+func (s *Server) start() {
+	s.cancelInflight()
+	for i := range s.workers {
+		if s.fltDown != nil && s.cfg.Faults.Down(i, 0) {
+			continue // down at start: parked until recovery
+		}
+		s.dispatch(i)
+	}
 }
 
 // ExpectedKSyncUpdateTime returns the analytic expected update time of
