@@ -26,7 +26,9 @@ import (
 // error feedback, gated exactly by check 2); the CompressInto rows recycle
 // one and are gated on that alone (0 allocs/op) — their arithmetic is the
 // TopK rows'. AsyncDispatchParked is an engine run, pinned because its wall
-// is the dispatch walk and nothing a pool or host load schedules.
+// is the dispatch walk and nothing a pool or host load schedules. The EvalLoss
+// rows are gated on allocs/op alone: what they time is how an evaluation's
+// buffers sit in the cache after a training interval, a property of the host.
 var pinnedKernels = []string{
 	"Gemm64",
 	"Gemm256/naive",

@@ -84,6 +84,18 @@ type Record struct {
 	Benchmarks map[string]Result `json:"benchmarks"`
 }
 
+// excluded is the time the benchmark in progress spent inside untimed.
+var excluded time.Duration
+
+// untimed runs f as part of a benchmark's op but outside its ns/op: work
+// that must precede each timed call for the call to cost what it costs in a
+// run (its heap traffic is still counted).
+func untimed(f func()) {
+	start := time.Now()
+	f()
+	excluded += time.Since(start)
+}
+
 // measure times n calls of the closure produced by setup, after one untimed
 // warmup call, and reports per-op wall clock and heap traffic.
 func measure(n int, setup func() func()) Result {
@@ -92,11 +104,12 @@ func measure(n int, setup func() func()) Result {
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
+	excluded = 0
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		step()
 	}
-	dur := time.Since(start)
+	dur := time.Since(start) - excluded
 	runtime.ReadMemStats(&m1)
 	return Result{
 		NsPerOp:     float64(dur.Nanoseconds()) / float64(n),
@@ -171,15 +184,43 @@ func convSetup(backward bool) func() {
 	return func() { c.Backward(params, dOut, dParams) }
 }
 
-func lossGradSetup(net *nn.Network, classes int) func() {
-	r := rng.New(32)
-	net.InitParams(r.Split())
-	batch := data.Batch{X: zeroLaden(r, tensor.NewMatrix(16, net.InDim()), 0), Y: make([]int, 16)}
+func classBatch(r *rng.Rand, rows, dim, classes int) data.Batch {
+	batch := data.Batch{X: zeroLaden(r, tensor.NewMatrix(rows, dim), 0), Y: make([]int, rows)}
 	for i := range batch.Y {
 		batch.Y[i] = r.Intn(classes)
 	}
+	return batch
+}
+
+func lossGradSetup(net *nn.Network, classes int) func() {
+	r := rng.New(32)
+	net.InitParams(r.Split())
+	batch := classBatch(r, 16, net.InDim(), classes)
 	grad := make([]float64, net.ParamLen())
 	return func() { net.LossGrad(batch, grad) }
+}
+
+// evalLossSetup times one loss evaluation at the conv workloads' shape (the
+// whole 384-example quick-scale training set) the way a run meets it: after
+// the 20 local steps of an evaluation interval, which run untimed on a
+// sibling clone before every timed call. A hot loop over the evaluation
+// alone keeps its buffers cached from one call to the next, which no run
+// does — it read the whole-batch evaluation this row replaced at the price
+// of the chunked one.
+func evalLossSetup(net *nn.Network, classes int) func() {
+	r := rng.New(34)
+	net.InitParams(r.Split())
+	trainer := net.Clone()
+	evalBatch, trainBatch := classBatch(r, 384, net.InDim(), classes), classBatch(r, 16, net.InDim(), classes)
+	grad := make([]float64, net.ParamLen())
+	return func() {
+		untimed(func() {
+			for i := 0; i < 20; i++ {
+				trainer.LossGrad(trainBatch, grad)
+			}
+		})
+		net.Loss(evalBatch)
+	}
 }
 
 // gemmZeroLadenSetup is the per-sample dPatches product of that conv layer
@@ -501,6 +542,7 @@ func main() {
 	}
 
 	shape := data.ImageShape{Channels: 3, Height: 8, Width: 8}
+	gray := data.ImageShape{Channels: 1, Height: 8, Width: 8} // the conv workloads' quick-scale input
 	benches := []struct {
 		name string
 		n    int // 0 = the -n default
@@ -516,9 +558,9 @@ func main() {
 		{"Gemm16x16x72/zero-laden", 20000, gemmZeroLadenSetup},
 		{"ConvFwd/vgg2", 2000, func() func() { return convSetup(false) }},
 		{"ConvBwd/vgg2", 2000, func() func() { return convSetup(true) }},
-		{"LossGrad/VGGNano-b16", 500, func() func() {
-			return lossGradSetup(nn.NewVGGNano(data.ImageShape{Channels: 1, Height: 8, Width: 8}, 10), 10)
-		}},
+		{"LossGrad/VGGNano-b16", 500, func() func() { return lossGradSetup(nn.NewVGGNano(gray, 10), 10) }},
+		{"EvalLoss/VGGNano-384", 200, func() func() { return evalLossSetup(nn.NewVGGNano(gray, 10), 10) }},
+		{"EvalLoss/ResNetNano-384", 50, func() func() { return evalLossSetup(nn.NewResNetNano(gray, 10), 10) }},
 		{"StepVGGNano", 0, func() func() { return stepSetup(nn.NewVGGNano(shape, 4), shape.Len()) }},
 		{"StepResNetNano", 0, func() func() { return stepSetup(nn.NewResNetNano(shape, 4), shape.Len()) }},
 		{"AdamStep/64k", 0, func() func() { return adamStepSetup(1 << 16) }},

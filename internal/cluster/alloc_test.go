@@ -53,6 +53,25 @@ func TestLockStepRoundSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestEvaluationSteadyStateAllocFree: a trace point — the training loss and
+// the test accuracy of the global model, 800 and 200 rows through nn's
+// chunked forward-only pass — allocates nothing after the first, on either
+// engine.
+func TestEvaluationSteadyStateAllocFree(t *testing.T) {
+	cfg := baseCfg()
+	cfg.ComputeWorkers = 1
+	lock := newSetup(t, 4, 1).engine(t, cfg)
+	async := startedAsync(t, baseAsyncCfg())
+	for name, eval := range map[string]func(){
+		"Engine":      func() { lock.TrainLoss(); lock.TestAccuracy() },
+		"AsyncEngine": func() { async.TrainLoss(); async.TestAccuracy() },
+	} {
+		if n := testing.AllocsPerRun(20, eval); n != 0 { // its own first call warms up
+			t.Errorf("%s: %v allocs per TrainLoss + TestAccuracy, want 0", name, n)
+		}
+	}
+}
+
 // asyncEvent processes the next queued event the way Run does, minus the
 // trace: a dispatch, or an arrival that may complete a round and refill the
 // in-flight set.

@@ -11,10 +11,17 @@ import (
 // all parameters. Used by the test suite to certify every layer's backward
 // pass — the reproduction depends on exact gradients, since AdaComm's
 // update rule consumes the true training loss.
+//
+// The differences are taken with Loss, the forward-only evaluation pass, and
+// the analytic gradient with the training forward, so the check first holds
+// the two to each other: at the unperturbed parameters they must report the
+// same loss bit for bit, or the result is +Inf, which no tolerance passes.
 func GradCheck(n *Network, b data.Batch, eps float64) float64 {
 	params := n.Params()
 	analytic := make([]float64, n.ParamLen())
-	n.LossGrad(b, analytic)
+	if trained := n.LossGrad(b, analytic); math.Float64bits(n.Loss(b)) != math.Float64bits(trained) {
+		return math.Inf(1)
+	}
 
 	worst := 0.0
 	for i := range params {

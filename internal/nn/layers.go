@@ -15,6 +15,15 @@ import (
 // simulated worker clones the network, so arenas never race. Returned
 // matrices are valid until the layer's next Forward/Backward call; callers
 // that need to retain results must copy them.
+//
+// Two passes, two sets of buffers. Forward is the TRAINING forward: it keeps
+// what Backward reads (Dense its input, ReLU/Tanh their output, Conv2D every
+// sample's lowered patches, MaxPool2x2 every winner's index) in buffers sized
+// by the batch. forwardOnly is the evaluation pass behind Network.Loss and
+// Network.Accuracy: the same arithmetic into evalBuf, a buffer of its own, and
+// nothing kept — it reads and writes no field the training pass owns, so an
+// evaluation between a Forward and its Backward changes no gradient, and a
+// network that only evaluates never allocates a backward-sized buffer.
 
 // ensureMat returns a rows x cols matrix backed by *m's storage when its
 // capacity allows, growing it otherwise. Contents are stale: callers must
@@ -36,7 +45,7 @@ type Dense struct {
 	in, out int
 	lastIn  *tensor.Matrix // forward cache
 
-	outBuf, dInBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
 }
 
 // NewDense creates a Dense layer mapping in -> out features.
@@ -75,9 +84,18 @@ func (d *Dense) weights(params []float64) *tensor.Matrix {
 // Forward implements Layer.
 func (d *Dense) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	d.lastIn = in
+	return d.affine(params, in, &d.outBuf)
+}
+
+func (d *Dense) forwardOnly(params []float64, in *tensor.Matrix) *tensor.Matrix {
+	return d.affine(params, in, &d.evalBuf)
+}
+
+// affine writes in*W^T + b into *buf.
+func (d *Dense) affine(params []float64, in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
 	w := d.weights(params)
 	bias := params[d.out*d.in:]
-	out := ensureMat(&d.outBuf, in.Rows, d.out)
+	out := ensureMat(buf, in.Rows, d.out)
 	tensor.GemmTB(1, in, w, 0, out) // out = in * W^T (beta=0 overwrites)
 	for i := 0; i < out.Rows; i++ {
 		tensor.Axpy(1, bias, out.Row(i))
@@ -87,7 +105,15 @@ func (d *Dense) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 
 // Backward implements Layer.
 func (d *Dense) Backward(params []float64, dOut *tensor.Matrix, dParams []float64) *tensor.Matrix {
-	w := d.weights(params)
+	return d.backward(params, dOut, dParams, true)
+}
+
+func (d *Dense) backwardParams(params []float64, dOut *tensor.Matrix, dParams []float64) {
+	d.backward(params, dOut, dParams, false)
+}
+
+// backward accumulates dW and dB, and computes dIn only when asked to.
+func (d *Dense) backward(params []float64, dOut *tensor.Matrix, dParams []float64, wantDIn bool) *tensor.Matrix {
 	dW := &tensor.Matrix{Rows: d.out, Cols: d.in, Data: dParams[:d.out*d.in]}
 	dB := dParams[d.out*d.in:]
 	// dW += dOut^T * in ; dB += column sums of dOut ; dIn = dOut * W.
@@ -95,8 +121,11 @@ func (d *Dense) Backward(params []float64, dOut *tensor.Matrix, dParams []float6
 	for i := 0; i < dOut.Rows; i++ {
 		tensor.Axpy(1, dOut.Row(i), dB)
 	}
+	if !wantDIn {
+		return nil
+	}
 	dIn := ensureMat(&d.dInBuf, dOut.Rows, d.in)
-	tensor.Gemm(1, dOut, w, 0, dIn) // beta=0 overwrites
+	tensor.Gemm(1, dOut, d.weights(params), 0, dIn) // beta=0 overwrites
 	return dIn
 }
 
@@ -108,7 +137,7 @@ type ReLU struct {
 	dim     int
 	lastOut *tensor.Matrix
 
-	outBuf, dInBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
 }
 
 // NewReLU creates a ReLU over vectors of the given length.
@@ -142,13 +171,21 @@ func reluKeep(b uint64) uint64 {
 // is NaN (sign and payload kept) — a diverged activation stays visible
 // instead of turning into a finite zero.
 func (l *ReLU) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
-	out := ensureMat(&l.outBuf, in.Rows, in.Cols)
+	l.lastOut = l.clamp(in, &l.outBuf)
+	return l.lastOut
+}
+
+func (l *ReLU) forwardOnly(_ []float64, in *tensor.Matrix) *tensor.Matrix {
+	return l.clamp(in, &l.evalBuf)
+}
+
+func (l *ReLU) clamp(in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
+	out := ensureMat(buf, in.Rows, in.Cols)
 	dst := out.Data[:len(in.Data)]
 	for i, v := range in.Data {
 		b := math.Float64bits(v)
 		dst[i] = math.Float64frombits(b & reluKeep(b))
 	}
-	l.lastOut = out
 	return out
 }
 
@@ -173,7 +210,7 @@ type Tanh struct {
 	dim     int
 	lastOut *tensor.Matrix
 
-	outBuf, dInBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
 }
 
 // NewTanh creates a Tanh over vectors of the given length.
@@ -193,11 +230,19 @@ func (l *Tanh) Init([]float64, *rng.Rand) {}
 
 // Forward implements Layer.
 func (l *Tanh) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
-	out := ensureMat(&l.outBuf, in.Rows, in.Cols)
+	l.lastOut = l.squash(in, &l.outBuf)
+	return l.lastOut
+}
+
+func (l *Tanh) forwardOnly(_ []float64, in *tensor.Matrix) *tensor.Matrix {
+	return l.squash(in, &l.evalBuf)
+}
+
+func (l *Tanh) squash(in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
+	out := ensureMat(buf, in.Rows, in.Cols)
 	for i, v := range in.Data {
 		out.Data[i] = math.Tanh(v)
 	}
-	l.lastOut = out
 	return out
 }
 
@@ -233,8 +278,14 @@ type Conv2D struct {
 	// reused buffer. Only plan.Gather writes it, which leaves its padding
 	// elements at the zero they were allocated with.
 	patches *tensor.Matrix
+	// evalPatch is the forward-only pass's ONE P x PatchLen patches matrix,
+	// re-lowered per sample: nothing reads a sample's patches after its
+	// product, so evaluation keeps none. A buffer of its own, never a slot
+	// of patches, and written only by plan.Gather — its padding stays at
+	// its allocation-time zero too.
+	evalPatch *tensor.Matrix
 
-	outBuf, dInBuf, dPatchBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf, dPatchBuf, evalBuf *tensor.Matrix // scratch arena
 }
 
 // NewConv2D creates a convolution from the given input shape to `filters`
@@ -295,43 +346,72 @@ func (c *Conv2D) samplePatches(i int) tensor.Matrix {
 // Forward implements Layer. Output rows are channel-major flattened images
 // of shape (filters, outH, outW).
 func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
-	w := c.kernelMatrix(params)
-	bias := params[c.filters*c.shape.PatchLen():]
-	p := c.positions()
-	out := ensureMat(&c.outBuf, in.Rows, c.filters*p)
-	ensureMat(&c.patches, in.Rows*p, c.shape.PatchLen())
+	out := ensureMat(&c.outBuf, in.Rows, c.OutDim())
+	ensureMat(&c.patches, in.Rows*c.positions(), c.shape.PatchLen())
 	for i := 0; i < in.Rows; i++ {
 		x := c.samplePatches(i)
-		c.plan.Gather(in.Row(i), &x)
-		y := tensor.Matrix{Rows: c.filters, Cols: p, Data: out.Row(i)}
-		tensor.GemmTB(1, w, &x, 0, &y) // (F x P), beta=0 overwrites
-		for f, b := range bias {
-			row := y.Row(f)
-			for pos := range row {
-				row[pos] += b
-			}
-		}
+		c.convolve(params, in.Row(i), &x, out.Row(i))
 	}
 	return out
 }
 
+func (c *Conv2D) forwardOnly(params []float64, in *tensor.Matrix) *tensor.Matrix {
+	out := ensureMat(&c.evalBuf, in.Rows, c.OutDim())
+	x := ensureMat(&c.evalPatch, c.positions(), c.shape.PatchLen())
+	for i := 0; i < in.Rows; i++ {
+		c.convolve(params, in.Row(i), x, out.Row(i))
+	}
+	return out
+}
+
+// convolve is one sample of either forward pass: lower img into x, then
+// outRow, read as the F x P matrix it is, = W*x^T + bias.
+func (c *Conv2D) convolve(params, img []float64, x *tensor.Matrix, outRow []float64) {
+	w := c.kernelMatrix(params)
+	bias := params[c.filters*c.shape.PatchLen():]
+	c.plan.Gather(img, x)
+	y := tensor.Matrix{Rows: c.filters, Cols: c.positions(), Data: outRow}
+	tensor.GemmTB(1, w, x, 0, &y) // (F x P), beta=0 overwrites
+	for f, b := range bias {
+		row := y.Row(f)
+		for pos := range row {
+			row[pos] += b
+		}
+	}
+}
+
 // Backward implements Layer.
 func (c *Conv2D) Backward(params []float64, dOut *tensor.Matrix, dParams []float64) *tensor.Matrix {
+	return c.backward(params, dOut, dParams, true)
+}
+
+func (c *Conv2D) backwardParams(params []float64, dOut *tensor.Matrix, dParams []float64) {
+	c.backward(params, dOut, dParams, false)
+}
+
+// backward accumulates dW and dB; the input gradient — its zeroing, one
+// GemmTA and one Scatter per sample — only when asked to.
+func (c *Conv2D) backward(params []float64, dOut *tensor.Matrix, dParams []float64, wantDIn bool) *tensor.Matrix {
 	w := c.kernelMatrix(params)
 	dW := &tensor.Matrix{Rows: c.filters, Cols: c.shape.PatchLen(),
 		Data: dParams[:c.filters*c.shape.PatchLen()]}
 	dB := dParams[c.filters*c.shape.PatchLen():]
 	p := c.positions()
-	dIn := ensureMat(&c.dInBuf, dOut.Rows, c.InDim())
-	tensor.Zero(dIn.Data) // Scatter adds into dIn rows
-	dPatches := ensureMat(&c.dPatchBuf, p, c.shape.PatchLen())
+	var dIn, dPatches *tensor.Matrix
+	if wantDIn {
+		dIn = ensureMat(&c.dInBuf, dOut.Rows, c.InDim())
+		tensor.Zero(dIn.Data) // Scatter adds into dIn rows
+		dPatches = ensureMat(&c.dPatchBuf, p, c.shape.PatchLen())
+	}
 	for i := 0; i < dOut.Rows; i++ {
 		g := tensor.Matrix{Rows: c.filters, Cols: p, Data: dOut.Row(i)}
 		addRowSums(&g, dB)
 		x := c.samplePatches(i)
-		tensor.Gemm(1, &g, &x, 1, dW)        // dW += G * X
-		tensor.GemmTA(1, &g, w, 0, dPatches) // dX = G^T * W, beta=0 overwrites
-		c.plan.Scatter(dPatches, dIn.Row(i))
+		tensor.Gemm(1, &g, &x, 1, dW) // dW += G * X
+		if wantDIn {
+			tensor.GemmTA(1, &g, w, 0, dPatches) // dX = G^T * W, beta=0 overwrites
+			c.plan.Scatter(dPatches, dIn.Row(i))
+		}
 	}
 	return dIn
 }
@@ -374,7 +454,7 @@ type MaxPool2x2 struct {
 	// input index: row i's entries live at [i*OutDim(), (i+1)*OutDim()).
 	argmax []int
 
-	outBuf, dInBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
 }
 
 // NewMaxPool2x2 creates the pooling layer for the given input image shape.
@@ -417,20 +497,36 @@ func (m *MaxPool2x2) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// poolImage pools the 2x2 windows of src into dst and records each winner's
-// offset in src. Channels are stacked image rows with an even row count, so
-// the image is walked as one tall plane, two rows at a time. The first of
-// equal maxima wins, in the order (0,0), (0,1), (1,0), (1,1). A function of
-// its own so the loop's handful of live values stay in registers.
+// forwardOnly pools without a record: no Backward will ask who won.
+func (m *MaxPool2x2) forwardOnly(_ []float64, in *tensor.Matrix) *tensor.Matrix {
+	out := ensureMat(&m.evalBuf, in.Rows, m.OutDim())
+	for i := 0; i < in.Rows; i++ {
+		poolImage(in.Row(i), m.width, out.Row(i), nil)
+	}
+	return out
+}
+
+// poolImage pools the 2x2 windows of src into dst and, unless argmax is nil,
+// records each winner's offset in src. Channels are stacked image rows with
+// an even row count, so the image is walked as one tall plane, two rows at a
+// time. The first of equal maxima wins, in the order (0,0), (0,1), (1,0),
+// (1,1). A function of its own so the loop's handful of live values stay in
+// registers.
 func poolImage(src []float64, width int, dst []float64, argmax []int) {
-	argmax = argmax[:len(dst)]
+	record := argmax != nil
+	if record {
+		argmax = argmax[:len(dst)]
+	}
 	p, rowEnd := 0, width // p: the window's top-left element
 	for o := range dst {
 		top, bot := src[p:p+2:p+2], src[p+width:p+width+2:p+width+2]
 		best, at := pickMax(top[0], p, top[1], p+1)
 		best, at = pickMax(best, at, bot[0], p+width)
 		best, at = pickMax(best, at, bot[1], p+width+1)
-		dst[o], argmax[o] = best, at
+		dst[o] = best
+		if record {
+			argmax[o] = at
+		}
 		if p += 2; p == rowEnd { // next pair of image rows
 			p += width
 			rowEnd += 2 * width
@@ -478,7 +574,7 @@ type Residual struct {
 	offsets []int
 	total   int
 
-	outBuf, dInBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
 }
 
 // NewResidual builds a residual block around the inner layers.
@@ -519,11 +615,22 @@ func (r *Residual) Init(params []float64, rnd *rng.Rand) {
 
 // Forward implements Layer.
 func (r *Residual) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
+	return r.skip(Layer.Forward, params, in, &r.outBuf)
+}
+
+func (r *Residual) forwardOnly(params []float64, in *tensor.Matrix) *tensor.Matrix {
+	return r.skip(forwardOnly, params, in, &r.evalBuf)
+}
+
+// skip writes in + F(in) into *buf, running the inner stack F through the
+// given forward pass.
+func (r *Residual) skip(pass func(Layer, []float64, *tensor.Matrix) *tensor.Matrix,
+	params []float64, in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
 	cur := in
 	for i, l := range r.inner {
-		cur = l.Forward(params[r.offsets[i]:r.offsets[i]+l.ParamLen()], cur)
+		cur = pass(l, params[r.offsets[i]:r.offsets[i]+l.ParamLen()], cur)
 	}
-	out := ensureMat(&r.outBuf, in.Rows, in.Cols)
+	out := ensureMat(buf, in.Rows, in.Cols)
 	tensor.Add(out.Data, in.Data, cur.Data)
 	return out
 }

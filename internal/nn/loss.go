@@ -15,12 +15,23 @@ type SoftmaxCrossEntropy struct{}
 func (SoftmaxCrossEntropy) Name() string { return "softmax-xent" }
 
 // Eval implements Loss. Targets come from b.Y.
-func (SoftmaxCrossEntropy) Eval(out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix) float64 {
+func (l SoftmaxCrossEntropy) Eval(out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix) float64 {
+	invB := 1 / float64(out.Rows)
+	return l.addRows(0, out, b, dOut, invB) * invB
+}
+
+// AddRows implements Loss.
+func (l SoftmaxCrossEntropy) AddRows(total float64, out *tensor.Matrix, b data.Batch) float64 {
+	return l.addRows(total, out, b, nil, 0)
+}
+
+// addRows is the loss's one per-row loop: total plus each row's
+// logZ - logit[label], and into a non-nil dOut the gradient of the mean
+// loss of a batch whose 1/rows is invB.
+func (SoftmaxCrossEntropy) addRows(total float64, out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix, invB float64) float64 {
 	if len(b.Y) != out.Rows {
 		panic("nn: SoftmaxCrossEntropy needs classification labels")
 	}
-	total := 0.0
-	invB := 1 / float64(out.Rows)
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
 		mx := row[0]
@@ -43,7 +54,7 @@ func (SoftmaxCrossEntropy) Eval(out *tensor.Matrix, b data.Batch, dOut *tensor.M
 			d[b.Y[i]] -= invB
 		}
 	}
-	return total * invB
+	return total
 }
 
 // MSE is mean squared error over a scalar (1-D) network output against
@@ -54,15 +65,26 @@ type MSE struct{}
 func (MSE) Name() string { return "mse" }
 
 // Eval implements Loss. Targets come from b.T.
-func (MSE) Eval(out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix) float64 {
+func (l MSE) Eval(out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix) float64 {
+	invB := 1 / float64(out.Rows)
+	return l.addRows(0, out, b, dOut, invB) * invB
+}
+
+// AddRows implements Loss.
+func (l MSE) AddRows(total float64, out *tensor.Matrix, b data.Batch) float64 {
+	return l.addRows(total, out, b, nil, 0)
+}
+
+// addRows is the loss's one per-row loop: total plus each row's
+// (out - t)^2 / 2, and into a non-nil dOut the gradient of the mean loss of a
+// batch whose 1/rows is invB.
+func (MSE) addRows(total float64, out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix, invB float64) float64 {
 	if len(b.T) != out.Rows {
 		panic("nn: MSE needs regression targets")
 	}
 	if out.Cols != 1 {
 		panic("nn: MSE expects a scalar output head")
 	}
-	total := 0.0
-	invB := 1 / float64(out.Rows)
 	for i := 0; i < out.Rows; i++ {
 		diff := out.At(i, 0) - b.T[i]
 		total += 0.5 * diff * diff
@@ -70,5 +92,5 @@ func (MSE) Eval(out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix) float64 {
 			dOut.Set(i, 0, diff*invB)
 		}
 	}
-	return total * invB
+	return total
 }

@@ -13,10 +13,39 @@
 // All model parameters live in one flat []float64 so that PASGD's model
 // averaging (paper eq 3) is a single vector mean, and so workers can
 // exchange parameters without reflection or serialization overhead.
+//
+// # Training pass and evaluation pass
+//
+// AdaComm's rule (paper eq 17) reads the training loss at every interval
+// boundary and every error-runtime figure is a curve of evaluated losses, so
+// evaluation is part of what the method costs. It is a pass of its own.
+//
+// Network.Forward and Network.LossGrad are the TRAINING pass: each layer's
+// Forward keeps what its Backward reads, in buffers sized by the batch (see
+// the arena comment in layers.go for what each layer keeps). LossGrad asks
+// layer 0 for its parameter gradient only — nothing reads the gradient with
+// respect to the data (paramGrader).
+//
+// Network.Loss and Network.Accuracy are the EVALUATION pass: they walk the
+// batch in chunks of evalChunk rows through the layers' forward-only path,
+// which keeps nothing. An evaluation batch is the whole training or test
+// set (hundreds of rows) where a training batch is 16: lowering every
+// sample of it into one stacked patches buffer that only Backward reads
+// made each store a cache miss and each engine hold ~25 MB of 384-/512-row
+// arenas; a chunk's buffers stay resident and are chunk x layer width.
+//
+// Chunking cannot change a bit, because every layer is ROW-INDEPENDENT: an
+// output row is a function of its input row and the parameters alone (the
+// kernels' canonical reduce order is per output element, conv lowers and
+// multiplies one sample at a time, the elementwise layers and pooling never
+// look across rows), and the loss is the left-to-right sum of per-row terms
+// times 1/rows, which Loss.AddRows continues across chunks. oracle_test.go
+// keeps the whole-batch evaluation this replaced and compares bit for bit.
 package nn
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/data"
 	"repro/internal/rng"
@@ -29,6 +58,10 @@ import (
 // the caches never race. Returned matrices are reused across calls: they
 // remain valid only until the layer's next Forward/Backward, and callers
 // that retain results must copy them.
+//
+// Every layer must be row-independent — output row i depends on input row i
+// and the parameters only — which is what lets the evaluation pass feed a
+// batch through in chunks (package comment).
 type Layer interface {
 	// InDim and OutDim are the flattened input/output lengths per example.
 	InDim() int
@@ -38,12 +71,13 @@ type Layer interface {
 	// Init writes an initialization into params (length ParamLen).
 	Init(params []float64, r *rng.Rand)
 	// Forward computes the layer output for a batch (rows are examples)
-	// and caches whatever Backward needs. An elementwise layer maps NaN to
-	// NaN, whatever its sign or payload: a diverged activation must reach
-	// the loss as NaN, not be laundered into a finite value on the way
-	// (ReLU passes NaN through where a bare `v > 0` test would clamp it to
-	// 0). MaxPool2x2 is a comparison, not elementwise: a NaN that is not
-	// first in its window loses to any number.
+	// and caches whatever Backward needs: it is the TRAINING forward (the
+	// evaluation pass goes through forwardOnlyLayer). An elementwise layer
+	// maps NaN to NaN, whatever its sign or payload: a diverged activation
+	// must reach the loss as NaN, not be laundered into a finite value on
+	// the way (ReLU passes NaN through where a bare `v > 0` test would clamp
+	// it to 0). MaxPool2x2 is a comparison, not elementwise: a NaN that is
+	// not first in its window loses to any number.
 	Forward(params []float64, in *tensor.Matrix) *tensor.Matrix
 	// Backward consumes the gradient w.r.t. the layer output, accumulates
 	// the parameter gradient into dParams (length ParamLen, NOT zeroed),
@@ -54,12 +88,56 @@ type Layer interface {
 	Clone() Layer
 }
 
+// forwardOnlyLayer is the evaluation pass of a layer: Forward's output, bit
+// for bit, computed into a buffer Forward and Backward never touch and
+// caching nothing, so it may run between a Forward and its Backward. Every
+// layer in this package has one; a Layer without it is evaluated through
+// Forward.
+type forwardOnlyLayer interface {
+	forwardOnly(params []float64, in *tensor.Matrix) *tensor.Matrix
+}
+
+// forwardOnly runs one layer of the evaluation pass.
+func forwardOnly(l Layer, params []float64, in *tensor.Matrix) *tensor.Matrix {
+	if f, ok := l.(forwardOnlyLayer); ok {
+		return f.forwardOnly(params, in)
+	}
+	return l.Forward(params, in)
+}
+
+// paramGrader is a layer that can run Backward without the input gradient
+// (Dense and Conv2D: it is a product of its own there, and for a network's
+// FIRST layer the gradient with respect to the data that nothing reads).
+// Only Network.LossGrad calls it, and only on layer 0: a layer inside a
+// Residual is never the network's first, and a standalone Backward always
+// returns the real input gradient.
+type paramGrader interface {
+	backwardParams(params []float64, dOut *tensor.Matrix, dParams []float64)
+}
+
+// evalChunk is how many rows the evaluation pass feeds through the layers at
+// a time: the conv workloads' training batch, so an evaluating network's
+// buffers are the size a training step's are and stay cache-resident. What
+// it decides exactly is memory — conv_pasgd's alloc_mb reads 29.7 / 31.1 /
+// 36.3 / 71.5 MB at chunks of 4 / 16 / 64 / the whole batch (154 before the
+// pass existed); in time, ISSUE 17's sizing runs read 64 and unchunked ~8%
+// behind 4 and 16, a difference the building host was too noisy to repeat
+// (CHANGES.md, PR 17). A constant, not a knob: by row-independence no result
+// depends on it.
+const evalChunk = 16
+
 // Loss maps network outputs and batch targets to a scalar mean loss and,
 // optionally, the gradient w.r.t. the outputs.
 type Loss interface {
 	// Eval returns the mean loss over the batch. If dOut is non-nil it is
 	// filled with d(meanLoss)/d(out).
 	Eval(out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix) float64
+	// AddRows continues a running sum: it returns total plus the loss of
+	// each row of out (b holds those rows' targets), added one row at a
+	// time in row order and NOT divided by the row count. Feeding a batch
+	// through in consecutive chunks, starting from 0, and scaling the
+	// result by 1/rows once is therefore Eval(out, b, nil) bit for bit.
+	AddRows(total float64, out *tensor.Matrix, b data.Batch) float64
 	// Name identifies the loss in logs.
 	Name() string
 }
@@ -74,6 +152,10 @@ type Network struct {
 	classes int // >0 when the network is a classifier
 
 	dOutBuf *tensor.Matrix // scratch for the loss gradient in LossGrad
+	// evalIn is the evaluation pass's view of the chunk it is on. A field
+	// because the view crosses the Layer interface: a local would move to
+	// the heap on every call.
+	evalIn tensor.Matrix
 }
 
 // NewNetwork builds a network from layers and a loss, validating that
@@ -133,7 +215,9 @@ func (n *Network) InDim() int { return n.layers[0].InDim() }
 // OutDim returns the output dimensionality.
 func (n *Network) OutDim() int { return n.layers[len(n.layers)-1].OutDim() }
 
-// Forward runs the batch through all layers and returns the outputs.
+// Forward runs the batch through all layers and returns the outputs. It is
+// the TRAINING forward — every layer caches what its Backward reads, at the
+// batch's full height; Loss and Accuracy do not go through it.
 func (n *Network) Forward(in *tensor.Matrix) *tensor.Matrix {
 	cur := in
 	for i, l := range n.layers {
@@ -142,10 +226,36 @@ func (n *Network) Forward(in *tensor.Matrix) *tensor.Matrix {
 	return cur
 }
 
-// Loss evaluates the mean loss on the batch without computing gradients.
+// evalRows runs the chunk of b that starts at row lo through the
+// forward-only pass and returns its outputs with the rows they belong to.
+// Targets whose length does not match the batch are left out, so the loss
+// meets the mismatch it already panics on.
+func (n *Network) evalRows(b data.Batch, lo int) (*tensor.Matrix, data.Batch) {
+	hi, cols := min(lo+evalChunk, b.X.Rows), b.X.Cols
+	n.evalIn = tensor.Matrix{Rows: hi - lo, Cols: cols, Data: b.X.Data[lo*cols : hi*cols]}
+	rows := data.Batch{X: &n.evalIn}
+	if len(b.Y) == b.X.Rows {
+		rows.Y = b.Y[lo:hi]
+	}
+	if len(b.T) == b.X.Rows {
+		rows.T = b.T[lo:hi]
+	}
+	cur := rows.X
+	for i, l := range n.layers {
+		cur = forwardOnly(l, n.layerParams(i), cur)
+	}
+	return cur, rows
+}
+
+// Loss evaluates the mean loss on the batch without computing gradients,
+// through the evaluation pass: bit for bit loss.Eval(Forward(b.X), b, nil).
 func (n *Network) Loss(b data.Batch) float64 {
-	out := n.Forward(b.X)
-	return n.loss.Eval(out, b, nil)
+	total := 0.0
+	for lo := 0; lo < b.X.Rows; lo += evalChunk {
+		out, rows := n.evalRows(b, lo)
+		total = n.loss.AddRows(total, out, rows)
+	}
+	return total * (1 / float64(b.X.Rows))
 }
 
 // LossGrad evaluates the mean loss and fills grad (length ParamLen) with
@@ -155,38 +265,59 @@ func (n *Network) LossGrad(b data.Batch, grad []float64) float64 {
 		panic(fmt.Sprintf("nn: grad length %d != params %d", len(grad), len(n.params)))
 	}
 	tensor.Zero(grad)
-	out := n.Forward(b.X)
+	return n.backward(n.Forward(b.X), b, grad)
+}
+
+// backward is LossGrad after the training forward: the loss of the outputs
+// Forward returned for b, and its gradient accumulated into grad from the
+// caches that Forward left in the layers.
+func (n *Network) backward(out *tensor.Matrix, b data.Batch, grad []float64) float64 {
 	dOut := ensureMat(&n.dOutBuf, out.Rows, out.Cols)
 	lossVal := n.loss.Eval(out, b, dOut)
 	cur := dOut
-	for i := len(n.layers) - 1; i >= 0; i-- {
+	for i := len(n.layers) - 1; i > 0; i-- {
 		cur = n.layers[i].Backward(n.layerParams(i),
 			cur, grad[n.offsets[i]:n.offsets[i]+n.layers[i].ParamLen()])
+	}
+	// Layer 0's input gradient is the gradient with respect to the data.
+	g0 := grad[:n.layers[0].ParamLen()]
+	if first, ok := n.layers[0].(paramGrader); ok {
+		first.backwardParams(n.layerParams(0), cur, g0)
+	} else {
+		n.layers[0].Backward(n.layerParams(0), cur, g0)
 	}
 	return lossVal
 }
 
 // Accuracy returns the fraction of batch examples whose argmax output
-// matches the label. Panics for non-classifiers.
+// matches the label, through the evaluation pass. A row holding a NaN logit
+// is never counted correct (every comparison against NaN is false, so a bare
+// argmax would settle on class 0 and score a diverged model at about
+// 1/classes); the result stays a fraction of the batch, because NaN accuracy
+// already means "not measured this round" to metrics.Point. Panics for
+// non-classifiers.
 func (n *Network) Accuracy(b data.Batch) float64 {
 	if n.classes == 0 {
 		panic("nn: Accuracy on a non-classifier")
 	}
-	out := n.Forward(b.X)
 	correct := 0
-	for i := 0; i < out.Rows; i++ {
-		row := out.Row(i)
-		best := 0
-		for j := 1; j < len(row); j++ {
-			if row[j] > row[best] {
-				best = j
+	for lo := 0; lo < b.X.Rows; lo += evalChunk {
+		out, rows := n.evalRows(b, lo)
+		for i := 0; i < out.Rows; i++ {
+			row := out.Row(i)
+			best, nan := 0, math.IsNaN(row[0])
+			for j := 1; j < len(row); j++ {
+				if row[j] > row[best] {
+					best = j
+				}
+				nan = nan || math.IsNaN(row[j])
+			}
+			if !nan && best == rows.Y[i] {
+				correct++
 			}
 		}
-		if best == b.Y[i] {
-			correct++
-		}
 	}
-	return float64(correct) / float64(out.Rows)
+	return float64(correct) / float64(b.X.Rows)
 }
 
 // Clone returns an independent copy: fresh layer caches, copied parameters.

@@ -347,3 +347,140 @@ func TestCloneSharesConvPlan(t *testing.T) {
 		}
 	}
 }
+
+// Evaluation oracles: Network.Loss and Network.Accuracy as they were before
+// the forward-only pass — the TRAINING forward over the whole batch, then the
+// loss's Eval or the argmax loop — and LossGrad as it was before layer 0's
+// input gradient was skipped. The chunked pass and the elision must agree
+// with them bit for bit.
+
+func lossRef(n *Network, b data.Batch) float64 {
+	return n.loss.Eval(n.Forward(b.X), b, nil)
+}
+
+// accuracyRef is the old argmax loop with the one intended difference: a row
+// holding a NaN logit, which the bare loop settles on class 0 for, is not
+// counted (TestAccuracyNaNLogits pins that rule on its own).
+func accuracyRef(n *Network, b data.Batch) float64 {
+	out := n.Forward(b.X)
+	correct := 0
+	for i := 0; i < out.Rows; i++ {
+		row := out.Row(i)
+		best := 0
+		for j := 1; j < len(row); j++ {
+			if row[j] > row[best] {
+				best = j
+			}
+		}
+		hasNaN := false
+		for _, v := range row {
+			hasNaN = hasNaN || math.IsNaN(v)
+		}
+		if best == b.Y[i] && !hasNaN {
+			correct++
+		}
+	}
+	return float64(correct) / float64(out.Rows)
+}
+
+func lossGradRef(n *Network, b data.Batch, grad []float64) float64 {
+	tensor.Zero(grad)
+	out := n.Forward(b.X)
+	dOut := tensor.NewMatrix(out.Rows, out.Cols)
+	loss := n.loss.Eval(out, b, dOut)
+	cur := dOut
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		cur = n.layers[i].Backward(n.layerParams(i),
+			cur, grad[n.offsets[i]:n.offsets[i]+n.layers[i].ParamLen()])
+	}
+	return loss
+}
+
+// zooModel is one architecture of zoo.go, initialized, with batches of its
+// own kind.
+type zooModel struct {
+	name  string
+	net   *Network
+	batch func(rows int, seed uint64) data.Batch
+}
+
+func zooModels() []zooModel {
+	const dim, classes = 12, 5
+	shape := data.ImageShape{Channels: 1, Height: 8, Width: 8}
+	class := func(dim, classes int) func(int, uint64) data.Batch {
+		return func(rows int, seed uint64) data.Batch { return classBatch(dim, classes, rows, seed) }
+	}
+	zoo := []zooModel{
+		{"LinearRegression", NewLinearRegression(dim),
+			func(rows int, seed uint64) data.Batch { return regBatch(dim, rows, seed) }},
+		{"LogisticRegression", NewLogisticRegression(dim, classes), class(dim, classes)},
+		{"MLP", NewMLP(dim, []int{16, 8}, classes), class(dim, classes)},
+		{"VGGNano", NewVGGNano(shape, 10), class(shape.Len(), 10)},
+		{"ResNetNano", NewResNetNano(shape, 10), class(shape.Len(), 10)},
+	}
+	for i, m := range zoo {
+		m.net.InitParams(rng.New(60 + uint64(i)))
+	}
+	return zoo
+}
+
+func TestEvaluationMatchesWholeBatchTrainingForward(t *testing.T) {
+	for _, m := range zooModels() {
+		finite := append([]float64(nil), m.net.Params()...)
+		last := len(finite) - 1
+		for _, plant := range []struct {
+			name string
+			at   int
+			v    float64
+		}{
+			{"finite", 0, finite[0]},
+			{"NaN in the first layer", 0, math.NaN()},
+			{"Inf in the last bias", last, math.Inf(1)},
+			{"-Inf mid-vector", last / 2, math.Inf(-1)},
+		} {
+			m.net.SetParams(finite)
+			m.net.Params()[plant.at] = plant.v
+			oracle := m.net.Clone()
+			for _, rows := range []int{1, 15, 16, 17, 384, 512} {
+				b := m.batch(rows, uint64(rows))
+				what := m.name + ", " + plant.name
+				if got, want := m.net.Loss(b), lossRef(oracle, b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s, %d rows: Loss %v (%#x), whole-batch oracle %v (%#x)",
+						what, rows, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				if m.net.classes == 0 {
+					continue
+				}
+				if got, want := m.net.Accuracy(b), accuracyRef(oracle, b); got != want {
+					t.Errorf("%s, %d rows: Accuracy %v, whole-batch oracle %v", what, rows, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestLossGradMatchesBackwardOnEveryLayer(t *testing.T) {
+	residualFirst := NewNetwork(SoftmaxCrossEntropy{}, 4,
+		NewResidual(NewDense(6, 6), NewReLU(6), NewDense(6, 6)), NewDense(6, 4))
+	residualFirst.InitParams(rng.New(70))
+	models := append(zooModels(), zooModel{"Residual first", residualFirst,
+		func(rows int, seed uint64) data.Batch { return classBatch(6, 4, rows, seed) }})
+	for _, m := range models {
+		// A Residual first layer takes the full Backward; every other first
+		// layer here can skip its input gradient.
+		_, elides := m.net.layers[0].(paramGrader)
+		if _, isResidual := m.net.layers[0].(*Residual); elides == isResidual {
+			t.Fatalf("%s: input-gradient elision on = %v", m.name, elides)
+		}
+		oracle := m.net.Clone()
+		got, want := make([]float64, m.net.ParamLen()), make([]float64, m.net.ParamLen())
+		for _, rows := range []int{1, 16} {
+			b := m.batch(rows, 71)
+			l, lRef := m.net.LossGrad(b, got), lossGradRef(oracle, b, want)
+			if math.Float64bits(l) != math.Float64bits(lRef) {
+				t.Errorf("%s, %d rows: loss %v, reference %v", m.name, rows, l, lRef)
+			}
+			mustBitsEqual(t, m.name+" gradient", got, want)
+		}
+	}
+}

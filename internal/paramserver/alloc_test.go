@@ -10,7 +10,9 @@ import (
 // compressed into the push slot, decoded and summed, the model stepped, the
 // workers restarted through a priced pull — allocates nothing after warm-up,
 // in both modes, on the benchmark's wire (top-k+ef push, identity pull) and
-// on lossy pulls, which compress into the pull slot.
+// on lossy pulls, which compress into the pull slot. Neither does the loss
+// evaluation a trace point makes between updates (nn's chunked forward-only
+// pass over the evaluation subset).
 func TestUpdateSteadyStateAllocFree(t *testing.T) {
 	topkEF := compress.Spec{Kind: compress.KindTopK, Ratio: 0.1, ErrorFeedback: true}
 	for _, tc := range []struct {
@@ -45,6 +47,9 @@ func TestUpdateSteadyStateAllocFree(t *testing.T) {
 			s.staleSamples = make([]float64, 0, 1<<12)
 			if n := testing.AllocsPerRun(100, update); n != 0 {
 				t.Errorf("%s %s: %v allocs per update, want 0", mode, tc.name, n)
+			}
+			if n := testing.AllocsPerRun(20, func() { s.Loss() }); n != 0 {
+				t.Errorf("%s %s: %v allocs per Loss, want 0", mode, tc.name, n)
 			}
 		}
 	}
