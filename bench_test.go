@@ -51,7 +51,7 @@ func BenchmarkFig4SpeedupFormula(b *testing.B) {
 
 func BenchmarkFig5RuntimeDistribution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := experiments.Fig5(50000, 1)
+		res := experiments.Fig5Bytes(50000, 1, 0, 0)
 		experiments.PrintFig5(io.Discard, res)
 	}
 }
@@ -72,7 +72,7 @@ func BenchmarkFig7AdaptiveSchedule(b *testing.B) {
 
 func BenchmarkFig8CommComputeBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig8(4, 2)
+		rows := experiments.Fig8Bytes(4, 2, 0, 0)
 		experiments.PrintFig8(io.Discard, rows)
 	}
 }
@@ -297,18 +297,5 @@ func BenchmarkRuntimeSampling(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dm.SamplePerIteration(10, r)
-	}
-}
-
-func BenchmarkCompressionGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.RunCompressionGrid(experiments.DefaultCompressionGrid(experiments.ScaleQuick))
-		experiments.PrintCompressionGrid(io.Discard, res)
-	}
-}
-
-func BenchmarkCompressionTradeoff(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PrintCompressionTradeoff(io.Discard, experiments.CompressionTradeoff(experiments.ScaleQuick))
 	}
 }

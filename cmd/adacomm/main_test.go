@@ -59,6 +59,15 @@ func TestCommandLine(t *testing.T) {
 		})
 	}
 
+	// An interval below the clock's resolution adapts at every round; the
+	// controllers' boundary catch-up used to spin on it forever.
+	for _, tiny := range []string{"-interval 1e-12", "-interval 1e-300 -adapt-compression -compress topk:0.25"} {
+		stdout, stderr, code := run(append(strings.Fields("-method adacomm -budget 100"), strings.Fields(tiny)...)...)
+		if code != 0 || !strings.HasPrefix(stdout, "name,time,") {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q", tiny, code, stdout, stderr)
+		}
+	}
+
 	// The alias contract: -momentum / -block-momentum fill exactly what
 	// -optimizer momentum:F / -global-momentum fill.
 	alias, _, code := run("-momentum", "0.9", "-block-momentum", "0.3")

@@ -17,7 +17,7 @@ import (
 //  3. intra-run ratios: the blocked Gemm must beat the naive reference by
 //     ratioFloor within the SAME run, which needs no baseline at all.
 //
-// End-to-end benchmarks (Fig9Quick, AsyncRun, ...) are deliberately not
+// Engine-run benchmarks (AsyncRun, PSUpdate, ...) are deliberately not
 // ns/op-gated: their wall clock depends on pool scheduling and host load.
 
 // pinnedKernels are the ns/op-gated benchmarks: pure compute hot loops,

@@ -504,23 +504,6 @@ func asyncDispatchParkedSetup() func() {
 	})
 }
 
-// fig9Setup regenerates the quick Fig 9 comparison with the given
-// experiment-pool width. The serial variant (workers == 1) also pins the
-// engines' ComputeWorkers to 1 so it is serial END TO END — otherwise each
-// engine would default to GOMAXPROCS and the "serial" baseline would
-// already be partially parallel on multi-core hosts.
-func fig9Setup(workers int) func() {
-	spec := experiments.Fig9Spec(10, false, experiments.ScaleQuick)
-	if workers == 1 {
-		spec.ComputeWorkers = 1
-	}
-	return func() {
-		old := experiments.SetWorkers(workers)
-		_ = experiments.RunComparison(spec)
-		experiments.SetWorkers(old)
-	}
-}
-
 func main() {
 	out := flag.String("out", "", "write JSON here (default stdout)")
 	n := flag.Int("n", 100, "iterations per micro-benchmark")
@@ -592,10 +575,6 @@ func main() {
 		{"AsyncShard/1024", 10, func() func() { return asyncShardSetup() }},
 		{"AsyncDispatchParked/2048", 10, asyncDispatchParkedSetup},
 		{"PSUpdate/kasync", 20, psUpdateSetup},
-		// Fig9Quick is an end-to-end figure regeneration (seconds per op);
-		// 2 iterations bound the total runtime.
-		{"Fig9Quick/serial", 2, func() func() { return fig9Setup(1) }},
-		{"Fig9Quick/pool4", 2, func() func() { return fig9Setup(4) }},
 	}
 
 	rec := Record{

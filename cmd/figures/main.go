@@ -64,14 +64,15 @@ func main() {
 	if *bytes > 0 && *bandwidth <= 0 {
 		cli.Fatalf("figures", "-bytes needs a finite -bandwidth to price the transfer")
 	}
+	if *csvDir != "" {
+		// Now, not after the first panel has trained.
+		cli.Check("figures", os.MkdirAll(*csvDir, 0o755))
+	}
 	scale := cli.Scale(*quick)
 	out := os.Stdout
 
 	// writeCSV dumps one comparison's traces into the -csv directory.
 	writeCSV := func(name string, cmp *experiments.Comparison) error {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			return err
-		}
 		f, err := os.Create(filepath.Join(*csvDir, name+".csv"))
 		if err != nil {
 			return err

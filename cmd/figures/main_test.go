@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -40,4 +42,15 @@ func TestCommandLine(t *testing.T) {
 			clitest.WantExit2(t, "figures", stdout, stderr, code)
 		})
 	}
+
+	// A -csv directory that cannot be created is found before Fig 9
+	// trains (it used to train first, then exit 1).
+	t.Run("-csv under a file", func(t *testing.T) {
+		file := filepath.Join(t.TempDir(), "file")
+		if err := os.WriteFile(file, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout, stderr, code := run("-quick", "-fig", "9", "-csv", filepath.Join(file, "csv"))
+		clitest.WantExit2(t, "figures", stdout, stderr, code)
+	})
 }

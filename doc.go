@@ -22,8 +22,8 @@
 // D = (latency + bytes/bandwidth) * s(m) in internal/delaymodel, compressed
 // delta-averaging in internal/cluster, a compressed parameter-server push
 // in internal/paramserver, and a joint (tau, compression-ratio) adaptive
-// controller in internal/core. See examples/compression and the
-// compression grid in internal/experiments for the error-runtime payoff on
+// controller in internal/core. See examples/compression and the wire
+// ablation (cmd/sweep -ablation wire) for the error-runtime payoff on
 // bandwidth-constrained links.
 //
 // Compressed decentralized training is CHOCO-SGD (Koloskova et al. 2019):
@@ -130,7 +130,7 @@
 // configurations concurrently on internal/experiments' pool (-workers on
 // cmd/figures and cmd/sweep), with byte-identical output at any width.
 //
-// The tensor matmul kernels (Gemm/GemmTA/GemmTB/Gemv/GemvT) are
+// The tensor matmul kernels (Gemm/GemmTA/GemmTB) are
 // cache-blocked and register-tiled under a bit-exactness contract: every
 // output element starts from its beta-scaled destination and accumulates
 // its reduction terms in ascending index order, one separately-rounded

@@ -488,9 +488,6 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	return e, nil
 }
 
-// Clients returns the simulated population size N.
-func (e *AsyncEngine) Clients() int { return e.n }
-
 // Dim returns the model parameter count.
 func (e *AsyncEngine) Dim() int { return e.dim }
 
@@ -683,11 +680,10 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 	c.steps = e.cfg.Tau
 	c.upTime = e.delay.SampleTransfer(c.delayR, i, c.msg.Bytes())
 	if e.cfg.Faults.Enabled() {
-		// Slow-down episodes and drop-retries multiply both transfer legs,
-		// AFTER the draws, so the client's RNG streams stay aligned with
-		// the fault-free run.
-		f := e.cfg.Faults.LinkScale(i, e.version) *
-			float64(1+e.cfg.Faults.Retries(e.cfg.Seed, e.version, i))
+		// The fault multiplier applies to both transfer legs, AFTER the
+		// draws, so the client's RNG streams stay aligned with the
+		// fault-free run.
+		f := e.cfg.Faults.TransferScale(e.cfg.Seed, e.version, i)
 		downTime *= f
 		c.upTime *= f
 	}

@@ -28,10 +28,7 @@ func (e *Engine) beginRound(round int) {
 	}
 	e.com.SetActive(e.fltActive)
 	for i := range e.fltScale {
-		// Slow-down episodes multiply the worker's transfers; each dropped
-		// attempt (retried with backoff) charges one extra full transfer.
-		e.fltScale[i] = e.cfg.Faults.LinkScale(i, round) *
-			float64(1+e.cfg.Faults.Retries(e.cfg.Seed, round, i))
+		e.fltScale[i] = e.cfg.Faults.TransferScale(e.cfg.Seed, round, i)
 		e.reconBytes[i] = 0
 	}
 	if e.gmom != nil {

@@ -75,9 +75,6 @@ func GraphTopology(spec *graph.Spec) Topology {
 // than a collective routing scheme.
 func (t Topology) IsGraph() bool { return t.kind == kindGraph }
 
-// GraphSpec returns the gossip graph spec, nil for collective topologies.
-func (t Topology) GraphSpec() *graph.Spec { return t.spec }
-
 // Graphs instantiates the gossip graph spec for m nodes (the possibly
 // time-varying mixing sequence). It errors on collective topologies and on
 // specs that pin a different node count (e.g. "torus:4x4" at m != 16).

@@ -21,8 +21,8 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/bound"
 	"repro/internal/cluster"
+	"repro/internal/events"
 	"repro/internal/metrics"
 	"repro/internal/opt"
 	"repro/internal/sgd"
@@ -172,9 +172,7 @@ func (a *AdaComm) NextRound(info cluster.RoundInfo, evalLoss func() float64) (in
 
 	if info.Time >= a.nextBoundary {
 		a.adapt(info, evalLoss)
-		for a.nextBoundary <= info.Time {
-			a.nextBoundary += a.cfg.Interval
-		}
+		a.nextBoundary = events.NextBoundary(a.nextBoundary, info.Time, a.cfg.Interval)
 	}
 	return a.curTau, a.curLR
 }
@@ -275,56 +273,6 @@ func observedLinkFactor(info cluster.RoundInfo) float64 {
 		return 1
 	}
 	return math.Sqrt(alpha)
-}
-
-// OracleTau is the theory-driven controller used for ablation: it evaluates
-// Theorem 2's tau* (eq 14/16) exactly at each interval boundary using
-// calibrated constants, instead of the practical ratio rule. It quantifies
-// how much is lost by not knowing L and sigma^2.
-type OracleTau struct {
-	Consts   bound.Constants // F1 is overwritten by the live loss
-	Interval float64
-	Schedule sgd.Schedule
-	// Momentum is the workers' heavy-ball coefficient: Theorem 2's tau*
-	// consumes the EFFECTIVE learning rate eta/(1-beta) (exactly eta at the
-	// zero value, so momentum-free runs are bit-identical).
-	Momentum float64
-
-	initialized  bool
-	nextBoundary float64
-	curTau       int
-}
-
-// Name implements cluster.Controller.
-func (o *OracleTau) Name() string { return "OracleTau" }
-
-// NextRound implements cluster.Controller.
-func (o *OracleTau) NextRound(info cluster.RoundInfo, evalLoss func() float64) (int, float64) {
-	if o.Schedule == nil {
-		o.Schedule = sgd.Const{Eta: o.Consts.Eta}
-	}
-	lr := o.Schedule.LR(info.Epoch)
-	if !o.initialized || info.Time >= o.nextBoundary {
-		c := o.Consts
-		c.F1 = evalLoss()
-		c.Eta = opt.EffectiveLR(lr, o.Momentum)
-		if c.F1 < c.Finf {
-			c.F1 = c.Finf
-		}
-		tau := c.OptimalTauInt(o.Interval)
-		if tau > 10000 {
-			tau = 10000
-		}
-		o.curTau = tau
-		if !o.initialized {
-			o.nextBoundary = 0
-			o.initialized = true
-		}
-		for o.nextBoundary <= info.Time {
-			o.nextBoundary += o.Interval
-		}
-	}
-	return o.curTau, lr
 }
 
 // GridSearchTau0 mirrors the paper's tau_0 selection: run a short probe for

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/bound"
 	"repro/internal/cluster"
 	"repro/internal/data"
 	"repro/internal/delaymodel"
@@ -166,6 +165,26 @@ func TestAdaCommDeferLRDecay(t *testing.T) {
 	}
 }
 
+// An interval below what the simulated clock resolves used to spin the
+// boundary catch-up forever (nextBoundary + interval == nextBoundary). It
+// means what it says: adapt at every round.
+func TestTinyIntervalAdaptsEveryRound(t *testing.T) {
+	cfg := Config{Tau0: 20, Interval: 1e-12, Schedule: sgd.Const{Eta: 0.1}}
+	for name, c := range map[string]cluster.Controller{
+		"AdaComm":         NewAdaComm(cfg),
+		"AdaCommCompress": NewAdaCommCompress(cfg, CompressSchedule{Ratio0: 0.05}),
+	} {
+		evals := 0
+		probe := func() float64 { evals++; return 2.0 }
+		for round := 0; round <= 50; round++ {
+			c.NextRound(fakeInfo(1e4*float64(round), round), probe)
+		}
+		if evals != 51 { // F0, then one probe per round
+			t.Errorf("%s probed the loss %d times over 50 rounds, want 51", name, evals)
+		}
+	}
+}
+
 func TestAdaCommConfigValidation(t *testing.T) {
 	for _, bad := range []Config{
 		{Tau0: 0, Interval: 10},
@@ -185,24 +204,6 @@ func TestAdaCommConfigValidation(t *testing.T) {
 func TestCouplingString(t *testing.T) {
 	if NoCoupling.String() != "none" || SqrtCoupling.String() != "sqrt" || FullCoupling.String() != "full" {
 		t.Fatal("coupling names wrong")
-	}
-}
-
-func TestOracleTauAdapts(t *testing.T) {
-	consts := bound.Constants{Finf: 0, Eta: 0.08, L: 1, Sigma2: 1, M: 4, Y: 1, D: 1}
-	o := &OracleTau{Consts: consts, Interval: 60, Schedule: sgd.Const{Eta: 0.08}}
-	tau1, _ := o.NextRound(fakeInfo(0, 0), lossSeq(2.0))
-	if tau1 < 1 {
-		t.Fatalf("oracle tau %d", tau1)
-	}
-	// With a 4x smaller loss, tau* halves (sqrt scaling in F - Finf).
-	tau2, _ := o.NextRound(fakeInfo(61, 1), lossSeq(0.5))
-	if tau2 >= tau1 {
-		t.Fatalf("oracle tau should shrink with loss: %d -> %d", tau1, tau2)
-	}
-	ratio := float64(tau1) / float64(tau2)
-	if ratio < 1.5 || ratio > 3 {
-		t.Fatalf("oracle tau ratio %v, want ~2", ratio)
 	}
 }
 

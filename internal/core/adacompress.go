@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compress"
+	"repro/internal/events"
 )
 
 // CompressSchedule parameterizes the compression half of the joint
@@ -91,9 +92,6 @@ func NewAdaCommCompress(cfg Config, cs CompressSchedule) *AdaCommCompress {
 // Name implements cluster.Controller.
 func (a *AdaCommCompress) Name() string { return "AdaComm+Compress" }
 
-// Tau returns the communication period currently in effect.
-func (a *AdaCommCompress) Tau() int { return a.ada.Tau() }
-
 // CompressionRatio implements cluster.RatioController.
 func (a *AdaCommCompress) CompressionRatio() float64 { return a.ratio }
 
@@ -137,9 +135,7 @@ func (a *AdaCommCompress) NextRound(info cluster.RoundInfo, evalLoss func() floa
 	}
 	if info.Time >= a.nextBoundary {
 		a.adaptRatio(memo())
-		for a.nextBoundary <= info.Time {
-			a.nextBoundary += a.ada.cfg.Interval
-		}
+		a.nextBoundary = events.NextBoundary(a.nextBoundary, info.Time, a.ada.cfg.Interval)
 	}
 	return tau, lr
 }

@@ -12,18 +12,17 @@
 // size when internal/compress is active, the dense 8*dim otherwise. The
 // scaling s(m) multiplies the transfer term too, because every hop of the
 // broadcast topology carries the payload. Bandwidth = 0 means an infinite
-// link: SampleDBytes then degenerates to exactly the fixed-CommD0 cost of
-// SampleD (same value, same RNG draws), so every pre-existing profile and
-// trace is the bandwidth=infinity special case, bit for bit.
+// link: SampleDBytes then degenerates to exactly the fixed-CommD0 cost
+// D0 * s(m) of Sec 3.1 (same value, same RNG draws), so every pre-existing
+// profile and trace is the bandwidth=infinity special case, bit for bit.
 //
-// Only the *Bytes helpers (SampleDBytes/MeanDBytes/AlphaBytes and the
-// Monte-Carlo variants SampleSyncIterationBytes, SampleRoundBytes,
+// Only the *Bytes helpers (SampleDBytes/MeanDBytes and the Monte-Carlo
+// variants SampleSyncIterationBytes, SampleRoundBytes,
 // SamplePerIterationBytes, MeasureBreakdownBytes) are size-aware. The
-// paper-model helpers (SampleD, MeanD, Alpha, SampleSyncIteration,
-// SampleRound, MeasureBreakdown, and the closed forms) deliberately charge
-// the size-free D of Sec 3.1 even on a bandwidth-constrained Model — pass
-// the payload explicitly via the *Bytes methods when analyzing a constrained
-// link.
+// paper-model helpers (MeanD, SampleSyncIteration, SampleRound, and the
+// closed forms) deliberately charge the size-free D of Sec 3.1 even on a
+// bandwidth-constrained Model — pass the payload explicitly via the *Bytes
+// methods when analyzing a constrained link.
 //
 // Heterogeneous clusters set Model.Links, giving each worker its own
 // Link{Latency, Bandwidth}; SampleDRound then prices a round from the
@@ -257,19 +256,10 @@ func (dm *Model) MeanD() float64 { return dm.D0.Mean() * dm.Scale.Factor(dm.M) }
 // MeanY returns E[Y].
 func (dm *Model) MeanY() float64 { return dm.Y.Mean() }
 
-// Alpha returns the communication/computation ratio alpha = E[D]/E[Y].
-func (dm *Model) Alpha() float64 { return dm.MeanD() / dm.MeanY() }
-
-// SampleD draws one broadcast delay D = D0 * s(M) for a size-free payload
-// (the paper's Sec 3.1 model; Bandwidth is ignored — see SampleDBytes).
-func (dm *Model) SampleD(r *rng.Rand) float64 {
-	return dm.D0.Sample(r) * dm.Scale.Factor(dm.M)
-}
-
 // SampleDBytes draws one broadcast delay for a payload of the given size:
-// D = (D0 + bytes/Bandwidth) * s(M). With Bandwidth = 0 (infinite link) it
-// is exactly SampleD — same value, same RNG consumption — so size-free
-// traces are preserved bit-identically.
+// D = (D0 + bytes/Bandwidth) * s(M). With Bandwidth = 0 (infinite link) or
+// a zero payload it is exactly the paper's size-free D0 * s(M) — same value,
+// same RNG consumption — so size-free traces are preserved bit-identically.
 func (dm *Model) SampleDBytes(r *rng.Rand, bytes int) float64 {
 	d := dm.D0.Sample(r)
 	if dm.Bandwidth > 0 && bytes > 0 {
@@ -286,12 +276,6 @@ func (dm *Model) MeanDBytes(bytes int) float64 {
 		d += float64(bytes) / dm.Bandwidth
 	}
 	return d * dm.Scale.Factor(dm.M)
-}
-
-// AlphaBytes returns the communication/computation ratio for a payload of
-// the given size: MeanDBytes(bytes) / E[Y].
-func (dm *Model) AlphaBytes(bytes int) float64 {
-	return dm.MeanDBytes(bytes) / dm.MeanY()
 }
 
 // SampleDRound draws the communication delay of one synchronization round
@@ -539,8 +523,8 @@ func ParseEdgeLinks(s string, m int) (map[Edge]Link, error) {
 
 // SampleSyncIteration draws one iteration time of fully synchronous SGD
 // (paper eq 7): max over workers of one compute time, plus D. A zero-byte
-// payload makes SampleDBytes exactly SampleD (same value, same draws), so
-// the size-free samplers delegate to their *Bytes counterparts with 0.
+// payload makes SampleDBytes the size-free D0 * s(M), so the size-free
+// samplers delegate to their *Bytes counterparts with 0.
 func (dm *Model) SampleSyncIteration(r *rng.Rand) float64 {
 	return dm.SampleSyncIterationBytes(r, 0)
 }
@@ -554,9 +538,8 @@ func (dm *Model) SampleRound(tau int, r *rng.Rand) float64 {
 }
 
 // SampleSyncIterationBytes is SampleSyncIteration with the broadcast charged
-// the size-aware cost of a `bytes` payload (SampleDBytes instead of the
-// paper's size-free SampleD) — the Fig 5 sampler for bandwidth-constrained
-// links.
+// the size-aware cost of a `bytes` payload (SampleDBytes) — the Fig 5
+// sampler for bandwidth-constrained links.
 func (dm *Model) SampleSyncIterationBytes(r *rng.Rand, bytes int) float64 {
 	mx := math.Inf(-1)
 	for i := 0; i < dm.M; i++ {
@@ -644,7 +627,7 @@ func (dm *Model) SpeedupMC(tau, trials int, r *rng.Rand) float64 {
 // Profile is a named calibration of the delay model to a deep-network
 // architecture, standing in for the paper's Fig 8 measurements. ComputeY is
 // the per-local-step compute-time distribution; CommD0 the base broadcast
-// delay. Alpha(profile) = E[D]/E[Y] reproduces the paper's qualitative
+// delay. alpha = E[D]/E[Y] reproduces the paper's qualitative
 // claim: VGG-16's communication is ~4x its computation, while ResNet-50's
 // communication is about half its computation.
 type Profile struct {
@@ -718,18 +701,11 @@ type Breakdown struct {
 	WallClock float64 // Compute + Comm
 }
 
-// MeasureBreakdown simulates `iters` iterations of PASGD with period tau
-// and splits the elapsed time into compute and communication components.
-// It charges the paper's size-free D; a zero-byte payload makes
-// MeasureBreakdownBytes identical (same values, same draws).
-func MeasureBreakdown(p Profile, m, tau, iters int, r *rng.Rand) Breakdown {
-	return MeasureBreakdownBytes(p, m, tau, iters, r, 0)
-}
-
-// MeasureBreakdownBytes is MeasureBreakdown with every broadcast charged the
-// size-aware cost of a `bytes` payload against the profile's bandwidth — the
-// Fig 8 driver for bandwidth-constrained links (the size-free variant
-// deliberately charges the paper's fixed D even on a constrained Model).
+// MeasureBreakdownBytes simulates `iters` iterations of PASGD with period
+// tau and splits the elapsed time into compute and communication
+// components, every broadcast charged the size-aware cost of a `bytes`
+// payload against the profile's bandwidth — the Fig 8 driver. bytes = 0
+// charges the paper's size-free D.
 func MeasureBreakdownBytes(p Profile, m, tau, iters int, r *rng.Rand, bytes int) Breakdown {
 	dm := p.Model(m, ConstantScaling{})
 	b := Breakdown{Profile: p.Name, Tau: tau, Iters: iters}

@@ -25,11 +25,11 @@ func TestScalings(t *testing.T) {
 
 func TestAlpha(t *testing.T) {
 	dm := New(4, rng.Constant{Value: 2}, rng.Constant{Value: 1}, ConstantScaling{})
-	if got := dm.Alpha(); math.Abs(got-0.5) > 1e-12 {
+	if got := dm.MeanD() / dm.MeanY(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("alpha = %v, want 0.5", got)
 	}
 	dm2 := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, LinearScaling{})
-	if got := dm2.Alpha(); math.Abs(got-4) > 1e-12 {
+	if got := dm2.MeanD() / dm2.MeanY(); math.Abs(got-4) > 1e-12 {
 		t.Fatalf("alpha with linear scaling = %v, want 4", got)
 	}
 }
@@ -171,7 +171,10 @@ func TestMCMeanPerIterationDecreasesInTau(t *testing.T) {
 func TestProfiles(t *testing.T) {
 	vgg := VGG16Profile()
 	res := ResNet50Profile()
-	am := func(p Profile) float64 { return p.Model(4, ConstantScaling{}).Alpha() }
+	am := func(p Profile) float64 {
+		dm := p.Model(4, ConstantScaling{})
+		return dm.MeanD() / dm.MeanY()
+	}
 	if a := am(vgg); a < 3 || a > 5 {
 		t.Fatalf("VGG alpha %v, want ~4 (paper Fig 8)", a)
 	}
@@ -185,8 +188,8 @@ func TestProfiles(t *testing.T) {
 
 func TestMeasureBreakdown(t *testing.T) {
 	r := rng.New(7)
-	b1 := MeasureBreakdown(VGG16Profile(), 4, 1, 100, r)
-	b10 := MeasureBreakdown(VGG16Profile(), 4, 10, 100, r)
+	b1 := MeasureBreakdownBytes(VGG16Profile(), 4, 1, 100, r, 0)
+	b10 := MeasureBreakdownBytes(VGG16Profile(), 4, 10, 100, r, 0)
 	if b1.Iters != 100 || b10.Iters != 100 {
 		t.Fatal("wrong iteration count")
 	}
@@ -211,11 +214,11 @@ func TestMeasureBreakdownPartialLastRound(t *testing.T) {
 	// iters not divisible by tau: the final round has fewer steps but the
 	// total local-step count must still equal iters.
 	r := rng.New(8)
-	b := MeasureBreakdown(Profile{
+	b := MeasureBreakdownBytes(Profile{
 		Name:     "unit",
 		ComputeY: rng.Constant{Value: 1},
 		CommD0:   rng.Constant{Value: 0},
-	}, 1, 7, 10, r)
+	}, 1, 7, 10, r, 0)
 	if math.Abs(b.Compute-10) > 1e-12 {
 		t.Fatalf("compute %v, want 10 unit steps", b.Compute)
 	}
@@ -239,15 +242,15 @@ func TestSpeedupBoundsProperty(t *testing.T) {
 // ---------------------------------------------------------------------------
 
 func TestSampleDBytesInfiniteBandwidthIdentical(t *testing.T) {
-	// Bandwidth 0 must reproduce SampleD exactly: same values, same RNG
-	// consumption, for any payload size.
+	// Bandwidth 0 must reproduce the paper's size-free D = D0 * s(M)
+	// exactly: same values, same RNG consumption, for any payload size.
 	dm := New(4, rng.Constant{Value: 1}, rng.Exponential{MeanVal: 0.3}, TreeScaling{})
 	r1, r2 := rng.New(17), rng.New(17)
 	for i := 0; i < 100; i++ {
-		a := dm.SampleD(r1)
+		a := dm.D0.Sample(r1) * dm.Scale.Factor(dm.M)
 		b := dm.SampleDBytes(r2, 1<<20)
 		if a != b {
-			t.Fatalf("sample %d: SampleD %v != SampleDBytes %v", i, a, b)
+			t.Fatalf("sample %d: D0*s(M) %v != SampleDBytes %v", i, a, b)
 		}
 	}
 }
@@ -279,9 +282,6 @@ func TestSampleDBytesScalesTransferWithTopology(t *testing.T) {
 	}
 	if m := dm.MeanDBytes(50); math.Abs(m-want) > 1e-12 {
 		t.Fatalf("MeanDBytes %v, want %v", m, want)
-	}
-	if a := dm.AlphaBytes(50); math.Abs(a-want) > 1e-12 {
-		t.Fatalf("AlphaBytes %v, want %v (E[Y]=1)", a, want)
 	}
 }
 
@@ -430,9 +430,9 @@ func TestMeasureBreakdownBytes(t *testing.T) {
 	if math.Abs(b.Compute-100) > 1e-12 || math.Abs(b.Comm-60) > 1e-12 {
 		t.Fatalf("breakdown %+v, want compute 100 comm 60", b)
 	}
-	// The size-free driver on the same constrained profile still charges the
-	// paper's fixed D (documented behavior).
-	free := MeasureBreakdown(p, 4, 10, 100, rng.New(3))
+	// A zero payload on the same constrained profile charges the paper's
+	// fixed D (documented behavior).
+	free := MeasureBreakdownBytes(p, 4, 10, 100, rng.New(3), 0)
 	if math.Abs(free.Comm-10) > 1e-12 {
 		t.Fatalf("size-free breakdown charged %v, want 10", free.Comm)
 	}

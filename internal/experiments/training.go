@@ -152,20 +152,6 @@ func couplingFor(spec TrainSpec) core.Coupling {
 	return core.NoCoupling
 }
 
-// SpeedupVsSync computes each method's speedup over the tau=1 baseline at
-// the given target loss (NaN entries mean the target was not reached).
-func (c *Comparison) SpeedupVsSync(target float64) map[string]float64 {
-	sync, ok := c.Traces["tau=1"]
-	out := map[string]float64{}
-	if !ok {
-		return out
-	}
-	for name, tr := range c.Traces {
-		out[name] = metrics.Speedup(sync, tr, target)
-	}
-	return out
-}
-
 // ReachableTarget picks a loss target that EVERY method reaches: slightly
 // above the worst method's minimum loss. q in (0, 1] scales the margin
 // (q=0.05 means 5% above the worst minimum). This mirrors how the paper

@@ -87,22 +87,6 @@ func (s *Schedule) Enabled() bool {
 	return s != nil && (len(s.events) > 0 || s.drop > 0)
 }
 
-// Events returns a copy of the parsed events.
-func (s *Schedule) Events() []Event {
-	if s == nil {
-		return nil
-	}
-	return append([]Event(nil), s.events...)
-}
-
-// Drop returns the per-attempt message-drop probability.
-func (s *Schedule) Drop() float64 {
-	if s == nil {
-		return 0
-	}
-	return s.drop
-}
-
 // Down reports whether the worker is crashed or blipped out at the given
 // round. Allocation-free.
 func (s *Schedule) Down(worker, round int) bool {
@@ -187,6 +171,14 @@ func (s *Schedule) Retries(seed uint64, round, worker int) int {
 		n++
 	}
 	return n
+}
+
+// TransferScale returns the multiplier the schedule puts on worker's
+// transfers at the given round: slow-down episodes multiply the transfer;
+// each dropped attempt charges one more full transfer. Exactly 1 on a nil,
+// empty or beyond-horizon schedule. Allocation-free.
+func (s *Schedule) TransferScale(seed uint64, round, worker int) float64 {
+	return s.LinkScale(worker, round) * float64(1+s.Retries(seed, round, worker))
 }
 
 // hash01 maps (seed, round, worker, attempt) to [0, 1) with a

@@ -188,6 +188,43 @@ func TestRetriesDeterministicAndBounded(t *testing.T) {
 	}
 }
 
+// TransferScale is the one spelling of what the three engines charge a
+// transfer under faults: the slow-down product times one full transfer per
+// dropped attempt, in that order, and exactly 1 where no fault applies.
+func TestTransferScale(t *testing.T) {
+	s := mustParse(t, "slow:2x4@r10-20,slow:2x2@r15-15,blip:1@r3-6,drop:0.3")
+	scaled, retried := 0, 0
+	for round := 0; round < 40; round++ {
+		for w := 0; w < 4; w++ {
+			want := s.LinkScale(w, round) * float64(1+s.Retries(42, round, w))
+			if got := s.TransferScale(42, round, w); got != want {
+				t.Fatalf("TransferScale(42, %d, %d) = %g, want %g", round, w, got, want)
+			}
+			if s.LinkScale(w, round) != 1 {
+				scaled++
+			}
+			if s.Retries(42, round, w) > 0 {
+				retried++
+			}
+		}
+	}
+	if scaled == 0 || retried == 0 {
+		t.Fatalf("schedule exercised %d slow-downs and %d retries", scaled, retried)
+	}
+	var nilSched *Schedule
+	for name, s := range map[string]*Schedule{
+		"nil":            nilSched,
+		"empty":          mustParse(t, ""),
+		"beyond horizon": mustParse(t, "slow:2x4@r1000-2000,blip:1@r1000-1001"),
+	} {
+		for round := 0; round < 40; round++ {
+			if got := s.TransferScale(42, round, 2); got != 1 {
+				t.Fatalf("%s schedule: TransferScale(42, %d, 2) = %g, want exactly 1", name, round, got)
+			}
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	s := mustParse(t, "crash:3@r40")
 	if err := s.Validate(4); err != nil {
@@ -214,6 +251,7 @@ func TestHotPathAllocationFree(t *testing.T) {
 		s.Rejoins(1, 7)
 		s.LinkScale(2, 12)
 		s.Retries(42, 7, 3)
+		s.TransferScale(42, 12, 2)
 		s.ActiveInto(4, active)
 		down = s.DownAt(4, down[:0])
 	}); n != 0 {

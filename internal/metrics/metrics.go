@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 )
 
 // Point is one recorded measurement during training.
@@ -92,17 +91,6 @@ func (t *Trace) BestAccWithin(budget float64) float64 {
 	return best
 }
 
-// LossAtTime returns the loss of the latest point at or before tm, or NaN
-// if the trace has not started by tm. Step interpolation matches how the
-// paper reads values off learning curves.
-func (t *Trace) LossAtTime(tm float64) float64 {
-	idx := sort.Search(len(t.Points), func(i int) bool { return t.Points[i].Time > tm })
-	if idx == 0 {
-		return math.NaN()
-	}
-	return t.Points[idx-1].Loss
-}
-
 // Speedup returns how many times faster `fast` reaches the target loss than
 // `slow`: timeSlow / timeFast. NaN if either never reaches it. The paper's
 // headline "3.3x less time than fully synchronous SGD" is this quantity.
@@ -130,59 +118,6 @@ func WriteCSV(w io.Writer, traces ...*Trace) error {
 				t.Name, p.Time, p.Iter, p.Loss, acc, p.Tau, p.LR); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// Downsample returns a copy of the trace keeping roughly every step-th
-// point plus the last one — for compact logs of long runs.
-func (t *Trace) Downsample(step int) *Trace {
-	if step < 1 {
-		step = 1
-	}
-	out := NewTrace(t.Name)
-	for i, p := range t.Points {
-		if i%step == 0 || i == len(t.Points)-1 {
-			out.Points = append(out.Points, p)
-		}
-	}
-	return out
-}
-
-// Row is one line of a printed result table (EXPERIMENTS.md rows).
-type Row struct {
-	Label  string
-	Values []float64
-}
-
-// RenderTable formats rows with a header into a fixed-width text table.
-func RenderTable(w io.Writer, title string, header []string, rows []Row) error {
-	if _, err := fmt.Fprintf(w, "== %s ==\n", title); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "%-28s", ""); err != nil {
-		return err
-	}
-	for _, h := range header {
-		if _, err := fmt.Fprintf(w, "%14s", h); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if _, err := fmt.Fprintf(w, "%-28s", r.Label); err != nil {
-			return err
-		}
-		for _, v := range r.Values {
-			if _, err := fmt.Fprintf(w, "%14.5g", v); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -39,22 +39,6 @@ func TestTimeToLoss(t *testing.T) {
 	}
 }
 
-func TestLossAtTime(t *testing.T) {
-	tr := demoTrace()
-	if got := tr.LossAtTime(25); got != 0.4 {
-		t.Fatalf("LossAtTime(25) = %v, want 0.4 (step interp)", got)
-	}
-	if got := tr.LossAtTime(0); got != 1.0 {
-		t.Fatalf("LossAtTime(0) = %v, want 1.0", got)
-	}
-	if got := tr.LossAtTime(-1); !math.IsNaN(got) {
-		t.Fatalf("LossAtTime before start should be NaN, got %v", got)
-	}
-	if got := tr.LossAtTime(1e9); got != 0.25 {
-		t.Fatalf("LossAtTime(inf) = %v, want final 0.25", got)
-	}
-}
-
 func TestSpeedup(t *testing.T) {
 	slow := NewTrace("slow")
 	fast := NewTrace("fast")
@@ -109,33 +93,5 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if !strings.HasPrefix(lines[1], "demo,0.000000,0,1.00000000,,5,0.1") {
 		t.Fatalf("bad first row: %q", lines[1])
-	}
-}
-
-func TestDownsample(t *testing.T) {
-	tr := NewTrace("d")
-	for i := 0; i < 100; i++ {
-		tr.Add(Point{Time: float64(i), Loss: float64(100 - i), Acc: math.NaN()})
-	}
-	ds := tr.Downsample(10)
-	if ds.Len() != 11 { // 0,10,...,90 plus last (99)
-		t.Fatalf("downsampled to %d points, want 11", ds.Len())
-	}
-	if ds.Last().Time != 99 {
-		t.Fatal("downsample must keep the final point")
-	}
-}
-
-func TestRenderTable(t *testing.T) {
-	var sb strings.Builder
-	err := RenderTable(&sb, "Demo", []string{"a", "b"}, []Row{
-		{Label: "row1", Values: []float64{1, 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, "Demo") || !strings.Contains(out, "row1") {
-		t.Fatalf("table missing content: %q", out)
 	}
 }

@@ -11,9 +11,6 @@ import (
 // computed with the log-sum-exp trick for numerical stability.
 type SoftmaxCrossEntropy struct{}
 
-// Name implements Loss.
-func (SoftmaxCrossEntropy) Name() string { return "softmax-xent" }
-
 // Eval implements Loss. Targets come from b.Y.
 func (l SoftmaxCrossEntropy) Eval(out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix) float64 {
 	invB := 1 / float64(out.Rows)
@@ -60,9 +57,6 @@ func (SoftmaxCrossEntropy) addRows(total float64, out *tensor.Matrix, b data.Bat
 // MSE is mean squared error over a scalar (1-D) network output against
 // regression targets: mean over the batch of (out - t)^2 / 2.
 type MSE struct{}
-
-// Name implements Loss.
-func (MSE) Name() string { return "mse" }
 
 // Eval implements Loss. Targets come from b.T.
 func (l MSE) Eval(out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix) float64 {

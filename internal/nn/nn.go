@@ -138,8 +138,6 @@ type Loss interface {
 	// through in consecutive chunks, starting from 0, and scaling the
 	// result by 1/rows once is therefore Eval(out, b, nil) bit for bit.
 	AddRows(total float64, out *tensor.Matrix, b data.Batch) float64
-	// Name identifies the loss in logs.
-	Name() string
 }
 
 // Network is a sequential stack of layers with one flat parameter vector.
@@ -330,9 +328,3 @@ func (n *Network) Clone() *Network {
 	copy(c.params, n.params)
 	return c
 }
-
-// LossName reports the loss function identifier.
-func (n *Network) LossName() string { return n.loss.Name() }
-
-// NumLayers returns the number of layers (for introspection in tests).
-func (n *Network) NumLayers() int { return len(n.layers) }

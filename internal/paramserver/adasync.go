@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/compress"
+	"repro/internal/events"
 )
 
 // AdaSyncConfig parameterizes the adaptive-asynchrony controller.
@@ -206,9 +207,7 @@ func (a *AdaSync) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
 		if a.curK > a.cfg.M {
 			a.curK = a.cfg.M
 		}
-		for a.nextBoundary <= info.Time {
-			a.nextBoundary += a.cfg.Interval
-		}
+		a.nextBoundary = events.NextBoundary(a.nextBoundary, info.Time, a.cfg.Interval)
 	}
 	a.lastK = a.capped(a.curK, info)
 	return a.lastK, a.cfg.LR

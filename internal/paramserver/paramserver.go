@@ -484,11 +484,10 @@ func (s *Server) dispatch(i int) {
 		transfer += wt
 	}
 	if s.fltDown != nil {
-		// Slow-down episodes and drop-retries multiply the transfer terms
-		// only (compute and push-delay draws already happened, keeping the
-		// streams aligned with the fault-free run).
-		f := s.cfg.Faults.LinkScale(i, s.version) *
-			float64(1+s.cfg.Faults.Retries(s.cfg.Seed, s.version, i))
+		// The fault multiplier applies to the transfer terms only (compute
+		// and push-delay draws already happened, keeping the streams aligned
+		// with the fault-free run).
+		f := s.cfg.Faults.TransferScale(s.cfg.Seed, s.version, i)
 		if f != 1 {
 			dur += transfer * (f - 1)
 			transfer *= f
@@ -725,19 +724,4 @@ func ExpectedKSyncUpdateTime(y float64, m, k int, pushMean float64) float64 {
 		panic("paramserver: need 1 <= K <= m")
 	}
 	return y*(rng.HarmonicNumber(m)-rng.HarmonicNumber(m-k)) + pushMean
-}
-
-// DelayModelFromProfile adapts a delaymodel.Profile into this package's
-// compute/push distributions (the push delay is the profile's broadcast
-// delay scaled down by the number of workers, approximating point-to-point
-// cost).
-func DelayModelFromProfile(p delaymodel.Profile, m int) (computeY, push rng.Distribution) {
-	return p.ComputeY, rng.Scaled{Base: p.CommD0, Factor: 1 / float64(m)}
-}
-
-// SizedDelayFromProfile is DelayModelFromProfile plus the profile's per-link
-// bandwidth, for wiring a bandwidth-constrained profile into Config.
-func SizedDelayFromProfile(p delaymodel.Profile, m int) (computeY, push rng.Distribution, bandwidth float64) {
-	computeY, push = DelayModelFromProfile(p, m)
-	return computeY, push, p.Bandwidth
 }

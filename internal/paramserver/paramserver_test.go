@@ -285,6 +285,20 @@ func TestAdaSyncGrowsK(t *testing.T) {
 	}
 }
 
+// An interval below what the simulated clock resolves used to spin the
+// boundary catch-up forever; it means "adapt at every update".
+func TestAdaSyncTinyInterval(t *testing.T) {
+	a := NewAdaSync(AdaSyncConfig{K0: 1, M: 8, Interval: 1e-12, LR: 0.1})
+	evals := 0
+	probe := func() float64 { evals++; return 2.0 }
+	for round := 0; round <= 50; round++ {
+		a.Next(RoundInfo{Time: 1e4 * float64(round)}, probe)
+	}
+	if evals != 51 || a.K() != 8 { // F0, then a stalled-loss doubling per update
+		t.Fatalf("%d probes over 50 updates (want 51), K = %d (want the cap 8)", evals, a.K())
+	}
+}
+
 func TestAdaSyncValidation(t *testing.T) {
 	for _, cfg := range []AdaSyncConfig{
 		{K0: 0, M: 4, Interval: 1},
@@ -320,18 +334,6 @@ func TestAdaSyncEndToEnd(t *testing.T) {
 	if trace.FinalLoss() >= trace.Points[0].Loss/2 {
 		t.Fatalf("AdaSync failed to learn: %v -> %v",
 			trace.Points[0].Loss, trace.FinalLoss())
-	}
-}
-
-func TestDelayModelFromProfile(t *testing.T) {
-	y, push := DelayModelFromProfile(delaymodel.VGG16Profile(), 4)
-	if y.Mean() <= 0 {
-		t.Fatal("compute distribution empty")
-	}
-	// Push delay is the broadcast delay scaled down by m.
-	want := delaymodel.VGG16Profile().CommD0.Mean() / 4
-	if math.Abs(push.Mean()-want) > 1e-12 {
-		t.Fatalf("push mean %v, want %v", push.Mean(), want)
 	}
 }
 
@@ -525,16 +527,5 @@ func TestLinksValidated(t *testing.T) {
 	cfg.PullCompress = compress.Spec{Kind: compress.KindTopK, Ratio: 9}
 	if _, err := New(proto, shards, train, cfg); err == nil {
 		t.Fatal("accepted invalid pull compress spec")
-	}
-}
-
-func TestSizedDelayFromProfile(t *testing.T) {
-	p := delaymodel.VGG16Profile().Constrained(1024)
-	y, push, bw := SizedDelayFromProfile(p, 4)
-	if y == nil || push == nil {
-		t.Fatal("nil distributions")
-	}
-	if bw != 1024 {
-		t.Fatalf("bandwidth %v, want 1024", bw)
 	}
 }

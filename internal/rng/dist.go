@@ -7,12 +7,11 @@ import (
 
 // Distribution is a one-dimensional probability distribution from which the
 // simulator draws local-step compute times Y and communication delays D.
-// Mean and Var return the analytic first two moments, which the runtime
-// analysis (paper Sec 3.1) compares against Monte-Carlo estimates.
+// Mean returns the analytic first moment, which the runtime analysis (paper
+// Sec 3.1) compares against Monte-Carlo estimates.
 type Distribution interface {
 	Sample(r *Rand) float64
 	Mean() float64
-	Var() float64
 	String() string
 }
 
@@ -26,24 +25,7 @@ func (c Constant) Sample(*Rand) float64 { return c.Value }
 // Mean returns Value.
 func (c Constant) Mean() float64 { return c.Value }
 
-// Var returns 0.
-func (c Constant) Var() float64 { return 0 }
-
 func (c Constant) String() string { return fmt.Sprintf("Constant(%g)", c.Value) }
-
-// Uniform is the continuous uniform distribution on [Low, High].
-type Uniform struct{ Low, High float64 }
-
-// Sample draws uniformly from [Low, High).
-func (u Uniform) Sample(r *Rand) float64 { return u.Low + (u.High-u.Low)*r.Float64() }
-
-// Mean returns (Low+High)/2.
-func (u Uniform) Mean() float64 { return (u.Low + u.High) / 2 }
-
-// Var returns (High-Low)^2 / 12.
-func (u Uniform) Var() float64 { d := u.High - u.Low; return d * d / 12 }
-
-func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g,%g]", u.Low, u.High) }
 
 // Exponential has mean MeanVal (rate 1/MeanVal). The paper's straggler
 // analysis (Sec 3.2) models Y as exponential with mean y, so that
@@ -55,9 +37,6 @@ func (e Exponential) Sample(r *Rand) float64 { return e.MeanVal * r.ExpFloat64()
 
 // Mean returns the mean.
 func (e Exponential) Mean() float64 { return e.MeanVal }
-
-// Var returns mean^2.
-func (e Exponential) Var() float64 { return e.MeanVal * e.MeanVal }
 
 func (e Exponential) String() string { return fmt.Sprintf("Exp(mean=%g)", e.MeanVal) }
 
@@ -75,43 +54,9 @@ func (s ShiftedExponential) Sample(r *Rand) float64 { return s.Shift + s.Scale*r
 // Mean returns Shift + Scale.
 func (s ShiftedExponential) Mean() float64 { return s.Shift + s.Scale }
 
-// Var returns Scale^2.
-func (s ShiftedExponential) Var() float64 { return s.Scale * s.Scale }
-
 func (s ShiftedExponential) String() string {
 	return fmt.Sprintf("ShiftedExp(shift=%g,scale=%g)", s.Shift, s.Scale)
 }
-
-// Erlang is the sum of K i.i.d. exponentials each with mean MeanVal/K, so
-// the total mean is MeanVal and the variance is MeanVal^2/K. The average of
-// tau local-step times in PASGD (paper eq 9) is Erlang-distributed when Y is
-// exponential; its tau-times-smaller variance is the source of PASGD's
-// straggler mitigation.
-type Erlang struct {
-	K       int     // shape (number of summed exponentials), >= 1
-	MeanVal float64 // mean of the sum
-}
-
-// Sample draws an Erlang(K, mean=MeanVal) value.
-func (e Erlang) Sample(r *Rand) float64 {
-	if e.K < 1 {
-		panic("rng: Erlang with K < 1")
-	}
-	// Product of uniforms avoids K calls to Log.
-	prod := 1.0
-	for i := 0; i < e.K; i++ {
-		prod *= 1 - r.Float64()
-	}
-	return -e.MeanVal / float64(e.K) * math.Log(prod)
-}
-
-// Mean returns the mean of the sum.
-func (e Erlang) Mean() float64 { return e.MeanVal }
-
-// Var returns MeanVal^2 / K.
-func (e Erlang) Var() float64 { return e.MeanVal * e.MeanVal / float64(e.K) }
-
-func (e Erlang) String() string { return fmt.Sprintf("Erlang(k=%d,mean=%g)", e.K, e.MeanVal) }
 
 // Pareto is a heavy-tailed distribution with scale Xm > 0 and shape
 // Alpha > 0. Used in straggler ablations: with Alpha <= 2 the variance is
@@ -135,80 +80,4 @@ func (p Pareto) Mean() float64 {
 	return p.Alpha * p.Xm / (p.Alpha - 1)
 }
 
-// Var returns the variance for Alpha > 2, +Inf otherwise.
-func (p Pareto) Var() float64 {
-	if p.Alpha <= 2 {
-		return math.Inf(1)
-	}
-	a := p.Alpha
-	return p.Xm * p.Xm * a / ((a - 1) * (a - 1) * (a - 2))
-}
-
 func (p Pareto) String() string { return fmt.Sprintf("Pareto(xm=%g,alpha=%g)", p.Xm, p.Alpha) }
-
-// Normal is the Gaussian distribution with the given mean and standard
-// deviation, truncated below at zero when used as a delay (see
-// TruncatedNormal) — this type itself is untruncated.
-type Normal struct {
-	Mu    float64
-	Sigma float64
-}
-
-// Sample draws a normal value.
-func (n Normal) Sample(r *Rand) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
-
-// Mean returns Mu.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// Var returns Sigma^2.
-func (n Normal) Var() float64 { return n.Sigma * n.Sigma }
-
-func (n Normal) String() string { return fmt.Sprintf("Normal(mu=%g,sigma=%g)", n.Mu, n.Sigma) }
-
-// TruncatedNormal is a Normal conditioned on being >= Floor (rejection
-// sampled). Suitable as a mildly-variable delay distribution.
-type TruncatedNormal struct {
-	Mu    float64
-	Sigma float64
-	Floor float64
-}
-
-// Sample rejection-samples a normal until the value is >= Floor.
-func (t TruncatedNormal) Sample(r *Rand) float64 {
-	for i := 0; i < 1024; i++ {
-		v := t.Mu + t.Sigma*r.NormFloat64()
-		if v >= t.Floor {
-			return v
-		}
-	}
-	return t.Floor // pathological parameters; fail safe
-}
-
-// Mean returns the untruncated mean (approximation; exact when the
-// truncation mass is negligible, which holds for all profiles in this repo).
-func (t TruncatedNormal) Mean() float64 { return t.Mu }
-
-// Var returns the untruncated variance (same approximation as Mean).
-func (t TruncatedNormal) Var() float64 { return t.Sigma * t.Sigma }
-
-func (t TruncatedNormal) String() string {
-	return fmt.Sprintf("TruncNormal(mu=%g,sigma=%g,floor=%g)", t.Mu, t.Sigma, t.Floor)
-}
-
-// Scaled wraps a distribution and multiplies every sample (and both
-// moments) by Factor. Used for D = D0 * s(m) (paper eq 5).
-type Scaled struct {
-	Base   Distribution
-	Factor float64
-}
-
-// Sample returns Factor * Base.Sample(r).
-func (s Scaled) Sample(r *Rand) float64 { return s.Factor * s.Base.Sample(r) }
-
-// Mean returns Factor * Base.Mean().
-func (s Scaled) Mean() float64 { return s.Factor * s.Base.Mean() }
-
-// Var returns Factor^2 * Base.Var().
-func (s Scaled) Var() float64 { return s.Factor * s.Factor * s.Base.Var() }
-
-func (s Scaled) String() string { return fmt.Sprintf("%g*%s", s.Factor, s.Base) }

@@ -162,66 +162,29 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-// checkMoments verifies Monte-Carlo moments of d against its analytic ones.
-func checkMoments(t *testing.T, d Distribution, n int, meanTol, varTol float64) {
+// checkMean verifies the Monte-Carlo mean of d against its analytic one.
+func checkMean(t *testing.T, d Distribution, n int, meanTol float64) {
 	t.Helper()
 	r := New(11)
-	sum, sumsq := 0.0, 0.0
+	sum := 0.0
 	for i := 0; i < n; i++ {
-		v := d.Sample(r)
-		sum += v
-		sumsq += v * v
+		sum += d.Sample(r)
 	}
-	mean := sum / float64(n)
-	variance := sumsq/float64(n) - mean*mean
-	if math.Abs(mean-d.Mean()) > meanTol {
+	if mean := sum / float64(n); math.Abs(mean-d.Mean()) > meanTol {
 		t.Fatalf("%s: sample mean %v vs analytic %v", d, mean, d.Mean())
-	}
-	if !math.IsInf(d.Var(), 1) && math.Abs(variance-d.Var()) > varTol {
-		t.Fatalf("%s: sample var %v vs analytic %v", d, variance, d.Var())
 	}
 }
 
 func TestDistributionMoments(t *testing.T) {
-	checkMoments(t, Constant{2.5}, 100, 1e-12, 1e-12)
-	checkMoments(t, Uniform{1, 3}, 200000, 0.01, 0.01)
-	checkMoments(t, Exponential{2}, 300000, 0.03, 0.15)
-	checkMoments(t, ShiftedExponential{Shift: 1, Scale: 0.5}, 200000, 0.01, 0.02)
-	checkMoments(t, Erlang{K: 4, MeanVal: 2}, 200000, 0.01, 0.05)
-	checkMoments(t, Normal{Mu: 3, Sigma: 0.7}, 200000, 0.01, 0.02)
-	checkMoments(t, Pareto{Xm: 1, Alpha: 3}, 400000, 0.02, 0.2)
-	checkMoments(t, Scaled{Base: Exponential{1}, Factor: 3}, 300000, 0.05, 0.3)
-}
-
-func TestErlangVarianceShrinks(t *testing.T) {
-	// Var(Erlang(k, mean)) = mean^2/k must strictly decrease in k: this is
-	// the mechanism behind PASGD's straggler mitigation.
-	prev := math.Inf(1)
-	for k := 1; k <= 32; k *= 2 {
-		v := (Erlang{K: k, MeanVal: 1}).Var()
-		if v >= prev {
-			t.Fatalf("Erlang variance not decreasing at k=%d: %v >= %v", k, v, prev)
-		}
-		prev = v
-	}
+	checkMean(t, Constant{2.5}, 100, 1e-12)
+	checkMean(t, Exponential{2}, 300000, 0.03)
+	checkMean(t, ShiftedExponential{Shift: 1, Scale: 0.5}, 200000, 0.01)
+	checkMean(t, Pareto{Xm: 1, Alpha: 3}, 400000, 0.02)
 }
 
 func TestParetoInfiniteMoments(t *testing.T) {
 	if !math.IsInf((Pareto{Xm: 1, Alpha: 1}).Mean(), 1) {
 		t.Fatal("Pareto alpha<=1 should have infinite mean")
-	}
-	if !math.IsInf((Pareto{Xm: 1, Alpha: 2}).Var(), 1) {
-		t.Fatal("Pareto alpha<=2 should have infinite variance")
-	}
-}
-
-func TestTruncatedNormalFloor(t *testing.T) {
-	d := TruncatedNormal{Mu: 1, Sigma: 2, Floor: 0.5}
-	r := New(12)
-	for i := 0; i < 50000; i++ {
-		if v := d.Sample(r); v < 0.5 {
-			t.Fatalf("truncated sample %v below floor", v)
-		}
 	}
 }
 
@@ -329,25 +292,6 @@ func TestQuantileProperties(t *testing.T) {
 		return s.Min <= s.P50 && s.P50 <= s.P90 && s.P90 <= s.P99 && s.P99 <= s.Max
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Scaled preserves the mean scaling relation on samples.
-func TestScaledProperty(t *testing.T) {
-	f := func(seed uint64, factor8 uint8) bool {
-		factor := 0.1 + float64(factor8)/32.0
-		base := Exponential{1.5}
-		d := Scaled{Base: base, Factor: factor}
-		r1, r2 := New(seed), New(seed)
-		for i := 0; i < 16; i++ {
-			if math.Abs(d.Sample(r1)-factor*base.Sample(r2)) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

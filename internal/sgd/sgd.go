@@ -1,19 +1,16 @@
-// Package sgd provides serial mini-batch SGD building blocks: learning-rate
-// schedules (constant, step decay, multi-step — the paper decays by 10x at
-// the 80/120/160/200-epoch marks), the serial training loop, and a
-// stochastic-gradient variance estimator for calibrating the sigma^2
-// constant that Theorem 1 and the tau* formula consume. The update rules
-// themselves (plain SGD, momentum, Nesterov, Local Adam) live in
-// internal/opt; TrainSerial drives any opt.Optimizer.
+// Package sgd provides mini-batch SGD building blocks: learning-rate
+// schedules (constant, multi-step — the paper decays by 10x at the
+// 80/120/160/200-epoch marks), and estimators of the stochastic-gradient
+// variance sigma^2 and the Lipschitz constant L that Theorem 1 and the tau*
+// formula consume. The update rules themselves (plain SGD, momentum,
+// Nesterov, Local Adam) live in internal/opt.
 package sgd
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/data"
 	"repro/internal/nn"
-	"repro/internal/opt"
 	"repro/internal/tensor"
 )
 
@@ -31,25 +28,6 @@ type Const struct{ Eta float64 }
 func (c Const) LR(int) float64 { return c.Eta }
 
 func (c Const) String() string { return fmt.Sprintf("const(%g)", c.Eta) }
-
-// StepDecay multiplies the base rate by Factor every Every epochs.
-type StepDecay struct {
-	Eta    float64
-	Factor float64
-	Every  int
-}
-
-// LR implements Schedule.
-func (s StepDecay) LR(epoch int) float64 {
-	if s.Every <= 0 {
-		return s.Eta
-	}
-	return s.Eta * math.Pow(s.Factor, float64(epoch/s.Every))
-}
-
-func (s StepDecay) String() string {
-	return fmt.Sprintf("step(%g x%g every %d)", s.Eta, s.Factor, s.Every)
-}
 
 // MultiStep decays the base rate by Factor at each listed epoch milestone —
 // the paper's "decay by 10 after 80/120/160/200 epochs" schedule.
@@ -74,60 +52,12 @@ func (m MultiStep) String() string {
 	return fmt.Sprintf("multistep(%g x%g at %v)", m.Eta, m.Factor, m.Milestones)
 }
 
-// Cosine anneals from Eta to EtaMin over Period epochs (then stays at
-// EtaMin). Included as a modern alternative for the ablation benches.
-type Cosine struct {
-	Eta    float64
-	EtaMin float64
-	Period int
-}
-
-// LR implements Schedule.
-func (c Cosine) LR(epoch int) float64 {
-	if c.Period <= 0 || epoch >= c.Period {
-		return c.EtaMin
-	}
-	frac := float64(epoch) / float64(c.Period)
-	return c.EtaMin + (c.Eta-c.EtaMin)*(1+math.Cos(math.Pi*frac))/2
-}
-
-func (c Cosine) String() string {
-	return fmt.Sprintf("cosine(%g->%g over %d)", c.Eta, c.EtaMin, c.Period)
-}
-
-// TrainSerial runs serial mini-batch training with the given update rule
-// for the given number of steps — the single-node baseline of classical
-// SGD analyses — and returns the average mini-batch loss over the final
-// 10% of steps (a cheap proxy for the terminal training loss that avoids
-// a full-dataset pass).
-func TrainSerial(model *nn.Network, sampler *data.Sampler, opt opt.Optimizer, steps int) float64 {
-	grad := make([]float64, model.ParamLen())
-	tailStart := steps - steps/10
-	if tailStart >= steps {
-		tailStart = steps - 1
-	}
-	tailSum, tailN := 0.0, 0
-	for s := 0; s < steps; s++ {
-		b := sampler.Next()
-		loss := model.LossGrad(b, grad)
-		opt.Step(model.Params(), grad)
-		if s >= tailStart {
-			tailSum += loss
-			tailN++
-		}
-	}
-	if tailN == 0 {
-		return math.NaN()
-	}
-	return tailSum / float64(tailN)
-}
-
 // EstimateGradientVariance estimates sigma^2 = E||g(x) - grad F(x)||^2 at
 // the model's current parameters, using the full-batch gradient as the
 // ground truth and `trials` mini-batches. This is the sigma^2 that enters
 // the tau* formula (paper eq 14); the paper sidesteps estimating it via the
-// ratio rule (eq 17), but the repo exposes it so the "oracle" variant of
-// AdaComm can be benchmarked against the practical rule.
+// ratio rule (eq 17), but the repo exposes it so internal/bound's Theorem 1
+// can be held against measured runs.
 func EstimateGradientVariance(model *nn.Network, ds *data.Dataset, batchSize, trials int, sampler *data.Sampler) float64 {
 	full := data.FullBatch(ds)
 	exact := make([]float64, model.ParamLen())

@@ -19,16 +19,6 @@ func TestConstSchedule(t *testing.T) {
 	}
 }
 
-func TestStepDecay(t *testing.T) {
-	s := StepDecay{Eta: 1, Factor: 0.5, Every: 10}
-	cases := map[int]float64{0: 1, 9: 1, 10: 0.5, 19: 0.5, 20: 0.25}
-	for e, want := range cases {
-		if got := s.LR(e); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("step LR(%d) = %v, want %v", e, got, want)
-		}
-	}
-}
-
 func TestMultiStepMatchesPaperSchedule(t *testing.T) {
 	// Paper Sec 5.1: decay by 10 after epochs 80/120/160/200.
 	s := MultiStep{Eta: 0.2, Factor: 0.1, Milestones: []int{80, 120, 160, 200}}
@@ -42,25 +32,6 @@ func TestMultiStepMatchesPaperSchedule(t *testing.T) {
 		if got := s.LR(e); math.Abs(got-want) > 1e-15 {
 			t.Fatalf("multistep LR(%d) = %v, want %v", e, got, want)
 		}
-	}
-}
-
-func TestCosine(t *testing.T) {
-	s := Cosine{Eta: 1, EtaMin: 0.1, Period: 100}
-	if got := s.LR(0); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("cosine LR(0) = %v", got)
-	}
-	if got := s.LR(100); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("cosine LR(end) = %v", got)
-	}
-	// Monotone decreasing on [0, period].
-	prev := math.Inf(1)
-	for e := 0; e <= 100; e += 10 {
-		cur := s.LR(e)
-		if cur > prev+1e-12 {
-			t.Fatalf("cosine not decreasing at %d", e)
-		}
-		prev = cur
 	}
 }
 
@@ -118,25 +89,6 @@ func TestMomentumFasterThanPlainOnQuadratic(t *testing.T) {
 	plain, mom := run(0), run(0.9)
 	if mom >= plain {
 		t.Fatalf("momentum loss %v not better than plain %v", mom, plain)
-	}
-}
-
-func TestTrainSerial(t *testing.T) {
-	ds := data.GaussianBlobs(data.GaussianBlobsConfig{
-		Classes: 3, Dim: 5, N: 300, Separation: 4, Noise: 0.8,
-	}, rng.New(20))
-	model := nn.NewLogisticRegression(5, 3)
-	model.InitParams(rng.New(21))
-	initial := model.Loss(data.FullBatch(ds))
-	sampler := data.NewSampler(ds, 16, rng.New(22))
-	o := opt.New(opt.Config{LR: 0.2}, model.ParamLen())
-	tail := TrainSerial(model, sampler, o, 500)
-	if math.IsNaN(tail) || tail >= initial/2 {
-		t.Fatalf("TrainSerial tail loss %v not well below initial %v", tail, initial)
-	}
-	final := model.Loss(data.FullBatch(ds))
-	if math.Abs(tail-final) > 0.5*final+0.1 {
-		t.Fatalf("tail loss %v is a poor proxy for final loss %v", tail, final)
 	}
 }
 

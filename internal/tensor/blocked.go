@@ -7,7 +7,7 @@ import (
 	"repro/internal/par"
 )
 
-// Blocked implementations of the Gem*/Gemv* kernels. The contract with
+// Blocked implementations of the Gem* kernels. The contract with
 // naive.go: every output element accumulates exactly the same sequence of
 // floating-point operations as the naive reference — beta-scale (or
 // overwrite) first, then one addition per term in ascending reduction index,
@@ -23,9 +23,6 @@ import (
 // retired per instruction instead of one.
 
 const (
-	// rowTile is the register tile height of Gemv: output rows updated per
-	// streamed x load.
-	rowTile = 4
 	// kcBlock is the k-panel size of the axpy-form kernels: the B panel
 	// (kcBlock x N floats) stays cache-resident while every row of the panel
 	// consumes it, and a row's coefficient list (coefList, zeroed per call)
@@ -284,127 +281,6 @@ func gemmTBPanel(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi, n
 		crow := c.Row(i)
 		for j := 0; j < n; j++ {
 			crow[j] = axpby(alpha, Dot(arow, b.Row(j)), beta, crow[j])
-		}
-	}
-}
-
-// axpyRow is dst += v * src over exactly len(src) elements; the reslice
-// makes the loop bounds-check-free.
-func axpyRow(dst []float64, v float64, src []float64) {
-	dst = dst[:len(src)]
-	for j, sv := range src {
-		dst[j] += v * sv
-	}
-}
-
-func gemvBlocked(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
-	m, n := a.Rows, a.Cols
-	if m == 0 {
-		return
-	}
-	if panels := parPanels(m, m*n); panels > 0 {
-		aa := *a // header copy: keep the caller's header off the heap
-		par.ForEach(panels, Workers(), func(p int) {
-			lo, hi := panelBounds(p, m)
-			gemvPanel(alpha, &aa, x, beta, y, lo, hi)
-		})
-		return
-	}
-	gemvPanel(alpha, a, x, beta, y, 0, m)
-}
-
-func gemvPanel(alpha float64, a *Matrix, x []float64, beta float64, y []float64, lo, hi int) {
-	i := lo
-	for ; i+rowTile <= hi; i += rowTile {
-		a0 := a.Row(i)[:len(x)]
-		a1 := a.Row(i + 1)[:len(x)]
-		a2 := a.Row(i + 2)[:len(x)]
-		a3 := a.Row(i + 3)[:len(x)]
-		var s0, s1, s2, s3 float64
-		for j, xv := range x {
-			s0 += a0[j] * xv
-			s1 += a1[j] * xv
-			s2 += a2[j] * xv
-			s3 += a3[j] * xv
-		}
-		if beta == 0 {
-			y[i] = alpha * s0
-			y[i+1] = alpha * s1
-			y[i+2] = alpha * s2
-			y[i+3] = alpha * s3
-		} else {
-			y[i] = alpha*s0 + beta*y[i]
-			y[i+1] = alpha*s1 + beta*y[i+1]
-			y[i+2] = alpha*s2 + beta*y[i+2]
-			y[i+3] = alpha*s3 + beta*y[i+3]
-		}
-	}
-	for ; i < hi; i++ {
-		row := a.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		if beta == 0 {
-			y[i] = alpha * s
-		} else {
-			y[i] = alpha*s + beta*y[i]
-		}
-	}
-}
-
-func gemvTBlocked(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
-	m, n := a.Rows, a.Cols
-	// Panels split the OUTPUT (columns of A), so the beta pre-pass and every
-	// ascending-i accumulation happen panel-locally with one writer per
-	// element.
-	if panels := parPanels(n, m*n); panels > 0 {
-		aa := *a // header copy: keep the caller's header off the heap
-		par.ForEach(panels, Workers(), func(p int) {
-			lo, hi := panelBounds(p, n)
-			gemvTPanel(alpha, &aa, x, beta, y, lo, hi, m)
-		})
-		return
-	}
-	gemvTPanel(alpha, a, x, beta, y, 0, n, m)
-}
-
-func gemvTPanel(alpha float64, a *Matrix, x []float64, beta float64, y []float64, lo, hi, m int) {
-	yp := y[lo:hi]
-	if beta == 0 {
-		Zero(yp)
-	} else if beta != 1 {
-		for j := range yp {
-			yp[j] *= beta
-		}
-	}
-	i := 0
-	for ; i+2 <= m; i += 2 {
-		ax0 := alpha * x[i]
-		ax1 := alpha * x[i+1]
-		r0 := a.Row(i)[lo:hi]
-		r1 := a.Row(i + 1)[lo:hi]
-		if ax0 != 0 && ax1 != 0 {
-			// Two separate additions per element keep the ascending-i
-			// term order of the naive kernel.
-			yp, r1 := yp[:len(r0)], r1[:len(r0)]
-			for j, v := range r0 {
-				yp[j] += ax0 * v
-				yp[j] += ax1 * r1[j]
-			}
-			continue
-		}
-		if ax0 != 0 {
-			axpyRow(yp, ax0, r0)
-		}
-		if ax1 != 0 {
-			axpyRow(yp, ax1, r1)
-		}
-	}
-	if i < m {
-		ax := alpha * x[i]
-		if ax != 0 {
-			axpyRow(yp, ax, a.Row(i)[lo:hi])
 		}
 	}
 }

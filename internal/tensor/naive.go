@@ -10,11 +10,11 @@ package tensor
 //
 // The products come in two forms, and the form decides what a zero does:
 //
-//   - Dot form (Gemv, GemmTB): an element is alpha*s + beta*c, where s sums
+//   - Dot form (GemmTB): an element is alpha*s + beta*c, where s sums
 //     EVERY term from +0. No term is skipped: a zero coefficient still
 //     multiplies its partner, so 0 x Inf or 0 x NaN poisons the sum, and s is
 //     never -0.
-//   - Axpy form (Gemm, GemmTA, GemvT): an element starts from beta*c and
+//   - Axpy form (Gemm, GemmTA): an element starts from beta*c and
 //     adds (alpha*a)*b term by term; a term whose coefficient alpha*a is
 //     exactly zero (either sign) is SKIPPED, so it hides an Inf or NaN
 //     partner and leaves a -0 destination -0. The coefficient operand is A.
@@ -35,49 +35,6 @@ package tensor
 //     ascending position/filter order, same skip on G == 0). G is what ReLU
 //     and max-pooling fill with exact zeros, so the skip lands where the
 //     zeros are.
-
-// GemvNaive is the reference Gemv: y = alpha*A*x + beta*y.
-func GemvNaive(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic("tensor: Gemv dimension mismatch")
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		if beta == 0 {
-			y[i] = alpha * s
-		} else {
-			y[i] = alpha*s + beta*y[i]
-		}
-	}
-}
-
-// GemvTNaive is the reference GemvT: y = alpha*A^T*x + beta*y.
-func GemvTNaive(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("tensor: GemvT dimension mismatch")
-	}
-	if beta == 0 {
-		Zero(y)
-	} else if beta != 1 {
-		for j := range y {
-			y[j] *= beta
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		ax := alpha * x[i]
-		if ax == 0 {
-			continue
-		}
-		for j, v := range row {
-			y[j] += ax * v
-		}
-	}
-}
 
 // GemmNaive is the reference Gemm: C = alpha*A*B + beta*C.
 func GemmNaive(alpha float64, a, b *Matrix, beta float64, c *Matrix) {

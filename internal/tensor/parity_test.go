@@ -8,7 +8,7 @@ import (
 
 // Parity tests: the blocked/tiled kernels must be BIT-identical to the naive
 // references in naive.go — same canonical reduce order, same zero-skip —
-// across ragged shapes (dims straddling rowTile/panelRows/kcBlock), every
+// across ragged shapes (dims straddling panelRows/kcBlock), every
 // transpose variant, beta in {0, 1, 0.5}, and worker counts 1/4/8.
 
 // parityRNG is a tiny deterministic generator so the tables need no seeds
@@ -127,60 +127,6 @@ func TestGemmTBParity(t *testing.T) {
 				if i, ok := bitsEqual(cGot.Data, cWant.Data); !ok {
 					t.Fatalf("GemmTB workers=%d shape=%v beta=%v: element %d = %x want %x",
 						w, sh, beta, i, math.Float64bits(cGot.Data[i]), math.Float64bits(cWant.Data[i]))
-				}
-			}
-		}
-		SetWorkers(prev)
-	}
-}
-
-func TestGemvParity(t *testing.T) {
-	r := parityRNG(4)
-	shapes := []struct{ rows, cols int }{
-		{1, 1}, {3, 7}, {33, 65}, {129, 31}, {300, 200}, // last one fans out
-	}
-	for _, w := range parityWorkers {
-		prev := SetWorkers(w)
-		for _, sh := range shapes {
-			for _, beta := range parityBetas {
-				a := parityMatrix(&r, sh.rows, sh.cols)
-				x := make([]float64, sh.cols)
-				fillParity(&r, x)
-				yGot := make([]float64, sh.rows)
-				fillParity(&r, yGot)
-				yWant := append([]float64(nil), yGot...)
-				Gemv(1.5, a, x, beta, yGot)
-				GemvNaive(1.5, a, x, beta, yWant)
-				if i, ok := bitsEqual(yGot, yWant); !ok {
-					t.Fatalf("Gemv workers=%d shape=%v beta=%v: element %d = %x want %x",
-						w, sh, beta, i, math.Float64bits(yGot[i]), math.Float64bits(yWant[i]))
-				}
-			}
-		}
-		SetWorkers(prev)
-	}
-}
-
-func TestGemvTParity(t *testing.T) {
-	r := parityRNG(5)
-	shapes := []struct{ rows, cols int }{
-		{1, 1}, {7, 3}, {65, 33}, {31, 129}, {200, 300}, // last one fans out
-	}
-	for _, w := range parityWorkers {
-		prev := SetWorkers(w)
-		for _, sh := range shapes {
-			for _, beta := range parityBetas {
-				a := parityMatrix(&r, sh.rows, sh.cols)
-				x := make([]float64, sh.rows)
-				fillParity(&r, x)
-				yGot := make([]float64, sh.cols)
-				fillParity(&r, yGot)
-				yWant := append([]float64(nil), yGot...)
-				GemvT(-1.25, a, x, beta, yGot)
-				GemvTNaive(-1.25, a, x, beta, yWant)
-				if i, ok := bitsEqual(yGot, yWant); !ok {
-					t.Fatalf("GemvT workers=%d shape=%v beta=%v: element %d = %x want %x",
-						w, sh, beta, i, math.Float64bits(yGot[i]), math.Float64bits(yWant[i]))
 				}
 			}
 		}

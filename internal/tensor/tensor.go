@@ -1,6 +1,6 @@
 // Package tensor provides the dense linear-algebra substrate for the
 // hand-rolled neural-network stack: float64 vectors and row-major matrices
-// with the handful of BLAS-like kernels (axpy, dot, gemv, gemm, im2col) that
+// with the handful of BLAS-like kernels (axpy, dot, gemm, im2col) that
 // mini-batch SGD on MLPs and small CNNs requires.
 //
 // Everything is plain Go over []float64 except two SSE2 micro-kernels behind
@@ -139,7 +139,7 @@ func (m *Matrix) Clone() *Matrix {
 // distinction matters because 0 * NaN = NaN — a destination holding stale
 // NaN/Inf (e.g. a reused scratch buffer) must not poison the result.
 //
-// The Gem*/Gemv* kernels below are blocked (see blocked.go) and optionally
+// The Gem* kernels below are blocked (see blocked.go) and optionally
 // fan output-row panels across a goroutine pool (SetWorkers; default 1 =
 // serial). Every variant is bit-identical to its naive reference in naive.go
 // at every worker count: per output element the floating-point operation
@@ -147,24 +147,6 @@ func (m *Matrix) Clone() *Matrix {
 // one addition per term in ascending reduction index, with exact-zero A
 // coefficients skipped in the axpy-form kernels (naive.go says which those
 // are and why it matters to callers).
-
-// Gemv computes y = alpha*A*x + beta*y for a row-major A (Rows x Cols),
-// len(x) == Cols, len(y) == Rows. beta == 0 overwrites y.
-func Gemv(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
-	if len(x) != a.Cols || len(y) != a.Rows {
-		panic("tensor: Gemv dimension mismatch")
-	}
-	gemvBlocked(alpha, a, x, beta, y)
-}
-
-// GemvT computes y = alpha*A^T*x + beta*y, len(x) == Rows, len(y) == Cols.
-// beta == 0 overwrites y.
-func GemvT(alpha float64, a *Matrix, x []float64, beta float64, y []float64) {
-	if len(x) != a.Rows || len(y) != a.Cols {
-		panic("tensor: GemvT dimension mismatch")
-	}
-	gemvTBlocked(alpha, a, x, beta, y)
-}
 
 // Gemm computes C = alpha*A*B + beta*C. A is (M x K), B is (K x N),
 // C is (M x N). beta == 0 overwrites C.

@@ -190,37 +190,6 @@ func TestGemmTB(t *testing.T) {
 	}
 }
 
-func TestGemv(t *testing.T) {
-	a := NewMatrix(3, 2)
-	fillSeq(a)
-	x := []float64{2, -1}
-	y := make([]float64, 3)
-	Gemv(1, a, x, 0, y)
-	for i := 0; i < 3; i++ {
-		want := a.At(i, 0)*x[0] + a.At(i, 1)*x[1]
-		if !approxEq(y[i], want, 1e-12) {
-			t.Fatalf("Gemv row %d: %v vs %v", i, y[i], want)
-		}
-	}
-}
-
-func TestGemvT(t *testing.T) {
-	a := NewMatrix(3, 2)
-	fillSeq(a)
-	x := []float64{1, 2, 3}
-	y := make([]float64, 2)
-	GemvT(1, a, x, 0, y)
-	for j := 0; j < 2; j++ {
-		want := 0.0
-		for i := 0; i < 3; i++ {
-			want += a.At(i, j) * x[i]
-		}
-		if !approxEq(y[j], want, 1e-12) {
-			t.Fatalf("GemvT col %d: %v vs %v", j, y[j], want)
-		}
-	}
-}
-
 func TestGemmPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -413,35 +382,6 @@ func TestGemmBetaZeroOverwritesStaleNaN(t *testing.T) {
 	poison(dirty)
 	GemmTA(1, at, b, 0, dirty)
 	check("GemmTA", dirty, cleanTA)
-}
-
-// Regression: the same overwrite-on-beta-0 contract for the matrix-vector
-// kernels.
-func TestGemvBetaZeroOverwritesStaleNaN(t *testing.T) {
-	a := NewMatrix(2, 3)
-	for i := range a.Data {
-		a.Data[i] = float64(i + 1)
-	}
-	x3 := []float64{1, 2, 3}
-	x2 := []float64{1, 2}
-
-	y := []float64{math.NaN(), math.Inf(-1)}
-	Gemv(1, a, x3, 0, y)
-	want := []float64{1*1 + 2*2 + 3*3, 4*1 + 5*2 + 6*3}
-	for i := range y {
-		if y[i] != want[i] {
-			t.Fatalf("Gemv y[%d] = %v, want %v", i, y[i], want[i])
-		}
-	}
-
-	yt := []float64{math.NaN(), math.Inf(1), math.NaN()}
-	GemvT(1, a, x2, 0, yt)
-	wantT := []float64{1*1 + 4*2, 2*1 + 5*2, 3*1 + 6*2}
-	for i := range yt {
-		if yt[i] != wantT[i] {
-			t.Fatalf("GemvT y[%d] = %v, want %v", i, yt[i], wantT[i])
-		}
-	}
 }
 
 // im2colRef and col2imRef are the loops Im2Col and Col2Im shipped with
