@@ -53,7 +53,7 @@ func check(err error)              { cli.Check("adacomm", err) }
 
 func main() {
 	arch := flag.String("arch", "vgg", "workload: vgg | resnet | logistic")
-	classes := flag.Int("classes", 10, "number of classes (10 or 100)")
+	classes := flag.Int("classes", 10, "number of classes (the paper's 10 or 100; anything from 2 to the workload's example count runs)")
 	workers := flag.Int("workers", 4, "number of workers m")
 	method := flag.String("method", "adacomm", "method: adacomm | fixed")
 	tau := flag.Int("tau", 1, "communication period for -method fixed")
@@ -165,8 +165,10 @@ func main() {
 	if *workers < 1 {
 		fail("-workers %d must be >= 1", *workers)
 	}
-	if *classes < 2 {
-		fail("-classes %d must be >= 2", *classes)
+	// The generators place every class at least once.
+	train, test := experiments.Examples(experiments.Arch(*arch), cli.Scale(*quick))
+	if *classes < 2 || *classes > train+test {
+		fail("-classes %d must be between 2 and the %d examples this workload generates", *classes, train+test)
 	}
 	finitePositive := func(flag string, v float64) {
 		if !(v > 0) || math.IsInf(v, 1) {

@@ -38,6 +38,13 @@ func TestCommandLine(t *testing.T) {
 		"-method adacomm -interval NaN",
 		"-async -tau 0",
 		"-async -workers 0",
+		// More workers than the 512 quick-scale examples leave a shard
+		// empty; more classes than examples, a class without one.
+		"-workers 513",
+		"-workers 513 -strategy ring",
+		"-async -tau 1 -clients 100000 -participation 4",
+		"-classes 100000",
+		"-arch vgg -budget 3 -classes 100000",
 		// These train to NaN.
 		"-lr NaN",
 		"-lr -1",

@@ -18,8 +18,36 @@ func TestCheckRegressionPassesWithinTolerance(t *testing.T) {
 		"Gemm64":      res(1200, 0), // +20% < 35% tolerance
 		"StepVGGNano": res(4800, 2),
 	}
-	if v := checkRegression(curr, base, pinnedKernels, 0.35); len(v) != 0 {
+	v, nsRows, allocRows := checkRegression(curr, base, pinnedKernels, 0.35)
+	if len(v) != 0 {
 		t.Fatalf("unexpected violations: %v", v)
+	}
+	// The normal case reports what it stood on: both rows are pinned and
+	// both are shared.
+	if nsRows != 2 || allocRows != 2 {
+		t.Fatalf("compared %d ns/op rows and %d allocs/op rows, want 2 and 2", nsRows, allocRows)
+	}
+}
+
+// TestCheckRegressionCountsWhatItCompared: a baseline with no benchmarks (any
+// JSON file without that key unmarshals into one) and a baseline that shares
+// no row with the run produce no violation — and no comparison, which is
+// what the command turns into exit 2 instead of "gate ok".
+func TestCheckRegressionCountsWhatItCompared(t *testing.T) {
+	curr := map[string]Result{"Gemm64": res(1000, 0), "PASGDRound/serial": res(1000, 4)}
+	for name, base := range map[string]map[string]Result{
+		"empty":    nil,
+		"disjoint": {"Gemm256/naive": res(1000, 0), "RingGossipRound/raw": res(1000, 0)},
+	} {
+		v, nsRows, allocRows := checkRegression(curr, base, pinnedKernels, 0.35)
+		if len(v) != 0 || nsRows != 0 || allocRows != 0 {
+			t.Errorf("%s baseline: violations %v, %d ns/op rows, %d allocs/op rows; want none of each", name, v, nsRows, allocRows)
+		}
+	}
+	// A shared row that is not pinned is an allocs/op comparison only.
+	_, nsRows, allocRows := checkRegression(curr, map[string]Result{"PASGDRound/serial": res(1, 4)}, pinnedKernels, 0.35)
+	if nsRows != 0 || allocRows != 1 {
+		t.Errorf("unpinned shared row: %d ns/op rows, %d allocs/op rows; want 0 and 1", nsRows, allocRows)
 	}
 }
 
@@ -28,12 +56,12 @@ func TestCheckRegressionCatchesInjectedSlowdown(t *testing.T) {
 	// gate must fail.
 	base := map[string]Result{"Gemm64": res(1000, 0)}
 	curr := map[string]Result{"Gemm64": res(2000, 0)}
-	v := checkRegression(curr, base, pinnedKernels, 0.35)
+	v, _, _ := checkRegression(curr, base, pinnedKernels, 0.35)
 	if len(v) != 1 || !strings.Contains(v[0], "Gemm64") {
 		t.Fatalf("2x slowdown not caught: %v", v)
 	}
 	// The same numbers pass once the tolerance admits them.
-	if v := checkRegression(curr, base, pinnedKernels, 1.5); len(v) != 0 {
+	if v, _, _ := checkRegression(curr, base, pinnedKernels, 1.5); len(v) != 0 {
 		t.Fatalf("tolerance 150%% still failed: %v", v)
 	}
 }
@@ -43,7 +71,7 @@ func TestCheckRegressionCatchesAllocIncrease(t *testing.T) {
 	// and with zero tolerance — counts are host-independent.
 	base := map[string]Result{"PASGDRound/serial": res(1000, 4)}
 	curr := map[string]Result{"PASGDRound/serial": res(1000, 5)}
-	v := checkRegression(curr, base, pinnedKernels, 0.35)
+	v, _, _ := checkRegression(curr, base, pinnedKernels, 0.35)
 	if len(v) != 1 || !strings.Contains(v[0], "allocs/op") {
 		t.Fatalf("alloc increase not caught: %v", v)
 	}
@@ -54,7 +82,7 @@ func TestCheckRegressionIgnoresUnsharedBenches(t *testing.T) {
 	// must not trip the gate.
 	base := map[string]Result{"Retired": res(10, 99), "Gemm64": res(1000, 0)}
 	curr := map[string]Result{"Gemm256/blocked": res(10, 0), "Gemm64": res(1000, 0)}
-	if v := checkRegression(curr, base, pinnedKernels, 0.35); len(v) != 0 {
+	if v, _, _ := checkRegression(curr, base, pinnedKernels, 0.35); len(v) != 0 {
 		t.Fatalf("unshared benches tripped the gate: %v", v)
 	}
 }
@@ -64,19 +92,23 @@ func TestCheckRatiosBlockedMustBeatNaive(t *testing.T) {
 		"Gemm256/naive":   res(10000, 0),
 		"Gemm256/blocked": res(5000, 0),
 	}
-	if v := checkRatios(ok); len(v) != 0 {
+	if v := checkRatios(ok, "avx2"); len(v) != 0 {
 		t.Fatalf("healthy ratio tripped the gate: %v", v)
 	}
 	bad := map[string]Result{
 		"Gemm256/naive":   res(10000, 0),
 		"Gemm256/blocked": res(9500, 0), // only 1.05x
 	}
-	v := checkRatios(bad)
-	if len(v) != 1 || !strings.Contains(v[0], "Gemm256") {
+	v := checkRatios(bad, "avx2")
+	if len(v) != 1 || !strings.Contains(v[0], "Gemm256") || strings.Contains(v[0], "no AVX2") {
 		t.Fatalf("degraded blocked kernel not caught: %v", v)
 	}
+	// The same ratio on the Go tier is a statement about the host.
+	if v := checkRatios(bad, "go"); len(v) != 1 || !strings.Contains(v[0], "this host has no AVX2") {
+		t.Fatalf("the violation does not name the tier: %v", v)
+	}
 	// Missing entries (e.g. a trimmed bench list) are not a violation.
-	if v := checkRatios(map[string]Result{"Gemm64": res(1, 0)}); len(v) != 0 {
+	if v := checkRatios(map[string]Result{"Gemm64": res(1, 0)}, "avx2"); len(v) != 0 {
 		t.Fatalf("missing benches tripped the ratio gate: %v", v)
 	}
 }

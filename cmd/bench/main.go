@@ -18,7 +18,9 @@
 // within tolerance of the committed record, 1 on a regression (pinned-kernel
 // ns/op past the tolerance, any allocs/op increase, or the blocked Gemm
 // losing its margin over the naive reference — see gate.go), 2 on usage
-// errors. CI runs this on every push unless the commit message carries a
+// errors — among them a baseline that shares no pinned row with the run, so
+// that a mis-pointed file or a renamed row cannot pass by comparing nothing.
+// CI runs this on every push unless the commit message carries a
 // `[bench-skip]` marker.
 //
 // The convention (see ROADMAP.md): each perf-relevant PR N runs
@@ -79,6 +81,7 @@ type Record struct {
 	GOARCH     string            `json:"goarch"`
 	NumCPU     int               `json:"num_cpu"`
 	GOMAXPROCS int               `json:"gomaxprocs"`
+	Kernels    string            `json:"kernels"` // tensor.Kernels(): the tier the kernel rows ran on
 	Note       string            `json:"note,omitempty"`
 	Baseline   *Baseline         `json:"baseline,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
@@ -220,6 +223,31 @@ func evalLossSetup(net *nn.Network, classes int) func() {
 			}
 		})
 		net.Loss(evalBatch)
+	}
+}
+
+// gemmTBTrunkSetup is a ResNetNano trunk conv's forward for one sample, 8
+// filters over 64 positions of 72-long patches: 147k of the net's 152k
+// forward multiply-adds per sample go through this shape, in training and in
+// evaluation alike.
+func gemmTBTrunkSetup() func() {
+	r := rng.New(35)
+	w := zeroLaden(r, tensor.NewMatrix(8, 72), 0)
+	x := zeroLaden(r, tensor.NewMatrix(64, 72), 0.5) // post-ReLU patches
+	out := tensor.NewMatrix(8, 64)
+	return func() { tensor.GemmTB(1, w, x, 0, out) }
+}
+
+// reluSetup is the activation between two trunk convs at batch 16 (8x8x8 per
+// sample, 8192 elements): one training forward and its backward.
+func reluSetup() func() {
+	r := rng.New(36)
+	l := nn.NewReLU(512)
+	in := zeroLaden(r, tensor.NewMatrix(16, 512), 0)
+	dOut := zeroLaden(r, tensor.NewMatrix(16, 512), 0)
+	return func() {
+		l.Forward(nil, in)
+		l.Backward(nil, dOut, nil)
 	}
 }
 
@@ -539,6 +567,8 @@ func main() {
 		// hosts; on a 1-core recorder it documents the dispatch overhead.
 		{"Gemm256/blocked-par4", 30, func() func() { return gemm256Setup(false, 4) }},
 		{"Gemm16x16x72/zero-laden", 20000, gemmZeroLadenSetup},
+		{"GemmTB8x64x72", 20000, gemmTBTrunkSetup},
+		{"ReLU/fwd+bwd-8192", 20000, reluSetup},
 		{"ConvFwd/vgg2", 2000, func() func() { return convSetup(false) }},
 		{"ConvBwd/vgg2", 2000, func() func() { return convSetup(true) }},
 		{"LossGrad/VGGNano-b16", 500, func() func() { return lossGradSetup(nn.NewVGGNano(gray, 10), 10) }},
@@ -582,9 +612,12 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Kernels:    tensor.Kernels(),
 		Note:       *note,
 		Benchmarks: map[string]Result{},
 	}
+	fmt.Fprintf(os.Stderr, "bench: %s/%s, %d CPUs, GOMAXPROCS %d, %s kernels\n",
+		rec.GOOS, rec.GOARCH, rec.NumCPU, rec.GOMAXPROCS, rec.Kernels)
 	for _, bench := range benches {
 		if *runFilter != "" && !strings.Contains(bench.name, *runFilter) {
 			continue
@@ -609,8 +642,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "bench: -check: %v\n", err)
 			os.Exit(2)
 		}
-		violations := checkRegression(rec.Benchmarks, base.Benchmarks, pinnedKernels, *tolerance)
-		violations = append(violations, checkRatios(rec.Benchmarks)...)
+		violations, nsRows, allocRows := checkRegression(rec.Benchmarks, base.Benchmarks, pinnedKernels, *tolerance)
+		fmt.Fprintf(os.Stderr, "bench: compared %d pinned ns/op rows and %d allocs/op rows against %s\n",
+			nsRows, allocRows, *check)
+		if nsRows == 0 {
+			fmt.Fprintf(os.Stderr, "bench: -check: %s and this run (%d rows) share no pinned row: nothing was gated\n",
+				*check, len(rec.Benchmarks))
+			os.Exit(2)
+		}
+		violations = append(violations, checkRatios(rec.Benchmarks, rec.Kernels)...)
 		if len(violations) > 0 {
 			for _, v := range violations {
 				fmt.Fprintf(os.Stderr, "bench: regression: %s\n", v)

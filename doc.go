@@ -140,14 +140,17 @@
 // kernels reorder only the loop NEST (C rows x kc-panels); the axpy-form
 // kernels (Gemm, GemmTA) compress each row's non-zero coefficients into a
 // list once and issue only those terms, so the exact zeros ReLU and
-// pooling leave in conv gradients cost nothing; and on amd64 the inner
-// loops of Gemm, GemmTA and GemmTB are packed SSE2 micro-kernels
-// (gemm_amd64.s; -tags purego builds without them) whose vector lanes hold
-// independent C elements — two multiply-adds retired per instruction
-// instead of one, with FMA deliberately off the table (fused rounding
-// would change bits). nn.Conv2D lowers each sample through a precomputed
-// index table (tensor.ConvPlan) and multiplies without transposing
-// anything (internal/tensor/naive.go explains why that is exact).
+// pooling leave in conv gradients cost nothing; and on an amd64 whose CPUID
+// reports AVX2 the inner loops of Gemm, GemmTA and GemmTB, the coefficient
+// compression and the ReLU masks are one tier of packed kernels
+// (gemm_amd64.s; tensor.Kernels says which tier runs, -tags purego builds
+// without them, and every other machine runs the Go loops they are tested
+// against) whose vector lanes hold independent C elements — four
+// multiply-adds retired per instruction instead of one, with FMA
+// deliberately off the table (fused rounding would change bits). nn.Conv2D
+// lowers each sample through a precomputed index table (tensor.ConvPlan) and
+// multiplies without transposing anything (internal/tensor/naive.go explains
+// why that is exact).
 // tensor.SetWorkers(n) optionally fans output-row panels
 // across goroutines; panels never share output rows, so results are
 // bit-identical at every worker count (raced in CI). Separately,

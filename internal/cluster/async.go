@@ -364,6 +364,9 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	if dm.M != n {
 		return nil, fmt.Errorf("cluster: delay model has %d workers, got %d shards", dm.M, n)
 	}
+	if err := checkShards(shards); err != nil {
+		return nil, err
+	}
 	if err := cfg.validate(n); err != nil {
 		return nil, err
 	}

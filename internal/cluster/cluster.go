@@ -507,6 +507,22 @@ type Engine struct {
 	cfg Config
 }
 
+// checkShards rejects a worker with nothing to train on — more workers than
+// examples leave the last shards empty, and a sampler over an empty shard
+// panics on its first batch.
+func checkShards(shards []*data.Dataset) error {
+	total := 0
+	for _, s := range shards {
+		total += s.N()
+	}
+	for i, s := range shards {
+		if s.N() == 0 {
+			return fmt.Errorf("cluster: worker %d has no training data (%d workers over %d examples)", i, len(shards), total)
+		}
+	}
+	return nil
+}
+
 // New builds an engine: the prototype network is cloned per worker (plus
 // one evaluation replica), the training set is the union of the shards
 // (used for loss evaluation), and the test set may be nil.
@@ -518,6 +534,9 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	}
 	if dm.M != m {
 		return nil, fmt.Errorf("cluster: delay model has %d workers, got %d shards", dm.M, m)
+	}
+	if err := checkShards(shards); err != nil {
+		return nil, err
 	}
 	if err := cfg.validate(m); err != nil {
 		return nil, err

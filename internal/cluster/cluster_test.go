@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/data"
@@ -85,6 +86,22 @@ func TestEngineValidation(t *testing.T) {
 	wrongDM := delaymodel.New(2, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
 	if _, err := New(s.proto, s.shards, s.train, s.test, wrongDM, baseCfg()); err == nil {
 		t.Fatal("accepted mismatched delay model worker count")
+	}
+}
+
+// More workers than examples leave a shard empty, and its sampler panicked on
+// the first batch: both constructors refuse it, naming the worker.
+func TestEmptyShardRejected(t *testing.T) {
+	s := newSetup(t, 801, 1) // over 800 training examples
+	want := "has no training data (801 workers over 800 examples)"
+	if _, err := New(s.proto, s.shards, s.train, s.test, s.dm, baseCfg()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("New: error %v, want one that says %q", err, want)
+	}
+	if _, err := NewAsync(s.proto, s.shards, s.train, s.test, s.dm, baseAsyncCfg()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("NewAsync: error %v, want one that says %q", err, want)
+	}
+	if s := newSetup(t, 800, 1); s.engine(t, baseCfg()) == nil { // one example each runs
+		t.Error("no engine")
 	}
 }
 

@@ -475,3 +475,21 @@ func TestFig8BytesBandwidthAloneIsSizeFree(t *testing.T) {
 		}
 	}
 }
+
+// TestExamplesIsWhatBuildWorkloadGenerates: the sizes a command checks its
+// -classes flag against are the sizes the builder uses, and a class count at
+// the bound still builds (one more would panic in the generator).
+func TestExamplesIsWhatBuildWorkloadGenerates(t *testing.T) {
+	for _, arch := range []Arch{ArchLogistic, ArchVGG, ArchResNet} {
+		for _, scale := range []Scale{ScaleQuick, ScaleFull} {
+			train, test := Examples(arch, scale)
+			w := BuildWorkload(arch, train+test, 2, scale, 1)
+			if w.Train.N() != train || w.Test.N() != test {
+				t.Errorf("%s scale %d: built %d + %d examples, Examples says %d + %d", arch, scale, w.Train.N(), w.Test.N(), train, test)
+			}
+		}
+	}
+	if train, test := Examples("foo", ScaleQuick); train != 0 || test != 0 {
+		t.Errorf("unknown arch has %d + %d examples, want none", train, test)
+	}
+}

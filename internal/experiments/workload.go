@@ -60,19 +60,37 @@ type Workload struct {
 	Profile delaymodel.Profile
 }
 
-// BuildWorkload constructs a deterministic workload. classes is 10 or 100
-// (mirroring CIFAR-10/100); m is the worker count (4 or 8 in the paper).
+// Examples returns how many examples BuildWorkload generates for arch at
+// scale, training and test — 0 for an unknown arch. It is also the upper
+// bound on BuildWorkload's classes: the generators place every class at least
+// once.
+func Examples(arch Arch, scale Scale) (train, test int) {
+	switch arch {
+	case ArchLogistic:
+		if scale == ScaleQuick {
+			return 512, 128
+		}
+		return 1024, 256
+	case ArchVGG, ArchResNet:
+		if scale == ScaleQuick {
+			return 384, 128
+		}
+		return 2048, 512
+	}
+	return 0, 0
+}
+
+// BuildWorkload constructs a deterministic workload. classes is 10 or 100 in
+// the paper (CIFAR-10/100) and anything from 2 to the workload's example
+// count here (Examples); m is the worker count (4 or 8 in the paper).
 func BuildWorkload(arch Arch, classes, m int, scale Scale, seed uint64) *Workload {
 	r := rng.New(seed)
 	w := &Workload{Arch: arch, Classes: classes, M: m}
+	nTrain, nTest := Examples(arch, scale)
 
 	switch arch {
 	case ArchLogistic:
 		dim := 16
-		nTrain, nTest := 1024, 256
-		if scale == ScaleQuick {
-			nTrain, nTest = 512, 128
-		}
 		full := data.GaussianBlobs(data.GaussianBlobsConfig{
 			Classes: classes, Dim: dim, N: nTrain + nTest, Separation: 4,
 			Noise: 1.5, LabelNoise: 0.1,
@@ -87,10 +105,8 @@ func BuildWorkload(arch Arch, classes, m int, scale Scale, seed uint64) *Workloa
 
 	case ArchVGG, ArchResNet:
 		shape := data.ImageShape{Channels: 3, Height: 8, Width: 8}
-		nTrain, nTest := 2048, 512
 		if scale == ScaleQuick {
 			shape = data.ImageShape{Channels: 1, Height: 8, Width: 8}
-			nTrain, nTest = 384, 128
 		}
 		full := data.SynthImages(data.SynthImagesConfig{
 			Classes: classes, Shape: shape, N: nTrain + nTest, Noise: 0.8,

@@ -155,18 +155,6 @@ func (l *ReLU) ParamLen() int { return 0 }
 // Init implements Layer (no parameters).
 func (l *ReLU) Init([]float64, *rng.Rand) {}
 
-// reluKeep returns an all-ones mask when ReLU passes the value with bit
-// pattern b through (positive, or NaN of either sign) and zero when it
-// clamps it (zeros, negatives, -Inf): integer arithmetic only, so the
-// element loops carry no data-dependent branch for random signs to
-// mispredict.
-func reluKeep(b uint64) uint64 {
-	const inf = 0x7FF0000000000000
-	neg := int64(b) >> 63                  // all ones when the sign bit is set
-	nan := (inf - int64(b&^(1<<63))) >> 63 // all ones when |v| is above Inf
-	return uint64(^neg | nan)
-}
-
 // Forward implements Layer: v where v > 0, +0 where v <= 0, and NaN where v
 // is NaN (sign and payload kept) — a diverged activation stays visible
 // instead of turning into a finite zero.
@@ -181,11 +169,7 @@ func (l *ReLU) forwardOnly(_ []float64, in *tensor.Matrix) *tensor.Matrix {
 
 func (l *ReLU) clamp(in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
 	out := ensureMat(buf, in.Rows, in.Cols)
-	dst := out.Data[:len(in.Data)]
-	for i, v := range in.Data {
-		b := math.Float64bits(v)
-		dst[i] = math.Float64frombits(b & reluKeep(b))
-	}
+	tensor.ReLU(out.Data[:len(in.Data)], in.Data)
 	return out
 }
 
@@ -193,12 +177,9 @@ func (l *ReLU) clamp(in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
 // the value (NaN activations included) and is +0 elsewhere.
 func (l *ReLU) Backward(_ []float64, dOut *tensor.Matrix, _ []float64) *tensor.Matrix {
 	dIn := ensureMat(&l.dInBuf, dOut.Rows, dOut.Cols)
-	dst, src := dIn.Data[:len(l.lastOut.Data)], dOut.Data[:len(l.lastOut.Data)]
-	for i, y := range l.lastOut.Data {
-		// Forward's output is +0 exactly where it clamped.
-		b := math.Float64bits(y)
-		dst[i] = math.Float64frombits(math.Float64bits(src[i]) & uint64(-int64((b|-b)>>63)))
-	}
+	// Forward's output is +0 exactly where it clamped.
+	n := len(l.lastOut.Data)
+	tensor.ReLUGrad(dIn.Data[:n], dOut.Data[:n], l.lastOut.Data)
 	return dIn
 }
 

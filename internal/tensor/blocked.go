@@ -17,10 +17,12 @@ import (
 // reassociating arithmetic: output elements stay in registers across a whole
 // k-block, the axpy-form kernels compress each row's non-zero coefficients
 // once and touch only those terms, and the optional fan-out gives each
-// goroutine a disjoint set of output rows. On amd64 the inner loops of Gemm,
-// GemmTA and GemmTB are packed SSE2 micro-kernels (gemm_amd64.s) whose lanes
-// hold independent C elements — same per-element multiply/add sequence, two
-// retired per instruction instead of one.
+// goroutine a disjoint set of output rows. On an amd64 with AVX2 the inner
+// loops of Gemm, GemmTA and GemmTB and the coefficient compression are packed
+// kernels (gemm_amd64.s) whose lanes hold independent C elements — same
+// per-element multiply/add sequence, four retired per instruction instead of
+// one; everywhere else the Go loops below run, and they are what the kernels
+// are tested against.
 
 const (
 	// kcBlock is the k-panel size of the axpy-form kernels: the B panel
@@ -159,17 +161,18 @@ type coefList struct {
 	val [kcBlock]float64
 }
 
-// compress fills l from the kn coefficients a[0], a[stride], ... whose B
-// rows start at boff, boff+ldb, ... and returns the number kept. A
-// coefficient is dropped exactly when the naive kernels skip it (alpha*a ==
-// 0, either sign; NaN is kept). The count advances by integer arithmetic on
-// the bit pattern: a compare-and-branch here would mispredict on every
-// other element of a half-zero operand. Not inlined: inside gemmPanel the
-// loop's counters spill to the stack.
+// compressGo appends to l, which holds n entries, the kn coefficients a[0],
+// a[stride], ... whose B rows start at boff, boff+ldb, ... and returns the
+// number the list holds then. A coefficient is dropped exactly when the naive
+// kernels skip it (alpha*a == 0, either sign; NaN is kept). The count
+// advances by integer arithmetic on the bit pattern: a compare-and-branch
+// here would mispredict on every other element of a half-zero operand. Not
+// inlined: inside gemmPanel the loop's counters spill to the stack.
+// coefList.compress (one per build) is this from n = 0, with the packed
+// kernel in front where there is one.
 //
 //go:noinline
-func (l *coefList) compress(alpha float64, a []float64, stride, kn, boff, ldb int) int {
-	n := 0
+func (l *coefList) compressGo(n int, alpha float64, a []float64, stride, kn, boff, ldb int) int {
 	for t := 0; kn > 0; kn-- {
 		v := alpha * a[t]
 		l.off[n&(kcBlock-1)] = boff
@@ -235,12 +238,19 @@ func axpby(alpha, s, beta, c float64) float64 {
 	return alpha*s + beta*c
 }
 
+// gemmTBPanel computes C rows [lo, hi) of the dot-form product: the packed
+// tiles take the leading multiple of eight columns where there are any
+// (dotTiles, one per build), the Go tiles below the rest.
 func gemmTBPanel(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi, n int) {
+	j0 := dotTiles(alpha, a, b, beta, c, lo, hi)
+	if j0 == n {
+		return
+	}
 	i := lo
 	for ; i+2 <= hi; i += 2 {
 		a0, a1 := a.Row(i), a.Row(i+1)
 		c0, c1 := c.Row(i), c.Row(i+1)
-		j := dotTiles8(alpha, a0, a1, b, beta, c0, c1)
+		j := j0
 		for ; j+2 <= n; j += 2 {
 			// 2x2 register tile: four dot products sharing every
 			// streamed A and B element; each accumulator sums in
@@ -279,7 +289,7 @@ func gemmTBPanel(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi, n
 	for ; i < hi; i++ {
 		arow := a.Row(i)
 		crow := c.Row(i)
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			crow[j] = axpby(alpha, Dot(arow, b.Row(j)), beta, crow[j])
 		}
 	}

@@ -9,7 +9,9 @@ import (
 // Parity tests: the blocked/tiled kernels must be BIT-identical to the naive
 // references in naive.go — same canonical reduce order, same zero-skip —
 // across ragged shapes (dims straddling panelRows/kcBlock), every
-// transpose variant, beta in {0, 1, 0.5}, and worker counts 1/4/8.
+// transpose variant, beta in {0, 1, 0.5}, and worker counts 1/4/8. Each suite
+// below is a lower-case function that tiers_test.go runs once per kernel
+// tier under its Test name.
 
 // parityRNG is a tiny deterministic generator so the tables need no seeds
 // from math/rand.
@@ -68,7 +70,7 @@ var parityShapes = []struct{ m, k, n int }{
 var parityBetas = []float64{0, 1, 0.5}
 var parityWorkers = []int{1, 4, 8}
 
-func TestGemmParity(t *testing.T) {
+func gemmParity(t *testing.T) {
 	r := parityRNG(1)
 	for _, w := range parityWorkers {
 		prev := SetWorkers(w)
@@ -90,7 +92,7 @@ func TestGemmParity(t *testing.T) {
 	}
 }
 
-func TestGemmTAParity(t *testing.T) {
+func gemmTAParity(t *testing.T) {
 	r := parityRNG(2)
 	for _, w := range parityWorkers {
 		prev := SetWorkers(w)
@@ -112,7 +114,7 @@ func TestGemmTAParity(t *testing.T) {
 	}
 }
 
-func TestGemmTBParity(t *testing.T) {
+func gemmTBParity(t *testing.T) {
 	r := parityRNG(3)
 	for _, w := range parityWorkers {
 		prev := SetWorkers(w)
@@ -134,10 +136,10 @@ func TestGemmTBParity(t *testing.T) {
 	}
 }
 
-// TestGemmParityAllZeroRows pins the zero-skip contract on whole A rows of
+// gemmParityAllZeroRows pins the zero-skip contract on whole A rows of
 // exact zeros (an empty coefficient list: the C row must come back
 // untouched), mixed with nonzero rows.
-func TestGemmParityAllZeroRows(t *testing.T) {
+func gemmParityAllZeroRows(t *testing.T) {
 	r := parityRNG(6)
 	a := parityMatrix(&r, 8, 12)
 	for k := 0; k < 12; k++ {
@@ -157,11 +159,11 @@ func TestGemmParityAllZeroRows(t *testing.T) {
 	}
 }
 
-// TestGemmParityDenseAlphaOne pins the dense end of the coefficient-list
+// gemmParityDenseAlphaOne pins the dense end of the coefficient-list
 // path: alpha == 1 with zero-free A, so every list is as long as its
 // k-block, and the result must still be bit-identical to the naive
 // reference.
-func TestGemmParityDenseAlphaOne(t *testing.T) {
+func gemmParityDenseAlphaOne(t *testing.T) {
 	r := parityRNG(8)
 	dense := func(rows, cols int) *Matrix {
 		m := NewMatrix(rows, cols)
@@ -208,9 +210,9 @@ func TestSetWorkers(t *testing.T) {
 	}
 }
 
-// TestParallelGemmRace runs concurrent Gemm calls under SetWorkers > 1 so
+// parallelGemmRace runs concurrent Gemm calls under SetWorkers > 1 so
 // the CI race job exercises the kernel fan-out.
-func TestParallelGemmRace(t *testing.T) {
+func parallelGemmRace(t *testing.T) {
 	prev := SetWorkers(4)
 	defer SetWorkers(prev)
 	const mdim = 129
@@ -315,12 +317,12 @@ var convParityShapes = []struct{ m, k, n int }{
 	{129, 65, 24}, // above parMinWork: the fan-out runs
 }
 
-// TestKernelParityZeroLaden pins every matmul entry point against its naive
+// kernelParityZeroLaden pins every matmul entry point against its naive
 // reference on the operands conv training feeds them: half- and
 // three-quarter-zero coefficient matrices with -0 among the zeros and one
 // all-zero row, destinations holding -0 under beta = 1 (a skipped element
 // must keep its sign; an unskipped one must not), at one and four workers.
-func TestKernelParityZeroLaden(t *testing.T) {
+func kernelParityZeroLaden(t *testing.T) {
 	r := parityRNG(11)
 	for _, w := range []int{1, 4} {
 		prev := SetWorkers(w)
@@ -357,13 +359,13 @@ func TestKernelParityZeroLaden(t *testing.T) {
 	}
 }
 
-// TestKernelParityNonFinite plants +Inf, -Inf and NaN in B, once opposite
+// kernelParityNonFinite plants +Inf, -Inf and NaN in B, once opposite
 // an exactly-zero coefficient and once opposite a non-zero one. The
 // axpy-form kernels must hide the first exactly as the naive skip does
 // (0 x Inf never reaches the sum) and propagate the second; the dot-form
 // kernel skips nothing, so both poison the element — in the blocked kernel
 // exactly where they do in the naive one.
-func TestKernelParityNonFinite(t *testing.T) {
+func kernelParityNonFinite(t *testing.T) {
 	r := parityRNG(12)
 	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN()}
 	for _, w := range []int{1, 4} {
@@ -424,7 +426,7 @@ func TestCompressMatchesNaiveSkip(t *testing.T) {
 		math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(), math.MaxFloat64, 2.5e-308}
 	for _, alpha := range []float64{1, -0.5, 0, 1e-300} {
 		var l coefList
-		n := l.compress(alpha, vals, 1, len(vals), 100, 7)
+		n := l.compressGo(0, alpha, vals, 1, len(vals), 100, 7)
 		want := 0
 		for k, v := range vals {
 			if p := alpha * v; p != 0 {

@@ -3,9 +3,10 @@
 // with the handful of BLAS-like kernels (axpy, dot, gemm, im2col) that
 // mini-batch SGD on MLPs and small CNNs requires.
 //
-// Everything is plain Go over []float64 except two SSE2 micro-kernels behind
-// the matmul entry points on amd64 (gemm_amd64.s; -tags purego builds
-// without them). No cgo.
+// Everything is plain Go over []float64 except one tier of AVX2 kernels
+// behind the matmul entry points and the ReLU masks (gemm_amd64.s), which an
+// amd64 runs when its CPUID says it can; Kernels reports the choice, and
+// -tags purego builds without them. No cgo.
 package tensor
 
 import (
@@ -102,6 +103,66 @@ func Mean(dst []float64, vecs ...[]float64) {
 		Axpy(1, v, dst)
 	}
 	Scal(1/float64(len(vecs)), dst)
+}
+
+// Kernels names the kernel tier this process runs: "avx2" for the assembly
+// in gemm_amd64.s, "go" for the pure-Go loops. Results are bit-identical
+// under both; only wall-clock differs.
+func Kernels() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "go"
+}
+
+// reluKeep returns an all-ones mask when ReLU passes the value with bit
+// pattern b through (positive, or NaN of either sign) and zero when it
+// clamps it (zeros, negatives, -Inf): integer arithmetic only, so the
+// element loop carries no data-dependent branch for random signs to
+// mispredict.
+func reluKeep(b uint64) uint64 {
+	const inf = 0x7FF0000000000000
+	neg := int64(b) >> 63                  // all ones when the sign bit is set
+	nan := (inf - int64(b&^(1<<63))) >> 63 // all ones when |v| is above Inf
+	return uint64(^neg | nan)
+}
+
+// ReLU computes dst = max(0, src) elementwise on bit patterns: v where v > 0,
+// +0 where v <= 0, and NaN where v is NaN (sign and payload kept). Panics if
+// lengths differ.
+func ReLU(dst, src []float64) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: ReLU length mismatch %d vs %d", len(dst), len(src)))
+	}
+	n := reluBulk(dst, src)
+	reluGo(dst[n:], src[n:])
+}
+
+func reluGo(dst, src []float64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		b := math.Float64bits(v)
+		dst[i] = math.Float64frombits(b & reluKeep(b))
+	}
+}
+
+// ReLUGrad computes ReLU's input gradient from its output: dst = grad where
+// out is anything but +0 — which is exactly where ReLU passed its input, NaN
+// included — and +0 elsewhere. Panics if lengths differ.
+func ReLUGrad(dst, grad, out []float64) {
+	if len(dst) != len(out) || len(grad) != len(out) {
+		panic("tensor: ReLUGrad length mismatch")
+	}
+	n := reluGradBulk(dst, grad, out)
+	reluGradGo(dst[n:], grad[n:], out[n:])
+}
+
+func reluGradGo(dst, grad, out []float64) {
+	dst, grad = dst[:len(out)], grad[:len(out)]
+	for i, y := range out {
+		b := math.Float64bits(y)
+		dst[i] = math.Float64frombits(math.Float64bits(grad[i]) & uint64(-int64((b|-b)>>63)))
+	}
 }
 
 // Matrix is a dense row-major matrix.
