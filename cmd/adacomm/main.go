@@ -68,7 +68,7 @@ func main() {
 	optimizerFlag := flag.String("optimizer", "",
 		"local update rule (internal/opt); forms: "+opt.Forms()+"; empty = plain SGD (excludes the -momentum alias)")
 	adamBeta2 := flag.Float64("adam-beta2", 0,
-		"second-moment decay beta2 for the adam/adamw forms of -optimizer (0 = default 0.999)")
+		"second-moment decay beta2 for the adam forms of -optimizer (0 = default 0.999)")
 	globalMomentum := flag.Float64("global-momentum", 0,
 		"SlowMo-style slow momentum filtering every sync point under any strategy (0 = off; excludes the -block-momentum alias)")
 	seed := flag.Uint64("seed", 1, "random seed")
@@ -132,7 +132,7 @@ func main() {
 	}
 	if *adamBeta2 != 0 {
 		if !optCfg.Adaptive() {
-			fail("-adam-beta2 tunes the second-moment decay; it needs an adam/adamw -optimizer")
+			fail("-adam-beta2 tunes the second-moment decay; it needs an adam -optimizer")
 		}
 		check(cli.OpenUnit("-adam-beta2", *adamBeta2))
 		optCfg.Beta2 = *adamBeta2
@@ -224,6 +224,8 @@ func main() {
 			fail("-async prices point-to-point links; -topology does not apply")
 		case *edgeLinksFlag != "":
 			fail("-edge-links prices gossip graph rounds; not available with -async")
+		case *gossipGamma != 0:
+			fail("-gossip-gamma needs -strategy ring; not available with -async")
 		case *adaptGossipGamma:
 			fail("-adapt-gossip-gamma needs -strategy ring; not available with -async")
 		case *globalMomentum != 0:

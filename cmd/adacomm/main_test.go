@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -59,6 +60,10 @@ func TestCommandLine(t *testing.T) {
 		"-bandwidth NaN",
 		"-links 0:0,:,:,:",
 		"-strategy ring -edge-links 3-3:1:",
+		// Adam under another name, and a gossip flag the async engine
+		// accepted and ignored.
+		"-optimizer adamw",
+		"-async -tau 3 -participation 2 -gossip-gamma 0.5",
 	} {
 		t.Run(bad, func(t *testing.T) {
 			stdout, stderr, code := run(strings.Fields(bad)...)
@@ -73,6 +78,19 @@ func TestCommandLine(t *testing.T) {
 		if code != 0 || !strings.HasPrefix(stdout, "name,time,") {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q", tiny, code, stdout, stderr)
 		}
+	}
+
+	// A K-of-m barrier wider than the surviving population used to end the
+	// run silently after 16 of 100 simulated seconds.
+	stdout, stderr, code := run(strings.Fields("-budget 100 -async -tau 2 -workers 8 -participation 8 -faults crash:0@r3")...)
+	rows := strings.Split(strings.TrimSpace(stdout), "\n")
+	last := rows[len(rows)-1] // name,time,iter,...
+	var at float64
+	if f := strings.Split(last, ","); len(f) > 1 {
+		at, _ = strconv.ParseFloat(f[1], 64)
+	}
+	if code != 0 || at < 90 {
+		t.Errorf("crash under a full barrier: exit %d, last trace row %q (want time >= 90), stderr %q", code, last, stderr)
 	}
 
 	// The alias contract: -momentum / -block-momentum fill exactly what

@@ -96,8 +96,8 @@
 // the event trace is a pure function of the seed at any GOMAXPROCS)
 // replaces the round barrier. Each update aggregates the FIRST K arrivals
 // (paramserver.ArrivalPolicy — the same K-of-m rule AdaSync's link-aware
-// cap uses), staleness-weighted by (1+s)^-pow with arrivals beyond
-// MaxStaleness discarded; stragglers overlap later rounds instead of
+// cap uses), staleness-weighted by 1/(1+s) with arrivals more than 64
+// versions stale discarded; stragglers overlap later rounds instead of
 // gating them. Client sharding makes the population a memory non-issue:
 // idle clients are a pair of RNG streams, in-flight clients a compressed
 // wire message (internal/compress, priced at dispatch via the size-aware
@@ -187,12 +187,11 @@
 // Local update rules are a first-class layer: internal/opt defines the
 // Optimizer interface (Step, enumerable state vectors with per-vector sync
 // policies, SyncReset at averaging points) with plain SGD, heavy-ball and
-// Nesterov momentum, and Local Adam/AdamW; every engine — the lock-step
-// cluster, the event-driven engine, and the parameter server — steps
-// through it (cluster.Config.Opt, AsyncConfig.Opt, -optimizer on the cmds;
-// zero values stay bit-identical to every pre-optimizer golden, and
-// cmd/adacomm's -momentum / -block-momentum are flag aliases that fill
-// Opt / GlobalMomentum).
+// Nesterov momentum, and Local Adam; both cluster engines — lock-step and
+// event-driven — step through it (cluster.Config.Opt, AsyncConfig.Opt,
+// -optimizer on the cmds; zero values stay bit-identical to every
+// pre-optimizer golden, and cmd/adacomm's -momentum / -block-momentum are
+// flag aliases that fill Opt / GlobalMomentum).
 // Adam's second moments are an ablation axis: worker-local, or SYNCED
 // through the averaging fabric (Opt.SyncedMoments) — synced vectors extend
 // every averaged payload from dim to dim+len(state), riding the SAME
@@ -202,13 +201,13 @@
 // cluster.Config.GlobalMomentum generalizes block momentum to every strategy
 // (SlowMo-style slow momentum: one shared buffer under full averaging,
 // per-node buffers under gossip/elastic, renormalized over the surviving
-// active set under churn); the async engine instead takes a SERVER-side
-// optimizer (AsyncConfig.ServerOpt, FedOpt-style — per-client adaptive
-// state is rejected as Theta(clients*dim)), as does the parameter server.
-// AdaComm's tau rule re-derives its eta coupling under momentum via the
-// effective learning rate eta/(1-beta), and the norm-decay width rule
-// (compress.NormDecayBits, shared by AdaCommCompress and AdaSync) grows a
-// QSGD quantizer one bit per halving of the observed gradient norm. The
+// active set under churn); the async engine runs stateless or momentum
+// local rules only (per-client adaptive state is rejected as
+// Theta(clients*dim)). AdaComm's eta-coupled tau rules compare eta_0/eta_l,
+// which heavy-ball momentum leaves unchanged (both effective rates scale by
+// 1/(1-beta)), and the norm-decay width rule (compress.NormDecayBits, driven
+// by AdaCommCompress) grows a QSGD quantizer one bit per halving of the
+// observed gradient norm. The
 // optimizer ablation (cmd/sweep -ablation optimizer, tuned by
 // -adam-beta2/-global-momentum) puts every rule on one
 // error-runtime table, including a wire-synced-Adam row through CHOCO over

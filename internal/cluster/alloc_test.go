@@ -102,7 +102,8 @@ func startedAsync(t *testing.T, cfg AsyncConfig) *AsyncEngine {
 	return e
 }
 
-func asyncAllocCfgs(t *testing.T) map[string]AsyncConfig {
+// asyncAllocEngines starts one engine per wire the async gates cover.
+func asyncAllocEngines(t *testing.T) map[string]*AsyncEngine {
 	dense := baseAsyncCfg()
 	dense.MaxUpdates = 1 << 30
 	qsgd, topk, churn := dense, dense, dense
@@ -111,9 +112,13 @@ func asyncAllocCfgs(t *testing.T) map[string]AsyncConfig {
 	// Blips that end, a crash, and a staleness bound tight enough to expire
 	// arrivals: every path that releases a message.
 	churn.Compress = topk.Compress
-	churn.MaxStaleness = 1
 	churn.Faults = mustFaults(t, "blip:0@r5-20,blip:1@r10-30,crash:2@r25,slow:3x5@r5-40,drop:0.15")
-	return map[string]AsyncConfig{"dense": dense, "qsgd+f32": qsgd, "topk": topk, "topk+churn": churn}
+	engines := map[string]*AsyncEngine{}
+	for name, cfg := range map[string]AsyncConfig{"dense": dense, "qsgd+f32": qsgd, "topk": topk, "topk+churn": churn} {
+		engines[name] = startedAsync(t, cfg)
+	}
+	engines["topk+churn"].maxStaleness = 1
+	return engines
 }
 
 // TestAsyncEventSteadyStateAllocFree: a dispatch -> arrive cycle — pull,
@@ -121,8 +126,7 @@ func asyncAllocCfgs(t *testing.T) map[string]AsyncConfig {
 // aggregate, release — allocates nothing once the free list is primed, on
 // the dense wire and the compressed ones.
 func TestAsyncEventSteadyStateAllocFree(t *testing.T) {
-	for name, cfg := range asyncAllocCfgs(t) {
-		e := startedAsync(t, cfg)
+	for name, e := range asyncAllocEngines(t) {
 		for i := 0; i < 2000; i++ {
 			asyncEvent(t, e)
 		}
@@ -138,8 +142,7 @@ func TestAsyncEventSteadyStateAllocFree(t *testing.T) {
 // fault path included — and recycling never hands one message to two
 // clients.
 func TestAsyncMessagePoolBoundedByPeakInFlight(t *testing.T) {
-	for name, cfg := range asyncAllocCfgs(t) {
-		e := startedAsync(t, cfg)
+	for name, e := range asyncAllocEngines(t) {
 		for step := 0; step < 3000; step++ {
 			asyncEvent(t, e)
 			held := 0
@@ -165,7 +168,7 @@ func TestAsyncMessagePoolBoundedByPeakInFlight(t *testing.T) {
 					name, step, len(e.freeMsgs), held, peak)
 			}
 		}
-		if e.stats.Expired == 0 && cfg.MaxStaleness == 1 {
+		if e.stats.Expired == 0 && e.maxStaleness == 1 {
 			t.Fatalf("%s: no arrival expired; the release-on-expiry path went untested", name)
 		}
 	}

@@ -11,9 +11,9 @@
 //     applies on the server side), staleness-weighted by how many global
 //     versions elapsed since the contributor pulled its base model.
 //     Stragglers' in-flight work overlaps the next round instead of gating
-//     it; results staler than MaxStaleness versions are discarded on
-//     arrival, which is what bounds the engine's version-history needs to
-//     ZERO (see below).
+//     it; results more than 64 versions stale are discarded on arrival,
+//     which is what bounds the engine's version-history needs to ZERO (see
+//     below).
 //
 //   - Client sharding: the engine simulates a population of N clients with
 //     memory proportional to K, not N. An idle client's entire state is a
@@ -86,41 +86,16 @@ type AsyncConfig struct {
 
 	BatchSize int
 	LR        float64
-	// ServerLR scales the applied aggregate (0 defaults to 1): the update
-	// is x += ServerLR * (weighted mean of client deltas). With ServerOpt
-	// set it becomes that optimizer's learning rate instead.
-	ServerLR float64
 
 	// Opt selects the clients' local update rule (internal/opt). The
 	// zero value is plain SGD at LR — bit-identical to the legacy engine.
 	// Stateful momentum rules are allowed: the state lives in the engine's
 	// single compute-slot optimizer and is activation-scoped (reset at each
 	// dispatch — a freshly sampled client has no history). Adaptive rules
-	// (Adam/AdamW) are rejected: meaningful Adam state must persist per
-	// client across activations, which is Theta(clients*dim) state — exactly
-	// what client sharding exists to avoid. Use ServerOpt for adaptivity.
+	// (Adam) are rejected: meaningful Adam state must persist per client
+	// across activations, which is Theta(clients*dim) state — exactly what
+	// client sharding exists to avoid.
 	Opt opt.Config
-
-	// ServerOpt optionally applies a server-side optimizer at aggregation
-	// (FedOpt, Reddi et al. 2021): the staleness-weighted mean client delta
-	// becomes the server's pseudo-gradient and ServerOpt's rule — including
-	// Adam — steps the global model with learning rate ServerLR. Server
-	// state is O(dim) regardless of the client count, so adaptivity lives
-	// where the memory contract allows it. The zero value keeps the legacy
-	// x += ServerLR * mean-delta arithmetic, bit for bit.
-	ServerOpt opt.Config
-
-	// StalenessPow shapes the staleness weights: a contribution based on a
-	// model s versions old is weighted (1+s)^-StalenessPow before
-	// normalization (Xie et al. 2019's polynomial rule). 0 defaults to 1;
-	// explicit values must be finite and non-negative.
-	StalenessPow float64
-
-	// MaxStaleness discards arrivals whose base model is more than this
-	// many versions old instead of applying them (0 defaults to 64). The
-	// discarded client simply goes idle and a replacement is dispatched —
-	// the same drop-and-resample a production federated server performs.
-	MaxStaleness int
 
 	// Stop conditions (at least one must be set): simulated seconds /
 	// completed aggregations.
@@ -144,11 +119,10 @@ type AsyncConfig struct {
 	Compress compress.Spec
 
 	// LinkAware caps the per-round arrival count at the number of links
-	// within SlowCutoff of the fastest observed upload, via the shared
+	// within 3x of the fastest observed upload, via the shared
 	// paramserver.ArrivalPolicy. Off, every round waits for exactly
 	// Participation arrivals.
-	LinkAware  bool
-	SlowCutoff float64
+	LinkAware bool
 
 	// RecordEvents retains the textual event trace (EventTrace), used by
 	// the determinism and golden tests. Off for large runs — the trace
@@ -159,8 +133,8 @@ type AsyncConfig struct {
 	// (internal/faults), keyed by the GLOBAL VERSION — the async engine's
 	// notion of a round. Down clients are parked instead of dispatched, and
 	// an in-flight message whose sender is down when it arrives is expired
-	// (the same drop-and-redispatch path MaxStaleness uses), so crashed
-	// work can never fold into an aggregate. Slow-down episodes and
+	// (the same drop-and-redispatch path over-stale arrivals take), so
+	// crashed work can never fold into an aggregate. Slow-down episodes and
 	// drop-retries multiply the affected client's transfer times. A client
 	// recovering from a blip needs no separate reconciliation: every
 	// dispatch already begins with a priced dense pull of the current
@@ -201,23 +175,7 @@ func (c AsyncConfig) validate(n int) error {
 	}
 	if c.Opt.Adaptive() {
 		return fmt.Errorf("cluster: async engine does not support adaptive local rules " +
-			"(per-client Adam moments are Theta(clients*dim) state; client sharding exists to avoid it); " +
-			"use ServerOpt for adaptivity")
-	}
-	if err := c.ServerOpt.Validate(); err != nil {
-		return err
-	}
-	if c.ServerOpt.SyncedMoments {
-		return fmt.Errorf("cluster: server optimizer state is server-owned; synced moments do not apply")
-	}
-	if math.IsNaN(c.ServerLR) || math.IsInf(c.ServerLR, 0) || c.ServerLR < 0 {
-		return fmt.Errorf("cluster: server lr %v (want finite >= 0; 0 uses the default 1)", c.ServerLR)
-	}
-	if math.IsNaN(c.StalenessPow) || math.IsInf(c.StalenessPow, 0) || c.StalenessPow < 0 {
-		return fmt.Errorf("cluster: staleness pow %v (want finite >= 0; 0 uses the default 1)", c.StalenessPow)
-	}
-	if c.MaxStaleness < 0 {
-		return fmt.Errorf("cluster: max staleness %d < 0", c.MaxStaleness)
+			"(per-client Adam moments are Theta(clients*dim) state; client sharding exists to avoid it)")
 	}
 	if c.StragglerFactor != nil {
 		if len(c.StragglerFactor) != n {
@@ -265,7 +223,7 @@ type asyncClient struct {
 type AsyncStats struct {
 	Updates       int     // global aggregations applied
 	Applied       int     // arrivals folded into an aggregate
-	Expired       int     // arrivals discarded for exceeding MaxStaleness
+	Expired       int     // arrivals discarded: over-stale, or their sender went down
 	MeanStaleness float64 // mean version lag of applied arrivals
 	UpBytes       int64   // total client->server wire bytes
 	DownBytes     int64   // total server->client wire bytes
@@ -286,6 +244,12 @@ type AsyncEngine struct {
 	cfg      AsyncConfig
 	n, dim   int
 	inflight int // target concurrently-active clients
+	// maxStaleness discards arrivals whose base model is more than this many
+	// versions old instead of applying them: the client goes idle and a
+	// replacement is dispatched, the drop-and-resample a production federated
+	// server performs. A constant of the engine; only tests lower it, to
+	// reach the expiry path in a short run.
+	maxStaleness int
 
 	global  []float64
 	version int
@@ -317,8 +281,6 @@ type AsyncEngine struct {
 
 	computeModel *nn.Network // THE materialized replica slot
 	opt          opt.Optimizer
-	srvOpt       opt.Optimizer // server-side FedOpt rule (nil = legacy scale)
-	srvGrad      []float64     // server pseudo-gradient scratch
 	deltaBuf     []float64
 	decodeBuf    []float64
 	aggBuf       []float64
@@ -379,15 +341,6 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 100
 	}
-	if cfg.ServerLR == 0 {
-		cfg.ServerLR = 1
-	}
-	if cfg.StalenessPow == 0 {
-		cfg.StalenessPow = 1
-	}
-	if cfg.MaxStaleness == 0 {
-		cfg.MaxStaleness = 64
-	}
 	if cfg.InFlight == 0 {
 		cfg.InFlight = 2 * cfg.Participation
 		if cfg.InFlight > n {
@@ -401,6 +354,7 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		n:            n,
 		dim:          proto.ParamLen(),
 		inflight:     cfg.InFlight,
+		maxStaleness: 64,
 		global:       append([]float64(nil), proto.Params()...),
 		clients:      make([]asyncClient, n),
 		q:            events.NewQueue(root.Uint64()),
@@ -413,18 +367,12 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		deltaBuf:     make([]float64, proto.ParamLen()),
 		decodeBuf:    make([]float64, proto.ParamLen()),
 		aggBuf:       make([]float64, proto.ParamLen()),
-		policy: paramserver.ArrivalPolicy{
-			K: cfg.Participation, LinkAware: cfg.LinkAware, SlowCutoff: cfg.SlowCutoff,
-		},
-		evalModel: proto.Clone(),
-		testSet:   test,
+		policy:       paramserver.ArrivalPolicy{K: cfg.Participation, LinkAware: cfg.LinkAware},
+		evalModel:    proto.Clone(),
+		testSet:      test,
 	}
 	if cfg.RecordEvents {
 		e.evlog = &events.Trace{}
-	}
-	if !cfg.ServerOpt.IsZero() {
-		e.srvOpt = opt.New(cfg.ServerOpt, e.dim)
-		e.srvGrad = make([]float64, e.dim)
 	}
 	e.slow = make([]float64, n)
 	for i := range e.slow {
@@ -474,16 +422,11 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	if test != nil {
 		e.testBatch = data.FullBatch(test)
 	}
-	e.curK = e.policy.Effective(nil, cfg.Participation)
+	e.armRound(nil)
 	e.stats.MaterializedReplicas = 2 // compute slot + eval model
 	e.stats.ScratchVectors = 4       // global, agg, decode, delta
 	if e.pullBuf != nil {
 		e.stats.ScratchVectors++ // narrowed-pull buffer
-	}
-	if e.srvOpt != nil {
-		// Pseudo-gradient scratch plus the server rule's own state vectors:
-		// all O(dim), none per-client.
-		e.stats.ScratchVectors += 1 + len(e.srvOpt.State())
 	}
 	// The local rule's state (momentum buffer, if any) rides the single
 	// compute-slot optimizer — activation-scoped, never per-client.
@@ -536,17 +479,14 @@ func (e *AsyncEngine) TestAccuracy() float64 {
 	return e.evalModel.Accuracy(e.testBatch)
 }
 
-// stalenessWeight is the polynomial decay (1+s)^-pow: fresh contributions
-// (s=0) weigh 1 regardless of pow, and pow=0 degrades to unweighted
-// averaging.
-func stalenessWeight(pow float64, s int) float64 {
+// stalenessWeight is the polynomial decay 1/(1+s) a contribution based on a
+// model s versions old is weighted by before normalization (Xie et al. 2019's
+// rule at exponent 1): fresh contributions (s=0) weigh 1.
+func stalenessWeight(s int) float64 {
 	if s < 0 {
 		panic(fmt.Sprintf("cluster: negative staleness %d", s))
 	}
-	if pow == 0 || s == 0 {
-		return 1
-	}
-	return math.Pow(1+float64(s), -pow)
+	return 1 / (1 + float64(s))
 }
 
 // dispatchNew samples one idle client uniformly (seeded) and schedules its
@@ -600,16 +540,41 @@ func (e *AsyncEngine) dispatchNew(t float64) bool {
 	return true
 }
 
-// parkedPositions returns the idle-list positions of the clients down at
-// the current version, ascending. The down set is a function of the version
-// alone, so it is rebuilt once per aggregation, not per dispatch.
-func (e *AsyncEngine) parkedPositions() []int {
+// downNow returns the clients down at the current version. The down set is a
+// function of the version alone, so it is rebuilt once per aggregation, not
+// per dispatch. Fault path only.
+func (e *AsyncEngine) downNow() []int {
 	if e.downVersion != e.version {
 		e.down = e.cfg.Faults.DownAt(e.version, e.down[:0])
 		e.downVersion = e.version
 	}
+	return e.down
+}
+
+// armRound sets how many arrivals the round at the current version waits
+// for: the arrival policy's K given the previous round's upload times, and
+// under a fault schedule no more than the clients that are up. Down clients
+// are parked and dispatching happens at round boundaries, so a barrier wider
+// than the surviving population could never fill: the queue would drain and
+// Run return as if finished — and since the schedule is keyed by the version
+// the stalled round would advance, even a blip would never end. (Kas Hanna
+// et al. 2022 wait for the K fastest of the workers that exist; the parameter
+// server clamps the same way.) With everyone down K stands, and the run
+// drains cleanly as documented.
+func (e *AsyncEngine) armRound(times []float64) {
+	e.curK = e.policy.Effective(times, e.cfg.Participation)
+	if e.idlePos != nil {
+		if up := e.n - len(e.downNow()); up > 0 && up < e.curK {
+			e.curK = up
+		}
+	}
+}
+
+// parkedPositions returns the idle-list positions of the clients down at
+// the current version, ascending.
+func (e *AsyncEngine) parkedPositions() []int {
 	e.parkBuf = e.parkBuf[:0]
-	for _, id := range e.down {
+	for _, id := range e.downNow() {
 		if p := e.idlePos[id]; p >= 0 {
 			e.parkBuf = append(e.parkBuf, p)
 		}
@@ -729,7 +694,7 @@ func (e *AsyncEngine) arrive(i int, t float64) (roundDone bool) {
 	}
 
 	s := e.version - c.base
-	if s > e.cfg.MaxStaleness {
+	if s > e.maxStaleness {
 		e.stats.Expired++
 		e.releaseMsg(c)
 		e.dispatchNew(t)
@@ -742,7 +707,7 @@ func (e *AsyncEngine) arrive(i int, t float64) (roundDone bool) {
 	e.stats.UpBytes += int64(pay.UpBytes)
 	e.releaseMsg(c)
 
-	w := stalenessWeight(e.cfg.StalenessPow, s)
+	w := stalenessWeight(s)
 	for j, v := range e.decodeBuf {
 		e.aggBuf[j] += w * v
 	}
@@ -759,32 +724,17 @@ func (e *AsyncEngine) arrive(i int, t float64) (roundDone bool) {
 // version, and re-arms the arrival policy with this round's observed upload
 // times.
 func (e *AsyncEngine) applyRound() (iters int) {
-	if e.srvOpt != nil {
-		// FedOpt: the weighted-mean client delta, negated, is the server's
-		// pseudo-gradient; the server rule (momentum, Adam, ...) descends it
-		// with learning rate ServerLR. With the plain rule this matches the
-		// legacy arithmetic mathematically but not bitwise, so the path is
-		// gated on an explicit ServerOpt.
-		inv := 1 / e.wsum
-		for j, v := range e.aggBuf {
-			e.srvGrad[j] = -inv * v
-			e.aggBuf[j] = 0
-		}
-		e.srvOpt.SetLR(e.cfg.ServerLR)
-		e.srvOpt.Step(e.global, e.srvGrad)
-	} else {
-		scale := e.cfg.ServerLR / e.wsum
-		for j, v := range e.aggBuf {
-			e.global[j] += scale * v
-			e.aggBuf[j] = 0
-		}
+	scale := 1 / e.wsum
+	for j, v := range e.aggBuf {
+		e.global[j] += scale * v
+		e.aggBuf[j] = 0
 	}
 	e.version++
 	e.stats.Updates++
 	iters = e.aggIters
 
 	e.lastLink = append(e.lastLink[:0], e.linkTimes...)
-	e.curK = e.policy.Effective(e.lastLink, e.cfg.Participation)
+	e.armRound(e.lastLink)
 	e.linkTimes = e.linkTimes[:0]
 	e.wsum = 0
 	e.arrivals = 0

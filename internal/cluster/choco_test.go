@@ -292,25 +292,3 @@ func TestGossipGammaValidation(t *testing.T) {
 		t.Fatalf("gossip gamma default %v, want 1", e.cfg.GossipGamma)
 	}
 }
-
-func TestElasticValidationRejectsDegenerateCoefficients(t *testing.T) {
-	// Negative or NaN pull strengths used to be silently replaced with the
-	// 0.5 default; they must be rejected, as must strengths above 1 (a
-	// pull past the target overshoots). Zero stays legal and defaults
-	// (TestElasticDefaultsApplied pins that path bit-identical).
-	s := newSetup(t, 4, 1)
-	for _, bad := range []float64{-0.5, math.NaN(), math.Inf(1), 2.5} {
-		cfg := baseCfg()
-		cfg.Strategy = ElasticAveraging
-		cfg.ElasticAlpha = bad
-		if _, err := New(s.proto, s.shards, s.train, s.test, s.dm, cfg); err == nil {
-			t.Fatalf("accepted elastic alpha %v", bad)
-		}
-		cfg = baseCfg()
-		cfg.Strategy = ElasticAveraging
-		cfg.ElasticBeta = bad
-		if _, err := New(s.proto, s.shards, s.train, s.test, s.dm, cfg); err == nil {
-			t.Fatalf("accepted elastic beta %v", bad)
-		}
-	}
-}

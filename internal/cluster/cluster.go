@@ -68,7 +68,7 @@ type Config struct {
 	BatchSize int // per-worker mini-batch size
 
 	// Opt is the update rule applied at every worker: any internal/opt rule
-	// (plain SGD, momentum, Nesterov, Local Adam/AdamW, with the
+	// (plain SGD, momentum, Nesterov, Local Adam, with the
 	// synced-second-moment ablation axis). The zero value is plain SGD,
 	// bit-identical to every pre-optimizer-layer golden.
 	Opt opt.Config
@@ -80,10 +80,9 @@ type Config struct {
 	// buffer, while gossip and elastic averaging keep one buffer per node,
 	// filtering each node's own mixing displacement. When enabled, local
 	// momentum buffers are reset at each sync (paper Sec 5.3.1 / CNTK
-	// practice). GlobalLR is the slow learning rate alpha applied to the
-	// buffered update (0 = 1, the BMUF form). 0 disables.
+	// practice). The buffered update is applied whole (the BMUF form: slow
+	// learning rate 1). 0 disables.
 	GlobalMomentum float64
-	GlobalLR       float64
 
 	// Stop conditions: the run ends when either is reached (zero = unset;
 	// at least one must be set).
@@ -121,11 +120,6 @@ type Config struct {
 	// FullAveraging (PASGD, the default), RingGossip (decentralized), or
 	// ElasticAveraging (EASGD).
 	Strategy Strategy
-	// ElasticAlpha/ElasticBeta are the EASGD pull strengths (defaults 0.5
-	// each when Strategy is ElasticAveraging). Explicit values must lie in
-	// (0, 1]; the zero value means "use the default".
-	ElasticAlpha float64
-	ElasticBeta  float64
 
 	// GossipGamma is the consensus step size of compressed (CHOCO-SGD)
 	// gossip: each node moves gamma of the way toward its neighborhood's
@@ -224,26 +218,6 @@ func (c Config) validate(m int) error {
 	if math.IsNaN(c.GlobalMomentum) || c.GlobalMomentum < 0 || c.GlobalMomentum >= 1 {
 		return fmt.Errorf("cluster: global momentum %v outside [0,1)", c.GlobalMomentum)
 	}
-	if c.GlobalLR != 0 {
-		if c.GlobalMomentum == 0 {
-			return fmt.Errorf("cluster: GlobalLR %g requires GlobalMomentum", c.GlobalLR)
-		}
-		if err := checkMixCoeff("global momentum lr", c.GlobalLR); err != nil {
-			return err
-		}
-	}
-	if c.Strategy == ElasticAveraging {
-		// Like delaymodel.CheckLinks, degenerate coefficients are rejected
-		// instead of silently replaced: a negative or NaN pull strength
-		// would quietly train a different algorithm. Zero stays legal and
-		// keeps the 0.5 default.
-		if err := checkMixCoeff("elastic alpha", c.ElasticAlpha); err != nil {
-			return err
-		}
-		if err := checkMixCoeff("elastic beta", c.ElasticBeta); err != nil {
-			return err
-		}
-	}
 	if c.GossipGamma != 0 {
 		if c.Strategy != RingGossip || !c.Compress.Enabled() {
 			return fmt.Errorf("cluster: gossip gamma %g requires RingGossip with compression", c.GossipGamma)
@@ -271,18 +245,6 @@ func (c Config) validate(m int) error {
 		}
 	} else if c.Topology != comm.AllGather && c.Strategy != FullAveraging {
 		return fmt.Errorf("cluster: topology %s requires FullAveraging, got %s", c.Topology, c.Strategy)
-	}
-	return nil
-}
-
-// checkMixCoeff rejects degenerate mixing coefficients: NaN, infinite,
-// negative, or above 1 — a pull strength past 1 overshoots its target, so
-// it would quietly train a different (possibly divergent) algorithm, the
-// same reason GossipGamma is bounded to (0,1]. Zero is legal and means
-// "use the default".
-func checkMixCoeff(name string, v float64) error {
-	if math.IsNaN(v) || v < 0 || v > 1 {
-		return fmt.Errorf("cluster: %s %v out of [0,1] (0 uses the default)", name, v)
 	}
 	return nil
 }
@@ -553,16 +515,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 100
 	}
-	if cfg.Strategy == ElasticAveraging {
-		// validate already rejected negative/NaN coefficients; only the
-		// zero value reaches the defaulting, bit-identical to before.
-		if cfg.ElasticAlpha == 0 {
-			cfg.ElasticAlpha = 0.5
-		}
-		if cfg.ElasticBeta == 0 {
-			cfg.ElasticBeta = 0.5
-		}
-	}
 	if cfg.Strategy == RingGossip && cfg.Compress.Enabled() && cfg.GossipGamma == 0 && !cfg.AdaptGossipGamma {
 		cfg.GossipGamma = 1
 	}
@@ -603,11 +555,11 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	// this consumes RNG.
 	if cfg.GlobalMomentum != 0 {
 		if cfg.Strategy == FullAveraging {
-			e.gmom = opt.NewGlobal(cfg.GlobalMomentum, cfg.GlobalLR, e.dim)
+			e.gmom = opt.NewGlobal(cfg.GlobalMomentum, e.dim)
 		} else {
 			e.gmoms = make([]*opt.Global, m)
 			for i := range e.gmoms {
-				e.gmoms[i] = opt.NewGlobal(cfg.GlobalMomentum, cfg.GlobalLR, e.dim)
+				e.gmoms[i] = opt.NewGlobal(cfg.GlobalMomentum, e.dim)
 			}
 		}
 	}

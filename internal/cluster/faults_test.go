@@ -332,3 +332,56 @@ func TestAsyncFaultFreeScheduleBitIdentical(t *testing.T) {
 		t.Fatal("beyond-horizon schedule diverged")
 	}
 }
+
+// TestAsyncBarrierOutlivesChurn: a K-of-m barrier wider than the surviving
+// population waits for the clients that exist. K = N = 8 with one client
+// crashed, or three blipped out, used to stall at the fault's first version —
+// the round could not fill, dispatch is round-driven, the queue drained and
+// Run returned as if finished (and a blip, keyed by the version the stalled
+// round would advance, never ended).
+func TestAsyncBarrierOutlivesChurn(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		finalK int
+	}{
+		{"crash:0@r3", 7},
+		{"blip:0@r3-6,blip:1@r3-6,blip:2@r3-6", 8}, // K is back once the blip ends
+	} {
+		s := asyncSetup(t, 8)
+		cfg := baseAsyncCfg()
+		cfg.Participation, cfg.InFlight = 8, 8
+		cfg.Faults = mustFaults(t, tc.spec)
+		e := s.async(t, cfg)
+		e.Run("barrier")
+		if got := e.Stats().Updates; got != cfg.MaxUpdates {
+			t.Errorf("%s: %d updates, want %d", tc.spec, got, cfg.MaxUpdates)
+		}
+		if e.curK != tc.finalK {
+			t.Errorf("%s: the last round waited for %d arrivals, want %d", tc.spec, e.curK, tc.finalK)
+		}
+	}
+
+	// Where the population never falls below K nothing moves: event trace
+	// and parameters as captured before the cap existed (the first row is
+	// TestAsyncGoldenTrace's run; the second keeps at least 5 of 8 clients up
+	// under K = 4).
+	for _, tc := range []struct {
+		spec               string
+		wantEvents, wantPs uint64
+	}{
+		{"", 0x5fb1b1600e8396cf, 0xe15a4767cb779e27},
+		{"blip:0@r5-20,blip:1@r10-30,crash:2@r25,slow:3x5@r5-40,drop:0.15", 0x8705ed8c81b19302, 0x34c5b0310bbe39c},
+	} {
+		s := asyncSetup(t, 8)
+		cfg := baseAsyncCfg()
+		cfg.RecordEvents = true
+		if tc.spec != "" {
+			cfg.Faults = mustFaults(t, tc.spec)
+		}
+		e := s.async(t, cfg)
+		e.Run("unmoved")
+		if ev, ps := hashString(e.EventTrace()), hashParams(e.GlobalParams()); ev != tc.wantEvents || ps != tc.wantPs {
+			t.Errorf("%q drifted: events %#x want %#x, params %#x want %#x", tc.spec, ev, tc.wantEvents, ps, tc.wantPs)
+		}
+	}
+}

@@ -50,7 +50,7 @@ const (
 	RingGossip
 	// ElasticAveraging keeps a center variable z: at each sync, workers
 	// are pulled toward z with strength alpha and z moves toward the
-	// replica mean with strength beta (EASGD, Zhang et al. 2015).
+	// replica mean with strength beta, both 0.5 (EASGD, Zhang et al. 2015).
 	ElasticAveraging
 )
 
@@ -388,13 +388,13 @@ func (e *Engine) averageRingChoco() {
 }
 
 // averageElastic applies the EASGD update: x_i <- x_i - alpha(x_i - z),
-// z <- z + (beta/m) * sum_i (x_i - z). The center z lives in e.global.
+// z <- z + (beta/m) * sum_i (x_i - z), both pull strengths 0.5. The center z
+// lives in e.global.
 // With compression active, each worker ships its displacement x_i - z as a
 // compressed message over the star; worker and center both apply the
 // RECONSTRUCTED displacement, so the two sides stay consistent.
 func (e *Engine) averageElastic() {
-	alpha := e.cfg.ElasticAlpha
-	beta := e.cfg.ElasticBeta
+	const alpha, beta = 0.5, 0.5
 	centerPull := e.pullBuf
 	for j := range centerPull {
 		centerPull[j] = 0

@@ -124,8 +124,6 @@ func TestElasticPullsWorkersTowardCenter(t *testing.T) {
 	s := newSetup(t, 4, 1)
 	cfg := baseCfg()
 	cfg.Strategy = ElasticAveraging
-	cfg.ElasticAlpha = 0.5
-	cfg.ElasticBeta = 0.5
 	e := s.engine(t, cfg)
 	center := e.GlobalParams()
 	e.StepLocal(10, 0.1)
@@ -152,16 +150,5 @@ func TestStrategiesParallelMatchesSequential(t *testing.T) {
 		cfg.Strategy = strat
 		cfg.MaxIters = 200
 		poolMatchesSerial(t, newSetup(t, 4, 1), cfg, FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}})
-	}
-}
-
-func TestElasticDefaultsApplied(t *testing.T) {
-	s := newSetup(t, 4, 1)
-	cfg := baseCfg()
-	cfg.Strategy = ElasticAveraging
-	e := s.engine(t, cfg)
-	if e.cfg.ElasticAlpha != 0.5 || e.cfg.ElasticBeta != 0.5 {
-		t.Fatalf("elastic defaults not applied: %v %v",
-			e.cfg.ElasticAlpha, e.cfg.ElasticBeta)
 	}
 }

@@ -24,7 +24,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/events"
 	"repro/internal/metrics"
-	"repro/internal/opt"
 	"repro/internal/sgd"
 )
 
@@ -62,18 +61,12 @@ type Config struct {
 	Tau0     int          // initial communication period (from grid search)
 	Interval float64      // T0, the wall-clock interval between adaptations
 	Gamma    float64      // saturation decay factor (paper uses 1/2)
-	Slack    int          // slack s in the saturation condition (default 0)
 	Schedule sgd.Schedule // learning-rate schedule, indexed by epoch
 	Coupling Coupling     // how eta enters the tau rule
 	// DeferLRDecay holds back scheduled LR decays while tau > 1
 	// (Sec 4.3.2: "first decay the communication period to 1, then decay
 	// the learning rate as usual").
 	DeferLRDecay bool
-	// MinTau floors the adapted period (default 1).
-	MinTau int
-	// MaxTau caps the adapted period to guard rule (19)'s blow-ups
-	// (0 = uncapped).
-	MaxTau int
 	// LinkAware makes the controller heterogeneity-aware: the proposed tau
 	// is scaled by sqrt(alpha_obs) whenever the observed communication/
 	// computation ratio alpha_obs = mean(D)/mean(Y) (from RoundInfo's
@@ -84,22 +77,11 @@ type Config struct {
 	// raise. Off (the zero value), trajectories are bit-identical to the
 	// paper's static rule.
 	LinkAware bool
-	// Momentum is the workers' heavy-ball coefficient, when the engine runs
-	// a momentum rule. The eta-coupled tau rules (19)/(20) are derived under
-	// eta*L ~= 1; with momentum the steady-state step size is the EFFECTIVE
-	// learning rate eta/(1-beta) (the geometric sum of the buffer), so the
-	// coupling compares effective rates. At the zero value the effective
-	// rate is eta/1 == eta exactly (IEEE 754), so every existing trajectory
-	// is bit-identical.
-	Momentum float64
 }
 
 func (c Config) withDefaults() Config {
 	if c.Gamma <= 0 || c.Gamma >= 1 {
 		c.Gamma = 0.5
-	}
-	if c.MinTau < 1 {
-		c.MinTau = 1
 	}
 	if c.Schedule == nil {
 		c.Schedule = sgd.Const{Eta: 0.1}
@@ -129,9 +111,6 @@ func NewAdaComm(cfg Config) *AdaComm {
 	}
 	if cfg.Interval <= 0 {
 		panic("core: AdaComm needs a positive interval T0")
-	}
-	if math.IsNaN(cfg.Momentum) || cfg.Momentum < 0 || cfg.Momentum >= 1 {
-		panic("core: AdaComm momentum must be in [0, 1)")
 	}
 	return &AdaComm{cfg: cfg}
 }
@@ -205,33 +184,31 @@ func (a *AdaComm) adapt(info cluster.RoundInfo, evalLoss func() float64) {
 	etaFactor := 1.0
 	switch a.cfg.Coupling {
 	case SqrtCoupling:
-		// Under sqrt: tau ~ sqrt(eta0/eta), with eta the EFFECTIVE rate
-		// under momentum (eta/(1-beta); identical to eta at beta = 0).
-		etaFactor = opt.EffectiveLR(a.eta0, a.cfg.Momentum) /
-			opt.EffectiveLR(lr, a.cfg.Momentum)
+		// Under sqrt: tau ~ sqrt(eta0/eta). (Heavy-ball momentum scales both
+		// rates by the same 1/(1-beta), so the ratio needs no correction.)
+		etaFactor = a.eta0 / lr
 	case FullCoupling:
-		etaFactor = math.Pow(opt.EffectiveLR(a.eta0, a.cfg.Momentum)/
-			opt.EffectiveLR(lr, a.cfg.Momentum), 3)
+		etaFactor = math.Pow(a.eta0/lr, 3)
 	}
 	factor := 1.0
 	if a.cfg.LinkAware {
 		factor = observedLinkFactor(info)
 	}
 	proposed := int(math.Ceil(math.Sqrt(etaFactor*ratio) * factor * float64(a.cfg.Tau0)))
-	if proposed < a.cfg.MinTau {
-		proposed = a.cfg.MinTau
+	if proposed < 1 {
+		proposed = 1
 	}
 
-	if proposed+a.cfg.Slack < a.curTau {
+	if proposed < a.curTau {
 		a.curTau = proposed
 	} else {
 		// Saturation: force multiplicative decay (eq 18).
 		decayed := int(math.Ceil(a.cfg.Gamma * float64(a.curTau)))
-		if decayed >= a.curTau && a.curTau > a.cfg.MinTau {
+		if decayed >= a.curTau && a.curTau > 1 {
 			decayed = a.curTau - 1
 		}
-		if decayed < a.cfg.MinTau {
-			decayed = a.cfg.MinTau
+		if decayed < 1 {
+			decayed = 1
 		}
 		// Rules (19)/(20) can legitimately *raise* tau right after an LR
 		// decay, and the link-aware scaling can raise it when the measured
@@ -247,9 +224,6 @@ func (a *AdaComm) adapt(info cluster.RoundInfo, evalLoss func() float64) {
 		} else {
 			a.curTau = decayed
 		}
-	}
-	if a.cfg.MaxTau > 0 && a.curTau > a.cfg.MaxTau {
-		a.curTau = a.cfg.MaxTau
 	}
 	a.curLR = lr
 	a.linkFactor = factor

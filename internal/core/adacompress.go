@@ -14,22 +14,17 @@ import (
 // the loss falls (eq 17); AdaCommCompress additionally starts with
 // aggressive compression and RAISES the wire fidelity as the loss falls,
 //
-//	ratio_l = min(MaxRatio, Ratio0 * sqrt(F(x_0)/F(x_l)))
+//	ratio_l = min(1, Ratio0 * sqrt(F(x_0)/F(x_l)))
 //
 // with the same saturation refinement as eq 18: when the rule fails to
 // strictly raise the ratio (the loss has plateaued), the ratio is relaxed
-// multiplicatively by 1/Gamma instead, so a stalled run converges to
-// full-fidelity communication rather than staying noisy forever.
+// multiplicatively by 1/Gamma instead (the tau rule's Gamma), so a stalled
+// run converges to full-fidelity communication rather than staying noisy
+// forever.
 type CompressSchedule struct {
 	// Ratio0 is the initial keep-ratio (e.g. 0.05 = send 5% of
 	// coordinates). Must be in (0, 1].
 	Ratio0 float64
-	// MaxRatio caps the adapted ratio (default 1 = lossless support).
-	MaxRatio float64
-	// Gamma is the saturation relaxation factor in (0, 1); each saturated
-	// interval divides the compression aggressiveness by Gamma. Defaults to
-	// the tau rule's Gamma.
-	Gamma float64
 	// NormBits drives a QSGD quantizer's bit-width directly from the
 	// observed gradient-norm decay (compress.NormDecayBits — the same
 	// helper AdaSync's norm rule uses) instead of the coarse ratio→bits
@@ -43,19 +38,6 @@ type CompressSchedule struct {
 	// Bits0 is the norm rule's reference width (default 4). Ignored without
 	// NormBits.
 	Bits0 int
-}
-
-func (cs CompressSchedule) withDefaults(tauGamma float64) CompressSchedule {
-	if cs.MaxRatio <= 0 || cs.MaxRatio > 1 {
-		cs.MaxRatio = 1
-	}
-	if cs.Gamma <= 0 || cs.Gamma >= 1 {
-		cs.Gamma = tauGamma
-	}
-	if cs.Bits0 == 0 {
-		cs.Bits0 = 4
-	}
-	return cs
 }
 
 // AdaCommCompress jointly adapts the communication period tau AND the
@@ -82,7 +64,9 @@ type AdaCommCompress struct {
 // (tau/LR half) and a compression schedule (ratio half).
 func NewAdaCommCompress(cfg Config, cs CompressSchedule) *AdaCommCompress {
 	ada := NewAdaComm(cfg)
-	cs = cs.withDefaults(ada.cfg.Gamma)
+	if cs.Bits0 == 0 {
+		cs.Bits0 = 4
+	}
 	if cs.Ratio0 <= 0 || cs.Ratio0 > 1 {
 		panic("core: AdaCommCompress needs Ratio0 in (0, 1]")
 	}
@@ -109,10 +93,13 @@ func (a *AdaCommCompress) QuantBits() int {
 // from the embedded AdaComm; the ratio is re-chosen at the same interval
 // boundaries, reusing the boundary's loss evaluation.
 func (a *AdaCommCompress) NextRound(info cluster.RoundInfo, evalLoss func() float64) (int, float64) {
-	cached := math.NaN()
+	// One evaluation per boundary, whatever it returns: a diverged run's NaN
+	// loss is memoized like any other.
+	var cached float64
+	have := false
 	memo := func() float64 {
-		if math.IsNaN(cached) {
-			cached = evalLoss()
+		if !have {
+			cached, have = evalLoss(), true
 		}
 		return cached
 	}
@@ -143,12 +130,12 @@ func (a *AdaCommCompress) NextRound(info cluster.RoundInfo, evalLoss func() floa
 // adaptRatio applies the ratio rule and its saturation refinement at an
 // interval boundary.
 func (a *AdaCommCompress) adaptRatio(f float64) {
-	proposed := a.cs.MaxRatio
+	proposed := 1.0
 	if f > 0 {
 		proposed = a.cs.Ratio0 * math.Sqrt(a.f0/f)
 	}
-	if proposed > a.cs.MaxRatio {
-		proposed = a.cs.MaxRatio
+	if proposed > 1 {
+		proposed = 1
 	}
 	if proposed > a.ratio {
 		a.ratio = proposed
@@ -156,9 +143,9 @@ func (a *AdaCommCompress) adaptRatio(f float64) {
 	}
 	// Saturation: the loss ratio no longer justifies a fidelity increase,
 	// so force a multiplicative relaxation toward lossless communication.
-	relaxed := a.ratio / a.cs.Gamma
-	if relaxed > a.cs.MaxRatio {
-		relaxed = a.cs.MaxRatio
+	relaxed := a.ratio / a.ada.cfg.Gamma
+	if relaxed > 1 {
+		relaxed = 1
 	}
 	a.ratio = relaxed
 }

@@ -60,31 +60,40 @@ func TestAdaCommCompressSaturationRelaxes(t *testing.T) {
 }
 
 func TestAdaCommCompressRatioCapped(t *testing.T) {
-	a := NewAdaCommCompress(jointCfg(), CompressSchedule{Ratio0: 0.5, MaxRatio: 0.8})
+	a := NewAdaCommCompress(jointCfg(), CompressSchedule{Ratio0: 0.5})
 	a.NextRound(fakeInfo(0, 0), lossSeq(2.0))
-	// Loss fell 100x: the rule proposes 5.0, capped at MaxRatio.
+	// Loss fell 100x: the rule proposes 5.0, capped at 1 (lossless support).
 	a.NextRound(fakeInfo(61, 1), lossSeq(0.02))
-	if got := a.CompressionRatio(); got != 0.8 {
-		t.Fatalf("ratio %v, want MaxRatio cap 0.8", got)
+	if got := a.CompressionRatio(); got != 1 {
+		t.Fatalf("ratio %v, want the cap 1", got)
+	}
+	// The saturation relaxation stops at the same cap.
+	a.NextRound(fakeInfo(121, 2), lossSeq(0.02))
+	if got := a.CompressionRatio(); got != 1 {
+		t.Fatalf("ratio %v after a stalled interval, want the cap 1", got)
 	}
 }
 
 func TestAdaCommCompressSingleEvalPerBoundary(t *testing.T) {
-	a := NewAdaCommCompress(jointCfg(), CompressSchedule{Ratio0: 0.05})
-	evals := 0
-	counting := func() float64 { evals++; return 2.0 }
-	a.NextRound(fakeInfo(0, 0), counting)
-	if evals != 1 {
-		t.Fatalf("init evals %d, want 1 (shared between tau and ratio)", evals)
-	}
-	a.NextRound(fakeInfo(61, 1), counting)
-	if evals != 2 {
-		t.Fatalf("boundary evals %d, want 2 total", evals)
-	}
-	// Off-boundary rounds must not evaluate at all.
-	a.NextRound(fakeInfo(70, 1), counting)
-	if evals != 2 {
-		t.Fatalf("off-boundary evals %d, want 2", evals)
+	// NaN is a diverged run's loss: the evaluation that is already wasted
+	// must not be paid twice.
+	for _, loss := range []float64{2.0, math.NaN()} {
+		a := NewAdaCommCompress(jointCfg(), CompressSchedule{Ratio0: 0.05})
+		evals := 0
+		counting := func() float64 { evals++; return loss }
+		a.NextRound(fakeInfo(0, 0), counting)
+		if evals != 1 {
+			t.Fatalf("loss %v: init evals %d, want 1 (shared between tau and ratio)", loss, evals)
+		}
+		a.NextRound(fakeInfo(61, 1), counting)
+		if evals != 2 {
+			t.Fatalf("loss %v: boundary evals %d, want 2 total", loss, evals)
+		}
+		// Off-boundary rounds must not evaluate at all.
+		a.NextRound(fakeInfo(70, 1), counting)
+		if evals != 2 {
+			t.Fatalf("loss %v: off-boundary evals %d, want 2", loss, evals)
+		}
 	}
 }
 

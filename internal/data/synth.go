@@ -78,7 +78,6 @@ type SynthImagesConfig struct {
 	Shape   ImageShape
 	N       int
 	Noise   float64 // pixel noise stddev
-	Waves   int     // number of sinusoidal components per prototype
 	// LabelNoise flips this fraction of labels uniformly (see
 	// GaussianBlobsConfig.LabelNoise for why).
 	LabelNoise float64
@@ -89,16 +88,13 @@ func SynthImages(cfg SynthImagesConfig, r *rng.Rand) *Dataset {
 	if cfg.Classes < 2 || cfg.N < cfg.Classes || cfg.Shape.Len() == 0 {
 		panic("data: invalid SynthImagesConfig")
 	}
-	if cfg.Waves <= 0 {
-		cfg.Waves = 3
-	}
 	c, h, w := cfg.Shape.Channels, cfg.Shape.Height, cfg.Shape.Width
-	// Per-class prototypes built from random 2-D sinusoids: smooth spatial
-	// structure that small conv kernels can detect.
+	// Per-class prototypes built from three random 2-D sinusoids: smooth
+	// spatial structure that small conv kernels can detect.
 	protos := make([][]float64, cfg.Classes)
 	for cl := range protos {
 		p := make([]float64, cfg.Shape.Len())
-		for wv := 0; wv < cfg.Waves; wv++ {
+		for wv := 0; wv < 3; wv++ {
 			fx := 1 + r.Float64()*3
 			fy := 1 + r.Float64()*3
 			phase := r.Float64() * 2 * math.Pi

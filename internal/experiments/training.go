@@ -41,11 +41,6 @@ type TrainSpec struct {
 
 	EvalEvery  int
 	EvalSubset int
-
-	// ComputeWorkers pins the engines' compute-pool width (see
-	// cluster.Config.ComputeWorkers). 0 lets Workload.Engine pick: serial
-	// engines inside a parallel grid fan-out, GOMAXPROCS otherwise.
-	ComputeWorkers int
 }
 
 func (s TrainSpec) withDefaults() TrainSpec {
@@ -101,7 +96,6 @@ func RunComparison(spec TrainSpec) *Comparison {
 		EvalEvery:      spec.EvalEvery,
 		EvalSubset:     spec.EvalSubset,
 		AccEverySync:   5,
-		ComputeWorkers: spec.ComputeWorkers,
 		Seed:           spec.Seed + 1,
 	}
 

@@ -6,26 +6,20 @@ package opt
 // displacement pre-post through a heavy-ball buffer:
 //
 //	u = beta*u + (pre - post)
-//	dst = pre - alpha*u
+//	dst = pre - u
 //
-// With alpha = 1 this is bit-identical to the legacy ublock arithmetic
-// (1*u == u exactly in IEEE754), so the blockmom golden is pinned through
-// this path. The centralized strategies keep one Global on the shared
-// reference; gossip strategies keep one per node, filtering each node's
-// own mixing displacement.
+// the BMUF form (slow learning rate 1), which is the legacy ublock
+// arithmetic the blockmom golden pins. The centralized strategies keep one
+// Global on the shared reference; gossip strategies keep one per node,
+// filtering each node's own mixing displacement.
 type Global struct {
-	Beta  float64
-	Alpha float64
-	u     []float64
+	Beta float64
+	u    []float64
 }
 
 // NewGlobal builds a global-momentum buffer over dim parameters.
-// alpha = 0 means 1 (the BMUF/legacy form).
-func NewGlobal(beta, alpha float64, dim int) *Global {
-	if alpha == 0 {
-		alpha = 1
-	}
-	return &Global{Beta: beta, Alpha: alpha, u: make([]float64, dim)}
+func NewGlobal(beta float64, dim int) *Global {
+	return &Global{Beta: beta, u: make([]float64, dim)}
 }
 
 // Apply folds the displacement pre-post into the buffer and writes the
@@ -33,7 +27,7 @@ func NewGlobal(beta, alpha float64, dim int) *Global {
 func (g *Global) Apply(pre, post, dst []float64) {
 	for i := range g.u {
 		g.u[i] = g.Beta*g.u[i] + (pre[i] - post[i])
-		dst[i] = pre[i] - g.Alpha*g.u[i]
+		dst[i] = pre[i] - g.u[i]
 	}
 }
 

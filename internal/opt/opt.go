@@ -1,6 +1,6 @@
 // Package opt is the first-class optimizer layer: the per-worker local
-// update rule (plain SGD, heavy-ball and Nesterov momentum, Local
-// Adam/AdamW) factored out of the engines behind one interface, plus the
+// update rule (plain SGD, heavy-ball and Nesterov momentum, Local Adam)
+// factored out of the engines behind one interface, plus the
 // slow/global momentum applied at sync points (global.go). Every rule owns
 // its state as enumerable named vectors with an explicit sync policy, so
 // the engines can reset, average, or ship that state over the wire without
@@ -28,7 +28,7 @@ import (
 type Rule int
 
 const (
-	// RulePlain is vanilla SGD: x -= lr * (g + wd*x).
+	// RulePlain is vanilla SGD: x -= lr * g.
 	RulePlain Rule = iota
 	// RuleMomentum is heavy-ball momentum (the legacy internal/sgd rule):
 	// buf = mu*buf + g; x -= lr*buf.
@@ -36,10 +36,8 @@ const (
 	// RuleNesterov is Nesterov momentum in the PyTorch formulation:
 	// buf = mu*buf + g; x -= lr*(g + mu*buf).
 	RuleNesterov
-	// RuleAdam is Adam with L2 weight decay folded into the gradient.
+	// RuleAdam is Adam (Local Adam: every worker keeps its own moments).
 	RuleAdam
-	// RuleAdamW is Adam with decoupled weight decay.
-	RuleAdamW
 )
 
 func (r Rule) String() string {
@@ -52,41 +50,38 @@ func (r Rule) String() string {
 		return "nesterov"
 	case RuleAdam:
 		return "adam"
-	case RuleAdamW:
-		return "adamw"
 	}
 	return fmt.Sprintf("rule(%d)", int(r))
 }
 
-// Defaults applied by New for the adaptive rules when the field is zero.
+// Defaults applied by New for the adaptive rule when the field is zero.
 const (
 	DefaultBeta1 = 0.9
 	DefaultBeta2 = 0.999
-	DefaultEps   = 1e-8
 )
 
+// adamEps is Adam's denominator epsilon.
+const adamEps = 1e-8
+
 // Config describes a local update rule. The zero value is plain SGD with
-// no momentum and no weight decay — the contract every engine's golden
-// traces rely on.
+// no momentum — the contract every engine's golden traces rely on.
 type Config struct {
-	Rule        Rule
-	LR          float64 // current learning rate (callers apply Schedule)
-	Momentum    float64 // heavy-ball/Nesterov mu, or Adam beta1
-	Beta2       float64 // Adam second-moment decay (0 = 0.999)
-	Eps         float64 // Adam denominator epsilon (0 = 1e-8)
-	WeightDecay float64 // L2 (plain/momentum/adam) or decoupled (adamw)
+	Rule     Rule
+	LR       float64 // current learning rate (callers apply Schedule)
+	Momentum float64 // heavy-ball/Nesterov mu, or Adam beta1
+	Beta2    float64 // Adam second-moment decay (0 = 0.999)
 
 	// SyncedMoments marks the Adam second moment SyncAverage instead of
 	// SyncKeep: the engines then average v across workers at every sync
 	// point, shipping it over the same (compressed, byte-priced) wire as
-	// the parameters. Only meaningful for RuleAdam/RuleAdamW.
+	// the parameters. Only meaningful for RuleAdam.
 	SyncedMoments bool
 }
 
 // Validate rejects configurations New would mis-handle.
 func (c Config) Validate() error {
 	switch c.Rule {
-	case RulePlain, RuleMomentum, RuleNesterov, RuleAdam, RuleAdamW:
+	case RulePlain, RuleMomentum, RuleNesterov, RuleAdam:
 	default:
 		return fmt.Errorf("opt: unknown rule %d", int(c.Rule))
 	}
@@ -98,16 +93,10 @@ func (c Config) Validate() error {
 	if !(c.Beta2 >= 0 && c.Beta2 < 1) {
 		return fmt.Errorf("opt: beta2 %v outside [0,1)", c.Beta2)
 	}
-	if !(c.Eps >= 0 && c.Eps < math.Inf(1)) {
-		return fmt.Errorf("opt: eps %v not a finite non-negative number", c.Eps)
-	}
-	if !(c.WeightDecay >= 0 && c.WeightDecay < math.Inf(1)) {
-		return fmt.Errorf("opt: weight decay %v not a finite non-negative number", c.WeightDecay)
-	}
 	if (c.Rule == RuleMomentum || c.Rule == RuleNesterov) && c.Momentum == 0 {
 		return fmt.Errorf("opt: rule %s requires momentum > 0", c.Rule)
 	}
-	if c.SyncedMoments && c.Rule != RuleAdam && c.Rule != RuleAdamW {
+	if c.SyncedMoments && c.Rule != RuleAdam {
 		return fmt.Errorf("opt: synced moments require an adam rule, got %s", c.Rule)
 	}
 	return nil
@@ -122,7 +111,7 @@ func (c Config) IsZero() bool {
 }
 
 // Adaptive reports whether the rule keeps second-moment state.
-func (c Config) Adaptive() bool { return c.Rule == RuleAdam || c.Rule == RuleAdamW }
+func (c Config) Adaptive() bool { return c.Rule == RuleAdam }
 
 // String renders the config in the grammar Parse accepts.
 func (c Config) String() string {
@@ -130,7 +119,7 @@ func (c Config) String() string {
 	switch c.Rule {
 	case RuleMomentum, RuleNesterov:
 		s += ":" + trimFloat(c.Momentum)
-	case RuleAdam, RuleAdamW:
+	case RuleAdam:
 		if c.Momentum != 0 || c.Beta2 != 0 {
 			s += ":" + trimFloat(c.Momentum)
 			if c.Beta2 != 0 {
@@ -148,7 +137,7 @@ func trimFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Forms enumerates the spec grammar for CLI error messages.
 func Forms() string {
-	return `"sgd", "momentum:MU", "nesterov:MU", "adam", "adam:B1", "adam:B1,B2", "adamw[:B1[,B2]]"; adam forms take an optional "+synced" suffix (synced second moments)`
+	return `"sgd", "momentum:MU", "nesterov:MU", "adam", "adam:B1", "adam:B1,B2"; adam forms take an optional "+synced" suffix (synced second moments)`
 }
 
 // Parse parses an optimizer spec. The empty string and "sgd" yield the
@@ -183,11 +172,8 @@ func Parse(spec string) (Config, error) {
 			return Config{}, fmt.Errorf("opt: bad momentum %q in %q (valid forms: %s)", arg, spec, Forms())
 		}
 		c.Momentum = mu
-	case "adam", "adamw":
+	case "adam":
 		c.Rule = RuleAdam
-		if name == "adamw" {
-			c.Rule = RuleAdamW
-		}
 		if arg != "" {
 			parts := strings.Split(arg, ",")
 			if len(parts) > 2 {
@@ -304,15 +290,12 @@ func New(cfg Config, dim int) Optimizer {
 	case RuleMomentum, RuleNesterov:
 		o.buf = make([]float64, dim)
 		o.state = []State{{Name: "momentum", Vec: o.buf, Policy: SyncReset}}
-	case RuleAdam, RuleAdamW:
+	case RuleAdam:
 		if o.cfg.Momentum == 0 {
 			o.cfg.Momentum = DefaultBeta1
 		}
 		if o.cfg.Beta2 == 0 {
 			o.cfg.Beta2 = DefaultBeta2
-		}
-		if o.cfg.Eps == 0 {
-			o.cfg.Eps = DefaultEps
 		}
 		o.m = make([]float64, dim)
 		o.v = make([]float64, dim)
@@ -359,42 +342,35 @@ func (o *optimizer) Step(params, grad []float64) {
 	if len(params) != len(grad) {
 		panic("opt: params/grad length mismatch")
 	}
-	wd := o.cfg.WeightDecay
 	lr := o.cfg.LR
 	switch o.cfg.Rule {
 	case RulePlain:
 		// Bit-identical to the legacy internal/sgd loop with Momentum=0.
 		for i := range params {
-			g := grad[i] + wd*params[i]
-			params[i] -= lr * g
+			params[i] -= lr * grad[i]
 		}
 	case RuleMomentum:
 		// Bit-identical to the legacy internal/sgd momentum loop.
 		mu := o.cfg.Momentum
 		for i := range params {
-			g := grad[i] + wd*params[i]
-			o.buf[i] = mu*o.buf[i] + g
+			o.buf[i] = mu*o.buf[i] + grad[i]
 			params[i] -= lr * o.buf[i]
 		}
 	case RuleNesterov:
 		mu := o.cfg.Momentum
 		for i := range params {
-			g := grad[i] + wd*params[i]
+			g := grad[i]
 			o.buf[i] = mu*o.buf[i] + g
 			params[i] -= lr * (g + mu*o.buf[i])
 		}
-	case RuleAdam, RuleAdamW:
-		b1, b2, eps := o.cfg.Momentum, o.cfg.Beta2, o.cfg.Eps
+	case RuleAdam:
+		b1, b2 := o.cfg.Momentum, o.cfg.Beta2
 		o.tm++
 		o.tv++
 		bc1 := 1 - math.Pow(b1, float64(o.tm))
 		bc2 := 1 - math.Pow(b2, float64(o.tv))
-		decoupled := o.cfg.Rule == RuleAdamW
 		for i := range params {
 			g := grad[i]
-			if !decoupled {
-				g += wd * params[i]
-			}
 			o.m[i] = b1*o.m[i] + (1-b1)*g
 			o.v[i] = b2*o.v[i] + (1-b2)*g*g
 			vhat := o.v[i] / bc2
@@ -405,11 +381,7 @@ func (o *optimizer) Step(params, grad []float64) {
 				// below zero, and sqrt must not turn that into NaN.
 				vhat = 0
 			}
-			step := (o.m[i] / bc1) / (math.Sqrt(vhat) + eps)
-			if decoupled {
-				step += wd * params[i]
-			}
-			params[i] -= lr * step
+			params[i] -= lr * ((o.m[i] / bc1) / (math.Sqrt(vhat) + adamEps))
 		}
 	}
 }
@@ -450,9 +422,3 @@ func SyncedVecs(o Optimizer) [][]float64 {
 	}
 	return vs
 }
-
-// EffectiveLR is the steady-state effective learning rate of a momentum
-// recursion: eta/(1-beta). The AdaComm tau rule's eta coupling uses it to
-// stay correct under momentum; at beta = 0 the division is by exactly 1,
-// so plain-SGD trajectories are bit-identical to the uncoupled form.
-func EffectiveLR(eta, beta float64) float64 { return eta / (1 - beta) }

@@ -3,7 +3,6 @@ package paramserver
 import (
 	"math"
 
-	"repro/internal/compress"
 	"repro/internal/events"
 )
 
@@ -13,10 +12,7 @@ type AdaSyncConfig struct {
 	M        int     // worker count (upper bound for K)
 	Interval float64 // wall-clock adaptation interval T0
 	LR       float64 // learning rate (constant; schedules compose upstream)
-	// Growth is the multiplicative bump applied when the loss-ratio rule
-	// stalls (the mirror image of AdaComm's gamma decay); default 2.
-	Growth float64
-	// LinkAware caps K at the number of links within SlowCutoff of the
+	// LinkAware caps K at the number of links within 3x (slowCutoff) of the
 	// fastest observed link (RoundInfo.LinkTimes) — the Kas Hanna et al.
 	// 2022 direction of waiting only for the K fastest workers, so one
 	// straggling link never gates every update. Off (the zero value) the
@@ -24,21 +20,15 @@ type AdaSyncConfig struct {
 	// ArrivalPolicy rule, the same one the event-driven cluster engine
 	// applies to its K-of-m aggregation.
 	LinkAware bool
-	// SlowCutoff is the multiple of the fastest link's transfer time beyond
-	// which a link is considered too slow to wait for (default 3).
-	SlowCutoff float64
-	// NormBits drives the push quantizer's bit-width from the observed
-	// gradient-norm decay (compress.NormDecayBits, the same helper
-	// AdaCommCompress uses): one extra bit per halving of the mean-gradient
-	// norm relative to the first observed update, clamped to [1, 8]. Off
-	// (the zero value) the controller never touches the width — the legacy
-	// behavior, bit for bit.
-	NormBits bool
-	// Bits0 is the reference width the norm rule starts from (default 4 —
-	// room to grow toward 8 as the gradient shrinks). Ignored without
-	// NormBits.
-	Bits0 int
 }
+
+// slowCutoff is the multiple of the fastest link's transfer time beyond which
+// a link-aware server considers a link too slow to wait for.
+const slowCutoff = 3
+
+// stallGrowth is the multiplicative bump applied to K when the loss-ratio
+// rule stalls (the mirror image of AdaComm's gamma decay).
+const stallGrowth = 2
 
 // AdaSync adapts the server's K over wall-clock intervals: the AdaComm
 // rule inverted. AdaComm shrinks tau as sqrt(F_l/F_0); staleness noise
@@ -58,9 +48,6 @@ type AdaSync struct {
 	nextBoundary float64
 	curK         int
 	lastK        int // K actually returned (after the link cap)
-
-	norm0   float64 // first observed mean-gradient norm (NormBits reference)
-	curBits int     // current norm-rule width (0 until a norm is observed)
 }
 
 // NewAdaSync builds the controller.
@@ -70,15 +57,6 @@ func NewAdaSync(cfg AdaSyncConfig) *AdaSync {
 	}
 	if cfg.Interval <= 0 {
 		panic("paramserver: AdaSync needs a positive interval")
-	}
-	if cfg.Growth <= 1 {
-		cfg.Growth = 2
-	}
-	if cfg.SlowCutoff <= 1 {
-		cfg.SlowCutoff = 3
-	}
-	if cfg.Bits0 == 0 {
-		cfg.Bits0 = 4
 	}
 	return &AdaSync{cfg: cfg}
 }
@@ -99,13 +77,11 @@ func (a *AdaSync) K() int {
 // controller so the event-driven cluster engine and the K-async server
 // share one definition of "how many arrivals is a sync worth waiting for":
 // aggregate the first K arrivals, and — when LinkAware — never wait for
-// more workers than have links within SlowCutoff of the fastest observed
-// one (Kas Hanna et al. 2022). The zero SlowCutoff defaults to 3, matching
-// AdaSyncConfig.
+// more workers than have links within 3x (slowCutoff) of the fastest
+// observed one (Kas Hanna et al. 2022).
 type ArrivalPolicy struct {
-	K          int
-	LinkAware  bool
-	SlowCutoff float64
+	K         int
+	LinkAware bool
 }
 
 // Effective returns the arrival count to wait for, given the most recent
@@ -120,11 +96,7 @@ func (p ArrivalPolicy) Effective(times []float64, m int) int {
 		k = m
 	}
 	if p.LinkAware {
-		cutoff := p.SlowCutoff
-		if cutoff <= 1 {
-			cutoff = 3
-		}
-		if fast := FastLinkCount(times, m, cutoff); k > fast {
+		if fast := FastLinkCount(times, m, slowCutoff); k > fast {
 			k = fast
 		}
 	}
@@ -156,31 +128,8 @@ func FastLinkCount(times []float64, m int, cutoff float64) int {
 	return n
 }
 
-// QuantBits implements BitsController: the norm-decay width when NormBits
-// is on and a gradient norm has been observed, else 0 (leave the width
-// alone).
-func (a *AdaSync) QuantBits() int {
-	if !a.cfg.NormBits {
-		return 0
-	}
-	return a.curBits
-}
-
-// trackNorm updates the norm-decay width from the latest observed
-// mean-gradient norm.
-func (a *AdaSync) trackNorm(norm float64) {
-	if !a.cfg.NormBits || norm <= 0 {
-		return
-	}
-	if a.norm0 == 0 {
-		a.norm0 = norm
-	}
-	a.curBits = compress.NormDecayBits(a.cfg.Bits0, a.norm0, norm)
-}
-
 // Next implements Controller.
 func (a *AdaSync) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
-	a.trackNorm(info.GradNorm)
 	if !a.initialized {
 		a.f0 = evalLoss()
 		if a.f0 <= 0 {
@@ -202,7 +151,7 @@ func (a *AdaSync) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
 			a.curK = proposed
 		} else {
 			// Stalled: force growth (mirror of AdaComm's eq-18 decay).
-			a.curK = int(math.Ceil(a.cfg.Growth * float64(a.curK)))
+			a.curK = int(math.Ceil(stallGrowth * float64(a.curK)))
 		}
 		if a.curK > a.cfg.M {
 			a.curK = a.cfg.M
@@ -214,10 +163,9 @@ func (a *AdaSync) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
 }
 
 // capped applies the link-aware ceiling to the loss-rule K via the shared
-// ArrivalPolicy (NewAdaSync defaulted SlowCutoff already; the loss rule
-// keeps curK in [K0, M], so the policy's clamp is a no-op here and the
-// result is bit-identical to the pre-policy cap).
+// ArrivalPolicy (the loss rule keeps curK in [K0, M], so the policy's clamp
+// is a no-op here and the result is bit-identical to the pre-policy cap).
 func (a *AdaSync) capped(k int, info RoundInfo) int {
-	p := ArrivalPolicy{K: k, LinkAware: a.cfg.LinkAware, SlowCutoff: a.cfg.SlowCutoff}
+	p := ArrivalPolicy{K: k, LinkAware: a.cfg.LinkAware}
 	return p.Effective(info.LinkTimes, a.cfg.M)
 }

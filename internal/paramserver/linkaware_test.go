@@ -177,11 +177,11 @@ func TestArrivalPolicyClampsK(t *testing.T) {
 		{"link-aware, no observations, no cap", ArrivalPolicy{K: 5, LinkAware: true}, nil, 8, 5},
 		{"link-aware caps at fast links", ArrivalPolicy{K: 5, LinkAware: true},
 			[]float64{1, 1, 1, 100}, 8, 3},
-		{"link-aware default cutoff 3 keeps 2.9x", ArrivalPolicy{K: 4, LinkAware: true},
+		{"link-aware cutoff 3 keeps 2.9x", ArrivalPolicy{K: 4, LinkAware: true},
 			[]float64{1, 2.9, 10, 10}, 8, 2},
-		{"explicit cutoff widens the fast set", ArrivalPolicy{K: 4, LinkAware: true, SlowCutoff: 12},
-			[]float64{1, 2.9, 10, 10}, 8, 4},
-		{"cap never below 1", ArrivalPolicy{K: 4, LinkAware: true, SlowCutoff: 1.0001},
+		{"the cutoff is inclusive: 3x is in, 3.1x is out", ArrivalPolicy{K: 4, LinkAware: true},
+			[]float64{1, 3, 3.1, 10}, 8, 2},
+		{"cap never below 1", ArrivalPolicy{K: 4, LinkAware: true},
 			[]float64{1, 5, 5, 5}, 8, 1},
 		{"cap does not raise K", ArrivalPolicy{K: 2, LinkAware: true},
 			[]float64{1, 1, 1, 1}, 8, 2},
@@ -199,7 +199,7 @@ func TestArrivalPolicyClampsK(t *testing.T) {
 func TestArrivalPolicyMatchesAdaSyncCap(t *testing.T) {
 	times := []float64{1, 1.5, 2, 50}
 	for _, k := range []int{1, 2, 3, 4} {
-		p := ArrivalPolicy{K: k, LinkAware: true, SlowCutoff: 3}
+		p := ArrivalPolicy{K: k, LinkAware: true}
 		want := k
 		if fast := FastLinkCount(times, 4, 3); want > fast {
 			want = fast

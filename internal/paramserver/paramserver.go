@@ -52,7 +52,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/opt"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -94,12 +93,6 @@ type RoundInfo struct {
 	// links. The slice is server-owned and refreshed in place; controllers
 	// must not retain or mutate it.
 	LinkTimes []float64
-
-	// GradNorm is the L2 norm of the mean gradient applied by the most
-	// recent server update (0 before the first update). Norm-tracking
-	// controllers (AdaSync's bit-width rule) read it; it costs no extra
-	// gradient evaluation and no RNG.
-	GradNorm float64
 }
 
 // Controller adapts the server's K (and learning rate) over wall-clock
@@ -109,15 +102,6 @@ type Controller interface {
 	// round, given the current server state and an on-demand loss probe.
 	Next(info RoundInfo, evalLoss func() float64) (k int, lr float64)
 	Name() string
-}
-
-// BitsController is a Controller that additionally drives the push
-// compressors' quantizer bit-width (the cluster engine has the identical
-// hook). QuantBits <= 0 means "leave the width alone"; the server forwards
-// positive widths to every push compressor implementing compress.BitSetter.
-type BitsController interface {
-	Controller
-	QuantBits() int
 }
 
 // FixedK always returns the same K and learning rate.
@@ -168,12 +152,6 @@ type Config struct {
 	// back to the shared Bandwidth when the link's is 0). nil keeps the
 	// homogeneous legacy pricing.
 	Links []delaymodel.Link
-	// ServerOpt optionally replaces the server's plain x -= lr*mean(grads)
-	// update with an internal/opt rule (momentum, Adam, ...) stepped on the
-	// mean gradient — the parameter-server face of FedOpt-style server
-	// adaptivity. Server state is O(dim); workers are untouched. The zero
-	// value keeps the legacy arithmetic bit for bit.
-	ServerOpt opt.Config
 	// Stop conditions (at least one required).
 	MaxUpdates int     // server updates
 	MaxTime    float64 // simulated seconds
@@ -218,12 +196,6 @@ func (c Config) validate() error {
 		if err := c.PullCompress.Validate(); err != nil {
 			return err
 		}
-	}
-	if err := c.ServerOpt.Validate(); err != nil {
-		return err
-	}
-	if c.ServerOpt.SyncedMoments {
-		return fmt.Errorf("paramserver: server optimizer state is server-owned; synced moments do not apply")
 	}
 	// Faults.Validate needs the worker count, so New performs it.
 	return nil
@@ -295,11 +267,6 @@ type Server struct {
 	// recovered workers can be told apart from busy ones at redispatch time.
 	fltDown  []bool
 	inflight []bool
-
-	// Server-side optimizer state (Config.ServerOpt; nil = legacy update).
-	srvOpt       opt.Optimizer
-	srvGrad      []float64
-	lastGradNorm float64
 }
 
 // New builds a server over m shards of the training set.
@@ -390,11 +357,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 		}
 		s.fltDown = make([]bool, s.m)
 		s.inflight = make([]bool, s.m)
-	}
-	// Server-optimizer state consumes no RNG either.
-	if !cfg.ServerOpt.IsZero() {
-		s.srvOpt = opt.New(cfg.ServerOpt, dim)
-		s.srvGrad = make([]float64, dim)
 	}
 	return s, nil
 }
@@ -498,28 +460,6 @@ func (s *Server) dispatch(i int) {
 	s.queue.Push(events.Event{Time: s.clock + dur, Worker: i, Kind: events.Arrival})
 }
 
-// setCompressionBits forwards a controller-chosen quantizer width to every
-// push compressor that can take one (compress.BitSetter); b <= 0 leaves the
-// widths alone. Quantized payloads are width-dependent ((bits+1)-bit packed
-// levels), so the precomputed per-exchange pricing is refreshed to match.
-func (s *Server) setCompressionBits(b int) {
-	if b <= 0 || s.comps == nil {
-		return
-	}
-	applied := 0
-	for _, c := range s.comps {
-		if bs, ok := c.(compress.BitSetter); ok {
-			bs.SetBits(b)
-			applied = bs.Bits() // post-clamp width
-		}
-	}
-	if applied > 0 {
-		spec := s.cfg.Compress
-		spec.Bits = applied
-		s.pushBytes = spec.WireBytes(len(s.params))
-	}
-}
-
 // computeGradient materializes worker i's gradient on its next mini-batch,
 // routing it through the worker's compressor (wire round-trip, with
 // per-worker error feedback) when compression is configured.
@@ -539,29 +479,6 @@ func (s *Server) computeGradient(i int) []float64 {
 	return s.decBuf // valid until the next arrival; the caller sums it at once
 }
 
-// applyUpdate performs x -= lr * mean(grads) over the n gradients summed
-// into gradSum — or, with Config.ServerOpt set, steps the server rule on the
-// mean gradient. Either way it publishes the mean gradient's norm for
-// norm-tracking controllers.
-func (s *Server) applyUpdate(n int, lr float64) {
-	avg := s.gradSum
-	inv := 1 / float64(n)
-	s.lastGradNorm = tensor.Norm2(avg) * inv
-	if s.srvOpt != nil {
-		// Gated: the plain rule's params -= lr*(avg*inv) rounds differently
-		// from the legacy fused Axpy(-lr/len, avg, ...), so the zero-value
-		// config never takes this path.
-		for j, v := range avg {
-			s.srvGrad[j] = inv * v
-		}
-		s.srvOpt.SetLR(lr)
-		s.srvOpt.Step(s.params, s.srvGrad)
-	} else {
-		tensor.Axpy(-lr/float64(n), avg, s.params)
-	}
-	s.version++
-}
-
 // cancelInflight drops every queued completion event.
 func (s *Server) cancelInflight() {
 	s.queue.Reset()
@@ -576,13 +493,7 @@ func (s *Server) cancelInflight() {
 // arrival to staleSamples).
 func (s *Server) update(ctrl Controller, evalLoss func() float64) (k int, lr float64, ok bool) {
 	async := s.cfg.Mode == KAsync
-	k, lr = ctrl.Next(RoundInfo{
-		Time: s.clock, Version: s.version,
-		LinkTimes: s.linkTimes, GradNorm: s.lastGradNorm,
-	}, evalLoss)
-	if bc, ok := ctrl.(BitsController); ok {
-		s.setCompressionBits(bc.QuantBits())
-	}
+	k, lr = ctrl.Next(RoundInfo{Time: s.clock, Version: s.version, LinkTimes: s.linkTimes}, evalLoss)
 	if k < 1 {
 		k = 1
 	}
@@ -625,7 +536,9 @@ func (s *Server) update(ctrl Controller, evalLoss func() float64) (k int, lr flo
 	if len(s.redispatch) == 0 {
 		return k, lr, false
 	}
-	s.applyUpdate(len(s.redispatch), lr)
+	// x -= lr * mean(grads) over the gradients summed into gradSum.
+	tensor.Axpy(-lr/float64(len(s.redispatch)), s.gradSum, s.params)
+	s.version++
 	// K-async restarts the workers that just arrived. K-sync cancels the
 	// stragglers and restarts every survivor at the new model.
 	if !async {
