@@ -25,6 +25,13 @@
 //	adacomm -arch logistic -method fixed -tau 5 -optimizer adam+synced -strategy ring -compress identity+f32
 //	adacomm -arch logistic -method fixed -tau 5 -optimizer momentum:0.9 -global-momentum 0.1
 //	adacomm -arch logistic -method fixed -async -participation 6 -workers 8 -optimizer momentum:0.9
+//
+// Exit status: 0 when the run finished with a finite final loss; 1 when the
+// CSV could not be written; 2 for a bad flag value (one "adacomm: ..." line,
+// nothing ran); 3 when the run trained to a NaN or infinite final loss — the
+// CSV and the summary line are written as usual and one
+// "adacomm: diverged: ..." line follows. A loss that blew up but stayed
+// finite is still exit 0.
 package main
 
 import (
@@ -339,7 +346,10 @@ func main() {
 	emit(engine.Run(ctrl, ctrl.Name()), engine.TestAccuracy())
 }
 
-// emit writes the trace as CSV to stdout and the one-line summary to stderr.
+// emit writes the trace as CSV to stdout and the one-line summary to stderr,
+// then exits 3 if the run diverged: a non-finite final loss is a result a
+// script must be able to tell from a finished run, and the CSV up to it is
+// still the record of how it got there.
 func emit(trace *metrics.Trace, testAccuracy float64) {
 	if err := metrics.WriteCSV(os.Stdout, trace); err != nil {
 		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
@@ -348,6 +358,10 @@ func emit(trace *metrics.Trace, testAccuracy float64) {
 	fmt.Fprintf(os.Stderr, "final loss %.5f, min loss %.5f, test acc %.2f%%, %d iters in %.1f sim-s\n",
 		trace.FinalLoss(), trace.MinLoss(), 100*testAccuracy,
 		trace.Last().Iter, trace.Last().Time)
+	if loss := trace.FinalLoss(); math.IsNaN(loss) || math.IsInf(loss, 0) {
+		fmt.Fprintf(os.Stderr, "adacomm: diverged: final loss %v after %d iters\n", loss, trace.Last().Iter)
+		os.Exit(3)
+	}
 }
 
 func couplingFlag(variable bool) core.Coupling {

@@ -93,6 +93,23 @@ func TestCommandLine(t *testing.T) {
 		t.Errorf("crash under a full barrier: exit %d, last trace row %q (want time >= 90), stderr %q", code, last, stderr)
 	}
 
+	// A run that trains to a non-finite loss is a result, told apart by its
+	// status: the CSV and the summary are written as for any run, then one
+	// "adacomm: diverged:" line, exit 3 — on both engines.
+	for _, engine := range []string{"-tau 2", "-tau 2 -async"} {
+		stdout, stderr, code := run(strings.Fields(engine + " -lr 1e308")...)
+		lines := strings.Split(strings.TrimSpace(stderr), "\n")
+		csv := strings.Split(strings.TrimSpace(stdout), "\n")
+		if code != 3 || !strings.HasPrefix(stdout, "name,time,") || !strings.Contains(csv[len(csv)-1], ",NaN,") ||
+			len(lines) != 2 || !strings.HasPrefix(lines[0], "final loss NaN") ||
+			!strings.HasPrefix(lines[1], "adacomm: diverged: final loss NaN after ") {
+			t.Errorf("%s -lr 1e308: exit %d (want 3), stdout %q, stderr %q", engine, code, stdout, stderr)
+		}
+	}
+	if stdout, stderr, code := run(); code != 0 || !strings.HasPrefix(stdout, "name,time,") || strings.Contains(stderr, "diverged") {
+		t.Errorf("a run that converges: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+
 	// The alias contract: -momentum / -block-momentum fill exactly what
 	// -optimizer momentum:F / -global-momentum fill.
 	alias, _, code := run("-momentum", "0.9", "-block-momentum", "0.3")

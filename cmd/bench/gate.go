@@ -14,8 +14,9 @@ import (
 //     configurable fractional tolerance (-tolerance).
 //  2. allocs/op on every benchmark present in both records: steady-state
 //     allocation counts are host-independent, so ANY increase fails.
-//  3. intra-run ratios: the blocked Gemm must beat the naive reference by
-//     ratioFloor within the SAME run, which needs no baseline at all.
+//  3. intra-run ratios: the blocked Gemm and the QSGD quantizer must beat
+//     the scalar references timed in the SAME run by ratioFloor, which
+//     needs no baseline at all.
 //
 // Engine-run benchmarks (AsyncRun, PSUpdate, ...) are deliberately not
 // ns/op-gated: their wall clock depends on pool scheduling and host load.
@@ -47,16 +48,30 @@ var pinnedKernels = []string{
 	"AsyncDispatchParked/2048",
 }
 
-// ratioFloor is the minimum intra-run speedup of the blocked Gemm over the
-// retained naive reference at 256x256. The AVX2 axpy kernel measures 3.9-5.1x
-// on the recording host (naive scalar code is pinned at one multiply-add per
-// cycle; the packed kernel retires four per instruction; the SSE2 kernel it
-// replaced measured ~2.7x), so the 1.5x floor leaves headroom for runner
-// jitter while still tripping if the kernel ever falls back to scalar speed.
-// A host without AVX2 runs the Go loops, which measure ~1.0x at this dense
-// shape (their gain is on zero-laden operands), and trips it too — which is
-// why the violation names the tier that ran.
+// ratioFloor is the intra-run margin: each row of ratioPairs that runs on the
+// AVX2 kernels must beat, by this factor, the scalar reference timed beside it
+// in the SAME run. No baseline is involved, so the check cannot drift with the
+// recording host — and it trips if the dispatch silently stops choosing the
+// kernels.
+//
+// Gemm-256: the AVX2 axpy kernel measures 3.9-5.1x over the retained naive
+// reference on the recording host (naive scalar code is pinned at one
+// multiply-add per cycle; the packed kernel retires four per instruction; the
+// SSE2 kernel it replaced measured ~2.7x). QSGD at 16 400 coordinates: the
+// tiled draw fill plus the four-lane quantizer measure 2.0-2.7x over the
+// scalar loop with a Float64 call per coordinate (the norm's serial add chain
+// is in both). A host without AVX2 runs the Go loops, which measure ~1.0x on
+// the dense Gemm (their gain is on zero-laden operands) and 1.0-1.25x on QSGD
+// (the fill alone), and trips both — which is why a violation names the tier
+// that ran. 1.5x leaves headroom for runner jitter on either side.
 const ratioFloor = 1.5
+
+// ratioPairs are the {kernel row, scalar reference row} pairs held to
+// ratioFloor.
+var ratioPairs = [][2]string{
+	{"Gemm256/blocked", "Gemm256/naive"},
+	{"CompressInto16400/qsgd", "QSGDScalarRef16400"},
+}
 
 // checkRegression compares the current run against a baseline record and
 // returns one human-readable violation per failed check, with how many
@@ -97,22 +112,26 @@ func checkRegression(curr, base map[string]Result, pinned []string, tol float64)
 	return violations, nsRows, allocRows
 }
 
-// checkRatios asserts baseline-free invariants within a single run. kernels
-// is the tier the run used (tensor.Kernels): on "go" the blocked Gemm has no
-// packed kernel under it, and a ratio under the floor says so instead of
-// reading as a regression of the assembly.
+// checkRatios asserts the baseline-free margins of ratioPairs within a
+// single run. kernels is the tier the run used (tensor.Kernels): on "go" no
+// row has a packed kernel under it, and a ratio under the floor says so
+// instead of reading as a regression of the assembly. A pair with a row
+// missing (a -run filter) is not compared.
 func checkRatios(curr map[string]Result, kernels string) []string {
 	var violations []string
-	naive, okN := curr["Gemm256/naive"]
-	blocked, okB := curr["Gemm256/blocked"]
-	if okN && okB && blocked.NsPerOp*ratioFloor > naive.NsPerOp {
+	for _, pair := range ratioPairs {
+		fast, okF := curr[pair[0]]
+		ref, okR := curr[pair[1]]
+		if !okF || !okR || fast.NsPerOp*ratioFloor <= ref.NsPerOp {
+			continue
+		}
 		why := "the avx2 kernels ran"
 		if kernels != "avx2" {
-			why = "blocked ran the " + kernels + " kernels: this host has no AVX2, or the build is purego"
+			why = "it ran the " + kernels + " kernels: this host has no AVX2, or the build is purego"
 		}
 		violations = append(violations, fmt.Sprintf(
-			"Gemm256: blocked %.0f ns/op is not %.1fx faster than naive %.0f ns/op (%s)",
-			blocked.NsPerOp, ratioFloor, naive.NsPerOp, why))
+			"%s %.0f ns/op is not %.1fx faster than %s %.0f ns/op (%s)",
+			pair[0], fast.NsPerOp, ratioFloor, pair[1], ref.NsPerOp, why))
 	}
 	return violations
 }

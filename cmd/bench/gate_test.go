@@ -3,6 +3,9 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/tensor"
 )
 
 func res(ns float64, allocs int64) Result {
@@ -110,5 +113,67 @@ func TestCheckRatiosBlockedMustBeatNaive(t *testing.T) {
 	// Missing entries (e.g. a trimmed bench list) are not a violation.
 	if v := checkRatios(map[string]Result{"Gemm64": res(1, 0)}, "avx2"); len(v) != 0 {
 		t.Fatalf("missing benches tripped the ratio gate: %v", v)
+	}
+}
+
+func TestCheckRatiosQSGDMustBeatScalarReference(t *testing.T) {
+	ok := map[string]Result{
+		"QSGDScalarRef16400":     res(120000, 0),
+		"CompressInto16400/qsgd": res(50000, 0),
+	}
+	if v := checkRatios(ok, "avx2"); len(v) != 0 {
+		t.Fatalf("healthy ratio tripped the gate: %v", v)
+	}
+	bad := map[string]Result{
+		"QSGDScalarRef16400":     res(120000, 0),
+		"CompressInto16400/qsgd": res(105000, 0), // the Go tier's 1.14x
+		"Gemm256/naive":          res(10000, 0),
+		"Gemm256/blocked":        res(2000, 0),
+	}
+	v := checkRatios(bad, "avx2")
+	if len(v) != 1 || !strings.Contains(v[0], "CompressInto16400/qsgd") || strings.Contains(v[0], "no AVX2") ||
+		strings.Contains(v[0], "\n") {
+		t.Fatalf("scalar-speed quantizer not caught in one line: %q", v)
+	}
+	if v := checkRatios(bad, "go"); len(v) != 1 || !strings.Contains(v[0], "this host has no AVX2") {
+		t.Fatalf("the violation does not name the tier: %v", v)
+	}
+}
+
+// TestQSGDRatioFollowsTheTier times the two rows for real and hands them to
+// the gate: on the AVX2 tier the margin holds, and with the kernels off — a
+// host without AVX2, or this test under `go test -tags purego ./cmd/bench`,
+// where tensor's switch is the constant false — the same rows fail the gate
+// in one line that says which tier ran. The rows are sampled alternately, so
+// both meet the same neighbours, and each keeps its fastest sample:
+// interference only ever adds time.
+func TestQSGDRatioFollowsTheTier(t *testing.T) {
+	const fast, ref = "CompressInto16400/qsgd", "QSGDScalarRef16400"
+	steps := map[string]func(){fast: compressSetup("qsgd:4", 16400, true), ref: qsgdScalarRefSetup(16400, 4)}
+	curr := map[string]Result{}
+	for round := 0; round < 16; round++ {
+		for name, step := range steps {
+			const calls = 8
+			start := time.Now()
+			for i := 0; i < calls; i++ {
+				step()
+			}
+			ns := float64(time.Since(start).Nanoseconds()) / calls
+			if prev, ok := curr[name]; !ok || ns < prev.NsPerOp {
+				curr[name] = res(ns, 0)
+			}
+		}
+	}
+	t.Logf("%s kernels: scalar reference %.0f ns/op, CompressInto %.0f ns/op (%.2fx)", tensor.Kernels(),
+		curr[ref].NsPerOp, curr[fast].NsPerOp, curr[ref].NsPerOp/curr[fast].NsPerOp)
+	v := checkRatios(curr, tensor.Kernels())
+	if tensor.Kernels() == "avx2" {
+		if len(v) != 0 {
+			t.Fatalf("the AVX2 quantizer lost its margin: %v", v)
+		}
+		return
+	}
+	if len(v) != 1 || !strings.Contains(v[0], fast) || !strings.Contains(v[0], "this host has no AVX2") {
+		t.Fatalf("kernels off, and the gate says %q", v)
 	}
 }

@@ -16,8 +16,9 @@
 //
 // In -check mode the exit status is the verdict: 0 when the current run is
 // within tolerance of the committed record, 1 on a regression (pinned-kernel
-// ns/op past the tolerance, any allocs/op increase, or the blocked Gemm
-// losing its margin over the naive reference — see gate.go), 2 on usage
+// ns/op past the tolerance, any allocs/op increase, or a kernel path — the
+// blocked Gemm, the QSGD quantizer — losing its margin over the scalar
+// reference timed beside it; see gate.go), 2 on usage
 // errors — among them a baseline that shares no pinned row with the run, so
 // that a mis-pointed file or a renamed row cannot pass by comparing nothing.
 // CI runs this on every push unless the commit message carries a
@@ -37,6 +38,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -461,14 +463,7 @@ func compressSetup(spec string, dim int, into bool) func() {
 	if err != nil {
 		panic(err)
 	}
-	r := rng.New(41)
-	vecs := make([][]float64, 64)
-	for i := range vecs {
-		vecs[i] = make([]float64, dim)
-		for j := range vecs[i] {
-			vecs[i][j] = r.NormFloat64()
-		}
-	}
+	vecs := cycledVectors(dim)
 	i := 0
 	msg := new(compress.Message) // heap storage: &local would escape per call
 	return func() {
@@ -482,6 +477,53 @@ func compressSetup(spec string, dim int, into bool) func() {
 			panic(err)
 		}
 		i++
+	}
+}
+
+// cycledVectors is the 64 Gaussian inputs every compress row walks through.
+func cycledVectors(dim int) [][]float64 {
+	r := rng.New(41)
+	vecs := make([][]float64, 64)
+	for i := range vecs {
+		vecs[i] = make([]float64, dim)
+		for j := range vecs[i] {
+			vecs[i][j] = r.NormFloat64()
+		}
+	}
+	return vecs
+}
+
+// qsgdScalarRefSetup is the bench oracle of CompressInto16400/qsgd: the
+// scalar quantizer compress shipped before internal/tensor's kernels, one
+// Float64 call per coordinate, over the same cycled inputs and the same
+// stream. It exists for the -check ratio (gate.go): the kernel path must beat
+// it in the same run, on any host, with no baseline to drift.
+func qsgdScalarRefSetup(dim, bits int) func() {
+	r := rng.New(42)
+	vecs := cycledVectors(dim)
+	levels := make([]int16, dim)
+	s := float64(int(1)<<bits - 1)
+	i := 0
+	return func() {
+		vec := vecs[i%len(vecs)]
+		i++
+		norm := 0.0
+		for _, v := range vec {
+			norm += v * v
+		}
+		norm = math.Sqrt(norm)
+		for j, v := range vec {
+			a := math.Abs(v) / norm * s
+			l := math.Floor(a)
+			if r.Float64() < a-l {
+				l++
+			}
+			lv := int16(l)
+			if v < 0 {
+				lv = -lv
+			}
+			levels[j] = lv
+		}
 	}
 }
 
@@ -581,6 +623,7 @@ func main() {
 		{"TopKEF650/r0.1", 20000, func() func() { return compressSetup("topk:0.1+ef", 650, false) }},
 		{"CompressInto650/topk-ef", 20000, func() func() { return compressSetup("topk:0.1+ef", 650, true) }},
 		{"CompressInto16400/qsgd", 2000, func() func() { return compressSetup("qsgd:4", 16400, true) }},
+		{"QSGDScalarRef16400", 2000, func() func() { return qsgdScalarRefSetup(16400, 4) }},
 		{"PASGDRound/serial", 0, func() func() { return pasgdSetup(1) }},
 		{"PASGDRound/pool4", 0, func() func() { return pasgdSetup(4) }},
 		{"GlobalMomentumRound", 0, func() func() { return globalMomentumSetup() }},

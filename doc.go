@@ -24,7 +24,9 @@
 // in internal/paramserver, and a joint (tau, compression-ratio) adaptive
 // controller in internal/core. See examples/compression and the wire
 // ablation (cmd/sweep -ablation wire) for the error-runtime payoff on
-// bandwidth-constrained links.
+// bandwidth-constrained links. QSGD's three per-coordinate loops (round,
+// decode, accumulate) run on the same AVX2 tier as the matmul kernels, bit
+// for bit the Go loops; its package comment states the draw-order contract.
 //
 // Compressed decentralized training is CHOCO-SGD (Koloskova et al. 2019):
 // under ring gossip, every node keeps estimate vectors x̂_j of itself and

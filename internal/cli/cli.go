@@ -2,6 +2,13 @@
 // all repeat: the exit-2 contract for bad flag values, the -quick switch,
 // and the range checks of the flags the three share. It is deliberately not
 // a flag-set framework — each command still declares its own flags.
+//
+// Exit statuses: 0 a run that finished; 1 an output that could not be
+// written (adacomm's CSV, figures' -csv files); 2 a bad flag value, reported
+// by Fatalf before anything ran. cmd/adacomm adds 3: the run finished, its
+// output is written, and its final loss is NaN or infinite (the other two
+// print tables of many runs, in which a diverged cell is a value, not a
+// verdict).
 package cli
 
 import (

@@ -70,6 +70,41 @@
 //     with the threshold, lowest index first, until there are k. That order
 //     and tie rule are the wire contract the goldens pin.
 //
+// # QSGD: draw order, conversion, what stays scalar
+//
+// QSGD runs once per worker per exchange over every coordinate of the model,
+// and so do its decode (error feedback, the parameter server) and its
+// accumulate (every aggregate of quantized messages). All three go through
+// internal/tensor (QuantizeLevels, DequantizeLevels, AccumulateLevels): four
+// coordinates per AVX2 instruction where the CPU has them, the Go loops
+// elsewhere and under -tags purego, every bit the same on both.
+//
+//   - THE DRAW-ORDER CONTRACT. CompressInto takes exactly one Float64 from its
+//     stream per coordinate, in index order — coordinate i rounds against the
+//     i-th draw of the call — and none at all when the norm is 0 (an idle
+//     client's stream does not move). The draws are taken ahead of the
+//     arithmetic, a drawTile of them at a time into a stack buffer by
+//     rng.FillFloat64, which is that many successive Float64 calls; the tile
+//     size is therefore invisible in every message and in the stream's
+//     state, and changing it needs no recapture. Anything that reorders,
+//     skips or adds a draw moves every golden that runs qsgd.
+//   - The conversion domain. A level is floor(|v| / norm * s) or one more,
+//     at most s + 1 <= 256 because norm is vec's own: |v| / norm <= 1 up to
+//     rounding, and a square that underflowed out of the norm belongs to a
+//     coordinate smaller than each one that did not. A NaN or infinite
+//     coordinate makes the norm NaN or Inf and its level NaN, which both
+//     tiers write as 0 (a truncating conversion, never a saturating one);
+//     tensor.QuantizeLevels states the domain the two tiers agree on.
+//   - What stays scalar. The norm is sum v*v in ascending index into one
+//     accumulator: a serial chain of dependent adds, and any reassociation —
+//     which is what vector lanes are — changes its bits. It and the draw
+//     fill (xoshiro's state is a serial chain too) are what is left of
+//     CompressInto's time once the rounding is four-wide.
+//
+// oracle_test.go keeps the scalar loops and compares levels, norm, bits and
+// the stream's next draw; internal/tensor's quant_test.go holds each kernel
+// to its Go loop and fuzzes raw float64 words through both.
+//
 // # Error feedback on a sparse message
 //
 // The residual is (vec + residual) minus what the message reconstructs. A
@@ -112,6 +147,7 @@ import (
 	"math/bits"
 
 	"repro/internal/rng"
+	"repro/internal/tensor"
 )
 
 // Encoding discriminates the wire representation held by a Message.
@@ -217,10 +253,7 @@ func AddDecoded(msg Message, dst []float64) error {
 		if msg.Norm == 0 {
 			return nil
 		}
-		s := float64(int(1)<<msg.Bits - 1)
-		for i, lv := range msg.Levels {
-			dst[i] += msg.Norm * float64(lv) / s
-		}
+		tensor.AccumulateLevels(levelWindow(dst, msg), msg.Levels, msg.Norm, levelCount(msg.Bits))
 		return nil
 	}
 	return fmt.Errorf("compress: unknown encoding %d", int(msg.Enc))
@@ -655,12 +688,18 @@ func (q *qsgdCompressor) SetBits(b int) { q.bits = clampBits(b) }
 // Bits implements BitSetter.
 func (q *qsgdCompressor) Bits() int { return q.bits }
 
-func (q *qsgdCompressor) levels() float64 { return float64(int(1)<<q.bits - 1) }
+// levelCount is s, the number of quantization levels a bit-width spans.
+func levelCount(bits int) float64 { return float64(int(1)<<bits - 1) }
 
 func (q *qsgdCompressor) Compress(vec []float64) (msg Message, err error) {
 	err = q.CompressInto(vec, &msg)
 	return msg, err
 }
+
+// drawTile is how many rounding draws CompressInto takes from the stream at a
+// time: 2 KiB of stack, a multiple of the kernels' four lanes. It is invisible
+// in the output (see "QSGD" in the package comment).
+const drawTile = 256
 
 func (q *qsgdCompressor) CompressInto(vec []float64, msg *Message) error {
 	dim := len(vec)
@@ -676,18 +715,12 @@ func (q *qsgdCompressor) CompressInto(vec []float64, msg *Message) error {
 		clear(levels) // a recycled array holds the last message's
 		return nil
 	}
-	s := q.levels()
-	for i, v := range vec {
-		a := math.Abs(v) / norm * s
-		l := math.Floor(a)
-		if q.r.Float64() < a-l {
-			l++
-		}
-		lv := int16(l)
-		if v < 0 {
-			lv = -lv
-		}
-		levels[i] = lv
+	s := levelCount(q.bits)
+	var u [drawTile]float64
+	for lo := 0; lo < dim; lo += drawTile {
+		hi := min(lo+drawTile, dim)
+		q.r.FillFloat64(u[:hi-lo])
+		tensor.QuantizeLevels(levels[lo:hi], vec[lo:hi], u[:hi-lo], norm, s)
 	}
 	return nil
 }
@@ -696,11 +729,15 @@ func dequantize(msg Message, dst []float64) error {
 	if err := checkDim(msg, dst); err != nil {
 		return err
 	}
-	s := float64(int(1)<<msg.Bits - 1)
-	for i, lv := range msg.Levels {
-		dst[i] = msg.Norm * float64(lv) / s
-	}
+	tensor.DequantizeLevels(levelWindow(dst, msg), msg.Levels, msg.Norm, levelCount(msg.Bits))
 	return nil
+}
+
+// levelWindow is the part of dst a quantized message's levels cover: all of
+// it for a message a compressor built. A hand-made message with too few
+// levels reaches a prefix; one with too many panics here, capacity or not.
+func levelWindow(dst []float64, msg Message) []float64 {
+	return dst[:len(msg.Levels):len(dst)]
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -490,4 +491,203 @@ func FuzzSelectKthLargest(f *testing.F) {
 			t.Fatalf("dim=%d k=%d: message has %d entries", dim, kk, len(msg.Indices))
 		}
 	})
+}
+
+// The scalar QSGD loops this package ran before internal/tensor's kernels,
+// kept as oracles. CompressInto, Decode and AddDecoded must match them field
+// for field on either kernel tier — and CompressInto must leave the rounding
+// stream exactly where one Float64 call per coordinate leaves it.
+
+// refQSGDCompressInto is the quantizer with one draw per coordinate taken
+// inside the loop.
+func refQSGDCompressInto(vec []float64, bits int, r *rng.Rand, msg *Message) {
+	dim := len(vec)
+	norm := 0.0
+	for _, v := range vec {
+		norm += v * v
+	}
+	norm = math.Sqrt(norm)
+	*msg = Message{Dim: dim, Enc: EncQuant, Norm: norm, Bits: bits, Levels: make([]int16, dim)}
+	if norm == 0 {
+		return
+	}
+	s := float64(int(1)<<bits - 1)
+	for i, v := range vec {
+		a := math.Abs(v) / norm * s
+		l := math.Floor(a)
+		if r.Float64() < a-l {
+			l++
+		}
+		lv := int16(l)
+		if v < 0 {
+			lv = -lv
+		}
+		msg.Levels[i] = lv
+	}
+}
+
+func refDequantize(msg Message, dst []float64) {
+	s := float64(int(1)<<msg.Bits - 1)
+	for i, lv := range msg.Levels {
+		dst[i] = msg.Norm * float64(lv) / s
+	}
+}
+
+func refAddDequantized(msg Message, dst []float64) {
+	if msg.Norm == 0 {
+		return
+	}
+	s := float64(int(1)<<msg.Bits - 1)
+	for i, lv := range msg.Levels {
+		dst[i] += msg.Norm * float64(lv) / s
+	}
+}
+
+// refQSGDChain is a qsgd spec's whole chain over the scalar loops: the
+// quantizer, the float32 norm, and error feedback through the scalar decode.
+type refQSGDChain struct {
+	bits        int
+	r           *rng.Rand
+	f32, ef     bool
+	resid, work []float64
+}
+
+func (c *refQSGDChain) compress(vec []float64) (msg Message) {
+	in := vec
+	if c.ef {
+		if len(c.resid) != len(vec) {
+			c.resid, c.work = make([]float64, len(vec)), make([]float64, len(vec))
+		}
+		for i, v := range vec {
+			c.work[i] = v + c.resid[i]
+		}
+		in = c.work
+	}
+	refQSGDCompressInto(in, c.bits, c.r, &msg)
+	if c.f32 {
+		msg.Wire, msg.Norm = WireFloat32, Narrow32(msg.Norm)
+	}
+	if c.ef {
+		refDequantize(msg, c.resid)
+		for i := range c.resid {
+			c.resid[i] = c.work[i] - c.resid[i]
+		}
+	}
+	return msg
+}
+
+// qsgdOracleInputs are the vectors the quantizer's special paths see: a zero
+// norm (no draw at all), a diverged coordinate (NaN norm: every level is the
+// conversion of a NaN), an infinite one (levels 0 beside one NaN), and squares
+// that underflow out of the norm — all of them (norm 0) or all but one.
+var qsgdOracleInputs = []struct {
+	name string
+	gen  func(dim int, seed uint64) []float64
+}{
+	{"finite", testVec},
+	{"all-zero", func(dim int, _ uint64) []float64 { return make([]float64, dim) }},
+	{"one-NaN", func(dim int, seed uint64) []float64 { return plant(testVec(dim, seed), seed, -math.NaN()) }},
+	{"one-Inf", func(dim int, seed uint64) []float64 { return plant(testVec(dim, seed), seed, math.Inf(-1)) }},
+	{"underflow", func(dim int, seed uint64) []float64 {
+		v := testVec(dim, seed)
+		for i := range v {
+			v[i] = math.Copysign(1e-170, v[i])
+		}
+		if seed%2 == 1 {
+			plant(v, seed, -1e-150)
+		}
+		return v
+	}},
+}
+
+func plant(v []float64, seed uint64, x float64) []float64 {
+	if len(v) > 0 {
+		v[int(seed%uint64(len(v)))] = x
+	}
+	return v
+}
+
+func TestQSGDMatchesScalarReference(t *testing.T) {
+	for _, dim := range []int{0, 1, 3, 255, 256, 257, 650, 16400} {
+		for bits := 1; bits <= 8; bits++ {
+			for _, in := range qsgdOracleInputs {
+				for _, mod := range []string{"", "+f32", "+ef"} {
+					seed := uint64(100*dim + bits)
+					gotR, refR := rng.New(seed), rng.New(seed)
+					s, err := ParseSpec(fmt.Sprintf("qsgd:%d%s", bits, mod))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := s.New(gotR)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := &refQSGDChain{bits: bits, r: refR, f32: s.Wire == WireFloat32, ef: s.ErrorFeedback}
+					msg := new(Message)
+					for round := 0; round < 3; round++ {
+						vec := in.gen(dim, seed+uint64(round))
+						if err := got.CompressInto(vec, msg); err != nil {
+							t.Fatal(err)
+						}
+						if want := ref.compress(vec); !identicalMessages(*msg, want) {
+							t.Fatalf("qsgd:%d%s %s dim=%d round %d: message differs from the scalar reference (norm %v vs %v)",
+								bits, mod, in.name, dim, round, msg.Norm, want.Norm)
+						}
+						if ef, ok := got.(*ErrorFeedback); ok && !sameBits(ef.resid, ref.resid) {
+							t.Fatalf("qsgd:%d%s %s dim=%d round %d: residual differs from the scalar reference", bits, mod, in.name, dim, round)
+						}
+						if *gotR != *refR {
+							t.Fatalf("qsgd:%d%s %s dim=%d round %d: the rounding stream is not where one draw per coordinate leaves it",
+								bits, mod, in.name, dim, round)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestQSGDDrawsNothingOnZeroNorm: a zero vector consumes no draw, at any
+// length, so a client that had nothing to send leaves its stream alone.
+func TestQSGDDrawsNothingOnZeroNorm(t *testing.T) {
+	r, untouched := rng.New(9), rng.New(9)
+	q := NewQSGD(4, r)
+	for _, dim := range []int{0, 1, 256, 650} {
+		if _, err := q.Compress(make([]float64, dim)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *r != *untouched {
+		t.Fatal("compressing zero vectors advanced the rounding stream")
+	}
+}
+
+func TestQuantDecodeMatchesScalarReference(t *testing.T) {
+	for _, dim := range []int{0, 1, 3, 255, 256, 257, 650} {
+		for bits := 1; bits <= 8; bits++ {
+			for _, in := range qsgdOracleInputs {
+				seed := uint64(7*dim + bits)
+				var msg Message
+				refQSGDCompressInto(in.gen(dim, seed), bits, rng.New(seed), &msg)
+				for _, norm := range []float64{msg.Norm, 0, Narrow32(msg.Norm)} {
+					msg.Norm = norm
+					got, want := testVec(dim, seed+1), testVec(dim, seed+1)
+					if err := AddDecoded(msg, got); err != nil {
+						t.Fatal(err)
+					}
+					refAddDequantized(msg, want)
+					if !sameBits(got, want) {
+						t.Fatalf("AddDecoded qsgd:%d %s dim=%d norm=%v differs from the scalar reference", bits, in.name, dim, norm)
+					}
+					if err := Decode(msg, got); err != nil {
+						t.Fatal(err)
+					}
+					refDequantize(msg, want)
+					if !sameBits(got, want) {
+						t.Fatalf("Decode qsgd:%d %s dim=%d norm=%v differs from the scalar reference", bits, in.name, dim, norm)
+					}
+				}
+			}
+		}
+	}
 }

@@ -135,3 +135,23 @@ func (r *Rand) ExpFloat64() float64 {
 	// Inverse CDF on (0,1]; 1-Float64() avoids log(0).
 	return -math.Log(1 - r.Float64())
 }
+
+// FillFloat64 fills dst with len(dst) successive Float64 draws: the same
+// values in the same order, and the generator is left where that many calls
+// would leave it. The four state words live in locals across the fill, which
+// a call per draw cannot do.
+func (r *Rand) FillFloat64(dst []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for i := range dst {
+		result := rotl(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+		dst[i] = float64(result>>11) / (1 << 53)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}

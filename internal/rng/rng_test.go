@@ -67,6 +67,35 @@ func TestFloat64Mean(t *testing.T) {
 	}
 }
 
+// TestFillFloat64IsSuccessiveFloat64: the batched fill is the same stream —
+// value for value, in index order — as one Float64 call per element, and it
+// leaves the generator where those calls would. The lengths straddle the
+// 256-draw tile the QSGD quantizer fills.
+func TestFillFloat64IsSuccessiveFloat64(t *testing.T) {
+	for _, n := range []int{0, 1, 255, 256, 257, 16400} {
+		a, b := New(77), New(77)
+		a.Uint64() // off the seed state
+		b.Uint64()
+		got := make([]float64, n)
+		a.FillFloat64(got)
+		for i := range got {
+			if want := b.Float64(); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("len %d: draw %d = %v, Float64 gives %v", n, i, got[i], want)
+			}
+		}
+		if *a != *b { // hence every later draw, the next Uint64 included
+			t.Fatalf("len %d: state after the fill %x, after %d Float64 calls %x", n, a.s, n, b.s)
+		}
+	}
+	// An empty fill advances nothing (a nil destination included).
+	r, untouched := New(5), New(5)
+	r.FillFloat64(nil)
+	r.FillFloat64([]float64{})
+	if *r != *untouched {
+		t.Fatal("an empty fill advanced the generator")
+	}
+}
+
 func TestIntnBounds(t *testing.T) {
 	r := New(5)
 	for n := 1; n <= 17; n++ {
