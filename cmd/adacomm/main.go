@@ -17,7 +17,7 @@
 //	adacomm -arch logistic -method fixed -tau 5 -strategy ring -workers 16 -topology torus:4x4
 //	adacomm -arch logistic -method fixed -tau 5 -strategy ring -workers 16 -topology "varying:ring,star@B=5" -compress topk:0.25 -adapt-gossip-gamma
 //	adacomm -arch logistic -method fixed -tau 5 -strategy ring -workers 16 -topology torus:4x4 -edge-links "3-4:10:"
-//	adacomm -arch logistic -method fixed -async -clients 1024 -participation 32 -tau 4
+//	adacomm -arch logistic -method fixed -async -clients 1024 -participation 32 -tau 4 -batch 1
 //	adacomm -arch logistic -method fixed -async -participation 6 -workers 8 -link-aware
 //	adacomm -arch logistic -method adacomm -faults "blip:1@r10-20,crash:2@r40,drop:0.05"
 //	adacomm -arch logistic -method fixed -async -participation 6 -workers 8 -faults "slow:3x4@r10-30"
@@ -28,10 +28,10 @@
 //
 // Exit status: 0 when the run finished with a finite final loss; 1 when the
 // CSV could not be written; 2 for a bad flag value (one "adacomm: ..." line,
-// nothing ran); 3 when the run trained to a NaN or infinite final loss — the
-// CSV and the summary line are written as usual and one
-// "adacomm: diverged: ..." line follows. A loss that blew up but stayed
-// finite is still exit 0.
+// nothing ran); 3 when the run diverged — its final loss is NaN or infinite,
+// or finite but more than ten times the loss it started from: the CSV and
+// the summary line are written as usual and one "adacomm: diverged: ..."
+// line follows.
 package main
 
 import (
@@ -117,6 +117,7 @@ func main() {
 		"with -async: simulated client population N; memory stays proportional to -participation (0 = -workers)")
 	faultsFlag := flag.String("faults", "",
 		"fault injection schedule, comma-separated events ("+faults.Forms+"); empty = fault-free")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run, set-up included, to this file")
 	flag.Parse()
 
 	spec, err := compress.ParseSpec(*compressFlag)
@@ -251,6 +252,8 @@ func main() {
 	strategy, err := cluster.ParseStrategy(*strategyFlag)
 	check(err)
 
+	stopProfile := cli.StartCPUProfile("adacomm", *cpuProfile)
+
 	// n simulated nodes: -workers, or the -clients population under -async.
 	n := *workers
 	if *clients != 0 {
@@ -264,6 +267,17 @@ func main() {
 	check(err)
 	w.Delay.EdgeLinks, err = delaymodel.ParseEdgeLinks(*edgeLinksFlag, n)
 	check(err)
+
+	// The engines clamp a batch to the shard it is drawn from; a command line
+	// that asks for more is told, not served something else. (An empty shard
+	// is the constructors' error.)
+	smallest := w.Shards[0].N()
+	for _, sh := range w.Shards {
+		smallest = min(smallest, sh.N())
+	}
+	if smallest > 0 && *batch > smallest {
+		fail("-batch %d exceeds the smallest worker shard (%d examples)", *batch, smallest)
+	}
 
 	if *async {
 		// Aggregate the first k arrivals per update (default: all n, the
@@ -287,7 +301,7 @@ func main() {
 			Faults:        fsched,
 		})
 		check(err)
-		emit(engine.Run(fmt.Sprintf("async K=%d/%d", k, n)), engine.TestAccuracy())
+		emit(engine.Run(fmt.Sprintf("async K=%d/%d", k, n)), engine.TestAccuracy(), stopProfile)
 		st := engine.Stats()
 		fmt.Fprintf(os.Stderr,
 			"async: %d updates, %d applied (%d expired), mean staleness %.2f, peak in-flight %d, %d replicas + %d scratch vectors\n",
@@ -343,14 +357,22 @@ func main() {
 		}
 	}
 
-	emit(engine.Run(ctrl, ctrl.Name()), engine.TestAccuracy())
+	emit(engine.Run(ctrl, ctrl.Name()), engine.TestAccuracy(), stopProfile)
 }
 
+// blowUpFactor is the multiple of the trace's first loss past which a finite
+// final loss is reported as diverged: no run that trains ends ten times worse
+// than the initialization it started from.
+const blowUpFactor = 10
+
 // emit writes the trace as CSV to stdout and the one-line summary to stderr,
-// then exits 3 if the run diverged: a non-finite final loss is a result a
-// script must be able to tell from a finished run, and the CSV up to it is
-// still the record of how it got there.
-func emit(trace *metrics.Trace, testAccuracy float64) {
+// then exits 3 if the run diverged: a final loss that is not finite, or is
+// more than blowUpFactor times the first point's, is a result a script must
+// be able to tell from a finished run, and the CSV up to it is still the
+// record of how it got there. The run is over when emit is called, so the
+// -cpuprofile ends here, ahead of every exit.
+func emit(trace *metrics.Trace, testAccuracy float64, stopProfile func()) {
+	stopProfile()
 	if err := metrics.WriteCSV(os.Stdout, trace); err != nil {
 		fmt.Fprintf(os.Stderr, "adacomm: %v\n", err)
 		os.Exit(1)
@@ -360,6 +382,10 @@ func emit(trace *metrics.Trace, testAccuracy float64) {
 		trace.Last().Iter, trace.Last().Time)
 	if loss := trace.FinalLoss(); math.IsNaN(loss) || math.IsInf(loss, 0) {
 		fmt.Fprintf(os.Stderr, "adacomm: diverged: final loss %v after %d iters\n", loss, trace.Last().Iter)
+		os.Exit(3)
+	} else if first := trace.Points[0].Loss; loss > blowUpFactor*first {
+		fmt.Fprintf(os.Stderr, "adacomm: diverged: final loss %.5f is %.1fx the initial %.5f after %d iters\n",
+			loss, loss/first, first, trace.Last().Iter)
 		os.Exit(3)
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -64,6 +66,10 @@ func TestCommandLine(t *testing.T) {
 		// accepted and ignored.
 		"-optimizer adamw",
 		"-async -tau 3 -participation 2 -gossip-gamma 0.5",
+		// The engines would clamp these to the 128-example shards.
+		"-batch 100000",
+		"-async -tau 2 -batch 129",
+		"-cpuprofile /nonexistent-directory/cpu.prof",
 	} {
 		t.Run(bad, func(t *testing.T) {
 			stdout, stderr, code := run(strings.Fields(bad)...)
@@ -106,8 +112,26 @@ func TestCommandLine(t *testing.T) {
 			t.Errorf("%s -lr 1e308: exit %d (want 3), stdout %q, stderr %q", engine, code, stdout, stderr)
 		}
 	}
+	// So is one that blew up to a finite loss (ROADMAP finding 3): exit 3,
+	// the line names the multiple of the initial loss.
+	stdout, stderr, code = run(strings.Fields("-budget 200 -tau 2 -workers 16 -strategy ring -topology torus:4x4 " +
+		"-compress topk:0.25+ef -bandwidth 65536 -batch 2")...)
+	if lines := strings.Split(strings.TrimSpace(stderr), "\n"); code != 3 || !strings.HasPrefix(stdout, "name,time,") ||
+		len(lines) != 2 || !strings.HasPrefix(lines[0], "final loss ") ||
+		!strings.HasPrefix(lines[1], "adacomm: diverged: final loss ") || !strings.Contains(lines[1], "x the initial ") {
+		t.Errorf("finite blow-up: exit %d (want 3), stdout %q, stderr %q", code, stdout, stderr)
+	}
 	if stdout, stderr, code := run(); code != 0 || !strings.HasPrefix(stdout, "name,time,") || strings.Contains(stderr, "diverged") {
 		t.Errorf("a run that converges: exit %d, stdout %q, stderr %q", code, stdout, stderr)
+	}
+
+	// -cpuprofile changes no output and leaves a whole profile, on the exit-3
+	// path too.
+	plain, _, _ := run("-tau", "2", "-lr", "1e308")
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	stdout, _, code = run("-tau", "2", "-lr", "1e308", "-cpuprofile", prof)
+	if info, err := os.Stat(prof); code != 3 || stdout != plain || err != nil || info.Size() == 0 {
+		t.Errorf("-cpuprofile: exit %d (want 3), same CSV %v, profile %v %v", code, stdout == plain, info, err)
 	}
 
 	// The alias contract: -momentum / -block-momentum fill exactly what

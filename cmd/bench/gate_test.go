@@ -140,16 +140,41 @@ func TestCheckRatiosQSGDMustBeatScalarReference(t *testing.T) {
 	}
 }
 
+// TestCheckRatiosNormFillHasItsOwnFloor: the tiled attempts alone reach 1.5x
+// over the calls, so that margin must not pass for the kernel's.
+func TestCheckRatiosNormFillHasItsOwnFloor(t *testing.T) {
+	curr := map[string]Result{"NormFloat64Ref1024": res(20000, 0), "FillNormFloat641024": res(8500, 0)}
+	if v := checkRatios(curr, "avx2"); len(v) != 0 {
+		t.Fatalf("healthy ratio tripped the gate: %v", v)
+	}
+	curr["FillNormFloat641024"] = res(13000, 0) // 1.54x: the Go tier on a good day
+	if v := checkRatios(curr, "go"); len(v) != 1 || !strings.Contains(v[0], "FillNormFloat641024") ||
+		!strings.Contains(v[0], "this host has no AVX2") || strings.Contains(v[0], "\n") {
+		t.Fatalf("a fill at the Go tier's speed is not caught in one line naming the tier: %q", v)
+	}
+}
+
 // TestQSGDRatioFollowsTheTier times the two rows for real and hands them to
 // the gate: on the AVX2 tier the margin holds, and with the kernels off — a
 // host without AVX2, or this test under `go test -tags purego ./cmd/bench`,
 // where tensor's switch is the constant false — the same rows fail the gate
-// in one line that says which tier ran. The rows are sampled alternately, so
-// both meet the same neighbours, and each keeps its fastest sample:
-// interference only ever adds time.
+// in one line that says which tier ran.
 func TestQSGDRatioFollowsTheTier(t *testing.T) {
-	const fast, ref = "CompressInto16400/qsgd", "QSGDScalarRef16400"
-	steps := map[string]func(){fast: compressSetup("qsgd:4", 16400, true), ref: qsgdScalarRefSetup(16400, 4)}
+	ratioFollowsTheTier(t, "CompressInto16400/qsgd", compressSetup("qsgd:4", 16400, true),
+		"QSGDScalarRef16400", qsgdScalarRefSetup(16400, 4))
+}
+
+// TestNormRatioFollowsTheTier: the same for the normal fill against the
+// NormFloat64 calls; the tiled attempts alone do not clear the floor.
+func TestNormRatioFollowsTheTier(t *testing.T) {
+	ratioFollowsTheTier(t, "FillNormFloat641024", normSetup(true), "NormFloat64Ref1024", normSetup(false))
+}
+
+// ratioFollowsTheTier samples the two rows alternately, so both meet the
+// same neighbours, and keeps each one's fastest sample: interference only
+// ever adds time.
+func ratioFollowsTheTier(t *testing.T, fast string, fastStep func(), ref string, refStep func()) {
+	steps := map[string]func(){fast: fastStep, ref: refStep}
 	curr := map[string]Result{}
 	for round := 0; round < 16; round++ {
 		for name, step := range steps {
@@ -164,16 +189,17 @@ func TestQSGDRatioFollowsTheTier(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%s kernels: scalar reference %.0f ns/op, CompressInto %.0f ns/op (%.2fx)", tensor.Kernels(),
-		curr[ref].NsPerOp, curr[fast].NsPerOp, curr[ref].NsPerOp/curr[fast].NsPerOp)
+	t.Logf("%s kernels: reference %s %.0f ns/op, %s %.0f ns/op (%.2fx)", tensor.Kernels(),
+		ref, curr[ref].NsPerOp, fast, curr[fast].NsPerOp, curr[ref].NsPerOp/curr[fast].NsPerOp)
 	v := checkRatios(curr, tensor.Kernels())
 	if tensor.Kernels() == "avx2" {
 		if len(v) != 0 {
-			t.Fatalf("the AVX2 quantizer lost its margin: %v", v)
+			t.Fatalf("%s lost its margin on the AVX2 tier: %v", fast, v)
 		}
 		return
 	}
-	if len(v) != 1 || !strings.Contains(v[0], fast) || !strings.Contains(v[0], "this host has no AVX2") {
+	if len(v) != 1 || !strings.Contains(v[0], fast) || !strings.Contains(v[0], "this host has no AVX2") ||
+		strings.Contains(v[0], "\n") {
 		t.Fatalf("kernels off, and the gate says %q", v)
 	}
 }

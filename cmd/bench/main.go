@@ -17,8 +17,8 @@
 // In -check mode the exit status is the verdict: 0 when the current run is
 // within tolerance of the committed record, 1 on a regression (pinned-kernel
 // ns/op past the tolerance, any allocs/op increase, or a kernel path — the
-// blocked Gemm, the QSGD quantizer — losing its margin over the scalar
-// reference timed beside it; see gate.go), 2 on usage
+// blocked Gemm, the QSGD quantizer, the normal fill — losing its margin over
+// the scalar reference timed beside it; see gate.go), 2 on usage
 // errors — among them a baseline that shares no pinned row with the run, so
 // that a mis-pointed file or a renamed row cannot pass by comparing nothing.
 // CI runs this on every push unless the commit message carries a
@@ -527,6 +527,33 @@ func qsgdScalarRefSetup(dim, bits int) func() {
 	}
 }
 
+// normSetup draws 1 024 standard normals into one buffer: through
+// FillNormFloat64, or by the NormFloat64 calls it replaces in the generators
+// and initialisers — the -check ratio's reference (gate.go), the same stream
+// either way.
+func normSetup(fill bool) func() {
+	r := rng.New(61)
+	dst := make([]float64, 1024)
+	if fill {
+		return func() { r.FillNormFloat64(dst) }
+	}
+	return func() {
+		for i := range dst {
+			dst[i] = r.NormFloat64()
+		}
+	}
+}
+
+// blobsSetup generates wire_mix's dataset, the largest set-up any shipped
+// workload pays: 2 304 rows of 1 024 Gaussian features, label noise on.
+func blobsSetup() func() {
+	return func() {
+		data.GaussianBlobs(data.GaussianBlobsConfig{
+			Classes: 16, Dim: 1024, N: 2304, Separation: 4, Noise: 1.5, LabelNoise: 0.1,
+		}, rng.New(62))
+	}
+}
+
 // psUpdateSetup times the parameter server at ps_adasync's wire — top-k with
 // error feedback up, a priced identity pull down, 650 parameters, m = 64 —
 // as one K-async run of 256 updates at K = 8 on a fresh server. allocs/op is
@@ -624,6 +651,9 @@ func main() {
 		{"CompressInto650/topk-ef", 20000, func() func() { return compressSetup("topk:0.1+ef", 650, true) }},
 		{"CompressInto16400/qsgd", 2000, func() func() { return compressSetup("qsgd:4", 16400, true) }},
 		{"QSGDScalarRef16400", 2000, func() func() { return qsgdScalarRefSetup(16400, 4) }},
+		{"FillNormFloat641024", 5000, func() func() { return normSetup(true) }},
+		{"NormFloat64Ref1024", 5000, func() func() { return normSetup(false) }},
+		{"GaussianBlobs2304x1024", 20, blobsSetup},
 		{"PASGDRound/serial", 0, func() func() { return pasgdSetup(1) }},
 		{"PASGDRound/pool4", 0, func() func() { return pasgdSetup(4) }},
 		{"GlobalMomentumRound", 0, func() func() { return globalMomentumSetup() }},

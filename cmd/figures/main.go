@@ -54,6 +54,7 @@ func main() {
 		"concurrent experiment configurations per grid (0 = GOMAXPROCS, 1 = serial); output is identical at any width")
 	kernelWorkers := flag.Int("kernel-workers", 1,
 		"goroutines the tensor kernels may fan output-row panels across (bit-identical results at any setting; >1 oversubscribes when the experiment pool is already saturated)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected figures' runs to this file")
 	flag.Parse()
 
 	cli.Check("figures", cli.PoolWorkers(*workers))
@@ -161,6 +162,7 @@ func main() {
 		cli.Fatalf("figures", "-table %d: the paper's evaluation has tables %v", *table, tables)
 	}
 	all := *fig == 0 && *table == 0
+	defer cli.StartCPUProfile("figures", *cpuProfile)()
 	for _, it := range items {
 		if all || (it.fig != 0 && it.fig == *fig) || (it.table != 0 && it.table == *table) {
 			it.run()

@@ -32,6 +32,7 @@ func TestCommandLine(t *testing.T) {
 		"-bytes -1",
 		"-bandwidth NaN",
 		"-fig 5 -bytes 800000",
+		"-fig 4 -cpuprofile /nonexistent-directory/cpu.prof",
 		// The ablations are cmd/sweep's: not flags here, so the flag
 		// package rejects them.
 		"-gossip", "-async", "-topology", "-churn", "-optimizer",

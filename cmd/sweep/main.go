@@ -48,6 +48,7 @@ func main() {
 		"second-moment decay beta2 of the optimizer ablation's Adam rows, in (0, 1); only meaningful with -ablation optimizer or all (0 = default 0.999)")
 	globalMomentum := flag.Float64("global-momentum", 0,
 		"slow-momentum factor of the optimizer ablation's slowmo row, in (0, 1); only meaningful with -ablation optimizer or all (0 = default 0.1)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected ablations' runs to this file")
 	flag.Parse()
 
 	check := func(err error) { cli.Check("sweep", err) }
@@ -63,6 +64,7 @@ func main() {
 	}
 	check(opts.Validate(sel))
 
+	defer cli.StartCPUProfile("sweep", *cpuProfile)()
 	for _, a := range sel {
 		check(a.Run(os.Stdout, opts))
 		fmt.Println()

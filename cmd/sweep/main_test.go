@@ -63,6 +63,7 @@ func TestCommandLine(t *testing.T) {
 		"-global-momentum NaN",
 		"-kernel-workers 0",
 		"-workers -3",
+		"-cpuprofile /nonexistent-directory/cpu.prof",
 		"-gossip", // not a flag here: the flag package's own exit 2
 	} {
 		t.Run(bad, func(t *testing.T) {

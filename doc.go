@@ -27,6 +27,9 @@
 // bandwidth-constrained links. QSGD's three per-coordinate loops (round,
 // decode, accumulate) run on the same AVX2 tier as the matmul kernels, bit
 // for bit the Go loops; its package comment states the draw-order contract.
+// So do normal draws in bulk (rng.FillNormFloat64 behind every generator and
+// initialiser; the rule is in internal/rng's package comment), and datasets
+// are immutable once built: an engine's evaluation batch is a view of one.
 //
 // Compressed decentralized training is CHOCO-SGD (Koloskova et al. 2019):
 // under ring gossip, every node keeps estimate vectors x̂_j of itself and

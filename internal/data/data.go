@@ -39,6 +39,10 @@ func (s ImageShape) Len() int { return s.Channels * s.Height * s.Width }
 
 // Dataset is an in-memory supervised dataset. X holds one example per row.
 // Exactly one of Y (classification) or T (regression) is non-nil.
+//
+// A Dataset is immutable once its generator, Subset or a shard function has
+// returned it: models, samplers and engines only read it, and FullBatch and
+// every engine's evaluation batch are views of it, not copies.
 type Dataset struct {
 	Task    Task
 	X       *tensor.Matrix
@@ -82,9 +86,7 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// Subset returns a view-sharing dataset restricted to the given row indices.
-// The returned dataset copies rows (X is materialized) so that samplers can
-// hold it without aliasing surprises.
+// Subset returns a new dataset holding copies of the given rows.
 func (d *Dataset) Subset(idx []int) *Dataset {
 	sub := &Dataset{Task: d.Task, Classes: d.Classes, Shape: d.Shape}
 	sub.X = tensor.NewMatrix(len(idx), d.X.Cols)
@@ -276,15 +278,10 @@ func (s *Sampler) Next() Batch {
 	return *b
 }
 
-// FullBatch materializes the entire dataset as one batch (used for exact
-// loss evaluation F(x_t) that AdaComm's update rule consumes).
+// FullBatch is the entire dataset as one batch (used for the exact loss
+// evaluation F(x_t) that AdaComm's update rule consumes). Datasets are
+// immutable after construction; a Batch over one shares its storage, so
+// several engines evaluating on one test set hold one copy of it.
 func FullBatch(ds *Dataset) Batch {
-	b := Batch{X: ds.X.Clone()}
-	if ds.Y != nil {
-		b.Y = append([]int(nil), ds.Y...)
-	}
-	if ds.T != nil {
-		b.T = append([]float64(nil), ds.T...)
-	}
-	return b
+	return Batch{X: ds.X, Y: ds.Y, T: ds.T}
 }

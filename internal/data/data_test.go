@@ -347,9 +347,9 @@ func TestFullBatch(t *testing.T) {
 	if b.X.Rows != 20 || len(b.Y) != 20 {
 		t.Fatal("FullBatch shape wrong")
 	}
-	b.X.Set(0, 0, 123456)
-	if ds.X.At(0, 0) == 123456 {
-		t.Fatal("FullBatch aliases dataset")
+	// A view, not a copy (PR 24): datasets are immutable after construction.
+	if &b.X.Data[0] != &ds.X.Data[0] || &b.Y[0] != &ds.Y[0] {
+		t.Fatal("FullBatch copied the dataset")
 	}
 }
 

@@ -37,9 +37,7 @@ func GaussianBlobs(cfg GaussianBlobsConfig, r *rng.Rand) *Dataset {
 	means := tensor.NewMatrix(cfg.Classes, cfg.Dim)
 	for c := 0; c < cfg.Classes; c++ {
 		row := means.Row(c)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
+		r.FillNormFloat64(row)
 		// Scale to exactly Separation so class geometry is controlled.
 		n := tensor.Norm2(row)
 		if n > 0 {
@@ -57,8 +55,9 @@ func GaussianBlobs(cfg GaussianBlobsConfig, r *rng.Rand) *Dataset {
 		ds.Y[i] = c
 		row := ds.X.Row(i)
 		mean := means.Row(c)
+		r.FillNormFloat64(row)
 		for j := range row {
-			row[j] = mean[j] + cfg.Noise*r.NormFloat64()
+			row[j] = mean[j] + cfg.Noise*row[j]
 		}
 		if cfg.LabelNoise > 0 && r.Float64() < cfg.LabelNoise {
 			ds.Y[i] = r.Intn(cfg.Classes)
@@ -121,8 +120,9 @@ func SynthImages(cfg SynthImagesConfig, r *rng.Rand) *Dataset {
 		ds.Y[i] = cl
 		row := ds.X.Row(i)
 		brightness := 0.2 * r.NormFloat64()
+		r.FillNormFloat64(row)
 		for j := range row {
-			row[j] = protos[cl][j] + brightness + cfg.Noise*r.NormFloat64()
+			row[j] = protos[cl][j] + brightness + cfg.Noise*row[j]
 		}
 		if cfg.LabelNoise > 0 && r.Float64() < cfg.LabelNoise {
 			ds.Y[i] = r.Intn(cfg.Classes)
@@ -180,9 +180,7 @@ func LinearRegressionData(cfg LinearRegressionConfig, r *rng.Rand) (ds *Dataset,
 		panic("data: invalid LinearRegressionConfig")
 	}
 	wStar = make([]float64, cfg.Dim)
-	for j := range wStar {
-		wStar[j] = r.NormFloat64()
-	}
+	r.FillNormFloat64(wStar)
 	bStar = r.NormFloat64()
 	ds = &Dataset{
 		Task: Regression,
@@ -191,9 +189,7 @@ func LinearRegressionData(cfg LinearRegressionConfig, r *rng.Rand) (ds *Dataset,
 	}
 	for i := 0; i < cfg.N; i++ {
 		row := ds.X.Row(i)
-		for j := range row {
-			row[j] = r.NormFloat64()
-		}
+		r.FillNormFloat64(row)
 		ds.T[i] = tensor.Dot(row, wStar) + bStar + cfg.Noise*r.NormFloat64()
 	}
 	return ds, wStar, bStar

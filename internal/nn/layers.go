@@ -69,10 +69,12 @@ func (d *Dense) ParamLen() int { return d.out*d.in + d.out }
 // biases start at zero.
 func (d *Dense) Init(params []float64, r *rng.Rand) {
 	std := math.Sqrt(2 / float64(d.in))
-	for i := 0; i < d.out*d.in; i++ {
-		params[i] = std * r.NormFloat64()
+	nw := d.out * d.in
+	r.FillNormFloat64(params[:nw])
+	for i := range params[:nw] {
+		params[i] = std * params[i]
 	}
-	for i := d.out * d.in; i < len(params); i++ {
+	for i := nw; i < len(params); i++ {
 		params[i] = 0
 	}
 }
@@ -301,8 +303,9 @@ func (c *Conv2D) Init(params []float64, r *rng.Rand) {
 	fanIn := float64(c.shape.PatchLen())
 	std := math.Sqrt(2 / fanIn)
 	nw := c.filters * c.shape.PatchLen()
-	for i := 0; i < nw; i++ {
-		params[i] = std * r.NormFloat64()
+	r.FillNormFloat64(params[:nw])
+	for i := range params[:nw] {
+		params[i] = std * params[i]
 	}
 	for i := nw; i < len(params); i++ {
 		params[i] = 0

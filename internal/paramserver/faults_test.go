@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/data"
 	"repro/internal/faults"
 )
 
@@ -101,5 +102,35 @@ func TestPSFaultsValidatedAtConstruction(t *testing.T) {
 	cfg.Faults = mustFaults(t, "crash:5@r1")
 	if _, err := New(proto, shards, train, cfg); err == nil {
 		t.Fatal("accepted out-of-range fault worker")
+	}
+}
+
+// TestServerLeavesDatasetsUntouched: the server's evaluation batch is a view
+// of the training set (data.FullBatch; no EvalSubset here, so it is the set
+// the shards were cut from), so a K-async run under churn may write none of
+// it.
+func TestServerLeavesDatasetsUntouched(t *testing.T) {
+	proto, shards, train := psSetup(t, 5)
+	hash := func() uint64 {
+		var sum uint64
+		for _, ds := range append([]*data.Dataset{train}, shards...) {
+			sum ^= psHashParams(ds.X.Data)
+			for _, y := range ds.Y {
+				sum = sum*1099511628211 + uint64(y)
+			}
+		}
+		return sum
+	}
+	before := hash()
+	cfg := psConfig(KAsync)
+	cfg.MaxUpdates, cfg.EvalSubset = 120, 0
+	cfg.Faults = mustFaults(t, "blip:0@r5-20,crash:2@r25,slow:3x5@r5-40,drop:0.15")
+	s, err := New(proto, shards, train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Run(FixedK{K: 2, LR: 0.1}, "ps")
+	if after := hash(); after != before {
+		t.Fatalf("the run wrote to a dataset: hash %#x before, %#x after", before, after)
 	}
 }

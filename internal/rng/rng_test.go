@@ -96,6 +96,59 @@ func TestFillFloat64IsSuccessiveFloat64(t *testing.T) {
 	}
 }
 
+// TestFillNormFloat64IsSuccessiveNormFloat64: the tiled fill is the same
+// stream — value for value, in index order — as one NormFloat64 call per
+// element, and leaves the generator where those calls would, whatever the
+// length does to the tiling (the lengths straddle one and two 128-attempt
+// tiles) and whatever is drawn between fills.
+func TestFillNormFloat64IsSuccessiveNormFloat64(t *testing.T) {
+	check := func(a, b *Rand, n int) {
+		t.Helper()
+		got := make([]float64, n)
+		a.FillNormFloat64(got)
+		for i := range got {
+			if want := b.NormFloat64(); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("len %d: draw %d = %v, NormFloat64 gives %v", n, i, got[i], want)
+			}
+		}
+		if *a != *b { // hence every later draw, the next Uint64 included
+			t.Fatalf("len %d: state after the fill %x, after %d NormFloat64 calls %x", n, a.s, n, b.s)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 3, 127, 128, 129, 255, 256, 257, 1024, 16400} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			check(New(seed), New(seed), n)
+		}
+	}
+	// The GaussianBlobs pattern: a row, then a Float64 and sometimes an Intn.
+	// An odd number of uniforms between fills flips which words of the
+	// stream pair up into attempts.
+	a, b := New(9), New(9)
+	for row := 0; row < 200; row++ {
+		check(a, b, 1+row%67)
+		if fa, fb := a.Float64(), b.Float64(); fa != fb {
+			t.Fatalf("row %d: Float64 after the fill %v, after the calls %v", row, fa, fb)
+		} else if fa < 0.5 && a.Intn(10) != b.Intn(10) {
+			t.Fatalf("row %d: Intn diverged", row)
+		}
+	}
+	// An empty fill advances nothing (a nil destination included).
+	r, untouched := New(5), New(5)
+	r.FillNormFloat64(nil)
+	r.FillNormFloat64([]float64{})
+	if *r != *untouched {
+		t.Fatal("an empty fill advanced the generator")
+	}
+}
+
+// TestFillNormFloat64AllocFree: the two tiles stay on the stack.
+func TestFillNormFloat64AllocFree(t *testing.T) {
+	r, dst := New(3), make([]float64, 1000)
+	if n := testing.AllocsPerRun(20, func() { r.FillNormFloat64(dst) }); n != 0 {
+		t.Fatalf("FillNormFloat64 allocates %v times per call, want 0", n)
+	}
+}
+
 func TestIntnBounds(t *testing.T) {
 	r := New(5)
 	for n := 1; n <= 17; n++ {

@@ -188,13 +188,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Row returns a view of row i (shared storage).
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // BLAS semantics for the beta parameter of the Gem* kernels: beta == 0
 // means "overwrite the destination", NOT "scale it by zero". The
 // distinction matters because 0 * NaN = NaN — a destination holding stale

@@ -63,7 +63,7 @@ func kernelParityRemainderGrid(t *testing.T) {
 					a, b := parityMatrix(&r, ar, ac), parityMatrix(&r, br, bc)
 					for _, ab := range [][2]float64{{1, 0}, {1, 1}, {0.5, 0}, {-2, 0.75}} {
 						cGot := parityMatrix(&r, m, n)
-						cWant := cGot.Clone()
+						cWant := cloneMatrix(cGot)
 						kc.blocked(ab[0], a, b, ab[1], cGot)
 						kc.naive(ab[0], a, b, ab[1], cWant)
 						if i, ok := bitsEqual(cGot.Data, cWant.Data); !ok {
