@@ -103,7 +103,7 @@ func main() {
 	linkAware := flag.Bool("link-aware", false,
 		"with -method adacomm: scale tau by the observed comm/compute ratio (slow links hold tau higher)")
 	strategyFlag := flag.String("strategy", "full",
-		"synchronization strategy: full | ring | elastic (ring + -compress runs CHOCO-SGD gossip)")
+		"synchronization strategy: full | ring | elastic (ring runs CHOCO-SGD gossip, which rejects +ef)")
 	gossipGamma := flag.Float64("gossip-gamma", 0,
 		"CHOCO consensus step size in (0,1] for -strategy ring with -compress (0 = default 1)")
 	adaptGossipGamma := flag.Bool("adapt-gossip-gamma", false,

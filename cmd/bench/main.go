@@ -328,9 +328,11 @@ func pasgdSetup(computeWorkers int) func() {
 	}
 }
 
-// strategySetup times one gossip/elastic round (10 local steps + sync), raw
-// or compressed; the strategies' per-sync scratch is engine-owned, so the
-// steady state must stay allocation-free like the full-averaging round.
+// strategySetup times one gossip/elastic round (10 local steps + sync),
+// uncompressed (the identity wire; the "raw" rows keep their names so the
+// gate still compares them) or compressed; the strategies' per-sync scratch
+// is engine-owned, so the steady state must stay allocation-free like the
+// full-averaging round.
 func strategySetup(strat cluster.Strategy, spec compress.Spec) func() {
 	w := experiments.BuildWorkload(experiments.ArchLogistic, 4, 4, experiments.ScaleQuick, 3)
 	e := w.Engine(cluster.Config{
@@ -345,7 +347,7 @@ func strategySetup(strat cluster.Strategy, spec compress.Spec) func() {
 
 // graphMixSetup times one gossip round (10 local steps + sync) over the
 // 4x4 torus — the graph-generic mix path at m = 16 and degree 4, against
-// RingGossipRound's m = 4 ring. The per-sync scratch (snapshots, active
+// RingGossipRound's m = 4 ring. The per-sync scratch (estimates, active
 // adjacency) is engine-owned; the steady-state allocs/op here is the data
 // sampler's epoch reshuffle (16 small shards wrap every round), measured
 // identical under the legacy ring at the same m — the mix path adds none.
@@ -661,8 +663,7 @@ func main() {
 			return strategySetup(cluster.RingGossip, compress.Spec{})
 		}},
 		{"RingGossipRound/choco", 0, func() func() {
-			return strategySetup(cluster.RingGossip,
-				compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true})
+			return strategySetup(cluster.RingGossip, compress.Spec{Kind: compress.KindTopK, Ratio: 0.25})
 		}},
 		{"ElasticRound/raw", 0, func() func() {
 			return strategySetup(cluster.ElasticAveraging, compress.Spec{})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -35,6 +36,16 @@ func TestCommandLine(t *testing.T) {
 	}
 	if tables["all"] != joined {
 		t.Errorf("-ablation all is not the concatenation of the %d rows", len(all))
+	}
+	// And it prints the numbers it printed when the golden was captured,
+	// byte for byte: every strategy, gossip, churn and optimizer path the
+	// rows run is pinned here, not only that it ran.
+	golden, err := os.ReadFile("testdata/all-quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tables["all"] != string(golden) {
+		t.Errorf("-ablation all -quick differs from testdata/all-quick.golden:\n%s", tables["all"])
 	}
 
 	// The tuning flags reach the rows that honour them.

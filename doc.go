@@ -38,9 +38,10 @@
 // neighborhood estimate average with consensus step
 // cluster.Config.GossipGamma — no node ever reads state it could not have
 // reconstructed from its own traffic (an invariant test hides the replicas
-// behind an interface that panics on out-of-band reads). Lossless
-// compression reproduces raw ring gossip bit for bit; the gossip-compression
-// ablation (cmd/sweep -ablation gossip) quantifies
+// behind an interface that panics on out-of-band reads). Uncompressed ring
+// gossip is this protocol on the identity wire: a lossless message ships
+// x_i itself, so the mix is the plain gossip average bit for bit. The
+// gossip-compression ablation (cmd/sweep -ablation gossip) quantifies
 // CHOCO against the shared-reference centralized baseline at several ring
 // sizes and keep-ratios.
 //

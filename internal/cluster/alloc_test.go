@@ -13,7 +13,7 @@ import (
 // the compressor.
 
 // TestLockStepRoundSteadyStateAllocFree: local steps, one synchronization
-// and its pricing, for every strategy raw and compressed. The pool is held
+// and its pricing, for every strategy uncompressed and compressed. The pool is held
 // at width 1 — a wider one starts goroutines, which is not exchange cost.
 func TestLockStepRoundSteadyStateAllocFree(t *testing.T) {
 	topkEF := compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true}
@@ -28,7 +28,7 @@ func TestLockStepRoundSteadyStateAllocFree(t *testing.T) {
 		{"full/randk", FullAveraging, compress.Spec{Kind: compress.KindRandK, Ratio: 0.25}},
 		{"full/identity", FullAveraging, compress.Spec{Kind: compress.KindIdentity}},
 		{"ring/raw", RingGossip, compress.Spec{}},
-		{"ring/choco-topk+ef", RingGossip, topkEF},
+		{"ring/choco-topk", RingGossip, compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}},
 		{"ring/choco-lossless", RingGossip, compress.Spec{Kind: compress.KindIdentity}},
 		{"elastic/raw", ElasticAveraging, compress.Spec{}},
 		{"elastic/topk+ef", ElasticAveraging, topkEF},

@@ -402,23 +402,13 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		e.idlePos = append([]int(nil), e.idle...) // client i starts at position i
 		e.downVersion = -1
 	}
-	e.comp = compress.Identity{}
-	if cfg.Compress.Enabled() {
-		c, err := cfg.Compress.New(root.Split())
-		if err != nil {
-			return nil, err
-		}
-		e.comp = c
+	if e.comp, err = cfg.Compress.NewWire(root.Split); err != nil {
+		return nil, err
 	}
 	if cfg.Compress.Wire == compress.WireFloat32 {
 		e.pullBuf = make([]float64, e.dim)
 	}
-	evalDS := trainEval
-	if cfg.EvalSubset > 0 && cfg.EvalSubset < trainEval.N() {
-		idx := root.Split().Perm(trainEval.N())[:cfg.EvalSubset]
-		evalDS = trainEval.Subset(idx)
-	}
-	e.evalBatch = data.FullBatch(evalDS)
+	e.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
 	if test != nil {
 		e.testBatch = data.FullBatch(test)
 	}

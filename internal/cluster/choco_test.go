@@ -10,58 +10,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// Tests for the CHOCO-SGD compressed gossip path: per-node estimates updated
-// only from wire messages, consensus step GossipGamma, no shared reference.
-
-func TestChocoLosslessMatchesRawRingBitForBit(t *testing.T) {
-	// With a lossless compressor the wire carries the parameters exactly, so
-	// every estimate x̂_i equals x_i bit for bit and the gamma = 1 mix
-	// gamma*mix + (x - gamma*x̂) collapses to the raw ring arithmetic. The
-	// whole trajectory — parameters, trace losses, simulated times — must be
-	// bit-identical to uncompressed ring gossip at every ring size. At m = 3
-	// the ring mix is the global mean, so this is also the "CHOCO gossip
-	// with identity compression == full averaging" anchor, pinned bitwise
-	// against the gossip arithmetic (and to float rounding against the full
-	// averaging strategy's different accumulation order, see
-	// TestChocoRingIdentityMatchesFullAveragingOnTriangle).
-	for _, m := range []int{2, 3, 4, 5} {
-		s := newSetup(t, m, 1)
-		cfg := baseCfg()
-		cfg.Strategy = RingGossip
-		cfg.MaxIters = 200
-
-		raw := s.engine(t, cfg)
-		trRaw := raw.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "raw")
-
-		cfg.Compress = compress.Spec{Kind: compress.KindIdentity}
-		choco := s.engine(t, cfg)
-		trChoco := choco.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "choco")
-
-		for i := 0; i < m; i++ {
-			pr, pc := raw.LocalModelParams(i), choco.LocalModelParams(i)
-			for j := range pr {
-				if pr[j] != pc[j] {
-					t.Fatalf("m=%d: worker %d param %d diverged: %v vs %v", m, i, j, pr[j], pc[j])
-				}
-			}
-		}
-		gr, gc := raw.GlobalParams(), choco.GlobalParams()
-		for j := range gr {
-			if gr[j] != gc[j] {
-				t.Fatalf("m=%d: evaluation model diverged at %d: %v vs %v", m, j, gr[j], gc[j])
-			}
-		}
-		if trRaw.Len() != trChoco.Len() {
-			t.Fatalf("m=%d: trace lengths differ: %d vs %d", m, trRaw.Len(), trChoco.Len())
-		}
-		for i := range trRaw.Points {
-			if trRaw.Points[i].Loss != trChoco.Points[i].Loss ||
-				trRaw.Points[i].Time != trChoco.Points[i].Time {
-				t.Fatalf("m=%d: traces differ at point %d", m, i)
-			}
-		}
-	}
-}
+// Tests for CHOCO-SGD ring gossip: per-node estimates updated only from wire
+// messages, consensus step GossipGamma, no shared reference. That the
+// uncompressed and identity specs run one protocol bit for bit is held by
+// TestGoldenUncompressedGossipBitIdentical and the "ring/identity" golden.
 
 func TestChocoTriangleIdentityMixIsGlobalMeanBitForBit(t *testing.T) {
 	// m = 3 with Identity compression at gamma = 1: every node's
@@ -163,7 +115,7 @@ func TestChocoGossipPreservesReplicaMean(t *testing.T) {
 	// The uniform ring mixing matrix is doubly stochastic, so the CHOCO
 	// correction gamma * sum_j W_ij (x̂_j - x̂_i) sums to zero over nodes:
 	// one mixing step preserves the replica mean (modulo FP error) at any
-	// gamma and compression ratio, exactly like the raw path.
+	// gamma and compression ratio, exactly like the uncompressed mix.
 	for _, m := range []int{2, 4, 5} {
 		s := newSetup(t, m, 1)
 		cfg := baseCfg()
@@ -273,6 +225,12 @@ func TestGossipGammaValidation(t *testing.T) {
 		{"negative", func(c *Config) { c.Strategy = RingGossip; c.Compress = topk; c.GossipGamma = -0.1 }, "out of (0,1]"},
 		{"above one", func(c *Config) { c.Strategy = RingGossip; c.Compress = topk; c.GossipGamma = 1.5 }, "out of (0,1]"},
 		{"nan", func(c *Config) { c.Strategy = RingGossip; c.Compress = topk; c.GossipGamma = math.NaN() }, "out of (0,1]"},
+		// CHOCO's estimates already carry what the wire dropped; a residual
+		// memory on top compensates twice and the run blows up at every gamma.
+		{"error feedback", func(c *Config) {
+			c.Strategy = RingGossip
+			c.Compress = compress.Spec{Kind: compress.KindQSGD, Bits: 4, ErrorFeedback: true, Wire: compress.WireFloat32}
+		}, "rejects error feedback"},
 	}
 	for _, tc := range cases {
 		cfg := baseCfg()

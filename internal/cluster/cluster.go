@@ -20,16 +20,17 @@
 // hop multipliers) is what delaymodel prices, per worker when the model has
 // heterogeneous Links.
 //
-// When Config.Compress names a compressor (internal/compress), the
-// averaging step exchanges compressed DELTAS instead of raw parameter
-// vectors: each worker i compresses x_i - x_glob (its movement since the
-// last synchronization, routed through its private error-feedback residual
-// if configured), the communicator index-merges the messages, and the new
+// When Config.Compress names a compressor (internal/compress), full
+// averaging exchanges compressed DELTAS instead of raw parameter vectors:
+// each worker i compresses x_i - x_glob (its movement since the last
+// synchronization, routed through its private error-feedback residual if
+// configured), the communicator index-merges the messages, and the new
 // synchronized model x_glob + mean(delta_hat_i) is broadcast back. With the
-// zero-value Compress spec and Topology the engine takes the legacy
-// raw-averaging all-gather path and, because an infinite-bandwidth link
-// ignores payload size, reproduces pre-compression traces bit for bit
-// (enforced by the golden tests).
+// zero-value Compress spec and Topology it takes the raw-averaging
+// all-gather path and, because an infinite-bandwidth link ignores payload
+// size, reproduces pre-compression traces bit for bit (enforced by the
+// golden tests). Gossip and elastic averaging have no raw path: their zero
+// spec is the identity wire (strategies.go).
 //
 // The engine (Engine.Run) is deterministic and lock-step, and its
 // local-update phase is genuinely concurrent: each round's tau per-worker
@@ -125,9 +126,9 @@ type Config struct {
 	// gossip: each node moves gamma of the way toward its neighborhood's
 	// estimate average, x_i += gamma * sum_j W_ij (x̂_j - x̂_i), with W the
 	// active mixing graph's matrix. The zero value defaults to 1, which
-	// makes lossless compression reproduce the raw gossip mix bit for bit;
-	// aggressive lossy compressors typically want gamma < 1 to damp the
-	// estimate noise. Explicit values must lie in (0, 1] and require
+	// makes a lossless wire (uncompressed included) the plain gossip mix
+	// bit for bit; aggressive lossy compressors typically want gamma < 1 to
+	// damp the estimate noise. Explicit values must lie in (0, 1] and require
 	// RingGossip with compression enabled.
 	GossipGamma float64
 
@@ -142,13 +143,16 @@ type Config struct {
 	// graph gets its own gamma.
 	AdaptGossipGamma bool
 
-	// Compress selects the delta-compression scheme used at averaging
-	// points (see the package comment). The zero value (compress.None)
-	// keeps the legacy raw-vector averaging path, bit-identical to the
-	// pre-compression engine. All strategies honor it: full averaging
+	// Compress selects the compressor every worker ships its messages
+	// through at averaging points (see the package comment). Full averaging
 	// exchanges compressed deltas from the synchronized model, ring gossip
-	// and elastic averaging exchange compressed deltas from the last shared
-	// reference (the published replica mean / the center variable).
+	// CHOCO deltas from each node's own wire estimate, elastic averaging
+	// displacements from the center variable. The zero value (compress.None)
+	// is the identity wire for gossip and elastic averaging — the same
+	// protocol, bit for bit, as an explicit identity spec — while full
+	// averaging keeps its raw-vector mean, bit-identical to the
+	// pre-compression engine. Ring gossip rejects error feedback: CHOCO's
+	// estimates already are the error memory.
 	Compress compress.Spec
 
 	// Topology selects either how full averaging's all-reduce is routed, or
@@ -238,6 +242,12 @@ func (c Config) validate(m int) error {
 		if err := c.Compress.Validate(); err != nil {
 			return err
 		}
+	}
+	if c.Strategy == RingGossip && c.Compress.ErrorFeedback {
+		// x - x̂ is already the residual the wire has not delivered, and the
+		// estimates carry it to the next round; a residual memory on top
+		// compensates twice, and the run blows up at every gamma.
+		return fmt.Errorf("cluster: ring gossip rejects error feedback (%s): CHOCO's estimates already carry what the wire dropped, so +ef compensates twice", c.Compress)
 	}
 	if c.Topology.IsGraph() {
 		if c.Strategy != RingGossip {
@@ -355,7 +365,7 @@ type Engine struct {
 	// with extGlobal = [global | globalSync] the extended reference and
 	// extWork per-worker extended rows (load/storeExt marshal a worker's
 	// params + SyncAverage vectors through them). All averaging scratch
-	// (sumBuf, avgBuf, deltaBuf, mixBuf, ringSnap, CHOCO estimates,
+	// (sumBuf, avgBuf, deltaBuf, mixBuf, CHOCO estimates,
 	// reconBuf) is sized xdim, so the state rides the same compression,
 	// payload accounting, and float32 wire narrowing as the parameters.
 	// Without synced moments xdim == dim and every path is bit-identical
@@ -383,12 +393,12 @@ type Engine struct {
 	linkTimes   []float64 // per-worker transfer times of the last round
 
 	// Compression state: comps[i] is worker i's compressor (owning its
-	// error-feedback residual and stochastic stream); nil when the legacy
-	// raw-vector path is active. The engine owns every wire message:
-	// msgBuf[i] is worker i's all-reduce slot, recompressed into each round
-	// (on the raw path it only borrows the replica as a dense view), and
-	// wireMsg is the one slot gossip and elastic exchanges share — each
-	// message is decoded before the next worker compresses.
+	// error-feedback residual and stochastic stream), compress.Identity{}
+	// under the zero spec. The engine owns every wire message: msgBuf[i] is
+	// worker i's all-reduce slot, recompressed into each round (full
+	// averaging's uncompressed mean only borrows the replica as a dense
+	// view), and wireMsg is the one slot gossip and elastic exchanges share —
+	// each message is decoded before the next worker compresses.
 	comps    []compress.Compressor
 	deltaBuf []float64
 	sumBuf   []float64
@@ -397,18 +407,14 @@ type Engine struct {
 	avgBuf   []float64 // averaging / post-mix scratch, reused every round
 
 	// Strategy scratch, engine-owned and reused every sync per the PR-4
-	// arena convention (steady-state rounds allocate nothing): ringSnap
-	// freezes the pre-mix replicas on the raw gossip path, meanVecs feeds
-	// the replica-mean refresh, pullBuf accumulates elastic's center
-	// displacement, repBytes backs the strategies' per-sync transfer
-	// reports, and denseRep is the constant raw-gossip schedule. gossip is
-	// the CHOCO-SGD estimate state of compressed ring gossip.
-	ringSnap [][]float64
-	snapBack []float64
+	// arena convention (steady-state rounds allocate nothing): meanVecs
+	// feeds gossip's evaluation mean under churn, pullBuf accumulates
+	// elastic's center displacement, and repBytes backs the strategies'
+	// per-sync transfer reports. gossip is the CHOCO-SGD estimate state of
+	// ring gossip.
 	meanVecs [][]float64
 	pullBuf  []float64
 	repBytes []int
-	denseRep comm.Report
 	gossip   *gossipState
 
 	// Gossip mixing graphs (nil unless Strategy is RingGossip): gseq is the
@@ -515,7 +521,7 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 100
 	}
-	if cfg.Strategy == RingGossip && cfg.Compress.Enabled() && cfg.GossipGamma == 0 && !cfg.AdaptGossipGamma {
+	if cfg.Strategy == RingGossip && cfg.GossipGamma == 0 && !cfg.AdaptGossipGamma {
 		cfg.GossipGamma = 1
 	}
 	root := rng.New(cfg.Seed)
@@ -590,33 +596,20 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 			e.extWork[i] = back[i*e.xdim : (i+1)*e.xdim]
 		}
 	}
-	// Evaluation subsets are fixed once so the loss curve is comparable
-	// across the whole run.
-	evalDS := trainEval
-	if cfg.EvalSubset > 0 && cfg.EvalSubset < trainEval.N() {
-		idx := root.Split().Perm(trainEval.N())[:cfg.EvalSubset]
-		evalDS = trainEval.Subset(idx)
-	}
-	e.evalBatch = data.FullBatch(evalDS)
+	e.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
 	if test != nil {
 		e.testBatch = data.FullBatch(test)
 	}
-	// A round's transfer schedule defaults to the dense model on every
-	// link; averaging overwrites it per round. The communicator owns no RNG
-	// and the compressor construction comes last, so the None path consumes
-	// exactly the legacy RNG stream.
+	// Before the first synchronization a round's transfer schedule is the
+	// spec's data-independent wire size on every link (the dense model
+	// uncompressed; a float32 wire halves it); each averaging overwrites it
+	// with the observed payload. The communicator owns no RNG.
 	e.com = comm.New(cfg.Topology, m)
 	e.latHops = cfg.Topology.LatencyHops(m)
 	e.bytesFactor = cfg.Topology.BytesFactor(m)
-	e.lastReport = comm.DenseReport(m, e.xdim)
-	if cfg.Compress.Enabled() {
-		// Before the first synchronization the schedule reflects the spec's
-		// data-independent wire size (e.g. a float32 wire halves it); each
-		// averaging overwrites it with the observed payload.
-		for i := range e.lastReport.Bytes {
-			e.lastReport.Bytes[i] = cfg.Compress.WireBytes(e.xdim)
-		}
-		e.lastReport.Max = cfg.Compress.WireBytes(e.xdim)
+	e.lastReport = comm.Report{Bytes: make([]int, m), Max: cfg.Compress.WireBytes(e.xdim)}
+	for i := range e.lastReport.Bytes {
+		e.lastReport.Bytes[i] = e.lastReport.Max
 	}
 	e.linkTimes = make([]float64, m)
 	e.sumBuf = make([]float64, e.xdim)
@@ -629,17 +622,17 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	if e.pool > m {
 		e.pool = m
 	}
-	if cfg.Compress.Enabled() {
-		e.comps = make([]compress.Compressor, m)
-		for i := range e.comps {
-			c, err := cfg.Compress.New(root.Split())
-			if err != nil {
-				return nil, err
-			}
-			e.comps[i] = c
+	// Compressor construction comes last: the zero spec's Identity{} draws
+	// no stream, so an uncompressed engine consumes exactly the legacy RNG.
+	e.comps = make([]compress.Compressor, m)
+	for i := range e.comps {
+		c, err := cfg.Compress.NewWire(root.Split)
+		if err != nil {
+			return nil, err
 		}
-		e.deltaBuf = make([]float64, e.xdim)
+		e.comps[i] = c
 	}
+	e.deltaBuf = make([]float64, e.xdim)
 	switch cfg.Strategy {
 	case RingGossip:
 		// The mixing graph sequence: the default ring graph's rows carry
@@ -661,31 +654,20 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 				e.gammas[i] = graph.AdaptiveGamma(e.gseq.Graph(i).SpectralGap())
 			}
 		}
+		// Lossless specs (None or identity, on a float64 wire) let the
+		// CHOCO protocol ship the parameters themselves and pin the
+		// estimates exactly; see averageRing. A float32 wire is lossy, so
+		// it takes the general estimate-delta path.
 		e.meanVecs = make([][]float64, m)
-		if e.comps == nil {
-			e.snapBack = make([]float64, m*e.xdim)
-			e.ringSnap = make([][]float64, m)
-			for i := range e.ringSnap {
-				e.ringSnap[i] = e.snapBack[i*e.xdim : (i+1)*e.xdim]
-			}
-			e.denseRep = comm.DenseReport(m, e.xdim)
-		} else {
-			// Lossless specs (identity kind on a float64 wire; an
-			// error-feedback wrap keeps a residual of exactly zero) let
-			// the CHOCO protocol ship the parameters themselves and pin
-			// the estimates exactly; see averageRingChoco. A float32 wire
-			// is lossy, so it takes the general estimate-delta path.
-			e.repBytes = make([]int, m)
-			e.mixBuf = make([]float64, e.xdim)
-			init := e.global
-			if e.ext {
-				init = e.extGlobal // CHOCO estimates cover the synced state
-			}
-			e.gossip = newGossipState(m, init, cfg.GossipGamma,
-				cfg.Compress.Lossless())
-			for i := range e.gossip.nodes {
-				e.gossip.nodes[i] = e.workers[i].model
-			}
+		e.repBytes = make([]int, m)
+		e.mixBuf = make([]float64, e.xdim)
+		init := e.global
+		if e.ext {
+			init = e.extGlobal // CHOCO estimates cover the synced state
+		}
+		e.gossip = newGossipState(m, init, cfg.GossipGamma, cfg.Compress.Lossless())
+		for i := range e.gossip.nodes {
+			e.gossip.nodes[i] = e.workers[i].model
 		}
 	case ElasticAveraging:
 		e.pullBuf = make([]float64, e.dim)
@@ -802,7 +784,7 @@ func (e *Engine) roundTime(steps int) (compute, comm float64) {
 func (e *Engine) CommBytesPerRound() int { return e.lastReport.Max }
 
 // setCompressionRatio retunes every adaptive compressor to the given
-// keep-ratio (no-op on the legacy path or for fixed-rate compressors).
+// keep-ratio (no-op for fixed-rate compressors and the identity).
 func (e *Engine) setCompressionRatio(r float64) {
 	for _, c := range e.comps {
 		if a, ok := c.(compress.Adaptive); ok {
@@ -931,15 +913,18 @@ func (e *Engine) average() {
 // compressed per-worker deltas instead of raw vectors.
 func (e *Engine) averageFull() {
 	avg := e.avgBuf
-	if e.comps != nil {
+	if e.cfg.Compress.Enabled() {
 		e.compressedDeltaMean(avg)
 	} else {
-		// Raw path: each worker contributes its dense parameter vector as a
-		// lossless wire message (extended with its synced optimizer state in
-		// ext mode); the communicator sums them in worker order, which keeps
-		// the arithmetic bit-identical to the pre-comm-layer tensor.Mean.
-		// Under faults the communicator skips inactive contributions and the
-		// mean renormalizes over the survivors.
+		// Uncompressed: each worker contributes its dense parameter vector
+		// as a lossless wire message (extended with its synced optimizer
+		// state in ext mode); the communicator sums them in worker order,
+		// which keeps the arithmetic bit-identical to the pre-comm-layer
+		// tensor.Mean. This is one of the two places where uncompressed is
+		// not the identity wire: a mean of vectors and the identity's
+		// reference plus a mean of deltas round differently, and goldens pin
+		// both. Under faults the communicator skips inactive contributions
+		// and the mean renormalizes over the survivors.
 		for i, w := range e.workers {
 			vec := w.model.Params()
 			if e.ext {

@@ -175,7 +175,7 @@ func TestCompressedRingChargesPayloadAwareDelay(t *testing.T) {
 	if got, want := dense.CommBytesPerRound(), 8*dense.Dim(); got != want {
 		t.Fatalf("dense ring payload %d, want %d", got, want)
 	}
-	sparse, sparseT := run(compress.Spec{Kind: compress.KindTopK, Ratio: 0.1, ErrorFeedback: true})
+	sparse, sparseT := run(compress.Spec{Kind: compress.KindTopK, Ratio: 0.1})
 	if got := sparse.CommBytesPerRound(); got >= dense.CommBytesPerRound()/2 {
 		t.Fatalf("compressed ring payload %d not meaningfully below dense %d",
 			got, dense.CommBytesPerRound())

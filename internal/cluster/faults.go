@@ -69,10 +69,9 @@ func (e *Engine) beginRound(round int) {
 // global, first moment zeroed by the sync reset, second moment == the synced
 // reference, and the bias-correction clock re-aligned to the engine's step
 // count. Per-node global-momentum buffers restart from zero (the node's
-// displacement history died with it), and under compressed gossip the
-// worker's CHOCO estimate and projection re-pin to the pulled vector so its
-// next wire message is a delta from shared state, not from a pre-crash
-// ghost.
+// displacement history died with it), and under gossip the worker's CHOCO
+// estimate and projection re-pin to the pulled vector so its next wire
+// message is a delta from shared state, not from a pre-crash ghost.
 func (e *Engine) reconcile(i int) {
 	w := e.workers[i]
 	ref := e.global

@@ -170,7 +170,7 @@ func TestRejoinReconciliation(t *testing.T) {
 	}
 }
 
-// TestRejoinRepinsGossipEstimates: under compressed (CHOCO) gossip a
+// TestRejoinRepinsGossipEstimates: under compressed CHOCO gossip a
 // rejoiner's estimate and projection re-pin to the pulled model, so its
 // next wire message is a delta from shared state.
 func TestRejoinRepinsGossipEstimates(t *testing.T) {

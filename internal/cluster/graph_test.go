@@ -29,9 +29,9 @@ func mustTopo(t *testing.T, s string) comm.Topology {
 func TestGraphRingTopologyBitIdenticalToDefault(t *testing.T) {
 	// Driving the engine with an explicit "graph:ring" topology must be
 	// bit-identical to the built-in ring path — same replica trajectories,
-	// same evaluation model, same simulated times — on both the raw and the
-	// CHOCO (identity-compressed) paths. This is the refactor's safety net:
-	// the legacy arithmetic is now one Graph among many.
+	// same evaluation model, same simulated times — uncompressed and under an
+	// explicit identity spec. This is the refactor's safety net: the legacy
+	// arithmetic is now one Graph among many.
 	for _, m := range []int{2, 3, 5} {
 		for _, spec := range []compress.Spec{{}, {Kind: compress.KindIdentity}} {
 			s := newSetup(t, m, 1)
@@ -76,7 +76,7 @@ func TestGraphRingTopologyBitIdenticalToDefault(t *testing.T) {
 
 func TestCompleteGraphOneSyncIsGlobalMean(t *testing.T) {
 	// On the complete graph every row of W is uniform 1/m over all nodes, so
-	// a single raw gossip sync lands every worker exactly on the mean of the
+	// a single uncompressed gossip sync lands every worker exactly on the mean of the
 	// pre-sync replicas, accumulated in the row's fixed ascending order.
 	const m = 5
 	s := newSetup(t, m, 1)
@@ -105,8 +105,8 @@ func TestCompleteGraphOneSyncIsGlobalMean(t *testing.T) {
 }
 
 func TestGraphTopologiesTrain(t *testing.T) {
-	// Every shipped graph family runs end-to-end on both the raw and the
-	// compressed path and reduces the loss. m = 16 so the torus spec pins.
+	// Every shipped graph family runs end-to-end uncompressed and compressed
+	// and reduces the loss. m = 16 so the torus spec pins.
 	for _, spec := range []string{"torus:4x4", "expander", "regular:4@11", "graph:star",
 		"varying:ring,torus:4x4@B=3"} {
 		t.Run(spec, func(t *testing.T) {

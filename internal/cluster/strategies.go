@@ -15,10 +15,10 @@ import (
 // al. 2015); these variants implement those extensions so AdaComm can drive
 // their synchronization period too.
 //
-// Both variants honor Config.Compress and report per-worker payload bytes
-// through the communication layer. Compressed gossip is CHOCO-SGD
-// (Koloskova et al. 2019): every node i maintains estimate vectors x̂_j for
-// itself and its graph neighbors, updated ONLY by applying the compressed
+// Both variants ship every message through a compressor and report
+// per-worker payload bytes through the communication layer. Gossip is
+// CHOCO-SGD (Koloskova et al. 2019): every node i maintains estimate vectors
+// x̂_j for itself and its graph neighbors, updated ONLY by applying the
 // messages q_j = C(x_j - x̂_j) that travel the wire, and mixes via
 //
 //	x_i <- x_i + gamma * sum_j W_ij (x̂_j - x̂_i)
@@ -31,8 +31,17 @@ import (
 // reference vector. Elastic averaging ships each replica's displacement
 // from the center. Their rounds keep the legacy single-overlapped-hop
 // pricing (collective Topology values are rejected for them), so only the
-// message sizes — not hop multipliers — differ from full averaging. With
-// compression disabled they take the legacy raw paths, bit for bit.
+// message sizes — not hop multipliers — differ from full averaging.
+//
+// Uncompressed IS the identity wire here: with the zero Compress spec every
+// worker's compressor is compress.Identity{} (built without drawing a
+// stream), a lossless gossip node ships x_i itself so x̂_i == x_i and the
+// gamma = 1 mix is the plain gossip average bit for bit, and the identity's
+// decoded elastic displacement is x_i - z exactly. One consequence: a
+// diverged replica's ±Inf coordinate mixes to NaN, because x - x̂ is NaN at
+// Inf; the loss is non-finite either way. Uncompressed and identity differ
+// in two places only, both outside this file: full averaging's raw mean
+// (averageFull), and the parameter server's free pull.
 type Strategy int
 
 const (
@@ -91,8 +100,8 @@ type gossipReplica interface {
 	Params() []float64
 }
 
-// gossipState is the engine-owned CHOCO-SGD bookkeeping for compressed
-// gossip. hat[j] is the estimate x̂_j: conceptually node j and each of its
+// gossipState is the engine-owned CHOCO-SGD bookkeeping of ring gossip.
+// hat[j] is the estimate x̂_j: conceptually node j and each of its
 // graph neighbors hold a copy each, but since every holder applies the
 // identical wire update q_j to the identical previous value, the copies can
 // never diverge and the engine stores one canonical vector per node (the
@@ -102,7 +111,7 @@ type gossipReplica interface {
 // exists every round, and an inactive edge simply goes unread.
 type gossipState struct {
 	gamma    float64     // consensus step size (Config.GossipGamma)
-	lossless bool        // dense/lossless compressor: estimates pin exactly
+	lossless bool        // lossless wire: nodes ship x_i, estimates pin exactly
 	hat      [][]float64 // hat[j] = x̂_j, updated only from wire messages
 	hatBack  []float64   // backing array for hat
 	rec      []float64   // decode scratch for the message in flight
@@ -186,91 +195,39 @@ func mixRowInto(dst []float64, g *graph.Graph, i int, vecs [][]float64) {
 	}
 }
 
-// averageRing mixes each replica with its neighbors on the active mixing
-// graph (the legacy ring when Config.Topology names no graph — the default
-// Ring graph's rows reproduce the historic (prev+self+next)/3 arithmetic bit
-// for bit). Mixing is computed from a frozen snapshot (engine-owned scratch,
-// reused every sync) so worker order cannot matter, then e.global is
-// refreshed with the replica mean (for evaluation and AdaComm's loss probe).
-func (e *Engine) averageRing() {
-	if e.comps != nil {
-		e.averageRingChoco()
-		return
-	}
-	g, _ := e.activeGossipGraph()
-	for i, w := range e.workers {
-		if e.ext {
-			copy(e.ringSnap[i], e.loadExt(i))
-		} else {
-			copy(e.ringSnap[i], w.model.Params())
-		}
-	}
-	for i, w := range e.workers {
-		if e.fltDown != nil && e.fltDown[i] {
-			continue // down nodes neither mix nor are mixed with (the
-			// subgraph's rows never reference their stale snapshots)
-		}
-		if g.Degree(i) > 0 {
-			if e.gmoms == nil && !e.ext {
-				// Legacy path, bit for bit.
-				mixRowInto(w.model.Params(), g, i, e.ringSnap)
-			} else {
-				post := e.avgBuf
-				mixRowInto(post, g, i, e.ringSnap)
-				if e.gmoms != nil {
-					// Per-node slow momentum: filter this node's own mixing
-					// displacement (parameter block only).
-					e.gmoms[i].Apply(e.ringSnap[i][:e.dim], post[:e.dim], post[:e.dim])
-				}
-				if e.ext {
-					e.storeExt(i, post)
-				} else {
-					w.model.SetParams(post[:e.dim])
-				}
-			}
-		}
-		// Degree 0 (m == 1, or an active node isolated by churn): nothing
-		// to mix with; the mix is the identity, not the
-		// rounding-perturbed (x+x+x)/3.
-		e.resetWorkerOpt(w)
-	}
-	e.lastReport = e.denseRep
-	e.refreshGlobalFromReplicaMean()
-}
-
-// averageRingChoco is CHOCO-SGD's compressed gossip round on the active
-// mixing graph. Phase 1: every node compresses its delta from its OWN
-// estimate, q_i = C(x_i - x̂_i), and multicasts it to its graph neighbors;
-// every holder of x̂_i — the node and its neighbors alike — applies the
-// identical wire update x̂_i += q̂_i, so the engine's canonical copy stands
-// in for all of them. Phase 2: each node mixes toward its neighborhood's
-// weighted estimate average,
+// averageRing is one CHOCO-SGD gossip round on the active mixing graph.
+// Phase 1: every node compresses its delta from its OWN estimate,
+// q_i = C(x_i - x̂_i), and multicasts it to its graph neighbors; every holder
+// of x̂_i — the node and its neighbors alike — applies the identical wire
+// update x̂_i += q̂_i, so the engine's canonical copy stands in for all of
+// them. Phase 2: each node mixes toward its neighborhood's weighted estimate
+// average,
 //
 //	x_i <- x_i + gamma * (sum_j W_ij x̂_j - x̂_i),
 //
-// computed as gamma*mix + (x_i - gamma*x̂_i) so that a lossless compressor
-// (x̂_i == x_i exactly, see below) at gamma = 1 reproduces the raw gossip
-// arithmetic bit for bit (on the default ring, the historic
-// (x̂_prev + x̂_i + x̂_next)/3). Finally the evaluation model is refreshed as
-// the mean of the projected post-mix ESTIMATES — every quantity in the
-// round, including the one evaluation observes, is derivable from the wire.
+// computed as gamma*mix + (x_i - gamma*x̂_i) so that a lossless wire
+// (x̂_i == x_i exactly, see below) at gamma = 1 is the plain gossip average
+// bit for bit (on the default ring, the historic (x_prev + x_i + x_next)/3).
+// Finally the evaluation model is refreshed as the mean of the projected
+// post-mix ESTIMATES — every quantity in the round, including the one
+// evaluation observes, is derivable from the wire.
 //
-// Lossless (dense-encoding) compressors get a protocol refinement: since
-// C(x_i - x̂_i) costs exactly the 8*dim wire bytes of the parameters
-// themselves, the node ships x_i directly and holders assign rather than
-// accumulate. That pins x̂_i to x_i exactly instead of up to the rounding of
-// x̂_i + fl(x_i - x̂_i), which is what makes identity-compressed gossip
-// bit-identical to the uncompressed path (the regression tests assert it;
-// at m = 3 the ring mix is the global mean, so this is also the compressed
-// "ring == full averaging" anchor).
-func (e *Engine) averageRingChoco() {
+// A lossless wire (compress.Spec.Lossless: None, or identity on a float64
+// wire) gets a protocol refinement: since C(x_i - x̂_i) costs exactly the
+// 8*dim wire bytes of the parameters themselves, the node ships x_i directly
+// and holders assign rather than accumulate. That pins x̂_i to x_i exactly
+// instead of up to the rounding of x̂_i + fl(x_i - x̂_i), which is what makes
+// uncompressed gossip this same round rather than a path of its own (at
+// m = 3 the ring mix is the global mean, the "ring == full averaging"
+// anchor).
+func (e *Engine) averageRing() {
 	gr, idx := e.activeGossipGraph()
 	g := e.gossip
 	maxBytes := 0
 	for i, node := range g.nodes {
 		if e.fltDown != nil && e.fltDown[i] {
 			// Down nodes send nothing; their estimates (and compressor
-			// residuals) freeze with them until reconcile re-pins them.
+			// streams) freeze with them until reconcile re-pins them.
 			e.repBytes[i] = 0
 			continue
 		}
@@ -334,30 +291,27 @@ func (e *Engine) averageRingChoco() {
 		}
 		mix := e.mixBuf
 		mixRowInto(mix, gr, i, g.hat)
-		if e.gmoms == nil && !e.ext {
-			// Legacy path, bit for bit.
-			for j := range dst {
-				dst[j] = gamma*mix[j] + (dst[j] - gamma*hs[j])
-				prj[j] = gamma*mix[j] + (hs[j] - gamma*hs[j])
+		post := e.avgBuf
+		for j := range dst {
+			post[j] = gamma*mix[j] + (dst[j] - gamma*hs[j])
+			prj[j] = gamma*mix[j] + (hs[j] - gamma*hs[j])
+		}
+		if e.gmoms != nil {
+			// Per-node slow momentum filters the replica's own mixing
+			// displacement (parameter block only). On a lossy wire the
+			// projection stays the wire-derived estimate of the plain
+			// mix, which the estimate protocol self-corrects toward on
+			// the next round's delta; on a lossless wire x̂_i IS x_i, so
+			// the projection is the filtered replica itself.
+			e.gmoms[i].Apply(dst[:e.dim], post[:e.dim], post[:e.dim])
+			if g.lossless {
+				copy(prj[:e.dim], post[:e.dim])
 			}
+		}
+		if e.ext {
+			e.storeExt(i, post)
 		} else {
-			post := e.avgBuf
-			for j := range dst {
-				post[j] = gamma*mix[j] + (dst[j] - gamma*hs[j])
-				prj[j] = gamma*mix[j] + (hs[j] - gamma*hs[j])
-			}
-			if e.gmoms != nil {
-				// The slow-momentum filter applies to the replica only; the
-				// projection stays the wire-derived estimate of the plain
-				// mix, which the estimate protocol self-corrects toward on
-				// the next round's delta.
-				e.gmoms[i].Apply(dst[:e.dim], post[:e.dim], post[:e.dim])
-			}
-			if e.ext {
-				e.storeExt(i, post)
-			} else {
-				e.workers[i].model.SetParams(post[:e.dim])
-			}
+			e.workers[i].model.SetParams(post[:e.dim])
 		}
 		e.resetWorkerOpt(e.workers[i])
 	}
@@ -365,10 +319,9 @@ func (e *Engine) averageRingChoco() {
 	// The evaluation model is the mean of the PROJECTED post-mix estimates
 	// x̃_i = x̂_i + gamma*(mix_i - x̂_i): every term comes off the wire, and
 	// the projection applies the same mixing expression the replicas do, so
-	// a lossless compressor (x̂_i == x_i exactly) makes the evaluated model
-	// bit-identical to the raw path's post-mix replica mean. Under churn
-	// the mean covers the active estimates only (average() already
-	// guaranteed at least one).
+	// on a lossless wire (x̂_i == x_i exactly) the evaluated model is the
+	// post-mix replica mean. Under churn the mean covers the active
+	// estimates only (average() already guaranteed at least one).
 	dst := e.global
 	if e.ext {
 		dst = e.extGlobal // refresh the synced-state reference too
@@ -389,10 +342,10 @@ func (e *Engine) averageRingChoco() {
 
 // averageElastic applies the EASGD update: x_i <- x_i - alpha(x_i - z),
 // z <- z + (beta/m) * sum_i (x_i - z), both pull strengths 0.5. The center z
-// lives in e.global.
-// With compression active, each worker ships its displacement x_i - z as a
-// compressed message over the star; worker and center both apply the
-// RECONSTRUCTED displacement, so the two sides stay consistent.
+// lives in e.global. Each worker ships its displacement x_i - z as a wire
+// message over the star; worker and center both apply the RECONSTRUCTED
+// displacement, so the two sides stay consistent. Uncompressed, the message
+// is the identity's, whose decoded displacement is x_i - z exactly.
 func (e *Engine) averageElastic() {
 	const alpha, beta = 0.5, 0.5
 	centerPull := e.pullBuf
@@ -406,52 +359,32 @@ func (e *Engine) averageElastic() {
 			continue
 		}
 		p := w.model.Params()
-		if e.comps != nil {
-			tensor.Sub(e.deltaBuf, p, e.global)
-			if err := e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg); err != nil {
-				panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
-			}
-			pay, err := e.com.Push(i, e.wireMsg, e.deltaBuf)
-			if err != nil {
-				panic(fmt.Sprintf("cluster: worker %d push: %v", i, err))
-			}
-			if e.gmoms == nil {
-				for j := range p {
-					p[j] -= alpha * e.deltaBuf[j]
-					centerPull[j] += e.deltaBuf[j]
-				}
-			} else {
-				post := e.avgBuf[:e.dim]
-				for j := range p {
-					post[j] = p[j] - alpha*e.deltaBuf[j]
-					centerPull[j] += e.deltaBuf[j]
-				}
-				e.gmoms[i].Apply(p, post, p)
-			}
-			e.repBytes[i] = pay.UpBytes
-			if pay.UpBytes > maxBytes {
-				maxBytes = pay.UpBytes
+		tensor.Sub(e.deltaBuf, p, e.global)
+		if err := e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg); err != nil {
+			panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
+		}
+		pay, err := e.com.Push(i, e.wireMsg, e.deltaBuf)
+		if err != nil {
+			panic(fmt.Sprintf("cluster: worker %d push: %v", i, err))
+		}
+		if e.gmoms == nil {
+			for j := range p {
+				p[j] -= alpha * e.deltaBuf[j]
+				centerPull[j] += e.deltaBuf[j]
 			}
 		} else {
-			if e.gmoms == nil {
-				for j := range p {
-					diff := p[j] - e.global[j]
-					p[j] -= alpha * diff
-					centerPull[j] += diff
-				}
-			} else {
-				// Per-node slow momentum filters the node's own alpha-pull
-				// displacement; the center update keeps the raw pull.
-				post := e.avgBuf[:e.dim]
-				for j := range p {
-					diff := p[j] - e.global[j]
-					post[j] = p[j] - alpha*diff
-					centerPull[j] += diff
-				}
-				e.gmoms[i].Apply(p, post, p)
+			// Per-node slow momentum filters the node's own alpha-pull
+			// displacement; the center update keeps the raw pull.
+			post := e.avgBuf[:e.dim]
+			for j := range p {
+				post[j] = p[j] - alpha*e.deltaBuf[j]
+				centerPull[j] += e.deltaBuf[j]
 			}
-			e.repBytes[i] = 8 * e.dim
-			maxBytes = 8 * e.dim
+			e.gmoms[i].Apply(p, post, p)
+		}
+		e.repBytes[i] = pay.UpBytes
+		if pay.UpBytes > maxBytes {
+			maxBytes = pay.UpBytes
 		}
 		e.resetWorkerOpt(w)
 	}
@@ -461,37 +394,4 @@ func (e *Engine) averageElastic() {
 	}
 	tensor.Axpy(beta/n, centerPull, e.global)
 	e.lastReport = comm.Report{Bytes: e.repBytes, Max: maxBytes}
-}
-
-// refreshGlobalFromReplicaMean recomputes the evaluation model as the mean
-// of all replicas (used by the raw gossip path, which has no literal global
-// model; the CHOCO path averages its estimates instead so that even the
-// evaluated model is wire-derivable).
-func (e *Engine) refreshGlobalFromReplicaMean() {
-	dst := e.global
-	row := func(i int) []float64 { return e.workers[i].model.Params() }
-	if e.ext {
-		// The extended reference [global | globalSync] tracks the replica
-		// mean of params AND synced optimizer state together.
-		dst = e.extGlobal
-		row = e.loadExt
-	}
-	if e.fltActive == nil {
-		for i := range e.workers {
-			e.meanVecs[i] = row(i)
-		}
-		tensor.Mean(dst, e.meanVecs...)
-		return
-	}
-	// Under churn only the active replicas define the evaluated model;
-	// stale crashed state must not drag the loss curve. average() already
-	// guaranteed at least one active worker.
-	k := 0
-	for i := range e.workers {
-		if e.fltActive[i] {
-			e.meanVecs[k] = row(i)
-			k++
-		}
-	}
-	tensor.Mean(dst, e.meanVecs[:k]...)
 }

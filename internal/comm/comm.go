@@ -224,13 +224,3 @@ func (c *Simulated) PushMulti(worker int, peers []int, msg compress.Message, dst
 func (c *Simulated) Pull(worker int, bytes int) Payload {
 	return Payload{DownBytes: bytes}
 }
-
-// DenseReport returns the schedule of a round where every worker ships a
-// dense dim-coordinate vector — the legacy uncompressed broadcast.
-func DenseReport(m, dim int) Report {
-	bytes := make([]int, m)
-	for i := range bytes {
-		bytes[i] = 8 * dim
-	}
-	return Report{Bytes: bytes, Max: 8 * dim}
-}

@@ -180,18 +180,6 @@ func TestPushMultiDecodesValidatesAndAccounts(t *testing.T) {
 	}
 }
 
-func TestDenseReport(t *testing.T) {
-	rep := DenseReport(3, 10)
-	if rep.Max != 80 || len(rep.Bytes) != 3 {
-		t.Fatalf("dense report %+v", rep)
-	}
-	for _, b := range rep.Bytes {
-		if b != 80 {
-			t.Fatalf("dense report bytes %v", rep.Bytes)
-		}
-	}
-}
-
 func TestTopologyParseAndString(t *testing.T) {
 	for _, topo := range []Topology{AllGather, Ring, Tree, Star} {
 		got, err := ParseTopology(topo.String())

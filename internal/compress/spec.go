@@ -9,12 +9,16 @@ import (
 )
 
 // Kind enumerates the shipped compression schemes. The zero value None means
-// "no compressor": consumers take the legacy uncompressed code path, which is
-// guaranteed bit-identical to the pre-compression simulator.
+// "no compressor": the wire carries the uncompressed vector, and consumers
+// ship it through Identity{} (NewWire), which reproduces it bit for bit. The
+// engines keep two uncompressed paths that are not the identity wire,
+// because their arithmetic or pricing differs and goldens pin it: the
+// cluster's full-averaging mean of raw vectors, and the parameter server's
+// free, unpriced model pull.
 type Kind int
 
 const (
-	// None disables compression entirely.
+	// None ships vectors uncompressed.
 	None Kind = iota
 	// KindIdentity is the lossless dense encoding.
 	KindIdentity
@@ -197,6 +201,17 @@ func (s Spec) New(r *rng.Rand) (Compressor, error) {
 		c = WithErrorFeedback(c)
 	}
 	return c, nil
+}
+
+// NewWire builds the compressor one worker ships its messages through: New's,
+// on a stream of its own drawn from split, or Identity{} for the None spec,
+// which draws no stream — so an uncompressed consumer runs the identity wire
+// and keeps every RNG stream where it was.
+func (s Spec) NewWire(split func() *rng.Rand) (Compressor, error) {
+	if !s.Enabled() {
+		return Identity{}, nil
+	}
+	return s.New(split())
 }
 
 // InitialRatio returns the keep-ratio the spec starts at, in the Adaptive

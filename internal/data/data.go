@@ -285,3 +285,15 @@ func (s *Sampler) Next() Batch {
 func FullBatch(ds *Dataset) Batch {
 	return Batch{X: ds.X, Y: ds.Y, T: ds.T}
 }
+
+// EvalBatch is the batch an engine evaluates its training loss on: all of
+// ds, or, when 0 < subset < ds.N(), subset examples picked once by a
+// permutation drawn from a stream split off root, fixed for the whole run so
+// the loss curve stays comparable. root is split only in that case, so a
+// full-set evaluation leaves every later stream where it was.
+func EvalBatch(ds *Dataset, subset int, root *rng.Rand) Batch {
+	if subset > 0 && subset < ds.N() {
+		ds = ds.Subset(root.Split().Perm(ds.N())[:subset])
+	}
+	return FullBatch(ds)
+}

@@ -47,6 +47,16 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 	ksyncBW.Bandwidth = 50
 	ksyncBW.MaxUpdates = 50
 
+	// Uncompressed under churn, on a priced link: captured while the
+	// uncompressed push still bypassed the compressor.
+	const churn = "blip:0@r10-40,blip:1@r30-60,crash:2@r80,slow:3x4@r20-70,drop:0.1"
+	ksyncChurn := psConfig(KSync)
+	ksyncChurn.Bandwidth = 50
+	ksyncChurn.MaxUpdates = 120
+	ksyncChurn.Faults = mustFaults(t, churn)
+	kasyncChurn := ksyncChurn
+	kasyncChurn.Mode = KAsync
+
 	cases := []struct {
 		name   string
 		cfg    Config
@@ -59,6 +69,8 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 		{"ksync", ksync, 4, 0.2, 0xde3c142579fecb4c, 0xc8251e922fb5a2ff, 446.04160610066697},
 		{"kasync", kasync, 2, 0.1, 0x06d8d1a511e1f61f, 0xcb45685b1fe12d48, 134.13718879672388},
 		{"ksync-bw", ksyncBW, 4, 0.2, 0x83f9650c1d56991d, 0x706737d24a6f6281, 471.03423112474451},
+		{"ksync-churn", ksyncChurn, 3, 0.1, 0x1f061f541cc7516c, 0xb17ee88228eb4853, 2066.804190121697},
+		{"kasync-churn", kasyncChurn, 3, 0.1, 0x765f128dcd75de8b, 0x2e01b030a5f2faad, 2052.5815427889047},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

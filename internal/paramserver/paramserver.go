@@ -132,9 +132,11 @@ type Config struct {
 	// size-aware cost model internal/cluster charges for broadcasts.
 	Bandwidth float64
 	// Compress optionally compresses pushed gradients with the
-	// internal/compress subsystem (None leaves the protocol byte-for-byte
-	// unchanged). Each worker owns a compressor instance, so error
-	// feedback accumulates per worker exactly as in the PASGD engine.
+	// internal/compress subsystem. None pushes through the identity, which
+	// delivers the gradient bit for bit and prices it at 8 bytes per
+	// coordinate, the legacy protocol exactly. Each worker owns a
+	// compressor instance, so error feedback accumulates per worker exactly
+	// as in the PASGD engine.
 	Compress compress.Spec
 	// PullCompress prices and compresses the model PULL: the server sends
 	// each worker the delta of the current model against that worker's last
@@ -144,7 +146,8 @@ type Config struct {
 	// reconstruction (delta coding against the worker's own last pull keeps
 	// the error from accumulating: whatever one pull drops is part of the
 	// next pull's delta). The zero value keeps the legacy free/dense pull,
-	// byte-for-byte.
+	// byte-for-byte — the one place in this package where uncompressed is
+	// not the identity wire, because the identity pull is priced.
 	PullCompress compress.Spec
 	// Links optionally gives each worker its own uplink/downlink
 	// (len(Links) must equal the worker count): every exchange of worker i
@@ -235,9 +238,10 @@ type Server struct {
 
 	// Communication state: all worker<->server exchange routes through com
 	// (a star-topology internal/comm communicator). comps[i] is worker i's
-	// gradient compressor (nil slice when disabled); pushBytes is the
-	// per-exchange uplink payload (compressed sizes are data-independent,
-	// so the scheduler can price an exchange before the gradient exists).
+	// gradient compressor (compress.Identity{} under the zero spec);
+	// pushBytes is the per-exchange uplink payload (wire sizes are
+	// data-independent, so the scheduler can price an exchange before the
+	// gradient exists).
 	// pushMsg is the one uplink wire slot every worker compresses into: a
 	// message is decoded into decBuf before the next arrival is computed.
 	com       comm.Communicator
@@ -300,12 +304,7 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 			r:       root.Split(),
 		})
 	}
-	evalDS := trainEval
-	if cfg.EvalSubset > 0 && cfg.EvalSubset < trainEval.N() {
-		idx := root.Split().Perm(trainEval.N())[:cfg.EvalSubset]
-		evalDS = trainEval.Subset(idx)
-	}
-	s.evalBatch = data.FullBatch(evalDS)
+	s.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
 	if cfg.Links != nil {
 		lm := &delaymodel.Model{M: s.m, Links: cfg.Links}
 		if err := lm.CheckLinks(); err != nil {
@@ -315,22 +314,20 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	s.com = comm.New(comm.Star, s.m)
 	s.linkTimes = make([]float64, s.m)
 	dim := proto.ParamLen()
-	s.pushBytes = 8 * dim
-	if cfg.Compress.Enabled() {
-		s.pushBytes = cfg.Compress.WireBytes(dim)
-		s.comps = make([]compress.Compressor, s.m)
-		for i := range s.comps {
-			c, err := cfg.Compress.New(root.Split())
-			if err != nil {
-				return nil, err
-			}
-			s.comps[i] = c
+	s.pushBytes = cfg.Compress.WireBytes(dim)
+	s.comps = make([]compress.Compressor, s.m)
+	for i := range s.comps {
+		c, err := cfg.Compress.NewWire(root.Split)
+		if err != nil {
+			return nil, err
 		}
-		s.decBuf = make([]float64, dim)
+		s.comps[i] = c
 	}
-	// Pull-compressor construction comes last so the zero-value config (and
-	// the push-only compressed config) consume exactly the legacy RNG
-	// stream.
+	s.decBuf = make([]float64, dim)
+	// Pull-compressor construction comes last, and the zero spec's push
+	// compressor is an Identity{} that draws nothing, so the zero-value
+	// config (and the push-only compressed config) consume exactly the
+	// legacy RNG stream.
 	if cfg.PullCompress.Enabled() {
 		s.pullComps = make([]compress.Compressor, s.m)
 		for i := range s.pullComps {
@@ -460,16 +457,14 @@ func (s *Server) dispatch(i int) {
 	s.queue.Push(events.Event{Time: s.clock + dur, Worker: i, Kind: events.Arrival})
 }
 
-// computeGradient materializes worker i's gradient on its next mini-batch,
-// routing it through the worker's compressor (wire round-trip, with
-// per-worker error feedback) when compression is configured.
+// computeGradient materializes worker i's gradient on its next mini-batch
+// and pushes it through the worker's compressor (wire round-trip, with
+// per-worker error feedback); uncompressed, that is the identity, whose
+// decoded gradient is the gradient exactly.
 func (s *Server) computeGradient(i int) []float64 {
 	w := s.workers[i]
 	b := w.sampler.Next()
 	w.model.LossGrad(b, w.grad)
-	if s.comps == nil {
-		return w.grad
-	}
 	if err := s.comps[i].CompressInto(w.grad, &s.pushMsg); err != nil {
 		panic(fmt.Sprintf("paramserver: worker %d compress: %v", i, err))
 	}
