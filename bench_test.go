@@ -1,22 +1,22 @@
 package repro
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (BenchmarkFig*/BenchmarkTable*), each running the
-// corresponding experiment end-to-end at reduced (ScaleQuick) size so the
+// evaluation (BenchmarkFig*/BenchmarkTable*) and per ablation, each running
+// the corresponding experiment end-to-end at reduced (ScaleQuick) size so the
 // whole suite completes in minutes; `go run ./cmd/figures` regenerates the
-// same artifacts at full scale. Micro-benchmarks for the hot kernels
-// (gemm, model forward/backward, a PASGD round) follow at the bottom;
-// the communication-layer aggregation benchmarks (sparse index-merge vs
-// dense accumulation on 1M-coordinate vectors) live next to their subject
-// in internal/comm/bench_test.go and internal/compress/bench_test.go, and
-// run with the same `go test -bench . ./...` invocation.
+// same artifacts at full scale. The hot kernels, model steps and engine
+// rounds are timed by `go run ./cmd/bench` (pinned iteration counts, the rows
+// CI's regression gate reads); the three micro-benchmarks at the bottom have
+// no row there. The communication-layer aggregation benchmarks (sparse
+// index-merge vs dense accumulation on 1M-coordinate vectors) live next to
+// their subject in internal/comm/bench_test.go and
+// internal/compress/bench_test.go, and run with the same
+// `go test -bench . ./...` invocation.
 
 import (
 	"io"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/delaymodel"
 	"repro/internal/experiments"
@@ -172,23 +172,8 @@ func BenchmarkAblationDelayDistribution(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-benchmarks for the hot kernels.
+// Micro-benchmarks with no cmd/bench row.
 // ---------------------------------------------------------------------------
-
-func BenchmarkGemm64(b *testing.B) {
-	a := tensor.NewMatrix(64, 64)
-	bb := tensor.NewMatrix(64, 64)
-	c := tensor.NewMatrix(64, 64)
-	for i := range a.Data {
-		a.Data[i] = float64(i % 7)
-		bb.Data[i] = float64(i % 5)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.Gemm(1, a, bb, 0, c)
-	}
-}
 
 func benchModelStep(b *testing.B, net *nn.Network, dim int) {
 	b.Helper()
@@ -217,76 +202,6 @@ func BenchmarkStepLogistic(b *testing.B) {
 
 func BenchmarkStepMLP(b *testing.B) {
 	benchModelStep(b, nn.NewMLP(64, []int{64, 32}, 4), 64)
-}
-
-func BenchmarkStepVGGNano(b *testing.B) {
-	shape := data.ImageShape{Channels: 3, Height: 8, Width: 8}
-	benchModelStep(b, nn.NewVGGNano(shape, 4), shape.Len())
-}
-
-func BenchmarkStepResNetNano(b *testing.B) {
-	shape := data.ImageShape{Channels: 3, Height: 8, Width: 8}
-	benchModelStep(b, nn.NewResNetNano(shape, 4), shape.Len())
-}
-
-func benchPASGDRound(b *testing.B, computeWorkers int) {
-	b.Helper()
-	w := experiments.BuildWorkload(experiments.ArchLogistic, 4, 4, experiments.ScaleQuick, 3)
-	e := w.Engine(cluster.Config{
-		BatchSize: 8, MaxIters: 1 << 30, EvalEvery: 1 << 30,
-		ComputeWorkers: computeWorkers, Seed: 4,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.StepLocal(10, 0.1)
-		e.SyncNow()
-	}
-}
-
-func BenchmarkPASGDRound(b *testing.B) { benchPASGDRound(b, 1) }
-
-// BenchmarkPASGDRoundPool4 runs the same round with the local-update phase
-// fanned across 4 goroutines — bit-identical results; wall-clock gains
-// require as many free cores.
-func BenchmarkPASGDRoundPool4(b *testing.B) { benchPASGDRound(b, 4) }
-
-// Strategy-round benchmarks: one gossip/elastic synchronization (10 local
-// steps + SyncNow), raw and compressed. These pin the per-sync allocation
-// behavior of the mixing strategies — their scratch is engine-owned, so
-// steady-state rounds must stay allocation-free like the full-averaging
-// round above.
-func benchStrategyRound(b *testing.B, strat cluster.Strategy, spec compress.Spec) {
-	b.Helper()
-	w := experiments.BuildWorkload(experiments.ArchLogistic, 4, 4, experiments.ScaleQuick, 3)
-	e := w.Engine(cluster.Config{
-		BatchSize: 8, MaxIters: 1 << 30, EvalEvery: 1 << 30,
-		ComputeWorkers: 1, Strategy: strat, Compress: spec, Seed: 4,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.StepLocal(10, 0.1)
-		e.SyncNow()
-	}
-}
-
-func BenchmarkRingGossipRound(b *testing.B) {
-	benchStrategyRound(b, cluster.RingGossip, compress.Spec{})
-}
-
-func BenchmarkRingGossipRoundCompressed(b *testing.B) {
-	benchStrategyRound(b, cluster.RingGossip,
-		compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true})
-}
-
-func BenchmarkElasticRound(b *testing.B) {
-	benchStrategyRound(b, cluster.ElasticAveraging, compress.Spec{})
-}
-
-func BenchmarkElasticRoundCompressed(b *testing.B) {
-	benchStrategyRound(b, cluster.ElasticAveraging,
-		compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true})
 }
 
 func BenchmarkRuntimeSampling(b *testing.B) {

@@ -381,8 +381,7 @@ func spectralGapSetup() func() {
 
 // eventQueueSetup times the discrete-event scheduler's raw throughput:
 // push 4096 events with colliding times (exercising the seeded tie-break)
-// and drain them. Events/sec = 8192 / (ns_per_op * 1e-9); mirrors the
-// events package's BenchmarkQueuePushPop.
+// and drain them. Events/sec = 8192 / (ns_per_op * 1e-9).
 func eventQueueSetup() func() {
 	return func() {
 		q := events.NewQueue(9)

@@ -191,7 +191,7 @@
 // and degrades gracefully on time-to-loss.
 //
 // Local update rules are a first-class layer: internal/opt defines the
-// Optimizer interface (Step, enumerable state vectors with per-vector sync
+// Optimizer type (Step, enumerable state vectors with per-vector sync
 // policies, SyncReset at averaging points) with plain SGD, heavy-ball and
 // Nesterov momentum, and Local Adam; both cluster engines — lock-step and
 // event-driven — step through it (cluster.Config.Opt, AsyncConfig.Opt,

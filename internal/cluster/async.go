@@ -196,12 +196,7 @@ func (c AsyncConfig) validate(n int) error {
 				"(a per-client residual is Theta(clients*dim) state; client sharding exists to avoid it)")
 		}
 	}
-	if c.Faults.Enabled() {
-		if err := c.Faults.Validate(n); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Faults.Validate(n)
 }
 
 // asyncClient is one simulated client. Idle, its whole state is the two RNG
@@ -257,9 +252,9 @@ type AsyncEngine struct {
 	clients []asyncClient
 	idle    []int // idle client ids; sampled uniformly at dispatch
 
-	// Fault path only (nil without a schedule): where each client sits on
-	// the idle list (-1 in flight), the clients down at downVersion, and
-	// scratch for their idle-list positions.
+	// Membership, kept with or without a schedule (without one nobody is
+	// ever down): where each client sits on the idle list (-1 in flight), the
+	// clients down at downVersion, and scratch for their idle-list positions.
 	idlePos     []int
 	down        []int
 	downVersion int
@@ -273,14 +268,14 @@ type AsyncEngine struct {
 	slow      []float64
 	serverRng *rng.Rand
 
-	com comm.Communicator
+	com *comm.Communicator
 	// comp encodes every upload (shared: compression happens serially at
 	// dispatch); the uncompressed wire is the identity scheme, so the dense
 	// and compressed paths are one.
 	comp compress.Compressor
 
 	computeModel *nn.Network // THE materialized replica slot
-	opt          opt.Optimizer
+	opt          *opt.Optimizer
 	deltaBuf     []float64
 	decodeBuf    []float64
 	aggBuf       []float64
@@ -390,18 +385,18 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 			e.slow[i] *= jit[i]
 		}
 	}
+	e.idle = make([]int, n)
+	e.idlePos = make([]int, n)
 	for i := 0; i < n; i++ {
 		e.clients[i] = asyncClient{
 			shard:  shards[i],
 			model:  root.Split(),
 			delayR: root.Split(),
 		}
-		e.idle = append(e.idle, i)
+		e.idle[i] = i
+		e.idlePos[i] = i // client i starts at position i
 	}
-	if cfg.Faults.Enabled() {
-		e.idlePos = append([]int(nil), e.idle...) // client i starts at position i
-		e.downVersion = -1
-	}
+	e.downVersion = -1
 	if e.comp, err = cfg.Compress.NewWire(root.Split); err != nil {
 		return nil, err
 	}
@@ -480,44 +475,38 @@ func stalenessWeight(s int) float64 {
 }
 
 // dispatchNew samples one idle client uniformly (seeded) and schedules its
-// Dispatch at time t. Returns false when no client is idle. Under a fault
-// schedule, clients down at the current version are parked: they stay on
-// the idle list and the sample covers the active idle clients only —
-// recovery makes them eligible again at the next round boundary's refill.
+// Dispatch at time t. Returns false when no client is idle. Clients down at
+// the current version are parked: they stay on the idle list and the sample
+// covers the active idle clients only — recovery makes them eligible again at
+// the next round boundary's refill. Without a schedule nobody is parked and
+// the draw covers the whole idle list.
 func (e *AsyncEngine) dispatchNew(t float64) bool {
 	if len(e.idle) == 0 {
 		return false
 	}
-	j := -1
-	if e.idlePos != nil {
-		// The r-th active position is r stepped past every parked position
-		// at or below it. Only the schedule's down events are walked, not
-		// the idle population: the draw and the client it lands on are the
-		// ones a filtered copy of the idle list would give.
-		parked := e.parkedPositions()
-		active := len(e.idle) - len(parked)
-		if active == 0 {
-			return false
+	// The r-th active position is r stepped past every parked position at or
+	// below it. Only the schedule's down events are walked, not the idle
+	// population: the draw and the client it lands on are the ones a
+	// filtered copy of the idle list would give.
+	parked := e.parkedPositions()
+	active := len(e.idle) - len(parked)
+	if active == 0 {
+		return false
+	}
+	j := e.serverRng.Intn(active)
+	for _, p := range parked {
+		if p > j {
+			break
 		}
-		j = e.serverRng.Intn(active)
-		for _, p := range parked {
-			if p > j {
-				break
-			}
-			j++
-		}
-	} else {
-		j = e.serverRng.Intn(len(e.idle))
+		j++
 	}
 	id := e.idle[j]
 	last := len(e.idle) - 1
 	moved := e.idle[last]
 	e.idle[j] = moved
 	e.idle = e.idle[:last]
-	if e.idlePos != nil {
-		e.idlePos[moved] = j
-		e.idlePos[id] = -1
-	}
+	e.idlePos[moved] = j
+	e.idlePos[id] = -1
 	// The client is committed (off the idle list) the moment its Dispatch
 	// is scheduled — counting here, not at dispatch time, is what keeps the
 	// refill loop from over-committing past InFlight.
@@ -532,7 +521,7 @@ func (e *AsyncEngine) dispatchNew(t float64) bool {
 
 // downNow returns the clients down at the current version. The down set is a
 // function of the version alone, so it is rebuilt once per aggregation, not
-// per dispatch. Fault path only.
+// per dispatch.
 func (e *AsyncEngine) downNow() []int {
 	if e.downVersion != e.version {
 		e.down = e.cfg.Faults.DownAt(e.version, e.down[:0])
@@ -543,8 +532,8 @@ func (e *AsyncEngine) downNow() []int {
 
 // armRound sets how many arrivals the round at the current version waits
 // for: the arrival policy's K given the previous round's upload times, and
-// under a fault schedule no more than the clients that are up. Down clients
-// are parked and dispatching happens at round boundaries, so a barrier wider
+// no more than the clients that are up. Down clients are parked and
+// dispatching happens at round boundaries, so a barrier wider
 // than the surviving population could never fill: the queue would drain and
 // Run return as if finished — and since the schedule is keyed by the version
 // the stalled round would advance, even a blip would never end. (Kas Hanna
@@ -553,10 +542,8 @@ func (e *AsyncEngine) downNow() []int {
 // drains cleanly as documented.
 func (e *AsyncEngine) armRound(times []float64) {
 	e.curK = e.policy.Effective(times, e.cfg.Participation)
-	if e.idlePos != nil {
-		if up := e.n - len(e.downNow()); up > 0 && up < e.curK {
-			e.curK = up
-		}
+	if up := e.n - len(e.downNow()); up > 0 && up < e.curK {
+		e.curK = up
 	}
 }
 
@@ -637,14 +624,12 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 	c.base = e.version
 	c.steps = e.cfg.Tau
 	c.upTime = e.delay.SampleTransfer(c.delayR, i, c.msg.Bytes())
-	if e.cfg.Faults.Enabled() {
-		// The fault multiplier applies to both transfer legs, AFTER the
-		// draws, so the client's RNG streams stay aligned with the
-		// fault-free run.
-		f := e.cfg.Faults.TransferScale(e.cfg.Seed, e.version, i)
-		downTime *= f
-		c.upTime *= f
-	}
+	// The fault multiplier (exactly 1 without a schedule) applies to both
+	// transfer legs, AFTER the draws, so the client's RNG streams stay
+	// aligned with the fault-free run.
+	f := e.cfg.Faults.TransferScale(e.cfg.Seed, e.version, i)
+	downTime *= f
+	c.upTime *= f
 
 	arrival := t + downTime + compute + c.upTime
 	e.clocks.AdvanceTo(i, arrival)
@@ -655,9 +640,7 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 func (e *AsyncEngine) goIdle(i int) {
 	e.clients[i].inflight = false
 	e.nInFlight--
-	if e.idlePos != nil {
-		e.idlePos[i] = len(e.idle)
-	}
+	e.idlePos[i] = len(e.idle)
 	e.idle = append(e.idle, i)
 }
 
@@ -672,7 +655,7 @@ func (e *AsyncEngine) arrive(i int, t float64) (roundDone bool) {
 	c := &e.clients[i]
 	e.goIdle(i)
 
-	if e.cfg.Faults.Enabled() && e.cfg.Faults.Down(i, e.version) {
+	if e.cfg.Faults.Down(i, e.version) {
 		// The sender crashed (or blipped out) while its message was in
 		// flight: the server expires the work — the existing
 		// drop-and-redispatch path — so crashed state never folds into an

@@ -180,38 +180,55 @@ func TestAsyncDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestAsyncGoldenTrace pins the zero-config async run bit-identically, the
-// same contract the lock-step golden tests enforce: any change to event
-// ordering, RNG consumption, weighting, or accounting shows up here.
+// TestAsyncGoldenTrace pins async runs bit-identically, the same contract
+// the lock-step golden tests enforce: any change to event ordering, RNG
+// consumption, weighting, or accounting shows up here. The zero config is the
+// original capture; the straggler row on a float32 QSGD wire was captured
+// while the fault-free engine still skipped its fault path behind a nil
+// sentinel. Each row holds under every fault-free schedule.
 func TestAsyncGoldenTrace(t *testing.T) {
-	s := asyncSetup(t, 8)
-	cfg := baseAsyncCfg()
-	cfg.RecordEvents = true
-	e := s.async(t, cfg)
-	tr := e.Run("golden-async")
+	straggler := baseAsyncCfg()
+	straggler.StragglerFactor = []float64{1, 3, 1, 1, 1, 1, 5, 1}
+	straggler.Compress = compress.Spec{Kind: compress.KindQSGD, Bits: 4, Wire: compress.WireFloat32}
+	for _, tc := range []struct {
+		name                  string
+		cfg                   AsyncConfig
+		events, params, trace uint64
+	}{
+		{"zero", baseAsyncCfg(), 0x5fb1b1600e8396cf, 0xe15a4767cb779e27, 0x11da0677779ad022},
+		{"straggler-qsgd4-f32", straggler, 0xcd618445e1da92e4, 0xbb0228cd4fe50c33, 0x7fa15471ca3772ea},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, f := range faultFreeSchedules(t) {
+				t.Run(f.name, func(t *testing.T) {
+					s := asyncSetup(t, 8)
+					cfg := tc.cfg
+					cfg.RecordEvents = true
+					cfg.Faults = f.sched
+					e := s.async(t, cfg)
+					tr := e.Run("golden-async")
 
-	const (
-		wantEvents = uint64(0x5fb1b1600e8396cf)
-		wantParams = uint64(0xe15a4767cb779e27)
-		wantTrace  = uint64(0x11da0677779ad022)
-	)
-	gotEvents := hashString(e.EventTrace())
-	gotParams := hashParams(e.GlobalParams())
-	gotTrace := hashTrace(tr)
-	if gotEvents != wantEvents || gotParams != wantParams || gotTrace != wantTrace {
-		t.Fatalf("golden drift:\n events %#x want %#x\n params %#x want %#x\n trace  %#x want %#x",
-			gotEvents, wantEvents, gotParams, wantParams, gotTrace, wantTrace)
-	}
+					gotEvents := hashString(e.EventTrace())
+					gotParams := hashParams(e.GlobalParams())
+					gotTrace := hashTrace(tr)
+					if gotEvents != tc.events || gotParams != tc.params || gotTrace != tc.trace {
+						t.Fatalf("golden drift:\n events %#x want %#x\n params %#x want %#x\n trace  %#x want %#x",
+							gotEvents, tc.events, gotParams, tc.params, gotTrace, tc.trace)
+					}
 
-	st := e.Stats()
-	if st.Updates != cfg.MaxUpdates {
-		t.Fatalf("updates %d, want %d", st.Updates, cfg.MaxUpdates)
-	}
-	if st.Applied < st.Updates*cfg.Participation {
-		t.Fatalf("applied %d < updates*K %d", st.Applied, st.Updates*cfg.Participation)
-	}
-	if st.UpBytes <= 0 || st.DownBytes <= 0 {
-		t.Fatalf("payload accounting empty: up %d down %d", st.UpBytes, st.DownBytes)
+					st := e.Stats()
+					if st.Updates != cfg.MaxUpdates {
+						t.Fatalf("updates %d, want %d", st.Updates, cfg.MaxUpdates)
+					}
+					if st.Applied < st.Updates*cfg.Participation {
+						t.Fatalf("applied %d < updates*K %d", st.Applied, st.Updates*cfg.Participation)
+					}
+					if st.UpBytes <= 0 || st.DownBytes <= 0 {
+						t.Fatalf("payload accounting empty: up %d down %d", st.UpBytes, st.DownBytes)
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -42,6 +42,15 @@
 // goroutine scheduling cannot change a single bit of the trajectory.
 // ComputeWorkers: 1 forces the legacy serial loop; the golden and
 // determinism tests pin serial and parallel traces bit-identical.
+//
+// # One path, whatever is absent
+//
+// Every engine keeps its membership view with or without a fault schedule
+// (without one it is everyone up at transfer scale 1, see internal/faults),
+// and the lock-step engine averages the extended vector of parameters plus
+// synced optimizer state even when that state is empty (see internal/opt).
+// No branch asks whether either exists; the golden tables run each
+// fault-free row under nil, empty and beyond-horizon schedules.
 package cluster
 
 import (
@@ -335,7 +344,7 @@ func (f FixedTau) Name() string { return fmt.Sprintf("tau=%d", f.Tau) }
 type worker struct {
 	model   *nn.Network
 	sampler *data.Sampler
-	opt     opt.Optimizer
+	opt     *opt.Optimizer
 	sync    [][]float64 // the optimizer's SyncAverage vectors (live views)
 	grad    []float64
 }
@@ -349,32 +358,29 @@ type Engine struct {
 
 	global []float64 // synchronized model parameters
 
-	// Optimizer-layer state. optReset is the reset-at-averaging gate (see
-	// resetWorkerOpt); optSteps counts the local steps a continuously-active
-	// worker has taken (the Adam second-moment clock rejoin reconciliation
-	// re-derives). gmom is the shared global-momentum buffer of
-	// FullAveraging; gmoms are the per-node buffers of the gossip/elastic
-	// strategies.
-	optReset bool
+	// Optimizer-layer state. optSteps counts the local steps a
+	// continuously-active worker has taken (the Adam second-moment clock
+	// rejoin reconciliation re-derives). gmom is the shared global-momentum
+	// buffer of FullAveraging; gmoms are the per-node buffers of the
+	// gossip/elastic strategies.
 	optSteps int
 	gmom     *opt.Global
 	gmoms    []*opt.Global
 
 	// Wire-visible synced optimizer state (Opt.SyncedMoments): every
-	// averaged payload is extended from dim to xdim = dim + syncedLen,
-	// with extGlobal = [global | globalSync] the extended reference and
-	// extWork per-worker extended rows (load/storeExt marshal a worker's
-	// params + SyncAverage vectors through them). All averaging scratch
-	// (sumBuf, avgBuf, deltaBuf, mixBuf, CHOCO estimates,
-	// reconBuf) is sized xdim, so the state rides the same compression,
-	// payload accounting, and float32 wire narrowing as the parameters.
-	// Without synced moments xdim == dim and every path is bit-identical
-	// to the pre-optimizer-layer engine.
-	xdim       int
-	ext        bool
-	extGlobal  []float64
-	globalSync []float64
-	extWork    [][]float64
+	// averaged payload is the extended vector of xdim = dim + syncedLen,
+	// extGlobal = [global | synced reference] and extWork per-worker
+	// extended rows (loadExt/storeExt marshal a worker's params + SyncAverage
+	// vectors through them). All averaging scratch (sumBuf, avgBuf, deltaBuf,
+	// mixBuf, CHOCO estimates, reconBuf) is sized xdim, so the state rides the
+	// same compression, payload accounting, and float32 wire narrowing as the
+	// parameters. With nothing synced the extension is empty: xdim == dim,
+	// extGlobal IS global, and loadExt hands back the replica's own
+	// parameters. ext says whether the extension is non-empty.
+	xdim      int
+	ext       bool
+	extGlobal []float64
+	extWork   [][]float64
 
 	delay *delaymodel.Model
 	slow  []float64 // per-worker compute slowdown factors
@@ -386,7 +392,7 @@ type Engine struct {
 	// Bytes are the communicator's scratch, rewritten by the next one — by
 	// which time lastReport has been replaced too). latHops/bytesFactor are
 	// the configured topology's schedule multipliers, fixed at construction.
-	com         comm.Communicator
+	com         *comm.Communicator
 	lastReport  comm.Report
 	latHops     float64
 	bytesFactor float64
@@ -433,24 +439,23 @@ type Engine struct {
 	mixBuf    []float64
 
 	evalModel *nn.Network // scratch replica for loss/accuracy evaluation
-	evalSet   *data.Dataset
 	testSet   *data.Dataset
 	evalBatch data.Batch
 	testBatch data.Batch
 
-	// Fault/membership state, allocated only when cfg.Faults.Enabled()
-	// (fltActive == nil is the fault-free sentinel every hot-path branch
-	// tests, so the legacy paths stay untouched and allocation-free):
+	// Membership view, always present: fault-free it is everyone up at
+	// transfer scale 1, and every strategy runs its one path over it.
 	// fltActive/fltDown are the round's membership view and its inverse
 	// (the delay model's mask convention), fltNActive its size, fltScale
 	// the per-worker transfer multipliers (slow-down episodes times drop
 	// retries), reconBytes the rejoin-reconcile payloads charged into the
 	// round's schedule, fltBytesBuf the schedule-bytes scratch that adds
-	// them in, reconBuf the reconcile delta scratch, and zeroRep the
-	// all-down round's empty transfer report. subGraph caches the induced
-	// active subgraph of the current gossip graph (re-derived only when
-	// the graph index or membership changes — subForIdx/subActive are the
-	// cache key) and subGamma its re-adapted consensus step.
+	// them in, and zeroRep the all-down round's empty transfer report.
+	// reconBuf, the reconcile delta scratch, exists only with a schedule
+	// (nobody rejoins without one). subGraph caches the induced active
+	// subgraph of the current gossip graph (re-derived only when the graph
+	// index or membership changes — subForIdx/subActive are the cache key)
+	// and subGamma its re-adapted consensus step.
 	fltActive   []bool
 	fltDown     []bool
 	fltNActive  int
@@ -532,7 +537,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		delay:     dm,
 		r:         root.Split(),
 		evalModel: proto.Clone(),
-		evalSet:   trainEval,
 		testSet:   test,
 		cfg:       cfg,
 	}
@@ -579,17 +583,16 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		w.sync = opt.SyncedVecs(w.opt)
 		e.workers = append(e.workers, w)
 	}
-	e.optReset = opt.HasResetState(e.workers[0].opt) || cfg.GlobalMomentum != 0
 	// Wire-visible synced state extends every averaged payload: xdim is
-	// the extended vector length all averaging scratch below is sized to
-	// (== dim without synced moments, leaving every legacy path untouched).
+	// the extended vector length all averaging scratch below is sized to.
+	// With nothing synced the extension is empty and extGlobal is global.
 	e.xdim = e.dim + opt.SyncedLen(e.workers[0].opt)
+	e.extGlobal = e.global
 	if e.xdim > e.dim {
 		e.ext = true
 		e.extGlobal = make([]float64, e.xdim)
 		copy(e.extGlobal, e.global)
 		e.global = e.extGlobal[:e.dim]
-		e.globalSync = e.extGlobal[e.dim:]
 		back := make([]float64, m*e.xdim)
 		e.extWork = make([][]float64, m)
 		for i := range e.extWork {
@@ -661,11 +664,8 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		e.meanVecs = make([][]float64, m)
 		e.repBytes = make([]int, m)
 		e.mixBuf = make([]float64, e.xdim)
-		init := e.global
-		if e.ext {
-			init = e.extGlobal // CHOCO estimates cover the synced state
-		}
-		e.gossip = newGossipState(m, init, cfg.GossipGamma, cfg.Compress.Lossless())
+		// CHOCO estimates cover the synced state.
+		e.gossip = newGossipState(m, e.extGlobal, cfg.GossipGamma, cfg.Compress.Lossless())
 		for i := range e.gossip.nodes {
 			e.gossip.nodes[i] = e.workers[i].model
 		}
@@ -673,27 +673,28 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		e.pullBuf = make([]float64, e.dim)
 		e.repBytes = make([]int, m)
 	}
-	// Fault state comes after every RNG-consuming allocation and draws
-	// nothing itself: the schedule is a pure function of (Seed, round), so
-	// attaching one cannot shift any existing stream. fltActive non-nil is
-	// the sentinel the hot paths test.
+	// The membership view starts with everyone up at transfer scale 1 and
+	// draws nothing: the schedule is a pure function of (Seed, round), so
+	// attaching one cannot shift any existing stream. Without a schedule it
+	// never changes.
+	if err := cfg.Faults.Validate(m); err != nil {
+		return nil, err
+	}
+	e.fltActive = make([]bool, m)
+	e.fltDown = make([]bool, m)
+	e.fltScale = make([]float64, m)
+	for i := range e.fltActive {
+		e.fltActive[i] = true
+		e.fltScale[i] = 1
+	}
+	e.fltNActive = m
+	e.reconBytes = make([]int, m)
+	e.fltBytesBuf = make([]int, m)
+	e.zeroRep = comm.Report{Bytes: make([]int, m)}
+	e.subForIdx = -1
+	e.subActive = make([]bool, m)
 	if cfg.Faults.Enabled() {
-		if err := cfg.Faults.Validate(m); err != nil {
-			return nil, err
-		}
-		e.fltActive = make([]bool, m)
-		for i := range e.fltActive {
-			e.fltActive[i] = true
-		}
-		e.fltDown = make([]bool, m)
-		e.fltNActive = m
-		e.fltScale = make([]float64, m)
-		e.reconBytes = make([]int, m)
-		e.fltBytesBuf = make([]int, m)
 		e.reconBuf = make([]float64, e.xdim)
-		e.zeroRep = comm.Report{Bytes: make([]int, m)}
-		e.subForIdx = -1
-		e.subActive = make([]bool, m)
 		if e.gmom != nil {
 			e.gmomPrev = make([]bool, m)
 			for i := range e.gmomPrev {
@@ -756,7 +757,7 @@ func (e *Engine) roundTime(steps int) (compute, comm float64) {
 		// Down workers' compute draws still happen (stream alignment: the
 		// round consumes the same RNG regardless of membership) but do not
 		// gate the round.
-		if e.fltDown != nil && e.fltDown[i] {
+		if e.fltDown[i] {
 			continue
 		}
 		if v := e.slow[i] * sum; v > mx {
@@ -766,17 +767,14 @@ func (e *Engine) roundTime(steps int) (compute, comm float64) {
 	if math.IsInf(mx, -1) {
 		mx = 0 // every worker down: the round is pure waiting
 	}
-	// Fault path: rejoin-reconcile payloads ride the round's schedule, down
-	// workers ship nothing, and slow-down/drop-retry factors multiply the
-	// survivors' transfers. Fault-free, both masks are nil.
-	bytes := e.lastReport.Bytes
-	if e.fltActive != nil {
-		for i := range e.fltBytesBuf {
-			e.fltBytesBuf[i] = bytes[i] + e.reconBytes[i]
-		}
-		bytes = e.fltBytesBuf
+	// Rejoin-reconcile payloads ride the round's schedule, down workers ship
+	// nothing, and slow-down/drop-retry factors multiply the survivors'
+	// transfers. Fault-free the payloads are 0, nobody is down and every
+	// factor is 1: the same schedule, priced to the same bit.
+	for i, b := range e.lastReport.Bytes {
+		e.fltBytesBuf[i] = b + e.reconBytes[i]
 	}
-	return mx, e.delay.SampleDRound(e.r, bytes, e.activeAdj, e.latHops, e.bytesFactor, e.fltDown, e.fltScale, e.linkTimes)
+	return mx, e.delay.SampleDRound(e.r, e.fltBytesBuf, e.activeAdj, e.latHops, e.bytesFactor, e.fltDown, e.fltScale, e.linkTimes)
 }
 
 // CommBytesPerRound returns the per-link payload charged for the most
@@ -837,7 +835,7 @@ func (e *Engine) localUpdates(steps int, lr float64) {
 
 // workerSteps is one worker's share of localUpdates.
 func (e *Engine) workerSteps(i, steps int, lr float64) {
-	if e.fltActive != nil && !e.fltActive[i] {
+	if !e.fltActive[i] {
 		return // down workers freeze: no steps, no sampler draws
 	}
 	w := e.workers[i]
@@ -849,11 +847,15 @@ func (e *Engine) workerSteps(i, steps int, lr float64) {
 	}
 }
 
-// loadExt marshals worker i's parameters followed by its SyncAverage
-// optimizer vectors into the worker's extended row and returns it. Only
-// called in ext mode (Opt.SyncedMoments).
+// loadExt returns worker i's extended vector: its parameters followed by
+// its SyncAverage optimizer vectors, marshalled into the worker's extended
+// row. With an empty extension that vector is the replica's own parameters,
+// returned as they are.
 func (e *Engine) loadExt(i int) []float64 {
 	w := e.workers[i]
+	if !e.ext {
+		return w.model.Params()
+	}
 	row := e.extWork[i]
 	copy(row[:e.dim], w.model.Params())
 	off := e.dim
@@ -865,7 +867,8 @@ func (e *Engine) loadExt(i int) []float64 {
 }
 
 // storeExt unmarshals an extended row back into worker i's replica and
-// SyncAverage optimizer vectors.
+// SyncAverage optimizer vectors: the one way an extended vector reaches a
+// worker.
 func (e *Engine) storeExt(i int, row []float64) {
 	w := e.workers[i]
 	w.model.SetParams(row[:e.dim])
@@ -876,20 +879,10 @@ func (e *Engine) storeExt(i int, row []float64) {
 	}
 }
 
-// resetWorkerOpt applies the reset-at-averaging discipline: local
-// SyncReset-policy state (heavy-ball buffers, Adam first moments) restarts
-// whenever the rule carries any, or when a global-momentum buffer filters
-// the sync (paper Sec 5.3.1 / SlowMo practice).
-func (e *Engine) resetWorkerOpt(w *worker) {
-	if e.optReset {
-		w.opt.SyncReset()
-	}
-}
-
 // average synchronizes the replicas according to the configured strategy
 // and refreshes e.global (the model that evaluation and AdaComm observe).
 func (e *Engine) average() {
-	if e.fltActive != nil && e.fltNActive == 0 {
+	if e.fltNActive == 0 {
 		// Every worker is down: nothing is exchanged, the global model and
 		// all replicas stand, and the gossip sequence does not advance (no
 		// synchronization happened).
@@ -916,31 +909,23 @@ func (e *Engine) averageFull() {
 	if e.cfg.Compress.Enabled() {
 		e.compressedDeltaMean(avg)
 	} else {
-		// Uncompressed: each worker contributes its dense parameter vector
-		// as a lossless wire message (extended with its synced optimizer
-		// state in ext mode); the communicator sums them in worker order,
+		// Uncompressed: each worker contributes its dense extended vector as
+		// a lossless wire message; the communicator sums them in worker order,
 		// which keeps the arithmetic bit-identical to the pre-comm-layer
 		// tensor.Mean. This is one of the two places where uncompressed is
 		// not the identity wire: a mean of vectors and the identity's
 		// reference plus a mean of deltas round differently, and goldens pin
 		// both. Under faults the communicator skips inactive contributions
 		// and the mean renormalizes over the survivors.
-		for i, w := range e.workers {
-			vec := w.model.Params()
-			if e.ext {
-				vec = e.loadExt(i)
-			}
-			e.msgBuf[i] = compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: vec}
+		for i := range e.workers {
+			e.msgBuf[i] = compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: e.loadExt(i)}
 		}
 		rep, err := e.com.AllReduce(e.msgBuf, e.sumBuf)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: all-reduce: %v", err))
 		}
 		e.lastReport = rep
-		inv := 1 / float64(e.m)
-		if e.fltActive != nil {
-			inv = 1 / float64(e.fltNActive)
-		}
+		inv := 1 / float64(e.fltNActive)
 		for j := range avg {
 			avg[j] = e.sumBuf[j] * inv
 		}
@@ -957,25 +942,16 @@ func (e *Engine) averageFull() {
 	} else {
 		copy(e.global, avg[:e.dim])
 	}
-	if e.ext {
-		copy(e.globalSync, avg[e.dim:])
-	}
+	copy(e.extGlobal[e.dim:], avg[e.dim:])
 
 	for i, w := range e.workers {
-		if e.fltActive != nil && !e.fltActive[i] {
+		if !e.fltActive[i] {
 			continue // down replicas keep their stale state until rejoin
 		}
-		w.model.SetParams(e.global)
-		if e.ext {
-			off := 0
-			for _, v := range w.sync {
-				copy(v, e.globalSync[off:off+len(v)])
-				off += len(v)
-			}
-		}
+		e.storeExt(i, e.extGlobal)
 		// Restart local SyncReset state after averaging so the stale local
 		// buffer cannot side-track the first post-sync step (Sec 5.3.1).
-		e.resetWorkerOpt(w)
+		w.opt.SyncReset()
 	}
 }
 
@@ -988,19 +964,15 @@ func (e *Engine) averageFull() {
 // engine's own streams, outside the fanned-out local-update phase, which is
 // why the compute pool stays bitwise identical under every compressor.
 func (e *Engine) compressedDeltaMean(avg []float64) {
-	for i, w := range e.workers {
-		if e.fltActive != nil && !e.fltActive[i] {
+	for i := range e.workers {
+		if !e.fltActive[i] {
 			// Down workers contribute nothing and their compressor state
 			// (error-feedback residual, stochastic stream) freezes with them.
 			// The slot keeps its last message, storage and all: the
 			// communicator skips inactive workers without reading it.
 			continue
 		}
-		if e.ext {
-			tensor.Sub(e.deltaBuf, e.loadExt(i), e.extGlobal)
-		} else {
-			tensor.Sub(e.deltaBuf, w.model.Params(), e.global)
-		}
+		tensor.Sub(e.deltaBuf, e.loadExt(i), e.extGlobal)
 		if err := e.comps[i].CompressInto(e.deltaBuf, &e.msgBuf[i]); err != nil {
 			panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
 		}
@@ -1010,14 +982,7 @@ func (e *Engine) compressedDeltaMean(avg []float64) {
 		panic(fmt.Sprintf("cluster: all-reduce: %v", err))
 	}
 	e.lastReport = rep
-	inv := 1 / float64(e.m)
-	if e.fltActive != nil {
-		inv = 1 / float64(e.fltNActive)
-	}
-	base := e.global
-	if e.ext {
-		base = e.extGlobal
-	}
+	inv, base := 1/float64(e.fltNActive), e.extGlobal
 	for j := range avg {
 		avg[j] = base[j] + e.sumBuf[j]*inv
 	}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"slices"
+
 	"repro/internal/compress"
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -8,18 +10,19 @@ import (
 
 // This file is the engine side of fault injection (internal/faults): the
 // per-round membership refresh, the rejoin reconciliation, and the induced
-// active-subgraph cache gossip mixes on. Everything here is gated on
-// e.fltActive != nil — the sentinel New sets only when a schedule is
-// attached — and consumes no RNG, so the fault-free engine is untouched
-// down to the bit.
+// active-subgraph cache gossip mixes on. The membership view always exists;
+// without a schedule it stays everyone-up at transfer scale 1, and nothing
+// here consumes RNG, so a fault-free run is the fault path with nobody down.
 
 // beginRound refreshes the round's membership view from the fault schedule:
 // the active set (installed into the communicator), the down mask and the
 // per-worker transfer multipliers roundTime charges, and the reconciliation
 // pulls of workers rejoining after a blip. Run calls it at the top of every
-// round; the manual StepLocal/SyncNow drivers do not.
+// round; the manual StepLocal/SyncNow drivers do not. Without a schedule the
+// view cannot change, so the refresh is skipped outright: the per-worker
+// queries, and a dim-wide x1 renormalise of the shared momentum buffer.
 func (e *Engine) beginRound(round int) {
-	if e.fltActive == nil {
+	if !e.cfg.Faults.Enabled() {
 		return
 	}
 	e.fltNActive = e.cfg.Faults.ActiveInto(round, e.fltActive)
@@ -74,25 +77,12 @@ func (e *Engine) beginRound(round int) {
 // message is a delta from shared state, not from a pre-crash ghost.
 func (e *Engine) reconcile(i int) {
 	w := e.workers[i]
-	ref := e.global
-	if e.ext {
-		ref = e.extGlobal
-		tensor.Sub(e.reconBuf, ref, e.loadExt(i))
-	} else {
-		tensor.Sub(e.reconBuf, ref, w.model.Params())
-	}
+	tensor.Sub(e.reconBuf, e.extGlobal, e.loadExt(i))
 	msg := compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: e.reconBuf}
 	pay := e.com.Pull(i, msg.Bytes())
 	e.reconBytes[i] = pay.DownBytes
-	w.model.SetParams(e.global)
-	if e.ext {
-		off := 0
-		for _, v := range w.sync {
-			copy(v, e.globalSync[off:off+len(v)])
-			off += len(v)
-		}
-	}
-	e.resetWorkerOpt(w)
+	e.storeExt(i, e.extGlobal)
+	w.opt.SyncReset()
 	if e.cfg.Opt.Adaptive() {
 		w.opt.AlignSteps(e.optSteps)
 	}
@@ -100,8 +90,8 @@ func (e *Engine) reconcile(i int) {
 		e.gmoms[i].Reset()
 	}
 	if e.gossip != nil {
-		copy(e.gossip.hat[i], ref)
-		copy(e.gossip.proj[i], ref)
+		copy(e.gossip.hat[i], e.extGlobal)
+		copy(e.gossip.proj[i], e.extGlobal)
 	}
 }
 
@@ -116,10 +106,10 @@ func (e *Engine) reconcile(i int) {
 // matches the graph actually mixed on.
 func (e *Engine) activeGossipGraph() (*graph.Graph, int) {
 	g, idx := e.nextGossipGraph()
-	if e.fltActive == nil || e.fltNActive == e.m {
+	if e.fltNActive == e.m {
 		return g, idx
 	}
-	if idx != e.subForIdx || !boolsEqual(e.subActive, e.fltActive) {
+	if idx != e.subForIdx || !slices.Equal(e.subActive, e.fltActive) {
 		e.subGraph = g.Subgraph(e.fltActive)
 		e.subForIdx = idx
 		copy(e.subActive, e.fltActive)
@@ -127,14 +117,4 @@ func (e *Engine) activeGossipGraph() (*graph.Graph, int) {
 	}
 	e.activeAdj = e.subGraph.Adjacency()
 	return e.subGraph, idx
-}
-
-// boolsEqual reports whether two equal-length masks match.
-func boolsEqual(a, b []bool) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -19,6 +19,22 @@ func mustFaults(t *testing.T, spec string) *faults.Schedule {
 	return s
 }
 
+// faultFreeSchedules are the three ways to attach no fault: no schedule, an
+// empty one, and one whose every event lies beyond any test's horizon. The
+// golden tables run each fault-free row under all three against one hash.
+func faultFreeSchedules(t *testing.T) []namedSchedule {
+	return []namedSchedule{
+		{"nil", nil},
+		{"empty", mustFaults(t, "  ")},
+		{"beyond", mustFaults(t, "crash:0@r100000,slow:1x4@r100000-100010,drop:0")},
+	}
+}
+
+type namedSchedule struct {
+	name  string
+	sched *faults.Schedule
+}
+
 func floatsExact(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

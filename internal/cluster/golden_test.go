@@ -64,21 +64,43 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 	topk := base
 	topk.Compress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true}
 
+	// Synced Adam extends every averaged payload by the second moment: the
+	// raw mean and the compressed delta mean over the extended vector.
+	adam := base
+	adam.Opt = opt.Config{Rule: opt.RuleAdam, SyncedMoments: true}
+
+	adamQSGD := adam
+	adamQSGD.Compress = compress.Spec{Kind: compress.KindQSGD, Bits: 4}
+
+	elasticTopK := elastic
+	elasticTopK.Compress = topk.Compress
+
+	const churn = "blip:1@r10-30,drop:0.1"
+
 	cases := []struct {
 		name      string
 		cfg       Config
 		bandwidth float64
+		faults    string // "" runs under every fault-free schedule
 		params    uint64
 		trace     uint64
 		finalTime float64
 	}{
-		{"full", base, 0, 0x40ee2aeb9872f8f8, 0x65f220237db69c2c, 480},
-		{"ring", ring, 0, 0x209d53efaf08115d, 0xf96320afb58a2d19, 480},
-		{"ring/identity", ringIdentity, 0, 0x209d53efaf08115d, 0xf96320afb58a2d19, 480},
-		{"elastic", elastic, 0, 0xf4d594bd9ed3bc7b, 0x909d5859bae12b34, 480},
-		{"blockmom", blockmom, 0, 0x6d9e57e85c55acd4, 0x992565660d92cfc4, 480},
-		{"bw64-dense", base, 64, 0x40ee2aeb9872f8f8, 0xc904431c23792786, 920},
-		{"topk-ef", topk, 0, 0x3b418a62fdd09c91, 0x2cd5fc15c5a7b0b2, 480},
+		{"full", base, 0, "", 0x40ee2aeb9872f8f8, 0x65f220237db69c2c, 480},
+		{"ring", ring, 0, "", 0x209d53efaf08115d, 0xf96320afb58a2d19, 480},
+		{"ring/identity", ringIdentity, 0, "", 0x209d53efaf08115d, 0xf96320afb58a2d19, 480},
+		{"elastic", elastic, 0, "", 0xf4d594bd9ed3bc7b, 0x909d5859bae12b34, 480},
+		{"blockmom", blockmom, 0, "", 0x6d9e57e85c55acd4, 0x992565660d92cfc4, 480},
+		{"bw64-dense", base, 64, "", 0x40ee2aeb9872f8f8, 0xc904431c23792786, 920},
+		{"topk-ef", topk, 0, "", 0x3b418a62fdd09c91, 0x2cd5fc15c5a7b0b2, 480},
+		// Captured while the fault-free engine and the unsynced payload still
+		// ran code paths of their own, behind nil-schedule and no-extension
+		// sentinels.
+		{"full/adam-synced", adam, 0, "", 0xb6a3dc0b0682ef3c, 0x7df96878f61c4cbe, 480},
+		{"full/adam-synced-qsgd4", adamQSGD, 0, "", 0xc656c20a4f78396b, 0xecda5f772d4adcc7, 480},
+		{"full/adam-synced-bw64-churn", adam, 64, churn, 0xa21a1e1cb5ec9222, 0x6fde0704767f2e02, 1679},
+		{"full/adam-synced-qsgd4-bw64-churn", adamQSGD, 64, churn, 0x74bfc478e5a44106, 0x8567df4d1ef14612, 597.3125},
+		{"elastic/topk-ef-bw64-slow", elasticTopK, 64, "slow:2x4@r10-30", 0x9da97c0fe7304cd6, 0x1ce934cbdec9dce4, 774.9375},
 	}
 	// Every golden case must hold under both the legacy serial local-update
 	// loop and the fanned-out compute pool: workers are independent between
@@ -91,21 +113,30 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 		{"/pool4", 4},
 	} {
 		for _, tc := range cases {
-			cfg := tc.cfg
-			cfg.ComputeWorkers = pool.workers
+			scheds := []namedSchedule{{"churn", mustFaults(t, tc.faults)}}
+			if tc.faults == "" {
+				scheds = faultFreeSchedules(t)
+			}
 			t.Run(tc.name+pool.suffix, func(t *testing.T) {
-				s := newSetup(t, 4, 1)
-				s.dm.Bandwidth = tc.bandwidth
-				e := s.engine(t, cfg)
-				tr := e.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, tc.name)
-				if got := hashParams(e.GlobalParams()); got != tc.params {
-					t.Errorf("params hash %#016x, golden %#016x", got, tc.params)
-				}
-				if got := hashTrace(tr); got != tc.trace {
-					t.Errorf("trace hash %#016x, golden %#016x", got, tc.trace)
-				}
-				if got := tr.Last().Time; got != tc.finalTime {
-					t.Errorf("final time %v, golden %v", got, tc.finalTime)
+				for _, f := range scheds {
+					cfg := tc.cfg
+					cfg.ComputeWorkers = pool.workers
+					cfg.Faults = f.sched
+					t.Run(f.name, func(t *testing.T) {
+						s := newSetup(t, 4, 1)
+						s.dm.Bandwidth = tc.bandwidth
+						e := s.engine(t, cfg)
+						tr := e.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, tc.name)
+						if got := hashParams(e.GlobalParams()); got != tc.params {
+							t.Errorf("params hash %#016x, golden %#016x", got, tc.params)
+						}
+						if got := hashTrace(tr); got != tc.trace {
+							t.Errorf("trace hash %#016x, golden %#016x", got, tc.trace)
+						}
+						if got := tr.Last().Time; got != tc.finalTime {
+							t.Errorf("final time %v, golden %v", got, tc.finalTime)
+						}
+					})
 				}
 			})
 		}

@@ -225,7 +225,7 @@ func (e *Engine) averageRing() {
 	g := e.gossip
 	maxBytes := 0
 	for i, node := range g.nodes {
-		if e.fltDown != nil && e.fltDown[i] {
+		if e.fltDown[i] {
 			// Down nodes send nothing; their estimates (and compressor
 			// streams) freeze with them until reconcile re-pins them.
 			e.repBytes[i] = 0
@@ -265,14 +265,14 @@ func (e *Engine) averageRing() {
 	gamma := g.gamma
 	if e.gammas != nil {
 		gamma = e.gammas[idx]
-		if e.fltActive != nil && e.fltNActive < e.m {
+		if e.fltNActive < e.m {
 			// AdaptGossipGamma re-adapts on every membership change: the
 			// consensus step follows the ACTIVE subgraph's spectral gap.
 			gamma = e.subGamma
 		}
 	}
 	for i, node := range g.nodes {
-		if e.fltDown != nil && e.fltDown[i] {
+		if e.fltDown[i] {
 			continue
 		}
 		dst := node.Params()
@@ -286,7 +286,7 @@ func (e *Engine) averageRing() {
 			// identity must stay exact — gamma*x̂ + (x - gamma*x̂) is not
 			// a bitwise no-op.
 			copy(prj, hs)
-			e.resetWorkerOpt(e.workers[i])
+			e.workers[i].opt.SyncReset()
 			continue
 		}
 		mix := e.mixBuf
@@ -308,36 +308,25 @@ func (e *Engine) averageRing() {
 				copy(prj[:e.dim], post[:e.dim])
 			}
 		}
-		if e.ext {
-			e.storeExt(i, post)
-		} else {
-			e.workers[i].model.SetParams(post[:e.dim])
-		}
-		e.resetWorkerOpt(e.workers[i])
+		e.storeExt(i, post)
+		e.workers[i].opt.SyncReset()
 	}
 	e.lastReport = comm.Report{Bytes: e.repBytes, Max: maxBytes}
 	// The evaluation model is the mean of the PROJECTED post-mix estimates
 	// x̃_i = x̂_i + gamma*(mix_i - x̂_i): every term comes off the wire, and
 	// the projection applies the same mixing expression the replicas do, so
 	// on a lossless wire (x̂_i == x_i exactly) the evaluated model is the
-	// post-mix replica mean. Under churn the mean covers the active
-	// estimates only (average() already guaranteed at least one).
-	dst := e.global
-	if e.ext {
-		dst = e.extGlobal // refresh the synced-state reference too
-	}
-	if e.fltActive == nil {
-		tensor.Mean(dst, g.proj...)
-	} else {
-		k := 0
-		for i := range g.proj {
-			if e.fltActive[i] {
-				e.meanVecs[k] = g.proj[i]
-				k++
-			}
+	// post-mix replica mean. The mean covers the active estimates (average()
+	// already guaranteed at least one) and refreshes the synced-state
+	// reference too.
+	k := 0
+	for i := range g.proj {
+		if e.fltActive[i] {
+			e.meanVecs[k] = g.proj[i]
+			k++
 		}
-		tensor.Mean(dst, e.meanVecs[:k]...)
 	}
+	tensor.Mean(e.extGlobal, e.meanVecs[:k]...)
 }
 
 // averageElastic applies the EASGD update: x_i <- x_i - alpha(x_i - z),
@@ -354,7 +343,7 @@ func (e *Engine) averageElastic() {
 	}
 	maxBytes := 0
 	for i, w := range e.workers {
-		if e.fltDown != nil && e.fltDown[i] {
+		if e.fltDown[i] {
 			e.repBytes[i] = 0 // down replicas neither push nor get pulled
 			continue
 		}
@@ -386,12 +375,9 @@ func (e *Engine) averageElastic() {
 		if pay.UpBytes > maxBytes {
 			maxBytes = pay.UpBytes
 		}
-		e.resetWorkerOpt(w)
+		w.opt.SyncReset()
 	}
-	n := float64(e.m)
-	if e.fltActive != nil {
-		n = float64(e.fltNActive) // the center moves toward the SURVIVORS' mean
-	}
-	tensor.Axpy(beta/n, centerPull, e.global)
+	// The center moves toward the SURVIVORS' mean.
+	tensor.Axpy(beta/float64(e.fltNActive), centerPull, e.global)
 	e.lastReport = comm.Report{Bytes: e.repBytes, Max: maxBytes}
 }

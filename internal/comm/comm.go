@@ -54,9 +54,13 @@ type Report struct {
 //     (the neighbor-addressed exchange decentralized gossip uses).
 //   - Pull accounts for one worker receiving a payload from the root.
 //
-// Implementations must be deterministic: aggregation happens in fixed worker
-// order, which is what keeps the cluster engine bitwise identical at any
-// compute-pool width.
+// It is deterministic: aggregation happens in fixed worker order, which is
+// what keeps the cluster engine bitwise identical at any compute-pool width.
+// Apart from its shape, the installed membership view and the scratch behind
+// the last AllReduce's Report it is stateless, so one instance may serve any
+// number of rounds; it owns no RNG and therefore never perturbs the engines'
+// random streams. The topology itself only carries pricing multipliers
+// (LatencyHops/BytesFactor), which callers read at construction time.
 //
 // The communicator also carries the round's MEMBERSHIP VIEW: SetActive
 // installs which workers currently exist (crashed and blipped-out workers
@@ -66,40 +70,7 @@ type Report struct {
 // silently averaging stale state. Membership POLICY (who is down when,
 // retry and timeout pricing) lives in internal/faults and the engines; the
 // communicator only enforces the view it is handed.
-type Communicator interface {
-	// AllReduce zeroes sum, accumulates every message's reconstruction into
-	// it in worker order (sparse index-merge), and returns the round's
-	// transfer Report, whose Bytes are communicator-owned scratch valid
-	// until the next AllReduce. Inactive workers' messages are skipped: they
-	// add nothing and ship zero bytes (callers renormalize by ActiveCount).
-	AllReduce(msgs []compress.Message, sum []float64) (Report, error)
-	// SetActive installs the active worker set for subsequent calls. nil
-	// restores the full membership (the legacy fixed-m view); otherwise
-	// len(active) must equal the worker count. The slice is caller-owned
-	// and copied.
-	SetActive(active []bool)
-	// ActiveCount returns the size of the current active set.
-	ActiveCount() int
-	// Push decodes worker's message into dst (overwriting it) and returns
-	// the transfer's Payload.
-	Push(worker int, msg compress.Message, dst []float64) (Payload, error)
-	// PushMulti sends worker's message to each listed peer in one
-	// overlapped hop, decoding it once into dst (every peer reconstructs
-	// the identical payload). The transfer is charged the message bytes
-	// once — the legacy single-overlapped-hop pricing gossip strategies
-	// use, where a node's broadcast to its neighbors overlaps on its link.
-	PushMulti(worker int, peers []int, msg compress.Message, dst []float64) (Payload, error)
-	// Pull accounts for worker receiving bytes from the aggregation root.
-	Pull(worker int, bytes int) Payload
-}
-
-// Simulated is the in-process Communicator used by the whole simulator.
-// Apart from its shape, the installed membership view and the scratch behind
-// the last AllReduce's Report it is stateless, so one instance may serve any
-// number of rounds; it owns no RNG and therefore never perturbs the engines'
-// random streams. The topology itself only carries pricing multipliers
-// (LatencyHops/BytesFactor), which callers read at construction time.
-type Simulated struct {
+type Communicator struct {
 	topo     Topology
 	m        int
 	active   []bool // nil = everyone (the legacy fixed-m view)
@@ -108,15 +79,18 @@ type Simulated struct {
 }
 
 // New builds a communicator for m workers on the given topology.
-func New(topo Topology, m int) *Simulated {
+func New(topo Topology, m int) *Communicator {
 	if m < 1 {
 		panic("comm: need at least one worker")
 	}
-	return &Simulated{topo: topo, m: m, nActive: m, repBytes: make([]int, m)}
+	return &Communicator{topo: topo, m: m, nActive: m, repBytes: make([]int, m)}
 }
 
-// SetActive implements Communicator.
-func (c *Simulated) SetActive(active []bool) {
+// SetActive installs the active worker set for subsequent calls. nil
+// restores the full membership (the legacy fixed-m view); otherwise
+// len(active) must equal the worker count. The slice is caller-owned and
+// copied.
+func (c *Communicator) SetActive(active []bool) {
 	if active == nil {
 		c.active = nil
 		c.nActive = c.m
@@ -138,18 +112,19 @@ func (c *Simulated) SetActive(active []bool) {
 	c.nActive = n
 }
 
-// ActiveCount implements Communicator.
-func (c *Simulated) ActiveCount() int { return c.nActive }
+// ActiveCount returns the size of the current active set.
+func (c *Communicator) ActiveCount() int { return c.nActive }
 
 // isActive reports whether worker i is in the current active set.
-func (c *Simulated) isActive(i int) bool { return c.active == nil || c.active[i] }
+func (c *Communicator) isActive(i int) bool { return c.active == nil || c.active[i] }
 
-// AllReduce implements Communicator. Messages are accumulated in worker
-// order; sparse messages merge by index in O(k) each. With an active set
-// installed, inactive workers' messages are skipped entirely (zero
-// contribution, zero bytes). The returned Report's Bytes are overwritten by
-// the next call.
-func (c *Simulated) AllReduce(msgs []compress.Message, sum []float64) (Report, error) {
+// AllReduce zeroes sum, accumulates every message's reconstruction into it
+// in worker order (sparse messages merge by index in O(k) each), and returns
+// the round's transfer Report, whose Bytes are communicator-owned scratch
+// valid until the next AllReduce. Inactive workers' messages are skipped:
+// they add nothing and ship zero bytes (callers renormalize by the active
+// count).
+func (c *Communicator) AllReduce(msgs []compress.Message, sum []float64) (Report, error) {
 	if len(msgs) != c.m {
 		return Report{}, fmt.Errorf("comm: %d messages for %d workers", len(msgs), c.m)
 	}
@@ -174,8 +149,9 @@ func (c *Simulated) AllReduce(msgs []compress.Message, sum []float64) (Report, e
 	return rep, nil
 }
 
-// Push implements Communicator.
-func (c *Simulated) Push(worker int, msg compress.Message, dst []float64) (Payload, error) {
+// Push decodes worker's message into dst (overwriting it) and returns the
+// transfer's Payload.
+func (c *Communicator) Push(worker int, msg compress.Message, dst []float64) (Payload, error) {
 	if worker < 0 || worker >= c.m {
 		return Payload{}, fmt.Errorf("comm: worker %d out of [0,%d)", worker, c.m)
 	}
@@ -188,8 +164,12 @@ func (c *Simulated) Push(worker int, msg compress.Message, dst []float64) (Paylo
 	return Payload{UpBytes: msg.Bytes()}, nil
 }
 
-// PushMulti implements Communicator.
-func (c *Simulated) PushMulti(worker int, peers []int, msg compress.Message, dst []float64) (Payload, error) {
+// PushMulti sends worker's message to each listed peer in one overlapped
+// hop, decoding it once into dst (every peer reconstructs the identical
+// payload). The transfer is charged the message bytes once — the legacy
+// single-overlapped-hop pricing gossip strategies use, where a node's
+// broadcast to its neighbors overlaps on its link.
+func (c *Communicator) PushMulti(worker int, peers []int, msg compress.Message, dst []float64) (Payload, error) {
 	if worker < 0 || worker >= c.m {
 		return Payload{}, fmt.Errorf("comm: worker %d out of [0,%d)", worker, c.m)
 	}
@@ -220,7 +200,7 @@ func (c *Simulated) PushMulti(worker int, peers []int, msg compress.Message, dst
 	return Payload{UpBytes: msg.Bytes()}, nil
 }
 
-// Pull implements Communicator.
-func (c *Simulated) Pull(worker int, bytes int) Payload {
+// Pull accounts for worker receiving bytes from the aggregation root.
+func (c *Communicator) Pull(worker int, bytes int) Payload {
 	return Payload{DownBytes: bytes}
 }

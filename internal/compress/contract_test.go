@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -8,10 +9,15 @@ import (
 	"repro/internal/rng"
 )
 
-// contractSpecs is every scheme with every wrapper combination.
+// contractSpecs is every scheme, QSGD at every bit width, with every wrapper
+// combination.
 func contractSpecs() []string {
+	bases := []string{"identity", "topk:0.1", "randk:0.1"}
+	for b := 1; b <= 8; b++ {
+		bases = append(bases, fmt.Sprintf("qsgd:%d", b))
+	}
 	var specs []string
-	for _, base := range []string{"identity", "topk:0.1", "randk:0.1", "qsgd:4"} {
+	for _, base := range bases {
 		for _, mod := range []string{"", "+ef", "+f32", "+ef+f32"} {
 			specs = append(specs, base+mod)
 		}
@@ -211,6 +217,73 @@ func TestCompressIntoSteadyStateAllocFree(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(20, func() { c.CompressInto(vec, msg) }); n != 0 {
 				t.Errorf("%s dim=%d: %v allocs per steady-state CompressInto, want 0", spec, dim, n)
+			}
+		}
+	}
+}
+
+// specialValues are the inputs a wire must carry without a special case:
+// both zeros, subnormals, the extremes, both infinities and NaN.
+var specialValues = []float64{
+	0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+	0x1p-1030, -0x1p-1030, math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// specialVec is a normal vector with special values planted: round r puts
+// specialValues[r] first, then one of them at every seventh coordinate.
+func specialVec(dim int, round int) []float64 {
+	v := testVec(dim, uint64(31*dim+round))
+	for i := 0; i < dim; i += 7 {
+		v[i] = specialValues[(round+i/7)%len(specialValues)]
+	}
+	return v
+}
+
+// TestDecodeMatchesAddDecodedIntoZeros is the decode differential and the
+// byte-accounting check over every spec form, on inputs with ±0, subnormals,
+// ±Inf and NaN: Decode(msg) must equal AddDecoded(msg, zeros) value for
+// value (NaN matching NaN), and msg.Bytes() must be spec.WireBytes(dim) —
+// the parameter server prices every push from WireBytes before any gradient
+// exists. The one difference the add may introduce is the sign of a zero:
+// +0 + -0 is +0, so a -0 Decode writes can come back +0.
+func TestDecodeMatchesAddDecodedIntoZeros(t *testing.T) {
+	for _, str := range contractSpecs() {
+		spec, err := ParseSpec(str)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dim := range []int{1, 7, 650, 16400} {
+			c := mustNew(t, str, 5)
+			dec, add := make([]float64, dim), make([]float64, dim)
+			msg := new(Message)
+			for round := 0; round < len(specialValues)+1; round++ {
+				vec := testVec(dim, uint64(dim+round))
+				if round > 0 {
+					vec = specialVec(dim, round-1)
+				}
+				if err := c.CompressInto(vec, msg); err != nil {
+					t.Fatalf("%s dim=%d round %d: %v", str, dim, round, err)
+				}
+				if got, want := msg.Bytes(), spec.WireBytes(dim); got != want {
+					t.Fatalf("%s dim=%d round %d: message is %d bytes, WireBytes says %d", str, dim, round, got, want)
+				}
+				if err := Decode(*msg, dec); err != nil {
+					t.Fatal(err)
+				}
+				clear(add)
+				if err := AddDecoded(*msg, add); err != nil {
+					t.Fatal(err)
+				}
+				for i := range dec {
+					d, a := dec[i], add[i]
+					same := math.Float64bits(d) == math.Float64bits(a) ||
+						(math.IsNaN(d) && math.IsNaN(a)) ||
+						(d == 0 && a == 0 && !math.Signbit(a))
+					if !same {
+						t.Fatalf("%s dim=%d round %d coord %d: Decode %v, AddDecoded into zeros %v", str, dim, round, i, d, a)
+					}
+				}
 			}
 		}
 	}

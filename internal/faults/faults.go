@@ -17,6 +17,19 @@
 // and event-driven engines. Membership policy lives here; the mechanism
 // (who a collective skips, how a mean renormalizes) lives in the engines
 // and internal/comm.
+//
+// Absent is empty, not nil: a nil, empty or beyond-horizon schedule answers
+// every query with the identity — Down false, DownAt empty, TransferScale
+// exactly 1, Validate nil — so every engine keeps one membership view and
+// runs one path over it, and a fault-free run is the fault path with
+// everyone up. What a schedule drives: a down worker skips local updates and
+// exchange (lock-step means renormalize over the survivors, gossip mixes on
+// the induced active subgraph); transfers are charged TransferScale, the
+// slow-down factor times (1 + seeded retries); a worker rejoining after a
+// blip pulls a priced dense delta and snaps to the global model (the async
+// engine and the parameter server park down clients, expire their in-flight
+// work, and let the dispatch-time pull be the reconcile); with everyone down
+// a lock-step round is inert and an event loop drains.
 package faults
 
 import (
@@ -73,16 +86,16 @@ const maxRetries = 8
 
 // Schedule is a parsed, validated fault schedule. The zero value (and
 // nil) is the empty schedule: no worker is ever down, no link is ever
-// scaled, no exchange is ever dropped, and Enabled reports false so
-// engines keep their untouched legacy code paths.
+// scaled, no exchange is ever dropped, and Enabled reports false.
 type Schedule struct {
 	events []Event
 	drop   float64
 }
 
-// Enabled reports whether the schedule can ever perturb a run. Engines
-// gate every fault-aware branch on this, which is what keeps fault-free
-// configurations bit-identical to the pre-fault code.
+// Enabled reports whether the schedule has any event or drop probability.
+// Engines need not ask: every query already answers a disabled schedule with
+// the identity. They use it only to skip per-round work such a schedule
+// cannot change.
 func (s *Schedule) Enabled() bool {
 	return s != nil && (len(s.events) > 0 || s.drop > 0)
 }

@@ -1,6 +1,6 @@
 // Package opt is the first-class optimizer layer: the per-worker local
 // update rule (plain SGD, heavy-ball and Nesterov momentum, Local Adam)
-// factored out of the engines behind one interface, plus the
+// factored out of the engines into one type, Optimizer, plus the
 // slow/global momentum applied at sync points (global.go). Every rule owns
 // its state as enumerable named vectors with an explicit sync policy, so
 // the engines can reset, average, or ship that state over the wire without
@@ -15,6 +15,19 @@
 // internal/sgd update arithmetic bit for bit; engines preallocate all
 // state at construction (New takes the dimension) so a warm Step performs
 // zero heap allocations.
+//
+// The engines call SyncReset on every worker at every averaging point; on
+// plain SGD it touches nothing. SyncAverage vectors make every averaged
+// payload the extended vector of dim + SyncedLen coordinates, parameters
+// then synced state, riding one wire; with nothing synced the extension is
+// empty and the same path carries the parameters alone. Adam keeps two step
+// clocks: tm restarts with the first moment at every sync, tv runs on for
+// the second moment's bias correction, and AlignSteps lets a rejoining
+// worker match a never-crashed one bit for bit. A synced second moment that
+// crossed a lossy wire can dip below zero, so Step clamps the square root's
+// argument at 0; aggressive QSGD on the extended vector is unstable anyway
+// (v is tiny beside the parameter deltas sharing its norm). The async engine
+// rejects adaptive rules: per-client moments are Theta(clients*dim) state.
 package opt
 
 import (
@@ -242,33 +255,9 @@ type State struct {
 
 // Optimizer performs in-place updates on a model's flat parameters and
 // exposes its state vectors for the engines to reset, average, or restore.
-type Optimizer interface {
-	// Step applies one update x -= lr * d(g). grad is not modified.
-	Step(params, grad []float64)
-	// SetLR changes the learning rate used by subsequent steps.
-	SetLR(lr float64)
-	// Config returns the (default-filled) configuration.
-	Config() Config
-	// State enumerates the state vectors. The returned slice and the
-	// vectors it aliases are stable across calls.
-	State() []State
-	// SyncReset zeroes every SyncReset-policy vector and the step counter
-	// behind Adam's first-moment bias correction. Called by the engines at
-	// averaging points.
-	SyncReset()
-	// ResetState zeroes all state vectors and counters.
-	ResetState()
-	// Steps returns the total Step count (Adam's second-moment bias
-	// correction clock; survives SyncReset).
-	Steps() int
-	// AlignSteps overwrites the total Step count — rejoin reconciliation
-	// uses it to re-derive a recovered worker's bias-correction clock.
-	AlignSteps(n int)
-}
-
-// optimizer is the single implementation behind New: one struct, with the
-// per-rule branch inside Step, so all rules share arena and sync plumbing.
-type optimizer struct {
+// One struct serves every rule, with the per-rule branch inside Step, so all
+// rules share arena and sync plumbing.
+type Optimizer struct {
 	cfg   Config
 	buf   []float64 // heavy-ball / Nesterov momentum buffer
 	m     []float64 // Adam first moment
@@ -281,11 +270,11 @@ type optimizer struct {
 // New builds an optimizer for a parameter vector of the given length,
 // preallocating every state arena so Step never allocates. Zero Adam
 // hyperparameters are filled with the package defaults.
-func New(cfg Config, dim int) Optimizer {
+func New(cfg Config, dim int) *Optimizer {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	o := &optimizer{cfg: cfg}
+	o := &Optimizer{cfg: cfg}
 	switch cfg.Rule {
 	case RuleMomentum, RuleNesterov:
 		o.buf = make([]float64, dim)
@@ -311,13 +300,29 @@ func New(cfg Config, dim int) Optimizer {
 	return o
 }
 
-func (o *optimizer) Config() Config   { return o.cfg }
-func (o *optimizer) SetLR(lr float64) { o.cfg.LR = lr }
-func (o *optimizer) State() []State   { return o.state }
-func (o *optimizer) Steps() int       { return o.tv }
-func (o *optimizer) AlignSteps(n int) { o.tv = n }
+// Config returns the (default-filled) configuration.
+func (o *Optimizer) Config() Config { return o.cfg }
 
-func (o *optimizer) SyncReset() {
+// SetLR changes the learning rate used by subsequent steps.
+func (o *Optimizer) SetLR(lr float64) { o.cfg.LR = lr }
+
+// State enumerates the state vectors. The returned slice and the vectors it
+// aliases are stable across calls.
+func (o *Optimizer) State() []State { return o.state }
+
+// Steps returns the total Step count (Adam's second-moment bias correction
+// clock; survives SyncReset).
+func (o *Optimizer) Steps() int { return o.tv }
+
+// AlignSteps overwrites the total Step count — rejoin reconciliation uses it
+// to re-derive a recovered worker's bias-correction clock.
+func (o *Optimizer) AlignSteps(n int) { o.tv = n }
+
+// SyncReset zeroes every SyncReset-policy vector and the step counter behind
+// Adam's first-moment bias correction. The engines call it on every worker at
+// every averaging point; on a rule without such state (plain SGD) it touches
+// nothing.
+func (o *Optimizer) SyncReset() {
 	for _, s := range o.state {
 		if s.Policy != SyncReset {
 			continue
@@ -329,7 +334,8 @@ func (o *optimizer) SyncReset() {
 	o.tm = 0
 }
 
-func (o *optimizer) ResetState() {
+// ResetState zeroes all state vectors and counters.
+func (o *Optimizer) ResetState() {
 	for _, s := range o.state {
 		for i := range s.Vec {
 			s.Vec[i] = 0
@@ -338,7 +344,8 @@ func (o *optimizer) ResetState() {
 	o.tm, o.tv = 0, 0
 }
 
-func (o *optimizer) Step(params, grad []float64) {
+// Step applies one update x -= lr * d(g). grad is not modified.
+func (o *Optimizer) Step(params, grad []float64) {
 	if len(params) != len(grad) {
 		panic("opt: params/grad length mismatch")
 	}
@@ -386,23 +393,10 @@ func (o *optimizer) Step(params, grad []float64) {
 	}
 }
 
-// HasResetState reports whether the optimizer carries any SyncReset-policy
-// state — the engines' gate for the reset-at-averaging discipline
-// (replacing the legacy Momentum != 0 check, to which it is equivalent for
-// the legacy rules).
-func HasResetState(o Optimizer) bool {
-	for _, s := range o.State() {
-		if s.Policy == SyncReset {
-			return true
-		}
-	}
-	return false
-}
-
 // SyncedLen returns the total length of the SyncAverage-policy vectors —
 // the extra wire-visible state the engines append to every averaged
 // payload (0 for everything but synced-moment Adam).
-func SyncedLen(o Optimizer) int {
+func SyncedLen(o *Optimizer) int {
 	n := 0
 	for _, s := range o.State() {
 		if s.Policy == SyncAverage {
@@ -413,7 +407,7 @@ func SyncedLen(o Optimizer) int {
 }
 
 // SyncedVecs returns the SyncAverage-policy vectors in State order.
-func SyncedVecs(o Optimizer) [][]float64 {
+func SyncedVecs(o *Optimizer) [][]float64 {
 	var vs [][]float64
 	for _, s := range o.State() {
 		if s.Policy == SyncAverage {

@@ -221,16 +221,24 @@ func TestAdamSyncResetKeepsSecondMomentClock(t *testing.T) {
 }
 
 func TestSyncPolicies(t *testing.T) {
+	hasResetState := func(o *Optimizer) bool {
+		for _, s := range o.State() {
+			if s.Policy == SyncReset {
+				return true
+			}
+		}
+		return false
+	}
 	plain := New(Config{}, 3)
-	if len(plain.State()) != 0 || HasResetState(plain) || SyncedLen(plain) != 0 {
+	if len(plain.State()) != 0 || hasResetState(plain) || SyncedLen(plain) != 0 {
 		t.Fatalf("plain SGD must be stateless")
 	}
 	mom := New(Config{Rule: RuleMomentum, Momentum: 0.9}, 3)
-	if !HasResetState(mom) || SyncedLen(mom) != 0 {
+	if !hasResetState(mom) || SyncedLen(mom) != 0 {
 		t.Fatalf("momentum: want reset-only state")
 	}
 	local := New(Config{Rule: RuleAdam}, 3)
-	if !HasResetState(local) || SyncedLen(local) != 0 {
+	if !hasResetState(local) || SyncedLen(local) != 0 {
 		t.Fatalf("local adam: second moment must be SyncKeep")
 	}
 	synced := New(Config{Rule: RuleAdam, SyncedMoments: true}, 3)

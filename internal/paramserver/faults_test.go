@@ -17,6 +17,21 @@ func mustFaults(t *testing.T, spec string) *faults.Schedule {
 	return s
 }
 
+// faultFreeSchedules are the three ways to attach no fault: no schedule, an
+// empty one, and one whose every event lies beyond any test's horizon.
+func faultFreeSchedules(t *testing.T) []namedSchedule {
+	return []namedSchedule{
+		{"nil", nil},
+		{"empty", mustFaults(t, "  ")},
+		{"beyond", mustFaults(t, "crash:0@r100000,slow:1x4@r100000-100010,drop:0")},
+	}
+}
+
+type namedSchedule struct {
+	name  string
+	sched *faults.Schedule
+}
+
 func psHashParams(p []float64) uint64 {
 	const prime64 = 1099511628211
 	var sum uint64 = 14695981039346656037

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/compress"
+	"repro/internal/delaymodel"
 	"repro/internal/metrics"
 )
 
@@ -57,6 +59,17 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 	kasyncChurn := ksyncChurn
 	kasyncChurn.Mode = KAsync
 
+	// A lossy delta-coded pull on heterogeneous links: captured while the
+	// fault-free server still skipped its membership refresh and in-flight
+	// bookkeeping behind a nil sentinel.
+	ksyncPull := psConfig(KSync)
+	ksyncPull.MaxUpdates = 80
+	ksyncPull.PullCompress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, Wire: compress.WireFloat32}
+	ksyncPull.Bandwidth = 50
+	ksyncPull.Links = []delaymodel.Link{{Latency: 0.2, Bandwidth: 20}, {}, {Latency: 1}, {Bandwidth: 200}}
+	kasyncPull := ksyncPull
+	kasyncPull.Mode = KAsync
+
 	cases := []struct {
 		name   string
 		cfg    Config
@@ -71,23 +84,36 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 		{"ksync-bw", ksyncBW, 4, 0.2, 0x83f9650c1d56991d, 0x706737d24a6f6281, 471.03423112474451},
 		{"ksync-churn", ksyncChurn, 3, 0.1, 0x1f061f541cc7516c, 0xb17ee88228eb4853, 2066.804190121697},
 		{"kasync-churn", kasyncChurn, 3, 0.1, 0x765f128dcd75de8b, 0x2e01b030a5f2faad, 2052.5815427889047},
+		{"ksync-lossy-pull-links", ksyncPull, 3, 0.2, 0xb61756dcb2560969, 0x2cb01ab8618214d5, 896.1145275254598},
+		{"kasync-lossy-pull-links", kasyncPull, 2, 0.1, 0xdb3cb30b066654d7, 0x1aca15a91b9be104, 379.3619060458491},
 	}
 	for _, tc := range cases {
+		// A fault-free row holds under every way of attaching no fault.
+		scheds := []namedSchedule{{"churn", tc.cfg.Faults}}
+		if tc.cfg.Faults == nil {
+			scheds = faultFreeSchedules(t)
+		}
 		t.Run(tc.name, func(t *testing.T) {
-			proto, shards, train := psSetup(t, 4)
-			s, err := New(proto, shards, train, tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, _ := s.Run(FixedK{K: tc.k, LR: tc.lr}, tc.name)
-			if got := fnvParams(s.Params()); got != tc.params {
-				t.Errorf("params hash %#016x, golden %#016x", got, tc.params)
-			}
-			if got := fnvTrace(tr); got != tc.trace {
-				t.Errorf("trace hash %#016x, golden %#016x", got, tc.trace)
-			}
-			if got := s.Clock(); got != tc.clock {
-				t.Errorf("clock %v, golden %v", got, tc.clock)
+			for _, f := range scheds {
+				t.Run(f.name, func(t *testing.T) {
+					cfg := tc.cfg
+					cfg.Faults = f.sched
+					proto, shards, train := psSetup(t, 4)
+					s, err := New(proto, shards, train, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr, _ := s.Run(FixedK{K: tc.k, LR: tc.lr}, tc.name)
+					if got := fnvParams(s.Params()); got != tc.params {
+						t.Errorf("params hash %#016x, golden %#016x", got, tc.params)
+					}
+					if got := fnvTrace(tr); got != tc.trace {
+						t.Errorf("trace hash %#016x, golden %#016x", got, tc.trace)
+					}
+					if got := s.Clock(); got != tc.clock {
+						t.Errorf("clock %v, golden %v", got, tc.clock)
+					}
+				})
 			}
 		})
 	}

@@ -244,7 +244,7 @@ type Server struct {
 	// gradient exists).
 	// pushMsg is the one uplink wire slot every worker compresses into: a
 	// message is decoded into decBuf before the next arrival is computed.
-	com       comm.Communicator
+	com       *comm.Communicator
 	comps     []compress.Compressor
 	pushMsg   compress.Message
 	decBuf    []float64
@@ -265,10 +265,10 @@ type Server struct {
 	pullBuf       []float64
 	lastPullBytes int
 
-	// Fault state, allocated only when cfg.Faults.Enabled() (fltDown == nil
-	// is the fault-free sentinel): fltDown is the version-keyed down mask
-	// and inflight tracks which workers have a queued completion event, so
-	// recovered workers can be told apart from busy ones at redispatch time.
+	// Membership, kept with or without a schedule (without one nobody is
+	// ever down): fltDown is the version-keyed down mask and inflight tracks
+	// which workers have a queued completion event, so recovered workers can
+	// be told apart from busy ones at redispatch time.
 	fltDown  []bool
 	inflight []bool
 }
@@ -295,14 +295,15 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 		// stream below it.
 		queue:   events.NewQueue(cfg.Seed),
 		gradSum: make([]float64, proto.ParamLen()),
+		workers: make([]*psWorker, len(shards)),
 	}
 	for i := range shards {
-		s.workers = append(s.workers, &psWorker{
+		s.workers[i] = &psWorker{
 			model:   proto.Clone(),
 			sampler: data.NewSampler(shards[i], cfg.BatchSize, root.Split()),
 			grad:    make([]float64, proto.ParamLen()),
 			r:       root.Split(),
-		})
+		}
 	}
 	s.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
 	if cfg.Links != nil {
@@ -346,15 +347,13 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 			s.pullBuf = make([]float64, dim)
 		}
 	}
-	// Fault state last; it consumes no RNG, so attaching a schedule cannot
+	// Membership last; it consumes no RNG, so attaching a schedule cannot
 	// shift any existing stream.
-	if cfg.Faults.Enabled() {
-		if err := cfg.Faults.Validate(s.m); err != nil {
-			return nil, err
-		}
-		s.fltDown = make([]bool, s.m)
-		s.inflight = make([]bool, s.m)
+	if err := cfg.Faults.Validate(s.m); err != nil {
+		return nil, err
 	}
+	s.fltDown = make([]bool, s.m)
+	s.inflight = make([]bool, s.m)
 	return s, nil
 }
 
@@ -442,17 +441,14 @@ func (s *Server) dispatch(i int) {
 		dur += wt
 		transfer += wt
 	}
-	if s.fltDown != nil {
-		// The fault multiplier applies to the transfer terms only (compute
-		// and push-delay draws already happened, keeping the streams aligned
-		// with the fault-free run).
-		f := s.cfg.Faults.TransferScale(s.cfg.Seed, s.version, i)
-		if f != 1 {
-			dur += transfer * (f - 1)
-			transfer *= f
-		}
-		s.inflight[i] = true
+	// The fault multiplier applies to the transfer terms only (compute and
+	// push-delay draws already happened, keeping the streams aligned with the
+	// fault-free run); without a schedule it is exactly 1.
+	if f := s.cfg.Faults.TransferScale(s.cfg.Seed, s.version, i); f != 1 {
+		dur += transfer * (f - 1)
+		transfer *= f
 	}
+	s.inflight[i] = true
 	s.linkTimes[i] = transfer
 	s.queue.Push(events.Event{Time: s.clock + dur, Worker: i, Kind: events.Arrival})
 }
@@ -511,11 +507,8 @@ func (s *Server) update(ctrl Controller, evalLoss func() float64) (k int, lr flo
 		if !ok {
 			break
 		}
-		down := false
-		if s.fltDown != nil {
-			s.inflight[ev.Worker] = false
-			down = s.fltDown[ev.Worker]
-		}
+		s.inflight[ev.Worker] = false
+		down := s.fltDown[ev.Worker]
 		if async || !down {
 			s.clock = ev.Time
 		}
@@ -540,7 +533,7 @@ func (s *Server) update(ctrl Controller, evalLoss func() float64) (k int, lr flo
 		s.cancelInflight()
 		s.redispatch = s.redispatch[:0]
 		for i := range s.workers {
-			if s.fltDown == nil || !s.fltDown[i] {
+			if !s.fltDown[i] {
 				s.redispatch = append(s.redispatch, i)
 			}
 		}
@@ -579,19 +572,18 @@ func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Sum
 		if s.cfg.MaxTime > 0 && s.clock >= s.cfg.MaxTime {
 			break
 		}
-		if s.fltDown != nil {
-			// Refresh the version-keyed membership view and redispatch
-			// recovered idle workers: their dispatch-time model pull is the
-			// rejoin reconciliation (delta-compressed under PullCompress).
-			for i := range s.workers {
-				s.fltDown[i] = s.cfg.Faults.Down(i, s.version)
-				if !s.fltDown[i] && !s.inflight[i] {
-					s.dispatch(i)
-				}
+		// Refresh the version-keyed membership view and redispatch recovered
+		// idle workers: their dispatch-time model pull is the rejoin
+		// reconciliation (delta-compressed under PullCompress). Fault-free,
+		// every worker is in flight here and nobody is dispatched.
+		for i := range s.workers {
+			s.fltDown[i] = s.cfg.Faults.Down(i, s.version)
+			if !s.fltDown[i] && !s.inflight[i] {
+				s.dispatch(i)
 			}
-			if s.queue.Len() == 0 {
-				break // every worker is down: terminate cleanly
-			}
+		}
+		if s.queue.Len() == 0 {
+			break // every worker is down: terminate cleanly
 		}
 		k, lr, ok := s.update(ctrl, evalLoss)
 		if !ok {
@@ -617,7 +609,7 @@ func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Sum
 func (s *Server) start() {
 	s.cancelInflight()
 	for i := range s.workers {
-		if s.fltDown != nil && s.cfg.Faults.Down(i, 0) {
+		if s.cfg.Faults.Down(i, 0) {
 			continue // down at start: parked until recovery
 		}
 		s.dispatch(i)

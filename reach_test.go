@@ -69,7 +69,7 @@ var reachAllow = map[string]string{
 	"paramserver.Server.Version":          usedByTests,
 	"paramserver.AdaSync.K":               usedByTests,
 	"core.AdaComm.LinkFactor":             usedByTests,
-	"comm.Simulated.ActiveCount":          usedByTests,
+	"comm.Communicator.ActiveCount":       usedByTests,
 	"compress.ErrorFeedback.Ratio":        usedByTests,
 	"compress.ErrorFeedback.ResidualNorm": usedByTests,
 	"compress.qsgdCompressor.Ratio":       usedByTests,
@@ -77,8 +77,8 @@ var reachAllow = map[string]string{
 	"compress.topKCompressor.Ratio":       usedByTests,
 	"compress.wireNarrow.Ratio":           usedByTests,
 	"opt.Global.Buf":                      usedByTests,
-	"opt.optimizer.Steps":                 usedByTests,
-	"opt.optimizer.Config":                usedByTests,
+	"opt.Optimizer.Steps":                 usedByTests,
+	"opt.Optimizer.Config":                usedByTests,
 	"graph.Graph.Weight":                  usedByTests,
 	"graph.Graph.Connected":               usedByTests,
 	"graph.Graph.MaxDegree":               usedByTests,
