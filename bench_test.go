@@ -211,6 +211,6 @@ func BenchmarkRuntimeSampling(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dm.SamplePerIteration(10, r)
+		dm.SampleRoundBytes(10, r, 0)
 	}
 }

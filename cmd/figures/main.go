@@ -99,6 +99,7 @@ func main() {
 				}
 				cmp := experiments.RunComparison(spec)
 				cmp.Print(out)
+				experiments.PrintOptimalTaus(out, cmp.OptimalTaus())
 				if *csvDir == "" {
 					continue
 				}

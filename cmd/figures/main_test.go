@@ -44,6 +44,29 @@ func TestCommandLine(t *testing.T) {
 		})
 	}
 
+	// Under every comparison's AdaComm tau trajectory, eq 14's tau* at each
+	// interval boundary, the same on every run: the constants it needs are
+	// estimated on seeded streams.
+	t.Run("-fig 1 eq 14 line", func(t *testing.T) {
+		first, _, code := run("-quick", "-fig", "1")
+		if code != 0 {
+			t.Fatalf("exit %d", code)
+		}
+		lines := strings.Split(first, "\n")
+		found := false
+		for i, l := range lines[:len(lines)-1] {
+			if strings.HasPrefix(l, "AdaComm tau trajectory:") {
+				found = strings.HasPrefix(lines[i+1], "eq 14 tau*(T0) at each boundary: (t=0 tau*=")
+			}
+		}
+		if !found {
+			t.Fatalf("no eq 14 line under the tau trajectory:\n%s", first)
+		}
+		if again, _, _ := run("-quick", "-fig", "1"); again != first {
+			t.Fatalf("two runs differ:\n%s\n---\n%s", first, again)
+		}
+	})
+
 	// A -csv directory that cannot be created is found before Fig 9
 	// trains (it used to train first, then exit 1).
 	t.Run("-csv under a file", func(t *testing.T) {

@@ -12,9 +12,12 @@
 // paper is one row of the registry in internal/experiments/registry.go and
 // runs through ONE front door, cmd/sweep -ablation NAME (sweep -h lists
 // them); the three commands share their exit-2 contract for bad flag values
-// through internal/cli. A round's communication delay is priced by ONE loop,
-// delaymodel.SampleDRound: one D0 draw, the slowest active transfer gates,
-// nil fault masks mean everyone up at scale 1.
+// through internal/cli. Simulated time has ONE pricer, internal/delaymodel:
+// a round's compute half is SampleCompute (the slowest up worker's scaled
+// sum of compute draws), its broadcast half SampleDRound (one D0 draw, the
+// slowest active transfer gates, nil fault masks mean everyone up at scale
+// 1), and one link rule resolves every transfer's bandwidth, for both
+// engines, the parameter server and the runtime figures alike.
 //
 // Beyond the paper, internal/compress models the communication-VOLUME axis
 // of the trade-off: gradient/delta compression (top-k, random-k, QSGD-style

@@ -50,7 +50,7 @@ func main() {
 	hist := func(tau int) *rng.Histogram {
 		h := rng.NewHistogram(0, 8, 32)
 		for i := 0; i < trials; i++ {
-			h.Add(dm.SamplePerIteration(tau, r))
+			h.Add(dm.SampleRoundBytes(tau, r, 0) / float64(tau))
 		}
 		return h
 	}

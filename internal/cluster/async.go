@@ -109,8 +109,9 @@ type AsyncConfig struct {
 	EvalSubset int
 
 	// StragglerFactor optionally slows individual clients' compute (len
-	// must equal the client count; nil = all 1). Composes with the delay
-	// model's per-worker Jitter.
+	// must equal the client count, each factor finite and > 0; nil = all 1).
+	// Composes with the delay model's per-worker Jitter
+	// (delaymodel.Model.ComputeScales, shared with the lock-step engine).
 	StragglerFactor []float64
 
 	// Compress selects the delta compression clients apply before
@@ -176,16 +177,6 @@ func (c AsyncConfig) validate(n int) error {
 	if c.Opt.Adaptive() {
 		return fmt.Errorf("cluster: async engine does not support adaptive local rules " +
 			"(per-client Adam moments are Theta(clients*dim) state; client sharding exists to avoid it)")
-	}
-	if c.StragglerFactor != nil {
-		if len(c.StragglerFactor) != n {
-			return fmt.Errorf("cluster: straggler factors %d != clients %d", len(c.StragglerFactor), n)
-		}
-		for i, v := range c.StragglerFactor {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-				return fmt.Errorf("cluster: client %d straggler factor %v (want finite > 0)", i, v)
-			}
-		}
 	}
 	if c.Compress.Enabled() {
 		if err := c.Compress.Validate(); err != nil {
@@ -327,7 +318,7 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	if err := cfg.validate(n); err != nil {
 		return nil, err
 	}
-	if err := dm.CheckLinks(); err != nil {
+	if err := dm.Check(); err != nil {
 		return nil, err
 	}
 	if dm.EdgeLinks != nil {
@@ -369,21 +360,9 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	if cfg.RecordEvents {
 		e.evlog = &events.Trace{}
 	}
-	e.slow = make([]float64, n)
-	for i := range e.slow {
-		e.slow[i] = 1
-		if cfg.StragglerFactor != nil {
-			e.slow[i] = cfg.StragglerFactor[i]
-		}
-	}
-	jit, err := dm.JitterScales()
-	if err != nil {
+	var err error
+	if e.slow, err = dm.ComputeScales(cfg.StragglerFactor); err != nil {
 		return nil, err
-	}
-	if jit != nil {
-		for i := range e.slow {
-			e.slow[i] *= jit[i]
-		}
 	}
 	e.idle = make([]int, n)
 	e.idlePos = make([]int, n)

@@ -98,6 +98,12 @@ func TestAsyncValidation(t *testing.T) {
 	if _, err := NewAsync(s.proto, s.shards, s.train, s.test, badDM, baseAsyncCfg()); err == nil {
 		t.Error("accepted delay model with wrong worker count")
 	}
+	// A NaN shared bandwidth used to price every transfer as free.
+	nanBW := *s.dm
+	nanBW.Bandwidth = math.NaN()
+	if _, err := NewAsync(s.proto, s.shards, s.train, s.test, &nanBW, baseAsyncCfg()); err == nil {
+		t.Error("accepted a NaN shared bandwidth")
+	}
 	// Per-edge links price gossip graph rounds, not the async star exchange.
 	edgeDM := delaymodel.New(8, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
 	edgeDM.EdgeLinks = map[delaymodel.Edge]delaymodel.Link{{From: 0, To: 1}: {Latency: 1}}

@@ -113,7 +113,8 @@ type Config struct {
 	AccEverySync int
 
 	// StragglerFactor optionally slows individual workers: worker i's
-	// compute times are multiplied by StragglerFactor[i]. nil = all 1.
+	// compute times are multiplied by StragglerFactor[i], which must be
+	// finite and > 0 (delaymodel.Model.ComputeScales). nil = all 1.
 	StragglerFactor []float64
 
 	// ComputeWorkers bounds the goroutine pool that executes the simulated
@@ -201,7 +202,7 @@ type Config struct {
 	Seed uint64
 }
 
-func (c Config) validate(m int) error {
+func (c Config) validate() error {
 	if c.BatchSize < 1 {
 		return fmt.Errorf("cluster: batch size %d", c.BatchSize)
 	}
@@ -211,9 +212,6 @@ func (c Config) validate(m int) error {
 	// NaN passes the <= test above, and Time >= NaN or +Inf never stops a run.
 	if math.IsNaN(c.MaxTime) || math.IsInf(c.MaxTime, 0) {
 		return fmt.Errorf("cluster: max time %v (want finite)", c.MaxTime)
-	}
-	if c.StragglerFactor != nil && len(c.StragglerFactor) != m {
-		return fmt.Errorf("cluster: straggler factors %d != workers %d", len(c.StragglerFactor), m)
 	}
 	if c.ComputeWorkers < 0 {
 		return fmt.Errorf("cluster: compute workers %d < 0", c.ComputeWorkers)
@@ -511,13 +509,10 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	if err := checkShards(shards); err != nil {
 		return nil, err
 	}
-	if err := cfg.validate(m); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if err := dm.CheckLinks(); err != nil {
-		return nil, err
-	}
-	if err := dm.CheckEdgeLinks(); err != nil {
+	if err := dm.Check(); err != nil {
 		return nil, err
 	}
 	if dm.EdgeLinks != nil && cfg.Strategy != RingGossip {
@@ -540,25 +535,11 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		testSet:   test,
 		cfg:       cfg,
 	}
-	e.slow = cfg.StragglerFactor
-	if e.slow == nil {
-		e.slow = make([]float64, m)
-		for i := range e.slow {
-			e.slow[i] = 1
-		}
-	}
-	// Per-worker compute jitter (delaymodel.Model.Jitter) composes with the
-	// configured straggler factors; a nil Jitter draws nothing, keeping
-	// every legacy trace bit-identical. Copy before scaling — e.slow may
-	// alias the caller's StragglerFactor slice.
-	if jit, err := dm.JitterScales(); err != nil {
+	// Straggler factors times the delay model's per-worker jitter (a nil
+	// Jitter draws nothing, keeping every legacy trace bit-identical).
+	var err error
+	if e.slow, err = dm.ComputeScales(cfg.StragglerFactor); err != nil {
 		return nil, err
-	} else if jit != nil {
-		scaled := make([]float64, m)
-		for i := range scaled {
-			scaled[i] = e.slow[i] * jit[i]
-		}
-		e.slow = scaled
 	}
 	// Global momentum: FullAveraging keeps one shared buffer on the
 	// reference model; gossip and elastic keep one buffer per node. None of
@@ -734,39 +715,15 @@ func (e *Engine) TestAccuracy() float64 {
 	return e.evalModel.Accuracy(e.testBatch)
 }
 
-// roundTime samples the wall-clock duration of a round of `steps` local
-// iterations followed by one synchronization, honoring per-worker straggler
-// factors: compute is max_i slow_i * sum_k Y, comm is D. The synchronization
-// is charged the size-aware cost of the round's transfer schedule —
-// per-worker wire bytes from the communicator, scaled by the topology's hop
-// multipliers and priced on each worker's own link when the delay model is
-// heterogeneous — and the per-worker transfer times land in e.linkTimes for
-// the next RoundInfo. When per-edge links are configured (Model.EdgeLinks)
-// and a gossip graph is active (e.activeAdj, published by the sync just
-// performed), each transfer is priced on its actual edges instead and the
-// slowest ACTIVE edge gates the round; with either absent every worker is
-// priced on its own link. On a homogeneous infinite-bandwidth all-gather comm
-// is the paper's fixed D.
+// roundTime prices a round of `steps` local iterations followed by one
+// synchronization with the delay model's two halves (see internal/delaymodel):
+// compute is the slowest up worker's scaled sum of compute draws, comm the
+// round's transfer schedule — the communicator's per-worker wire bytes under
+// the topology's hop multipliers, over the gossip graph just used
+// (e.activeAdj) when per-edge links are set — with the per-worker transfer
+// times landing in e.linkTimes for the next RoundInfo.
 func (e *Engine) roundTime(steps int) (compute, comm float64) {
-	mx := math.Inf(-1)
-	for i := 0; i < e.m; i++ {
-		sum := 0.0
-		for k := 0; k < steps; k++ {
-			sum += e.delay.Y.Sample(e.r)
-		}
-		// Down workers' compute draws still happen (stream alignment: the
-		// round consumes the same RNG regardless of membership) but do not
-		// gate the round.
-		if e.fltDown[i] {
-			continue
-		}
-		if v := e.slow[i] * sum; v > mx {
-			mx = v
-		}
-	}
-	if math.IsInf(mx, -1) {
-		mx = 0 // every worker down: the round is pure waiting
-	}
+	compute = e.delay.SampleCompute(e.r, steps, e.slow, e.fltDown)
 	// Rejoin-reconcile payloads ride the round's schedule, down workers ship
 	// nothing, and slow-down/drop-retry factors multiply the survivors'
 	// transfers. Fault-free the payloads are 0, nobody is down and every
@@ -774,7 +731,7 @@ func (e *Engine) roundTime(steps int) (compute, comm float64) {
 	for i, b := range e.lastReport.Bytes {
 		e.fltBytesBuf[i] = b + e.reconBytes[i]
 	}
-	return mx, e.delay.SampleDRound(e.r, e.fltBytesBuf, e.activeAdj, e.latHops, e.bytesFactor, e.fltDown, e.fltScale, e.linkTimes)
+	return compute, e.delay.SampleDRound(e.r, e.fltBytesBuf, e.activeAdj, e.latHops, e.bytesFactor, e.fltDown, e.fltScale, e.linkTimes)
 }
 
 // CommBytesPerRound returns the per-link payload charged for the most

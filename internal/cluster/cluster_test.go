@@ -68,24 +68,27 @@ func TestEngineValidation(t *testing.T) {
 	if _, err := New(s.proto, nil, s.train, s.test, s.dm, baseCfg()); err == nil {
 		t.Fatal("accepted zero shards")
 	}
-	bad := baseCfg()
-	bad.BatchSize = 0
-	if _, err := New(s.proto, s.shards, s.train, s.test, s.dm, bad); err == nil {
-		t.Fatal("accepted zero batch size")
-	}
-	bad = baseCfg()
-	bad.MaxIters, bad.MaxTime = 0, 0
-	if _, err := New(s.proto, s.shards, s.train, s.test, s.dm, bad); err == nil {
-		t.Fatal("accepted missing stop condition")
-	}
-	bad = baseCfg()
-	bad.StragglerFactor = []float64{1}
-	if _, err := New(s.proto, s.shards, s.train, s.test, s.dm, bad); err == nil {
-		t.Fatal("accepted wrong straggler factor count")
-	}
-	wrongDM := delaymodel.New(2, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
-	if _, err := New(s.proto, s.shards, s.train, s.test, wrongDM, baseCfg()); err == nil {
-		t.Fatal("accepted mismatched delay model worker count")
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config, *delaymodel.Model)
+	}{
+		{"zero batch size", func(c *Config, _ *delaymodel.Model) { c.BatchSize = 0 }},
+		{"missing stop condition", func(c *Config, _ *delaymodel.Model) { c.MaxIters, c.MaxTime = 0, 0 }},
+		{"wrong straggler factor count", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{1} }},
+		// A NaN factor never gated a round (v > max is false); negative
+		// factors made compute time negative and ran the clock backwards.
+		{"NaN straggler factor", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{1, math.NaN(), 1, 1} }},
+		{"+Inf straggler factor", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{1, 1, math.Inf(1), 1} }},
+		{"zero straggler factor", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{0, 1, 1, 1} }},
+		{"-1 straggler factors", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{-1, -1, -1, -1} }},
+		{"mismatched delay model worker count", func(_ *Config, dm *delaymodel.Model) { dm.M = 2 }},
+		{"NaN shared bandwidth", func(_ *Config, dm *delaymodel.Model) { dm.Bandwidth = math.NaN() }},
+	} {
+		cfg, dm := baseCfg(), *s.dm
+		tc.mut(&cfg, &dm)
+		if _, err := New(s.proto, s.shards, s.train, s.test, &dm, cfg); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

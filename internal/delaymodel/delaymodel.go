@@ -1,43 +1,48 @@
-// Package delaymodel implements the paper's runtime model (Sec 3.1): the
-// per-iteration wall-clock time of fully synchronous SGD and of
-// periodic-averaging SGD (PASGD) when local-step compute times Y_{i,k} are
-// i.i.d. random variables and each all-node broadcast costs D = D0 * s(m).
+// Package delaymodel prices simulated time: the paper's runtime model (Sec
+// 3.1), extended with payload sizes, heterogeneous links and faults. Every
+// engine and every figure sampler charges its clock through the three
+// decisions below; nothing else draws a synchronization round's compute or
+// delay samples.
 //
-// Beyond the paper, the model is size-aware: a Model with a finite Bandwidth
-// (bytes per simulated second) charges each broadcast
+// Compute. A round of tau local steps waits for its slowest worker:
+// SampleCompute sums tau draws of Y per worker, in worker order, multiplies
+// each sum by the worker's compute factor (ComputeScales: straggler factor
+// times a persistent Jitter draw) and returns the max over the workers that
+// are up. Down workers still draw, so membership never shifts the stream;
+// with everyone down the round computes nothing and costs 0.
 //
-//	D = (D0 + bytes/Bandwidth) * s(m)
+// Broadcast. SampleDRound prices a synchronization from its transfer
+// schedule (per-worker wire bytes, the topology's latency hops and bytes
+// factor, fault masks, optionally a mixing graph with per-edge links):
 //
-// where bytes is the per-link payload of the round — the compressed message
-// size when internal/compress is active, the dense 8*dim otherwise. The
-// scaling s(m) multiplies the transfer term too, because every hop of the
-// broadcast topology carries the payload. Bandwidth = 0 means an infinite
-// link: SampleDBytes then degenerates to exactly the fixed-CommD0 cost
-// D0 * s(m) of Sec 3.1 (same value, same RNG draws), so every pre-existing
-// profile and trace is the bandwidth=infinity special case, bit for bit.
+//	D = (D0*latHops + slowest active transfer) * s(M)
 //
-// Only the *Bytes helpers (SampleDBytes/MeanDBytes and the Monte-Carlo
-// variants SampleSyncIterationBytes, SampleRoundBytes,
-// SamplePerIterationBytes, MeasureBreakdownBytes) are size-aware. The
-// paper-model helpers (MeanD, SampleSyncIteration, SampleRound, and the
-// closed forms) deliberately charge the size-free D of Sec 3.1 even on a
-// bandwidth-constrained Model — pass the payload explicitly via the *Bytes
-// methods when analyzing a constrained link.
+// One payload on a homogeneous model is D = (D0 + bytes/Bandwidth) * s(M),
+// and Bandwidth = 0 (an infinite link) is the paper's size-free D0 * s(M)
+// bit for bit. The scaling s(M) multiplies the transfer term too, because
+// every hop of the broadcast carries the payload.
 //
-// Heterogeneous clusters set Model.Links, giving each worker its own
-// Link{Latency, Bandwidth}; SampleDRound then prices a round from the
-// topology's actual transfer schedule (per-worker wire bytes from
-// internal/comm plus the topology's hop multipliers), with the slowest link
-// gating the round.
+// The link rule. One function, link, decides what a transfer costs: the
+// link's latency, and the payload over the first non-zero bandwidth of the
+// link itself, the sender's own link (Links) and the shared Bandwidth — 0
+// everywhere is an infinite link with no wire term. It returns the two terms
+// apart, so SampleDRound, SampleTransfer (one point-to-point transfer of the
+// event-driven engine) and the parameter server's exchange (TransferTerms)
+// each add them in the order their clocks always have. Check validates every
+// rate and latency the rule reads; a model it accepts, with non-negative
+// compute and delay distributions, never moves a clock backwards.
 //
-// The model supplies three things to the rest of the repo:
+// The one-D0-draw contract. A broadcast consumes exactly one D0 draw whatever
+// its arguments — masks, graphs, payloads and recording never shift the
+// delay stream — and the compute half draws steps*M compute times before it.
+// A fault-free, homogeneous, size-free round is therefore priced with the
+// paper model's draws, which is what keeps every golden trace where it was.
 //
-//  1. closed-form results where they exist (speed-up eq 12, exponential
-//     order statistics),
-//  2. Monte-Carlo sampling of per-iteration and per-round times for the
-//     runtime-distribution experiments (Fig 5), and
-//  3. the simulated clock that internal/cluster advances during training,
-//     which is what puts "wall-clock time" on the x-axis of Figs 9-13.
+// The analytic samplers are the same two halves: SampleRoundBytes is one
+// round (pass tau = 1 for fully synchronous SGD, divide by tau for PASGD's
+// per-iteration time — the two distributions of Fig 5), MeasureBreakdownBytes
+// splits a run into the compute and comm bars of Fig 8, and the closed forms
+// (eq 12, exponential order statistics) are what they are checked against.
 package delaymodel
 
 import (
@@ -110,7 +115,8 @@ type Model struct {
 
 	// Bandwidth is the per-link transfer rate in bytes per simulated
 	// second; 0 means infinite (the size-free broadcast of the paper's
-	// model, and the default for all legacy profiles).
+	// model, and the default for all legacy profiles). Check requires it
+	// finite and non-negative, like every per-worker and per-edge rate.
 	Bandwidth float64
 
 	// Links optionally gives every worker its own uplink/downlink
@@ -131,7 +137,7 @@ type Model struct {
 
 	// Jitter optionally gives every worker a persistent multiplicative
 	// compute-speed factor, drawn once per worker from this distribution
-	// with a stream seeded by JitterSeed (see JitterScales). It breaks the
+	// with a stream seeded by JitterSeed (see ComputeScales). It breaks the
 	// arrival-order degeneracy of homogeneous clusters in the event-driven
 	// engine — with identical links and compute times, every worker would
 	// finish every round at the same instant and "the first K arrivals"
@@ -143,27 +149,41 @@ type Model struct {
 	JitterSeed uint64
 }
 
-// JitterScales returns the per-worker compute-speed factors: M samples of
-// Jitter from a stream seeded by JitterSeed, so the factors are a pure
-// function of the model configuration. A nil Jitter returns nil (all
-// workers at factor 1, the legacy behavior). Samples must be positive and
-// finite — like CheckLinks, a degenerate factor is rejected instead of
-// silently poisoning every round's compute time.
-func (dm *Model) JitterScales() ([]float64, error) {
-	if dm.Jitter == nil {
-		return nil, nil
+// ComputeScales returns every worker's compute-time factor, the one both
+// engines multiply a worker's summed compute draws by: its straggler factor
+// (nil factors are 1 for everyone) times its persistent Jitter draw (M draws
+// from a stream seeded by JitterSeed, so the factors are a pure function of
+// the configuration; a nil Jitter draws nothing). The slice is the caller's.
+// A factor, a draw or a product that is not finite and positive is rejected:
+// a NaN factor never gates a round (v > max is false) and a negative one runs
+// the clock backwards.
+func (dm *Model) ComputeScales(factors []float64) ([]float64, error) {
+	if factors != nil && len(factors) != dm.M {
+		return nil, fmt.Errorf("delaymodel: %d straggler factors for %d workers", len(factors), dm.M)
 	}
-	r := rng.New(dm.JitterSeed)
+	var r *rng.Rand
+	if dm.Jitter != nil {
+		r = rng.New(dm.JitterSeed)
+	}
 	s := make([]float64, dm.M)
 	for i := range s {
-		v := dm.Jitter.Sample(r)
-		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
-			return nil, fmt.Errorf("delaymodel: worker %d jitter factor %v (want finite > 0)", i, v)
+		f, j := 1.0, 1.0
+		if factors != nil {
+			f = factors[i]
 		}
-		s[i] = v
+		if r != nil {
+			j = dm.Jitter.Sample(r)
+		}
+		s[i] = f * j
+		if !positive(f) || !positive(j) || !positive(s[i]) {
+			return nil, fmt.Errorf("delaymodel: worker %d compute factor %v (straggler %v x jitter %v; want each finite > 0)", i, s[i], f, j)
+		}
 	}
 	return s, nil
 }
+
+// positive reports whether v is finite and > 0.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // check rejects a link whose latency or bandwidth is not finite and
 // non-negative — a negative or NaN entry would silently produce degenerate
@@ -175,26 +195,7 @@ func (l Link) check(what string) error {
 		return fmt.Errorf("delaymodel: %s latency %v (want finite >= 0)", what, l.Latency)
 	}
 	if !(l.Bandwidth >= 0) || math.IsInf(l.Bandwidth, 1) {
-		return fmt.Errorf("delaymodel: %s bandwidth %v (want finite >= 0; 0 inherits)", what, l.Bandwidth)
-	}
-	return nil
-}
-
-// CheckLinks validates the per-worker link table: the length must match the
-// worker count and every entry must pass the link check (finite,
-// non-negative latency and bandwidth; a zero bandwidth inherits
-// Model.Bandwidth).
-func (dm *Model) CheckLinks() error {
-	if dm.Links == nil {
-		return nil
-	}
-	if len(dm.Links) != dm.M {
-		return fmt.Errorf("delaymodel: %d links for %d workers", len(dm.Links), dm.M)
-	}
-	for i, l := range dm.Links {
-		if err := l.check(fmt.Sprintf("worker %d link", i)); err != nil {
-			return err
-		}
+		return fmt.Errorf("delaymodel: %s bandwidth %v (want finite >= 0)", what, l.Bandwidth)
 	}
 	return nil
 }
@@ -206,14 +207,23 @@ type Edge struct {
 	From, To int
 }
 
-// CheckEdgeLinks validates the per-edge link table the way CheckLinks
-// validates the per-worker one: node ids must be in range, self-edges are
-// meaningless, and every entry must pass the same link check (a zero
-// bandwidth inherits the worker link's). Entries are checked in sorted
-// order so the first error is deterministic.
-func (dm *Model) CheckEdgeLinks() error {
-	if dm.EdgeLinks == nil {
-		return nil
+// Check validates everything the link rule reads, and every engine
+// constructor calls it: the shared Bandwidth, one Links entry per worker and
+// the EdgeLinks table (node ids in range, no self-loops, entries visited in
+// sorted order so the first error is deterministic), every rate and latency
+// finite and non-negative. Unchecked, `bw > 0` reads a NaN or negative rate
+// as a free, infinite link.
+func (dm *Model) Check() error {
+	if err := (Link{Bandwidth: dm.Bandwidth}).check("shared link"); err != nil {
+		return err
+	}
+	if dm.Links != nil && len(dm.Links) != dm.M {
+		return fmt.Errorf("delaymodel: %d links for %d workers", len(dm.Links), dm.M)
+	}
+	for i, l := range dm.Links {
+		if err := l.check(fmt.Sprintf("worker %d link", i)); err != nil {
+			return err
+		}
 	}
 	edges := make([]Edge, 0, len(dm.EdgeLinks))
 	for e := range dm.EdgeLinks {
@@ -256,31 +266,46 @@ func (dm *Model) MeanD() float64 { return dm.D0.Mean() * dm.Scale.Factor(dm.M) }
 // MeanY returns E[Y].
 func (dm *Model) MeanY() float64 { return dm.Y.Mean() }
 
-// SampleDBytes draws one broadcast delay for a payload of the given size:
-// D = (D0 + bytes/Bandwidth) * s(M). With Bandwidth = 0 (infinite link) or
-// a zero payload it is exactly the paper's size-free D0 * s(M) — same value,
-// same RNG consumption — so size-free traces are preserved bit-identically.
-func (dm *Model) SampleDBytes(r *rng.Rand, bytes int) float64 {
-	d := dm.D0.Sample(r)
-	if dm.Bandwidth > 0 && bytes > 0 {
-		d += float64(bytes) / dm.Bandwidth
-	}
-	return d * dm.Scale.Factor(dm.M)
+// MeanDBytes returns E[D] for a payload of the given size on the shared
+// link: (E[D0] + bytes/Bandwidth) * s(M).
+func (dm *Model) MeanDBytes(bytes int) float64 {
+	_, wire := dm.link(Link{}, Link{}, bytes, 1)
+	return (dm.D0.Mean() + wire) * dm.Scale.Factor(dm.M)
 }
 
-// MeanDBytes returns E[D] for a payload of the given size:
-// (E[D0] + bytes/Bandwidth) * s(M).
-func (dm *Model) MeanDBytes(bytes int) float64 {
-	d := dm.D0.Mean()
-	if dm.Bandwidth > 0 && bytes > 0 {
-		d += float64(bytes) / dm.Bandwidth
+// SampleCompute draws the compute half of one synchronization round: every
+// worker, in order, sums `steps` draws of Y — down workers too, so the round
+// consumes the same stream whatever the membership — and the round waits for
+// the slowest worker that is up, factor[i] times its sum (ComputeScales).
+// nil factor is 1 for everyone and nil down is everyone up; with every worker
+// down the round computes nothing and costs 0.
+func (dm *Model) SampleCompute(r *rng.Rand, steps int, factor []float64, down []bool) float64 {
+	mx := math.Inf(-1)
+	for i := 0; i < dm.M; i++ {
+		sum := 0.0
+		for k := 0; k < steps; k++ {
+			sum += dm.Y.Sample(r)
+		}
+		if down != nil && down[i] {
+			continue
+		}
+		if factor != nil {
+			sum *= factor[i]
+		}
+		if sum > mx {
+			mx = sum
+		}
 	}
-	return d * dm.Scale.Factor(dm.M)
+	if math.IsInf(mx, -1) {
+		return 0
+	}
+	return mx
 }
 
 // SampleDRound draws the communication delay of one synchronization round
-// from its actual transfer schedule. It is the ONE round pricer: every
-// engine round, fault-free or not, graph or collective, is this loop.
+// from its actual transfer schedule. It is the ONE broadcast pricer: every
+// engine round, fault-free or not, graph or collective, and every analytic
+// sampler's broadcast, is this loop.
 //
 // bytesPerWorker is each worker's wire volume (internal/comm's
 // Report.Bytes), latHops the topology's count of sequential message
@@ -290,13 +315,12 @@ func (dm *Model) MeanDBytes(bytes int) float64 {
 //
 //	latency*latHops + bytes*bytesFactor/bandwidth
 //
-// on its own link (Links[i]; a zero bandwidth, or nil Links, falls back to
-// the shared Bandwidth, and 0 there is an infinite link). When adj is
-// non-nil AND EdgeLinks is set the round runs over a mixing graph: adj[i]
-// lists the peers node i multicasts to, each directed transfer (i,j) is
-// priced on its EdgeLinks entry if present (else worker i's link), and node
-// i's transfer is its SLOWEST ACTIVE EDGE — so an expensive edge no active
-// graph uses costs nothing.
+// by the link rule on its own link (Links[i], or the transparent zero link).
+// When adj is non-nil AND EdgeLinks is set the round runs over a mixing
+// graph: adj[i] lists the peers node i multicasts to, each directed transfer
+// (i,j) is priced on its EdgeLinks entry if present (else worker i's link),
+// and node i's transfer is its SLOWEST ACTIVE EDGE — so an expensive edge no
+// active graph uses costs nothing.
 //
 // down and scale are the fault masks; nil means everyone up, at scale 1.
 // down[i] excludes worker i entirely (it neither sends nor gates the round,
@@ -308,11 +332,8 @@ func (dm *Model) MeanDBytes(bytes int) float64 {
 //
 // Exactly ONE D0 draw is consumed whatever the arguments, so masks, graphs
 // and recording never shift the delay stream, and the slowest active
-// transfer gates the round: D = (D0*latHops + slowest) * s(M). With nil
-// Links and unit multipliers that is SampleDBytes(max bytes), same value,
-// same draw.
+// transfer gates the round: D = (D0*latHops + slowest) * s(M).
 func (dm *Model) SampleDRound(r *rng.Rand, bytesPerWorker []int, adj [][]int, latHops, bytesFactor float64, down []bool, scale, times []float64) float64 {
-	dm.checkScheduleWidth(len(bytesPerWorker))
 	byEdge := adj != nil && dm.EdgeLinks != nil
 	if byEdge && len(adj) < len(bytesPerWorker) {
 		panic(fmt.Sprintf("delaymodel: schedule for %d workers over a %d-node adjacency", len(bytesPerWorker), len(adj)))
@@ -322,10 +343,7 @@ func (dm *Model) SampleDRound(r *rng.Rand, bytesPerWorker []int, adj [][]int, la
 	for i, b := range bytesPerWorker {
 		t := 0.0
 		if down == nil || !down[i] {
-			var own Link
-			if dm.Links != nil {
-				own = dm.Links[i]
-			}
+			own := dm.ownLink(i)
 			if !byEdge {
 				t = dm.transfer(own, own, b, latHops, bytesFactor)
 			} else {
@@ -356,21 +374,12 @@ func (dm *Model) SampleDRound(r *rng.Rand, bytesPerWorker []int, adj [][]int, la
 	return (d + slow) * dm.Scale.Factor(dm.M)
 }
 
-// transfer prices one transfer of b bytes on link l, whose zero bandwidth
-// inherits the sending worker's own link, then the shared Bandwidth.
+// transfer is one scheduled transfer's time: the link's latency once per
+// hop, then its wire time.
 func (dm *Model) transfer(l, own Link, b int, latHops, bytesFactor float64) float64 {
-	bw := l.Bandwidth
-	if bw == 0 {
-		bw = own.Bandwidth
-	}
-	if bw == 0 {
-		bw = dm.Bandwidth
-	}
-	t := l.Latency * latHops
-	if bw > 0 && b > 0 {
-		t += float64(b) * bytesFactor / bw
-	}
-	return t
+	lat, wire := dm.link(l, own, b, bytesFactor)
+	t := lat * latHops
+	return t + wire
 }
 
 // SampleDScheduleInto is SampleDRound over per-worker links with everyone
@@ -385,43 +394,61 @@ func (dm *Model) SampleDEdgeScheduleInto(r *rng.Rand, bytesPerWorker []int, adj 
 	return dm.SampleDRound(r, bytesPerWorker, adj, latHops, bytesFactor, nil, nil, times)
 }
 
-// checkScheduleWidth guards the per-worker link table against a schedule
-// wider than it covers: before dynamic membership, a shrunk or mismatched
-// worker set would silently index past Links and crash with a bare
-// out-of-range error deep in a round's pricing. The schedule may be
-// NARROWER than the table (a subset of workers is fine); it must never be
-// wider.
-func (dm *Model) checkScheduleWidth(workers int) {
-	if dm.Links != nil && len(dm.Links) < workers {
-		panic(fmt.Sprintf("delaymodel: schedule for %d workers but only %d links (Links must cover every worker)", workers, len(dm.Links)))
+// link is the link rule, the one place a transfer's bandwidth is resolved:
+// b bytes times bytesFactor cross link l, sent by a worker whose own link is
+// own, at the first non-zero bandwidth of l, own and the shared Bandwidth.
+// It returns l's latency and the wire time apart, so each caller keeps its
+// clock's own addition order; an empty payload or an infinite link (every
+// bandwidth 0) has no wire time.
+func (dm *Model) link(l, own Link, b int, bytesFactor float64) (latency, wire float64) {
+	bw := l.Bandwidth
+	if bw == 0 {
+		bw = own.Bandwidth
 	}
+	if bw == 0 {
+		bw = dm.Bandwidth
+	}
+	if bw > 0 && b > 0 {
+		wire = float64(b) * bytesFactor / bw
+	}
+	return l.Latency, wire
+}
+
+// ownLink is worker i's own link: its Links entry, or the transparent zero
+// link on a homogeneous model. A worker the table does not cover panics by
+// name rather than with a bare out-of-range error deep in a round's pricing;
+// a schedule may be narrower than the table, never wider.
+func (dm *Model) ownLink(i int) Link {
+	if dm.Links == nil {
+		return Link{}
+	}
+	if i < 0 || i >= len(dm.Links) {
+		panic(fmt.Sprintf("delaymodel: worker %d priced but only %d links (Links must cover every worker)", i, len(dm.Links)))
+	}
+	return dm.Links[i]
+}
+
+// TransferTerms prices one transfer of `bytes` on worker's own link by the
+// link rule and returns the latency and the wire time apart, for a caller
+// that adds them to a clock of its own (the parameter server's exchange).
+// It panics when Links does not cover the worker.
+func (dm *Model) TransferTerms(worker, bytes int) (latency, wire float64) {
+	own := dm.ownLink(worker)
+	return dm.link(own, own, bytes, 1)
 }
 
 // SampleTransfer draws the wall-clock cost of ONE point-to-point transfer
-// of `bytes` on worker i's link: a D0 latency sample plus the worker's link
-// latency plus bytes over the link's effective bandwidth (the worker's own,
-// falling back to the shared Bandwidth; 0 = infinite). Unlike the round
-// samplers it applies no Scale factor and takes no max across workers — it
-// prices a single worker's pull or push in the event-driven engine, where
-// transfers do not form synchronized collectives and each worker's arrival
-// is scheduled on its own virtual clock.
+// of `bytes` on worker's own link: a D0 latency sample, then the link's
+// latency, then the wire time (TransferTerms). Unlike SampleDRound it
+// applies no Scale factor and takes no max across workers — it prices a
+// single worker's pull or push in the event-driven engine, where transfers
+// do not form synchronized collectives and each worker's arrival is
+// scheduled on its own virtual clock.
 func (dm *Model) SampleTransfer(r *rng.Rand, worker, bytes int) float64 {
 	d := dm.D0.Sample(r)
-	bw := dm.Bandwidth
-	if dm.Links != nil {
-		if worker < 0 || worker >= len(dm.Links) {
-			panic(fmt.Sprintf("delaymodel: transfer for worker %d but only %d links (Links must cover every worker)", worker, len(dm.Links)))
-		}
-		l := dm.Links[worker]
-		d += l.Latency
-		if l.Bandwidth > 0 {
-			bw = l.Bandwidth
-		}
-	}
-	if bw > 0 && bytes > 0 {
-		d += float64(bytes) / bw
-	}
-	return d
+	lat, wire := dm.TransferTerms(worker, bytes)
+	d += lat
+	return d + wire
 }
 
 // parseLink parses one "latency:bandwidth" pair, the grammar ParseLinks
@@ -431,7 +458,7 @@ func (dm *Model) SampleTransfer(r *rng.Rand, worker, bytes int) float64 {
 // dead link, but the zero value actually means "inherit", which silently
 // becomes an INFINITE link on a model with no shared bandwidth; leave the
 // part empty to inherit on purpose. Negative and non-finite values are
-// rejected by the same check CheckLinks and CheckEdgeLinks apply, so an
+// rejected by the same link check Model.Check applies, so an
 // accepted spec always validates. kind and entry name the flag entry in
 // errors.
 func parseLink(kind, entry, pair string) (l Link, err error) {
@@ -521,71 +548,35 @@ func ParseEdgeLinks(s string, m int) (map[Edge]Link, error) {
 	return table, nil
 }
 
-// SampleSyncIteration draws one iteration time of fully synchronous SGD
-// (paper eq 7): max over workers of one compute time, plus D. A zero-byte
-// payload makes SampleDBytes the size-free D0 * s(M), so the size-free
-// samplers delegate to their *Bytes counterparts with 0.
-func (dm *Model) SampleSyncIteration(r *rng.Rand) float64 {
-	return dm.SampleSyncIterationBytes(r, 0)
-}
-
-// SampleRound draws the wall-clock time of one PASGD round of tau local
-// steps followed by an averaging broadcast: max over workers of the SUM of
-// tau compute times, plus D. Dividing by tau gives the per-iteration time
-// whose expectation is eq 11.
-func (dm *Model) SampleRound(tau int, r *rng.Rand) float64 {
-	return dm.SampleRoundBytes(tau, r, 0)
-}
-
-// SampleSyncIterationBytes is SampleSyncIteration with the broadcast charged
-// the size-aware cost of a `bytes` payload (SampleDBytes) — the Fig 5
-// sampler for bandwidth-constrained links.
-func (dm *Model) SampleSyncIterationBytes(r *rng.Rand, bytes int) float64 {
-	mx := math.Inf(-1)
-	for i := 0; i < dm.M; i++ {
-		if v := dm.Y.Sample(r); v > mx {
-			mx = v
-		}
-	}
-	return mx + dm.SampleDBytes(r, bytes)
-}
-
-// SampleRoundBytes is SampleRound with the averaging broadcast charged the
-// size-aware cost of a `bytes` payload.
+// SampleRoundBytes draws the wall-clock time of one PASGD round: tau local
+// steps on every worker (SampleCompute, everyone up at factor 1), then a
+// broadcast in which every worker ships `bytes` (SampleDRound, one hop;
+// bytes = 0 or an infinite link is the paper's size-free D). tau = 1 is one
+// iteration of fully synchronous SGD (eq 7); the round divided by tau is
+// PASGD's per-iteration time, whose expectation is eq 11 — the two samples
+// of Fig 5.
 func (dm *Model) SampleRoundBytes(tau int, r *rng.Rand, bytes int) float64 {
 	if tau < 1 {
 		panic("delaymodel: tau must be >= 1")
 	}
-	mx := math.Inf(-1)
-	for i := 0; i < dm.M; i++ {
-		sum := 0.0
-		for k := 0; k < tau; k++ {
-			sum += dm.Y.Sample(r)
-		}
-		if sum > mx {
-			mx = sum
-		}
+	compute := dm.SampleCompute(r, tau, nil, nil)
+	return compute + dm.SampleDRound(r, dm.payloads(bytes), nil, 1, 1, nil, nil, nil)
+}
+
+// payloads is the schedule of a broadcast in which every worker ships bytes.
+func (dm *Model) payloads(bytes int) []int {
+	s := make([]int, dm.M)
+	for i := range s {
+		s[i] = bytes
 	}
-	return mx + dm.SampleDBytes(r, bytes)
-}
-
-// SamplePerIterationBytes draws the per-iteration time of PASGD with period
-// tau under a size-aware broadcast of `bytes` per round.
-func (dm *Model) SamplePerIterationBytes(tau int, r *rng.Rand, bytes int) float64 {
-	return dm.SampleRoundBytes(tau, r, bytes) / float64(tau)
-}
-
-// SamplePerIteration draws the per-iteration time of PASGD with period tau
-// (round time divided by tau) — the quantity plotted in Fig 5.
-func (dm *Model) SamplePerIteration(tau int, r *rng.Rand) float64 {
-	return dm.SampleRound(tau, r) / float64(tau)
+	return s
 }
 
 // MCMeanPerIteration estimates E[T_PAvg] (eq 11) by Monte Carlo.
 func (dm *Model) MCMeanPerIteration(tau, trials int, r *rng.Rand) float64 {
 	sum := 0.0
 	for t := 0; t < trials; t++ {
-		sum += dm.SamplePerIteration(tau, r)
+		sum += dm.SampleRoundBytes(tau, r, 0) / float64(tau)
 	}
 	return sum / float64(trials)
 }
@@ -618,8 +609,8 @@ func (dm *Model) SpeedupMC(tau, trials int, r *rng.Rand) float64 {
 	sync := 0.0
 	pavg := 0.0
 	for t := 0; t < trials; t++ {
-		sync += dm.SampleSyncIteration(r)
-		pavg += dm.SamplePerIteration(tau, r)
+		sync += dm.SampleRoundBytes(1, r, 0)
+		pavg += dm.SampleRoundBytes(tau, r, 0) / float64(tau)
 	}
 	return sync / pavg
 }
@@ -702,31 +693,18 @@ type Breakdown struct {
 }
 
 // MeasureBreakdownBytes simulates `iters` iterations of PASGD with period
-// tau and splits the elapsed time into compute and communication
-// components, every broadcast charged the size-aware cost of a `bytes`
-// payload against the profile's bandwidth — the Fig 8 driver. bytes = 0
-// charges the paper's size-free D.
+// tau and splits the elapsed time into its compute half (SampleCompute) and
+// its broadcast half (SampleDRound, every worker shipping a `bytes` payload
+// against the profile's bandwidth) — the bars of Fig 8. bytes = 0 charges
+// the paper's size-free D.
 func MeasureBreakdownBytes(p Profile, m, tau, iters int, r *rng.Rand, bytes int) Breakdown {
 	dm := p.Model(m, ConstantScaling{})
+	sched := dm.payloads(bytes)
 	b := Breakdown{Profile: p.Name, Tau: tau, Iters: iters}
-	done := 0
-	for done < iters {
-		steps := tau
-		if rem := iters - done; rem < steps {
-			steps = rem
-		}
-		mx := math.Inf(-1)
-		for i := 0; i < m; i++ {
-			sum := 0.0
-			for k := 0; k < steps; k++ {
-				sum += dm.Y.Sample(r)
-			}
-			if sum > mx {
-				mx = sum
-			}
-		}
-		b.Compute += mx
-		b.Comm += dm.SampleDBytes(r, bytes)
+	for done := 0; done < iters; {
+		steps := min(tau, iters-done)
+		b.Compute += dm.SampleCompute(r, steps, nil, nil)
+		b.Comm += dm.SampleDRound(r, sched, nil, 1, 1, nil, nil, nil)
 		done += steps
 	}
 	b.WallClock = b.Compute + b.Comm

@@ -39,7 +39,7 @@ func TestSampleSyncConstant(t *testing.T) {
 	dm := New(8, rng.Constant{Value: 1}, rng.Constant{Value: 0.5}, ConstantScaling{})
 	r := rng.New(1)
 	for i := 0; i < 10; i++ {
-		if got := dm.SampleSyncIteration(r); math.Abs(got-1.5) > 1e-12 {
+		if got := dm.SampleRoundBytes(1, r, 0); math.Abs(got-1.5) > 1e-12 {
 			t.Fatalf("sync iter = %v, want 1.5", got)
 		}
 	}
@@ -49,11 +49,11 @@ func TestSampleRoundConstant(t *testing.T) {
 	dm := New(8, rng.Constant{Value: 1}, rng.Constant{Value: 0.5}, ConstantScaling{})
 	r := rng.New(2)
 	// Round of tau=10: 10*1 + 0.5.
-	if got := dm.SampleRound(10, r); math.Abs(got-10.5) > 1e-12 {
+	if got := dm.SampleRoundBytes(10, r, 0); math.Abs(got-10.5) > 1e-12 {
 		t.Fatalf("round = %v, want 10.5", got)
 	}
 	// Per-iteration: 1.05.
-	if got := dm.SamplePerIteration(10, r); math.Abs(got-1.05) > 1e-12 {
+	if got := dm.SampleRoundBytes(10, r, 0) / 10; math.Abs(got-1.05) > 1e-12 {
 		t.Fatalf("per-iter = %v, want 1.05", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestExpectedSyncExponentialClosedForm(t *testing.T) {
 	sum := 0.0
 	const n = 200000
 	for i := 0; i < n; i++ {
-		sum += dm.SampleSyncIteration(r)
+		sum += dm.SampleRoundBytes(1, r, 0)
 	}
 	if mc := sum / n; math.Abs(mc-want) > 0.02 {
 		t.Fatalf("MC %v vs closed form %v", mc, want)
@@ -131,8 +131,8 @@ func TestStragglerMitigation(t *testing.T) {
 	pavgVals := make([]float64, trials)
 	pavgMean := 0.0
 	for i := 0; i < trials; i++ {
-		s := dm.SampleSyncIteration(r)
-		p := dm.SamplePerIteration(10, r)
+		s := dm.SampleRoundBytes(1, r, 0)
+		p := dm.SampleRoundBytes(10, r, 0) / 10
 		syncMean += s
 		pavgMean += p
 		syncVals[i] = s
@@ -241,41 +241,41 @@ func TestSpeedupBoundsProperty(t *testing.T) {
 // Size-aware communication cost.
 // ---------------------------------------------------------------------------
 
-func TestSampleDBytesInfiniteBandwidthIdentical(t *testing.T) {
+func TestSampleDRoundInfiniteBandwidthIdentical(t *testing.T) {
 	// Bandwidth 0 must reproduce the paper's size-free D = D0 * s(M)
 	// exactly: same values, same RNG consumption, for any payload size.
 	dm := New(4, rng.Constant{Value: 1}, rng.Exponential{MeanVal: 0.3}, TreeScaling{})
 	r1, r2 := rng.New(17), rng.New(17)
 	for i := 0; i < 100; i++ {
 		a := dm.D0.Sample(r1) * dm.Scale.Factor(dm.M)
-		b := dm.SampleDBytes(r2, 1<<20)
+		b := dm.SampleDScheduleInto(r2, dm.payloads(1<<20), 1, 1, nil)
 		if a != b {
-			t.Fatalf("sample %d: D0*s(M) %v != SampleDBytes %v", i, a, b)
+			t.Fatalf("sample %d: D0*s(M) %v != SampleDRound %v", i, a, b)
 		}
 	}
 }
 
-func TestSampleDBytesChargesTransfer(t *testing.T) {
+func TestSampleDRoundChargesTransfer(t *testing.T) {
 	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 0.5}, ConstantScaling{})
 	dm.Bandwidth = 1000 // bytes per simulated second
 	r := rng.New(1)
-	got := dm.SampleDBytes(r, 2000)
+	got := dm.SampleDScheduleInto(r, dm.payloads(2000), 1, 1, nil)
 	want := 0.5 + 2000.0/1000
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("sized delay %v, want %v", got, want)
 	}
 	// Zero payload pays latency only.
-	if got := dm.SampleDBytes(r, 0); got != 0.5 {
+	if got := dm.SampleDScheduleInto(r, dm.payloads(0), 1, 1, nil); got != 0.5 {
 		t.Fatalf("zero payload delay %v, want 0.5", got)
 	}
 }
 
-func TestSampleDBytesScalesTransferWithTopology(t *testing.T) {
+func TestSampleDRoundScalesTransferWithTopology(t *testing.T) {
 	// The transfer term is carried by every hop: s(m) multiplies it too.
 	dm := New(8, rng.Constant{Value: 1}, rng.Constant{Value: 0.1}, LinearScaling{})
 	dm.Bandwidth = 100
 	r := rng.New(2)
-	got := dm.SampleDBytes(r, 50)
+	got := dm.SampleDScheduleInto(r, dm.payloads(50), 1, 1, nil)
 	want := (0.1 + 0.5) * 8
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("scaled sized delay %v, want %v", got, want)
@@ -320,7 +320,7 @@ func TestSampleDScheduleHomogeneousMatchesSampleDBytes(t *testing.T) {
 	dm.Bandwidth = 100
 	r1, r2 := rng.New(3), rng.New(3)
 	for i := 0; i < 50; i++ {
-		a := dm.SampleDBytes(r1, 640)
+		a := dm.refSampleDBytes(r1, 640)
 		b := dm.SampleDScheduleInto(r2, []int{100, 640, 10, 5}, 1, 1, nil)
 		if a != b {
 			t.Fatalf("schedule %v != legacy %v at draw %d", b, a, i)
@@ -355,11 +355,11 @@ func TestSampleDScheduleSlowestLinkGates(t *testing.T) {
 
 func TestCheckLinks(t *testing.T) {
 	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
-	if err := dm.CheckLinks(); err != nil {
+	if err := dm.Check(); err != nil {
 		t.Fatalf("nil links rejected: %v", err)
 	}
 	dm.Links = make([]Link, 3)
-	if err := dm.CheckLinks(); err == nil {
+	if err := dm.Check(); err == nil {
 		t.Fatal("accepted 3 links for 4 workers")
 	}
 }
@@ -385,29 +385,18 @@ func TestParseLinks(t *testing.T) {
 	}
 }
 
-func TestSampleSyncIterationBytesChargesPayload(t *testing.T) {
-	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, ConstantScaling{})
-	dm.Bandwidth = 100
-	r := rng.New(2)
-	free := dm.SampleSyncIteration(r)
-	sized := dm.SampleSyncIterationBytes(r, 500)
-	if want := free + 5; math.Abs(sized-want) > 1e-12 {
-		t.Fatalf("sized sync iteration %v, want %v", sized, want)
-	}
-}
-
 func TestSampleRoundBytesChargesPayload(t *testing.T) {
 	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, ConstantScaling{})
 	dm.Bandwidth = 100
 	r := rng.New(2)
-	free := dm.SampleRound(10, r)
-	sized := dm.SampleRoundBytes(10, r, 500)
-	if want := free + 5; math.Abs(sized-want) > 1e-12 {
-		t.Fatalf("sized round %v, want %v", sized, want)
-	}
-	per := dm.SamplePerIterationBytes(10, r, 500)
-	if want := sized / 10; math.Abs(per-want) > 1e-12 {
-		t.Fatalf("sized per-iteration %v, want %v", per, want)
+	// tau = 1 is a fully synchronous iteration, tau = 10 a PASGD round: both
+	// pay the 500-byte payload once.
+	for _, tau := range []int{1, 10} {
+		free := dm.SampleRoundBytes(tau, r, 0)
+		sized := dm.SampleRoundBytes(tau, r, 500)
+		if want := free + 5; math.Abs(sized-want) > 1e-12 {
+			t.Fatalf("tau %d: sized round %v, want %v", tau, sized, want)
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -481,6 +470,24 @@ func TestSampleDScheduleIntoPerWorkerTimes(t *testing.T) {
 	}
 }
 
+// The shared bandwidth is a rate like any link's: a NaN or negative one used
+// to read as a free, infinite link (bw > 0 is false), +Inf as one outright.
+func TestCheckRejectsDegenerateSharedBandwidth(t *testing.T) {
+	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
+	for _, bad := range []float64{math.NaN(), -1, math.Inf(1), math.Inf(-1)} {
+		dm.Bandwidth = bad
+		if err := dm.Check(); err == nil {
+			t.Errorf("accepted shared bandwidth %v", bad)
+		}
+	}
+	for _, ok := range []float64{0, 5e-324, 100} {
+		dm.Bandwidth = ok
+		if err := dm.Check(); err != nil {
+			t.Errorf("rejected shared bandwidth %v: %v", ok, err)
+		}
+	}
+}
+
 func TestCheckLinksRejectsDegenerateEntries(t *testing.T) {
 	for _, bad := range [][]Link{
 		{{Latency: -1}, {}, {}, {}},
@@ -490,14 +497,14 @@ func TestCheckLinksRejectsDegenerateEntries(t *testing.T) {
 	} {
 		dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
 		dm.Links = bad
-		if err := dm.CheckLinks(); err == nil {
+		if err := dm.Check(); err == nil {
 			t.Fatalf("accepted degenerate links %+v", bad)
 		}
 	}
 	// Zero stays legal: zero latency is real, zero bandwidth inherits.
 	dm := New(2, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
 	dm.Links = []Link{{}, {Latency: 0, Bandwidth: 50}}
-	if err := dm.CheckLinks(); err != nil {
+	if err := dm.Check(); err != nil {
 		t.Fatalf("rejected valid links: %v", err)
 	}
 }
@@ -528,9 +535,73 @@ func TestParseLinksRejectsDegenerateEntries(t *testing.T) {
 
 func TestJitterScalesNilIsZeroConfig(t *testing.T) {
 	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
-	s, err := dm.JitterScales()
-	if err != nil || s != nil {
-		t.Fatalf("nil jitter must draw nothing, got %v, %v", s, err)
+	s, err := dm.ComputeScales(nil)
+	if err != nil || len(s) != 4 {
+		t.Fatalf("ComputeScales(nil) = %v, %v", s, err)
+	}
+	for i, v := range s {
+		if v != 1 {
+			t.Fatalf("nil jitter, nil factors: worker %d factor %v, want 1", i, v)
+		}
+	}
+	// Straggler factors pass through a nil Jitter unchanged, into a fresh
+	// slice.
+	factors := []float64{1, 3, 0.5, 2}
+	s, err = dm.ComputeScales(factors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s[0] = 9
+	if factors[0] != 1 || s[1] != 3 || s[2] != 0.5 || s[3] != 2 {
+		t.Fatalf("factors %v -> scales %v", factors, s)
+	}
+}
+
+// A straggler factor is a compute-time multiplier: NaN never gates a round
+// (v > max is false), a negative one runs the clock backwards, and a wrong
+// count used to index past the table. Both engines take this check.
+func TestComputeScalesRejectsDegenerateFactors(t *testing.T) {
+	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
+	for _, bad := range [][]float64{
+		{1, math.NaN(), 1, 1},
+		{1, 1, math.Inf(1), 1},
+		{0, 1, 1, 1},
+		{1, 1, 1, -1},
+		{1, 1},
+	} {
+		if _, err := dm.ComputeScales(bad); err == nil {
+			t.Errorf("accepted straggler factors %v", bad)
+		}
+	}
+	// The product of two finite factors can overflow or underflow.
+	dm.Jitter = rng.Constant{Value: 1e300}
+	if _, err := dm.ComputeScales([]float64{1e10, 1, 1, 1}); err == nil {
+		t.Error("accepted an infinite compute factor")
+	}
+	dm.Jitter = rng.Constant{Value: 1e-300}
+	if _, err := dm.ComputeScales([]float64{1e-30, 1, 1, 1}); err == nil {
+		t.Error("accepted a zero compute factor")
+	}
+}
+
+// Jitter composes with the straggler factors by one multiply per worker.
+func TestComputeScalesComposeFactorsAndJitter(t *testing.T) {
+	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
+	dm.Jitter = rng.Pareto{Xm: 1, Alpha: 2}
+	dm.JitterSeed = 7
+	jit, err := dm.ComputeScales(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factors := []float64{1, 3, 0.5, 2}
+	s, err := dm.ComputeScales(factors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range s {
+		if s[i] != factors[i]*jit[i] {
+			t.Fatalf("worker %d: %v, want %v x %v", i, s[i], factors[i], jit[i])
+		}
 	}
 }
 
@@ -538,11 +609,11 @@ func TestJitterScalesSeededAndPerWorker(t *testing.T) {
 	dm := New(8, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
 	dm.Jitter = rng.Pareto{Xm: 1, Alpha: 2}
 	dm.JitterSeed = 7
-	a, err := dm.JitterScales()
+	a, err := dm.ComputeScales(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := dm.JitterScales()
+	b, _ := dm.ComputeScales(nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("worker %d jitter not reproducible: %v vs %v", i, a[i], b[i])
@@ -561,7 +632,7 @@ func TestJitterScalesSeededAndPerWorker(t *testing.T) {
 		t.Fatal("all workers drew the same jitter factor")
 	}
 	dm.JitterSeed = 8
-	c, _ := dm.JitterScales()
+	c, _ := dm.ComputeScales(nil)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -582,9 +653,37 @@ func TestJitterScalesRejectsDegenerateDraws(t *testing.T) {
 		rng.Constant{Value: math.NaN()},
 	} {
 		dm.Jitter = bad
-		if _, err := dm.JitterScales(); err == nil {
+		if _, err := dm.ComputeScales(nil); err == nil {
 			t.Errorf("accepted jitter draw %v", bad.Sample(rng.New(1)))
 		}
+	}
+}
+
+// SampleCompute is the compute half of every round: the max over the up
+// workers of factor times the summed draws, every worker drawing whatever
+// the membership, and 0 with everyone down.
+func TestSampleComputeMaxOverUpWorkers(t *testing.T) {
+	dm := New(3, rng.Constant{Value: 2}, rng.Constant{Value: 0}, nil)
+	r := rng.New(1)
+	if got := dm.SampleCompute(r, 5, nil, nil); got != 10 {
+		t.Fatalf("homogeneous compute %v, want 10", got)
+	}
+	if got := dm.SampleCompute(r, 5, []float64{1, 3, 2}, nil); got != 30 {
+		t.Fatalf("straggler compute %v, want 30", got)
+	}
+	if got := dm.SampleCompute(r, 5, []float64{1, 3, 2}, []bool{false, true, false}); got != 20 {
+		t.Fatalf("straggler down: compute %v, want 20", got)
+	}
+	if got := dm.SampleCompute(r, 5, nil, []bool{true, true, true}); got != 0 {
+		t.Fatalf("everyone down: compute %v, want 0", got)
+	}
+	// Membership never shifts the stream: M*steps draws either way.
+	dm.Y = rng.Exponential{MeanVal: 1}
+	up, down := rng.New(9), rng.New(9)
+	dm.SampleCompute(up, 4, nil, nil)
+	dm.SampleCompute(down, 4, nil, []bool{true, false, true})
+	if up.Uint64() != down.Uint64() {
+		t.Fatal("a down mask changed the number of compute draws")
 	}
 }
 

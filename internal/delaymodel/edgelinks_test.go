@@ -68,7 +68,7 @@ func TestEdgeScheduleSlowestActiveEdgeGates(t *testing.T) {
 		{From: 3, To: 4}: {Latency: 10},
 		{From: 4, To: 3}: {Latency: 10},
 	}
-	if err := dm.CheckEdgeLinks(); err != nil {
+	if err := dm.Check(); err != nil {
 		t.Fatal(err)
 	}
 	bytes := make([]int, m)
@@ -144,16 +144,16 @@ func TestCheckEdgeLinksRejectsDegenerateEntries(t *testing.T) {
 	for _, tc := range cases {
 		dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, ConstantScaling{})
 		dm.EdgeLinks = tc.edges
-		if err := dm.CheckEdgeLinks(); err == nil {
+		if err := dm.Check(); err == nil {
 			t.Fatalf("%s accepted", tc.name)
 		}
 	}
 	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, ConstantScaling{})
-	if err := dm.CheckEdgeLinks(); err != nil {
+	if err := dm.Check(); err != nil {
 		t.Fatalf("nil table rejected: %v", err)
 	}
 	dm.EdgeLinks = map[Edge]Link{{From: 0, To: 2}: {Latency: 1, Bandwidth: 64}}
-	if err := dm.CheckEdgeLinks(); err != nil {
+	if err := dm.Check(); err != nil {
 		t.Fatalf("valid table rejected: %v", err)
 	}
 }

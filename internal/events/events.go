@@ -20,7 +20,7 @@
 //
 // Event times must be finite and non-negative: a NaN time has no place in
 // an ordering and would silently corrupt the heap invariant, so Push
-// rejects it loudly, the same way delaymodel.CheckLinks rejects NaN links.
+// rejects it loudly, the same way delaymodel.Model.Check rejects NaN links.
 //
 // # Clock semantics
 //

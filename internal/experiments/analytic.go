@@ -73,8 +73,8 @@ type Fig5Result struct {
 // Fig5Bytes Monte-Carlo samples both distributions with the paper's
 // parameters on a bandwidth-constrained link: every broadcast is charged the
 // size-aware cost of a `bytes` payload against the given per-link bandwidth
-// (delaymodel.SampleSyncIterationBytes / SampleRoundBytes). bytes = 0 is the
-// paper's size-free figure.
+// (delaymodel.SampleRoundBytes at tau = 1, and at tau = 10 divided by 10).
+// bytes = 0 is the paper's size-free figure.
 func Fig5Bytes(trials int, seed uint64, bytes int, bandwidth float64) Fig5Result {
 	dm := delaymodel.New(16, rng.Exponential{MeanVal: 1}, rng.Constant{Value: 1},
 		delaymodel.ConstantScaling{})
@@ -93,8 +93,8 @@ func Fig5Bytes(trials int, seed uint64, bytes int, bandwidth float64) Fig5Result
 		Bandwidth: bandwidth,
 	}
 	for t := 0; t < trials; t++ {
-		s := dm.SampleSyncIterationBytes(r, bytes)
-		p := dm.SamplePerIterationBytes(10, r, bytes)
+		s := dm.SampleRoundBytes(1, r, bytes)
+		p := dm.SampleRoundBytes(10, r, bytes) / 10
 		res.SyncHist.Add(s)
 		res.PAvgHist.Add(p)
 		res.SyncMean += s

@@ -9,7 +9,7 @@ import (
 
 // The compression experiments extend the paper's error-runtime trade-off to
 // the communication-VOLUME axis: on a bandwidth-constrained link the
-// broadcast cost depends on payload size (delaymodel.SampleDBytes), so
+// broadcast cost depends on payload size (delaymodel.SampleDRound), so
 // sending fewer bytes buys more local steps per simulated second, at the
 // price of a noisier averaging direction — the exact shape of the tau
 // trade-off, one level down.

@@ -6,10 +6,13 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/bound"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/data"
 	"repro/internal/metrics"
 	"repro/internal/opt"
+	"repro/internal/rng"
 	"repro/internal/sgd"
 )
 
@@ -196,6 +199,70 @@ func (c *Comparison) Print(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
+}
+
+// TauStar is Theorem 2's optimal communication period (eq 14) at one of
+// AdaComm's interval boundaries.
+type TauStar struct {
+	Time float64 // the boundary, a multiple of the interval T0
+	Tau  float64 // bound.OptimalTau(T0)
+}
+
+// OptimalTaus evaluates eq 14, bound.OptimalTau(T0), at every interval
+// boundary b = k*T0 of the comparison's AdaComm run that the trace records
+// past, with
+//
+//   - F1 the training loss of the last record at or before b, Finf = 0;
+//   - eta the learning rate of the first record after b, the rate the
+//     interval b opens ran at;
+//   - D and Y the workload delay model's MeanD and MeanY;
+//   - L and sigma^2 estimated once at the initial model by
+//     sgd.EstimateLipschitz (on the evaluation subset) and
+//     sgd.EstimateGradientVariance (mini-batches against the full training
+//     gradient), on a stream seeded from the spec.
+//
+// It rebuilds the workload instead of reusing RunComparison's, so none of it
+// is timed with the comparison. nil without an AdaComm trace or a positive
+// interval.
+func (c *Comparison) OptimalTaus() []TauStar {
+	tr, ok := c.Traces["AdaComm"]
+	if !ok || len(tr.Points) == 0 || !(c.Spec.Interval > 0) {
+		return nil
+	}
+	spec := c.Spec
+	w := BuildWorkload(spec.Arch, spec.Classes, spec.M, spec.Scale, spec.Seed)
+	r := rng.New(spec.Seed + 2)
+	lip := sgd.EstimateLipschitz(w.Proto, data.EvalBatch(w.Train, spec.EvalSubset, r), 1e-3, 8, r.NormFloat64)
+	sigma2 := sgd.EstimateGradientVariance(w.Proto, w.Train, spec.BatchSize, 16,
+		data.NewSampler(w.Train, spec.BatchSize, r.Split()))
+	consts := bound.Constants{L: lip, Sigma2: sigma2, M: spec.M, Y: w.Delay.MeanY(), D: w.Delay.MeanD()}
+
+	var out []TauStar
+	last := 0 // the last record at or before the boundary
+	for k := 0; ; k++ {
+		b := float64(k) * spec.Interval
+		for last+1 < len(tr.Points) && tr.Points[last+1].Time <= b {
+			last++
+		}
+		if last+1 == len(tr.Points) {
+			return out
+		}
+		consts.F1, consts.Eta = tr.Points[last].Loss, tr.Points[last+1].LR
+		out = append(out, TauStar{Time: b, Tau: consts.OptimalTau(spec.Interval)})
+	}
+}
+
+// PrintOptimalTaus renders eq 14's tau* per boundary as one line, the
+// theory's counterpart of the AdaComm tau trajectory line above it.
+func PrintOptimalTaus(w io.Writer, taus []TauStar) {
+	if taus == nil {
+		return
+	}
+	fmt.Fprintf(w, "eq 14 tau*(T0) at each boundary:")
+	for _, ts := range taus {
+		fmt.Fprintf(w, " (t=%.0f tau*=%.1f)", ts.Time, ts.Tau)
+	}
+	fmt.Fprintln(w)
 }
 
 // ---------------------------------------------------------------------------

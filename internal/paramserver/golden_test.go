@@ -70,6 +70,17 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 	kasyncPull := ksyncPull
 	kasyncPull.Mode = KAsync
 
+	// Latency and a finite rate on every link, K = m so every exchange's
+	// arrival gates a round: captured while the server resolved its own
+	// bandwidths, before it priced exchanges through delaymodel's link rule.
+	// It pins the order dur adds the link's terms in (latency, then wire).
+	ksyncLat := psConfig(KSync)
+	ksyncLat.MaxUpdates = 60
+	ksyncLat.Bandwidth = 70
+	ksyncLat.Links = []delaymodel.Link{{Latency: 0.3}, {Latency: 0.7, Bandwidth: 30}, {Latency: 1.3, Bandwidth: 110}, {Latency: 0.1}}
+	kasyncLat := ksyncLat
+	kasyncLat.Mode = KAsync
+
 	cases := []struct {
 		name   string
 		cfg    Config
@@ -86,6 +97,8 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 		{"kasync-churn", kasyncChurn, 3, 0.1, 0x765f128dcd75de8b, 0x2e01b030a5f2faad, 2052.5815427889047},
 		{"ksync-lossy-pull-links", ksyncPull, 3, 0.2, 0xb61756dcb2560969, 0x2cb01ab8618214d5, 896.1145275254598},
 		{"kasync-lossy-pull-links", kasyncPull, 2, 0.1, 0xdb3cb30b066654d7, 0x1aca15a91b9be104, 379.3619060458491},
+		{"ksync-latency-links", ksyncLat, 4, 0.1, 0x94a715fb8fce359c, 0x405d1ffea252b6bc, 806.9683124671367},
+		{"kasync-latency-links", kasyncLat, 2, 0.1, 0x0a1acd46f3a41515, 0xdc005e0806090196, 254.88148405401842},
 	}
 	for _, tc := range cases {
 		// A fault-free row holds under every way of attaching no fault.

@@ -126,10 +126,11 @@ type Config struct {
 	// ComputeY is the per-gradient compute-time distribution.
 	ComputeY rng.Distribution
 	// Bandwidth is the worker<->server link rate in bytes per simulated
-	// second; 0 = infinite (the legacy size-free push). With a finite
-	// bandwidth every exchange additionally costs payload/Bandwidth, where
-	// the payload is the (possibly compressed) gradient — the same
-	// size-aware cost model internal/cluster charges for broadcasts.
+	// second, finite and >= 0; 0 = infinite (the legacy size-free push).
+	// With a finite bandwidth every exchange additionally costs
+	// payload/Bandwidth, where the payload is the (possibly compressed)
+	// gradient — the same size-aware cost model internal/cluster charges for
+	// broadcasts.
 	Bandwidth float64
 	// Compress optionally compresses pushed gradients with the
 	// internal/compress subsystem. None pushes through the identity, which
@@ -234,6 +235,9 @@ type Server struct {
 	evalModel *nn.Network
 	evalBatch data.Batch
 
+	// delay prices every exchange: Y is the gradient's compute time, D0 the
+	// push delay drawn from delayRand, and the link rule the transfer terms.
+	delay     *delaymodel.Model
 	delayRand *rng.Rand
 
 	// Communication state: all worker<->server exchange routes through com
@@ -281,6 +285,13 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("paramserver: no shards")
 	}
+	delay := &delaymodel.Model{
+		M: len(shards), Y: cfg.ComputeY, D0: cfg.PushDelay, Scale: delaymodel.ConstantScaling{},
+		Bandwidth: cfg.Bandwidth, Links: cfg.Links,
+	}
+	if err := delay.Check(); err != nil {
+		return nil, fmt.Errorf("paramserver: %w", err)
+	}
 	if cfg.EvalEvery <= 0 {
 		cfg.EvalEvery = 20
 	}
@@ -290,6 +301,7 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 		m:         len(shards),
 		params:    append([]float64(nil), proto.Params()...),
 		evalModel: proto.Clone(),
+		delay:     delay,
 		delayRand: root.Split(),
 		// Seeded from cfg.Seed directly: a draw from root would shift every
 		// stream below it.
@@ -306,12 +318,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 		}
 	}
 	s.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
-	if cfg.Links != nil {
-		lm := &delaymodel.Model{M: s.m, Links: cfg.Links}
-		if err := lm.CheckLinks(); err != nil {
-			return nil, fmt.Errorf("paramserver: %w", err)
-		}
-	}
 	s.com = comm.New(comm.Star, s.m)
 	s.linkTimes = make([]float64, s.m)
 	dim := proto.ParamLen()
@@ -422,25 +428,14 @@ func (s *Server) dispatch(i int) {
 	// The actual gradient computation happens lazily at completion time;
 	// only the duration is decided now. Compressed payload sizes are
 	// data-independent, so the size-aware transfer term is deterministic.
-	// transfer mirrors the deterministic link terms added to dur below; dur
+	// transfer is the deterministic link terms added to dur below; dur
 	// itself accumulates in the exact legacy order so event times stay bit
 	// for bit.
-	dur := s.cfg.ComputeY.Sample(w.r) + s.cfg.PushDelay.Sample(s.delayRand)
-	transfer := 0.0
-	bw := s.cfg.Bandwidth
-	if s.cfg.Links != nil {
-		l := s.cfg.Links[i]
-		dur += l.Latency
-		transfer += l.Latency
-		if l.Bandwidth > 0 {
-			bw = l.Bandwidth
-		}
-	}
-	if wire := s.pushBytes + pullBytes; bw > 0 {
-		wt := float64(wire) / bw
-		dur += wt
-		transfer += wt
-	}
+	dur := s.delay.Y.Sample(w.r) + s.delay.D0.Sample(s.delayRand)
+	lat, wire := s.delay.TransferTerms(i, s.pushBytes+pullBytes)
+	dur += lat
+	dur += wire
+	transfer := lat + wire
 	// The fault multiplier applies to the transfer terms only (compute and
 	// push-delay draws already happened, keeping the streams aligned with the
 	// fault-free run); without a schedule it is exactly 1.

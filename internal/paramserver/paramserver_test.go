@@ -66,6 +66,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(proto, nil, train, psConfig(KSync)); err == nil {
 		t.Fatal("accepted zero shards")
 	}
+	// The shared rate is checked like a link's: bw > 0 used to price a NaN
+	// or negative one as a free, infinite link.
+	for _, bw := range []float64{math.NaN(), -1, math.Inf(1)} {
+		bad = psConfig(KSync)
+		bad.Bandwidth = bw
+		if _, err := New(proto, shards, train, bad); err == nil {
+			t.Errorf("accepted shared bandwidth %v", bw)
+		}
+	}
 }
 
 func TestConfigRejectsNonFiniteMaxTime(t *testing.T) {

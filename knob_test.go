@@ -44,9 +44,6 @@ import (
 var knobAllow = map[string]string{
 	"cluster.AsyncConfig.RecordEvents": "the observer switch of the golden and determinism tests: EventTrace is empty without it",
 	"compress.Message.":                "a wire format the compressors fill in and Decode reads; engines build only its dense view",
-	"delaymodel.Model.D0":              "fed from the caller's argument by delaymodel.New, Profile.Model and Constrained",
-	"delaymodel.Model.Scale":           "fed from the caller's argument by delaymodel.New, Profile.Model and Constrained",
-	"delaymodel.Model.Y":               "fed from the caller's argument by delaymodel.New, Profile.Model and Constrained",
 	"delaymodel.Profile.Bandwidth":     "fed from the caller's argument by Profile.Constrained",
 	"experiments.TrainSpec.":           "the paper's figure specs, filled by the Fig... constructors; benchmark/ overrides the rest",
 }

@@ -100,9 +100,7 @@ var reachAllow = map[string]string{
 	"data.LinearRegressionData": usedByTests,
 	"data.TwoSpirals":           usedByTests,
 
-	"bound.":                       theory,
-	"sgd.EstimateGradientVariance": theory,
-	"sgd.EstimateLipschitz":        theory,
+	"bound.": theory,
 
 	// delaymodel.Scaling: benchmark/ passes the interface, and these two are
 	// the pricer oracle's s(M) != 1 cases.
