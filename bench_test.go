@@ -1,9 +1,10 @@
 package repro
 
 // Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (BenchmarkFig*/BenchmarkTable*) and per ablation, each running
-// the corresponding experiment end-to-end at reduced (ScaleQuick) size so the
-// whole suite completes in minutes; `go run ./cmd/figures` regenerates the
+// evaluation (BenchmarkFig*/BenchmarkTable*) and one per ablation registry
+// row (BenchmarkAblations/NAME), each running the corresponding experiment
+// end-to-end at reduced (ScaleQuick) size so the whole suite completes in
+// minutes; `go run ./cmd/figures` and `go run ./cmd/sweep` regenerate the
 // same artifacts at full scale. The hot kernels, model steps and engine
 // rounds are timed by `go run ./cmd/bench` (pinned iteration counts, the rows
 // CI's regression gate reads); the three micro-benchmarks at the bottom have
@@ -127,47 +128,21 @@ func BenchmarkTable1TestAccuracy(b *testing.B) {
 	}
 }
 
-// Ablation benches (DESIGN.md Sec 4 design choices).
-
-func BenchmarkAblationTauGrid(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PrintTauGrid(io.Discard, experiments.TauGridAblation(experiments.ScaleQuick))
+// BenchmarkAblations runs every row of the ablation registry (cmd/sweep
+// -ablation all) at ScaleQuick, one sub-benchmark per row.
+func BenchmarkAblations(b *testing.B) {
+	rows, err := experiments.SelectAblations("all")
+	if err != nil {
+		b.Fatal(err)
 	}
-}
-
-func BenchmarkAblationGamma(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PrintGammaAblation(io.Discard, experiments.GammaAblation(experiments.ScaleQuick))
-	}
-}
-
-func BenchmarkAblationCoupling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PrintCouplingAblation(io.Discard, experiments.CouplingAblation(experiments.ScaleQuick))
-	}
-}
-
-func BenchmarkAblationInterval(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PrintIntervalAblation(io.Discard, experiments.IntervalAblation(experiments.ScaleQuick))
-	}
-}
-
-func BenchmarkAblationStrategy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PrintStrategyAblation(io.Discard, experiments.StrategyAblation(experiments.ScaleQuick))
-	}
-}
-
-func BenchmarkExtensionAdaSync(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PrintAdaSync(io.Discard, experiments.AdaSyncExperiment(experiments.ScaleQuick))
-	}
-}
-
-func BenchmarkAblationDelayDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		experiments.PrintDelayAblation(io.Discard, experiments.DelayAblation(experiments.ScaleQuick))
+	for _, row := range rows {
+		b.Run(row.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := row.Run(io.Discard, experiments.AblationOptions{Scale: experiments.ScaleQuick}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

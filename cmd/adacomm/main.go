@@ -84,8 +84,6 @@ func main() {
 		"delta compression: none | identity | topk:0.01 | randk:0.05 | qsgd:4 (append +ef for error feedback, +f32 for a float32 wire)")
 	wireFlag := flag.String("wire", "",
 		"wire value precision: float64 | float32 (halves every payload; model state stays float64)")
-	kernelWorkers := flag.Int("kernel-workers", 1,
-		"goroutines the tensor kernels may fan output-row panels across (bit-identical results at any setting; >1 only helps on multi-core hosts)")
 	bandwidth := flag.Float64("bandwidth", 0,
 		"per-link bandwidth in bytes per simulated second (0 = infinite, size-free broadcasts)")
 	adaptCompression := flag.Bool("adapt-compression", false,
@@ -130,7 +128,6 @@ func main() {
 		}
 		spec.Wire = wire
 	}
-	check(cli.KernelWorkers(*kernelWorkers))
 	fsched, err := faults.Parse(*faultsFlag)
 	check(err)
 	optCfg, err := opt.Parse(*optimizerFlag)

@@ -57,6 +57,8 @@ func TestCommandLine(t *testing.T) {
 		"-async -budget NaN",
 		"-async -budget +Inf",
 		"-budget 0",
+		// Not a flag since the kernel pool's knob went: the flag
+		// package's own exit 2.
 		"-kernel-workers 0",
 		"-adam-beta2 1 -optimizer adam",
 		"-bandwidth NaN",

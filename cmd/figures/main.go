@@ -52,13 +52,10 @@ func main() {
 		"per-link bandwidth in bytes per simulated second for -bytes pricing (0 = infinite)")
 	workers := flag.Int("workers", 0,
 		"concurrent experiment configurations per grid (0 = GOMAXPROCS, 1 = serial); output is identical at any width")
-	kernelWorkers := flag.Int("kernel-workers", 1,
-		"goroutines the tensor kernels may fan output-row panels across (bit-identical results at any setting; >1 oversubscribes when the experiment pool is already saturated)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected figures' runs to this file")
 	flag.Parse()
 
 	cli.Check("figures", cli.PoolWorkers(*workers))
-	cli.Check("figures", cli.KernelWorkers(*kernelWorkers))
 	if *bytes < 0 || !(*bandwidth >= 0) {
 		cli.Fatalf("figures", "-bytes %d and -bandwidth %g must be >= 0", *bytes, *bandwidth)
 	}

@@ -15,7 +15,7 @@ func TestCommandLine(t *testing.T) {
 	// The analytic figures are cheap enough to run here (the training
 	// figures take a minute at -quick; experiments_test.go covers them).
 	for _, ok := range []string{"-fig 4", "-fig 5", "-fig 6", "-fig 7", "-fig 8",
-		"-fig 5 -bytes 800000 -bandwidth 4e6", "-fig 4 -workers 1 -kernel-workers 2"} {
+		"-fig 5 -bytes 800000 -bandwidth 4e6", "-fig 4 -workers 1"} {
 		stdout, stderr, code := run(append([]string{"-quick"}, strings.Fields(ok)...)...)
 		if code != 0 || !strings.HasPrefix(stdout, "== ") || stderr != "" {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q", ok, code, stdout, stderr)
@@ -27,15 +27,15 @@ func TestCommandLine(t *testing.T) {
 		"-fig 2",
 		"-table 7",
 		"-fig 4 -table 7",
-		"-kernel-workers 0",
 		"-workers -1",
 		"-bytes -1",
 		"-bandwidth NaN",
 		"-fig 5 -bytes 800000",
 		"-fig 4 -cpuprofile /nonexistent-directory/cpu.prof",
-		// The ablations are cmd/sweep's: not flags here, so the flag
-		// package rejects them.
-		"-gossip", "-async", "-topology", "-churn", "-optimizer",
+		// The ablations are cmd/sweep's, and -kernel-workers went with the
+		// kernel pool's knob: not flags here, so the flag package rejects
+		// them.
+		"-kernel-workers 0", "-gossip", "-async", "-topology", "-churn", "-optimizer",
 		"-wire float32", "-faults drop:0.1", "-adam-beta2 0.99", "-global-momentum 0.2",
 	} {
 		t.Run(bad, func(t *testing.T) {

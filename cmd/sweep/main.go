@@ -1,10 +1,8 @@
-// Command sweep runs the repo's ablations: the tau grid search (how tau_0 is
-// picked), the gamma saturation-decay ablation, the LR-coupling-rule
-// ablation (eq 19 vs eq 20), the interval length T0 sensitivity, the
-// delay-distribution straggler ablation, and every extension ablation added
-// since (gossip, async, wire, topology, churn, optimizer). It is the ONE
-// front door to them: each is a row of the registry in
-// internal/experiments/registry.go, and `sweep -h` lists the rows.
+// Command sweep runs the repo's ablations: AdaComm's own design choices (how
+// tau_0 is picked, gamma, the LR coupling rule, the interval T0) and every
+// extension beyond the paper. Each ablation is a row of the registry in
+// internal/experiments/registry.go, and that registry is the only way to run
+// one; `sweep -h` lists the rows.
 //
 // Usage:
 //
@@ -16,7 +14,8 @@
 //
 // A tuning flag (-wire, -faults, -adam-beta2, -global-momentum) that the
 // selected ablation would ignore, an unknown -ablation name and any
-// malformed value exit 2 with one "sweep: ..." line before anything runs.
+// malformed or out-of-range value exit 2 with one "sweep: ..." line before
+// anything runs.
 //
 // Grid cells are independent configurations and run concurrently on the
 // experiment pool (-workers, default GOMAXPROCS); the output is
@@ -40,8 +39,6 @@ func main() {
 		"concurrent experiment configurations per grid (0 = GOMAXPROCS, 1 = serial); output is identical at any width")
 	wire := flag.String("wire", "",
 		"wire precision (float64 | float32) of the gossip grid's compressed cells; only meaningful with -ablation gossip or all")
-	kernelWorkers := flag.Int("kernel-workers", 1,
-		"goroutines the tensor kernels may fan output-row panels across (bit-identical results at any setting; >1 oversubscribes when the experiment pool is already saturated)")
 	faultsFlag := flag.String("faults", "",
 		"override the churn ablation's fault schedule, comma-separated events ("+faults.Forms+"); only meaningful with -ablation churn or all")
 	adamBeta2 := flag.Float64("adam-beta2", 0,
@@ -53,9 +50,6 @@ func main() {
 
 	check := func(err error) { cli.Check("sweep", err) }
 	check(cli.PoolWorkers(*workers))
-	check(cli.KernelWorkers(*kernelWorkers))
-	check(cli.OpenUnit("-adam-beta2", *adamBeta2))
-	check(cli.OpenUnit("-global-momentum", *globalMomentum))
 	sel, err := experiments.SelectAblations(*which)
 	check(err)
 	opts := experiments.AblationOptions{

@@ -66,16 +66,18 @@ func TestCommandLine(t *testing.T) {
 		"-wire float16",
 		"-faults crash:x@r1",
 		"-ablation churn -faults crash:50@r1",
+		"-ablation all -faults crash:50@r1",
 		"-wire float32 -ablation tau0",
 		"-faults drop:0.1 -ablation gossip",
 		"-adam-beta2 0.99 -ablation churn",
 		"-global-momentum 0.2 -ablation wire",
 		"-adam-beta2 1",
 		"-global-momentum NaN",
-		"-kernel-workers 0",
 		"-workers -3",
 		"-cpuprofile /nonexistent-directory/cpu.prof",
-		"-gossip", // not a flag here: the flag package's own exit 2
+		// Not flags here: the flag package's own exit 2. -kernel-workers
+		// went with the kernel pool's knob.
+		"-gossip", "-kernel-workers 0",
 	} {
 		t.Run(bad, func(t *testing.T) {
 			stdout, stderr, code := run(append([]string{"-quick"}, strings.Fields(bad)...)...)

@@ -8,11 +8,12 @@
 // training stack in internal/{tensor,nn,sgd,data,rng}. Executables are
 // under cmd/, runnable examples under examples/, and every figure and table
 // of the paper's evaluation regenerates via cmd/figures or the benchmark
-// harness in bench_test.go at this directory. Every ablation beyond the
-// paper is one row of the registry in internal/experiments/registry.go and
-// runs through ONE front door, cmd/sweep -ablation NAME (sweep -h lists
-// them); the three commands share their exit-2 contract for bad flag values
-// through internal/cli. Simulated time has ONE pricer, internal/delaymodel:
+// harness in bench_test.go at this directory. An ablation is a row of the
+// registry in internal/experiments/registry.go and nothing else: its driver,
+// printer and sizing are unexported, and cmd/sweep -ablation NAME (sweep -h
+// lists them), examples/heterogeneous and BenchmarkAblations all select rows
+// by name; the three commands share their exit-2 contract for bad flag
+// values through internal/cli. Simulated time has ONE pricer, internal/delaymodel:
 // a round's compute half is SampleCompute (the slowest up worker's scaled
 // sum of compute draws), its broadcast half SampleDRound (one D0 draw, the
 // slowest active transfer gates, nil fault masks mean everyone up at scale
@@ -94,8 +95,9 @@
 // paramserver.AdaSyncConfig.LinkAware, AdaSync caps K at the number of links
 // within a cutoff of the fastest (waiting only for the K fastest links, the
 // Kas Hanna et al. 2022 direction). Every LinkAware-off trajectory is pinned
-// bit-identical to the static rules by golden tests; the link-aware ablation
-// in internal/experiments quantifies the win on a 10x bandwidth straggler.
+// bit-identical to the static rules by golden tests; the link-aware ablations
+// (cmd/sweep -ablation linkaware, linkaware-ps) quantify the win on a 10x
+// bandwidth straggler.
 // See cmd/adacomm's -link-aware flag and cmd/figures' -bytes/-bandwidth
 // flags for the size-aware Fig 5/7/8 Monte-Carlo variants.
 //

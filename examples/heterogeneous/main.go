@@ -26,6 +26,10 @@
 // in the least simulated time — communication ROUTING, not just frequency,
 // sets the error-runtime frontier.
 //
+// Each table is a row of the ablation registry, run at full size:
+// `go run ./cmd/sweep -ablation slowlink` (then linkaware, linkaware-ps,
+// topology) prints the same four tables without the commentary.
+//
 //	go run ./examples/heterogeneous
 package main
 
@@ -37,10 +41,7 @@ import (
 )
 
 func main() {
-	spec := experiments.DefaultHeteroSpec(experiments.ScaleFull)
-	rows := experiments.HeterogeneousStragglerAblation(spec)
-	experiments.PrintHeterogeneousAblation(os.Stdout, spec, rows)
-
+	run("slowlink")
 	fmt.Println()
 	fmt.Println("tau=1 is gated by the slow link every iteration; tau=16 amortizes it")
 	fmt.Println("16x but keeps averaging rarely even once communication is cheap to")
@@ -48,9 +49,7 @@ func main() {
 	fmt.Println("reaching the lowest loss in the same simulated budget.")
 	fmt.Println()
 
-	target, laRows := experiments.LinkAwareAblation(spec)
-	experiments.PrintLinkAware(os.Stdout,
-		"Link-aware AdaComm vs the static rule (10x bandwidth straggler)", target, laRows)
+	run("linkaware")
 	fmt.Println()
 	fmt.Println("the static rule decays tau obliviously and ends up paying the slow")
 	fmt.Println("link every few steps; the link-aware mode measures alpha from the")
@@ -58,17 +57,14 @@ func main() {
 	fmt.Println("loss sooner and fitting more iterations into the same budget.")
 	fmt.Println()
 
-	psTarget, psRows := experiments.LinkAwareAdaSyncAblation(experiments.ScaleFull)
-	experiments.PrintLinkAware(os.Stdout,
-		"Link-aware AdaSync vs the static growth rule (K-async, m=8)", psTarget, psRows)
+	run("linkaware-ps")
 	fmt.Println()
 	fmt.Println("static AdaSync grows K to m and every late update waits on the slow")
 	fmt.Println("uplink; the link-aware cap stops at the fast-link count, keeping the")
 	fmt.Println("update cadence high without giving back the low-noise floor.")
 	fmt.Println()
 
-	res := experiments.RunTopologyGrid(experiments.DefaultTopologyGrid(experiments.ScaleFull))
-	experiments.PrintTopologyGrid(os.Stdout, res)
+	run("topology")
 	fmt.Println()
 	fmt.Println("here the straggler is one EDGE, not a worker: EdgeLinks prices link")
 	fmt.Println("3-4 at 10x and the slowest active edge gates each gossip round. The")
@@ -77,4 +73,17 @@ func main() {
 	fmt.Println("routes around it and still mixes ~8x faster than the ring (spectral")
 	fmt.Println("gap 0.40 vs 0.05), so it reaches the shared target loss first: how")
 	fmt.Println("communication is routed matters, not just how often it happens.")
+}
+
+// run prints one row of the ablation registry (cmd/sweep -ablation NAME) at
+// full size.
+func run(name string) {
+	sel, err := experiments.SelectAblations(name)
+	if err == nil {
+		err = sel[0].Run(os.Stdout, experiments.AblationOptions{Scale: experiments.ScaleFull})
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "heterogeneous:", err)
+		os.Exit(1)
+	}
 }

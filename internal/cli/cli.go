@@ -17,7 +17,6 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/experiments"
-	"repro/internal/tensor"
 )
 
 // Fatalf is the bad-input contract of every command: ONE line on stderr,
@@ -66,16 +65,6 @@ func Scale(quick bool) experiments.Scale {
 		return experiments.ScaleQuick
 	}
 	return experiments.ScaleFull
-}
-
-// KernelWorkers applies -kernel-workers (goroutines per tensor kernel, at
-// least 1).
-func KernelWorkers(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-kernel-workers %d must be >= 1", n)
-	}
-	tensor.SetWorkers(n)
-	return nil
 }
 
 // PoolWorkers applies the experiment pool's -workers (0 keeps the

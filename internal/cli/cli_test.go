@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/tensor"
 )
 
 func TestChecks(t *testing.T) {
@@ -21,14 +20,6 @@ func TestChecks(t *testing.T) {
 		if err := OpenUnit("-x", v); err == nil {
 			t.Errorf("OpenUnit(%v) accepted", v)
 		}
-	}
-
-	defer tensor.SetWorkers(tensor.SetWorkers(1))
-	if KernelWorkers(0) == nil || KernelWorkers(-2) == nil {
-		t.Error("KernelWorkers accepted a width below 1")
-	}
-	if err := KernelWorkers(3); err != nil || tensor.SetWorkers(3) != 3 {
-		t.Errorf("KernelWorkers(3) did not set the kernel width: %v", err)
 	}
 
 	defer experiments.SetWorkers(experiments.Workers())

@@ -4,7 +4,7 @@
 // the training set and reshuffles it every epoch, exactly as in the paper's
 // experimental setup (Sec 5.1).
 //
-// The substitution rationale (see DESIGN.md): SGD only observes the data
+// The substitution rationale: SGD only observes the data
 // through stochastic gradients, so any dataset with genuine class structure
 // and controllable difficulty exercises the same error-runtime trade-off.
 // SynthImages produces Gaussian class clusters with spatial texture so that

@@ -7,9 +7,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Synthetic dataset generators. These replace CIFAR-10/100 (see DESIGN.md):
-// each produces a deterministic dataset given a seed, with a train/test
-// split drawn from the same distribution.
+// Synthetic dataset generators. These replace CIFAR-10/100 (the package
+// comment says why that is sound): each produces a deterministic dataset
+// given a seed, with a train/test split drawn from the same distribution.
 
 // GaussianBlobsConfig parameterizes a Gaussian-cluster classification
 // dataset: K class means on a sphere of radius Separation, isotropic noise.

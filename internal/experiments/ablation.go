@@ -12,8 +12,10 @@ import (
 	"repro/internal/sgd"
 )
 
-// Ablations for the design choices DESIGN.md calls out. All run on the
-// cheap logistic workload so a full sweep finishes in seconds.
+// Ablations of AdaComm's own design choices (Sec 4.2-4.3: how tau_0 is
+// picked, gamma, the LR coupling rule, the interval T0) plus the strategy
+// and delay-distribution extensions. All run on the cheap logistic workload
+// so a full sweep finishes in seconds.
 
 func ablationWorkload(scale Scale) (*Workload, cluster.Config, float64) {
 	w := BuildWorkload(ArchLogistic, 4, 4, scale, 301)
@@ -35,16 +37,16 @@ func ablationWorkload(scale Scale) (*Workload, cluster.Config, float64) {
 // tau_0 grid search (Sec 4.2's "simple grid search over different tau").
 // ---------------------------------------------------------------------------
 
-// TauGridRow is one probe result of the tau_0 grid search.
-type TauGridRow struct {
+// tauGridRow is one probe result of the tau_0 grid search.
+type tauGridRow struct {
 	Tau       int
 	ProbeLoss float64 // training loss after the short probe
 	Chosen    bool
 }
 
-// TauGridAblation runs the paper's tau_0 selection protocol: short trial
+// tauGridAblation runs the paper's tau_0 selection protocol: short trial
 // runs (about two epochs) for each candidate tau, keeping the best.
-func TauGridAblation(scale Scale) []TauGridRow {
+func tauGridAblation(scale Scale) []tauGridRow {
 	w, cfg, budget := ablationWorkload(scale)
 	cfg.MaxTime = budget / 8 // short probes
 	candidates := []int{1, 2, 5, 10, 20, 50, 100}
@@ -61,17 +63,17 @@ func TauGridAblation(scale Scale) []TauGridRow {
 		traces[tau] = probes[i]
 	}
 	chosen := core.GridSearchTau0(candidates, func(tau int) *metrics.Trace { return traces[tau] })
-	rows := make([]TauGridRow, 0, len(candidates))
+	rows := make([]tauGridRow, 0, len(candidates))
 	for _, tau := range candidates {
-		rows = append(rows, TauGridRow{
+		rows = append(rows, tauGridRow{
 			Tau: tau, ProbeLoss: traces[tau].FinalLoss(), Chosen: tau == chosen,
 		})
 	}
 	return rows
 }
 
-// PrintTauGrid renders the grid-search outcome.
-func PrintTauGrid(w io.Writer, rows []TauGridRow) {
+// printTauGrid renders the grid-search outcome.
+func printTauGrid(w io.Writer, rows []tauGridRow) {
 	fmt.Fprintln(w, "== Ablation: tau_0 grid search (short probes, lowest loss wins) ==")
 	fmt.Fprintf(w, "%6s %12s %s\n", "tau", "probe loss", "")
 	for _, r := range rows {
@@ -87,20 +89,20 @@ func PrintTauGrid(w io.Writer, rows []TauGridRow) {
 // gamma saturation-decay ablation (eq 18).
 // ---------------------------------------------------------------------------
 
-// GammaRow is one gamma setting's outcome.
-type GammaRow struct {
+// gammaRow is one gamma setting's outcome.
+type gammaRow struct {
 	Gamma     float64
 	FinalLoss float64
 	FinalTau  int
 }
 
-// GammaAblation compares saturation-decay factors. gamma close to 1
+// gammaAblation compares saturation-decay factors. gamma close to 1
 // effectively disables the eq-18 refinement (tau only decreases when the
 // loss ratio says so), which leaves tau stuck high on plateaus.
-func GammaAblation(scale Scale) []GammaRow {
+func gammaAblation(scale Scale) []gammaRow {
 	w, cfg, budget := ablationWorkload(scale)
 	gammas := []float64{0.95, 0.5, 0.25}
-	rows := make([]GammaRow, len(gammas))
+	rows := make([]gammaRow, len(gammas))
 	forEach(len(gammas), func(i int) {
 		gamma := gammas[i]
 		ada := core.NewAdaComm(core.Config{
@@ -109,13 +111,13 @@ func GammaAblation(scale Scale) []GammaRow {
 		})
 		e := w.Engine(cfg)
 		tr := e.Run(ada, fmt.Sprintf("gamma=%g", gamma))
-		rows[i] = GammaRow{Gamma: gamma, FinalLoss: tr.FinalLoss(), FinalTau: ada.Tau()}
+		rows[i] = gammaRow{Gamma: gamma, FinalLoss: tr.FinalLoss(), FinalTau: ada.Tau()}
 	})
 	return rows
 }
 
-// PrintGammaAblation renders the gamma sweep.
-func PrintGammaAblation(w io.Writer, rows []GammaRow) {
+// printGammaAblation renders the gamma sweep.
+func printGammaAblation(w io.Writer, rows []gammaRow) {
 	fmt.Fprintln(w, "== Ablation: saturation decay factor gamma (eq 18) ==")
 	fmt.Fprintf(w, "%8s %12s %10s\n", "gamma", "final loss", "final tau")
 	for _, r := range rows {
@@ -127,21 +129,21 @@ func PrintGammaAblation(w io.Writer, rows []GammaRow) {
 // LR-coupling rule ablation: eq 19 vs eq 20 vs none.
 // ---------------------------------------------------------------------------
 
-// CouplingRow is one coupling rule's outcome under a 10x LR decay schedule.
-type CouplingRow struct {
+// couplingRow is one coupling rule's outcome under a 10x LR decay schedule.
+type couplingRow struct {
 	Rule      core.Coupling
 	FinalLoss float64
 	MaxTau    int // largest tau the controller reached
 }
 
-// CouplingAblation reproduces the paper's observation that the fully
+// couplingAblation reproduces the paper's observation that the fully
 // coupled rule (19) inflates tau after LR decays (they saw tau -> 1000 and
 // divergence), while the sqrt rule (20) raises tau moderately.
-func CouplingAblation(scale Scale) []CouplingRow {
+func couplingAblation(scale Scale) []couplingRow {
 	w, cfg, budget := ablationWorkload(scale)
 	sched := sgd.MultiStep{Eta: 0.12, Factor: 0.1, Milestones: []int{8, 16}}
 	rules := []core.Coupling{core.NoCoupling, core.SqrtCoupling, core.FullCoupling}
-	rows := make([]CouplingRow, len(rules))
+	rows := make([]couplingRow, len(rules))
 	forEach(len(rules), func(i int) {
 		rule := rules[i]
 		ada := core.NewAdaComm(core.Config{
@@ -156,13 +158,13 @@ func CouplingAblation(scale Scale) []CouplingRow {
 				maxTau = p.Tau
 			}
 		}
-		rows[i] = CouplingRow{Rule: rule, FinalLoss: tr.FinalLoss(), MaxTau: maxTau}
+		rows[i] = couplingRow{Rule: rule, FinalLoss: tr.FinalLoss(), MaxTau: maxTau}
 	})
 	return rows
 }
 
-// PrintCouplingAblation renders the rule comparison.
-func PrintCouplingAblation(w io.Writer, rows []CouplingRow) {
+// printCouplingAblation renders the rule comparison.
+func printCouplingAblation(w io.Writer, rows []couplingRow) {
 	fmt.Fprintln(w, "== Ablation: LR coupling rule (eq 19 full vs eq 20 sqrt vs none) ==")
 	fmt.Fprintf(w, "%8s %12s %10s\n", "rule", "final loss", "max tau")
 	for _, r := range rows {
@@ -174,20 +176,20 @@ func PrintCouplingAblation(w io.Writer, rows []CouplingRow) {
 // Interval length T0 sensitivity.
 // ---------------------------------------------------------------------------
 
-// IntervalRow is one T0 setting's outcome.
-type IntervalRow struct {
+// intervalRow is one T0 setting's outcome.
+type intervalRow struct {
 	T0          float64
 	FinalLoss   float64
 	Adaptations int // distinct tau values seen
 }
 
-// IntervalAblation sweeps the adaptation interval. Too-long intervals adapt
+// intervalAblation sweeps the adaptation interval. Too-long intervals adapt
 // too rarely (behaving like fixed tau); too-short intervals are noisy but
 // mostly harmless since the rule is loss-ratio based.
-func IntervalAblation(scale Scale) []IntervalRow {
+func intervalAblation(scale Scale) []intervalRow {
 	w, cfg, budget := ablationWorkload(scale)
 	divs := []float64{40, 12, 4}
-	rows := make([]IntervalRow, len(divs))
+	rows := make([]intervalRow, len(divs))
 	forEach(len(divs), func(i int) {
 		t0 := budget / divs[i]
 		ada := core.NewAdaComm(core.Config{
@@ -202,13 +204,13 @@ func IntervalAblation(scale Scale) []IntervalRow {
 				seen[p.Tau] = true
 			}
 		}
-		rows[i] = IntervalRow{T0: t0, FinalLoss: tr.FinalLoss(), Adaptations: len(seen)}
+		rows[i] = intervalRow{T0: t0, FinalLoss: tr.FinalLoss(), Adaptations: len(seen)}
 	})
 	return rows
 }
 
-// PrintIntervalAblation renders the T0 sweep.
-func PrintIntervalAblation(w io.Writer, rows []IntervalRow) {
+// printIntervalAblation renders the T0 sweep.
+func printIntervalAblation(w io.Writer, rows []intervalRow) {
 	fmt.Fprintln(w, "== Ablation: adaptation interval T0 ==")
 	fmt.Fprintf(w, "%10s %12s %12s\n", "T0", "final loss", "tau levels")
 	for _, r := range rows {
@@ -220,23 +222,23 @@ func PrintIntervalAblation(w io.Writer, rows []IntervalRow) {
 // Synchronization-strategy extension: AdaComm beyond simple averaging.
 // ---------------------------------------------------------------------------
 
-// StrategyRow is one mixing strategy's outcome under AdaComm control.
-type StrategyRow struct {
+// strategyRow is one mixing strategy's outcome under AdaComm control.
+type strategyRow struct {
 	Strategy  cluster.Strategy
 	FinalLoss float64
 	MinLoss   float64
 }
 
-// StrategyAblation runs AdaComm on top of each synchronization strategy —
+// strategyAblation runs AdaComm on top of each synchronization strategy —
 // full averaging (PASGD), ring gossip (decentralized SGD), and elastic
 // averaging (EASGD) — realizing the paper's concluding remark that adaptive
 // communication extends directly to those frameworks.
-func StrategyAblation(scale Scale) []StrategyRow {
+func strategyAblation(scale Scale) []strategyRow {
 	w, cfg, budget := ablationWorkload(scale)
 	strats := []cluster.Strategy{
 		cluster.FullAveraging, cluster.RingGossip, cluster.ElasticAveraging,
 	}
-	rows := make([]StrategyRow, len(strats))
+	rows := make([]strategyRow, len(strats))
 	forEach(len(strats), func(i int) {
 		c := cfg
 		c.Strategy = strats[i]
@@ -246,15 +248,15 @@ func StrategyAblation(scale Scale) []StrategyRow {
 		})
 		e := w.Engine(c)
 		tr := e.Run(ada, strats[i].String())
-		rows[i] = StrategyRow{
+		rows[i] = strategyRow{
 			Strategy: strats[i], FinalLoss: tr.FinalLoss(), MinLoss: tr.MinLoss(),
 		}
 	})
 	return rows
 }
 
-// PrintStrategyAblation renders the strategy comparison.
-func PrintStrategyAblation(w io.Writer, rows []StrategyRow) {
+// printStrategyAblation renders the strategy comparison.
+func printStrategyAblation(w io.Writer, rows []strategyRow) {
 	fmt.Fprintln(w, "== Extension: AdaComm over full-averaging / ring-gossip / elastic ==")
 	fmt.Fprintf(w, "%-20s %12s %12s\n", "strategy", "final loss", "min loss")
 	for _, r := range rows {
@@ -266,19 +268,19 @@ func PrintStrategyAblation(w io.Writer, rows []StrategyRow) {
 // Delay-distribution (straggler) ablation.
 // ---------------------------------------------------------------------------
 
-// DelayRow reports the runtime advantage of tau=10 over tau=1 under one
+// delayRow reports the runtime advantage of tau=10 over tau=1 under one
 // compute-time distribution, decomposed into the communication saving and
 // the straggler-mitigation saving.
-type DelayRow struct {
+type delayRow struct {
 	Dist          string
 	SpeedupMC     float64 // E[T_sync]/E[T_PAvg(tau=10)]
 	ConstantModel float64 // eq 12 prediction (constant-Y approximation)
 }
 
-// DelayAblation quantifies Sec 3.2: under heavy-tailed compute times the
+// delayAblation quantifies Sec 3.2: under heavy-tailed compute times the
 // measured speedup of PASGD exceeds the constant-delay formula because
 // averaging tau draws also shrinks the straggler tail.
-func DelayAblation(scale Scale) []DelayRow {
+func delayAblation(scale Scale) []delayRow {
 	trials := 100000
 	if scale == ScaleQuick {
 		trials = 20000
@@ -289,11 +291,11 @@ func DelayAblation(scale Scale) []DelayRow {
 		rng.Exponential{MeanVal: 1},
 		rng.Pareto{Xm: 0.6, Alpha: 2.5}, // mean = 1
 	}
-	var rows []DelayRow
+	var rows []delayRow
 	for _, d := range dists {
 		dm := delaymodel.New(16, d, rng.Constant{Value: 1}, delaymodel.ConstantScaling{})
 		alpha := 1 / d.Mean()
-		rows = append(rows, DelayRow{
+		rows = append(rows, delayRow{
 			Dist:          d.String(),
 			SpeedupMC:     dm.SpeedupMC(10, trials, r),
 			ConstantModel: delaymodel.SpeedupConstant(alpha, 10),
@@ -302,8 +304,8 @@ func DelayAblation(scale Scale) []DelayRow {
 	return rows
 }
 
-// PrintDelayAblation renders the distribution sweep.
-func PrintDelayAblation(w io.Writer, rows []DelayRow) {
+// printDelayAblation renders the distribution sweep.
+func printDelayAblation(w io.Writer, rows []delayRow) {
 	fmt.Fprintln(w, "== Ablation: compute-time distribution (straggler mitigation, m=16, D=1) ==")
 	fmt.Fprintf(w, "%-22s %12s %18s\n", "Y distribution", "MC speedup", "eq-12 (const Y)")
 	for _, r := range rows {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/rng"
 )
 
-// AdaSyncRow is one parameter-server method's outcome.
-type AdaSyncRow struct {
+// adaSyncRow is one parameter-server method's outcome.
+type adaSyncRow struct {
 	Method       string
 	FinalLoss    float64
 	TimeToTarget float64
@@ -19,11 +19,11 @@ type AdaSyncRow struct {
 	MeanStale    float64
 }
 
-// AdaSyncExperiment runs the paper's concluding extension: adapting
+// adaSyncAblation runs the paper's concluding extension: adapting
 // asynchrony in a K-async parameter server. Baselines are fully
 // asynchronous (K=1) and fully synchronous (K=m) aggregation; AdaSync grows
 // K from 1 toward m as the training loss decreases.
-func AdaSyncExperiment(scale Scale) []AdaSyncRow {
+func adaSyncAblation(scale Scale) []adaSyncRow {
 	m := 8
 	w := BuildWorkload(ArchLogistic, 4, m, scale, 501)
 	budget := 400.0
@@ -43,20 +43,8 @@ func AdaSyncExperiment(scale Scale) []AdaSyncRow {
 	// Re-shard for the PS worker count.
 	shards := data.ShardIID(w.Train, m, rng.New(503))
 
-	run := func(name string, ctrl paramserver.Controller) (*metrics.Trace, rng.Summary) {
-		s, err := paramserver.New(w.Proto, shards, w.Train, cfg)
-		if err != nil {
-			panic(fmt.Sprintf("experiments: %v", err))
-		}
-		return s.Run(ctrl, name)
-	}
-
-	type result struct {
-		name  string
-		trace *metrics.Trace
-		stale rng.Summary
-	}
-	var results []result
+	var traces []*metrics.Trace
+	var stale []float64
 	for _, rc := range []struct {
 		name string
 		ctrl paramserver.Controller
@@ -67,34 +55,31 @@ func AdaSyncExperiment(scale Scale) []AdaSyncRow {
 			K0: 1, M: m, Interval: budget / 10, LR: 0.1,
 		})},
 	} {
-		tr, st := run(rc.name, rc.ctrl)
-		results = append(results, result{rc.name, tr, st})
-	}
-
-	// Target every method reaches.
-	worst := 0.0
-	for _, r := range results {
-		if l := r.trace.MinLoss(); l > worst {
-			worst = l
+		s, err := paramserver.New(w.Proto, shards, w.Train, cfg)
+		if err != nil {
+			panic(fmt.Sprintf("experiments: %v", err))
 		}
+		tr, st := s.Run(rc.ctrl, rc.name)
+		traces = append(traces, tr)
+		stale = append(stale, st.Mean)
 	}
-	target := worst * 1.05
 
-	rows := make([]AdaSyncRow, 0, len(results))
-	for _, r := range results {
-		rows = append(rows, AdaSyncRow{
-			Method:       r.name,
-			FinalLoss:    r.trace.FinalLoss(),
-			TimeToTarget: r.trace.TimeToLoss(target),
-			Updates:      r.trace.Last().Iter,
-			MeanStale:    r.stale.Mean,
-		})
+	target := reachableTarget(traces, 0.05)
+	rows := make([]adaSyncRow, len(traces))
+	for i, tr := range traces {
+		rows[i] = adaSyncRow{
+			Method:       tr.Name,
+			FinalLoss:    tr.FinalLoss(),
+			TimeToTarget: tr.TimeToLoss(target),
+			Updates:      tr.Last().Iter,
+			MeanStale:    stale[i],
+		}
 	}
 	return rows
 }
 
-// PrintAdaSync renders the adaptive-asynchrony comparison.
-func PrintAdaSync(w io.Writer, rows []AdaSyncRow) {
+// printAdaSync renders the adaptive-asynchrony comparison.
+func printAdaSync(w io.Writer, rows []adaSyncRow) {
 	fmt.Fprintln(w, "== Extension: adaptive asynchrony (K-async parameter server, m=8) ==")
 	fmt.Fprintf(w, "%-14s %12s %12s %10s %12s\n",
 		"method", "final loss", "t(target)", "updates", "mean stale")

@@ -19,113 +19,84 @@ import (
 // with larger tau. Time-to-target is the headline column: the async rows
 // must reach the shared loss level well before the full-barrier row.
 
-// AsyncSpec sizes the async-vs-sync ablation.
-type AsyncSpec struct {
-	Scale         Scale
-	Workers       int
-	SlowFactor    float64 // compute-straggler multiplier on the last worker
-	Tau           int
-	BatchSize     int
-	LR            float64
-	TimeBudget    float64 // simulated seconds per method
-	Participation int     // K for the partial-participation row
-	Seed          uint64
-}
-
-// DefaultAsyncSpec returns the sizing cmd/sweep -ablation async runs.
-func DefaultAsyncSpec(scale Scale) AsyncSpec {
-	s := AsyncSpec{
-		Scale:         scale,
-		Workers:       8,
-		SlowFactor:    10,
-		Tau:           4,
-		BatchSize:     8,
-		LR:            0.1,
-		TimeBudget:    600,
-		Participation: 6,
-		Seed:          601,
-	}
+// asyncAblation runs four methods on one logistic workload (8 workers, the
+// last one a 10x compute straggler) under one simulated-time budget: the
+// fixed-tau barrier, AdaComm on the same barrier, the event-driven engine at
+// full participation (K=m, the barrier expressed as events), and the
+// event-driven engine at K=6 of 8. Returns the shared target loss and one
+// row per method (linkAwareRows semantics).
+func asyncAblation(scale Scale) (float64, []linkAwareRow) {
+	const (
+		m         = 8
+		tau       = 4
+		batchSize = 8
+		lr        = 0.1
+		k         = 6 // the partial-participation row
+		seed      = 601
+	)
+	budget := 600.0
 	if scale == ScaleQuick {
-		s.TimeBudget = 240
+		budget = 240
 	}
-	return s
-}
-
-// AsyncAblation runs four methods on one logistic workload with a
-// SlowFactor compute straggler on the last worker, under one simulated-time
-// budget: the fixed-tau barrier, AdaComm on the same barrier, the
-// event-driven engine at full participation (K=m, the barrier expressed as
-// events), and the event-driven engine at K-of-m. Returns the shared target
-// loss and one row per method (linkAwareRows semantics).
-func AsyncAblation(spec AsyncSpec) (float64, []LinkAwareRow) {
-	m := spec.Workers
 	straggler := make([]float64, m)
 	for i := range straggler {
 		straggler[i] = 1
 	}
-	straggler[m-1] = spec.SlowFactor
+	straggler[m-1] = 10
 
-	sched := sgd.Const{Eta: spec.LR}
+	sched := sgd.Const{Eta: lr}
 	syncCfg := cluster.Config{
-		BatchSize:       spec.BatchSize,
-		MaxTime:         spec.TimeBudget,
+		BatchSize:       batchSize,
+		MaxTime:         budget,
 		EvalEvery:       50,
 		EvalSubset:      400,
 		StragglerFactor: straggler,
-		Seed:            spec.Seed + 1,
+		Seed:            seed + 1,
 	}
-	asyncCfg := func(k int) cluster.AsyncConfig {
-		return cluster.AsyncConfig{
-			Participation:   k,
-			InFlight:        m,
-			Tau:             spec.Tau,
-			BatchSize:       spec.BatchSize,
-			LR:              spec.LR,
-			MaxTime:         spec.TimeBudget,
-			EvalEvery:       50,
-			EvalSubset:      400,
-			StragglerFactor: straggler,
-			Seed:            spec.Seed + 2,
+	async := func(part int) func(*Workload, string) *metrics.Trace {
+		return func(w *Workload, name string) *metrics.Trace {
+			e, err := cluster.NewAsync(w.Proto, w.Shards, w.Train, w.Test, w.Delay, cluster.AsyncConfig{
+				Participation:   part,
+				InFlight:        m,
+				Tau:             tau,
+				BatchSize:       batchSize,
+				LR:              lr,
+				MaxTime:         budget,
+				EvalEvery:       50,
+				EvalSubset:      400,
+				StragglerFactor: straggler,
+				Seed:            seed + 2,
+			})
+			if err != nil {
+				panic(fmt.Sprintf("experiments: %v", err))
+			}
+			return e.Run(name)
 		}
 	}
 
 	runs := []struct {
 		name string
-		run  func(*Workload) *metrics.Trace
+		run  func(w *Workload, name string) *metrics.Trace
 	}{
-		{fmt.Sprintf("sync tau=%d", spec.Tau), func(w *Workload) *metrics.Trace {
-			e := w.Engine(syncCfg)
-			return e.Run(cluster.FixedTau{Tau: spec.Tau, Schedule: sched}, fmt.Sprintf("sync tau=%d", spec.Tau))
+		{fmt.Sprintf("sync tau=%d", tau), func(w *Workload, name string) *metrics.Trace {
+			return w.Engine(syncCfg).Run(cluster.FixedTau{Tau: tau, Schedule: sched}, name)
 		}},
-		{"adacomm", func(w *Workload) *metrics.Trace {
+		{"adacomm", func(w *Workload, name string) *metrics.Trace {
 			ctrl := core.NewAdaComm(core.Config{
-				Tau0: spec.Tau, Interval: spec.TimeBudget / 12, Gamma: 0.5, Schedule: sched,
+				Tau0: tau, Interval: budget / 12, Gamma: 0.5, Schedule: sched,
 			})
-			e := w.Engine(syncCfg)
-			return e.Run(ctrl, "adacomm")
+			return w.Engine(syncCfg).Run(ctrl, name)
 		}},
-		{fmt.Sprintf("async K=%d/%d", m, m), func(w *Workload) *metrics.Trace {
-			e, err := cluster.NewAsync(w.Proto, w.Shards, w.Train, w.Test, w.Delay, asyncCfg(m))
-			if err != nil {
-				panic(fmt.Sprintf("experiments: %v", err))
-			}
-			return e.Run(fmt.Sprintf("async K=%d/%d", m, m))
-		}},
-		{fmt.Sprintf("async K=%d/%d", spec.Participation, m), func(w *Workload) *metrics.Trace {
-			e, err := cluster.NewAsync(w.Proto, w.Shards, w.Train, w.Test, w.Delay, asyncCfg(spec.Participation))
-			if err != nil {
-				panic(fmt.Sprintf("experiments: %v", err))
-			}
-			return e.Run(fmt.Sprintf("async K=%d/%d", spec.Participation, m))
-		}},
+		{fmt.Sprintf("async K=%d/%d", m, m), async(m)},
+		{fmt.Sprintf("async K=%d/%d", k, m), async(k)},
 	}
 
 	traces := make([]*metrics.Trace, len(runs))
 	forEach(len(runs), func(i int) {
 		// Each method gets its own workload instance (same seed → same data
 		// and initialization) so parallel runs share nothing mutable.
-		w := BuildWorkload(ArchLogistic, 4, m, spec.Scale, spec.Seed)
-		traces[i] = runs[i].run(w)
+		w := BuildWorkload(ArchLogistic, 4, m, scale, seed)
+		traces[i] = runs[i].run(w, runs[i].name)
 	})
 	return linkAwareRows(traces)
 }

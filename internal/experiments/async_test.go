@@ -10,15 +10,14 @@ import (
 // participation reaches the shared target loss in less simulated wall-clock
 // than the full-barrier sync run.
 func TestAsyncAblation(t *testing.T) {
-	spec := DefaultAsyncSpec(ScaleQuick)
-	target, rows := AsyncAblation(spec)
+	target, rows := asyncAblation(ScaleQuick)
 	if target <= 0 {
 		t.Fatalf("degenerate target %v", target)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("got %d rows, want 4", len(rows))
 	}
-	byName := map[string]LinkAwareRow{}
+	byName := map[string]linkAwareRow{}
 	for _, r := range rows {
 		if r.MinLoss > target {
 			t.Errorf("%s never reached the shared target %v (min %v)", r.Method, target, r.MinLoss)
@@ -32,7 +31,7 @@ func TestAsyncAblation(t *testing.T) {
 	if !ok {
 		t.Fatalf("missing sync row in %v", rows)
 	}
-	var partial LinkAwareRow
+	var partial linkAwareRow
 	found := false
 	for name, r := range byName {
 		if strings.HasPrefix(name, "async K=6") {
@@ -49,12 +48,10 @@ func TestAsyncAblation(t *testing.T) {
 }
 
 // TestAsyncAblationDeterministic guards the grid-parallel fan-out: the
-// rows must be byte-identical however the pool schedules the methods.
+// rows must be identical however the pool schedules the methods.
 func TestAsyncAblationDeterministic(t *testing.T) {
-	spec := DefaultAsyncSpec(ScaleQuick)
-	spec.TimeBudget = 60 // a short budget is enough to compare runs
-	t1, r1 := AsyncAblation(spec)
-	t2, r2 := AsyncAblation(spec)
+	t1, r1 := asyncAblation(ScaleQuick)
+	t2, r2 := asyncAblation(ScaleQuick)
 	if t1 != t2 {
 		t.Fatalf("targets differ: %v vs %v", t1, t2)
 	}

@@ -26,62 +26,38 @@ import (
 // degrades gracefully (survivors keep averaging over the active set, rejoiners
 // snap back via a priced dense pull) rather than stalling on the departed.
 
-// ChurnSpec sizes the churn ablation.
-type ChurnSpec struct {
-	Scale      Scale
-	Workers    int
-	Tau        int
-	BatchSize  int
-	LR         float64
-	TimeBudget float64 // simulated seconds per method
-	// Faults is the schedule every churn row runs under (faults.Forms
-	// grammar, validated against Workers). Empty uses the default 20%
-	// crash-recover churn plus a 5% drop rate.
-	Faults string
-	Seed   uint64
-}
+// The churn cluster's size, which a -faults schedule is validated against,
+// and the schedule its churn rows run when -faults is not given.
+const (
+	churnWorkers = 10
+	churnFaults  = "blip:0@r8-20,blip:1@r28-42,drop:0.05"
+)
 
-// DefaultChurnSpec returns the sizing cmd/sweep -ablation churn runs.
-func DefaultChurnSpec(scale Scale) ChurnSpec {
-	s := ChurnSpec{
-		Scale:      scale,
-		Workers:    10,
-		Tau:        5,
-		BatchSize:  8,
-		LR:         0.1,
-		TimeBudget: 600,
-		Faults:     "blip:0@r8-20,blip:1@r28-42,drop:0.05",
-		Seed:       901,
-	}
+// churnAblation runs every strategy fault-free and under sched, on one
+// logistic workload and one simulated-time budget. Returns the shared target
+// loss and one row per (method, condition) pair — the "+churn" rows carry
+// the degradation.
+func churnAblation(scale Scale, sched *faults.Schedule) (float64, []linkAwareRow) {
+	const (
+		m         = churnWorkers
+		tau       = 5
+		batchSize = 8
+		lr        = 0.1
+		seed      = 901
+	)
+	budget := 600.0
 	if scale == ScaleQuick {
-		s.TimeBudget = 240
-	}
-	return s
-}
-
-// ChurnAblation runs every strategy fault-free and under the spec's churn
-// schedule, on one logistic workload and one simulated-time budget. Returns
-// the shared target loss and one row per (method, condition) pair — the
-// "+churn" rows carry the degradation. Panics on an invalid fault spec;
-// callers wiring user input should faults.Parse first.
-func ChurnAblation(spec ChurnSpec) (float64, []LinkAwareRow) {
-	m := spec.Workers
-	sched, err := faults.Parse(spec.Faults)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: churn fault spec: %v", err))
-	}
-	if err := sched.Validate(m); err != nil {
-		panic(fmt.Sprintf("experiments: churn fault spec: %v", err))
+		budget = 240
 	}
 
-	lrSched := sgd.Const{Eta: spec.LR}
+	lrSched := sgd.Const{Eta: lr}
 	clusterCfg := func(f *faults.Schedule) cluster.Config {
 		return cluster.Config{
-			BatchSize:  spec.BatchSize,
-			MaxTime:    spec.TimeBudget,
+			BatchSize:  batchSize,
+			MaxTime:    budget,
 			EvalEvery:  50,
 			EvalSubset: 400,
-			Seed:       spec.Seed + 1,
+			Seed:       seed + 1,
 			Faults:     f,
 		}
 	}
@@ -93,11 +69,11 @@ func ChurnAblation(spec ChurnSpec) (float64, []LinkAwareRow) {
 	methods := []method{
 		{"full", func(w *Workload, f *faults.Schedule, label string) *metrics.Trace {
 			e := w.Engine(clusterCfg(f))
-			return e.Run(cluster.FixedTau{Tau: spec.Tau, Schedule: lrSched}, label)
+			return e.Run(cluster.FixedTau{Tau: tau, Schedule: lrSched}, label)
 		}},
 		{"adacomm", func(w *Workload, f *faults.Schedule, label string) *metrics.Trace {
 			ctrl := core.NewAdaComm(core.Config{
-				Tau0: spec.Tau, Interval: spec.TimeBudget / 12, Gamma: 0.5, Schedule: lrSched,
+				Tau0: tau, Interval: budget / 12, Gamma: 0.5, Schedule: lrSched,
 			})
 			e := w.Engine(clusterCfg(f))
 			return e.Run(ctrl, label)
@@ -106,7 +82,7 @@ func ChurnAblation(spec ChurnSpec) (float64, []LinkAwareRow) {
 			cfg := clusterCfg(f)
 			cfg.Strategy = cluster.RingGossip
 			e := w.Engine(cfg)
-			return e.Run(cluster.FixedTau{Tau: spec.Tau, Schedule: lrSched}, label)
+			return e.Run(cluster.FixedTau{Tau: tau, Schedule: lrSched}, label)
 		}},
 		{"choco", func(w *Workload, f *faults.Schedule, label string) *metrics.Trace {
 			cfg := clusterCfg(f)
@@ -114,25 +90,25 @@ func ChurnAblation(spec ChurnSpec) (float64, []LinkAwareRow) {
 			cfg.Compress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}
 			cfg.AdaptGossipGamma = true
 			e := w.Engine(cfg)
-			return e.Run(cluster.FixedTau{Tau: spec.Tau, Schedule: lrSched}, label)
+			return e.Run(cluster.FixedTau{Tau: tau, Schedule: lrSched}, label)
 		}},
 		{"elastic", func(w *Workload, f *faults.Schedule, label string) *metrics.Trace {
 			cfg := clusterCfg(f)
 			cfg.Strategy = cluster.ElasticAveraging
 			e := w.Engine(cfg)
-			return e.Run(cluster.FixedTau{Tau: spec.Tau, Schedule: lrSched}, label)
+			return e.Run(cluster.FixedTau{Tau: tau, Schedule: lrSched}, label)
 		}},
 		{fmt.Sprintf("async K=%d/%d", m-2, m), func(w *Workload, f *faults.Schedule, label string) *metrics.Trace {
 			cfg := cluster.AsyncConfig{
 				Participation: m - 2,
 				InFlight:      m,
-				Tau:           spec.Tau,
-				BatchSize:     spec.BatchSize,
-				LR:            spec.LR,
-				MaxTime:       spec.TimeBudget,
+				Tau:           tau,
+				BatchSize:     batchSize,
+				LR:            lr,
+				MaxTime:       budget,
 				EvalEvery:     50,
 				EvalSubset:    400,
-				Seed:          spec.Seed + 2,
+				Seed:          seed + 2,
 				Faults:        f,
 			}
 			e, err := cluster.NewAsync(w.Proto, w.Shards, w.Train, w.Test, w.Delay, cfg)
@@ -144,21 +120,21 @@ func ChurnAblation(spec ChurnSpec) (float64, []LinkAwareRow) {
 		{fmt.Sprintf("ps k-async K=%d", m/2), func(w *Workload, f *faults.Schedule, label string) *metrics.Trace {
 			cfg := paramserver.Config{
 				Mode:       paramserver.KAsync,
-				BatchSize:  spec.BatchSize,
+				BatchSize:  batchSize,
 				ComputeY:   rng.Exponential{MeanVal: 1},
 				PushDelay:  rng.Constant{Value: 0.1},
-				MaxTime:    spec.TimeBudget,
+				MaxTime:    budget,
 				EvalEvery:  10,
 				EvalSubset: 400,
-				Seed:       spec.Seed + 3,
+				Seed:       seed + 3,
 				Faults:     f,
 			}
-			shards := data.ShardIID(w.Train, m, rng.New(spec.Seed+4))
+			shards := data.ShardIID(w.Train, m, rng.New(seed+4))
 			s, err := paramserver.New(w.Proto, shards, w.Train, cfg)
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
 			}
-			tr, _ := s.Run(paramserver.FixedK{K: m / 2, LR: spec.LR}, label)
+			tr, _ := s.Run(paramserver.FixedK{K: m / 2, LR: lr}, label)
 			return tr
 		}},
 	}
@@ -178,7 +154,7 @@ func ChurnAblation(spec ChurnSpec) (float64, []LinkAwareRow) {
 	}
 	traces := make([]*metrics.Trace, len(jobs))
 	forEach(len(jobs), func(i int) {
-		w := BuildWorkload(ArchLogistic, 4, m, spec.Scale, spec.Seed)
+		w := BuildWorkload(ArchLogistic, 4, m, scale, seed)
 		traces[i] = jobs[i].m.run(w, jobs[i].f, jobs[i].label)
 	})
 	return linkAwareRows(traces)

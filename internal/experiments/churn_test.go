@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/faults"
 )
 
 // TestChurnAblation is the acceptance pin for the fault subsystem: under 20%
@@ -15,15 +18,19 @@ func TestChurnAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("churn ablation runs every strategy twice")
 	}
-	spec := DefaultChurnSpec(ScaleQuick)
-	target, rows := ChurnAblation(spec)
+	sched, err := faults.Parse(churnFaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, rows := churnAblation(ScaleQuick, sched)
 	if !(target > 0) {
 		t.Fatalf("target %v", target)
 	}
 	if len(rows) != 14 {
 		t.Fatalf("%d rows, want 14 (7 methods x clean/churn)", len(rows))
 	}
-	byName := map[string]LinkAwareRow{}
+	const budget = 240 // ScaleQuick's
+	byName := map[string]linkAwareRow{}
 	for _, r := range rows {
 		if math.IsNaN(r.FinalLoss) || math.IsInf(r.FinalLoss, 0) {
 			t.Errorf("%s: final loss %v", r.Method, r.FinalLoss)
@@ -41,20 +48,29 @@ func TestChurnAblation(t *testing.T) {
 			if _, ok := byName[strings.TrimSuffix(name, "+churn")]; !ok {
 				t.Errorf("%s has no fault-free twin", name)
 			}
-			if r.TimeToTarget > spec.TimeBudget {
-				t.Errorf("%s: time-to-target %v exceeds budget %v", name, r.TimeToTarget, spec.TimeBudget)
+			if r.TimeToTarget > budget {
+				t.Errorf("%s: time-to-target %v exceeds budget %v", name, r.TimeToTarget, budget)
 			}
 		}
 	}
 }
 
+// A -faults schedule the churn cluster cannot run — malformed, or naming a
+// worker it does not have — is refused before anything prints, by Run as by
+// Validate: the driver itself only ever sees a parsed, range-checked one.
 func TestChurnAblationRejectsBadSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("accepted malformed fault spec")
+	churn, err := SelectAblations("churn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []string{"crash:bogus", "crash:10@r1", "blip:0@r3-2"} {
+		o := AblationOptions{Scale: ScaleQuick, Faults: spec}
+		if err := o.Validate(churn); err == nil {
+			t.Errorf("Validate accepted -faults %s", spec)
 		}
-	}()
-	spec := DefaultChurnSpec(ScaleQuick)
-	spec.Faults = "crash:bogus"
-	ChurnAblation(spec)
+		var out bytes.Buffer
+		if err := churn[0].Run(&out, o); err == nil || out.Len() != 0 {
+			t.Errorf("Run with -faults %s: error %v, %d bytes printed", spec, err, out.Len())
+		}
+	}
 }

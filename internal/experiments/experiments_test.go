@@ -221,7 +221,7 @@ func TestFig14QuickGap(t *testing.T) {
 }
 
 func TestStrategyAblationQuick(t *testing.T) {
-	rows := StrategyAblation(ScaleQuick)
+	rows := strategyAblation(ScaleQuick)
 	if len(rows) != 3 {
 		t.Fatalf("strategies %d, want 3", len(rows))
 	}
@@ -231,14 +231,14 @@ func TestStrategyAblationQuick(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	PrintStrategyAblation(&sb, rows)
+	printStrategyAblation(&sb, rows)
 	if !strings.Contains(sb.String(), "ring-gossip") {
-		t.Fatal("PrintStrategyAblation missing strategies")
+		t.Fatal("printStrategyAblation missing strategies")
 	}
 }
 
 func TestDelayAblationQuick(t *testing.T) {
-	rows := DelayAblation(ScaleQuick)
+	rows := delayAblation(ScaleQuick)
 	if len(rows) != 3 {
 		t.Fatalf("rows %d, want 3", len(rows))
 	}
@@ -257,11 +257,11 @@ func TestDelayAblationQuick(t *testing.T) {
 }
 
 func TestAdaSyncExperimentQuick(t *testing.T) {
-	rows := AdaSyncExperiment(ScaleQuick)
+	rows := adaSyncAblation(ScaleQuick)
 	if len(rows) != 3 {
 		t.Fatalf("rows %d, want 3", len(rows))
 	}
-	byName := map[string]AdaSyncRow{}
+	byName := map[string]adaSyncRow{}
 	for _, r := range rows {
 		byName[r.Method] = r
 		if math.IsNaN(r.FinalLoss) {
@@ -279,9 +279,9 @@ func TestAdaSyncExperimentQuick(t *testing.T) {
 		t.Fatalf("staleness wrong: async %v sync %v", async.MeanStale, sync.MeanStale)
 	}
 	var sb strings.Builder
-	PrintAdaSync(&sb, rows)
+	printAdaSync(&sb, rows)
 	if !strings.Contains(sb.String(), "AdaSync") {
-		t.Fatal("PrintAdaSync empty")
+		t.Fatal("printAdaSync empty")
 	}
 }
 
@@ -306,12 +306,11 @@ func TestTable1Quick(t *testing.T) {
 }
 
 func TestHeterogeneousStragglerAblationQuick(t *testing.T) {
-	spec := DefaultHeteroSpec(ScaleQuick)
-	rows := HeterogeneousStragglerAblation(spec)
+	rows := slowLinkAblation(ScaleQuick)
 	if len(rows) != 3 {
 		t.Fatalf("want 3 methods, got %d", len(rows))
 	}
-	byName := map[string]HeteroRow{}
+	byName := map[string]linkAwareRow{}
 	for _, r := range rows {
 		if math.IsNaN(r.FinalLoss) || math.IsInf(r.FinalLoss, 0) {
 			t.Fatalf("%s diverged: %v", r.Method, r.FinalLoss)
@@ -336,7 +335,7 @@ func TestHeterogeneousStragglerAblationQuick(t *testing.T) {
 			byName["adacomm"].FinalLoss, byName["tau=1"].FinalLoss)
 	}
 	var buf strings.Builder
-	PrintHeterogeneousAblation(&buf, spec, rows)
+	printSlowLink(&buf, ScaleQuick, rows)
 	if !strings.Contains(buf.String(), "adacomm") {
 		t.Fatal("print output missing methods")
 	}
@@ -346,11 +345,11 @@ func TestHeterogeneousStragglerAblationQuick(t *testing.T) {
 // link-aware AdaComm reaches the shared target loss in measurably less
 // simulated wall-clock than the paper's static rule. Deterministic seeds.
 func TestLinkAwareAblationBeatsStaticAdaComm(t *testing.T) {
-	target, rows := LinkAwareAblation(DefaultHeteroSpec(ScaleQuick))
+	target, rows := linkAwareAblation(ScaleQuick)
 	if target <= 0 {
 		t.Fatalf("degenerate target %v", target)
 	}
-	byName := map[string]LinkAwareRow{}
+	byName := map[string]linkAwareRow{}
 	for _, r := range rows {
 		byName[r.Method] = r
 	}
@@ -376,11 +375,11 @@ func TestLinkAwareAblationBeatsStaticAdaComm(t *testing.T) {
 // And the AdaSync-K half: the link-aware cap keeps the slow link from gating
 // updates, reaching the target sooner within the same budget.
 func TestLinkAwareAblationBeatsStaticAdaSync(t *testing.T) {
-	target, rows := LinkAwareAdaSyncAblation(ScaleQuick)
+	target, rows := linkAwareAdaSyncAblation(ScaleQuick)
 	if target <= 0 {
 		t.Fatalf("degenerate target %v", target)
 	}
-	byName := map[string]LinkAwareRow{}
+	byName := map[string]linkAwareRow{}
 	for _, r := range rows {
 		byName[r.Method] = r
 	}
@@ -401,12 +400,12 @@ func TestLinkAwareAblationBeatsStaticAdaSync(t *testing.T) {
 }
 
 func TestPrintLinkAware(t *testing.T) {
-	rows := []LinkAwareRow{
+	rows := []linkAwareRow{
 		{Method: "adacomm", FinalLoss: 0.62, MinLoss: 0.62, TimeToTarget: 290, Iters: 45, FinalTau: 1},
 		{Method: "adacomm+link", FinalLoss: 0.55, MinLoss: 0.55, TimeToTarget: 99, Iters: 144, FinalTau: 8},
 	}
 	var buf bytes.Buffer
-	PrintLinkAware(&buf, "link-aware ablation", 0.97, rows)
+	printLinkAware(&buf, "link-aware ablation", 0.97, rows)
 	out := buf.String()
 	if !strings.Contains(out, "adacomm+link") || !strings.Contains(out, "t(target)") {
 		t.Fatalf("print output missing columns:\n%s", out)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compress"
-	"repro/internal/metrics"
 	"repro/internal/sgd"
 )
 
@@ -20,27 +19,15 @@ import (
 // gossip, on a bandwidth-constrained link where the payload saving buys
 // simulated wall-clock.
 
-// GossipGridSpec describes the sweep.
-type GossipGridSpec struct {
-	Scale     Scale
-	Seed      uint64
-	Bandwidth float64 // bytes per simulated second on every link
+// The grid's CHOCO consensus step and its link, in bytes per simulated
+// second on every worker.
+const (
+	gossipGamma     = 0.5
+	gossipBandwidth = 128.0
+)
 
-	RingSizes []int     // ring topologies to sweep (worker counts)
-	Ratios    []float64 // top-k keep-ratios for the compressed cells
-	Gamma     float64   // CHOCO consensus step size
-	// Wire selects the value precision of the COMPRESSED cells' payloads;
-	// the "ring raw" baseline always runs the uncompressed float64 path so
-	// the grid keeps its lossless reference.
-	Wire compress.WireFormat
-
-	BatchSize  int
-	LR         float64
-	TimeBudget float64
-}
-
-// GossipGridRow is one cell of the sweep.
-type GossipGridRow struct {
+// gossipGridRow is one cell of the sweep.
+type gossipGridRow struct {
 	M             int
 	Method        string // "ring raw", "ring choco", or "full shared-ref"
 	Compressor    string
@@ -49,65 +36,20 @@ type GossipGridRow struct {
 	MinLoss       float64
 }
 
-// GossipGridResult bundles the sweep rows.
-type GossipGridResult struct {
-	Spec GossipGridSpec
-	Rows []GossipGridRow
-}
-
-// DefaultGossipGrid is the shipped sweep: a logistic workload on a
-// federated-style link, rings of 4 and 8 nodes, moderate and aggressive
-// sparsification.
-func DefaultGossipGrid(scale Scale) GossipGridSpec {
+// gossipGrid trains every cell: rings of 4 and 8 logistic workers, each with
+// an uncompressed ring row and, per top-k keep-ratio in {0.25, 0.1}, a CHOCO
+// ring row and a shared-reference full-averaging row. wire is the value
+// precision of the compressed cells; the "ring raw" baseline always runs
+// lossless float64, so the grid keeps its reference. Cells are independent
+// configurations (each owns its engine, estimate state, and compressor
+// streams), so the grid fans out across the experiment pool; rows are
+// written by index and the result is identical at any pool width.
+func gossipGrid(scale Scale, wire compress.WireFormat) []gossipGridRow {
+	const seed = 150
 	budget := 2400.0
 	if scale == ScaleQuick {
 		budget = 800
 	}
-	return GossipGridSpec{
-		Scale:      scale,
-		Seed:       150,
-		Bandwidth:  128,
-		RingSizes:  []int{4, 8},
-		Ratios:     []float64{0.25, 0.1},
-		Gamma:      0.5,
-		BatchSize:  4,
-		LR:         0.1,
-		TimeBudget: budget,
-	}
-}
-
-// runGossipCell trains one fixed-tau run on w with the given strategy and
-// compressor and fills the row.
-func (spec GossipGridSpec) runGossipCell(w *Workload, method string, strat cluster.Strategy,
-	cs compress.Spec, gamma float64) (GossipGridRow, *metrics.Trace) {
-	cfg := cluster.Config{
-		BatchSize:   spec.BatchSize,
-		MaxTime:     spec.TimeBudget,
-		EvalEvery:   100,
-		EvalSubset:  256,
-		Strategy:    strat,
-		Compress:    cs,
-		GossipGamma: gamma,
-		Seed:        spec.Seed + 1,
-	}
-	e := w.Engine(cfg)
-	name := fmt.Sprintf("m=%d/%s/%s", w.M, method, cs)
-	tr := e.Run(cluster.FixedTau{Tau: 5, Schedule: sgd.Const{Eta: spec.LR}}, name)
-	return GossipGridRow{
-		M:             w.M,
-		Method:        method,
-		Compressor:    cs.String(),
-		BytesPerRound: e.CommBytesPerRound(),
-		FinalLoss:     tr.FinalLoss(),
-		MinLoss:       tr.MinLoss(),
-	}, tr
-}
-
-// RunGossipGrid trains every cell. Cells are independent configurations
-// (each owns its engine, estimate state, and compressor streams), so the
-// grid fans out across the experiment pool; rows are written by index and
-// the result is identical at any pool width.
-func RunGossipGrid(spec GossipGridSpec) GossipGridResult {
 	type cellSpec struct {
 		w      *Workload
 		method string
@@ -116,32 +58,51 @@ func RunGossipGrid(spec GossipGridSpec) GossipGridResult {
 		gamma  float64
 	}
 	var cells []cellSpec
-	for _, m := range spec.RingSizes {
-		w := BuildWorkload(ArchLogistic, 4, m, spec.Scale, spec.Seed)
-		w.Delay.Bandwidth = spec.Bandwidth
+	for _, m := range []int{4, 8} {
+		w := BuildWorkload(ArchLogistic, 4, m, scale, seed)
+		w.Delay.Bandwidth = gossipBandwidth
 		cells = append(cells, cellSpec{w: w, method: "ring raw", strat: cluster.RingGossip})
-		for _, ratio := range spec.Ratios {
-			cs := compress.Spec{Kind: compress.KindTopK, Ratio: ratio, Wire: spec.Wire}
+		for _, ratio := range []float64{0.25, 0.1} {
+			cs := compress.Spec{Kind: compress.KindTopK, Ratio: ratio, Wire: wire}
 			cells = append(cells,
-				cellSpec{w: w, method: "ring choco", strat: cluster.RingGossip, cs: cs, gamma: spec.Gamma},
+				cellSpec{w: w, method: "ring choco", strat: cluster.RingGossip, cs: cs, gamma: gossipGamma},
 				cellSpec{w: w, method: "full shared-ref", strat: cluster.FullAveraging, cs: cs})
 		}
 	}
-	rows := make([]GossipGridRow, len(cells))
+	rows := make([]gossipGridRow, len(cells))
 	forEach(len(cells), func(i int) {
 		c := cells[i]
-		rows[i], _ = spec.runGossipCell(c.w, c.method, c.strat, c.cs, c.gamma)
+		e := c.w.Engine(cluster.Config{
+			BatchSize:   4,
+			MaxTime:     budget,
+			EvalEvery:   100,
+			EvalSubset:  256,
+			Strategy:    c.strat,
+			Compress:    c.cs,
+			GossipGamma: c.gamma,
+			Seed:        seed + 1,
+		})
+		name := fmt.Sprintf("m=%d/%s/%s", c.w.M, c.method, c.cs)
+		tr := e.Run(cluster.FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, name)
+		rows[i] = gossipGridRow{
+			M:             c.w.M,
+			Method:        c.method,
+			Compressor:    c.cs.String(),
+			BytesPerRound: e.CommBytesPerRound(),
+			FinalLoss:     tr.FinalLoss(),
+			MinLoss:       tr.MinLoss(),
+		}
 	})
-	return GossipGridResult{Spec: spec, Rows: rows}
+	return rows
 }
 
-// PrintGossipGrid renders the sweep as a table.
-func PrintGossipGrid(w io.Writer, res GossipGridResult) {
+// printGossipGrid renders the sweep as a table.
+func printGossipGrid(w io.Writer, rows []gossipGridRow) {
 	fmt.Fprintf(w, "== Gossip compression: CHOCO ring vs shared-reference averaging (gamma %g, bandwidth %g B/s) ==\n",
-		res.Spec.Gamma, res.Spec.Bandwidth)
+		gossipGamma, gossipBandwidth)
 	fmt.Fprintf(w, "%-4s %-16s %-12s %10s %12s %12s\n",
 		"m", "method", "compressor", "B/round", "final loss", "min loss")
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		fmt.Fprintf(w, "%-4d %-16s %-12s %10d %12.5f %12.5f\n",
 			r.M, r.Method, r.Compressor, r.BytesPerRound, r.FinalLoss, r.MinLoss)
 	}

@@ -4,19 +4,20 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/compress"
 )
 
 func TestGossipGridShape(t *testing.T) {
-	spec := DefaultGossipGrid(ScaleQuick)
-	res := RunGossipGrid(spec)
+	rows := gossipGrid(ScaleQuick, compress.WireFloat64)
 
-	// One raw row plus (choco, shared-ref) per ratio, per ring size.
-	want := len(spec.RingSizes) * (1 + 2*len(spec.Ratios))
-	if len(res.Rows) != want {
-		t.Fatalf("%d rows, want %d", len(res.Rows), want)
+	// One raw row plus (choco, shared-ref) per ratio, for two ratios, per
+	// ring size, for two sizes.
+	if want := 2 * (1 + 2*2); len(rows) != want {
+		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
-	raw := map[int]GossipGridRow{}
-	for _, r := range res.Rows {
+	raw := map[int]gossipGridRow{}
+	for _, r := range rows {
 		if r.FinalLoss <= 0 || r.MinLoss <= 0 {
 			t.Fatalf("degenerate losses in row %+v", r)
 		}
@@ -24,7 +25,7 @@ func TestGossipGridShape(t *testing.T) {
 			raw[r.M] = r
 		}
 	}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if r.Method == "ring choco" {
 			base, ok := raw[r.M]
 			if !ok {
@@ -44,34 +45,11 @@ func TestGossipGridShape(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	PrintGossipGrid(&buf, res)
+	printGossipGrid(&buf, rows)
 	out := buf.String()
 	for _, want := range []string{"CHOCO", "ring choco", "full shared-ref", "ring raw"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered grid missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestGossipGridConcurrentMatchesSerial(t *testing.T) {
-	// The grid's cells are independent engines (each owning its CHOCO
-	// estimate state), so the experiment pool must not change a byte of the
-	// rendered output.
-	old := SetWorkers(1)
-	defer SetWorkers(old)
-
-	spec := DefaultGossipGrid(ScaleQuick)
-	spec.RingSizes = []int{4}
-	spec.Ratios = []float64{0.25}
-	var serial bytes.Buffer
-	PrintGossipGrid(&serial, RunGossipGrid(spec))
-
-	SetWorkers(8)
-	var conc bytes.Buffer
-	PrintGossipGrid(&conc, RunGossipGrid(spec))
-
-	if serial.String() != conc.String() {
-		t.Fatalf("gossip grid output differs across pool widths:\n%s\nvs\n%s",
-			serial.String(), conc.String())
 	}
 }

@@ -22,8 +22,8 @@ import (
 // AdaSync's LinkAware mode stops growing K past the fast-link count, so the
 // slow link never gates an update (Kas Hanna et al. 2022).
 
-// LinkAwareRow is one method's outcome on the constrained cluster.
-type LinkAwareRow struct {
+// linkAwareRow is one method's outcome on the constrained cluster.
+type linkAwareRow struct {
 	Method       string
 	FinalLoss    float64
 	MinLoss      float64
@@ -32,59 +32,48 @@ type LinkAwareRow struct {
 	FinalTau     int     // final tau (or K)
 }
 
-// linkAwareRows converts traces into rows against a shared target: the
-// loosest minimum loss across methods, relaxed 1%, so every method reaches
-// it and time-to-target is always defined.
-func linkAwareRows(traces []*metrics.Trace) (float64, []LinkAwareRow) {
-	worst := 0.0
-	for _, tr := range traces {
-		if l := tr.MinLoss(); l > worst {
-			worst = l
-		}
-	}
-	target := worst * 1.01
-	rows := make([]LinkAwareRow, 0, len(traces))
-	for _, tr := range traces {
-		rows = append(rows, LinkAwareRow{
+// linkAwareRows converts traces into rows against a shared target,
+// reachableTarget at a 1% margin, so every method reaches it and
+// time-to-target is always defined.
+func linkAwareRows(traces []*metrics.Trace) (float64, []linkAwareRow) {
+	target := reachableTarget(traces, 0.01)
+	rows := make([]linkAwareRow, len(traces))
+	for i, tr := range traces {
+		rows[i] = linkAwareRow{
 			Method:       tr.Name,
 			FinalLoss:    tr.FinalLoss(),
 			MinLoss:      tr.MinLoss(),
 			TimeToTarget: tr.TimeToLoss(target),
 			Iters:        tr.Last().Iter,
 			FinalTau:     tr.Last().Tau,
-		})
+		}
 	}
 	return target, rows
 }
 
-// LinkAwareAblation runs the static-rule AdaComm against the link-aware mode
-// (plus the fixed-tau endpoints for context) on the 10x bandwidth-straggler
-// profile of HeterogeneousStragglerAblation, under one simulated-time
-// budget. The returned target is the shared loss level the time-to-target
-// column measures.
-func LinkAwareAblation(spec HeteroSpec) (float64, []LinkAwareRow) {
-	w := BuildWorkload(ArchLogistic, 4, spec.Workers, spec.Scale, spec.Seed)
-	w.Delay.Bandwidth = spec.Bandwidth
-	links := make([]delaymodel.Link, spec.Workers)
-	links[spec.Workers-1].Bandwidth = spec.Bandwidth / spec.SlowFactor
-	w.Delay.Links = links
+// linkAwareAblation runs the static-rule AdaComm against the link-aware mode
+// (plus fixed tau = 1 for context) on the slow-link cluster of
+// slowLinkAblation, under one simulated-time budget. The returned target is
+// the shared loss level the time-to-target column measures.
+func linkAwareAblation(scale Scale) (float64, []linkAwareRow) {
+	w := slowLinkWorkload(scale)
 
 	// A shorter budget than the straggler ablation's, split into many
 	// intervals: the controllers must differentiate WHILE the loss is still
 	// falling — with one long first interval both run tau0 until the
 	// interesting phase is over and only the noise floor separates them.
-	budget := spec.TimeBudget / 3
+	budget := slowLinkBudget(scale) / 3
 	cfg := cluster.Config{
-		BatchSize:  spec.BatchSize,
+		BatchSize:  8,
 		MaxTime:    budget,
 		EvalEvery:  50,
 		EvalSubset: 400,
-		Seed:       spec.Seed + 1,
+		Seed:       slowLinkSeed + 1,
 	}
-	sched := sgd.Const{Eta: spec.LR}
+	sched := sgd.Const{Eta: 0.1}
 	adaCfg := func(linkAware bool) core.Config {
 		return core.Config{
-			Tau0: spec.Tau0, Interval: budget / 12, Gamma: 0.5,
+			Tau0: slowLinkTau0, Interval: budget / 12, Gamma: 0.5,
 			Schedule: sched, LinkAware: linkAware,
 		}
 	}
@@ -104,11 +93,11 @@ func LinkAwareAblation(spec HeteroSpec) (float64, []LinkAwareRow) {
 	return linkAwareRows(traces)
 }
 
-// LinkAwareAdaSyncAblation is the parameter-server half: K-async SGD where
+// linkAwareAdaSyncAblation is the parameter-server half: K-async SGD where
 // worker m-1's uplink is 10x slower than the shared bandwidth, comparing the
 // static AdaSync growth rule against the link-aware cap under the same
 // simulated-time budget.
-func LinkAwareAdaSyncAblation(scale Scale) (float64, []LinkAwareRow) {
+func linkAwareAdaSyncAblation(scale Scale) (float64, []linkAwareRow) {
 	m := 8
 	w := BuildWorkload(ArchLogistic, 4, m, scale, 501)
 	budget := 600.0
@@ -159,8 +148,9 @@ func LinkAwareAdaSyncAblation(scale Scale) (float64, []LinkAwareRow) {
 	return linkAwareRows(traces)
 }
 
-// PrintLinkAware renders either ablation's rows.
-func PrintLinkAware(w io.Writer, header string, target float64, rows []LinkAwareRow) {
+// printLinkAware renders the rows of every ablation that races methods to a
+// shared target loss.
+func printLinkAware(w io.Writer, header string, target float64, rows []linkAwareRow) {
 	fmt.Fprintf(w, "== %s (time to loss %.5f) ==\n", header, target)
 	fmt.Fprintf(w, "%-20s %12s %12s %11s %8s %9s\n",
 		"method", "final loss", "min loss", "t(target)", "iters", "final tau")

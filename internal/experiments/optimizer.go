@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/cluster"
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -22,59 +20,41 @@ import (
 // and a QSGD quantizer whose width follows the observed gradient-norm decay
 // (compress.NormDecayBits) instead of the coarse ratio map.
 
-// OptimizerSpec sizes the optimizer ablation.
-type OptimizerSpec struct {
-	Scale          Scale
-	Workers        int
-	Tau            int
-	BatchSize      int
-	LR             float64 // SGD-family learning rate
-	AdamLR         float64 // Adam rows' learning rate (Adam wants a smaller step)
-	AdamBeta2      float64 // Adam rows' second-moment decay (0 = opt default 0.999)
-	GlobalMomentum float64 // slowmo row's slow-momentum factor
-	TimeBudget     float64 // simulated seconds per method
-	Seed           uint64
-}
-
-// DefaultOptimizerSpec returns the sizing cmd/sweep -ablation optimizer runs.
-func DefaultOptimizerSpec(scale Scale) OptimizerSpec {
-	s := OptimizerSpec{
-		Scale:          scale,
-		Workers:        4,
-		Tau:            5,
-		BatchSize:      8,
-		LR:             0.1,
-		AdamLR:         0.02,
-		GlobalMomentum: 0.1,
-		TimeBudget:     600,
-		Seed:           911,
-	}
+// optimizerAblation runs every update rule on one 4-worker logistic workload
+// and one simulated-time budget, returning the shared target loss and one row
+// per rule. adamBeta2 is the Adam rows' second-moment decay (0 = opt's
+// default 0.999) and globalMomentum the slowmo row's slow-momentum factor
+// (0 = 0.1). The momentum and slowmo rows are the acceptance anchor: at the
+// defaults they reach the shared target no later than plain SGD.
+func optimizerAblation(scale Scale, adamBeta2, globalMomentum float64) (float64, []linkAwareRow) {
+	const (
+		tau    = 5
+		lr     = 0.1  // SGD-family learning rate
+		adamLR = 0.02 // Adam wants a smaller step
+		seed   = 911
+	)
+	budget := 600.0
 	if scale == ScaleQuick {
-		s.TimeBudget = 240
+		budget = 240
 	}
-	return s
-}
-
-// OptimizerAblation runs every update rule on one logistic workload and one
-// simulated-time budget, returning the shared target loss and one row per
-// rule. The momentum and slowmo rows are the acceptance anchor: with the
-// default seed they reach the shared target no later than plain SGD.
-func OptimizerAblation(spec OptimizerSpec) (float64, []LinkAwareRow) {
-	lrSched := sgd.Const{Eta: spec.LR}
-	adamSched := sgd.Const{Eta: spec.AdamLR}
+	if globalMomentum == 0 {
+		globalMomentum = 0.1
+	}
+	lrSched := sgd.Const{Eta: lr}
+	adamSched := sgd.Const{Eta: adamLR}
 	base := func() cluster.Config {
 		return cluster.Config{
-			BatchSize:  spec.BatchSize,
-			MaxTime:    spec.TimeBudget,
+			BatchSize:  8,
+			MaxTime:    budget,
 			EvalEvery:  50,
 			EvalSubset: 400,
-			Seed:       spec.Seed + 1,
+			Seed:       seed + 1,
 		}
 	}
 	fixed := func(cfg cluster.Config, sched sgd.Schedule) func(w *Workload, label string) *metrics.Trace {
 		return func(w *Workload, label string) *metrics.Trace {
 			e := w.Engine(cfg)
-			return e.Run(cluster.FixedTau{Tau: spec.Tau, Schedule: sched}, label)
+			return e.Run(cluster.FixedTau{Tau: tau, Schedule: sched}, label)
 		}
 	}
 
@@ -84,7 +64,7 @@ func OptimizerAblation(spec OptimizerSpec) (float64, []LinkAwareRow) {
 	nesCfg := base()
 	nesCfg.Opt = opt.Config{Rule: opt.RuleNesterov, Momentum: 0.9}
 	adamCfg := base()
-	adamCfg.Opt = opt.Config{Rule: opt.RuleAdam, Beta2: spec.AdamBeta2}
+	adamCfg.Opt = opt.Config{Rule: opt.RuleAdam, Beta2: adamBeta2}
 	// Wire-visible optimizer state: synced second moments ride CHOCO gossip
 	// over a float32 wire — narrowed, estimate-tracked, and priced like the
 	// parameters themselves. The wire is dense: aggressive quantization of
@@ -96,12 +76,12 @@ func OptimizerAblation(spec OptimizerSpec) (float64, []LinkAwareRow) {
 	syncCfg.Strategy = cluster.RingGossip
 	syncCfg.Compress = compress.Spec{Kind: compress.KindIdentity, Wire: compress.WireFloat32}
 	syncCfg.AdaptGossipGamma = true
-	syncCfg.Opt = opt.Config{Rule: opt.RuleAdam, Beta2: spec.AdamBeta2, SyncedMoments: true}
+	syncCfg.Opt = opt.Config{Rule: opt.RuleAdam, Beta2: adamBeta2, SyncedMoments: true}
 	// SlowMo: fast local momentum plus a slow global-momentum filter at the
 	// averaging points.
 	slowCfg := base()
 	slowCfg.Opt = opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9}
-	slowCfg.GlobalMomentum = spec.GlobalMomentum
+	slowCfg.GlobalMomentum = globalMomentum
 	normCfg := base()
 	normCfg.Compress = compress.Spec{Kind: compress.KindQSGD, Bits: 4}
 
@@ -118,7 +98,7 @@ func OptimizerAblation(spec OptimizerSpec) (float64, []LinkAwareRow) {
 		{"slowmo", fixed(slowCfg, lrSched)},
 		{"qsgd norm-bits", func(w *Workload, label string) *metrics.Trace {
 			ctrl := core.NewAdaCommCompress(core.Config{
-				Tau0: spec.Tau, Interval: spec.TimeBudget / 12, Gamma: 0.5,
+				Tau0: tau, Interval: budget / 12, Gamma: 0.5,
 				Schedule: lrSched,
 			}, core.CompressSchedule{Ratio0: 0.5, NormBits: true, Bits0: 4})
 			e := w.Engine(normCfg)
@@ -128,13 +108,8 @@ func OptimizerAblation(spec OptimizerSpec) (float64, []LinkAwareRow) {
 
 	traces := make([]*metrics.Trace, len(methods))
 	forEach(len(methods), func(i int) {
-		w := BuildWorkload(ArchLogistic, 4, spec.Workers, spec.Scale, spec.Seed)
+		w := BuildWorkload(ArchLogistic, 4, 4, scale, seed)
 		traces[i] = methods[i].run(w, methods[i].name)
 	})
-	target, rows := linkAwareRows(traces)
-	if len(rows) != len(methods) {
-		panic(fmt.Sprintf("experiments: optimizer ablation produced %d rows for %d methods",
-			len(rows), len(methods)))
-	}
-	return target, rows
+	return linkAwareRows(traces)
 }

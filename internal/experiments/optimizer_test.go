@@ -12,11 +12,11 @@ import (
 // momentum/slowmo rows reach the shared target loss no later than plain SGD
 // — the classical acceleration, surviving the distributed barrier.
 func TestOptimizerAblationQuick(t *testing.T) {
-	target, rows := OptimizerAblation(DefaultOptimizerSpec(ScaleQuick))
+	target, rows := optimizerAblation(ScaleQuick, 0, 0)
 	if !(target > 0) || math.IsInf(target, 0) {
 		t.Fatalf("degenerate shared target %v", target)
 	}
-	byName := map[string]LinkAwareRow{}
+	byName := map[string]linkAwareRow{}
 	for _, r := range rows {
 		if math.IsNaN(r.FinalLoss) || math.IsInf(r.FinalLoss, 0) {
 			t.Fatalf("method %s final loss %v", r.Method, r.FinalLoss)

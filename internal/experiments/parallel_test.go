@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -125,32 +126,60 @@ func TestRunComparisonConcurrentMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestAblationGridsConcurrentMatchSerial covers the remaining fan-outs: the
-// tau0 grid search and the gamma ablation must pick the same rows under a
-// wide pool as serially.
-func TestAblationGridsConcurrentMatchSerial(t *testing.T) {
+// samePrintAtAnyPoolWidth runs each named registry row with its grid run
+// serially and on an 8-wide experiment pool and requires the same bytes.
+func samePrintAtAnyPoolWidth(t *testing.T, names ...string) {
+	t.Helper()
 	old := SetWorkers(1)
 	defer SetWorkers(old)
-	serialTau := TauGridAblation(ScaleQuick)
-	serialGamma := GammaAblation(ScaleQuick)
-	SetWorkers(8)
-	poolTau := TauGridAblation(ScaleQuick)
-	poolGamma := GammaAblation(ScaleQuick)
+	for _, name := range names {
+		sel, err := SelectAblations(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out [2]bytes.Buffer
+		for i, width := range []int{1, 8} {
+			SetWorkers(width)
+			if err := sel[0].Run(&out[i], AblationOptions{Scale: ScaleQuick}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out[0].String() != out[1].String() {
+			t.Fatalf("%s: serial and 8-wide output differ:\n%s\nvs\n%s", name, &out[0], &out[1])
+		}
+	}
+}
 
-	if len(serialTau) != len(poolTau) {
-		t.Fatalf("tau rows %d vs %d", len(serialTau), len(poolTau))
-	}
-	for i := range serialTau {
-		if serialTau[i] != poolTau[i] {
-			t.Fatalf("tau row %d: %+v vs %+v", i, serialTau[i], poolTau[i])
+// TestAblationGridsConcurrentMatchSerial: the tau0 grid search and the gamma
+// ablation pick the same rows under a wide pool as serially.
+func TestAblationGridsConcurrentMatchSerial(t *testing.T) {
+	samePrintAtAnyPoolWidth(t, "tau0", "gamma")
+}
+
+// TestGossipGridConcurrentMatchesSerial: the gossip grid's cells are
+// independent engines (each owning its CHOCO estimate state), so the pool
+// must not change a byte of the rendered table.
+func TestGossipGridConcurrentMatchesSerial(t *testing.T) {
+	samePrintAtAnyPoolWidth(t, "gossip")
+}
+
+// TestTopologyGridConcurrentMatchesSerial: the topology grid's cells are
+// independent engines over independent workloads, so the pool must not
+// change a byte of the rendered table.
+func TestTopologyGridConcurrentMatchesSerial(t *testing.T) {
+	samePrintAtAnyPoolWidth(t, "topology")
+}
+
+// poolWidthPinnedAlone names the rows the three tests above pin.
+var poolWidthPinnedAlone = map[string]bool{"tau0": true, "gamma": true, "gossip": true, "topology": true}
+
+// TestAblationsIdenticalAtAnyPoolWidth covers every other registry row the
+// same way, one subtest per row.
+func TestAblationsIdenticalAtAnyPoolWidth(t *testing.T) {
+	for _, a := range ablations {
+		if poolWidthPinnedAlone[a.Name] {
+			continue
 		}
-	}
-	if len(serialGamma) != len(poolGamma) {
-		t.Fatalf("gamma rows %d vs %d", len(serialGamma), len(poolGamma))
-	}
-	for i := range serialGamma {
-		if serialGamma[i] != poolGamma[i] {
-			t.Fatalf("gamma row %d: %+v vs %+v", i, serialGamma[i], poolGamma[i])
-		}
+		t.Run(a.Name, func(t *testing.T) { samePrintAtAnyPoolWidth(t, a.Name) })
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestAblationRegistry(t *testing.T) {
 			t.Errorf("registry name %q is empty or taken", a.Name)
 		}
 		seen[a.Name] = true
-		if a.Help == "" || strings.Contains(a.Help, "\n") || a.Run == nil {
+		if a.Help == "" || strings.Contains(a.Help, "\n") || a.run == nil {
 			t.Errorf("%s: needs a one-line Help and a Run", a.Name)
 		}
 		if !strings.Contains(usage, "\n  "+a.Name+" ") || !strings.Contains(usage, a.Help) {
@@ -24,8 +25,8 @@ func TestAblationRegistry(t *testing.T) {
 			t.Errorf("SelectAblations(%q) = %v, %v", a.Name, sel, err)
 		}
 	}
-	if len(ablations) != 13 || !strings.Contains(usage, "\n  all ") {
-		t.Errorf("%d rows (want the thirteen ablations), usage:\n%s", len(ablations), usage)
+	if len(ablations) != 16 || !strings.Contains(usage, "\n  all ") {
+		t.Errorf("%d rows (want the sixteen ablations), usage:\n%s", len(ablations), usage)
 	}
 	all, err := SelectAblations("all")
 	if err != nil || len(all) != len(ablations) {
@@ -67,7 +68,8 @@ func TestAblationOptionsValidate(t *testing.T) {
 	if err := (AblationOptions{}).Validate(ablations[:1]); err != nil {
 		t.Errorf("zero options rejected: %v", err)
 	}
-	for _, o := range []AblationOptions{{Wire: "float16"}, {Faults: "crash:x@r1"}} {
+	for _, o := range []AblationOptions{{Wire: "float16"}, {Faults: "crash:x@r1"}, {Faults: "crash:50@r1"},
+		{AdamBeta2: 1}, {GlobalMomentum: math.NaN()}} {
 		if err := o.Validate(all); err == nil {
 			t.Errorf("malformed %+v accepted", o)
 		}

@@ -22,31 +22,19 @@ import (
 // the ring (spectral gap O(1/n) vs O(1/n^2)). Time-to-loss therefore orders
 // torus/expander ahead of both endpoints of the density spectrum.
 
-// TopologySpec describes the ablation.
-type TopologySpec struct {
-	Scale Scale
-	Seed  uint64
+// The topology cluster: 16 nodes, and one slow edge — topoEdgeFrom-topoEdgeTo
+// gets topoEdgeLatency seconds of latency in BOTH directions on top of the
+// constant D0 = 1 round base. (3,4) is a ring edge at m = 16 that the 4x4
+// torus does not contain.
+const (
+	topoWorkers     = 16
+	topoEdgeFrom    = 3
+	topoEdgeTo      = 4
+	topoEdgeLatency = 10.0
+)
 
-	Workers int      // node count (16: the torus spec below pins 4x4)
-	Topos   []string // comm.ParseTopology graph specs to race
-	// The slow edge: EdgeFrom-EdgeTo gets EdgeLatency seconds of latency in
-	// BOTH directions on top of the constant D0 = 1 round base. (3,4) is a
-	// ring edge at m = 16 that the 4x4 torus does not contain.
-	EdgeFrom, EdgeTo int
-	EdgeLatency      float64
-
-	// Ratio > 0 adds, per topology, a CHOCO cell at that top-k keep-ratio
-	// with the spectral-gap-adapted consensus step (AdaptGossipGamma).
-	Ratio float64
-
-	Tau        int
-	BatchSize  int
-	LR         float64
-	TimeBudget float64
-}
-
-// TopologyRow is one cell's outcome.
-type TopologyRow struct {
+// topologyRow is one cell's outcome.
+type topologyRow struct {
 	Topology     string
 	Method       string // "raw" or "choco"
 	SpectralGap  float64
@@ -56,42 +44,19 @@ type TopologyRow struct {
 	TimeToTarget float64
 }
 
-// TopologyResult bundles the ablation rows with the shared loss target.
-type TopologyResult struct {
-	Spec   TopologySpec
-	Target float64
-	Rows   []TopologyRow
-}
-
-// DefaultTopologyGrid is the shipped ablation: 16 nodes, one 10x-latency
-// edge, the ring and the complete graph (the two density endpoints, both
-// containing the slow edge) against the torus and a random-regular draw
-// (both routing around it).
-func DefaultTopologyGrid(scale Scale) TopologySpec {
+// topologyGrid races the ring and the complete graph (the two density
+// endpoints, both containing the slow edge) against the 4x4 torus and a
+// random-regular draw (both routing around it), each raw and as a CHOCO cell
+// at top-k 0.25 with the spectral-gap-adapted consensus step. Returns the
+// shared target loss and one row per cell. Cells are independent engines,
+// so the grid fans out across the experiment pool; rows are written by index
+// and the result is identical at any pool width.
+func topologyGrid(scale Scale) (float64, []topologyRow) {
+	const seed = 160
 	budget := 1500.0
 	if scale == ScaleQuick {
 		budget = 500
 	}
-	return TopologySpec{
-		Scale:       scale,
-		Seed:        160,
-		Workers:     16,
-		Topos:       []string{"graph:ring", "torus:4x4", "regular:4@11", "complete"},
-		EdgeFrom:    3,
-		EdgeTo:      4,
-		EdgeLatency: 10,
-		Ratio:       0.25,
-		Tau:         5,
-		BatchSize:   4,
-		LR:          0.1,
-		TimeBudget:  budget,
-	}
-}
-
-// RunTopologyGrid races the topologies under the per-edge delay table. Cells
-// are independent engines, so the grid fans out across the experiment pool;
-// rows are written by index and the result is identical at any pool width.
-func RunTopologyGrid(spec TopologySpec) TopologyResult {
 	type cellSpec struct {
 		topoStr string
 		topo    comm.Topology
@@ -100,44 +65,43 @@ func RunTopologyGrid(spec TopologySpec) TopologyResult {
 		adapt   bool
 	}
 	var cells []cellSpec
-	for _, s := range spec.Topos {
+	for _, s := range []string{"graph:ring", "torus:4x4", "regular:4@11", "complete"} {
 		topo, err := comm.ParseTopology(s)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: topology grid: %v", err))
 		}
-		cells = append(cells, cellSpec{topoStr: s, topo: topo, method: "raw"})
-		if spec.Ratio > 0 {
-			cells = append(cells, cellSpec{
+		cells = append(cells,
+			cellSpec{topoStr: s, topo: topo, method: "raw"},
+			cellSpec{
 				topoStr: s, topo: topo, method: "choco",
-				cs:    compress.Spec{Kind: compress.KindTopK, Ratio: spec.Ratio},
+				cs:    compress.Spec{Kind: compress.KindTopK, Ratio: 0.25},
 				adapt: true,
 			})
-		}
 	}
-	rows := make([]TopologyRow, len(cells))
+	rows := make([]topologyRow, len(cells))
 	traces := make([]*metrics.Trace, len(cells))
 	forEach(len(cells), func(i int) {
 		c := cells[i]
-		w := BuildWorkload(ArchLogistic, 4, spec.Workers, spec.Scale, spec.Seed)
+		w := BuildWorkload(ArchLogistic, 4, topoWorkers, scale, seed)
 		w.Delay.EdgeLinks = map[delaymodel.Edge]delaymodel.Link{
-			{From: spec.EdgeFrom, To: spec.EdgeTo}: {Latency: spec.EdgeLatency},
-			{From: spec.EdgeTo, To: spec.EdgeFrom}: {Latency: spec.EdgeLatency},
+			{From: topoEdgeFrom, To: topoEdgeTo}: {Latency: topoEdgeLatency},
+			{From: topoEdgeTo, To: topoEdgeFrom}: {Latency: topoEdgeLatency},
 		}
 		cfg := cluster.Config{
-			BatchSize:        spec.BatchSize,
-			MaxTime:          spec.TimeBudget,
+			BatchSize:        4,
+			MaxTime:          budget,
 			EvalEvery:        50,
 			EvalSubset:       256,
 			Strategy:         cluster.RingGossip,
 			Topology:         c.topo,
 			Compress:         c.cs,
 			AdaptGossipGamma: c.adapt,
-			Seed:             spec.Seed + 1,
+			Seed:             seed + 1,
 		}
 		e := w.Engine(cfg)
 		name := fmt.Sprintf("%s/%s", c.topoStr, c.method)
-		tr := e.Run(cluster.FixedTau{Tau: spec.Tau, Schedule: sgd.Const{Eta: spec.LR}}, name)
-		seq, err := c.topo.Graphs(spec.Workers)
+		tr := e.Run(cluster.FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, name)
+		seq, err := c.topo.Graphs(topoWorkers)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: topology grid: %v", err))
 		}
@@ -145,13 +109,13 @@ func RunTopologyGrid(spec TopologySpec) TopologyResult {
 		// One sync's communication charge: D0 = 1 plus the slow edge's
 		// latency iff the graph activates it.
 		roundComm := 1.0
-		for _, nb := range g.Neighbors(spec.EdgeFrom) {
-			if nb == spec.EdgeTo {
-				roundComm += spec.EdgeLatency
+		for _, nb := range g.Neighbors(topoEdgeFrom) {
+			if nb == topoEdgeTo {
+				roundComm += topoEdgeLatency
 				break
 			}
 		}
-		rows[i] = TopologyRow{
+		rows[i] = topologyRow{
 			Topology:    c.topoStr,
 			Method:      c.method,
 			SpectralGap: g.SpectralGap(),
@@ -161,28 +125,20 @@ func RunTopologyGrid(spec TopologySpec) TopologyResult {
 		}
 		traces[i] = tr
 	})
-	// Shared target: the loosest minimum loss across cells, relaxed 1%, so
-	// every cell reaches it and time-to-target is always defined.
-	worst := 0.0
-	for _, r := range rows {
-		if r.MinLoss > worst {
-			worst = r.MinLoss
-		}
-	}
-	target := worst * 1.01
+	target := reachableTarget(traces, 0.01)
 	for i := range rows {
 		rows[i].TimeToTarget = traces[i].TimeToLoss(target)
 	}
-	return TopologyResult{Spec: spec, Target: target, Rows: rows}
+	return target, rows
 }
 
-// PrintTopologyGrid renders the ablation as a table.
-func PrintTopologyGrid(w io.Writer, res TopologyResult) {
+// printTopologyGrid renders the ablation as a table.
+func printTopologyGrid(w io.Writer, target float64, rows []topologyRow) {
 	fmt.Fprintf(w, "== Mixing topology under a %gx slow edge (%d-%d), m=%d (time to loss %.5f) ==\n",
-		res.Spec.EdgeLatency, res.Spec.EdgeFrom, res.Spec.EdgeTo, res.Spec.Workers, res.Target)
+		topoEdgeLatency, topoEdgeFrom, topoEdgeTo, topoWorkers, target)
 	fmt.Fprintf(w, "%-16s %-6s %9s %10s %12s %12s %11s\n",
 		"topology", "method", "gap", "comm/sync", "final loss", "min loss", "t(target)")
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		fmt.Fprintf(w, "%-16s %-6s %9.4f %10.1f %12.5f %12.5f %11.1f\n",
 			r.Topology, r.Method, r.SpectralGap, r.RoundComm, r.FinalLoss, r.MinLoss, r.TimeToTarget)
 	}

@@ -12,15 +12,15 @@ func TestTopologyGridTorusBeatsRingAndComplete(t *testing.T) {
 	// O(1/n) spectral gap — reaches the shared loss target in less simulated
 	// time than BOTH density endpoints that activate the edge every sync:
 	// the ring and the complete graph (full averaging).
-	res := RunTopologyGrid(DefaultTopologyGrid(ScaleQuick))
+	target, rows := topologyGrid(ScaleQuick)
 
-	byTopo := map[string]TopologyRow{}
-	for _, r := range res.Rows {
+	byTopo := map[string]topologyRow{}
+	for _, r := range rows {
 		if r.FinalLoss <= 0 || r.MinLoss <= 0 {
 			t.Fatalf("degenerate losses in row %+v", r)
 		}
 		if r.TimeToTarget <= 0 {
-			t.Fatalf("cell %s/%s never reached the shared target %v", r.Topology, r.Method, res.Target)
+			t.Fatalf("cell %s/%s never reached the shared target %v", r.Topology, r.Method, target)
 		}
 		if r.Method == "raw" {
 			byTopo[r.Topology] = r
@@ -46,32 +46,11 @@ func TestTopologyGridTorusBeatsRingAndComplete(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	PrintTopologyGrid(&buf, res)
+	printTopologyGrid(&buf, target, rows)
 	out := buf.String()
 	for _, want := range []string{"torus:4x4", "graph:ring", "complete", "regular:4@11", "choco", "t(target)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendered grid missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestTopologyGridConcurrentMatchesSerial(t *testing.T) {
-	// Cells are independent engines over independent workloads, so the
-	// experiment pool must not change a byte of the rendered output.
-	old := SetWorkers(1)
-	defer SetWorkers(old)
-
-	spec := DefaultTopologyGrid(ScaleQuick)
-	spec.Topos = []string{"graph:ring", "torus:4x4"}
-	var serial bytes.Buffer
-	PrintTopologyGrid(&serial, RunTopologyGrid(spec))
-
-	SetWorkers(8)
-	var conc bytes.Buffer
-	PrintTopologyGrid(&conc, RunTopologyGrid(spec))
-
-	if serial.String() != conc.String() {
-		t.Fatalf("topology grid output differs across pool widths:\n%s\nvs\n%s",
-			serial.String(), conc.String())
 	}
 }

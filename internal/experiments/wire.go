@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/cluster"
 	"repro/internal/compress"
 	"repro/internal/metrics"
+	"repro/internal/sgd"
 )
 
 // The wire ablation isolates the float32 wire format from sparsification:
@@ -15,11 +17,15 @@ import (
 // rounds into the same simulated budget while its trajectory tracks the
 // float64 one to within the ~2^-24 relative narrowing error per round.
 
-// WireAblationResult compares dense full averaging over a float64 wire
+// wireBandwidth is the link both runs share, in bytes per simulated second: a
+// dense 68-parameter float64 payload (544 B) costs 4.25 s per sync, as much
+// as several local steps.
+const wireBandwidth = 128.0
+
+// wireAblationResult compares dense full averaging over a float64 wire
 // against the same run over a float32 wire.
-type WireAblationResult struct {
+type wireAblationResult struct {
 	Tau         int
-	Bandwidth   float64
 	Target      float64 // shared loss level both runs reach
 	Wide        *metrics.Trace
 	Narrow      *metrics.Trace
@@ -30,13 +36,20 @@ type WireAblationResult struct {
 	Speedup     float64 // TimeWide / TimeNarrow
 }
 
-// WireAblation runs the pair on the compression grid's shared
-// bandwidth-constrained workload at a fixed tau. Both runs see identical
-// seeds; the only difference is the Spec's wire format.
-func WireAblation(scale Scale) WireAblationResult {
-	spec := DefaultCompressionGrid(scale)
-	const tau = 5
-	w := spec.workload()
+// wireAblation runs the pair on one bandwidth-constrained logistic workload
+// at a fixed tau. Both runs see identical seeds; the only difference is the
+// Spec's wire format.
+func wireAblation(scale Scale) wireAblationResult {
+	const (
+		tau  = 5
+		seed = 140
+	)
+	budget := 2400.0
+	if scale == ScaleQuick {
+		budget = 800
+	}
+	w := BuildWorkload(ArchLogistic, 4, 4, scale, seed)
+	w.Delay.Bandwidth = wireBandwidth
 
 	pair := []compress.Spec{
 		{Kind: compress.KindIdentity},
@@ -46,14 +59,20 @@ func WireAblation(scale Scale) WireAblationResult {
 	traces := make([]*metrics.Trace, len(pair))
 	bytesPerRound := make([]int, len(pair))
 	forEach(len(pair), func(i int) {
-		e, tr := spec.runCell(w, tau, pair[i], names[i])
-		traces[i] = tr
+		e := w.Engine(cluster.Config{
+			BatchSize:  4,
+			MaxTime:    budget,
+			EvalEvery:  100,
+			EvalSubset: 256,
+			Compress:   pair[i],
+			Seed:       seed + 1,
+		})
+		traces[i] = e.Run(cluster.FixedTau{Tau: tau, Schedule: sgd.Const{Eta: 0.1}}, names[i])
 		bytesPerRound[i] = e.CommBytesPerRound()
 	})
 
-	res := WireAblationResult{
+	res := wireAblationResult{
 		Tau:         tau,
-		Bandwidth:   spec.Bandwidth,
 		Target:      reachableTarget(traces, 0.05),
 		Wide:        traces[0],
 		Narrow:      traces[1],
@@ -66,10 +85,10 @@ func WireAblation(scale Scale) WireAblationResult {
 	return res
 }
 
-// PrintWireAblation renders the pair.
-func PrintWireAblation(w io.Writer, res WireAblationResult) {
+// printWireAblation renders the pair.
+func printWireAblation(w io.Writer, res wireAblationResult) {
 	fmt.Fprintf(w, "== Float32 vs float64 wire at tau=%d, bandwidth %g B/s ==\n",
-		res.Tau, res.Bandwidth)
+		res.Tau, wireBandwidth)
 	fmt.Fprintf(w, "payload/round: f64 %d B, f32 %d B\n", res.WideBytes, res.NarrowBytes)
 	fmt.Fprintf(w, "target loss %.5f: f64 %.2f s, f32 %.2f s (%.2fx)\n",
 		res.Target, res.TimeWide, res.TimeNarrow, res.Speedup)

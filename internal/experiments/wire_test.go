@@ -10,7 +10,7 @@ func TestWireAblation(t *testing.T) {
 	// Seeded convergence satellite: the float32 wire halves the per-round
 	// payload exactly, tracks the float64 trajectory within tolerance, and
 	// on the bandwidth-constrained link reaches the shared target sooner.
-	res := WireAblation(ScaleQuick)
+	res := wireAblation(ScaleQuick)
 	if res.NarrowBytes*2 != res.WideBytes {
 		t.Fatalf("payload not halved: f32 %d B vs f64 %d B", res.NarrowBytes, res.WideBytes)
 	}
@@ -31,8 +31,8 @@ func TestWireAblation(t *testing.T) {
 		t.Fatalf("float32 wire drifted: final loss %v vs %v (rel %v)", narrow, wide, rel)
 	}
 	var sb strings.Builder
-	PrintWireAblation(&sb, res)
+	printWireAblation(&sb, res)
 	if !strings.Contains(sb.String(), "Float32 vs float64 wire") {
-		t.Fatal("PrintWireAblation empty")
+		t.Fatal("printWireAblation empty")
 	}
 }

@@ -1,17 +1,19 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation, plus the ablations called out in DESIGN.md. Every
-// driver is deterministic given its seed, returns a structured result, and
-// can render itself as text; cmd/figures (the paper's figures), cmd/sweep
-// (the ablation registry in registry.go) and the benchmark harness in the
-// repository root are thin wrappers around this package.
+// paper's evaluation, plus the ablations beyond it. Every driver is
+// deterministic given its seed, returns a structured result, and can render
+// itself as text. cmd/figures and the benchmark module call the paper's
+// drivers directly; an ablation is reachable only as a row of the registry
+// in registry.go (Ablation, SelectAblations), which cmd/sweep,
+// examples/heterogeneous and the root benchmarks run.
 //
 // Sizing: the paper's experiments train VGG-16/ResNet-50 on CIFAR for tens
-// of GPU-minutes. The reproduction's workloads are miniaturized (see
-// DESIGN.md) so that a full figure regenerates in seconds to minutes of CPU
-// time, while preserving the quantities that determine the figure's shape:
-// the communication/computation ratio alpha, the gradient-noise floor, and
-// the number of adaptation intervals. Each driver takes a Scale knob:
-// ScaleQuick for unit tests, ScaleFull for the benchmark harness.
+// of GPU-minutes. The reproduction's workloads are miniaturized (synthetic
+// data, nano networks, the paper's delay profiles; see BuildWorkload) so
+// that a full figure regenerates in seconds to minutes of CPU time, while
+// preserving the quantities that determine the figure's shape: the
+// communication/computation ratio alpha, the gradient-noise floor, and the
+// number of adaptation intervals. Each driver takes a Scale knob:
+// ScaleQuick for unit tests, ScaleFull for the figures and examples.
 package experiments
 
 import (
@@ -30,7 +32,7 @@ type Scale int
 const (
 	// ScaleQuick shrinks datasets/iterations for fast unit tests.
 	ScaleQuick Scale = iota
-	// ScaleFull is the benchmark-harness sizing used for EXPERIMENTS.md.
+	// ScaleFull is the sizing cmd/figures, cmd/sweep and the examples run.
 	ScaleFull
 )
 

@@ -275,6 +275,7 @@ func Parse(spec string) (*Schedule, error) {
 		return nil, nil
 	}
 	s := &Schedule{}
+	sawDrop := false
 	for _, term := range strings.Split(spec, ",") {
 		term = strings.TrimSpace(term)
 		kind, rest, ok := strings.Cut(term, ":")
@@ -287,10 +288,10 @@ func Parse(spec string) (*Schedule, error) {
 			if err != nil || math.IsNaN(p) || math.IsInf(p, 0) || p < 0 || p >= 1 {
 				return nil, fmt.Errorf("faults: drop probability %q must be in [0, 1) (want %s)", rest, Forms)
 			}
-			if s.drop > 0 {
+			if sawDrop {
 				return nil, fmt.Errorf("faults: duplicate drop term %q (one drop probability per schedule)", term)
 			}
-			s.drop = p
+			s.drop, sawDrop = p, true
 		case "crash", "blip", "slow":
 			e, err := parseEvent(kind, rest, term)
 			if err != nil {

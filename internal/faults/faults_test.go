@@ -71,6 +71,7 @@ func TestParseRejects(t *testing.T) {
 		"drop:-0.1",         // negative p
 		"drop:NaN",          // NaN p
 		"drop:0.1,drop:0.2", // duplicate drop
+		"drop:0,drop:0.1",   // duplicate drop, the first one zero
 		"crash:1@r2,",       // trailing empty term
 	} {
 		if _, err := Parse(spec); err == nil {

@@ -13,13 +13,14 @@ package repro
 // to ../), type-check every listed non-standard package from source in the
 // dependency order go list prints, and resolve each write through
 // types.Info.Uses to the field it targets. Three traps: a field is matched
-// by its object, never by its name (experiments.CouplingRow.MaxTau is not
-// core's, and three structs had a SlowCutoff); both modules share ONE package
-// map, so internal/cluster is checked once and its fields are the same
-// objects from either side (seen again through a second importer they would
-// be distinct *types.Var); and files are parsed under absolute names. The
-// standard library comes from the "source" importer, which needs no go
-// command for GOROOT packages.
+// by its object, never by its name (delaymodel.Profile.Bandwidth, which no
+// other package writes, is not paramserver.Config.Bandwidth, which
+// experiments writes, and three structs had a SlowCutoff); both modules
+// share ONE package map, so internal/cluster is checked once and its fields
+// are the same objects from either side (seen again through a second
+// importer they would be distinct *types.Var); and files are parsed under
+// absolute names. The standard library comes from the "source" importer,
+// which needs no go command for GOROOT packages.
 
 import (
 	"bytes"
