@@ -75,6 +75,12 @@ func TestCommandLine(t *testing.T) {
 		"-batch 100000",
 		"-async -tau 2 -batch 129",
 		"-cpuprofile /nonexistent-directory/cpu.prof",
+		// A NaN keep-ratio ran as top-1; an argument to none or identity
+		// was dropped.
+		"-compress topk:NaN",
+		"-compress randk:NaN",
+		"-compress identity:5",
+		"-compress none:x",
 	} {
 		t.Run(bad, func(t *testing.T) {
 			stdout, stderr, code := run(strings.Fields(bad)...)

@@ -14,9 +14,10 @@ import (
 //     configurable fractional tolerance (-tolerance).
 //  2. allocs/op on every benchmark present in both records: steady-state
 //     allocation counts are host-independent, so ANY increase fails.
-//  3. intra-run ratios: the blocked Gemm, the QSGD quantizer and the normal
-//     fill must beat the scalar references timed in the SAME run by the
-//     floors of ratioPairs, which needs no baseline at all.
+//  3. intra-run ratios: the blocked Gemm, the QSGD quantizer, the normal
+//     fill, the exp kernel and Axpy must beat the scalar references timed in
+//     the SAME run by the floors of ratioPairs, which needs no baseline at
+//     all.
 //
 // Engine-run benchmarks (AsyncRun, PSUpdate, ...) are deliberately not
 // ns/op-gated: their wall clock depends on pool scheduling and host load.
@@ -71,7 +72,12 @@ var pinnedKernels = []string{
 // norm's serial add chain is in both); the fill alone, 1.0-1.25x. Normal
 // draws, 1 024 at a time: the tiled attempts plus the four-lane polar kernel
 // measure 2.4-2.7x over one NormFloat64 call per value; the tiled attempts
-// alone, 1.2-1.5x — so this floor is 2, not 1.5.
+// alone, 1.2-1.5x — so this floor is 2, not 1.5. Exps, one softmax block of
+// 40: the four-lane archExp twin measures 3.0-5.4x over the math.Exp calls,
+// the Go tier (which is those calls) 0.9-1.0x. Axpy at 650: the four-lane
+// kernel measures 2.7-4.2x over the scalar loop written out where it was
+// used, the Go tier 1.0-1.3x (its loop is resliced, so it checks no bounds)
+// — floors of 2 for both.
 var ratioPairs = []struct {
 	fast, ref string
 	floor     float64
@@ -79,6 +85,8 @@ var ratioPairs = []struct {
 	{"Gemm256/blocked", "Gemm256/naive", 1.5},
 	{"CompressInto16400/qsgd", "QSGDScalarRef16400", 1.5},
 	{"FillNormFloat641024", "NormFloat64Ref1024", 2},
+	{"ExpInto40", "ExpRef40", 2},
+	{"Axpy650", "AxpyRef650", 2},
 }
 
 // checkRegression compares the current run against a baseline record and

@@ -170,6 +170,17 @@ func TestNormRatioFollowsTheTier(t *testing.T) {
 	ratioFollowsTheTier(t, "FillNormFloat641024", normSetup(true), "NormFloat64Ref1024", normSetup(false))
 }
 
+// TestExpRatioFollowsTheTier: the same for the softmax block's exps against
+// the math.Exp calls, which is all the Go tier runs.
+func TestExpRatioFollowsTheTier(t *testing.T) {
+	ratioFollowsTheTier(t, "ExpInto40", expSetup(true), "ExpRef40", expSetup(false))
+}
+
+// TestAxpyRatioFollowsTheTier: the same for Axpy against the scalar loop.
+func TestAxpyRatioFollowsTheTier(t *testing.T) {
+	ratioFollowsTheTier(t, "Axpy650", axpySetup(true), "AxpyRef650", axpySetup(false))
+}
+
 // ratioFollowsTheTier samples the two rows alternately, so both meet the
 // same neighbours, and keeps each one's fastest sample: interference only
 // ever adds time.

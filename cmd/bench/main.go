@@ -17,10 +17,11 @@
 // In -check mode the exit status is the verdict: 0 when the current run is
 // within tolerance of the committed record, 1 on a regression (pinned-kernel
 // ns/op past the tolerance, any allocs/op increase, or a kernel path — the
-// blocked Gemm, the QSGD quantizer, the normal fill — losing its margin over
-// the scalar reference timed beside it; see gate.go), 2 on usage
-// errors — among them a baseline that shares no pinned row with the run, so
-// that a mis-pointed file or a renamed row cannot pass by comparing nothing.
+// blocked Gemm, the QSGD quantizer, the normal fill, the exps, Axpy — losing
+// its margin over the scalar reference timed beside it; see gate.go), 2 on
+// usage errors — among them a baseline that shares no pinned row with the
+// run, so that a mis-pointed file or a renamed row cannot pass by comparing
+// nothing.
 // CI runs this on every push unless the commit message carries a
 // `[bench-skip]` marker.
 //
@@ -545,6 +546,46 @@ func normSetup(fill bool) func() {
 	}
 }
 
+// expSetup takes the exps of one softmax block at the logistic workloads'
+// shape — four rows of ten classes, each logit less its row's maximum —
+// through ExpInto, or by the math.Exp calls it replaces (the -check ratio's
+// reference, gate.go).
+func expSetup(into bool) func() {
+	r := rng.New(63)
+	src, dst := make([]float64, 40), make([]float64, 40)
+	for i := range src {
+		src[i] = -math.Abs(r.NormFloat64() * 4)
+	}
+	if into {
+		return func() { tensor.ExpInto(dst, src) }
+	}
+	return func() {
+		for i, v := range src {
+			dst[i] = math.Exp(v)
+		}
+	}
+}
+
+// axpySetup is plain SGD's step and the async aggregate at the logistic
+// workloads' 650 parameters: through Axpy, or by the scalar loop it replaces
+// (the -check ratio's reference).
+func axpySetup(kernel bool) func() {
+	r := rng.New(64)
+	x, y := make([]float64, 650), make([]float64, 650)
+	for i := range x {
+		x[i], y[i] = r.NormFloat64(), r.NormFloat64()
+	}
+	const alpha = -1e-3
+	if kernel {
+		return func() { tensor.Axpy(alpha, x, y) }
+	}
+	return func() {
+		for i, v := range x {
+			y[i] += alpha * v
+		}
+	}
+}
+
 // blobsSetup generates wire_mix's dataset, the largest set-up any shipped
 // workload pays: 2 304 rows of 1 024 Gaussian features, label noise on.
 func blobsSetup() func() {
@@ -654,6 +695,10 @@ func main() {
 		{"QSGDScalarRef16400", 2000, func() func() { return qsgdScalarRefSetup(16400, 4) }},
 		{"FillNormFloat641024", 5000, func() func() { return normSetup(true) }},
 		{"NormFloat64Ref1024", 5000, func() func() { return normSetup(false) }},
+		{"ExpInto40", 50000, func() func() { return expSetup(true) }},
+		{"ExpRef40", 50000, func() func() { return expSetup(false) }},
+		{"Axpy650", 50000, func() func() { return axpySetup(true) }},
+		{"AxpyRef650", 50000, func() func() { return axpySetup(false) }},
 		{"GaussianBlobs2304x1024", 20, blobsSetup},
 		{"PASGDRound/serial", 0, func() func() { return pasgdSetup(1) }},
 		{"PASGDRound/pool4", 0, func() func() { return pasgdSetup(4) }},

@@ -660,9 +660,7 @@ func (e *AsyncEngine) arrive(i int, t float64) (roundDone bool) {
 	e.releaseMsg(c)
 
 	w := stalenessWeight(s)
-	for j, v := range e.decodeBuf {
-		e.aggBuf[j] += w * v
-	}
+	tensor.Axpy(w, e.decodeBuf, e.aggBuf)
 	e.wsum += w
 	e.arrivals++
 	e.aggIters += c.steps

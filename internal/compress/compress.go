@@ -240,9 +240,9 @@ func AddDecoded(msg Message, dst []float64) error {
 	}
 	switch msg.Enc {
 	case EncDense:
-		for i, v := range msg.Dense {
-			dst[i] += v
-		}
+		// dst[i] += v four lanes at a time: 1*v is v for every non-NaN v,
+		// and for a NaN the quieted v the add would have returned anyway.
+		tensor.Axpy(1, msg.Dense, dst)
 		return nil
 	case EncSparse:
 		for j, ix := range msg.Indices {

@@ -287,11 +287,39 @@ func TestParseSpec(t *testing.T) {
 			t.Fatalf("String round-trip of %q failed: %v", c.in, err)
 		}
 	}
-	for _, bad := range []string{"topk", "topk:2", "topk:0", "qsgd:9", "qsgd:x", "zip:3", "none+ef", "topk:0.1+zstd"} {
+	// NaN ratios fail every comparison and used to run as top-1; the
+	// arguments of none and identity used to be dropped.
+	for _, bad := range []string{"topk", "topk:2", "topk:0", "qsgd:9", "qsgd:x", "zip:3", "none+ef", "topk:0.1+zstd",
+		"topk:NaN", "randk:NaN", "randk:-NaN+ef", "identity:5", "none:x", "none:", ":0.5", "identity:+f32"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseSpec: the grammar users type after -compress never panics, and a
+// spec it accepts prints (String) as one that parses back to the same Spec.
+// The seed corpus is the forms above, good and bad, so plain `go test`
+// replays them.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{"none", "", "none+f32", "identity", "identity+ef+f32", "topk:0.01", "randk:0.05+ef",
+		"qsgd:4+f32", "topk:0.25+ef+f32", "topk:NaN", "randk:NaN", "identity:5", "none:x", "topk:1e-320",
+		"topk:0x1p-3", "qsgd:+4", "qsgd:04", "topk:1", "+f32+f32", "topk:.5+f32+ef", "qsgd:9", "topk:Inf"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseSpec(in)
+		if err != nil {
+			return
+		}
+		back, err := ParseSpec(s.String())
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v, whose String %q does not parse: %v", in, s, s.String(), err)
+		}
+		if back != s {
+			t.Fatalf("ParseSpec(%q) = %+v, String %q parses to %+v", in, s, s.String(), back)
+		}
+	})
 }
 
 func TestSpecWireBytesMatchesMessage(t *testing.T) {

@@ -288,3 +288,63 @@ func TestDecodeMatchesAddDecodedIntoZeros(t *testing.T) {
 		}
 	}
 }
+
+// TestAddDecodedIsDecodePlusDst is the decode differential: for every spec —
+// none and every scheme of contractSpecs, with and without error feedback, on
+// both wire widths — at dims 1-9, 650 and 16 400, AddDecoded(msg, dst) must
+// leave dst holding dst[i] + Decode(msg)[i] bit for bit, into zeros and into
+// a finite vector without -0 (a sparse message leaves a -0 it does not
+// touch, where adding Decode's 0 makes it +0). The dense path is
+// tensor.Axpy(1, ...), the quantized one tensor.AccumulateLevels.
+func TestAddDecodedIsDecodePlusDst(t *testing.T) {
+	dims := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 650, 16400}
+	for _, str := range append([]string{"none", "none+f32"}, contractSpecs()...) {
+		spec, err := ParseSpec(str)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dim := range dims {
+			c, err := spec.NewWire(func() *rng.Rand { return rng.New(uint64(dim)) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec, got, want := make([]float64, dim), make([]float64, dim), make([]float64, dim)
+			msg := new(Message)
+			rounds := len(specialValues) + 1
+			if dim > 77 {
+				rounds = 3 // every round already plants every special value
+			}
+			for round := 0; round < rounds; round++ {
+				vec := testVec(dim, uint64(dim+round))
+				if round > 0 {
+					vec = specialVec(dim, round-1)
+				}
+				if err := c.CompressInto(vec, msg); err != nil {
+					t.Fatalf("%s dim=%d round %d: %v", str, dim, round, err)
+				}
+				if err := Decode(*msg, dec); err != nil {
+					t.Fatal(err)
+				}
+				for _, zero := range []bool{true, false} {
+					if zero {
+						clear(got)
+					} else {
+						copy(got, testVec(dim, uint64(7*dim+round)))
+					}
+					for i := range want {
+						want[i] = got[i] + dec[i]
+					}
+					if err := AddDecoded(*msg, got); err != nil {
+						t.Fatal(err)
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("%s dim=%d round %d zero dst %v: coord %d = %x, dst + Decode %x",
+								str, dim, round, zero, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}

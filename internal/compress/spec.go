@@ -63,7 +63,9 @@ func (s Spec) Validate() error {
 	case None, KindIdentity:
 		return nil
 	case KindTopK, KindRandK:
-		if s.Ratio <= 0 || s.Ratio > 1 {
+		// Negated: NaN fails every comparison, and a NaN ratio used to pass
+		// here and run as top-1.
+		if !(s.Ratio > 0 && s.Ratio <= 1) {
 			return fmt.Errorf("compress: ratio %g out of (0,1]", s.Ratio)
 		}
 		return nil
@@ -122,11 +124,17 @@ func ParseSpec(str string) (Spec, error) {
 	base, arg, hasArg := strings.Cut(parts[0], ":")
 	switch base {
 	case "none", "":
+		if hasArg {
+			return s, fmt.Errorf("compress: none takes no argument, got %q", str)
+		}
 		if s.ErrorFeedback {
 			return s, fmt.Errorf("compress: error feedback needs a compressor, got %q", str)
 		}
 		return Spec{Wire: s.Wire}, nil
 	case "identity":
+		if hasArg {
+			return s, fmt.Errorf("compress: identity takes no argument, got %q", str)
+		}
 		s.Kind = KindIdentity
 	case "topk", "randk":
 		if base == "topk" {

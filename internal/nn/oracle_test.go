@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -482,5 +483,92 @@ func TestLossGradMatchesBackwardOnEveryLayer(t *testing.T) {
 			}
 			mustBitsEqual(t, m.name+" gradient", got, want)
 		}
+	}
+}
+
+// softmaxRef is SoftmaxCrossEntropy's per-row loop as this package shipped it
+// before the exps went through tensor.ExpInto in stack tiles: two math.Exp
+// calls per logit, one math.Log per row.
+func softmaxRef(total float64, out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix, invB float64) float64 {
+	for i := 0; i < out.Rows; i++ {
+		row := out.Row(i)
+		mx := row[0]
+		for _, v := range row[1:] {
+			if v > mx {
+				mx = v
+			}
+		}
+		sum := 0.0
+		for _, v := range row {
+			sum += math.Exp(v - mx)
+		}
+		logZ := mx + math.Log(sum)
+		total += logZ - row[b.Y[i]]
+		if dOut != nil {
+			d := dOut.Row(i)
+			for j, v := range row {
+				d[j] = math.Exp(v-logZ) * invB
+			}
+			d[b.Y[i]] -= invB
+		}
+	}
+	return total
+}
+
+// TestSoftmaxCrossEntropyMatchesScalarLoop holds the tiled loss to softmaxRef
+// bit for bit — the running total, the loss and every gradient element — at
+// class counts around the tile (one row per tile piece past 256) and row
+// counts around the block, over logits a trained model, a diverging one
+// (spreads past exp's -708) and a diverged one (NaN, ±Inf) produce.
+func TestSoftmaxCrossEntropyMatchesScalarLoop(t *testing.T) {
+	r := rng.New(80)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 800, -800, 0, math.Copysign(0, -1)}
+	for _, cols := range []int{1, 2, 3, 10, 16, 85, 255, 256, 257, 600} {
+		for _, rows := range []int{0, 1, 2, 4, 7, 16, 25, 26, 33, 64, 100} {
+			for regime := 0; regime < 3; regime++ {
+				out := tensor.NewMatrix(rows, cols)
+				b := data.Batch{Y: make([]int, rows)}
+				for i := range out.Data {
+					switch v := r.NormFloat64() * 3; {
+					case regime == 1 && r.Intn(8) == 0:
+						out.Data[i] = v * 400
+					case regime == 2 && r.Intn(16) == 0:
+						out.Data[i] = specials[r.Intn(len(specials))]
+					default:
+						out.Data[i] = v
+					}
+				}
+				for i := range b.Y {
+					b.Y[i] = r.Intn(cols)
+				}
+				invB := 1 / float64(max(rows, 1))
+				d, dRef := tensor.NewMatrix(rows, cols), tensor.NewMatrix(rows, cols)
+				what := fmt.Sprintf("%dx%d regime %d", rows, cols, regime)
+				got := SoftmaxCrossEntropy{}.addRows(0.25, out, b, d, invB)
+				if want := softmaxRef(0.25, out, b, dRef, invB); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: total %v (%x), scalar loop %v (%x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+				mustBitsEqual(t, what+" gradient", d.Data, dRef.Data)
+				if got, want := (SoftmaxCrossEntropy{}).AddRows(-1, out, b), softmaxRef(-1, out, b, nil, 0); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: AddRows %v, scalar loop %v", what, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSoftmaxCrossEntropyLabelOutOfRange: a label past the row still panics,
+// as the scalar loop's row[b.Y[i]] did, instead of reading the next row.
+func TestSoftmaxCrossEntropyLabelOutOfRange(t *testing.T) {
+	for _, y := range []int{3, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("label %d of 3 classes: no panic", y)
+				}
+			}()
+			out := tensor.NewMatrix(2, 3)
+			SoftmaxCrossEntropy{}.AddRows(0, out, data.Batch{Y: []int{0, y}})
+		}()
 	}
 }

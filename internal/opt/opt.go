@@ -35,6 +35,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/tensor"
 )
 
 // Rule selects the local update rule. The zero value is plain SGD.
@@ -352,10 +354,12 @@ func (o *Optimizer) Step(params, grad []float64) {
 	lr := o.cfg.LR
 	switch o.cfg.Rule {
 	case RulePlain:
-		// Bit-identical to the legacy internal/sgd loop with Momentum=0.
-		for i := range params {
-			params[i] -= lr * grad[i]
-		}
+		// The legacy internal/sgd loop with Momentum=0, p -= lr*g, four lanes
+		// at a time: (-lr)*g == -(lr*g) and p + (-q) == p - q bit for bit in
+		// round-to-nearest, and one NaN operand passes through either form
+		// unchanged. Only which NaN survives can differ: where lr is itself
+		// NaN (negating it flips the sign bit), or p and lr*g are both NaN.
+		tensor.Axpy(-lr, grad, params)
 	case RuleMomentum:
 		// Bit-identical to the legacy internal/sgd momentum loop.
 		mu := o.cfg.Momentum

@@ -120,6 +120,49 @@ func TestPlainAndMomentumMatchLegacyBitForBit(t *testing.T) {
 	}
 }
 
+// TestPlainStepIsTheScalarLoop: plain SGD's step is tensor.Axpy(-lr, g, p),
+// which must leave every parameter with the bits of p -= lr*g — at every
+// length around the four-lane group and at the logistic workloads' 650, over
+// the values a diverging run produces, at learning rates that overflow the
+// product or flush it to zero. The one allowed difference is which NaN
+// survives where p and lr*g are both NaN; the result is NaN either way.
+func TestPlainStepIsTheScalarLoop(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(math.NaN(), -1),
+		5e-324, -2.5e-308, math.MaxFloat64, -1e300, 1, -3.5}
+	seed := uint64(0x9E3779B97F4A7C15)
+	next := func() float64 {
+		seed ^= seed << 13
+		seed ^= seed >> 7
+		seed ^= seed << 17
+		if seed%4 == 0 {
+			return specials[seed/4%uint64(len(specials))]
+		}
+		return float64(int64(seed>>11))/(1<<52) - 1
+	}
+	for _, lr := range []float64{0.05, 1, 1e308, 1e-320, 0} {
+		for _, n := range []int{1, 3, 4, 5, 8, 13, 650} {
+			p, g := make([]float64, n), make([]float64, n)
+			for i := range p {
+				p[i], g[i] = next(), next()
+			}
+			want := append([]float64(nil), p...)
+			for i := range want {
+				want[i] -= lr * g[i]
+			}
+			before := append([]float64(nil), p...)
+			New(Config{LR: lr}, n).Step(p, g)
+			for i := range p {
+				if math.Float64bits(p[i]) == math.Float64bits(want[i]) ||
+					math.IsNaN(before[i]) && math.IsNaN(lr*g[i]) && math.IsNaN(p[i]) {
+					continue
+				}
+				t.Fatalf("lr=%v n=%d: param %d = %x from p=%v g=%v, the scalar loop gives %x",
+					lr, n, i, math.Float64bits(p[i]), before[i], g[i], math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
 func TestNesterovStepMath(t *testing.T) {
 	lr, mu := 0.1, 0.9
 	o := New(Config{Rule: RuleNesterov, LR: lr, Momentum: mu}, 1)

@@ -99,6 +99,15 @@ func reluAVX2(dst, src *float64, n int)
 //go:noescape
 func reluGradAVX2(dst, grad, out *float64, n int)
 
+// axpyAVX2 and subAVX2 are axpyGo and subGo over n > 0 elements, n a
+// multiple of 4.
+//
+//go:noescape
+func axpyAVX2(alpha float64, x, y *float64, n int)
+
+//go:noescape
+func subAVX2(dst, a, b *float64, n int)
+
 // compress fills the list: the kernel takes the whole groups of four, the Go
 // loop the kn % 4 that are left — a four-lane store for them would run past
 // the arrays' end.
@@ -179,8 +188,8 @@ func dotTiles(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi int) 
 	return n
 }
 
-// reluBulk and reluGradBulk run the mask kernels over the leading multiple
-// of four elements and return how many that was.
+// reluBulk, reluGradBulk, axpyBulk and subBulk run the elementwise kernels
+// over the leading multiple of four elements and return how many that was.
 func reluBulk(dst, src []float64) int {
 	n := len(src) &^ 3
 	if !useAVX2 || n == 0 {
@@ -196,5 +205,23 @@ func reluGradBulk(dst, grad, out []float64) int {
 		return 0
 	}
 	reluGradAVX2(&dst[0], &grad[0], &out[0], n)
+	return n
+}
+
+func axpyBulk(alpha float64, x, y []float64) int {
+	n := len(x) &^ 3
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	axpyAVX2(alpha, &x[0], &y[0], n)
+	return n
+}
+
+func subBulk(dst, a, b []float64) int {
+	n := len(dst) &^ 3
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	subAVX2(&dst[0], &a[0], &b[0], n)
 	return n
 }

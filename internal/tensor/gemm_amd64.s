@@ -1,15 +1,17 @@
 //go:build amd64 && !purego
 
-// The AVX2 kernel tier: the four hot loops of a conv training step, each the
-// twin of a Go loop in this package that stays as its fallback and its
-// oracle. The contract is naive.go's. Each YMM lane holds ONE C element, so
-// VMULPD then VADDPD perform exactly the scalar kernel's separately-rounded
-// multiply and add per element, per term, in ascending reduction index —
-// vectorizing across independent output elements preserves every bit, which
-// a fused multiply-add would not, so no kernel here may use one. B is the
-// multiply's first source and the accumulator the add's, as in the SSE2
-// kernels this tier replaced. The ReLU masks are integer instructions on the
-// bit patterns the Go loops compute with integer arithmetic.
+// The AVX2 kernel tier: the four hot loops of a conv training step and the
+// two vector updates (Axpy, Sub), each the twin of a Go loop in this package
+// that stays as its fallback and its oracle. The contract is naive.go's. Each
+// YMM lane holds ONE C element, so VMULPD then VADDPD perform exactly the
+// scalar kernel's separately-rounded multiply and add per element, per term,
+// in ascending reduction index — vectorizing across independent output
+// elements preserves every bit, which a fused multiply-add would not, so no
+// kernel here may use one. B is the multiply's first source and the
+// accumulator the add's, as in the SSE2 kernels this tier replaced (the
+// vector updates take their Go loops' order instead; each says which). The
+// ReLU masks are integer instructions on the bit patterns the Go loops
+// compute with integer arithmetic.
 //
 // Every kernel ends in VZEROUPPER + RET: the Go compiler emits legacy SSE
 // encodings, which stall on dirty upper YMM halves. The CPUID/XGETBV stubs at
@@ -466,6 +468,49 @@ gradloop:
 	ADDQ     $32, DI
 	SUBQ     $4, CX
 	JNZ      gradloop
+	VZEROUPPER
+	RET
+
+// func axpyAVX2(alpha float64, x, y *float64, n int)
+//
+// y[i] += alpha * x[i] for n > 0 elements, n a multiple of 4, with axpyGo's
+// operand order: x the multiply's first source and the product the add's.
+TEXT ·axpyAVX2(SB), NOSPLIT, $0-32
+	VBROADCASTSD alpha+0(FP), Y15
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         n+24(FP), CX
+
+axpyloop:
+	VMOVUPD (SI), Y0
+	VMULPD  Y15, Y0, Y0
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JNZ     axpyloop
+	VZEROUPPER
+	RET
+
+// func subAVX2(dst, a, b *float64, n int)
+//
+// dst[i] = a[i] - b[i] for n > 0 elements, n a multiple of 4.
+TEXT ·subAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+
+subloop:
+	VMOVUPD (SI), Y0
+	VSUBPD  (BX), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, BX
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JNZ     subloop
 	VZEROUPPER
 	RET
 

@@ -25,3 +25,7 @@ func dotTiles(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi int) 
 func reluBulk(dst, src []float64) int { return 0 }
 
 func reluGradBulk(dst, grad, out []float64) int { return 0 }
+
+func axpyBulk(alpha float64, x, y []float64) int { return 0 }
+
+func subBulk(dst, a, b []float64) int { return 0 }

@@ -1,12 +1,3 @@
-// Package tensor provides the dense linear-algebra substrate for the
-// hand-rolled neural-network stack: float64 vectors and row-major matrices
-// with the handful of BLAS-like kernels (axpy, dot, gemm, im2col) that
-// mini-batch SGD on MLPs and small CNNs requires.
-//
-// Everything is plain Go over []float64 except one tier of AVX2 kernels
-// behind the matmul entry points and the ReLU masks (gemm_amd64.s), which an
-// amd64 runs when its CPUID says it can; Kernels reports the choice, and
-// -tags purego builds without them. No cgo.
 package tensor
 
 import (
@@ -17,11 +8,18 @@ import (
 // Vector ops operate on raw []float64 slices so model parameters can live in
 // one contiguous buffer and be averaged across workers with a single loop.
 
-// Axpy computes y += alpha * x. Panics if lengths differ.
+// Axpy computes y += alpha * x: per element one rounded multiply, then one
+// rounded add, never fused. Panics if lengths differ.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("tensor: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
+	n := axpyBulk(alpha, x, y)
+	axpyGo(alpha, x[n:], y[n:])
+}
+
+func axpyGo(alpha float64, x, y []float64) {
+	y = y[:len(x)]
 	for i, v := range x {
 		y[i] += alpha * v
 	}
@@ -86,6 +84,12 @@ func Sub(dst, a, b []float64) {
 	if len(dst) != len(a) || len(a) != len(b) {
 		panic("tensor: Sub length mismatch")
 	}
+	n := subBulk(dst, a, b)
+	subGo(dst[n:], a[n:], b[n:])
+}
+
+func subGo(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
 		dst[i] = a[i] - b[i]
 	}

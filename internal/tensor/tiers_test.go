@@ -202,11 +202,81 @@ func TestMaskKernelsMatchGoLoops(t *testing.T) {
 	})
 }
 
+// TestVectorKernelsMatchGoLoops holds Axpy and Sub, on whichever tier the
+// host runs, to axpyGo and subGo: every length around the four-lane group and
+// the model sizes the engines pass, at every misalignment, over finite values
+// and the specials, with the neighbours of the destination checked. Sub's
+// operand order is fixed by the subtraction; Axpy's two commutative
+// operations are not, so where two of alpha, x[i] and y[i] are NaN the kernel
+// may keep either NaN (it keeps the one the Go loop compiles to today).
+func TestVectorKernelsMatchGoLoops(t *testing.T) {
+	eachTier(t, func(t *testing.T) {
+		r := parityRNG(16)
+		pick := func() float64 {
+			if r.intn(3) == 0 {
+				return maskSpecials[r.intn(len(maskSpecials))]
+			}
+			return r.next() * 4
+		}
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 650, 653} {
+			for offset := 0; offset < 4; offset++ {
+				for rep := 0; rep < 8; rep++ {
+					alpha := pick()
+					x, _ := guarded(n, offset, pick)
+					a, _ := guarded(n, (offset+1)%4, pick)
+					got, gotWhole := guarded(n, (offset+2)%4, pick)
+					wantWhole := append([]float64(nil), gotWhole...)
+					want := wantWhole[(offset+2)%4:][:n]
+					y := append([]float64(nil), got...)
+
+					Axpy(alpha, x, got)
+					axpyGo(alpha, x, want)
+					for i := range gotWhole {
+						g, w := gotWhole[i], wantWhole[i]
+						if math.Float64bits(g) == math.Float64bits(w) {
+							continue
+						}
+						if j := i - (offset+2)%4; j >= 0 && j < n && math.IsNaN(g) && math.IsNaN(w) && twoNaNs(alpha, x[j], y[j]) {
+							continue
+						}
+						t.Fatalf("Axpy n=%d offset=%d alpha=%v: buffer element %d = %x, Go loop leaves %x",
+							n, offset, alpha, i, math.Float64bits(g), math.Float64bits(w))
+					}
+					copy(wantWhole, gotWhole)
+					Sub(got, x, a)
+					subGo(want, x, a)
+					if i, ok := bitsEqual(gotWhole, wantWhole); !ok {
+						t.Fatalf("Sub n=%d offset=%d: buffer element %d = %x, Go loop leaves %x",
+							n, offset, i, math.Float64bits(gotWhole[i]), math.Float64bits(wantWhole[i]))
+					}
+					// In place, as sgd's g1 = g1 - g0 does.
+					copy(wantWhole, gotWhole)
+					Sub(got, got, a)
+					subGo(want, want, a)
+					if i, ok := bitsEqual(gotWhole, wantWhole); !ok {
+						t.Fatalf("Sub in place n=%d offset=%d: buffer element %d = %x, Go loop leaves %x",
+							n, offset, i, math.Float64bits(gotWhole[i]), math.Float64bits(wantWhole[i]))
+					}
+				}
+			}
+		}
+	})
+}
+
+// twoNaNs reports whether y + alpha*x meets two NaN operands in one
+// operation: in the multiply, or in the add.
+func twoNaNs(alpha, x, y float64) bool {
+	return math.IsNaN(alpha) && math.IsNaN(x) || math.IsNaN(alpha*x) && math.IsNaN(y)
+}
+
 func TestMaskHelpersPanicOnMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
 		"ReLU":          func() { ReLU(make([]float64, 3), make([]float64, 4)) },
 		"ReLUGrad/grad": func() { ReLUGrad(make([]float64, 4), make([]float64, 3), make([]float64, 4)) },
 		"ReLUGrad/dst":  func() { ReLUGrad(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
+		"Axpy":          func() { Axpy(1, make([]float64, 5), make([]float64, 4)) },
+		"Sub/b":         func() { Sub(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
+		"Sub/dst":       func() { Sub(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
 	} {
 		func() {
 			defer func() {
