@@ -6,11 +6,12 @@ package repro
 // end-to-end at reduced (ScaleQuick) size so the whole suite completes in
 // minutes; `go run ./cmd/figures` and `go run ./cmd/sweep` regenerate the
 // same artifacts at full scale. The hot kernels, model steps and engine
-// rounds are timed by `go run ./cmd/bench` (pinned iteration counts, the rows
-// CI's regression gate reads); the three micro-benchmarks at the bottom have
-// no row there. The communication-layer aggregation benchmarks (sparse
-// index-merge vs dense accumulation on 1M-coordinate vectors) live next to
-// their subject in internal/comm/bench_test.go and
+// rounds are timed at the workloads' shapes by the benchmark module's
+// per-layer records (benchmark/), and `go run ./cmd/bench` holds each AVX2
+// kernel to the scalar code it replaced; the three micro-benchmarks at the
+// bottom are timed nowhere else. The communication-layer aggregation
+// benchmarks (sparse index-merge vs dense accumulation on 1M-coordinate
+// vectors) live next to their subject in internal/comm/bench_test.go and
 // internal/compress/bench_test.go, and run with the same
 // `go test -bench . ./...` invocation.
 
@@ -147,7 +148,7 @@ func BenchmarkAblations(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Micro-benchmarks with no cmd/bench row.
+// Micro-benchmarks: a model step on the small nets, and round sampling.
 // ---------------------------------------------------------------------------
 
 func benchModelStep(b *testing.B, net *nn.Network, dim int) {
@@ -157,12 +158,13 @@ func benchModelStep(b *testing.B, net *nn.Network, dim int) {
 	batch := data.Batch{X: tensor.NewMatrix(16, dim), Y: make([]int, 16)}
 	for i := 0; i < 16; i++ {
 		for j := 0; j < dim; j++ {
-			batch.X.Set(i, j, r.NormFloat64())
+			batch.X.Row(i)[j] = r.NormFloat64()
 		}
 		batch.Y[i] = r.Intn(4)
 	}
 	grad := make([]float64, net.ParamLen())
-	opt := optpkg.New(optpkg.Config{LR: 0.05}, net.ParamLen())
+	opt := optpkg.New(optpkg.Config{}, net.ParamLen())
+	opt.SetLR(0.05)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

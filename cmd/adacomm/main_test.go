@@ -30,6 +30,9 @@ func TestCommandLine(t *testing.T) {
 		"-faults crash:x@r1",
 		"-wire float16",
 		"-topology torus:0x0",
+		// rows*cols overflows to 4: the pin check passed and graph.Torus
+		// panicked inside cluster.New.
+		"-strategy ring -topology torus:4611686018427387905x4 -workers 4",
 		// The workload builders and controllers panic on these.
 		"-tau 0",
 		"-workers 0",

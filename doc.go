@@ -224,8 +224,9 @@
 // error-runtime table, including a wire-synced-Adam row through CHOCO over
 // a float32 wire.
 //
-// Perf numbers are recorded per PR as BENCH_<n>.json via cmd/bench, and
-// CI gates on them: `go run ./cmd/bench -check BENCH_<n>.json` fails on
-// wall-clock regressions beyond a tolerance, on any allocs/op increase,
-// and on the blocked/naive Gemm ratio dropping below its floor.
+// End-to-end speed is measured by the benchmark module (benchmark/), and
+// steady-state allocation is gated by each package's AllocsPerRun tests.
+// `go run ./cmd/bench` checks the AVX2 kernels within one run: each must
+// beat the scalar code it replaced by its pair's floor, or the command exits
+// 1 naming the kernel tier that ran.
 package repro

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/compress"
 	"repro/internal/events"
+	"repro/internal/opt"
 )
 
 // The exchange path's allocation gates, beside the per-layer ones in nn and
@@ -13,29 +14,43 @@ import (
 // the compressor.
 
 // TestLockStepRoundSteadyStateAllocFree: local steps, one synchronization
-// and its pricing, for every strategy uncompressed and compressed. The pool is held
+// and its pricing, for every strategy uncompressed and compressed, under the
+// SlowMo stack (heavy-ball local steps, the shared global-momentum filter),
+// and over the 16-node torus, the graph-generic mix path. The pool is held
 // at width 1 — a wider one starts goroutines, which is not exchange cost.
 func TestLockStepRoundSteadyStateAllocFree(t *testing.T) {
 	topkEF := compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true}
+	slowMo := func(c *Config) {
+		c.Opt = opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9}
+		c.GlobalMomentum = 0.5
+	}
+	torus := func(c *Config) { c.Topology = mustTopo(t, "torus:4x4") }
 	for _, tc := range []struct {
 		name  string
+		m     int
 		strat Strategy
 		spec  compress.Spec
+		mod   func(*Config)
 	}{
-		{"full/raw", FullAveraging, compress.Spec{}},
-		{"full/topk+ef", FullAveraging, topkEF},
-		{"full/qsgd+f32", FullAveraging, compress.Spec{Kind: compress.KindQSGD, Bits: 4, Wire: compress.WireFloat32}},
-		{"full/randk", FullAveraging, compress.Spec{Kind: compress.KindRandK, Ratio: 0.25}},
-		{"full/identity", FullAveraging, compress.Spec{Kind: compress.KindIdentity}},
-		{"ring/raw", RingGossip, compress.Spec{}},
-		{"ring/choco-topk", RingGossip, compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}},
-		{"ring/choco-lossless", RingGossip, compress.Spec{Kind: compress.KindIdentity}},
-		{"elastic/raw", ElasticAveraging, compress.Spec{}},
-		{"elastic/topk+ef", ElasticAveraging, topkEF},
+		{"full/raw", 4, FullAveraging, compress.Spec{}, nil},
+		{"full/topk+ef", 4, FullAveraging, topkEF, nil},
+		{"full/qsgd+f32", 4, FullAveraging, compress.Spec{Kind: compress.KindQSGD, Bits: 4, Wire: compress.WireFloat32}, nil},
+		{"full/randk", 4, FullAveraging, compress.Spec{Kind: compress.KindRandK, Ratio: 0.25}, nil},
+		{"full/identity", 4, FullAveraging, compress.Spec{Kind: compress.KindIdentity}, nil},
+		{"full/gmom", 4, FullAveraging, compress.Spec{}, slowMo},
+		{"ring/raw", 4, RingGossip, compress.Spec{}, nil},
+		{"ring/choco-topk", 4, RingGossip, compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}, nil},
+		{"ring/choco-lossless", 4, RingGossip, compress.Spec{Kind: compress.KindIdentity}, nil},
+		{"ring/torus:4x4", 16, RingGossip, compress.Spec{}, torus},
+		{"elastic/raw", 4, ElasticAveraging, compress.Spec{}, nil},
+		{"elastic/topk+ef", 4, ElasticAveraging, topkEF, nil},
 	} {
-		s := newSetup(t, 4, 1)
+		s := newSetup(t, tc.m, 1)
 		cfg := baseCfg()
 		cfg.Strategy, cfg.Compress, cfg.ComputeWorkers = tc.strat, tc.spec, 1
+		if tc.mod != nil {
+			tc.mod(&cfg)
+		}
 		e := s.engine(t, cfg)
 		round := func() {
 			e.StepLocal(5, 0.05)

@@ -248,6 +248,44 @@ func TestTopologyGraphSpecs(t *testing.T) {
 	}
 }
 
+// FuzzParseTopology: the grammar users type after -topology never panics, a
+// topology it accepts prints (String) as one that parses back to the same
+// String, and a graph topology instantiated for any cluster of 1 to 64 nodes
+// either errors or returns graphs of exactly that many nodes. The seed corpus
+// is the forms above, good and bad, so plain `go test` replays them.
+func FuzzParseTopology(f *testing.F) {
+	for _, s := range []string{"", "allgather", "ring", "tree", "star", "mesh", "graph:ring", "graph:star", "graph:tree",
+		"complete", "expander", "torus:4x4", "torus:1x5", "torus:4", "torus:0x0", "torus:-2x-2",
+		"torus:4611686018427387905x4", "regular:4@7", "regular:0", "regular:3@x", "varying:ring,star@B=5",
+		"varying:ring", "varying:ring,varying:ring,star", "varying:torus:2x2,complete@B=0", "graph:graph:ring"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		topo, err := ParseTopology(in)
+		if err != nil {
+			return
+		}
+		back, err := ParseTopology(topo.String())
+		if err != nil || back.String() != topo.String() {
+			t.Fatalf("ParseTopology(%q) prints as %q, which parses to %v (err %v)", in, topo, back, err)
+		}
+		if !topo.IsGraph() {
+			return
+		}
+		for m := 1; m <= 64; m++ {
+			seq, err := topo.Graphs(m)
+			if err != nil {
+				continue
+			}
+			for i := 0; i < seq.Len(); i++ {
+				if n := seq.Graph(i).N(); n != m {
+					t.Fatalf("%q at m=%d: graph %d has %d nodes", in, m, i, n)
+				}
+			}
+		}
+	})
+}
+
 func TestTopologyScheduleFactors(t *testing.T) {
 	const m = 8
 	cases := []struct {

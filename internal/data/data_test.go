@@ -175,7 +175,7 @@ func TestSubset(t *testing.T) {
 		}
 	}
 	// Mutating the subset must not affect the parent.
-	sub.X.Set(0, 0, 999)
+	sub.X.Row(0)[0] = 999
 	if ds.X.At(3, 0) == 999 {
 		t.Fatal("subset aliases parent")
 	}

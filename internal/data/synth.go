@@ -153,8 +153,8 @@ func TwoSpirals(n int, noise float64, r *rng.Rand) *Dataset {
 		if cl == 1 {
 			angle += math.Pi
 		}
-		ds.X.Set(i, 0, radius*math.Cos(angle)+noise*r.NormFloat64())
-		ds.X.Set(i, 1, radius*math.Sin(angle)+noise*r.NormFloat64())
+		ds.X.Row(i)[0] = radius*math.Cos(angle) + noise*r.NormFloat64()
+		ds.X.Row(i)[1] = radius*math.Sin(angle) + noise*r.NormFloat64()
 		ds.Y[i] = cl
 	}
 	shuffleRows(ds, r)

@@ -197,8 +197,9 @@ func (sp *Spec) Build(m int) (*Sequence, error) {
 	case "expander":
 		return Static(Expander(m)), nil
 	case "torus":
-		if sp.rows*sp.cols != m {
-			return nil, fmt.Errorf("graph: spec %q pins %d nodes, cluster has %d", sp.raw, sp.rows*sp.cols, m)
+		// Divided, not multiplied: rows*cols can overflow to m.
+		if m%sp.cols != 0 || m/sp.cols != sp.rows {
+			return nil, fmt.Errorf("graph: spec %q pins %d x %d nodes, cluster has %d", sp.raw, sp.rows, sp.cols, m)
 		}
 		return Static(Torus(sp.rows, sp.cols)), nil
 	case "regular":

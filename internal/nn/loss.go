@@ -135,7 +135,7 @@ func (MSE) addRows(total float64, out *tensor.Matrix, b data.Batch, dOut *tensor
 		diff := out.At(i, 0) - b.T[i]
 		total += 0.5 * diff * diff
 		if dOut != nil {
-			dOut.Set(i, 0, diff*invB)
+			dOut.Row(i)[0] = diff * invB
 		}
 	}
 	return total

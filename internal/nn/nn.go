@@ -39,8 +39,51 @@
 // kernels' canonical reduce order is per output element, conv lowers and
 // multiplies one sample at a time, the elementwise layers and pooling never
 // look across rows), and the loss is the left-to-right sum of per-row terms
-// times 1/rows, which Loss.AddRows continues across chunks. oracle_test.go
-// keeps the whole-batch evaluation this replaced and compares bit for bit.
+// times 1/rows, which Loss.AddRows continues across chunks (each loss has ONE
+// per-row loop under Eval and AddRows). oracle_test.go keeps the whole-batch
+// evaluation this replaced (Forward + Eval, the old argmax loop) and
+// compares every zoo model at rows {1, 15, 16, 17, 384, 512}, finite and
+// with NaN/Inf planted, bit for bit.
+//
+// Why the split: a CPU profile of the conv_pasgd benchmark workload before
+// it (seed 1, 2 vCPU) put Network.Loss at 7.60 s beside Network.LossGrad at
+// 7.63 s of 16.7 s. The same number of samples went forward through both
+// (the dot tile 1.57 s vs 1.64 s), but ConvPlan.Gather cost 4.02 s in
+// evaluation against 1.02 s in training and ReLU.Forward 0.84 s against
+// 0.20 s: evaluation ran the training forward over all 384 rows, and its
+// arenas were 123 of the workload's 154 MB alloc_mb.
+//
+// How each layer takes part: forwardOnlyLayer, an unexported optional
+// interface every layer here implements, runs the same arithmetic into
+// evalBuf, a buffer of its own, and caches nothing. Conv2D re-lowers each
+// sample into ONE P x L evalPatch (forward and forward-only share convolve:
+// gather, GemmTB, bias); MaxPool2x2 records no argmax (poolImage with a nil
+// record); Residual recurses (skip takes the pass as a function); Dense,
+// ReLU and Tanh write the other buffer and keep no pointer.
+//
+// Beside row-independence, two contracts hold the passes apart:
+//
+//   - The two passes share a layer safely. The forward-only pass touches no
+//     field the training pass owns (patches, argmax, lastIn, lastOut,
+//     outBuf), so Forward -> Loss(other) -> backward yields the same
+//     gradient, and a network that only evaluates (the engines' evaluation
+//     model) never allocates a backward-sized buffer; a test pins this by
+//     reflection over every layer field. GradCheck fails outright if the two
+//     passes disagree on one bit.
+//   - Network.Forward is the TRAINING forward, and the standalone layer
+//     Forward/Backward keep their meaning (the benchmark's probes call
+//     them). LossGrad asks layer 0 for backwardParams (paramGrader: Conv2D
+//     skips the dIn zeroing, GemmTA and Scatter; Dense skips Gemm(dOut, W);
+//     one backward(..., wantDIn) loop each). A Residual first layer takes
+//     the full Backward, and a Residual's inner first layer is not the
+//     network's first.
+//
+// Accuracy never counts a row holding a NaN logit: a bare argmax settles on
+// class 0, and a diverged model scored ~1/classes. Loss and Accuracy
+// allocate nothing on both conv nets at 384 and 389 rows (the chunk's
+// tensor.Matrix view lives in Network.evalIn: a local would escape through
+// the Layer interface), and neither do the cluster engines' TrainLoss and
+// TestAccuracy or the parameter server's Loss; tier-1 tests gate all of it.
 package nn
 
 import (

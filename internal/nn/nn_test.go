@@ -15,7 +15,7 @@ func classBatch(dim, classes, n int, seed uint64) data.Batch {
 	b := data.Batch{X: tensor.NewMatrix(n, dim), Y: make([]int, n)}
 	for i := 0; i < n; i++ {
 		for j := 0; j < dim; j++ {
-			b.X.Set(i, j, r.NormFloat64())
+			b.X.Row(i)[j] = r.NormFloat64()
 		}
 		b.Y[i] = r.Intn(classes)
 	}
@@ -27,7 +27,7 @@ func regBatch(dim, n int, seed uint64) data.Batch {
 	b := data.Batch{X: tensor.NewMatrix(n, dim), T: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		for j := 0; j < dim; j++ {
-			b.X.Set(i, j, r.NormFloat64())
+			b.X.Row(i)[j] = r.NormFloat64()
 		}
 		b.T[i] = r.NormFloat64()
 	}
@@ -114,9 +114,9 @@ func TestSoftmaxLossValue(t *testing.T) {
 
 func TestSoftmaxNumericalStability(t *testing.T) {
 	out := tensor.NewMatrix(1, 3)
-	out.Set(0, 0, 1e4) // would overflow exp without the max shift
-	out.Set(0, 1, 0)
-	out.Set(0, 2, -1e4)
+	out.Row(0)[0] = 1e4 // would overflow exp without the max shift
+	out.Row(0)[1] = 0
+	out.Row(0)[2] = -1e4
 	b := data.Batch{Y: []int{0}}
 	d := tensor.NewMatrix(1, 3)
 	loss := SoftmaxCrossEntropy{}.Eval(out, b, d)
@@ -130,8 +130,8 @@ func TestSoftmaxNumericalStability(t *testing.T) {
 
 func TestMSELossValue(t *testing.T) {
 	out := tensor.NewMatrix(2, 1)
-	out.Set(0, 0, 3)
-	out.Set(1, 0, -1)
+	out.Row(0)[0] = 3
+	out.Row(1)[0] = -1
 	b := data.Batch{T: []float64{1, -1}}
 	loss := MSE{}.Eval(out, b, nil)
 	// (0.5*4 + 0.5*0)/2 = 1
@@ -190,9 +190,9 @@ func TestAccuracy(t *testing.T) {
 	// W = I, b = 0 -> logits = inputs.
 	p[0], p[1], p[2], p[3] = 1, 0, 0, 1
 	b := data.Batch{X: tensor.NewMatrix(3, 2), Y: []int{0, 1, 1}}
-	b.X.Set(0, 0, 2) // predicts 0, correct
-	b.X.Set(1, 1, 2) // predicts 1, correct
-	b.X.Set(2, 0, 2) // predicts 0, wrong
+	b.X.Row(0)[0] = 2 // predicts 0, correct
+	b.X.Row(1)[1] = 2 // predicts 1, correct
+	b.X.Row(2)[0] = 2 // predicts 0, wrong
 	if acc := n.Accuracy(b); math.Abs(acc-2.0/3) > 1e-12 {
 		t.Fatalf("accuracy %v, want 2/3", acc)
 	}

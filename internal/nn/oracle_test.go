@@ -61,7 +61,7 @@ func (c *convRef) backward(params []float64, dOut *tensor.Matrix, dParams []floa
 		for f := 0; f < c.filters; f++ {
 			for pos := 0; pos < p; pos++ {
 				g := src[f*p+pos]
-				dProd.Set(pos, f, g)
+				dProd.Row(pos)[f] = g
 				dB[f] += g
 			}
 		}

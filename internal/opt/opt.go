@@ -82,7 +82,6 @@ const adamEps = 1e-8
 // no momentum — the contract every engine's golden traces rely on.
 type Config struct {
 	Rule     Rule
-	LR       float64 // current learning rate (callers apply Schedule)
 	Momentum float64 // heavy-ball/Nesterov mu, or Adam beta1
 	Beta2    float64 // Adam second-moment decay (0 = 0.999)
 
@@ -117,13 +116,8 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// IsZero reports whether the config is the plain-SGD zero value (ignoring
-// LR, which every engine drives from its schedule).
-func (c Config) IsZero() bool {
-	z := c
-	z.LR = 0
-	return z == Config{}
-}
+// IsZero reports whether the config is the plain-SGD zero value.
+func (c Config) IsZero() bool { return c == Config{} }
 
 // Adaptive reports whether the rule keeps second-moment state.
 func (c Config) Adaptive() bool { return c.Rule == RuleAdam }
@@ -261,6 +255,7 @@ type State struct {
 // rules share arena and sync plumbing.
 type Optimizer struct {
 	cfg   Config
+	lr    float64   // set by SetLR: every engine drives it from its schedule
 	buf   []float64 // heavy-ball / Nesterov momentum buffer
 	m     []float64 // Adam first moment
 	v     []float64 // Adam second moment
@@ -306,7 +301,7 @@ func New(cfg Config, dim int) *Optimizer {
 func (o *Optimizer) Config() Config { return o.cfg }
 
 // SetLR changes the learning rate used by subsequent steps.
-func (o *Optimizer) SetLR(lr float64) { o.cfg.LR = lr }
+func (o *Optimizer) SetLR(lr float64) { o.lr = lr }
 
 // State enumerates the state vectors. The returned slice and the vectors it
 // aliases are stable across calls.
@@ -351,7 +346,7 @@ func (o *Optimizer) Step(params, grad []float64) {
 	if len(params) != len(grad) {
 		panic("opt: params/grad length mismatch")
 	}
-	lr := o.cfg.LR
+	lr := o.lr
 	switch o.cfg.Rule {
 	case RulePlain:
 		// The legacy internal/sgd loop with Momentum=0, p -= lr*g, four lanes

@@ -92,24 +92,33 @@ func legacyStep(params, grad, buf []float64, lr, mu, wd float64) {
 	}
 }
 
+// newAt builds an optimizer at learning rate lr, as an engine's first SetLR
+// leaves it.
+func newAt(cfg Config, lr float64, dim int) *Optimizer {
+	o := New(cfg, dim)
+	o.SetLR(lr)
+	return o
+}
+
 func TestPlainAndMomentumMatchLegacyBitForBit(t *testing.T) {
+	const lr = 0.05
 	cases := []struct {
 		name string
 		cfg  Config
 	}{
-		{"plain", Config{LR: 0.05}},
-		{"momentum", Config{Rule: RuleMomentum, LR: 0.05, Momentum: 0.9}},
+		{"plain", Config{}},
+		{"momentum", Config{Rule: RuleMomentum, Momentum: 0.9}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := []float64{0.3, -1.2, 2.5, 0}
 			q := append([]float64(nil), p...)
 			buf := make([]float64, len(p))
-			o := New(tc.cfg, len(p))
+			o := newAt(tc.cfg, lr, len(p))
 			for s := 0; s < 7; s++ {
 				grad := []float64{0.1 * float64(s), -0.2, 0.33, 1.7 - float64(s)}
 				o.Step(p, grad)
-				legacyStep(q, grad, buf, tc.cfg.LR, tc.cfg.Momentum, 0)
+				legacyStep(q, grad, buf, lr, tc.cfg.Momentum, 0)
 			}
 			for i := range p {
 				if p[i] != q[i] {
@@ -150,7 +159,7 @@ func TestPlainStepIsTheScalarLoop(t *testing.T) {
 				want[i] -= lr * g[i]
 			}
 			before := append([]float64(nil), p...)
-			New(Config{LR: lr}, n).Step(p, g)
+			newAt(Config{}, lr, n).Step(p, g)
 			for i := range p {
 				if math.Float64bits(p[i]) == math.Float64bits(want[i]) ||
 					math.IsNaN(before[i]) && math.IsNaN(lr*g[i]) && math.IsNaN(p[i]) {
@@ -165,7 +174,7 @@ func TestPlainStepIsTheScalarLoop(t *testing.T) {
 
 func TestNesterovStepMath(t *testing.T) {
 	lr, mu := 0.1, 0.9
-	o := New(Config{Rule: RuleNesterov, LR: lr, Momentum: mu}, 1)
+	o := newAt(Config{Rule: RuleNesterov, Momentum: mu}, lr, 1)
 	p := []float64{1.0}
 	g := []float64{0.5}
 	// Step 1: buf = g; update = lr*(g + mu*g) = lr*g*(1+mu).
@@ -186,7 +195,7 @@ func TestNesterovStepMath(t *testing.T) {
 
 func TestAdamStepMath(t *testing.T) {
 	lr, b1, b2, eps := 0.01, 0.9, 0.999, 1e-8
-	o := New(Config{Rule: RuleAdam, LR: lr}, 2)
+	o := newAt(Config{Rule: RuleAdam}, lr, 2)
 	if c := o.Config(); c.Momentum != b1 || c.Beta2 != b2 {
 		t.Fatalf("defaults not filled: %+v", c)
 	}
@@ -212,7 +221,7 @@ func TestAdamStepMath(t *testing.T) {
 		}
 	}
 	// With a constant gradient, the bias-corrected first step is ~lr*sign(g).
-	o2 := New(Config{Rule: RuleAdam, LR: lr}, 1)
+	o2 := newAt(Config{Rule: RuleAdam}, lr, 1)
 	p2 := []float64{0}
 	o2.Step(p2, []float64{42.0})
 	if math.Abs(p2[0]+lr) > 1e-6 {
@@ -221,7 +230,7 @@ func TestAdamStepMath(t *testing.T) {
 }
 
 func TestAdamSyncResetKeepsSecondMomentClock(t *testing.T) {
-	o := New(Config{Rule: RuleAdam, LR: 0.01}, 1)
+	o := newAt(Config{Rule: RuleAdam}, 0.01, 1)
 	p := []float64{1}
 	for s := 0; s < 5; s++ {
 		o.Step(p, []float64{0.5})
@@ -296,11 +305,11 @@ func TestSyncPolicies(t *testing.T) {
 
 func TestStepDoesNotAllocate(t *testing.T) {
 	for _, cfg := range []Config{
-		{LR: 0.05},
-		{Rule: RuleMomentum, LR: 0.05, Momentum: 0.9},
-		{Rule: RuleAdam, LR: 0.01},
+		{},
+		{Rule: RuleMomentum, Momentum: 0.9},
+		{Rule: RuleAdam},
 	} {
-		o := New(cfg, 64)
+		o := newAt(cfg, 0.01, 64)
 		p := make([]float64, 64)
 		g := make([]float64, 64)
 		for i := range g {

@@ -41,7 +41,8 @@ func TestSGDConvergesOnConvexProblem(t *testing.T) {
 	model := nn.NewLinearRegression(4)
 	model.InitParams(rng.New(2))
 	sampler := data.NewSampler(ds, 32, rng.New(3))
-	o := opt.New(opt.Config{LR: 0.05}, model.ParamLen())
+	o := opt.New(opt.Config{}, model.ParamLen())
+	o.SetLR(0.05)
 	grad := make([]float64, model.ParamLen())
 	for s := 0; s < 3000; s++ {
 		b := sampler.Next()
@@ -73,11 +74,12 @@ func TestMomentumFasterThanPlainOnQuadratic(t *testing.T) {
 	run := func(mu float64) float64 {
 		model := nn.NewLinearRegression(6)
 		model.InitParams(rng.New(5))
-		cfg := opt.Config{LR: 0.01}
+		cfg := opt.Config{}
 		if mu != 0 {
-			cfg = opt.Config{Rule: opt.RuleMomentum, LR: 0.01, Momentum: mu}
+			cfg = opt.Config{Rule: opt.RuleMomentum, Momentum: mu}
 		}
 		o := opt.New(cfg, model.ParamLen())
+		o.SetLR(0.01)
 		b := data.FullBatch(ds)
 		grad := make([]float64, model.ParamLen())
 		for s := 0; s < 150; s++ {

@@ -19,7 +19,8 @@
 // ~10-line stubs at the bottom of gemm_amd64.s: the module has no
 // dependencies, so no golang.org/x/sys). Only tests assign it again; there is
 // no flag, environment variable, build tag or config field. Kernels reports
-// "avx2" or "go", and cmd/bench records it.
+// "avx2" or "go", and cmd/bench names it in every ratio it finds under its
+// floor.
 //
 // Every kernel is the twin of a Go loop in this package that stays as its
 // fallback, finishes the len % 4 elements the kernel leaves, and is its

@@ -4,9 +4,9 @@ package tensor
 // kernels in blocked.go must match bit for bit. They define the canonical
 // reduce order: every output element starts from its beta-scaled destination
 // (beta == 0 overwrites) and accumulates terms in ascending reduction index,
-// one addition per term. Parity tests and cmd/bench compare against these,
-// so they must stay byte-for-byte what the repository shipped before the
-// blocked rewrite.
+// one addition per term. Parity tests compare against these, and cmd/bench
+// times GemmNaive and GemmTBNaive beside the kernels, so they must stay
+// byte-for-byte what the repository shipped before the blocked rewrite.
 //
 // The products come in two forms, and the form decides what a zero does:
 //

@@ -147,8 +147,8 @@ func gemmParityAllZeroRows(t *testing.T) {
 	r := parityRNG(6)
 	a := parityMatrix(&r, 8, 12)
 	for k := 0; k < 12; k++ {
-		a.Set(1, k, 0)                    // row fully +0
-		a.Set(2, k, math.Copysign(0, -1)) // row fully -0
+		a.Row(1)[k] = 0                    // row fully +0
+		a.Row(2)[k] = math.Copysign(0, -1) // row fully -0
 	}
 	b := parityMatrix(&r, 12, 9)
 	for _, beta := range parityBetas {

@@ -49,7 +49,8 @@ func TestTrainingBitEqualAcrossTiers(t *testing.T) {
 			r := rng.New(61)
 			net.InitParams(r.Split())
 			grad := make([]float64, net.ParamLen())
-			o := opt.New(opt.Config{LR: 0.05}, net.ParamLen())
+			o := opt.New(opt.Config{}, net.ParamLen())
+			o.SetLR(0.05)
 			for step := 0; step < 30; step++ {
 				net.LossGrad(imageBatch(r, 16), grad)
 				o.Step(net.Params(), grad)

@@ -84,9 +84,9 @@ func TestMeanPanicsEmpty(t *testing.T) {
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
-	m.Set(1, 2, 7)
+	m.Row(1)[2] = 7
 	if m.At(1, 2) != 7 {
-		t.Fatal("Set/At failed")
+		t.Fatal("Row/At failed")
 	}
 	if len(m.Row(1)) != 3 || m.Row(1)[2] != 7 {
 		t.Fatal("Row view failed")
@@ -102,7 +102,7 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 			for k := 0; k < a.Cols; k++ {
 				s += a.At(i, k) * b.At(k, j)
 			}
-			c.Set(i, j, s)
+			c.Row(i)[j] = s
 		}
 	}
 	return c
@@ -149,7 +149,7 @@ func transpose(m *Matrix) *Matrix {
 	tm := NewMatrix(m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			tm.Set(j, i, m.At(i, j))
+			tm.Row(j)[i] = m.At(i, j)
 		}
 	}
 	return tm

@@ -47,7 +47,6 @@ const (
 var reachAllow = map[string]string{
 	// Reference implementations live code is compared with.
 	"tensor.GemmTANaive":                  usedByTests,
-	"tensor.GemmTBNaive":                  usedByTests,
 	"rng.MonteCarloExpectedMax":           usedByTests, // vs ExpectedMaxExponential
 	"rng.MonteCarloExpectedMaxOfMean":     usedByTests,
 	"paramserver.ExpectedKSyncUpdateTime": usedByTests, // vs the K-sync server's clock
