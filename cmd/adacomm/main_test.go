@@ -65,8 +65,13 @@ func TestCommandLine(t *testing.T) {
 		"-kernel-workers 0",
 		"-adam-beta2 1 -optimizer adam",
 		"-bandwidth NaN",
+		// A subnormal rate: its reciprocal overflows, and every transfer
+		// cost +Inf simulated seconds (the run exited 0 after 20 iters).
+		"-bandwidth 1e-320",
 		"-links 0:0,:,:,:",
+		"-links 0:1e-320,:,:,:",
 		"-strategy ring -edge-links 3-3:1:",
+		"-strategy ring -edge-links 0-1:0:1e-320",
 		// ROADMAP finding 3: error feedback on CHOCO gossip compensates
 		// twice and blew the loss up to 205 702 at every gamma.
 		"-budget 200 -tau 2 -workers 16 -strategy ring -topology torus:4x4 -compress topk:0.25+ef -bandwidth 65536 -batch 2",

@@ -103,6 +103,10 @@ func TestExpRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "ExpInto4
 // TestAxpyRatioFollowsTheTier: Axpy against the scalar loop.
 func TestAxpyRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Axpy650") }
 
+// TestLowerRatioFollowsTheTier: conv lowering at the trunk shape against
+// Lower's own Go loop, which is all the Go tier runs.
+func TestLowerRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Lower8x8x8") }
+
 func ratioFollowsTheTier(t *testing.T, fast string) {
 	var pair ratioPair
 	for _, p := range ratioPairs {

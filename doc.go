@@ -159,9 +159,11 @@
 // against) whose vector lanes hold independent C elements — four
 // multiply-adds retired per instruction instead of one, with FMA
 // deliberately off the table (fused rounding would change bits). nn.Conv2D
-// lowers each sample through a precomputed index table (tensor.ConvPlan) and
-// multiplies without transposing anything (internal/tensor/naive.go explains
-// why that is exact).
+// lowers one sample at a time through a zero-bordered copy of its image
+// (tensor.Lower: runs of the padded image, four-wide AVX2 moves for a 3x3
+// kernel), keeps its input rather than the lowered patches for the backward
+// pass, and multiplies without transposing anything
+// (internal/tensor/naive.go explains why that is exact).
 // tensor.SetWorkers(n) optionally fans output-row panels
 // across goroutines; panels never share output rows, so results are
 // bit-identical at every worker count (raced in CI). Separately,

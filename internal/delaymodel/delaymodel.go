@@ -189,13 +189,15 @@ func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 // non-negative — a negative or NaN entry would silently produce degenerate
 // (negative or NaN) transfer times that poison every round that uses the
 // link. Zero stays legal: zero latency is a real value and zero bandwidth
-// means "inherit" by construction. what names the entry in the error.
+// means "inherit" by construction. So does a positive rate so small that its
+// reciprocal overflows (a subnormal): it would price every transfer at +Inf.
+// what names the entry in the error.
 func (l Link) check(what string) error {
 	if !(l.Latency >= 0) || math.IsInf(l.Latency, 1) {
 		return fmt.Errorf("delaymodel: %s latency %v (want finite >= 0)", what, l.Latency)
 	}
-	if !(l.Bandwidth >= 0) || math.IsInf(l.Bandwidth, 1) {
-		return fmt.Errorf("delaymodel: %s bandwidth %v (want finite >= 0)", what, l.Bandwidth)
+	if !(l.Bandwidth >= 0) || math.IsInf(l.Bandwidth, 1) || math.IsInf(1/l.Bandwidth, 1) && l.Bandwidth > 0 {
+		return fmt.Errorf("delaymodel: %s bandwidth %v (want 0, or finite > 0 with a finite reciprocal)", what, l.Bandwidth)
 	}
 	return nil
 }

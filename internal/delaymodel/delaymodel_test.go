@@ -471,16 +471,17 @@ func TestSampleDScheduleIntoPerWorkerTimes(t *testing.T) {
 }
 
 // The shared bandwidth is a rate like any link's: a NaN or negative one used
-// to read as a free, infinite link (bw > 0 is false), +Inf as one outright.
+// to read as a free, infinite link (bw > 0 is false), +Inf as one outright,
+// and a subnormal whose reciprocal overflows priced every transfer at +Inf.
 func TestCheckRejectsDegenerateSharedBandwidth(t *testing.T) {
 	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
-	for _, bad := range []float64{math.NaN(), -1, math.Inf(1), math.Inf(-1)} {
+	for _, bad := range []float64{math.NaN(), -1, math.Inf(1), math.Inf(-1), 5e-324, 1e-320} {
 		dm.Bandwidth = bad
 		if err := dm.Check(); err == nil {
 			t.Errorf("accepted shared bandwidth %v", bad)
 		}
 	}
-	for _, ok := range []float64{0, 5e-324, 100} {
+	for _, ok := range []float64{0, 1e-308, 100} {
 		dm.Bandwidth = ok
 		if err := dm.Check(); err != nil {
 			t.Errorf("rejected shared bandwidth %v: %v", ok, err)
@@ -494,6 +495,8 @@ func TestCheckLinksRejectsDegenerateEntries(t *testing.T) {
 		{{}, {Bandwidth: -5}, {}, {}},
 		{{Latency: math.NaN()}, {}, {}, {}},
 		{{}, {}, {Bandwidth: math.Inf(1)}, {}},
+		// 1/1e-320 overflows: every transfer on the link priced at +Inf.
+		{{}, {}, {}, {Bandwidth: 1e-320}},
 	} {
 		dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
 		dm.Links = bad

@@ -76,8 +76,8 @@ func TestAccuracyNaNLogits(t *testing.T) {
 // TestEvaluationBetweenForwardAndBackward: Loss and Accuracy on OTHER
 // batches, run between a training forward and its backward half on the SAME
 // network, leave the outputs Forward returned and the gradient untouched.
-// The forward-only pass may not write patches, argmax, lastIn, lastOut or
-// any buffer the training pass returned.
+// The forward-only pass may not write the training pass's patches, padded
+// images, argmax, lastIn, lastOut or any buffer it returned.
 func TestEvaluationBetweenForwardAndBackward(t *testing.T) {
 	for _, m := range zooModels() {
 		straight := m.net.Clone()
@@ -104,6 +104,38 @@ func TestEvaluationBetweenForwardAndBackward(t *testing.T) {
 	}
 }
 
+// TestConvBackwardAfterForwardOnly is the same contract for a lone Conv2D,
+// which keeps only its input between Forward and Backward and re-lowers each
+// sample from it: a forward-only pass over another batch in between (its own
+// patches and padded image) changes no bit of dIn or of the parameter
+// gradient, on the full backward and on the parameter-only one a first layer
+// takes, at stride 1 and 2.
+func TestConvBackwardAfterForwardOnly(t *testing.T) {
+	r := rng.New(85)
+	for _, stride := range []int{1, 2} {
+		conv := NewConv2D(3, 7, 7, 3, stride, 1, 5)
+		straight := conv.Clone().(*Conv2D)
+		params := make([]float64, conv.ParamLen())
+		conv.Init(params, r.Split())
+		in := reluLaden(r, tensor.NewMatrix(4, conv.InDim()), 0.3)
+		other := reluLaden(r, tensor.NewMatrix(9, conv.InDim()), 0.3)
+		dOut := reluLaden(r, tensor.NewMatrix(4, conv.OutDim()), 0.5)
+		for _, full := range []bool{true, false} {
+			want, got := make([]float64, len(params)), make([]float64, len(params))
+			straight.Forward(params, in)
+			wantIn := straight.backward(params, dOut, want, full)
+			conv.Forward(params, in)
+			conv.forwardOnly(params, other)
+			gotIn := conv.backward(params, dOut, got, full)
+			what := fmt.Sprintf("stride %d, dIn wanted %v", stride, full)
+			if full {
+				mustBitsEqual(t, what+": dIn", gotIn.Data, wantIn.Data)
+			}
+			mustBitsEqual(t, what+": dParams", got, want)
+		}
+	}
+}
+
 // TestEvaluationSteadyStateAllocFree: at the conv workloads' evaluation
 // height and at one that ends in a short chunk.
 func TestEvaluationSteadyStateAllocFree(t *testing.T) {
@@ -123,24 +155,25 @@ func TestEvaluationSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// bufferCaps reports the capacity of every matrix and slice the layer itself
-// holds (a Residual's inner layers are not its own), by field name — found by
-// reflection, so a buffer a later change adds is covered without being listed.
-func bufferCaps(l Layer) map[string]int {
-	caps := map[string]int{}
+// buffers maps every matrix and slice the layer itself holds (a Residual's
+// inner layers are not its own), by field name, to its backing slice — found
+// by reflection, so a buffer a later change adds is covered without being
+// listed.
+func buffers(l Layer) map[string]reflect.Value {
+	out := map[string]reflect.Value{}
 	v := reflect.ValueOf(l).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		name := fmt.Sprintf("%s.%s", v.Type().Name(), v.Type().Field(i).Name)
 		switch f := v.Field(i); {
 		case f.Type() == reflect.TypeOf((*tensor.Matrix)(nil)):
 			if !f.IsNil() {
-				caps[name] = f.Elem().FieldByName("Data").Cap()
+				out[name] = f.Elem().FieldByName("Data")
 			}
 		case f.Kind() == reflect.Slice && f.Type() != reflect.TypeOf([]Layer(nil)):
-			caps[name] = f.Cap()
+			out[name] = f
 		}
 	}
-	return caps
+	return out
 }
 
 // TestEvaluationBuffersAreChunkSized: a network that only evaluates — the
@@ -161,13 +194,13 @@ func TestEvaluationBuffersAreChunkSized(t *testing.T) {
 					walk(r.inner)
 				}
 				limit := evalChunk * max(l.InDim(), l.OutDim())
-				for field, n := range bufferCaps(l) {
-					if n > limit {
+				for field, buf := range buffers(l) {
+					if n := buf.Cap(); n > limit {
 						t.Errorf("%s %s holds %d elements after evaluating 384 rows, limit %d (chunk %d x width %d)",
 							m.name, field, n, limit, evalChunk, limit/evalChunk)
 					}
 				}
-				for _, field := range []string{"outBuf", "dInBuf", "dPatchBuf", "patches", "argmax", "lastIn", "lastOut"} {
+				for _, field := range []string{"outBuf", "dInBuf", "dPatchBuf", "patch", "pad", "dPad", "argmax", "lastIn", "lastOut"} {
 					if f := reflect.ValueOf(l).Elem().FieldByName(field); f.IsValid() && !f.IsZero() {
 						t.Errorf("%s %T.%s: the evaluation pass touched a training-pass field", m.name, l, field)
 					}

@@ -17,9 +17,9 @@ import (
 // that need to retain results must copy them.
 //
 // Two passes, two sets of buffers. Forward is the TRAINING forward: it keeps
-// what Backward reads (Dense its input, ReLU/Tanh their output, Conv2D every
-// sample's lowered patches, MaxPool2x2 every winner's index) in buffers sized
-// by the batch. forwardOnly is the evaluation pass behind Network.Loss and
+// what Backward reads (Dense and Conv2D their input, ReLU/Tanh their output,
+// MaxPool2x2 every winner's index) in buffers sized by the batch.
+// forwardOnly is the evaluation pass behind Network.Loss and
 // Network.Accuracy: the same arithmetic into evalBuf, a buffer of its own, and
 // nothing kept — it reads and writes no field the training pass owns, so an
 // evaluation between a Forward and its Backward changes no gradient, and a
@@ -251,24 +251,22 @@ func (l *Tanh) Clone() Layer { return NewTanh(l.dim) }
 // in channel-major order. Forward is out = W*X^T (GemmTB, dot form);
 // Backward is dW += G*X (Gemm) and dX = G^T*W (GemmTA), both axpy form with
 // G as the coefficient operand, so the exact zeros ReLU and pooling leave
-// in G are skipped, not multiplied. No product is ever transposed.
+// in G are skipped, not multiplied. No product is ever transposed, and no
+// sample's X outlives its products: Backward lowers it again from the
+// cached input (the package comment).
 type Conv2D struct {
 	shape   tensor.ConvShape
-	plan    *tensor.ConvPlan // im2col/col2im index table, shared by clones
 	filters int
-	// patches is the forward cache: the lowered-patches matrices of every
-	// batch row, stacked vertically (batch*P rows x PatchLen cols) in one
-	// reused buffer. Only plan.Gather writes it, which leaves its padding
-	// elements at the zero they were allocated with.
-	patches *tensor.Matrix
-	// evalPatch is the forward-only pass's ONE P x PatchLen patches matrix,
-	// re-lowered per sample: nothing reads a sample's patches after its
-	// product, so evaluation keeps none. A buffer of its own, never a slot
-	// of patches, and written only by plan.Gather — its padding stays at
-	// its allocation-time zero too.
-	evalPatch *tensor.Matrix
+	lastIn  *tensor.Matrix // forward cache: backward re-lowers each sample from it
+	// Scratch, one set per pass, so neither pass writes what the other
+	// reads: each is ONE P x PatchLen patches matrix, re-lowered per sample,
+	// and one padded image of PadLen. The training forward and backward
+	// share patch and pad (backward re-lowers into them); dPad is Raise's
+	// own, because Raise dirties the border Lower needs to stay zero.
+	patch, evalPatch, dPatchBuf *tensor.Matrix
+	pad, evalPad, dPad          []float64
 
-	outBuf, dInBuf, dPatchBuf, evalBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
 }
 
 // NewConv2D creates a convolution from the given input shape to `filters`
@@ -281,7 +279,7 @@ func NewConv2D(channels, height, width, kernel, stride, pad, filters int) *Conv2
 	if s.OutHeight() < 1 || s.OutWidth() < 1 || filters < 1 {
 		panic("nn: Conv2D produces empty output")
 	}
-	return &Conv2D{shape: s, plan: tensor.NewConvPlan(s), filters: filters}
+	return &Conv2D{shape: s, filters: filters}
 }
 
 // OutShape returns the (channels, height, width) of the output images.
@@ -320,48 +318,46 @@ func (c *Conv2D) kernelMatrix(params []float64) *tensor.Matrix {
 // positions returns P, the number of output positions per channel.
 func (c *Conv2D) positions() int { return c.shape.OutHeight() * c.shape.OutWidth() }
 
-// samplePatches returns the lowered-patches view of batch row i inside the
-// stacked patches buffer.
-func (c *Conv2D) samplePatches(i int) tensor.Matrix {
-	p, pl := c.positions(), c.shape.PatchLen()
-	return tensor.Matrix{Rows: p, Cols: pl, Data: c.patches.Data[i*p*pl : (i+1)*p*pl]}
+// scratch returns the pass's patches matrix and padded image, allocating
+// them on the pass's first call.
+func (c *Conv2D) scratch(patch **tensor.Matrix, pad *[]float64) (*tensor.Matrix, []float64) {
+	if *pad == nil {
+		*pad = make([]float64, c.shape.PadLen())
+	}
+	return ensureMat(patch, c.positions(), c.shape.PatchLen()), *pad
 }
 
 // Forward implements Layer. Output rows are channel-major flattened images
 // of shape (filters, outH, outW).
 func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
-	out := ensureMat(&c.outBuf, in.Rows, c.OutDim())
-	ensureMat(&c.patches, in.Rows*c.positions(), c.shape.PatchLen())
-	for i := 0; i < in.Rows; i++ {
-		x := c.samplePatches(i)
-		c.convolve(params, in.Row(i), &x, out.Row(i))
-	}
-	return out
+	c.lastIn = in
+	x, pad := c.scratch(&c.patch, &c.pad)
+	return c.convolve(params, in, x, pad, &c.outBuf)
 }
 
 func (c *Conv2D) forwardOnly(params []float64, in *tensor.Matrix) *tensor.Matrix {
-	out := ensureMat(&c.evalBuf, in.Rows, c.OutDim())
-	x := ensureMat(&c.evalPatch, c.positions(), c.shape.PatchLen())
-	for i := 0; i < in.Rows; i++ {
-		c.convolve(params, in.Row(i), x, out.Row(i))
-	}
-	return out
+	x, pad := c.scratch(&c.evalPatch, &c.evalPad)
+	return c.convolve(params, in, x, pad, &c.evalBuf)
 }
 
-// convolve is one sample of either forward pass: lower img into x, then
-// outRow, read as the F x P matrix it is, = W*x^T + bias.
-func (c *Conv2D) convolve(params, img []float64, x *tensor.Matrix, outRow []float64) {
+// convolve is either forward pass: per sample, lower the image into x, then
+// its output row, read as the F x P matrix it is, = W*x^T + bias.
+func (c *Conv2D) convolve(params []float64, in, x *tensor.Matrix, pad []float64, buf **tensor.Matrix) *tensor.Matrix {
+	out := ensureMat(buf, in.Rows, c.OutDim())
 	w := c.kernelMatrix(params)
 	bias := params[c.filters*c.shape.PatchLen():]
-	c.plan.Gather(img, x)
-	y := tensor.Matrix{Rows: c.filters, Cols: c.positions(), Data: outRow}
-	tensor.GemmTB(1, w, x, 0, &y) // (F x P), beta=0 overwrites
-	for f, b := range bias {
-		row := y.Row(f)
-		for pos := range row {
-			row[pos] += b
+	for i := 0; i < in.Rows; i++ {
+		tensor.Lower(c.shape, in.Row(i), pad, x)
+		y := tensor.Matrix{Rows: c.filters, Cols: c.positions(), Data: out.Row(i)}
+		tensor.GemmTB(1, w, x, 0, &y) // (F x P), beta=0 overwrites
+		for f, b := range bias {
+			row := y.Row(f)
+			for pos := range row {
+				row[pos] += b
+			}
 		}
 	}
+	return out
 }
 
 // Backward implements Layer.
@@ -373,28 +369,30 @@ func (c *Conv2D) backwardParams(params []float64, dOut *tensor.Matrix, dParams [
 	c.backward(params, dOut, dParams, false)
 }
 
-// backward accumulates dW and dB; the input gradient — its zeroing, one
-// GemmTA and one Scatter per sample — only when asked to.
+// backward accumulates dW and dB, re-lowering each sample from lastIn (the
+// same bits Forward multiplied); the input gradient — one GemmTA and one
+// Raise per sample — only when asked to.
 func (c *Conv2D) backward(params []float64, dOut *tensor.Matrix, dParams []float64, wantDIn bool) *tensor.Matrix {
 	w := c.kernelMatrix(params)
 	dW := &tensor.Matrix{Rows: c.filters, Cols: c.shape.PatchLen(),
 		Data: dParams[:c.filters*c.shape.PatchLen()]}
 	dB := dParams[c.filters*c.shape.PatchLen():]
 	p := c.positions()
+	x, pad := c.scratch(&c.patch, &c.pad)
 	var dIn, dPatches *tensor.Matrix
+	var dPad []float64
 	if wantDIn {
 		dIn = ensureMat(&c.dInBuf, dOut.Rows, c.InDim())
-		tensor.Zero(dIn.Data) // Scatter adds into dIn rows
-		dPatches = ensureMat(&c.dPatchBuf, p, c.shape.PatchLen())
+		dPatches, dPad = c.scratch(&c.dPatchBuf, &c.dPad)
 	}
 	for i := 0; i < dOut.Rows; i++ {
 		g := tensor.Matrix{Rows: c.filters, Cols: p, Data: dOut.Row(i)}
 		addRowSums(&g, dB)
-		x := c.samplePatches(i)
-		tensor.Gemm(1, &g, &x, 1, dW) // dW += G * X
+		tensor.Lower(c.shape, c.lastIn.Row(i), pad, x)
+		tensor.Gemm(1, &g, x, 1, dW) // dW += G * X
 		if wantDIn {
 			tensor.GemmTA(1, &g, w, 0, dPatches) // dX = G^T * W, beta=0 overwrites
-			c.plan.Scatter(dPatches, dIn.Row(i))
+			tensor.Raise(c.shape, dPatches, dPad, dIn.Row(i))
 		}
 	}
 	return dIn
@@ -427,7 +425,7 @@ func addRowSums(g *tensor.Matrix, acc []float64) {
 
 // Clone implements Layer.
 func (c *Conv2D) Clone() Layer {
-	return &Conv2D{shape: c.shape, plan: c.plan, filters: c.filters}
+	return &Conv2D{shape: c.shape, filters: c.filters}
 }
 
 // MaxPool2x2 downsamples channel-major images by taking the max over

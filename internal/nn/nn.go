@@ -29,10 +29,10 @@
 // Network.Loss and Network.Accuracy are the EVALUATION pass: they walk the
 // batch in chunks of evalChunk rows through the layers' forward-only path,
 // which keeps nothing. An evaluation batch is the whole training or test
-// set (hundreds of rows) where a training batch is 16: lowering every
-// sample of it into one stacked patches buffer that only Backward reads
-// made each store a cache miss and each engine hold ~25 MB of 384-/512-row
-// arenas; a chunk's buffers stay resident and are chunk x layer width.
+// set (hundreds of rows) where a training batch is 16: running the training
+// forward over it grew every layer's arenas to 384 or 512 rows (~25 MB per
+// engine, each store a cache miss); a chunk's buffers stay resident and are
+// chunk x layer width.
 //
 // Chunking cannot change a bit, because every layer is ROW-INDEPENDENT: an
 // output row is a function of its input row and the parameters alone (the
@@ -48,23 +48,23 @@
 // Why the split: a CPU profile of the conv_pasgd benchmark workload before
 // it (seed 1, 2 vCPU) put Network.Loss at 7.60 s beside Network.LossGrad at
 // 7.63 s of 16.7 s. The same number of samples went forward through both
-// (the dot tile 1.57 s vs 1.64 s), but ConvPlan.Gather cost 4.02 s in
-// evaluation against 1.02 s in training and ReLU.Forward 0.84 s against
+// (the dot tile 1.57 s vs 1.64 s), but the conv lowering (then an index
+// table's gather) cost 4.02 s in evaluation against 1.02 s in training and ReLU.Forward 0.84 s against
 // 0.20 s: evaluation ran the training forward over all 384 rows, and its
 // arenas were 123 of the workload's 154 MB alloc_mb.
 //
 // How each layer takes part: forwardOnlyLayer, an unexported optional
 // interface every layer here implements, runs the same arithmetic into
-// evalBuf, a buffer of its own, and caches nothing. Conv2D re-lowers each
-// sample into ONE P x L evalPatch (forward and forward-only share convolve:
-// gather, GemmTB, bias); MaxPool2x2 records no argmax (poolImage with a nil
-// record); Residual recurses (skip takes the pass as a function); Dense,
+// evalBuf, a buffer of its own, and caches nothing. Conv2D lowers through
+// evalPatch and evalPad, twins of the training forward's patch and pad
+// (both passes run convolve); MaxPool2x2 records no argmax (poolImage with a
+// nil record); Residual recurses (skip takes the pass as a function); Dense,
 // ReLU and Tanh write the other buffer and keep no pointer.
 //
 // Beside row-independence, two contracts hold the passes apart:
 //
 //   - The two passes share a layer safely. The forward-only pass touches no
-//     field the training pass owns (patches, argmax, lastIn, lastOut,
+//     field the training pass owns (patch, pad, argmax, lastIn, lastOut,
 //     outBuf), so Forward -> Loss(other) -> backward yields the same
 //     gradient, and a network that only evaluates (the engines' evaluation
 //     model) never allocates a backward-sized buffer; a test pins this by
@@ -73,10 +73,38 @@
 //   - Network.Forward is the TRAINING forward, and the standalone layer
 //     Forward/Backward keep their meaning (the benchmark's probes call
 //     them). LossGrad asks layer 0 for backwardParams (paramGrader: Conv2D
-//     skips the dIn zeroing, GemmTA and Scatter; Dense skips Gemm(dOut, W);
+//     skips GemmTA and Raise; Dense skips Gemm(dOut, W);
 //     one backward(..., wantDIn) loop each). A Residual first layer takes
 //     the full Backward, and a Residual's inner first layer is not the
 //     network's first.
+//
+// # Conv2D: one sample's patches at a time
+//
+// Conv2D lowers a sample into ONE P x L patches matrix X (P output
+// positions, L = C*K*K) with tensor.Lower, which copies the image into the
+// interior of a zero-bordered scratch image (pad) and writes every element
+// of X as runs of pad, so no element is tested against the image's bounds
+// and X needs no preparation. The products transpose nothing: a sample's output row and its
+// gradient G are read as the F x P matrices they already are, forward is
+// GemmTB(W, X) (dot form), backward is Gemm(G, X) into dW and GemmTA(G, W)
+// into dX (axpy form, G in the coefficient seat, so the exact zeros ReLU and
+// pooling leave in G are skipped) — term for term what a P x F product and
+// two strided copies compute (tensor/naive.go says why the swap is exact).
+// tensor.Raise takes dX back to the image (Zero + Col2Im, bit for bit).
+//
+// THE RULE: the training forward keeps its INPUT (lastIn, as Dense does), not
+// the lowered patches, and backward re-lowers sample i from lastIn.Row(i)
+// before Gemm(G, X): Lower is a copy, so X is the same bits. A batch-stacked
+// patches cache, which only backward read, cost 16 x 64 x 72 x 8 B = 590 KB
+// per ResNetNano trunk conv — past a 2 MB L2 per replica, and ~13 of the
+// conv_pasgd workload's 31 MB alloc_mb. Each pass owns its scratch: the
+// training pass patch + pad (forward and backward's re-lowering), the
+// forward-only pass evalPatch + evalPad, backward's input gradient dPatchBuf
+// + dPad (Raise clears and dirties its padded image, so it never shares
+// Lower's, whose border only ever holds its allocation-time zero). Held by oracle_test.go (TestConv2DMatchesTransposingReference: the
+// old transposing path on the naive kernels; TestCloneSharesNoScratch),
+// eval_test.go (TestConvBackwardAfterForwardOnly and the reflection test
+// over every field), and the 0-alloc gates.
 //
 // Accuracy never counts a row holding a NaN logit: a bare argmax settles on
 // class 0, and a diverged model scored ~1/classes. Loss and Accuracy

@@ -316,36 +316,38 @@ func TestLossGradSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestCloneSharesConvPlan: the gather/scatter table is immutable and sized
-// like the patches matrix, so the per-worker clones the engines make must
-// point at the prototype's table, not rebuild it (set-up time and memory
-// scale with the worker count otherwise).
-func TestCloneSharesConvPlan(t *testing.T) {
-	conv := NewConv2D(8, 4, 4, 3, 1, 1, 16)
-	if clone := conv.Clone().(*Conv2D); clone.plan != conv.plan {
-		t.Fatal("Conv2D.Clone rebuilt the conv plan")
-	}
-	net := NewResNetNano(data.ImageShape{Channels: 1, Height: 8, Width: 8}, 10)
-	var plans func(ls []Layer) []*tensor.ConvPlan
-	plans = func(ls []Layer) (out []*tensor.ConvPlan) {
-		for _, l := range ls {
-			switch l := l.(type) {
-			case *Conv2D:
-				out = append(out, l.plan)
-			case *Residual:
-				out = append(out, plans(l.inner)...)
+// TestCloneSharesNoScratch: a clone is a worker's own copy, so after both
+// nets have run a training step and an evaluation, no buffer either layer
+// holds — forward caches, patches, padded images, arenas — shares a backing
+// array with its twin's (two workers' steps would race through it).
+func TestCloneSharesNoScratch(t *testing.T) {
+	shape := data.ImageShape{Channels: 1, Height: 8, Width: 8}
+	for name, net := range map[string]*Network{
+		"VGGNano":    NewVGGNano(shape, 10),
+		"ResNetNano": NewResNetNano(shape, 10),
+	} {
+		net.InitParams(rng.New(47))
+		clone := net.Clone()
+		for i, n := range []*Network{net, clone} {
+			b := classBatch(n.InDim(), 10, 16, 48+uint64(i)) // each its own batch: layer 0 keeps it
+			n.LossGrad(b, make([]float64, n.ParamLen()))
+			n.Loss(classBatch(n.InDim(), 10, 20, 50))
+		}
+		var walk func(orig, cloned []Layer)
+		walk = func(orig, cloned []Layer) {
+			for li, l := range orig {
+				if r, ok := l.(*Residual); ok {
+					walk(r.inner, cloned[li].(*Residual).inner)
+				}
+				theirs := buffers(cloned[li])
+				for field, buf := range buffers(l) {
+					if p := buf.UnsafePointer(); p != nil && theirs[field].UnsafePointer() == p {
+						t.Errorf("%s layer %d %s: the clone shares its backing array", name, li, field)
+					}
+				}
 			}
 		}
-		return out
-	}
-	orig, cloned := plans(net.layers), plans(net.Clone().layers)
-	if len(orig) != 5 || len(cloned) != len(orig) {
-		t.Fatalf("found %d and %d conv layers, want 5 and 5", len(orig), len(cloned))
-	}
-	for i := range orig {
-		if orig[i] != cloned[i] {
-			t.Fatalf("Network.Clone rebuilt the plan of conv layer %d", i)
-		}
+		walk(net.layers, clone.layers)
 	}
 }
 

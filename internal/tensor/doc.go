@@ -59,6 +59,23 @@
 //     polarAVX2 (polar.go, which mirrors math.archLog): each file states its
 //     own contract.
 //   - expAVX2 (ExpInto, below).
+//   - lower3AVX2 / raise3AVX2 (Lower, Raise: conv lowering through a
+//     zero-bordered copy of the image, conv_amd64.s) for a 3x3 kernel, every
+//     conv of the zoo, one output row of patches per call. Lower moves each
+//     run of three with one four-wide load and one four-wide store at 24-byte
+//     steps: the fourth lane lands on the next run's first element, which
+//     that run's store then overwrites. THE OVERLAPPING-STORE HAZARD: a patch
+//     row's last run has no next run, and its fourth lane would land past the
+//     row (past the matrix, on the last row) and be read past the padded
+//     image, so that run moves 2+1. Raise adds each run 2+1, patch rows in
+//     order (they overlap in the padded image): a fourth lane would add the
+//     next run's first term into the pixel past the run. THE RULE: Lower
+//     writes EVERY element of its destination, which so needs no
+//     preparation, and of the padded image only the interior — its copy-in is
+//     the padded image's only writer, so a border allocated zero stays zero
+//     (zeroing it per call cost 13-22% of Lower); Raise, which clears its own
+//     padded image, takes a different one. Other kernel sizes take the Go
+//     loops, which are the kernels' oracles.
 //
 // # The kernel contract
 //
@@ -114,8 +131,13 @@
 // useAVX2; the assembly half is skipped with a logged reason where the probe
 // said no), plus a remainder grid for the products, the compress twin with
 // canaries on both sides of coefList, the mask and vector-update twins at
-// every misalignment, and fuzz targets over raw float64 words
-// (FuzzQuantizeTwin, FuzzPolarTwin, FuzzExpTwin). exp_amd64_test.go holds
+// every misalignment, the conv lowering against per-element reference loops
+// with canaries past the patches and the padded images, and fuzz targets over
+// raw float64 words (FuzzQuantizeTwin, FuzzPolarTwin, FuzzExpTwin,
+// FuzzLowerTwin — the last over random conv shapes against Im2Col into a
+// NaN-filled matrix and Zero + Col2Im; where one of Raise's adds meets two
+// NaNs, which payload survives is the compiler's operand order, so any NaN
+// passes there). exp_amd64_test.go holds
 // each exp path to a Go oracle of its own (math.FMA for the fused steps,
 // separately rounded products for the unfused ones) by flipping useFMA, so
 // the path this host's math does not take runs too, and checks the probe

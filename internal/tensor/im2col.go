@@ -45,8 +45,8 @@ func (s ConvShape) kernelRange(o, size int) (lo, hi, at0 int) {
 
 // Im2Col fills dst (OutHeight*OutWidth rows x PatchLen cols) with image
 // patches from img (length Channels*Height*Width). Out-of-bounds (padding)
-// elements are zero. It is the reference for ConvPlan.Gather: the in-bounds
-// kernel window of each output position is computed once, so no element is
+// elements are zero. It is the reference for Lower: the in-bounds kernel
+// window of each output position is computed once, so no element is
 // bounds-tested.
 func Im2Col(s ConvShape, img []float64, dst *Matrix) {
 	s.check(len(img), dst, "Im2Col")
@@ -72,8 +72,8 @@ func Im2Col(s ConvShape, img []float64, dst *Matrix) {
 
 // Col2Im scatter-adds patch gradients back into an image gradient: the
 // adjoint of Im2Col. dst (length Channels*Height*Width) is NOT zeroed first,
-// so callers can accumulate. It is the reference for ConvPlan.Scatter; each
-// image element receives its contributions in ascending patch-row order.
+// so callers can accumulate. It is the reference for Raise; each image
+// element receives its contributions in ascending patch-row order.
 func Col2Im(s ConvShape, patches *Matrix, dst []float64) {
 	s.check(len(dst), patches, "Col2Im")
 	outH, outW, k := s.OutHeight(), s.OutWidth(), s.Kernel
@@ -95,62 +95,120 @@ func Col2Im(s ConvShape, patches *Matrix, dst []float64) {
 	}
 }
 
-// ConvPlan is the im2col/col2im index table of one ConvShape: for every
-// in-bounds patch element, in Im2Col's row-major patch order, the offset
-// into the patches matrix and the offset into the image. Padding elements
-// have no entry, so both loops run without a bounds test per element. A
-// plan is immutable after NewConvPlan and may be shared across goroutines
-// (layer clones share one).
-type ConvPlan struct {
-	shape      ConvShape
-	patch, img []int32
+// PadLen is the length of the zero-bordered image Lower and Raise work
+// through: C*(H+2P)*(W+2P).
+func (s ConvShape) PadLen() int {
+	return s.Channels * (s.Height + 2*s.Pad) * (s.Width + 2*s.Pad)
 }
 
-// NewConvPlan builds the table for s by lowering an image of 1-based pixel
-// numbers with Im2Col: a patch element then names the pixel it copies, and
-// padding reads 0.
-func NewConvPlan(s ConvShape) *ConvPlan {
-	pixels := make([]float64, s.Channels*s.Height*s.Width)
-	for i := range pixels {
-		pixels[i] = float64(i + 1)
+// padWalk is the walk Lower and Raise take through a padded image, in
+// elements: the n patch rows of one output row start step apart, and a
+// patch's kernel rows wp and its channels plane apart.
+type padWalk struct{ k, chans, n, step, wp, plane int }
+
+// walk checks the shape and pad's length for op and returns the walk.
+func (s ConvShape) walk(op string, pad []float64) padWalk {
+	if s.Channels < 1 || s.Kernel < 1 || s.Stride < 1 || s.Pad < 0 ||
+		s.Height+2*s.Pad < s.Kernel || s.Width+2*s.Pad < s.Kernel {
+		panic("tensor: " + op + " shape has no output")
 	}
-	lowered := NewMatrix(s.OutHeight()*s.OutWidth(), s.PatchLen())
-	Im2Col(s, pixels, lowered)
-	n := 0
-	for _, v := range lowered.Data {
-		if v != 0 {
-			n++
+	if len(pad) != s.PadLen() {
+		panic("tensor: " + op + " pad length mismatch")
+	}
+	wp := s.Width + 2*s.Pad
+	return padWalk{k: s.Kernel, chans: s.Channels, n: s.OutWidth(), step: s.Stride,
+		wp: wp, plane: (s.Height + 2*s.Pad) * wp}
+}
+
+// Lower is Im2Col through pad, a zero-bordered copy of the image. It copies
+// img into pad's interior, then writes EVERY element of dst: each patch row
+// is C*K runs of K contiguous elements of pad, so no element is tested
+// against the image's bounds. dst needs no preparation, and the result is
+// Im2Col's bit for bit. pad is caller scratch of length PadLen whose border
+// is zero; Lower writes only its interior, so a freshly allocated pad that
+// nothing but Lower is ever given stays zero-bordered (Raise's pad must be
+// another: Raise leaves the border dirty).
+func Lower(s ConvShape, img, pad []float64, dst *Matrix) {
+	s.check(len(img), dst, "Lower")
+	w := s.walk("Lower", pad)
+	s.frame(img, pad)
+	span, outH := w.n*dst.Cols, s.OutHeight()
+	for oy := 0; oy < outH; oy++ {
+		lowerRows(w, dst.Data[oy*span:(oy+1)*span], pad[oy*s.Stride*w.wp:])
+	}
+}
+
+// Raise is Zero(dst) followed by Col2Im, bit for bit, through pad, scratch
+// of length PadLen whose contents on entry do not matter: it clears pad, adds
+// every patch row's runs into it in ascending patch-row order (each pixel's
+// terms in Col2Im's sequence, the border taking what falls on the padding),
+// and copies pad's interior out to dst.
+func Raise(s ConvShape, patches *Matrix, pad, dst []float64) {
+	s.check(len(dst), patches, "Raise")
+	w := s.walk("Raise", pad)
+	Zero(pad)
+	span, outH := w.n*patches.Cols, s.OutHeight()
+	for oy := 0; oy < outH; oy++ {
+		raiseRows(w, pad[oy*s.Stride*w.wp:], patches.Data[oy*span:(oy+1)*span])
+	}
+	s.unframe(pad, dst)
+}
+
+// frame copies img into pad's interior, row by row; the border is left as
+// it is.
+func (s ConvShape) frame(img, pad []float64) {
+	h, w, p := s.Height, s.Width, s.Pad
+	wp := w + 2*p
+	for c := 0; c < s.Channels; c++ {
+		for y := 0; y < h; y++ {
+			copy(pad[(c*(h+2*p)+y+p)*wp+p:][:w], img[(c*h+y)*w:])
 		}
 	}
-	tab := make([]int32, 2*n) // one allocation, both columns, sized exactly
-	p := &ConvPlan{shape: s, patch: tab[:0:n], img: tab[n : n : 2*n]}
-	for o, v := range lowered.Data {
-		if v != 0 {
-			p.patch = append(p.patch, int32(o))
-			p.img = append(p.img, int32(v)-1)
+}
+
+// unframe copies pad's interior out to img.
+func (s ConvShape) unframe(pad, img []float64) {
+	h, w, p := s.Height, s.Width, s.Pad
+	wp := w + 2*p
+	for c := 0; c < s.Channels; c++ {
+		for y := 0; y < h; y++ {
+			copy(img[(c*h+y)*w:][:w], pad[(c*(h+2*p)+y+p)*wp+p:])
 		}
 	}
-	return p
 }
 
-// Gather is Im2Col for a dst whose padding elements are ALREADY zero: it
-// writes the in-bounds elements only. A freshly allocated matrix, or one
-// only ever written by Gather calls of this plan, qualifies.
-func (p *ConvPlan) Gather(img []float64, dst *Matrix) {
-	p.shape.check(len(img), dst, "Gather")
-	d, src := dst.Data, p.img[:len(p.patch)]
-	for n, o := range p.patch {
-		d[o] = img[src[n]]
+// lowerRowsGo is lowerRows' Go loop and its kernel's oracle: the w.n patch
+// rows of one output row into d, the first patch's window at pad[0].
+func lowerRowsGo(w padWalk, d, pad []float64) {
+	k, o := w.k, 0
+	for x := 0; x < w.n; x++ {
+		for c := 0; c < w.chans; c++ {
+			for ky := 0; ky < k; ky++ {
+				at := x*w.step + c*w.plane + ky*w.wp
+				run := d[o : o+k : o+k]
+				for kx, v := range pad[at : at+k] {
+					run[kx] = v
+				}
+				o += k
+			}
+		}
 	}
 }
 
-// Scatter is Col2Im: dst[img] += patches[patch] over the table, in the
-// same order, so every image element accumulates the same terms in the
-// same sequence.
-func (p *ConvPlan) Scatter(patches *Matrix, dst []float64) {
-	p.shape.check(len(dst), patches, "Scatter")
-	d, to := patches.Data, p.img[:len(p.patch)]
-	for n, o := range p.patch {
-		dst[to[n]] += d[o]
+// raiseRowsGo is raiseRows' Go loop and its kernel's oracle: the w.n patch
+// rows in d added into their windows of pad, in order.
+func raiseRowsGo(w padWalk, pad, d []float64) {
+	k, o := w.k, 0
+	for x := 0; x < w.n; x++ {
+		for c := 0; c < w.chans; c++ {
+			for ky := 0; ky < k; ky++ {
+				at := x*w.step + c*w.plane + ky*w.wp
+				run := pad[at : at+k : at+k]
+				for kx, v := range d[o : o+k] {
+					run[kx] += v
+				}
+				o += k
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -381,7 +382,7 @@ func TestGemmBetaZeroOverwritesStaleNaN(t *testing.T) {
 
 // im2colRef and col2imRef are the loops Im2Col and Col2Im shipped with
 // before they lost their per-element bounds test: the definition the faster
-// references and the ConvPlan table are checked against.
+// references and Lower/Raise are checked against.
 func im2colRef(s ConvShape, img []float64, dst *Matrix) {
 	row := 0
 	for oy := 0; oy < s.OutHeight(); oy++ {
@@ -409,10 +410,15 @@ func im2colRef(s ConvShape, img []float64, dst *Matrix) {
 }
 
 func col2imRef(s ConvShape, patches *Matrix, dst []float64) {
+	convTerms(s, func(to, from int) { dst[to] += patches.Data[from] })
+}
+
+// convTerms calls add(image offset, patches offset) for every in-bounds
+// patch element, in Col2Im's order.
+func convTerms(s ConvShape, add func(to, from int)) {
 	row := 0
 	for oy := 0; oy < s.OutHeight(); oy++ {
 		for ox := 0; ox < s.OutWidth(); ox++ {
-			p := patches.Row(row)
 			idx := 0
 			for c := 0; c < s.Channels; c++ {
 				base := c * s.Height * s.Width
@@ -421,7 +427,7 @@ func col2imRef(s ConvShape, patches *Matrix, dst []float64) {
 					for kx := 0; kx < s.Kernel; kx++ {
 						ix := ox*s.Stride + kx - s.Pad
 						if iy >= 0 && iy < s.Height && ix >= 0 && ix < s.Width {
-							dst[base+iy*s.Width+ix] += p[idx]
+							add(base+iy*s.Width+ix, row*s.PatchLen()+idx)
 						}
 						idx++
 					}
@@ -432,28 +438,56 @@ func col2imRef(s ConvShape, patches *Matrix, dst []float64) {
 	}
 }
 
-// TestConvLoweringParity compares, bit for bit, Im2Col/Col2Im and the
-// ConvPlan table against the per-element reference loops, over the layer
-// shapes in use plus stride 2, no padding, a 1x1 kernel, a non-square image
-// and padding at least as wide as the kernel (whole kernel rows out of
-// bounds). Values include -0, and Col2Im accumulates onto a non-zero image,
-// so a reordered or dropped addition shows.
-func TestConvLoweringParity(t *testing.T) {
+// TestConvLoweringParity compares, bit for bit and on both tiers, Im2Col and
+// Lower with the per-element reference im2colRef, and Col2Im and Raise with
+// col2imRef, over the layer shapes in use plus stride 2, no padding, a 1x1
+// kernel, a non-square image, a one-pixel image and padding at least as wide
+// as the kernel (whole kernel rows out of bounds). Values include -0, and
+// Col2Im accumulates onto a non-zero image, so a reordered or dropped
+// addition shows. Lower starts from a stale dst and Raise from a stale
+// padded image, each reused across rounds as a layer reuses them (Lower's
+// pad only ever written by Lower), and canaries past all four must survive.
+func TestConvLoweringParity(t *testing.T) { eachTier(t, convLoweringParity) }
+
+func convLoweringParity(t *testing.T) {
 	shapes := []ConvShape{
 		{Channels: 1, Height: 8, Width: 8, Kernel: 3, Stride: 1, Pad: 1},
+		{Channels: 8, Height: 8, Width: 8, Kernel: 3, Stride: 1, Pad: 1},
 		{Channels: 8, Height: 4, Width: 4, Kernel: 3, Stride: 1, Pad: 1},
 		{Channels: 3, Height: 7, Width: 7, Kernel: 3, Stride: 2, Pad: 1},
 		{Channels: 2, Height: 5, Width: 6, Kernel: 3, Stride: 1, Pad: 0},
+		{Channels: 2, Height: 1, Width: 1, Kernel: 3, Stride: 1, Pad: 1},
 		{Channels: 2, Height: 3, Width: 4, Kernel: 1, Stride: 1, Pad: 0},
 		{Channels: 1, Height: 3, Width: 2, Kernel: 2, Stride: 1, Pad: 2},
 		{Channels: 2, Height: 4, Width: 5, Kernel: 3, Stride: 2, Pad: 3},
 	}
+	const canary = 0x5ca1ab1e5ca1ab1e
 	r := parityRNG(13)
 	for _, s := range shapes {
 		n := s.Channels * s.Height * s.Width
 		rows, cols := s.OutHeight()*s.OutWidth(), s.PatchLen()
-		plan := NewConvPlan(s)
-		gathered := NewMatrix(rows, cols) // zero, then only ever Gather-written
+		// Scratch with canaries past its end, reused across rounds.
+		withTail := func(n int, stale bool) (body, whole []float64) {
+			whole = make([]float64, n+4)
+			if stale {
+				fillParity(&r, whole[:n])
+			}
+			for i := n; i < len(whole); i++ {
+				whole[i] = math.Float64frombits(canary)
+			}
+			return whole[:n:n], whole
+		}
+		pad, padWhole := withTail(s.PadLen(), false)
+		dPad, dPadWhole := withTail(s.PadLen(), true)
+		lowered, loweredWhole := withTail(rows*cols, true)
+		raised, raisedWhole := withTail(n, true)
+		intact := func(op string, whole []float64, n int) {
+			for i := n; i < len(whole); i++ {
+				if math.Float64bits(whole[i]) != canary {
+					t.Fatalf("%s %+v: wrote %d elements past the end", op, s, i-n+1)
+				}
+			}
+		}
 		for round := 0; round < 2; round++ {
 			img := make([]float64, n)
 			fillParity(&r, img)
@@ -465,26 +499,113 @@ func TestConvLoweringParity(t *testing.T) {
 			if i, ok := bitsEqual(got.Data, want.Data); !ok {
 				t.Fatalf("Im2Col %+v: element %d = %v want %v", s, i, got.Data[i], want.Data[i])
 			}
-			plan.Gather(img, gathered)
-			if i, ok := bitsEqual(gathered.Data, want.Data); !ok {
-				t.Fatalf("Gather %+v round %d: element %d = %v want %v", s, round, i, gathered.Data[i], want.Data[i])
+			Lower(s, img, pad, &Matrix{Rows: rows, Cols: cols, Data: lowered})
+			if i, ok := bitsEqual(lowered, want.Data); !ok {
+				t.Fatalf("Lower %+v round %d: element %d = %v want %v", s, round, i, lowered[i], want.Data[i])
 			}
+			intact("Lower", loweredWhole, len(lowered))
+			intact("Lower's pad", padWhole, len(pad))
 
 			patches := parityMatrix(&r, rows, cols)
 			base := make([]float64, n)
 			fillParity(&r, base)
 			wantImg := append([]float64(nil), base...)
 			col2imRef(s, patches, wantImg)
-			for name, f := range map[string]func(*Matrix, []float64){
-				"Col2Im":  func(p *Matrix, dst []float64) { Col2Im(s, p, dst) },
-				"Scatter": plan.Scatter,
-			} {
-				gotImg := append([]float64(nil), base...)
-				f(patches, gotImg)
-				if i, ok := bitsEqual(gotImg, wantImg); !ok {
-					t.Fatalf("%s %+v: element %d = %v want %v", name, s, i, gotImg[i], wantImg[i])
-				}
+			gotImg := append([]float64(nil), base...)
+			Col2Im(s, patches, gotImg)
+			if i, ok := bitsEqual(gotImg, wantImg); !ok {
+				t.Fatalf("Col2Im %+v: element %d = %v want %v", s, i, gotImg[i], wantImg[i])
 			}
+			wantImg = make([]float64, n)
+			col2imRef(s, patches, wantImg)
+			Raise(s, patches, dPad, raised)
+			if i, ok := bitsEqual(raised, wantImg); !ok {
+				t.Fatalf("Raise %+v round %d: element %d = %v want %v", s, round, i, raised[i], wantImg[i])
+			}
+			intact("Raise", raisedWhole, n)
+			intact("Raise's pad", dPadWhole, len(dPad))
 		}
 	}
+}
+
+// FuzzLowerTwin holds Lower to Im2Col into a NaN-filled dst, and Raise
+// (through a NaN-filled pad) to Zero + Col2Im, bit for bit on both tiers, over C 1-8, H and W 1-9, K 1-5,
+// stride 1-2 and pad 0-2 (shapes without an output are skipped). The image
+// and the patch gradients cycle through the fuzzer's raw float64 words, so
+// NaN payloads of either sign, infinities and -0 meet in Raise's sums.
+func FuzzLowerTwin(f *testing.F) {
+	specials := []float64{math.Float64frombits(0x7FF8000000000123), math.Float64frombits(0xFFF4000000000456),
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1.5, -2.25, 5e-324, math.MaxFloat64}
+	var words []byte
+	for _, v := range specials {
+		words = binary.LittleEndian.AppendUint64(words, math.Float64bits(v))
+	}
+	f.Add(uint8(8), uint8(8), uint8(8), uint8(3), uint8(1), uint8(1), words)
+	f.Add(uint8(1), uint8(8), uint8(8), uint8(3), uint8(1), uint8(1), words[:24])
+	f.Add(uint8(3), uint8(7), uint8(5), uint8(3), uint8(2), uint8(2), words[8:])
+	f.Add(uint8(2), uint8(9), uint8(4), uint8(5), uint8(1), uint8(0), words[16:56])
+	// Inf + -Inf makes a NaN of the hardware's own, which a NaN term then meets.
+	f.Add(uint8(0), uint8(8), uint8(8), uint8(3), uint8(0), uint8(1), append(words[8:32:32], words[64:72]...))
+	f.Fuzz(func(t *testing.T, c, h, w, k, stride, pad uint8, raw []byte) {
+		s := ConvShape{Channels: int(c%8) + 1, Height: int(h%9) + 1, Width: int(w%9) + 1,
+			Kernel: int(k%5) + 1, Stride: int(stride%2) + 1, Pad: int(pad % 3)}
+		if s.Height+2*s.Pad < s.Kernel || s.Width+2*s.Pad < s.Kernel {
+			t.Skip("no output")
+		}
+		if len(raw) < 8 {
+			t.Skip("no float64 word")
+		}
+		value := func(i int) float64 {
+			j := 8 * (i % (len(raw) / 8))
+			return math.Float64frombits(binary.LittleEndian.Uint64(raw[j:]))
+		}
+		rows, cols := s.OutHeight()*s.OutWidth(), s.PatchLen()
+		img := make([]float64, s.Channels*s.Height*s.Width)
+		for i := range img {
+			img[i] = value(i)
+		}
+		patches := NewMatrix(rows, cols)
+		for i := range patches.Data {
+			patches.Data[i] = value(len(img) + i)
+		}
+		want := NewMatrix(rows, cols)
+		Im2Col(s, img, want)
+		wantImg := make([]float64, len(img))
+		Col2Im(s, patches, wantImg)
+		// Where one of a pixel's adds meets two NaNs, the payload that
+		// survives is the add's operand order, which Go leaves to the
+		// compiler (the fuzzer's instrumented build picks differently from
+		// the plain one): there, any NaN passes.
+		sum, twoNaNs := make([]float64, len(img)), make([]bool, len(img))
+		convTerms(s, func(to, from int) {
+			v := patches.Data[from]
+			twoNaNs[to] = twoNaNs[to] || math.IsNaN(sum[to]) && math.IsNaN(v)
+			sum[to] += v
+		})
+		eachTier(t, func(t *testing.T) {
+			got := NewMatrix(rows, cols)
+			Fill(got.Data, math.NaN())
+			// A zero border around a NaN interior: Lower reads no interior
+			// element it has not written.
+			pad := make([]float64, s.PadLen())
+			nans := make([]float64, len(img))
+			Fill(nans, math.NaN())
+			s.frame(nans, pad)
+			Lower(s, img, pad, got)
+			if i, ok := bitsEqual(got.Data, want.Data); !ok {
+				t.Fatalf("Lower %+v: element %d = %x, Im2Col %x", s, i, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+			}
+			gotImg := make([]float64, len(img))
+			Fill(gotImg, math.NaN())
+			Fill(pad, math.NaN()) // Raise clears its pad itself
+			Raise(s, patches, pad, gotImg)
+			for i, g := range gotImg {
+				w := wantImg[i]
+				if math.Float64bits(g) == math.Float64bits(w) || math.IsNaN(g) && math.IsNaN(w) && twoNaNs[i] {
+					continue
+				}
+				t.Fatalf("Raise %+v: element %d = %x, Zero+Col2Im %x", s, i, math.Float64bits(g), math.Float64bits(w))
+			}
+		})
+	})
 }
