@@ -193,11 +193,12 @@ func main() {
 	case *tau < 1:
 		fail("-tau %d must be >= 1", *tau)
 	}
-	if *adaptCompression && !spec.Enabled() {
-		fail("-adapt-compression needs a -compress scheme")
-	}
-	if *adaptCompression && spec.Kind == compress.KindIdentity {
-		fail("-adapt-compression needs an adaptive compressor (topk/randk/qsgd)")
+	if *adaptCompression {
+		switch spec.Kind {
+		case compress.KindTopK, compress.KindRandK, compress.KindQSGD:
+		default:
+			fail("-adapt-compression needs an adaptive -compress scheme (topk/randk/qsgd), got %s", spec)
+		}
 	}
 	if *adaptCompression && *method != "adacomm" {
 		fail("-adapt-compression requires -method adacomm")

@@ -89,6 +89,13 @@ func TestCommandLine(t *testing.T) {
 		"-compress randk:NaN",
 		"-compress identity:5",
 		"-compress none:x",
+		// The joint controller ran with nothing to adapt over a wire-only
+		// spec.
+		"-method adacomm -compress none+f32 -adapt-compression",
+		"-method adacomm -wire float32 -adapt-compression",
+		// An explicit zero beta ran the default (0.9, 0.999) in its place.
+		"-optimizer adam:0",
+		"-optimizer adam:0.9,0",
 	} {
 		t.Run(bad, func(t *testing.T) {
 			stdout, stderr, code := run(strings.Fields(bad)...)

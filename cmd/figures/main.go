@@ -37,6 +37,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/cli"
+	"repro/internal/delaymodel"
 	"repro/internal/experiments"
 	"repro/internal/metrics"
 )
@@ -56,8 +57,12 @@ func main() {
 	flag.Parse()
 
 	cli.Check("figures", cli.PoolWorkers(*workers))
-	if *bytes < 0 || !(*bandwidth >= 0) {
-		cli.Fatalf("figures", "-bytes %d and -bandwidth %g must be >= 0", *bytes, *bandwidth)
+	if *bytes < 0 {
+		cli.Fatalf("figures", "-bytes %d must be >= 0", *bytes)
+	}
+	// The engines' rate rule: a subnormal rate prices every transfer at +Inf.
+	if err := (&delaymodel.Model{Bandwidth: *bandwidth}).Check(); err != nil {
+		cli.Fatalf("figures", "-bandwidth: %v", err)
 	}
 	if *bytes > 0 && *bandwidth <= 0 {
 		cli.Fatalf("figures", "-bytes needs a finite -bandwidth to price the transfer")

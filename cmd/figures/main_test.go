@@ -30,6 +30,11 @@ func TestCommandLine(t *testing.T) {
 		"-workers -1",
 		"-bytes -1",
 		"-bandwidth NaN",
+		// A subnormal rate: its reciprocal overflows, and figs 5, 7 and 8
+		// printed +Inf transfer times and a NaN ratio, then exited 0.
+		"-fig 5 -bytes 100 -bandwidth 1e-320",
+		"-fig 7 -bytes 100 -bandwidth 1e-320",
+		"-fig 8 -bytes 100 -bandwidth 1e-320",
 		"-fig 5 -bytes 800000",
 		"-fig 4 -cpuprofile /nonexistent-directory/cpu.prof",
 		// The ablations are cmd/sweep's, and -kernel-workers went with the

@@ -74,14 +74,14 @@
 // -adapt-gossip-gamma).
 //
 // All model/gradient exchange routes through the unified communication
-// layer in internal/comm: a Communicator (AllReduce / Push / Pull with
+// layer in internal/comm: a Communicator (AllReduce / Push / PushMulti with
 // per-message payload accounting) whose aggregation hot path index-merges
 // sparse messages in O(k*m) instead of O(dim*m), plus routing topologies
 // (all-gather, ring, tree, star) whose transfer schedules the delay model
 // prices. internal/delaymodel supports per-worker heterogeneous
 // Link{Latency, Bandwidth} — stragglers slow in bytes/s, not compute — with
-// the slowest link gating each round; parameter-server pulls are priced and
-// delta-compressed against each worker's last pulled reconstruction. See
+// the slowest link gating each round. A model pull is free or exact, and an
+// exact pull is priced at its wire size, never built. See
 // examples/heterogeneous and cmd/adacomm's -topology / -links flags.
 //
 // The adaptive controllers are heterogeneity-aware end to end: the engines
@@ -186,8 +186,8 @@
 // (graph.Subgraph re-derives Metropolis weights and the spectral gap on the
 // active block, so AdaptGossipGamma re-adapts; a disconnected survivor set
 // damps gamma to its floor), and the async engine expires in-flight work
-// from crashed clients. A rejoining worker reconciles by pulling a priced
-// dense delta and snapping exactly to the shared state (CHOCO estimates
+// from crashed clients. A rejoining worker reconciles by an exact pull,
+// priced at the dense vector's wire size, snapping to the shared state (CHOCO estimates
 // re-pin so its next wire message is a delta from common ground); in the
 // event-driven and parameter-server modes the dispatch-time pull IS the
 // reconcile. The schedule is a pure function of (spec, seed, round) and

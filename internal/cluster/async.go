@@ -564,7 +564,7 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 		}
 		pulled = e.pullBuf
 	}
-	e.stats.DownBytes += int64(e.com.Pull(i, downBytes).DownBytes)
+	e.stats.DownBytes += int64(downBytes)
 	downTime := e.delay.SampleTransfer(c.delayR, i, downBytes)
 
 	// Materialize + local work (the only replica ever materialized). The
@@ -652,11 +652,11 @@ func (e *AsyncEngine) arrive(i int, t float64) (roundDone bool) {
 		e.dispatchNew(t)
 		return false
 	}
-	pay, err := e.com.Push(i, c.msg, e.decodeBuf)
+	up, err := e.com.Push(i, c.msg, e.decodeBuf)
 	if err != nil {
 		panic(fmt.Sprintf("cluster: client %d push: %v", i, err))
 	}
-	e.stats.UpBytes += int64(pay.UpBytes)
+	e.stats.UpBytes += int64(up)
 	e.releaseMsg(c)
 
 	w := stalenessWeight(s)

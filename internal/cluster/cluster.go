@@ -370,7 +370,7 @@ type Engine struct {
 	// extGlobal = [global | synced reference] and extWork per-worker
 	// extended rows (loadExt/storeExt marshal a worker's params + SyncAverage
 	// vectors through them). All averaging scratch (sumBuf, avgBuf, deltaBuf,
-	// mixBuf, CHOCO estimates, reconBuf) is sized xdim, so the state rides the
+	// mixBuf, CHOCO estimates) is sized xdim, so the state rides the
 	// same compression, payload accounting, and float32 wire narrowing as the
 	// parameters. With nothing synced the extension is empty: xdim == dim,
 	// extGlobal IS global, and loadExt hands back the replica's own
@@ -449,18 +449,16 @@ type Engine struct {
 	// retries), reconBytes the rejoin-reconcile payloads charged into the
 	// round's schedule, fltBytesBuf the schedule-bytes scratch that adds
 	// them in, and zeroRep the all-down round's empty transfer report.
-	// reconBuf, the reconcile delta scratch, exists only with a schedule
-	// (nobody rejoins without one). subGraph caches the induced active
-	// subgraph of the current gossip graph (re-derived only when the graph
-	// index or membership changes — subForIdx/subActive are the cache key)
-	// and subGamma its re-adapted consensus step.
+	// subGraph caches the induced active subgraph of the current gossip
+	// graph (re-derived only when the graph index or membership changes —
+	// subForIdx/subActive are the cache key) and subGamma its re-adapted
+	// consensus step.
 	fltActive   []bool
 	fltDown     []bool
 	fltNActive  int
 	fltScale    []float64
 	reconBytes  []int
 	fltBytesBuf []int
-	reconBuf    []float64
 	zeroRep     comm.Report
 	subGraph    *graph.Graph
 	subForIdx   int
@@ -674,15 +672,12 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	e.zeroRep = comm.Report{Bytes: make([]int, m)}
 	e.subForIdx = -1
 	e.subActive = make([]bool, m)
-	if cfg.Faults.Enabled() {
-		e.reconBuf = make([]float64, e.xdim)
-		if e.gmom != nil {
-			e.gmomPrev = make([]bool, m)
-			for i := range e.gmomPrev {
-				e.gmomPrev[i] = true
-			}
-			e.gmomPrevN = m
+	if cfg.Faults.Enabled() && e.gmom != nil {
+		e.gmomPrev = make([]bool, m)
+		for i := range e.gmomPrev {
+			e.gmomPrev[i] = true
 		}
+		e.gmomPrevN = m
 	}
 	return e, nil
 }

@@ -3,9 +3,7 @@ package cluster
 import (
 	"slices"
 
-	"repro/internal/compress"
 	"repro/internal/graph"
-	"repro/internal/tensor"
 )
 
 // This file is the engine side of fault injection (internal/faults): the
@@ -61,12 +59,11 @@ func (e *Engine) beginRound(round int) {
 	}
 }
 
-// reconcile brings a rejoining worker back into the cluster: it pulls the
-// delta between the current global reference and its stale replica as a
-// dense (lossless) wire message — priced into this round's transfer schedule
-// via reconBytes — and snaps its replica to the reference exactly, the same
-// lossless-pull rule the parameter server's PullCompress path uses. The pull
-// covers the full extended vector when synced optimizer state is
+// reconcile brings a rejoining worker back into the cluster: it snaps its
+// replica to the global reference exactly and charges this round's transfer
+// schedule (via reconBytes) the dense float64 wire size of the pulled vector
+// — the parameter server's exact-pull rule: a pull is priced, never built.
+// The pull covers the full extended vector when synced optimizer state is
 // wire-visible, so a rejoined worker's Adam second moment matches a
 // never-crashed worker's bit for bit: both end the round with params ==
 // global, first moment zeroed by the sync reset, second moment == the synced
@@ -77,10 +74,7 @@ func (e *Engine) beginRound(round int) {
 // message is a delta from shared state, not from a pre-crash ghost.
 func (e *Engine) reconcile(i int) {
 	w := e.workers[i]
-	tensor.Sub(e.reconBuf, e.extGlobal, e.loadExt(i))
-	msg := compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: e.reconBuf}
-	pay := e.com.Pull(i, msg.Bytes())
-	e.reconBytes[i] = pay.DownBytes
+	e.reconBytes[i] = 8 * e.xdim
 	e.storeExt(i, e.extGlobal)
 	w.opt.SyncReset()
 	if e.cfg.Opt.Adaptive() {

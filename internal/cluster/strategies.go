@@ -248,7 +248,7 @@ func (e *Engine) averageRing() {
 			}
 			msg = e.wireMsg
 		}
-		pay, err := e.com.PushMulti(i, gr.Neighbors(i), msg, g.rec)
+		up, err := e.com.PushMulti(i, gr.Neighbors(i), msg, g.rec)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: worker %d push: %v", i, err))
 		}
@@ -257,9 +257,9 @@ func (e *Engine) averageRing() {
 		} else {
 			tensor.Axpy(1, g.rec, g.hat[i]) // x̂_i += decoded delta
 		}
-		e.repBytes[i] = pay.UpBytes
-		if pay.UpBytes > maxBytes {
-			maxBytes = pay.UpBytes
+		e.repBytes[i] = up
+		if up > maxBytes {
+			maxBytes = up
 		}
 	}
 	gamma := g.gamma
@@ -352,7 +352,7 @@ func (e *Engine) averageElastic() {
 		if err := e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg); err != nil {
 			panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
 		}
-		pay, err := e.com.Push(i, e.wireMsg, e.deltaBuf)
+		up, err := e.com.Push(i, e.wireMsg, e.deltaBuf)
 		if err != nil {
 			panic(fmt.Sprintf("cluster: worker %d push: %v", i, err))
 		}
@@ -371,9 +371,9 @@ func (e *Engine) averageElastic() {
 			}
 			e.gmoms[i].Apply(p, post, p)
 		}
-		e.repBytes[i] = pay.UpBytes
-		if pay.UpBytes > maxBytes {
-			maxBytes = pay.UpBytes
+		e.repBytes[i] = up
+		if up > maxBytes {
+			maxBytes = up
 		}
 		w.opt.SyncReset()
 	}

@@ -1,9 +1,9 @@
 // Package comm is the unified communication layer of the simulator: every
 // model/gradient exchange — the PASGD averaging all-reduce in
 // internal/cluster, the ring and elastic mixing strategies, and the
-// parameter-server push/pull in internal/paramserver — routes its wire
-// messages through a Communicator, so payload accounting and aggregation
-// arithmetic live in exactly one place.
+// parameter-server push in internal/paramserver — routes its wire messages
+// through a Communicator, so payload accounting and aggregation arithmetic
+// live in exactly one place.
 //
 // Messages are internal/compress wire messages. The aggregation hot path
 // accumulates them by sparse index-merge (compress.AddDecoded): summing m
@@ -12,7 +12,7 @@
 // sparsification pay off at large model dimensions (see bench_test.go).
 //
 // A Communicator moves data; it does not advance the simulated clock. Each
-// call returns Payload/Report accounting (wire bytes per worker), and the
+// call returns its wire bytes (a Report per worker for AllReduce), and the
 // Topology exposes the transfer-schedule multipliers (LatencyHops,
 // BytesFactor) that internal/delaymodel prices, including per-worker
 // heterogeneous links via delaymodel.Model.Links.
@@ -20,16 +20,10 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/compress"
 )
-
-// Payload is the per-message accounting unit: the wire bytes one worker
-// sends toward the aggregation point and receives back from it.
-type Payload struct {
-	UpBytes   int
-	DownBytes int
-}
 
 // Report describes one collective round's transfer schedule: the wire bytes
 // each worker put on its link, and the largest single message (the legacy
@@ -52,7 +46,6 @@ type Report struct {
 //     reconstructing it at the receiver.
 //   - PushMulti sends one worker's message to an explicit set of peers
 //     (the neighbor-addressed exchange decentralized gossip uses).
-//   - Pull accounts for one worker receiving a payload from the root.
 //
 // It is deterministic: aggregation happens in fixed worker order, which is
 // what keeps the cluster engine bitwise identical at any compute-pool width.
@@ -73,7 +66,7 @@ type Report struct {
 type Communicator struct {
 	topo     Topology
 	m        int
-	active   []bool // nil = everyone (the legacy fixed-m view)
+	active   []bool // starts all-true (the legacy fixed-m view)
 	nActive  int
 	repBytes []int // Report.Bytes of the most recent AllReduce
 }
@@ -83,24 +76,15 @@ func New(topo Topology, m int) *Communicator {
 	if m < 1 {
 		panic("comm: need at least one worker")
 	}
-	return &Communicator{topo: topo, m: m, nActive: m, repBytes: make([]int, m)}
+	return &Communicator{topo: topo, m: m, active: slices.Repeat([]bool{true}, m), nActive: m, repBytes: make([]int, m)}
 }
 
-// SetActive installs the active worker set for subsequent calls. nil
-// restores the full membership (the legacy fixed-m view); otherwise
+// SetActive installs the active worker set for subsequent calls;
 // len(active) must equal the worker count. The slice is caller-owned and
 // copied.
 func (c *Communicator) SetActive(active []bool) {
-	if active == nil {
-		c.active = nil
-		c.nActive = c.m
-		return
-	}
 	if len(active) != c.m {
 		panic(fmt.Sprintf("comm: active set covers %d of %d workers", len(active), c.m))
-	}
-	if c.active == nil {
-		c.active = make([]bool, c.m)
 	}
 	n := 0
 	for i, up := range active {
@@ -116,7 +100,7 @@ func (c *Communicator) SetActive(active []bool) {
 func (c *Communicator) ActiveCount() int { return c.nActive }
 
 // isActive reports whether worker i is in the current active set.
-func (c *Communicator) isActive(i int) bool { return c.active == nil || c.active[i] }
+func (c *Communicator) isActive(i int) bool { return c.active[i] }
 
 // AllReduce zeroes sum, accumulates every message's reconstruction into it
 // in worker order (sparse messages merge by index in O(k) each), and returns
@@ -150,18 +134,19 @@ func (c *Communicator) AllReduce(msgs []compress.Message, sum []float64) (Report
 }
 
 // Push decodes worker's message into dst (overwriting it) and returns the
-// transfer's Payload.
-func (c *Communicator) Push(worker int, msg compress.Message, dst []float64) (Payload, error) {
+// transfer's wire bytes. A model pull is never built as a message: the
+// engines price it at its wire size themselves.
+func (c *Communicator) Push(worker int, msg compress.Message, dst []float64) (int, error) {
 	if worker < 0 || worker >= c.m {
-		return Payload{}, fmt.Errorf("comm: worker %d out of [0,%d)", worker, c.m)
+		return 0, fmt.Errorf("comm: worker %d out of [0,%d)", worker, c.m)
 	}
 	if !c.isActive(worker) {
-		return Payload{}, fmt.Errorf("comm: worker %d is not in the active set", worker)
+		return 0, fmt.Errorf("comm: worker %d is not in the active set", worker)
 	}
 	if err := compress.Decode(msg, dst); err != nil {
-		return Payload{}, fmt.Errorf("comm: worker %d: %w", worker, err)
+		return 0, fmt.Errorf("comm: worker %d: %w", worker, err)
 	}
-	return Payload{UpBytes: msg.Bytes()}, nil
+	return msg.Bytes(), nil
 }
 
 // PushMulti sends worker's message to each listed peer in one overlapped
@@ -169,38 +154,33 @@ func (c *Communicator) Push(worker int, msg compress.Message, dst []float64) (Pa
 // payload). The transfer is charged the message bytes once — the legacy
 // single-overlapped-hop pricing gossip strategies use, where a node's
 // broadcast to its neighbors overlaps on its link.
-func (c *Communicator) PushMulti(worker int, peers []int, msg compress.Message, dst []float64) (Payload, error) {
+func (c *Communicator) PushMulti(worker int, peers []int, msg compress.Message, dst []float64) (int, error) {
 	if worker < 0 || worker >= c.m {
-		return Payload{}, fmt.Errorf("comm: worker %d out of [0,%d)", worker, c.m)
+		return 0, fmt.Errorf("comm: worker %d out of [0,%d)", worker, c.m)
 	}
 	if !c.isActive(worker) {
-		return Payload{}, fmt.Errorf("comm: worker %d is not in the active set", worker)
+		return 0, fmt.Errorf("comm: worker %d is not in the active set", worker)
 	}
 	for ai, p := range peers {
 		if p < 0 || p >= c.m {
-			return Payload{}, fmt.Errorf("comm: peer %d out of [0,%d)", p, c.m)
+			return 0, fmt.Errorf("comm: peer %d out of [0,%d)", p, c.m)
 		}
 		if !c.isActive(p) {
-			return Payload{}, fmt.Errorf("comm: worker %d addressed inactive peer %d", worker, p)
+			return 0, fmt.Errorf("comm: worker %d addressed inactive peer %d", worker, p)
 		}
 		if p == worker {
-			return Payload{}, fmt.Errorf("comm: worker %d addressed itself", worker)
+			return 0, fmt.Errorf("comm: worker %d addressed itself", worker)
 		}
 		// Peer lists are neighbor sets — tiny — so the duplicate scan stays
 		// quadratic rather than allocating a set per call.
 		for _, q := range peers[:ai] {
 			if q == p {
-				return Payload{}, fmt.Errorf("comm: worker %d lists peer %d twice", worker, p)
+				return 0, fmt.Errorf("comm: worker %d lists peer %d twice", worker, p)
 			}
 		}
 	}
 	if err := compress.Decode(msg, dst); err != nil {
-		return Payload{}, fmt.Errorf("comm: worker %d: %w", worker, err)
+		return 0, fmt.Errorf("comm: worker %d: %w", worker, err)
 	}
-	return Payload{UpBytes: msg.Bytes()}, nil
-}
-
-// Pull accounts for worker receiving bytes from the aggregation root.
-func (c *Communicator) Pull(worker int, bytes int) Payload {
-	return Payload{DownBytes: bytes}
+	return msg.Bytes(), nil
 }

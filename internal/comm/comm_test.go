@@ -120,7 +120,7 @@ func TestPushDecodesAndAccounts(t *testing.T) {
 	vec := []float64{1, -2, 3, 0}
 	msg := compress.Message{Dim: 4, Enc: compress.EncDense, Dense: vec}
 	dst := make([]float64, 4)
-	pay, err := c.Push(2, msg, dst)
+	up, err := c.Push(2, msg, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +129,11 @@ func TestPushDecodesAndAccounts(t *testing.T) {
 			t.Fatalf("push did not decode at %d", j)
 		}
 	}
-	if pay.UpBytes != msg.Bytes() || pay.DownBytes != 0 {
-		t.Fatalf("push payload %+v, want up=%d", pay, msg.Bytes())
+	if up != msg.Bytes() {
+		t.Fatalf("push payload %d, want %d", up, msg.Bytes())
 	}
 	if _, err := c.Push(9, msg, dst); err == nil {
 		t.Fatal("accepted out-of-range worker")
-	}
-	if got := c.Pull(1, 128); got.DownBytes != 128 || got.UpBytes != 0 {
-		t.Fatalf("pull payload %+v, want down=128", got)
 	}
 }
 
@@ -145,7 +142,7 @@ func TestPushMultiDecodesValidatesAndAccounts(t *testing.T) {
 	vec := []float64{1, -2, 3, 0}
 	msg := compress.Message{Dim: 4, Enc: compress.EncDense, Dense: vec}
 	dst := make([]float64, 4)
-	pay, err := c.PushMulti(1, []int{0, 2}, msg, dst)
+	up, err := c.PushMulti(1, []int{0, 2}, msg, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,8 +153,8 @@ func TestPushMultiDecodesValidatesAndAccounts(t *testing.T) {
 	}
 	// One overlapped hop: the message is charged once regardless of the
 	// peer count.
-	if pay.UpBytes != msg.Bytes() || pay.DownBytes != 0 {
-		t.Fatalf("multicast payload %+v, want up=%d", pay, msg.Bytes())
+	if up != msg.Bytes() {
+		t.Fatalf("multicast payload %d, want %d", up, msg.Bytes())
 	}
 	if _, err := c.PushMulti(9, []int{0}, msg, dst); err == nil {
 		t.Fatal("accepted out-of-range sender")

@@ -41,8 +41,8 @@ func TestSetActiveSkipsInactiveContributions(t *testing.T) {
 		t.Fatalf("active bytes %v", rep.Bytes)
 	}
 
-	// nil restores the full membership.
-	c.SetActive(nil)
+	// An all-true set restores the full membership.
+	c.SetActive([]bool{true, true, true})
 	if c.ActiveCount() != m {
 		t.Fatalf("restored count %d, want %d", c.ActiveCount(), m)
 	}

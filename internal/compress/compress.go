@@ -136,9 +136,26 @@
 // the compiler must assume the pointer escapes: the address of a local
 // Message moves that local to the heap on every call, one allocation per
 // message. Compress into a struct field or a slice element of storage that
-// is already on the heap (Engine.msgBuf[i], Server.pushMsg, a client's msg).
-// Compress(vec) is CompressInto on a zero Message, for callers that want a
-// fresh message and accept its allocations.
+// is already on the heap: Engine.msgBuf[i] (a down worker's slot keeps its
+// stale message, which the communicator skips), Engine.wireMsg (CHOCO and
+// elastic; a lossless CHOCO message is a borrowed view of the parameters,
+// never stored there), Server.pushMsg, and a client's msg, which a dispatch
+// takes from AsyncEngine.freeMsgs before it builds one (so at most
+// AsyncStats.PeakInFlight exist). Tier-1 gates every spec's CompressInto and
+// each engine's exchange at zero allocations after warm-up. Compress(vec)
+// is CompressInto on a zero Message, for callers that want a fresh message
+// and accept its allocations.
+//
+// # A pull is free or exact, priced and never built
+//
+// No engine builds a message for a model download: wire sizes are
+// data-independent (Spec.WireBytes), so the receiver takes the sender's
+// vector itself and its link is charged the size. The parameter server's
+// PullCompress is none (free) or lossless (Spec.WireBytes(dim)), and New
+// there refuses a lossy spec; the lock-step rejoin reconcile charges the
+// extended vector's dense float64 size; the event-driven engine's download
+// is the global model at the run's wire precision. A lossy pull would need
+// a per-worker reconstruction and a delta message per dispatch.
 package compress
 
 import (

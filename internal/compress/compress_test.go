@@ -352,8 +352,8 @@ func TestSpecWireBytesMatchesMessage(t *testing.T) {
 
 func TestSpecNewNone(t *testing.T) {
 	c, err := Spec{}.New(nil)
-	if err != nil || c != nil {
-		t.Fatalf("None spec: got (%v, %v), want (nil, nil)", c, err)
+	if err != nil || c != (Identity{}) {
+		t.Fatalf("None spec: got (%v, %v), want (Identity{}, nil)", c, err)
 	}
 }
 

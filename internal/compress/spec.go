@@ -171,21 +171,15 @@ func ParseSpec(str string) (Spec, error) {
 
 // New builds one compressor instance. Stochastic kinds (RandK, QSGD) draw
 // from r, which must not be shared with other consumers; deterministic kinds
-// ignore it. New returns (nil, nil) for the None spec.
+// ignore it. The None spec builds Identity{}, which a float32 wire narrows
+// like any other kind.
 func (s Spec) New(r *rng.Rand) (Compressor, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	var c Compressor
 	switch s.Kind {
-	case None:
-		if s.Wire != WireFloat32 {
-			return nil, nil
-		}
-		// Wire-only spec: identity base, so the narrowing wrapper below is
-		// the whole transform.
-		c = Identity{}
-	case KindIdentity:
+	case None, KindIdentity:
 		c = Identity{}
 	case KindTopK:
 		c = NewTopK(s.Ratio)

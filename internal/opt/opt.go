@@ -31,6 +31,7 @@
 package opt
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -122,7 +123,8 @@ func (c Config) IsZero() bool { return c == Config{} }
 // Adaptive reports whether the rule keeps second-moment state.
 func (c Config) Adaptive() bool { return c.Rule == RuleAdam }
 
-// String renders the config in the grammar Parse accepts.
+// String renders the config in the grammar Parse accepts: an unset beta1
+// beside a set beta2 (as -adam-beta2 builds) prints as the default New runs.
 func (c Config) String() string {
 	s := c.Rule.String()
 	switch c.Rule {
@@ -130,7 +132,7 @@ func (c Config) String() string {
 		s += ":" + trimFloat(c.Momentum)
 	case RuleAdam:
 		if c.Momentum != 0 || c.Beta2 != 0 {
-			s += ":" + trimFloat(c.Momentum)
+			s += ":" + trimFloat(cmp.Or(c.Momentum, DefaultBeta1))
 			if c.Beta2 != 0 {
 				s += "," + trimFloat(c.Beta2)
 			}
@@ -150,7 +152,8 @@ func Forms() string {
 }
 
 // Parse parses an optimizer spec. The empty string and "sgd" yield the
-// plain-SGD zero value. See Forms for the grammar.
+// plain-SGD zero value. See Forms for the grammar. An explicit Adam beta of 0
+// is refused: New reads 0 as unset and would run the default.
 func Parse(spec string) (Config, error) {
 	var c Config
 	s := strings.TrimSpace(spec)
@@ -189,14 +192,14 @@ func Parse(spec string) (Config, error) {
 				return Config{}, fmt.Errorf("opt: too many betas in %q (valid forms: %s)", spec, Forms())
 			}
 			b1, err := strconv.ParseFloat(parts[0], 64)
-			if err != nil {
-				return Config{}, fmt.Errorf("opt: bad beta1 %q in %q (valid forms: %s)", parts[0], spec, Forms())
+			if err != nil || b1 == 0 {
+				return Config{}, fmt.Errorf("opt: bad beta1 %q in %q, want a value in (0,1) (valid forms: %s)", parts[0], spec, Forms())
 			}
 			c.Momentum = b1
 			if len(parts) == 2 {
 				b2, err := strconv.ParseFloat(parts[1], 64)
-				if err != nil {
-					return Config{}, fmt.Errorf("opt: bad beta2 %q in %q (valid forms: %s)", parts[1], spec, Forms())
+				if err != nil || b2 == 0 {
+					return Config{}, fmt.Errorf("opt: bad beta2 %q in %q, want a value in (0,1) (valid forms: %s)", parts[1], spec, Forms())
 				}
 				c.Beta2 = b2
 			}

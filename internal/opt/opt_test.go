@@ -34,7 +34,9 @@ func TestParse(t *testing.T) {
 	// it to decouple); the form is gone rather than silently aliased.
 	bad := []string{"sgd:0.9", "momentum", "momentum:x", "momentum:1.5", "nesterov",
 		"adam:0.9,0.99,0.5", "adam:x", "rmsprop", "sgd+synced", "momentum:0.9+synced",
-		"adamw", "adamw:0.9,0.99"}
+		"adamw", "adamw:0.9,0.99",
+		// An explicit zero beta ran the default (0.9 or 0.999) in its place.
+		"adam:0", "adam:-0", "adam:0,0.99", "adam:0.9,0", "adam:0.9,-0", "adam:0+synced"}
 	for _, spec := range bad {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q): want error", spec)
@@ -51,6 +53,15 @@ func TestConfigString(t *testing.T) {
 		if got := c.String(); got != spec {
 			t.Errorf("Parse(%q).String() = %q", spec, got)
 		}
+	}
+	// -adam-beta2 sets beta2 beside an unset beta1: the printed form names
+	// the default beta1 New runs, and parses back.
+	c := Config{Rule: RuleAdam, Beta2: 0.95}
+	if got, want := c.String(), "adam:0.9,0.95"; got != want {
+		t.Errorf("%+v.String() = %q, want %q", c, got, want)
+	}
+	if _, err := Parse(c.String()); err != nil {
+		t.Errorf("Parse(%q): %v", c.String(), err)
 	}
 }
 

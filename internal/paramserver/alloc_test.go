@@ -8,9 +8,9 @@ import (
 
 // TestUpdateSteadyStateAllocFree: one server update — K arrivals computed,
 // compressed into the push slot, decoded and summed, the model stepped, the
-// workers restarted through a priced pull — allocates nothing after warm-up,
-// in both modes, on the benchmark's wire (top-k+ef push, identity pull) and
-// on lossy pulls, which compress into the pull slot. Neither does the loss
+// workers restarted through a pull — allocates nothing after warm-up, in
+// both modes, on the benchmark's wire (top-k+ef push, identity pull) and
+// beside lossy pushes under free and identity pulls. Neither does the loss
 // evaluation a trace point makes between updates (nn's chunked forward-only
 // pass over the evaluation subset).
 func TestUpdateSteadyStateAllocFree(t *testing.T) {
@@ -21,8 +21,8 @@ func TestUpdateSteadyStateAllocFree(t *testing.T) {
 	}{
 		{"raw", compress.Spec{}, compress.Spec{}},
 		{"topk+ef push, identity pull", topkEF, compress.Spec{Kind: compress.KindIdentity}},
-		{"qsgd push, topk pull", compress.Spec{Kind: compress.KindQSGD, Bits: 4}, compress.Spec{Kind: compress.KindTopK, Ratio: 0.2}},
-		{"identity+f32 push and pull", compress.Spec{Wire: compress.WireFloat32}, compress.Spec{Wire: compress.WireFloat32}},
+		{"qsgd push, identity pull", compress.Spec{Kind: compress.KindQSGD, Bits: 4}, compress.Spec{Kind: compress.KindIdentity}},
+		{"identity+f32 push, free pull", compress.Spec{Wire: compress.WireFloat32}, compress.Spec{}},
 	} {
 		for _, mode := range []Mode{KSync, KAsync} {
 			proto, shards, train := psSetup(t, 8)

@@ -10,8 +10,8 @@ import (
 )
 
 // Golden traces captured from the pre-comm-layer server. The refactor that
-// routes push/pull through internal/comm (and adds priced, delta-compressed
-// pulls plus per-worker links) must keep every zero-value-config path —
+// routes pushes through internal/comm (and adds priced pulls plus
+// per-worker links) must keep every zero-value-config path —
 // including the finite-bandwidth dense push — bit-identical.
 
 func fnvBits(h *uint64, v float64) {
@@ -59,12 +59,12 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 	kasyncChurn := ksyncChurn
 	kasyncChurn.Mode = KAsync
 
-	// A lossy delta-coded pull on heterogeneous links: captured while the
-	// fault-free server still skipped its membership refresh and in-flight
-	// bookkeeping behind a nil sentinel.
+	// A priced exact pull on heterogeneous links: captured while the server
+	// still built the pull it priced and kept a lossy delta-coded pull
+	// beside it.
 	ksyncPull := psConfig(KSync)
 	ksyncPull.MaxUpdates = 80
-	ksyncPull.PullCompress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, Wire: compress.WireFloat32}
+	ksyncPull.PullCompress = compress.Spec{Kind: compress.KindIdentity}
 	ksyncPull.Bandwidth = 50
 	ksyncPull.Links = []delaymodel.Link{{Latency: 0.2, Bandwidth: 20}, {}, {Latency: 1}, {Bandwidth: 200}}
 	kasyncPull := ksyncPull
@@ -95,8 +95,8 @@ func TestGoldenTracesBitIdentical(t *testing.T) {
 		{"ksync-bw", ksyncBW, 4, 0.2, 0x83f9650c1d56991d, 0x706737d24a6f6281, 471.03423112474451},
 		{"ksync-churn", ksyncChurn, 3, 0.1, 0x1f061f541cc7516c, 0xb17ee88228eb4853, 2066.804190121697},
 		{"kasync-churn", kasyncChurn, 3, 0.1, 0x765f128dcd75de8b, 0x2e01b030a5f2faad, 2052.5815427889047},
-		{"ksync-lossy-pull-links", ksyncPull, 3, 0.2, 0xb61756dcb2560969, 0x2cb01ab8618214d5, 896.1145275254598},
-		{"kasync-lossy-pull-links", kasyncPull, 2, 0.1, 0xdb3cb30b066654d7, 0x1aca15a91b9be104, 379.3619060458491},
+		{"ksync-exact-pull-links", ksyncPull, 3, 0.2, 0x1131481969452997, 0xfcac8713b2013cd2, 1318.5145275254597},
+		{"kasync-exact-pull-links", kasyncPull, 2, 0.1, 0xd6867dbe722a2e0f, 0xd4751a18c46bb423, 598.4140994386788},
 		{"ksync-latency-links", ksyncLat, 4, 0.1, 0x94a715fb8fce359c, 0x405d1ffea252b6bc, 806.9683124671367},
 		{"kasync-latency-links", kasyncLat, 2, 0.1, 0x0a1acd46f3a41515, 0xdc005e0806090196, 254.88148405401842},
 	}

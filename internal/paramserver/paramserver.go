@@ -23,9 +23,9 @@
 // decaying tau), using the same loss-ratio rule and saturation refinement.
 //
 // All worker<->server exchange routes through a star-topology communicator
-// (internal/comm). Gradient pushes may be compressed (Config.Compress) and
-// model pulls priced and delta-compressed against each worker's last pulled
-// reconstruction (Config.PullCompress); Config.Links gives workers
+// (internal/comm). Gradient pushes may be compressed (Config.Compress); a
+// model pull is free or exact, and an exact pull is priced at its dense wire
+// size without being built (Config.PullCompress); Config.Links gives workers
 // heterogeneous uplinks/downlinks. Every zero-value knob preserves the
 // legacy protocol byte for byte (enforced by golden tests).
 //
@@ -139,16 +139,12 @@ type Config struct {
 	// compressor instance, so error feedback accumulates per worker exactly
 	// as in the PASGD engine.
 	Compress compress.Spec
-	// PullCompress prices and compresses the model PULL: the server sends
-	// each worker the delta of the current model against that worker's last
-	// pulled reconstruction, compressed with this spec, and the downlink
-	// payload is charged against the worker's link. KindIdentity gives a
-	// priced but lossless pull; sparsifying kinds make the pulled model a
-	// reconstruction (delta coding against the worker's own last pull keeps
-	// the error from accumulating: whatever one pull drops is part of the
-	// next pull's delta). The zero value keeps the legacy free/dense pull,
-	// byte-for-byte — the one place in this package where uncompressed is
-	// not the identity wire, because the identity pull is priced.
+	// PullCompress prices the model PULL. A pull is free or exact: the zero
+	// value keeps the legacy free pull, and a lossless spec (identity) hands
+	// the worker the server model exactly and charges its dense wire size
+	// against the worker's link. New rejects a lossy spec. This is the one
+	// place in this package where uncompressed is not the identity wire,
+	// because the identity pull is priced.
 	PullCompress compress.Spec
 	// Links optionally gives each worker its own uplink/downlink
 	// (len(Links) must equal the worker count): every exchange of worker i
@@ -166,13 +162,12 @@ type Config struct {
 	// (internal/faults), keyed by the SERVER VERSION. Down workers are
 	// parked (not dispatched) and arrivals from workers that went down
 	// mid-compute are discarded; a recovered worker is redispatched at the
-	// next round, and its dispatch-time model pull — delta-compressed
-	// against its last pulled reconstruction when PullCompress is set — IS
-	// the rejoin reconciliation, no extra machinery needed. Slow-down
-	// episodes and drop-retries multiply the affected worker's transfer
-	// terms. When every worker is down the event queue drains and Run
-	// returns cleanly. nil keeps the protocol byte-for-byte identical to
-	// the fault-free server.
+	// next round, and its dispatch-time model pull — exact, and priced when
+	// PullCompress is set — IS the rejoin reconciliation, no extra machinery
+	// needed. Slow-down episodes and drop-retries multiply the affected
+	// worker's transfer terms. When every worker is down the event queue
+	// drains and Run returns cleanly. nil keeps the protocol byte-for-byte
+	// identical to the fault-free server.
 	Faults *faults.Schedule
 	Seed   uint64
 }
@@ -191,15 +186,11 @@ func (c Config) validate() error {
 	if c.ComputeY == nil || c.PushDelay == nil {
 		return fmt.Errorf("paramserver: delay distributions required")
 	}
-	if c.Compress.Enabled() {
-		if err := c.Compress.Validate(); err != nil {
-			return err
-		}
+	if err := c.Compress.Validate(); err != nil {
+		return err
 	}
-	if c.PullCompress.Enabled() {
-		if err := c.PullCompress.Validate(); err != nil {
-			return err
-		}
+	if !c.PullCompress.Lossless() {
+		return fmt.Errorf("paramserver: pull %s is lossy; a pull is free (none) or exact (identity)", c.PullCompress)
 	}
 	// Faults.Validate needs the worker count, so New performs it.
 	return nil
@@ -243,9 +234,9 @@ type Server struct {
 	// Communication state: all worker<->server exchange routes through com
 	// (a star-topology internal/comm communicator). comps[i] is worker i's
 	// gradient compressor (compress.Identity{} under the zero spec);
-	// pushBytes is the per-exchange uplink payload (wire sizes are
-	// data-independent, so the scheduler can price an exchange before the
-	// gradient exists).
+	// pushBytes and pullBytes are the per-exchange uplink and downlink
+	// payloads (wire sizes are data-independent, so the scheduler can price
+	// an exchange before the gradient exists; a free pull is 0 bytes).
 	// pushMsg is the one uplink wire slot every worker compresses into: a
 	// message is decoded into decBuf before the next arrival is computed.
 	com       *comm.Communicator
@@ -253,21 +244,8 @@ type Server struct {
 	pushMsg   compress.Message
 	decBuf    []float64
 	pushBytes int
+	pullBytes int
 	linkTimes []float64 // per-worker transfer time of the latest dispatch
-
-	// Pull state (PullCompress enabled): pullComps[i] compresses the model
-	// delta the server sends worker i and lastPullBytes is the most recent
-	// pull's downlink payload. A lossy pull also keeps lastPulled[i], the
-	// reconstruction both sides agreed on at i's previous pull, and the
-	// downlink wire slot pullMsg (decoded into pullBuf within the dispatch
-	// that fills it); a lossless one (lastPulled == nil) delivers the model
-	// itself and needs none of it.
-	pullComps     []compress.Compressor
-	pullMsg       compress.Message
-	lastPulled    [][]float64
-	pullDelta     []float64
-	pullBuf       []float64
-	lastPullBytes int
 
 	// Membership, kept with or without a schedule (without one nobody is
 	// ever down): fltDown is the version-keyed down mask and inflight tracks
@@ -331,27 +309,8 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 		s.comps[i] = c
 	}
 	s.decBuf = make([]float64, dim)
-	// Pull-compressor construction comes last, and the zero spec's push
-	// compressor is an Identity{} that draws nothing, so the zero-value
-	// config (and the push-only compressed config) consume exactly the
-	// legacy RNG stream.
 	if cfg.PullCompress.Enabled() {
-		s.pullComps = make([]compress.Compressor, s.m)
-		for i := range s.pullComps {
-			c, err := cfg.PullCompress.New(root.Split())
-			if err != nil {
-				return nil, err
-			}
-			s.pullComps[i] = c
-		}
-		if !cfg.PullCompress.Lossless() {
-			s.lastPulled = make([][]float64, s.m)
-			for i := range s.lastPulled {
-				s.lastPulled[i] = append([]float64(nil), s.params...)
-			}
-			s.pullDelta = make([]float64, dim)
-			s.pullBuf = make([]float64, dim)
-		}
+		s.pullBytes = cfg.PullCompress.WireBytes(dim)
 	}
 	// Membership last; it consumes no RNG, so attaching a schedule cannot
 	// shift any existing stream.
@@ -366,10 +325,9 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 // PushBytes returns the per-exchange gradient payload in bytes.
 func (s *Server) PushBytes() int { return s.pushBytes }
 
-// PullBytes returns the most recent model pull's downlink payload in bytes
-// (0 until the first priced pull; always 0 with PullCompress disabled, whose
-// legacy pull is free).
-func (s *Server) PullBytes() int { return s.lastPullBytes }
+// PullBytes returns the per-exchange model pull payload in bytes (0 with
+// PullCompress disabled, whose legacy pull is free).
+func (s *Server) PullBytes() int { return s.pullBytes }
 
 // Loss evaluates the server model's training loss.
 func (s *Server) Loss() float64 {
@@ -387,43 +345,13 @@ func (s *Server) Version() int { return s.version }
 func (s *Server) Clock() float64 { return s.clock }
 
 // dispatch starts worker i computing a gradient at the current model: the
-// worker pulls the model (free and exact on the legacy path; priced and
-// delta-compressed against its last pulled reconstruction when PullCompress
-// is set) and its gradient's completion event is scheduled with the
-// size-aware cost of the whole exchange on the worker's own link.
+// worker pulls the model exactly (free on the legacy path, priced at
+// pullBytes when PullCompress is set, and never built as a message) and its
+// gradient's completion event is scheduled with the size-aware cost of the
+// whole exchange on the worker's own link.
 func (s *Server) dispatch(i int) {
 	w := s.workers[i]
-	pullBytes := 0
-	if s.pullComps != nil {
-		// A full-precision dense pull is lossless: the worker takes the
-		// server model exactly — not lp + (x - lp), which need not
-		// round-trip in floating point — and the message, dim float64s
-		// whatever it held, is priced without being built. That is the
-		// identity pull's "priced but exact" guarantee.
-		pulled := s.params
-		pullBytes = s.cfg.PullCompress.WireBytes(len(s.params))
-		if s.lastPulled != nil {
-			// The server ships x - lastPulled[i]; both sides advance their
-			// shared reconstruction by what the wire delivered, so anything
-			// this pull's compressor drops (a float32 wire's rounding
-			// included) is automatically part of the next pull's delta.
-			pulled = s.lastPulled[i]
-			tensor.Sub(s.pullDelta, s.params, pulled)
-			if err := s.pullComps[i].CompressInto(s.pullDelta, &s.pullMsg); err != nil {
-				panic(fmt.Sprintf("paramserver: worker %d pull compress: %v", i, err))
-			}
-			if err := compress.Decode(s.pullMsg, s.pullBuf); err != nil {
-				panic(fmt.Sprintf("paramserver: worker %d pull decode: %v", i, err))
-			}
-			tensor.Axpy(1, s.pullBuf, pulled)
-			pullBytes = s.pullMsg.Bytes()
-		}
-		w.model.SetParams(pulled)
-		pullBytes = s.com.Pull(i, pullBytes).DownBytes
-		s.lastPullBytes = pullBytes
-	} else {
-		w.model.SetParams(s.params)
-	}
+	w.model.SetParams(s.params)
 	w.version = s.version
 	// The actual gradient computation happens lazily at completion time;
 	// only the duration is decided now. Compressed payload sizes are
@@ -432,7 +360,7 @@ func (s *Server) dispatch(i int) {
 	// itself accumulates in the exact legacy order so event times stay bit
 	// for bit.
 	dur := s.delay.Y.Sample(w.r) + s.delay.D0.Sample(s.delayRand)
-	lat, wire := s.delay.TransferTerms(i, s.pushBytes+pullBytes)
+	lat, wire := s.delay.TransferTerms(i, s.pushBytes+s.pullBytes)
 	dur += lat
 	dur += wire
 	transfer := lat + wire
@@ -569,7 +497,7 @@ func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Sum
 		}
 		// Refresh the version-keyed membership view and redispatch recovered
 		// idle workers: their dispatch-time model pull is the rejoin
-		// reconciliation (delta-compressed under PullCompress). Fault-free,
+		// reconciliation (priced under PullCompress). Fault-free,
 		// every worker is in flight here and nobody is dispatched.
 		for i := range s.workers {
 			s.fltDown[i] = s.cfg.Faults.Down(i, s.version)

@@ -2,6 +2,7 @@ package paramserver
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/compress"
@@ -422,7 +423,7 @@ func TestCompressSpecValidatedByConfig(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Priced, delta-compressed pulls and heterogeneous links.
+// Priced exact pulls and heterogeneous links.
 // ---------------------------------------------------------------------------
 
 func TestPricedPullSlowsExchanges(t *testing.T) {
@@ -450,15 +451,6 @@ func TestPricedPullSlowsExchanges(t *testing.T) {
 	if got, want := priced.PullBytes(), 8*proto.ParamLen(); got != want {
 		t.Fatalf("dense pull bytes %d, want %d", got, want)
 	}
-	// Delta-compressing the pull must claw time back and shrink the downlink.
-	sparse, sparseT := run(compress.Spec{Kind: compress.KindTopK, Ratio: 0.2})
-	if sparseT >= pricedT {
-		t.Fatalf("compressed pull not faster than dense pull: %v vs %v", sparseT, pricedT)
-	}
-	if sparse.PullBytes() >= priced.PullBytes() {
-		t.Fatalf("compressed pull bytes %d not below dense %d",
-			sparse.PullBytes(), priced.PullBytes())
-	}
 }
 
 func TestIdentityPullKeepsModelExact(t *testing.T) {
@@ -484,21 +476,6 @@ func TestIdentityPullKeepsModelExact(t *testing.T) {
 			t.Fatalf("identity pull drifted at param %d: %v vs %v",
 				i, legacy[i], identity[i])
 		}
-	}
-}
-
-func TestDeltaCompressedPullTrains(t *testing.T) {
-	proto, shards, train := psSetup(t, 4)
-	cfg := psConfig(KAsync)
-	cfg.PullCompress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}
-	s, err := New(proto, shards, train, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, _ := s.Run(FixedK{K: 2, LR: 0.1}, "kasync-pull")
-	if trace.FinalLoss() >= trace.Points[0].Loss/2 {
-		t.Fatalf("delta-compressed pull failed to learn: %v -> %v",
-			trace.Points[0].Loss, trace.FinalLoss())
 	}
 }
 
@@ -532,9 +509,20 @@ func TestLinksValidated(t *testing.T) {
 	if _, err := New(proto, shards, train, cfg); err == nil {
 		t.Fatal("accepted wrong link count")
 	}
-	cfg = psConfig(KSync)
-	cfg.PullCompress = compress.Spec{Kind: compress.KindTopK, Ratio: 9}
-	if _, err := New(proto, shards, train, cfg); err == nil {
-		t.Fatal("accepted invalid pull compress spec")
+	// A pull is free or exact: every lossy spec is refused by name.
+	for _, pull := range []compress.Spec{
+		{Kind: compress.KindTopK, Ratio: 9},
+		{Kind: compress.KindTopK, Ratio: 0.25},
+		{Kind: compress.KindRandK, Ratio: 0.5},
+		{Kind: compress.KindQSGD, Bits: 4},
+		{Kind: compress.KindIdentity, Wire: compress.WireFloat32},
+		{Wire: compress.WireFloat32},
+	} {
+		cfg = psConfig(KSync)
+		cfg.PullCompress = pull
+		_, err := New(proto, shards, train, cfg)
+		if err == nil || !strings.Contains(err.Error(), pull.String()) {
+			t.Errorf("pull %v: got %v, want an error naming it", pull, err)
+		}
 	}
 }
