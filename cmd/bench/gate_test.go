@@ -107,6 +107,10 @@ func TestAxpyRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Axpy650
 // Lower's own Go loop, which is all the Go tier runs.
 func TestLowerRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Lower8x8x8") }
 
+// TestTopKRatioFollowsTheTier: top-k's emission against its Go loop, which
+// is all the Go tier runs.
+func TestTopKRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "EmitAbove16400") }
+
 func ratioFollowsTheTier(t *testing.T, fast string) {
 	var pair ratioPair
 	for _, p := range ratioPairs {

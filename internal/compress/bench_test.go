@@ -61,32 +61,25 @@ func BenchmarkTopKWithErrorFeedback(b *testing.B) {
 	benchCompressor(b, WithErrorFeedback(NewTopK(0.01)), benchDim)
 }
 
-// BenchmarkTopKServed times Compress alone at the served shapes, the new
-// chain beside the reference it replaced.
+// BenchmarkTopKServed times what the engines run at the three served forms:
+// CompressInto on one long-lived Message, which after the first call
+// allocates nothing.
 func BenchmarkTopKServed(b *testing.B) {
 	for _, s := range []struct {
-		dim   int
-		ratio float64
-		ef    bool
-	}{{16400, 0.25, false}, {16400, 0.25, true}, {650, 0.1, true}} {
-		var cur, ref Compressor = NewTopK(s.ratio), &refTopK{ratio: s.ratio}
-		if s.ef {
-			cur, ref = WithErrorFeedback(cur), &refErrorFeedback{inner: ref}
-		}
+		dim  int
+		spec string
+	}{{650, "topk:0.1+ef"}, {16400, "topk:0.25+f32"}, {16400, "topk:0.25+ef"}} {
+		c := mustNew(b, s.spec, 1)
 		vs := benchVecs(s.dim)
-		for _, c := range []struct {
-			name string
-			c    Compressor
-		}{{"hist", cur}, {"quickselect", ref}} {
-			b.Run(fmt.Sprintf("%s/dim%d/%s", cur.Name(), s.dim, c.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.c.Compress(vs[i%benchCycle]); err != nil {
-						b.Fatal(err)
-					}
+		msg := new(Message)
+		b.Run(fmt.Sprintf("%s/dim%d", s.spec, s.dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := c.CompressInto(vs[i%benchCycle], msg); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

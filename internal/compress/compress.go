@@ -28,9 +28,12 @@
 // # Top-k: selection, order, NaN
 //
 // Top-k runs once per worker per exchange on a vector the size of the
-// model, so its cost is simulator overhead on every compressed run. It is
-// three branch-free passes over the vector and a little work on what is
-// left:
+// model, and once per gradient the parameter server receives, so its cost is
+// simulator overhead on every compressed run. It is four branch-free passes
+// over the vector, each an AVX2 kernel in internal/tensor (four coordinates
+// per instruction where the CPU has them, the Go loops elsewhere and under
+// -tags purego, every bit the same on both), and a little work on what is
+// left, which stays here:
 //
 //   - Order. Magnitudes are compared as the IEEE-754 bit pattern of |v| (the
 //     word with its sign bit cleared) under unsigned integer order. For
@@ -43,32 +46,48 @@
 //     to price. A float comparison has no such answer: NaN compares false
 //     against everything, a comparison-based select that meets one returns
 //     a NaN threshold nothing passes, and the diverged worker ships an
-//     empty, zero-byte message.
+//     empty, zero-byte message. keepCount takes the ceiling of the decimal
+//     the ratio names: 0.14 * 650 evaluates to 91.00000000000001, and 91
+//     coordinates are kept, not 92.
 //   - Selection (selectKthLargest) is an exact radix select on those
-//     patterns. Pass one counts the top 12 bits — exponent plus one mantissa
-//     bit, half-octave buckets — into a 4096-counter histogram, fused with
-//     taking |v|; a 64-bit occupancy word records which 64-bucket groups
-//     were touched, so the walk down from the top bucket to the one holding
-//     rank k, and the clear that restores the all-zero histogram, cost a few
-//     dozen counters on a bell-shaped vector instead of 4096 (a 650-wide
-//     vector cannot afford more). Pass two compacts that bucket's members:
-//     store unconditionally, advance the cursor by a 0/1 computed from the
-//     bits. The candidates (about a fifth of a Gaussian vector) are then
-//     narrowed by range-adaptive digits — their own [min, max] spread over
-//     about one counter each, at most 1024 — until 16 or fewer remain for an
-//     insertion sort, or all are equal. Range adaptation is what keeps
-//     clustered and heavily tied inputs at one or two tail passes; every
-//     tail pass strictly shrinks the range, so it terminates on any input.
-//     No pass branches on the data, which is the whole gain: to a
-//     comparison-based select every test against the pivot is a coin flip
-//     the branch predictor loses half the time — unless a benchmark feeds it
-//     one fixed vector and lets it learn the answers (bench_test.go cycles
-//     64 inputs for that reason).
-//   - Emission. Strictly-greater coordinates go out in ascending index
-//     order, again by unconditional store and 0/1 advance — fewer than k
-//     exist, so the k-long buffers cannot overflow — then coordinates tied
-//     with the threshold, lowest index first, until there are k. That order
-//     and tie rule are the wire contract the goldens pin.
+//     patterns. tensor.CountDigits counts the top 12 bits — exponent plus
+//     one mantissa bit, half-octave buckets — into a 4096-counter histogram
+//     and returns a 64-bit occupancy word of the 64-bucket groups it touched
+//     (digits and occupancy bits in lanes, the increments scalar), so the
+//     walk down from the top bucket to the one holding rank k, and the clear
+//     that restores the all-zero histogram, cost a few dozen counters on a
+//     bell-shaped vector instead of 4096 (a 650-wide vector cannot afford
+//     more). tensor.KeepDigit compacts that bucket's patterns into the
+//     compressor's keys. The candidates (about a fifth of a Gaussian vector)
+//     are then narrowed here by range-adaptive digits — their own [min, max]
+//     spread over about one counter each, at most 1024 — until 16 or fewer
+//     remain for an insertion sort, or all are equal. Range adaptation is
+//     what keeps clustered and heavily tied inputs at one or two tail
+//     passes; every tail pass strictly shrinks the range, so it terminates
+//     on any input. No pass branches on the data, which is the whole gain:
+//     to a comparison-based select every test against the pivot is a coin
+//     flip the branch predictor loses half the time — unless a benchmark
+//     feeds it one fixed vector and lets it learn the answers (bench_test.go
+//     cycles 64 inputs for that reason).
+//   - Emission. tensor.EmitAbove writes the strictly-greater coordinates as
+//     (index, value) pairs in ascending index order — fewer than k exist —
+//     then tensor.FillTies the coordinates tied with the threshold, lowest
+//     index first, from index 0 until there are k. That order and tie rule
+//     are the wire contract the goldens pin. The tie scan stores only the
+//     groups of four that hold a tie, so the search for the threshold's own
+//     coordinate, usually the one tie needed, takes four coordinates a step.
+//   - The store bound. The kernels store four lanes at a time, and a
+//     message's arrays are exactly k long with whatever capacity the holder
+//     gave them: a kernel stores only while its cursor is at least 4 short
+//     of k and leaves the rest to its Go loop, which stores one entry at a
+//     time. Nothing is written past len(Indices), and no array is sized for
+//     the kernels' sake. TestTopKStoresNothingPastK holds that on both tiers
+//     with sentinels past k.
+//
+// Error feedback's buf = vec + residual is tensor.Add, four-wide. Fusing that
+// add into the digit count, the obvious next step, measured 3.24 us against
+// 3.23 us per call at ps_adasync's shape (650 coordinates, ratio 0.1, best
+// of 30 runs of 20 000 calls): nothing, so the add stays a pass of its own.
 //
 // # QSGD: draw order, conversion, what stays scalar
 //
@@ -352,9 +371,21 @@ func NormDecayBits(bits0 int, norm0, norm float64) int {
 	return clampBits(bits0 + int(math.Round(math.Log2(norm0/norm))))
 }
 
-// keepCount converts a keep-ratio to a coordinate count in [1, dim].
+// keepCount converts a keep-ratio to a coordinate count in [1, dim]: the
+// ceiling of ratio*dim. A decimal ratio is not a binary fraction, so the
+// product can land a rounding or two above the integer the decimal names
+// (0.14 * 650 evaluates to 91.00000000000001), and its ceiling would keep
+// one coordinate too many. A product within four ulps above an integer is
+// taken as that integer: the parse and the multiply err by at most an ulp
+// and a half, and a ratio of d decimal digits puts any other product at
+// least 10^-d above an integer.
 func keepCount(ratio float64, dim int) int {
-	k := int(math.Ceil(ratio * float64(dim)))
+	p := ratio * float64(dim)
+	ulp := math.Float64frombits(math.Float64bits(p)+1) - p // p >= 0
+	if f := math.Floor(p); p-f <= 4*ulp {
+		p = f
+	}
+	k := int(math.Ceil(p))
 	if k < 1 {
 		k = 1
 	}
@@ -454,26 +485,13 @@ func (t *topKCompressor) CompressInto(vec []float64, msg *Message) error {
 	}
 	thresh := selectKthLargest(vec, k, t.keys[:dim], &t.hist)
 
-	// Fewer than k magnitudes are strictly above the k-th largest, so the
-	// unconditional store at n stays inside the k-long buffers and the only
-	// data-dependent step is the cursor's 0/1 advance.
+	// Fewer than k magnitudes are strictly above the k-th largest; then the
+	// coordinates tied with it fill the remaining slots, lowest index first,
+	// and at least k-n of them exist.
 	idx := grow(msg.Indices, k)
 	vals := grow(msg.Values, k)
-	n := 0
-	for i, v := range vec {
-		idx[n] = int32(i)
-		vals[n] = v
-		n += int((thresh - math.Float64bits(v)&absMask) >> 63)
-	}
-	// Fill the remaining slots with threshold-magnitude coordinates in
-	// ascending index order so ties resolve deterministically. At least
-	// k-n of them exist, which is what ends the loop.
-	for i := 0; n < k; i++ {
-		v := vec[i]
-		idx[n] = int32(i)
-		vals[n] = v
-		n += int(((math.Float64bits(v)&absMask ^ thresh) - 1) >> 63)
-	}
+	n := tensor.EmitAbove(idx, vals, vec, thresh)
+	tensor.FillTies(idx, vals, n, vec, thresh)
 	msg.Indices, msg.Values = idx, vals
 	return nil
 }
@@ -492,14 +510,11 @@ func scatterSparse(msg Message, dst []float64) error {
 }
 
 const (
-	absMask = 1<<63 - 1 // clears the sign: the bit pattern of |v|
-
-	// The first digit is the 11 exponent bits plus the top mantissa bit:
-	// half-octave buckets, so a bell-shaped vector leaves a fifth of itself
-	// in the k-th bucket and a 650-wide one clears a few dozen counters.
-	topBits    = 12
-	topShift   = 63 - topBits
-	groupShift = topShift + 6 // 64 first-digit buckets per occupancy bit
+	// The first digit is tensor.DigitBits wide, the 11 exponent bits plus the
+	// top mantissa bit: half-octave buckets, so a bell-shaped vector leaves a
+	// fifth of itself in the k-th bucket and a 650-wide one clears a few
+	// dozen counters.
+	topBits = tensor.DigitBits
 
 	tailBuckets = 1024 // most counters a tail pass spreads a candidate range over
 	smallSelect = 16   // candidates left to an insertion sort
@@ -512,31 +527,20 @@ const (
 //
 // It is an exact radix select with no data-dependent branch in any pass
 // over the vector: count one digit into hist, walk down from the top bucket
-// to the one holding rank k, keep that bucket's members (compacted in place
-// by an unconditional store and a 0/1 cursor advance), and repeat on them.
-// The first digit is fixed so its count fuses with the |v| pass; every
+// to the one holding rank k, keep that bucket's members (compacted by
+// unconditional stores and a cursor that advances by what they kept), and
+// repeat on them. The first digit is fixed, and its count and keep are
+// tensor's four-lane CountDigits and KeepDigit over vec itself; every
 // later digit is range-adaptive — the candidates' own [lo, hi] spread over
 // about one counter per candidate — so a tightly clustered or heavily tied
 // vector converges as fast as a spread one.
 func selectKthLargest(vec []float64, k int, keys []uint64, hist *[1 << topBits]uint32) uint64 {
 	// occ marks which 64-bucket groups the vector reaches, so the walk and
 	// the clear touch those groups only.
-	var occ uint64
-	for _, v := range vec {
-		b := math.Float64bits(v) & absMask
-		hist[b>>topShift]++
-		occ |= 1 << (b >> groupShift & 63)
-	}
+	occ := tensor.CountDigits(vec, hist)
 	base := uint64(bits.TrailingZeros64(occ)) * 64
 	bucket, rank := walkDown(hist[base:bits.Len64(occ)*64], k)
-	bucket += base
-	n := 0
-	for _, v := range vec {
-		b := math.Float64bits(v) & absMask
-		keys[n] = b
-		n += int(((b>>topShift ^ bucket) - 1) >> 63)
-	}
-	cand := keys[:n]
+	cand := keys[:tensor.KeepDigit(keys, vec, bucket+base)]
 
 	for len(cand) > smallSelect {
 		lo, hi := cand[0], cand[0]
@@ -843,9 +847,7 @@ func (e *ErrorFeedback) CompressInto(vec []float64, msg *Message) error {
 		e.buf = make([]float64, dim)
 	}
 	buf, resid := e.buf[:dim], e.resid[:dim]
-	for i, v := range vec {
-		buf[i] = v + resid[i]
-	}
+	tensor.Add(buf, vec, resid)
 	if err := e.inner.CompressInto(buf, msg); err != nil {
 		return err
 	}

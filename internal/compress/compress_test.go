@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -347,6 +348,40 @@ func TestSpecWireBytesMatchesMessage(t *testing.T) {
 	}
 	if none := (Spec{}); none.WireBytes(dim) != 8*dim {
 		t.Fatal("none spec must charge dense payload")
+	}
+}
+
+// TestKeepCountIsTheDecimalCeiling: for every ratio of three decimals the
+// flag grammar spells, k is the integer ceiling of j*dim/1000 — a product that
+// rounds a hair above an integer (0.14 * 650 = 91.00000000000001) keeps no
+// extra coordinate — and a message prices what Spec.WireBytes charges.
+func TestKeepCountIsTheDecimalCeiling(t *testing.T) {
+	for _, dim := range []int{1, 100, 650, 1000, 16400} {
+		vec := testVec(dim, uint64(dim))
+		for j := 1; j <= 999; j++ {
+			for _, base := range []string{"topk", "randk"} {
+				s, err := ParseSpec(fmt.Sprintf("%s:0.%03d", base, j))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := (j*dim + 999) / 1000
+				if k := keepCount(s.Ratio, dim); k != want {
+					t.Fatalf("%s at dim %d: k = %d, want %d", s, dim, k, want)
+				}
+				c, err := s.New(rng.New(uint64(j)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				msg, err := c.Compress(vec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(msg.Indices) != want || msg.Bytes() != s.WireBytes(dim) {
+					t.Fatalf("%s at dim %d: %d entries, %d bytes; want %d entries, WireBytes %d",
+						s, dim, len(msg.Indices), msg.Bytes(), want, s.WireBytes(dim))
+				}
+			}
+		}
 	}
 }
 

@@ -204,7 +204,7 @@ func oracleDims() []int {
 func selectBySort(vec []float64, k int) uint64 {
 	keys := make([]uint64, len(vec))
 	for i, v := range vec {
-		keys[i] = math.Float64bits(v) & absMask
+		keys[i] = math.Float64bits(math.Abs(v))
 	}
 	slices.Sort(keys)
 	return keys[len(keys)-k]
@@ -322,6 +322,93 @@ func TestTopKMessagesMatchReference(t *testing.T) {
 							t.Fatalf("%s %s dim=%d round %d: residual[%d] = %v, reference %v",
 								spec, in.name, dim, round, i, resid[i], refEF.resid[i])
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// tailTies puts the k-th largest magnitude's ties in the last group of four
+// and the one before: the last six coordinates (all of a shorter vector)
+// share the magnitude 1, and a of the others (as many as there are), spread
+// by seed, are larger, so the tie fill crosses into the last group.
+func tailTies(dim, a int, seed uint64) []float64 {
+	r := rng.New(seed)
+	v := make([]float64, dim)
+	tieStart := max(dim-6, 0)
+	a = min(a, tieStart)
+	for i := range v {
+		v[i] = float64(1 - 2*r.Intn(2))
+		if i < tieStart {
+			v[i] *= 0.25 + 0.5*r.Float64()
+		}
+	}
+	for _, i := range r.Perm(tieStart)[:a] {
+		v[i] = (2 + r.Float64()) * float64(1-2*r.Intn(2))
+	}
+	return v
+}
+
+// TestTopKStoresNothingPastK hands CompressInto messages whose Indices and
+// Values are the first k entries of longer arrays filled with sentinels, at
+// every k (every residue mod 4) of dims 1-19 and 64-67, on tail ties and
+// heavy ties: a four-lane store past a message's length would overwrite a
+// sentinel. Every message and residual must equal the reference's.
+func TestTopKStoresNothingPastK(t *testing.T) {
+	const sentinel = 0x5e7e5e7e
+	sentinelVal := math.Float64frombits(0x5e7e5e7e5e7e5e7e)
+	var dims []int
+	for d := 1; d <= 19; d++ {
+		dims = append(dims, d)
+	}
+	dims = append(dims, 64, 65, 66, 67)
+	for _, spec := range []Spec{{Kind: KindTopK}, {Kind: KindTopK, ErrorFeedback: true}, {Kind: KindTopK, Wire: WireFloat32}} {
+		for _, dim := range dims {
+			for k := 1; k <= dim; k++ {
+				spec.Ratio = float64(k) / float64(dim)
+				if kk := keepCount(spec.Ratio, dim); kk != k {
+					t.Fatalf("keepCount(%d/%d) = %d", k, dim, kk)
+				}
+				got, err := spec.New(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ref Compressor = &refTopK{ratio: spec.Ratio}
+				if spec.Wire == WireFloat32 {
+					ref = wireNarrow{inner: ref}
+				}
+				refEF := &refErrorFeedback{inner: ref}
+				if spec.ErrorFeedback {
+					ref = refEF
+				}
+				idx, vals := make([]int32, k+5), make([]float64, k+5)
+				var msg Message
+				for round := 0; round < 6; round++ {
+					vec := heavyTies(dim, uint64(100*dim+round))
+					if round%2 == 0 {
+						// k-1, k-2 or k-3 above the ties, fewer where they cannot be.
+						vec = tailTies(dim, max(k-1-round/2, k-min(dim, 6), 0), uint64(100*dim+round))
+					}
+					for i := range idx {
+						idx[i], vals[i] = sentinel, sentinelVal
+					}
+					msg.Indices, msg.Values = idx[:k], vals[:k]
+					if err := got.CompressInto(vec, &msg); err != nil {
+						t.Fatal(err)
+					}
+					for i := k; i < len(idx); i++ {
+						if idx[i] != sentinel || math.Float64bits(vals[i]) != math.Float64bits(sentinelVal) {
+							t.Fatalf("%s dim=%d k=%d round %d: entry %d written, past the message's %d", spec, dim, k, round, i, k)
+						}
+					}
+					rm, _ := ref.Compress(vec)
+					if !sameMessage(msg, rm) {
+						t.Fatalf("%s dim=%d k=%d round %d: message %v %v, reference %v %v",
+							spec, dim, k, round, msg.Indices, msg.Values, rm.Indices, rm.Values)
+					}
+					if spec.ErrorFeedback && !sameBits(got.(*ErrorFeedback).resid, refEF.resid) {
+						t.Fatalf("%s dim=%d k=%d round %d: residual differs from the reference", spec, dim, k, round)
 					}
 				}
 			}

@@ -2,8 +2,8 @@
 // hand-rolled neural-network stack: float64 vectors and row-major matrices
 // with the handful of BLAS-like kernels (axpy, dot, gemm, im2col) that
 // mini-batch SGD on MLPs and small CNNs requires, and the elementwise loops
-// the layers above spend their time in (ReLU, the QSGD wire, polar normal
-// draws, exp). No cgo.
+// the layers above spend their time in (ReLU, the QSGD wire, top-k's passes,
+// polar normal draws, exp). No cgo.
 //
 // # Two tiers, one switch
 //
@@ -53,8 +53,25 @@
 //     "keep positives and NaN of either sign", VPCMPEQQ/VPANDN for "pass where
 //     the forward output is not +0" — integer instructions on the bit
 //     patterns reluKeep computes with integer arithmetic.
-//   - axpyAVX2 / subAVX2 (Axpy, Sub): the optimizer's plain step, the async
-//     aggregate, a dense message's decode-and-add, the engines' deltas.
+//   - axpyAVX2 / addAVX2 / subAVX2 (Axpy, Add, Sub): the optimizer's plain
+//     step, the async aggregate, a dense message's decode-and-add, error
+//     feedback's vec + residual, the engines' deltas.
+//   - countAVX2 / keepAVX2 / aboveAVX2 / tiesAVX2 (CountDigits, KeepDigit,
+//     EmitAbove, FillTies: top-k's dim-wide passes, topk_amd64.s) on the
+//     magnitude pattern v AND absMask, whose clear sign bit makes the signed
+//     VPCMPGTQ the Go loops' unsigned order. The count computes the 12-bit
+//     digits and their occupancy bits (VPSLLVQ, OR-accumulated) in lanes and
+//     increments the counters scalar; the other three compact with
+//     compressAVX2's idiom (VMOVMSKPD -> compressPerm -> VPERMD -> one
+//     four-lane store -> POPCNT), an emitted group's int32 indices being its
+//     mask's row of emitPerm plus the group's first index. THE STORE BOUND:
+//     an emitted message is exactly k long, its capacity the holder's, so
+//     aboveAVX2 and tiesAVX2 store a group only at a cursor n <= k-4 and
+//     hand the rest to their Go loops, which store one entry at a time below
+//     k; tiesAVX2 skips tie-free groups without storing, so a cursor already
+//     within 3 of k — the usual start, one tie short — still scans four
+//     coordinates a step to the first tie. keepAVX2 needs no bound: a group
+//     starting at value t stores at n <= t, inside keys[:len(vec)].
 //   - quantAVX2 / dequantAVX2 / accumAVX2 (quant.go, the QSGD wire) and
 //     polarAVX2 (polar.go, which mirrors math.archLog): each file states its
 //     own contract.
@@ -132,12 +149,14 @@
 // said no), plus a remainder grid for the products, the compress twin with
 // canaries on both sides of coefList, the mask and vector-update twins at
 // every misalignment, the conv lowering against per-element reference loops
-// with canaries past the patches and the padded images, and fuzz targets over
-// raw float64 words (FuzzQuantizeTwin, FuzzPolarTwin, FuzzExpTwin,
-// FuzzLowerTwin — the last over random conv shapes against Im2Col into a
-// NaN-filled matrix and Zero + Col2Im; where one of Raise's adds meets two
-// NaNs, which payload survives is the compiler's operand order, so any NaN
-// passes there). exp_amd64_test.go holds
+// with canaries past the patches and the padded images, the top-k passes with
+// sentinels past k and past len(vec), and fuzz targets over raw float64
+// words (FuzzQuantizeTwin, FuzzPolarTwin, FuzzExpTwin, FuzzTopKTwin — whose
+// digit and threshold are the input's own patterns, so equal digits and ties
+// are the rule — and FuzzLowerTwin, over random conv shapes against Im2Col
+// into a NaN-filled matrix and Zero + Col2Im; where one of Raise's adds meets
+// two NaNs, which payload survives is the compiler's operand order, so any
+// NaN passes there). exp_amd64_test.go holds
 // each exp path to a Go oracle of its own (math.FMA for the fused steps,
 // separately rounded products for the unfused ones) by flipping useFMA, so
 // the path this host's math does not take runs too, and checks the probe

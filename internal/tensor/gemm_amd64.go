@@ -99,11 +99,14 @@ func reluAVX2(dst, src *float64, n int)
 //go:noescape
 func reluGradAVX2(dst, grad, out *float64, n int)
 
-// axpyAVX2 and subAVX2 are axpyGo and subGo over n > 0 elements, n a
-// multiple of 4.
+// axpyAVX2, addAVX2 and subAVX2 are axpyGo, addGo and subGo over n > 0
+// elements, n a multiple of 4.
 //
 //go:noescape
 func axpyAVX2(alpha float64, x, y *float64, n int)
+
+//go:noescape
+func addAVX2(dst, a, b *float64, n int)
 
 //go:noescape
 func subAVX2(dst, a, b *float64, n int)
@@ -188,8 +191,9 @@ func dotTiles(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi int) 
 	return n
 }
 
-// reluBulk, reluGradBulk, axpyBulk and subBulk run the elementwise kernels
-// over the leading multiple of four elements and return how many that was.
+// reluBulk, reluGradBulk, axpyBulk, addBulk and subBulk run the elementwise
+// kernels over the leading multiple of four elements and return how many that
+// was.
 func reluBulk(dst, src []float64) int {
 	n := len(src) &^ 3
 	if !useAVX2 || n == 0 {
@@ -214,6 +218,15 @@ func axpyBulk(alpha float64, x, y []float64) int {
 		return 0
 	}
 	axpyAVX2(alpha, &x[0], &y[0], n)
+	return n
+}
+
+func addBulk(dst, a, b []float64) int {
+	n := len(dst) &^ 3
+	if !useAVX2 || n == 0 {
+		return 0
+	}
+	addAVX2(&dst[0], &a[0], &b[0], n)
 	return n
 }
 

@@ -514,6 +514,29 @@ subloop:
 	VZEROUPPER
 	RET
 
+// func addAVX2(dst, a, b *float64, n int)
+//
+// dst[i] = a[i] + b[i] for n > 0 elements, n a multiple of 4, with addGo's
+// operand order: a the add's first source, so where both are NaN a's payload
+// survives.
+TEXT ·addAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), BX
+	MOVQ n+24(FP), CX
+
+addloop:
+	VMOVUPD (SI), Y0
+	VADDPD  (BX), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, BX
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JNZ     addloop
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

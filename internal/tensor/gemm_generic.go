@@ -28,4 +28,6 @@ func reluGradBulk(dst, grad, out []float64) int { return 0 }
 
 func axpyBulk(alpha float64, x, y []float64) int { return 0 }
 
+func addBulk(dst, a, b []float64) int { return 0 }
+
 func subBulk(dst, a, b []float64) int { return 0 }

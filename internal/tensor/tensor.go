@@ -74,6 +74,12 @@ func Add(dst, a, b []float64) {
 	if len(dst) != len(a) || len(a) != len(b) {
 		panic("tensor: Add length mismatch")
 	}
+	n := addBulk(dst, a, b)
+	addGo(dst[n:], a[n:], b[n:])
+}
+
+func addGo(dst, a, b []float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
 		dst[i] = a[i] + b[i]
 	}

@@ -202,8 +202,8 @@ func TestMaskKernelsMatchGoLoops(t *testing.T) {
 	})
 }
 
-// TestVectorKernelsMatchGoLoops holds Axpy and Sub, on whichever tier the
-// host runs, to axpyGo and subGo: every length around the four-lane group and
+// TestVectorKernelsMatchGoLoops holds Axpy, Add and Sub, on whichever tier
+// the host runs, to axpyGo, addGo and subGo: every length around the four-lane group and
 // the model sizes the engines pass, at every misalignment, over finite values
 // and the specials, with the neighbours of the destination checked. Sub's
 // operand order is fixed by the subtraction; Axpy's two commutative
@@ -243,6 +243,13 @@ func TestVectorKernelsMatchGoLoops(t *testing.T) {
 							n, offset, alpha, i, math.Float64bits(g), math.Float64bits(w))
 					}
 					copy(wantWhole, gotWhole)
+					Add(got, x, a)
+					addGo(want, x, a)
+					if i, ok := bitsEqual(gotWhole, wantWhole); !ok {
+						t.Fatalf("Add n=%d offset=%d: buffer element %d = %x, Go loop leaves %x",
+							n, offset, i, math.Float64bits(gotWhole[i]), math.Float64bits(wantWhole[i]))
+					}
+					copy(wantWhole, gotWhole)
 					Sub(got, x, a)
 					subGo(want, x, a)
 					if i, ok := bitsEqual(gotWhole, wantWhole); !ok {
@@ -277,6 +284,10 @@ func TestMaskHelpersPanicOnMismatch(t *testing.T) {
 		"Axpy":          func() { Axpy(1, make([]float64, 5), make([]float64, 4)) },
 		"Sub/b":         func() { Sub(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
 		"Sub/dst":       func() { Sub(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
+		"Add":           func() { Add(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
+		"KeepDigit":     func() { KeepDigit(make([]uint64, 3), make([]float64, 4), 0) },
+		"EmitAbove":     func() { EmitAbove(make([]int32, 3), make([]float64, 4), make([]float64, 4), 0) },
+		"FillTies":      func() { FillTies(make([]int32, 4), make([]float64, 3), 0, make([]float64, 4), 0) },
 	} {
 		func() {
 			defer func() {

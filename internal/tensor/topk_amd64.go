@@ -1,0 +1,86 @@
+//go:build amd64 && !purego
+
+package tensor
+
+// countAVX2 is countDigitsGo over n > 0 values, n a multiple of 4, returning
+// the occupancy word.
+//
+//go:noescape
+func countAVX2(vec *float64, n int, hist *uint32) uint64
+
+// keepAVX2 is keepDigitGo over groups > 0 groups of four values from an empty
+// list, returning the count kept.
+//
+//go:noescape
+func keepAVX2(keys *uint64, vec *float64, groups int, digit uint64) int
+
+// aboveAVX2 and tiesAVX2 are emitAboveGo and fillTiesGo over at most
+// groups > 0 groups of four values from index 0, with the cursor starting at
+// n, and stop before a group they would store at a cursor above stop;
+// tiesAVX2 stores only the groups that hold a tie and also stops once the
+// cursor reaches stop+4. Both return the cursor and how many values they
+// took.
+//
+//go:noescape
+func aboveAVX2(idx *int32, vals *float64, n, stop int, vec *float64, groups int, thresh uint64) (count, done int)
+
+//go:noescape
+func tiesAVX2(idx *int32, vals *float64, n, stop int, vec *float64, groups int, thresh uint64) (count, done int)
+
+// emitPerm[m] lists the lanes whose bit is set in m, in order: the offsets,
+// from a group's first index, of the indices the group emits.
+var emitPerm = [16][4]uint32{
+	0b0001: {0},
+	0b0010: {1},
+	0b0011: {0, 1},
+	0b0100: {2},
+	0b0101: {0, 2},
+	0b0110: {1, 2},
+	0b0111: {0, 1, 2},
+	0b1000: {3},
+	0b1001: {0, 3},
+	0b1010: {1, 3},
+	0b1011: {0, 1, 3},
+	0b1100: {2, 3},
+	0b1101: {0, 2, 3},
+	0b1110: {1, 2, 3},
+	0b1111: {0, 1, 2, 3},
+}
+
+// The bulk halves run a kernel over the leading groups of four and return
+// where its Go loop takes over.
+
+func countDigitsBulk(vec []float64, hist *[1 << DigitBits]uint32) (int, uint64) {
+	n := len(vec) &^ 3
+	if !useAVX2 || n == 0 {
+		return 0, 0
+	}
+	return n, countAVX2(&vec[0], n, &hist[0])
+}
+
+func keepDigitBulk(keys []uint64, vec []float64, digit uint64) (n, done int) {
+	done = len(vec) &^ 3
+	if !useAVX2 || done == 0 {
+		return 0, 0
+	}
+	_ = keys[len(vec)-1]
+	return keepAVX2(&keys[0], &vec[0], done/4, digit), done
+}
+
+func emitAboveBulk(idx []int32, vals []float64, vec []float64, thresh uint64) (n, done int) {
+	groups, stop := len(vec)/4, len(idx)-4
+	if !useAVX2 || groups == 0 || stop < 0 {
+		return 0, 0
+	}
+	_ = vals[len(idx)-1]
+	return aboveAVX2(&idx[0], &vals[0], 0, stop, &vec[0], groups, thresh)
+}
+
+func fillTiesBulk(idx []int32, vals []float64, n int, vec []float64, thresh uint64) (count, done int) {
+	groups := len(vec) / 4
+	if !useAVX2 || groups == 0 || n >= len(idx) {
+		return n, 0
+	}
+	_ = vals[len(idx)-1]
+	return tiesAVX2(&idx[0], &vals[0], n, len(idx)-4, &vec[0], groups, thresh)
+}
