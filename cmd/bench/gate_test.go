@@ -12,14 +12,14 @@ func res(ns float64) Result { return Result{NsPerOp: ns} }
 func TestCheckRatiosBlockedMustBeatNaive(t *testing.T) {
 	ok := map[string]Result{
 		"Gemm256/naive":   res(10000),
-		"Gemm256/blocked": res(5000),
+		"Gemm256/blocked": res(2500),
 	}
 	if v := checkRatios(ok, "avx2"); len(v) != 0 {
 		t.Fatalf("healthy ratio tripped the gate: %v", v)
 	}
 	bad := map[string]Result{
 		"Gemm256/naive":   res(10000),
-		"Gemm256/blocked": res(9500), // only 1.05x
+		"Gemm256/blocked": res(5900), // 1.7x: the Go tier on its best layout
 	}
 	v := checkRatios(bad, "avx2")
 	if len(v) != 1 || !strings.Contains(v[0], "Gemm256") || strings.Contains(v[0], "no AVX2") {
@@ -81,7 +81,9 @@ func TestCheckRatiosNormFillHasItsOwnFloor(t *testing.T) {
 // tier ran.
 
 // TestGemmRatioFollowsTheTier: the blocked Gemm against the naive one, on a
-// dense product where the Go loops' zero-skip never fires.
+// dense product where the Go loops' zero-skip never fires. The Go tier's
+// ratio moves with GemmNaive's code alignment (1.1-1.7x seen), so the floor
+// sits at 2.5, a margin no layout shift has crossed.
 func TestGemmRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Gemm256/blocked") }
 
 // TestGemmTBRatioFollowsTheTier: the dot tile against the naive dot form;
@@ -110,6 +112,10 @@ func TestLowerRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Lower8
 // TestTopKRatioFollowsTheTier: top-k's emission against its Go loop, which
 // is all the Go tier runs.
 func TestTopKRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "EmitAbove16400") }
+
+// TestMixRatioFollowsTheTier: CHOCO's fused mix against its Go passes,
+// which are all the Go tier runs.
+func TestMixRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "ChocoMix16400") }
 
 func ratioFollowsTheTier(t *testing.T, fast string) {
 	var pair ratioPair

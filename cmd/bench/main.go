@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bench                      # time the eight pairs, print them
+//	bench                      # time the nine pairs, print them
 //	bench -out FILE.json       # also write the timings as JSON
 //
 // The exit status is the verdict: 0 when every pair is at or above its
@@ -27,6 +27,7 @@ import (
 	"slices"
 
 	"repro/internal/compress"
+	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -286,6 +287,50 @@ func emitSetup(kernel bool) func() {
 			vals[n] = v
 			n += int((thresh - math.Float64bits(v)&(1<<63-1)) >> 63)
 		}
+	}
+}
+
+// mixSetup is CHOCO's mix at wire_mix's headline shape: one node's uniform
+// row of the 4x4 torus, five estimates of 16 400 coordinates, into the
+// post-mix replica and the projected estimate; through ChocoMix, or by the
+// Go loop it runs off the AVX2 tier, written out — the ordered sum, one
+// division, then one pass for both outputs. Both take the sixteen nodes in
+// turn, as a gossip round does.
+func mixSetup(kernel bool) func() {
+	const m, dim, gamma = 16, 16400, 0.5
+	g := graph.Torus(4, 4)
+	r := rng.New(67)
+	hat, xs := make([]float64, m*dim), make([]float64, m*dim)
+	for i := range hat {
+		hat[i], xs[i] = r.NormFloat64(), r.NormFloat64()
+	}
+	post, prj := make([]float64, dim), make([]float64, dim)
+	node := 0
+	if kernel {
+		return func() {
+			x := xs[node*dim:][:dim]
+			tensor.ChocoMix(post, prj, x, hat, node, g.MixOrder(node), g.MixWeights(node), gamma)
+			node = (node + 1) % m
+		}
+	}
+	return func() {
+		order, x, hs := g.MixOrder(node), xs[node*dim:][:dim], hat[node*dim:][:dim]
+		copy(post, hat[order[0]*dim:][:dim])
+		for _, o := range order[1:] {
+			src := hat[o*dim:][:dim]
+			for j := range post {
+				post[j] += src[j]
+			}
+		}
+		count := float64(len(order))
+		for j := range post {
+			post[j] /= count
+		}
+		for j, mix := range post {
+			prj[j] = gamma*mix + (hs[j] - gamma*hs[j])
+			post[j] = gamma*mix + (x[j] - gamma*hs[j])
+		}
+		node = (node + 1) % m
 	}
 }
 

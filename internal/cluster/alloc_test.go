@@ -16,7 +16,8 @@ import (
 // TestLockStepRoundSteadyStateAllocFree: local steps, one synchronization
 // and its pricing, for every strategy uncompressed and compressed, under the
 // SlowMo stack (heavy-ball local steps, the shared global-momentum filter),
-// and over the 16-node torus, the graph-generic mix path. The pool is held
+// and over the 16-node torus and a ring/star sequence, the graph-generic mix
+// path on uniform and on weighted rows. The pool is held
 // at width 1 — a wider one starts goroutines, which is not exchange cost.
 func TestLockStepRoundSteadyStateAllocFree(t *testing.T) {
 	topkEF := compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true}
@@ -25,6 +26,9 @@ func TestLockStepRoundSteadyStateAllocFree(t *testing.T) {
 		c.GlobalMomentum = 0.5
 	}
 	torus := func(c *Config) { c.Topology = mustTopo(t, "torus:4x4") }
+	// The star's rows carry Metropolis weights (the ring's and the torus's
+	// are uniform), and B=2 alternates the graphs within the measured rounds.
+	ringStar := func(c *Config) { c.Topology = mustTopo(t, "varying:ring,star@B=2") }
 	for _, tc := range []struct {
 		name  string
 		m     int
@@ -42,6 +46,7 @@ func TestLockStepRoundSteadyStateAllocFree(t *testing.T) {
 		{"ring/choco-topk", 4, RingGossip, compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}, nil},
 		{"ring/choco-lossless", 4, RingGossip, compress.Spec{Kind: compress.KindIdentity}, nil},
 		{"ring/torus:4x4", 16, RingGossip, compress.Spec{}, torus},
+		{"ring/varying:ring,star@B=2", 5, RingGossip, compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}, ringStar},
 		{"elastic/raw", 4, ElasticAveraging, compress.Spec{}, nil},
 		{"elastic/topk+ef", 4, ElasticAveraging, topkEF, nil},
 	} {

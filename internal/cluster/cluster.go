@@ -370,8 +370,8 @@ type Engine struct {
 	// extGlobal = [global | synced reference] and extWork per-worker
 	// extended rows (loadExt/storeExt marshal a worker's params + SyncAverage
 	// vectors through them). All averaging scratch (sumBuf, avgBuf, deltaBuf,
-	// mixBuf, CHOCO estimates) is sized xdim, so the state rides the
-	// same compression, payload accounting, and float32 wire narrowing as the
+	// CHOCO estimates) is sized xdim, so the state rides the same
+	// compression, payload accounting, and float32 wire narrowing as the
 	// parameters. With nothing synced the extension is empty: xdim == dim,
 	// extGlobal IS global, and loadExt hands back the replica's own
 	// parameters. ext says whether the extension is non-empty.
@@ -429,12 +429,11 @@ type Engine struct {
 	// pricing charges; nil before the first sync and on non-gossip
 	// strategies, delegating to the per-worker path bit-identically),
 	// gammas holds the per-graph adaptive consensus steps when
-	// AdaptGossipGamma is set, and mixBuf is the CHOCO mix scratch.
+	// AdaptGossipGamma is set.
 	gseq      *graph.Sequence
 	syncs     int
 	activeAdj [][]int
 	gammas    []float64
-	mixBuf    []float64
 
 	evalModel *nn.Network // scratch replica for loss/accuracy evaluation
 	testSet   *data.Dataset
@@ -642,7 +641,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		// it takes the general estimate-delta path.
 		e.meanVecs = make([][]float64, m)
 		e.repBytes = make([]int, m)
-		e.mixBuf = make([]float64, e.xdim)
 		// CHOCO estimates cover the synced state.
 		e.gossip = newGossipState(m, e.extGlobal, cfg.GossipGamma, cfg.Compress.Lossless())
 		for i := range e.gossip.nodes {

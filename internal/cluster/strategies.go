@@ -113,7 +113,7 @@ type gossipState struct {
 	gamma    float64     // consensus step size (Config.GossipGamma)
 	lossless bool        // lossless wire: nodes ship x_i, estimates pin exactly
 	hat      [][]float64 // hat[j] = x̂_j, updated only from wire messages
-	hatBack  []float64   // backing array for hat
+	hatBack  []float64   // backing array for hat, the rows ChocoMix reads
 	rec      []float64   // decode scratch for the message in flight
 	proj     [][]float64 // projected post-mix estimates (evaluation model)
 	projBack []float64   // backing array for proj
@@ -159,42 +159,6 @@ func (e *Engine) nextGossipGraph() (*graph.Graph, int) {
 	return g, idx
 }
 
-// mixRowInto accumulates row i of the graph's mixing matrix over the given
-// node vectors into dst: dst = sum_k W[i][order[k]] * vecs[order[k]]. A
-// uniform row is summed in MixOrder then divided ONCE by the count — on the
-// ring exactly ((prev + self) + next) / 3, the legacy arithmetic the
-// bit-identity goldens pin. Weighted rows accumulate w_k * x_k terms in the
-// same fixed order.
-func mixRowInto(dst []float64, g *graph.Graph, i int, vecs [][]float64) {
-	order := g.MixOrder(i)
-	first := vecs[order[0]]
-	if ws := g.MixWeights(i); ws == nil {
-		copy(dst, first)
-		for _, o := range order[1:] {
-			src := vecs[o]
-			for j := range dst {
-				dst[j] += src[j]
-			}
-		}
-		inv := float64(len(order))
-		for j := range dst {
-			dst[j] /= inv
-		}
-	} else {
-		w0 := ws[0]
-		for j := range dst {
-			dst[j] = w0 * first[j]
-		}
-		for k := 1; k < len(order); k++ {
-			wk := ws[k]
-			src := vecs[order[k]]
-			for j := range dst {
-				dst[j] += wk * src[j]
-			}
-		}
-	}
-}
-
 // averageRing is one CHOCO-SGD gossip round on the active mixing graph.
 // Phase 1: every node compresses its delta from its OWN estimate,
 // q_i = C(x_i - x̂_i), and multicasts it to its graph neighbors; every holder
@@ -208,6 +172,10 @@ func mixRowInto(dst []float64, g *graph.Graph, i int, vecs [][]float64) {
 // computed as gamma*mix + (x_i - gamma*x̂_i) so that a lossless wire
 // (x̂_i == x_i exactly, see below) at gamma = 1 is the plain gossip average
 // bit for bit (on the default ring, the historic (x_prev + x_i + x_next)/3).
+// One tensor.ChocoMix call per node does the mix, the post-mix replica and
+// the projected estimate in one pass over hatBack's rows; its doc comment
+// holds the arithmetic contract (MixOrder's order, ONE division for a
+// uniform row).
 // Finally the evaluation model is refreshed as the mean of the projected
 // post-mix ESTIMATES — every quantity in the round, including the one
 // evaluation observes, is derivable from the wire.
@@ -289,13 +257,8 @@ func (e *Engine) averageRing() {
 			e.workers[i].opt.SyncReset()
 			continue
 		}
-		mix := e.mixBuf
-		mixRowInto(mix, gr, i, g.hat)
 		post := e.avgBuf
-		for j := range dst {
-			post[j] = gamma*mix[j] + (dst[j] - gamma*hs[j])
-			prj[j] = gamma*mix[j] + (hs[j] - gamma*hs[j])
-		}
+		tensor.ChocoMix(post, prj, dst, g.hatBack, i, gr.MixOrder(i), gr.MixWeights(i), gamma)
 		if e.gmoms != nil {
 			// Per-node slow momentum filters the replica's own mixing
 			// displacement (parameter block only). On a lossy wire the

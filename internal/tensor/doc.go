@@ -3,7 +3,7 @@
 // with the handful of BLAS-like kernels (axpy, dot, gemm, im2col) that
 // mini-batch SGD on MLPs and small CNNs requires, and the elementwise loops
 // the layers above spend their time in (ReLU, the QSGD wire, top-k's passes,
-// polar normal draws, exp). No cgo.
+// CHOCO's gossip mix, polar normal draws, exp). No cgo.
 //
 // # Two tiers, one switch
 //
@@ -23,8 +23,8 @@
 // floor.
 //
 // Every kernel is the twin of a Go loop in this package that stays as its
-// fallback, finishes the len % 4 elements the kernel leaves, and is its
-// oracle:
+// fallback, finishes the elements the kernel leaves (len % 4 unless the entry
+// below says otherwise), and is its oracle:
 //
 //   - dotTile4x8 / dotTile2x8 (GemmTB, gemm_amd64.s): 4 A rows x 8 B rows in
 //     eight YMM accumulators. B is read four k at a time from four rows and
@@ -72,6 +72,16 @@
 //     within 3 of k — the usual start, one tie short — still scans four
 //     coordinates a step to the first tie. keepAVX2 needs no bound: a group
 //     starting at value t stores at n <= t, inside keys[:len(vec)].
+//   - chocoMixAVX2 (ChocoMix, mix_amd64.s): one node's CHOCO gossip mix in
+//     one pass over the coordinates, sixteen at a time in four registers
+//     (the Go loop takes len % 16; wire_mix's 16 400 leave none), the
+//     sources the inner loop, each row addressed as hat + order[k]*dim
+//     (no pointer list, no scratch). A uniform row is the ordered sum, the
+//     running sum each add's first source, then ONE division (VDIVPD by the
+//     count, never a multiply by its reciprocal); a weighted row a product
+//     then an add per source; then post and prj from the mix in registers,
+//     which never reaches memory. The Go loop keeps its passes, the mix
+//     accumulating in post: an element-major fused Go loop measured slower.
 //   - quantAVX2 / dequantAVX2 / accumAVX2 (quant.go, the QSGD wire) and
 //     polarAVX2 (polar.go, which mirrors math.archLog): each file states its
 //     own contract.
@@ -153,7 +163,9 @@
 // sentinels past k and past len(vec), and fuzz targets over raw float64
 // words (FuzzQuantizeTwin, FuzzPolarTwin, FuzzExpTwin, FuzzTopKTwin — whose
 // digit and threshold are the input's own patterns, so equal digits and ties
-// are the rule — and FuzzLowerTwin, over random conv shapes against Im2Col
+// are the rule — FuzzMixTwin, whose planted NaNs meet in every add of the
+// mix so that the surviving payload checks the operand order, and
+// FuzzLowerTwin, over random conv shapes against Im2Col
 // into a NaN-filled matrix and Zero + Col2Im; where one of Raise's adds meets
 // two NaNs, which payload survives is the compiler's operand order, so any
 // NaN passes there). exp_amd64_test.go holds
