@@ -13,14 +13,31 @@ func TestCommandLine(t *testing.T) {
 	run := clitest.Build(t)
 
 	// The analytic figures are cheap enough to run here (the training
-	// figures take a minute at -quick; experiments_test.go covers them).
-	for _, ok := range []string{"-fig 4", "-fig 5", "-fig 6", "-fig 7", "-fig 8",
-		"-fig 5 -bytes 800000 -bandwidth 4e6", "-fig 4 -workers 1"} {
-		stdout, stderr, code := run(append([]string{"-quick"}, strings.Fields(ok)...)...)
+	// figures take a minute at -quick; experiments_test.go covers them),
+	// and they print the numbers they printed when the golden was captured,
+	// byte for byte: Figs 6 and 7 draw internal/bound's Theorem 1 bound and
+	// Theorem 2's tau*. The golden is these runs' stdout in this order.
+	ok := func(args string) string {
+		stdout, stderr, code := run(append([]string{"-quick"}, strings.Fields(args)...)...)
 		if code != 0 || !strings.HasPrefix(stdout, "== ") || stderr != "" {
-			t.Errorf("%s: exit %d, stdout %q, stderr %q", ok, code, stdout, stderr)
+			t.Errorf("%s: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
 		}
+		return stdout
 	}
+	var printed strings.Builder
+	for _, args := range []string{"-fig 4", "-fig 5", "-fig 6", "-fig 7", "-fig 8",
+		"-fig 5 -bytes 800000 -bandwidth 4e6", "-fig 7 -bytes 800000 -bandwidth 4e6",
+		"-fig 8 -bytes 800000 -bandwidth 4e6"} {
+		printed.WriteString(ok(args))
+	}
+	golden, err := os.ReadFile("testdata/analytic-quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if printed.String() != string(golden) {
+		t.Errorf("the analytic figures at -quick differ from testdata/analytic-quick.golden:\n%s", printed.String())
+	}
+	ok("-fig 4 -workers 1")
 
 	for _, bad := range []string{
 		"-fig 99",

@@ -1,14 +1,10 @@
 // Package bound implements the paper's theory: the Theorem 1 error-runtime
-// upper bound for PASGD, the Theorem 2 optimal communication period tau*,
-// and the Theorem 3 convergence conditions for variable (eta_r, tau_r)
-// sequences. These are the formulas AdaComm's update rules are derived
-// from, and Fig 6 / Fig 7 are plotted directly from them.
+// upper bound for PASGD and the Theorem 2 optimal communication period
+// tau*. These are the formulas AdaComm's update rules are derived from, and
+// Fig 6 / Fig 7 are plotted directly from them.
 package bound
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Constants bundles the problem constants that appear in Theorems 1-2.
 type Constants struct {
@@ -20,44 +16,6 @@ type Constants struct {
 	M      int     // number of workers
 	Y      float64 // (constant) local-step compute time
 	D      float64 // (constant) broadcast delay
-}
-
-// Validate reports whether the constants are usable.
-func (c Constants) Validate() error {
-	switch {
-	case c.F1 < c.Finf:
-		return fmt.Errorf("bound: F1 %v below Finf %v", c.F1, c.Finf)
-	case c.Eta <= 0:
-		return fmt.Errorf("bound: eta must be positive, got %v", c.Eta)
-	case c.L <= 0:
-		return fmt.Errorf("bound: L must be positive, got %v", c.L)
-	case c.Sigma2 < 0:
-		return fmt.Errorf("bound: sigma^2 must be non-negative, got %v", c.Sigma2)
-	case c.M < 1:
-		return fmt.Errorf("bound: m must be >= 1, got %d", c.M)
-	case c.Y <= 0:
-		return fmt.Errorf("bound: Y must be positive, got %v", c.Y)
-	case c.D < 0:
-		return fmt.Errorf("bound: D must be non-negative, got %v", c.D)
-	}
-	return nil
-}
-
-// LearningRateOK reports whether eta satisfies Theorem 1's stability
-// condition eta*L + eta^2*L^2*tau*(tau-1) <= 1.
-func (c Constants) LearningRateOK(tau int) bool {
-	t := float64(tau)
-	return c.Eta*c.L+c.Eta*c.Eta*c.L*c.L*t*(t-1) <= 1
-}
-
-// LearningRateOKFull evaluates the appendix's sharper stability condition
-// (eq 57), which also involves Assumption 3's relative-variance constant
-// beta: eta^2*L^2*(tau-1)*(2*beta+tau) + eta*L*(beta/m + 1) <= 1.
-// With beta = 0 it is slightly stronger than LearningRateOK's condition
-// (tau-1 vs tau factor aside) and reduces to it as m grows.
-func (c Constants) LearningRateOKFull(tau int, beta float64) bool {
-	t := float64(tau)
-	return c.Eta*c.Eta*c.L*c.L*(t-1)*(2*beta+t)+c.Eta*c.L*(beta/float64(c.M)+1) <= 1
 }
 
 // ErrorAtTime evaluates the Theorem 1 bound (eq 13) on the minimal expected
@@ -104,19 +62,6 @@ func (c Constants) OptimalTau(T float64) float64 {
 	return math.Sqrt(2 * (c.F1 - c.Finf) * c.D / den)
 }
 
-// OptimalTauInt rounds tau* up to an integer >= 1.
-func (c Constants) OptimalTauInt(T float64) int {
-	v := c.OptimalTau(T)
-	if math.IsInf(v, 1) {
-		return math.MaxInt32
-	}
-	tau := int(math.Ceil(v))
-	if tau < 1 {
-		tau = 1
-	}
-	return tau
-}
-
 // Curve samples the bound at `points` times spaced uniformly on (0, tMax],
 // returning parallel slices of time and bound values — one learning curve
 // of Fig 6.
@@ -151,73 +96,4 @@ func (c Constants) CrossoverTime(tauA, tauB int) float64 {
 		return math.NaN()
 	}
 	return T
-}
-
-// ScheduleCondition reports how well a (eta_r, tau_r) sequence satisfies
-// Theorem 3's sufficient conditions (eq 21):
-//
-//	sum eta_r*tau_r -> inf,  sum eta_r^2*tau_r < inf,  sum eta_r^3*tau_r^2 < inf.
-//
-// For finite sequences "infinite" is judged by divergence rate: the checker
-// returns the three partial sums so tests and callers can verify, e.g.,
-// that the first grows linearly while the others converge.
-type ScheduleCondition struct {
-	SumEtaTau   float64 // must diverge
-	SumEta2Tau  float64 // must stay bounded
-	SumEta3Tau2 float64 // must stay bounded
-}
-
-// CheckSchedule computes the Theorem 3 partial sums for the given sequence.
-// The slices must have equal length.
-func CheckSchedule(etas []float64, taus []int) ScheduleCondition {
-	if len(etas) != len(taus) {
-		panic("bound: schedule length mismatch")
-	}
-	var s ScheduleCondition
-	for r := range etas {
-		eta := etas[r]
-		tau := float64(taus[r])
-		s.SumEtaTau += eta * tau
-		s.SumEta2Tau += eta * eta * tau
-		s.SumEta3Tau2 += eta * eta * eta * tau * tau
-	}
-	return s
-}
-
-// VariableTauIterBound evaluates the simplified non-asymptotic bound for a
-// variable communication-period sequence at fixed learning rate (appendix
-// eq 66):
-//
-//	2(F1-Finf)/(eta*K) + eta*L*sigma^2/m + eta^2*L^2*sigma^2*(sum tau_j^2/sum tau_j - 1)
-//
-// with K = sum of tau_j. The last factor is the tau-weighted mean of tau,
-// so front-loading large periods (decreasing schedules) costs less than a
-// constant schedule with the same total iterations.
-func (c Constants) VariableTauIterBound(taus []int) float64 {
-	if len(taus) == 0 {
-		panic("bound: empty tau sequence")
-	}
-	sum, sumSq := 0.0, 0.0
-	for _, t := range taus {
-		if t < 1 {
-			panic("bound: tau must be >= 1")
-		}
-		tf := float64(t)
-		sum += tf
-		sumSq += tf * tf
-	}
-	return 2*(c.F1-c.Finf)/(c.Eta*sum) +
-		c.Eta*c.L*c.Sigma2/float64(c.M) +
-		c.Eta*c.Eta*c.L*c.L*c.Sigma2*(sumSq/sum-1)
-}
-
-// FixedTauIterBound evaluates the per-iteration-count error bound of
-// Lemma 1 (eq 26): 2(F1-Finf)/(eta*K) + eta*L*sigma^2/m +
-// eta^2*L^2*sigma^2*(tau-1). This is the iteration-axis counterpart of
-// ErrorAtTime, used to draw the left panel of Fig 1.
-func (c Constants) FixedTauIterBound(K, tau int) float64 {
-	if K < 1 {
-		panic("bound: K must be >= 1")
-	}
-	return 2*(c.F1-c.Finf)/(c.Eta*float64(K)) + c.ErrorFloor(tau)
 }

@@ -101,6 +101,8 @@ type AdaComm struct {
 	curTau       int
 	curLR        float64
 	linkFactor   float64 // sqrt(alpha_obs) applied at the last boundary (LinkAware)
+	boundaries   int     // interval boundaries adapted at so far
+	boundaryLoss float64 // the last boundary's loss, clamped at 0
 }
 
 // NewAdaComm builds the controller.
@@ -162,6 +164,8 @@ func (a *AdaComm) adapt(info cluster.RoundInfo, evalLoss func() float64) {
 	if f < 0 {
 		f = 0
 	}
+	a.boundaries++
+	a.boundaryLoss = f
 
 	// Learning-rate scheduling with the optional deferral policy.
 	scheduled := a.cfg.Schedule.LR(info.Epoch)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/compress"
-	"repro/internal/events"
 )
 
 // CompressSchedule parameterizes the compression half of the joint
@@ -51,10 +50,8 @@ type AdaCommCompress struct {
 	ada *AdaComm
 	cs  CompressSchedule
 
-	initialized  bool
-	f0           float64
-	ratio        float64
-	nextBoundary float64
+	ratio      float64
+	boundaries int // ada.boundaries when the ratio was last re-tuned
 
 	norm0   float64 // first observed gradient norm (NormBits reference)
 	curBits int     // current norm-rule width (0 until a norm is observed)
@@ -70,7 +67,7 @@ func NewAdaCommCompress(cfg Config, cs CompressSchedule) *AdaCommCompress {
 	if cs.Ratio0 <= 0 || cs.Ratio0 > 1 {
 		panic("core: AdaCommCompress needs Ratio0 in (0, 1]")
 	}
-	return &AdaCommCompress{ada: ada, cs: cs}
+	return &AdaCommCompress{ada: ada, cs: cs, ratio: cs.Ratio0}
 }
 
 // Name implements cluster.Controller.
@@ -90,39 +87,19 @@ func (a *AdaCommCompress) QuantBits() int {
 }
 
 // NextRound implements cluster.Controller: tau and the learning rate come
-// from the embedded AdaComm; the ratio is re-chosen at the same interval
-// boundaries, reusing the boundary's loss evaluation.
+// from the embedded AdaComm; the ratio is re-chosen on the boundaries it
+// adapts at, from the loss it evaluated there.
 func (a *AdaCommCompress) NextRound(info cluster.RoundInfo, evalLoss func() float64) (int, float64) {
-	// One evaluation per boundary, whatever it returns: a diverged run's NaN
-	// loss is memoized like any other.
-	var cached float64
-	have := false
-	memo := func() float64 {
-		if !have {
-			cached, have = evalLoss(), true
-		}
-		return cached
-	}
-	tau, lr := a.ada.NextRound(info, memo)
+	tau, lr := a.ada.NextRound(info, evalLoss)
 	if a.cs.NormBits && info.GradNorm > 0 {
 		if a.norm0 == 0 {
 			a.norm0 = info.GradNorm
 		}
 		a.curBits = compress.NormDecayBits(a.cs.Bits0, a.norm0, info.GradNorm)
 	}
-	if !a.initialized {
-		a.f0 = memo()
-		if a.f0 <= 0 {
-			a.f0 = math.SmallestNonzeroFloat64
-		}
-		a.ratio = a.cs.Ratio0
-		a.nextBoundary = a.ada.cfg.Interval
-		a.initialized = true
-		return tau, lr
-	}
-	if info.Time >= a.nextBoundary {
-		a.adaptRatio(memo())
-		a.nextBoundary = events.NextBoundary(a.nextBoundary, info.Time, a.ada.cfg.Interval)
+	if a.boundaries != a.ada.boundaries {
+		a.boundaries = a.ada.boundaries
+		a.adaptRatio(a.ada.boundaryLoss)
 	}
 	return tau, lr
 }
@@ -132,7 +109,7 @@ func (a *AdaCommCompress) NextRound(info cluster.RoundInfo, evalLoss func() floa
 func (a *AdaCommCompress) adaptRatio(f float64) {
 	proposed := 1.0
 	if f > 0 {
-		proposed = a.cs.Ratio0 * math.Sqrt(a.f0/f)
+		proposed = a.cs.Ratio0 * math.Sqrt(a.ada.f0/f)
 	}
 	if proposed > 1 {
 		proposed = 1

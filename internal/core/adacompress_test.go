@@ -145,3 +145,46 @@ func TestAdaCommCompressDrivesEngine(t *testing.T) {
 		t.Fatalf("final payload %d not above initial %d", e.CommBytesPerRound(), initialBytes)
 	}
 }
+
+// An interval below the clock's resolution sends events.NextBoundary down
+// its jump path: a round that moves the clock across many intervals is one
+// boundary, a round that leaves it still is none. The ratio must move on
+// exactly the rounds where the embedded tau rule adapts, from one loss
+// evaluation per boundary.
+func TestAdaCommCompressFollowsJumpingBoundaries(t *testing.T) {
+	cfg := Config{Tau0: 20, Interval: 1e-12, Schedule: sgd.Const{Eta: 0.1}}
+	joint := NewAdaCommCompress(cfg, CompressSchedule{Ratio0: math.Ldexp(1, -30)})
+	alone := NewAdaComm(cfg)
+	evals, aloneEvals := 0, 0
+	stalled := func() float64 { evals++; return 2.0 }
+	aloneStalled := func() float64 { aloneEvals++; return 2.0 }
+	boundaries := 0
+	for round := 0; round <= 60; round++ {
+		// The clock stands still for two rounds, then jumps 1e4 s: 1e16
+		// intervals, and 1e4 + 1e-12 == 1e4.
+		info := fakeInfo(1e4*float64(round/3), round)
+		before, ratio := evals, joint.CompressionRatio()
+		tau, _ := joint.NextRound(info, stalled)
+		wantTau, _ := alone.NextRound(info, aloneStalled)
+		if tau != wantTau || evals != aloneEvals {
+			t.Fatalf("round %d: tau %d after %d evaluations, AdaComm alone %d after %d",
+				round, tau, evals, wantTau, aloneEvals)
+		}
+		if evals-before > 1 {
+			t.Fatalf("round %d evaluated the loss %d times", round, evals-before)
+		}
+		if round == 0 {
+			continue // the start: F0, and the ratio is Ratio0
+		}
+		adapted := evals > before
+		if moved := joint.CompressionRatio() != ratio; moved != adapted {
+			t.Fatalf("round %d: ratio moved %v, tau rule adapted %v", round, moved, adapted)
+		}
+		if adapted {
+			boundaries++
+		}
+	}
+	if boundaries != 20 {
+		t.Fatalf("%d boundaries over 20 clock jumps", boundaries)
+	}
+}
