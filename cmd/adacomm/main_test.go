@@ -12,6 +12,29 @@ import (
 
 func TestCommandLine(t *testing.T) {
 	bin := clitest.Build(t)
+
+	// The conv nets, trained and evaluated end to end, print what they
+	// printed when the golden was captured, byte for byte on either kernel
+	// tier: each run's CSV, then its stderr summary.
+	var conv strings.Builder
+	for _, args := range []string{
+		"-arch vgg -quick -method adacomm -tau0 10 -interval 6 -budget 60",
+		"-arch resnet -quick -method fixed -tau 5 -budget 15",
+	} {
+		stdout, stderr, code := bin(strings.Fields(args)...)
+		if code != 0 {
+			t.Errorf("%s: exit %d, stderr %q", args, code, stderr)
+		}
+		conv.WriteString(stdout + stderr)
+	}
+	golden, err := os.ReadFile("testdata/conv-quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if conv.String() != string(golden) {
+		t.Errorf("the conv runs differ from testdata/conv-quick.golden:\n%s", conv.String())
+	}
+
 	// run executes a small logistic job plus extra flags (a later flag
 	// overrides an earlier one, so a case can replace -method or -tau).
 	run := func(extra ...string) (stdout, stderr string, code int) {

@@ -13,13 +13,15 @@ import (
 	"time"
 )
 
-// Build compiles the main package in the test's directory and returns a
-// function that runs the binary and reports stdout, stderr and exit status
-// (-1 when a run is killed after a minute: a hang is a failure, not a wait).
+// Build compiles the main package in the test's directory, with the kernel
+// tier the test itself was built for (-tags purego passes through), and
+// returns a function that runs the binary and reports stdout, stderr and exit
+// status (-1 when a run is killed after a minute: a hang is a failure, not a
+// wait).
 func Build(t *testing.T) func(args ...string) (stdout, stderr string, code int) {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "cmd")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-tags", buildTags, "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	return func(args ...string) (string, string, int) {

@@ -75,7 +75,7 @@ func TestLockStepRoundSteadyStateAllocFree(t *testing.T) {
 
 // TestEvaluationSteadyStateAllocFree: a trace point — the training loss and
 // the test accuracy of the global model, 800 and 200 rows through nn's
-// chunked forward-only pass — allocates nothing after the first, on either
+// layers 16 rows at a time — allocates nothing after the first, on either
 // engine.
 func TestEvaluationSteadyStateAllocFree(t *testing.T) {
 	cfg := baseCfg()

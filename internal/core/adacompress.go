@@ -25,10 +25,10 @@ type CompressSchedule struct {
 	// coordinates). Must be in (0, 1].
 	Ratio0 float64
 	// NormBits drives a QSGD quantizer's bit-width directly from the
-	// observed gradient-norm decay (compress.NormDecayBits — the same
-	// helper AdaSync's norm rule uses) instead of the coarse ratio→bits
-	// rounding: one extra bit per halving of worker 0's mini-batch gradient
-	// norm relative to the first observed round, clamped to [1, 8]. The
+	// observed gradient-norm decay instead of the coarse ratio→bits
+	// rounding: the engine reports worker 0's mini-batch gradient norm in
+	// cluster.RoundInfo.GradNorm, and compress.NormDecayBits adds one bit per
+	// halving of it relative to the first observed round, clamped to [1, 8]. The
 	// keep-ratio rule still runs (it drives sparsifiers and reporting); the
 	// width rule overrides only compressors that accept an exact width. Off
 	// (the zero value) nothing touches the width — bit for bit the legacy

@@ -11,14 +11,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// The evaluation pass (Network.Loss / Network.Accuracy): what it reports on
-// NaN logits, that it shares a network with the training pass safely, that
-// it allocates nothing in steady state and that its buffers are chunk-sized.
+// Evaluation (Network.Loss / Network.Accuracy): what it reports on NaN
+// logits, that it interleaves with training on one network exactly, that it
+// allocates nothing in steady state and that its buffers are chunk-sized.
 // Its bit identity with the whole-batch evaluation is in oracle_test.go.
 
 // logits is a parameterless layer that hands its input on, so a test can
-// write a network's outputs directly. It has no forward-only path: the
-// evaluation pass reaches it through Forward.
+// write a network's outputs directly.
 type logits struct{ dim int }
 
 func (l logits) InDim() int                                            { return l.dim }
@@ -73,66 +72,38 @@ func TestAccuracyNaNLogits(t *testing.T) {
 	}
 }
 
-// TestEvaluationBetweenForwardAndBackward: Loss and Accuracy on OTHER
-// batches, run between a training forward and its backward half on the SAME
-// network, leave the outputs Forward returned and the gradient untouched.
-// The forward-only pass may not write the training pass's patches, padded
-// images, argmax, lastIn, lastOut or any buffer it returned.
-func TestEvaluationBetweenForwardAndBackward(t *testing.T) {
+// TestEvaluateThenTrainOnOneNetwork: evaluation and training share every
+// layer's arenas, at evalChunk rows and at the training batch's height, and
+// ensureMat hands back whatever storage a taller call left. Evaluating at
+// 384 and 389 rows (a short last chunk), then training at 4, 16 and 32 rows,
+// then evaluating again, all on one network, must report what a fresh clone
+// reports for each call, bit for bit.
+func TestEvaluateThenTrainOnOneNetwork(t *testing.T) {
 	for _, m := range zooModels() {
-		straight := m.net.Clone()
-		b := m.batch(16, 80)
-		want, got := make([]float64, m.net.ParamLen()), make([]float64, m.net.ParamLen())
-		wantLoss := straight.LossGrad(b, want)
-
-		out := m.net.Forward(b.X)
-		kept := append([]float64(nil), out.Data...)
-		// 40 rows: two full chunks and a short one, so every forward-only
-		// buffer is written at both heights; 7 rows: one short chunk.
-		for _, rows := range []int{40, 7} {
-			other := m.batch(rows, 81)
-			m.net.Loss(other)
-			if m.net.classes > 0 {
-				m.net.Accuracy(other)
+		evaluate := func(rows int) {
+			b := m.batch(rows, 90+uint64(rows))
+			if got, want := m.net.Loss(b), m.net.Clone().Loss(b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s Loss, %d rows: %v, a fresh clone %v", m.name, rows, got, want)
+			}
+			if m.net.classes == 0 {
+				return
+			}
+			if got, want := m.net.Accuracy(b), m.net.Clone().Accuracy(b); got != want {
+				t.Errorf("%s Accuracy, %d rows: %v, a fresh clone %v", m.name, rows, got, want)
 			}
 		}
-		mustBitsEqual(t, m.name+" training outputs after an evaluation", out.Data, kept)
-		if gotLoss := m.net.backward(out, b, got); math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
-			t.Errorf("%s: loss %v after an interleaved evaluation, %v without", m.name, gotLoss, wantLoss)
-		}
-		mustBitsEqual(t, m.name+" gradient after an interleaved evaluation", got, want)
-	}
-}
-
-// TestConvBackwardAfterForwardOnly is the same contract for a lone Conv2D,
-// which keeps only its input between Forward and Backward and re-lowers each
-// sample from it: a forward-only pass over another batch in between (its own
-// patches and padded image) changes no bit of dIn or of the parameter
-// gradient, on the full backward and on the parameter-only one a first layer
-// takes, at stride 1 and 2.
-func TestConvBackwardAfterForwardOnly(t *testing.T) {
-	r := rng.New(85)
-	for _, stride := range []int{1, 2} {
-		conv := NewConv2D(3, 7, 7, 3, stride, 1, 5)
-		straight := conv.Clone().(*Conv2D)
-		params := make([]float64, conv.ParamLen())
-		conv.Init(params, r.Split())
-		in := reluLaden(r, tensor.NewMatrix(4, conv.InDim()), 0.3)
-		other := reluLaden(r, tensor.NewMatrix(9, conv.InDim()), 0.3)
-		dOut := reluLaden(r, tensor.NewMatrix(4, conv.OutDim()), 0.5)
-		for _, full := range []bool{true, false} {
-			want, got := make([]float64, len(params)), make([]float64, len(params))
-			straight.Forward(params, in)
-			wantIn := straight.backward(params, dOut, want, full)
-			conv.Forward(params, in)
-			conv.forwardOnly(params, other)
-			gotIn := conv.backward(params, dOut, got, full)
-			what := fmt.Sprintf("stride %d, dIn wanted %v", stride, full)
-			if full {
-				mustBitsEqual(t, what+": dIn", gotIn.Data, wantIn.Data)
+		evaluate(384)
+		evaluate(389)
+		got, want := make([]float64, m.net.ParamLen()), make([]float64, m.net.ParamLen())
+		for _, rows := range []int{4, 16, 32} {
+			b := m.batch(rows, 95+uint64(rows))
+			l, lRef := m.net.LossGrad(b, got), m.net.Clone().LossGrad(b, want)
+			if math.Float64bits(l) != math.Float64bits(lRef) {
+				t.Errorf("%s LossGrad, %d rows: loss %v, a fresh clone %v", m.name, rows, l, lRef)
 			}
-			mustBitsEqual(t, what+": dParams", got, want)
+			mustBitsEqual(t, fmt.Sprintf("%s gradient, %d rows", m.name, rows), got, want)
 		}
+		evaluate(389)
 	}
 }
 
@@ -178,8 +149,8 @@ func buffers(l Layer) map[string]reflect.Value {
 
 // TestEvaluationBuffersAreChunkSized: a network that only evaluates — the
 // engines' evalModel — holds no buffer larger than evalChunk rows of its
-// layer's wider side after a 384-row Loss, and none of the training pass's.
-// This is what keeps the conv workloads' alloc_mb at ~31 MB instead of ~154.
+// layer's wider side after a 384-row Loss. This is what keeps the conv
+// workloads' alloc_mb near 19 MB instead of ~154.
 func TestEvaluationBuffersAreChunkSized(t *testing.T) {
 	for _, m := range zooModels() {
 		b := m.batch(384, 84)
@@ -198,11 +169,6 @@ func TestEvaluationBuffersAreChunkSized(t *testing.T) {
 					if n := buf.Cap(); n > limit {
 						t.Errorf("%s %s holds %d elements after evaluating 384 rows, limit %d (chunk %d x width %d)",
 							m.name, field, n, limit, evalChunk, limit/evalChunk)
-					}
-				}
-				for _, field := range []string{"outBuf", "dInBuf", "dPatchBuf", "patch", "pad", "dPad", "argmax", "lastIn", "lastOut"} {
-					if f := reflect.ValueOf(l).Elem().FieldByName(field); f.IsValid() && !f.IsZero() {
-						t.Errorf("%s %T.%s: the evaluation pass touched a training-pass field", m.name, l, field)
 					}
 				}
 			}

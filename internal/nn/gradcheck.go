@@ -12,10 +12,11 @@ import (
 // pass — the reproduction depends on exact gradients, since AdaComm's
 // update rule consumes the true training loss.
 //
-// The differences are taken with Loss, the forward-only evaluation pass, and
-// the analytic gradient with the training forward, so the check first holds
-// the two to each other: at the unperturbed parameters they must report the
-// same loss bit for bit, or the result is +Inf, which no tolerance passes.
+// The differences are taken with Loss, which runs the batch through the
+// layers evalChunk rows at a time, and the analytic gradient with LossGrad's
+// forward over the whole batch, so the check first holds the two to each
+// other: at the unperturbed parameters they must report the same loss bit
+// for bit, or the result is +Inf, which no tolerance passes.
 func GradCheck(n *Network, b data.Batch, eps float64) float64 {
 	params := n.Params()
 	analytic := make([]float64, n.ParamLen())

@@ -16,14 +16,12 @@ import (
 // matrices are valid until the layer's next Forward/Backward call; callers
 // that need to retain results must copy them.
 //
-// Two passes, two sets of buffers. Forward is the TRAINING forward: it keeps
-// what Backward reads (Dense and Conv2D their input, ReLU/Tanh their output,
-// MaxPool2x2 every winner's index) in buffers sized by the batch.
-// forwardOnly is the evaluation pass behind Network.Loss and
-// Network.Accuracy: the same arithmetic into evalBuf, a buffer of its own, and
-// nothing kept — it reads and writes no field the training pass owns, so an
-// evaluation between a Forward and its Backward changes no gradient, and a
-// network that only evaluates never allocates a backward-sized buffer.
+// One forward per layer. Forward keeps what Backward reads (Dense and
+// Conv2D their input, ReLU/Tanh their output, MaxPool2x2 every winner's
+// index) in buffers sized by the tallest batch seen. Network.Loss and
+// Network.Accuracy run the same Forward over evalChunk rows at a time, so a
+// network that only evaluates holds chunk-sized buffers, and an evaluation
+// between a Forward and its Backward overwrites what that Backward reads.
 
 // ensureMat returns a rows x cols matrix backed by *m's storage when its
 // capacity allows, growing it otherwise. Contents are stale: callers must
@@ -45,7 +43,7 @@ type Dense struct {
 	in, out int
 	lastIn  *tensor.Matrix // forward cache
 
-	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
 
 // NewDense creates a Dense layer mapping in -> out features.
@@ -83,21 +81,12 @@ func (d *Dense) weights(params []float64) *tensor.Matrix {
 	return &tensor.Matrix{Rows: d.out, Cols: d.in, Data: params[:d.out*d.in]}
 }
 
-// Forward implements Layer.
+// Forward implements Layer: in*W^T + b.
 func (d *Dense) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	d.lastIn = in
-	return d.affine(params, in, &d.outBuf)
-}
-
-func (d *Dense) forwardOnly(params []float64, in *tensor.Matrix) *tensor.Matrix {
-	return d.affine(params, in, &d.evalBuf)
-}
-
-// affine writes in*W^T + b into *buf.
-func (d *Dense) affine(params []float64, in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
 	w := d.weights(params)
 	bias := params[d.out*d.in:]
-	out := ensureMat(buf, in.Rows, d.out)
+	out := ensureMat(&d.outBuf, in.Rows, d.out)
 	tensor.GemmTB(1, in, w, 0, out) // out = in * W^T (beta=0 overwrites)
 	for i := 0; i < out.Rows; i++ {
 		tensor.Axpy(1, bias, out.Row(i))
@@ -139,7 +128,7 @@ type ReLU struct {
 	dim     int
 	lastOut *tensor.Matrix
 
-	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
 
 // NewReLU creates a ReLU over vectors of the given length.
@@ -161,18 +150,9 @@ func (l *ReLU) Init([]float64, *rng.Rand) {}
 // is NaN (sign and payload kept) — a diverged activation stays visible
 // instead of turning into a finite zero.
 func (l *ReLU) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
-	l.lastOut = l.clamp(in, &l.outBuf)
+	l.lastOut = ensureMat(&l.outBuf, in.Rows, in.Cols)
+	tensor.ReLU(l.lastOut.Data[:len(in.Data)], in.Data)
 	return l.lastOut
-}
-
-func (l *ReLU) forwardOnly(_ []float64, in *tensor.Matrix) *tensor.Matrix {
-	return l.clamp(in, &l.evalBuf)
-}
-
-func (l *ReLU) clamp(in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
-	out := ensureMat(buf, in.Rows, in.Cols)
-	tensor.ReLU(out.Data[:len(in.Data)], in.Data)
-	return out
 }
 
 // Backward implements Layer: the gradient passes wherever Forward passed
@@ -193,7 +173,7 @@ type Tanh struct {
 	dim     int
 	lastOut *tensor.Matrix
 
-	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
 
 // NewTanh creates a Tanh over vectors of the given length.
@@ -213,20 +193,11 @@ func (l *Tanh) Init([]float64, *rng.Rand) {}
 
 // Forward implements Layer.
 func (l *Tanh) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
-	l.lastOut = l.squash(in, &l.outBuf)
-	return l.lastOut
-}
-
-func (l *Tanh) forwardOnly(_ []float64, in *tensor.Matrix) *tensor.Matrix {
-	return l.squash(in, &l.evalBuf)
-}
-
-func (l *Tanh) squash(in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
-	out := ensureMat(buf, in.Rows, in.Cols)
+	l.lastOut = ensureMat(&l.outBuf, in.Rows, in.Cols)
 	for i, v := range in.Data {
-		out.Data[i] = math.Tanh(v)
+		l.lastOut.Data[i] = math.Tanh(v)
 	}
-	return out
+	return l.lastOut
 }
 
 // Backward implements Layer.
@@ -258,15 +229,14 @@ type Conv2D struct {
 	shape   tensor.ConvShape
 	filters int
 	lastIn  *tensor.Matrix // forward cache: backward re-lowers each sample from it
-	// Scratch, one set per pass, so neither pass writes what the other
-	// reads: each is ONE P x PatchLen patches matrix, re-lowered per sample,
-	// and one padded image of PadLen. The training forward and backward
-	// share patch and pad (backward re-lowers into them); dPad is Raise's
-	// own, because Raise dirties the border Lower needs to stay zero.
-	patch, evalPatch, dPatchBuf *tensor.Matrix
-	pad, evalPad, dPad          []float64
+	// Scratch: each is ONE P x PatchLen patches matrix, re-lowered per
+	// sample, and one padded image of PadLen. Forward and backward share
+	// patch and pad (backward re-lowers into them); dPad is Raise's own,
+	// because Raise dirties the border Lower needs to stay zero.
+	patch, dPatchBuf *tensor.Matrix
+	pad, dPad        []float64
 
-	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
 
 // NewConv2D creates a convolution from the given input shape to `filters`
@@ -318,8 +288,8 @@ func (c *Conv2D) kernelMatrix(params []float64) *tensor.Matrix {
 // positions returns P, the number of output positions per channel.
 func (c *Conv2D) positions() int { return c.shape.OutHeight() * c.shape.OutWidth() }
 
-// scratch returns the pass's patches matrix and padded image, allocating
-// them on the pass's first call.
+// scratch returns a patches matrix and its padded image, allocating them on
+// the first call.
 func (c *Conv2D) scratch(patch **tensor.Matrix, pad *[]float64) (*tensor.Matrix, []float64) {
 	if *pad == nil {
 		*pad = make([]float64, c.shape.PadLen())
@@ -327,23 +297,14 @@ func (c *Conv2D) scratch(patch **tensor.Matrix, pad *[]float64) (*tensor.Matrix,
 	return ensureMat(patch, c.positions(), c.shape.PatchLen()), *pad
 }
 
-// Forward implements Layer. Output rows are channel-major flattened images
-// of shape (filters, outH, outW).
+// Forward implements Layer: each sample's image is lowered into the patches
+// matrix x, and its output row, read as the F x P matrix it is, becomes
+// W*x^T + bias. Output rows are channel-major flattened images of shape
+// (filters, outH, outW).
 func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	c.lastIn = in
 	x, pad := c.scratch(&c.patch, &c.pad)
-	return c.convolve(params, in, x, pad, &c.outBuf)
-}
-
-func (c *Conv2D) forwardOnly(params []float64, in *tensor.Matrix) *tensor.Matrix {
-	x, pad := c.scratch(&c.evalPatch, &c.evalPad)
-	return c.convolve(params, in, x, pad, &c.evalBuf)
-}
-
-// convolve is either forward pass: per sample, lower the image into x, then
-// its output row, read as the F x P matrix it is, = W*x^T + bias.
-func (c *Conv2D) convolve(params []float64, in, x *tensor.Matrix, pad []float64, buf **tensor.Matrix) *tensor.Matrix {
-	out := ensureMat(buf, in.Rows, c.OutDim())
+	out := ensureMat(&c.outBuf, in.Rows, c.OutDim())
 	w := c.kernelMatrix(params)
 	bias := params[c.filters*c.shape.PatchLen():]
 	for i := 0; i < in.Rows; i++ {
@@ -436,7 +397,7 @@ type MaxPool2x2 struct {
 	// input index: row i's entries live at [i*OutDim(), (i+1)*OutDim()).
 	argmax []int
 
-	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
 
 // NewMaxPool2x2 creates the pooling layer for the given input image shape.
@@ -479,26 +440,13 @@ func (m *MaxPool2x2) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// forwardOnly pools without a record: no Backward will ask who won.
-func (m *MaxPool2x2) forwardOnly(_ []float64, in *tensor.Matrix) *tensor.Matrix {
-	out := ensureMat(&m.evalBuf, in.Rows, m.OutDim())
-	for i := 0; i < in.Rows; i++ {
-		poolImage(in.Row(i), m.width, out.Row(i), nil)
-	}
-	return out
-}
-
-// poolImage pools the 2x2 windows of src into dst and, unless argmax is nil,
-// records each winner's offset in src. Channels are stacked image rows with
-// an even row count, so the image is walked as one tall plane, two rows at a
-// time. The first of equal maxima wins, in the order (0,0), (0,1), (1,0),
+// poolImage pools the 2x2 windows of src into dst and records each winner's
+// offset in src in argmax. Channels are stacked image rows with an even row
+// count, so the image is walked as one tall plane, two rows at a time. The first of equal maxima wins, in the order (0,0), (0,1), (1,0),
 // (1,1). A function of its own so the loop's handful of live values stay in
 // registers.
 func poolImage(src []float64, width int, dst []float64, argmax []int) {
-	record := argmax != nil
-	if record {
-		argmax = argmax[:len(dst)]
-	}
+	argmax = argmax[:len(dst)]
 	p, rowEnd := 0, width // p: the window's top-left element
 	for o := range dst {
 		top, bot := src[p:p+2:p+2], src[p+width:p+width+2:p+width+2]
@@ -506,9 +454,7 @@ func poolImage(src []float64, width int, dst []float64, argmax []int) {
 		best, at = pickMax(best, at, bot[0], p+width)
 		best, at = pickMax(best, at, bot[1], p+width+1)
 		dst[o] = best
-		if record {
-			argmax[o] = at
-		}
+		argmax[o] = at
 		if p += 2; p == rowEnd { // next pair of image rows
 			p += width
 			rowEnd += 2 * width
@@ -556,7 +502,7 @@ type Residual struct {
 	offsets []int
 	total   int
 
-	outBuf, dInBuf, evalBuf *tensor.Matrix // scratch arena
+	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
 
 // NewResidual builds a residual block around the inner layers.
@@ -595,24 +541,13 @@ func (r *Residual) Init(params []float64, rnd *rng.Rand) {
 	}
 }
 
-// Forward implements Layer.
+// Forward implements Layer: in + F(in).
 func (r *Residual) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
-	return r.skip(Layer.Forward, params, in, &r.outBuf)
-}
-
-func (r *Residual) forwardOnly(params []float64, in *tensor.Matrix) *tensor.Matrix {
-	return r.skip(forwardOnly, params, in, &r.evalBuf)
-}
-
-// skip writes in + F(in) into *buf, running the inner stack F through the
-// given forward pass.
-func (r *Residual) skip(pass func(Layer, []float64, *tensor.Matrix) *tensor.Matrix,
-	params []float64, in *tensor.Matrix, buf **tensor.Matrix) *tensor.Matrix {
 	cur := in
 	for i, l := range r.inner {
-		cur = pass(l, params[r.offsets[i]:r.offsets[i]+l.ParamLen()], cur)
+		cur = l.Forward(params[r.offsets[i]:r.offsets[i]+l.ParamLen()], cur)
 	}
-	out := ensureMat(buf, in.Rows, in.Cols)
+	out := ensureMat(&r.outBuf, in.Rows, in.Cols)
 	tensor.Add(out.Data, in.Data, cur.Data)
 	return out
 }

@@ -14,25 +14,30 @@
 // averaging (paper eq 3) is a single vector mean, and so workers can
 // exchange parameters without reflection or serialization overhead.
 //
-// # Training pass and evaluation pass
+// # Evaluation: the training forward, evalChunk rows at a time
 //
 // AdaComm's rule (paper eq 17) reads the training loss at every interval
 // boundary and every error-runtime figure is a curve of evaluated losses, so
-// evaluation is part of what the method costs. It is a pass of its own.
+// evaluation is part of what the method costs.
 //
-// Network.Forward and Network.LossGrad are the TRAINING pass: each layer's
-// Forward keeps what its Backward reads, in buffers sized by the batch (see
-// the arena comment in layers.go for what each layer keeps). LossGrad asks
-// layer 0 for its parameter gradient only — nothing reads the gradient with
-// respect to the data (paramGrader).
+// Every layer has one Forward, which keeps what its Backward reads in
+// buffers sized by the batch (the arena comment in layers.go), and
+// Network.Forward is that pass over the whole batch. LossGrad runs it and
+// then asks layer 0 for its parameter gradient only — nothing reads the
+// gradient with respect to the data (paramGrader: Conv2D skips GemmTA and
+// Raise; Dense skips Gemm(dOut, W); one backward(..., wantDIn) loop each). A
+// Residual first layer takes the full Backward, and a Residual's inner first
+// layer is not the network's first.
 //
-// Network.Loss and Network.Accuracy are the EVALUATION pass: they walk the
-// batch in chunks of evalChunk rows through the layers' forward-only path,
-// which keeps nothing. An evaluation batch is the whole training or test
-// set (hundreds of rows) where a training batch is 16: running the training
-// forward over it grew every layer's arenas to 384 or 512 rows (~25 MB per
-// engine, each store a cache miss); a chunk's buffers stay resident and are
-// chunk x layer width.
+// Network.Loss and Network.Accuracy feed the batch through the same Forward
+// in chunks of evalChunk rows. An evaluation batch is the whole training or
+// test set (hundreds of rows) where a training batch is 16: one forward over
+// all of it grew every layer's arenas to 384 or 512 rows (~25 MB per engine,
+// each store a cache miss); a chunk's buffers stay resident and are chunk x
+// layer width. An evaluation overwrites the caches a pending Backward would
+// read, so nothing evaluates between a Forward and its Backward: LossGrad
+// runs the two back to back, and each engine evaluates on a clone of its
+// own that never trains.
 //
 // Chunking cannot change a bit, because every layer is ROW-INDEPENDENT: an
 // output row is a function of its input row and the parameters alone (the
@@ -43,40 +48,14 @@
 // per-row loop under Eval and AddRows). oracle_test.go keeps the whole-batch
 // evaluation this replaced (Forward + Eval, the old argmax loop) and
 // compares every zoo model at rows {1, 15, 16, 17, 384, 512}, finite and
-// with NaN/Inf planted, bit for bit.
+// with NaN/Inf planted, bit for bit; eval_test.go holds evaluation and
+// training, interleaved on one network at several heights, to a fresh clone.
 //
-// Why the split: a CPU profile of the conv_pasgd benchmark workload before
-// it (seed 1, 2 vCPU) put Network.Loss at 7.60 s beside Network.LossGrad at
-// 7.63 s of 16.7 s. The same number of samples went forward through both
-// (the dot tile 1.57 s vs 1.64 s), but the conv lowering (then an index
-// table's gather) cost 4.02 s in evaluation against 1.02 s in training and ReLU.Forward 0.84 s against
-// 0.20 s: evaluation ran the training forward over all 384 rows, and its
-// arenas were 123 of the workload's 154 MB alloc_mb.
-//
-// How each layer takes part: forwardOnlyLayer, an unexported optional
-// interface every layer here implements, runs the same arithmetic into
-// evalBuf, a buffer of its own, and caches nothing. Conv2D lowers through
-// evalPatch and evalPad, twins of the training forward's patch and pad
-// (both passes run convolve); MaxPool2x2 records no argmax (poolImage with a
-// nil record); Residual recurses (skip takes the pass as a function); Dense,
-// ReLU and Tanh write the other buffer and keep no pointer.
-//
-// Beside row-independence, two contracts hold the passes apart:
-//
-//   - The two passes share a layer safely. The forward-only pass touches no
-//     field the training pass owns (patch, pad, argmax, lastIn, lastOut,
-//     outBuf), so Forward -> Loss(other) -> backward yields the same
-//     gradient, and a network that only evaluates (the engines' evaluation
-//     model) never allocates a backward-sized buffer; a test pins this by
-//     reflection over every layer field. GradCheck fails outright if the two
-//     passes disagree on one bit.
-//   - Network.Forward is the TRAINING forward, and the standalone layer
-//     Forward/Backward keep their meaning (the benchmark's probes call
-//     them). LossGrad asks layer 0 for backwardParams (paramGrader: Conv2D
-//     skips GemmTA and Raise; Dense skips Gemm(dOut, W);
-//     one backward(..., wantDIn) loop each). A Residual first layer takes
-//     the full Backward, and a Residual's inner first layer is not the
-//     network's first.
+// Why chunks: a CPU profile of the conv_pasgd benchmark workload before them
+// (seed 1, 2 vCPU) put Network.Loss at 7.60 s beside Network.LossGrad at
+// 7.63 s of 16.7 s, the conv lowering at 4.02 s in evaluation against 1.02 s
+// in training: evaluation ran the forward over all 384 rows, and its arenas
+// were 123 of the workload's 154 MB alloc_mb.
 //
 // # Conv2D: one sample's patches at a time
 //
@@ -97,14 +76,13 @@
 // before Gemm(G, X): Lower is a copy, so X is the same bits. A batch-stacked
 // patches cache, which only backward read, cost 16 x 64 x 72 x 8 B = 590 KB
 // per ResNetNano trunk conv — past a 2 MB L2 per replica, and ~13 of the
-// conv_pasgd workload's 31 MB alloc_mb. Each pass owns its scratch: the
-// training pass patch + pad (forward and backward's re-lowering), the
-// forward-only pass evalPatch + evalPad, backward's input gradient dPatchBuf
-// + dPad (Raise clears and dirties its padded image, so it never shares
-// Lower's, whose border only ever holds its allocation-time zero). Held by oracle_test.go (TestConv2DMatchesTransposingReference: the
-// old transposing path on the naive kernels; TestCloneSharesNoScratch),
-// eval_test.go (TestConvBackwardAfterForwardOnly and the reflection test
-// over every field), and the 0-alloc gates.
+// conv_pasgd workload's 31 MB alloc_mb. Forward and backward's re-lowering
+// share patch + pad; backward's input gradient has dPatchBuf + dPad (Raise
+// clears and dirties its padded image, so it never shares Lower's, whose
+// border only ever holds its allocation-time zero). Held by oracle_test.go
+// (TestConv2DMatchesTransposingReference: the old transposing path on the
+// naive kernels; TestCloneSharesNoScratch), eval_test.go (the chunk-size
+// bound over every field), and the 0-alloc gates.
 //
 // Accuracy never counts a row holding a NaN logit: a bare argmax settles on
 // class 0, and a diverged model scored ~1/classes. Loss and Accuracy
@@ -131,8 +109,8 @@ import (
 // that retain results must copy them.
 //
 // Every layer must be row-independent — output row i depends on input row i
-// and the parameters only — which is what lets the evaluation pass feed a
-// batch through in chunks (package comment).
+// and the parameters only — which is what lets evaluation feed a batch
+// through in chunks (package comment).
 type Layer interface {
 	// InDim and OutDim are the flattened input/output lengths per example.
 	InDim() int
@@ -142,13 +120,12 @@ type Layer interface {
 	// Init writes an initialization into params (length ParamLen).
 	Init(params []float64, r *rng.Rand)
 	// Forward computes the layer output for a batch (rows are examples)
-	// and caches whatever Backward needs: it is the TRAINING forward (the
-	// evaluation pass goes through forwardOnlyLayer). An elementwise layer
-	// maps NaN to NaN, whatever its sign or payload: a diverged activation
-	// must reach the loss as NaN, not be laundered into a finite value on
-	// the way (ReLU passes NaN through where a bare `v > 0` test would clamp
-	// it to 0). MaxPool2x2 is a comparison, not elementwise: a NaN that is
-	// not first in its window loses to any number.
+	// and caches whatever Backward needs. An elementwise layer maps NaN to
+	// NaN, whatever its sign or payload: a diverged activation must reach
+	// the loss as NaN, not be laundered into a finite value on the way (ReLU
+	// passes NaN through where a bare `v > 0` test would clamp it to 0).
+	// MaxPool2x2 is a comparison, not elementwise: a NaN that is not first
+	// in its window loses to any number.
 	Forward(params []float64, in *tensor.Matrix) *tensor.Matrix
 	// Backward consumes the gradient w.r.t. the layer output, accumulates
 	// the parameter gradient into dParams (length ParamLen, NOT zeroed),
@@ -157,23 +134,6 @@ type Layer interface {
 	// Clone returns a fresh layer with identical configuration and empty
 	// caches. Parameters live outside the layer, so Clone is cheap.
 	Clone() Layer
-}
-
-// forwardOnlyLayer is the evaluation pass of a layer: Forward's output, bit
-// for bit, computed into a buffer Forward and Backward never touch and
-// caching nothing, so it may run between a Forward and its Backward. Every
-// layer in this package has one; a Layer without it is evaluated through
-// Forward.
-type forwardOnlyLayer interface {
-	forwardOnly(params []float64, in *tensor.Matrix) *tensor.Matrix
-}
-
-// forwardOnly runs one layer of the evaluation pass.
-func forwardOnly(l Layer, params []float64, in *tensor.Matrix) *tensor.Matrix {
-	if f, ok := l.(forwardOnlyLayer); ok {
-		return f.forwardOnly(params, in)
-	}
-	return l.Forward(params, in)
 }
 
 // paramGrader is a layer that can run Backward without the input gradient
@@ -186,15 +146,14 @@ type paramGrader interface {
 	backwardParams(params []float64, dOut *tensor.Matrix, dParams []float64)
 }
 
-// evalChunk is how many rows the evaluation pass feeds through the layers at
-// a time: the conv workloads' training batch, so an evaluating network's
+// evalChunk is how many rows Loss and Accuracy feed through the layers at a
+// time: the conv workloads' training batch, so an evaluating network's
 // buffers are the size a training step's are and stay cache-resident. What
 // it decides exactly is memory — conv_pasgd's alloc_mb reads 29.7 / 31.1 /
-// 36.3 / 71.5 MB at chunks of 4 / 16 / 64 / the whole batch (154 before the
-// pass existed); in time, ISSUE 17's sizing runs read 64 and unchunked ~8%
-// behind 4 and 16, a difference the building host was too noisy to repeat
-// (CHANGES.md, PR 17). A constant, not a knob: by row-independence no result
-// depends on it.
+// 36.3 / 71.5 MB at chunks of 4 / 16 / 64 / the whole batch (154 before
+// chunking); in time, the runs that sized it read 64 and unchunked ~8%
+// behind 4 and 16, a difference too noisy on a 2-vCPU host to repeat. A
+// constant, not a knob: by row-independence no result depends on it.
 const evalChunk = 16
 
 // Loss maps network outputs and batch targets to a scalar mean loss and,
@@ -221,7 +180,7 @@ type Network struct {
 	classes int // >0 when the network is a classifier
 
 	dOutBuf *tensor.Matrix // scratch for the loss gradient in LossGrad
-	// evalIn is the evaluation pass's view of the chunk it is on. A field
+	// evalIn is the view of the chunk Loss or Accuracy is on. A field
 	// because the view crosses the Layer interface: a local would move to
 	// the heap on every call.
 	evalIn tensor.Matrix
@@ -284,9 +243,8 @@ func (n *Network) InDim() int { return n.layers[0].InDim() }
 // OutDim returns the output dimensionality.
 func (n *Network) OutDim() int { return n.layers[len(n.layers)-1].OutDim() }
 
-// Forward runs the batch through all layers and returns the outputs. It is
-// the TRAINING forward — every layer caches what its Backward reads, at the
-// batch's full height; Loss and Accuracy do not go through it.
+// Forward runs the whole batch through all layers and returns the outputs;
+// every layer caches what its Backward reads, at the batch's full height.
 func (n *Network) Forward(in *tensor.Matrix) *tensor.Matrix {
 	cur := in
 	for i, l := range n.layers {
@@ -295,8 +253,8 @@ func (n *Network) Forward(in *tensor.Matrix) *tensor.Matrix {
 	return cur
 }
 
-// evalRows runs the chunk of b that starts at row lo through the
-// forward-only pass and returns its outputs with the rows they belong to.
+// evalRows runs the chunk of b that starts at row lo through the layers'
+// Forward and returns its outputs with the rows they belong to.
 // Targets whose length does not match the batch are left out, so the loss
 // meets the mismatch it already panics on.
 func (n *Network) evalRows(b data.Batch, lo int) (*tensor.Matrix, data.Batch) {
@@ -311,13 +269,13 @@ func (n *Network) evalRows(b data.Batch, lo int) (*tensor.Matrix, data.Batch) {
 	}
 	cur := rows.X
 	for i, l := range n.layers {
-		cur = forwardOnly(l, n.layerParams(i), cur)
+		cur = l.Forward(n.layerParams(i), cur)
 	}
 	return cur, rows
 }
 
-// Loss evaluates the mean loss on the batch without computing gradients,
-// through the evaluation pass: bit for bit loss.Eval(Forward(b.X), b, nil).
+// Loss evaluates the mean loss on the batch without computing gradients, a
+// chunk at a time: bit for bit loss.Eval(Forward(b.X), b, nil).
 func (n *Network) Loss(b data.Batch) float64 {
 	total := 0.0
 	for lo := 0; lo < b.X.Rows; lo += evalChunk {
@@ -359,7 +317,7 @@ func (n *Network) backward(out *tensor.Matrix, b data.Batch, grad []float64) flo
 }
 
 // Accuracy returns the fraction of batch examples whose argmax output
-// matches the label, through the evaluation pass. A row holding a NaN logit
+// matches the label, a chunk at a time. A row holding a NaN logit
 // is never counted correct (every comparison against NaN is false, so a bare
 // argmax would settle on class 0 and score a diverged model at about
 // 1/classes); the result stays a fraction of the batch, because NaN accuracy

@@ -352,10 +352,10 @@ func TestCloneSharesNoScratch(t *testing.T) {
 }
 
 // Evaluation oracles: Network.Loss and Network.Accuracy as they were before
-// the forward-only pass — the TRAINING forward over the whole batch, then the
-// loss's Eval or the argmax loop — and LossGrad as it was before layer 0's
-// input gradient was skipped. The chunked pass and the elision must agree
-// with them bit for bit.
+// chunking — the forward over the whole batch, then the loss's Eval or the
+// argmax loop — and LossGrad as it was before layer 0's input gradient was
+// skipped. The chunked evaluation and the elision must agree with them bit
+// for bit.
 
 func lossRef(n *Network, b data.Batch) float64 {
 	return n.loss.Eval(n.Forward(b.X), b, nil)

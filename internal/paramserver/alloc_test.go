@@ -11,8 +11,8 @@ import (
 // workers restarted through a pull — allocates nothing after warm-up, in
 // both modes, on the benchmark's wire (top-k+ef push, identity pull) and
 // beside lossy pushes under free and identity pulls. Neither does the loss
-// evaluation a trace point makes between updates (nn's chunked forward-only
-// pass over the evaluation subset).
+// evaluation a trace point makes between updates (nn's forward over the
+// evaluation subset, 16 rows at a time).
 func TestUpdateSteadyStateAllocFree(t *testing.T) {
 	topkEF := compress.Spec{Kind: compress.KindTopK, Ratio: 0.1, ErrorFeedback: true}
 	for _, tc := range []struct {
