@@ -20,16 +20,19 @@ type ratioPair struct {
 	setup func(kernel bool) func() // true: the fast row, false: the reference
 }
 
-// ratioPairs are the nine margins.
+// ratioPairs are the eleven margins.
 //
 // Gemm-256: the AVX2 axpy kernel measures 3.9-5.7x over the retained naive
 // reference (naive scalar code is pinned at one multiply-add per cycle; the
 // packed kernel retires four per instruction); the Go loops 1.1-1.7x on a
 // dense product, a range that follows GemmNaive's code alignment (a 160-byte
 // layout shift once moved it from 1.1-1.4x to 1.3-1.7x) — so the floor is
-// 2.5, between the tiers whatever the layout, not 1.5. GemmTB at the
-// trunk conv's 8x64x72: the dot tile measures 5.6-7.1x over the naive dot
-// form, the Go tier's 2x2 tile 1.7-2.2x — a floor of 3. QSGD at 16 400
+// 2.5, between the tiers whatever the layout, not 1.5. GemmTB at
+// 8x64x72, the shape of the trunk conv's lowered forward — which only the Go
+// tier and Convolve's fallback run since the AVX2 tier convolves directly;
+// the dot tile stays the product of every shape Direct declines: the tile
+// measures 5.5-10x over the naive dot form, the Go tier's 2x2 tile 1.7-2.2x
+// — a floor of 3. QSGD at 16 400
 // coordinates: the tiled draw fill plus the four-lane quantizer measure
 // 2.0-2.7x over the scalar loop with a Float64 call per coordinate (the
 // norm's serial add chain is in both); the fill alone, 1.0-1.25x. Normal
@@ -49,7 +52,14 @@ type ratioPair struct {
 // the torus row, five sources of 16 400 coordinates, the sixteen nodes'
 // rows taken in turn: the one fused pass measures 3.3-4.7x over the Go
 // passes written out, the Go tier (which is those passes) 0.9-1.07x — a
-// floor of 2.
+// floor of 2. The trunk conv's forward for one sample: the direct kernel
+// measures 1.92-1.98x over the lowered product written out (Lower, GemmTB,
+// the bias loop — on this tier the lowering kernel and the dot tile, so the
+// margin is the lowering and the tile's transposes saved), the Go tier
+// (which is that product) 0.95-1.00x — a floor of 1.5. Max-pooling the
+// trunk's 8x8x8 output: the four-lane kernel measures 4.2-5.1x over its Go
+// loop written out, the Go tier (which is that loop) 0.82-0.92x — a floor
+// of 2.
 var ratioPairs = []ratioPair{
 	{"Gemm256/blocked", "Gemm256/naive", 2.5, 1, gemm256Setup},
 	{"GemmTB8x64x72", "GemmTBNaive8x64x72", 3, 16, gemmTBTrunkSetup},
@@ -60,6 +70,8 @@ var ratioPairs = []ratioPair{
 	{"Lower8x8x8", "LowerRef8x8x8", 2, 16, lowerSetup},
 	{"EmitAbove16400", "EmitAboveRef16400", 2, 4, emitSetup},
 	{"ChocoMix16400", "ChocoMixRef16400", 2, 4, mixSetup},
+	{"Convolve8x8x8", "ConvolveRef8x8x8", 1.5, 16, convolveSetup},
+	{"MaxPool8x8x8", "MaxPoolRef8x8x8", 2, 64, maxPoolSetup},
 }
 
 // sampleRounds is how many rounds sample alternates the two rows for.

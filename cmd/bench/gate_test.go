@@ -117,6 +117,14 @@ func TestTopKRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "EmitAbo
 // which are all the Go tier runs.
 func TestMixRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "ChocoMix16400") }
 
+// TestConvolveRatioFollowsTheTier: the direct conv kernel against the
+// lowered product it replaces, which is all the Go tier runs.
+func TestConvolveRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Convolve8x8x8") }
+
+// TestMaxPoolRatioFollowsTheTier: the four-lane max-pool against its Go
+// loop, which is all the Go tier runs.
+func TestMaxPoolRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "MaxPool8x8x8") }
+
 func ratioFollowsTheTier(t *testing.T, fast string) {
 	var pair ratioPair
 	for _, p := range ratioPairs {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bench                      # time the nine pairs, print them
+//	bench                      # time the eleven pairs, print them
 //	bench -out FILE.json       # also write the timings as JSON
 //
 // The exit status is the verdict: 0 when every pair is at or above its
@@ -245,6 +245,70 @@ func lowerSetup(kernel bool) func() {
 						o += k
 					}
 				}
+			}
+		}
+	}
+}
+
+// convolveSetup is one ResNetNano trunk conv's forward for one sample, 8
+// filters over 8 channels of 8x8 under a 3x3 kernel with padding 1, on a
+// post-ReLU input: through Convolve, or by the lowered product it replaces,
+// written out — Lower into the 64x72 patches matrix, one GemmTB, the bias
+// loop.
+func convolveSetup(kernel bool) func() {
+	s := tensor.ConvShape{Channels: 8, Height: 8, Width: 8, Kernel: 3, Stride: 1, Pad: 1}
+	r := rng.New(68)
+	img := zeroLaden(r, tensor.NewMatrix(1, s.Channels*s.Height*s.Width), 0.5).Data
+	w := zeroLaden(r, tensor.NewMatrix(8, s.PatchLen()), 0)
+	bias := zeroLaden(r, tensor.NewMatrix(1, 8), 0).Data
+	pad := make([]float64, s.PadLen())
+	x := tensor.NewMatrix(s.OutHeight()*s.OutWidth(), s.PatchLen())
+	out := tensor.NewMatrix(8, s.OutHeight()*s.OutWidth())
+	if kernel {
+		return func() { tensor.Convolve(s, w, bias, img, pad, x, out.Data) }
+	}
+	return func() {
+		tensor.Lower(s, img, pad, x)
+		tensor.GemmTB(1, w, x, 0, out)
+		for f, b := range bias {
+			row := out.Row(f)
+			for pos := range row {
+				row[pos] += b
+			}
+		}
+	}
+}
+
+// maxPoolSetup pools the ResNetNano trunk's output, 8 channels of 8x8 after
+// ReLU, into 8 of 4x4 with each window's argmax: through MaxPool, or by the
+// Go loop it runs off the AVX2 tier, written out — a branch-free
+// greater-than pick per window slot, in the window's row-major order.
+func maxPoolSetup(kernel bool) func() {
+	const width = 8
+	r := rng.New(69)
+	src := zeroLaden(r, tensor.NewMatrix(1, 8*8*8), 0.5).Data
+	dst, argmax := make([]float64, len(src)/4), make([]int, len(src)/4)
+	if kernel {
+		return func() { tensor.MaxPool(src, width, dst, argmax) }
+	}
+	pick := func(best float64, at int, v float64, vAt int) (float64, int) {
+		var take uint64
+		if v > best {
+			take = 1
+		}
+		take = -take
+		b, vb := math.Float64bits(best), math.Float64bits(v)
+		return math.Float64frombits(b ^ (b^vb)&take), at ^ (at^vAt)&int(take)
+	}
+	return func() {
+		p, rowEnd := 0, width
+		for o := range dst {
+			best, at := pick(src[p], p, src[p+1], p+1)
+			best, at = pick(best, at, src[p+width], p+width)
+			dst[o], argmax[o] = pick(best, at, src[p+width+1], p+width+1)
+			if p += 2; p == rowEnd {
+				p += width
+				rowEnd += 2 * width
 			}
 		}
 	}

@@ -212,27 +212,32 @@ func (l *Tanh) Backward(_ []float64, dOut *tensor.Matrix, _ []float64) *tensor.M
 // Clone implements Layer.
 func (l *Tanh) Clone() Layer { return NewTanh(l.dim) }
 
-// Conv2D is a 2-D convolution over channel-major flattened images,
-// implemented with im2col so the per-sample work is one matrix multiply.
+// Conv2D is a 2-D convolution over channel-major flattened images.
 // Parameters: filters W (F x C*K*K, row-major) followed by biases (F).
 //
 // Operand layouts, per sample (P = outH*outW positions, L = C*K*K): the
 // lowered patches X are P x L, one row per output position; a sample's
 // output row, and its gradient G, read as the F x P matrix they already are
-// in channel-major order. Forward is out = W*X^T (GemmTB, dot form);
-// Backward is dW += G*X (Gemm) and dX = G^T*W (GemmTA), both axpy form with
-// G as the coefficient operand, so the exact zeros ReLU and pooling leave
-// in G are skipped, not multiplied. No product is ever transposed, and no
-// sample's X outlives its products: Backward lowers it again from the
-// cached input (the package comment).
+// in channel-major order. Forward is out = W*X^T + bias, tensor.Convolve:
+// on the AVX2 tier a 3x3 stride-1 conv whose output width is a multiple of
+// four (every conv of the zoo) runs a direct kernel that reads X's elements
+// straight from the padded image, and every other shape lowers X and runs
+// GemmTB (dot form) — the same sums either way. Backward is dW += G*X (Gemm)
+// and dX = G^T*W (GemmTA), both axpy form with G as the coefficient operand,
+// so the exact zeros ReLU and pooling leave in G are skipped, not
+// multiplied. No product is ever transposed, and no sample's X outlives its
+// products: Backward lowers it again from the cached input (the package
+// comment).
 type Conv2D struct {
 	shape   tensor.ConvShape
 	filters int
 	lastIn  *tensor.Matrix // forward cache: backward re-lowers each sample from it
 	// Scratch: each is ONE P x PatchLen patches matrix, re-lowered per
 	// sample, and one padded image of PadLen. Forward and backward share
-	// patch and pad (backward re-lowers into them); dPad is Raise's own,
-	// because Raise dirties the border Lower needs to stay zero.
+	// pad (Convolve and Lower frame into it) and patch, which a forward
+	// allocates only where Convolve lowers (ConvShape.Direct is false);
+	// dPad is Raise's own, because Raise dirties the border Lower needs to
+	// stay zero.
 	patch, dPatchBuf *tensor.Matrix
 	pad, dPad        []float64
 
@@ -291,32 +296,33 @@ func (c *Conv2D) positions() int { return c.shape.OutHeight() * c.shape.OutWidth
 // scratch returns a patches matrix and its padded image, allocating them on
 // the first call.
 func (c *Conv2D) scratch(patch **tensor.Matrix, pad *[]float64) (*tensor.Matrix, []float64) {
+	return ensureMat(patch, c.positions(), c.shape.PatchLen()), c.padded(pad)
+}
+
+// padded returns a padded image, allocating it on the first call.
+func (c *Conv2D) padded(pad *[]float64) []float64 {
 	if *pad == nil {
 		*pad = make([]float64, c.shape.PadLen())
 	}
-	return ensureMat(patch, c.positions(), c.shape.PatchLen()), *pad
+	return *pad
 }
 
-// Forward implements Layer: each sample's image is lowered into the patches
-// matrix x, and its output row, read as the F x P matrix it is, becomes
-// W*x^T + bias. Output rows are channel-major flattened images of shape
-// (filters, outH, outW).
+// Forward implements Layer: each sample's output row, read as the F x P
+// matrix it is, becomes W*X^T + bias through tensor.Convolve, which needs
+// the patches matrix only where it lowers. Output rows are channel-major
+// flattened images of shape (filters, outH, outW).
 func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	c.lastIn = in
-	x, pad := c.scratch(&c.patch, &c.pad)
+	pad := c.padded(&c.pad)
+	var x *tensor.Matrix
+	if !c.shape.Direct() {
+		x = ensureMat(&c.patch, c.positions(), c.shape.PatchLen())
+	}
 	out := ensureMat(&c.outBuf, in.Rows, c.OutDim())
 	w := c.kernelMatrix(params)
 	bias := params[c.filters*c.shape.PatchLen():]
 	for i := 0; i < in.Rows; i++ {
-		tensor.Lower(c.shape, in.Row(i), pad, x)
-		y := tensor.Matrix{Rows: c.filters, Cols: c.positions(), Data: out.Row(i)}
-		tensor.GemmTB(1, w, x, 0, &y) // (F x P), beta=0 overwrites
-		for f, b := range bias {
-			row := y.Row(f)
-			for pos := range row {
-				row[pos] += b
-			}
-		}
+		tensor.Convolve(c.shape, w, bias, in.Row(i), pad, x, out.Row(i))
 	}
 	return out
 }
@@ -425,7 +431,8 @@ func (m *MaxPool2x2) ParamLen() int { return 0 }
 // Init implements Layer (no parameters).
 func (m *MaxPool2x2) Init([]float64, *rng.Rand) {}
 
-// Forward implements Layer.
+// Forward implements Layer: one tensor.MaxPool per sample, the winners'
+// offsets kept for Backward.
 func (m *MaxPool2x2) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
 	n := m.OutDim()
 	out := ensureMat(&m.outBuf, in.Rows, n)
@@ -435,45 +442,9 @@ func (m *MaxPool2x2) Forward(_ []float64, in *tensor.Matrix) *tensor.Matrix {
 		m.argmax = m.argmax[:need]
 	}
 	for i := 0; i < in.Rows; i++ {
-		poolImage(in.Row(i), m.width, out.Row(i), m.argmax[i*n:(i+1)*n])
+		tensor.MaxPool(in.Row(i), m.width, out.Row(i), m.argmax[i*n:(i+1)*n])
 	}
 	return out
-}
-
-// poolImage pools the 2x2 windows of src into dst and records each winner's
-// offset in src in argmax. Channels are stacked image rows with an even row
-// count, so the image is walked as one tall plane, two rows at a time. The first of equal maxima wins, in the order (0,0), (0,1), (1,0),
-// (1,1). A function of its own so the loop's handful of live values stay in
-// registers.
-func poolImage(src []float64, width int, dst []float64, argmax []int) {
-	argmax = argmax[:len(dst)]
-	p, rowEnd := 0, width // p: the window's top-left element
-	for o := range dst {
-		top, bot := src[p:p+2:p+2], src[p+width:p+width+2:p+width+2]
-		best, at := pickMax(top[0], p, top[1], p+1)
-		best, at = pickMax(best, at, bot[0], p+width)
-		best, at = pickMax(best, at, bot[1], p+width+1)
-		dst[o] = best
-		argmax[o] = at
-		if p += 2; p == rowEnd { // next pair of image rows
-			p += width
-			rowEnd += 2 * width
-		}
-	}
-}
-
-// pickMax returns (v, vIdx) when v > best and (best, bestIdx) otherwise —
-// the comparison a branch would make (false on NaN, false on equal zeros of
-// either sign), applied as a bit mask: activations are as good as random to
-// a branch predictor.
-func pickMax(best float64, bestIdx int, v float64, vIdx int) (float64, int) {
-	var take uint64
-	if v > best {
-		take = 1
-	}
-	take = -take
-	b, vb := math.Float64bits(best), math.Float64bits(v)
-	return math.Float64frombits(b ^ (b^vb)&take), bestIdx ^ (bestIdx^vIdx)&int(take)
 }
 
 // Backward implements Layer.

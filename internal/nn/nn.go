@@ -57,32 +57,40 @@
 // in training: evaluation ran the forward over all 384 rows, and its arenas
 // were 123 of the workload's 154 MB alloc_mb.
 //
-// # Conv2D: one sample's patches at a time
+// # Conv2D: one sample at a time, lowered only where it must be
 //
-// Conv2D lowers a sample into ONE P x L patches matrix X (P output
-// positions, L = C*K*K) with tensor.Lower, which copies the image into the
-// interior of a zero-bordered scratch image (pad) and writes every element
-// of X as runs of pad, so no element is tested against the image's bounds
-// and X needs no preparation. The products transpose nothing: a sample's output row and its
-// gradient G are read as the F x P matrices they already are, forward is
-// GemmTB(W, X) (dot form), backward is Gemm(G, X) into dW and GemmTA(G, W)
-// into dX (axpy form, G in the coefficient seat, so the exact zeros ReLU and
-// pooling leave in G are skipped) — term for term what a P x F product and
-// two strided copies compute (tensor/naive.go says why the swap is exact).
-// tensor.Raise takes dX back to the image (Zero + Col2Im, bit for bit).
+// A sample's output row and its gradient G are read as the F x P matrices
+// they already are (P output positions, L = C*K*K), so no product
+// transposes anything. The forward is out = W*X^T + bias, X the sample's
+// P x L patches, by tensor.Convolve: it copies the image into the interior
+// of a zero-bordered scratch image (pad) and, on the AVX2 tier for a 3x3
+// stride-1 conv whose output width is a multiple of four (every conv of the
+// zoo), computes each sum straight from pad — no patches matrix is built —
+// while every other shape, and the Go tier, lowers X with tensor.Lower (runs
+// of pad, so no element is tested against the image's bounds) and runs
+// GemmTB(W, X) (dot form) and the bias loop. Both are the same dot form term
+// for term, so the tier and the shape never move a bit. Backward lowers X
+// and runs Gemm(G, X) into dW and GemmTA(G, W) into dX (axpy form, G in the
+// coefficient seat, so the exact zeros ReLU and pooling leave in G are
+// skipped) — term for term what a P x F product and two strided copies
+// compute (tensor/naive.go says why the swap is exact). tensor.Raise takes
+// dX back to the image (Zero + Col2Im, bit for bit).
 //
 // THE RULE: the training forward keeps its INPUT (lastIn, as Dense does), not
-// the lowered patches, and backward re-lowers sample i from lastIn.Row(i)
-// before Gemm(G, X): Lower is a copy, so X is the same bits. A batch-stacked
-// patches cache, which only backward read, cost 16 x 64 x 72 x 8 B = 590 KB
-// per ResNetNano trunk conv — past a 2 MB L2 per replica, and ~13 of the
-// conv_pasgd workload's 31 MB alloc_mb. Forward and backward's re-lowering
-// share patch + pad; backward's input gradient has dPatchBuf + dPad (Raise
-// clears and dirties its padded image, so it never shares Lower's, whose
-// border only ever holds its allocation-time zero). Held by oracle_test.go
-// (TestConv2DMatchesTransposingReference: the old transposing path on the
-// naive kernels; TestCloneSharesNoScratch), eval_test.go (the chunk-size
-// bound over every field), and the 0-alloc gates.
+// patches, and backward re-lowers sample i from lastIn.Row(i) before
+// Gemm(G, X): Lower is a copy, so X holds the bits the forward's sums read.
+// A batch-stacked patches cache, which only backward read, cost 16 x 64 x 72
+// x 8 B = 590 KB per ResNetNano trunk conv — past a 2 MB L2 per replica, and
+// ~13 of the conv_pasgd workload's 31 MB alloc_mb. The forward and the
+// backward's re-lowering share pad, and the patches matrix, which a forward
+// allocates only where Convolve lowers (so an evaluation replica on the
+// AVX2 tier has none); backward's input gradient has dPatchBuf + dPad (Raise
+// clears and dirties its padded image, so it never shares the one Lower and
+// Convolve frame into, whose border only ever holds its allocation-time
+// zero). Held by oracle_test.go (TestConv2DMatchesTransposingReference: the
+// old transposing path on the naive kernels; TestCloneSharesNoScratch),
+// eval_test.go (the chunk-size bound over every field), and the 0-alloc
+// gates.
 //
 // Accuracy never counts a row holding a NaN logit: a bare argmax settles on
 // class 0, and a diverged model scored ~1/classes. Loss and Accuracy

@@ -68,8 +68,8 @@ func NewResNetNano(shape data.ImageShape, classes int) *Network {
 	stem := NewConv2D(c, h, w, 3, 1, 1, 8)
 	_, hs, ws := stem.OutShape()
 
-	// The four trunk convolutions have one shape: clones of one layer share
-	// its im2col table instead of building four.
+	// The four trunk convolutions have one shape: each is a clone of one
+	// layer, which copies only the shape and the filter count.
 	trunk := NewConv2D(8, hs, ws, 3, 1, 1, 8)
 	block := func() Layer {
 		return NewResidual(trunk.Clone(), NewReLU(trunk.OutDim()), trunk.Clone())

@@ -31,3 +31,97 @@ func raiseRows(w padWalk, pad, d []float64) {
 	_, _ = d[w.n*w.chans*9-1], pad[(w.n-1)*w.step+(w.chans-1)*w.plane+2*w.wp+2]
 	raise3AVX2(&pad[0], &d[0], w.n, w.chans, w.step*8, w.wp*8, w.plane*8)
 }
+
+// convTile4x8 is the direct convolution's kernel: the thirty-two sums
+//
+//	out[f*ldo + j] = bias[f] + sum_k pad[at(j) + off(k)] * w[f*ldw + k]
+//
+// for filters f = 0..3 and positions j = 0..7, each started from +0,
+// accumulated in ascending k = (c, ky, kx) over chans > 0 channels, a
+// product then an add per term, the bias added last. Positions 0-3 are the
+// four adjacent windows whose first starts at pad, 4-7 the four starting gb
+// bytes on, and they land gbo bytes after 0-3 (32, or gb = gbo = 0 to compute
+// one group twice into the same four elements). off(k) = c*plane + ky*wp +
+// kx*8; every stride is in BYTES. convTile1x8 is the same for one filter.
+//
+//go:noescape
+func convTile4x8(pad *float64, gb int, w *float64, ldw, chans, wp, plane int, bias, out *float64, ldo, gbo int)
+
+//go:noescape
+func convTile1x8(pad *float64, gb int, w *float64, chans, wp, plane int, bias, out *float64, gbo int)
+
+// moveRowsAVX2 copies chans planes of rows rows of quads*4 elements, the rows
+// and planes of dst and src at their own strides in BYTES.
+//
+//go:noescape
+func moveRowsAVX2(dst, src *float64, chans, rows, quads, dstRow, dstPlane, srcRow, srcPlane int)
+
+// poolAVX2 is poolImageGo over groups > 0 groups of steps > 0 steps of four
+// windows, the step's two top-row vectors d elements apart (d = 4: one band
+// of eight columns; d = 8 = 2*width: two bands of width 4). A step moves
+// src on by 2*d elements and a group by skip more. lanes is the first step's
+// top-left offsets in the kernel's lane order.
+//
+//go:noescape
+func poolAVX2(src, dst *float64, argmax *int, width, d, steps, groups, skip int, lanes *[4]int)
+
+// poolLanes are the top-left offsets of a step's four windows in the lanes
+// VUNPCKLPD leaves them in — 0, d, 2, d+2 — for d = 4 and d = 8.
+var poolLanes = [2][4]int{{0, 4, 2, 6}, {0, 8, 2, 10}}
+
+// convolveDirect runs Convolve's kernel over every tile of four filters by
+// eight positions (one filter at a time for F % 4), pw the walk of a shape
+// Direct accepts. Positions are taken eight at a time in output order, as two
+// groups of four that each lie in one output row (OutWidth % 4 == 0), so one
+// output row at a time when OutWidth >= 8 and two when it is 4; a last lone
+// group is computed twice into its four elements.
+func convolveDirect(pw padWalk, w *Matrix, bias, pad, out []float64) {
+	nf, l, outW := w.Rows, w.Cols, pw.n
+	p := len(out) / nf
+	_, _ = w.Data[nf*l-1], bias[nf-1]
+	at := func(q int) int { return q/outW*pw.wp + q%outW } // pad offset of position q's window
+	for q := 0; q < p; q += 8 {
+		a, gb, gbo := at(q), 0, 0
+		if q+4 < p {
+			gb, gbo = (at(q+4)-at(q))*8, 32
+		}
+		f := 0
+		for ; f+4 <= nf; f += 4 {
+			convTile4x8(&pad[a], gb, &w.Data[f*l], l*8, pw.chans, pw.wp*8, pw.plane*8, &bias[f], &out[f*p+q], p*8, gbo)
+		}
+		for ; f < nf; f++ {
+			convTile1x8(&pad[a], gb, &w.Data[f*l], pw.chans, pw.wp*8, pw.plane*8, &bias[f], &out[f*p+q], gbo)
+		}
+	}
+}
+
+// moveRows copies chans planes of rows rows, each width elements, from src to
+// dst (row and plane strides in elements) on the AVX2 tier when width is a
+// multiple of four, and reports whether it did.
+func moveRows(dst, src []float64, chans, rows, width, dstRow, dstPlane, srcRow, srcPlane int) bool {
+	if !useAVX2 || width%4 != 0 || chans*rows*width == 0 {
+		return false
+	}
+	_ = dst[(chans-1)*dstPlane+(rows-1)*dstRow+width-1]
+	_ = src[(chans-1)*srcPlane+(rows-1)*srcRow+width-1]
+	moveRowsAVX2(&dst[0], &src[0], chans, rows, width/4, dstRow*8, dstPlane*8, srcRow*8, srcPlane*8)
+	return true
+}
+
+// poolBulk runs MaxPool on the kernel and reports whether it did: widths a
+// multiple of 8, one band per group; width 4 at an even band count, as one
+// group of two bands per step.
+func poolBulk(src []float64, width int, dst []float64, argmax []int) bool {
+	bands := len(src) / (2 * width)
+	switch {
+	case !useAVX2 || bands == 0:
+		return false
+	case width%8 == 0:
+		poolAVX2(&src[0], &dst[0], &argmax[0], width, 4, width/8, bands, width, &poolLanes[0])
+	case width == 4 && bands%2 == 0:
+		poolAVX2(&src[0], &dst[0], &argmax[0], width, 8, bands/2, 1, 0, &poolLanes[1])
+	default:
+		return false
+	}
+	return true
+}

@@ -2,8 +2,20 @@
 
 package tensor
 
-// No assembly tier in this build: the Go loops in im2col.go take every patch.
+// No assembly tier in this build: the Go loops in im2col.go take every patch,
+// frame and unframe copy row by row, MaxPool runs poolImageGo, and Direct is
+// false, so Convolve always runs the lowered product.
 
 func lowerRows(w padWalk, d, pad []float64) { lowerRowsGo(w, d, pad) }
 
 func raiseRows(w padWalk, pad, d []float64) { raiseRowsGo(w, pad, d) }
+
+func convolveDirect(pw padWalk, w *Matrix, bias, pad, out []float64) {
+	panic("tensor: no direct convolution kernel in this build")
+}
+
+func moveRows(dst, src []float64, chans, rows, width, dstRow, dstPlane, srcRow, srcPlane int) bool {
+	return false
+}
+
+func poolBulk(src []float64, width int, dst []float64, argmax []int) bool { return false }

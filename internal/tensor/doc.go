@@ -1,9 +1,10 @@
 // Package tensor provides the dense linear-algebra substrate for the
 // hand-rolled neural-network stack: float64 vectors and row-major matrices
-// with the handful of BLAS-like kernels (axpy, dot, gemm, im2col) that
-// mini-batch SGD on MLPs and small CNNs requires, and the elementwise loops
-// the layers above spend their time in (ReLU, the QSGD wire, top-k's passes,
-// CHOCO's gossip mix, polar normal draws, exp). No cgo.
+// with the handful of BLAS-like kernels (axpy, dot, gemm, im2col, a direct
+// 3x3 convolution) that mini-batch SGD on MLPs and small CNNs requires, and
+// the elementwise loops the layers above spend their time in (ReLU, max-pool,
+// the QSGD wire, top-k's passes, CHOCO's gossip mix, polar normal draws,
+// exp). No cgo.
 //
 // # Two tiers, one switch
 //
@@ -103,6 +104,38 @@
 //     (zeroing it per call cost 13-22% of Lower); Raise, which clears its own
 //     padded image, takes a different one. Other kernel sizes take the Go
 //     loops, which are the kernels' oracles.
+//   - moveRowsAVX2 (ConvShape.frame / unframe, the copy-in and copy-out of
+//     Lower, Raise and Convolve): an image row a multiple of four wide moves
+//     as four-wide loads and stores, the rows and planes of either side at
+//     their own strides; other widths keep one copy per row (an 8-wide row's
+//     copy call was 6% of a conv forward). THE RULE: it writes the interior
+//     only, so frame keeps Lower's zero border.
+//   - convTile4x8 / convTile1x8 (Convolve, conv_amd64.s): the direct
+//     convolution for a 3x3 kernel at stride 1 and an output width that is a
+//     multiple of four (ConvShape.Direct). A tile is four filters by eight
+//     output positions, two groups of four adjacent windows that each lie in
+//     one output row — one row when OutWidth >= 8, two when it is 4 — whose
+//     values for patch element k = (c, ky, kx) are ONE unaligned load from
+//     the padded image at c*plane + ky*wp + kx: no patches matrix and no
+//     transpose, only a broadcast per filter weight. THE RULE: it is the
+//     lowered product term for term — from +0, per k in ascending order a
+//     VMULPD with the pad value as first source (the dot tile's order) and
+//     a VADDPD with the accumulator first, then bias[f] added to the sum
+//     before the store, as Lower + GemmTB + the bias loop compute it. F % 4
+//     filters run the one-filter entry; a last lone group of four (P % 8 ==
+//     4) is computed twice into the same four elements, so no store passes
+//     the output. Every shape Direct declines, and the Go tier, runs that
+//     lowered product (convolveLowered), which is also the kernel's oracle.
+//   - poolAVX2 (MaxPool): four 2x2 windows per step, from two four-wide loads
+//     per image row, VUNPCKLPD/VUNPCKHPD splitting the left and right columns;
+//     pickMax's chain per lane, VCMPPD GT_OQ for `v > best` (false on NaN and
+//     on equal zeros) and VBLENDVPD picking the value and the int64 argmax
+//     alike, VPERMPD/VPERMQ $0xD8 restoring the window order. Widths a
+//     multiple of 8 take one band (row pair) per group; width 4 (VGGNano's
+//     second pool) two bands per step at an even band count; others take
+//     poolImageGo, the oracle. THE RULE: VEX encodings only in the setup
+//     (VMOVQ, VPBROADCASTQ) — one legacy-SSE MOVQ into an X register with
+//     the upper halves dirty made the kernel 7x slower than its Go loop.
 //
 // # The kernel contract
 //
@@ -168,7 +201,12 @@
 // FuzzLowerTwin, over random conv shapes against Im2Col
 // into a NaN-filled matrix and Zero + Col2Im; where one of Raise's adds meets
 // two NaNs, which payload survives is the compiler's operand order, so any
-// NaN passes there). exp_amd64_test.go holds
+// NaN passes there — FuzzConvolveTwin, over random conv shapes and filter
+// counts against Lower + GemmTBNaive + the bias loop, likewise, except that
+// on the direct kernel the payload must be the one its fixed operand order
+// gives, with sentinels past the output and the padded image — and
+// FuzzMaxPoolTwin, values and argmax against poolImageGo with sentinels past
+// both). exp_amd64_test.go holds
 // each exp path to a Go oracle of its own (math.FMA for the fused steps,
 // separately rounded products for the unfused ones) by flipping useFMA, so
 // the path this host's math does not take runs too, and checks the probe

@@ -155,10 +155,14 @@ func Raise(s ConvShape, patches *Matrix, pad, dst []float64) {
 }
 
 // frame copies img into pad's interior, row by row; the border is left as
-// it is.
+// it is. Rows a multiple of four wide move four at a time on the AVX2 tier
+// (moveRows), others one copy per row.
 func (s ConvShape) frame(img, pad []float64) {
 	h, w, p := s.Height, s.Width, s.Pad
 	wp := w + 2*p
+	if moveRows(pad[p*wp+p:], img, s.Channels, h, w, wp, (h+2*p)*wp, w, h*w) {
+		return
+	}
 	for c := 0; c < s.Channels; c++ {
 		for y := 0; y < h; y++ {
 			copy(pad[(c*(h+2*p)+y+p)*wp+p:][:w], img[(c*h+y)*w:])
@@ -166,10 +170,13 @@ func (s ConvShape) frame(img, pad []float64) {
 	}
 }
 
-// unframe copies pad's interior out to img.
+// unframe copies pad's interior out to img, as frame moves it in.
 func (s ConvShape) unframe(pad, img []float64) {
 	h, w, p := s.Height, s.Width, s.Pad
 	wp := w + 2*p
+	if moveRows(img, pad[p*wp+p:], s.Channels, h, w, w, h*w, wp, (h+2*p)*wp) {
+		return
+	}
 	for c := 0; c < s.Channels; c++ {
 		for y := 0; y < h; y++ {
 			copy(img[(c*h+y)*w:][:w], pad[(c*(h+2*p)+y+p)*wp+p:])

@@ -25,10 +25,12 @@ package tensor
 // nn.Conv2D, per sample, with W the F x L filters, X the P x L lowered
 // patches and G the F x P output gradient:
 //
-//   - Forward, out = W*X^T, is GemmTB(W, X): dot form, as the P x F product
-//     GemmTB(X, W) it replaces was. Dot multiplies term by term and a*b ==
-//     b*a bit for bit, so swapping the operands only transposes the result —
-//     into the channel-major order the output row already has.
+//   - Forward, out = W*X^T, is GemmTB(W, X) in Convolve's lowered product:
+//     dot form, as the P x F product GemmTB(X, W) it replaces was. Dot
+//     multiplies term by term and a*b == b*a bit for bit, so swapping the
+//     operands only transposes the result — into the channel-major order
+//     the output row already has. Convolve's direct kernel sums the same
+//     terms in the same order without building X.
 //   - Backward, dW += G*X, is Gemm(G, X), and dX = G^T*W is GemmTA(G, W):
 //     axpy form with G as the coefficient operand, term for term the
 //     GemmTA(G^T, X) and Gemm(G^T, W) they replace (same products, same

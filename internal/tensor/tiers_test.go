@@ -277,17 +277,29 @@ func twoNaNs(alpha, x, y float64) bool {
 }
 
 func TestMaskHelpersPanicOnMismatch(t *testing.T) {
+	s := ConvShape{Channels: 2, Height: 4, Width: 4, Kernel: 3, Stride: 1, Pad: 1}
+	w, x := NewMatrix(3, s.PatchLen()), NewMatrix(16, s.PatchLen())
+	img, pad, out := make([]float64, 32), make([]float64, s.PadLen()), make([]float64, 48)
 	for name, f := range map[string]func(){
-		"ReLU":          func() { ReLU(make([]float64, 3), make([]float64, 4)) },
-		"ReLUGrad/grad": func() { ReLUGrad(make([]float64, 4), make([]float64, 3), make([]float64, 4)) },
-		"ReLUGrad/dst":  func() { ReLUGrad(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
-		"Axpy":          func() { Axpy(1, make([]float64, 5), make([]float64, 4)) },
-		"Sub/b":         func() { Sub(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
-		"Sub/dst":       func() { Sub(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
-		"Add":           func() { Add(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
-		"KeepDigit":     func() { KeepDigit(make([]uint64, 3), make([]float64, 4), 0) },
-		"EmitAbove":     func() { EmitAbove(make([]int32, 3), make([]float64, 4), make([]float64, 4), 0) },
-		"FillTies":      func() { FillTies(make([]int32, 4), make([]float64, 3), 0, make([]float64, 4), 0) },
+		"ReLU":           func() { ReLU(make([]float64, 3), make([]float64, 4)) },
+		"ReLUGrad/grad":  func() { ReLUGrad(make([]float64, 4), make([]float64, 3), make([]float64, 4)) },
+		"ReLUGrad/dst":   func() { ReLUGrad(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
+		"Axpy":           func() { Axpy(1, make([]float64, 5), make([]float64, 4)) },
+		"Sub/b":          func() { Sub(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
+		"Sub/dst":        func() { Sub(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
+		"Add":            func() { Add(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
+		"KeepDigit":      func() { KeepDigit(make([]uint64, 3), make([]float64, 4), 0) },
+		"EmitAbove":      func() { EmitAbove(make([]int32, 3), make([]float64, 4), make([]float64, 4), 0) },
+		"FillTies":       func() { FillTies(make([]int32, 4), make([]float64, 3), 0, make([]float64, 4), 0) },
+		"Convolve/bias":  func() { Convolve(s, w, make([]float64, 2), img, pad, x, out) },
+		"Convolve/out":   func() { Convolve(s, w, make([]float64, 3), img, pad, x, out[:47]) },
+		"Convolve/w":     func() { Convolve(s, NewMatrix(3, 9), make([]float64, 3), img, pad, x, out) },
+		"Convolve/img":   func() { Convolve(s, w, make([]float64, 3), img[:31], pad, x, out) },
+		"Convolve/pad":   func() { Convolve(s, w, make([]float64, 3), img, pad[1:], x, out) },
+		"MaxPool/width":  func() { MaxPool(make([]float64, 24), 3, make([]float64, 6), make([]int, 6)) },
+		"MaxPool/rows":   func() { MaxPool(make([]float64, 20), 4, make([]float64, 5), make([]int, 5)) },
+		"MaxPool/dst":    func() { MaxPool(make([]float64, 32), 4, make([]float64, 7), make([]int, 8)) },
+		"MaxPool/argmax": func() { MaxPool(make([]float64, 32), 4, make([]float64, 8), make([]int, 7)) },
 	} {
 		func() {
 			defer func() {

@@ -80,7 +80,7 @@ func topkTwin(t *testing.T, vec []float64, pick uint16, kSeed uint8) {
 }
 
 // filled returns n copies of s.
-func filled[T int32 | uint64 | float64](n int, s T) []T {
+func filled[T int | int32 | uint64 | float64](n int, s T) []T {
 	w := make([]T, n)
 	for i := range w {
 		w[i] = s
@@ -90,7 +90,7 @@ func filled[T int32 | uint64 | float64](n int, s T) []T {
 
 // intactPast fails unless every entry of whole from index n on still holds
 // the sentinel s.
-func intactPast[T int32 | uint64 | float64](t *testing.T, what string, whole []T, n int, s T) {
+func intactPast[T int | int32 | uint64 | float64](t *testing.T, what string, whole []T, n int, s T) {
 	t.Helper()
 	for i := n; i < len(whole); i++ {
 		if whole[i] != s {
