@@ -20,7 +20,7 @@ type ratioPair struct {
 	setup func(kernel bool) func() // true: the fast row, false: the reference
 }
 
-// ratioPairs are the eleven margins.
+// ratioPairs are the twelve margins.
 //
 // Gemm-256: the AVX2 axpy kernel measures 3.9-5.7x over the retained naive
 // reference (naive scalar code is pinned at one multiply-add per cycle; the
@@ -59,7 +59,11 @@ type ratioPair struct {
 // (which is that product) 0.95-1.00x — a floor of 1.5. Max-pooling the
 // trunk's 8x8x8 output: the four-lane kernel measures 4.2-5.1x over its Go
 // loop written out, the Go tier (which is that loop) 0.82-0.92x — a floor
-// of 2.
+// of 2. The trunk conv's backward for a batch of 16, the output gradient
+// 73% zeros: ConvGrad, which builds no patches matrix, no patch gradients
+// and no raised image, measures 1.82-2.05x over the lowered backward
+// written out (Lower, Gemm, GemmTA, Raise per sample), the Go tier (which
+// is that backward) 0.98-1.00x — a floor of 1.4.
 var ratioPairs = []ratioPair{
 	{"Gemm256/blocked", "Gemm256/naive", 2.5, 1, gemm256Setup},
 	{"GemmTB8x64x72", "GemmTBNaive8x64x72", 3, 16, gemmTBTrunkSetup},
@@ -72,6 +76,7 @@ var ratioPairs = []ratioPair{
 	{"ChocoMix16400", "ChocoMixRef16400", 2, 4, mixSetup},
 	{"Convolve8x8x8", "ConvolveRef8x8x8", 1.5, 16, convolveSetup},
 	{"MaxPool8x8x8", "MaxPoolRef8x8x8", 2, 64, maxPoolSetup},
+	{"ConvBack8x8x8", "ConvBackRef8x8x8", 1.4, 2, convBackSetup},
 }
 
 // sampleRounds is how many rounds sample alternates the two rows for.

@@ -125,6 +125,10 @@ func TestConvolveRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Con
 // loop, which is all the Go tier runs.
 func TestMaxPoolRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "MaxPool8x8x8") }
 
+// TestConvBackRatioFollowsTheTier: the conv backward without lowering
+// against the lowered backward it replaces, which is all the Go tier runs.
+func TestConvBackRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "ConvBack8x8x8") }
+
 func ratioFollowsTheTier(t *testing.T, fast string) {
 	var pair ratioPair
 	for _, p := range ratioPairs {

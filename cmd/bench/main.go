@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bench                      # time the eleven pairs, print them
+//	bench                      # time the twelve pairs, print them
 //	bench -out FILE.json       # also write the timings as JSON
 //
 // The exit status is the verdict: 0 when every pair is at or above its
@@ -275,6 +275,46 @@ func convolveSetup(kernel bool) func() {
 			for pos := range row {
 				row[pos] += b
 			}
+		}
+	}
+}
+
+// convBackSetup is one ResNetNano trunk conv's backward for one batch of 16
+// samples, 8 filters over 8 channels of 8x8 under a 3x3 kernel with padding
+// 1, the output gradient 73% exact zeros (the trunk's share in conv_pasgd)
+// and the inputs post-ReLU: through tensor.ConvGrad (one Load, then a Sample
+// per sample), or by the lowered backward it replaces, written out — per
+// sample Lower into the 64x72 patches matrix, Gemm into dW, GemmTA into the
+// patch gradients, Raise into the input gradient.
+func convBackSetup(kernel bool) func() {
+	const batch = 16
+	s := tensor.ConvShape{Channels: 8, Height: 8, Width: 8, Kernel: 3, Stride: 1, Pad: 1}
+	p, l, nIn := s.OutHeight()*s.OutWidth(), s.PatchLen(), s.Channels*s.Height*s.Width
+	r := rng.New(70)
+	imgs := zeroLaden(r, tensor.NewMatrix(batch, nIn), 0.5)
+	grads := zeroLaden(r, tensor.NewMatrix(batch, 8*p), 0.73)
+	w := zeroLaden(r, tensor.NewMatrix(8, l), 0)
+	dW := tensor.NewMatrix(8, l)
+	dIn := tensor.NewMatrix(batch, nIn)
+	pad := make([]float64, s.PadLen())
+	x, dx := tensor.NewMatrix(p, l), tensor.NewMatrix(p, l)
+	if kernel {
+		var cg tensor.ConvGrad
+		return func() {
+			cg.Load(s, w, true)
+			for i := 0; i < batch; i++ {
+				cg.Sample(grads.Row(i), imgs.Row(i), pad, x, dW, dIn.Row(i))
+			}
+		}
+	}
+	dPad := make([]float64, s.PadLen())
+	return func() {
+		for i := 0; i < batch; i++ {
+			g := tensor.Matrix{Rows: 8, Cols: p, Data: grads.Row(i)}
+			tensor.Lower(s, imgs.Row(i), pad, x)
+			tensor.Gemm(1, &g, x, 1, dW)
+			tensor.GemmTA(1, &g, w, 0, dx)
+			tensor.Raise(s, dx, dPad, dIn.Row(i))
 		}
 	}
 }

@@ -129,21 +129,28 @@ func TestEvaluationSteadyStateAllocFree(t *testing.T) {
 // buffers maps every matrix and slice the layer itself holds (a Residual's
 // inner layers are not its own), by field name, to its backing slice — found
 // by reflection, so a buffer a later change adds is covered without being
-// listed.
+// listed. Struct fields are walked too (Conv2D's tensor.ConvGrad scratch),
+// and so are their matrices and slices.
 func buffers(l Layer) map[string]reflect.Value {
 	out := map[string]reflect.Value{}
-	v := reflect.ValueOf(l).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		name := fmt.Sprintf("%s.%s", v.Type().Name(), v.Type().Field(i).Name)
-		switch f := v.Field(i); {
-		case f.Type() == reflect.TypeOf((*tensor.Matrix)(nil)):
-			if !f.IsNil() {
-				out[name] = f.Elem().FieldByName("Data")
+	var walk func(prefix string, v reflect.Value)
+	walk = func(prefix string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			name := fmt.Sprintf("%s.%s", prefix, v.Type().Field(i).Name)
+			switch f := v.Field(i); {
+			case f.Type() == reflect.TypeOf((*tensor.Matrix)(nil)):
+				if !f.IsNil() {
+					out[name] = f.Elem().FieldByName("Data")
+				}
+			case f.Kind() == reflect.Slice && f.Type() != reflect.TypeOf([]Layer(nil)):
+				out[name] = f
+			case f.Kind() == reflect.Struct:
+				walk(name, f)
 			}
-		case f.Kind() == reflect.Slice && f.Type() != reflect.TypeOf([]Layer(nil)):
-			out[name] = f
 		}
 	}
+	v := reflect.ValueOf(l).Elem()
+	walk(v.Type().Name(), v)
 	return out
 }
 

@@ -216,30 +216,28 @@ func (l *Tanh) Clone() Layer { return NewTanh(l.dim) }
 // Parameters: filters W (F x C*K*K, row-major) followed by biases (F).
 //
 // Operand layouts, per sample (P = outH*outW positions, L = C*K*K): the
-// lowered patches X are P x L, one row per output position; a sample's
-// output row, and its gradient G, read as the F x P matrix they already are
-// in channel-major order. Forward is out = W*X^T + bias, tensor.Convolve:
-// on the AVX2 tier a 3x3 stride-1 conv whose output width is a multiple of
-// four (every conv of the zoo) runs a direct kernel that reads X's elements
-// straight from the padded image, and every other shape lowers X and runs
-// GemmTB (dot form) — the same sums either way. Backward is dW += G*X (Gemm)
-// and dX = G^T*W (GemmTA), both axpy form with G as the coefficient operand,
-// so the exact zeros ReLU and pooling leave in G are skipped, not
-// multiplied. No product is ever transposed, and no sample's X outlives its
-// products: Backward lowers it again from the cached input (the package
-// comment).
+// patches X are P x L, one row per output position; a sample's output row,
+// and its gradient G, read as the F x P matrix they already are in
+// channel-major order. Forward is out = W*X^T + bias, tensor.Convolve;
+// Backward is dW += G*X and dX = Col2Im(G^T*W), tensor.ConvGrad, with the
+// exact zeros ReLU and pooling leave in G skipped, not multiplied. On the
+// AVX2 tier a 3x3 stride-1 conv whose output width is a multiple of four
+// (every conv of the zoo) builds no X in either pass: the kernels read the
+// patches straight from the padded image, and the input gradient (C a
+// multiple of four) comes from per-position rows of G^T*W gathered into the
+// image. Every other shape, and the Go tier, lowers X and runs GemmTB, Gemm,
+// GemmTA and Raise — the same sums, bit for bit (the package comment).
 type Conv2D struct {
 	shape   tensor.ConvShape
 	filters int
-	lastIn  *tensor.Matrix // forward cache: backward re-lowers each sample from it
-	// Scratch: each is ONE P x PatchLen patches matrix, re-lowered per
-	// sample, and one padded image of PadLen. Forward and backward share
-	// pad (Convolve and Lower frame into it) and patch, which a forward
-	// allocates only where Convolve lowers (ConvShape.Direct is false);
-	// dPad is Raise's own, because Raise dirties the border Lower needs to
-	// stay zero.
-	patch, dPatchBuf *tensor.Matrix
-	pad, dPad        []float64
+	lastIn  *tensor.Matrix // forward cache: backward reframes each sample from it
+	// Scratch: pad is the padded image the forward and the backward frame
+	// each sample into (its border stays zero); patch is the P x PatchLen
+	// patches matrix, allocated only where the shape lowers
+	// (ConvShape.Direct is false); grad is the backward's own scratch.
+	patch *tensor.Matrix
+	pad   []float64
+	grad  tensor.ConvGrad
 
 	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
@@ -293,31 +291,24 @@ func (c *Conv2D) kernelMatrix(params []float64) *tensor.Matrix {
 // positions returns P, the number of output positions per channel.
 func (c *Conv2D) positions() int { return c.shape.OutHeight() * c.shape.OutWidth() }
 
-// scratch returns a patches matrix and its padded image, allocating them on
-// the first call.
-func (c *Conv2D) scratch(patch **tensor.Matrix, pad *[]float64) (*tensor.Matrix, []float64) {
-	return ensureMat(patch, c.positions(), c.shape.PatchLen()), c.padded(pad)
-}
-
-// padded returns a padded image, allocating it on the first call.
-func (c *Conv2D) padded(pad *[]float64) []float64 {
-	if *pad == nil {
-		*pad = make([]float64, c.shape.PadLen())
+// scratch returns the padded image, allocating it on the first call, and
+// the patches matrix where the shape lowers (nil where it does not).
+func (c *Conv2D) scratch() (pad []float64, x *tensor.Matrix) {
+	if c.pad == nil {
+		c.pad = make([]float64, c.shape.PadLen())
 	}
-	return *pad
-}
-
-// Forward implements Layer: each sample's output row, read as the F x P
-// matrix it is, becomes W*X^T + bias through tensor.Convolve, which needs
-// the patches matrix only where it lowers. Output rows are channel-major
-// flattened images of shape (filters, outH, outW).
-func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
-	c.lastIn = in
-	pad := c.padded(&c.pad)
-	var x *tensor.Matrix
 	if !c.shape.Direct() {
 		x = ensureMat(&c.patch, c.positions(), c.shape.PatchLen())
 	}
+	return c.pad, x
+}
+
+// Forward implements Layer: each sample's output row, read as the F x P
+// matrix it is, becomes W*X^T + bias through tensor.Convolve. Output rows
+// are channel-major flattened images of shape (filters, outH, outW).
+func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
+	c.lastIn = in
+	pad, x := c.scratch()
 	out := ensureMat(&c.outBuf, in.Rows, c.OutDim())
 	w := c.kernelMatrix(params)
 	bias := params[c.filters*c.shape.PatchLen():]
@@ -336,31 +327,28 @@ func (c *Conv2D) backwardParams(params []float64, dOut *tensor.Matrix, dParams [
 	c.backward(params, dOut, dParams, false)
 }
 
-// backward accumulates dW and dB, re-lowering each sample from lastIn (the
-// same bits Forward multiplied); the input gradient — one GemmTA and one
-// Raise per sample — only when asked to.
+// backward accumulates dB and, through tensor.ConvGrad, dW from each sample
+// of lastIn (the same bits Forward multiplied); the input gradient only
+// when asked to.
 func (c *Conv2D) backward(params []float64, dOut *tensor.Matrix, dParams []float64, wantDIn bool) *tensor.Matrix {
-	w := c.kernelMatrix(params)
 	dW := &tensor.Matrix{Rows: c.filters, Cols: c.shape.PatchLen(),
 		Data: dParams[:c.filters*c.shape.PatchLen()]}
 	dB := dParams[c.filters*c.shape.PatchLen():]
 	p := c.positions()
-	x, pad := c.scratch(&c.patch, &c.pad)
-	var dIn, dPatches *tensor.Matrix
-	var dPad []float64
+	pad, x := c.scratch()
+	c.grad.Load(c.shape, c.kernelMatrix(params), wantDIn)
+	var dIn *tensor.Matrix
 	if wantDIn {
 		dIn = ensureMat(&c.dInBuf, dOut.Rows, c.InDim())
-		dPatches, dPad = c.scratch(&c.dPatchBuf, &c.dPad)
 	}
 	for i := 0; i < dOut.Rows; i++ {
 		g := tensor.Matrix{Rows: c.filters, Cols: p, Data: dOut.Row(i)}
 		addRowSums(&g, dB)
-		tensor.Lower(c.shape, c.lastIn.Row(i), pad, x)
-		tensor.Gemm(1, &g, x, 1, dW) // dW += G * X
+		var dx []float64
 		if wantDIn {
-			tensor.GemmTA(1, &g, w, 0, dPatches) // dX = G^T * W, beta=0 overwrites
-			tensor.Raise(c.shape, dPatches, dPad, dIn.Row(i))
+			dx = dIn.Row(i)
 		}
+		c.grad.Sample(g.Data, c.lastIn.Row(i), pad, x, dW, dx)
 	}
 	return dIn
 }

@@ -24,8 +24,9 @@
 // buffers sized by the batch (the arena comment in layers.go), and
 // Network.Forward is that pass over the whole batch. LossGrad runs it and
 // then asks layer 0 for its parameter gradient only — nothing reads the
-// gradient with respect to the data (paramGrader: Conv2D skips GemmTA and
-// Raise; Dense skips Gemm(dOut, W); one backward(..., wantDIn) loop each). A
+// gradient with respect to the data (paramGrader: Conv2D's ConvGrad skips
+// the input gradient; Dense skips Gemm(dOut, W); one backward(..., wantDIn)
+// loop each). A
 // Residual first layer takes the full Backward, and a Residual's inner first
 // layer is not the network's first.
 //
@@ -62,35 +63,42 @@
 // A sample's output row and its gradient G are read as the F x P matrices
 // they already are (P output positions, L = C*K*K), so no product
 // transposes anything. The forward is out = W*X^T + bias, X the sample's
-// P x L patches, by tensor.Convolve: it copies the image into the interior
-// of a zero-bordered scratch image (pad) and, on the AVX2 tier for a 3x3
-// stride-1 conv whose output width is a multiple of four (every conv of the
-// zoo), computes each sum straight from pad — no patches matrix is built —
-// while every other shape, and the Go tier, lowers X with tensor.Lower (runs
-// of pad, so no element is tested against the image's bounds) and runs
-// GemmTB(W, X) (dot form) and the bias loop. Both are the same dot form term
-// for term, so the tier and the shape never move a bit. Backward lowers X
-// and runs Gemm(G, X) into dW and GemmTA(G, W) into dX (axpy form, G in the
-// coefficient seat, so the exact zeros ReLU and pooling leave in G are
-// skipped) — term for term what a P x F product and two strided copies
-// compute (tensor/naive.go says why the swap is exact). tensor.Raise takes
-// dX back to the image (Zero + Col2Im, bit for bit).
+// P x L patches, by tensor.Convolve; the backward is dW += G*X and
+// dX = Zero + Col2Im(G^T*W), by tensor.ConvGrad (one Load per Backward, one
+// Sample per sample; dB is addRowSums here). Both copy the image into the
+// interior of a zero-bordered scratch image (pad). On the AVX2 tier, for a
+// 3x3 stride-1 conv whose output width is a multiple of four (every conv of
+// the zoo), neither builds X: the forward's sums, and dW's, read the patch
+// elements straight from pad, and the input gradient (C a multiple of four:
+// every conv that is not layer 0) is computed from per-position rows of
+// G^T*W, three output rows of them in a ring, gathered into each image row
+// and stored into dX. Every other shape, and the Go tier, lowers X with
+// tensor.Lower (runs of pad, so no element is tested against the image's
+// bounds) and runs GemmTB(W, X) and the bias loop forward, Gemm(G, X),
+// GemmTA(G, W) and tensor.Raise backward. The backward's products are axpy
+// form with G in the coefficient seat, so the exact zeros ReLU and pooling
+// leave in G (73-93% of it in conv_pasgd) are skipped, not multiplied, on
+// either path. Each path is the other's sums term for term and in order, so
+// the tier and the shape never move a bit (tensor/naive.go says why the
+// operand seats are exact; tensor/convgrad.go why a missing border position
+// is).
 //
 // THE RULE: the training forward keeps its INPUT (lastIn, as Dense does), not
-// patches, and backward re-lowers sample i from lastIn.Row(i) before
-// Gemm(G, X): Lower is a copy, so X holds the bits the forward's sums read.
-// A batch-stacked patches cache, which only backward read, cost 16 x 64 x 72
+// patches, and backward reframes sample i from lastIn.Row(i): the frame is a
+// copy, so the backward reads the bits the forward's sums read. A
+// batch-stacked patches cache, which only backward read, cost 16 x 64 x 72
 // x 8 B = 590 KB per ResNetNano trunk conv — past a 2 MB L2 per replica, and
 // ~13 of the conv_pasgd workload's 31 MB alloc_mb. The forward and the
-// backward's re-lowering share pad, and the patches matrix, which a forward
-// allocates only where Convolve lowers (so an evaluation replica on the
-// AVX2 tier has none); backward's input gradient has dPatchBuf + dPad (Raise
-// clears and dirties its padded image, so it never shares the one Lower and
-// Convolve frame into, whose border only ever holds its allocation-time
-// zero). Held by oracle_test.go (TestConv2DMatchesTransposingReference: the
-// old transposing path on the naive kernels; TestCloneSharesNoScratch),
-// eval_test.go (the chunk-size bound over every field), and the 0-alloc
-// gates.
+// backward share pad, and the patches matrix, which is allocated only where
+// the shape lowers (so a replica on the AVX2 tier has none); the backward's
+// other scratch is its ConvGrad's own — on the lowered path the patch
+// gradients and Raise's padded image (Raise dirties its border, so it never
+// shares the one the frames write into, whose border only ever holds its
+// allocation-time zero), on the direct path the permuted filters, the
+// coefficient lists and the ring. Held by oracle_test.go
+// (TestConv2DMatchesTransposingReference: the old transposing path on the
+// naive kernels; TestCloneSharesNoScratch), eval_test.go (the chunk-size
+// bound over every field), and the 0-alloc gates.
 //
 // Accuracy never counts a row holding a NaN logit: a bare argmax settles on
 // class 0, and a diverged model scored ~1/classes. Loss and Accuracy

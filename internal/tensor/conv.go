@@ -2,10 +2,10 @@ package tensor
 
 import "math"
 
-// Direct reports whether Convolve runs the direct kernel for s, which reads
-// the patches straight from the padded image and so needs no patches matrix:
-// the AVX2 tier, a 3x3 kernel at stride 1 (every conv of the zoo), and an
-// output width that is a multiple of four.
+// Direct reports whether Convolve and ConvGrad's dW run the direct kernels
+// for s, which read the patches straight from the padded image and so need
+// no patches matrix: the AVX2 tier, a 3x3 kernel at stride 1 (every conv of
+// the zoo), and an output width that is a multiple of four.
 func (s ConvShape) Direct() bool {
 	return useAVX2 && s.Kernel == 3 && s.Stride == 1 && s.OutWidth() > 0 && s.OutWidth()%4 == 0
 }

@@ -125,3 +125,90 @@ func poolBulk(src []float64, width int, dst []float64, argmax []int) bool {
 	}
 	return true
 }
+
+// convDWAVX2 is ConvGrad's dW kernel: for each of the filters, the non-zero
+// coefficients of its row of G (groups*4 positions, the rows one after
+// another from grad) are listed as positions in off and val, and every
+// element of the filter's dW row then adds, for each listed position in
+// order, the coefficient times the element of the position's window at pad
+// + table[position] (bytes) it pairs with. A row is held in registers one
+// group of four channels at a time (twelve runs of three, a spare lane
+// each), then one channel at a time for chans % 4; wp and plane are in
+// BYTES. off and val hold groups*4 entries.
+//
+//go:noescape
+func convDWAVX2(grad *float64, groups int, pad *float64, table, off *int, val *float64, dw *float64, filters, chans, wp, plane int)
+
+// convListsAVX2 lists, for each of n positions, the filters whose
+// coefficient is not zero: position p's column is grad[p], grad[p] + ldg, ...
+// (ldg in BYTES), groups*4 + tail filters, and its list, ldl BYTES after the
+// previous one, holds the coefficients in val and f*ldw in off, in
+// ascending f; cnt[p] is its length.
+//
+//go:noescape
+func convListsAVX2(grad *float64, ldg, groups, tail, n, ldw int, off *int, val *float64, cnt *int, ldl int)
+
+// convDRowsAVX2 computes the D rows of n consecutive positions: position j's
+// list is ldl BYTES after position j-1's, its count cnt[j], and its row, four
+// channels (quad q) by nine k, is stored at dst + j*32 + q*qstep + k*kstep.
+// Each element starts at +0 and adds wt[off[t] + q*288 + k*32 + lane] times
+// val[t] over the list, the filter value the product's first source.
+//
+//go:noescape
+func convDRowsAVX2(wt *float64, off *int, val *float64, cnt *int, ldl, n, quadEnd, qstep, kstep int, dst *float64)
+
+// convGatherAVX2 computes one row of the input gradient, width pixels wide,
+// four pixels by four channels at a time from the D rows of the three
+// output rows r2, r1, r0 (ky = 2, 1, 0, each already offset to the first
+// pixel's kx = 2 slot): each pixel from +0, adding ky = 2, 1, 0 and within
+// each kx = 2, 1, 0, the slot of kx t BYTES times kx further. It stores the
+// pixels at dst + c*plane bytes for channel c; a last group of four that
+// would pass the row's end is taken at width-4 instead.
+//
+//go:noescape
+func convGatherAVX2(r2, r1, r0 *float64, quads, qstep, t, width, plane int, dst *float64)
+
+// directDW is ConvGrad's dW on the kernel, one call for every filter (P is
+// a multiple of four, so the list takes whole groups of positions).
+func (g *ConvGrad) directDW(pw padWalk, grad, pad, dw []float64) {
+	nf, l := g.w.Rows, g.w.Cols
+	p := len(grad) / nf
+	_, _, _, _ = g.off[p-1], g.val[p-1], g.table[p-1], dw[nf*l-1]
+	convDWAVX2(&grad[0], p/4, &pad[0], &g.table[0], &g.off[0], &g.val[0], &dw[0], nf, pw.chans, pw.wp*8, pw.plane*8)
+}
+
+// directDX is ConvGrad's input gradient on the kernels: the filter lists of
+// every position, then image row by image row the D rows of the output rows
+// it needs that are not in the ring yet (output row oy in ring row oy % 3),
+// and the row's gather from the ring rows of oy = y+Pad-ky, or from the zero
+// row where oy is off the output.
+func (g *ConvGrad) directDX(grad, dIn []float64) {
+	s, nf, l := g.s, g.w.Rows, g.w.Cols
+	outH, outW := s.OutHeight(), s.OutWidth()
+	p, ldl, quads, slots := outH*outW, listLen(nf), s.Channels/4, convSlots(s)
+	rowLen, kstep := 9*s.Channels*slots, quads*slots*32
+	_, _, _ = g.off[p*ldl-1], g.val[p*ldl-1], g.cnt[p-1]
+	_, _, _ = g.ring[4*rowLen-1], g.wt[nf*l-1], dIn[s.Channels*s.Height*s.Width-1]
+	convListsAVX2(&grad[0], p*8, nf/4, nf%4, p, l*8, &g.off[0], &g.val[0], &g.cnt[0], ldl*8)
+	next := 0 // the next output row to compute
+	for y := 0; y < s.Height; y++ {
+		for ; next <= min(y+s.Pad, outH-1); next++ {
+			if next < y+s.Pad-2 {
+				continue // no pixel reads it
+			}
+			at := next * outW
+			convDRowsAVX2(&g.wt[0], &g.off[at*ldl], &g.val[at*ldl], &g.cnt[at], ldl*8, outW, quads*288,
+				slots*32, kstep, &g.ring[next%3*rowLen+2*4])
+		}
+		var r [3]int // ring element of ky's first read
+		for ky := range r {
+			row := 3 // the zero row
+			if oy := y + s.Pad - ky; oy >= 0 && oy < outH {
+				row = oy % 3
+			}
+			r[ky] = row*rowLen + ky*3*kstep/8 + (s.Pad+2)*4
+		}
+		convGatherAVX2(&g.ring[r[2]], &g.ring[r[1]], &g.ring[r[0]], quads, slots*32, kstep-32, s.Width,
+			s.Height*s.Width*8, &dIn[y*s.Width])
+	}
+}

@@ -4,7 +4,7 @@ package tensor
 
 // No assembly tier in this build: the Go loops in im2col.go take every patch,
 // frame and unframe copy row by row, MaxPool runs poolImageGo, and Direct is
-// false, so Convolve always runs the lowered product.
+// false, so Convolve and ConvGrad always run the lowered path.
 
 func lowerRows(w padWalk, d, pad []float64) { lowerRowsGo(w, d, pad) }
 
@@ -12,6 +12,14 @@ func raiseRows(w padWalk, pad, d []float64) { raiseRowsGo(w, pad, d) }
 
 func convolveDirect(pw padWalk, w *Matrix, bias, pad, out []float64) {
 	panic("tensor: no direct convolution kernel in this build")
+}
+
+func (g *ConvGrad) directDW(pw padWalk, grad, pad, dw []float64) {
+	panic("tensor: no direct conv backward kernel in this build")
+}
+
+func (g *ConvGrad) directDX(grad, dIn []float64) {
+	panic("tensor: no direct conv backward kernel in this build")
 }
 
 func moveRows(dst, src []float64, chans, rows, width, dstRow, dstPlane, srcRow, srcPlane int) bool {

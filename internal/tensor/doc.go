@@ -1,7 +1,7 @@
 // Package tensor provides the dense linear-algebra substrate for the
 // hand-rolled neural-network stack: float64 vectors and row-major matrices
 // with the handful of BLAS-like kernels (axpy, dot, gemm, im2col, a direct
-// 3x3 convolution) that mini-batch SGD on MLPs and small CNNs requires, and
+// 3x3 convolution and its backward) that mini-batch SGD on MLPs and small CNNs requires, and
 // the elementwise loops the layers above spend their time in (ReLU, max-pool,
 // the QSGD wire, top-k's passes, CHOCO's gossip mix, polar normal draws,
 // exp). No cgo.
@@ -126,6 +126,44 @@
 //     4) is computed twice into the same four elements, so no store passes
 //     the output. Every shape Direct declines, and the Go tier, runs that
 //     lowered product (convolveLowered), which is also the kernel's oracle.
+//   - convDWAVX2 / convListsAVX2 / convDRowsAVX2 / convGatherAVX2 (ConvGrad,
+//     conv_amd64.s): the conv backward without lowering, on the shapes
+//     Direct accepts (the input gradient also needs C % 4 == 0 and W >= 4:
+//     directDX). dW: convDWAVX2 lists each filter's non-zero G coefficients
+//     as positions (compressAVX2's idiom without the multiply by alpha,
+//     whose 1*g only quiets a signalling NaN the product quiets anyway), a
+//     table maps a position to its window in the padded image, and the
+//     filter's dW row is held in registers across the list, a group of four
+//     channels as twelve runs of three with a spare lane. dX: convListsAVX2
+//     lists, per position, the filters whose coefficient is not zero
+//     (strided gathers, the same idiom, a filter tail gathered into lanes of
+//     zeros); convDRowsAVX2 computes an output row's D rows (G^T*W's rows)
+//     from W in [quad][k][4] order, lanes on four channels, into a ring of
+//     three output rows plus a zero row whose border slots stay zero;
+//     convGatherAVX2 sums each image row's pixels from the ring four pixels
+//     by four channels at a time and transposes them into four channel rows
+//     of dIn. THE RULE: a
+//     dW term is the pad value times the coefficient (pad first) added to
+//     the running element (Gemm's axpyListAVX2 order, zeros skipped by the
+//     lists); a D element starts at +0 and adds the filter value times the
+//     coefficient (filter first) over ascending filters (GemmTA's); a pixel
+//     starts at +0 and adds its D elements over ky = 2, 1, 0 and kx = 2, 1,
+//     0 — ascending position, Col2Im's order — with the running sum first,
+//     and a position off the output adds a zero slot's +0, which moves no
+//     bit because a sum from +0 is never -0. THE OVERRUN HAZARDS: convDWAVX2
+//     stores its runs four wide in ascending order, each spare lane landing
+//     on the next run's first weight before that run's store rewrites it; a
+//     group's last run would land on the next group's or filter's first
+//     weight (or past dW, into dB), so it is held as (spare, kx 0, 1, 2),
+//     loaded from one element early and stored 1+2 — which also keeps the
+//     window's last read inside the padded image, where a spare lane of the
+//     last window would read one past PadLen. Both list builders store four
+//     entries at a time, so a list has room for whole groups: P positions
+//     (a multiple of four where Direct holds), the filter count rounded up
+//     to four. A last group of four pixels that would pass the image row is
+//     taken ending at the row's end, its overlap written twice with the same
+//     values. The Go tier and every shape these decline run Lower + Gemm +
+//     GemmTA + Raise, which is also their oracle.
 //   - poolAVX2 (MaxPool): four 2x2 windows per step, from two four-wide loads
 //     per image row, VUNPCKLPD/VUNPCKHPD splitting the left and right columns;
 //     pickMax's chain per lane, VCMPPD GT_OQ for `v > best` (false on NaN and
@@ -204,8 +242,11 @@
 // NaN passes there — FuzzConvolveTwin, over random conv shapes and filter
 // counts against Lower + GemmTBNaive + the bias loop, likewise, except that
 // on the direct kernel the payload must be the one its fixed operand order
-// gives, with sentinels past the output and the padded image — and
-// FuzzMaxPoolTwin, values and argmax against poolImageGo with sentinels past
+// gives, with sentinels past the output and the padded image —
+// FuzzConvGradTwin, over random conv shapes and two samples per pass
+// against Lower + GemmNaive + GemmTANaive + Raise, likewise, with dW and dB
+// planted and sentinels past them, past dIn and past every scratch slice —
+// and FuzzMaxPoolTwin, values and argmax against poolImageGo with sentinels past
 // both). exp_amd64_test.go holds
 // each exp path to a Go oracle of its own (math.FMA for the fused steps,
 // separately rounded products for the unfused ones) by flipping useFMA, so

@@ -36,7 +36,9 @@ package tensor
 //     GemmTA(G^T, X) and Gemm(G^T, W) they replace (same products, same
 //     ascending position/filter order, same skip on G == 0). G is what ReLU
 //     and max-pooling fill with exact zeros, so the skip lands where the
-//     zeros are.
+//     zeros are. ConvGrad runs these two where it lowers; its kernels list
+//     G's non-zero coefficients and sum the same terms in the same order
+//     without building X or G^T*W's patch matrix.
 
 // GemmNaive is the reference Gemm: C = alpha*A*B + beta*C.
 func GemmNaive(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
