@@ -129,6 +129,10 @@ func TestMaxPoolRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "MaxP
 // against the lowered backward it replaces, which is all the Go tier runs.
 func TestConvBackRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "ConvBack8x8x8") }
 
+// TestFillRatioFollowsTheTier: the uniform fill against the Go loop it ran
+// before the kernel, which is all the Go tier runs.
+func TestFillRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "FillFloat64650") }
+
 func ratioFollowsTheTier(t *testing.T, fast string) {
 	var pair ratioPair
 	for _, p := range ratioPairs {

@@ -270,7 +270,11 @@ type AsyncEngine struct {
 	deltaBuf     []float64
 	decodeBuf    []float64
 	aggBuf       []float64
-	pullBuf      []float64 // float32-rounded global for WireFloat32 pulls
+	// pullBuf is the float32 image of global on a WireFloat32 wire (nil
+	// otherwise): what every pull downloads. Only applyRound writes global,
+	// so refreshPull runs there and at construction, once per version, and
+	// the dispatches of a version all read the one image.
+	pullBuf []float64
 	// sampler is reset onto each dispatched client's shard and stream; nil
 	// until the first dispatch (building one draws from a client's stream).
 	sampler *data.Sampler
@@ -381,6 +385,7 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	}
 	if cfg.Compress.Wire == compress.WireFloat32 {
 		e.pullBuf = make([]float64, e.dim)
+		e.refreshPull()
 	}
 	e.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
 	if test != nil {
@@ -554,14 +559,12 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 
 	// Pull: the client downloads the dense global model on its own link. A
 	// float32 wire halves the payload and the client trains from the
-	// float32-rounded global — the download is a priced wire message too.
+	// float32-rounded global, pullBuf, narrowed when the version last moved —
+	// the download is a priced wire message too.
 	downBytes := 8 * e.dim
 	pulled := e.global
 	if e.pullBuf != nil {
 		downBytes = 4 * e.dim
-		for j, v := range e.global {
-			e.pullBuf[j] = compress.Narrow32(v)
-		}
 		pulled = e.pullBuf
 	}
 	e.stats.DownBytes += int64(downBytes)
@@ -679,6 +682,7 @@ func (e *AsyncEngine) applyRound() (iters int) {
 		e.global[j] += scale * v
 		e.aggBuf[j] = 0
 	}
+	e.refreshPull()
 	e.version++
 	e.stats.Updates++
 	iters = e.aggIters
@@ -690,6 +694,13 @@ func (e *AsyncEngine) applyRound() (iters int) {
 	e.arrivals = 0
 	e.aggIters = 0
 	return iters
+}
+
+// refreshPull narrows global into pullBuf, when the wire has one.
+func (e *AsyncEngine) refreshPull() {
+	for j, v := range e.global[:len(e.pullBuf)] {
+		e.pullBuf[j] = compress.Narrow32(v)
+	}
 }
 
 // Run executes the event loop until a stop condition is reached and returns

@@ -238,6 +238,75 @@ func TestAsyncGoldenTrace(t *testing.T) {
 	}
 }
 
+// TestAsyncChurnExpiryGolden pins a float32 QSGD wire under churn and
+// expiry: arrivals from downed clients and from versions past a lowered
+// staleness bound are dropped and replaced at once, so dispatches land in
+// the middle of a version as well as after every applyRound. Both kinds pull
+// the float32 image of the global model; captured before that image was kept
+// between versions instead of narrowed per dispatch.
+func TestAsyncChurnExpiryGolden(t *testing.T) {
+	s := asyncSetup(t, 8)
+	cfg := baseAsyncCfg()
+	cfg.MaxUpdates = 60
+	cfg.RecordEvents = true
+	cfg.Compress = compress.Spec{Kind: compress.KindQSGD, Bits: 4, Wire: compress.WireFloat32}
+	cfg.Faults = mustFaults(t, "blip:0@r5-20,blip:1@r10-30,crash:2@r25,slow:3x5@r5-40,drop:0.15")
+	cfg.StragglerFactor = []float64{1, 3, 1, 1, 1, 1, 5, 1}
+	e := s.async(t, cfg)
+	e.maxStaleness = 1
+	tr := e.Run("golden-async-churn")
+
+	const events, params, trace = 0xab0079f567060bc1, 0x412d136d163bc868, 0xb719593df5932f1
+	gotEvents, gotParams, gotTrace := hashString(e.EventTrace()), hashParams(e.GlobalParams()), hashTrace(tr)
+	if gotEvents != events || gotParams != params || gotTrace != trace {
+		t.Fatalf("golden drift:\n events %#x want %#x\n params %#x want %#x\n trace  %#x want %#x",
+			gotEvents, uint64(events), gotParams, uint64(params), gotTrace, uint64(trace))
+	}
+	if st := e.Stats(); st.Expired == 0 || st.Updates != cfg.MaxUpdates {
+		t.Fatalf("expired %d, updates %d of %d: the row no longer reaches what it pins", st.Expired, st.Updates, cfg.MaxUpdates)
+	}
+}
+
+// TestAsyncPullIsNarrowedGlobal: on a float32 wire, pullBuf is
+// Narrow32(global) bit for bit after construction and after every
+// aggregate, so no dispatch of a version can read a stale image. The
+// aggregates are planted: values that round to float32 ties, subnormals and
+// magnitudes past float32's range go through the same refresh as trained ones.
+func TestAsyncPullIsNarrowedGlobal(t *testing.T) {
+	s := asyncSetup(t, 8)
+	cfg := baseAsyncCfg()
+	cfg.Compress = compress.Spec{Kind: compress.KindQSGD, Bits: 4, Wire: compress.WireFloat32}
+	e := s.async(t, cfg)
+	check := func(when string) {
+		t.Helper()
+		for j, v := range e.global {
+			if want := compress.Narrow32(v); math.Float64bits(e.pullBuf[j]) != math.Float64bits(want) {
+				t.Fatalf("%s: pullBuf[%d] = %x, Narrow32(global) = %x", when, j, math.Float64bits(e.pullBuf[j]), math.Float64bits(want))
+			}
+		}
+	}
+	check("construction")
+	special := []float64{1 + 0x1p-24, -(1 + 3*0x1p-24), 0x1p-140, 1e39, -1e39, 0x1p-1074}
+	r := rng.New(5)
+	for round := 0; round < 50; round++ {
+		for j := range e.aggBuf {
+			e.aggBuf[j] = r.NormFloat64()
+			if r.Intn(8) == 0 {
+				e.aggBuf[j] = special[r.Intn(len(special))] - e.global[j]
+			}
+		}
+		e.wsum = 1
+		e.applyRound()
+		check("after a planted aggregate")
+	}
+	for _, updates := range []int{1, 2, 7} {
+		cfg.MaxUpdates = updates
+		e = s.async(t, cfg)
+		e.Run("pull")
+		check("after a run's last aggregate")
+	}
+}
+
 func hashString(s string) uint64 {
 	var sum uint64 = 14695981039346656037
 	const prime64 = 1099511628211

@@ -106,7 +106,10 @@
 //     rng.FillFloat64, which is that many successive Float64 calls; the tile
 //     size is therefore invisible in every message and in the stream's
 //     state, and changing it needs no recapture. Anything that reorders,
-//     skips or adds a draw moves every golden that runs qsgd.
+//     skips or adds a draw moves every golden that runs qsgd. The fill is
+//     tensor.Uniforms, so the draws too are four lanes at a time on the
+//     AVX2 tier, each lane Float64's bits; only xoshiro256**'s state chain,
+//     serial by nature, stays scalar, and it is most of what a draw costs.
 //   - The conversion domain. A level is floor(|v| / norm * s) or one more,
 //     at most s + 1 <= 256 because norm is vec's own: |v| / norm <= 1 up to
 //     rounding, and a square that underflowed out of the norm belongs to a

@@ -10,6 +10,16 @@
 // independent stream, which lets each simulated worker own its own
 // generator without cross-worker coupling.
 //
+// # Uniform draws
+//
+// FillFloat64 is len(dst) Float64 calls made in one go by tensor.Uniforms,
+// which advances the state in general registers, four steps unrolled, and
+// (on the AVX2 tier) maps the outputs to [0, 1) four to an instruction, each
+// step exact, so every value and the state left behind are the calls'. THE
+// RULE is the normal fill's below: the fill IS that many calls, the next
+// Uint64 included. Float64 is the oracle; rng_test.go holds every fill to
+// it, and internal/tensor's twins hold the kernel to its Go loop.
+//
 // # Normal draws
 //
 // NormFloat64 is Marsaglia's polar method: an attempt draws two uniforms, u
@@ -165,23 +175,11 @@ func (r *Rand) ExpFloat64() float64 {
 
 // FillFloat64 fills dst with len(dst) successive Float64 draws: the same
 // values in the same order, and the generator is left where that many calls
-// would leave it. The four state words live in locals across the fill, which
-// a call per draw cannot do.
-func (r *Rand) FillFloat64(dst []float64) {
-	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for i := range dst {
-		result := rotl(s1*5, 7) * 9
-		t := s1 << 17
-		s2 ^= s0
-		s3 ^= s1
-		s1 ^= s2
-		s0 ^= s3
-		s2 ^= t
-		s3 = rotl(s3, 45)
-		dst[i] = float64(result>>11) / (1 << 53)
-	}
-	r.s = [4]uint64{s0, s1, s2, s3}
-}
+// would leave it. It is tensor.Uniforms on the generator's state: the chain
+// runs with the four state words in registers, which a call per draw cannot
+// do, and where the host has the AVX2 tier the outputs are finished four to
+// an instruction (see "Uniform draws" above).
+func (r *Rand) FillFloat64(dst []float64) { tensor.Uniforms(dst, &r.s) }
 
 // xoshiro is Uint64's step on state held in locals: the output and the next
 // state.

@@ -69,21 +69,28 @@ func TestFloat64Mean(t *testing.T) {
 
 // TestFillFloat64IsSuccessiveFloat64: the batched fill is the same stream —
 // value for value, in index order — as one Float64 call per element, and it
-// leaves the generator where those calls would. The lengths straddle the
-// 256-draw tile the QSGD quantizer fills.
+// leaves the generator where those calls would. The lengths walk the kernel's
+// groups of four and their remainders, straddle the 256-draw tile the QSGD
+// quantizer fills, and include the logistic workloads' 650 parameters; a
+// sentinel past dst must survive.
 func TestFillFloat64IsSuccessiveFloat64(t *testing.T) {
-	for _, n := range []int{0, 1, 255, 256, 257, 16400} {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 650, 16400} {
 		a, b := New(77), New(77)
 		a.Uint64() // off the seed state
 		b.Uint64()
-		got := make([]float64, n)
+		buf := make([]float64, n+1)
+		buf[n] = -1
+		got := buf[:n]
 		a.FillFloat64(got)
 		for i := range got {
 			if want := b.Float64(); math.Float64bits(got[i]) != math.Float64bits(want) {
 				t.Fatalf("len %d: draw %d = %v, Float64 gives %v", n, i, got[i], want)
 			}
 		}
-		if *a != *b { // hence every later draw, the next Uint64 included
+		if buf[n] != -1 {
+			t.Fatalf("len %d: the fill wrote past dst", n)
+		}
+		if *a != *b || a.Uint64() != b.Uint64() {
 			t.Fatalf("len %d: state after the fill %x, after %d Float64 calls %x", n, a.s, n, b.s)
 		}
 	}

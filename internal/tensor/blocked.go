@@ -239,8 +239,8 @@ func axpby(alpha, s, beta, c float64) float64 {
 }
 
 // gemmTBPanel computes C rows [lo, hi) of the dot-form product: the packed
-// tiles take the leading multiple of eight columns where there are any
-// (dotTiles, one per build), the Go tiles below the rest.
+// tiles take every column on the AVX2 tier (dotTiles, one per build), the Go
+// tiles below all of them elsewhere.
 func gemmTBPanel(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi, n int) {
 	j0 := dotTiles(alpha, a, b, beta, c, lo, hi)
 	if j0 == n {

@@ -3,8 +3,8 @@
 // with the handful of BLAS-like kernels (axpy, dot, gemm, im2col, a direct
 // 3x3 convolution and its backward) that mini-batch SGD on MLPs and small CNNs requires, and
 // the elementwise loops the layers above spend their time in (ReLU, max-pool,
-// the QSGD wire, top-k's passes, CHOCO's gossip mix, polar normal draws,
-// exp). No cgo.
+// the QSGD wire, top-k's passes, CHOCO's gossip mix, uniform and polar
+// normal draws, exp). No cgo.
 //
 // # Two tiers, one switch
 //
@@ -33,10 +33,20 @@
 //     VMULPD-VADDPD per A row and k in ascending k, the eight B rows as two
 //     halves of four (sixteen registers do not hold twelve vectors beside
 //     eight accumulators); a one-k gather tail takes k % 4. dotTile2x8 is the
-//     remainder entry for two rows, and for one by zero row strides. n % 8
-//     columns stay on the Go 2x2 tile and Dot; column tiles are the outer
-//     loop of dotTiles, so a tile's B rows are read once per panel; sums land
-//     in C through its row stride when beta == 0.
+//     remainder entry for two rows, and for one by zero row strides. Column
+//     tiles are the outer loop of dotTiles, so a tile's B rows are read once
+//     per panel; sums land in C through its row stride when beta == 0.
+//   - dotEdge4x4 / dotEdge2x4 (GemmTB's last n % 8 columns, four at a time:
+//     a 10-class head's two): one half of the 8-wide tile, each lane's B row
+//     at its own offset. THE RULE: the dot tile's per-element sequence —
+//     from +0, ascending k, VMULPD with B first then VADDPD with the
+//     accumulator first — so an edge column holds the bits the 8-wide tile
+//     gives it, NaN payloads included. THE OVERRUN HAZARD: a lane past the
+//     last column would read a row past B's end and store past C's last
+//     column (into the next row, or past C on the last). dotTiles clamps the
+//     lane offsets to the last column's row, so that lane re-reads a row of
+//     B, and VMASKMOVPD stores only the lanes its mask (edgeMask[w]) sets.
+//     The Go tier keeps the 2x2 tile and Dot for these columns.
 //   - axpyListAVX2 (Gemm, GemmTA): the coefficient-list loop of blocked.go at
 //     32, then 16, then 8 columns per pass, accumulators held across the list.
 //   - compressAVX2 (coefList.compress): four coefficients -> VMULPD by alpha
@@ -86,6 +96,19 @@
 //   - quantAVX2 / dequantAVX2 / accumAVX2 (quant.go, the QSGD wire) and
 //     polarAVX2 (polar.go, which mirrors math.archLog): each file states its
 //     own contract.
+//   - uniformsAVX2 (Uniforms: rng.FillFloat64, QSGD's rounding draws,
+//     uniform_amd64.s). xoshiro256**'s state chain stays scalar, four steps
+//     unrolled in general registers, each step's s1 stored raw into dst; a
+//     finish four groups behind turns four words at a time into Float64's
+//     value — the output mix in 64-bit integer lanes, the 53-bit integer to
+//     a double through a 2^84/2^52 split, the multiply by 2^-53 — every step
+//     exact (uniform.go). THE RULE is the fill's: it IS that many Float64
+//     calls, the state left behind included. THE OVERRUN HAZARD: the raw
+//     words are staged in dst itself, so the kernel takes whole groups of
+//     four and the Go loop finishes len % 4 from the state it hands back;
+//     nothing is written past dst. The finish trails the chain by 128 bytes
+//     because a 32-byte load of four fresh 8-byte stores stalls on store
+//     forwarding.
 //   - expAVX2 (ExpInto, below).
 //   - lower3AVX2 / raise3AVX2 (Lower, Raise: conv lowering through a
 //     zero-bordered copy of the image, conv_amd64.s) for a 3x3 kernel, every
@@ -231,8 +254,11 @@
 // canaries on both sides of coefList, the mask and vector-update twins at
 // every misalignment, the conv lowering against per-element reference loops
 // with canaries past the patches and the padded images, the top-k passes with
-// sentinels past k and past len(vec), and fuzz targets over raw float64
-// words (FuzzQuantizeTwin, FuzzPolarTwin, FuzzExpTwin, FuzzTopKTwin — whose
+// sentinels past k and past len(vec), the dot form's edge columns against
+// the 8-wide tile bit for bit with sentinels past C's last column and row,
+// and fuzz targets over raw float64 words and generator states
+// (FuzzUniformsTwin, FuzzGemmTBEdgeTwin, FuzzQuantizeTwin, FuzzPolarTwin,
+// FuzzExpTwin, FuzzTopKTwin — whose
 // digit and threshold are the input's own patterns, so equal digits and ties
 // are the rule — FuzzMixTwin, whose planted NaNs meet in every add of the
 // mix so that the surviving payload checks the operand order, and

@@ -141,48 +141,76 @@ func axpyList(l *coefList, nnz int, b []float64, crow []float64) {
 	axpyListGo(l, nnz, b, crow, nblk*8)
 }
 
-// dotTiles computes columns [0, n) of the dot-form C rows [lo, hi), n the
-// largest multiple of 8 within b.Rows, and returns n: 4x8 tiles, then a 2x8
-// and a 1x8 for the rows left over — every lane one C element summing from
-// +0 in ascending k exactly like Dot. Column tiles are outermost, so the
-// eight B rows of a tile are read once per panel. With beta == 0 the sums
-// land in C directly (1*s is s, bit for bit, so alpha == 1 needs no pass at
-// all); otherwise they go through a stack tile.
+// dotEdge4x4 and dotEdge2x4 are dotTile4x8 and dotTile2x8 over the last
+// columns, four at a time: lane 0 reads the B row at b and lanes 1-3 the rows
+// at b + o1, o2, o3 bytes, and only the lanes whose mask word has its sign bit
+// set are stored. The caller points a lane past the last column at that
+// column's row, so nothing outside B is read.
+//
+//go:noescape
+func dotEdge4x4(a *float64, lda int, b *float64, o1, o2, o3, kn int, c *float64, ldc int, mask *[4]int64)
+
+//go:noescape
+func dotEdge2x4(a *float64, lda int, b *float64, o1, o2, o3, kn int, c *float64, ldc int, mask *[4]int64)
+
+// edgeMask[w] stores the first w lanes of an edge tile.
+var edgeMask = [5][4]int64{1: {-1}, 2: {-1, -1}, 3: {-1, -1, -1}, 4: {-1, -1, -1, -1}}
+
+// dotTiles computes columns [0, n) of the dot-form C rows [lo, hi), n =
+// b.Rows, and returns n: 8-column tiles, then edge tiles of at most four for
+// the n % 8 left over; each column tile is 4 rows high, then 2 and 1 for the
+// rows left over — every lane one C element summing from +0 in ascending k
+// exactly like Dot. Column tiles are outermost, so a tile's B rows are read
+// once per panel. With beta == 0 the sums land in C directly (1*s is s, bit
+// for bit, so alpha == 1 needs no pass at all); otherwise they go through a
+// stack tile.
 func dotTiles(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi int) int {
-	k, n, ldc := a.Cols, b.Rows&^7, c.Cols
+	k, n, ldc := a.Cols, b.Rows, c.Cols
 	if !useAVX2 || k == 0 || n == 0 || lo >= hi {
 		return 0
 	}
 	_, _, _ = a.Data[hi*k-1], b.Data[n*k-1], c.Data[(hi-1)*ldc+n-1]
 	var s [32]float64
-	for j := 0; j < n; j += 8 {
+	for j, w := 0, 0; j < n; j += w {
+		w = 8
+		if n-j < 8 {
+			w = min(4, n-j)
+		}
 		bt := &b.Data[j*k]
+		// The edge lanes' B-row offsets, clamped to column w-1.
+		o1, o2, o3 := min(1, w-1)*k*8, min(2, w-1)*k*8, min(3, w-1)*k*8
 		for i, rows := lo, 0; i < hi; i += rows {
 			out, ldo := &c.Data[i*ldc+j], ldc
 			if beta != 0 {
 				out, ldo = &s[0], 8
 			}
+			// Four rows, else two, else one through the two-row entry with
+			// both rows aliased (zero strides).
+			rows = min(4, hi-i) &^ 1
+			lda, ldc8 := k*8, ldo*8
+			if rows == 0 {
+				rows, lda, ldc8 = 1, 0, 0
+			}
 			switch at := &a.Data[i*k]; {
-			case hi-i >= 4:
-				rows = 4
-				dotTile4x8(at, k*8, bt, k*8, k, out, ldo*8)
-			case hi-i >= 2:
-				rows = 2
-				dotTile2x8(at, k*8, bt, k*8, k, out, ldo*8)
+			case w == 8 && rows == 4:
+				dotTile4x8(at, lda, bt, k*8, k, out, ldc8)
+			case w == 8:
+				dotTile2x8(at, lda, bt, k*8, k, out, ldc8)
+			case rows == 4:
+				dotEdge4x4(at, lda, bt, o1, o2, o3, k, out, ldc8, &edgeMask[w])
 			default:
-				rows = 1
-				dotTile2x8(at, 0, bt, k*8, k, out, 0)
+				dotEdge2x4(at, lda, bt, o1, o2, o3, k, out, ldc8, &edgeMask[w])
 			}
 			if beta == 0 && alpha == 1 {
 				continue
 			}
 			for r := 0; r < rows; r++ {
-				d := c.Data[(i+r)*ldc+j:][:8]
+				d := c.Data[(i+r)*ldc+j:][:w]
 				if beta == 0 {
 					Scal(alpha, d)
 					continue
 				}
-				for jj, sv := range s[r*8:][:8] {
+				for jj, sv := range s[r*8:][:w] {
 					d[jj] = alpha*sv + beta*d[jj]
 				}
 			}

@@ -331,6 +331,141 @@ store2:
 	VZEROUPPER
 	RET
 
+// The edge tiles: R rows of A against the last n % 8 rows of B, four columns
+// at a time. A lane is still one C element and the per-element sequence is
+// the 8-wide tile's (from +0, ascending k, STEP4/STEP2's multiply then add,
+// the same operands in the same order); only the addressing differs. Lanes
+// 1-3 read the B rows at byte offsets o1, o2, o3 from lane 0's (R8, R10,
+// R11), which the caller clamps to the last column that exists, so a lane
+// past n re-reads a row of B instead of one past its end; the mask (Y7, a
+// sign bit per lane) keeps VMASKMOVPD from storing it.
+
+// TRANSPOSEE and GATHER1E are TRANSPOSE4 and GATHER1 over the lanes at P,
+// P+o1, P+o2, P+o3.
+#define TRANSPOSEE(P) \
+	VMOVUPD    (P), Y8; \
+	VMOVUPD    (P)(R10*1), Y10; \
+	VUNPCKLPD  (P)(R8*1), Y8, Y12; \
+	VUNPCKHPD  (P)(R8*1), Y8, Y13; \
+	VUNPCKLPD  (P)(R11*1), Y10, Y14; \
+	VUNPCKHPD  (P)(R11*1), Y10, Y15; \
+	VPERM2F128 $0x20, Y14, Y12, Y8; \
+	VPERM2F128 $0x20, Y15, Y13, Y9; \
+	VPERM2F128 $0x31, Y14, Y12, Y10; \
+	VPERM2F128 $0x31, Y15, Y13, Y11
+
+#define GATHER1E(P) \
+	VMOVSD      (P), X8; \
+	VMOVHPD     (P)(R8*1), X8, X8; \
+	VMOVSD      (P)(R10*1), X9; \
+	VMOVHPD     (P)(R11*1), X9, X9; \
+	VINSERTF128 $1, X9, Y8, Y8
+
+// func dotEdge4x4(a *float64, lda int, b *float64, o1, o2, o3, kn int, c *float64, ldc int, mask *[4]int64)
+//
+// Y0-Y3 accumulate rows 0-3.
+TEXT ·dotEdge4x4(SB), NOSPLIT, $0-80
+	MOVQ    a+0(FP), DI
+	MOVQ    lda+8(FP), R9
+	MOVQ    b+16(FP), BX
+	MOVQ    o1+24(FP), R8
+	MOVQ    o2+32(FP), R10
+	MOVQ    o3+40(FP), R11
+	MOVQ    kn+48(FP), CX
+	MOVQ    c+56(FP), DX
+	MOVQ    ldc+64(FP), R13
+	MOVQ    mask+72(FP), AX
+	VMOVDQU (AX), Y7
+	LEAQ    (R9)(R9*2), R12 // 3*lda
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	VXORPD  Y2, Y2, Y2
+	VXORPD  Y3, Y3, Y3
+	SUBQ    $4, CX
+	JLT     tailE4
+
+blockE4:
+	TRANSPOSEE(BX)
+	STEP4(0, Y8, Y0, Y1, Y2, Y3)
+	STEP4(8, Y9, Y0, Y1, Y2, Y3)
+	STEP4(16, Y10, Y0, Y1, Y2, Y3)
+	STEP4(24, Y11, Y0, Y1, Y2, Y3)
+	ADDQ $32, DI
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JGE  blockE4
+
+tailE4:
+	ADDQ $4, CX
+	JZ   storeE4
+
+oneE4:
+	GATHER1E(BX)
+	STEP4(0, Y8, Y0, Y1, Y2, Y3)
+	ADDQ $8, DI
+	ADDQ $8, BX
+	DECQ CX
+	JNZ  oneE4
+
+storeE4:
+	LEAQ       (R13)(R13*2), R12 // 3*ldc
+	VMASKMOVPD Y0, Y7, (DX)
+	VMASKMOVPD Y1, Y7, (DX)(R13*1)
+	VMASKMOVPD Y2, Y7, (DX)(R13*2)
+	VMASKMOVPD Y3, Y7, (DX)(R12*1)
+	VZEROUPPER
+	RET
+
+// func dotEdge2x4(a *float64, lda int, b *float64, o1, o2, o3, kn int, c *float64, ldc int, mask *[4]int64)
+//
+// Two A rows, or one passed with lda = ldc = 0 (dotTile2x8's aliasing). Y0,
+// Y1 accumulate rows 0, 1.
+TEXT ·dotEdge2x4(SB), NOSPLIT, $0-80
+	MOVQ    a+0(FP), DI
+	MOVQ    lda+8(FP), R9
+	MOVQ    b+16(FP), BX
+	MOVQ    o1+24(FP), R8
+	MOVQ    o2+32(FP), R10
+	MOVQ    o3+40(FP), R11
+	MOVQ    kn+48(FP), CX
+	MOVQ    c+56(FP), DX
+	MOVQ    ldc+64(FP), R13
+	MOVQ    mask+72(FP), AX
+	VMOVDQU (AX), Y7
+	VXORPD  Y0, Y0, Y0
+	VXORPD  Y1, Y1, Y1
+	SUBQ    $4, CX
+	JLT     tailE2
+
+blockE2:
+	TRANSPOSEE(BX)
+	STEP2(0, Y8, Y0, Y1)
+	STEP2(8, Y9, Y0, Y1)
+	STEP2(16, Y10, Y0, Y1)
+	STEP2(24, Y11, Y0, Y1)
+	ADDQ $32, DI
+	ADDQ $32, BX
+	SUBQ $4, CX
+	JGE  blockE2
+
+tailE2:
+	ADDQ $4, CX
+	JZ   storeE2
+
+oneE2:
+	GATHER1E(BX)
+	STEP2(0, Y8, Y0, Y1)
+	ADDQ $8, DI
+	ADDQ $8, BX
+	DECQ CX
+	JNZ  oneE2
+
+storeE2:
+	VMASKMOVPD Y0, Y7, (DX)
+	VMASKMOVPD Y1, Y7, (DX)(R13*1)
+	VZEROUPPER
+	RET
+
 // func compressAVX2(alpha float64, a *float64, stride, groups, boff, ldb int, off *int, val *float64) int
 //
 // coefList.compress over groups > 0 groups of four coefficients a[0],

@@ -140,6 +140,116 @@ func gemmTBParity(t *testing.T) {
 	}
 }
 
+// gemmTBEdgeParity walks the dot form's column edge: n % 8 in 1..7 behind
+// zero, one and two 8-wide tiles, 1-5 rows (the 4-, 2- and 1-row entries and
+// their combinations), k around the four-k block and the logistic head's 64,
+// with NaN, ±Inf and -0 planted in A and B and every epilogue.
+func gemmTBEdgeParity(t *testing.T) {
+	r := parityRNG(14)
+	for m := 1; m <= 5; m++ {
+		for _, n8 := range []int{0, 8, 16} {
+			for e := 1; e <= 7; e++ {
+				for _, k := range []int{1, 3, 4, 5, 9, 64} {
+					for _, ab := range [][2]float64{{1, 0}, {2, 0}, {1, 1}, {2, 0.5}} {
+						gemmTBEdgeCheck(t, &r, m, n8+e, k, ab[0], ab[1])
+					}
+				}
+			}
+		}
+	}
+}
+
+// Two NaN payloads, one per operand, so that where they meet the survivor
+// shows which operand came first.
+var (
+	nanA = math.Float64frombits(0x7ff8_0000_0000_0a0a)
+	nanB = math.Float64frombits(0x7ff8_0000_0000_0b0b)
+)
+
+// plantEdgeSpecials overwrites about one value in six with nan, +Inf, -Inf or -0.
+func plantEdgeSpecials(r *parityRNG, data []float64, nan float64) {
+	specials := [4]float64{nan, math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for i := range data {
+		if r.intn(6) == 0 {
+			data[i] = specials[r.intn(4)]
+		}
+	}
+}
+
+// gemmTBEdgeCheck computes columns [0, n) of C = alpha*A*B^T + beta*C through
+// gemmTBPanel into a C three columns wider than B has rows, with sentinels in
+// the extra columns and past the last row, and holds them NaN for NaN to the
+// naive dot form and, on the AVX2 tier, bit for bit — NaN payloads included —
+// to the same product through GemmTB over B padded with rows to a multiple of
+// eight, whose first n columns the 8-wide tile computes. (On the Go tier which
+// payload survives where two NaNs meet is the compiler's operand order, and
+// its 2x2 tile and its odd-column loop do not agree on it.)
+func gemmTBEdgeCheck(t *testing.T, r *parityRNG, m, n, k int, alpha, beta float64) {
+	t.Helper()
+	const sentinel = 0x5ca1ab1e
+	a, b, c0 := parityMatrix(r, m, k), parityMatrix(r, n, k), parityMatrix(r, m, n)
+	plantEdgeSpecials(r, a.Data, nanA)
+	plantEdgeSpecials(r, b.Data, nanB)
+	plantEdgeSpecials(r, c0.Data, math.NaN())
+
+	ldc := n + 3
+	buf := make([]float64, m*ldc+8)
+	for i := range buf {
+		buf[i] = sentinel
+	}
+	wide := &Matrix{Rows: m, Cols: ldc, Data: buf[:m*ldc]}
+	for i := 0; i < m; i++ {
+		copy(wide.Row(i), c0.Row(i))
+	}
+	gemmTBPanel(alpha, a, b, beta, wide, 0, m, n)
+
+	want := cloneMatrix(c0)
+	GemmTBNaive(alpha, a, b, beta, want)
+	np := (n + 7) &^ 7
+	bp := NewMatrix(np, k)
+	copy(bp.Data, b.Data)
+	fillParity(r, bp.Data[n*k:])
+	cp := NewMatrix(m, np)
+	for i := 0; i < m; i++ {
+		copy(cp.Row(i), c0.Row(i))
+	}
+	GemmTB(alpha, a, bp, beta, cp)
+
+	where := fmt.Sprintf("m=%d n=%d k=%d alpha=%v beta=%v", m, n, k, alpha, beta)
+	for i := 0; i < m; i++ {
+		got := wide.Row(i)
+		if j, ok := sameFloats(got[:n], want.Row(i)); !ok {
+			t.Fatalf("%s: C[%d][%d] = %v, naive %v", where, i, j, got[j], want.At(i, j))
+		}
+		if j, ok := bitsEqual(got[:n], cp.Row(i)[:n]); useAVX2 && !ok {
+			t.Fatalf("%s: C[%d][%d] = %x, through the 8-wide tile %x", where, i, j, math.Float64bits(got[j]), math.Float64bits(cp.At(i, j)))
+		}
+		for j, v := range got[n:] {
+			if v != sentinel {
+				t.Fatalf("%s: row %d written past its last column, at column %d", where, i, n+j)
+			}
+		}
+	}
+	for i, v := range buf[m*ldc:] {
+		if v != sentinel {
+			t.Fatalf("%s: written past the last row, %d elements on", where, i)
+		}
+	}
+}
+
+// FuzzGemmTBEdgeTwin: random edge shapes and values through gemmTBEdgeCheck
+// on the tier this host runs.
+func FuzzGemmTBEdgeTwin(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(10), uint8(64), uint8(0))
+	f.Add(uint64(2), uint8(5), uint8(7), uint8(5), uint8(3))
+	f.Add(uint64(3), uint8(1), uint8(19), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, seed uint64, m, n, k, epi uint8) {
+		ab := [4][2]float64{{1, 0}, {2, 0}, {1, 1}, {-0.5, 0.5}}[epi%4]
+		r := parityRNG(seed)
+		gemmTBEdgeCheck(t, &r, 1+int(m%6), 1+int(n%24), 1+int(k%70), ab[0], ab[1])
+	})
+}
+
 // gemmParityAllZeroRows pins the zero-skip contract on whole A rows of
 // exact zeros (an empty coefficient list: the C row must come back
 // untouched), mixed with nonzero rows.

@@ -35,6 +35,31 @@ func imageBatch(r *rng.Rand, rows int) data.Batch {
 	return b
 }
 
+// TestFillFloat64OnBothTiers: rng's uniform fill, which is tensor.Uniforms on
+// the generator's state, is one Float64 call per element on either tier —
+// the values, a sentinel past dst, and the next Uint64.
+func TestFillFloat64OnBothTiers(t *testing.T) {
+	tensor.EachTier(t, func(t *testing.T) {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255, 256, 257, 650} {
+			a, b := rng.New(uint64(n)+9), rng.New(uint64(n)+9)
+			buf := make([]float64, n+1)
+			buf[n] = -1
+			a.FillFloat64(buf[:n])
+			for i := 0; i < n; i++ {
+				if want := b.Float64(); math.Float64bits(buf[i]) != math.Float64bits(want) {
+					t.Fatalf("len %d: draw %d = %v, Float64 gives %v", n, i, buf[i], want)
+				}
+			}
+			if buf[n] != -1 {
+				t.Fatalf("len %d: the fill wrote past dst", n)
+			}
+			if x, y := a.Uint64(), b.Uint64(); x != y {
+				t.Fatalf("len %d: next Uint64 %x after the fill, %x after the calls", n, x, y)
+			}
+		}
+	})
+}
+
 // TestTrainingBitEqualAcrossTiers: 30 LossGrad + SGD steps at batch 16 and
 // one evaluation, on both conv nets, end with the same parameters and the
 // same loss on either tier.

@@ -29,6 +29,7 @@ func eachTier(t *testing.T, f func(t *testing.T)) {
 func TestGemmParity(t *testing.T)                { eachTier(t, gemmParity) }
 func TestGemmTAParity(t *testing.T)              { eachTier(t, gemmTAParity) }
 func TestGemmTBParity(t *testing.T)              { eachTier(t, gemmTBParity) }
+func TestGemmTBEdgeParity(t *testing.T)          { eachTier(t, gemmTBEdgeParity) }
 func TestGemmParityAllZeroRows(t *testing.T)     { eachTier(t, gemmParityAllZeroRows) }
 func TestGemmParityDenseAlphaOne(t *testing.T)   { eachTier(t, gemmParityDenseAlphaOne) }
 func TestParallelGemmRace(t *testing.T)          { eachTier(t, parallelGemmRace) }
