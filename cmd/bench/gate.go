@@ -20,7 +20,7 @@ type ratioPair struct {
 	setup func(kernel bool) func() // true: the fast row, false: the reference
 }
 
-// ratioPairs are the thirteen margins.
+// ratioPairs are the fourteen margins.
 //
 // Gemm-256: the AVX2 axpy kernel measures 3.9-5.7x over the retained naive
 // reference (naive scalar code is pinned at one multiply-add per cycle; the
@@ -38,12 +38,16 @@ type ratioPair struct {
 // norm's serial add chain is in both); the fill alone, 1.0-1.25x. Normal
 // draws, 1 024 at a time: the tiled attempts plus the four-lane polar kernel
 // measure 2.4-2.7x over one NormFloat64 call per value; the tiled attempts
-// alone, 1.2-1.5x — so this floor is 2, not 1.5. Exps, one softmax block of
-// 40: the four-lane archExp twin measures 3.0-5.4x over the math.Exp calls,
-// the Go tier (which is those calls) 0.9-1.0x. Axpy at 650: the four-lane
+// alone, 1.2-1.5x — so this floor is 2, not 1.5. The softmax loss of one
+// 4x10 batch: the kernel with a row per lane measures 3.4-4.5x over the
+// scalar loop written out (its exps and log are math's calls), the Go tier
+// (which is that loop) 0.96x. The 10-class head's dW, 10x64 from four rows:
+// the panel kernel, each row's list built and run in one call, measures
+// 3.4-5.2x over the per-row list path written out, the Go tier (which is
+// that path) 1.1x. Axpy at 650: the four-lane
 // kernel measures 2.7-4.2x over the scalar loop written out where it was
 // used, the Go tier 1.0-1.3x (its loop is resliced, so it checks no bounds)
-// — floors of 2 for both. Lower at the ResNetNano trunk conv's 8x8x8 under a
+// — floors of 2 for the four. Lower at the ResNetNano trunk conv's 8x8x8 under a
 // 3x3 kernel: the overlapping four-wide runs measure 4.9-6.4x over Lower's
 // Go loop written out, the Go tier (which is that loop) 1.09-1.10x — a
 // floor of 2. Top-k's emission at wire_mix's 16 400 coordinates, ratio 0.25:
@@ -73,7 +77,8 @@ var ratioPairs = []ratioPair{
 	{"GemmTB8x64x72", "GemmTBNaive8x64x72", 3, 16, gemmTBTrunkSetup},
 	{"CompressInto16400/qsgd", "QSGDScalarRef16400", 1.5, 2, qsgdSetup},
 	{"FillNormFloat641024", "NormFloat64Ref1024", 2, 8, normSetup},
-	{"ExpInto40", "ExpRef40", 2, 64, expSetup},
+	{"Softmax4x10", "SoftmaxRef4x10", 2, 64, softmaxSetup},
+	{"GemmTA10x64k4", "GemmTAListRef10x64k4", 2, 64, gemmTAHeadSetup},
 	{"Axpy650", "AxpyRef650", 2, 32, axpySetup},
 	{"Lower8x8x8", "LowerRef8x8x8", 2, 16, lowerSetup},
 	{"EmitAbove16400", "EmitAboveRef16400", 2, 4, emitSetup},

@@ -98,9 +98,13 @@ func TestQSGDRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Compres
 // the tiled attempts alone do not clear the floor.
 func TestNormRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "FillNormFloat641024") }
 
-// TestExpRatioFollowsTheTier: the softmax block's exps against the math.Exp
-// calls, which is all the Go tier runs.
-func TestExpRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "ExpInto40") }
+// TestSoftmaxRatioFollowsTheTier: the softmax loss of one 4x10 batch against
+// the scalar loop, which is all the Go tier runs.
+func TestSoftmaxRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Softmax4x10") }
+
+// TestGemmTARatioFollowsTheTier: the head's weight gradient through the
+// panel kernel against the per-row list path, which is all the Go tier runs.
+func TestGemmTARatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "GemmTA10x64k4") }
 
 // TestAxpyRatioFollowsTheTier: Axpy against the scalar loop.
 func TestAxpyRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Axpy650") }

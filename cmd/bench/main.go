@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bench                      # time the thirteen pairs, print them
+//	bench                      # time the fourteen pairs, print them
 //	bench -out FILE.json       # also write the timings as JSON
 //
 // The exit status is the verdict: 0 when every pair is at or above its
@@ -28,7 +28,9 @@ import (
 	"slices"
 
 	"repro/internal/compress"
+	"repro/internal/data"
 	"repro/internal/graph"
+	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -197,24 +199,92 @@ func fillSetup(kernel bool) func() {
 	}
 }
 
-// expSetup takes the exps of one softmax block at the logistic workloads'
-// shape — four rows of ten classes, each logit less its row's maximum —
-// through ExpInto, or by the math.Exp calls it replaces.
-func expSetup(kernel bool) func() {
-	r := rng.New(63)
-	src, dst := make([]float64, 40), make([]float64, 40)
-	for i := range src {
-		src[i] = -math.Abs(r.NormFloat64() * 4)
-	}
+// gemmTAHeadSetup is the 10-class head's weight gradient at the logistic
+// workloads' shape, dW += dOut^T * X over a batch of four (10x64 from k = 4):
+// through GemmTA, or by the per-row list path it ran before, written out —
+// per C row the non-zero coefficients listed, then the row updated from the
+// listed B rows, four columns per coefficient load.
+func gemmTAHeadSetup(kernel bool) func() {
+	r := rng.New(71)
+	dOut := zeroLaden(r, tensor.NewMatrix(4, 10), 0)
+	x := zeroLaden(r, tensor.NewMatrix(4, 64), 0)
+	dW := tensor.NewMatrix(10, 64)
 	if kernel {
-		return func() { tensor.ExpInto(dst, src) }
+		return func() { tensor.GemmTA(1, dOut, x, 1, dW) }
 	}
+	var off [4]int
+	var val [4]float64
 	return func() {
-		for i, v := range src {
-			dst[i] = math.Exp(v)
+		for i := 0; i < dW.Rows; i++ {
+			nnz := 0
+			for k := 0; k < dOut.Rows; k++ {
+				if v := dOut.Data[k*dOut.Cols+i]; v != 0 {
+					off[nnz], val[nnz] = k*x.Cols, v
+					nnz++
+				}
+			}
+			crow := dW.Row(i)
+			for j := 0; j+4 <= len(crow); j += 4 {
+				cs := crow[j : j+4 : j+4]
+				s0, s1, s2, s3 := cs[0], cs[1], cs[2], cs[3]
+				for t, v := range val[:nnz] {
+					bs := x.Data[off[t]+j : off[t]+j+4 : off[t]+j+4]
+					s0 += v * bs[0]
+					s1 += v * bs[1]
+					s2 += v * bs[2]
+					s3 += v * bs[3]
+				}
+				cs[0], cs[1], cs[2], cs[3] = s0, s1, s2, s3
+			}
 		}
 	}
 }
+
+// softmaxSetup is the loss and gradient of one training batch at the
+// logistic workloads' shape, four rows of ten classes: through
+// nn.SoftmaxCrossEntropy, or by the scalar loop it ran before, written out —
+// per row the maximum, the exps summed, one math.Log, the gradient's exps.
+func softmaxSetup(kernel bool) func() {
+	r := rng.New(63)
+	out, dOut := tensor.NewMatrix(4, 10), tensor.NewMatrix(4, 10)
+	b := data.Batch{Y: make([]int, 4)}
+	for i := range out.Data {
+		out.Data[i] = r.NormFloat64() * 4
+	}
+	for i := range b.Y {
+		b.Y[i] = r.Intn(10)
+	}
+	if kernel {
+		return func() { nn.SoftmaxCrossEntropy{}.Eval(out, b, dOut) }
+	}
+	return func() {
+		const invB = 1.0 / 4
+		total := 0.0
+		for i := 0; i < out.Rows; i++ {
+			row, d := out.Row(i), dOut.Row(i)
+			mx := row[0]
+			for _, v := range row[1:] {
+				if v > mx {
+					mx = v
+				}
+			}
+			sum := 0.0
+			for _, v := range row {
+				sum += math.Exp(v - mx)
+			}
+			logZ := mx + math.Log(sum)
+			total += logZ - row[b.Y[i]]
+			for j, v := range row {
+				d[j] = math.Exp(v-logZ) * invB
+			}
+			d[b.Y[i]] -= invB
+		}
+		sink = total * invB
+	}
+}
+
+// sink keeps the reference loop's loss live, as Eval's result is.
+var sink float64
 
 // axpySetup is plain SGD's step and the async aggregate at the logistic
 // workloads' 650 parameters: through Axpy, or by the scalar loop it replaces.

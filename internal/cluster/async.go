@@ -47,6 +47,22 @@
 // so a run's event trace and final parameters are a pure function of the
 // seed, at any GOMAXPROCS (asserted by the async determinism and golden
 // tests).
+//
+// # What the rest of the repository leans on
+//
+// Dispatching happens at round boundaries, so Participation == InFlight == N
+// is the exact synchronous barrier: a fast client never counts twice toward
+// one aggregate. The staleness weight 1/(1+s) and the 64-version expiry are
+// constants of the engine; tests reach the expiry path through the
+// unexported maxStaleness. Error-feedback compression is rejected at
+// construction, because a per-client residual would be Theta(N*dim).
+// delaymodel's Jitter gives every client a persistent compute factor (nil is
+// the pricing without it, bit for bit). AsyncStats reports the materialized
+// memory. The async golden test pins the seeded event trace, the final
+// parameters and the metrics trace; `sweep -ablation async` shows K-of-m
+// beating the full barrier under a 10x straggler; examples/federated runs
+// 1024 non-IID clients at K=32; cmd/adacomm reaches the engine through
+// -async, -participation and -clients.
 package cluster
 
 import (

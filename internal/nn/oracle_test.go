@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+	"os"
+	"os/exec"
 	"testing"
 
 	"repro/internal/data"
@@ -488,9 +490,9 @@ func TestLossGradMatchesBackwardOnEveryLayer(t *testing.T) {
 	}
 }
 
-// softmaxRef is SoftmaxCrossEntropy's per-row loop as this package shipped it
-// before the exps went through tensor.ExpInto in stack tiles: two math.Exp
-// calls per logit, one math.Log per row.
+// softmaxRef is SoftmaxCrossEntropy's per-row loop written out, as this
+// package first shipped it: two math.Exp calls per logit, one math.Log per
+// row.
 func softmaxRef(total float64, out *tensor.Matrix, b data.Batch, dOut *tensor.Matrix, invB float64) float64 {
 	for i := 0; i < out.Rows; i++ {
 		row := out.Row(i)
@@ -517,17 +519,24 @@ func softmaxRef(total float64, out *tensor.Matrix, b data.Batch, dOut *tensor.Ma
 	return total
 }
 
-// TestSoftmaxCrossEntropyMatchesScalarLoop holds the tiled loss to softmaxRef
-// bit for bit — the running total, the loss and every gradient element — at
-// class counts around the tile (one row per tile piece past 256) and row
-// counts around the block, over logits a trained model, a diverging one
-// (spreads past exp's -708) and a diverged one (NaN, ±Inf) produce.
+// TestSoftmaxCrossEntropyMatchesScalarLoop holds the loss to softmaxRef bit
+// for bit — the running total, the loss and every gradient element — at
+// class counts around the four-row groups' columns and the old tile (one row
+// per tile piece past 256) and row counts around a group of four (the 1-3
+// rows a remainder group has) and the old block, over logits a trained
+// model, a diverging one (spreads past exp's -708) and a diverged one (NaN,
+// ±Inf) produce. Regime 3 plants two more NaN payloads beside math.NaN's:
+// where two NaNs meet in one of the Go adds, which payload survives is the
+// compiler's operand order (two payloads already came out of the tiled loop
+// and this one differently), so there a value the scalar loop makes NaN must
+// be NaN, of any payload, and every other value stays bit for bit.
 func TestSoftmaxCrossEntropyMatchesScalarLoop(t *testing.T) {
 	r := rng.New(80)
 	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 800, -800, 0, math.Copysign(0, -1)}
-	for _, cols := range []int{1, 2, 3, 10, 16, 85, 255, 256, 257, 600} {
-		for _, rows := range []int{0, 1, 2, 4, 7, 16, 25, 26, 33, 64, 100} {
-			for regime := 0; regime < 3; regime++ {
+	payloads := append([]float64{math.Float64frombits(0x7FF8000000000abc), math.Float64frombits(0xFFF800000000def1)}, specials...)
+	for _, cols := range []int{1, 2, 3, 4, 5, 8, 9, 10, 16, 17, 85, 255, 256, 257, 600} {
+		for _, rows := range []int{0, 1, 2, 3, 4, 5, 7, 16, 25, 26, 33, 64, 100} {
+			for regime := 0; regime < 4; regime++ {
 				out := tensor.NewMatrix(rows, cols)
 				b := data.Batch{Y: make([]int, rows)}
 				for i := range out.Data {
@@ -536,6 +545,8 @@ func TestSoftmaxCrossEntropyMatchesScalarLoop(t *testing.T) {
 						out.Data[i] = v * 400
 					case regime == 2 && r.Intn(16) == 0:
 						out.Data[i] = specials[r.Intn(len(specials))]
+					case regime == 3 && r.Intn(16) == 0:
+						out.Data[i] = payloads[r.Intn(len(payloads))]
 					default:
 						out.Data[i] = v
 					}
@@ -543,18 +554,54 @@ func TestSoftmaxCrossEntropyMatchesScalarLoop(t *testing.T) {
 				for i := range b.Y {
 					b.Y[i] = r.Intn(cols)
 				}
+				same := mustBitsEqual
+				if regime == 3 {
+					same = mustEqualAnyNaN
+				}
 				invB := 1 / float64(max(rows, 1))
 				d, dRef := tensor.NewMatrix(rows, cols), tensor.NewMatrix(rows, cols)
 				what := fmt.Sprintf("%dx%d regime %d", rows, cols, regime)
 				got := SoftmaxCrossEntropy{}.addRows(0.25, out, b, d, invB)
-				if want := softmaxRef(0.25, out, b, dRef, invB); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: total %v (%x), scalar loop %v (%x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
-				}
-				mustBitsEqual(t, what+" gradient", d.Data, dRef.Data)
-				if got, want := (SoftmaxCrossEntropy{}).AddRows(-1, out, b), softmaxRef(-1, out, b, nil, 0); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("%s: AddRows %v, scalar loop %v", what, got, want)
-				}
+				same(t, what+" total", []float64{got}, []float64{softmaxRef(0.25, out, b, dRef, invB)})
+				same(t, what+" gradient", d.Data, dRef.Data)
+				got = SoftmaxCrossEntropy{}.AddRows(-1, out, b)
+				same(t, what+" AddRows", []float64{got}, []float64{softmaxRef(-1, out, b, nil, 0)})
 			}
+		}
+	}
+}
+
+// TestSoftmaxCrossEntropyUnderGODEBUG re-runs the scalar-loop oracle test in
+// a child process under GODEBUG=cpu.fma=off and under cpu.avx=off, where
+// math.Exp takes its unfused path on an FMA host and the loss's exps must
+// follow it.
+func TestSoftmaxCrossEntropyUnderGODEBUG(t *testing.T) {
+	if os.Getenv("GODEBUG") != "" {
+		t.Skip("GODEBUG is set: this is a child, or the caller chose its own settings")
+	}
+	for _, setting := range []string{"cpu.fma=off", "cpu.avx=off"} {
+		cmd := exec.Command(os.Args[0], "-test.count=1", "-test.run=^TestSoftmaxCrossEntropyMatchesScalarLoop$")
+		cmd.Env = append(os.Environ(), "GODEBUG="+setting)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("GODEBUG=%s: %v\n%s", setting, err, out)
+		}
+	}
+}
+
+// mustEqualAnyNaN is mustBitsEqual with every NaN of want matched by a NaN of
+// any payload.
+func mustEqualAnyNaN(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.IsNaN(want[i]) && math.IsNaN(got[i]) {
+			continue
+		}
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v (%x), want %v (%x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
 }

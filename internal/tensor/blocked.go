@@ -27,8 +27,9 @@ import (
 const (
 	// kcBlock is the k-panel size of the axpy-form kernels: the B panel
 	// (kcBlock x N floats) stays cache-resident while every row of the panel
-	// consumes it, and a row's coefficient list (coefList, zeroed per call)
-	// stays at 1 KiB of stack. A power of two.
+	// consumes it, and a row's coefficient list stays at 1 KiB of stack
+	// (coefList, zeroed per call, on the Go tier; the panel kernel's frame,
+	// laid out for exactly 64 entries, on the AVX2 tier). A power of two.
 	kcBlock = 64
 	// panelRows is the parallel work-unit height. Panels are contiguous and
 	// disjoint, so each output row has exactly one writer.
@@ -138,16 +139,25 @@ func axpyFormBlocked(alpha float64, a, b *Matrix, beta float64, c *Matrix, iStri
 // from the listed B rows only: the naive kernel's zero skip becomes work
 // that is never issued, which is what makes post-ReLU / post-pool gradient
 // operands (50-90% exact zeros) cheap instead of a reason to leave the
-// packed kernel.
+// packed kernel. On the AVX2 tier one kernel call per k-block does both for
+// every row of the panel (axpyPanel, its list in the kernel's frame);
+// gemmPanelGo is its fallback and its oracle.
 func gemmPanel(alpha float64, a, b, c *Matrix, lo, hi, iStride, kStride int) {
+	if !axpyPanel(alpha, a, b, c, lo, hi, iStride, kStride) {
+		gemmPanelGo(alpha, a, b, c, lo, hi, iStride, kStride)
+	}
+}
+
+// gemmPanelGo is gemmPanel on the Go loops.
+func gemmPanelGo(alpha float64, a, b, c *Matrix, lo, hi, iStride, kStride int) {
 	var l coefList
 	k, n := b.Rows, b.Cols
 	for k0 := 0; k0 < k; k0 += kcBlock {
 		kn := min(kcBlock, k-k0)
 		for i := lo; i < hi; i++ {
-			nnz := l.compress(alpha, a.Data[i*iStride+k0*kStride:], kStride, kn, k0*n, n)
+			nnz := l.compressGo(alpha, a.Data[i*iStride+k0*kStride:], kStride, kn, k0*n, n)
 			if nnz > 0 {
-				axpyList(&l, nnz, b.Data, c.Row(i))
+				axpyListGo(&l, nnz, b.Data, c.Row(i))
 			}
 		}
 	}
@@ -161,18 +171,17 @@ type coefList struct {
 	val [kcBlock]float64
 }
 
-// compressGo appends to l, which holds n entries, the kn coefficients a[0],
-// a[stride], ... whose B rows start at boff, boff+ldb, ... and returns the
-// number the list holds then. A coefficient is dropped exactly when the naive
-// kernels skip it (alpha*a == 0, either sign; NaN is kept). The count
-// advances by integer arithmetic on the bit pattern: a compare-and-branch
-// here would mispredict on every other element of a half-zero operand. Not
-// inlined: inside gemmPanel the loop's counters spill to the stack.
-// coefList.compress (one per build) is this from n = 0, with the packed
-// kernel in front where there is one.
+// compressGo fills l with the kn coefficients a[0], a[stride], ... whose B
+// rows start at boff, boff+ldb, ... and returns the number it kept. A
+// coefficient is dropped exactly when the naive kernels skip it (alpha*a ==
+// 0, either sign; NaN is kept). The count advances by integer arithmetic on
+// the bit pattern: a compare-and-branch here would mispredict on every other
+// element of a half-zero operand. Not inlined: inside gemmPanelGo the loop's
+// counters spill to the stack.
 //
 //go:noinline
-func (l *coefList) compressGo(n int, alpha float64, a []float64, stride, kn, boff, ldb int) int {
+func (l *coefList) compressGo(alpha float64, a []float64, stride, kn, boff, ldb int) int {
+	n := 0
 	for t := 0; kn > 0; kn-- {
 		v := alpha * a[t]
 		l.off[n&(kcBlock-1)] = boff
@@ -185,13 +194,13 @@ func (l *coefList) compressGo(n int, alpha float64, a []float64, stride, kn, bof
 	return n
 }
 
-// axpyListGo is crow[j] += sum_t l.val[t] * b[l.off[t]+j] for j in [j0,
-// len(crow)), every element taking its terms in list order. Four columns
-// share each coefficient load; the accumulators stay in registers across
-// the whole list.
-func axpyListGo(l *coefList, nnz int, b []float64, crow []float64, j0 int) {
+// axpyListGo is crow[j] += sum_t l.val[t] * b[l.off[t]+j] for every j, each
+// element taking its terms in list order. Four columns share each
+// coefficient load; the accumulators stay in registers across the whole
+// list.
+func axpyListGo(l *coefList, nnz int, b []float64, crow []float64) {
 	off, val := l.off[:nnz], l.val[:nnz]
-	j := j0
+	j := 0
 	for ; j+4 <= len(crow); j += 4 {
 		cs := crow[j : j+4 : j+4]
 		s0, s1, s2, s3 := cs[0], cs[1], cs[2], cs[3]

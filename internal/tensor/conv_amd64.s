@@ -393,7 +393,7 @@ poolstep:
 // order (gemm_amd64.s: the non-coefficient operand is the product's first
 // source, the running element the add's).
 
-// COMPRESS is compressAVX2's COMPRESS4 (gemm_amd64.s) without the multiply
+// COMPRESS is axpyPanelAVX2's PKEEP + PSTORE (gemm_amd64.s) without the multiply
 // by alpha: the four coefficients in Y3, the lanes that are not ±0 (NaN
 // kept) moved to the front through compressPerm (R12) and stored at the
 // count R13 with their offsets Y1, which then advance by Y2; the list's

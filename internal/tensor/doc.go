@@ -4,7 +4,7 @@
 // 3x3 convolution and its backward) that mini-batch SGD on MLPs and small CNNs requires, and
 // the elementwise loops the layers above spend their time in (ReLU, max-pool,
 // the QSGD wire, top-k's passes, CHOCO's gossip mix, uniform and polar
-// normal draws, exp). No cgo.
+// normal draws, the softmax). No cgo.
 //
 // # Two tiers, one switch
 //
@@ -47,19 +47,29 @@
 //     lane offsets to the last column's row, so that lane re-reads a row of
 //     B, and VMASKMOVPD stores only the lanes its mask (edgeMask[w]) sets.
 //     The Go tier keeps the 2x2 tile and Dot for these columns.
-//   - axpyListAVX2 (Gemm, GemmTA): the coefficient-list loop of blocked.go at
-//     32, then 16, then 8 columns per pass, accumulators held across the list.
-//   - compressAVX2 (coefList.compress): four coefficients -> VMULPD by alpha
-//     -> VCMPPD NEQ_UQ against zero (keeps NaN, drops ±0 and products that
-//     underflow to zero: the Go loop's integer test) -> VMOVMSKPD -> the
-//     16-entry VPERMD table compressPerm -> one compacted store of values and
-//     one of int64 B-row offsets; POPCNT advances the count. THE OVERRUN
-//     HAZARD: a four-lane store at count n writes up to three entries past
-//     the list's end, and off sits before val in coefList, so the kernel
-//     takes WHOLE groups only (a group starting at coefficient t stores at
-//     n <= t, and t+3 < kcBlock) and compressGo finishes kn % 4. The offset
-//     vector is built in registers: a 32-byte load of four fresh 8-byte
-//     stores stalls on store forwarding.
+//   - axpyPanelAVX2 (Gemm, GemmTA: gemmPanel, one call per panel and
+//     k-block): per C row, the list, then the update, with no Go between
+//     them. The list: four coefficients gathered at their stride -> VMULPD
+//     by alpha (alpha first) -> VCMPPD NEQ_UQ against zero (keeps NaN, drops
+//     ±0 and products that underflow to zero: compressGo's integer test) ->
+//     VMOVMSKPD -> the 16-entry VPERMD table compressPerm -> one compacted
+//     store of values and one of B-row byte offsets; POPCNT advances the
+//     count. The update: the coefficient-list loop of blocked.go at 32, 16,
+//     8 and 4 columns per pass, accumulators held across the list, then the
+//     last n % 4 columns under a VMASKMOVPD mask. THE RULE is naive.go's: a
+//     coefficient is dropped exactly when alpha*a is zero, terms come in
+//     ascending k, B is the multiply's first source and the accumulator the
+//     add's, no FMA. THE OVERRUN HAZARDS: the list lives in the kernel's
+//     1 KiB frame (kcBlock values, then kcBlock offsets; no zeroing, no heap),
+//     and a four-lane store at count n writes up to three entries past the
+//     list's end — inside the frame's arrays, because a group starting at
+//     coefficient t stores at n <= t and t+3 < kcBlock. The kn % 4 tail is
+//     gathered into low lanes of zeros and its mask cut to those lanes (an
+//     infinite alpha makes a zero lane NaN, which NEQ_UQ would keep), and
+//     the column tail's masked lanes neither read B past its last row nor
+//     store past C's row. The lanes' first offsets are stored once per call,
+//     not per row: a 32-byte load of four fresh 8-byte stores stalls on store
+//     forwarding. The Go tier keeps gemmPanelGo (compressGo + axpyListGo).
 //   - reluAVX2 / reluGradAVX2 (ReLU, ReLUGrad): VPCMPGTQ/VPAND/VPANDN/VPOR for
 //     "keep positives and NaN of either sign", VPCMPEQQ/VPANDN for "pass where
 //     the forward output is not +0" — integer instructions on the bit
@@ -73,7 +83,7 @@
 //     VPCMPGTQ the Go loops' unsigned order. The count computes the 12-bit
 //     digits and their occupancy bits (VPSLLVQ, OR-accumulated) in lanes and
 //     increments the counters scalar; the other three compact with
-//     compressAVX2's idiom (VMOVMSKPD -> compressPerm -> VPERMD -> one
+//     axpyPanelAVX2's list idiom (VMOVMSKPD -> compressPerm -> VPERMD -> one
 //     four-lane store -> POPCNT), an emitted group's int32 indices being its
 //     mask's row of emitPerm plus the group's first index. THE STORE BOUND:
 //     an emitted message is exactly k long, its capacity the holder's, so
@@ -109,7 +119,7 @@
 //     nothing is written past dst. The finish trails the chain by 128 bytes
 //     because a 32-byte load of four fresh 8-byte stores stalls on store
 //     forwarding.
-//   - expAVX2 (ExpInto, below).
+//   - softmaxAVX2 (SoftmaxRows, below).
 //   - lower3AVX2 / raise3AVX2 (Lower, Raise: conv lowering through a
 //     zero-bordered copy of the image, conv_amd64.s) for a 3x3 kernel, every
 //     conv of the zoo, one output row of patches per call. Lower moves each
@@ -153,7 +163,7 @@
 //     conv_amd64.s): the conv backward without lowering, on the shapes
 //     Direct accepts (the input gradient also needs C % 4 == 0 and W >= 4:
 //     directDX). dW: convDWAVX2 lists each filter's non-zero G coefficients
-//     as positions (compressAVX2's idiom without the multiply by alpha,
+//     as positions (axpyPanelAVX2's list idiom without the multiply by alpha,
 //     whose 1*g only quiets a signalling NaN the product quiets anyway), a
 //     table maps a position to its window in the padded image, and the
 //     filter's dW row is held in registers across the list, a group of four
@@ -167,7 +177,7 @@
 //     by four channels at a time and transposes them into four channel rows
 //     of dIn. THE RULE: a
 //     dW term is the pad value times the coefficient (pad first) added to
-//     the running element (Gemm's axpyListAVX2 order, zeros skipped by the
+//     the running element (Gemm's axpyPanelAVX2 order, zeros skipped by the
 //     lists); a D element starts at +0 and adds the filter value times the
 //     coefficient (filter first) over ascending filters (GemmTA's); a pixel
 //     starts at +0 and adds its D elements over ky = 2, 1, 0 and kx = 2, 1,
@@ -212,53 +222,76 @@
 // kernel ends in VZEROUPPER before RET (the Go compiler emits legacy SSE
 // encodings, which stall on dirty upper halves; the CPUID stubs return bare,
 // since VZEROUPPER is illegal where they must run), and none keeps heap
-// scratch (one 32-float stack tile in dotTiles for beta != 0). So every golden
-// holds on both tiers with no value recaptured.
+// scratch (one 32-float stack tile in dotTiles for beta != 0, the axpy
+// panel's list in its own frame). So every golden holds on both tiers with no
+// value recaptured.
 //
-// # ExpInto: the one kernel that fuses
+// # SoftmaxRows: the one kernel that fuses
 //
-// ExpInto is math.Exp bit for bit. On amd64 math.Exp IS math.archExp (GOROOT
-// src/math/exp_amd64.s, after Shibata's SIMD method): k = round(x*Log2e) by
-// CVTSD2SL, the reduction x - k*Ln2U - k*Ln2L, a multiply by 1/16, a degree-8
-// Taylor polynomial by Horner, four squarings x*(x+2), +1, and 2^k by
-// building its exponent field. expAVX2 mirrors it instruction for
-// instruction, packed: VCVTPD2DQ/VCVTDQ2PD for k, the same constants
-// (expConst), and VPADDD + VPMOVZXDQ + VPSLLQ $52 + VMULPD for 2^k.
+// SoftmaxRows is the loss's per-row loop (softmaxGo) bit for bit, math.Exp
+// and math.Log included. softmaxAVX2 gives each lane a row of a group of
+// four: a column is gathered from the four rows, the maximum is `if v > mx`
+// as VCMPPD GT_OQ + VBLENDVPD (a NaN at column 0 sticks, a later one is
+// skipped, the first of ±0 is kept), the sum adds exp(v - mx) from +0 in
+// column order, logZ = mx + log(sum) by polar_amd64.s's archLog mirror, and
+// each gradient exp(v - logZ) * scale is stored back to its row. A group of
+// four rows costs about what one row does — the exp chains' latency, not
+// their lanes, sets the time — so each row's serial work (the max's
+// compares, the sum, the log) is shared four ways. A remainder of 1-3 rows
+// runs as one group whose spare lanes re-read the last row and store
+// nothing.
 //
-// THE FMA TRAP. archExp branches on package math's own useFMA (AVX && FMA):
-// the fused path folds each reduction step, each Horner step and the last
-// squaring with its +1 into one VFNMADD231SD / VFMADD213SD, and rounds
-// differently from the unfused one in about one argument in twenty. So the
-// kernel has both paths, one loop each, and takes the one math takes, by
-// useFMA = probeFMA(): CPUID.1:ECX FMA under the same OSXSAVE/AVX/XCR0
-// checks internal/cpu makes. Here FMA is the oracle's arithmetic, not a
-// departure from it. internal/cpu also honours GODEBUG=cpu.avx=off and
-// cpu.fma=off; the probe does not, so under those settings ExpInto can differ
-// from math.Exp in the last bit.
+// THE EXP. On amd64 math.Exp IS math.archExp (GOROOT src/math/exp_amd64.s,
+// after Shibata's SIMD method): k = round(x*Log2e) by CVTSD2SL, the
+// reduction x - k*Ln2U - k*Ln2L, a multiply by 1/16, a degree-8 Taylor
+// polynomial by Horner, four squarings x*(x+2), +1, and 2^k by building its
+// exponent field. The kernel mirrors it instruction for instruction, packed:
+// VCVTPD2DQ/VCVTDQ2PD for k, the same constants (expConst), and VPADDD +
+// VPMOVZXDQ + VPSLLQ $52 + VMULPD for 2^k.
+//
+// THE FMA TRAP. archExp branches on package math's own useFMA: the fused
+// path folds each reduction step, each Horner step and the last squaring
+// with its +1 into one VFNMADD231SD / VFMADD213SD, and rounds differently
+// from the unfused one in about one argument in twenty. So the kernel has
+// both paths and takes the one math takes, by useFMA, which asks math.Exp
+// itself at -Ln2/2, where the fused path gives the correctly rounded Sqrt2/2
+// and the unfused one the float64 below: it follows the CPU, GODEBUG's
+// cpu.fma and cpu.avx and the toolchain, whatever math follows. Here FMA is
+// the oracle's arithmetic, not a departure from it.
 //
 // THE DOMAIN. archExp's arithmetic path, with 2^k normal, covers every x in
 // [expLo, expHi] = [-708, 709]; outside it (NaN, ±Inf, overflow, subnormal
-// and zero results) archExp takes exits the kernel does not mirror. The kernel
-// tests each group of four before any arithmetic (VCMPPD NGE_UQ / NLE_UQ,
-// VMOVMSKPD): a group with a lane outside the domain, NaN included, ends the
-// call unwritten, expBulk hands that group to math.Exp and resumes the kernel
-// after it — the fix-up touches only the flagged groups, and a softmax's
-// arguments (a logit less its row's maximum) are in the domain until a model
-// has diverged.
+// and zero results) archExp takes exits the kernel does not mirror. A
+// softmax argument is never above 0 (v <= mx <= logZ), so pass 2 tests each
+// argument against expLo (VCMPPD NGE_UQ, which NaN also fails), and pass 3's
+// arguments are bounded by the least logit less logZ, rounding being
+// monotone. A group failing either test ends the call before anything of it
+// is stored; softmaxBulk hands that group to softmaxGo whole and resumes the
+// kernel after it — a softmax's arguments are in the domain until a model
+// has diverged or one logit trails its row's maximum by 708.
+//
+// THE OVERRUN HAZARD: the gradient is stored a lane at a time to its row's
+// offset, so a remainder group's spare lanes, which alias the last row,
+// must not store (their stores are skipped); logZ's four-lane store goes
+// through VMASKMOVPD there.
 //
 // # Tests
 //
 // The parity suites run once per tier in one `go test` (eachTier flips
 // useAVX2; the assembly half is skipped with a logged reason where the probe
-// said no), plus a remainder grid for the products, the compress twin with
-// canaries on both sides of coefList, the mask and vector-update twins at
+// said no), plus a remainder grid for the products, the axpy panel against
+// its Go loops with the other rows' coefficients NaN and sentinels past C,
+// the mask and vector-update twins at
 // every misalignment, the conv lowering against per-element reference loops
 // with canaries past the patches and the padded images, the top-k passes with
 // sentinels past k and past len(vec), the dot form's edge columns against
 // the 8-wide tile bit for bit with sentinels past C's last column and row,
 // and fuzz targets over raw float64 words and generator states
 // (FuzzUniformsTwin, FuzzGemmTBEdgeTwin, FuzzQuantizeTwin, FuzzPolarTwin,
-// FuzzExpTwin, FuzzTopKTwin — whose
+// FuzzExpTwin, FuzzSoftmaxTwin — 1-9 rows of 1-17 logits with two raw words
+// planted, canaries past logZ and the gradient — FuzzAxpyPanelTwin — a
+// random Gemm or GemmTA panel against its Go loops, the other rows'
+// coefficients NaN and sentinels past C — FuzzTopKTwin — whose
 // digit and threshold are the input's own patterns, so equal digits and ties
 // are the rule — FuzzMixTwin, whose planted NaNs meet in every add of the
 // mix so that the surviving payload checks the operand order, and
@@ -273,11 +306,12 @@
 // against Lower + GemmNaive + GemmTANaive + Raise, likewise, with dW and dB
 // planted and sentinels past them, past dIn and past every scratch slice —
 // and FuzzMaxPoolTwin, values and argmax against poolImageGo with sentinels past
-// both). exp_amd64_test.go holds
+// both). softmax_amd64_test.go holds
 // each exp path to a Go oracle of its own (math.FMA for the fused steps,
 // separately rounded products for the unfused ones) by flipping useFMA, so
-// the path this host's math does not take runs too, and checks the probe
-// against math.Exp at an argument where the two paths differ. In the
+// the unfused path runs on an FMA host too, checks useFMA against math.Exp at
+// a random argument where the two paths differ, and re-runs those tests in
+// child processes under GODEBUG=cpu.fma=off and cpu.avx=off. In the
 // external package tensor_test, through export_test.go, training steps and a
 // loss on both conv nets are bit-equal across tiers, with the 0-alloc gates
 // under both. CI's purego step is the only place the Go tier meets the nn,

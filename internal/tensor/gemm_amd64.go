@@ -21,8 +21,8 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() uint32
 
 // probeAVX2 reports whether the kernels may run: the CPU has AVX2 (and AVX,
-// POPCNT for compressAVX2) and the OS has enabled XSAVE and saves both the
-// XMM and the YMM halves on a context switch.
+// POPCNT for the coefficient lists) and the OS has enabled XSAVE and saves
+// both the XMM and the YMM halves on a context switch.
 func probeAVX2() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
 		return false
@@ -38,17 +38,17 @@ func probeAVX2() bool {
 	return ebx&(1<<5) != 0
 }
 
-// axpyListAVX2 is the axpy-form kernel: for each of nblk consecutive
-// 8-column blocks of the C row at c,
+// axpyPanelAVX2 is gemmPanel's body for one k-block: for each of rows > 0 C
+// rows of n > 0 columns at c (row r at c + 8rn bytes), the list of the kn
+// (1..kcBlock) coefficients a + r*lda + t*stride (BYTES) times alpha that are
+// not zero, then
 //
-//	c[j] += val[t] * b[off[t]+j]   (t = 0..n-1 ascending, j over the block)
+//	c[j] += val[t] * b[off[t]+j]   (t over the list in ascending k, j < n)
 //
-// with the accumulators held in registers across the whole list. The caller
-// guarantees n > 0 and that every b[off[t] : off[t]+8*nblk] and c[: 8*nblk]
-// is addressable.
+// with B's row t at b + 8tn bytes. The list lives in the kernel's frame.
 //
 //go:noescape
-func axpyListAVX2(off *int, val *float64, n int, b, c *float64, nblk int)
+func axpyPanelAVX2(alpha float64, a *float64, lda, stride, kn int, b, c *float64, rows, n int)
 
 // dotTile4x8 is the dot-form kernel: the thirty-two sums
 //
@@ -63,12 +63,6 @@ func dotTile4x8(a *float64, lda int, b *float64, ldb, kn int, c *float64, ldc in
 
 //go:noescape
 func dotTile2x8(a *float64, lda int, b *float64, ldb, kn int, c *float64, ldc int)
-
-// compressAVX2 is coefList.compressGo over groups > 0 groups of four
-// coefficients a[0], a[stride], ... (stride in BYTES), from an empty list.
-//
-//go:noescape
-func compressAVX2(alpha float64, a *float64, stride, groups, boff, ldb int, off *int, val *float64) int
 
 // compressPerm[m] is the VPERMD pattern that moves the float64 lanes whose
 // bit is set in m to the front, in order.
@@ -111,34 +105,19 @@ func addAVX2(dst, a, b *float64, n int)
 //go:noescape
 func subAVX2(dst, a, b *float64, n int)
 
-// compress fills the list: the kernel takes the whole groups of four, the Go
-// loop the kn % 4 that are left — a four-lane store for them would run past
-// the arrays' end.
-func (l *coefList) compress(alpha float64, a []float64, stride, kn, boff, ldb int) int {
-	done := kn &^ 3
-	if !useAVX2 || done == 0 {
-		return l.compressGo(0, alpha, a, stride, kn, boff, ldb)
+// axpyPanel runs gemmPanel on the kernel, one call per k-block over the
+// panel's rows, and reports whether it did (on the AVX2 tier, always).
+func axpyPanel(alpha float64, a, b, c *Matrix, lo, hi, iStride, kStride int) bool {
+	if !useAVX2 {
+		return false
 	}
-	_ = a[(done-1)*stride]
-	n := compressAVX2(alpha, &a[0], stride*8, done/4, boff, ldb, &l.off[0], &l.val[0])
-	if done == kn {
-		return n // a[done*stride:] may not exist
+	k, n := b.Rows, b.Cols
+	_, _, _ = a.Data[(hi-1)*iStride+(k-1)*kStride], b.Data[k*n-1], c.Data[hi*n-1]
+	for k0 := 0; k0 < k; k0 += kcBlock {
+		axpyPanelAVX2(alpha, &a.Data[lo*iStride+k0*kStride], iStride*8, kStride*8, min(kcBlock, k-k0),
+			&b.Data[k0*n], &c.Data[lo*n], hi-lo, n)
 	}
-	return l.compressGo(n, alpha, a[done*stride:], stride, kn-done, boff+done*ldb, ldb)
-}
-
-// axpyList updates one C row from a compressed coefficient list: the kernel
-// takes the 8-column blocks, the Go loop the remaining columns.
-func axpyList(l *coefList, nnz int, b []float64, crow []float64) {
-	nblk := 0
-	if useAVX2 {
-		nblk = len(crow) / 8
-	}
-	if nblk > 0 {
-		_ = b[l.off[nnz-1]+len(crow)-1] // offsets ascend: the last row reaches furthest
-		axpyListAVX2(&l.off[0], &l.val[0], nnz, &b[0], &crow[0], nblk)
-	}
-	axpyListGo(l, nnz, b, crow, nblk*8)
+	return true
 }
 
 // dotEdge4x4 and dotEdge2x4 are dotTile4x8 and dotTile2x8 over the last

@@ -1,8 +1,9 @@
 //go:build amd64 && !purego
 
-// The AVX2 kernel tier: the four hot loops of a conv training step and the
-// two vector updates (Axpy, Sub), each the twin of a Go loop in this package
-// that stays as its fallback and its oracle. The contract is naive.go's. Each
+// The AVX2 kernel tier: the products' kernels (the axpy-form panel, the
+// dot-form tiles), the ReLU masks and the vector updates (Axpy, Add, Sub),
+// each the twin of a Go loop in this package that stays as its fallback and
+// its oracle. The contract is naive.go's. Each
 // YMM lane holds ONE C element, so VMULPD then VADDPD perform exactly the
 // scalar kernel's separately-rounded multiply and add per element, per term,
 // in ascending reduction index — vectorizing across independent output
@@ -23,15 +24,33 @@
 
 #include "textflag.h"
 
-// func axpyListAVX2(off *int, val *float64, n int, b, c *float64, nblk int)
+// func axpyPanelAVX2(alpha float64, a *float64, lda, stride, kn int, b, c *float64, rows, n int)
 //
-// For nblk consecutive 8-column blocks of the C row at c:
-//   c[j] += val[t] * b[off[t]+j]   (t = 0..n-1 ascending, j over the block)
-// The list holds only non-zero coefficients, so the naive kernel's
-// zero-coefficient skip never fires and the loop needs no branches. Blocks
-// are taken four at a time (32 columns, eight accumulators held across the
-// whole list), then two, then one. Y8 carries the broadcast coefficient,
-// Y9-Y12 stream B.
+// One k-block of an axpy-form product over rows C rows of n columns (B's
+// rows and C's are 8n bytes apart): per row, the list, then the update.
+//
+// THE LIST. The row's kn <= kcBlock coefficients a[0], a[stride], ...
+// (stride in BYTES; the next row's a is lda bytes on) are gathered four at
+// a time, multiplied by alpha (VMULPD, alpha first), kept where the product
+// is not ±0 (NEQ_UQ: NaN compares true and is kept, exactly compressGo's
+// test on the bit pattern), moved to the front with the VPERMD pattern
+// compressPerm holds for the 4-bit mask, and stored, values and B-row byte
+// offsets, at the running count, which POPCNT advances. The list lives in
+// this frame: val at 0(SP), off at 512(SP), the four lanes' first offsets
+// {0, 8n, 16n, 24n} at 1024(SP) (a 32-byte load of four fresh 8-byte
+// stores stalls on store forwarding, so they are stored once, not per row).
+// A four-lane store at count m <= t, t the group's first coefficient, ends
+// by entry t+3 < kcBlock; the kn % 4 tail is gathered into low lanes of
+// zeros and its mask cut to those lanes, since alpha*0 is NaN for an
+// infinite alpha.
+//
+// THE UPDATE: c[j] += val[t] * b[off[t]+j] for t in list order, the
+// accumulators held in registers across the whole list — 32 columns at a
+// time (eight accumulators), then 16, 8 and 4, then the last 1-3 under a
+// VMASKMOVPD mask (edgeMask), whose masked lanes neither read nor store. A
+// row whose list is empty is not touched. Y8 carries the broadcast
+// coefficient, Y9-Y12 stream B; Y13 holds alpha, Y14 four B rows' offset
+// step, Y15 zero.
 #define AXPY4(o, A0, A1, A2, A3) \
 	VMOVUPD o+0(SI), Y9; \
 	VMOVUPD o+32(SI), Y10; \
@@ -46,86 +65,167 @@
 	VADDPD  Y11, A2, A2; \
 	VADDPD  Y12, A3, A3
 
-#define AXPYNEXT \
-	MOVQ         (R10)(CX*8), AX; \
-	VBROADCASTSD (R11)(CX*8), Y8; \
-	LEAQ         (BX)(AX*8), SI
+// PNEXT loads list entry CX: the coefficient into Y8, its B row at the
+// current columns (R14) into SI.
+#define PNEXT \
+	MOVQ         512(SP)(CX*8), SI; \
+	VBROADCASTSD (SP)(CX*8), Y8; \
+	ADDQ         R14, SI
 
-TEXT ·axpyListAVX2(SB), NOSPLIT, $0-48
-	MOVQ off+0(FP), R10
-	MOVQ val+8(FP), R11
-	MOVQ n+16(FP), R12
-	MOVQ b+24(FP), BX
-	MOVQ c+32(FP), DX
-	MOVQ nblk+40(FP), R13
+// PKEEP multiplies four gathered coefficients (Y3) by alpha and leaves the
+// kept lanes' mask in DX; PSTORE lists them.
+#define PKEEP \
+	VMULPD    Y3, Y13, Y3; \
+	VCMPPD    $4, Y15, Y3, Y4; \
+	VMOVMSKPD Y4, DX
 
-blk32:
-	CMPQ    R13, $4
-	JLT     blk16
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	VMOVUPD 64(DX), Y2
-	VMOVUPD 96(DX), Y3
-	VMOVUPD 128(DX), Y4
-	VMOVUPD 160(DX), Y5
-	VMOVUPD 192(DX), Y6
-	VMOVUPD 224(DX), Y7
+#define PSTORE \
+	POPCNTQ DX, DI; \
+	SHLQ    $5, DX; \
+	VMOVDQU (R12)(DX*1), Y5; \
+	VPERMD  Y3, Y5, Y6; \
+	VPERMD  Y1, Y5, Y7; \
+	VMOVDQU Y6, (SP)(R13*8); \
+	VMOVDQU Y7, 512(SP)(R13*8); \
+	ADDQ    DI, R13; \
+	VPADDQ  Y14, Y1, Y1
+
+TEXT ·axpyPanelAVX2(SB), $1056-72
+	VBROADCASTSD alpha+0(FP), Y13
+	MOVQ         a+8(FP), AX
+	MOVQ         stride+24(FP), R8
+	LEAQ         (R8)(R8*2), R9
+	MOVQ         b+40(FP), BX
+	MOVQ         c+48(FP), R10
+	LEAQ         ·compressPerm(SB), R12
+	VXORPD       Y15, Y15, Y15
+	MOVQ         n+64(FP), DX
+	SHLQ         $3, DX
+	MOVQ         $0, 1024(SP)
+	MOVQ         DX, 1032(SP)
+	LEAQ         (DX)(DX*1), CX
+	MOVQ         CX, 1040(SP)
+	ADDQ         DX, CX
+	MOVQ         CX, 1048(SP)
+	SHLQ         $2, DX
+	VMOVQ        DX, X14
+	VPBROADCASTQ X14, Y14
+
+prow:
+	VMOVDQU 1024(SP), Y1
+	XORQ    R13, R13 // the count
+	MOVQ    AX, SI
+	MOVQ    kn+32(FP), CX
+	SHRQ    $2, CX
+	JZ      ptail
+
+pgroup:
+	VMOVSD      (SI), X3
+	VMOVHPD     (SI)(R8*1), X3, X3
+	VMOVSD      (SI)(R8*2), X4
+	VMOVHPD     (SI)(R9*1), X4, X4
+	VINSERTF128 $1, X4, Y3, Y3
+	PKEEP
+	PSTORE
+	LEAQ        (SI)(R8*4), SI
+	DECQ        CX
+	JNZ         pgroup
+
+ptail:
+	MOVQ   kn+32(FP), CX
+	ANDQ   $3, CX
+	JZ     plisted
+	VMOVSD (SI), X3
+	CMPQ   CX, $1
+	JEQ    ptaillast
+	VMOVHPD (SI)(R8*1), X3, X3
+	CMPQ    CX, $2
+	JEQ     ptaillast
+	VMOVSD      (SI)(R8*2), X4
+	VINSERTF128 $1, X4, Y3, Y3
+
+ptaillast:
+	PKEEP
+	MOVL $1, DI
+	SHLL CX, DI
+	DECL DI
+	ANDL DI, DX // the tail's lanes only
+	PSTORE
+
+plisted:
+	TESTQ R13, R13
+	JZ    prownext
+	MOVQ  BX, R14 // B at the columns being updated
+	MOVQ  R10, R11 // C at the columns being updated
+	MOVQ  n+64(FP), DX // columns left
+
+p32:
+	CMPQ    DX, $32
+	JLT     p16
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	VMOVUPD 64(R11), Y2
+	VMOVUPD 96(R11), Y3
+	VMOVUPD 128(R11), Y4
+	VMOVUPD 160(R11), Y5
+	VMOVUPD 192(R11), Y6
+	VMOVUPD 224(R11), Y7
 	XORQ    CX, CX
 
-loop32:
-	AXPYNEXT
+p32term:
+	PNEXT
 	AXPY4(0, Y0, Y1, Y2, Y3)
 	AXPY4(128, Y4, Y5, Y6, Y7)
 	INCQ CX
-	CMPQ CX, R12
-	JLT  loop32
+	CMPQ CX, R13
+	JLT  p32term
 
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, 64(DX)
-	VMOVUPD Y3, 96(DX)
-	VMOVUPD Y4, 128(DX)
-	VMOVUPD Y5, 160(DX)
-	VMOVUPD Y6, 192(DX)
-	VMOVUPD Y7, 224(DX)
-	ADDQ    $256, BX
-	ADDQ    $256, DX
-	SUBQ    $4, R13
-	JMP     blk32
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	VMOVUPD Y2, 64(R11)
+	VMOVUPD Y3, 96(R11)
+	VMOVUPD Y4, 128(R11)
+	VMOVUPD Y5, 160(R11)
+	VMOVUPD Y6, 192(R11)
+	VMOVUPD Y7, 224(R11)
+	ADDQ    $256, R14
+	ADDQ    $256, R11
+	SUBQ    $32, DX
+	JMP     p32
 
-blk16:
-	CMPQ    R13, $2
-	JLT     blk8
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
-	VMOVUPD 64(DX), Y2
-	VMOVUPD 96(DX), Y3
+p16:
+	CMPQ    DX, $16
+	JLT     p8
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
+	VMOVUPD 64(R11), Y2
+	VMOVUPD 96(R11), Y3
 	XORQ    CX, CX
 
-loop16:
-	AXPYNEXT
+p16term:
+	PNEXT
 	AXPY4(0, Y0, Y1, Y2, Y3)
 	INCQ CX
-	CMPQ CX, R12
-	JLT  loop16
+	CMPQ CX, R13
+	JLT  p16term
 
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
-	VMOVUPD Y2, 64(DX)
-	VMOVUPD Y3, 96(DX)
-	ADDQ    $128, BX
-	ADDQ    $128, DX
-	SUBQ    $2, R13
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	VMOVUPD Y2, 64(R11)
+	VMOVUPD Y3, 96(R11)
+	ADDQ    $128, R14
+	ADDQ    $128, R11
+	SUBQ    $16, DX
 
-blk8:
-	TESTQ   R13, R13
-	JZ      axpydone
-	VMOVUPD (DX), Y0
-	VMOVUPD 32(DX), Y1
+p8:
+	CMPQ    DX, $8
+	JLT     p4
+	VMOVUPD (R11), Y0
+	VMOVUPD 32(R11), Y1
 	XORQ    CX, CX
 
-loop8:
-	AXPYNEXT
+p8term:
+	PNEXT
 	VMOVUPD (SI), Y9
 	VMOVUPD 32(SI), Y10
 	VMULPD  Y8, Y9, Y9
@@ -133,13 +233,60 @@ loop8:
 	VADDPD  Y9, Y0, Y0
 	VADDPD  Y10, Y1, Y1
 	INCQ    CX
-	CMPQ    CX, R12
-	JLT     loop8
+	CMPQ    CX, R13
+	JLT     p8term
 
-	VMOVUPD Y0, (DX)
-	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y0, (R11)
+	VMOVUPD Y1, 32(R11)
+	ADDQ    $64, R14
+	ADDQ    $64, R11
+	SUBQ    $8, DX
 
-axpydone:
+p4:
+	CMPQ    DX, $4
+	JLT     pmask
+	VMOVUPD (R11), Y0
+	XORQ    CX, CX
+
+p4term:
+	PNEXT
+	VMOVUPD (SI), Y9
+	VMULPD  Y8, Y9, Y9
+	VADDPD  Y9, Y0, Y0
+	INCQ    CX
+	CMPQ    CX, R13
+	JLT     p4term
+
+	VMOVUPD Y0, (R11)
+	ADDQ    $32, R14
+	ADDQ    $32, R11
+	SUBQ    $4, DX
+
+pmask:
+	TESTQ      DX, DX
+	JZ         prownext
+	SHLQ       $5, DX
+	LEAQ       ·edgeMask(SB), SI
+	VMOVDQU    (SI)(DX*1), Y7
+	VMASKMOVPD (R11), Y7, Y0
+	XORQ       CX, CX
+
+pmaskterm:
+	PNEXT
+	VMASKMOVPD (SI), Y7, Y9
+	VMULPD     Y8, Y9, Y9
+	VADDPD     Y9, Y0, Y0
+	INCQ       CX
+	CMPQ       CX, R13
+	JLT        pmaskterm
+	VMASKMOVPD Y0, Y7, (R11)
+
+prownext:
+	ADDQ lda+16(FP), AX
+	MOVQ n+64(FP), DX
+	LEAQ (R10)(DX*8), R10
+	DECQ rows+56(FP)
+	JNZ  prow
 	VZEROUPPER
 	RET
 
@@ -463,90 +610,6 @@ oneE2:
 storeE2:
 	VMASKMOVPD Y0, Y7, (DX)
 	VMASKMOVPD Y1, Y7, (DX)(R13*1)
-	VZEROUPPER
-	RET
-
-// func compressAVX2(alpha float64, a *float64, stride, groups, boff, ldb int, off *int, val *float64) int
-//
-// coefList.compress over groups > 0 groups of four coefficients a[0],
-// a[stride], ... (stride in BYTES; 8 reads them with one load, anything else
-// gathers): multiply by alpha, keep a lane where the product is not ±0
-// (NEQ_UQ: NaN compares true and is kept, exactly the Go loop's test on the
-// bit pattern), move the kept lanes to the front with the VPERMD pattern
-// compressPerm holds for that 4-bit mask, and store all four lanes of values
-// and of B-row offsets at the running count, which POPCNT advances. A store
-// therefore writes up to three entries past the list's end — inside the
-// arrays, because a group that starts at coefficient t stores at n <= t and
-// t+3 < kcBlock; the caller takes kn % 4 through the Go loop.
-#define COMPRESS4 \
-	VMULPD    Y3, Y0, Y3; \
-	VCMPPD    $4, Y15, Y3, Y4; \
-	VMOVMSKPD Y4, DX; \
-	POPCNTQ   DX, DI; \
-	SHLQ      $5, DX; \
-	VMOVDQU   (R12)(DX*1), Y5; \
-	VPERMD    Y3, Y5, Y6; \
-	VPERMD    Y1, Y5, Y7; \
-	VMOVDQU   Y6, (R11)(R13*8); \
-	VMOVDQU   Y7, (R10)(R13*8); \
-	ADDQ      DI, R13; \
-	VPADDQ    Y2, Y1, Y1
-
-TEXT ·compressAVX2(SB), NOSPLIT, $0-72
-	VBROADCASTSD alpha+0(FP), Y0
-	MOVQ         a+8(FP), SI
-	MOVQ         stride+16(FP), R8
-	MOVQ         groups+24(FP), CX
-	MOVQ         boff+32(FP), AX
-	MOVQ         ldb+40(FP), BX
-	MOVQ         off+48(FP), R10
-	MOVQ         val+56(FP), R11
-	LEAQ         ·compressPerm(SB), R12
-	XORQ         R13, R13 // the count
-	VXORPD       Y15, Y15, Y15
-
-	// Y1 = the four B-row offsets of a group, Y2 = 4*ldb in every lane;
-	// built in registers, because a 32-byte load of four 8-byte stores
-	// waits for them to retire.
-	LEAQ         (AX)(BX*1), DX
-	VMOVQ        AX, X1
-	VPINSRQ      $1, DX, X1, X1
-	LEAQ         (DX)(BX*1), AX
-	LEAQ         (AX)(BX*1), DX
-	VMOVQ        AX, X2
-	VPINSRQ      $1, DX, X2, X2
-	VINSERTI128  $1, X2, Y1, Y1
-	SHLQ         $2, BX
-	VMOVQ        BX, X2
-	VPBROADCASTQ X2, Y2
-
-	CMPQ R8, $8
-	JNE  strided
-
-contiguous:
-	VMOVUPD (SI), Y3
-	COMPRESS4
-	ADDQ $32, SI
-	DECQ CX
-	JNZ  contiguous
-	JMP  compressdone
-
-strided:
-	LEAQ (R8)(R8*2), R9
-
-gather:
-	VMOVSD      (SI), X3
-	VMOVHPD     (SI)(R8*1), X3, X3
-	VMOVSD      (SI)(R8*2), X4
-	VMOVHPD     (SI)(R9*1), X4, X4
-	VINSERTF128 $1, X4, Y3, Y3
-	COMPRESS4
-	LEAQ (SI)(R8*4), SI
-	DECQ CX
-	JNZ  gather
-
-compressdone:
-	MOVQ R13, ret+64(FP)
 	VZEROUPPER
 	RET
 

@@ -9,12 +9,9 @@ package tensor
 // half of a two-tier run.
 var useAVX2 = false
 
-func (l *coefList) compress(alpha float64, a []float64, stride, kn, boff, ldb int) int {
-	return l.compressGo(0, alpha, a, stride, kn, boff, ldb)
-}
-
-func axpyList(l *coefList, nnz int, b []float64, crow []float64) {
-	axpyListGo(l, nnz, b, crow, 0)
+// axpyPanel declines: gemmPanel's Go loops take every row.
+func axpyPanel(alpha float64, a, b, c *Matrix, lo, hi, iStride, kStride int) bool {
+	return false
 }
 
 // dotTiles covers no columns: the Go tiles in gemmTBPanel take them all.

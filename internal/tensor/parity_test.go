@@ -540,7 +540,7 @@ func TestCompressMatchesNaiveSkip(t *testing.T) {
 		math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(), math.MaxFloat64, 2.5e-308}
 	for _, alpha := range []float64{1, -0.5, 0, 1e-300} {
 		var l coefList
-		n := l.compressGo(0, alpha, vals, 1, len(vals), 100, 7)
+		n := l.compressGo(alpha, vals, 1, len(vals), 100, 7)
 		want := 0
 		for k, v := range vals {
 			if p := alpha * v; p != 0 {

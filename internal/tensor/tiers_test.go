@@ -8,7 +8,7 @@ import (
 // Both kernel tiers in one `go test`: every parity suite runs on the Go loops
 // and, where the probe allows it, on the AVX2 kernels, by flipping the
 // package's one switch; the kernels that have no naive reference of their own
-// (compress, the ReLU masks) are held to their Go bodies directly.
+// (the axpy panel, the ReLU masks) are held to their Go bodies directly.
 
 // eachTier runs f as subtest "go" and, on a host whose probe said yes, as
 // subtest "avx2". The switch never goes on where the probe left it off.
@@ -98,74 +98,106 @@ func guarded(n, offset int, pick func() float64) (window, whole []float64) {
 	return whole[offset : offset+n : offset+n], whole
 }
 
-// TestCompressKernelMatchesGoLoop holds compressAVX2 (through coefList.compress)
-// to compressGo for every list length a k-block can have, contiguous and
-// strided, dense to all-zero, with the values planted whose zero-ness a
-// vector compare could get wrong — and checks what it must NOT write: a
-// four-lane store past the kept entries stays below entry kn, and nothing
-// beside the arrays moves.
-func TestCompressKernelMatchesGoLoop(t *testing.T) {
-	if !useAVX2 {
-		t.Skip("no AVX2 tier in this build or on this CPU/OS: compress is compressGo")
+// axpyPanelCheck computes C rows [lo, hi) of one axpy-form product through
+// gemmPanel and through gemmPanelGo, and holds the two NaN for NaN and
+// otherwise bit for bit — over all of C and sentinels past its last row, so a
+// store past any row of the panel shows (a row's neighbour is the next row,
+// or a sentinel). The coefficients of the rows outside the panel are NaN, so
+// a list that read them would poison its row, and NaNs past B's last row
+// catch a read beyond it. ta reads A transposed (GemmTA's strides), as
+// stored otherwise (Gemm's). Coefficients are zeroFrac exact zeros of
+// either sign and otherwise regular values with infinities, NaNs and the
+// products that underflow to zero planted.
+func axpyPanelCheck(t *testing.T, r *parityRNG, ta bool, m, k, n, lo, hi int, alpha, zeroFrac float64) {
+	t.Helper()
+	const sentinel = 0x5ca1ab1e
+	planted := []float64{math.Inf(1), math.Inf(-1), nanA, 5e-324, -5e-324, 2.5e-308}
+	iStride, kStride := k, 1
+	if ta {
+		iStride, kStride = 1, m
 	}
-	// 0.5 * 5e-324 rounds to zero and must be dropped; 0.5 * 2.5e-308 is a
-	// subnormal and must be kept.
-	planted := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), -math.NaN(),
-		5e-324, -5e-324, 2.5e-308}
-	const canary = 0x5ca1ab1e5ca1ab1e
-	r := parityRNG(14)
-	for kn := 1; kn <= kcBlock; kn++ {
-		for _, stride := range []int{1, 5} {
-			for _, zeroFrac := range []float64{0, 0.5, 0.9, 1} {
-				for _, alpha := range []float64{1, 0.5, -2} {
-					a := make([]float64, (kn-1)*stride+1)
-					for i := range a {
-						a[i] = math.NaN() // between the strided coefficients: never read into the list
-					}
-					for c := 0; c < kn; c++ {
-						switch u := (r.next() + 1) / 2; {
-						case u < zeroFrac:
-							a[c*stride] = 0
-						case (r.next()+1)/2 < 0.3:
-							a[c*stride] = planted[int((r.next()+1)/2*float64(len(planted)))%len(planted)]
-						default:
-							a[c*stride] = r.next() * 3
+	a := NewMatrix(m, k)
+	if ta {
+		a = NewMatrix(k, m)
+	}
+	for i := 0; i < m; i++ {
+		for kk := 0; kk < k; kk++ {
+			v := &a.Data[i*iStride+kk*kStride]
+			switch u := (r.next() + 1) / 2; {
+			case i < lo || i >= hi:
+				*v = math.NaN()
+			case u < zeroFrac:
+				*v = math.Copysign(0, r.next())
+			case r.intn(10) == 0:
+				*v = planted[r.intn(len(planted))]
+			default:
+				*v = r.next() * 3
+			}
+		}
+	}
+	bBuf := make([]float64, k*n+8)
+	for i := range bBuf {
+		bBuf[i] = nanB
+	}
+	b := &Matrix{Rows: k, Cols: n, Data: bBuf[:k*n]}
+	fillParity(r, b.Data)
+	plantEdgeSpecials(r, b.Data, nanB)
+	got := make([]float64, m*n+8)
+	for i := range got {
+		got[i] = sentinel
+	}
+	fillParity(r, got[:m*n])
+	want := append([]float64(nil), got...)
+	gemmPanel(alpha, a, b, &Matrix{Rows: m, Cols: n, Data: got[:m*n]}, lo, hi, iStride, kStride)
+	gemmPanelGo(alpha, a, b, &Matrix{Rows: m, Cols: n, Data: want[:m*n]}, lo, hi, iStride, kStride)
+	if i, ok := sameFloats(got, want); !ok {
+		t.Fatalf("ta=%v m=%d k=%d n=%d rows [%d, %d) alpha=%v zeros=%v: C buffer element %d (row %d) = %x, Go loops %x",
+			ta, m, k, n, lo, hi, alpha, zeroFrac, i, i/n, math.Float64bits(got[i]), math.Float64bits(want[i]))
+	}
+}
+
+// TestAxpyPanelMatchesGoLoop holds the axpy-form panel, on whichever tier
+// the host runs, to its Go loops: every list length a k-block can have and
+// its kn % 4 tail, k across kcBlock, every column remainder the 32-, 16-, 8-
+// and 4-wide passes and the masked tail leave, panels that start and end
+// inside C, and an infinite alpha, which turns a zero coefficient into a NaN
+// the list must keep — and a tail's empty lanes into NaNs it must not.
+func TestAxpyPanelMatchesGoLoop(t *testing.T) {
+	eachTier(t, func(t *testing.T) {
+		r := parityRNG(14)
+		for _, ta := range []bool{false, true} {
+			for m := 1; m <= 5; m++ {
+				for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24, 31, 32, 33, 40, 63, 64, 65} {
+					for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 130} {
+						for _, az := range [][2]float64{{1, 0}, {0.5, 0.6}, {-2, 1}, {math.Inf(1), 0.6}} {
+							axpyPanelCheck(t, &r, ta, m, k, n, m/3, m-m/4, az[0], az[1])
 						}
-					}
-					var got, want struct {
-						pre  [4]uint64
-						l    coefList
-						post [4]uint64
-					}
-					for i := range got.l.off {
-						got.l.off[i], got.l.val[i] = canary, math.Float64frombits(canary)
-					}
-					for i := range got.pre {
-						got.pre[i], got.post[i] = canary, canary
-					}
-					want = got
-					n := got.l.compress(alpha, a, stride, kn, 1000, 7)
-					if wantN := want.l.compressGo(0, alpha, a, stride, kn, 1000, 7); n != wantN {
-						t.Fatalf("kn=%d stride=%d zeros=%v alpha=%v: kept %d, Go loop keeps %d", kn, stride, zeroFrac, alpha, n, wantN)
-					}
-					for i := 0; i < n; i++ {
-						if got.l.off[i] != want.l.off[i] || math.Float64bits(got.l.val[i]) != math.Float64bits(want.l.val[i]) {
-							t.Fatalf("kn=%d stride=%d zeros=%v alpha=%v: entry %d = (%d, %x), Go loop has (%d, %x)", kn, stride, zeroFrac, alpha,
-								i, got.l.off[i], math.Float64bits(got.l.val[i]), want.l.off[i], math.Float64bits(want.l.val[i]))
-						}
-					}
-					for i := kn; i < kcBlock; i++ {
-						if got.l.off[i] != canary || math.Float64bits(got.l.val[i]) != canary {
-							t.Fatalf("kn=%d stride=%d zeros=%v alpha=%v: entry %d written, past the %d coefficients", kn, stride, zeroFrac, alpha, i, kn)
-						}
-					}
-					if got.pre != want.pre || got.post != want.post {
-						t.Fatalf("kn=%d stride=%d zeros=%v alpha=%v: wrote outside the list's arrays", kn, stride, zeroFrac, alpha)
 					}
 				}
 			}
 		}
-	}
+	})
+}
+
+// FuzzAxpyPanelTwin: a random axpy-form product, panel and alpha (raw
+// bits) through axpyPanelCheck on both tiers.
+func FuzzAxpyPanelTwin(f *testing.F) {
+	f.Add(uint64(1), uint8(10), uint8(4), uint8(64), math.Float64bits(1), true)
+	f.Add(uint64(2), uint8(4), uint8(10), uint8(64), math.Float64bits(-0.25), false)
+	f.Add(uint64(3), uint8(5), uint8(67), uint8(13), math.Float64bits(math.Inf(-1)), true)
+	f.Add(uint64(4), uint8(3), uint8(2), uint8(3), math.Float64bits(math.NaN()), false)
+	f.Add(uint64(5), uint8(7), uint8(129), uint8(35), math.Float64bits(5e-324), true)
+	f.Fuzz(func(t *testing.T, seed uint64, m, k, n uint8, alphaBits uint64, ta bool) {
+		r := parityRNG(seed)
+		mm, kk, nn := 1+int(m)%12, 1+int(k)%140, 1+int(n)%70
+		lo := r.intn(mm)
+		hi := lo + 1 + r.intn(mm-lo)
+		zeroFrac := float64(r.intn(5)) / 4
+		eachTier(t, func(t *testing.T) {
+			rr := r
+			axpyPanelCheck(t, &rr, ta, mm, kk, nn, lo, hi, math.Float64frombits(alphaBits), zeroFrac)
+		})
+	})
 }
 
 // TestMaskKernelsMatchGoLoops holds ReLU and ReLUGrad, on whichever tier the

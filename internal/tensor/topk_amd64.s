@@ -7,7 +7,7 @@
 // signed VPCMPGTQ is the Go loops' unsigned order. The compactions take the
 // kept lanes' 4-bit VMOVMSKPD mask, move those lanes to the front with the
 // mask's VPERMD pattern (compressPerm), store all four lanes at the cursor
-// and advance it by the mask's POPCNT: the compressAVX2 idiom. The emitted
+// and advance it by the mask's POPCNT: the axpy panel's list idiom. The emitted
 // indices are the mask's row of emitPerm, the kept lanes' numbers, plus the
 // group's first index.
 
