@@ -117,7 +117,7 @@
 // global model and the client's own streams) while delivery is
 // event-scheduled, giving true stale-update semantics with memory
 // proportional to K, not N. examples/federated runs 1024 non-IID clients
-// at K=32 in two replicas plus four scratch vectors; the async ablation
+// at K=32 in one replica plus four scratch vectors; the async ablation
 // (cmd/sweep -ablation async, cmd/adacomm -async
 // -participation -clients) shows K-of-m beating the full barrier on
 // simulated wall-clock under a 10x straggler. delaymodel.Model.Jitter

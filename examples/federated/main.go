@@ -77,7 +77,7 @@ func main() {
 // population of 1024 clients, of which only K=32 participate in any update.
 // The event-driven engine holds an idle client as a pair of RNG streams and
 // an in-flight client as its compressed wire message, so the materialized
-// footprint is a constant two replicas plus four scratch vectors — memory
+// footprint is a constant one replica plus four scratch vectors — memory
 // proportional to the participation cap, not the population.
 func crossDevice(r *rng.Rand) {
 	const (

@@ -75,19 +75,26 @@ func TestLockStepRoundSteadyStateAllocFree(t *testing.T) {
 
 // TestEvaluationSteadyStateAllocFree: a trace point — the training loss and
 // the test accuracy of the global model, 800 and 200 rows through nn's
-// layers 16 rows at a time — allocates nothing after the first, on either
-// engine.
+// layers 16 rows at a time on a worker's network — allocates nothing after
+// the first, on either engine, and neither does an evaluation at other
+// parameters. The lock-step engine runs at pool width 1, where evaluation
+// borrows one network and starts no goroutine.
 func TestEvaluationSteadyStateAllocFree(t *testing.T) {
 	cfg := baseCfg()
 	cfg.ComputeWorkers = 1
 	lock := newSetup(t, 4, 1).engine(t, cfg)
+	local := lock.LocalModelParams(1)
 	async := startedAsync(t, baseAsyncCfg())
 	for name, eval := range map[string]func(){
-		"Engine":      func() { lock.TrainLoss(); lock.TestAccuracy() },
-		"AsyncEngine": func() { async.TrainLoss(); async.TestAccuracy() },
+		"Engine.TrainLoss":          func() { lock.TrainLoss() },
+		"Engine.TestAccuracy":       func() { lock.TestAccuracy() },
+		"Engine.EvalParamsLoss":     func() { lock.EvalParamsLoss(local) },
+		"Engine.EvalParamsAccuracy": func() { lock.EvalParamsAccuracy(local) },
+		"AsyncEngine.TrainLoss":     func() { async.TrainLoss() },
+		"AsyncEngine.TestAccuracy":  func() { async.TestAccuracy() },
 	} {
 		if n := testing.AllocsPerRun(20, eval); n != 0 { // its own first call warms up
-			t.Errorf("%s: %v allocs per TrainLoss + TestAccuracy, want 0", name, n)
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
 		}
 	}
 }

@@ -36,10 +36,10 @@
 // time the message arrives the global model has moved on, and the update
 // is applied stale, exactly as a real async system would — but no snapshot
 // history and no per-client replica is ever needed. Peak materialized
-// state is therefore the compute slot plus the evaluation replica plus
-// four dim-length aggregation scratch vectors, independent of both N and
-// K (comfortably within the "K replicas + aggregation scratch" budget a
-// real K-participation server would pay).
+// state is therefore the compute slot (which evaluation borrows between
+// events) plus four dim-length aggregation scratch vectors, independent of
+// both N and K (comfortably within the "K replicas + aggregation scratch"
+// budget a real K-participation server would pay).
 //
 // Determinism: the event loop is single-goroutine; queue tie-breaking is
 // seeded (internal/events), per-client streams are split at construction,
@@ -231,7 +231,7 @@ type AsyncStats struct {
 	DownBytes     int64   // total server->client wire bytes
 
 	// MaterializedReplicas is the number of persistent replica-sized model
-	// buffers the engine owns (the compute slot and the evaluation model);
+	// buffers the engine owns (the compute slot, which evaluation borrows);
 	// ScratchVectors the dim-length aggregation scratch vectors (global,
 	// aggregate, decode, delta). Together they are the engine's entire
 	// dense-model footprint — independent of the client count.
@@ -281,7 +281,11 @@ type AsyncEngine struct {
 	// and compressed paths are one.
 	comp compress.Compressor
 
-	computeModel *nn.Network // THE materialized replica slot
+	// computeModel is THE materialized replica slot. Evaluation runs on it
+	// too (evalNets), at the global parameters: the engine evaluates only
+	// between events, and a dispatch starts with SetParams and a Forward.
+	computeModel *nn.Network
+	evalNets     []*nn.Network
 	opt          *opt.Optimizer
 	deltaBuf     []float64
 	decodeBuf    []float64
@@ -308,7 +312,6 @@ type AsyncEngine struct {
 	linkTimes []float64 // contributors' upload times (current round)
 	lastLink  []float64 // previous round's upload times (policy input)
 
-	evalModel *nn.Network
 	testSet   *data.Dataset
 	evalBatch data.Batch
 	testBatch data.Batch
@@ -374,9 +377,9 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		decodeBuf:    make([]float64, proto.ParamLen()),
 		aggBuf:       make([]float64, proto.ParamLen()),
 		policy:       paramserver.ArrivalPolicy{K: cfg.Participation, LinkAware: cfg.LinkAware},
-		evalModel:    proto.Clone(),
 		testSet:      test,
 	}
+	e.evalNets = []*nn.Network{e.computeModel}
 	if cfg.RecordEvents {
 		e.evlog = &events.Trace{}
 	}
@@ -408,7 +411,7 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		e.testBatch = data.FullBatch(test)
 	}
 	e.armRound(nil)
-	e.stats.MaterializedReplicas = 2 // compute slot + eval model
+	e.stats.MaterializedReplicas = 1 // the compute slot
 	e.stats.ScratchVectors = 4       // global, agg, decode, delta
 	if e.pullBuf != nil {
 		e.stats.ScratchVectors++ // narrowed-pull buffer
@@ -450,8 +453,7 @@ func (e *AsyncEngine) EventTrace() string {
 
 // TrainLoss evaluates the training loss of the global model.
 func (e *AsyncEngine) TrainLoss() float64 {
-	e.evalModel.SetParams(e.global)
-	return e.evalModel.Loss(e.evalBatch)
+	return nn.LossAt(e.evalNets, e.global, e.evalBatch)
 }
 
 // TestAccuracy evaluates test accuracy of the global model; NaN without a
@@ -460,8 +462,7 @@ func (e *AsyncEngine) TestAccuracy() float64 {
 	if e.testSet == nil {
 		return math.NaN()
 	}
-	e.evalModel.SetParams(e.global)
-	return e.evalModel.Accuracy(e.testBatch)
+	return nn.AccuracyAt(e.evalNets, e.global, e.testBatch)
 }
 
 // stalenessWeight is the polynomial decay 1/(1+s) a contribution based on a

@@ -330,8 +330,8 @@ func TestAsyncShardingFootprint(t *testing.T) {
 	e := s.async(t, cfg)
 	e.Run("shard")
 	st := e.Stats()
-	if st.MaterializedReplicas != 2 {
-		t.Fatalf("materialized replicas %d, want 2 (compute slot + eval model)", st.MaterializedReplicas)
+	if st.MaterializedReplicas != 1 {
+		t.Fatalf("materialized replicas %d, want 1 (the compute slot, which evaluation borrows)", st.MaterializedReplicas)
 	}
 	if st.PeakInFlight > cfg.InFlight {
 		t.Fatalf("peak in-flight %d exceeds configured %d", st.PeakInFlight, cfg.InFlight)

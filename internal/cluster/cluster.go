@@ -118,13 +118,18 @@ type Config struct {
 	StragglerFactor []float64
 
 	// ComputeWorkers bounds the goroutine pool that executes the simulated
-	// workers' local-update phases (Run, StepLocal). 0 defaults to
-	// runtime.GOMAXPROCS(0); an effective value of 1 (explicitly, or on a
-	// single-core machine) takes the legacy serial path. Workers are
-	// independent between averaging points — each owns its replica, sampler
-	// stream, and optimizer — and averaging reduces in fixed worker order,
-	// so parallel execution is bit-identical to serial (asserted by the
-	// golden and determinism tests). Negative values are rejected.
+	// workers' local-update phases (Run, StepLocal) and evaluation
+	// (TrainLoss, TestAccuracy, EvalParamsLoss, EvalParamsAccuracy), at
+	// most one per worker. 0 defaults to runtime.GOMAXPROCS(0); an
+	// effective value of 1 (explicitly, or on a single-core machine) takes
+	// the legacy serial path. Workers are independent between averaging
+	// points — each owns its replica, sampler stream, and optimizer — and
+	// averaging reduces in fixed worker order, so parallel execution is
+	// bit-identical to serial (asserted by the golden and determinism
+	// tests). Evaluation borrows the first ComputeWorkers replicas' networks
+	// between rounds, their evaluation chunks spread over them by
+	// nn.LossAt, which is bit-identical at any width. Negative values are
+	// rejected.
 	ComputeWorkers int
 
 	// Strategy selects the mixing rule at synchronization points:
@@ -435,7 +440,12 @@ type Engine struct {
 	activeAdj [][]int
 	gammas    []float64
 
-	evalModel *nn.Network // scratch replica for loss/accuracy evaluation
+	// evalNets are the first pool workers' networks. Evaluation runs on
+	// them between rounds at the parameters it is asked about, so no
+	// network of its own is kept and no parameters are copied; the next
+	// LossGrad on each starts with a Forward, so nothing a Backward reads
+	// is lost.
+	evalNets  []*nn.Network
 	testSet   *data.Dataset
 	evalBatch data.Batch
 	testBatch data.Batch
@@ -491,9 +501,9 @@ func checkShards(shards []*data.Dataset) error {
 	return nil
 }
 
-// New builds an engine: the prototype network is cloned per worker (plus
-// one evaluation replica), the training set is the union of the shards
-// (used for loss evaluation), and the test set may be nil.
+// New builds an engine: the prototype network is cloned per worker, the
+// training set is the union of the shards (used for loss evaluation), and
+// the test set may be nil.
 func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Dataset,
 	dm *delaymodel.Model, cfg Config) (*Engine, error) {
 	m := len(shards)
@@ -523,14 +533,13 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	}
 	root := rng.New(cfg.Seed)
 	e := &Engine{
-		m:         m,
-		dim:       proto.ParamLen(),
-		global:    append([]float64(nil), proto.Params()...),
-		delay:     dm,
-		r:         root.Split(),
-		evalModel: proto.Clone(),
-		testSet:   test,
-		cfg:       cfg,
+		m:       m,
+		dim:     proto.ParamLen(),
+		global:  append([]float64(nil), proto.Params()...),
+		delay:   dm,
+		r:       root.Split(),
+		testSet: test,
+		cfg:     cfg,
 	}
 	// Straggler factors times the delay model's per-worker jitter (a nil
 	// Jitter draws nothing, keeping every legacy trace bit-identical).
@@ -602,6 +611,10 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	}
 	if e.pool > m {
 		e.pool = m
+	}
+	e.evalNets = make([]*nn.Network, e.pool)
+	for i := range e.evalNets {
+		e.evalNets[i] = e.workers[i].model
 	}
 	// Compressor construction comes last: the zero spec's Identity{} draws
 	// no stream, so an uncompressed engine consumes exactly the legacy RNG.
@@ -694,8 +707,7 @@ func (e *Engine) GlobalParams() []float64 {
 // TrainLoss evaluates the training loss of the synchronized model on the
 // evaluation subset.
 func (e *Engine) TrainLoss() float64 {
-	e.evalModel.SetParams(e.global)
-	return e.evalModel.Loss(e.evalBatch)
+	return nn.LossAt(e.evalNets, e.global, e.evalBatch)
 }
 
 // TestAccuracy evaluates test accuracy of the synchronized model; NaN when
@@ -704,8 +716,7 @@ func (e *Engine) TestAccuracy() float64 {
 	if e.testSet == nil {
 		return math.NaN()
 	}
-	e.evalModel.SetParams(e.global)
-	return e.evalModel.Accuracy(e.testBatch)
+	return nn.AccuracyAt(e.evalNets, e.global, e.testBatch)
 }
 
 // roundTime prices a round of `steps` local iterations followed by one
@@ -945,10 +956,20 @@ func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 	info := RoundInfo{LastLoss: math.NaN()}
 	nextEval := 0 // record once iter crosses this threshold
 
-	evalLoss := func() float64 { return e.TrainLoss() }
+	// A controller's evaluation at the round a trace point was just taken
+	// at (AdaComm's F0, a probe landing on a recorded round) is that point's
+	// loss: the global model has not moved since.
+	recorded := -1 // the round of the last trace point
+	evalLoss := func() float64 {
+		if info.Round == recorded {
+			return info.LastLoss
+		}
+		return e.TrainLoss()
+	}
 
 	record := func(tau int, lr float64) {
 		loss := e.TrainLoss()
+		recorded = info.Round
 		acc := math.NaN()
 		if e.cfg.AccEverySync > 0 && e.testSet != nil && info.Round%e.cfg.AccEverySync == 0 {
 			acc = e.TestAccuracy()
@@ -1052,12 +1073,10 @@ func (e *Engine) EvalParamsAccuracy(params []float64) float64 {
 	if e.testSet == nil {
 		return math.NaN()
 	}
-	e.evalModel.SetParams(params)
-	return e.evalModel.Accuracy(e.testBatch)
+	return nn.AccuracyAt(e.evalNets, params, e.testBatch)
 }
 
 // EvalParamsLoss evaluates training loss for an arbitrary parameter vector.
 func (e *Engine) EvalParamsLoss(params []float64) float64 {
-	e.evalModel.SetParams(params)
-	return e.evalModel.Loss(e.evalBatch)
+	return nn.LossAt(e.evalNets, params, e.evalBatch)
 }

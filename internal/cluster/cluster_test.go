@@ -407,6 +407,43 @@ func TestControllerSeesMonotoneState(t *testing.T) {
 	}
 }
 
+// lossProbe evaluates the loss twice a round and holds each value to a
+// fresh TrainLoss of its engine, counting the rounds that start where a
+// trace point was just taken (where Run hands back that point's loss).
+type lossProbe struct {
+	t        *testing.T
+	e        *Engine
+	recorded int
+}
+
+func (p *lossProbe) NextRound(info RoundInfo, evalLoss func() float64) (int, float64) {
+	for k := 0; k < 2; k++ {
+		if got, want := evalLoss(), p.e.TrainLoss(); math.Float64bits(got) != math.Float64bits(want) {
+			p.t.Fatalf("round %d probe %d: evalLoss %v, the global model's loss %v", info.Round, k, got, want)
+		}
+	}
+	if math.Float64bits(info.LastLoss) == math.Float64bits(p.e.TrainLoss()) {
+		p.recorded++
+	}
+	return 3, 0.1
+}
+func (p *lossProbe) Name() string { return "loss-probe" }
+
+// TestControllerLossIsTheGlobalModels: every evalLoss a controller makes is
+// the synchronized model's training loss bit for bit, whether Run evaluates
+// it or returns the trace point it just recorded at that round; on a
+// two-wide pool, so the evaluation is spread over two workers' networks.
+func TestControllerLossIsTheGlobalModels(t *testing.T) {
+	cfg := baseCfg()
+	cfg.MaxIters, cfg.EvalEvery, cfg.ComputeWorkers = 90, 9, 2
+	e := newSetup(t, 4, 1).engine(t, cfg)
+	p := &lossProbe{t: t, e: e}
+	tr := e.Run(p, "t")
+	if p.recorded < tr.Len()-2 {
+		t.Fatalf("%d rounds started at a trace point of %d", p.recorded, tr.Len())
+	}
+}
+
 func TestVariableTauController(t *testing.T) {
 	// A controller that shrinks tau over rounds must produce decreasing
 	// recorded Tau values in the trace.

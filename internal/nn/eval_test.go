@@ -11,10 +11,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// Evaluation (Network.Loss / Network.Accuracy): what it reports on NaN
-// logits, that it interleaves with training on one network exactly, that it
-// allocates nothing in steady state and that its buffers are chunk-sized.
-// Its bit identity with the whole-batch evaluation is in oracle_test.go.
+// Evaluation (Network.Loss / Network.Accuracy, and LossAt / AccuracyAt over
+// several networks at foreign parameters): what it reports on NaN logits,
+// that it interleaves with training on one network exactly, that any number
+// of networks report what one does, that it allocates nothing in steady
+// state and that its buffers are chunk-sized. Its bit identity with the
+// whole-batch evaluation is in oracle_test.go.
 
 // logits is a parameterless layer that hands its input on, so a test can
 // write a network's outputs directly.
@@ -72,24 +74,55 @@ func TestAccuracyNaNLogits(t *testing.T) {
 	}
 }
 
+// foreignParams is a parameter vector for m's architecture that is not its
+// network's own: a second initialization.
+func foreignParams(m zooModel, seed uint64) []float64 {
+	c := m.net.Clone()
+	c.InitParams(rng.New(seed))
+	return c.Params()
+}
+
+// holding returns a fresh clone of n that holds params.
+func holding(n *Network, params []float64) *Network {
+	c := n.Clone()
+	c.SetParams(params)
+	return c
+}
+
 // TestEvaluateThenTrainOnOneNetwork: evaluation and training share every
 // layer's arenas, at evalChunk rows and at the training batch's height, and
 // ensureMat hands back whatever storage a taller call left. Evaluating at
-// 384 and 389 rows (a short last chunk), then training at 4, 16 and 32 rows,
-// then evaluating again, all on one network, must report what a fresh clone
-// reports for each call, bit for bit.
+// 384 and 389 rows (a short last chunk), at the network's own parameters and
+// at foreign ones through LossAt/AccuracyAt, then training at 4, 16 and 32
+// rows, then evaluating again, all on one network, must report what a fresh
+// clone holding those parameters reports for each call, bit for bit — and a
+// foreign evaluation must leave the network's own parameters as they were.
 func TestEvaluateThenTrainOnOneNetwork(t *testing.T) {
 	for _, m := range zooModels() {
+		foreign := foreignParams(m, 97)
 		evaluate := func(rows int) {
 			b := m.batch(rows, 90+uint64(rows))
-			if got, want := m.net.Loss(b), m.net.Clone().Loss(b); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s Loss, %d rows: %v, a fresh clone %v", m.name, rows, got, want)
-			}
-			if m.net.classes == 0 {
-				return
-			}
-			if got, want := m.net.Accuracy(b), m.net.Clone().Accuracy(b); got != want {
-				t.Errorf("%s Accuracy, %d rows: %v, a fresh clone %v", m.name, rows, got, want)
+			own := append([]float64(nil), m.net.Params()...)
+			one := []*Network{m.net}
+			for _, c := range []struct {
+				what       string
+				loss       func() float64
+				acc        func() float64
+				wantParams []float64
+			}{
+				{"own", func() float64 { return m.net.Loss(b) }, func() float64 { return m.net.Accuracy(b) }, own},
+				{"foreign", func() float64 { return LossAt(one, foreign, b) }, func() float64 { return AccuracyAt(one, foreign, b) }, foreign},
+			} {
+				ref := holding(m.net, c.wantParams)
+				if got, want := c.loss(), ref.Loss(b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s Loss at %s parameters, %d rows: %v, a fresh clone %v", m.name, c.what, rows, got, want)
+				}
+				if m.net.classes > 0 {
+					if got, want := c.acc(), ref.Accuracy(b); got != want {
+						t.Errorf("%s Accuracy at %s parameters, %d rows: %v, a fresh clone %v", m.name, c.what, rows, got, want)
+					}
+				}
+				mustBitsEqual(t, fmt.Sprintf("%s own parameters after evaluating at %s ones", m.name, c.what), m.net.Params(), own)
 			}
 		}
 		evaluate(384)
@@ -104,6 +137,82 @@ func TestEvaluateThenTrainOnOneNetwork(t *testing.T) {
 			mustBitsEqual(t, fmt.Sprintf("%s gradient, %d rows", m.name, rows), got, want)
 		}
 		evaluate(389)
+	}
+}
+
+// TestEvaluationOverNetworksMatchesOneNetwork: LossAt and AccuracyAt over
+// 1, 2 and 3 networks, at parameters none of them holds, report what
+// Network.Loss and Network.Accuracy report on one network holding those
+// parameters, bit for bit — at rows {1, 15, 16, 17, 384, 512} (one chunk,
+// one short chunk, a chunk and one row, whole and short last chunks over
+// every width), finite and with NaN and ±Inf planted. The same networks
+// serve every height and plant, so arenas left by a taller call are reused
+// too, and their own parameters never change.
+func TestEvaluationOverNetworksMatchesOneNetwork(t *testing.T) {
+	for _, m := range zooModels() {
+		finite := foreignParams(m, 98)
+		own := append([]float64(nil), m.net.Params()...)
+		nets := []*Network{m.net, m.net.Clone(), m.net.Clone()}
+		last := len(finite) - 1
+		for _, plant := range []struct {
+			name string
+			at   int
+			v    float64
+		}{
+			{"finite", 0, finite[0]},
+			{"NaN in the first layer", 0, math.NaN()},
+			{"Inf in the last bias", last, math.Inf(1)},
+			{"-Inf mid-vector", last / 2, math.Inf(-1)},
+		} {
+			params := append([]float64(nil), finite...)
+			params[plant.at] = plant.v
+			ref := holding(m.net, params)
+			for _, rows := range []int{1, 15, 16, 17, 384, 512} {
+				b := m.batch(rows, 200+uint64(rows))
+				wantLoss := ref.Loss(b)
+				wantAcc := math.NaN()
+				if m.net.classes > 0 {
+					wantAcc = ref.Accuracy(b)
+				}
+				for width := 1; width <= len(nets); width++ {
+					what := fmt.Sprintf("%s, %s, %d rows over %d networks", m.name, plant.name, rows, width)
+					if got := LossAt(nets[:width], params, b); math.Float64bits(got) != math.Float64bits(wantLoss) {
+						t.Errorf("%s: LossAt %v (%#x), one network %v (%#x)",
+							what, got, math.Float64bits(got), wantLoss, math.Float64bits(wantLoss))
+					}
+					if m.net.classes == 0 {
+						continue
+					}
+					if got := AccuracyAt(nets[:width], params, b); got != wantAcc {
+						t.Errorf("%s: AccuracyAt %v, one network %v", what, got, wantAcc)
+					}
+				}
+			}
+		}
+		for i, n := range nets {
+			mustBitsEqual(t, fmt.Sprintf("%s network %d's own parameters", m.name, i), n.Params(), own)
+		}
+	}
+}
+
+// TestEvaluationRejectsMismatchedNetworks: LossAt needs a network and every
+// network the parameter vector's length and layer count.
+func TestEvaluationRejectsMismatchedNetworks(t *testing.T) {
+	a := NewLogisticRegression(4, 3)
+	b := data.Batch{X: tensor.NewMatrix(2, 4), Y: []int{0, 1}}
+	for name, call := range map[string]func(){
+		"no networks":        func() { LossAt(nil, a.Params(), b) },
+		"short parameters":   func() { LossAt([]*Network{a}, a.Params()[1:], b) },
+		"other architecture": func() { AccuracyAt([]*Network{a, NewLogisticRegression(5, 3)}, a.Params(), b) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
 	}
 }
 
@@ -154,10 +263,11 @@ func buffers(l Layer) map[string]reflect.Value {
 	return out
 }
 
-// TestEvaluationBuffersAreChunkSized: a network that only evaluates — the
-// engines' evalModel — holds no buffer larger than evalChunk rows of its
-// layer's wider side after a 384-row Loss. This is what keeps the conv
-// workloads' alloc_mb near 19 MB instead of ~154.
+// TestEvaluationBuffersAreChunkSized: a network that evaluates holds no
+// buffer larger than evalChunk rows of its layer's wider side after a
+// 384-row Loss — so a conv worker's network, trained at 16 rows, grows
+// nothing when the engine evaluates on it. This is what keeps the conv
+// workloads' alloc_mb near 16 MB instead of ~154.
 func TestEvaluationBuffersAreChunkSized(t *testing.T) {
 	for _, m := range zooModels() {
 		b := m.batch(384, 84)

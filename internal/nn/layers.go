@@ -88,9 +88,7 @@ func (d *Dense) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	bias := params[d.out*d.in:]
 	out := ensureMat(&d.outBuf, in.Rows, d.out)
 	tensor.GemmTB(1, in, w, 0, out) // out = in * W^T (beta=0 overwrites)
-	for i := 0; i < out.Rows; i++ {
-		tensor.Axpy(1, bias, out.Row(i))
-	}
+	addToRows(out, bias)
 	return out
 }
 
@@ -109,9 +107,7 @@ func (d *Dense) backward(params []float64, dOut *tensor.Matrix, dParams []float6
 	dB := dParams[d.out*d.in:]
 	// dW += dOut^T * in ; dB += column sums of dOut ; dIn = dOut * W.
 	tensor.GemmTA(1, dOut, d.lastIn, 1, dW)
-	for i := 0; i < dOut.Rows; i++ {
-		tensor.Axpy(1, dOut.Row(i), dB)
-	}
+	addColSums(dOut, dB)
 	if !wantDIn {
 		return nil
 	}
@@ -122,6 +118,30 @@ func (d *Dense) backward(params []float64, dOut *tensor.Matrix, dParams []float6
 
 // Clone implements Layer.
 func (d *Dense) Clone() Layer { return NewDense(d.in, d.out) }
+
+// addToRows adds v to every row of m (m.Cols == len(v)): row[j] + v[j].
+// A loop, not a tensor.Axpy per row: at the 10-wide head the calls cost more
+// than the adds.
+func addToRows(m *tensor.Matrix, v []float64) {
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols][:len(v)]
+		for j, x := range v {
+			row[j] += x
+		}
+	}
+}
+
+// addColSums adds each column of g into its element of acc (g.Cols ==
+// len(acc)): acc[j] + g[0][j] + g[1][j] + ..., left to right from the value
+// already in acc, which is what one tensor.Axpy(1, row, acc) per row adds.
+func addColSums(g *tensor.Matrix, acc []float64) {
+	for i := 0; i < g.Rows; i++ {
+		row := g.Data[i*g.Cols : (i+1)*g.Cols][:len(acc)]
+		for j, x := range row {
+			acc[j] += x
+		}
+	}
+}
 
 // ReLU applies max(0, x) elementwise.
 type ReLU struct {

@@ -35,22 +35,39 @@
 // test set (hundreds of rows) where a training batch is 16: one forward over
 // all of it grew every layer's arenas to 384 or 512 rows (~25 MB per engine,
 // each store a cache miss); a chunk's buffers stay resident and are chunk x
-// layer width. An evaluation overwrites the caches a pending Backward would
-// read, so nothing evaluates between a Forward and its Backward: LossGrad
-// runs the two back to back, and each engine evaluates on a clone of its
-// own that never trains.
+// layer width.
 //
-// Chunking cannot change a bit, because every layer is ROW-INDEPENDENT: an
-// output row is a function of its input row and the parameters alone (the
-// kernels' canonical reduce order is per output element, conv lowers and
-// multiplies one sample at a time, the elementwise layers and pooling never
-// look across rows), and the loss is the left-to-right sum of per-row terms
-// times 1/rows, which Loss.AddRows continues across chunks (each loss has ONE
-// per-row loop under Eval and AddRows). oracle_test.go keeps the whole-batch
-// evaluation this replaced (Forward + Eval, the old argmax loop) and
-// compares every zoo model at rows {1, 15, 16, 17, 384, 512}, finite and
-// with NaN/Inf planted, bit for bit; eval_test.go holds evaluation and
-// training, interleaved on one network at several heights, to a fresh clone.
+// LossAt and AccuracyAt evaluate at a parameter vector passed in, over any
+// number of networks of one architecture: each layer is handed its slice of
+// that vector (evalRows), so no network's own parameters are read or
+// copied, and chunk c runs on nets[c % len(nets)], the networks at once
+// through par.ForEach, their outputs landing in one rows x classes buffer
+// that the loss (one AddRows) or the argmax then reads in row order. One
+// network, or a batch of one chunk, takes the chunk-at-a-time loop and
+// starts no goroutine; Network.Loss is that loop at the network's own
+// parameters. The engines evaluate this way on networks they already own —
+// the lock-step engine on its first ComputeWorkers workers', the async
+// engine on its compute slot, the parameter server on worker 0's — at the
+// global parameters, and keep no evaluation network. An evaluation
+// overwrites the caches a pending Backward would read, so nothing evaluates
+// between a Forward and its Backward: LossGrad runs the two back to back,
+// and the engines evaluate only between rounds or events, after which a
+// network's next LossGrad starts with a Forward.
+//
+// Chunking cannot change a bit, nor can the number of networks, because
+// every layer is ROW-INDEPENDENT: an output row is a function of its input
+// row and the parameters alone (the kernels' canonical reduce order is per
+// output element, conv lowers and multiplies one sample at a time, the
+// elementwise layers and pooling never look across rows), and the loss is
+// the left-to-right sum of per-row terms times 1/rows, which Loss.AddRows
+// continues across chunks (each loss has ONE per-row loop under Eval and
+// AddRows). oracle_test.go keeps the whole-batch evaluation this replaced
+// (Forward + Eval, the old argmax loop) and compares every zoo model at rows
+// {1, 15, 16, 17, 384, 512}, finite and with NaN/Inf planted, bit for bit;
+// eval_test.go holds LossAt and AccuracyAt over 1, 2 and 3 networks at
+// parameters none of them holds to Network.Loss and Network.Accuracy on the
+// same grid, and evaluation (at own and foreign parameters) and training,
+// interleaved on one network at several heights, to a fresh clone.
 //
 // Why chunks: a CPU profile of the conv_pasgd benchmark workload before them
 // (seed 1, 2 vCPU) put Network.Loss at 7.60 s beside Network.LossGrad at
@@ -104,8 +121,10 @@
 // class 0, and a diverged model scored ~1/classes. Loss and Accuracy
 // allocate nothing on both conv nets at 384 and 389 rows (the chunk's
 // tensor.Matrix view lives in Network.evalIn: a local would escape through
-// the Layer interface), and neither do the cluster engines' TrainLoss and
-// TestAccuracy or the parameter server's Loss; tier-1 tests gate all of it.
+// the Layer interface), and neither do LossAt and AccuracyAt on one network,
+// the cluster engines' TrainLoss and TestAccuracy at pool width 1 or the
+// parameter server's Loss; tier-1 tests gate all of it. Over several
+// networks an evaluation pays for par.ForEach's goroutines.
 package nn
 
 import (
@@ -113,6 +132,7 @@ import (
 	"math"
 
 	"repro/internal/data"
+	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -164,7 +184,8 @@ type paramGrader interface {
 
 // evalChunk is how many rows Loss and Accuracy feed through the layers at a
 // time: the conv workloads' training batch, so an evaluating network's
-// buffers are the size a training step's are and stay cache-resident. What
+// buffers are the size a training step's are and stay cache-resident (and a
+// worker's network, which the engines evaluate on, grows none). What
 // it decides exactly is memory — conv_pasgd's alloc_mb reads 29.7 / 31.1 /
 // 36.3 / 71.5 MB at chunks of 4 / 16 / 64 / the whole batch (154 before
 // chunking); in time, the runs that sized it read 64 and unchunked ~8%
@@ -200,6 +221,9 @@ type Network struct {
 	// because the view crosses the Layer interface: a local would move to
 	// the heap on every call.
 	evalIn tensor.Matrix
+	// evalOut holds a batch's outputs while several networks share its
+	// chunks, the network being nets[0] (evaluate); nil until then.
+	evalOut *tensor.Matrix
 }
 
 // NewNetwork builds a network from layers and a loss, validating that
@@ -270,10 +294,11 @@ func (n *Network) Forward(in *tensor.Matrix) *tensor.Matrix {
 }
 
 // evalRows runs the chunk of b that starts at row lo through the layers'
-// Forward and returns its outputs with the rows they belong to.
+// Forward at the parameter vector params (the network's own, or any other of
+// its length) and returns its outputs with the rows they belong to.
 // Targets whose length does not match the batch are left out, so the loss
 // meets the mismatch it already panics on.
-func (n *Network) evalRows(b data.Batch, lo int) (*tensor.Matrix, data.Batch) {
+func (n *Network) evalRows(params []float64, b data.Batch, lo int) (*tensor.Matrix, data.Batch) {
 	hi, cols := min(lo+evalChunk, b.X.Rows), b.X.Cols
 	n.evalIn = tensor.Matrix{Rows: hi - lo, Cols: cols, Data: b.X.Data[lo*cols : hi*cols]}
 	rows := data.Batch{X: &n.evalIn}
@@ -285,19 +310,79 @@ func (n *Network) evalRows(b data.Batch, lo int) (*tensor.Matrix, data.Batch) {
 	}
 	cur := rows.X
 	for i, l := range n.layers {
-		cur = l.Forward(n.layerParams(i), cur)
+		cur = l.Forward(params[n.offsets[i]:n.offsets[i]+l.ParamLen()], cur)
 	}
 	return cur, rows
 }
 
+// evaluate hands visit the outputs of b at params, in row order, with the
+// rows of b they belong to. On n alone (nets of length < 2, or a batch of one
+// chunk) that is a chunk at a time. Over several networks chunk c runs on
+// nets[c % len(nets)], the networks at once through par.ForEach, each copying
+// its outputs into its rows of one buffer (n.evalOut; nets[0] is n), and
+// visit sees the whole batch once. A network runs its own chunks and holds
+// its own caches, so the schedule cannot show in the outputs.
+func (n *Network) evaluate(nets []*Network, params []float64, b data.Batch, visit func(out *tensor.Matrix, rows data.Batch)) {
+	chunks := (b.X.Rows + evalChunk - 1) / evalChunk
+	if width := min(len(nets), chunks); width > 1 {
+		out := ensureMat(&n.evalOut, b.X.Rows, n.OutDim())
+		par.ForEach(width, width, func(w int) {
+			for c := w; c < chunks; c += width {
+				o, _ := nets[w].evalRows(params, b, c*evalChunk)
+				copy(out.Data[c*evalChunk*out.Cols:], o.Data)
+			}
+		})
+		visit(out, b)
+		return
+	}
+	for lo := 0; lo < b.X.Rows; lo += evalChunk {
+		visit(n.evalRows(params, b, lo))
+	}
+}
+
+// sameArch returns nets[0] once every network of nets has its parameter
+// count and layer count, and params is that long.
+func sameArch(nets []*Network, params []float64) *Network {
+	if len(nets) == 0 {
+		panic("nn: evaluation needs at least one network")
+	}
+	n := nets[0]
+	for i, o := range nets {
+		if len(o.params) != len(params) || len(o.layers) != len(n.layers) {
+			panic(fmt.Sprintf("nn: network %d has %d parameters in %d layers, evaluating %d parameters in %d layers",
+				i, len(o.params), len(o.layers), len(params), len(n.layers)))
+		}
+	}
+	return n
+}
+
+// LossAt evaluates the mean loss at the parameter vector params on b, without
+// gradients, over networks of one architecture: what Network.Loss reports on
+// a network holding params, bit for bit, however many networks share the
+// chunks (Network.evaluate). The networks' own parameters are not read and
+// only their layers' caches change, so none may have a Backward pending.
+func LossAt(nets []*Network, params []float64, b data.Batch) float64 {
+	return sameArch(nets, params).meanLoss(nets, params, b)
+}
+
+// AccuracyAt is Network.Accuracy at the parameter vector params over
+// networks of one architecture, as LossAt is Network.Loss.
+func AccuracyAt(nets []*Network, params []float64, b data.Batch) float64 {
+	return sameArch(nets, params).accuracy(nets, params, b)
+}
+
 // Loss evaluates the mean loss on the batch without computing gradients, a
 // chunk at a time: bit for bit loss.Eval(Forward(b.X), b, nil).
-func (n *Network) Loss(b data.Batch) float64 {
+func (n *Network) Loss(b data.Batch) float64 { return n.meanLoss(nil, n.params, b) }
+
+// meanLoss is the loss over nets at params (n alone when nets is nil): the
+// outputs' per-row terms summed in row order, across chunks or over the one
+// buffer alike (Loss.AddRows), scaled once.
+func (n *Network) meanLoss(nets []*Network, params []float64, b data.Batch) float64 {
 	total := 0.0
-	for lo := 0; lo < b.X.Rows; lo += evalChunk {
-		out, rows := n.evalRows(b, lo)
+	n.evaluate(nets, params, b, func(out *tensor.Matrix, rows data.Batch) {
 		total = n.loss.AddRows(total, out, rows)
-	}
+	})
 	return total * (1 / float64(b.X.Rows))
 }
 
@@ -339,13 +424,18 @@ func (n *Network) backward(out *tensor.Matrix, b data.Batch, grad []float64) flo
 // 1/classes); the result stays a fraction of the batch, because NaN accuracy
 // already means "not measured this round" to metrics.Point. Panics for
 // non-classifiers.
-func (n *Network) Accuracy(b data.Batch) float64 {
+func (n *Network) Accuracy(b data.Batch) float64 { return n.accuracy(nil, n.params, b) }
+
+// accuracy is Accuracy over nets at params (n alone when nets is nil).
+func (n *Network) accuracy(nets []*Network, params []float64, b data.Batch) float64 {
 	if n.classes == 0 {
 		panic("nn: Accuracy on a non-classifier")
 	}
+	if len(b.Y) != b.X.Rows {
+		panic("nn: Accuracy needs one label per row")
+	}
 	correct := 0
-	for lo := 0; lo < b.X.Rows; lo += evalChunk {
-		out, rows := n.evalRows(b, lo)
+	n.evaluate(nets, params, b, func(out *tensor.Matrix, rows data.Batch) {
 		for i := 0; i < out.Rows; i++ {
 			row := out.Row(i)
 			best, nan := 0, math.IsNaN(row[0])
@@ -359,7 +449,7 @@ func (n *Network) Accuracy(b data.Batch) float64 {
 				correct++
 			}
 		}
-	}
+	})
 	return float64(correct) / float64(b.X.Rows)
 }
 

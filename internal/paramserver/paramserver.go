@@ -223,7 +223,10 @@ type Server struct {
 	redispatch   []int
 	staleSamples []float64
 
-	evalModel *nn.Network
+	// evalNets is worker 0's network, on which Loss runs at the server's
+	// parameters: a worker's pulled parameters are its own to keep, and its
+	// next LossGrad starts with a Forward.
+	evalNets  []*nn.Network
 	evalBatch data.Batch
 
 	// delay prices every exchange: Y is the gradient's compute time, D0 the
@@ -278,7 +281,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 		cfg:       cfg,
 		m:         len(shards),
 		params:    append([]float64(nil), proto.Params()...),
-		evalModel: proto.Clone(),
 		delay:     delay,
 		delayRand: root.Split(),
 		// Seeded from cfg.Seed directly: a draw from root would shift every
@@ -295,6 +297,7 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 			r:       root.Split(),
 		}
 	}
+	s.evalNets = []*nn.Network{s.workers[0].model}
 	s.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
 	s.com = comm.New(comm.Star, s.m)
 	s.linkTimes = make([]float64, s.m)
@@ -331,8 +334,7 @@ func (s *Server) PullBytes() int { return s.pullBytes }
 
 // Loss evaluates the server model's training loss.
 func (s *Server) Loss() float64 {
-	s.evalModel.SetParams(s.params)
-	return s.evalModel.Loss(s.evalBatch)
+	return nn.LossAt(s.evalNets, s.params, s.evalBatch)
 }
 
 // Params returns a copy of the server's parameters.
@@ -474,11 +476,21 @@ func (s *Server) update(ctrl Controller, evalLoss func() float64) (k int, lr flo
 // continues from them — with no work left in flight from the first.
 func (s *Server) Run(ctrl Controller, traceName string) (*metrics.Trace, rng.Summary) {
 	trace := metrics.NewTrace(traceName)
-	evalLoss := func() float64 { return s.Loss() }
+	// A controller's evaluation at the version a trace point was just taken
+	// at (AdaSync's first probe) is that point's loss: only an update moves
+	// the parameters, and every update advances the version.
+	recorded, recordedLoss := -1, 0.0
+	evalLoss := func() float64 {
+		if s.version == recorded {
+			return recordedLoss
+		}
+		return s.Loss()
+	}
 
 	record := func(k int, lr float64) {
+		recorded, recordedLoss = s.version, s.Loss()
 		trace.Add(metrics.Point{
-			Time: s.clock, Iter: s.version, Loss: s.Loss(),
+			Time: s.clock, Iter: s.version, Loss: recordedLoss,
 			Acc: math.NaN(), Tau: k, LR: lr,
 		})
 	}

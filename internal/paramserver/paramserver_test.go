@@ -125,6 +125,39 @@ func TestKSyncTrains(t *testing.T) {
 	}
 }
 
+// lossProbe is FixedK that evaluates the loss twice an update and holds each
+// value to a fresh Loss of its server.
+type lossProbe struct {
+	FixedK
+	t *testing.T
+	s *Server
+}
+
+func (p lossProbe) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
+	for k := 0; k < 2; k++ {
+		if got, want := evalLoss(), p.s.Loss(); math.Float64bits(got) != math.Float64bits(want) {
+			p.t.Fatalf("version %d probe %d: evalLoss %v, the server model's loss %v", info.Version, k, got, want)
+		}
+	}
+	return p.FixedK.Next(info, evalLoss)
+}
+
+// TestControllerLossIsTheServerModels: every evalLoss a controller makes is
+// the server model's training loss bit for bit, whether Run evaluates it or
+// returns the trace point it just recorded at that version.
+func TestControllerLossIsTheServerModels(t *testing.T) {
+	for _, mode := range []Mode{KSync, KAsync} {
+		proto, shards, train := psSetup(t, 4)
+		cfg := psConfig(mode)
+		cfg.MaxUpdates, cfg.EvalEvery = 40, 3
+		s, err := New(proto, shards, train, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Run(lossProbe{FixedK: FixedK{K: 2, LR: 0.2}, t: t, s: s}, "probe")
+	}
+}
+
 func TestKAsyncTrains(t *testing.T) {
 	proto, shards, train := psSetup(t, 4)
 	s, err := New(proto, shards, train, psConfig(KAsync))

@@ -48,6 +48,11 @@ var reachAllow = map[string]string{
 	"rng.MonteCarloExpectedMax":           usedByTests, // vs ExpectedMaxExponential
 	"rng.MonteCarloExpectedMaxOfMean":     usedByTests,
 	"paramserver.ExpectedKSyncUpdateTime": usedByTests, // vs the K-sync server's clock
+	// One network at its own parameters, chunk by chunk: what nn.LossAt and
+	// nn.AccuracyAt over several networks and foreign parameters are held
+	// to, and GradCheck's loss.
+	"nn.Network.Loss":     usedByTests,
+	"nn.Network.Accuracy": usedByTests,
 
 	// Harnesses.
 	"nn.GradCheck": usedByTests,
