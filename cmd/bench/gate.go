@@ -20,7 +20,7 @@ type ratioPair struct {
 	setup func(kernel bool) func() // true: the fast row, false: the reference
 }
 
-// ratioPairs are the fourteen margins.
+// ratioPairs are the thirteen margins.
 //
 // Gemm-256: the AVX2 axpy kernel measures 3.9-5.7x over the retained naive
 // reference (naive scalar code is pinned at one multiply-add per cycle; the
@@ -44,34 +44,31 @@ type ratioPair struct {
 // (which is that loop) 0.96x. The 10-class head's dW, 10x64 from four rows:
 // the panel kernel, each row's list built and run in one call, measures
 // 3.4-5.2x over the per-row list path written out, the Go tier (which is
-// that path) 1.1x. Axpy at 650: the four-lane
-// kernel measures 2.7-4.2x over the scalar loop written out where it was
-// used, the Go tier 1.0-1.3x (its loop is resliced, so it checks no bounds)
-// — floors of 2 for the four. Lower at the ResNetNano trunk conv's 8x8x8 under a
-// 3x3 kernel: the overlapping four-wide runs measure 4.9-6.4x over Lower's
-// Go loop written out, the Go tier (which is that loop) 1.09-1.10x — a
-// floor of 2. Top-k's emission at wire_mix's 16 400 coordinates, ratio 0.25:
-// the four-lane compaction measures 2.2-2.6x over its Go loop written out,
-// the Go tier (which is that loop) 0.9-1.1x — a floor of 2. CHOCO's mix at
-// the torus row, five sources of 16 400 coordinates, the sixteen nodes'
-// rows taken in turn: the one fused pass measures 3.3-4.7x over the Go
-// passes written out, the Go tier (which is those passes) 0.9-1.07x — a
-// floor of 2. The trunk conv's forward for one sample: the direct kernel
-// measures 1.92-1.98x over the lowered product written out (Lower, GemmTB,
-// the bias loop — on this tier the lowering kernel and the dot tile, so the
-// margin is the lowering and the tile's transposes saved), the Go tier
-// (which is that product) 0.95-1.00x — a floor of 1.5. Max-pooling the
-// trunk's 8x8x8 output: the four-lane kernel measures 4.2-5.1x over its Go
-// loop written out, the Go tier (which is that loop) 0.82-0.92x — a floor
-// of 2. The trunk conv's backward for a batch of 16, the output gradient
-// 73% zeros: ConvGrad, which builds no patches matrix, no patch gradients
-// and no raised image, measures 1.82-2.05x over the lowered backward
-// written out (Lower, Gemm, GemmTA, Raise per sample), the Go tier (which
-// is that backward) 0.98-1.00x — a floor of 1.4. async_fleet's 650 QSGD
-// rounding uniforms: FillFloat64's kernel measures 1.25-1.50x over the Go
-// loop it ran before, written out, the Go tier (which is that loop)
-// 0.88-1.02x — a floor of 1.15, the margin small because xoshiro256**'s
-// serial state chain, which both sides run, is most of either.
+// that path) 1.1x. Axpy at 650: the four-lane kernel measures 2.7-4.2x over
+// the scalar loop written out where it was used, the Go tier 1.0-1.3x (its
+// loop is resliced, so it checks no bounds) — floors of 2 for the four.
+// Top-k's emission at wire_mix's 16 400 coordinates, ratio 0.25: the
+// four-lane compaction measures 2.2-2.6x over its Go loop written out, the
+// Go tier (which is that loop) 0.9-1.1x — a floor of 2. CHOCO's mix at the
+// torus row, five sources of 16 400 coordinates, the sixteen nodes' rows
+// taken in turn: the one fused pass measures 3.3-4.7x over the Go passes
+// written out, the Go tier (which is those passes) 0.9-1.07x — a floor of
+// 2. The trunk conv's forward for one sample: the direct kernel measures
+// 3.85-4.46x over the lowered product written out (Lower, GemmTB, the bias
+// loop — Lower is its Go loop on both tiers, GemmTB the dot tile on this
+// one), the Go tier (which is that product) 0.95-1.00x — a floor of 1.5.
+// Max-pooling the trunk's 8x8x8 output: the four-lane kernel measures
+// 4.2-5.1x over its Go loop written out, the Go tier (which is that loop)
+// 0.82-0.92x — a floor of 2. The trunk conv's backward for a batch of 16,
+// the output gradient 73% zeros: ConvGrad, which builds no patches matrix,
+// no patch gradients and no raised image, measures 4.60-5.76x over the
+// lowered backward written out (Lower, Gemm, GemmTA, Raise per sample), the
+// Go tier (which is that backward) 0.98-1.00x — a floor of 1.4.
+// async_fleet's 650 QSGD rounding uniforms: FillFloat64's kernel measures
+// 1.25-1.50x over the Go loop it ran before, written out, the Go tier
+// (which is that loop) 0.88-1.02x — a floor of 1.15, the margin small
+// because xoshiro256**'s serial state chain, which both sides run, is most
+// of either.
 var ratioPairs = []ratioPair{
 	{"Gemm256/blocked", "Gemm256/naive", 2.5, 1, gemm256Setup},
 	{"GemmTB8x64x72", "GemmTBNaive8x64x72", 3, 16, gemmTBTrunkSetup},
@@ -80,7 +77,6 @@ var ratioPairs = []ratioPair{
 	{"Softmax4x10", "SoftmaxRef4x10", 2, 64, softmaxSetup},
 	{"GemmTA10x64k4", "GemmTAListRef10x64k4", 2, 64, gemmTAHeadSetup},
 	{"Axpy650", "AxpyRef650", 2, 32, axpySetup},
-	{"Lower8x8x8", "LowerRef8x8x8", 2, 16, lowerSetup},
 	{"EmitAbove16400", "EmitAboveRef16400", 2, 4, emitSetup},
 	{"ChocoMix16400", "ChocoMixRef16400", 2, 4, mixSetup},
 	{"Convolve8x8x8", "ConvolveRef8x8x8", 1.5, 16, convolveSetup},

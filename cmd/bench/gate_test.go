@@ -109,10 +109,6 @@ func TestGemmTARatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "GemmT
 // TestAxpyRatioFollowsTheTier: Axpy against the scalar loop.
 func TestAxpyRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Axpy650") }
 
-// TestLowerRatioFollowsTheTier: conv lowering at the trunk shape against
-// Lower's own Go loop, which is all the Go tier runs.
-func TestLowerRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Lower8x8x8") }
-
 // TestTopKRatioFollowsTheTier: top-k's emission against its Go loop, which
 // is all the Go tier runs.
 func TestTopKRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "EmitAbove16400") }

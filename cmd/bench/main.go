@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	bench                      # time the fourteen pairs, print them
+//	bench                      # time the thirteen pairs, print them
 //	bench -out FILE.json       # also write the timings as JSON
 //
 // The exit status is the verdict: 0 when every pair is at or above its
@@ -301,49 +301,6 @@ func axpySetup(kernel bool) func() {
 	return func() {
 		for i, v := range x {
 			y[i] += alpha * v
-		}
-	}
-}
-
-// lowerSetup lowers one ResNetNano trunk conv's input, 8 channels of 8x8
-// under a 3x3 kernel with padding 1, into its 64x72 patches matrix: through
-// Lower, or by the Go loop Lower runs off the AVX2 tier, written out — the
-// same copy into a zero-bordered image, then one run of three per channel
-// and kernel row of every patch.
-func lowerSetup(kernel bool) func() {
-	s := tensor.ConvShape{Channels: 8, Height: 8, Width: 8, Kernel: 3, Stride: 1, Pad: 1}
-	r := rng.New(65)
-	img := make([]float64, s.Channels*s.Height*s.Width)
-	for i := range img {
-		img[i] = r.NormFloat64()
-	}
-	pad := make([]float64, s.PadLen())
-	dst := tensor.NewMatrix(s.OutHeight()*s.OutWidth(), s.PatchLen())
-	if kernel {
-		return func() { tensor.Lower(s, img, pad, dst) }
-	}
-	h, w, k := s.Height, s.Width, s.Kernel
-	hp, wp := h+2*s.Pad, w+2*s.Pad
-	return func() {
-		for c := 0; c < s.Channels; c++ {
-			for y := 0; y < h; y++ {
-				copy(pad[(c*hp+y+s.Pad)*wp+s.Pad:][:w], img[(c*h+y)*w:])
-			}
-		}
-		o := 0
-		for oy := 0; oy < s.OutHeight(); oy++ {
-			for ox := 0; ox < s.OutWidth(); ox++ {
-				for c := 0; c < s.Channels; c++ {
-					for ky := 0; ky < k; ky++ {
-						at := (c*hp+oy+ky)*wp + ox
-						run := dst.Data[o : o+k : o+k]
-						for kx, v := range pad[at : at+k] {
-							run[kx] = v
-						}
-						o += k
-					}
-				}
-			}
 		}
 	}
 }

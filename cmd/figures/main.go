@@ -101,7 +101,6 @@ func main() {
 				}
 				cmp := experiments.RunComparison(spec)
 				cmp.Print(out)
-				experiments.PrintOptimalTaus(out, cmp.OptimalTaus())
 				if *csvDir == "" {
 					continue
 				}

@@ -12,7 +12,7 @@ import (
 func TestCommandLine(t *testing.T) {
 	run := clitest.Build(t)
 
-	// The analytic figures are cheap enough to run here (the training
+	// The analytic figures are cheap enough to run here (the conv training
 	// figures take a minute at -quick; experiments_test.go covers them),
 	// and they print the numbers they printed when the golden was captured,
 	// byte for byte: Figs 6 and 7 draw internal/bound's Theorem 1 bound and
@@ -66,26 +66,19 @@ func TestCommandLine(t *testing.T) {
 		})
 	}
 
-	// Under every comparison's AdaComm tau trajectory, eq 14's tau* at each
-	// interval boundary, the same on every run: the constants it needs are
-	// estimated on seeded streams.
-	t.Run("-fig 1 eq 14 line", func(t *testing.T) {
-		first, _, code := run("-quick", "-fig", "1")
-		if code != 0 {
-			t.Fatalf("exit %d", code)
+	// Fig 1 trains its logistic comparison in ~20 ms at -quick, so its whole
+	// stdout is pinned too: the table, the AdaComm tau trajectory and
+	// nothing after it. The conv figures take seconds; cmd/adacomm's
+	// conv-quick.golden pins conv training instead.
+	t.Run("-fig 1 golden", func(t *testing.T) {
+		golden, err := os.ReadFile("testdata/training-quick.golden")
+		if err != nil {
+			t.Fatal(err)
 		}
-		lines := strings.Split(first, "\n")
-		found := false
-		for i, l := range lines[:len(lines)-1] {
-			if strings.HasPrefix(l, "AdaComm tau trajectory:") {
-				found = strings.HasPrefix(lines[i+1], "eq 14 tau*(T0) at each boundary: (t=0 tau*=")
-			}
-		}
-		if !found {
-			t.Fatalf("no eq 14 line under the tau trajectory:\n%s", first)
-		}
-		if again, _, _ := run("-quick", "-fig", "1"); again != first {
-			t.Fatalf("two runs differ:\n%s\n---\n%s", first, again)
+		stdout, stderr, code := run("-quick", "-fig", "1")
+		if code != 0 || stderr != "" || stdout != string(golden) {
+			t.Errorf("-quick -fig 1: exit %d, stderr %q, stdout differs from testdata/training-quick.golden:\n%s",
+				code, stderr, stdout)
 		}
 	})
 

@@ -160,8 +160,9 @@
 // multiply-adds retired per instruction instead of one, with FMA
 // deliberately off the table (fused rounding would change bits). nn.Conv2D
 // lowers one sample at a time through a zero-bordered copy of its image
-// (tensor.Lower: runs of the padded image, four-wide AVX2 moves for a 3x3
-// kernel), keeps its input rather than the lowered patches for the backward
+// (tensor.Lower: runs of the padded image; on the AVX2 tier only shapes the
+// direct conv kernels decline lower at all), keeps its input rather than the
+// lowered patches for the backward
 // pass, and multiplies without transposing anything
 // (internal/tensor/naive.go explains why that is exact).
 // tensor.SetWorkers(n) optionally fans output-row panels

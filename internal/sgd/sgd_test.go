@@ -93,44 +93,3 @@ func TestMomentumFasterThanPlainOnQuadratic(t *testing.T) {
 		t.Fatalf("momentum loss %v not better than plain %v", mom, plain)
 	}
 }
-
-func TestEstimateGradientVariance(t *testing.T) {
-	ds := data.GaussianBlobs(data.GaussianBlobsConfig{
-		Classes: 3, Dim: 5, N: 600, Separation: 3, Noise: 1,
-	}, rng.New(6))
-	model := nn.NewLogisticRegression(5, 3)
-	model.InitParams(rng.New(7))
-
-	// Smaller batches must yield larger variance (sigma^2 ~ 1/B).
-	s8 := data.NewSampler(ds, 8, rng.New(8))
-	s64 := data.NewSampler(ds, 64, rng.New(9))
-	v8 := EstimateGradientVariance(model, ds, 8, 100, s8)
-	v64 := EstimateGradientVariance(model, ds, 64, 100, s64)
-	if v8 <= v64 {
-		t.Fatalf("variance should shrink with batch size: v8=%v v64=%v", v8, v64)
-	}
-	if v8 <= 0 {
-		t.Fatalf("variance must be positive, got %v", v8)
-	}
-}
-
-func TestEstimateLipschitzPositive(t *testing.T) {
-	ds := data.GaussianBlobs(data.GaussianBlobsConfig{
-		Classes: 2, Dim: 4, N: 100, Separation: 3, Noise: 1,
-	}, rng.New(10))
-	model := nn.NewLogisticRegression(4, 2)
-	model.InitParams(rng.New(11))
-	b := data.FullBatch(ds)
-	r := rng.New(12)
-	before := append([]float64(nil), model.Params()...)
-	l := EstimateLipschitz(model, b, 0.1, 10, r.NormFloat64)
-	if l <= 0 {
-		t.Fatalf("Lipschitz estimate %v", l)
-	}
-	// Params must be restored.
-	for i, v := range model.Params() {
-		if v != before[i] {
-			t.Fatal("EstimateLipschitz did not restore parameters")
-		}
-	}
-}

@@ -2,13 +2,9 @@
 
 package tensor
 
-// No assembly tier in this build: the Go loops in im2col.go take every patch,
-// frame and unframe copy row by row, MaxPool runs poolImageGo, and Direct is
-// false, so Convolve and ConvGrad always run the lowered path.
-
-func lowerRows(w padWalk, d, pad []float64) { lowerRowsGo(w, d, pad) }
-
-func raiseRows(w padWalk, pad, d []float64) { raiseRowsGo(w, pad, d) }
+// No assembly tier in this build: the Go loops in im2col.go take every frame
+// and unframe copy row by row, MaxPool runs poolImageGo, and Direct is false,
+// so Convolve and ConvGrad always run the lowered path.
 
 func convolveDirect(pw padWalk, w *Matrix, bias, pad, out []float64) {
 	panic("tensor: no direct convolution kernel in this build")

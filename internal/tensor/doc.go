@@ -120,23 +120,6 @@
 //     because a 32-byte load of four fresh 8-byte stores stalls on store
 //     forwarding.
 //   - softmaxAVX2 (SoftmaxRows, below).
-//   - lower3AVX2 / raise3AVX2 (Lower, Raise: conv lowering through a
-//     zero-bordered copy of the image, conv_amd64.s) for a 3x3 kernel, every
-//     conv of the zoo, one output row of patches per call. Lower moves each
-//     run of three with one four-wide load and one four-wide store at 24-byte
-//     steps: the fourth lane lands on the next run's first element, which
-//     that run's store then overwrites. THE OVERLAPPING-STORE HAZARD: a patch
-//     row's last run has no next run, and its fourth lane would land past the
-//     row (past the matrix, on the last row) and be read past the padded
-//     image, so that run moves 2+1. Raise adds each run 2+1, patch rows in
-//     order (they overlap in the padded image): a fourth lane would add the
-//     next run's first term into the pixel past the run. THE RULE: Lower
-//     writes EVERY element of its destination, which so needs no
-//     preparation, and of the padded image only the interior — its copy-in is
-//     the padded image's only writer, so a border allocated zero stays zero
-//     (zeroing it per call cost 13-22% of Lower); Raise, which clears its own
-//     padded image, takes a different one. Other kernel sizes take the Go
-//     loops, which are the kernels' oracles.
 //   - moveRowsAVX2 (ConvShape.frame / unframe, the copy-in and copy-out of
 //     Lower, Raise and Convolve): an image row a multiple of four wide moves
 //     as four-wide loads and stores, the rows and planes of either side at

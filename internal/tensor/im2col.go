@@ -134,7 +134,7 @@ func Lower(s ConvShape, img, pad []float64, dst *Matrix) {
 	s.frame(img, pad)
 	span, outH := w.n*dst.Cols, s.OutHeight()
 	for oy := 0; oy < outH; oy++ {
-		lowerRows(w, dst.Data[oy*span:(oy+1)*span], pad[oy*s.Stride*w.wp:])
+		lowerRowsGo(w, dst.Data[oy*span:(oy+1)*span], pad[oy*s.Stride*w.wp:])
 	}
 }
 
@@ -149,7 +149,7 @@ func Raise(s ConvShape, patches *Matrix, pad, dst []float64) {
 	Zero(pad)
 	span, outH := w.n*patches.Cols, s.OutHeight()
 	for oy := 0; oy < outH; oy++ {
-		raiseRows(w, pad[oy*s.Stride*w.wp:], patches.Data[oy*span:(oy+1)*span])
+		raiseRowsGo(w, pad[oy*s.Stride*w.wp:], patches.Data[oy*span:(oy+1)*span])
 	}
 	s.unframe(pad, dst)
 }
@@ -184,8 +184,8 @@ func (s ConvShape) unframe(pad, img []float64) {
 	}
 }
 
-// lowerRowsGo is lowerRows' Go loop and its kernel's oracle: the w.n patch
-// rows of one output row into d, the first patch's window at pad[0].
+// lowerRowsGo writes Lower's w.n patch rows of one output row into d, the
+// first patch's window at pad[0]: one run of K per channel and kernel row.
 func lowerRowsGo(w padWalk, d, pad []float64) {
 	k, o := w.k, 0
 	for x := 0; x < w.n; x++ {
@@ -202,8 +202,8 @@ func lowerRowsGo(w padWalk, d, pad []float64) {
 	}
 }
 
-// raiseRowsGo is raiseRows' Go loop and its kernel's oracle: the w.n patch
-// rows in d added into their windows of pad, in order.
+// raiseRowsGo adds Raise's w.n patch rows in d into their windows of pad, in
+// order.
 func raiseRowsGo(w padWalk, pad, d []float64) {
 	k, o := w.k, 0
 	for x := 0; x < w.n; x++ {
