@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/rng"
@@ -250,14 +251,16 @@ func (l *Tanh) Clone() Layer { return NewTanh(l.dim) }
 type Conv2D struct {
 	shape   tensor.ConvShape
 	filters int
+	relu    bool           // a ReLU folded in (foldReLU): outBuf holds its output
 	lastIn  *tensor.Matrix // forward cache: backward reframes each sample from it
 	// Scratch: pad is the padded image the forward and the backward frame
 	// each sample into (its border stays zero); patch is the P x PatchLen
 	// patches matrix, allocated only where the shape lowers
 	// (ConvShape.Direct is false); grad is the backward's own scratch.
-	patch *tensor.Matrix
-	pad   []float64
-	grad  tensor.ConvGrad
+	patch  *tensor.Matrix
+	pad    []float64
+	grad   tensor.ConvGrad
+	masked []float64 // a folded ReLU's gradient for one sample, F x P
 
 	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
@@ -334,6 +337,9 @@ func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	bias := params[c.filters*c.shape.PatchLen():]
 	for i := 0; i < in.Rows; i++ {
 		tensor.Convolve(c.shape, w, bias, in.Row(i), pad, x, out.Row(i))
+		if c.relu {
+			tensor.ReLU(out.Row(i), out.Row(i))
+		}
 	}
 	return out
 }
@@ -357,12 +363,22 @@ func (c *Conv2D) backward(params []float64, dOut *tensor.Matrix, dParams []float
 	p := c.positions()
 	pad, x := c.scratch()
 	c.grad.Load(c.shape, c.kernelMatrix(params), wantDIn)
+	if c.relu {
+		checkFoldedRows("Conv2D", c.outBuf, dOut)
+		if len(c.masked) < c.filters*p {
+			c.masked = make([]float64, c.filters*p)
+		}
+	}
 	var dIn *tensor.Matrix
 	if wantDIn {
 		dIn = ensureMat(&c.dInBuf, dOut.Rows, c.InDim())
 	}
 	for i := 0; i < dOut.Rows; i++ {
 		g := tensor.Matrix{Rows: c.filters, Cols: p, Data: dOut.Row(i)}
+		if c.relu {
+			tensor.ReLUGrad(c.masked, g.Data, c.outBuf.Row(i))
+			g.Data = c.masked
+		}
 		addRowSums(&g, dB)
 		var dx []float64
 		if wantDIn {
@@ -400,7 +416,7 @@ func addRowSums(g *tensor.Matrix, acc []float64) {
 
 // Clone implements Layer.
 func (c *Conv2D) Clone() Layer {
-	return &Conv2D{shape: c.shape, filters: c.filters}
+	return &Conv2D{shape: c.shape, filters: c.filters, relu: c.relu}
 }
 
 // MaxPool2x2 downsamples channel-major images by taking the max over
@@ -477,6 +493,7 @@ func (m *MaxPool2x2) Clone() Layer { return NewMaxPool2x2(m.channels, m.height, 
 // identity-shortcut residual block of ResNet.
 type Residual struct {
 	inner []Layer
+	relu  bool // a ReLU folded in (foldReLU): outBuf holds its output
 	// parameter slicing within the residual's own parameter block
 	offsets []int
 	total   int
@@ -489,17 +506,20 @@ func NewResidual(inner ...Layer) *Residual {
 	if len(inner) == 0 {
 		panic("nn: Residual needs inner layers")
 	}
-	total := 0
-	offsets := make([]int, len(inner))
-	for i, l := range inner {
-		if i > 0 && inner[i-1].OutDim() != l.InDim() {
+	for i := 1; i < len(inner); i++ {
+		if inner[i-1].OutDim() != inner[i].InDim() {
 			panic("nn: Residual inner dims mismatch")
 		}
-		offsets[i] = total
-		total += l.ParamLen()
 	}
 	if inner[0].InDim() != inner[len(inner)-1].OutDim() {
 		panic("nn: Residual requires matching in/out dims for the skip connection")
+	}
+	inner = foldReLU(inner)
+	total := 0
+	offsets := make([]int, len(inner))
+	for i, l := range inner {
+		offsets[i] = total
+		total += l.ParamLen()
 	}
 	return &Residual{inner: inner, offsets: offsets, total: total}
 }
@@ -528,18 +548,28 @@ func (r *Residual) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	}
 	out := ensureMat(&r.outBuf, in.Rows, in.Cols)
 	tensor.Add(out.Data, in.Data, cur.Data)
+	if r.relu {
+		tensor.ReLU(out.Data, out.Data)
+	}
 	return out
 }
 
 // Backward implements Layer.
 func (r *Residual) Backward(params []float64, dOut *tensor.Matrix, dParams []float64) *tensor.Matrix {
+	dIn := ensureMat(&r.dInBuf, dOut.Rows, dOut.Cols)
+	if r.relu {
+		// The folded ReLU's input gradient lands in dIn, which the inner
+		// path then reads as its output gradient and the skip path adds.
+		checkFoldedRows("Residual", r.outBuf, dOut)
+		tensor.ReLUGrad(dIn.Data, dOut.Data, r.outBuf.Data)
+		dOut = dIn
+	}
 	cur := dOut
 	for i := len(r.inner) - 1; i >= 0; i-- {
 		l := r.inner[i]
 		cur = l.Backward(params[r.offsets[i]:r.offsets[i]+l.ParamLen()],
 			cur, dParams[r.offsets[i]:r.offsets[i]+l.ParamLen()])
 	}
-	dIn := ensureMat(&r.dInBuf, dOut.Rows, dOut.Cols)
 	tensor.Add(dIn.Data, dOut.Data, cur.Data) // skip path + inner path
 	return dIn
 }
@@ -550,5 +580,48 @@ func (r *Residual) Clone() Layer {
 	for i, l := range r.inner {
 		inner[i] = l.Clone()
 	}
-	return NewResidual(inner...)
+	c := NewResidual(inner...)
+	c.relu = r.relu
+	return c
+}
+
+// foldReLU returns layers with every ReLU that directly follows a Conv2D or
+// a Residual folded into that layer, which then applies it to its own
+// output (outBuf, in place) and masks its Backward by ReLUGrad's test on
+// that output: the bits the two layers computed, one activation buffer and
+// one gradient buffer fewer, and no pass over either. A layer folds one
+// ReLU; a ReLU after anything else, or first, stays a layer of its own.
+func foldReLU(layers []Layer) []Layer {
+	out := make([]Layer, 0, len(layers))
+	for _, l := range layers {
+		if _, ok := l.(*ReLU); ok && len(out) > 0 {
+			switch prev := out[len(out)-1].(type) {
+			case *Conv2D:
+				if !prev.relu {
+					prev.relu = true
+					continue
+				}
+			case *Residual:
+				if !prev.relu {
+					prev.relu = true
+					continue
+				}
+			}
+		}
+		out = append(out, l)
+	}
+	return out
+}
+
+// checkFoldedRows panics unless dOut has the rows of out, the output of the
+// last Forward, which a folded ReLU's mask reads row by row.
+func checkFoldedRows(layer string, out, dOut *tensor.Matrix) {
+	if out == nil || out.Rows != dOut.Rows {
+		rows := 0
+		if out != nil {
+			rows = out.Rows
+		}
+		panic(fmt.Sprintf("nn: %s.Backward with %d gradient rows after a Forward of %d: its folded ReLU masks by that Forward's output",
+			layer, dOut.Rows, rows))
+	}
 }

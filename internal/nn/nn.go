@@ -233,19 +233,22 @@ func NewNetwork(loss Loss, classes int, layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: network needs at least one layer")
 	}
-	total := 0
-	offsets := make([]int, len(layers))
-	for i, l := range layers {
-		if i > 0 && layers[i-1].OutDim() != l.InDim() {
+	for i := 1; i < len(layers); i++ {
+		if layers[i-1].OutDim() != layers[i].InDim() {
 			panic(fmt.Sprintf("nn: layer %d out dim %d != layer %d in dim %d",
-				i-1, layers[i-1].OutDim(), i, l.InDim()))
+				i-1, layers[i-1].OutDim(), i, layers[i].InDim()))
 		}
-		offsets[i] = total
-		total += l.ParamLen()
 	}
 	if classes > 0 && layers[len(layers)-1].OutDim() != classes {
 		panic(fmt.Sprintf("nn: classifier output dim %d != classes %d",
 			layers[len(layers)-1].OutDim(), classes))
+	}
+	layers = foldReLU(layers)
+	total := 0
+	offsets := make([]int, len(layers))
+	for i, l := range layers {
+		offsets[i] = total
+		total += l.ParamLen()
 	}
 	return &Network{
 		layers:  layers,
