@@ -307,9 +307,10 @@ func axpySetup(kernel bool) func() {
 
 // convolveSetup is one ResNetNano trunk conv's forward for one sample, 8
 // filters over 8 channels of 8x8 under a 3x3 kernel with padding 1, on a
-// post-ReLU input: through Convolve, or by the lowered product it replaces,
+// post-ReLU input, with the ReLU that follows it folded in: through
+// Convolve, or by the lowered product and the separate ReLU it replaces,
 // written out — Lower into the 64x72 patches matrix, one GemmTB, the bias
-// loop.
+// loop, tensor.ReLU over the output.
 func convolveSetup(kernel bool) func() {
 	s := tensor.ConvShape{Channels: 8, Height: 8, Width: 8, Kernel: 3, Stride: 1, Pad: 1}
 	r := rng.New(68)
@@ -320,7 +321,7 @@ func convolveSetup(kernel bool) func() {
 	x := tensor.NewMatrix(s.OutHeight()*s.OutWidth(), s.PatchLen())
 	out := tensor.NewMatrix(8, s.OutHeight()*s.OutWidth())
 	if kernel {
-		return func() { tensor.Convolve(s, w, bias, img, pad, x, out.Data) }
+		return func() { tensor.Convolve(s, w, bias, img, pad, x, out.Data, true) }
 	}
 	return func() {
 		tensor.Lower(s, img, pad, x)
@@ -331,25 +332,30 @@ func convolveSetup(kernel bool) func() {
 				row[pos] += b
 			}
 		}
+		tensor.ReLU(out.Data, out.Data)
 	}
 }
 
 // convBackSetup is one ResNetNano trunk conv's backward for one batch of 16
 // samples, 8 filters over 8 channels of 8x8 under a 3x3 kernel with padding
-// 1, the output gradient 73% exact zeros (the trunk's share in conv_pasgd)
-// and the inputs post-ReLU: through tensor.ConvGrad (one Load, then a Sample
-// per sample), or by the lowered backward it replaces, written out — per
-// sample Lower into the 64x72 patches matrix, Gemm into dW, GemmTA into the
-// patch gradients, Raise into the input gradient.
+// 1, through the ReLU folded into it: the output half +0 and the incoming
+// gradient 46% exact zeros, so the masked G is 73% zeros (the trunk's share
+// in conv_pasgd), the inputs post-ReLU. Through tensor.ConvGrad (one Load,
+// then a Sample per sample, masking as it lists), or by the separate
+// ReLUGrad and the lowered backward it replaces, written out — per sample
+// tensor.ReLUGrad into G, G's row sums into dB, Lower into the 64x72
+// patches matrix, Gemm into dW, GemmTA into the patch gradients, Raise into
+// the input gradient.
 func convBackSetup(kernel bool) func() {
 	const batch = 16
 	s := tensor.ConvShape{Channels: 8, Height: 8, Width: 8, Kernel: 3, Stride: 1, Pad: 1}
 	p, l, nIn := s.OutHeight()*s.OutWidth(), s.PatchLen(), s.Channels*s.Height*s.Width
 	r := rng.New(70)
 	imgs := zeroLaden(r, tensor.NewMatrix(batch, nIn), 0.5)
-	grads := zeroLaden(r, tensor.NewMatrix(batch, 8*p), 0.73)
+	grads := zeroLaden(r, tensor.NewMatrix(batch, 8*p), 0.46)
+	outs := zeroLaden(r, tensor.NewMatrix(batch, 8*p), 0.5)
 	w := zeroLaden(r, tensor.NewMatrix(8, l), 0)
-	dW := tensor.NewMatrix(8, l)
+	dW, dB := tensor.NewMatrix(8, l), make([]float64, 8)
 	dIn := tensor.NewMatrix(batch, nIn)
 	pad := make([]float64, s.PadLen())
 	x, dx := tensor.NewMatrix(p, l), tensor.NewMatrix(p, l)
@@ -358,17 +364,23 @@ func convBackSetup(kernel bool) func() {
 		return func() {
 			cg.Load(s, w, true)
 			for i := 0; i < batch; i++ {
-				cg.Sample(grads.Row(i), imgs.Row(i), pad, x, dW, dIn.Row(i))
+				cg.Sample(grads.Row(i), outs.Row(i), imgs.Row(i), pad, x, dW, dB, dIn.Row(i))
 			}
 		}
 	}
 	dPad := make([]float64, s.PadLen())
+	g := tensor.NewMatrix(8, p)
 	return func() {
 		for i := 0; i < batch; i++ {
-			g := tensor.Matrix{Rows: 8, Cols: p, Data: grads.Row(i)}
+			tensor.ReLUGrad(g.Data, grads.Row(i), outs.Row(i))
+			for f := range dB {
+				for _, v := range g.Row(f) {
+					dB[f] += v
+				}
+			}
 			tensor.Lower(s, imgs.Row(i), pad, x)
-			tensor.Gemm(1, &g, x, 1, dW)
-			tensor.GemmTA(1, &g, w, 0, dx)
+			tensor.Gemm(1, g, x, 1, dW)
+			tensor.GemmTA(1, g, w, 0, dx)
 			tensor.Raise(s, dx, dPad, dIn.Row(i))
 		}
 	}

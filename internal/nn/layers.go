@@ -257,10 +257,9 @@ type Conv2D struct {
 	// each sample into (its border stays zero); patch is the P x PatchLen
 	// patches matrix, allocated only where the shape lowers
 	// (ConvShape.Direct is false); grad is the backward's own scratch.
-	patch  *tensor.Matrix
-	pad    []float64
-	grad   tensor.ConvGrad
-	masked []float64 // a folded ReLU's gradient for one sample, F x P
+	patch *tensor.Matrix
+	pad   []float64
+	grad  tensor.ConvGrad
 
 	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
@@ -327,8 +326,9 @@ func (c *Conv2D) scratch() (pad []float64, x *tensor.Matrix) {
 }
 
 // Forward implements Layer: each sample's output row, read as the F x P
-// matrix it is, becomes W*X^T + bias through tensor.Convolve. Output rows
-// are channel-major flattened images of shape (filters, outH, outW).
+// matrix it is, becomes W*X^T + bias through tensor.Convolve, and with a
+// folded ReLU what ReLU makes of that. Output rows are channel-major
+// flattened images of shape (filters, outH, outW).
 func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	c.lastIn = in
 	pad, x := c.scratch()
@@ -336,10 +336,7 @@ func (c *Conv2D) Forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	w := c.kernelMatrix(params)
 	bias := params[c.filters*c.shape.PatchLen():]
 	for i := 0; i < in.Rows; i++ {
-		tensor.Convolve(c.shape, w, bias, in.Row(i), pad, x, out.Row(i))
-		if c.relu {
-			tensor.ReLU(out.Row(i), out.Row(i))
-		}
+		tensor.Convolve(c.shape, w, bias, in.Row(i), pad, x, out.Row(i), c.relu)
 	}
 	return out
 }
@@ -353,65 +350,35 @@ func (c *Conv2D) backwardParams(params []float64, dOut *tensor.Matrix, dParams [
 	c.backward(params, dOut, dParams, false)
 }
 
-// backward accumulates dB and, through tensor.ConvGrad, dW from each sample
+// backward accumulates, through tensor.ConvGrad, dB and dW from each sample
 // of lastIn (the same bits Forward multiplied); the input gradient only
-// when asked to.
+// when asked to. With a folded ReLU, G is dOut masked by the output Forward
+// stored (tensor.ReLUGrad's test), which ConvGrad applies as it reads dOut.
 func (c *Conv2D) backward(params []float64, dOut *tensor.Matrix, dParams []float64, wantDIn bool) *tensor.Matrix {
 	dW := &tensor.Matrix{Rows: c.filters, Cols: c.shape.PatchLen(),
 		Data: dParams[:c.filters*c.shape.PatchLen()]}
 	dB := dParams[c.filters*c.shape.PatchLen():]
-	p := c.positions()
 	pad, x := c.scratch()
 	c.grad.Load(c.shape, c.kernelMatrix(params), wantDIn)
 	if c.relu {
 		checkFoldedRows("Conv2D", c.outBuf, dOut)
-		if len(c.masked) < c.filters*p {
-			c.masked = make([]float64, c.filters*p)
-		}
 	}
 	var dIn *tensor.Matrix
 	if wantDIn {
 		dIn = ensureMat(&c.dInBuf, dOut.Rows, c.InDim())
 	}
 	for i := 0; i < dOut.Rows; i++ {
-		g := tensor.Matrix{Rows: c.filters, Cols: p, Data: dOut.Row(i)}
+		g, out := dOut.Row(i), []float64(nil)
 		if c.relu {
-			tensor.ReLUGrad(c.masked, g.Data, c.outBuf.Row(i))
-			g.Data = c.masked
+			out = c.outBuf.Row(i)
 		}
-		addRowSums(&g, dB)
 		var dx []float64
 		if wantDIn {
 			dx = dIn.Row(i)
 		}
-		c.grad.Sample(g.Data, c.lastIn.Row(i), pad, x, dW, dx)
+		c.grad.Sample(g, out, c.lastIn.Row(i), pad, x, dW, dB, dx)
 	}
 	return dIn
-}
-
-// addRowSums adds each row of g into its element of acc, left to right.
-// Four rows advance together: a row's sum is one dependent chain of adds,
-// and four independent chains keep the adder busy instead of waiting on it.
-func addRowSums(g *tensor.Matrix, acc []float64) {
-	f := 0
-	for ; f+4 <= g.Rows; f += 4 {
-		r0, r1, r2, r3 := g.Row(f), g.Row(f+1), g.Row(f+2), g.Row(f+3)
-		s0, s1, s2, s3 := acc[f], acc[f+1], acc[f+2], acc[f+3]
-		for j, v := range r0 {
-			s0 += v
-			s1 += r1[j]
-			s2 += r2[j]
-			s3 += r3[j]
-		}
-		acc[f], acc[f+1], acc[f+2], acc[f+3] = s0, s1, s2, s3
-	}
-	for ; f < g.Rows; f++ {
-		s := acc[f]
-		for _, v := range g.Row(f) {
-			s += v
-		}
-		acc[f] = s
-	}
 }
 
 // Clone implements Layer.

@@ -20,13 +20,18 @@ func (s ConvShape) Direct() bool {
 // from +0, a product then an add per patch element in ascending (c, ky, kx),
 // then the bias, so the sums are the lowered product's bit for bit; x is not
 // touched and may be nil. pad is Lower's scratch: length PadLen, its border
-// zero, only its interior written.
-func Convolve(s ConvShape, w *Matrix, bias, img, pad []float64, x *Matrix, out []float64) {
+// zero, only its interior written. With relu, out then holds what ReLU(out,
+// out) would leave there: the kernel applies ReLU's mask to each sum before
+// its store, the lowered path runs ReLU after the bias loop.
+func Convolve(s ConvShape, w *Matrix, bias, img, pad []float64, x *Matrix, out []float64, relu bool) {
 	if w.Cols != s.PatchLen() || len(bias) != w.Rows || len(out) != w.Rows*s.OutHeight()*s.OutWidth() {
 		panic("tensor: Convolve shape mismatch")
 	}
 	if !s.Direct() {
 		convolveLowered(s, w, bias, img, pad, x, out)
+		if relu {
+			ReLU(out, out)
+		}
 		return
 	}
 	if len(img) != s.Channels*s.Height*s.Width {
@@ -34,7 +39,7 @@ func Convolve(s ConvShape, w *Matrix, bias, img, pad []float64, x *Matrix, out [
 	}
 	pw := s.walk("Convolve", pad)
 	s.frame(img, pad)
-	convolveDirect(pw, w, bias, pad, out)
+	convolveDirect(pw, w, bias, pad, out, relu)
 }
 
 // convolveLowered is the product Convolve's kernel replaces, its fallback and

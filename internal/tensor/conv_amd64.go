@@ -12,13 +12,15 @@ package tensor
 // four adjacent windows whose first starts at pad, 4-7 the four starting gb
 // bytes on, and they land gbo bytes after 0-3 (32, or gb = gbo = 0 to compute
 // one group twice into the same four elements). off(k) = c*plane + ky*wp +
-// kx*8; every stride is in BYTES. convTile1x8 is the same for one filter.
+// kx*8; every stride is in BYTES. With relu each sum is stored as ReLU
+// stores it (reluKeep's mask, reluAVX2's instructions). convTile1x8 is the
+// same for one filter.
 //
 //go:noescape
-func convTile4x8(pad *float64, gb int, w *float64, ldw, chans, wp, plane int, bias, out *float64, ldo, gbo int)
+func convTile4x8(pad *float64, gb int, w *float64, ldw, chans, wp, plane int, bias, out *float64, ldo, gbo int, relu bool)
 
 //go:noescape
-func convTile1x8(pad *float64, gb int, w *float64, chans, wp, plane int, bias, out *float64, gbo int)
+func convTile1x8(pad *float64, gb int, w *float64, chans, wp, plane int, bias, out *float64, gbo int, relu bool)
 
 // moveRowsAVX2 copies chans planes of rows rows of quads*4 elements, the rows
 // and planes of dst and src at their own strides in BYTES.
@@ -44,8 +46,9 @@ var poolLanes = [2][4]int{{0, 4, 2, 6}, {0, 8, 2, 10}}
 // Direct accepts. Positions are taken eight at a time in output order, as two
 // groups of four that each lie in one output row (OutWidth % 4 == 0), so one
 // output row at a time when OutWidth >= 8 and two when it is 4; a last lone
-// group is computed twice into its four elements.
-func convolveDirect(pw padWalk, w *Matrix, bias, pad, out []float64) {
+// group is computed twice into its four elements. With relu every tile stores
+// ReLU of its sums.
+func convolveDirect(pw padWalk, w *Matrix, bias, pad, out []float64, relu bool) {
 	nf, l, outW := w.Rows, w.Cols, pw.n
 	p := len(out) / nf
 	_, _ = w.Data[nf*l-1], bias[nf-1]
@@ -57,10 +60,10 @@ func convolveDirect(pw padWalk, w *Matrix, bias, pad, out []float64) {
 		}
 		f := 0
 		for ; f+4 <= nf; f += 4 {
-			convTile4x8(&pad[a], gb, &w.Data[f*l], l*8, pw.chans, pw.wp*8, pw.plane*8, &bias[f], &out[f*p+q], p*8, gbo)
+			convTile4x8(&pad[a], gb, &w.Data[f*l], l*8, pw.chans, pw.wp*8, pw.plane*8, &bias[f], &out[f*p+q], p*8, gbo, relu)
 		}
 		for ; f < nf; f++ {
-			convTile1x8(&pad[a], gb, &w.Data[f*l], pw.chans, pw.wp*8, pw.plane*8, &bias[f], &out[f*p+q], gbo)
+			convTile1x8(&pad[a], gb, &w.Data[f*l], pw.chans, pw.wp*8, pw.plane*8, &bias[f], &out[f*p+q], gbo, relu)
 		}
 	}
 }
@@ -98,7 +101,9 @@ func poolBulk(src []float64, width int, dst []float64, argmax []int) bool {
 
 // convDWAVX2 is ConvGrad's dW kernel: for each of the filters, the non-zero
 // coefficients of its row of G (groups*4 positions, the rows one after
-// another from grad) are listed as positions in off and val, and every
+// another from grad), each taken as +0 where the same element of out is +0
+// (ReLUGrad's mask; out = grad masks nothing), are listed as positions in
+// off and val, and every
 // element of the filter's dW row then adds, for each listed position in
 // order, the coefficient times the element of the position's window at pad
 // + table[position] (bytes) it pairs with. A row is held in registers one
@@ -107,16 +112,16 @@ func poolBulk(src []float64, width int, dst []float64, argmax []int) bool {
 // BYTES. off and val hold groups*4 entries.
 //
 //go:noescape
-func convDWAVX2(grad *float64, groups int, pad *float64, table, off *int, val *float64, dw *float64, filters, chans, wp, plane int)
+func convDWAVX2(grad *float64, groups int, pad *float64, table, off *int, val *float64, dw *float64, filters, chans, wp, plane int, out *float64)
 
 // convListsAVX2 lists, for each of n positions, the filters whose
 // coefficient is not zero: position p's column is grad[p], grad[p] + ldg, ...
-// (ldg in BYTES), groups*4 + tail filters, and its list, ldl BYTES after the
-// previous one, holds the coefficients in val and f*ldw in off, in
-// ascending f; cnt[p] is its length.
+// (ldg in BYTES), groups*4 + tail filters, each masked by out as convDWAVX2
+// masks it, and its list, ldl BYTES after the previous one, holds the
+// coefficients in val and f*ldw in off, in ascending f; cnt[p] is its length.
 //
 //go:noescape
-func convListsAVX2(grad *float64, ldg, groups, tail, n, ldw int, off *int, val *float64, cnt *int, ldl int)
+func convListsAVX2(grad *float64, ldg, groups, tail, n, ldw int, off *int, val *float64, cnt *int, ldl int, out *float64)
 
 // convDRowsAVX2 computes the D rows of n consecutive positions: position j's
 // list is ldl BYTES after position j-1's, its count cnt[j], and its row, four
@@ -139,12 +144,47 @@ func convDRowsAVX2(wt *float64, off *int, val *float64, cnt *int, ldl, n, quadEn
 func convGatherAVX2(r2, r1, r0 *float64, quads, qstep, t, width, plane int, dst *float64)
 
 // directDW is ConvGrad's dW on the kernel, one call for every filter (P is
-// a multiple of four, so the list takes whole groups of positions).
-func (g *ConvGrad) directDW(pw padWalk, grad, pad, dw []float64) {
+// a multiple of four, so the list takes whole groups of positions), the
+// coefficients masked by out, or by grad itself where out is nil.
+func (g *ConvGrad) directDW(pw padWalk, grad, out, pad, dw []float64) {
 	nf, l := g.w.Rows, g.w.Cols
 	p := len(grad) / nf
+	out = maskOf(grad, out)
 	_, _, _, _ = g.off[p-1], g.val[p-1], g.table[p-1], dw[nf*l-1]
-	convDWAVX2(&grad[0], p/4, &pad[0], &g.table[0], &g.off[0], &g.val[0], &dw[0], nf, pw.chans, pw.wp*8, pw.plane*8)
+	convDWAVX2(&grad[0], p/4, &pad[0], &g.table[0], &g.off[0], &g.val[0], &dw[0], nf, pw.chans, pw.wp*8, pw.plane*8, &out[0])
+}
+
+// maskOf is what the list kernels mask grad by: out, or grad itself, which
+// masks nothing (a coefficient is +0 exactly where it is +0), where there is
+// no out.
+func maskOf(grad, out []float64) []float64 {
+	if out == nil {
+		return grad
+	}
+	return out[:len(grad)]
+}
+
+// convRowSumsAVX2 adds each of groups*4 rows of grad (ld BYTES apart,
+// quads*4 elements each), masked by out as convDWAVX2 masks it, into its
+// element of acc, left to right from the value in acc: addRowSumsGo's sums,
+// four rows at a time, a lane each.
+//
+//go:noescape
+func convRowSumsAVX2(grad, out *float64, groups, quads, ld int, acc *float64)
+
+// directDB is ConvGrad's dB on the kernel, the rows four at a time (P is a
+// multiple of four), the coefficients masked by out or, where out is nil,
+// by grad itself; F % 4 rows take maskedRowSumsGo.
+func (g *ConvGrad) directDB(grad, out, dB []float64) {
+	nf := len(dB)
+	p := len(grad) / nf
+	out = maskOf(grad, out)
+	if nf >= 4 {
+		_, _ = out[len(grad)-1], dB[nf-1]
+		convRowSumsAVX2(&grad[0], &out[0], nf/4, p/4, p*8, &dB[0])
+	}
+	f := nf &^ 3
+	maskedRowSumsGo(grad[f*p:], out[f*p:], dB[f:])
 }
 
 // directDX is ConvGrad's input gradient on the kernels: the filter lists of
@@ -152,14 +192,15 @@ func (g *ConvGrad) directDW(pw padWalk, grad, pad, dw []float64) {
 // it needs that are not in the ring yet (output row oy in ring row oy % 3),
 // and the row's gather from the ring rows of oy = y+Pad-ky, or from the zero
 // row where oy is off the output.
-func (g *ConvGrad) directDX(grad, dIn []float64) {
+func (g *ConvGrad) directDX(grad, out, dIn []float64) {
 	s, nf, l := g.s, g.w.Rows, g.w.Cols
 	outH, outW := s.OutHeight(), s.OutWidth()
 	p, ldl, quads, slots := outH*outW, listLen(nf), s.Channels/4, convSlots(s)
 	rowLen, kstep := 9*s.Channels*slots, quads*slots*32
 	_, _, _ = g.off[p*ldl-1], g.val[p*ldl-1], g.cnt[p-1]
 	_, _, _ = g.ring[4*rowLen-1], g.wt[nf*l-1], dIn[s.Channels*s.Height*s.Width-1]
-	convListsAVX2(&grad[0], p*8, nf/4, nf%4, p, l*8, &g.off[0], &g.val[0], &g.cnt[0], ldl*8)
+	out = maskOf(grad, out)
+	convListsAVX2(&grad[0], p*8, nf/4, nf%4, p, l*8, &g.off[0], &g.val[0], &g.cnt[0], ldl*8, &out[0])
 	next := 0 // the next output row to compute
 	for y := 0; y < s.Height; y++ {
 		for ; next <= min(y+s.Pad, outH-1); next++ {

@@ -69,8 +69,30 @@
 	STEP(8(SI)(R9*2), 8(R11)(R9*2), 56); \
 	STEP(16(SI)(R9*2), 16(R11)(R9*2), 64)
 
-// func convTile4x8(pad *float64, gb int, w *float64, ldw, chans, wp, plane int, bias, out *float64, ldo, gbo int)
-TEXT ·convTile4x8(SB), NOSPLIT, $0-88
+// RELUCONST readies RELU's constants: Y15 = 0, Y14 = the |b| mask, Y13 =
+// +Inf's pattern. It uses CX.
+#define RELUCONST \
+	VPXOR        Y15, Y15, Y15; \
+	MOVQ         $0x7FFFFFFFFFFFFFFF, CX; \
+	VMOVQ        CX, X14; \
+	VPBROADCASTQ X14, Y14; \
+	MOVQ         $0x7FF0000000000000, CX; \
+	VMOVQ        CX, X13; \
+	VPBROADCASTQ X13, Y13
+
+// RELU is reluAVX2's step (gemm_amd64.s) on the sums in A, through Y8 and Y9:
+// each kept where its bit pattern's sign is clear or it is a NaN of either
+// sign, +0 elsewhere.
+#define RELU(A) \
+	VPCMPGTQ A, Y15, Y8; \
+	VPAND    Y14, A, Y9; \
+	VPCMPGTQ Y13, Y9, Y9; \
+	VPANDN   A, Y8, Y8; \
+	VPAND    A, Y9, Y9; \
+	VPOR     Y9, Y8, A
+
+// func convTile4x8(pad *float64, gb int, w *float64, ldw, chans, wp, plane int, bias, out *float64, ldo, gbo int, relu bool)
+TEXT ·convTile4x8(SB), NOSPLIT, $0-89
 	MOVQ   pad+0(FP), SI
 	MOVQ   gb+8(FP), R11
 	ADDQ   SI, R11
@@ -115,6 +137,19 @@ chan4:
 	VADDPD       Y12, Y6, Y6
 	VADDPD       Y13, Y3, Y3
 	VADDPD       Y13, Y7, Y7
+	CMPB         relu+88(FP), $0
+	JEQ          store4
+	RELUCONST
+	RELU(Y0)
+	RELU(Y1)
+	RELU(Y2)
+	RELU(Y3)
+	RELU(Y4)
+	RELU(Y5)
+	RELU(Y6)
+	RELU(Y7)
+
+store4:
 	VMOVUPD      Y0, (DX)
 	VMOVUPD      Y4, (BX)
 	VMOVUPD      Y1, (DX)(R8*1)
@@ -126,8 +161,8 @@ chan4:
 	VZEROUPPER
 	RET
 
-// func convTile1x8(pad *float64, gb int, w *float64, chans, wp, plane int, bias, out *float64, gbo int)
-TEXT ·convTile1x8(SB), NOSPLIT, $0-72
+// func convTile1x8(pad *float64, gb int, w *float64, chans, wp, plane int, bias, out *float64, gbo int, relu bool)
+TEXT ·convTile1x8(SB), NOSPLIT, $0-73
 	MOVQ   pad+0(FP), SI
 	MOVQ   gb+8(FP), R11
 	ADDQ   SI, R11
@@ -152,6 +187,13 @@ chan1:
 	VBROADCASTSD (AX), Y10
 	VADDPD       Y10, Y0, Y0
 	VADDPD       Y10, Y4, Y4
+	CMPB         relu+72(FP), $0
+	JEQ          store1
+	RELUCONST
+	RELU(Y0)
+	RELU(Y4)
+
+store1:
 	VMOVUPD      Y0, (DX)
 	VMOVUPD      Y4, (DX)(BX*1)
 	VZEROUPPER
@@ -355,10 +397,13 @@ poolstep:
 	ADDQ         SI, DX; \
 	VBROADCASTSD (R11)(CX*8), Y12
 
-// func convDWAVX2(grad *float64, groups int, pad *float64, table, off *int, val *float64, dw *float64, filters, chans, wp, plane int)
+// func convDWAVX2(grad *float64, groups int, pad *float64, table, off *int, val *float64, dw *float64, filters, chans, wp, plane int, out *float64)
 //
 // Per filter, its row of G (groups groups of four positions, the rows one
-// after another) is listed by COMPRESS, positions as offsets; an empty list
+// after another) is masked by its row of out — each coefficient whose output
+// is +0 becomes +0, reluGradAVX2's step — and listed by COMPRESS, positions
+// as offsets (out = grad masks nothing: a coefficient is +0 exactly where it
+// is +0); an empty list
 // leaves the filter's dW row untouched. A group of four channels is twelve
 // runs of three in dw, 24 bytes apart, each held in one register across the
 // whole list with its fourth lane spare. THE OVERLAPPING-STORE HAZARD: each
@@ -369,7 +414,7 @@ poolstep:
 // filter's first weight, or past dw, so it is held as (spare, kx 0, 1, 2),
 // loaded from one element early and stored 1+2. chans
 // % 4 channels take the same path one channel (three runs) at a time.
-TEXT ·convDWAVX2(SB), NOSPLIT, $0-88
+TEXT ·convDWAVX2(SB), NOSPLIT, $0-96
 	MOVQ grad+0(FP), R14
 	MOVQ table+24(FP), R8
 	MOVQ off+32(FP), R10
@@ -384,9 +429,12 @@ dwfilter:
 	VMOVDQU Y14, Y1
 	XORQ    R13, R13
 	MOVQ    groups+8(FP), BX
+	MOVQ    out+88(FP), CX
+	SUBQ    grad+0(FP), CX       // out - grad: the group's outputs are at (R14)(CX*1)
 
 dwlist:
-	VMOVUPD (R14), Y3
+	VPCMPEQQ (R14)(CX*1), Y15, Y4 // the outputs that are +0
+	VPANDN   (R14), Y4, Y3        // the coefficients, +0 there
 	COMPRESS
 	ADDQ    $32, R14
 	DECQ    BX
@@ -486,14 +534,15 @@ dwnext:
 	VZEROUPPER
 	RET
 
-// func convListsAVX2(grad *float64, ldg, groups, tail, n, ldw int, off *int, val *float64, cnt *int, ldl int)
+// func convListsAVX2(grad *float64, ldg, groups, tail, n, ldw int, off *int, val *float64, cnt *int, ldl int, out *float64)
 //
-// Per position, groups groups of four filters are gathered from the column
-// and listed by COMPRESS; the tail of one to three is gathered into the low
-// lanes of zeros, which the compare drops. A store of four lanes at count n
+// Per position, groups groups of four filters are gathered from the column,
+// masked by the same elements of out as convDWAVX2 masks them, and listed
+// by COMPRESS; the tail of one to three is gathered into the low lanes of
+// zeros, which the compare drops. A store of four lanes at count n
 // <= 4i for group i stays inside the list's ldl bytes, which hold the filter
 // count rounded up to four.
-TEXT ·convListsAVX2(SB), NOSPLIT, $0-80
+TEXT ·convListsAVX2(SB), NOSPLIT, $0-88
 	MOVQ grad+0(FP), R14
 	MOVQ ldg+8(FP), R8
 	LEAQ (R8)(R8*2), R9
@@ -514,11 +563,21 @@ listpos:
 	JZ      listtail
 
 listgroup:
+	MOVQ        out+80(FP), AX   // every register is taken across the loop,
+	SUBQ        grad+0(FP), AX   // so out - grad is read again each time:
+	ADDQ        SI, AX           // AX is the column's outputs
 	VMOVSD      (SI), X3
 	VMOVHPD     (SI)(R8*1), X3, X3
 	VMOVSD      (SI)(R8*2), X4
 	VMOVHPD     (SI)(R9*1), X4, X4
 	VINSERTF128 $1, X4, Y3, Y3
+	VMOVSD      (AX), X5
+	VMOVHPD     (AX)(R8*1), X5, X5
+	VMOVSD      (AX)(R8*2), X6
+	VMOVHPD     (AX)(R9*1), X6, X6
+	VINSERTF128 $1, X6, Y5, Y5
+	VPCMPEQQ    Y5, Y15, Y5
+	VPANDN      Y3, Y5, Y3
 	COMPRESS
 	LEAQ        (SI)(R8*4), SI
 	DECQ        CX
@@ -528,16 +587,25 @@ listtail:
 	MOVQ   tail+24(FP), CX
 	TESTQ  CX, CX
 	JZ     listdone
+	MOVQ   out+80(FP), AX
+	SUBQ   grad+0(FP), AX
+	ADDQ   SI, AX
 	VMOVSD (SI), X3
+	VMOVSD (AX), X5
 	CMPQ   CX, $1
 	JEQ    listlast
 	VMOVHPD (SI)(R8*1), X3, X3
+	VMOVHPD (AX)(R8*1), X5, X5
 	CMPQ    CX, $2
 	JEQ     listlast
 	VMOVSD      (SI)(R8*2), X4
 	VINSERTF128 $1, X4, Y3, Y3
+	VMOVSD      (AX)(R8*2), X6
+	VINSERTF128 $1, X6, Y5, Y5
 
 listlast:
+	VPCMPEQQ Y5, Y15, Y5
+	VPANDN   Y3, Y5, Y3
 	COMPRESS
 
 listdone:
@@ -715,5 +783,68 @@ gquad:
 	JMP  gpix
 
 gdone:
+	VZEROUPPER
+	RET
+
+// func convRowSumsAVX2(grad, out *float64, groups, quads, ld int, acc *float64)
+//
+// dB's sums: for each of groups groups of four rows of G (ld BYTES apart,
+// quads*4 positions each), acc[f] += G[f][0] + G[f][1] + ... left to right,
+// each coefficient masked by the same element of out as convDWAVX2 masks
+// it. The four rows' sums are the four lanes of Y0: four positions of each
+// row are loaded, masked, and transposed into four vectors of one position
+// each (VUNPCKLPD/VUNPCKHPD, then VPERM2F128), which Y0 adds in position
+// order, the sum the add's first source — each lane one row's chain of adds
+// in addRowSumsGo's order.
+TEXT ·convRowSumsAVX2(SB), NOSPLIT, $0-48
+	MOVQ   grad+0(FP), SI
+	MOVQ   out+8(FP), DI
+	MOVQ   groups+16(FP), BX
+	MOVQ   ld+32(FP), R8
+	MOVQ   acc+40(FP), DX
+	LEAQ   (R8)(R8*2), R9 // 3*ld
+	SUBQ   SI, DI         // out - grad
+	VPXOR  Y15, Y15, Y15
+
+sumgroup:
+	VMOVUPD (DX), Y0
+	MOVQ    SI, AX
+	MOVQ    quads+24(FP), CX
+
+sumquad:
+	VMOVUPD      (AX), Y1
+	VMOVUPD      (AX)(R8*1), Y2
+	VMOVUPD      (AX)(R8*2), Y3
+	VMOVUPD      (AX)(R9*1), Y4
+	LEAQ         (AX)(DI*1), R10
+	VPCMPEQQ     (R10), Y15, Y5
+	VPCMPEQQ     (R10)(R8*1), Y15, Y6
+	VPCMPEQQ     (R10)(R8*2), Y15, Y7
+	VPCMPEQQ     (R10)(R9*1), Y15, Y8
+	VPANDN       Y1, Y5, Y1
+	VPANDN       Y2, Y6, Y2
+	VPANDN       Y3, Y7, Y3
+	VPANDN       Y4, Y8, Y4
+	VUNPCKLPD    Y2, Y1, Y5     // (r0[0], r1[0], r0[2], r1[2])
+	VUNPCKHPD    Y2, Y1, Y6     // (r0[1], r1[1], r0[3], r1[3])
+	VUNPCKLPD    Y4, Y3, Y7     // (r2[0], r3[0], r2[2], r3[2])
+	VUNPCKHPD    Y4, Y3, Y8     // (r2[1], r3[1], r2[3], r3[3])
+	VPERM2F128   $0x20, Y7, Y5, Y1
+	VPERM2F128   $0x20, Y8, Y6, Y2
+	VPERM2F128   $0x31, Y7, Y5, Y3
+	VPERM2F128   $0x31, Y8, Y6, Y4
+	VADDPD       Y1, Y0, Y0
+	VADDPD       Y2, Y0, Y0
+	VADDPD       Y3, Y0, Y0
+	VADDPD       Y4, Y0, Y0
+	ADDQ         $32, AX
+	DECQ         CX
+	JNZ          sumquad
+
+	VMOVUPD Y0, (DX)
+	ADDQ    $32, DX
+	LEAQ    (SI)(R8*4), SI
+	DECQ    BX
+	JNZ     sumgroup
 	VZEROUPPER
 	RET

@@ -6,15 +6,19 @@ package tensor
 // and unframe copy row by row, MaxPool runs poolImageGo, and Direct is false,
 // so Convolve and ConvGrad always run the lowered path.
 
-func convolveDirect(pw padWalk, w *Matrix, bias, pad, out []float64) {
+func convolveDirect(pw padWalk, w *Matrix, bias, pad, out []float64, relu bool) {
 	panic("tensor: no direct convolution kernel in this build")
 }
 
-func (g *ConvGrad) directDW(pw padWalk, grad, pad, dw []float64) {
+func (g *ConvGrad) directDW(pw padWalk, grad, out, pad, dw []float64) {
 	panic("tensor: no direct conv backward kernel in this build")
 }
 
-func (g *ConvGrad) directDX(grad, dIn []float64) {
+func (g *ConvGrad) directDB(grad, out, dB []float64) {
+	panic("tensor: no direct conv backward kernel in this build")
+}
+
+func (g *ConvGrad) directDX(grad, out, dIn []float64) {
 	panic("tensor: no direct conv backward kernel in this build")
 }
 

@@ -15,7 +15,9 @@ import (
 // the compiler, so there the reference only demands a NaN — and on the
 // kernel, which fixes the order (the pad value first in a product, the
 // running sum first in an add), the element must be convolveModel's exactly.
-func convTwin(t *testing.T, s ConvShape, nf int, img, weights, bias []float64) {
+// With relu the reference and the model are those sums through reluGo, and
+// Convolve folds the ReLU in.
+func convTwin(t *testing.T, s ConvShape, nf int, img, weights, bias []float64, relu bool) {
 	t.Helper()
 	p, l := s.OutHeight()*s.OutWidth(), s.PatchLen()
 	w := &Matrix{Rows: nf, Cols: l, Data: weights}
@@ -30,6 +32,10 @@ func convTwin(t *testing.T, s ConvShape, nf int, img, weights, bias []float64) {
 		}
 	}
 	model, twoNaNs := convolveModel(x, w, bias)
+	if relu {
+		reluGo(want, want)
+		reluGo(model, model)
+	}
 
 	padWhole := filled(s.PadLen()+5, valSentinel)
 	pad := padWhole[:s.PadLen()]
@@ -43,7 +49,7 @@ func convTwin(t *testing.T, s ConvShape, nf int, img, weights, bias []float64) {
 		patches = NewMatrix(p, l)
 		Fill(patches.Data, math.NaN())
 	}
-	Convolve(s, w, bias, img, pad, patches, out)
+	Convolve(s, w, bias, img, pad, patches, out, relu)
 	for i, g := range out {
 		gb, wb, mb := math.Float64bits(g), math.Float64bits(want[i]), math.Float64bits(model[i])
 		switch {
@@ -51,11 +57,11 @@ func convTwin(t *testing.T, s ConvShape, nf int, img, weights, bias []float64) {
 			t.Fatalf("Convolve %+v F=%d: the model says out[%d] = %#x, the reference %#x: the test's model is wrong",
 				s, nf, i, mb, wb)
 		case gb != wb && (!twoNaNs[i] || !math.IsNaN(g) || !math.IsNaN(want[i])):
-			t.Fatalf("Convolve %+v F=%d (%s): out[%d] = %#x, the lowered product %#x",
-				s, nf, Kernels(), i, gb, wb)
+			t.Fatalf("Convolve %+v F=%d relu=%v (%s): out[%d] = %#x, the lowered product %#x",
+				s, nf, relu, Kernels(), i, gb, wb)
 		case s.Direct() && gb != mb:
-			t.Fatalf("Convolve %+v F=%d: out[%d] = %#x where two NaNs met, the kernel's operand order gives %#x",
-				s, nf, i, gb, mb)
+			t.Fatalf("Convolve %+v F=%d relu=%v: out[%d] = %#x where two NaNs met, the kernel's operand order gives %#x",
+				s, nf, relu, i, gb, mb)
 		}
 	}
 	intactPast(t, "Convolve's out", outWhole, len(out), valSentinel)
@@ -161,7 +167,9 @@ func TestConvolveMatchesLoweredProduct(t *testing.T) {
 				if plant > 0 {
 					plantConvSpecials(img, weights, bias, plant)
 				}
-				convTwin(t, c.s, c.nf, img, weights, bias)
+				for _, relu := range []bool{false, true} {
+					convTwin(t, c.s, c.nf, img, weights, bias, relu)
+				}
 			}
 		}
 	})
@@ -193,10 +201,10 @@ func plantConvSpecials(img, weights, bias []float64, seed int) {
 	}
 }
 
-// FuzzConvolveTwin runs convTwin on both tiers over C 1-8, H 1-9, W 1-13,
-// K 1-5, stride 1-2, pad 0-2 and 1-9 filters (shapes without an output are
-// skipped), the image, the weights and the bias cycling through the
-// fuzzer's raw float64 words.
+// FuzzConvolveTwin runs convTwin on both tiers, with and without the folded
+// ReLU, over C 1-8, H 1-9, W 1-13, K 1-5, stride 1-2, pad 0-2 and 1-9
+// filters (shapes without an output are skipped), the image, the weights and
+// the bias cycling through the fuzzer's raw float64 words.
 func FuzzConvolveTwin(f *testing.F) {
 	specials := []float64{math.Float64frombits(0x7FF8000000000123), math.Float64frombits(0xFFF4000000000456),
 		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1.5, -2.25, 5e-324, math.MaxFloat64}
@@ -233,7 +241,11 @@ func FuzzConvolveTwin(f *testing.F) {
 				n++
 			}
 		}
-		eachTier(t, func(t *testing.T) { convTwin(t, s, filters, img, weights, bias) })
+		eachTier(t, func(t *testing.T) {
+			for _, relu := range []bool{false, true} {
+				convTwin(t, s, filters, img, weights, bias, relu)
+			}
+		})
 	})
 }
 

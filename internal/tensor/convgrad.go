@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // ConvGrad is one conv layer's backward pass, one sample at a time: with G
 // the sample's F x P output gradient (its channel-major gradient row, read as
 // the matrix it is), X its P x L patches and W the F x L filters, Sample
@@ -46,6 +48,10 @@ type ConvGrad struct {
 	// ((k*quads + q)*convSlots + slot)*4 + i: a gather reads four adjacent
 	// slots of one k and quad as four adjacent vectors.
 	ring []float64
+	// masked is one sample's G masked by the output (Sample), F x P, held
+	// where a product reads G as a matrix — the lowered dW or dIn; the list
+	// kernels mask as they list and need none.
+	masked []float64
 }
 
 // directDX reports whether ConvGrad computes the input gradient without
@@ -100,6 +106,9 @@ func (g *ConvGrad) Load(s ConvShape, w *Matrix, wantDIn bool) {
 	case g.dx == nil:
 		g.dx, g.dPad = NewMatrix(p, l), make([]float64, s.PadLen())
 	}
+	if g.masked == nil && (!s.Direct() || wantDIn && !s.directDX()) {
+		g.masked = make([]float64, w.Rows*p)
+	}
 }
 
 // listLen is the room one position's filter list takes: the filter count
@@ -115,32 +124,95 @@ func convSlots(s ConvShape) int { return s.OutWidth() + 4 }
 // is its F x P output gradient, img its input image, pad Convolve's padded
 // image (length PadLen, border zero: Sample frames img into its interior),
 // x the P x L patches matrix the lowered dW needs (nil where s.Direct()
-// holds). dW accumulates G*X; dIn, nil when the pass does not want it,
-// becomes Zero + Col2Im(G^T*W).
-func (g *ConvGrad) Sample(grad, img, pad []float64, x, dW *Matrix, dIn []float64) {
+// holds). dW accumulates G*X, dB (one element per filter) G's row sums,
+// each row added left to right onto its element (addRowSumsGo); dIn, nil
+// when the pass does not want it, becomes Zero + Col2Im(G^T*W).
+//
+// out, when not nil, is the sample's output as Convolve stored it with relu
+// (F x P): G is then ReLUGrad(grad, out) — grad where out is anything but +0,
+// +0 elsewhere — which is the input gradient of the ReLU the conv folded. The
+// list kernels take each coefficient masked as they list it, so a
+// coefficient is skipped exactly where that G holds an exact zero and the
+// terms are its terms; a lowered product takes G from the scratch masked.
+func (g *ConvGrad) Sample(grad, out, img, pad []float64, x, dW *Matrix, dB, dIn []float64) {
 	s, nf := g.s, g.w.Rows
 	p := s.OutHeight() * s.OutWidth()
-	if len(grad) != nf*p || dW.Rows != nf || dW.Cols != g.w.Cols || len(img) != s.Channels*s.Height*s.Width {
+	if len(grad) != nf*p || dW.Rows != nf || dW.Cols != g.w.Cols || len(dB) != nf || len(img) != s.Channels*s.Height*s.Width {
 		panic("tensor: ConvGrad.Sample shape mismatch")
 	}
 	if (dIn != nil) != g.wantDIn || dIn != nil && len(dIn) != len(img) {
 		panic("tensor: ConvGrad.Sample input gradient does not match the Load")
 	}
+	if out != nil && len(out) != len(grad) {
+		panic("tensor: ConvGrad.Sample output length mismatch")
+	}
+	if out != nil && g.masked != nil {
+		ReLUGrad(g.masked, grad, out)
+		grad, out = g.masked, nil
+	}
 	gm := Matrix{Rows: nf, Cols: p, Data: grad}
 	if s.Direct() {
 		pw := s.walk("ConvGrad", pad)
 		s.frame(img, pad)
-		g.directDW(pw, grad, pad, dW.Data)
+		g.directDB(grad, out, dB)
+		g.directDW(pw, grad, out, pad, dW.Data)
 	} else {
+		addRowSumsGo(grad, dB)
 		Lower(s, img, pad, x)
 		Gemm(1, &gm, x, 1, dW) // dW += G * X
 	}
 	switch {
 	case dIn == nil:
 	case s.directDX():
-		g.directDX(grad, dIn)
+		g.directDX(grad, out, dIn)
 	default:
 		GemmTA(1, &gm, &g.w, 0, g.dx) // dX = G^T * W, beta=0 overwrites
 		Raise(s, g.dx, g.dPad, dIn)
+	}
+}
+
+// addRowSumsGo adds each of the len(acc) rows of g into its element of acc,
+// left to right from the value already in acc. Four rows advance together: a
+// row's sum is one dependent chain of adds, and four independent chains keep
+// the adder busy instead of waiting on it.
+func addRowSumsGo(g, acc []float64) {
+	n := len(g) / len(acc)
+	row := func(f int) []float64 { return g[f*n : (f+1)*n : (f+1)*n] }
+	f := 0
+	for ; f+4 <= len(acc); f += 4 {
+		r0, r1, r2, r3 := row(f), row(f+1), row(f+2), row(f+3)
+		s0, s1, s2, s3 := acc[f], acc[f+1], acc[f+2], acc[f+3]
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		acc[f], acc[f+1], acc[f+2], acc[f+3] = s0, s1, s2, s3
+	}
+	for ; f < len(acc); f++ {
+		s := acc[f]
+		for _, v := range row(f) {
+			s += v
+		}
+		acc[f] = s
+	}
+}
+
+// maskedRowSumsGo is addRowSumsGo with each element of g masked by the same
+// element of out as ReLUGrad masks it, a row at a time: the kernels' sums for
+// the rows that do not fill a group of four.
+func maskedRowSumsGo(g, out, acc []float64) {
+	if len(acc) == 0 {
+		return
+	}
+	n := len(g) / len(acc)
+	for f := range acc {
+		s, o := acc[f], out[f*n:(f+1)*n]
+		for j, v := range g[f*n : (f+1)*n] {
+			b := math.Float64bits(o[j])
+			s += math.Float64frombits(math.Float64bits(v) & uint64(-int64((b|-b)>>63)))
+		}
+		acc[f] = s
 	}
 }

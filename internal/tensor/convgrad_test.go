@@ -21,13 +21,22 @@ const convGradSamples = 2
 // a product or an add of an element meets two NaNs, the reference only
 // demands a NaN (the Go loops leave the payload to the compiler); on the
 // direct kernels, whose operand order is fixed, the element must be
-// convGradModel's exactly.
+// convGradModel's exactly. Where outs holds the samples' outputs, Sample
+// masks by them (a folded ReLU) and the reference and the model take G as
+// reluGradGo leaves it; outs nil passes no mask.
 func convGradTwin(t *testing.T, s ConvShape, nf int, wantDIn bool, weights, dW0, dB0 []float64,
-	imgs, grads [convGradSamples][]float64) {
+	imgs, grads, outs [convGradSamples][]float64) {
 	t.Helper()
 	p, l := s.OutHeight()*s.OutWidth(), s.PatchLen()
 	w := &Matrix{Rows: nf, Cols: l, Data: weights}
 	nIn := s.Channels * s.Height * s.Width
+	given := grads
+	if outs[0] != nil {
+		for i := range grads {
+			grads[i] = make([]float64, len(given[i]))
+			reluGradGo(grads[i], given[i], outs[i])
+		}
+	}
 
 	wantDW := append([]float64(nil), dW0...)
 	var refDIn [convGradSamples][]float64
@@ -44,6 +53,21 @@ func convGradTwin(t *testing.T, s ConvShape, nf int, wantDIn bool, weights, dW0,
 		}
 	}
 	modelDW, modelDIn, metDW, metDIn := convGradModel(s, w, dW0, imgs, grads)
+	// dB: each row of each sample's G added onto its element left to right,
+	// every coefficient, zeros too; the model as convGradModel's adds.
+	wantDB, modelDB, metDB := append([]float64(nil), dB0...), append([]float64(nil), dB0...), make([]bool, nf)
+	for i := range grads {
+		for f := range wantDB {
+			for _, v := range grads[i][f*p : (f+1)*p] {
+				wantDB[f] += v
+				if math.IsNaN(modelDB[f]) && math.IsNaN(v) {
+					metDB[f], modelDB[f] = true, math.Float64frombits(math.Float64bits(modelDB[f])|1<<51)
+				} else {
+					modelDB[f] += v
+				}
+			}
+		}
+	}
 
 	var cg ConvGrad
 	cg.Load(s, w, wantDIn)
@@ -61,6 +85,10 @@ func convGradTwin(t *testing.T, s ConvShape, nf int, wantDIn bool, weights, dW0,
 		x = NewMatrix(p, l)
 		Fill(x.Data, math.NaN())
 	}
+	var kept [2][convGradSamples][]float64 // copies: Sample reads grad and out, never writes them
+	for i := range imgs {
+		kept[0][i], kept[1][i] = append([]float64(nil), given[i]...), append([]float64(nil), outs[i]...)
+	}
 	for i := range imgs {
 		dInWhole := filled(nIn+5, valSentinel)
 		var dIn []float64
@@ -68,16 +96,21 @@ func convGradTwin(t *testing.T, s ConvShape, nf int, wantDIn bool, weights, dW0,
 			dIn = dInWhole[:nIn]
 			Fill(dIn, math.NaN())
 		}
-		cg.Sample(grads[i], imgs[i], pad, x, dW, dIn)
+		cg.Sample(given[i], outs[i], imgs[i], pad, x, dW, params[nf*l:nf*l+nf], dIn)
 		if wantDIn {
 			checkConvGrad(t, s, nf, "dIn", dIn, refDIn[i], modelDIn[i], metDIn[i], s.directDX())
 		}
 		intactPast(t, "ConvGrad's dIn", dInWhole, len(dIn), valSentinel)
 	}
-	checkConvGrad(t, s, nf, "dW", dW.Data, wantDW, modelDW, metDW, s.Direct())
-	if i, ok := bitsEqual(params[nf*l:nf*l+nf], dB0); !ok {
-		t.Fatalf("ConvGrad %+v F=%d (%s): dB[%d] written", s, nf, Kernels(), i)
+	for i := range imgs {
+		for k, vs := range [][]float64{given[i], outs[i]} {
+			if j, ok := bitsEqual(vs, kept[k][i]); !ok {
+				t.Fatalf("ConvGrad %+v: Sample wrote sample %d's %s at %d", s, i, []string{"gradient", "output"}[k], j)
+			}
+		}
 	}
+	checkConvGrad(t, s, nf, "dW", dW.Data, wantDW, modelDW, metDW, s.Direct())
+	checkConvGrad(t, s, nf, "dB", params[nf*l:nf*l+nf], wantDB, modelDB, metDB, s.Direct())
 	intactPast(t, "ConvGrad's dW and dB", params, nf*l+nf, valSentinel)
 	intactPast(t, "ConvGrad's pad", padWhole, len(pad), valSentinel)
 	intact(t)
@@ -129,6 +162,7 @@ func tailScratch(cg *ConvGrad) func(t *testing.T) {
 	floats("val", &cg.val)
 	floats("ring", &cg.ring)
 	floats("dPad", &cg.dPad)
+	floats("masked", &cg.masked)
 	ints("table", &cg.table)
 	ints("off", &cg.off)
 	ints("cnt", &cg.cnt)
@@ -265,19 +299,42 @@ func TestConvGradMatchesLoweredPath(t *testing.T) {
 						plantConvSpecials(imgs[i], weights, grads[i], plant+i)
 					}
 				}
-				for _, wantDIn := range []bool{false, true} {
-					convGradTwin(t, c.s, c.nf, wantDIn, weights, dW0, dB0, imgs, grads)
+				for _, outs := range [][convGradSamples][]float64{{}, reluOutputs(&r, grads, plant)} {
+					for _, wantDIn := range []bool{false, true} {
+						convGradTwin(t, c.s, c.nf, wantDIn, weights, dW0, dB0, imgs, grads, outs)
+					}
 				}
 			}
 		}
 	})
 }
 
+// reluOutputs returns an output for each sample of grads as a folded ReLU
+// leaves it, with what else the mask must tell apart: half of it +0, the
+// rest fillParity's values (-0 among them, which the mask passes), and from
+// plant 1 on NaNs, infinities and -0 planted over a stride.
+func reluOutputs(r *parityRNG, grads [convGradSamples][]float64, plant int) (outs [convGradSamples][]float64) {
+	for i, g := range grads {
+		outs[i] = make([]float64, len(g))
+		fillParity(r, outs[i])
+		for j := range outs[i] {
+			if r.next() < 0 {
+				outs[i][j] = 0
+			}
+		}
+		if plant > 0 {
+			plantConvSpecials(outs[i], nil, nil, plant)
+		}
+	}
+	return outs
+}
+
 // FuzzConvGradTwin runs convGradTwin on both tiers, with and without the
-// input gradient, over C 1-12, H 1-9, W 1-13, K 1-5, stride 1-2, pad 0-2
-// and 1-9 filters (shapes without an output are skipped), the image, G, W,
-// dW and dB cycling through the fuzzer's raw float64 words, and a share of
-// G zeroed by the fuzzer's mask.
+// input gradient and with and without a folded ReLU's mask, over C 1-12,
+// H 1-9, W 1-13, K 1-5, stride 1-2, pad 0-2 and 1-9 filters (shapes without
+// an output are skipped), the image, G, W, dW, dB and the outputs cycling
+// through the fuzzer's raw float64 words, and a share of G and of the
+// outputs zeroed by the fuzzer's mask.
 func FuzzConvGradTwin(f *testing.F) {
 	specials := []float64{math.Float64frombits(0x7FF8000000000123), math.Float64frombits(0xFFF4000000000456),
 		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0, 1.5, -2.25, 5e-324, math.MaxFloat64}
@@ -324,9 +381,20 @@ func FuzzConvGradTwin(f *testing.F) {
 				}
 			}
 		}
+		var outs [convGradSamples][]float64 // raw words too, a share +0 by the mask's other bits
+		for i := range outs {
+			outs[i] = make([]float64, len(grads[i]))
+			for j := range outs[i] {
+				if outs[i][j] = next(); zeros>>((j+i+32)%64)&1 != 0 {
+					outs[i][j] = 0
+				}
+			}
+		}
 		eachTier(t, func(t *testing.T) {
-			for _, wantDIn := range []bool{false, true} {
-				convGradTwin(t, s, filters, wantDIn, weights, dW0, dB0, imgs, grads)
+			for _, folded := range [][convGradSamples][]float64{{}, outs} {
+				for _, wantDIn := range []bool{false, true} {
+					convGradTwin(t, s, filters, wantDIn, weights, dW0, dB0, imgs, grads, folded)
+				}
 			}
 		})
 	})

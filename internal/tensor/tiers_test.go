@@ -314,21 +314,31 @@ func TestMaskHelpersPanicOnMismatch(t *testing.T) {
 	w, x := NewMatrix(3, s.PatchLen()), NewMatrix(16, s.PatchLen())
 	img, pad, out := make([]float64, 32), make([]float64, s.PadLen()), make([]float64, 48)
 	for name, f := range map[string]func(){
-		"ReLU":           func() { ReLU(make([]float64, 3), make([]float64, 4)) },
-		"ReLUGrad/grad":  func() { ReLUGrad(make([]float64, 4), make([]float64, 3), make([]float64, 4)) },
-		"ReLUGrad/dst":   func() { ReLUGrad(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
-		"Axpy":           func() { Axpy(1, make([]float64, 5), make([]float64, 4)) },
-		"Sub/b":          func() { Sub(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
-		"Sub/dst":        func() { Sub(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
-		"Add":            func() { Add(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
-		"KeepDigit":      func() { KeepDigit(make([]uint64, 3), make([]float64, 4), 0) },
-		"EmitAbove":      func() { EmitAbove(make([]int32, 3), make([]float64, 4), make([]float64, 4), 0) },
-		"FillTies":       func() { FillTies(make([]int32, 4), make([]float64, 3), 0, make([]float64, 4), 0) },
-		"Convolve/bias":  func() { Convolve(s, w, make([]float64, 2), img, pad, x, out) },
-		"Convolve/out":   func() { Convolve(s, w, make([]float64, 3), img, pad, x, out[:47]) },
-		"Convolve/w":     func() { Convolve(s, NewMatrix(3, 9), make([]float64, 3), img, pad, x, out) },
-		"Convolve/img":   func() { Convolve(s, w, make([]float64, 3), img[:31], pad, x, out) },
-		"Convolve/pad":   func() { Convolve(s, w, make([]float64, 3), img, pad[1:], x, out) },
+		"ReLU":          func() { ReLU(make([]float64, 3), make([]float64, 4)) },
+		"ReLUGrad/grad": func() { ReLUGrad(make([]float64, 4), make([]float64, 3), make([]float64, 4)) },
+		"ReLUGrad/dst":  func() { ReLUGrad(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
+		"Axpy":          func() { Axpy(1, make([]float64, 5), make([]float64, 4)) },
+		"Sub/b":         func() { Sub(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
+		"Sub/dst":       func() { Sub(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
+		"Add":           func() { Add(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
+		"KeepDigit":     func() { KeepDigit(make([]uint64, 3), make([]float64, 4), 0) },
+		"EmitAbove":     func() { EmitAbove(make([]int32, 3), make([]float64, 4), make([]float64, 4), 0) },
+		"FillTies":      func() { FillTies(make([]int32, 4), make([]float64, 3), 0, make([]float64, 4), 0) },
+		"Convolve/bias": func() { Convolve(s, w, make([]float64, 2), img, pad, x, out, false) },
+		"Convolve/out":  func() { Convolve(s, w, make([]float64, 3), img, pad, x, out[:47], true) },
+		"Convolve/w":    func() { Convolve(s, NewMatrix(3, 9), make([]float64, 3), img, pad, x, out, false) },
+		"Convolve/img":  func() { Convolve(s, w, make([]float64, 3), img[:31], pad, x, out, true) },
+		"Convolve/pad":  func() { Convolve(s, w, make([]float64, 3), img, pad[1:], x, out, false) },
+		"ConvGrad/out": func() {
+			var g ConvGrad
+			g.Load(s, w, false)
+			g.Sample(out, out[:47], img, pad, x, NewMatrix(3, s.PatchLen()), make([]float64, 3), nil)
+		},
+		"ConvGrad/dB": func() {
+			var g ConvGrad
+			g.Load(s, w, false)
+			g.Sample(out, nil, img, pad, x, NewMatrix(3, s.PatchLen()), make([]float64, 2), nil)
+		},
 		"MaxPool/width":  func() { MaxPool(make([]float64, 24), 3, make([]float64, 6), make([]int, 6)) },
 		"MaxPool/rows":   func() { MaxPool(make([]float64, 20), 4, make([]float64, 5), make([]int, 5)) },
 		"MaxPool/dst":    func() { MaxPool(make([]float64, 32), 4, make([]float64, 7), make([]int, 8)) },
