@@ -293,3 +293,43 @@ func TestEvaluationBuffersAreChunkSized(t *testing.T) {
 		walk(m.net.layers)
 	}
 }
+
+// TestTrainingHoldsNoConvReLUBuffers: after one LossGrad at batch 16 a zoo
+// network keeps no batch-sized buffer for a ReLU after a conv or a residual
+// block — the fold (foldReLU) took the two each such ReLU held, which were
+// 5.6 of the conv_pasgd workload's 16.4 MB alloc_mb. Every ReLU layer left
+// follows a Dense, and a Conv2D or Residual holds no buffer of a batch of
+// its output width but the ones it held before the fold: its output, its
+// input gradient and (Conv2D) the input it keeps, besides ConvGrad's view
+// of the filters, which is the parameter vector's.
+func TestTrainingHoldsNoConvReLUBuffers(t *testing.T) {
+	allowed := map[string]bool{"Conv2D.outBuf": true, "Conv2D.dInBuf": true, "Conv2D.lastIn": true,
+		"Conv2D.grad.w.Data": true, "Residual.outBuf": true, "Residual.dInBuf": true}
+	for _, m := range zooModels() {
+		m.net.LossGrad(m.batch(16, 85), make([]float64, m.net.ParamLen()))
+		var walk func(ls []Layer)
+		walk = func(ls []Layer) {
+			for i, l := range ls {
+				switch l := l.(type) {
+				case *ReLU:
+					if _, dense := ls[max(i-1, 0)].(*Dense); i == 0 || !dense {
+						t.Errorf("%s layer %d: a ReLU of its own after %T", m.name, i, ls[max(i-1, 0)])
+					}
+					continue
+				case *Residual:
+					walk(l.inner)
+				case *Conv2D:
+				default:
+					continue
+				}
+				for field, buf := range buffers(l) {
+					if buf.Cap() >= 16*l.OutDim() && !allowed[field] {
+						t.Errorf("%s layer %d: %s holds %d elements, a batch of 16 at width %d",
+							m.name, i, field, buf.Cap(), l.OutDim())
+					}
+				}
+			}
+		}
+		walk(m.net.layers)
+	}
+}

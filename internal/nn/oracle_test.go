@@ -320,13 +320,18 @@ func TestLossGradSteadyStateAllocFree(t *testing.T) {
 
 // TestCloneSharesNoScratch: a clone is a worker's own copy, so after both
 // nets have run a training step and an evaluation, no buffer either layer
-// holds — forward caches, patches, padded images, arenas — shares a backing
-// array with its twin's (two workers' steps would race through it).
+// holds — forward caches, patches, padded images, arenas, the masked G a
+// folded ReLU's lowered backward keeps — shares a backing array with its
+// twin's (two workers' steps would race through it). The third net's first
+// conv lowers on either tier (stride 2), so that scratch is among them.
 func TestCloneSharesNoScratch(t *testing.T) {
 	shape := data.ImageShape{Channels: 1, Height: 8, Width: 8}
+	seen := map[string]bool{}
 	for name, net := range map[string]*Network{
 		"VGGNano":    NewVGGNano(shape, 10),
 		"ResNetNano": NewResNetNano(shape, 10),
+		"lowered": NewNetwork(SoftmaxCrossEntropy{}, 10,
+			NewConv2D(1, 8, 8, 3, 2, 1, 4), NewReLU(64), NewConv2D(4, 4, 4, 3, 1, 1, 4), NewReLU(64), NewDense(64, 10)),
 	} {
 		net.InitParams(rng.New(47))
 		clone := net.Clone()
@@ -343,6 +348,7 @@ func TestCloneSharesNoScratch(t *testing.T) {
 				}
 				theirs := buffers(cloned[li])
 				for field, buf := range buffers(l) {
+					seen[field] = seen[field] || buf.Len() > 0
 					if p := buf.UnsafePointer(); p != nil && theirs[field].UnsafePointer() == p {
 						t.Errorf("%s layer %d %s: the clone shares its backing array", name, li, field)
 					}
@@ -350,6 +356,9 @@ func TestCloneSharesNoScratch(t *testing.T) {
 			}
 		}
 		walk(net.layers, clone.layers)
+	}
+	if !seen["Conv2D.grad.masked"] {
+		t.Errorf("no network held a masked G: the check does not cover it (fields seen: %v)", seen)
 	}
 }
 

@@ -136,3 +136,98 @@ func TestAllocGatesHoldOnBothTiers(t *testing.T) {
 		}
 	})
 }
+
+// TestFoldedReLUMatchesSeparateLayer: a Conv2D or a Residual into which
+// NewNetwork folded the ReLU after it computes, on either tier, what the
+// same layer followed by a separate ReLU layer computes — the forward
+// output, dW and dB (from a planted start) and the input gradient, bit for
+// bit — over convs the direct kernels take (the trunk, VGG's first conv,
+// six filters: a row tail for dB's sums) and ones they decline (stride 2, a
+// 5x5 kernel), and a residual block. Activations and output gradients carry
+// NaNs of two payloads, -0 and ±Inf, and exact zeros. Neither pass writes
+// its input, and nothing is written past the parameter gradient.
+func TestFoldedReLUMatchesSeparateLayer(t *testing.T) {
+	conv := func(c, h, w, k, stride, pad, f int) func() nn.Layer {
+		return func() nn.Layer { return nn.NewConv2D(c, h, w, k, stride, pad, f) }
+	}
+	cases := []struct {
+		name  string
+		layer func() nn.Layer // a fresh layer, no ReLU folded in
+	}{
+		{"trunk conv", conv(8, 8, 8, 3, 1, 1, 8)},
+		{"VGG conv1", conv(1, 8, 8, 3, 1, 1, 8)},
+		{"six filters", conv(4, 8, 8, 3, 1, 1, 6)},
+		{"stride 2", conv(3, 8, 8, 3, 2, 1, 5)},
+		{"5x5", conv(2, 6, 6, 5, 1, 2, 4)},
+		{"residual block", func() nn.Layer {
+			c := nn.NewConv2D(8, 8, 8, 3, 1, 1, 8)
+			return nn.NewResidual(c, nn.NewReLU(c.OutDim()), nn.NewConv2D(8, 8, 8, 3, 1, 1, 8))
+		}},
+	}
+	specials := []float64{math.Float64frombits(0x7FF8000000000123), math.Float64frombits(0xFFF4000000000456),
+		math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	plant := func(v []float64, stride int) {
+		for j := stride / 2; j < len(v); j += stride {
+			v[j] = specials[j%len(specials)]
+		}
+	}
+	const rows, sentinel = 5, -12345.0
+	tensor.EachTier(t, func(t *testing.T) {
+		for _, c := range cases {
+			plain, relu, folded := c.layer(), nn.NewReLU(c.layer().OutDim()), c.layer()
+			nn.NewNetwork(nn.MSE{}, 0, folded, nn.NewReLU(folded.OutDim())) // folds that ReLU into folded
+			r := rng.New(88)
+			params := make([]float64, plain.ParamLen())
+			plain.Init(params, r)
+			for round := 0; round < 3; round++ {
+				in, dOut := tensor.NewMatrix(rows, plain.InDim()), tensor.NewMatrix(rows, plain.OutDim())
+				for _, m := range []*tensor.Matrix{in, dOut} {
+					for i := range m.Data {
+						if m.Data[i] = r.NormFloat64(); r.Float64() < 0.3 {
+							m.Data[i] = 0
+						}
+					}
+					if round > 0 {
+						plant(m.Data, 7*round+3)
+					}
+				}
+				inCopy, dOutCopy := append([]float64(nil), in.Data...), append([]float64(nil), dOut.Data...)
+				want := relu.Forward(nil, plain.Forward(params, in))
+				got := folded.Forward(params, in)
+				sameBits(t, c.name+" forward", got.Data, want.Data)
+
+				n := len(params)
+				dPlain, dFolded := make([]float64, n+4), make([]float64, n+4)
+				for i := range dPlain {
+					dPlain[i], dFolded[i] = sentinel, sentinel
+				}
+				for i := 0; i < n; i++ {
+					dPlain[i] = r.NormFloat64()
+					dFolded[i] = dPlain[i]
+				}
+				wantDIn := plain.Backward(params, relu.Backward(nil, dOut, nil), dPlain[:n])
+				gotDIn := folded.Backward(params, dOut, dFolded[:n])
+				sameBits(t, c.name+" input gradient", gotDIn.Data, wantDIn.Data)
+				sameBits(t, c.name+" parameter gradient and what lies past it", dFolded, dPlain)
+				if dFolded[n] != sentinel {
+					t.Fatalf("%s: written past the parameter gradient", c.name)
+				}
+				sameBits(t, c.name+" input after both passes", in.Data, inCopy)
+				sameBits(t, c.name+" output gradient after the backward", dOut.Data, dOutCopy)
+			}
+		}
+	})
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s (%s): length %d, want %d", what, tensor.Kernels(), len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s (%s): element %d = %v (%#x), want %v (%#x)", what, tensor.Kernels(), i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
