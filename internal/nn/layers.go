@@ -19,7 +19,13 @@ import (
 //
 // One forward per layer. Forward keeps what Backward reads (Dense and
 // Conv2D their input, ReLU/Tanh their output, MaxPool2x2 every winner's
-// index) in buffers sized by the tallest batch seen. Network.Loss and
+// index) in buffers sized by the tallest batch seen. A ReLU right after a
+// Conv2D or a Residual is not a layer of its own: NewNetwork and
+// NewResidual fold it into that layer (foldReLU), whose outBuf then holds
+// the ReLU's output and whose Backward masks by it, so the activation and
+// its gradient have one batch-sized buffer each where the pair had two, and
+// are not passed over again; such a Backward must get the rows of its
+// layer's last Forward, and panics otherwise. Network.Loss and
 // Network.Accuracy run the same Forward over evalChunk rows at a time, so a
 // network that only evaluates holds chunk-sized buffers, and an evaluation
 // between a Forward and its Backward overwrites what that Backward reads.
@@ -247,7 +253,9 @@ func (l *Tanh) Clone() Layer { return NewTanh(l.dim) }
 // patches straight from the padded image, and the input gradient (C a
 // multiple of four) comes from per-position rows of G^T*W gathered into the
 // image. Every other shape, and the Go tier, lowers X and runs GemmTB, Gemm,
-// GemmTA and Raise — the same sums, bit for bit (the package comment).
+// GemmTA and Raise — the same sums, bit for bit (the package comment). With
+// a ReLU folded in (foldReLU) Convolve stores ReLU of each sum and ConvGrad
+// masks G by that output as it reads it.
 type Conv2D struct {
 	shape   tensor.ConvShape
 	filters int
@@ -457,7 +465,9 @@ func (m *MaxPool2x2) Clone() Layer { return NewMaxPool2x2(m.channels, m.height, 
 
 // Residual wraps an inner layer stack F with a skip connection:
 // out = in + F(in). Inner input and output dims must match, which is the
-// identity-shortcut residual block of ResNet.
+// identity-shortcut residual block of ResNet. With a ReLU folded in
+// (foldReLU) the sum is rectified in place, and Backward masks its gradient
+// into dInBuf, which the inner layers then read and the skip path adds.
 type Residual struct {
 	inner []Layer
 	relu  bool // a ReLU folded in (foldReLU): outBuf holds its output

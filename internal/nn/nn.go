@@ -80,9 +80,9 @@
 // A sample's output row and its gradient G are read as the F x P matrices
 // they already are (P output positions, L = C*K*K), so no product
 // transposes anything. The forward is out = W*X^T + bias, X the sample's
-// P x L patches, by tensor.Convolve; the backward is dW += G*X and
-// dX = Zero + Col2Im(G^T*W), by tensor.ConvGrad (one Load per Backward, one
-// Sample per sample; dB is addRowSums here). Both copy the image into the
+// P x L patches, by tensor.Convolve; the backward is dB += G's row sums,
+// dW += G*X and dX = Zero + Col2Im(G^T*W), by tensor.ConvGrad (one Load per
+// Backward, one Sample per sample). Both copy the image into the
 // interior of a zero-bordered scratch image (pad). On the AVX2 tier, for a
 // 3x3 stride-1 conv whose output width is a multiple of four (every conv of
 // the zoo), neither builds X: the forward's sums, and dW's, read the patch
@@ -116,6 +116,26 @@
 // (TestConv2DMatchesTransposingReference: the old transposing path on the
 // naive kernels; TestCloneSharesNoScratch), eval_test.go (the chunk-size
 // bound over every field), and the 0-alloc gates.
+//
+// # The ReLU fold: no layer of its own after a conv or a residual block
+//
+// Every zoo conv but the second of each residual block, and each residual
+// block, feeds a ReLU. NewNetwork and NewResidual fold a ReLU that directly
+// follows a Conv2D or a Residual into that layer (foldReLU; a flag Clone
+// keeps), which rectifies its own output and masks its Backward by
+// ReLUGrad's test on it (pass where the output is not +0). On the direct
+// path the conv tiles store the rectified sums and ConvGrad's kernels AND
+// each coefficient of G with the mask as they list it and sum dB; where a
+// pass lowers, ConvGrad masks one sample's G into its own scratch first;
+// a Residual adds, rectifies in place and masks into its dInBuf. A
+// coefficient is skipped exactly where the separate ReLU's gradient held an
+// exact zero and added wherever that was added, so no bit moves on either
+// tier; what goes is the ReLU's two batch-sized buffers (5.6 of conv_pasgd's
+// 16.4 MB alloc_mb) and its two passes. A ReLU after a Dense (the MLP, VGG's
+// head) or first in a stack stays a layer: GemmTA(dOut, in) would need the
+// masked gradient as a matrix. Held by TestFoldedReLUMatchesSeparateLayer
+// (tensor's stack_tiers_test.go, both tiers), fold_test.go and
+// TestTrainingHoldsNoConvReLUBuffers.
 //
 // Accuracy never counts a row holding a NaN logit: a bare argmax settles on
 // class 0, and a diverged model scored ~1/classes. Loss and Accuracy

@@ -4,11 +4,13 @@ import "math"
 
 // ConvGrad is one conv layer's backward pass, one sample at a time: with G
 // the sample's F x P output gradient (its channel-major gradient row, read as
-// the matrix it is), X its P x L patches and W the F x L filters, Sample
-// computes dW += G*X and, when asked, the input gradient dIn = Zero +
-// Col2Im(G^T*W) — bit for bit what the lowered path computes: Lower, Gemm(G,
-// X), GemmTA(G, W), Raise. That path is what every shape the direct kernels
-// decline runs, on the Go tier all of them, and it is their oracle.
+// the matrix it is, masked by the output where a ReLU is folded in), X its
+// P x L patches and W the F x L filters, Sample computes dB += G's row sums,
+// dW += G*X and, when asked, the input gradient dIn = Zero + Col2Im(G^T*W) —
+// bit for bit what the lowered path computes: ReLUGrad, addRowSumsGo,
+// Lower, Gemm(G, X), GemmTA(G, W), Raise. That path is what every shape the
+// direct kernels decline runs, on the Go tier all of them, and it is their
+// oracle.
 //
 // Where s.Direct() holds, dW is computed from the padded image with no
 // patches matrix: per filter, the non-zero coefficients of G's row are

@@ -1,7 +1,8 @@
 // Package tensor provides the dense linear-algebra substrate for the
 // hand-rolled neural-network stack: float64 vectors and row-major matrices
 // with the handful of BLAS-like kernels (axpy, dot, gemm, im2col, a direct
-// 3x3 convolution and its backward) that mini-batch SGD on MLPs and small CNNs requires, and
+// 3x3 convolution and its backward, a ReLU folded into either) that
+// mini-batch SGD on MLPs and small CNNs requires, and
 // the elementwise loops the layers above spend their time in (ReLU, max-pool,
 // the QSGD wire, top-k's passes, CHOCO's gossip mix, uniform and polar
 // normal draws, the softmax). No cgo.
@@ -140,12 +141,24 @@
 //     before the store, as Lower + GemmTB + the bias loop compute it. F % 4
 //     filters run the one-filter entry; a last lone group of four (P % 8 ==
 //     4) is computed twice into the same four elements, so no store passes
-//     the output. Every shape Direct declines, and the Go tier, runs that
-//     lowered product (convolveLowered), which is also the kernel's oracle.
-//   - convDWAVX2 / convListsAVX2 / convDRowsAVX2 / convGatherAVX2 (ConvGrad,
-//     conv_amd64.s): the conv backward without lowering, on the shapes
-//     Direct accepts (the input gradient also needs C % 4 == 0 and W >= 4:
-//     directDX). dW: convDWAVX2 lists each filter's non-zero G coefficients
+//     the output. With relu (a ReLU the layer folded in) each sum then takes
+//     reluAVX2's six instructions before its store (the RELU macro), so the
+//     stored value is what ReLU would leave. Every shape Direct declines,
+//     and the Go tier, runs that lowered product (convolveLowered) and ReLU
+//     after it, which is also the kernel's oracle.
+//   - convRowSumsAVX2 / convDWAVX2 / convListsAVX2 / convDRowsAVX2 /
+//     convGatherAVX2 (ConvGrad, conv_amd64.s): the conv backward without
+//     lowering, on the shapes Direct accepts (the input gradient also needs
+//     C % 4 == 0 and W >= 4: directDX). G is the output gradient masked by
+//     the layer's output where a ReLU is folded in: each kernel that reads
+//     grad ANDs every coefficient with VPCMPEQQ-against-+0 of the same
+//     element of out before it uses it (reluGradAVX2's two instructions), and
+//     without a fold it is handed grad as out, which masks nothing (a value
+//     is +0 exactly where it is +0). dB: convRowSumsAVX2 adds four filters'
+//     rows at a time, four positions of each loaded, masked and transposed
+//     (VUNPCKL/HPD + VPERM2F128) so each lane adds its row in ascending
+//     position, the sum first — addRowSumsGo's chains; F % 4 rows run
+//     maskedRowSumsGo. dW: convDWAVX2 lists each filter's non-zero G coefficients
 //     as positions (axpyPanelAVX2's list idiom without the multiply by alpha,
 //     whose 1*g only quiets a signalling NaN the product quiets anyway), a
 //     table maps a position to its window in the padded image, and the
@@ -178,8 +191,11 @@
 //     (a multiple of four where Direct holds), the filter count rounded up
 //     to four. A last group of four pixels that would pass the image row is
 //     taken ending at the row's end, its overlap written twice with the same
-//     values. The Go tier and every shape these decline run Lower + Gemm +
-//     GemmTA + Raise, which is also their oracle.
+//     values. The Go tier and every shape these decline run ReLUGrad into
+//     one sample's masked G (ConvGrad.masked, only where a pass lowers) and
+//     addRowSumsGo + Lower + Gemm + GemmTA + Raise, which is also their
+//     oracle: a masked coefficient is skipped exactly where that G holds an
+//     exact zero and added wherever it is added, so the fold moves no bit.
 //   - poolAVX2 (MaxPool): four 2x2 windows per step, from two four-wide loads
 //     per image row, VUNPCKLPD/VUNPCKHPD splitting the left and right columns;
 //     pickMax's chain per lane, VCMPPD GT_OQ for `v > best` (false on NaN and
@@ -282,12 +298,14 @@
 // into a NaN-filled matrix and Zero + Col2Im; where one of Raise's adds meets
 // two NaNs, which payload survives is the compiler's operand order, so any
 // NaN passes there — FuzzConvolveTwin, over random conv shapes and filter
-// counts against Lower + GemmTBNaive + the bias loop, likewise, except that
+// counts, with and without the folded ReLU, against Lower + GemmTBNaive +
+// the bias loop (and reluGo), likewise, except that
 // on the direct kernel the payload must be the one its fixed operand order
 // gives, with sentinels past the output and the padded image —
-// FuzzConvGradTwin, over random conv shapes and two samples per pass
-// against Lower + GemmNaive + GemmTANaive + Raise, likewise, with dW and dB
-// planted and sentinels past them, past dIn and past every scratch slice —
+// FuzzConvGradTwin, over random conv shapes and two samples per pass, with
+// and without a folded ReLU's outputs, against reluGradGo + the row sums +
+// Lower + GemmNaive + GemmTANaive + Raise, likewise, with dW and dB planted
+// and sentinels past them, past dIn and past every scratch slice —
 // and FuzzMaxPoolTwin, values and argmax against poolImageGo with sentinels past
 // both). softmax_amd64_test.go holds
 // each exp path to a Go oracle of its own (math.FMA for the fused steps,
@@ -297,6 +315,9 @@
 // child processes under GODEBUG=cpu.fma=off and cpu.avx=off. In the
 // external package tensor_test, through export_test.go, training steps and a
 // loss on both conv nets are bit-equal across tiers, with the 0-alloc gates
-// under both. CI's purego step is the only place the Go tier meets the nn,
-// cluster, paramserver, opt and compress goldens on an AVX2 runner.
+// under both, and on each tier a Conv2D or Residual with its ReLU folded in
+// is bit-equal to the same layer and a separate ReLU, NaNs of two payloads,
+// -0 and ±Inf in activations and gradients. CI's purego step is the only
+// place the Go tier meets the nn, cluster, paramserver, opt and compress
+// goldens on an AVX2 runner, and the figures' all-quick golden.
 package tensor
