@@ -53,17 +53,21 @@ type ratioPair struct {
 // torus row, five sources of 16 400 coordinates, the sixteen nodes' rows
 // taken in turn: the one fused pass measures 3.3-4.7x over the Go passes
 // written out, the Go tier (which is those passes) 0.9-1.07x — a floor of
-// 2. The trunk conv's forward for one sample: the direct kernel measures
-// 3.85-4.46x over the lowered product written out (Lower, GemmTB, the bias
-// loop — Lower is its Go loop on both tiers, GemmTB the dot tile on this
-// one), the Go tier (which is that product) 0.95-1.00x — a floor of 1.5.
+// 2. The trunk conv's forward for one sample with its ReLU folded in: the
+// direct kernel, which rectifies as it stores, measures 4.27-4.59x over the
+// lowered product and the separate ReLU written out (Lower, GemmTB, the bias
+// loop, tensor.ReLU — Lower is its Go loop on both tiers, GemmTB the dot
+// tile and ReLU reluAVX2 on this one), the Go tier (which is that product)
+// 0.99-1.04x — a floor of 1.5.
 // Max-pooling the trunk's 8x8x8 output: the four-lane kernel measures
 // 4.2-5.1x over its Go loop written out, the Go tier (which is that loop)
-// 0.82-0.92x — a floor of 2. The trunk conv's backward for a batch of 16,
-// the output gradient 73% zeros: ConvGrad, which builds no patches matrix,
-// no patch gradients and no raised image, measures 4.60-5.76x over the
-// lowered backward written out (Lower, Gemm, GemmTA, Raise per sample), the
-// Go tier (which is that backward) 0.98-1.00x — a floor of 1.4.
+// 0.82-0.92x — a floor of 2. The trunk conv's backward for a batch of 16
+// through its folded ReLU, the masked gradient 73% zeros: ConvGrad, which
+// masks as it lists and sums dB and builds no masked copy, patches matrix,
+// patch gradients or raised image, measures 4.54-5.11x over the separate
+// ReLUGrad and the lowered backward written out (ReLUGrad, the row sums,
+// Lower, Gemm, GemmTA, Raise per sample), the Go tier (which is that
+// backward) 1.02-1.07x — a floor of 1.4.
 // async_fleet's 650 QSGD rounding uniforms: FillFloat64's kernel measures
 // 1.25-1.50x over the Go loop it ran before, written out, the Go tier
 // (which is that loop) 0.88-1.02x — a floor of 1.15, the margin small
