@@ -58,16 +58,16 @@ type ratioPair struct {
 // lowered product and the separate ReLU written out (Lower, GemmTB, the bias
 // loop, tensor.ReLU — Lower is its Go loop on both tiers, GemmTB the dot
 // tile and ReLU reluAVX2 on this one), the Go tier (which is that product)
-// 0.99-1.04x — a floor of 1.5.
+// 0.97-1.08x — a floor of 1.5.
 // Max-pooling the trunk's 8x8x8 output: the four-lane kernel measures
 // 4.2-5.1x over its Go loop written out, the Go tier (which is that loop)
 // 0.82-0.92x — a floor of 2. The trunk conv's backward for a batch of 16
 // through its folded ReLU, the masked gradient 73% zeros: ConvGrad, which
 // masks as it lists and sums dB and builds no masked copy, patches matrix,
-// patch gradients or raised image, measures 4.54-5.11x over the separate
+// patch gradients or raised image, measures 4.54-5.36x over the separate
 // ReLUGrad and the lowered backward written out (ReLUGrad, the row sums,
 // Lower, Gemm, GemmTA, Raise per sample), the Go tier (which is that
-// backward) 1.02-1.07x — a floor of 1.4.
+// backward) 0.99-1.07x — a floor of 1.4.
 // async_fleet's 650 QSGD rounding uniforms: FillFloat64's kernel measures
 // 1.25-1.50x over the Go loop it ran before, written out, the Go tier
 // (which is that loop) 0.88-1.02x — a floor of 1.15, the margin small

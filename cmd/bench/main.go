@@ -373,10 +373,16 @@ func convBackSetup(kernel bool) func() {
 	return func() {
 		for i := 0; i < batch; i++ {
 			tensor.ReLUGrad(g.Data, grads.Row(i), outs.Row(i))
-			for f := range dB {
-				for _, v := range g.Row(f) {
-					dB[f] += v
+			for f := 0; f < 8; f += 4 { // four rows' sums at a time, as nn summed them
+				r0, r1, r2, r3 := g.Row(f), g.Row(f+1), g.Row(f+2), g.Row(f+3)
+				s0, s1, s2, s3 := dB[f], dB[f+1], dB[f+2], dB[f+3]
+				for j, v := range r0 {
+					s0 += v
+					s1 += r1[j]
+					s2 += r2[j]
+					s3 += r3[j]
 				}
+				dB[f], dB[f+1], dB[f+2], dB[f+3] = s0, s1, s2, s3
 			}
 			tensor.Lower(s, imgs.Row(i), pad, x)
 			tensor.Gemm(1, g, x, 1, dW)

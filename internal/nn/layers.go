@@ -571,19 +571,18 @@ func (r *Residual) Clone() Layer {
 func foldReLU(layers []Layer) []Layer {
 	out := make([]Layer, 0, len(layers))
 	for _, l := range layers {
+		var folded *bool // the relu flag of the layer before l, if it has one
 		if _, ok := l.(*ReLU); ok && len(out) > 0 {
 			switch prev := out[len(out)-1].(type) {
 			case *Conv2D:
-				if !prev.relu {
-					prev.relu = true
-					continue
-				}
+				folded = &prev.relu
 			case *Residual:
-				if !prev.relu {
-					prev.relu = true
-					continue
-				}
+				folded = &prev.relu
 			}
+		}
+		if folded != nil && !*folded {
+			*folded = true
+			continue
 		}
 		out = append(out, l)
 	}

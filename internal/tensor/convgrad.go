@@ -108,10 +108,14 @@ func (g *ConvGrad) Load(s ConvShape, w *Matrix, wantDIn bool) {
 	case g.dx == nil:
 		g.dx, g.dPad = NewMatrix(p, l), make([]float64, s.PadLen())
 	}
-	if g.masked == nil && (!s.Direct() || wantDIn && !s.directDX()) {
+	if g.masked == nil && g.lowers() {
 		g.masked = make([]float64, w.Rows*p)
 	}
 }
+
+// lowers reports whether the pass Load readied multiplies G as a matrix: a
+// shape Direct declines, or an input gradient directDX declines.
+func (g *ConvGrad) lowers() bool { return !g.s.Direct() || g.wantDIn && !g.s.directDX() }
 
 // listLen is the room one position's filter list takes: the filter count
 // rounded up to whole groups of four, which the list kernel stores at once.
@@ -148,7 +152,7 @@ func (g *ConvGrad) Sample(grad, out, img, pad []float64, x, dW *Matrix, dB, dIn 
 	if out != nil && len(out) != len(grad) {
 		panic("tensor: ConvGrad.Sample output length mismatch")
 	}
-	if out != nil && g.masked != nil {
+	if out != nil && g.lowers() {
 		ReLUGrad(g.masked, grad, out)
 		grad, out = g.masked, nil
 	}
