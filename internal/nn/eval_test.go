@@ -297,7 +297,7 @@ func TestEvaluationBuffersAreChunkSized(t *testing.T) {
 // TestTrainingHoldsNoConvReLUBuffers: after one LossGrad at batch 16 a zoo
 // network keeps no batch-sized buffer for a ReLU after a conv or a residual
 // block — the fold (foldReLU) took the two each such ReLU held, which were
-// 5.6 of the conv_pasgd workload's 16.4 MB alloc_mb. Every ReLU layer left
+// 5.8 of the conv_pasgd workload's 16.4 MB alloc_mb. Every ReLU layer left
 // follows a Dense, and a Conv2D or Residual holds no buffer of a batch of
 // its output width but the ones it held before the fold: its output, its
 // input gradient and (Conv2D) the input it keeps, besides ConvGrad's view

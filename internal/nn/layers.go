@@ -478,7 +478,9 @@ type Residual struct {
 	outBuf, dInBuf *tensor.Matrix // scratch arena
 }
 
-// NewResidual builds a residual block around the inner layers.
+// NewResidual builds a residual block around the inner layers, folding a
+// ReLU that directly follows an inner Conv2D or Residual into it
+// (foldReLU).
 func NewResidual(inner ...Layer) *Residual {
 	if len(inner) == 0 {
 		panic("nn: Residual needs inner layers")

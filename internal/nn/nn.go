@@ -130,7 +130,7 @@
 // a Residual adds, rectifies in place and masks into its dInBuf. A
 // coefficient is skipped exactly where the separate ReLU's gradient held an
 // exact zero and added wherever that was added, so no bit moves on either
-// tier; what goes is the ReLU's two batch-sized buffers (5.6 of conv_pasgd's
+// tier; what goes is the ReLU's two batch-sized buffers (5.8 of conv_pasgd's
 // 16.4 MB alloc_mb) and its two passes. A ReLU after a Dense (the MLP, VGG's
 // head) or first in a stack stays a layer: GemmTA(dOut, in) would need the
 // masked gradient as a matrix. Held by TestFoldedReLUMatchesSeparateLayer
@@ -248,7 +248,9 @@ type Network struct {
 
 // NewNetwork builds a network from layers and a loss, validating that
 // adjacent dimensions agree. classes > 0 marks a classifier whose output
-// dimension must equal classes.
+// dimension must equal classes. A ReLU that directly follows a Conv2D or a
+// Residual is folded into that layer (foldReLU), which from then on applies
+// it itself.
 func NewNetwork(loss Loss, classes int, layers ...Layer) *Network {
 	if len(layers) == 0 {
 		panic("nn: network needs at least one layer")
