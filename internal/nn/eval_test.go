@@ -265,7 +265,7 @@ func buffers(l Layer) map[string]reflect.Value {
 
 // TestEvaluationBuffersAreChunkSized: a network that evaluates holds no
 // buffer larger than evalChunk rows of its layer's wider side after a
-// 384-row Loss — so a conv worker's network, trained at 16 rows, grows
+// 384-row Loss — so a compute slot's network, trained at 16 rows, grows
 // nothing when the engine evaluates on it. This is what keeps the conv
 // workloads' alloc_mb near 16 MB instead of ~154.
 func TestEvaluationBuffersAreChunkSized(t *testing.T) {

@@ -12,10 +12,11 @@ import (
 // Backward and reuses them across calls, so the training hot path performs
 // no per-step allocations once buffers reach the largest batch size seen.
 // The ownership rule is: one arena per layer instance, layer instances
-// belong to exactly one Network, and a Network is NOT goroutine-safe — each
-// simulated worker clones the network, so arenas never race. Returned
-// matrices are valid until the layer's next Forward/Backward call; callers
-// that need to retain results must copy them.
+// belong to exactly one Network, and a Network is NOT goroutine-safe — the
+// engines hold one network per compute slot, which one goroutine at a time
+// runs every step of that slot's workers on (Network.LossGradAt), so arenas
+// never race. Returned matrices are valid until the layer's next
+// Forward/Backward call; callers that need to retain results must copy them.
 //
 // One forward per layer. Forward keeps what Backward reads (Dense and
 // Conv2D their input, ReLU/Tanh their output, MaxPool2x2 every winner's

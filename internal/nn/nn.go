@@ -45,14 +45,31 @@
 // that the loss (one AddRows) or the argmax then reads in row order. One
 // network, or a batch of one chunk, takes the chunk-at-a-time loop and
 // starts no goroutine; Network.Loss is that loop at the network's own
-// parameters. The engines evaluate this way on networks they already own —
-// the lock-step engine on its first ComputeWorkers workers', the async
-// engine on its compute slot, the parameter server on worker 0's — at the
-// global parameters, and keep no evaluation network. An evaluation
+// parameters. The engines evaluate this way on the networks they train on —
+// the lock-step engine on its ComputeWorkers slot networks, the async
+// engine on its compute slot, the parameter server on its one network — at
+// the global parameters, and keep no evaluation network. An evaluation
 // overwrites the caches a pending Backward would read, so nothing evaluates
 // between a Forward and its Backward: LossGrad runs the two back to back,
 // and the engines evaluate only between rounds or events, after which a
 // network's next LossGrad starts with a Forward.
+//
+// # Training at parameters the network does not own
+//
+// LossGradAt is LossGrad at a parameter vector passed in, sliced per layer
+// as evaluation slices it, and LossGrad is LossGradAt at the network's own.
+// So a network is a compute slot's, not a worker's: the lock-step engine
+// holds one per ComputeWorkers slot and steps each of the slot's workers on
+// it at that worker's parameters, the parameter server one for all its
+// workers; m workers cost m parameter vectors and one set of batch-sized
+// arenas per slot (the conv_pasgd workload's alloc_mb 10.6 -> 3.0 MB at
+// four workers). THE RULE: every LossGradAt starts with a Forward and no
+// layer keeps anything derived from the parameters past a call (ConvGrad
+// re-reads the filters on every Load), so which network ran a step cannot
+// show in a bit. Held by lossgradat_test.go (LossGradAt against a network
+// holding the parameters, its own planted with NaN; two vectors
+// alternating on one network against two networks) and the engines' pool
+// tests at every worker count and width.
 //
 // Chunking cannot change a bit, nor can the number of networks, because
 // every layer is ROW-INDEPENDENT: an output row is a function of its input
@@ -159,10 +176,13 @@ import (
 
 // Layer is one differentiable stage of a network. A layer owns forward
 // caches AND the scratch matrices it returns from Forward/Backward (it is
-// NOT safe for concurrent use); each simulated worker clones the network so
-// the caches never race. Returned matrices are reused across calls: they
-// remain valid only until the layer's next Forward/Backward, and callers
-// that retain results must copy them.
+// NOT safe for concurrent use); the engines hold one network per compute
+// slot, each used by one goroutine at a time, so the caches never race.
+// Parameters come in with every call and a layer keeps nothing derived from
+// them between calls, so one network serves any number of parameter
+// vectors (Network.LossGradAt). Returned matrices are reused across calls:
+// they remain valid only until the layer's next Forward/Backward, and
+// callers that retain results must copy them.
 //
 // Every layer must be row-independent — output row i depends on input row i
 // and the parameters only — which is what lets evaluation feed a batch
@@ -195,7 +215,7 @@ type Layer interface {
 // paramGrader is a layer that can run Backward without the input gradient
 // (Dense and Conv2D: it is a product of its own there, and for a network's
 // FIRST layer the gradient with respect to the data that nothing reads).
-// Only Network.LossGrad calls it, and only on layer 0: a layer inside a
+// Only Network.LossGradAt calls it, and only on layer 0: a layer inside a
 // Residual is never the network's first, and a standalone Backward always
 // returns the real input gradient.
 type paramGrader interface {
@@ -205,7 +225,7 @@ type paramGrader interface {
 // evalChunk is how many rows Loss and Accuracy feed through the layers at a
 // time: the conv workloads' training batch, so an evaluating network's
 // buffers are the size a training step's are and stay cache-resident (and a
-// worker's network, which the engines evaluate on, grows none). What
+// compute slot's network, which the engines evaluate on, grows none). What
 // it decides exactly is memory — conv_pasgd's alloc_mb reads 29.7 / 31.1 /
 // 36.3 / 71.5 MB at chunks of 4 / 16 / 64 / the whole batch (154 before
 // chunking); in time, the runs that sized it read 64 and unchunked ~8%
@@ -284,12 +304,14 @@ func NewNetwork(loss Loss, classes int, layers ...Layer) *Network {
 // InitParams initializes every layer's parameters from r.
 func (n *Network) InitParams(r *rng.Rand) {
 	for i, l := range n.layers {
-		l.Init(n.layerParams(i), r)
+		l.Init(n.layerParams(n.params, i), r)
 	}
 }
 
-func (n *Network) layerParams(i int) []float64 {
-	return n.params[n.offsets[i] : n.offsets[i]+n.layers[i].ParamLen()]
+// layerParams is layer i's slice of params, a vector of the network's
+// parameter count (its own, or any other).
+func (n *Network) layerParams(params []float64, i int) []float64 {
+	return params[n.offsets[i] : n.offsets[i]+n.layers[i].ParamLen()]
 }
 
 // ParamLen returns the total number of parameters.
@@ -310,10 +332,13 @@ func (n *Network) OutDim() int { return n.layers[len(n.layers)-1].OutDim() }
 
 // Forward runs the whole batch through all layers and returns the outputs;
 // every layer caches what its Backward reads, at the batch's full height.
-func (n *Network) Forward(in *tensor.Matrix) *tensor.Matrix {
+func (n *Network) Forward(in *tensor.Matrix) *tensor.Matrix { return n.forward(n.params, in) }
+
+// forward is Forward at the parameter vector params.
+func (n *Network) forward(params []float64, in *tensor.Matrix) *tensor.Matrix {
 	cur := in
 	for i, l := range n.layers {
-		cur = l.Forward(n.layerParams(i), cur)
+		cur = l.Forward(n.layerParams(params, i), cur)
 	}
 	return cur
 }
@@ -333,11 +358,7 @@ func (n *Network) evalRows(params []float64, b data.Batch, lo int) (*tensor.Matr
 	if len(b.T) == b.X.Rows {
 		rows.T = b.T[lo:hi]
 	}
-	cur := rows.X
-	for i, l := range n.layers {
-		cur = l.Forward(params[n.offsets[i]:n.offsets[i]+l.ParamLen()], cur)
-	}
-	return cur, rows
+	return n.forward(params, rows.X), rows
 }
 
 // evaluate hands visit the outputs of b at params, in row order, with the
@@ -414,30 +435,37 @@ func (n *Network) meanLoss(nets []*Network, params []float64, b data.Batch) floa
 // LossGrad evaluates the mean loss and fills grad (length ParamLen) with
 // its gradient. grad is zeroed first.
 func (n *Network) LossGrad(b data.Batch, grad []float64) float64 {
-	if len(grad) != len(n.params) {
-		panic(fmt.Sprintf("nn: grad length %d != params %d", len(grad), len(n.params)))
-	}
-	tensor.Zero(grad)
-	return n.backward(n.Forward(b.X), b, grad)
+	return n.LossGradAt(n.params, b, grad)
 }
 
-// backward is LossGrad after the training forward: the loss of the outputs
-// Forward returned for b, and its gradient accumulated into grad from the
-// caches that Forward left in the layers.
-func (n *Network) backward(out *tensor.Matrix, b data.Batch, grad []float64) float64 {
+// LossGradAt is LossGrad at the parameter vector params, which the network
+// need not own: the training forward over b and the backward from the caches
+// it left, each layer handed its slice of params. The network's own
+// parameters are neither read nor written, and no layer keeps anything
+// derived from params past the call, so any network of the architecture
+// returns the same bits for the same params and b (the engines step every
+// worker of a compute slot on one network this way). params and grad must
+// both have the network's parameter count; grad is zeroed first.
+func (n *Network) LossGradAt(params []float64, b data.Batch, grad []float64) float64 {
+	if len(params) != len(n.params) {
+		panic(fmt.Sprintf("nn: params length %d != the network's %d parameters", len(params), len(n.params)))
+	}
+	if len(grad) != len(n.params) {
+		panic(fmt.Sprintf("nn: grad length %d != the network's %d parameters", len(grad), len(n.params)))
+	}
+	tensor.Zero(grad)
+	out := n.forward(params, b.X)
 	dOut := ensureMat(&n.dOutBuf, out.Rows, out.Cols)
 	lossVal := n.loss.Eval(out, b, dOut)
 	cur := dOut
 	for i := len(n.layers) - 1; i > 0; i-- {
-		cur = n.layers[i].Backward(n.layerParams(i),
-			cur, grad[n.offsets[i]:n.offsets[i]+n.layers[i].ParamLen()])
+		cur = n.layers[i].Backward(n.layerParams(params, i), cur, n.layerParams(grad, i))
 	}
 	// Layer 0's input gradient is the gradient with respect to the data.
-	g0 := grad[:n.layers[0].ParamLen()]
 	if first, ok := n.layers[0].(paramGrader); ok {
-		first.backwardParams(n.layerParams(0), cur, g0)
+		first.backwardParams(n.layerParams(params, 0), cur, n.layerParams(grad, 0))
 	} else {
-		n.layers[0].Backward(n.layerParams(0), cur, g0)
+		n.layers[0].Backward(n.layerParams(params, 0), cur, n.layerParams(grad, 0))
 	}
 	return lossVal
 }

@@ -404,7 +404,7 @@ func lossGradRef(n *Network, b data.Batch, grad []float64) float64 {
 	loss := n.loss.Eval(out, b, dOut)
 	cur := dOut
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		cur = n.layers[i].Backward(n.layerParams(i),
+		cur = n.layers[i].Backward(n.layerParams(n.params, i),
 			cur, grad[n.offsets[i]:n.offsets[i]+n.layers[i].ParamLen()])
 	}
 	return loss
