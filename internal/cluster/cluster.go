@@ -1,8 +1,9 @@
 // Package cluster implements the distributed training substrate of the
 // reproduction: periodic-averaging SGD (PASGD, paper eq 3) over m simulated
-// workers. Each worker owns a model replica, a shard of the training data,
-// and an optimizer; after every tau local steps the replicas are averaged
-// (the tau=1 special case is fully synchronous SGD, eq 4).
+// workers. Each worker owns a model replica (a parameter vector), a shard of
+// the training data, and an optimizer; after every tau local steps the
+// replicas are averaged (the tau=1 special case is fully synchronous SGD,
+// eq 4).
 //
 // Wall-clock time is simulated through internal/delaymodel: a round of tau
 // local steps costs max-over-workers of the summed per-step compute times,
@@ -40,8 +41,13 @@
 // stream, optimizer, and gradient buffer — and the averaging step always
 // reduces contributions in fixed worker order, so the pool width and
 // goroutine scheduling cannot change a single bit of the trajectory.
-// ComputeWorkers: 1 forces the legacy serial loop; the golden and
-// determinism tests pin serial and parallel traces bit-identical.
+// A network (nn.Network: the layers and their batch-sized arenas) belongs to
+// a compute slot, not to a worker: the engine holds one per slot and runs
+// each of the slot's workers' steps on it at the worker's parameters
+// (nn.Network.LossGradAt), so m workers cost m parameter vectors but only
+// ComputeWorkers sets of activations. ComputeWorkers: 1 forces the legacy
+// serial loop; the golden and determinism tests pin serial and parallel
+// traces bit-identical at any worker count and width.
 //
 // # One path, whatever is absent
 //
@@ -120,16 +126,17 @@ type Config struct {
 	// ComputeWorkers bounds the goroutine pool that executes the simulated
 	// workers' local-update phases (Run, StepLocal) and evaluation
 	// (TrainLoss, TestAccuracy, EvalParamsLoss, EvalParamsAccuracy), at
-	// most one per worker. 0 defaults to runtime.GOMAXPROCS(0); an
+	// most one per worker, and it is the number of networks the engine
+	// holds: one per compute slot, slot s stepping workers s, s+width, ...
+	// at their own parameters. 0 defaults to runtime.GOMAXPROCS(0); an
 	// effective value of 1 (explicitly, or on a single-core machine) takes
-	// the legacy serial path. Workers are independent between averaging
-	// points — each owns its replica, sampler stream, and optimizer — and
-	// averaging reduces in fixed worker order, so parallel execution is
-	// bit-identical to serial (asserted by the golden and determinism
-	// tests). Evaluation borrows the first ComputeWorkers replicas' networks
-	// between rounds, their evaluation chunks spread over them by
-	// nn.LossAt, which is bit-identical at any width. Negative values are
-	// rejected.
+	// the legacy serial path on one network. Workers are independent between
+	// averaging points — each owns its parameters, sampler stream, and
+	// optimizer — and averaging reduces in fixed worker order, so parallel
+	// execution is bit-identical to serial (asserted by the golden and
+	// determinism tests). Evaluation spreads its chunks over the same
+	// networks between rounds (nn.LossAt, bit-identical at any width).
+	// Negative values are rejected.
 	ComputeWorkers int
 
 	// Strategy selects the mixing rule at synchronization points:
@@ -343,14 +350,19 @@ func (f FixedTau) NextRound(info RoundInfo, _ func() float64) (int, float64) {
 // Name implements Controller.
 func (f FixedTau) Name() string { return fmt.Sprintf("tau=%d", f.Tau) }
 
-// worker is one simulated node.
+// worker is one simulated node: what outlives a local step. Its steps run
+// on the network of the compute slot it belongs to (Engine.nets).
 type worker struct {
-	model   *nn.Network
+	params  []float64 // the worker's model replica
 	sampler *data.Sampler
 	opt     *opt.Optimizer
 	sync    [][]float64 // the optimizer's SyncAverage vectors (live views)
-	grad    []float64
+	grad    []float64   // the latest mini-batch gradient (RoundInfo.GradNorm reads worker 0's)
 }
+
+// Params returns the worker's live parameter vector: the gossip protocol's
+// view of the node (gossipReplica).
+func (w *worker) Params() []float64 { return w.params }
 
 // Engine runs PASGD over m workers.
 type Engine struct {
@@ -440,12 +452,12 @@ type Engine struct {
 	activeAdj [][]int
 	gammas    []float64
 
-	// evalNets are the first pool workers' networks. Evaluation runs on
-	// them between rounds at the parameters it is asked about, so no
-	// network of its own is kept and no parameters are copied; the next
-	// LossGrad on each starts with a Forward, so nothing a Backward reads
-	// is lost.
-	evalNets  []*nn.Network
+	// nets holds one network per compute slot: slot s runs the local steps
+	// of workers s, s+pool, ... (localUpdates) at their own parameters, and
+	// evaluation spreads its chunks over all of them between rounds. None
+	// carries state from one call to the next (every LossGradAt starts with
+	// a Forward), so which network ran a step cannot show in any bit.
+	nets      []*nn.Network
 	testSet   *data.Dataset
 	evalBatch data.Batch
 	testBatch data.Batch
@@ -501,9 +513,10 @@ func checkShards(shards []*data.Dataset) error {
 	return nil
 }
 
-// New builds an engine: the prototype network is cloned per worker, the
-// training set is the union of the shards (used for loss evaluation), and
-// the test set may be nil.
+// New builds an engine: the prototype network is cloned once per compute
+// slot and its parameters copied to every worker, the training set is the
+// union of the shards (used for loss evaluation), and the test set may be
+// nil.
 func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Dataset,
 	dm *delaymodel.Model, cfg Config) (*Engine, error) {
 	m := len(shards)
@@ -562,7 +575,7 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	}
 	for i := 0; i < m; i++ {
 		w := &worker{
-			model:   proto.Clone(),
+			params:  append([]float64(nil), proto.Params()...),
 			sampler: data.NewSampler(shards[i], cfg.BatchSize, root.Split()),
 			opt:     opt.New(cfg.Opt, proto.ParamLen()),
 			grad:    make([]float64, proto.ParamLen()),
@@ -612,9 +625,9 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	if e.pool > m {
 		e.pool = m
 	}
-	e.evalNets = make([]*nn.Network, e.pool)
-	for i := range e.evalNets {
-		e.evalNets[i] = e.workers[i].model
+	e.nets = make([]*nn.Network, e.pool)
+	for i := range e.nets {
+		e.nets[i] = proto.Clone()
 	}
 	// Compressor construction comes last: the zero spec's Identity{} draws
 	// no stream, so an uncompressed engine consumes exactly the legacy RNG.
@@ -657,7 +670,7 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		// CHOCO estimates cover the synced state.
 		e.gossip = newGossipState(m, e.extGlobal, cfg.GossipGamma, cfg.Compress.Lossless())
 		for i := range e.gossip.nodes {
-			e.gossip.nodes[i] = e.workers[i].model
+			e.gossip.nodes[i] = e.workers[i]
 		}
 	case ElasticAveraging:
 		e.pullBuf = make([]float64, e.dim)
@@ -707,7 +720,7 @@ func (e *Engine) GlobalParams() []float64 {
 // TrainLoss evaluates the training loss of the synchronized model on the
 // evaluation subset.
 func (e *Engine) TrainLoss() float64 {
-	return nn.LossAt(e.evalNets, e.global, e.evalBatch)
+	return nn.LossAt(e.nets, e.global, e.evalBatch)
 }
 
 // TestAccuracy evaluates test accuracy of the synchronized model; NaN when
@@ -716,7 +729,7 @@ func (e *Engine) TestAccuracy() float64 {
 	if e.testSet == nil {
 		return math.NaN()
 	}
-	return nn.AccuracyAt(e.evalNets, e.global, e.testBatch)
+	return nn.AccuracyAt(e.nets, e.global, e.testBatch)
 }
 
 // roundTime prices a round of `steps` local iterations followed by one
@@ -775,36 +788,40 @@ func (e *Engine) setCompressionBits(b int) {
 }
 
 // localUpdates advances every worker by `steps` local SGD iterations at lr,
-// fanning the per-worker update loops across the bounded compute pool
-// (Config.ComputeWorkers). All state a loop touches — replica, sampler
-// stream, optimizer, gradient buffer — is owned by its worker, which is what
-// makes the fan-out safe AND bit-identical to the serial loop at any pool
-// width or scheduling; the averaging that follows always reduces in fixed
-// worker order.
+// fanning the compute slots across the bounded pool (Config.ComputeWorkers):
+// slot s steps workers s, s+pool, ... in turn on its network, e.nets[s], the
+// stride Network.evaluate deals chunks in. Everything else a step touches —
+// replica, sampler stream, optimizer, gradient buffer — is owned by its
+// worker, and a network carries nothing from one worker's step to the
+// next, which is what makes the fan-out safe AND bit-identical to the
+// serial loop at any pool width or scheduling; the averaging that follows
+// always reduces in fixed worker order.
 func (e *Engine) localUpdates(steps int, lr float64) {
 	if e.pool <= 1 {
 		// par.ForEach would run the same loop, but its fn parameter escapes
 		// into the pool's goroutines, so even the serial call pays for a
 		// heap closure every round.
-		for i := range e.workers {
-			e.workerSteps(i, steps, lr)
-		}
+		e.slotSteps(0, steps, lr)
 		return
 	}
-	par.ForEach(e.m, e.pool, func(i int) { e.workerSteps(i, steps, lr) })
+	par.ForEach(e.pool, e.pool, func(s int) { e.slotSteps(s, steps, lr) })
 }
 
-// workerSteps is one worker's share of localUpdates.
-func (e *Engine) workerSteps(i, steps int, lr float64) {
-	if !e.fltActive[i] {
-		return // down workers freeze: no steps, no sampler draws
-	}
-	w := e.workers[i]
-	w.opt.SetLR(lr)
-	for k := 0; k < steps; k++ {
-		b := w.sampler.Next()
-		w.model.LossGrad(b, w.grad)
-		w.opt.Step(w.model.Params(), w.grad)
+// slotSteps is compute slot s's share of localUpdates: each of its workers'
+// steps, one worker after another, on the slot's network.
+func (e *Engine) slotSteps(s, steps int, lr float64) {
+	net := e.nets[s]
+	for i := s; i < e.m; i += e.pool {
+		if !e.fltActive[i] {
+			continue // down workers freeze: no steps, no sampler draws
+		}
+		w := e.workers[i]
+		w.opt.SetLR(lr)
+		for k := 0; k < steps; k++ {
+			b := w.sampler.Next()
+			net.LossGradAt(w.params, b, w.grad)
+			w.opt.Step(w.params, w.grad)
+		}
 	}
 }
 
@@ -815,10 +832,10 @@ func (e *Engine) workerSteps(i, steps int, lr float64) {
 func (e *Engine) loadExt(i int) []float64 {
 	w := e.workers[i]
 	if !e.ext {
-		return w.model.Params()
+		return w.params
 	}
 	row := e.extWork[i]
-	copy(row[:e.dim], w.model.Params())
+	copy(row[:e.dim], w.params)
 	off := e.dim
 	for _, v := range w.sync {
 		copy(row[off:off+len(v)], v)
@@ -832,7 +849,7 @@ func (e *Engine) loadExt(i int) []float64 {
 // worker.
 func (e *Engine) storeExt(i int, row []float64) {
 	w := e.workers[i]
-	w.model.SetParams(row[:e.dim])
+	copy(w.params, row[:e.dim])
 	off := e.dim
 	for _, v := range w.sync {
 		copy(v, row[off:off+len(v)])
@@ -1064,7 +1081,7 @@ func (e *Engine) SyncNow() { e.average() }
 // unsynchronized) parameters — used by the Fig 14 experiment that compares
 // local-model and synchronized-model accuracy.
 func (e *Engine) LocalModelParams(i int) []float64 {
-	return append([]float64(nil), e.workers[i].model.Params()...)
+	return append([]float64(nil), e.workers[i].params...)
 }
 
 // EvalParamsAccuracy evaluates test accuracy for an arbitrary parameter
@@ -1073,10 +1090,10 @@ func (e *Engine) EvalParamsAccuracy(params []float64) float64 {
 	if e.testSet == nil {
 		return math.NaN()
 	}
-	return nn.AccuracyAt(e.evalNets, params, e.testBatch)
+	return nn.AccuracyAt(e.nets, params, e.testBatch)
 }
 
 // EvalParamsLoss evaluates training loss for an arbitrary parameter vector.
 func (e *Engine) EvalParamsLoss(params []float64) float64 {
-	return nn.LossAt(e.evalNets, params, e.evalBatch)
+	return nn.LossAt(e.nets, params, e.evalBatch)
 }

@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/delaymodel"
 	"repro/internal/nn"
@@ -180,29 +182,82 @@ func TestDeterminism(t *testing.T) {
 }
 
 // poolMatchesSerial runs one config under the serial local-update loop and
-// under a four-wide compute pool and requires bit-identical parameters and
-// trace: workers own all their state between averaging points and every
-// sync reduces in fixed worker order, so real concurrency cannot move a bit.
+// on compute pools two, three and four wide and requires bit-identical
+// global parameters, trace and worker replicas: workers own all their state
+// between averaging points, a slot's network carries nothing from one
+// worker's step to the next, and every sync reduces in fixed worker order,
+// so neither the width nor real concurrency can move a bit. With m not a
+// multiple of the width the slots step unequal shares of the workers.
 func poolMatchesSerial(t *testing.T, s *testSetup, cfg Config, ctrl Controller) {
 	t.Helper()
 	cfg.ComputeWorkers = 1
 	e1 := s.engine(t, cfg)
 	tr1 := e1.Run(ctrl, "serial")
-	cfg.ComputeWorkers = 4
-	e2 := s.engine(t, cfg)
-	tr2 := e2.Run(ctrl, "pool4")
-	p1, p2 := e1.GlobalParams(), e2.GlobalParams()
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("compute pool diverged at param %d: %v vs %v", i, p1[i], p2[i])
+	p1 := e1.GlobalParams()
+	for _, width := range []int{2, 3, 4} {
+		cfg.ComputeWorkers = width
+		e2 := s.engine(t, cfg)
+		tr2 := e2.Run(ctrl, "pool")
+		for i, v := range e2.GlobalParams() {
+			if math.Float64bits(v) != math.Float64bits(p1[i]) {
+				t.Fatalf("m=%d, pool %d: global param %d is %v, serial %v", e1.m, width, i, v, p1[i])
+			}
+		}
+		for w := 0; w < e1.m; w++ {
+			if !floatsExact(e1.LocalModelParams(w), e2.LocalModelParams(w)) {
+				t.Fatalf("m=%d, pool %d: worker %d's replica differs from serial", e1.m, width, w)
+			}
+		}
+		if tr1.Len() != tr2.Len() {
+			t.Fatalf("m=%d, pool %d: trace lengths differ: %d vs %d", e1.m, width, tr1.Len(), tr2.Len())
+		}
+		for i := range tr1.Points {
+			a, b := tr1.Points[i], tr2.Points[i]
+			if math.Float64bits(a.Loss) != math.Float64bits(b.Loss) || a.Time != b.Time ||
+				math.Float64bits(a.Acc) != math.Float64bits(b.Acc) || a.Tau != b.Tau {
+				t.Fatalf("m=%d, pool %d: traces differ at point %d: %+v vs %+v", e1.m, width, i, a, b)
+			}
 		}
 	}
-	if tr1.Len() != tr2.Len() {
-		t.Fatalf("trace lengths differ: %d vs %d", tr1.Len(), tr2.Len())
-	}
-	for i := range tr1.Points {
-		if tr1.Points[i].Loss != tr2.Points[i].Loss || tr1.Points[i].Time != tr2.Points[i].Time {
-			t.Fatalf("traces differ at point %d", i)
+}
+
+// TestAnyPoolWidthMatchesSerial runs poolMatchesSerial at m in {3, 5, 8},
+// so m is below, a multiple of, and not a multiple of each width, over every
+// mixing strategy, Adam with synced moments and a crash + blip schedule.
+func TestAnyPoolWidthMatchesSerial(t *testing.T) {
+	full := baseCfg()
+	full.AccEverySync = 4
+
+	choco := baseCfg()
+	choco.Strategy = RingGossip
+	choco.Compress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25}
+	choco.GossipGamma = 0.8
+
+	elastic := baseCfg()
+	elastic.Strategy = ElasticAveraging
+
+	adam := baseCfg()
+	adam.Opt = opt.Config{Rule: opt.RuleAdam, SyncedMoments: true}
+
+	churn := baseCfg()
+	churn.Opt = opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9}
+
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		faults string
+	}{
+		{"full", full, ""}, {"choco-ring", choco, ""}, {"elastic", elastic, ""},
+		{"adam-synced", adam, ""}, {"crash+blip", churn, "crash:2@r10,blip:0@r3-8,blip:1@r15-20"},
+	} {
+		for _, m := range []int{3, 5, 8} {
+			t.Run(fmt.Sprintf("%s/m=%d", tc.name, m), func(t *testing.T) {
+				cfg := tc.cfg
+				if tc.faults != "" {
+					cfg.Faults = mustFaults(t, tc.faults)
+				}
+				poolMatchesSerial(t, newSetup(t, m, 1), cfg, FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.05}})
+			})
 		}
 	}
 }

@@ -92,8 +92,8 @@ func ParseStrategy(s string) (Strategy, error) {
 
 // gossipReplica is the view of one worker the gossip protocol is allowed to
 // touch: the node's own parameter vector, read when forming its message and
-// read-modified when applying its own mix. The engine wires each worker's
-// network in directly; the oracle-free invariant test swaps in guarded
+// read-modified when applying its own mix. The engine wires each *worker in
+// directly (worker.Params); the oracle-free invariant test swaps in guarded
 // implementations that panic on out-of-band (cross-node or extra-pass)
 // reads, which is what pins the no-shared-reference property.
 type gossipReplica interface {
@@ -310,7 +310,7 @@ func (e *Engine) averageElastic() {
 			e.repBytes[i] = 0 // down replicas neither push nor get pulled
 			continue
 		}
-		p := w.model.Params()
+		p := w.params
 		tensor.Sub(e.deltaBuf, p, e.global)
 		if err := e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg); err != nil {
 			panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))

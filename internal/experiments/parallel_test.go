@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -46,9 +47,12 @@ func paramsEqual(t *testing.T, name string, a, b []float64) {
 }
 
 // TestComputeWorkersBitIdentical pins the tentpole invariant: fanning the
-// per-worker local-update loops across 8 goroutines produces the same
-// trajectory as the serial loop for a fixed-tau baseline, AdaComm, and the
-// link-aware AdaComm that consumes observed per-round timing.
+// per-worker local-update loops across 2, 3, 4 and 8 goroutines, each
+// compute slot stepping its workers on one network, produces the same
+// trajectory as the serial loop at 3, 4, 5 and 8 workers (widths that
+// divide m, that do not, and that exceed it) for a fixed-tau baseline,
+// AdaComm, and the link-aware AdaComm that consumes observed per-round
+// timing.
 func TestComputeWorkersBitIdentical(t *testing.T) {
 	const budget = 250.0
 	controllers := []struct {
@@ -72,12 +76,12 @@ func TestComputeWorkersBitIdentical(t *testing.T) {
 			})
 		}},
 	}
-	run := func(tc int, computeWorkers int, links bool) (*metrics.Trace, []float64) {
-		w := BuildWorkload(ArchLogistic, 4, 4, ScaleQuick, 901)
+	run := func(tc, m, computeWorkers int, links bool) (*metrics.Trace, []float64) {
+		w := BuildWorkload(ArchLogistic, 4, m, ScaleQuick, 901)
 		if links {
 			w.Delay.Bandwidth = 256
-			ls := make([]delaymodel.Link, 4)
-			ls[3].Bandwidth = 25.6
+			ls := make([]delaymodel.Link, m)
+			ls[m-1].Bandwidth = 25.6
 			w.Delay.Links = ls
 		}
 		e := w.Engine(cluster.Config{
@@ -90,10 +94,15 @@ func TestComputeWorkersBitIdentical(t *testing.T) {
 	}
 	for i, tc := range controllers {
 		t.Run(tc.name, func(t *testing.T) {
-			serialTr, serialP := run(i, 1, tc.links)
-			poolTr, poolP := run(i, 8, tc.links)
-			tracesEqual(t, tc.name, serialTr, poolTr)
-			paramsEqual(t, tc.name, serialP, poolP)
+			for _, m := range []int{3, 4, 5, 8} {
+				serialTr, serialP := run(i, m, 1, tc.links)
+				for _, width := range []int{2, 3, 4, 8} {
+					poolTr, poolP := run(i, m, width, tc.links)
+					name := fmt.Sprintf("%s, m=%d, pool %d", tc.name, m, width)
+					tracesEqual(t, name, serialTr, poolTr)
+					paramsEqual(t, name, serialP, poolP)
+				}
+			}
 		})
 	}
 }

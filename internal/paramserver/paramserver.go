@@ -196,11 +196,11 @@ func (c Config) validate() error {
 	return nil
 }
 
-// psWorker is one worker in the event simulation.
+// psWorker is one worker in the event simulation. Its gradient is computed
+// on the server's one network (Server.nets) when it arrives.
 type psWorker struct {
-	model   *nn.Network // holds the pulled parameters it computes on
+	params  []float64 // the pulled parameters it computes on
 	sampler *data.Sampler
-	grad    []float64
 	version int // model version the in-flight gradient is computed at
 	r       *rng.Rand
 }
@@ -223,10 +223,15 @@ type Server struct {
 	redispatch   []int
 	staleSamples []float64
 
-	// evalNets is worker 0's network, on which Loss runs at the server's
-	// parameters: a worker's pulled parameters are its own to keep, and its
-	// next LossGrad starts with a Forward.
-	evalNets  []*nn.Network
+	// nets is the server's one network: every arrival's gradient is a
+	// LossGradAt on it at the worker's pulled parameters, into grad, and
+	// Loss runs on it at the server's. Gradients are computed one arrival
+	// at a time and none outlives its push, and every LossGradAt starts
+	// with a Forward, so whichever worker ran last cannot show in a bit. A
+	// slice of one because nn.LossAt takes a slice: built once, Loss
+	// allocates nothing.
+	nets      []*nn.Network
+	grad      []float64
 	evalBatch data.Batch
 
 	// delay prices every exchange: Y is the gradient's compute time, D0 the
@@ -291,13 +296,13 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	}
 	for i := range shards {
 		s.workers[i] = &psWorker{
-			model:   proto.Clone(),
+			params:  append([]float64(nil), proto.Params()...),
 			sampler: data.NewSampler(shards[i], cfg.BatchSize, root.Split()),
-			grad:    make([]float64, proto.ParamLen()),
 			r:       root.Split(),
 		}
 	}
-	s.evalNets = []*nn.Network{s.workers[0].model}
+	s.nets = []*nn.Network{proto.Clone()}
+	s.grad = make([]float64, proto.ParamLen())
 	s.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
 	s.com = comm.New(comm.Star, s.m)
 	s.linkTimes = make([]float64, s.m)
@@ -334,7 +339,7 @@ func (s *Server) PullBytes() int { return s.pullBytes }
 
 // Loss evaluates the server model's training loss.
 func (s *Server) Loss() float64 {
-	return nn.LossAt(s.evalNets, s.params, s.evalBatch)
+	return nn.LossAt(s.nets, s.params, s.evalBatch)
 }
 
 // Params returns a copy of the server's parameters.
@@ -353,7 +358,7 @@ func (s *Server) Clock() float64 { return s.clock }
 // whole exchange on the worker's own link.
 func (s *Server) dispatch(i int) {
 	w := s.workers[i]
-	w.model.SetParams(s.params)
+	copy(w.params, s.params)
 	w.version = s.version
 	// The actual gradient computation happens lazily at completion time;
 	// only the duration is decided now. Compressed payload sizes are
@@ -385,8 +390,8 @@ func (s *Server) dispatch(i int) {
 func (s *Server) computeGradient(i int) []float64 {
 	w := s.workers[i]
 	b := w.sampler.Next()
-	w.model.LossGrad(b, w.grad)
-	if err := s.comps[i].CompressInto(w.grad, &s.pushMsg); err != nil {
+	s.nets[0].LossGradAt(w.params, b, s.grad)
+	if err := s.comps[i].CompressInto(s.grad, &s.pushMsg); err != nil {
 		panic(fmt.Sprintf("paramserver: worker %d compress: %v", i, err))
 	}
 	if _, err := s.com.Push(i, s.pushMsg, s.decBuf); err != nil {
