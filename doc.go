@@ -126,17 +126,22 @@
 // legacy trace bit-identical).
 //
 // The training hot path is deterministic-parallel at three layers. (1) The
-// lock-step engine fans each round's per-worker local-update loops across a
-// bounded goroutine pool (cluster.Config.ComputeWorkers, default
-// GOMAXPROCS): workers are independent between averaging points and the
-// reduce always runs in fixed worker order, so pool width cannot change a
-// bit of any trajectory (pinned by golden and determinism tests). (2) The
-// nn layers are allocation-free in steady state: every layer owns a scratch
-// arena — the matrices it returns from Forward/Backward, reused across
-// steps — so a training step performs zero heap allocations once buffers
-// are warm; the arena rule is one arena per layer, layers belong to one
-// Network, and a Network is never shared across goroutines (each simulated
-// worker owns a replica). (3) Experiment grids (figure baselines,
+// lock-step engine fans each round's local-update loops across a bounded
+// goroutine pool (cluster.Config.ComputeWorkers, default GOMAXPROCS), one
+// network per compute slot: slot s steps workers s, s+width, ... at their
+// own parameter vectors (nn.Network.LossGradAt), so a worker is its
+// parameters, sampler and optimizer, and m workers cost ComputeWorkers sets
+// of activations, not m. Workers are independent between averaging points,
+// a network carries nothing from one step to the next, and the reduce
+// always runs in fixed worker order, so pool width cannot change a bit of
+// any trajectory (pinned by golden and determinism tests at several worker
+// counts and widths). (2) The nn layers are allocation-free in steady
+// state: every layer owns a scratch arena — the matrices it returns from
+// Forward/Backward, reused across steps — so a training step performs zero
+// heap allocations once buffers are warm; the arena rule is one arena per
+// layer, layers belong to one Network, and a Network is never shared across
+// goroutines (each compute slot owns one; the parameter server and the
+// async engine run on one). (3) Experiment grids (figure baselines,
 // ablations, compression cells, link-aware configs) run their independent
 // configurations concurrently on internal/experiments' pool (-workers on
 // cmd/figures and cmd/sweep), with byte-identical output at any width.
