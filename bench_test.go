@@ -1,19 +1,20 @@
 package repro
 
-// Benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (BenchmarkFig*/BenchmarkTable*) and one per ablation registry
-// row (BenchmarkAblations/NAME), each running the corresponding experiment
-// end-to-end at reduced (ScaleQuick) size so the whole suite completes in
-// minutes; `go run ./cmd/figures` and `go run ./cmd/sweep` regenerate the
-// same artifacts at full scale. The hot kernels, model steps and engine
-// rounds are timed at the workloads' shapes by the benchmark module's
-// per-layer records (benchmark/), and `go run ./cmd/bench` holds each AVX2
-// kernel to the scalar code it replaced; the three micro-benchmarks at the
-// bottom are timed nowhere else. The communication-layer aggregation
-// benchmarks (sparse index-merge vs dense accumulation on 1M-coordinate
-// vectors) live next to their subject in internal/comm/bench_test.go and
-// internal/compress/bench_test.go, and run with the same
-// `go test -bench . ./...` invocation.
+// Benchmark harness: one benchmark per figure of the paper's evaluation or
+// per training panel (BenchmarkFig*; Table 1 is read off the runs
+// BenchmarkFig9VGG*LR and BenchmarkFig10ResNet*LR time) and one per
+// ablation registry row (BenchmarkAblations/NAME), each running the
+// corresponding experiment end-to-end at reduced (ScaleQuick) size so the
+// whole suite completes in minutes; `go run ./cmd/figures` and `go run
+// ./cmd/sweep` regenerate the same artifacts at full scale. The hot
+// kernels, model steps and engine rounds are timed at the workloads' shapes
+// by the benchmark module's per-layer records (benchmark/), and `go run
+// ./cmd/bench` holds each AVX2 kernel to the scalar code it replaced; the
+// three micro-benchmarks at the bottom are timed nowhere else. The
+// communication-layer aggregation benchmarks (sparse index-merge vs dense
+// accumulation on 1M-coordinate vectors) live next to their subject in
+// internal/comm/bench_test.go and internal/compress/bench_test.go, and run
+// with the same `go test -bench . ./...` invocation.
 
 import (
 	"io"
@@ -119,13 +120,6 @@ func BenchmarkFig14LocalVsSyncAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := experiments.Fig14(experiments.ScaleQuick, 5)
 		experiments.PrintFig14(io.Discard, res)
-	}
-}
-
-func BenchmarkTable1TestAccuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1(experiments.ScaleQuick)
-		experiments.PrintTable1(io.Discard, rows)
 	}
 }
 

@@ -8,7 +8,7 @@
 //
 //	figures                 # all figures, full scale
 //	figures -fig 9          # only Figure 9
-//	figures -table 1        # only Table 1
+//	figures -table 1        # only Table 1 (trains Figs 9/10's 10-class panels)
 //	figures -quick          # reduced sizes (smoke test)
 //	figures -csv out/       # also write trace CSVs into out/
 //	figures -workers 8      # run up to 8 methods per figure concurrently
@@ -17,7 +17,8 @@
 //
 // Each figure's methods are independent training runs, so they execute
 // concurrently on the experiment pool (default width GOMAXPROCS); the
-// output is byte-identical at any -workers setting.
+// output is byte-identical at any -workers setting. No panel trains twice:
+// Table 1 reuses Figs 9/10's 10-class runs when those figures run too.
 //
 // The Monte-Carlo runtime figures (5, 8) and the bound-driven schedule
 // (fig 7) can be regenerated for a bandwidth-constrained link by pricing
@@ -87,6 +88,15 @@ func main() {
 		}
 		return metrics.WriteCSV(f, traces...)
 	}
+	// run trains each spec once, so Table 1 reuses Figs 9/10's runs. Items
+	// run serially: the memo needs no lock.
+	runs := map[string]*experiments.Comparison{}
+	run := func(spec experiments.TrainSpec) *experiments.Comparison {
+		if runs[spec.Name] == nil {
+			runs[spec.Name] = experiments.RunComparison(spec)
+		}
+		return runs[spec.Name]
+	}
 	// trains is a figure made of training comparisons: panels a, b, c...
 	// when there are several, each printed and (with -csv) written out.
 	trains := func(name string, specs ...experiments.TrainSpec) func() {
@@ -99,7 +109,7 @@ func main() {
 				if i > 0 {
 					fmt.Fprintln(out)
 				}
-				cmp := experiments.RunComparison(spec)
+				cmp := run(spec)
 				cmp.Print(out)
 				if *csvDir == "" {
 					continue
@@ -143,7 +153,11 @@ func main() {
 		{fig: 12, run: trains("fig12", experiments.Fig12Spec(10, true, scale), experiments.Fig12Spec(100, false, scale))},
 		{fig: 13, run: trains("fig13", experiments.Fig13Spec(10, true, scale), experiments.Fig13Spec(100, false, scale))},
 		{fig: 14, run: func() { experiments.PrintFig14(out, experiments.Fig14(scale, 5)) }},
-		{table: 1, run: func() { experiments.PrintTable1(out, experiments.Table1(scale)) }},
+		{table: 1, run: func() {
+			rows := experiments.Table1(run(experiments.Fig9Spec(10, false, scale)), run(experiments.Fig9Spec(10, true, scale)))
+			rows = append(rows, experiments.Table1(run(experiments.Fig10Spec(10, false, scale)), run(experiments.Fig10Spec(10, true, scale)))...)
+			experiments.PrintTable1(out, rows)
+		}},
 	}
 
 	figOK, tableOK := *fig == 0, *table == 0

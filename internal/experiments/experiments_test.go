@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/delaymodel"
+	"repro/internal/metrics"
 )
 
 func TestFig4Shape(t *testing.T) {
@@ -185,8 +188,18 @@ func TestFig1QuickRun(t *testing.T) {
 	cmp.Print(io.Discard)
 }
 
+// table1Runs are Table 1's four quick comparisons, the 10-class panels of
+// Figs 9 and 10, trained once for the tests that read them: VGG at fixed
+// and at variable LR, then ResNet at fixed and at variable LR.
+var table1Runs = sync.OnceValue(func() [4]*Comparison {
+	return [4]*Comparison{
+		RunComparison(Fig9Spec(10, false, ScaleQuick)), RunComparison(Fig9Spec(10, true, ScaleQuick)),
+		RunComparison(Fig10Spec(10, false, ScaleQuick)), RunComparison(Fig10Spec(10, true, ScaleQuick)),
+	}
+})
+
 func TestFig9QuickShape(t *testing.T) {
-	cmp := RunComparison(Fig9Spec(4, false, ScaleQuick))
+	cmp := table1Runs()[0]
 	// AdaComm's tau must decrease over the run.
 	first, last := 0, 0
 	for _, p := range cmp.Traces["AdaComm"].Points {
@@ -286,9 +299,13 @@ func TestAdaSyncExperimentQuick(t *testing.T) {
 }
 
 func TestTable1Quick(t *testing.T) {
-	rows := Table1(ScaleQuick)
+	c := table1Runs()
+	rows := append(Table1(c[0], c[1]), Table1(c[2], c[3])...)
 	if len(rows) != 8 { // 2 archs x 4 methods
 		t.Fatalf("Table1 rows %d, want 8", len(rows))
+	}
+	if rows[0].Model != "vgg" || rows[4].Model != "resnet" || rows[5].Method != "tau=5" {
+		t.Fatalf("Table1 rows %+v, want vgg's four methods, then resnet's", rows)
 	}
 	for _, r := range rows {
 		if math.IsNaN(r.FixedLR) || r.FixedLR < 0 || r.FixedLR > 1 {
@@ -302,6 +319,38 @@ func TestTable1Quick(t *testing.T) {
 	PrintTable1(&sb, rows)
 	if !strings.Contains(sb.String(), "Table 1") {
 		t.Fatal("PrintTable1 empty")
+	}
+}
+
+// TestTable1ScoresAtTheSharedBudget builds Table 1 from hand-made traces:
+// the budget is the earliest last point over both comparisons, a point
+// past it does not count however good, and NaN accuracy is no score.
+func TestTable1ScoresAtTheSharedBudget(t *testing.T) {
+	nan := math.NaN()
+	trace := func(pts ...metrics.Point) *metrics.Trace { return &metrics.Trace{Points: pts} }
+	cmp := func(traces map[string]*metrics.Trace) *Comparison {
+		return &Comparison{Spec: TrainSpec{Arch: ArchResNet}, Order: []string{"tau=1", "AdaComm"}, Traces: traces}
+	}
+	fixed := cmp(map[string]*metrics.Trace{
+		"tau=1": trace(metrics.Point{Time: 0, Acc: 0.1}, metrics.Point{Time: 20, Acc: 0.5},
+			metrics.Point{Time: 46, Acc: 0.6}),
+		"AdaComm": trace(metrics.Point{Time: 0, Acc: 0.1}, metrics.Point{Time: 30, Acc: nan},
+			metrics.Point{Time: 45.06, Acc: 0.7}, metrics.Point{Time: 45.5, Acc: 0.9}),
+	})
+	// The variable-LR tau=1 ends first and sets the budget for both
+	// comparisons. AdaComm's one later score lands just past it, so it
+	// keeps its initialization's accuracy.
+	variable := cmp(map[string]*metrics.Trace{
+		"AdaComm": trace(metrics.Point{Time: 0, Acc: 0.1172}, metrics.Point{Time: 45.11, Acc: 0.92}),
+		"tau=1": trace(metrics.Point{Time: 0, Acc: 0.1}, metrics.Point{Time: 20, Acc: 0.3},
+			metrics.Point{Time: 45.06, Acc: nan}),
+	})
+	want := []Table1Row{
+		{Model: "resnet", Method: "tau=1", FixedLR: 0.5, VariableLR: 0.3},
+		{Model: "resnet", Method: "AdaComm", FixedLR: 0.7, VariableLR: 0.1172},
+	}
+	if got := Table1(fixed, variable); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Table1 = %+v, want %+v", got, want)
 	}
 }
 
