@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/delaymodel"
 	"repro/internal/nn"
@@ -132,13 +133,6 @@ func TestFirstRoundAllocatesOneNetworksArenas(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
 	net, grad := proto.Clone(), make([]float64, proto.ParamLen())
 	b := data.NewSampler(train, cfg.BatchSize, rng.New(113)).Next()
 	one := allocated(func() { net.LossGrad(b, grad) })
@@ -150,5 +144,69 @@ func TestFirstRoundAllocatesOneNetworksArenas(t *testing.T) {
 	if round >= 2*one {
 		t.Errorf("the first round of %d workers at pool width 1 allocated %d bytes, one network's first step %d: want under %d",
 			m, round, one, 2*one)
+	}
+}
+
+// allocated returns the bytes f allocates (runtime.MemStats.TotalAlloc).
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCompressedWireKeepsStateNotScratch: a compressed wire's per-worker
+// memory is its state — the error-feedback residual, the message — plus
+// top-k's candidate keys, sized to the k-th radix bucket (about a fifth of
+// the vector) rather than to the vector. The first rounds of a 16-worker
+// elastic engine on topk:0.25+ef, and a 16-worker parameter server's first
+// updates on topk:0.1+ef, must each allocate under 2*m*dim float64 words. A
+// residual, a second copy of it and dim-long keys per worker come to 3*m*dim.
+// The model has 4 112 parameters and the batch is 2 rows of 256 features, so
+// a worker's dim-sized state dwarfs its batch and the round's fixed costs.
+func TestCompressedWireKeepsStateNotScratch(t *testing.T) {
+	const m = 16
+	r := rng.New(120)
+	train := data.GaussianBlobs(data.GaussianBlobsConfig{Classes: 16, Dim: 256, N: 32 * m, Separation: 4, Noise: 1.5}, r)
+	proto := nn.NewLogisticRegression(256, 16)
+	proto.InitParams(r.Split())
+	shards := data.ShardIID(train, m, r.Split())
+	dim := proto.ParamLen()
+	limit := uint64(2 * m * dim * 8)
+
+	dm := delaymodel.New(m, rng.Constant{Value: 1}, rng.Constant{Value: 1}, delaymodel.ConstantScaling{})
+	cfg := baseCfg()
+	cfg.Strategy, cfg.ComputeWorkers, cfg.BatchSize = ElasticAveraging, 1, 2
+	cfg.Compress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true}
+	e, err := New(proto, shards, train, nil, dm, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := allocated(func() {
+		for i := 0; i < 3; i++ {
+			e.StepLocal(2, 0.05)
+			e.SyncNow()
+		}
+	})
+	t.Logf("elastic, m=%d, dim %d: the first 3 rounds allocated %d bytes, 2*m*dim words are %d", m, dim, rounds, limit)
+	if rounds >= limit {
+		t.Errorf("the first rounds of %d elastic workers on %s allocated %d bytes: want under 2*m*dim words, %d bytes",
+			m, cfg.Compress, rounds, limit)
+	}
+
+	srv, err := paramserver.New(proto, shards, train, paramserver.Config{
+		BatchSize: 2, PushDelay: rng.Constant{Value: 0.1}, ComputeY: rng.Exponential{MeanVal: 1},
+		Compress:   compress.Spec{Kind: compress.KindTopK, Ratio: 0.1, ErrorFeedback: true},
+		MaxUpdates: 4, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	updates := allocated(func() { srv.Run(paramserver.FixedK{K: m, LR: 0.1}, "footprint") })
+	t.Logf("parameter server, m=%d, dim %d: 4 K-sync updates of all %d allocated %d bytes, 2*m*dim words are %d", m, dim, m, updates, limit)
+	if updates >= limit {
+		t.Errorf("4 updates of a %d-worker server on topk:0.1+ef allocated %d bytes: want under 2*m*dim words, %d bytes",
+			m, updates, limit)
 	}
 }

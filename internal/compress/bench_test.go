@@ -87,11 +87,11 @@ func BenchmarkTopKServed(b *testing.B) {
 // top-k on large vectors.
 func BenchmarkTopKSelection(b *testing.B) {
 	vs := benchVecs(benchDim)
-	keys := make([]uint64, benchDim)
+	var keys []uint64
 	var hist [1 << topBits]uint32
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		selectKthLargest(vs[i%benchCycle], benchDim/100, keys, &hist)
+		selectKthLargest(vs[i%benchCycle], benchDim/100, &keys, &hist)
 	}
 }

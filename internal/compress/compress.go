@@ -57,8 +57,11 @@
 //     walk down from the top bucket to the one holding rank k, and the clear
 //     that restores the all-zero histogram, cost a few dozen counters on a
 //     bell-shaped vector instead of 4096 (a 650-wide vector cannot afford
-//     more). tensor.KeepDigit compacts that bucket's patterns into the
-//     compressor's keys. The candidates (about a fifth of a Gaussian vector)
+//     more). The walk also returns that bucket's count, and
+//     tensor.KeepDigit compacts the bucket's patterns into the compressor's
+//     keys, which are sized to it (growKeys: at least count+4 entries,
+//     doubled when short, at most dim; a heavy-tie vector of one bucket
+//     takes dim). The candidates (about a fifth of a Gaussian vector)
 //     are then narrowed here by range-adaptive digits — their own [min, max]
 //     spread over about one counter each, at most 1024 — until 16 or fewer
 //     remain for an insertion sort, or all are equal. Range adaptation is
@@ -76,18 +79,26 @@
 //     are the wire contract the goldens pin. The tie scan stores only the
 //     groups of four that hold a tie, so the search for the threshold's own
 //     coordinate, usually the one tie needed, takes four coordinates a step.
-//   - The store bound. The kernels store four lanes at a time, and a
-//     message's arrays are exactly k long with whatever capacity the holder
-//     gave them: a kernel stores only while its cursor is at least 4 short
-//     of k and leaves the rest to its Go loop, which stores one entry at a
-//     time. Nothing is written past len(Indices), and no array is sized for
-//     the kernels' sake. TestTopKStoresNothingPastK holds that on both tiers
-//     with sentinels past k.
+//   - The store bound. The kernels store four lanes at a time into arrays
+//     sized to what they hold: a message's arrays are exactly k long with
+//     whatever capacity the holder gave them, and the keys only as long as
+//     the k-th bucket. A kernel stores only while its cursor is at least 4
+//     short of the array's length and leaves the rest to its Go loop, which
+//     stores one entry at a time. Nothing is written past len(Indices) or
+//     len(keys), whatever the capacity; the keys carry four entries of
+//     slack only so that KeepDigit's kernel runs to the last group instead
+//     of leaving the rest to its Go loop. TestTopKStoresNothingPastK holds the messages to that on
+//     both tiers with sentinels past k, and internal/tensor's
+//     TestKeepDigitStoresNothingPastKeys the keys, with sentinels past keys
+//     one entry longer than the bucket.
 //
-// Error feedback's buf = vec + residual is tensor.Add, four-wide. Fusing that
-// add into the digit count, the obvious next step, measured 3.24 us against
-// 3.23 us per call at ps_adasync's shape (650 coordinates, ratio 0.1, best
-// of 30 runs of 20 000 calls): nothing, so the add stays a pass of its own.
+// Error feedback forms vec + residual in the residual itself (tensor.Add,
+// four-wide and safe in place), and the inner compressor reads it there: a
+// compressor keeps no reference to its input, so no second dim-sized buffer
+// is needed, and what a worker holds is its residual and its message.
+// Fusing that add into the digit count measured 3.24 us against 3.23 us per
+// call at ps_adasync's shape (650 coordinates, ratio 0.1, best of 30 runs of
+// 20 000 calls): nothing, so the add stays a pass of its own.
 //
 // # QSGD: draw order, conversion, what stays scalar
 //
@@ -132,11 +143,23 @@
 // The residual is (vec + residual) minus what the message reconstructs. A
 // sparse message reconstructs to zero off its k kept coordinates, and
 // x - 0 == x bit for bit for every x including -0, NaN and the infinities,
-// so ErrorFeedback makes the compressed input the new residual by swapping
-// two buffers and subtracts the k shipped values in place, with no dense
-// reconstruction and no dim-wide subtract. The bits equal theirs as long as
-// a message's indices are distinct, which top-k and random-k guarantee. Dense and quantized messages keep the reconstruct-and-subtract
-// path.
+// so after the in-place add ErrorFeedback subtracts only the k shipped
+// values from the residual, with no dense reconstruction and no dim-wide
+// subtract. The bits equal theirs as long as a message's indices are
+// distinct, which top-k and random-k guarantee. Dense and quantized messages
+// are decoded into a buffer and subtracted from the residual in place
+// (tensor.Sub, safe in place).
+//
+// # The float32 wire
+//
+// Spec.Wire (the "+f32" modifier, ParseWire, -wire on adacomm, figures and
+// sweep) narrows every transmitted value through float32 (Narrow32) and
+// prices 4 bytes a value, while model state stays float64. Spec.New wraps
+// error feedback OUTSIDE the narrowing, so the residual sees the wire's
+// actual loss; Spec.Lossless requires WireFloat64; the gossip grid's Wire
+// field narrows only its compressed cells (its raw ring stays lossless).
+// The ablation is internal/experiments/wire.go (sweep -ablation wire, and
+// -ablation gossip -wire float32).
 //
 // # Who owns a message
 //
@@ -164,7 +187,9 @@
 // never stored there), Server.pushMsg, and a client's msg, which a dispatch
 // takes from AsyncEngine.freeMsgs before it builds one (so at most
 // AsyncStats.PeakInFlight exist). Tier-1 gates every spec's CompressInto and
-// each engine's exchange at zero allocations after warm-up. Compress(vec)
+// each engine's exchange at zero allocations after warm-up; over a long run
+// top-k's keys can still double a handful of times, when a k-th bucket
+// outgrows every earlier one (growKeys). Compress(vec)
 // is CompressInto on a zero Message, for callers that want a fresh message
 // and accept its allocations.
 //
@@ -445,7 +470,10 @@ func checkDim(msg Message, dst []float64) error {
 
 type topKCompressor struct {
 	ratio float64
-	keys  []uint64 // |v| bit patterns, compacted in place to the candidates
+	// keys holds the k-th bucket's |v| bit patterns, compacted in place to
+	// the candidates; it is sized to that bucket, not to the vector
+	// (growKeys).
+	keys []uint64
 	// hist is all zero between calls: each count clears the range it
 	// touched, so a 650-wide vector never pays for 4096 counters.
 	hist [1 << topBits]uint32
@@ -483,10 +511,7 @@ func (t *topKCompressor) CompressInto(vec []float64, msg *Message) error {
 		return nil
 	}
 	k := keepCount(t.ratio, dim)
-	if cap(t.keys) < dim {
-		t.keys = make([]uint64, dim)
-	}
-	thresh := selectKthLargest(vec, k, t.keys[:dim], &t.hist)
+	thresh := selectKthLargest(vec, k, &t.keys, &t.hist)
 
 	// Fewer than k magnitudes are strictly above the k-th largest; then the
 	// coordinates tied with it fill the remaining slots, lowest index first,
@@ -524,9 +549,9 @@ const (
 )
 
 // selectKthLargest returns the bit pattern of the k-th largest |v| over vec
-// (1 <= k <= len(vec)) under the unsigned order of those patterns. keys is
-// len(vec) words of scratch and hist must be all zero; it is all zero again
-// on return.
+// (1 <= k <= len(vec)) under the unsigned order of those patterns. *keys is
+// the caller's scratch, grown by growKeys when the k-th bucket outgrows it,
+// and hist must be all zero; it is all zero again on return.
 //
 // It is an exact radix select with no data-dependent branch in any pass
 // over the vector: count one digit into hist, walk down from the top bucket
@@ -537,13 +562,14 @@ const (
 // later digit is range-adaptive — the candidates' own [lo, hi] spread over
 // about one counter per candidate — so a tightly clustered or heavily tied
 // vector converges as fast as a spread one.
-func selectKthLargest(vec []float64, k int, keys []uint64, hist *[1 << topBits]uint32) uint64 {
+func selectKthLargest(vec []float64, k int, keys *[]uint64, hist *[1 << topBits]uint32) uint64 {
 	// occ marks which 64-bucket groups the vector reaches, so the walk and
 	// the clear touch those groups only.
 	occ := tensor.CountDigits(vec, hist)
 	base := uint64(bits.TrailingZeros64(occ)) * 64
-	bucket, rank := walkDown(hist[base:bits.Len64(occ)*64], k)
-	cand := keys[:tensor.KeepDigit(keys, vec, bucket+base)]
+	bucket, rank, members := walkDown(hist[base:bits.Len64(occ)*64], k)
+	cand := growKeys(keys, members, len(vec))
+	cand = cand[:tensor.KeepDigit(cand, vec, bucket+base)]
 
 	for len(cand) > smallSelect {
 		lo, hi := cand[0], cand[0]
@@ -561,7 +587,7 @@ func selectKthLargest(vec []float64, k int, keys []uint64, hist *[1 << topBits]u
 		for _, c := range cand {
 			hist[(c-lo)>>(shift&63)]++
 		}
-		bucket, rank = walkDown(hist[:(hi-lo)>>shift+1], rank)
+		bucket, rank, _ = walkDown(hist[:(hi-lo)>>shift+1], rank)
 		cand = keepBucket(cand, lo, shift, bucket)
 	}
 	// Insertion sort, descending.
@@ -577,20 +603,34 @@ func selectKthLargest(vec []float64, k int, keys []uint64, hist *[1 << topBits]u
 }
 
 // walkDown finds the bucket holding the rank-th largest element given the
-// per-bucket counts, returns it with the rank restated within that bucket,
-// and zeroes counts.
-func walkDown(counts []uint32, rank int) (bucket uint64, within int) {
+// per-bucket counts, returns it with the rank restated within that bucket and
+// the bucket's count, and zeroes counts.
+func walkDown(counts []uint32, rank int) (bucket uint64, within, members int) {
 	b := len(counts) - 1
 	for above := 0; ; b-- {
-		c := int(counts[b])
-		if above+c >= rank {
+		members = int(counts[b])
+		if above+members >= rank {
 			within = rank - above
 			break
 		}
-		above += c
+		above += members
 	}
 	clear(counts)
-	return uint64(b), within
+	return uint64(b), within, members
+}
+
+// growKeys returns *keys at its full capacity, grown first if it cannot hold
+// a bucket of members out of dim coordinates. tensor.KeepDigit needs one entry
+// past the members (or dim in all), and its kernel stores only at a cursor
+// 4 short of the end, so members+4 entries keep it running to the last group.
+// A short array is replaced by one twice its capacity, at least that long and
+// at most dim: a run reallocates it a handful of times at most, and only a
+// bucket holding much of the vector (heavy ties) takes it to dim.
+func growKeys(keys *[]uint64, members, dim int) []uint64 {
+	if need := min(members+4, dim); cap(*keys) < need {
+		*keys = make([]uint64, min(max(need, 2*cap(*keys)), dim))
+	}
+	return (*keys)[:cap(*keys)]
 }
 
 // keepBucket compacts keys in place to the members of one bucket, in their
@@ -776,7 +816,6 @@ func levelWindow(dst []float64, msg Message) []float64 {
 type ErrorFeedback struct {
 	inner  Compressor
 	resid  []float64
-	buf    []float64
 	decBuf []float64 // dense reconstruction; sparse messages never need it
 }
 
@@ -837,31 +876,32 @@ func (e *ErrorFeedback) Compress(vec []float64) (msg Message, err error) {
 // CompressInto compresses vec plus the carried residual into msg and updates
 // the residual with what this round's message failed to represent.
 //
-// A sparse message reconstructs to zero everywhere but its k kept
-// coordinates, and x - 0 == x for every x (NaN and -0 included), so the
-// compressed input itself becomes the residual and only those k entries are
-// corrected. That is bit-identical to subtracting the dense reconstruction
-// as long as the message's indices are distinct, which every sparsifier in
-// this package guarantees.
+// The sum is formed in the residual itself, which the inner compressor then
+// reads: it keeps no reference to vec, so no second copy is needed. A sparse
+// message reconstructs to zero everywhere but its k kept coordinates, and
+// x - 0 == x for every x (NaN and -0 included), so the sum already is the
+// new residual but at those k entries, which are corrected in place. That is
+// bit-identical to subtracting the dense reconstruction as long as the
+// message's indices are distinct, which every sparsifier in this package
+// guarantees. Any other message is decoded and subtracted in place. After an
+// error the residual holds the sum.
 func (e *ErrorFeedback) CompressInto(vec []float64, msg *Message) error {
 	dim := len(vec)
 	if len(e.resid) != dim {
 		e.resid = make([]float64, dim)
-		e.buf = make([]float64, dim)
 	}
-	buf, resid := e.buf[:dim], e.resid[:dim]
-	tensor.Add(buf, vec, resid)
-	if err := e.inner.CompressInto(buf, msg); err != nil {
+	resid := e.resid
+	tensor.Add(resid, vec, resid)
+	if err := e.inner.CompressInto(resid, msg); err != nil {
 		return err
 	}
 	if msg.Enc == EncSparse {
-		if err := checkDim(*msg, buf); err != nil {
+		if err := checkDim(*msg, resid); err != nil {
 			return err
 		}
-		e.resid, e.buf = buf, resid
 		vals := msg.Values[:len(msg.Indices)]
 		for j, ix := range msg.Indices {
-			buf[ix] -= vals[j]
+			resid[ix] -= vals[j]
 		}
 		return nil
 	}
@@ -871,8 +911,6 @@ func (e *ErrorFeedback) CompressInto(vec []float64, msg *Message) error {
 	if err := Decode(*msg, e.decBuf); err != nil {
 		return err
 	}
-	for i := range e.resid {
-		e.resid[i] = e.buf[i] - e.decBuf[i]
-	}
+	tensor.Sub(resid, resid, e.decBuf)
 	return nil
 }

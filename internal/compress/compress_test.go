@@ -489,3 +489,38 @@ func TestDecodeErrors(t *testing.T) {
 		t.Fatal("AddDecoded accepted unknown encoding")
 	}
 }
+
+// TestTopKKeysSizedToBucket: top-k's candidate keys grow to the k-th radix
+// bucket, not to the vector. Over 50 rounds of Gaussian input at dim 16 400
+// (the k-th half-octave bucket holds about a fifth of such a vector) they are
+// reallocated at most three times and stay under half of dim; a vector of
+// one magnitude is one bucket and grows them to dim, and no further.
+func TestTopKKeysSizedToBucket(t *testing.T) {
+	const dim = 16400
+	c := NewTopK(0.25).(*topKCompressor)
+	var msg Message
+	grows, last := 0, 0
+	for round := 0; round < 50; round++ {
+		if err := c.CompressInto(testVec(dim, uint64(round)), &msg); err != nil {
+			t.Fatal(err)
+		}
+		if cap(c.keys) != last {
+			grows, last = grows+1, cap(c.keys)
+		}
+	}
+	if grows > 3 || last >= dim/2 {
+		t.Fatalf("keys grown %d times to %d of %d entries: want at most 3, under half", grows, last, dim)
+	}
+	ties := make([]float64, dim)
+	for i := range ties {
+		ties[i] = float64(1 - 2*(i%2))
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.CompressInto(ties, &msg); err != nil {
+			t.Fatal(err)
+		}
+		if cap(c.keys) != dim {
+			t.Fatalf("one magnitude: keys hold %d entries, want dim %d", cap(c.keys), dim)
+		}
+	}
+}

@@ -211,7 +211,8 @@ func selectBySort(vec []float64, k int) uint64 {
 }
 
 func runSelect(vec []float64, k int, hist *[1 << topBits]uint32) uint64 {
-	return selectKthLargest(vec, k, make([]uint64, len(vec)), hist)
+	var keys []uint64
+	return selectKthLargest(vec, k, &keys, hist)
 }
 
 func TestSelectKthLargest(t *testing.T) {
@@ -417,23 +418,75 @@ func TestTopKStoresNothingPastK(t *testing.T) {
 }
 
 // TestErrorFeedbackDenseInnerMatchesReference pins the path sparse messages
-// no longer take: a quantized inner still subtracts its dense
-// reconstruction.
+// do not take: a quantized inner, on either wire, has its reconstruction
+// subtracted from the residual in place, and every message and residual must
+// equal the reference's, which forms vec + residual in a second buffer, bit
+// for bit over several rounds. Some rounds have NaNs of two payloads and ±Inf
+// planted in the input, in the carried residual, or in both at one
+// coordinate, where the add meets two NaNs and the input's payload must
+// survive.
 func TestErrorFeedbackDenseInnerMatchesReference(t *testing.T) {
-	got := WithErrorFeedback(NewQSGD(4, rng.New(5)))
-	ref := &refErrorFeedback{inner: NewQSGD(4, rng.New(5))}
-	for round := 0; round < 20; round++ {
-		vec := testVec(333, uint64(round))
-		gm, err := got.Compress(vec)
+	nan, negNaN := math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF8000000000abc)
+	inf := math.Inf(1)
+	const dim, rounds, planted = 333, 8, 3
+	type plant struct {
+		at  int
+		val float64
+	}
+	for _, spec := range []string{"qsgd:4+ef", "qsgd:4+f32+ef"} {
+		s, err := ParseSpec(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rm, _ := ref.Compress(vec)
-		if !slices.Equal(gm.Levels, rm.Levels) || gm.Norm != rm.Norm {
-			t.Fatalf("round %d: quantized message differs", round)
-		}
-		if !slices.Equal(got.resid, ref.resid) {
-			t.Fatalf("round %d: residual differs", round)
+		inner := s
+		inner.ErrorFeedback = false
+		for _, c := range []struct {
+			name       string
+			vec, resid []plant
+		}{
+			{"clean", nil, nil},
+			{"NaN in the input", []plant{{7, nan}, {200, negNaN}}, nil},
+			{"Inf in the input", []plant{{0, inf}, {dim - 1, -inf}}, nil},
+			{"NaN and Inf in the residual", nil, []plant{{5, negNaN}, {6, inf}, {dim - 2, -inf}}},
+			{"NaN in both at one coordinate", []plant{{9, nan}}, []plant{{9, negNaN}, {10, -inf}}},
+		} {
+			c := c
+			gc, err := s.New(rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := gc.(*ErrorFeedback)
+			ic, err := inner.New(rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &refErrorFeedback{inner: ic}
+			for round := 0; round < rounds; round++ {
+				vec := testVec(dim, uint64(round))
+				if round == planted {
+					for _, p := range c.vec {
+						vec[p.at] = p.val
+					}
+					for _, p := range c.resid {
+						got.resid[p.at], ref.resid[p.at] = p.val, p.val
+					}
+				}
+				gm, err := got.Compress(vec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rm, _ := ref.Compress(vec)
+				if !slices.Equal(gm.Levels, rm.Levels) || math.Float64bits(gm.Norm) != math.Float64bits(rm.Norm) ||
+					gm.Bits != rm.Bits || gm.Wire != rm.Wire {
+					t.Fatalf("%s, %s, round %d: quantized message differs from the reference", spec, c.name, round)
+				}
+				for i := range got.resid {
+					if math.Float64bits(got.resid[i]) != math.Float64bits(ref.resid[i]) {
+						t.Fatalf("%s, %s, round %d: residual[%d] = %#x, reference %#x", spec, c.name, round, i,
+							math.Float64bits(got.resid[i]), math.Float64bits(ref.resid[i]))
+					}
+				}
+			}
 		}
 	}
 }
@@ -484,10 +537,10 @@ func TestTopKOrderContract(t *testing.T) {
 	}
 }
 
-// TestTopKCompressorsShareNothing is for the race detector: the cluster
-// pool runs one compressor per worker from its fan-out, so two instances
-// must not share selection scratch. Each goroutine's messages must equal
-// the serial ones.
+// TestTopKCompressorsShareNothing is for the race detector: the experiment
+// grids run many engines at once, each compressing through compressors of
+// its own, so two instances must not share selection scratch or a residual.
+// Each goroutine's messages must equal the serial ones.
 func TestTopKCompressorsShareNothing(t *testing.T) {
 	const workers, rounds, dim = 4, 20, 1500
 	build := func() Compressor { return WithErrorFeedback(NewTopK(0.1)) }

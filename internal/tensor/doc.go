@@ -92,8 +92,15 @@
 //     hand the rest to their Go loops, which store one entry at a time below
 //     k; tiesAVX2 skips tie-free groups without storing, so a cursor already
 //     within 3 of k — the usual start, one tie short — still scans four
-//     coordinates a step to the first tie. keepAVX2 needs no bound: a group
-//     starting at value t stores at n <= t, inside keys[:len(vec)].
+//     coordinates a step to the first tie. keepAVX2 takes the same stop,
+//     len(keys)-4, and aboveAVX2's outer and inner loops: from cursor n the
+//     next (stop-n)/4+1 groups run unchecked, then the stop is tested again.
+//     THE OVERRUN HAZARD: top-k's keys are sized to the k-th bucket, not to
+//     vec, so a group starting at value t, which stores keys[n:n+4] with
+//     n <= t, would land past a short keys; KeepDigit's Go loop stores the
+//     rest one at a time below len(keys), which need only exceed the
+//     bucket's count (or equal len(vec)). Four entries of slack keep the
+//     kernel running to the last group.
 //   - chocoMixAVX2 (ChocoMix, mix_amd64.s): one node's CHOCO gossip mix in
 //     one pass over the coordinates, sixteen at a time in four registers
 //     (the Go loop takes len % 16; wire_mix's 16 400 leave none), the
@@ -207,6 +214,24 @@
 //     (VMOVQ, VPBROADCASTQ) — one legacy-SSE MOVQ into an X register with
 //     the upper halves dirty made the kernel 7x slower than its Go loop.
 //
+// # Blocked products
+//
+// Gemm, GemmTA and GemmTB are blocked (blocked.go), GEBP-style: register
+// tiles of output elements held across a k-block, the axpy forms over
+// kcBlock = 64-deep k-panels of B with each row's non-zero coefficients
+// listed once. They keep the canonical reduce order of naive.go — each output
+// element starts from its beta-scaled destination and adds its terms in
+// ascending reduction index, one separately rounded multiply and add per
+// term, and the axpy form skips a term whose coefficient is exactly zero —
+// so the speed is never reassociation. The naive loops stay as the oracles,
+// compared bit for bit over shapes, betas and worker counts. SetWorkers(n)
+// (set only by the benchmark) fans output-row panels across internal/par;
+// panels never share an output row, so every worker count gives the same
+// bits (TestParallelGemmRace, under the race detector in CI). The parallel
+// branches capture COPIES of the Matrix headers: capturing the *Matrix
+// parameters would move every caller's stack-built layer view to the heap
+// (it showed as 120 allocations a round).
+//
 // # The kernel contract
 //
 // A YMM lane holds ONE output element and lanes never mix, so a packed
@@ -283,7 +308,8 @@
 // the mask and vector-update twins at
 // every misalignment, the conv lowering against per-element reference loops
 // with canaries past the patches and the padded images, the top-k passes with
-// sentinels past k and past len(vec), the dot form's edge columns against
+// sentinels past k and past keys one entry longer than the bucket, the dot
+// form's edge columns against
 // the 8-wide tile bit for bit with sentinels past C's last column and row,
 // and fuzz targets over raw float64 words and generator states
 // (FuzzUniformsTwin, FuzzGemmTBEdgeTwin, FuzzQuantizeTwin, FuzzPolarTwin,

@@ -716,7 +716,7 @@ subloop:
 //
 // dst[i] = a[i] + b[i] for n > 0 elements, n a multiple of 4, with addGo's
 // operand order: a the add's first source, so where both are NaN a's payload
-// survives.
+// survives. A group is loaded before it is stored, so dst may be a or b.
 TEXT ·addAVX2(SB), NOSPLIT, $0-32
 	MOVQ dst+0(FP), DI
 	MOVQ a+8(FP), SI

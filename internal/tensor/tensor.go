@@ -69,7 +69,8 @@ func Fill(x []float64, v float64) {
 	}
 }
 
-// Add computes dst = a + b elementwise. Panics if lengths differ.
+// Add computes dst = a + b elementwise. Panics if lengths differ. dst may be
+// a or b: each element is read before it is written, on both tiers.
 func Add(dst, a, b []float64) {
 	if len(dst) != len(a) || len(a) != len(b) {
 		panic("tensor: Add length mismatch")
@@ -85,7 +86,8 @@ func addGo(dst, a, b []float64) {
 	}
 }
 
-// Sub computes dst = a - b elementwise. Panics if lengths differ.
+// Sub computes dst = a - b elementwise. Panics if lengths differ. dst may be
+// a, as in g = g - h: each element is read before it is written.
 func Sub(dst, a, b []float64) {
 	if len(dst) != len(a) || len(a) != len(b) {
 		panic("tensor: Sub length mismatch")

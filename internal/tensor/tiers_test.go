@@ -321,7 +321,8 @@ func TestMaskHelpersPanicOnMismatch(t *testing.T) {
 		"Sub/b":         func() { Sub(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
 		"Sub/dst":       func() { Sub(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
 		"Add":           func() { Add(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
-		"KeepDigit":     func() { KeepDigit(make([]uint64, 3), make([]float64, 4), 0) },
+		// As many members (zeros) as keys, then a coordinate to store.
+		"KeepDigit":     func() { KeepDigit(make([]uint64, 5), []float64{0, 0, 0, 0, 0, 1, 1, 1, 1}, 0) },
 		"EmitAbove":     func() { EmitAbove(make([]int32, 3), make([]float64, 4), make([]float64, 4), 0) },
 		"FillTies":      func() { FillTies(make([]int32, 4), make([]float64, 3), 0, make([]float64, 4), 0) },
 		"Convolve/bias": func() { Convolve(s, w, make([]float64, 2), img, pad, x, out, false) },

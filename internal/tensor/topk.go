@@ -17,13 +17,13 @@ import (
 // sign bit is clear on both sides of every comparison, so the kernels' signed
 // 64-bit compares order them the same way.
 //
-// THE STORE BOUND. The emission kernels store four lanes at the cursor and
+// THE STORE BOUND. The compaction kernels store four lanes at the cursor and
 // advance it by the lanes kept. A store at cursor n writes entries n..n+3, so
-// a kernel stores only while n <= len(idx)-4 and hands the rest to its Go
-// loop, which stores one entry at a time below len(idx): nothing is ever
-// written past the arrays' length, whatever their capacity. KeepDigit's
-// cursor never passes the element index, so its stores stay inside
-// keys[:len(vec)].
+// a kernel stores only while n <= len-4 of the array it fills and hands the
+// rest to its Go loop, which stores one entry at a time below that length:
+// nothing is ever written past the arrays' length, whatever their capacity.
+// So a message is exactly k long, and top-k's keys are as long as the bucket
+// KeepDigit keeps, not as long as vec.
 
 // DigitBits is the width of the first radix digit, a magnitude pattern's top
 // 12 bits: the 11 exponent bits plus the top mantissa bit, half-octave
@@ -54,12 +54,12 @@ func countDigitsGo(vec []float64, hist *[1 << DigitBits]uint32) (occ uint64) {
 }
 
 // KeepDigit writes to keys, in vec's order, the magnitude pattern of every
-// coordinate whose first digit is digit, and returns how many. It panics
-// unless len(keys) >= len(vec).
+// coordinate whose first digit is digit, and returns how many. keys must hold
+// more entries than coordinates carry the digit, or as many as vec has: the
+// Go loop stores every coordinate at the cursor before it decides whether to
+// keep it (the cursor never passes the coordinate's index), and a store past
+// len(keys) panics.
 func KeepDigit(keys []uint64, vec []float64, digit uint64) int {
-	if len(keys) < len(vec) {
-		panic(fmt.Sprintf("tensor: KeepDigit has %d keys for %d values", len(keys), len(vec)))
-	}
 	n, done := keepDigitBulk(keys, vec, digit)
 	return keepDigitGo(keys, n, vec[done:], digit)
 }

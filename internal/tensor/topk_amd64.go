@@ -8,11 +8,12 @@ package tensor
 //go:noescape
 func countAVX2(vec *float64, n int, hist *uint32) uint64
 
-// keepAVX2 is keepDigitGo over groups > 0 groups of four values from an empty
-// list, returning the count kept.
+// keepAVX2 is keepDigitGo over at most groups > 0 groups of four values from
+// an empty list, and stops before a group it would store at a cursor above
+// stop. It returns the count kept and how many values it took.
 //
 //go:noescape
-func keepAVX2(keys *uint64, vec *float64, groups int, digit uint64) int
+func keepAVX2(keys *uint64, vec *float64, stop, groups int, digit uint64) (count, done int)
 
 // aboveAVX2 and tiesAVX2 are emitAboveGo and fillTiesGo over at most
 // groups > 0 groups of four values from index 0, with the cursor starting at
@@ -59,12 +60,11 @@ func countDigitsBulk(vec []float64, hist *[1 << DigitBits]uint32) (int, uint64) 
 }
 
 func keepDigitBulk(keys []uint64, vec []float64, digit uint64) (n, done int) {
-	done = len(vec) &^ 3
-	if !useAVX2 || done == 0 {
+	groups, stop := len(vec)/4, len(keys)-4
+	if !useAVX2 || groups == 0 || stop < 0 {
 		return 0, 0
 	}
-	_ = keys[len(vec)-1]
-	return keepAVX2(&keys[0], &vec[0], done/4, digit), done
+	return keepAVX2(&keys[0], &vec[0], stop, groups, digit)
 }
 
 func emitAboveBulk(idx []int32, vals []float64, vec []float64, thresh uint64) (n, done int) {

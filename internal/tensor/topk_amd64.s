@@ -54,21 +54,38 @@ countloop:
 	VZEROUPPER
 	RET
 
-// func keepAVX2(keys *uint64, vec *float64, groups int, digit uint64) int
+// func keepAVX2(keys *uint64, vec *float64, stop, groups int, digit uint64) (count, done int)
 //
-// Compacts to keys the patterns of groups > 0 groups of four values whose
-// digit b >> 51 is digit, and returns how many. A group starting at value t
-// stores keys[n : n+4] with n <= t, inside keys[:4*groups].
-TEXT ·keepAVX2(SB), NOSPLIT, $0-40
+// Compacts to keys the patterns of the values whose digit b >> 51 is digit,
+// from value 0 over at most groups > 0 groups of four, every group stored
+// unconditionally, and stops before a group when the cursor is above stop:
+// aboveAVX2's bound, so keys need only be as long as the bucket.
+TEXT ·keepAVX2(SB), NOSPLIT, $0-56
 	MOVQ         keys+0(FP), DI
 	MOVQ         vec+8(FP), SI
-	MOVQ         groups+16(FP), CX
-	VPBROADCASTQ digit+24(FP), Y14
+	MOVQ         stop+16(FP), R9
+	MOVQ         groups+24(FP), R8
+	VPBROADCASTQ digit+32(FP), Y14
 	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
 	VMOVQ        AX, X15
 	VPBROADCASTQ X15, Y15
 	LEAQ         ·compressPerm(SB), R12
-	XORQ         R13, R13 // the cursor
+	XORQ         R13, R13     // the cursor
+	MOVQ         SI, R11      // vec, to count the values taken
+	SHLQ         $5, R8
+	ADDQ         SI, R8       // the end of the last group
+
+keepouter:
+	// As in aboveAVX2: from cursor n the next (stop - n) / 4 + 1 groups
+	// store at or below stop, so they run unchecked up to the group end CX.
+	MOVQ    R9, CX
+	SUBQ    R13, CX
+	JLT     keepdone
+	SHRQ    $2, CX
+	SHLQ    $5, CX
+	LEAQ    32(SI)(CX*1), CX
+	CMPQ    CX, R8
+	CMOVQGT R8, CX
 
 keeploop:
 	VPAND     (SI), Y15, Y0
@@ -82,10 +99,16 @@ keeploop:
 	VMOVDQU   Y0, (DI)(R13*8)
 	ADDQ      BX, R13
 	ADDQ      $32, SI
-	DECQ      CX
-	JNZ       keeploop
+	CMPQ      SI, CX
+	JNE       keeploop
+	CMPQ      SI, R8
+	JNE       keepouter
 
-	MOVQ R13, ret+32(FP)
+keepdone:
+	SUBQ R11, SI
+	SHRQ $3, SI
+	MOVQ R13, count+40(FP)
+	MOVQ SI, done+48(FP)
 	VZEROUPPER
 	RET
 

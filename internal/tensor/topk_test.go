@@ -8,7 +8,7 @@ import (
 )
 
 // The sentinels fill the entries past every array's length: a kernel that
-// stores past len(idx) (or past len(vec) in keys) overwrites one.
+// stores past len(idx) or len(keys) overwrites one.
 const (
 	keySentinel = 0x5e7e5e7e5e7e5e7e
 	idxSentinel = 0x5e7e5e7e
@@ -18,10 +18,11 @@ var valSentinel = math.Float64frombits(keySentinel) // a normal, not a NaN
 
 // topkTwin holds the four top-k passes and Add, on whichever tier runs, to
 // their Go loops over vec: the digit counts and occupancy word, the kept keys
-// of one digit, the (index, value) pairs above thresh, the tie fill that
-// stops at k = above + 1 + kSeed%ties, and a + b with NaN payloads in both
-// operands. digit and thresh come from vec's own patterns (at the picked
-// positions), so equal digits and ties are the common case, not luck.
+// of one digit into keys as short as KeepDigit allows, the (index, value)
+// pairs above thresh, the tie fill that stops at k = above + 1 + kSeed%ties,
+// and a + b with NaN payloads in both operands, also in place into b. digit
+// and thresh come from vec's own patterns (at the picked positions), so equal
+// digits and ties are the common case, not luck.
 func topkTwin(t *testing.T, vec []float64, pick uint16, kSeed uint8) {
 	t.Helper()
 	dim := len(vec)
@@ -39,18 +40,17 @@ func topkTwin(t *testing.T, vec []float64, pick uint16, kSeed uint8) {
 	if i, ok := bitsEqual(sum, want); !ok {
 		t.Fatalf("Add(%x, %x)[%d] = %x, Go loop %x", words(vec), words(b), i, math.Float64bits(sum[i]), math.Float64bits(want[i]))
 	}
+	// In place, as error feedback's resid = vec + resid does.
+	Add(b, vec, b)
+	if i, ok := bitsEqual(b, want); !ok {
+		t.Fatalf("Add in place (%x)[%d] = %x, Go loop %x", words(vec), i, math.Float64bits(b[i]), math.Float64bits(want[i]))
+	}
 	if dim == 0 {
 		return
 	}
 
 	digit := math.Float64bits(vec[int(pick)%dim]) & absMask >> digitShift
-	keys := filled[uint64](dim+5, keySentinel)
-	wantKeys := make([]uint64, dim)
-	n := KeepDigit(keys[:dim], vec, digit)
-	if wantN := keepDigitGo(wantKeys, 0, vec, digit); n != wantN || !slices.Equal(keys[:n], wantKeys[:n]) {
-		t.Fatalf("KeepDigit(%x, digit %#x) = %x, Go loop %x", words(vec), digit, keys[:n], wantKeys[:wantN])
-	}
-	intactPast(t, "KeepDigit's keys", keys, dim, keySentinel)
+	keepTwin(t, vec, digit)
 
 	thresh := math.Float64bits(vec[int(pick>>8)%dim]) & absMask
 	above, ties := 0, 0
@@ -65,7 +65,7 @@ func topkTwin(t *testing.T, vec []float64, pick uint16, kSeed uint8) {
 	k := above + 1 + int(kSeed)%ties
 	idx, vals := filled[int32](k+5, idxSentinel), filled(k+5, valSentinel)
 	wantIdx, wantVals := make([]int32, k), make([]float64, k)
-	n = EmitAbove(idx[:k], vals[:k], vec, thresh)
+	n := EmitAbove(idx[:k], vals[:k], vec, thresh)
 	if wantN := emitAboveGo(wantIdx, wantVals, 0, vec, 0, thresh); n != wantN || n != above {
 		t.Fatalf("EmitAbove(%x, %#x) emitted %d, Go loop %d, above %d", words(vec), thresh, n, wantN, above)
 	}
@@ -77,6 +77,21 @@ func topkTwin(t *testing.T, vec []float64, pick uint16, kSeed uint8) {
 	}
 	intactPast(t, "the emitted indices", idx, k, idxSentinel)
 	intactPast(t, "the emitted values", vals, k, valSentinel)
+}
+
+// keepTwin holds KeepDigit to its Go loop over keys exactly as short as its
+// contract allows — one entry past the members, or len(vec) when every
+// coordinate carries the digit — with sentinels past them.
+func keepTwin(t *testing.T, vec []float64, digit uint64) {
+	t.Helper()
+	wantKeys := make([]uint64, len(vec))
+	wantN := keepDigitGo(wantKeys, 0, vec, digit)
+	short := min(wantN+1, len(vec))
+	keys := filled[uint64](short+5, keySentinel)
+	if n := KeepDigit(keys[:short], vec, digit); n != wantN || !slices.Equal(keys[:n], wantKeys[:n]) {
+		t.Fatalf("KeepDigit(%x, digit %#x) into %d keys = %x, Go loop %x", words(vec), digit, short, keys[:n], wantKeys[:wantN])
+	}
+	intactPast(t, "KeepDigit's keys", keys, short, keySentinel)
 }
 
 // filled returns n copies of s.
@@ -149,6 +164,75 @@ func TestTopKKernelsMatchGoLoops(t *testing.T) {
 				}
 				for rep := 0; rep < 6; rep++ {
 					topkTwin(t, vec, uint16(r.intn(1<<16)), uint8(r.intn(1<<8)))
+				}
+			}
+		}
+	})
+}
+
+// TestKeepDigitStoresNothingPastKeys runs keepTwin on both tiers at dims 1-19
+// and 64-67 and every member count from none to all (so the keys' length
+// takes every residue mod 4, and a whole vector of one digit is the
+// heavy-tie case), with the members first, last and scattered, in three
+// families: finite members, NaN members, and ±Inf members beside a
+// signalling NaN of the same digit, each among coordinates of other digits
+// that include NaN, ±Inf, zero and subnormals.
+func TestKeepDigitStoresNothingPastKeys(t *testing.T) {
+	nan, negNaN := math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF8000000000abc)
+	sNaN, inf := math.Float64frombits(0x7FF4000000000001), math.Inf(1)
+	families := []struct {
+		name            string
+		members, others []float64
+	}{
+		{"finite", []float64{1, -1.25, 1.4999999999999998}, []float64{0, 3, -0.5, inf, nan, 5e-324}},
+		{"NaN", []float64{nan, negNaN}, []float64{inf, -inf, sNaN, 1, math.Copysign(0, -1)}},
+		{"Inf", []float64{inf, -inf, sNaN}, []float64{nan, math.MaxFloat64, -2, 5e-324}},
+	}
+	var dims []int
+	for d := 1; d <= 19; d++ {
+		dims = append(dims, d)
+	}
+	dims = append(dims, 64, 65, 66, 67)
+	eachTier(t, func(t *testing.T) {
+		r := parityRNG(29)
+		for _, f := range families {
+			digit := math.Float64bits(f.members[0]) & absMask >> digitShift
+			for _, v := range f.others {
+				if math.Float64bits(v)&absMask>>digitShift == digit {
+					t.Fatalf("%s: %v carries the members' digit", f.name, v)
+				}
+			}
+			for _, dim := range dims {
+				for members := 0; members <= dim; members++ {
+					for place := 0; place < 3; place++ {
+						member := make([]bool, dim)
+						switch place {
+						case 0:
+							for i := 0; i < members; i++ {
+								member[i] = true
+							}
+						case 1:
+							for i := dim - members; i < dim; i++ {
+								member[i] = true
+							}
+						default:
+							for n := 0; n < members; {
+								if i := r.intn(dim); !member[i] {
+									member[i] = true
+									n++
+								}
+							}
+						}
+						vec := make([]float64, dim)
+						for i := range vec {
+							if member[i] {
+								vec[i] = f.members[r.intn(len(f.members))]
+							} else {
+								vec[i] = f.others[r.intn(len(f.others))]
+							}
+						}
+						keepTwin(t, vec, digit)
+					}
 				}
 			}
 		}
