@@ -128,11 +128,13 @@
 // The training hot path is deterministic-parallel at three layers. (1) The
 // lock-step engine fans each round's local-update loops across a bounded
 // goroutine pool (cluster.Config.ComputeWorkers, default GOMAXPROCS), one
-// network per compute slot: slot s steps workers s, s+width, ... at their
-// own parameter vectors (nn.Network.LossGradAt), so a worker is its
+// network, gradient buffer and mini-batch buffer per compute slot: slot s
+// steps workers s, s+width, ... at their own parameter vectors
+// (nn.Network.LossGradAt, data.Sampler.NextInto), so a worker is its
 // parameters, sampler and optimizer, and m workers cost ComputeWorkers sets
-// of activations, not m. Workers are independent between averaging points,
-// a network carries nothing from one step to the next, and the reduce
+// of activations, gradients and batches, not m. Workers are independent
+// between averaging points, a slot's scratch carries nothing from one step
+// to the next, and the reduce
 // always runs in fixed worker order, so pool width cannot change a bit of
 // any trajectory (pinned by golden and determinism tests at several worker
 // counts and widths). (2) The nn layers are allocation-free in steady

@@ -277,8 +277,8 @@ type AsyncEngine struct {
 
 	com *comm.Communicator
 	// comp encodes every upload (shared: compression happens serially at
-	// dispatch); the uncompressed wire is the identity scheme, so the dense
-	// and compressed paths are one.
+	// dispatch), in a Selection of the engine's own; the uncompressed wire is
+	// the identity scheme, so the dense and compressed paths are one.
 	comp compress.Compressor
 
 	// computeModel is THE materialized replica slot. Evaluation runs on it
@@ -399,7 +399,7 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		e.idlePos[i] = i // client i starts at position i
 	}
 	e.downVersion = -1
-	if e.comp, err = cfg.Compress.NewWire(root.Split); err != nil {
+	if e.comp, err = cfg.Compress.NewWire(root.Split, new(compress.Selection)); err != nil {
 		return nil, err
 	}
 	if cfg.Compress.Wire == compress.WireFloat32 {

@@ -37,15 +37,19 @@
 // local-update phase is genuinely concurrent: each round's tau per-worker
 // update loops fan out across a bounded goroutine pool
 // (Config.ComputeWorkers, default GOMAXPROCS). Workers are independent
-// between averaging points — each owns its model replica, sampler RNG
-// stream, optimizer, and gradient buffer — and the averaging step always
-// reduces contributions in fixed worker order, so the pool width and
-// goroutine scheduling cannot change a single bit of the trajectory.
-// A network (nn.Network: the layers and their batch-sized arenas) belongs to
-// a compute slot, not to a worker: the engine holds one per slot and runs
-// each of the slot's workers' steps on it at the worker's parameters
-// (nn.Network.LossGradAt), so m workers cost m parameter vectors but only
-// ComputeWorkers sets of activations. ComputeWorkers: 1 forces the legacy
+// between averaging points — each owns its model replica, sampler position
+// and RNG stream, optimizer, and error-feedback residual — and the averaging
+// step always reduces contributions in fixed worker order, so the pool width
+// and goroutine scheduling cannot change a single bit of the trajectory.
+// Scratch belongs to whoever runs it. A network (nn.Network: the layers and
+// their batch-sized arenas), a gradient buffer and a mini-batch buffer belong
+// to a compute slot, not to a worker: the engine holds one of each per slot
+// and runs each of the slot's workers' steps on them at the worker's
+// parameters (data.Sampler.NextInto, nn.Network.LossGradAt), so m workers
+// cost m parameter vectors but only ComputeWorkers sets of activations,
+// gradients and batches. Top-k's selection scratch (compress.Selection) is
+// the engine's: one, lent to every worker's compressor, because the engine
+// compresses one worker at a time. ComputeWorkers: 1 forces the legacy
 // serial loop; the golden and determinism tests pin serial and parallel
 // traces bit-identical at any worker count and width.
 //
@@ -126,17 +130,18 @@ type Config struct {
 	// ComputeWorkers bounds the goroutine pool that executes the simulated
 	// workers' local-update phases (Run, StepLocal) and evaluation
 	// (TrainLoss, TestAccuracy, EvalParamsLoss, EvalParamsAccuracy), at
-	// most one per worker, and it is the number of networks the engine
-	// holds: one per compute slot, slot s stepping workers s, s+width, ...
-	// at their own parameters. 0 defaults to runtime.GOMAXPROCS(0); an
-	// effective value of 1 (explicitly, or on a single-core machine) takes
-	// the legacy serial path on one network. Workers are independent between
-	// averaging points — each owns its parameters, sampler stream, and
-	// optimizer — and averaging reduces in fixed worker order, so parallel
-	// execution is bit-identical to serial (asserted by the golden and
-	// determinism tests). Evaluation spreads its chunks over the same
-	// networks between rounds (nn.LossAt, bit-identical at any width).
-	// Negative values are rejected.
+	// most one per worker, and it is the number of networks, gradient
+	// buffers and mini-batch buffers the engine holds: one of each per
+	// compute slot, slot s stepping workers s, s+width, ... on them at their
+	// own parameters. 0 defaults to runtime.GOMAXPROCS(0); an effective
+	// value of 1 (explicitly, or on a single-core machine) takes the legacy
+	// serial path on one network. Workers are independent between averaging
+	// points — each owns its parameters, sampler stream, and optimizer — and
+	// averaging reduces in fixed worker order, so parallel execution is
+	// bit-identical to serial (asserted by the golden and determinism
+	// tests). Evaluation spreads its chunks over the same networks between
+	// rounds (nn.LossAt, bit-identical at any width). Negative values are
+	// rejected.
 	ComputeWorkers int
 
 	// Strategy selects the mixing rule at synchronization points:
@@ -350,14 +355,16 @@ func (f FixedTau) NextRound(info RoundInfo, _ func() float64) (int, float64) {
 // Name implements Controller.
 func (f FixedTau) Name() string { return fmt.Sprintf("tau=%d", f.Tau) }
 
-// worker is one simulated node: what outlives a local step. Its steps run
-// on the network of the compute slot it belongs to (Engine.nets).
+// worker is one simulated node: its state, what outlives a local step — the
+// replica, the sampler's position and stream, the optimizer. Its steps run
+// on the scratch of the compute slot it belongs to (Engine.nets, grads,
+// batches), and its compressor (Engine.comps) selects in the engine's
+// Selection.
 type worker struct {
 	params  []float64 // the worker's model replica
 	sampler *data.Sampler
 	opt     *opt.Optimizer
 	sync    [][]float64 // the optimizer's SyncAverage vectors (live views)
-	grad    []float64   // the latest mini-batch gradient (RoundInfo.GradNorm reads worker 0's)
 }
 
 // Params returns the worker's live parameter vector: the gossip protocol's
@@ -415,12 +422,16 @@ type Engine struct {
 
 	// Compression state: comps[i] is worker i's compressor (owning its
 	// error-feedback residual and stochastic stream), compress.Identity{}
-	// under the zero spec. The engine owns every wire message: msgBuf[i] is
-	// worker i's all-reduce slot, recompressed into each round (full
-	// averaging's uncompressed mean only borrows the replica as a dense
-	// view), and wireMsg is the one slot gossip and elastic exchanges share —
-	// each message is decoded before the next worker compresses.
+	// under the zero spec; every top-k compressor selects in sel, one
+	// Selection for all, because the engine compresses one worker at a time
+	// and never inside the local-update fan-out. The engine owns every wire
+	// message: msgBuf[i] is worker i's all-reduce slot, recompressed into
+	// each round (full averaging's uncompressed mean only borrows the
+	// replica as a dense view), and wireMsg is the one slot gossip and
+	// elastic exchanges share — each message is decoded before the next
+	// worker compresses.
 	comps    []compress.Compressor
+	sel      *compress.Selection
 	deltaBuf []float64
 	sumBuf   []float64
 	msgBuf   []compress.Message
@@ -452,12 +463,20 @@ type Engine struct {
 	activeAdj [][]int
 	gammas    []float64
 
-	// nets holds one network per compute slot: slot s runs the local steps
-	// of workers s, s+pool, ... (localUpdates) at their own parameters, and
-	// evaluation spreads its chunks over all of them between rounds. None
-	// carries state from one call to the next (every LossGradAt starts with
-	// a Forward), so which network ran a step cannot show in any bit.
+	// nets, grads and batches hold one network, gradient buffer and
+	// mini-batch buffer per compute slot: slot s runs the local steps of
+	// workers s, s+pool, ... (localUpdates) at their own parameters, and
+	// evaluation spreads its chunks over all the networks between rounds.
+	// None carries state from one step to the next (every LossGradAt starts
+	// with a Forward and rewrites the whole gradient, every NextInto
+	// rewrites the whole batch), so which slot ran a step cannot show in any
+	// bit. gradNorm is the l2 norm of worker 0's latest gradient
+	// (RoundInfo.GradNorm), recorded by slot 0 after worker 0's last step of
+	// a call; a call in which worker 0 takes no step leaves it standing.
 	nets      []*nn.Network
+	grads     [][]float64
+	batches   []data.Batch
+	gradNorm  float64
 	testSet   *data.Dataset
 	evalBatch data.Batch
 	testBatch data.Batch
@@ -578,7 +597,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 			params:  append([]float64(nil), proto.Params()...),
 			sampler: data.NewSampler(shards[i], cfg.BatchSize, root.Split()),
 			opt:     opt.New(cfg.Opt, proto.ParamLen()),
-			grad:    make([]float64, proto.ParamLen()),
 		}
 		w.sync = opt.SyncedVecs(w.opt)
 		e.workers = append(e.workers, w)
@@ -626,14 +644,18 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		e.pool = m
 	}
 	e.nets = make([]*nn.Network, e.pool)
+	e.grads = make([][]float64, e.pool)
 	for i := range e.nets {
 		e.nets[i] = proto.Clone()
+		e.grads[i] = make([]float64, e.dim)
 	}
+	e.batches = make([]data.Batch, e.pool)
 	// Compressor construction comes last: the zero spec's Identity{} draws
 	// no stream, so an uncompressed engine consumes exactly the legacy RNG.
 	e.comps = make([]compress.Compressor, m)
+	e.sel = new(compress.Selection)
 	for i := range e.comps {
-		c, err := cfg.Compress.NewWire(root.Split)
+		c, err := cfg.Compress.NewWire(root.Split, e.sel)
 		if err != nil {
 			return nil, err
 		}
@@ -789,10 +811,11 @@ func (e *Engine) setCompressionBits(b int) {
 
 // localUpdates advances every worker by `steps` local SGD iterations at lr,
 // fanning the compute slots across the bounded pool (Config.ComputeWorkers):
-// slot s steps workers s, s+pool, ... in turn on its network, e.nets[s], the
-// stride Network.evaluate deals chunks in. Everything else a step touches —
-// replica, sampler stream, optimizer, gradient buffer — is owned by its
-// worker, and a network carries nothing from one worker's step to the
+// slot s steps workers s, s+pool, ... in turn on its scratch — network
+// e.nets[s], gradient e.grads[s], mini-batch e.batches[s] — the stride
+// Network.evaluate deals chunks in. Everything else a step touches —
+// replica, sampler position and stream, optimizer — is owned by its worker,
+// and the slot's scratch carries nothing from one worker's step to the
 // next, which is what makes the fan-out safe AND bit-identical to the
 // serial loop at any pool width or scheduling; the averaging that follows
 // always reduces in fixed worker order.
@@ -808,9 +831,10 @@ func (e *Engine) localUpdates(steps int, lr float64) {
 }
 
 // slotSteps is compute slot s's share of localUpdates: each of its workers'
-// steps, one worker after another, on the slot's network.
+// steps, one worker after another, on the slot's scratch. Slot 0 records
+// worker 0's gradient norm before the next worker's step overwrites it.
 func (e *Engine) slotSteps(s, steps int, lr float64) {
-	net := e.nets[s]
+	net, grad, b := e.nets[s], e.grads[s], &e.batches[s]
 	for i := s; i < e.m; i += e.pool {
 		if !e.fltActive[i] {
 			continue // down workers freeze: no steps, no sampler draws
@@ -818,9 +842,12 @@ func (e *Engine) slotSteps(s, steps int, lr float64) {
 		w := e.workers[i]
 		w.opt.SetLR(lr)
 		for k := 0; k < steps; k++ {
-			b := w.sampler.Next()
-			net.LossGradAt(w.params, b, w.grad)
-			w.opt.Step(w.params, w.grad)
+			w.sampler.NextInto(b)
+			net.LossGradAt(w.params, *b, grad)
+			w.opt.Step(w.params, grad)
+		}
+		if i == 0 && steps > 0 {
+			e.gradNorm = tensor.Norm2(grad)
 		}
 	}
 }
@@ -1030,7 +1057,7 @@ func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 		e.localUpdates(steps, lr)
 		e.optSteps += steps
 		info.Iter += steps
-		info.GradNorm = tensor.Norm2(e.workers[0].grad)
+		info.GradNorm = e.gradNorm
 		// Averaging precedes the clock update so roundTime can charge this
 		// round's (possibly compressed) broadcast payload. Neither step
 		// draws from the other's RNG stream, so the order swap leaves

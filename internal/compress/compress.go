@@ -58,7 +58,7 @@
 //     that restores the all-zero histogram, cost a few dozen counters on a
 //     bell-shaped vector instead of 4096 (a 650-wide vector cannot afford
 //     more). The walk also returns that bucket's count, and
-//     tensor.KeepDigit compacts the bucket's patterns into the compressor's
+//     tensor.KeepDigit compacts the bucket's patterns into the selection's
 //     keys, which are sized to it (growKeys: at least count+4 entries,
 //     doubled when short, at most dim; a heavy-tie vector of one bucket
 //     takes dim). The candidates (about a fifth of a Gaussian vector)
@@ -95,10 +95,28 @@
 // Error feedback forms vec + residual in the residual itself (tensor.Add,
 // four-wide and safe in place), and the inner compressor reads it there: a
 // compressor keeps no reference to its input, so no second dim-sized buffer
-// is needed, and what a worker holds is its residual and its message.
-// Fusing that add into the digit count measured 3.24 us against 3.23 us per
-// call at ps_adasync's shape (650 coordinates, ratio 0.1, best of 30 runs of
-// 20 000 calls): nothing, so the add stays a pass of its own.
+// is needed. Fusing that add into the digit count measured 3.24 us against
+// 3.23 us per call at ps_adasync's shape (650 coordinates, ratio 0.1, best
+// of 30 runs of 20 000 calls): nothing, so the add stays a pass of its own.
+//
+// # A compressor keeps state, not scratch
+//
+// What a compressor owns outlives a call: its ratio or bit-width, its
+// stochastic stream, an error-feedback residual. What one call works in and
+// leaves behind — top-k's candidate keys and its 4096-counter histogram —
+// is a Selection, and a compressor built by Spec.NewWire borrows its
+// holder's: the lock-step engine, the parameter server and the event-driven
+// engine each hold one and lend it to every compressor they build, so a
+// worker's wire costs its residual and its message, and m workers cost one
+// set of keys. That is safe because a call leaves nothing in a selection
+// that the next call reads (the keys are rewritten before they are read,
+// the histogram is all zero between calls), so which compressor ran last
+// cannot show in any bit. THE RULE: one selection is used by one goroutine
+// at a time, and two engines never share one. The engines compress in fixed
+// worker order outside their compute fan-out, one call at a time, and the
+// experiment grids, which run many engines at once, give each its own.
+// Spec.New and NewTopK build a private selection, for callers that hold a
+// single compressor.
 //
 // # QSGD: draw order, conversion, what stays scalar
 //
@@ -188,10 +206,10 @@
 // takes from AsyncEngine.freeMsgs before it builds one (so at most
 // AsyncStats.PeakInFlight exist). Tier-1 gates every spec's CompressInto and
 // each engine's exchange at zero allocations after warm-up; over a long run
-// top-k's keys can still double a handful of times, when a k-th bucket
-// outgrows every earlier one (growKeys). Compress(vec)
-// is CompressInto on a zero Message, for callers that want a fresh message
-// and accept its allocations.
+// a selection's keys can still double a handful of times, when a k-th
+// bucket outgrows every earlier one (growKeys). Compress(vec) is
+// CompressInto on a zero Message, for callers that want a fresh message and
+// accept its allocations.
 //
 // # A pull is free or exact, priced and never built
 //
@@ -468,15 +486,26 @@ func checkDim(msg Message, dst []float64) error {
 // Top-k sparsification
 // ---------------------------------------------------------------------------
 
-type topKCompressor struct {
-	ratio float64
+// Selection is top-k's scratch: what one selectKthLargest call works in and
+// nothing that outlives it. A compressor borrows its holder's selection (see
+// "A compressor keeps state, not scratch" in the package comment): one
+// selection is used by one goroutine at a time, and two engines never share
+// one. The zero value is ready to use, and costs nothing until top-k first
+// selects in it.
+type Selection struct {
 	// keys holds the k-th bucket's |v| bit patterns, compacted in place to
 	// the candidates; it is sized to that bucket, not to the vector
 	// (growKeys).
 	keys []uint64
 	// hist is all zero between calls: each count clears the range it
-	// touched, so a 650-wide vector never pays for 4096 counters.
-	hist [1 << topBits]uint32
+	// touched, so a 650-wide vector never pays for 4096 counters. Allocated
+	// at the first selection, so an engine that never runs top-k holds none.
+	hist *[1 << topBits]uint32
+}
+
+type topKCompressor struct {
+	ratio float64
+	sel   *Selection // borrowed from the holder, or private (NewTopK)
 }
 
 // NewTopK returns a top-k sparsifier keeping the k = ceil(ratio*dim)
@@ -487,8 +516,11 @@ type topKCompressor struct {
 // priced like any other instead of silently emptying the message. Entries
 // strictly above the k-th magnitude come first in ascending index order,
 // then coordinates tied with it, lowest index first.
-func NewTopK(ratio float64) Compressor {
-	return &topKCompressor{ratio: clampRatio(ratio)}
+func NewTopK(ratio float64) Compressor { return newTopK(ratio, new(Selection)) }
+
+// newTopK is NewTopK selecting in sel.
+func newTopK(ratio float64, sel *Selection) Compressor {
+	return &topKCompressor{ratio: clampRatio(ratio), sel: sel}
 }
 
 func (t *topKCompressor) Name() string { return fmt.Sprintf("topk:%g", t.ratio) }
@@ -511,7 +543,11 @@ func (t *topKCompressor) CompressInto(vec []float64, msg *Message) error {
 		return nil
 	}
 	k := keepCount(t.ratio, dim)
-	thresh := selectKthLargest(vec, k, &t.keys, &t.hist)
+	sel := t.sel
+	if sel.hist == nil {
+		sel.hist = new([1 << topBits]uint32)
+	}
+	thresh := selectKthLargest(vec, k, &sel.keys, sel.hist)
 
 	// Fewer than k magnitudes are strictly above the k-th largest; then the
 	// coordinates tied with it fill the remaining slots, lowest index first,

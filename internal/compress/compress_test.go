@@ -490,22 +490,30 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-// TestTopKKeysSizedToBucket: top-k's candidate keys grow to the k-th radix
-// bucket, not to the vector. Over 50 rounds of Gaussian input at dim 16 400
-// (the k-th half-octave bucket holds about a fifth of such a vector) they are
-// reallocated at most three times and stay under half of dim; a vector of
-// one magnitude is one bucket and grows them to dim, and no further.
+// TestTopKKeysSizedToBucket: a selection's candidate keys grow to the k-th
+// radix bucket, not to the vector. Four top-k compressors share one
+// selection, as an engine's workers do; over 50 rounds of Gaussian input at
+// dim 16 400 (the k-th half-octave bucket holds about a fifth of such a
+// vector) the keys are reallocated at most three times in all and stay under
+// half of dim. A vector of one magnitude is one bucket and grows them to
+// dim, and no further.
 func TestTopKKeysSizedToBucket(t *testing.T) {
 	const dim = 16400
-	c := NewTopK(0.25).(*topKCompressor)
+	sel := new(Selection)
+	cs := make([]Compressor, 4)
+	for i := range cs {
+		cs[i] = newTopK(0.25, sel)
+	}
 	var msg Message
 	grows, last := 0, 0
 	for round := 0; round < 50; round++ {
-		if err := c.CompressInto(testVec(dim, uint64(round)), &msg); err != nil {
-			t.Fatal(err)
-		}
-		if cap(c.keys) != last {
-			grows, last = grows+1, cap(c.keys)
+		for i, c := range cs {
+			if err := c.CompressInto(testVec(dim, uint64(round*len(cs)+i)), &msg); err != nil {
+				t.Fatal(err)
+			}
+			if cap(sel.keys) != last {
+				grows, last = grows+1, cap(sel.keys)
+			}
 		}
 	}
 	if grows > 3 || last >= dim/2 {
@@ -515,12 +523,72 @@ func TestTopKKeysSizedToBucket(t *testing.T) {
 	for i := range ties {
 		ties[i] = float64(1 - 2*(i%2))
 	}
-	for i := 0; i < 2; i++ {
+	for _, c := range cs[:2] {
 		if err := c.CompressInto(ties, &msg); err != nil {
 			t.Fatal(err)
 		}
-		if cap(c.keys) != dim {
-			t.Fatalf("one magnitude: keys hold %d entries, want dim %d", cap(c.keys), dim)
+		if cap(sel.keys) != dim {
+			t.Fatalf("one magnitude: keys hold %d entries, want dim %d", cap(sel.keys), dim)
+		}
+	}
+}
+
+// TestSharedSelectionMatchesPrivate: compressors that share one Selection,
+// each at its own dimension and called in turn over vectors of several
+// shapes, ship the
+// messages — and keep the error-feedback residuals — that the same
+// compressors on private selections do, bit for bit, and a selection's
+// histogram is all zero between calls. A call leaves nothing in a selection
+// that the next one reads.
+func TestSharedSelectionMatchesPrivate(t *testing.T) {
+	specs := []string{"topk:0.1", "topk:0.01+ef", "topk:0.3+ef+f32", "topk:0.5"}
+	dims := []int{650, 16400, 7, 4112}
+	sel := new(Selection)
+	split := func() *rng.Rand { return nil } // top-k draws nothing
+	shared := make([]Compressor, len(specs))
+	private := make([]Compressor, len(specs))
+	for i, str := range specs {
+		spec, err := ParseSpec(str)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared[i], err = spec.NewWire(split, sel); err != nil {
+			t.Fatal(err)
+		}
+		if private[i], err = spec.New(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got, want Message
+	for round := 0; round < 6; round++ {
+		for i := range specs {
+			dim := dims[i]
+			vec := testVec(dim, uint64(10*round+i))
+			switch round % 3 {
+			case 1:
+				vec = heavyTies(dim, uint64(round+i))
+			case 2:
+				vec = clustered(dim, uint64(round+i))
+			}
+			if err := shared[i].CompressInto(vec, &got); err != nil {
+				t.Fatal(err)
+			}
+			if err := private[i].CompressInto(vec, &want); err != nil {
+				t.Fatal(err)
+			}
+			if !identicalMessages(got, want) {
+				t.Fatalf("round %d, %s at dim %d: the shared selection's message differs from a private one's", round, specs[i], dim)
+			}
+			if *sel.hist != ([1 << topBits]uint32{}) {
+				t.Fatalf("round %d, %s: the histogram is not all zero after a call", round, specs[i])
+			}
+		}
+	}
+	for i := range specs {
+		if ef, ok := shared[i].(*ErrorFeedback); ok {
+			if !sameBits(ef.resid, private[i].(*ErrorFeedback).resid) {
+				t.Errorf("%s: the shared selection's residual differs from a private one's", specs[i])
+			}
 		}
 	}
 }

@@ -304,7 +304,7 @@ func TestAddDecodedIsDecodePlusDst(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, dim := range dims {
-			c, err := spec.NewWire(func() *rng.Rand { return rng.New(uint64(dim)) })
+			c, err := spec.NewWire(func() *rng.Rand { return rng.New(uint64(dim)) }, new(Selection))
 			if err != nil {
 				t.Fatal(err)
 			}

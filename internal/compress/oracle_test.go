@@ -622,7 +622,7 @@ func FuzzSelectKthLargest(f *testing.F) {
 		if got := runSelect(vec, k, &hist); got != want {
 			t.Fatalf("dim=%d k=%d: got %#x, want %#x", dim, k, got, want)
 		}
-		msg, err := (&topKCompressor{ratio: float64(k) / float64(dim)}).Compress(vec)
+		msg, err := (&topKCompressor{ratio: float64(k) / float64(dim), sel: new(Selection)}).Compress(vec)
 		if err != nil {
 			t.Fatal(err)
 		}

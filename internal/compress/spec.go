@@ -172,8 +172,12 @@ func ParseSpec(str string) (Spec, error) {
 // New builds one compressor instance. Stochastic kinds (RandK, QSGD) draw
 // from r, which must not be shared with other consumers; deterministic kinds
 // ignore it. The None spec builds Identity{}, which a float32 wire narrows
-// like any other kind.
-func (s Spec) New(r *rng.Rand) (Compressor, error) {
+// like any other kind. Top-k selects in a private Selection; an engine
+// builds its compressors with NewWire and lends them its own.
+func (s Spec) New(r *rng.Rand) (Compressor, error) { return s.build(r, nil) }
+
+// build is New selecting in sel, or in a private Selection when sel is nil.
+func (s Spec) build(r *rng.Rand, sel *Selection) (Compressor, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -182,7 +186,11 @@ func (s Spec) New(r *rng.Rand) (Compressor, error) {
 	case None, KindIdentity:
 		c = Identity{}
 	case KindTopK:
-		c = NewTopK(s.Ratio)
+		if sel == nil {
+			c = NewTopK(s.Ratio)
+		} else {
+			c = newTopK(s.Ratio, sel)
+		}
 	case KindRandK:
 		if r == nil {
 			return nil, fmt.Errorf("compress: randk needs a random stream")
@@ -206,14 +214,16 @@ func (s Spec) New(r *rng.Rand) (Compressor, error) {
 }
 
 // NewWire builds the compressor one worker ships its messages through: New's,
-// on a stream of its own drawn from split, or Identity{} for the None spec,
-// which draws no stream — so an uncompressed consumer runs the identity wire
-// and keeps every RNG stream where it was.
-func (s Spec) NewWire(split func() *rng.Rand) (Compressor, error) {
+// on a stream of its own drawn from split and selecting in the holder's sel,
+// or Identity{} for the None spec, which draws no stream — so an
+// uncompressed consumer runs the identity wire and keeps every RNG stream
+// where it was. Every compressor an engine builds shares the engine's one
+// Selection: it compresses one worker at a time.
+func (s Spec) NewWire(split func() *rng.Rand, sel *Selection) (Compressor, error) {
 	if !s.Enabled() {
 		return Identity{}, nil
 	}
-	return s.New(split())
+	return s.build(split(), sel)
 }
 
 // InitialRatio returns the keep-ratio the spec starts at, in the Adaptive

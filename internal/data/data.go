@@ -171,7 +171,7 @@ type Sampler struct {
 	perm      []int
 	pos       int
 	epoch     int
-	batch     Batch // reused across Next calls (see Next's doc)
+	batch     Batch // what Next fills (see its doc)
 }
 
 // NewSampler creates a sampler over ds drawing batches of the given size.
@@ -189,21 +189,14 @@ func NewSampler(ds *Dataset, batchSize int, r *rng.Rand) *Sampler {
 // NewSampler(ds, batchSize, r) would and yields the same batches after. The
 // permutation and batch buffers are reused where they are large enough, so a
 // caller that activates many short-lived clients (the async engine's
-// dispatch) resets one sampler instead of building one per client. Like a
-// call to Next, Reset invalidates the Batch Next returned before it.
+// dispatch) resets one sampler instead of building one per client. Reset
+// touches no batch: one filled before it stays valid until its holder's next
+// fill.
 func (s *Sampler) Reset(ds *Dataset, r *rng.Rand) {
 	if ds.N() == 0 {
 		panic("data: cannot sample from empty dataset")
 	}
 	s.ds, s.r, s.epoch = ds, r, 0
-	// Next fills only the target slice the dataset has; drop the other so a
-	// batch never carries the previous dataset's.
-	if ds.Y == nil {
-		s.batch.Y = nil
-	}
-	if ds.T == nil {
-		s.batch.T = nil
-	}
 	s.reshuffle()
 }
 
@@ -226,13 +219,25 @@ func (s *Sampler) reshuffle() {
 func (s *Sampler) Epoch() int { return s.epoch }
 
 // Next returns the next mini-batch, wrapping (and reshuffling) at epoch
-// boundaries. The final partial batch of an epoch is emitted as-is.
-//
-// The returned Batch shares the sampler's internal buffers and is valid
-// only until the next call to Next or Reset — the training hot path
-// consumes each batch immediately, so reusing the storage keeps per-step
-// allocations at zero. Callers that retain a batch must copy it.
+// boundaries. The final partial batch of an epoch is emitted as-is. It is
+// NextInto on a batch the sampler holds: the returned Batch shares that
+// batch's buffers and is valid only until the sampler's next Next, like any
+// batch until its holder's next fill. Callers that retain a batch must copy
+// it.
 func (s *Sampler) Next() Batch {
+	s.NextInto(&s.batch)
+	return s.batch
+}
+
+// NextInto fills b with the next mini-batch, the one Next would return,
+// reusing b's buffers where they are large enough: the training hot path
+// consumes each batch at once, so one Batch per holder keeps per-step
+// allocations at zero, and a holder that steps many samplers one after
+// another (an engine's compute slot) needs one Batch for all of them. A
+// batch is valid until its holder's next fill. Only the target slice the
+// dataset has is filled; the other is dropped, so a batch never carries
+// another dataset's.
+func (s *Sampler) NextInto(b *Batch) {
 	if s.pos >= len(s.perm) {
 		s.epoch++
 		s.reshuffle()
@@ -244,7 +249,6 @@ func (s *Sampler) Next() Batch {
 	idx := s.perm[s.pos:end]
 	s.pos = end
 
-	b := &s.batch
 	dim := s.ds.Dim()
 	if need := len(idx) * dim; b.X == nil || cap(b.X.Data) < need {
 		b.X = tensor.NewMatrix(len(idx), dim)
@@ -255,27 +259,24 @@ func (s *Sampler) Next() Batch {
 	for i, j := range idx {
 		copy(b.X.Row(i), s.ds.X.Row(j))
 	}
-	if s.ds.Y != nil {
-		if cap(b.Y) < len(idx) {
-			b.Y = make([]int, len(idx))
-		} else {
-			b.Y = b.Y[:len(idx)]
-		}
-		for i, j := range idx {
-			b.Y[i] = s.ds.Y[j]
-		}
+	b.Y = fill(b.Y, s.ds.Y, idx)
+	b.T = fill(b.T, s.ds.T, idx)
+}
+
+// fill gathers src at idx into dst's storage, grown if short; nil when src
+// is.
+func fill[T any](dst, src []T, idx []int) []T {
+	if src == nil {
+		return nil
 	}
-	if s.ds.T != nil {
-		if cap(b.T) < len(idx) {
-			b.T = make([]float64, len(idx))
-		} else {
-			b.T = b.T[:len(idx)]
-		}
-		for i, j := range idx {
-			b.T[i] = s.ds.T[j]
-		}
+	if cap(dst) < len(idx) {
+		dst = make([]T, len(idx))
 	}
-	return *b
+	dst = dst[:len(idx)]
+	for i, j := range idx {
+		dst[i] = src[j]
+	}
+	return dst
 }
 
 // FullBatch is the entire dataset as one batch (used for the exact loss

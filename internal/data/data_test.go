@@ -341,6 +341,59 @@ func TestSamplerResetMatchesNewSampler(t *testing.T) {
 	}
 }
 
+// TestNextIntoFillsTheHoldersBatch: one Batch, filled in turn by samplers
+// over datasets of different sizes, widths and target kinds (as an engine's
+// compute slot steps its workers), holds each time exactly the batch a twin
+// sampler's Next returns, with no target slice left over from another
+// dataset, and refilling it from datasets of one kind allocates nothing
+// once it has grown.
+func TestNextIntoFillsTheHoldersBatch(t *testing.T) {
+	reg, _, _ := LinearRegressionData(LinearRegressionConfig{Dim: 3, N: 23, Noise: 0.1}, rng.New(2))
+	sets := []*Dataset{blobs(t, 40), reg, blobs(t, 7), reg, blobs(t, 90)}
+	var fill, twin []*Sampler
+	for i, ds := range sets {
+		fill = append(fill, NewSampler(ds, 6, rng.New(uint64(30+i))))
+		twin = append(twin, NewSampler(ds, 6, rng.New(uint64(30+i))))
+	}
+	var b Batch
+	for round := 0; round < 12; round++ { // past a wrap on every set
+		for i := range sets {
+			fill[i].NextInto(&b)
+			want := twin[i].Next()
+			if b.X.Rows != want.X.Rows || b.X.Cols != want.X.Cols || len(b.Y) != len(want.Y) || len(b.T) != len(want.T) ||
+				(b.Y == nil) != (want.Y == nil) || (b.T == nil) != (want.T == nil) {
+				t.Fatalf("round %d, set %d: shape %dx%d/%d/%d, want %dx%d/%d/%d", round, i,
+					b.X.Rows, b.X.Cols, len(b.Y), len(b.T), want.X.Rows, want.X.Cols, len(want.Y), len(want.T))
+			}
+			for j := range want.X.Data {
+				if b.X.Data[j] != want.X.Data[j] {
+					t.Fatalf("round %d, set %d: inputs differ at %d", round, i, j)
+				}
+			}
+			for j := range want.Y {
+				if b.Y[j] != want.Y[j] {
+					t.Fatalf("round %d, set %d: labels differ at %d", round, i, j)
+				}
+			}
+			for j := range want.T {
+				if b.T[j] != want.T[j] {
+					t.Fatalf("round %d, set %d: targets differ at %d", round, i, j)
+				}
+			}
+			if fill[i].Epoch() != twin[i].Epoch() {
+				t.Fatalf("round %d, set %d: epoch %d, want %d", round, i, fill[i].Epoch(), twin[i].Epoch())
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		for _, i := range []int{0, 2, 4} { // the classification sets
+			fill[i].NextInto(&b)
+		}
+	}); n != 0 {
+		t.Fatalf("%v allocs per round of fills, want 0", n)
+	}
+}
+
 func TestFullBatch(t *testing.T) {
 	ds := blobs(t, 20)
 	b := FullBatch(ds)

@@ -196,8 +196,10 @@ func (c Config) validate() error {
 	return nil
 }
 
-// psWorker is one worker in the event simulation. Its gradient is computed
-// on the server's one network (Server.nets) when it arrives.
+// psWorker is one worker in the event simulation: its pulled model, its
+// sampler's position and stream, its compute stream. Its gradient is
+// computed on the server's scratch (Server.nets, batch, grad) when it
+// arrives, and its compressor selects in the server's Selection.
 type psWorker struct {
 	params  []float64 // the pulled parameters it computes on
 	sampler *data.Sampler
@@ -224,14 +226,16 @@ type Server struct {
 	staleSamples []float64
 
 	// nets is the server's one network: every arrival's gradient is a
-	// LossGradAt on it at the worker's pulled parameters, into grad, and
-	// Loss runs on it at the server's. Gradients are computed one arrival
-	// at a time and none outlives its push, and every LossGradAt starts
-	// with a Forward, so whichever worker ran last cannot show in a bit. A
-	// slice of one because nn.LossAt takes a slice: built once, Loss
-	// allocates nothing.
+	// LossGradAt on it at the worker's pulled parameters, on the mini-batch
+	// its sampler fills into batch, into grad, and Loss runs on it at the
+	// server's. Gradients are computed one arrival at a time and none
+	// outlives its push, and every LossGradAt starts with a Forward and
+	// rewrites the whole gradient (NextInto the whole batch), so whichever
+	// worker ran last cannot show in a bit. A slice of one because nn.LossAt
+	// takes a slice: built once, Loss allocates nothing.
 	nets      []*nn.Network
 	grad      []float64
+	batch     data.Batch
 	evalBatch data.Batch
 
 	// delay prices every exchange: Y is the gradient's compute time, D0 the
@@ -247,8 +251,11 @@ type Server struct {
 	// an exchange before the gradient exists; a free pull is 0 bytes).
 	// pushMsg is the one uplink wire slot every worker compresses into: a
 	// message is decoded into decBuf before the next arrival is computed.
+	// For the same reason every top-k compressor selects in the server's one
+	// sel.
 	com       *comm.Communicator
 	comps     []compress.Compressor
+	sel       *compress.Selection
 	pushMsg   compress.Message
 	decBuf    []float64
 	pushBytes int
@@ -309,8 +316,9 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	dim := proto.ParamLen()
 	s.pushBytes = cfg.Compress.WireBytes(dim)
 	s.comps = make([]compress.Compressor, s.m)
+	s.sel = new(compress.Selection)
 	for i := range s.comps {
-		c, err := cfg.Compress.NewWire(root.Split)
+		c, err := cfg.Compress.NewWire(root.Split, s.sel)
 		if err != nil {
 			return nil, err
 		}
@@ -389,8 +397,8 @@ func (s *Server) dispatch(i int) {
 // decoded gradient is the gradient exactly.
 func (s *Server) computeGradient(i int) []float64 {
 	w := s.workers[i]
-	b := w.sampler.Next()
-	s.nets[0].LossGradAt(w.params, b, s.grad)
+	w.sampler.NextInto(&s.batch)
+	s.nets[0].LossGradAt(w.params, s.batch, s.grad)
 	if err := s.comps[i].CompressInto(s.grad, &s.pushMsg); err != nil {
 		panic(fmt.Sprintf("paramserver: worker %d compress: %v", i, err))
 	}
