@@ -8,7 +8,7 @@
 //	adacomm -arch resnet -method fixed -tau 5 -budget 240
 //	adacomm -arch logistic -method fixed -tau 1 -workers 8 -lr 0.1
 //	adacomm -arch logistic -method fixed -tau 5 -compress topk:0.25+ef -bandwidth 128
-//	adacomm -arch logistic -method fixed -tau 5 -wire float32 -bandwidth 128
+//	adacomm -arch logistic -method fixed -tau 5 -compress none+f32 -bandwidth 128
 //	adacomm -arch vgg -method adacomm -compress topk:0.05 -bandwidth 4096 -adapt-compression
 //	adacomm -arch logistic -method adacomm -bandwidth 256 -topology tree
 //	adacomm -arch logistic -method adacomm -bandwidth 256 -links "0:,0:,0:,0:25.6"
@@ -70,20 +70,16 @@ func main() {
 	lr := flag.Float64("lr", 0.08, "base learning rate")
 	variableLR := flag.Bool("variable-lr", false, "10x decay at epoch milestones 15/30/45")
 	batch := flag.Int("batch", 16, "per-worker mini-batch size")
-	momentum := flag.Float64("momentum", 0, "local momentum factor (alias for -optimizer momentum:F)")
-	blockMomentum := flag.Float64("block-momentum", 0, "global block momentum factor (alias for -global-momentum)")
 	optimizerFlag := flag.String("optimizer", "",
-		"local update rule (internal/opt); forms: "+opt.Forms()+"; empty = plain SGD (excludes the -momentum alias)")
+		"local update rule (internal/opt); forms: "+opt.Forms()+"; empty = plain SGD")
 	adamBeta2 := flag.Float64("adam-beta2", 0,
 		"second-moment decay beta2 for the adam forms of -optimizer (0 = default 0.999)")
 	globalMomentum := flag.Float64("global-momentum", 0,
-		"SlowMo-style slow momentum filtering every sync point under any strategy (0 = off; excludes the -block-momentum alias)")
+		"SlowMo-style slow momentum (the paper's block momentum) filtering every sync point under any strategy (0 = off)")
 	seed := flag.Uint64("seed", 1, "random seed")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
 	compressFlag := flag.String("compress", "none",
 		"delta compression: none | identity | topk:0.01 | randk:0.05 | qsgd:4 (append +ef for error feedback, +f32 for a float32 wire)")
-	wireFlag := flag.String("wire", "",
-		"wire value precision: float64 | float32 (halves every payload; model state stays float64)")
 	bandwidth := flag.Float64("bandwidth", 0,
 		"per-link bandwidth in bytes per simulated second (0 = infinite, size-free broadcasts)")
 	adaptCompression := flag.Bool("adapt-compression", false,
@@ -120,14 +116,6 @@ func main() {
 
 	spec, err := compress.ParseSpec(*compressFlag)
 	check(err)
-	wire, err := compress.ParseWire(*wireFlag)
-	check(err)
-	if *wireFlag != "" {
-		if spec.Wire == compress.WireFloat32 && wire == compress.WireFloat64 {
-			fail("-wire %s conflicts with the +f32 modifier in -compress %s", *wireFlag, *compressFlag)
-		}
-		spec.Wire = wire
-	}
 	fsched, err := faults.Parse(*faultsFlag)
 	check(err)
 	optCfg, err := opt.Parse(*optimizerFlag)
@@ -141,21 +129,6 @@ func main() {
 		}
 		check(cli.OpenUnit("-adam-beta2", *adamBeta2))
 		optCfg.Beta2 = *adamBeta2
-	}
-	// -momentum and -block-momentum only fill the Opt / GlobalMomentum that
-	// -optimizer / -global-momentum fill, so the engines' one validated path
-	// rejects their bad values too.
-	if *momentum != 0 {
-		if !optCfg.IsZero() {
-			fail("set -momentum or -optimizer, not both")
-		}
-		optCfg = opt.Config{Rule: opt.RuleMomentum, Momentum: *momentum}
-	}
-	if *blockMomentum != 0 {
-		if *globalMomentum != 0 {
-			fail("set -block-momentum or -global-momentum, not both")
-		}
-		*globalMomentum = *blockMomentum
 	}
 	if !(*bandwidth >= 0) {
 		fail("-bandwidth %g must be >= 0 (0 = infinite)", *bandwidth)
@@ -310,7 +283,7 @@ func main() {
 
 	var sched sgd.Schedule = sgd.Const{Eta: *lr}
 	if *variableLR {
-		sched = sgd.MultiStep{Eta: *lr, Factor: 0.1, Milestones: []int{15, 30, 45}}
+		sched = sgd.MultiStep{Eta: *lr, Milestones: []int{15, 30, 45}}
 	}
 
 	cfg := cluster.Config{

@@ -175,8 +175,9 @@
 // tensor.SetWorkers(n) optionally fans output-row panels
 // across goroutines; panels never share output rows, so results are
 // bit-identical at every worker count (raced in CI). Separately,
-// compress.Spec gained a wire format (WireFloat32, spec modifier "+f32",
-// -wire float32 on the cmds): payload values are narrowed to float32 on
+// compress.Spec gained a wire format (WireFloat32, spec modifier "+f32" on
+// cmd/adacomm's -compress, -wire float32 on cmd/sweep, which has no
+// -compress): payload values are narrowed to float32 on
 // the wire — halving every byte-priced message — while model state stays
 // float64; the wire ablation (cmd/sweep -ablation wire) quantifies the
 // loss-vs-runtime payoff on a bandwidth-constrained link.
@@ -211,8 +212,7 @@
 // Nesterov momentum, and Local Adam; both cluster engines — lock-step and
 // event-driven — step through it (cluster.Config.Opt, AsyncConfig.Opt,
 // -optimizer on the cmds; zero values stay bit-identical to every
-// pre-optimizer golden, and cmd/adacomm's -momentum / -block-momentum are
-// flag aliases that fill Opt / GlobalMomentum).
+// pre-optimizer golden).
 // Adam's second moments are an ablation axis: worker-local, or SYNCED
 // through the averaging fabric (Opt.SyncedMoments) — synced vectors extend
 // every averaged payload from dim to dim+len(state), riding the SAME

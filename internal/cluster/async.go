@@ -124,12 +124,6 @@ type AsyncConfig struct {
 	EvalEvery  int
 	EvalSubset int
 
-	// StragglerFactor optionally slows individual clients' compute (len
-	// must equal the client count, each factor finite and > 0; nil = all 1).
-	// Composes with the delay model's per-worker Jitter
-	// (delaymodel.Model.ComputeScales, shared with the lock-step engine).
-	StragglerFactor []float64
-
 	// Compress selects the delta compression clients apply before
 	// uploading. Error feedback is rejected: a per-client residual is
 	// Theta(N*dim) state, exactly what client sharding exists to avoid.
@@ -335,8 +329,8 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	if dm.M != n {
 		return nil, fmt.Errorf("cluster: delay model has %d workers, got %d shards", dm.M, n)
 	}
-	if err := checkShards(shards); err != nil {
-		return nil, err
+	if err := data.CheckShards(shards); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if err := cfg.validate(n); err != nil {
 		return nil, err
@@ -384,7 +378,7 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		e.evlog = &events.Trace{}
 	}
 	var err error
-	if e.slow, err = dm.ComputeScales(cfg.StragglerFactor); err != nil {
+	if e.slow, err = dm.ComputeScales(); err != nil {
 		return nil, err
 	}
 	e.idle = make([]int, n)

@@ -72,10 +72,6 @@ func TestAsyncValidation(t *testing.T) {
 		{"zero batch", func(c *AsyncConfig) { c.BatchSize = 0 }},
 		{"no stop condition", func(c *AsyncConfig) { c.MaxUpdates = 0; c.MaxTime = 0 }},
 		{"negative lr", func(c *AsyncConfig) { c.LR = -1 }},
-		{"straggler length mismatch", func(c *AsyncConfig) { c.StragglerFactor = []float64{1, 2} }},
-		{"zero straggler factor", func(c *AsyncConfig) {
-			c.StragglerFactor = []float64{1, 1, 1, 1, 1, 1, 1, 0}
-		}},
 		{"error feedback", func(c *AsyncConfig) {
 			c.Compress = compress.Spec{Kind: compress.KindTopK, Ratio: 0.25, ErrorFeedback: true}
 		}},
@@ -91,6 +87,14 @@ func TestAsyncValidation(t *testing.T) {
 		} else if strings.Contains(err.Error(), "ServerOpt") {
 			// A rejection may not send the user to a field no config has.
 			t.Errorf("%s: error names a field that does not exist: %v", tc.name, err)
+		}
+	}
+	// Straggler factors live on the delay model.
+	for _, bad := range [][]float64{{1, 2}, {1, 1, 1, 1, 1, 1, 1, 0}} {
+		dm := *s.dm
+		dm.Stragglers = bad
+		if _, err := NewAsync(s.proto, s.shards, s.train, s.test, &dm, baseAsyncCfg()); err == nil {
+			t.Errorf("accepted straggler factors %v", bad)
 		}
 	}
 	// Mismatched delay model.
@@ -194,20 +198,21 @@ func TestAsyncDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // sentinel. Each row holds under every fault-free schedule.
 func TestAsyncGoldenTrace(t *testing.T) {
 	straggler := baseAsyncCfg()
-	straggler.StragglerFactor = []float64{1, 3, 1, 1, 1, 1, 5, 1}
 	straggler.Compress = compress.Spec{Kind: compress.KindQSGD, Bits: 4, Wire: compress.WireFloat32}
 	for _, tc := range []struct {
 		name                  string
 		cfg                   AsyncConfig
+		stragglers            []float64
 		events, params, trace uint64
 	}{
-		{"zero", baseAsyncCfg(), 0x5fb1b1600e8396cf, 0xe15a4767cb779e27, 0x11da0677779ad022},
-		{"straggler-qsgd4-f32", straggler, 0xcd618445e1da92e4, 0xbb0228cd4fe50c33, 0x7fa15471ca3772ea},
+		{"zero", baseAsyncCfg(), nil, 0x5fb1b1600e8396cf, 0xe15a4767cb779e27, 0x11da0677779ad022},
+		{"straggler-qsgd4-f32", straggler, []float64{1, 3, 1, 1, 1, 1, 5, 1}, 0xcd618445e1da92e4, 0xbb0228cd4fe50c33, 0x7fa15471ca3772ea},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, f := range faultFreeSchedules(t) {
 				t.Run(f.name, func(t *testing.T) {
 					s := asyncSetup(t, 8)
+					s.dm.Stragglers = tc.stragglers
 					cfg := tc.cfg
 					cfg.RecordEvents = true
 					cfg.Faults = f.sched
@@ -251,7 +256,7 @@ func TestAsyncChurnExpiryGolden(t *testing.T) {
 	cfg.RecordEvents = true
 	cfg.Compress = compress.Spec{Kind: compress.KindQSGD, Bits: 4, Wire: compress.WireFloat32}
 	cfg.Faults = mustFaults(t, "blip:0@r5-20,blip:1@r10-30,crash:2@r25,slow:3x5@r5-40,drop:0.15")
-	cfg.StragglerFactor = []float64{1, 3, 1, 1, 1, 1, 5, 1}
+	s.dm.Stragglers = []float64{1, 3, 1, 1, 1, 1, 5, 1}
 	e := s.async(t, cfg)
 	e.maxStaleness = 1
 	tr := e.Run("golden-async-churn")
@@ -351,7 +356,7 @@ func TestAsyncStalenessExpiry(t *testing.T) {
 	cfg.Participation = 1
 	cfg.InFlight = 4
 	cfg.MaxUpdates = 30
-	cfg.StragglerFactor = []float64{1, 1, 1, 500}
+	s.dm.Stragglers = []float64{1, 1, 1, 500}
 	e := s.async(t, cfg)
 	e.maxStaleness = 1
 	e.Run("expiry")

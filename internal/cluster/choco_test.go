@@ -52,12 +52,12 @@ type guardedReplica struct {
 	reads int
 }
 
-func (g *guardedReplica) Params() []float64 {
+func (g *guardedReplica) Ext() []float64 {
 	g.reads++
 	if g.reads > 2 {
 		panic("out-of-band read: compressed gossip touched a replica more than twice in one sync")
 	}
-	return g.inner.Params()
+	return g.inner.Ext()
 }
 
 func TestChocoGossipReadsNoOracleState(t *testing.T) {

@@ -57,10 +57,11 @@
 //
 // Every engine keeps its membership view with or without a fault schedule
 // (without one it is everyone up at transfer scale 1, see internal/faults),
-// and the lock-step engine averages the extended vector of parameters plus
-// synced optimizer state even when that state is empty (see internal/opt).
-// No branch asks whether either exists; the golden tables run each
-// fault-free row under nil, empty and beyond-horizon schedules.
+// and a lock-step worker is one extended vector, its replica followed by its
+// synced optimizer state, which every averaging reads and writes in place
+// even when that state is empty (see internal/opt). No branch asks whether
+// either exists; the golden tables run each fault-free row under nil, empty
+// and beyond-horizon schedules.
 package cluster
 
 import (
@@ -121,11 +122,6 @@ type Config struct {
 	// AccEverySync evaluates test accuracy every this-many averaging steps
 	// (0 = never). Accuracy is evaluated on the synchronized model.
 	AccEverySync int
-
-	// StragglerFactor optionally slows individual workers: worker i's
-	// compute times are multiplied by StragglerFactor[i], which must be
-	// finite and > 0 (delaymodel.Model.ComputeScales). nil = all 1.
-	StragglerFactor []float64
 
 	// ComputeWorkers bounds the goroutine pool that executes the simulated
 	// workers' local-update phases (Run, StepLocal) and evaluation
@@ -356,20 +352,23 @@ func (f FixedTau) NextRound(info RoundInfo, _ func() float64) (int, float64) {
 func (f FixedTau) Name() string { return fmt.Sprintf("tau=%d", f.Tau) }
 
 // worker is one simulated node: its state, what outlives a local step — the
-// replica, the sampler's position and stream, the optimizer. Its steps run
-// on the scratch of the compute slot it belongs to (Engine.nets, grads,
-// batches), and its compressor (Engine.comps) selects in the engine's
-// Selection.
+// replica, the sampler's position and stream, the optimizer. A worker is its
+// extended vector ext = [replica | SyncAverage optimizer state] (xdim words):
+// params is its head, and the optimizer keeps its synced vectors in its tail
+// (opt.NewIn), so every averaging reads and writes the state the steps use,
+// in place. Its steps run on the scratch of the compute slot it belongs to
+// (Engine.nets, grads, batches), and its compressor (Engine.comps) selects
+// in the engine's Selection.
 type worker struct {
-	params  []float64 // the worker's model replica
+	ext     []float64 // [replica | synced optimizer state], what the wire averages
+	params  []float64 // the model replica, ext[:dim]
 	sampler *data.Sampler
 	opt     *opt.Optimizer
-	sync    [][]float64 // the optimizer's SyncAverage vectors (live views)
 }
 
-// Params returns the worker's live parameter vector: the gossip protocol's
-// view of the node (gossipReplica).
-func (w *worker) Params() []float64 { return w.params }
+// Ext returns the worker's live extended vector: the gossip protocol's view
+// of the node (gossipReplica).
+func (w *worker) Ext() []float64 { return w.ext }
 
 // Engine runs PASGD over m workers.
 type Engine struct {
@@ -390,19 +389,15 @@ type Engine struct {
 	gmoms    []*opt.Global
 
 	// Wire-visible synced optimizer state (Opt.SyncedMoments): every
-	// averaged payload is the extended vector of xdim = dim + syncedLen,
-	// extGlobal = [global | synced reference] and extWork per-worker
-	// extended rows (loadExt/storeExt marshal a worker's params + SyncAverage
-	// vectors through them). All averaging scratch (sumBuf, avgBuf, deltaBuf,
-	// CHOCO estimates) is sized xdim, so the state rides the same
+	// averaged payload is an extended vector of xdim = dim + Opt.SyncedLen
+	// words — a worker's ext, and extGlobal = [global | synced reference],
+	// global being its head. All averaging scratch (sumBuf, avgBuf,
+	// deltaBuf, CHOCO estimates) is sized xdim, so the state rides the same
 	// compression, payload accounting, and float32 wire narrowing as the
 	// parameters. With nothing synced the extension is empty: xdim == dim,
-	// extGlobal IS global, and loadExt hands back the replica's own
-	// parameters. ext says whether the extension is non-empty.
+	// and a worker's ext is its replica.
 	xdim      int
-	ext       bool
 	extGlobal []float64
-	extWork   [][]float64
 
 	delay *delaymodel.Model
 	slow  []float64 // per-worker compute slowdown factors
@@ -516,20 +511,11 @@ type Engine struct {
 	cfg Config
 }
 
-// checkShards rejects a worker with nothing to train on — more workers than
-// examples leave the last shards empty, and a sampler over an empty shard
-// panics on its first batch.
-func checkShards(shards []*data.Dataset) error {
-	total := 0
-	for _, s := range shards {
-		total += s.N()
-	}
-	for i, s := range shards {
-		if s.N() == 0 {
-			return fmt.Errorf("cluster: worker %d has no training data (%d workers over %d examples)", i, len(shards), total)
-		}
-	}
-	return nil
+// extended returns a new xdim-long vector headed by params, its tail zero.
+func extended(params []float64, xdim int) []float64 {
+	x := make([]float64, xdim)
+	copy(x, params)
+	return x
 }
 
 // New builds an engine: the prototype network is cloned once per compute
@@ -545,8 +531,8 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	if dm.M != m {
 		return nil, fmt.Errorf("cluster: delay model has %d workers, got %d shards", dm.M, m)
 	}
-	if err := checkShards(shards); err != nil {
-		return nil, err
+	if err := data.CheckShards(shards); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -567,16 +553,15 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	e := &Engine{
 		m:       m,
 		dim:     proto.ParamLen(),
-		global:  append([]float64(nil), proto.Params()...),
 		delay:   dm,
 		r:       root.Split(),
 		testSet: test,
 		cfg:     cfg,
 	}
-	// Straggler factors times the delay model's per-worker jitter (a nil
+	// The delay model's straggler factors times its per-worker jitter (a nil
 	// Jitter draws nothing, keeping every legacy trace bit-identical).
 	var err error
-	if e.slow, err = dm.ComputeScales(cfg.StragglerFactor); err != nil {
+	if e.slow, err = dm.ComputeScales(); err != nil {
 		return nil, err
 	}
 	// Global momentum: FullAveraging keeps one shared buffer on the
@@ -592,30 +577,20 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 			}
 		}
 	}
+	// Wire-visible synced state extends every averaged payload: xdim is the
+	// extended vector length every worker, the reference and all averaging
+	// scratch below are sized to. Every extension starts at zero.
+	e.xdim = e.dim + cfg.Opt.SyncedLen(e.dim)
+	e.extGlobal = extended(proto.Params(), e.xdim)
+	e.global = e.extGlobal[:e.dim]
 	for i := 0; i < m; i++ {
-		w := &worker{
-			params:  append([]float64(nil), proto.Params()...),
+		ext := extended(proto.Params(), e.xdim)
+		e.workers = append(e.workers, &worker{
+			ext:     ext,
+			params:  ext[:e.dim:e.dim],
 			sampler: data.NewSampler(shards[i], cfg.BatchSize, root.Split()),
-			opt:     opt.New(cfg.Opt, proto.ParamLen()),
-		}
-		w.sync = opt.SyncedVecs(w.opt)
-		e.workers = append(e.workers, w)
-	}
-	// Wire-visible synced state extends every averaged payload: xdim is
-	// the extended vector length all averaging scratch below is sized to.
-	// With nothing synced the extension is empty and extGlobal is global.
-	e.xdim = e.dim + opt.SyncedLen(e.workers[0].opt)
-	e.extGlobal = e.global
-	if e.xdim > e.dim {
-		e.ext = true
-		e.extGlobal = make([]float64, e.xdim)
-		copy(e.extGlobal, e.global)
-		e.global = e.extGlobal[:e.dim]
-		back := make([]float64, m*e.xdim)
-		e.extWork = make([][]float64, m)
-		for i := range e.extWork {
-			e.extWork[i] = back[i*e.xdim : (i+1)*e.xdim]
-		}
+			opt:     opt.NewIn(cfg.Opt, e.dim, ext[e.dim:]),
+		})
 	}
 	e.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
 	if test != nil {
@@ -852,38 +827,6 @@ func (e *Engine) slotSteps(s, steps int, lr float64) {
 	}
 }
 
-// loadExt returns worker i's extended vector: its parameters followed by
-// its SyncAverage optimizer vectors, marshalled into the worker's extended
-// row. With an empty extension that vector is the replica's own parameters,
-// returned as they are.
-func (e *Engine) loadExt(i int) []float64 {
-	w := e.workers[i]
-	if !e.ext {
-		return w.params
-	}
-	row := e.extWork[i]
-	copy(row[:e.dim], w.params)
-	off := e.dim
-	for _, v := range w.sync {
-		copy(row[off:off+len(v)], v)
-		off += len(v)
-	}
-	return row
-}
-
-// storeExt unmarshals an extended row back into worker i's replica and
-// SyncAverage optimizer vectors: the one way an extended vector reaches a
-// worker.
-func (e *Engine) storeExt(i int, row []float64) {
-	w := e.workers[i]
-	copy(w.params, row[:e.dim])
-	off := e.dim
-	for _, v := range w.sync {
-		copy(v, row[off:off+len(v)])
-		off += len(v)
-	}
-}
-
 // average synchronizes the replicas according to the configured strategy
 // and refreshes e.global (the model that evaluation and AdaComm observe).
 func (e *Engine) average() {
@@ -922,8 +865,8 @@ func (e *Engine) averageFull() {
 		// reference plus a mean of deltas round differently, and goldens pin
 		// both. Under faults the communicator skips inactive contributions
 		// and the mean renormalizes over the survivors.
-		for i := range e.workers {
-			e.msgBuf[i] = compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: e.loadExt(i)}
+		for i, w := range e.workers {
+			e.msgBuf[i] = compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: w.ext}
 		}
 		rep, err := e.com.AllReduce(e.msgBuf, e.sumBuf)
 		if err != nil {
@@ -953,7 +896,7 @@ func (e *Engine) averageFull() {
 		if !e.fltActive[i] {
 			continue // down replicas keep their stale state until rejoin
 		}
-		e.storeExt(i, e.extGlobal)
+		copy(w.ext, e.extGlobal)
 		// Restart local SyncReset state after averaging so the stale local
 		// buffer cannot side-track the first post-sync step (Sec 5.3.1).
 		w.opt.SyncReset()
@@ -969,7 +912,7 @@ func (e *Engine) averageFull() {
 // engine's own streams, outside the fanned-out local-update phase, which is
 // why the compute pool stays bitwise identical under every compressor.
 func (e *Engine) compressedDeltaMean(avg []float64) {
-	for i := range e.workers {
+	for i, w := range e.workers {
 		if !e.fltActive[i] {
 			// Down workers contribute nothing and their compressor state
 			// (error-feedback residual, stochastic stream) freezes with them.
@@ -977,7 +920,7 @@ func (e *Engine) compressedDeltaMean(avg []float64) {
 			// communicator skips inactive workers without reading it.
 			continue
 		}
-		tensor.Sub(e.deltaBuf, e.loadExt(i), e.extGlobal)
+		tensor.Sub(e.deltaBuf, w.ext, e.extGlobal)
 		if err := e.comps[i].CompressInto(e.deltaBuf, &e.msgBuf[i]); err != nil {
 			panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
 		}

@@ -76,13 +76,13 @@ func TestEngineValidation(t *testing.T) {
 	}{
 		{"zero batch size", func(c *Config, _ *delaymodel.Model) { c.BatchSize = 0 }},
 		{"missing stop condition", func(c *Config, _ *delaymodel.Model) { c.MaxIters, c.MaxTime = 0, 0 }},
-		{"wrong straggler factor count", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{1} }},
+		{"wrong straggler factor count", func(_ *Config, dm *delaymodel.Model) { dm.Stragglers = []float64{1} }},
 		// A NaN factor never gated a round (v > max is false); negative
 		// factors made compute time negative and ran the clock backwards.
-		{"NaN straggler factor", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{1, math.NaN(), 1, 1} }},
-		{"+Inf straggler factor", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{1, 1, math.Inf(1), 1} }},
-		{"zero straggler factor", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{0, 1, 1, 1} }},
-		{"-1 straggler factors", func(c *Config, _ *delaymodel.Model) { c.StragglerFactor = []float64{-1, -1, -1, -1} }},
+		{"NaN straggler factor", func(_ *Config, dm *delaymodel.Model) { dm.Stragglers = []float64{1, math.NaN(), 1, 1} }},
+		{"+Inf straggler factor", func(_ *Config, dm *delaymodel.Model) { dm.Stragglers = []float64{1, 1, math.Inf(1), 1} }},
+		{"zero straggler factor", func(_ *Config, dm *delaymodel.Model) { dm.Stragglers = []float64{0, 1, 1, 1} }},
+		{"-1 straggler factors", func(_ *Config, dm *delaymodel.Model) { dm.Stragglers = []float64{-1, -1, -1, -1} }},
 		{"mismatched delay model worker count", func(_ *Config, dm *delaymodel.Model) { dm.M = 2 }},
 		{"NaN shared bandwidth", func(_ *Config, dm *delaymodel.Model) { dm.Bandwidth = math.NaN() }},
 	} {
@@ -324,9 +324,9 @@ func TestStragglerFactorSlowsRounds(t *testing.T) {
 	base := s.engine(t, cfg)
 	tr1 := base.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "fast")
 
-	cfg2 := cfg
-	cfg2.StragglerFactor = []float64{1, 1, 1, 3} // one 3x-slower node
-	slow, err := New(s.proto, s.shards, s.train, s.test, s.dm, cfg2)
+	dm := *s.dm
+	dm.Stragglers = []float64{1, 1, 1, 3} // one 3x-slower node
+	slow, err := New(s.proto, s.shards, s.train, s.test, &dm, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

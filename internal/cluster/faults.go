@@ -75,7 +75,7 @@ func (e *Engine) beginRound(round int) {
 func (e *Engine) reconcile(i int) {
 	w := e.workers[i]
 	e.reconBytes[i] = 8 * e.xdim
-	e.storeExt(i, e.extGlobal)
+	copy(w.ext, e.extGlobal)
 	w.opt.SyncReset()
 	if e.cfg.Opt.Adaptive() {
 		w.opt.AlignSteps(e.optSteps)

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/delaymodel"
 	"repro/internal/nn"
+	"repro/internal/opt"
 	"repro/internal/paramserver"
 	"repro/internal/rng"
 	"repro/internal/sgd"
@@ -91,8 +93,10 @@ func pointersTo[T any](v reflect.Value) map[*T]bool {
 // scratchIn counts what v holds outside networks and datasets (the layers'
 // arenas are counted as networks, and a dataset is shared, immutable
 // training data): the distinct filled mini-batches (data.Batch with a
-// matrix), less the evaluation batches in skip, and the float64 words of
-// the distinct []float64 arrays, the batches' own included.
+// matrix), less the evaluation batches in skip, and the float64 words the
+// []float64 slices cover, each word once however many slices overlap it (a
+// worker's replica is the head of its extended vector, its synced optimizer
+// state the tail), the batches' own included.
 func scratchIn(v reflect.Value, skip ...data.Batch) (batches, words int) {
 	skipped := map[*tensor.Matrix]bool{}
 	for _, b := range skip {
@@ -114,8 +118,17 @@ func scratchIn(v reflect.Value, skip ...data.Batch) (batches, words int) {
 		}
 		return true
 	})
-	for _, n := range arrays {
-		words += n
+	starts := make([]uintptr, 0, len(arrays))
+	for p := range arrays {
+		starts = append(starts, p)
+	}
+	slices.Sort(starts)
+	var end uintptr // one past the last word counted
+	for _, p := range starts {
+		if e := p + uintptr(arrays[p])*8; e > end {
+			words += int((e - max(p, end)) / 8)
+			end = e
+		}
 	}
 	return len(matrices), words
 }
@@ -123,7 +136,8 @@ func scratchIn(v reflect.Value, skip ...data.Batch) (batches, words int) {
 // TestNetworksBelongToComputeSlots: a lock-step worker and a
 // parameter-server worker hold no network, gradient buffer or filled
 // mini-batch, not even through their samplers or optimizers — a plain-SGD
-// worker's float64 words are its replica's dim; an engine holds exactly one
+// worker's float64 words are its replica's dim, a synced-Adam worker's its
+// extended vector's and its first moment's; an engine holds exactly one
 // network, gradient buffer and mini-batch buffer per compute slot whatever
 // the worker count and strategy (ring gossip's replicas are the workers
 // themselves) and one top-k selection, shared by its workers' compressors;
@@ -173,6 +187,46 @@ func TestNetworksBelongToComputeSlots(t *testing.T) {
 						t.Errorf("%s: worker %d holds %d filled mini-batches and %d float64 words, want none and its replica's %d", label, i, b, words, dim)
 					}
 				}
+			}
+		}
+	}
+
+	// adam+synced: a worker IS its extended vector — xdim words of replica
+	// and synced second moment — plus its first moment, and the engine
+	// keeps no per-worker extended rows. Against local Adam on the same
+	// cluster, only the xdim-long vectors grow by the synced dim: the
+	// reference and the three averaging vectors (extGlobal, sumBuf, avgBuf,
+	// deltaBuf), and under gossip each node's CHOCO estimate and projection
+	// and the decode scratch. A marshalling row per worker would add m*xdim
+	// words more.
+	for _, m := range []int{3, 8} {
+		s := newSetup(t, m, 1)
+		dim := s.proto.ParamLen()
+		for _, strat := range []Strategy{FullAveraging, RingGossip} {
+			own := map[bool]int{}
+			for _, synced := range []bool{false, true} {
+				cfg := baseCfg()
+				cfg.Strategy, cfg.ComputeWorkers, cfg.MaxIters = strat, 2, 10
+				cfg.Opt = opt.Config{Rule: opt.RuleAdam, SyncedMoments: synced}
+				e := s.engine(t, cfg)
+				e.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "footprint")
+				for i, w := range e.workers {
+					if b, words := scratchIn(reflect.ValueOf(w)); synced && (b != 0 || words != e.xdim+dim) {
+						t.Errorf("m=%d, %s, %s: worker %d holds %d filled mini-batches and %d float64 words, want none and %d: its extended vector's %d and its first moment's %d",
+							m, strat, cfg.Opt, i, b, words, e.xdim+dim, e.xdim, dim)
+					}
+				}
+				_, all := scratchIn(reflect.ValueOf(e))
+				_, workers := scratchIn(reflect.ValueOf(e.workers))
+				own[synced] = all - workers
+			}
+			want := 4 * dim
+			if strat == RingGossip {
+				want += (2*m + 1) * dim
+			}
+			if got := own[true] - own[false]; got != want {
+				t.Errorf("m=%d, %s: syncing the second moment grows the engine's own float64 words by %d, want %d (its xdim-long vectors by dim each, no per-worker rows)",
+					m, strat, got, want)
 			}
 		}
 	}

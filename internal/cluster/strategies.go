@@ -91,13 +91,14 @@ func ParseStrategy(s string) (Strategy, error) {
 }
 
 // gossipReplica is the view of one worker the gossip protocol is allowed to
-// touch: the node's own parameter vector, read when forming its message and
-// read-modified when applying its own mix. The engine wires each *worker in
-// directly (worker.Params); the oracle-free invariant test swaps in guarded
+// touch: the node's own extended vector (parameters, then any synced
+// optimizer state), read when forming its message and read-modified when
+// applying its own mix. The engine wires each *worker in directly
+// (worker.Ext); the oracle-free invariant test swaps in guarded
 // implementations that panic on out-of-band (cross-node or extra-pass)
 // reads, which is what pins the no-shared-reference property.
 type gossipReplica interface {
-	Params() []float64
+	Ext() []float64
 }
 
 // gossipState is the engine-owned CHOCO-SGD bookkeeping of ring gossip.
@@ -199,18 +200,15 @@ func (e *Engine) averageRing() {
 			e.repBytes[i] = 0
 			continue
 		}
-		params := node.Params()
-		if e.ext {
-			// The wire covers the synced optimizer state: estimates,
-			// deltas, and payload accounting all run over the extended
-			// vector, through the same compressor and wire narrowing.
-			params = e.loadExt(i)
-		}
-		// The lossless message is a borrowed view of the parameters; it must
-		// never reach wireMsg, whose arrays CompressInto overwrites.
-		msg := compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: params}
+		// The wire covers the synced optimizer state: estimates, deltas and
+		// payload accounting all run over the extended vector, through the
+		// same compressor and wire narrowing.
+		x := node.Ext()
+		// The lossless message is a borrowed view of the node; it must never
+		// reach wireMsg, whose arrays CompressInto overwrites.
+		msg := compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: x}
 		if !g.lossless {
-			tensor.Sub(e.deltaBuf, params, g.hat[i])
+			tensor.Sub(e.deltaBuf, x, g.hat[i])
 			if err := e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg); err != nil {
 				panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
 			}
@@ -243,10 +241,7 @@ func (e *Engine) averageRing() {
 		if e.fltDown[i] {
 			continue
 		}
-		dst := node.Params()
-		if e.ext {
-			dst = e.extWork[i] // loaded (and current) since phase 1
-		}
+		dst := node.Ext()
 		hs := g.hat[i]
 		prj := g.proj[i]
 		if gr.Degree(i) == 0 {
@@ -271,7 +266,7 @@ func (e *Engine) averageRing() {
 				copy(prj[:e.dim], post[:e.dim])
 			}
 		}
-		e.storeExt(i, post)
+		copy(dst, post)
 		e.workers[i].opt.SyncReset()
 	}
 	e.lastReport = comm.Report{Bytes: e.repBytes, Max: maxBytes}

@@ -96,7 +96,7 @@ func TestAdaCommTauNeverBelowMin(t *testing.T) {
 func TestAdaCommSqrtCouplingRaisesTauOnDecay(t *testing.T) {
 	// Rule (20): a 10x LR decay multiplies tau by sqrt(10) ~ 3.16 (at
 	// equal loss ratio). Loss = F0 throughout; LR decays at epoch 2.
-	sch := sgd.MultiStep{Eta: 0.2, Factor: 0.1, Milestones: []int{2}}
+	sch := sgd.MultiStep{Eta: 0.2, Milestones: []int{2}}
 	a := NewAdaComm(Config{Tau0: 10, Interval: 60, Coupling: SqrtCoupling, Schedule: sch})
 	a.NextRound(fakeInfo(0, 0), lossSeq(1.0))
 	// Epoch 2 passed: lr 0.2 -> 0.02, eta0/eta = 10, tau = ceil(sqrt(10*1)*10) = 32.
@@ -112,7 +112,7 @@ func TestAdaCommSqrtCouplingRaisesTauOnDecay(t *testing.T) {
 func TestAdaCommFullCouplingExplodes(t *testing.T) {
 	// Rule (19): the same 10x decay multiplies tau by 10^{3/2} ~ 31.6 —
 	// the blow-up the paper warns about (tau -> ~1000 after two decays).
-	sch := sgd.MultiStep{Eta: 0.2, Factor: 0.1, Milestones: []int{2}}
+	sch := sgd.MultiStep{Eta: 0.2, Milestones: []int{2}}
 	a := NewAdaComm(Config{Tau0: 10, Interval: 60, Coupling: FullCoupling, Schedule: sch})
 	a.NextRound(fakeInfo(0, 0), lossSeq(1.0))
 	tau, _ := a.NextRound(fakeInfo(61, 2), lossSeq(1.0))
@@ -124,7 +124,7 @@ func TestAdaCommFullCouplingExplodes(t *testing.T) {
 func TestAdaCommDeferLRDecay(t *testing.T) {
 	// With deferral on, the scheduled decay at epoch 2 must NOT apply
 	// while tau > 1; once tau reaches 1, the decay goes through.
-	sch := sgd.MultiStep{Eta: 0.2, Factor: 0.1, Milestones: []int{2}}
+	sch := sgd.MultiStep{Eta: 0.2, Milestones: []int{2}}
 	a := NewAdaComm(Config{Tau0: 8, Interval: 10, Gamma: 0.5, Schedule: sch, DeferLRDecay: true})
 	a.NextRound(fakeInfo(0, 0), lossSeq(1.0))
 	// Saturating loss: tau halves per boundary: 8 -> 4 -> 2 -> 1.
@@ -289,7 +289,7 @@ func TestAdaCommEndToEnd(t *testing.T) {
 // and a NoCoupling controller jumped tau back to the loss-only proposal on
 // the decay interval.
 func TestAdaCommNoCouplingDecayDoesNotRaiseTau(t *testing.T) {
-	sch := sgd.MultiStep{Eta: 0.2, Factor: 0.1, Milestones: []int{3}}
+	sch := sgd.MultiStep{Eta: 0.2, Milestones: []int{3}}
 	a := NewAdaComm(Config{Tau0: 20, Interval: 60, Gamma: 0.5, Coupling: NoCoupling, Schedule: sch})
 	a.NextRound(fakeInfo(0, 0), lossSeq(2.0))
 	// Two stalled boundaries: eq 18 decays 20 -> 10 -> 5.
@@ -313,7 +313,7 @@ func TestAdaCommNoCouplingDecayDoesNotRaiseTau(t *testing.T) {
 // reaches 1; when it finally applies, a NoCoupling controller must keep
 // tau = 1 instead of firing the one-time raise with the loss-only proposal.
 func TestAdaCommNoCouplingDeferredDecayKeepsTauAtOne(t *testing.T) {
-	sch := sgd.MultiStep{Eta: 0.2, Factor: 0.1, Milestones: []int{2}}
+	sch := sgd.MultiStep{Eta: 0.2, Milestones: []int{2}}
 	a := NewAdaComm(Config{Tau0: 8, Interval: 10, Gamma: 0.5, Coupling: NoCoupling,
 		Schedule: sch, DeferLRDecay: true})
 	a.NextRound(fakeInfo(0, 0), lossSeq(1.0))
@@ -342,7 +342,7 @@ func TestAdaCommNoCouplingDeferredDecayKeepsTauAtOne(t *testing.T) {
 // decay is being withheld — and with the coupled magnitude
 // ceil(sqrt(eta0/eta * F/F0) * tau0).
 func TestAdaCommSqrtCouplingDeferredRaiseFiresOnRelease(t *testing.T) {
-	sch := sgd.MultiStep{Eta: 0.2, Factor: 0.1, Milestones: []int{2}}
+	sch := sgd.MultiStep{Eta: 0.2, Milestones: []int{2}}
 	a := NewAdaComm(Config{Tau0: 8, Interval: 10, Gamma: 0.5, Coupling: SqrtCoupling,
 		Schedule: sch, DeferLRDecay: true})
 	a.NextRound(fakeInfo(0, 0), lossSeq(1.0))

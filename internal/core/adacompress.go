@@ -30,14 +30,15 @@ type CompressSchedule struct {
 	// cluster.RoundInfo.GradNorm, and compress.NormDecayBits adds one bit per
 	// halving of it relative to the first observed round, clamped to [1, 8]. The
 	// keep-ratio rule still runs (it drives sparsifiers and reporting); the
-	// width rule overrides only compressors that accept an exact width. Off
-	// (the zero value) nothing touches the width — bit for bit the legacy
-	// controller.
+	// width rule overrides only compressors that accept an exact width,
+	// starting from normBits0. Off (the zero value) nothing touches the
+	// width — bit for bit the legacy controller.
 	NormBits bool
-	// Bits0 is the norm rule's reference width (default 4). Ignored without
-	// NormBits.
-	Bits0 int
 }
+
+// normBits0 is the norm rule's reference width: the bits at the first
+// observed gradient norm.
+const normBits0 = 4
 
 // AdaCommCompress jointly adapts the communication period tau AND the
 // compression keep-ratio per wall-clock interval, implementing
@@ -61,9 +62,6 @@ type AdaCommCompress struct {
 // (tau/LR half) and a compression schedule (ratio half).
 func NewAdaCommCompress(cfg Config, cs CompressSchedule) *AdaCommCompress {
 	ada := NewAdaComm(cfg)
-	if cs.Bits0 == 0 {
-		cs.Bits0 = 4
-	}
 	if cs.Ratio0 <= 0 || cs.Ratio0 > 1 {
 		panic("core: AdaCommCompress needs Ratio0 in (0, 1]")
 	}
@@ -95,7 +93,7 @@ func (a *AdaCommCompress) NextRound(info cluster.RoundInfo, evalLoss func() floa
 		if a.norm0 == 0 {
 			a.norm0 = info.GradNorm
 		}
-		a.curBits = compress.NormDecayBits(a.cs.Bits0, a.norm0, info.GradNorm)
+		a.curBits = compress.NormDecayBits(normBits0, a.norm0, info.GradNorm)
 	}
 	if a.boundaries != a.ada.boundaries {
 		a.boundaries = a.ada.boundaries

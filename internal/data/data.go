@@ -174,6 +174,22 @@ type Sampler struct {
 	batch     Batch // what Next fills (see its doc)
 }
 
+// CheckShards rejects a worker with nothing to train on — more workers than
+// examples leave the last shards empty, and a sampler over an empty shard
+// panics. Every engine's constructor asks it before building a sampler.
+func CheckShards(shards []*Dataset) error {
+	total := 0
+	for _, s := range shards {
+		total += s.N()
+	}
+	for i, s := range shards {
+		if s.N() == 0 {
+			return fmt.Errorf("worker %d has no training data (%d workers over %d examples)", i, len(shards), total)
+		}
+	}
+	return nil
+}
+
 // NewSampler creates a sampler over ds drawing batches of the given size.
 func NewSampler(ds *Dataset, batchSize int, r *rng.Rand) *Sampler {
 	if batchSize < 1 {

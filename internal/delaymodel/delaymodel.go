@@ -6,8 +6,8 @@
 //
 // Compute. A round of tau local steps waits for its slowest worker:
 // SampleCompute sums tau draws of Y per worker, in worker order, multiplies
-// each sum by the worker's compute factor (ComputeScales: straggler factor
-// times a persistent Jitter draw) and returns the max over the workers that
+// each sum by the worker's compute factor (ComputeScales: its Stragglers
+// factor times a persistent Jitter draw) and returns the max over the workers that
 // are up. Down workers still draw, so membership never shifts the stream;
 // with everyone down the round computes nothing and costs 0.
 //
@@ -135,6 +135,11 @@ type Model struct {
 	// Links path on every topology, bit for bit.
 	EdgeLinks map[Edge]Link
 
+	// Stragglers optionally slows individual workers: worker i's summed
+	// compute draws are multiplied by Stragglers[i] (ComputeScales), which
+	// must be finite and > 0, one per worker. nil = all 1.
+	Stragglers []float64
+
 	// Jitter optionally gives every worker a persistent multiplicative
 	// compute-speed factor, drawn once per worker from this distribution
 	// with a stream seeded by JitterSeed (see ComputeScales). It breaks the
@@ -150,14 +155,15 @@ type Model struct {
 }
 
 // ComputeScales returns every worker's compute-time factor, the one both
-// engines multiply a worker's summed compute draws by: its straggler factor
-// (nil factors are 1 for everyone) times its persistent Jitter draw (M draws
-// from a stream seeded by JitterSeed, so the factors are a pure function of
-// the configuration; a nil Jitter draws nothing). The slice is the caller's.
-// A factor, a draw or a product that is not finite and positive is rejected:
-// a NaN factor never gates a round (v > max is false) and a negative one runs
-// the clock backwards.
-func (dm *Model) ComputeScales(factors []float64) ([]float64, error) {
+// engines multiply a worker's summed compute draws by: its Stragglers factor
+// (nil Stragglers are 1 for everyone) times its persistent Jitter draw (M
+// draws from a stream seeded by JitterSeed, so the factors are a pure
+// function of the configuration; a nil Jitter draws nothing). The slice is
+// the caller's. A factor, a draw or a product that is not finite and positive
+// is rejected: a NaN factor never gates a round (v > max is false) and a
+// negative one runs the clock backwards.
+func (dm *Model) ComputeScales() ([]float64, error) {
+	factors := dm.Stragglers
 	if factors != nil && len(factors) != dm.M {
 		return nil, fmt.Errorf("delaymodel: %d straggler factors for %d workers", len(factors), dm.M)
 	}

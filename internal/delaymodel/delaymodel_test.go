@@ -538,9 +538,9 @@ func TestParseLinksRejectsDegenerateEntries(t *testing.T) {
 
 func TestJitterScalesNilIsZeroConfig(t *testing.T) {
 	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
-	s, err := dm.ComputeScales(nil)
+	s, err := dm.ComputeScales()
 	if err != nil || len(s) != 4 {
-		t.Fatalf("ComputeScales(nil) = %v, %v", s, err)
+		t.Fatalf("ComputeScales() = %v, %v", s, err)
 	}
 	for i, v := range s {
 		if v != 1 {
@@ -550,7 +550,8 @@ func TestJitterScalesNilIsZeroConfig(t *testing.T) {
 	// Straggler factors pass through a nil Jitter unchanged, into a fresh
 	// slice.
 	factors := []float64{1, 3, 0.5, 2}
-	s, err = dm.ComputeScales(factors)
+	dm.Stragglers = factors
+	s, err = dm.ComputeScales()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -572,17 +573,20 @@ func TestComputeScalesRejectsDegenerateFactors(t *testing.T) {
 		{1, 1, 1, -1},
 		{1, 1},
 	} {
-		if _, err := dm.ComputeScales(bad); err == nil {
+		dm.Stragglers = bad
+		if _, err := dm.ComputeScales(); err == nil {
 			t.Errorf("accepted straggler factors %v", bad)
 		}
 	}
 	// The product of two finite factors can overflow or underflow.
 	dm.Jitter = rng.Constant{Value: 1e300}
-	if _, err := dm.ComputeScales([]float64{1e10, 1, 1, 1}); err == nil {
+	dm.Stragglers = []float64{1e10, 1, 1, 1}
+	if _, err := dm.ComputeScales(); err == nil {
 		t.Error("accepted an infinite compute factor")
 	}
 	dm.Jitter = rng.Constant{Value: 1e-300}
-	if _, err := dm.ComputeScales([]float64{1e-30, 1, 1, 1}); err == nil {
+	dm.Stragglers = []float64{1e-30, 1, 1, 1}
+	if _, err := dm.ComputeScales(); err == nil {
 		t.Error("accepted a zero compute factor")
 	}
 }
@@ -592,12 +596,13 @@ func TestComputeScalesComposeFactorsAndJitter(t *testing.T) {
 	dm := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
 	dm.Jitter = rng.Pareto{Xm: 1, Alpha: 2}
 	dm.JitterSeed = 7
-	jit, err := dm.ComputeScales(nil)
+	jit, err := dm.ComputeScales()
 	if err != nil {
 		t.Fatal(err)
 	}
 	factors := []float64{1, 3, 0.5, 2}
-	s, err := dm.ComputeScales(factors)
+	dm.Stragglers = factors
+	s, err := dm.ComputeScales()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,11 +617,11 @@ func TestJitterScalesSeededAndPerWorker(t *testing.T) {
 	dm := New(8, rng.Constant{Value: 1}, rng.Constant{Value: 1}, nil)
 	dm.Jitter = rng.Pareto{Xm: 1, Alpha: 2}
 	dm.JitterSeed = 7
-	a, err := dm.ComputeScales(nil)
+	a, err := dm.ComputeScales()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := dm.ComputeScales(nil)
+	b, _ := dm.ComputeScales()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("worker %d jitter not reproducible: %v vs %v", i, a[i], b[i])
@@ -635,7 +640,7 @@ func TestJitterScalesSeededAndPerWorker(t *testing.T) {
 		t.Fatal("all workers drew the same jitter factor")
 	}
 	dm.JitterSeed = 8
-	c, _ := dm.ComputeScales(nil)
+	c, _ := dm.ComputeScales()
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -656,7 +661,7 @@ func TestJitterScalesRejectsDegenerateDraws(t *testing.T) {
 		rng.Constant{Value: math.NaN()},
 	} {
 		dm.Jitter = bad
-		if _, err := dm.ComputeScales(nil); err == nil {
+		if _, err := dm.ComputeScales(); err == nil {
 			t.Errorf("accepted jitter draw %v", bad.Sample(rng.New(1)))
 		}
 	}

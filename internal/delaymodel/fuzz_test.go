@@ -91,15 +91,15 @@ func FuzzRoundPricer(f *testing.F) {
 		if jitter != 1 {
 			dm.Jitter = rng.Constant{Value: jitter}
 		}
-		factors := make([]float64, m)
-		for i := range factors {
-			factors[i] = 1
+		dm.Stragglers = make([]float64, m)
+		for i := range dm.Stragglers {
+			dm.Stragglers[i] = 1
 		}
-		factors[0] = factor
+		dm.Stragglers[0] = factor
 		if dm.Check() != nil {
 			return
 		}
-		scales, err := dm.ComputeScales(factors)
+		scales, err := dm.ComputeScales()
 		if err != nil {
 			return
 		}

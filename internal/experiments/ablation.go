@@ -141,7 +141,7 @@ type couplingRow struct {
 // divergence), while the sqrt rule (20) raises tau moderately.
 func couplingAblation(scale Scale) []couplingRow {
 	w, cfg, budget := ablationWorkload(scale)
-	sched := sgd.MultiStep{Eta: 0.12, Factor: 0.1, Milestones: []int{8, 16}}
+	sched := sgd.MultiStep{Eta: 0.12, Milestones: []int{8, 16}}
 	rules := []core.Coupling{core.NoCoupling, core.SqrtCoupling, core.FullCoupling}
 	rows := make([]couplingRow, len(rules))
 	forEach(len(rules), func(i int) {

@@ -46,26 +46,24 @@ func asyncAblation(scale Scale) (float64, []linkAwareRow) {
 
 	sched := sgd.Const{Eta: lr}
 	syncCfg := cluster.Config{
-		BatchSize:       batchSize,
-		MaxTime:         budget,
-		EvalEvery:       50,
-		EvalSubset:      400,
-		StragglerFactor: straggler,
-		Seed:            seed + 1,
+		BatchSize:  batchSize,
+		MaxTime:    budget,
+		EvalEvery:  50,
+		EvalSubset: 400,
+		Seed:       seed + 1,
 	}
 	async := func(part int) func(*Workload, string) *metrics.Trace {
 		return func(w *Workload, name string) *metrics.Trace {
 			e, err := cluster.NewAsync(w.Proto, w.Shards, w.Train, w.Test, w.Delay, cluster.AsyncConfig{
-				Participation:   part,
-				InFlight:        m,
-				Tau:             tau,
-				BatchSize:       batchSize,
-				LR:              lr,
-				MaxTime:         budget,
-				EvalEvery:       50,
-				EvalSubset:      400,
-				StragglerFactor: straggler,
-				Seed:            seed + 2,
+				Participation: part,
+				InFlight:      m,
+				Tau:           tau,
+				BatchSize:     batchSize,
+				LR:            lr,
+				MaxTime:       budget,
+				EvalEvery:     50,
+				EvalSubset:    400,
+				Seed:          seed + 2,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("experiments: %v", err))
@@ -96,6 +94,7 @@ func asyncAblation(scale Scale) (float64, []linkAwareRow) {
 		// Each method gets its own workload instance (same seed → same data
 		// and initialization) so parallel runs share nothing mutable.
 		w := BuildWorkload(ArchLogistic, 4, m, scale, seed)
+		w.Delay.Stragglers = straggler
 		traces[i] = runs[i].run(w, runs[i].name)
 	})
 	return linkAwareRows(traces)

@@ -100,7 +100,7 @@ func optimizerAblation(scale Scale, adamBeta2, globalMomentum float64) (float64,
 			ctrl := core.NewAdaCommCompress(core.Config{
 				Tau0: tau, Interval: budget / 12, Gamma: 0.5,
 				Schedule: lrSched,
-			}, core.CompressSchedule{Ratio0: 0.5, NormBits: true, Bits0: 4})
+			}, core.CompressSchedule{Ratio0: 0.5, NormBits: true})
 			e := w.Engine(normCfg)
 			return e.Run(ctrl, label)
 		}},

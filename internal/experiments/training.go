@@ -60,7 +60,7 @@ func (s TrainSpec) schedule() sgd.Schedule {
 		// time budget even for tau=1 (which completes the fewest epochs per
 		// simulated second), mirroring the paper's 80/120/160/200 schedule
 		// proportionally.
-		return sgd.MultiStep{Eta: s.BaseLR, Factor: 0.1, Milestones: []int{15, 30, 45}}
+		return sgd.MultiStep{Eta: s.BaseLR, Milestones: []int{15, 30, 45}}
 	}
 	return sgd.Const{Eta: s.BaseLR}
 }

@@ -18,16 +18,19 @@
 //
 // The engines call SyncReset on every worker at every averaging point; on
 // plain SGD it touches nothing. SyncAverage vectors make every averaged
-// payload the extended vector of dim + SyncedLen coordinates, parameters
-// then synced state, riding one wire; with nothing synced the extension is
-// empty and the same path carries the parameters alone. Adam keeps two step
-// clocks: tm restarts with the first moment at every sync, tv runs on for
-// the second moment's bias correction, and AlignSteps lets a rejoining
-// worker match a never-crashed one bit for bit. A synced second moment that
-// crossed a lossy wire can dip below zero, so Step clamps the square root's
-// argument at 0; aggressive QSGD on the extended vector is unstable anyway
-// (v is tiny beside the parameter deltas sharing its norm). The async engine
-// rejects adaptive rules: per-client moments are Theta(clients*dim) state.
+// payload the extended vector of dim + Config.SyncedLen coordinates,
+// parameters then synced state, riding one wire; with nothing synced the
+// extension is empty and the same path carries the parameters alone. A
+// worker IS its extended vector: the engine allocates it, and NewIn places
+// the SyncAverage vectors in its tail, so the wire reads and writes the
+// optimizer's own state in place. Adam keeps two step clocks: tm restarts
+// with the first moment at every sync, tv runs on for the second moment's
+// bias correction, and AlignSteps lets a rejoining worker match a
+// never-crashed one bit for bit. A synced second moment that crossed a lossy
+// wire can dip below zero, so Step clamps the square root's argument at 0;
+// aggressive QSGD on the extended vector is unstable anyway (v is tiny
+// beside the parameter deltas sharing its norm). The async engine rejects
+// adaptive rules: per-client moments are Theta(clients*dim) state.
 package opt
 
 import (
@@ -117,11 +120,20 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// IsZero reports whether the config is the plain-SGD zero value.
-func (c Config) IsZero() bool { return c == Config{} }
-
 // Adaptive reports whether the rule keeps second-moment state.
 func (c Config) Adaptive() bool { return c.Rule == RuleAdam }
+
+// SyncedLen returns the length of the SyncAverage state an optimizer built
+// from c carries for a dim-long parameter vector: the extension the engines
+// append to every averaged payload (dim for synced-moment Adam, 0 for every
+// other rule). Engines size a worker's extended vector with it before they
+// build the optimizer (NewIn).
+func (c Config) SyncedLen(dim int) int {
+	if c.SyncedMoments {
+		return dim
+	}
+	return 0
+}
 
 // String renders the config in the grammar Parse accepts: an unset beta1
 // beside a set beta2 (as -adam-beta2 builds) prints as the default New runs.
@@ -271,8 +283,20 @@ type Optimizer struct {
 // preallocating every state arena so Step never allocates. Zero Adam
 // hyperparameters are filled with the package defaults.
 func New(cfg Config, dim int) *Optimizer {
+	return NewIn(cfg, dim, make([]float64, cfg.SyncedLen(dim)))
+}
+
+// NewIn is New with the SyncAverage vectors placed in tail, which must be
+// cfg.SyncedLen(dim) long: the lock-step engine hands every worker's
+// optimizer the tail of the worker's extended vector, so the state the wire
+// averages is the state Step reads and writes, with no copy between them.
+// A tail of any other length panics.
+func NewIn(cfg Config, dim int, tail []float64) *Optimizer {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
+	}
+	if len(tail) != cfg.SyncedLen(dim) {
+		panic(fmt.Sprintf("opt: a synced tail of %d words for %s at dim %d, want %d", len(tail), cfg, dim, cfg.SyncedLen(dim)))
 	}
 	o := &Optimizer{cfg: cfg}
 	switch cfg.Rule {
@@ -287,10 +311,10 @@ func New(cfg Config, dim int) *Optimizer {
 			o.cfg.Beta2 = DefaultBeta2
 		}
 		o.m = make([]float64, dim)
-		o.v = make([]float64, dim)
-		vPolicy := SyncKeep
-		if cfg.SyncedMoments {
-			vPolicy = SyncAverage
+		vPolicy := SyncAverage
+		o.v = tail
+		if !cfg.SyncedMoments {
+			o.v, vPolicy = make([]float64, dim), SyncKeep
 		}
 		o.state = []State{
 			{Name: "adam.m", Vec: o.m, Policy: SyncReset},
@@ -393,28 +417,4 @@ func (o *Optimizer) Step(params, grad []float64) {
 			params[i] -= lr * ((o.m[i] / bc1) / (math.Sqrt(vhat) + adamEps))
 		}
 	}
-}
-
-// SyncedLen returns the total length of the SyncAverage-policy vectors —
-// the extra wire-visible state the engines append to every averaged
-// payload (0 for everything but synced-moment Adam).
-func SyncedLen(o *Optimizer) int {
-	n := 0
-	for _, s := range o.State() {
-		if s.Policy == SyncAverage {
-			n += len(s.Vec)
-		}
-	}
-	return n
-}
-
-// SyncedVecs returns the SyncAverage-policy vectors in State order.
-func SyncedVecs(o *Optimizer) [][]float64 {
-	var vs [][]float64
-	for _, s := range o.State() {
-		if s.Policy == SyncAverage {
-			vs = append(vs, s.Vec)
-		}
-	}
-	return vs
 }

@@ -293,24 +293,83 @@ func TestSyncPolicies(t *testing.T) {
 		return false
 	}
 	plain := New(Config{}, 3)
-	if len(plain.State()) != 0 || hasResetState(plain) || SyncedLen(plain) != 0 {
+	if len(plain.State()) != 0 || hasResetState(plain) || plain.Config().SyncedLen(3) != 0 {
 		t.Fatalf("plain SGD must be stateless")
 	}
 	mom := New(Config{Rule: RuleMomentum, Momentum: 0.9}, 3)
-	if !hasResetState(mom) || SyncedLen(mom) != 0 {
+	if !hasResetState(mom) || mom.Config().SyncedLen(3) != 0 {
 		t.Fatalf("momentum: want reset-only state")
 	}
 	local := New(Config{Rule: RuleAdam}, 3)
-	if !hasResetState(local) || SyncedLen(local) != 0 {
+	if !hasResetState(local) || local.Config().SyncedLen(3) != 0 || local.State()[1].Policy != SyncKeep {
 		t.Fatalf("local adam: second moment must be SyncKeep")
 	}
 	synced := New(Config{Rule: RuleAdam, SyncedMoments: true}, 3)
-	if SyncedLen(synced) != 3 {
-		t.Fatalf("synced adam: SyncedLen = %d, want 3", SyncedLen(synced))
+	if n := synced.Config().SyncedLen(3); n != 3 {
+		t.Fatalf("synced adam: SyncedLen = %d, want 3", n)
 	}
-	vs := SyncedVecs(synced)
-	if len(vs) != 1 || len(vs[0]) != 3 {
-		t.Fatalf("SyncedVecs: %v", vs)
+	if st := synced.State()[1]; st.Name != "adam.v" || st.Policy != SyncAverage || len(st.Vec) != 3 {
+		t.Fatalf("synced adam: second moment %s %s of %d words, want adam.v average of 3", st.Name, st.Policy, len(st.Vec))
+	}
+}
+
+// TestNewInPlacesSyncedStateInTheTail: the tail NewIn is handed IS the
+// second moment Step reads and writes — a step moves the tail's words, and
+// words planted there are the v the next step decays — and a tail of any
+// other length than Config.SyncedLen panics.
+func TestNewInPlacesSyncedStateInTheTail(t *testing.T) {
+	const dim, lr = 3, 0.01
+	cfg := Config{Rule: RuleAdam, SyncedMoments: true}
+	ext := make([]float64, dim+cfg.SyncedLen(dim))
+	params, tail := ext[:dim], ext[dim:]
+	o := NewIn(cfg, dim, tail)
+	o.SetLR(lr)
+	if v := o.State()[1].Vec; &v[0] != &tail[0] || len(v) != dim {
+		t.Fatalf("the synced second moment is not the tail")
+	}
+	g := []float64{0.5, -1, 2}
+	o.Step(params, g)
+	b2 := o.Config().Beta2
+	for i, gi := range g {
+		if want := (1 - b2) * gi * gi; tail[i] != want {
+			t.Fatalf("after one step tail[%d] = %v, want (1-beta2)*g^2 = %v", i, tail[i], want)
+		}
+	}
+	// What an averaging writes into the tail is what the next step decays.
+	twin := New(cfg, dim)
+	twin.SetLR(lr)
+	twinParams := append([]float64(nil), params...)
+	for i := range tail {
+		tail[i] = float64(i + 1)
+		twin.State()[1].Vec[i] = float64(i + 1)
+	}
+	twin.AlignSteps(o.Steps())
+	o.Step(params, g)
+	twin.Step(twinParams, g)
+	for i := range params {
+		if params[i] != twinParams[i] || tail[i] != twin.State()[1].Vec[i] {
+			t.Fatalf("coordinate %d: param %v v %v, a twin with the same v planted reads %v and %v",
+				i, params[i], tail[i], twinParams[i], twin.State()[1].Vec[i])
+		}
+	}
+
+	for _, tc := range []struct {
+		cfg  Config
+		tail int
+	}{
+		{Config{Rule: RuleAdam, SyncedMoments: true}, dim - 1},
+		{Config{Rule: RuleAdam, SyncedMoments: true}, 0},
+		{Config{Rule: RuleAdam}, dim},
+		{Config{}, 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewIn accepted a tail of %d words at dim %d", tc.cfg, tc.tail, dim)
+				}
+			}()
+			NewIn(tc.cfg, dim, make([]float64, tc.tail))
+		}()
 	}
 }
 

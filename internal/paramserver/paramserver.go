@@ -278,6 +278,9 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("paramserver: no shards")
 	}
+	if err := data.CheckShards(shards); err != nil {
+		return nil, fmt.Errorf("paramserver: %w", err)
+	}
 	delay := &delaymodel.Model{
 		M: len(shards), Y: cfg.ComputeY, D0: cfg.PushDelay, Scale: delaymodel.ConstantScaling{},
 		Bandwidth: cfg.Bandwidth, Links: cfg.Links,

@@ -66,6 +66,17 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(proto, nil, train, psConfig(KSync)); err == nil {
 		t.Fatal("accepted zero shards")
 	}
+	// More workers than examples leave a shard empty, and its sampler
+	// panicked inside New: the server refuses it as the lock-step and async
+	// engines do, naming the worker.
+	empty := data.ShardIID(data.GaussianBlobs(data.GaussianBlobsConfig{
+		Classes: 4, Dim: 10, N: 8, Separation: 4, Noise: 1.2,
+	}, rng.New(403)), 16, rng.New(404))
+	want := "has no training data (16 workers over 8 examples)"
+	if _, err := New(proto, empty, train, psConfig(KSync)); err == nil ||
+		!strings.HasPrefix(err.Error(), "paramserver: worker ") || !strings.HasSuffix(err.Error(), want) {
+		t.Errorf("16 shards of 8 examples: error %v, want \"paramserver: worker N %s\"", err, want)
+	}
 	// The shared rate is checked like a link's: bw > 0 used to price a NaN
 	// or negative one as a free, infinite link.
 	for _, bw := range []float64{math.NaN(), -1, math.Inf(1)} {

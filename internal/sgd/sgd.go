@@ -21,25 +21,29 @@ func (c Const) LR(int) float64 { return c.Eta }
 
 func (c Const) String() string { return fmt.Sprintf("const(%g)", c.Eta) }
 
-// MultiStep decays the base rate by Factor at each listed epoch milestone —
-// the paper's "decay by 10 after 80/120/160/200 epochs" schedule.
+// MultiStep decays the base rate by decayFactor at each listed epoch
+// milestone — the paper's "decay by 10 after 80/120/160/200 epochs"
+// schedule.
 type MultiStep struct {
 	Eta        float64
-	Factor     float64
 	Milestones []int
 }
+
+// decayFactor is what MultiStep multiplies the rate by at each milestone:
+// the paper's 10x decay.
+const decayFactor = 0.1
 
 // LR implements Schedule.
 func (m MultiStep) LR(epoch int) float64 {
 	lr := m.Eta
 	for _, ms := range m.Milestones {
 		if epoch >= ms {
-			lr *= m.Factor
+			lr *= decayFactor
 		}
 	}
 	return lr
 }
 
 func (m MultiStep) String() string {
-	return fmt.Sprintf("multistep(%g x%g at %v)", m.Eta, m.Factor, m.Milestones)
+	return fmt.Sprintf("multistep(%g x%g at %v)", m.Eta, decayFactor, m.Milestones)
 }

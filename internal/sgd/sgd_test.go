@@ -21,7 +21,7 @@ func TestConstSchedule(t *testing.T) {
 
 func TestMultiStepMatchesPaperSchedule(t *testing.T) {
 	// Paper Sec 5.1: decay by 10 after epochs 80/120/160/200.
-	s := MultiStep{Eta: 0.2, Factor: 0.1, Milestones: []int{80, 120, 160, 200}}
+	s := MultiStep{Eta: 0.2, Milestones: []int{80, 120, 160, 200}}
 	cases := map[int]float64{
 		0: 0.2, 79: 0.2,
 		80: 0.02, 119: 0.02,
