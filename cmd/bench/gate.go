@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -89,24 +90,34 @@ var ratioPairs = []ratioPair{
 	{"FillFloat64650", "FillFloat64Ref650", 1.15, 64, fillSetup},
 }
 
-// sampleRounds is how many rounds sample alternates the two rows for.
-const sampleRounds = 16
+// sampleRounds is how many rounds a best-of alternates the two rows for, and
+// verdictSamplings how many best-ofs a pair under its floor gets before its
+// verdict.
+const (
+	sampleRounds     = 16
+	verdictSamplings = 3
+)
 
 // sample times the pair's two rows alternately, so both meet the same
 // neighbours, and keeps each one's fastest round: interference only ever
-// adds time.
+// adds time. A pair that one best-of-16 puts under its floor is sampled
+// again, each row keeping its fastest round over every best-of, until it
+// clears the floor or has had verdictSamplings of them. A host busy with
+// other work — tier-1 runs other packages' test binaries on the same cores —
+// can slow a row through all sixteen rounds of one best-of (EmitAbove16400
+// once read 1.97x against its 2.0x that way), while a kernel that lost its
+// margin stays under the floor however long it is sampled.
 func (p ratioPair) sample() (fast, ref Result) {
 	steps := [2]func(){p.setup(true), p.setup(false)}
-	var best [2]float64
-	for round := 0; round < sampleRounds; round++ {
-		for i, step := range steps {
-			start := time.Now()
-			for c := 0; c < p.calls; c++ {
-				step()
-			}
-			ns := float64(time.Since(start).Nanoseconds()) / float64(p.calls)
-			if round == 0 || ns < best[i] {
-				best[i] = ns
+	best := [2]float64{math.Inf(1), math.Inf(1)}
+	for s := 0; s == 0 || s < verdictSamplings && best[0]*p.floor > best[1]; s++ {
+		for round := 0; round < sampleRounds; round++ {
+			for i, step := range steps {
+				start := time.Now()
+				for c := 0; c < p.calls; c++ {
+					step()
+				}
+				best[i] = min(best[i], float64(time.Since(start).Nanoseconds())/float64(p.calls))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/tensor"
 )
@@ -70,6 +71,46 @@ func TestCheckRatiosNormFillHasItsOwnFloor(t *testing.T) {
 	if v := checkRatios(curr, "go"); len(v) != 1 || !strings.Contains(v[0], "FillNormFloat641024") ||
 		!strings.Contains(v[0], "this host has no AVX2") || strings.Contains(v[0], "\n") {
 		t.Fatalf("a fill at the Go tier's speed is not caught in one line naming the tier: %q", v)
+	}
+}
+
+// spin busies the thread for d: a row of a made-up pair.
+func spin(d time.Duration) {
+	for start := time.Now(); time.Since(start) < d; {
+	}
+}
+
+// TestSampleRetakesAPairUnderItsFloor: a fast row held back through a whole
+// best-of-16, as a loaded host can hold one, is sampled again and clears its
+// floor; a row that is slow for good is sampled verdictSamplings times and
+// stays under it.
+func TestSampleRetakesAPairUnderItsFloor(t *testing.T) {
+	var fastCalls int
+	pair := func(slowFor int) ratioPair {
+		fastCalls = 0
+		return ratioPair{fast: "Made-up", ref: "MadeUpRef", floor: 2, calls: 1, setup: func(kernel bool) func() {
+			if !kernel {
+				return func() { spin(200 * time.Microsecond) }
+			}
+			return func() {
+				if fastCalls++; fastCalls <= slowFor {
+					spin(400 * time.Microsecond)
+				} else {
+					spin(20 * time.Microsecond)
+				}
+			}
+		}}
+	}
+	if f, r := pair(sampleRounds).sample(); f.NsPerOp*2 > r.NsPerOp || fastCalls != 2*sampleRounds {
+		t.Fatalf("held back for one best-of: %.0f against %.0f ns/op after %d rounds, want under half after %d",
+			f.NsPerOp, r.NsPerOp, fastCalls, 2*sampleRounds)
+	}
+	if f, r := pair(1 << 30).sample(); f.NsPerOp*2 <= r.NsPerOp || fastCalls != verdictSamplings*sampleRounds {
+		t.Fatalf("slow for good: %.0f against %.0f ns/op after %d rounds, want over half after %d",
+			f.NsPerOp, r.NsPerOp, fastCalls, verdictSamplings*sampleRounds)
+	}
+	if pair(0).sample(); fastCalls != sampleRounds {
+		t.Fatalf("a pair over its floor was sampled for %d rounds, want %d", fastCalls, sampleRounds)
 	}
 }
 

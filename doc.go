@@ -22,7 +22,10 @@
 //
 // Beyond the paper, internal/compress models the communication-VOLUME axis
 // of the trade-off: gradient/delta compression (top-k, random-k, QSGD-style
-// quantization, with optional error feedback), a size-aware broadcast cost
+// quantization, with optional error feedback and a float32 wire) as one
+// concrete compress.Compressor built from a compress.Spec — the sibling of
+// internal/opt's one Optimizer, its ratio and width retuned by plain
+// SetRatio/SetBits calls — a size-aware broadcast cost
 // D = (latency + bytes/bandwidth) * s(m) in internal/delaymodel, compressed
 // delta-averaging in internal/cluster, a compressed parameter-server push
 // in internal/paramserver, and a joint (tau, compression-ratio) adaptive
@@ -237,6 +240,7 @@
 // End-to-end speed is measured by the benchmark module (benchmark/), and
 // steady-state allocation is gated by each package's AllocsPerRun tests.
 // `go run ./cmd/bench` checks the AVX2 kernels within one run: each must
-// beat the scalar code it replaced by its pair's floor, or the command exits
-// 1 naming the kernel tier that ran.
+// beat the scalar code it replaced by its pair's floor (a pair first found
+// under it is sampled again before its verdict), or the command exits 1
+// naming the kernel tier that ran.
 package repro

@@ -326,13 +326,17 @@ type Controller interface {
 	Name() string
 }
 
-// RatioController is optionally implemented by controllers that adapt the
-// compression keep-ratio jointly with tau (e.g. core.AdaCommCompress). When
-// the controller implements it, the engine retunes every adaptive
-// compressor to CompressionRatio() before each round.
-type RatioController interface {
+// WireController is optionally implemented by controllers that tune the
+// wire jointly with tau (core.AdaCommCompress). Before each round the engine
+// sets every worker's compressor to CompressionRatio() (compress's SetRatio:
+// a sparsifier's keep-fraction, QSGD's width as ratio*8) and then, when
+// QuantBits() is positive, QSGD's width to exactly that (SetBits, from
+// observed gradient-norm decay: compress.NormDecayBits). A setting the
+// compressor's scheme lacks is a no-op.
+type WireController interface {
 	Controller
 	CompressionRatio() float64
+	QuantBits() int
 }
 
 // FixedTau is the baseline controller: constant communication period with a
@@ -416,10 +420,10 @@ type Engine struct {
 	linkTimes   []float64 // per-worker transfer times of the last round
 
 	// Compression state: comps[i] is worker i's compressor (owning its
-	// error-feedback residual and stochastic stream), compress.Identity{}
-	// under the zero spec; every top-k compressor selects in sel, one
-	// Selection for all, because the engine compresses one worker at a time
-	// and never inside the local-update fan-out. The engine owns every wire
+	// error-feedback residual and stochastic stream), the identity under the
+	// zero spec; every top-k compressor selects in sel, one Selection for
+	// all, because the engine compresses one worker at a time and never
+	// inside the local-update fan-out. The engine owns every wire
 	// message: msgBuf[i] is worker i's all-reduce slot, recompressed into
 	// each round (full averaging's uncompressed mean only borrows the
 	// replica as a dense view), and wireMsg is the one slot gossip and
@@ -625,16 +629,14 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		e.grads[i] = make([]float64, e.dim)
 	}
 	e.batches = make([]data.Batch, e.pool)
-	// Compressor construction comes last: the zero spec's Identity{} draws
-	// no stream, so an uncompressed engine consumes exactly the legacy RNG.
+	// Compressor construction comes last: the zero spec's identity draws no
+	// stream, so an uncompressed engine consumes exactly the legacy RNG.
 	e.comps = make([]compress.Compressor, m)
 	e.sel = new(compress.Selection)
 	for i := range e.comps {
-		c, err := cfg.Compress.NewWire(root.Split, e.sel)
-		if err != nil {
+		if e.comps[i], err = cfg.Compress.NewWire(root.Split, e.sel); err != nil {
 			return nil, err
 		}
-		e.comps[i] = c
 	}
 	e.deltaBuf = make([]float64, e.xdim)
 	switch cfg.Strategy {
@@ -751,38 +753,6 @@ func (e *Engine) roundTime(steps int) (compute, comm float64) {
 // CommBytesPerRound returns the per-link payload charged for the most
 // recent synchronization (the round's largest message).
 func (e *Engine) CommBytesPerRound() int { return e.lastReport.Max }
-
-// setCompressionRatio retunes every adaptive compressor to the given
-// keep-ratio (no-op for fixed-rate compressors and the identity).
-func (e *Engine) setCompressionRatio(r float64) {
-	for _, c := range e.comps {
-		if a, ok := c.(compress.Adaptive); ok {
-			a.SetRatio(r)
-		}
-	}
-}
-
-// BitsController is optionally implemented by controllers that drive the
-// QSGD quantization bit-width from observed gradient-norm decay
-// (compress.NormDecayBits). A non-positive QuantBits leaves every
-// compressor untouched.
-type BitsController interface {
-	Controller
-	QuantBits() int
-}
-
-// setCompressionBits retunes every bit-width-capable compressor (QSGD,
-// possibly wrapped in error feedback or a float32 wire) to b bits.
-func (e *Engine) setCompressionBits(b int) {
-	if b <= 0 {
-		return
-	}
-	for _, c := range e.comps {
-		if q, ok := c.(compress.BitSetter); ok {
-			q.SetBits(b)
-		}
-	}
-}
 
 // localUpdates advances every worker by `steps` local SGD iterations at lr,
 // fanning the compute slots across the bounded pool (Config.ComputeWorkers):
@@ -982,11 +952,14 @@ func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 		if tau < 1 {
 			panic(fmt.Sprintf("cluster: controller %s returned tau=%d", ctrl.Name(), tau))
 		}
-		if rc, ok := ctrl.(RatioController); ok {
-			e.setCompressionRatio(rc.CompressionRatio())
-		}
-		if bc, ok := ctrl.(BitsController); ok {
-			e.setCompressionBits(bc.QuantBits())
+		if wc, ok := ctrl.(WireController); ok {
+			ratio, bits := wc.CompressionRatio(), wc.QuantBits()
+			for i := range e.comps {
+				e.comps[i].SetRatio(ratio)
+				if bits > 0 {
+					e.comps[i].SetBits(bits)
+				}
+			}
 		}
 		// Trim the round to the iteration budget so runs are comparable.
 		steps := tau

@@ -202,7 +202,8 @@ func TestCompressedElasticTrainsAndReportsPayload(t *testing.T) {
 	}
 }
 
-// ratioSpy is a RatioController that walks the ratio up each round.
+// ratioSpy is a WireController that walks the ratio up each round and
+// leaves the bit-width to it.
 type ratioSpy struct {
 	FixedTau
 	ratio float64
@@ -217,6 +218,7 @@ func (r *ratioSpy) NextRound(info RoundInfo, eval func() float64) (int, float64)
 }
 
 func (r *ratioSpy) CompressionRatio() float64 { return r.ratio }
+func (r *ratioSpy) QuantBits() int            { return 0 }
 
 func TestRatioControllerDrivesAdaptiveCompressors(t *testing.T) {
 	s := newSetup(t, 4, 1)

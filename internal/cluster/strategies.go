@@ -34,12 +34,12 @@ import (
 // message sizes — not hop multipliers — differ from full averaging.
 //
 // Uncompressed IS the identity wire here: with the zero Compress spec every
-// worker's compressor is compress.Identity{} (built without drawing a
-// stream), a lossless gossip node ships x_i itself so x̂_i == x_i and the
-// gamma = 1 mix is the plain gossip average bit for bit, and the identity's
-// decoded elastic displacement is x_i - z exactly. One consequence: a
-// diverged replica's ±Inf coordinate mixes to NaN, because x - x̂ is NaN at
-// Inf; the loss is non-finite either way. Uncompressed and identity differ
+// worker's compressor is the zero compress.Compressor, the identity (built
+// without drawing a stream), a lossless gossip node ships x_i itself so
+// x̂_i == x_i and the gamma = 1 mix is the plain gossip average bit for
+// bit, and the identity's decoded elastic displacement is x_i - z exactly.
+// One consequence: a diverged replica's ±Inf coordinate mixes to NaN,
+// because x - x̂ is NaN at Inf; the loss is non-finite either way. Uncompressed and identity differ
 // in two places only, both outside this file: full averaging's raw mean
 // (averageFull), and the parameter server's free pull.
 type Strategy int

@@ -32,13 +32,17 @@ const (
 func benchMessages(b *testing.B, ratio float64) []compress.Message {
 	b.Helper()
 	r := rng.New(7)
+	topK, err := compress.Spec{Kind: compress.KindTopK, Ratio: ratio}.New(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	msgs := make([]compress.Message, benchM)
 	vec := make([]float64, benchDim)
 	for i := range msgs {
 		for j := range vec {
 			vec[j] = r.NormFloat64()
 		}
-		msg, err := compress.NewTopK(ratio).Compress(vec)
+		msg, err := topK.Compress(vec)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -95,13 +99,17 @@ func BenchmarkAggregateDense(b *testing.B) {
 func TestSparseMergeMatchesDenseAggregation(t *testing.T) {
 	r := rng.New(11)
 	const dim, m = 4096, 6
+	topK, err := compress.Spec{Kind: compress.KindTopK, Ratio: 0.05}.New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	msgs := make([]compress.Message, m)
 	vec := make([]float64, dim)
 	for i := range msgs {
 		for j := range vec {
 			vec[j] = r.NormFloat64()
 		}
-		msg, err := compress.NewTopK(0.05).Compress(vec)
+		msg, err := topK.Compress(vec)
 		if err != nil {
 			t.Fatal(err)
 		}

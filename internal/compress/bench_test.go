@@ -3,8 +3,6 @@ package compress
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 // The compression hot path runs once per worker per averaging round, on a
@@ -31,8 +29,9 @@ func benchVecs(dim int) [][]float64 {
 	return vs
 }
 
-func benchCompressor(b *testing.B, c Compressor, dim int) {
+func benchCompressor(b *testing.B, spec string, seed uint64, dim int) {
 	b.Helper()
+	c := mustNew(b, spec, seed)
 	vs := benchVecs(dim)
 	dst := make([]float64, dim)
 	b.ReportAllocs()
@@ -49,16 +48,16 @@ func benchCompressor(b *testing.B, c Compressor, dim int) {
 	}
 }
 
-func BenchmarkTopK1pct(b *testing.B)  { benchCompressor(b, NewTopK(0.01), benchDim) }
-func BenchmarkTopK10pct(b *testing.B) { benchCompressor(b, NewTopK(0.1), benchDim) }
+func BenchmarkTopK1pct(b *testing.B)  { benchCompressor(b, "topk:0.01", 0, benchDim) }
+func BenchmarkTopK10pct(b *testing.B) { benchCompressor(b, "topk:0.1", 0, benchDim) }
 
-func BenchmarkRandK1pct(b *testing.B) { benchCompressor(b, NewRandK(0.01, rng.New(1)), benchDim) }
+func BenchmarkRandK1pct(b *testing.B) { benchCompressor(b, "randk:0.01", 1, benchDim) }
 
-func BenchmarkQSGD4bit(b *testing.B) { benchCompressor(b, NewQSGD(4, rng.New(2)), benchDim) }
-func BenchmarkQSGD8bit(b *testing.B) { benchCompressor(b, NewQSGD(8, rng.New(3)), benchDim) }
+func BenchmarkQSGD4bit(b *testing.B) { benchCompressor(b, "qsgd:4", 2, benchDim) }
+func BenchmarkQSGD8bit(b *testing.B) { benchCompressor(b, "qsgd:8", 3, benchDim) }
 
 func BenchmarkTopKWithErrorFeedback(b *testing.B) {
-	benchCompressor(b, WithErrorFeedback(NewTopK(0.01)), benchDim)
+	benchCompressor(b, "topk:0.01+ef", 0, benchDim)
 }
 
 // BenchmarkTopKServed times what the engines run at the three served forms:

@@ -5,25 +5,31 @@
 // size-aware cost D = (latency + bytes/bandwidth) * s(m) and the simulator
 // can express bandwidth-limited (e.g. federated) scenarios.
 //
-// A Compressor maps a parameter-delta vector to a wire Message and back.
-// Four schemes are provided:
+// A Compressor encodes a parameter-delta vector as a wire Message; Decode and
+// AddDecoded are the way back. It is one concrete type, built from a Spec
+// (Spec.New, Spec.NewWire), that runs one of four schemes, its Kind:
 //
-//   - Identity: lossless dense encoding (8 bytes/coordinate); the baseline
-//     that exercises the compressed-averaging protocol at full payload.
-//   - Top-k sparsification: keep the k = ceil(ratio*dim) largest-magnitude
-//     coordinates (biased, strong in practice; Lin et al. 2018).
-//   - Random-k sparsification: keep a uniformly random k-subset scaled by
-//     dim/k, an UNBIASED estimator of the input (Stich et al. 2018).
+//   - the identity: lossless dense encoding (8 bytes/coordinate); the
+//     baseline that exercises the compressed-averaging protocol at full
+//     payload, and the zero Compressor;
+//   - top-k sparsification: keep the k = ceil(ratio*dim) largest-magnitude
+//     coordinates (biased, strong in practice; Lin et al. 2018);
+//   - random-k sparsification: keep a uniformly random k-subset scaled by
+//     dim/k, an UNBIASED estimator of the input (Stich et al. 2018);
 //   - QSGD-style stochastic b-bit quantization: coordinates are stochastically
 //     rounded to 2^b-1 levels of the L2 ball, an unbiased estimator
 //     (Alistarh et al. 2017).
 //
-// Biased compressors (top-k in particular) need error feedback to keep
-// compressed PASGD convergent: WithErrorFeedback wraps any Compressor with a
-// residual accumulator that re-injects what previous rounds dropped
-// (Karimireddy et al. 2019). All compressors are deterministic given their
-// seed stream, which is what lets the cluster engine stay bitwise identical
-// at any compute-pool width under compression.
+// Two settings of the spec apply to every scheme, in a fixed order: the
+// float32 wire narrows the scheme's message, and error feedback, outermost,
+// compresses vec plus a residual that re-injects what previous rounds
+// dropped, narrowing included. Biased schemes (top-k in particular) need it
+// to keep compressed PASGD convergent (Karimireddy et al. 2019). SetRatio
+// and SetBits retune a running compressor (core.AdaCommCompress drives them
+// through the engines); each is a no-op on a scheme without that setting.
+// All compressors are deterministic given their seed stream, which is what
+// lets the cluster engine stay bitwise identical at any compute-pool width
+// under compression.
 //
 // # Top-k: selection, order, NaN
 //
@@ -93,9 +99,9 @@
 //     one entry longer than the bucket.
 //
 // Error feedback forms vec + residual in the residual itself (tensor.Add,
-// four-wide and safe in place), and the inner compressor reads it there: a
-// compressor keeps no reference to its input, so no second dim-sized buffer
-// is needed. Fusing that add into the digit count measured 3.24 us against
+// four-wide and safe in place), and the scheme reads it there: a scheme
+// keeps no reference to its input, so no second dim-sized buffer is
+// needed. Fusing that add into the digit count measured 3.24 us against
 // 3.23 us per call at ps_adasync's shape (650 coordinates, ratio 0.1, best
 // of 30 runs of 20 000 calls): nothing, so the add stays a pass of its own.
 //
@@ -115,8 +121,8 @@
 // at a time, and two engines never share one. The engines compress in fixed
 // worker order outside their compute fan-out, one call at a time, and the
 // experiment grids, which run many engines at once, give each its own.
-// Spec.New and NewTopK build a private selection, for callers that hold a
-// single compressor.
+// Spec.New builds top-k a private selection, for callers that hold a single
+// compressor.
 //
 // # QSGD: draw order, conversion, what stays scalar
 //
@@ -161,20 +167,21 @@
 // The residual is (vec + residual) minus what the message reconstructs. A
 // sparse message reconstructs to zero off its k kept coordinates, and
 // x - 0 == x bit for bit for every x including -0, NaN and the infinities,
-// so after the in-place add ErrorFeedback subtracts only the k shipped
+// so after the in-place add error feedback subtracts only the k shipped
 // values from the residual, with no dense reconstruction and no dim-wide
 // subtract. The bits equal theirs as long as a message's indices are
-// distinct, which top-k and random-k guarantee. Dense and quantized messages
-// are decoded into a buffer and subtracted from the residual in place
-// (tensor.Sub, safe in place).
+// distinct, which top-k and random-k guarantee. A dense message is
+// subtracted from the residual as it stands, and a quantized one decoded
+// into a buffer first (tensor.Sub, safe in place).
 //
 // # The float32 wire
 //
 // Spec.Wire (the "+f32" modifier, ParseWire, -wire on adacomm, figures and
 // sweep) narrows every transmitted value through float32 (Narrow32) and
-// prices 4 bytes a value, while model state stays float64. Spec.New wraps
-// error feedback OUTSIDE the narrowing, so the residual sees the wire's
-// actual loss; Spec.Lossless requires WireFloat64; the gossip grid's Wire
+// prices 4 bytes a value, while model state stays float64. Error feedback
+// sits OUTSIDE the narrowing — the residual is formed from the narrowed
+// message — so it sees the wire's actual loss; Spec.Lossless requires
+// WireFloat64; the gossip grid's Wire
 // field narrows only its compressed cells (its raw ring stays lossless).
 // The ablation is internal/experiments/wire.go (sweep -ablation wire, and
 // -ablation gossip -wire float32).
@@ -185,31 +192,33 @@
 // whoever holds the Message — never to the compressor that filled it and
 // never to the vector it was filled from. A compressor keeps no reference to
 // a message after CompressInto returns, a filled message shares no memory
-// with vec or with compressor scratch, and wrappers (float32 narrowing,
-// error feedback) hand the caller's *Message inward and touch its arrays
-// only during the call. The holder may therefore keep a message across any
-// number of later calls on the same compressor, mutate it, or pass it to
-// CompressInto again, which is how the engines run allocation-free:
-// CompressInto overwrites every field and reuses each array whose capacity
-// suffices, so one long-lived Message per wire slot serves every round.
-// Recycling is exact — a dirty message (another encoding, a larger k, stale
-// Wire/Norm/Bits) comes back bit-identical to a fresh one.
+// with vec or with compressor scratch, and the float32 narrowing and error
+// feedback touch its arrays only during the call. The holder may therefore
+// keep a message across any number of later calls on the same compressor,
+// mutate it, or pass it to CompressInto again, which is how the engines run
+// allocation-free: CompressInto overwrites every field and reuses each array
+// whose capacity suffices, so one long-lived Message per wire slot serves
+// every round. Recycling is exact — a dirty message (another encoding, a
+// larger k, stale Wire/Norm/Bits) comes back bit-identical to a fresh one.
 //
-// Where the Message lives matters. CompressInto is an interface method, so
-// the compiler must assume the pointer escapes: the address of a local
-// Message moves that local to the heap on every call, one allocation per
-// message. Compress into a struct field or a slice element of storage that
-// is already on the heap: Engine.msgBuf[i] (a down worker's slot keeps its
-// stale message, which the communicator skips), Engine.wireMsg (CHOCO and
-// elastic; a lossless CHOCO message is a borrowed view of the parameters,
-// never stored there), Server.pushMsg, and a client's msg, which a dispatch
-// takes from AsyncEngine.freeMsgs before it builds one (so at most
+// Where the Message lives matters for its arrays, not for the Message
+// itself. CompressInto is a concrete method that keeps no *Message past the
+// call (go build -gcflags=-m reports "leaking param content: msg": the
+// arrays it stores may be heap memory, the Message need not be), so a local
+// Message passed by address stays on the stack. But a local's arrays die
+// with it, and a message recompressed every round must keep them: the
+// engines compress into a struct field or a slice element of storage that
+// outlives the round, Engine.msgBuf[i] (a down worker's slot keeps its stale
+// message, which the communicator skips), Engine.wireMsg (CHOCO and elastic;
+// a lossless CHOCO message is a borrowed view of the parameters, never
+// stored there), Server.pushMsg, and a client's msg, which a dispatch takes
+// from AsyncEngine.freeMsgs before it builds one (so at most
 // AsyncStats.PeakInFlight exist). Tier-1 gates every spec's CompressInto and
 // each engine's exchange at zero allocations after warm-up; over a long run
 // a selection's keys can still double a handful of times, when a k-th
 // bucket outgrows every earlier one (growKeys). Compress(vec) is
 // CompressInto on a zero Message, for callers that want a fresh message and
-// accept its allocations.
+// accept the allocation of its arrays.
 //
 // # A pull is free or exact, priced and never built
 //
@@ -342,16 +351,124 @@ func AddDecoded(msg Message, dst []float64) error {
 }
 
 // Compressor maps a vector to a self-describing wire Message; Decode and
-// AddDecoded are the way back.
-type Compressor interface {
-	// CompressInto encodes vec into msg, overwriting every field and reusing
-	// msg's arrays where their capacity suffices. The result depends on vec
-	// and the compressor's state only, never on what msg held; msg keeps no
-	// reference to vec. After an error msg's contents are unspecified.
-	CompressInto(vec []float64, msg *Message) error
-	// Compress is CompressInto on a zero Message.
-	Compress(vec []float64) (Message, error)
-	Name() string
+// AddDecoded are the way back. It is one scheme, narrowed to a float32 wire
+// and wrapped in error feedback as its Spec says; the zero Compressor is the
+// identity on a float64 wire. It holds what outlives a call and borrows
+// top-k's scratch (see "A compressor keeps state, not scratch" in the
+// package comment). A compressor is used in place, as a variable, field or
+// slice element: a copy would share its stream, pool and residual.
+type Compressor struct {
+	kind  Kind
+	ratio float64    // top-k's and rand-k's keep-fraction, in (0, 1]
+	bits  int        // QSGD's bit-width, in [1, 8]
+	r     *rng.Rand  // rand-k's subset stream, QSGD's rounding stream
+	sel   *Selection // top-k's scratch: the holder's (NewWire) or private (New)
+	pool  []int32    // rand-k's persistent partial-Fisher-Yates pool
+	f32   bool       // the float32 wire
+
+	ef     bool      // error feedback
+	resid  []float64 // its residual
+	decBuf []float64 // a quantized message's reconstruction
+}
+
+// CompressInto encodes vec into msg, overwriting every field and reusing
+// msg's arrays where their capacity suffices. The result depends on vec and
+// the compressor's state only, never on what msg held; msg keeps no
+// reference to vec. The error is nil for every compressor a Spec builds.
+//
+// Under error feedback the scheme encodes the sum of vec and the carried
+// residual, formed in the residual itself, and the residual keeps what the
+// message failed to represent. A sparse message reconstructs to zero
+// everywhere but its k kept coordinates, and x - 0 == x for every x (NaN and
+// -0 included), so the sum already is the new residual but at those k
+// entries, which are corrected in place. That is bit-identical to
+// subtracting the dense reconstruction as long as the message's indices are
+// distinct, which both sparsifiers guarantee. A dense message is subtracted
+// as it stands, a quantized one decoded first.
+func (c *Compressor) CompressInto(vec []float64, msg *Message) error {
+	if !c.ef {
+		c.encode(vec, msg)
+		return nil
+	}
+	dim := len(vec)
+	if len(c.resid) != dim {
+		c.resid = make([]float64, dim)
+	}
+	resid := c.resid
+	tensor.Add(resid, vec, resid)
+	c.encode(resid, msg)
+	switch msg.Enc {
+	case EncSparse:
+		vals := msg.Values[:len(msg.Indices)]
+		for j, ix := range msg.Indices {
+			resid[ix] -= vals[j]
+		}
+	case EncQuant:
+		if len(c.decBuf) != dim {
+			c.decBuf = make([]float64, dim)
+		}
+		tensor.DequantizeLevels(c.decBuf, msg.Levels, msg.Norm, levelCount(msg.Bits))
+		tensor.Sub(resid, resid, c.decBuf)
+	default:
+		tensor.Sub(resid, resid, msg.Dense)
+	}
+	return nil
+}
+
+// Compress is CompressInto on a zero Message.
+func (c *Compressor) Compress(vec []float64) (msg Message, err error) {
+	err = c.CompressInto(vec, &msg)
+	return msg, err
+}
+
+// encode runs the scheme on vec into msg and narrows what it wrote on a
+// float32 wire: msg's arrays are the caller's, aliasing neither vec nor any
+// scratch, so the rounding touches only the payload just written. Decode
+// needs no inverse: the narrowed float64 values decode exactly.
+func (c *Compressor) encode(vec []float64, msg *Message) {
+	switch c.kind {
+	case KindTopK:
+		c.topK(vec, msg)
+	case KindRandK:
+		c.randK(vec, msg)
+	case KindQSGD:
+		c.quantize(vec, msg)
+	default: // None, KindIdentity
+		msg.reset(len(vec), EncDense)
+		msg.Dense = append(msg.Dense, vec...)
+	}
+	if !c.f32 {
+		return
+	}
+	msg.Wire = WireFloat32
+	for i, v := range msg.Dense {
+		msg.Dense[i] = Narrow32(v)
+	}
+	for i, v := range msg.Values {
+		msg.Values[i] = Narrow32(v)
+	}
+	msg.Norm = Narrow32(msg.Norm)
+}
+
+// SetRatio retunes the keep-fraction r in (0, 1] (clamped): k/dim for the
+// sparsifiers, and for QSGD the bit-width, rounded to r*8 in [1, 8]. The
+// identity has nothing to retune.
+func (c *Compressor) SetRatio(r float64) {
+	switch c.kind {
+	case KindTopK, KindRandK:
+		c.ratio = clampRatio(r)
+	case KindQSGD:
+		c.bits = clampBits(int(math.Round(clampRatio(r) * 8)))
+	}
+}
+
+// SetBits sets QSGD's bit-width exactly (clamped to [1, 8]), the precise
+// alternative to SetRatio's rounding: a norm-tracking controller computes an
+// integer width and sets exactly that. Every other scheme ignores it.
+func (c *Compressor) SetBits(b int) {
+	if c.kind == KindQSGD {
+		c.bits = clampBits(b)
+	}
 }
 
 // reset starts a new encoding in m: scalar fields take their values for a
@@ -371,24 +488,6 @@ func grow[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
-}
-
-// Adaptive is implemented by compressors whose aggressiveness can be retuned
-// mid-run; the joint AdaComm controller in internal/core drives this to pick
-// (tau, ratio) per wall-clock interval. Ratio is the keep-fraction in (0, 1]:
-// for sparsifiers it is k/dim, for QSGD it maps linearly to the bit-width.
-type Adaptive interface {
-	SetRatio(r float64)
-	Ratio() float64
-}
-
-// BitSetter is implemented by quantizers whose bit-width can be driven
-// directly (QSGD, plus any wrapper that forwards to one). It is the precise
-// alternative to the coarse ratio→bits rounding of Adaptive.SetRatio: a
-// norm-tracking controller computes an integer width and sets exactly that.
-type BitSetter interface {
-	SetBits(b int)
-	Bits() int
 }
 
 // clampBits restricts a quantizer bit-width to [1, 8].
@@ -452,29 +551,6 @@ func clampRatio(r float64) float64 {
 	return r
 }
 
-// ---------------------------------------------------------------------------
-// Identity
-// ---------------------------------------------------------------------------
-
-// Identity is the lossless dense compressor.
-type Identity struct{}
-
-// CompressInto copies the vector into a dense message.
-func (Identity) CompressInto(vec []float64, msg *Message) error {
-	msg.reset(len(vec), EncDense)
-	msg.Dense = append(msg.Dense, vec...)
-	return nil
-}
-
-// Compress implements Compressor.
-func (c Identity) Compress(vec []float64) (msg Message, err error) {
-	err = c.CompressInto(vec, &msg)
-	return msg, err
-}
-
-// Name implements Compressor.
-func (Identity) Name() string { return "identity" }
-
 func checkDim(msg Message, dst []float64) error {
 	if len(dst) != msg.Dim {
 		return fmt.Errorf("compress: dst length %d != message dim %d", len(dst), msg.Dim)
@@ -503,47 +579,22 @@ type Selection struct {
 	hist *[1 << topBits]uint32
 }
 
-type topKCompressor struct {
-	ratio float64
-	sel   *Selection // borrowed from the holder, or private (NewTopK)
-}
-
-// NewTopK returns a top-k sparsifier keeping the k = ceil(ratio*dim)
-// largest-magnitude coordinates. Magnitudes are ordered by the IEEE bit
-// pattern of |v| (see the package comment): for every non-NaN value that is
-// the numeric order, and a NaN ranks above +Inf. A message therefore always
-// carries exactly k entries, and a diverged (NaN) coordinate is shipped and
-// priced like any other instead of silently emptying the message. Entries
-// strictly above the k-th magnitude come first in ascending index order,
-// then coordinates tied with it, lowest index first.
-func NewTopK(ratio float64) Compressor { return newTopK(ratio, new(Selection)) }
-
-// newTopK is NewTopK selecting in sel.
-func newTopK(ratio float64, sel *Selection) Compressor {
-	return &topKCompressor{ratio: clampRatio(ratio), sel: sel}
-}
-
-func (t *topKCompressor) Name() string { return fmt.Sprintf("topk:%g", t.ratio) }
-
-// SetRatio implements Adaptive.
-func (t *topKCompressor) SetRatio(r float64) { t.ratio = clampRatio(r) }
-
-// Ratio implements Adaptive.
-func (t *topKCompressor) Ratio() float64 { return t.ratio }
-
-func (t *topKCompressor) Compress(vec []float64) (msg Message, err error) {
-	err = t.CompressInto(vec, &msg)
-	return msg, err
-}
-
-func (t *topKCompressor) CompressInto(vec []float64, msg *Message) error {
+// topK keeps the k = ceil(ratio*dim) largest-magnitude coordinates.
+// Magnitudes are ordered by the IEEE bit pattern of |v| (see the package
+// comment): for every non-NaN value that is the numeric order, and a NaN
+// ranks above +Inf. A message therefore always carries exactly k entries,
+// and a diverged (NaN) coordinate is shipped and priced like any other
+// instead of silently emptying the message. Entries strictly above the k-th
+// magnitude come first in ascending index order, then coordinates tied with
+// it, lowest index first.
+func (c *Compressor) topK(vec []float64, msg *Message) {
 	dim := len(vec)
 	msg.reset(dim, EncSparse)
 	if dim == 0 {
-		return nil
+		return
 	}
-	k := keepCount(t.ratio, dim)
-	sel := t.sel
+	k := keepCount(c.ratio, dim)
+	sel := c.sel
 	if sel.hist == nil {
 		sel.hist = new([1 << topBits]uint32)
 	}
@@ -557,7 +608,6 @@ func (t *topKCompressor) CompressInto(vec []float64, msg *Message) error {
 	n := tensor.EmitAbove(idx, vals, vec, thresh)
 	tensor.FillTies(idx, vals, n, vec, thresh)
 	msg.Indices, msg.Values = idx, vals
-	return nil
 }
 
 func scatterSparse(msg Message, dst []float64) error {
@@ -684,124 +734,51 @@ func keepBucket(keys []uint64, lo uint64, shift int, bucket uint64) []uint64 {
 // Random-k sparsification
 // ---------------------------------------------------------------------------
 
-type randKCompressor struct {
-	ratio  float64
-	r      *rng.Rand
-	idxBuf []int32 // persistent partial-Fisher-Yates pool
-}
-
-// NewRandK returns a random-k sparsifier: a uniformly random k-subset of
-// coordinates scaled by dim/k, so E[decompress(compress(v))] = v. The
-// subset stream is drawn from r.
-func NewRandK(ratio float64, r *rng.Rand) Compressor {
-	if r == nil {
-		panic("compress: NewRandK needs a random stream")
-	}
-	return &randKCompressor{ratio: clampRatio(ratio), r: r}
-}
-
-func (c *randKCompressor) Name() string { return fmt.Sprintf("randk:%g", c.ratio) }
-
-// SetRatio implements Adaptive.
-func (c *randKCompressor) SetRatio(r float64) { c.ratio = clampRatio(r) }
-
-// Ratio implements Adaptive.
-func (c *randKCompressor) Ratio() float64 { return c.ratio }
-
-func (c *randKCompressor) Compress(vec []float64) (msg Message, err error) {
-	err = c.CompressInto(vec, &msg)
-	return msg, err
-}
-
-func (c *randKCompressor) CompressInto(vec []float64, msg *Message) error {
+// randK keeps a uniformly random k-subset of coordinates scaled by dim/k, so
+// E[decompress(compress(v))] = v. The subset is drawn from the compressor's
+// stream.
+func (c *Compressor) randK(vec []float64, msg *Message) {
 	dim := len(vec)
 	msg.reset(dim, EncSparse)
 	k := keepCount(c.ratio, dim)
-	if len(c.idxBuf) != dim {
-		c.idxBuf = make([]int32, dim)
-		for i := range c.idxBuf {
-			c.idxBuf[i] = int32(i)
+	if len(c.pool) != dim {
+		c.pool = make([]int32, dim)
+		for i := range c.pool {
+			c.pool[i] = int32(i)
 		}
 	}
 	// Partial Fisher-Yates: the first k entries after k swaps are a uniform
-	// k-subset; the pool persists across calls, which keeps Compress O(k).
+	// k-subset; the pool persists across calls, which keeps a call O(k).
 	for i := 0; i < k; i++ {
 		j := i + c.r.Intn(dim-i)
-		c.idxBuf[i], c.idxBuf[j] = c.idxBuf[j], c.idxBuf[i]
+		c.pool[i], c.pool[j] = c.pool[j], c.pool[i]
 	}
 	scale := float64(dim) / float64(k)
 	idx := grow(msg.Indices, k)
 	vals := grow(msg.Values, k)
-	copy(idx, c.idxBuf[:k])
+	copy(idx, c.pool[:k])
 	for i, ix := range idx {
 		vals[i] = vec[ix] * scale
 	}
 	msg.Indices, msg.Values = idx, vals
-	return nil
 }
 
 // ---------------------------------------------------------------------------
 // QSGD-style stochastic quantization
 // ---------------------------------------------------------------------------
 
-type qsgdCompressor struct {
-	bits int
-	r    *rng.Rand
-}
-
-// NewQSGD returns a stochastic b-bit quantizer (1 <= bits <= 8): coordinates
-// are projected onto 2^bits - 1 levels of the L2 ball with stochastic
-// rounding, so the reconstruction is unbiased. The rounding stream is drawn
-// from r.
-func NewQSGD(bits int, r *rng.Rand) Compressor {
-	if bits < 1 || bits > 8 {
-		panic(fmt.Sprintf("compress: QSGD bits %d out of [1,8]", bits))
-	}
-	if r == nil {
-		panic("compress: NewQSGD needs a random stream")
-	}
-	return &qsgdCompressor{bits: bits, r: r}
-}
-
-func (q *qsgdCompressor) Name() string { return fmt.Sprintf("qsgd:%d", q.bits) }
-
-// SetRatio implements Adaptive: the keep-ratio maps linearly onto the
-// bit-width, ratio 1 = 8 bits.
-func (q *qsgdCompressor) SetRatio(r float64) {
-	b := int(math.Round(clampRatio(r) * 8))
-	if b < 1 {
-		b = 1
-	}
-	if b > 8 {
-		b = 8
-	}
-	q.bits = b
-}
-
-// Ratio implements Adaptive.
-func (q *qsgdCompressor) Ratio() float64 { return float64(q.bits) / 8 }
-
-// SetBits implements BitSetter: the width is set exactly (clamped to [1, 8]),
-// bypassing the ratio rounding.
-func (q *qsgdCompressor) SetBits(b int) { q.bits = clampBits(b) }
-
-// Bits implements BitSetter.
-func (q *qsgdCompressor) Bits() int { return q.bits }
-
 // levelCount is s, the number of quantization levels a bit-width spans.
 func levelCount(bits int) float64 { return float64(int(1)<<bits - 1) }
-
-func (q *qsgdCompressor) Compress(vec []float64) (msg Message, err error) {
-	err = q.CompressInto(vec, &msg)
-	return msg, err
-}
 
 // drawTile is how many rounding draws CompressInto takes from the stream at a
 // time: 2 KiB of stack, a multiple of the kernels' four lanes. It is invisible
 // in the output (see "QSGD" in the package comment).
 const drawTile = 256
 
-func (q *qsgdCompressor) CompressInto(vec []float64, msg *Message) error {
+// quantize is QSGD's stochastic b-bit quantization: coordinates are
+// projected onto 2^bits - 1 levels of the L2 ball with stochastic rounding
+// drawn from the compressor's stream, so the reconstruction is unbiased.
+func (c *Compressor) quantize(vec []float64, msg *Message) {
 	dim := len(vec)
 	norm := 0.0
 	for _, v := range vec {
@@ -810,19 +787,18 @@ func (q *qsgdCompressor) CompressInto(vec []float64, msg *Message) error {
 	norm = math.Sqrt(norm)
 	msg.reset(dim, EncQuant)
 	levels := grow(msg.Levels, dim)
-	msg.Norm, msg.Bits, msg.Levels = norm, q.bits, levels
+	msg.Norm, msg.Bits, msg.Levels = norm, c.bits, levels
 	if norm == 0 {
 		clear(levels) // a recycled array holds the last message's
-		return nil
+		return
 	}
-	s := levelCount(q.bits)
+	s := levelCount(c.bits)
 	var u [drawTile]float64
 	for lo := 0; lo < dim; lo += drawTile {
 		hi := min(lo+drawTile, dim)
-		q.r.FillFloat64(u[:hi-lo])
+		c.r.FillFloat64(u[:hi-lo])
 		tensor.QuantizeLevels(levels[lo:hi], vec[lo:hi], u[:hi-lo], norm, s)
 	}
-	return nil
 }
 
 func dequantize(msg Message, dst []float64) error {
@@ -838,115 +814,4 @@ func dequantize(msg Message, dst []float64) error {
 // levels reaches a prefix; one with too many panics here, capacity or not.
 func levelWindow(dst []float64, msg Message) []float64 {
 	return dst[:len(msg.Levels):len(dst)]
-}
-
-// ---------------------------------------------------------------------------
-// Error feedback
-// ---------------------------------------------------------------------------
-
-// ErrorFeedback wraps a Compressor with a residual accumulator: each round
-// compresses vec + residual and keeps what the wire format dropped, so the
-// error is re-injected instead of lost. For contractive compressors (top-k)
-// the residual norm stays bounded, which is what restores convergence of
-// compressed PASGD (Karimireddy et al. 2019).
-type ErrorFeedback struct {
-	inner  Compressor
-	resid  []float64
-	decBuf []float64 // dense reconstruction; sparse messages never need it
-}
-
-// WithErrorFeedback wraps c with residual accumulation.
-func WithErrorFeedback(c Compressor) *ErrorFeedback {
-	return &ErrorFeedback{inner: c}
-}
-
-// Name implements Compressor.
-func (e *ErrorFeedback) Name() string { return e.inner.Name() + "+ef" }
-
-// ResidualNorm returns the L2 norm of the accumulated residual (for tests
-// and diagnostics).
-func (e *ErrorFeedback) ResidualNorm() float64 {
-	s := 0.0
-	for _, v := range e.resid {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// SetRatio implements Adaptive when the inner compressor does.
-func (e *ErrorFeedback) SetRatio(r float64) {
-	if a, ok := e.inner.(Adaptive); ok {
-		a.SetRatio(r)
-	}
-}
-
-// Ratio implements Adaptive when the inner compressor does (1 otherwise).
-func (e *ErrorFeedback) Ratio() float64 {
-	if a, ok := e.inner.(Adaptive); ok {
-		return a.Ratio()
-	}
-	return 1
-}
-
-// SetBits implements BitSetter when the inner compressor does.
-func (e *ErrorFeedback) SetBits(b int) {
-	if s, ok := e.inner.(BitSetter); ok {
-		s.SetBits(b)
-	}
-}
-
-// Bits implements BitSetter when the inner compressor does (0 otherwise).
-func (e *ErrorFeedback) Bits() int {
-	if s, ok := e.inner.(BitSetter); ok {
-		return s.Bits()
-	}
-	return 0
-}
-
-// Compress implements Compressor.
-func (e *ErrorFeedback) Compress(vec []float64) (msg Message, err error) {
-	err = e.CompressInto(vec, &msg)
-	return msg, err
-}
-
-// CompressInto compresses vec plus the carried residual into msg and updates
-// the residual with what this round's message failed to represent.
-//
-// The sum is formed in the residual itself, which the inner compressor then
-// reads: it keeps no reference to vec, so no second copy is needed. A sparse
-// message reconstructs to zero everywhere but its k kept coordinates, and
-// x - 0 == x for every x (NaN and -0 included), so the sum already is the
-// new residual but at those k entries, which are corrected in place. That is
-// bit-identical to subtracting the dense reconstruction as long as the
-// message's indices are distinct, which every sparsifier in this package
-// guarantees. Any other message is decoded and subtracted in place. After an
-// error the residual holds the sum.
-func (e *ErrorFeedback) CompressInto(vec []float64, msg *Message) error {
-	dim := len(vec)
-	if len(e.resid) != dim {
-		e.resid = make([]float64, dim)
-	}
-	resid := e.resid
-	tensor.Add(resid, vec, resid)
-	if err := e.inner.CompressInto(resid, msg); err != nil {
-		return err
-	}
-	if msg.Enc == EncSparse {
-		if err := checkDim(*msg, resid); err != nil {
-			return err
-		}
-		vals := msg.Values[:len(msg.Indices)]
-		for j, ix := range msg.Indices {
-			resid[ix] -= vals[j]
-		}
-		return nil
-	}
-	if len(e.decBuf) != dim {
-		e.decBuf = make([]float64, dim)
-	}
-	if err := Decode(*msg, e.decBuf); err != nil {
-		return err
-	}
-	tensor.Sub(resid, resid, e.decBuf)
-	return nil
 }

@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -19,7 +20,7 @@ func testVec(dim int, seed uint64) []float64 {
 
 func TestIdentityRoundTripExact(t *testing.T) {
 	v := testVec(257, 1)
-	c := Identity{}
+	var c Compressor // the zero Compressor is the identity
 	msg, err := c.Compress(v)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +47,7 @@ func TestIdentityRoundTripExact(t *testing.T) {
 func TestTopKSupport(t *testing.T) {
 	dim := 200
 	v := testVec(dim, 2)
-	c := NewTopK(0.1) // k = 20
+	c := mustNew(t, "topk:0.1", 0) // k = 20
 	msg, err := c.Compress(v)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +91,7 @@ func TestTopKSupport(t *testing.T) {
 
 func TestTopKTies(t *testing.T) {
 	v := []float64{1, -1, 1, -1, 1, -1}
-	c := NewTopK(0.5) // k = 3 among all-equal magnitudes
+	c := mustNew(t, "topk:0.5", 0) // k = 3 among all-equal magnitudes
 	msg, err := c.Compress(v)
 	if err != nil {
 		t.Fatal(err)
@@ -108,15 +109,14 @@ func TestTopKTies(t *testing.T) {
 
 // unbiasednessCheck compresses v repeatedly with a fresh stochastic stream
 // per trial and asserts the empirical mean reconstruction approaches v.
-func unbiasednessCheck(t *testing.T, v []float64, build func(r *rng.Rand) Compressor, trials int, tol float64) {
+func unbiasednessCheck(t *testing.T, v []float64, spec string, trials int, tol float64) {
 	t.Helper()
 	dim := len(v)
 	sum := make([]float64, dim)
 	out := make([]float64, dim)
 	root := rng.New(99)
 	for n := 0; n < trials; n++ {
-		c := build(root.Split())
-		msg, err := c.Compress(v)
+		msg, err := newOn(t, spec, root.Split()).Compress(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,18 +140,17 @@ func unbiasednessCheck(t *testing.T, v []float64, build func(r *rng.Rand) Compre
 
 func TestRandKUnbiased(t *testing.T) {
 	v := testVec(64, 3)
-	unbiasednessCheck(t, v, func(r *rng.Rand) Compressor { return NewRandK(0.25, r) }, 4000, 0.1)
+	unbiasednessCheck(t, v, "randk:0.25", 4000, 0.1)
 }
 
 func TestQSGDUnbiased(t *testing.T) {
 	v := testVec(64, 4)
-	unbiasednessCheck(t, v, func(r *rng.Rand) Compressor { return NewQSGD(2, r) }, 4000, 0.1)
+	unbiasednessCheck(t, v, "qsgd:2", 4000, 0.1)
 }
 
 func TestQSGDRoundTripShape(t *testing.T) {
 	v := testVec(100, 5)
-	c := NewQSGD(4, rng.New(6))
-	msg, err := c.Compress(v)
+	msg, err := mustNew(t, "qsgd:4", 6).Compress(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +172,7 @@ func TestQSGDRoundTripShape(t *testing.T) {
 }
 
 func TestQSGDZeroVector(t *testing.T) {
-	c := NewQSGD(4, rng.New(7))
-	msg, err := c.Compress(make([]float64, 10))
+	msg, err := mustNew(t, "qsgd:4", 7).Compress(make([]float64, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +195,7 @@ func TestErrorFeedbackResidualBounded(t *testing.T) {
 	dim := 128
 	v := testVec(dim, 8)
 	vNorm := norm(v)
-	ef := WithErrorFeedback(NewTopK(0.1))
+	ef := mustNew(t, "topk:0.1+ef", 0)
 	out := make([]float64, dim)
 	acc := make([]float64, dim)
 	rounds := 200
@@ -212,7 +210,7 @@ func TestErrorFeedbackResidualBounded(t *testing.T) {
 		for i := range acc {
 			acc[i] += out[i]
 		}
-		if rn := ef.ResidualNorm(); rn > 5*vNorm {
+		if rn := norm(ef.resid); rn > 5*vNorm {
 			t.Fatalf("round %d: residual norm %v blew past 5*||v||=%v", n, rn, 5*vNorm)
 		}
 	}
@@ -226,26 +224,41 @@ func TestErrorFeedbackResidualBounded(t *testing.T) {
 	}
 }
 
-func TestErrorFeedbackNameAndAdaptive(t *testing.T) {
-	ef := WithErrorFeedback(NewTopK(0.2))
-	if ef.Name() != "topk:0.2+ef" {
-		t.Fatalf("name %q", ef.Name())
-	}
-	ef.SetRatio(0.5)
-	if ef.Ratio() != 0.5 {
-		t.Fatalf("ratio %v after SetRatio(0.5)", ef.Ratio())
+// TestSetRatioUnderEveryModifier: SetRatio retunes a sparsifier's
+// keep-fraction with or without error feedback and a float32 wire, and the
+// next message keeps that many coordinates; the identity has nothing to
+// retune and stays dense.
+func TestSetRatioUnderEveryModifier(t *testing.T) {
+	for _, base := range []string{"topk:0.5", "randk:0.5", "identity"} {
+		for _, mod := range []string{"", "+ef", "+f32", "+ef+f32"} {
+			spec := base + mod
+			c := mustNew(t, spec, 1)
+			c.SetRatio(0.125)
+			msg, err := c.Compress(testVec(64, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if base == "identity" {
+				if len(msg.Dense) != 64 || len(msg.Indices) != 0 {
+					t.Fatalf("%s: SetRatio changed the identity's message", spec)
+				}
+				continue
+			}
+			if c.ratio != 0.125 || len(msg.Indices) != 8 {
+				t.Fatalf("%s: ratio %g and %d coordinates after SetRatio(0.125) on dim 64, want 8", spec, c.ratio, len(msg.Indices))
+			}
+		}
 	}
 }
 
 func TestAdaptiveRatioChangesSupport(t *testing.T) {
 	v := testVec(100, 9)
-	c := NewTopK(0.1)
-	a := c.(Adaptive)
+	c := mustNew(t, "topk:0.1", 0)
 	msg, _ := c.Compress(v)
 	if len(msg.Indices) != 10 {
 		t.Fatalf("support %d, want 10", len(msg.Indices))
 	}
-	a.SetRatio(0.5)
+	c.SetRatio(0.5)
 	msg, _ = c.Compress(v)
 	if len(msg.Indices) != 50 {
 		t.Fatalf("support %d after SetRatio(0.5), want 50", len(msg.Indices))
@@ -253,14 +266,14 @@ func TestAdaptiveRatioChangesSupport(t *testing.T) {
 }
 
 func TestQSGDAdaptiveRatio(t *testing.T) {
-	q := NewQSGD(8, rng.New(10)).(Adaptive)
+	q := mustNew(t, "qsgd:8", 10)
 	q.SetRatio(0.5)
-	if q.Ratio() != 0.5 {
-		t.Fatalf("qsgd ratio %v, want 0.5 (4 bits)", q.Ratio())
+	if q.bits != 4 {
+		t.Fatalf("qsgd at %d bits after SetRatio(0.5), want 4", q.bits)
 	}
 	q.SetRatio(0.01)
-	if q.Ratio() != 1.0/8 {
-		t.Fatalf("qsgd ratio %v, want 1/8 (floor at 1 bit)", q.Ratio())
+	if q.bits != 1 {
+		t.Fatalf("qsgd at %d bits after SetRatio(0.01), want the floor of 1", q.bits)
 	}
 }
 
@@ -387,13 +400,13 @@ func TestKeepCountIsTheDecimalCeiling(t *testing.T) {
 
 func TestSpecNewNone(t *testing.T) {
 	c, err := Spec{}.New(nil)
-	if err != nil || c != (Identity{}) {
-		t.Fatalf("None spec: got (%v, %v), want (Identity{}, nil)", c, err)
+	if err != nil || !reflect.ValueOf(c).IsZero() {
+		t.Fatalf("None spec: got (%+v, %v), want the zero Compressor (the identity)", c, err)
 	}
 }
 
 func TestDecompressDimMismatch(t *testing.T) {
-	c := Identity{}
+	var c Compressor
 	msg, _ := c.Compress(make([]float64, 4))
 	if err := Decode(msg, make([]float64, 5)); err == nil {
 		t.Fatal("accepted wrong dst length")
@@ -502,13 +515,16 @@ func TestTopKKeysSizedToBucket(t *testing.T) {
 	sel := new(Selection)
 	cs := make([]Compressor, 4)
 	for i := range cs {
-		cs[i] = newTopK(0.25, sel)
+		var err error
+		if cs[i], err = (Spec{Kind: KindTopK, Ratio: 0.25}).NewWire(func() *rng.Rand { return nil }, sel); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var msg Message
 	grows, last := 0, 0
 	for round := 0; round < 50; round++ {
-		for i, c := range cs {
-			if err := c.CompressInto(testVec(dim, uint64(round*len(cs)+i)), &msg); err != nil {
+		for i := range cs {
+			if err := cs[i].CompressInto(testVec(dim, uint64(round*len(cs)+i)), &msg); err != nil {
 				t.Fatal(err)
 			}
 			if cap(sel.keys) != last {
@@ -523,8 +539,8 @@ func TestTopKKeysSizedToBucket(t *testing.T) {
 	for i := range ties {
 		ties[i] = float64(1 - 2*(i%2))
 	}
-	for _, c := range cs[:2] {
-		if err := c.CompressInto(ties, &msg); err != nil {
+	for i := range cs[:2] {
+		if err := cs[i].CompressInto(ties, &msg); err != nil {
 			t.Fatal(err)
 		}
 		if cap(sel.keys) != dim {
@@ -585,10 +601,8 @@ func TestSharedSelectionMatchesPrivate(t *testing.T) {
 		}
 	}
 	for i := range specs {
-		if ef, ok := shared[i].(*ErrorFeedback); ok {
-			if !sameBits(ef.resid, private[i].(*ErrorFeedback).resid) {
-				t.Errorf("%s: the shared selection's residual differs from a private one's", specs[i])
-			}
+		if !sameBits(shared[i].resid, private[i].resid) {
+			t.Errorf("%s: the shared selection's residual differs from a private one's", specs[i])
 		}
 	}
 }

@@ -27,17 +27,24 @@ func contractSpecs() []string {
 
 var contractDims = []int{0, 1, 650, 16400}
 
-func mustNew(t testing.TB, spec string, seed uint64) Compressor {
+// mustNew is spec's compressor on a stream seeded with seed.
+func mustNew(t testing.TB, spec string, seed uint64) *Compressor {
+	t.Helper()
+	return newOn(t, spec, rng.New(seed))
+}
+
+// newOn is spec's compressor on stream r.
+func newOn(t testing.TB, spec string, r *rng.Rand) *Compressor {
 	t.Helper()
 	s, err := ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := s.New(rng.New(seed))
+	c, err := s.New(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return &c
 }
 
 func sameBits(a, b []float64) bool {
@@ -129,7 +136,7 @@ func TestCompressIntoDirtyMessageEqualsFresh(t *testing.T) {
 				if !sameBits(decInto, decFresh) {
 					t.Fatalf("%s dim=%d round %d: decoded vectors differ", spec, dim, round)
 				}
-				if ef, ok := into.(*ErrorFeedback); ok && !sameBits(ef.resid, fresh.(*ErrorFeedback).resid) {
+				if !sameBits(into.resid, fresh.resid) {
 					t.Fatalf("%s dim=%d round %d: error-feedback residuals differ", spec, dim, round)
 				}
 			}

@@ -91,12 +91,8 @@ func TestCompressorGolden(t *testing.T) {
 		var msg Message
 		for round := 0; round < 3; round++ {
 			if round == 2 {
-				if a, ok := comp.(Adaptive); ok {
-					a.SetRatio(0.1)
-				}
-				if b, ok := comp.(BitSetter); ok {
-					b.SetBits(6)
-				}
+				comp.SetRatio(0.1)
+				comp.SetBits(6)
 			}
 			if err := comp.CompressInto(goldenVec(dim, round), &msg); err != nil {
 				t.Fatal(err)

@@ -3,8 +3,6 @@ package compress
 import (
 	"math"
 	"testing"
-
-	"repro/internal/rng"
 )
 
 // TestNormDecayBits pins the norm-driven width rule: one extra bit per
@@ -38,17 +36,13 @@ func TestNormDecayBits(t *testing.T) {
 	}
 }
 
-// TestQSGDSetBits: the exact-width hook bypasses the ratio rounding, clamps
-// to [1, 8], and the chosen width reaches the wire message.
+// TestQSGDSetBits: the exact-width setter bypasses the ratio rounding,
+// clamps to [1, 8], and the chosen width reaches the wire message.
 func TestQSGDSetBits(t *testing.T) {
-	c := NewQSGD(4, rng.New(3))
-	bs, ok := c.(BitSetter)
-	if !ok {
-		t.Fatalf("qsgd is not a BitSetter (%T)", c)
-	}
-	bs.SetBits(7)
-	if got := bs.Bits(); got != 7 {
-		t.Fatalf("Bits() = %d after SetBits(7)", got)
+	c := mustNew(t, "qsgd:4", 3)
+	c.SetBits(7)
+	if c.bits != 7 {
+		t.Fatalf("%d bits after SetBits(7)", c.bits)
 	}
 	msg, err := c.Compress(testVec(32, 5))
 	if err != nil {
@@ -57,49 +51,40 @@ func TestQSGDSetBits(t *testing.T) {
 	if msg.Bits != 7 {
 		t.Fatalf("wire message carries %d bits, want 7", msg.Bits)
 	}
-	bs.SetBits(99)
-	if got := bs.Bits(); got != 8 {
-		t.Fatalf("Bits() = %d after SetBits(99), want clamp to 8", got)
+	c.SetBits(99)
+	if c.bits != 8 {
+		t.Fatalf("%d bits after SetBits(99), want clamp to 8", c.bits)
 	}
-	bs.SetBits(0)
-	if got := bs.Bits(); got != 1 {
-		t.Fatalf("Bits() = %d after SetBits(0), want clamp to 1", got)
+	c.SetBits(0)
+	if c.bits != 1 {
+		t.Fatalf("%d bits after SetBits(0), want clamp to 1", c.bits)
 	}
 }
 
-// TestBitSetterPassthrough: the error-feedback and wire-narrowing wrappers
-// forward SetBits/Bits to a width-capable inner compressor, and stay inert
-// around one that is not.
-func TestBitSetterPassthrough(t *testing.T) {
-	ef := WithErrorFeedback(NewQSGD(4, rng.New(4)))
-	ef.SetBits(6)
-	if got := ef.Bits(); got != 6 {
-		t.Fatalf("error feedback Bits() = %d after SetBits(6)", got)
-	}
-
-	efTopK := WithErrorFeedback(NewTopK(0.5))
-	efTopK.SetBits(6) // no width to set; must not panic
-	if got := efTopK.Bits(); got != 0 {
-		t.Fatalf("topk+ef Bits() = %d, want 0 (no width)", got)
-	}
-
-	narrowed, err := (Spec{Kind: KindQSGD, Bits: 4, Wire: WireFloat32}).New(rng.New(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nbs, ok := narrowed.(BitSetter)
-	if !ok {
-		t.Fatalf("narrowed qsgd is not a BitSetter (%T)", narrowed)
-	}
-	nbs.SetBits(6)
-	if got := nbs.Bits(); got != 6 {
-		t.Fatalf("narrowed Bits() = %d after SetBits(6)", got)
-	}
-	msg, err := narrowed.Compress(testVec(32, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Bits != 6 {
-		t.Fatalf("narrowed wire message carries %d bits, want 6", msg.Bits)
+// TestSetBitsUnderEveryModifier: SetBits reaches QSGD's width with or
+// without error feedback and a float32 wire, and leaves every other scheme's
+// messages exactly as an untouched twin's.
+func TestSetBitsUnderEveryModifier(t *testing.T) {
+	for _, mod := range []string{"", "+ef", "+f32", "+ef+f32"} {
+		q := mustNew(t, "qsgd:4"+mod, 4)
+		q.SetBits(6)
+		msg, err := q.Compress(testVec(32, 6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.Bits != 6 {
+			t.Fatalf("qsgd:4%s: the message carries %d bits after SetBits(6)", mod, msg.Bits)
+		}
+		for _, base := range []string{"identity", "topk:0.5", "randk:0.5"} {
+			c, twin := mustNew(t, base+mod, 4), mustNew(t, base+mod, 4)
+			c.SetBits(6)
+			for round := 0; round < 2; round++ {
+				got, _ := c.Compress(testVec(32, uint64(round)))
+				want, _ := twin.Compress(testVec(32, uint64(round)))
+				if !identicalMessages(got, want) {
+					t.Fatalf("%s%s round %d: SetBits changed the message", base, mod, round)
+				}
+			}
+		}
 	}
 }

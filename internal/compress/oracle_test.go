@@ -48,12 +48,17 @@ func refSelectKthLargest(a []float64, k int) float64 {
 	return a[lo]
 }
 
+// refCompressor is what a reference chain is built of: refTopK, refNarrow,
+// refErrorFeedback, and a shipped *Compressor where a test re-implements
+// only the layer around it.
+type refCompressor interface {
+	Compress(vec []float64) (Message, error)
+}
+
 type refTopK struct {
 	ratio  float64
 	magBuf []float64
 }
-
-func (t *refTopK) Name() string { return "ref-topk" }
 
 func (t *refTopK) Compress(vec []float64) (Message, error) {
 	dim := len(vec)
@@ -83,26 +88,29 @@ func (t *refTopK) Compress(vec []float64) (Message, error) {
 	return Message{Dim: dim, Enc: EncSparse, Indices: idx, Values: vals}, nil
 }
 
-// The oracles build fresh messages only; CompressInto exists to satisfy the
-// interface.
-func (t *refTopK) CompressInto(vec []float64, msg *Message) (err error) {
-	*msg, err = t.Compress(vec)
-	return err
-}
+// refNarrow rounds every value of its inner chain's message through
+// float32.
+type refNarrow struct{ inner refCompressor }
 
-func (e *refErrorFeedback) CompressInto(vec []float64, msg *Message) (err error) {
-	*msg, err = e.Compress(vec)
-	return err
+func (n refNarrow) Compress(vec []float64) (Message, error) {
+	msg, err := n.inner.Compress(vec)
+	msg.Wire = WireFloat32
+	for i, v := range msg.Dense {
+		msg.Dense[i] = float64(float32(v))
+	}
+	for i, v := range msg.Values {
+		msg.Values[i] = float64(float32(v))
+	}
+	msg.Norm = float64(float32(msg.Norm))
+	return msg, err
 }
 
 // refErrorFeedback subtracts the dense reconstruction over all dim
 // coordinates.
 type refErrorFeedback struct {
-	inner              Compressor
+	inner              refCompressor
 	resid, buf, decBuf []float64
 }
-
-func (e *refErrorFeedback) Name() string { return e.inner.Name() + "+ef" }
 
 func (e *refErrorFeedback) Compress(vec []float64) (Message, error) {
 	dim := len(vec)
@@ -295,9 +303,9 @@ func TestTopKMessagesMatchReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var ref Compressor = &refTopK{ratio: s.Ratio}
+				var ref refCompressor = &refTopK{ratio: s.Ratio}
 				if s.Wire == WireFloat32 {
-					ref = wireNarrow{inner: ref}
+					ref = refNarrow{inner: ref}
 				}
 				var refEF *refErrorFeedback
 				if s.ErrorFeedback {
@@ -317,7 +325,7 @@ func TestTopKMessagesMatchReference(t *testing.T) {
 					if refEF == nil {
 						continue
 					}
-					resid := got.(*ErrorFeedback).resid
+					resid := got.resid
 					for i := range resid {
 						if math.Float64bits(resid[i]) != math.Float64bits(refEF.resid[i]) {
 							t.Fatalf("%s %s dim=%d round %d: residual[%d] = %v, reference %v",
@@ -375,9 +383,9 @@ func TestTopKStoresNothingPastK(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var ref Compressor = &refTopK{ratio: spec.Ratio}
+				var ref refCompressor = &refTopK{ratio: spec.Ratio}
 				if spec.Wire == WireFloat32 {
-					ref = wireNarrow{inner: ref}
+					ref = refNarrow{inner: ref}
 				}
 				refEF := &refErrorFeedback{inner: ref}
 				if spec.ErrorFeedback {
@@ -408,7 +416,7 @@ func TestTopKStoresNothingPastK(t *testing.T) {
 						t.Fatalf("%s dim=%d k=%d round %d: message %v %v, reference %v %v",
 							spec, dim, k, round, msg.Indices, msg.Values, rm.Indices, rm.Values)
 					}
-					if spec.ErrorFeedback && !sameBits(got.(*ErrorFeedback).resid, refEF.resid) {
+					if spec.ErrorFeedback && !sameBits(got.resid, refEF.resid) {
 						t.Fatalf("%s dim=%d k=%d round %d: residual differs from the reference", spec, dim, k, round)
 					}
 				}
@@ -451,16 +459,15 @@ func TestErrorFeedbackDenseInnerMatchesReference(t *testing.T) {
 			{"NaN in both at one coordinate", []plant{{9, nan}}, []plant{{9, negNaN}, {10, -inf}}},
 		} {
 			c := c
-			gc, err := s.New(rng.New(5))
+			got, err := s.New(rng.New(5))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := gc.(*ErrorFeedback)
 			ic, err := inner.New(rng.New(5))
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := &refErrorFeedback{inner: ic}
+			ref := &refErrorFeedback{inner: &ic}
 			for round := 0; round < rounds; round++ {
 				vec := testVec(dim, uint64(round))
 				if round == planted {
@@ -518,7 +525,7 @@ func TestTopKOrderContract(t *testing.T) {
 		{"dim 1", []float64{nan}, 0.5, []int32{0}},
 	}
 	for _, c := range cases {
-		msg, err := NewTopK(c.ratio).Compress(c.vec)
+		msg, err := newOn(t, fmt.Sprintf("topk:%g", c.ratio), nil).Compress(c.vec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -543,18 +550,20 @@ func TestTopKOrderContract(t *testing.T) {
 // Each goroutine's messages must equal the serial ones.
 func TestTopKCompressorsShareNothing(t *testing.T) {
 	const workers, rounds, dim = 4, 20, 1500
-	build := func() Compressor { return WithErrorFeedback(NewTopK(0.1)) }
-	serial := build()
+	cs := make([]*Compressor, workers+1) // the last one runs serially
+	for i := range cs {
+		cs[i] = mustNew(t, "topk:0.1+ef", 0)
+	}
 	want := make([]Message, rounds)
 	for r := range want {
-		want[r], _ = serial.Compress(testVec(dim, uint64(r)))
+		want[r], _ = cs[workers].Compress(testVec(dim, uint64(r)))
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := build()
+			c := cs[w]
 			for r := 0; r < rounds; r++ {
 				if got, _ := c.Compress(testVec(dim, uint64(r))); !sameMessage(got, want[r]) {
 					t.Errorf("worker %d round %d: message differs from the serial run", w, r)
@@ -567,19 +576,20 @@ func TestTopKCompressorsShareNothing(t *testing.T) {
 }
 
 // TestTopKCompressAllocs pins the fresh path exactly: the two message
-// slices, plus the Message itself under a wrapper — error feedback hands
-// &msg to its inner compressor through the interface, which moves the local
-// to the heap (the reason the engines compress into fields and slice
-// elements, where TestCompressIntoSteadyStateAllocFree holds them to zero).
+// slices, with or without error feedback. CompressInto is a concrete method
+// that keeps no *Message, so Compress's own Message stays on the stack (the
+// engines compress into fields and slice elements to keep the arrays, where
+// TestCompressIntoSteadyStateAllocFree holds them to zero).
 func TestTopKCompressAllocs(t *testing.T) {
 	for _, dim := range []int{650, 16400} {
 		vec := testVec(dim, 9)
-		for want, c := range map[float64]Compressor{2: NewTopK(0.25), 3: WithErrorFeedback(NewTopK(0.1))} {
+		for _, spec := range []string{"topk:0.25", "topk:0.1+ef"} {
+			c := mustNew(t, spec, 0)
 			if _, err := c.Compress(vec); err != nil { // first call sizes the scratch
 				t.Fatal(err)
 			}
-			if n := testing.AllocsPerRun(20, func() { c.Compress(vec) }); n != want {
-				t.Fatalf("%s dim=%d: %v allocs per Compress, want %v", c.Name(), dim, n, want)
+			if n := testing.AllocsPerRun(20, func() { c.Compress(vec) }); n != 2 {
+				t.Fatalf("%s dim=%d: %v allocs per Compress, want 2", spec, dim, n)
 			}
 		}
 	}
@@ -622,7 +632,7 @@ func FuzzSelectKthLargest(f *testing.F) {
 		if got := runSelect(vec, k, &hist); got != want {
 			t.Fatalf("dim=%d k=%d: got %#x, want %#x", dim, k, got, want)
 		}
-		msg, err := (&topKCompressor{ratio: float64(k) / float64(dim), sel: new(Selection)}).Compress(vec)
+		msg, err := (&Compressor{kind: KindTopK, ratio: float64(k) / float64(dim), sel: new(Selection)}).Compress(vec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -773,7 +783,7 @@ func TestQSGDMatchesScalarReference(t *testing.T) {
 							t.Fatalf("qsgd:%d%s %s dim=%d round %d: message differs from the scalar reference (norm %v vs %v)",
 								bits, mod, in.name, dim, round, msg.Norm, want.Norm)
 						}
-						if ef, ok := got.(*ErrorFeedback); ok && !sameBits(ef.resid, ref.resid) {
+						if !sameBits(got.resid, ref.resid) {
 							t.Fatalf("qsgd:%d%s %s dim=%d round %d: residual differs from the scalar reference", bits, mod, in.name, dim, round)
 						}
 						if *gotR != *refR {
@@ -791,7 +801,7 @@ func TestQSGDMatchesScalarReference(t *testing.T) {
 // length, so a client that had nothing to send leaves its stream alone.
 func TestQSGDDrawsNothingOnZeroNorm(t *testing.T) {
 	r, untouched := rng.New(9), rng.New(9)
-	q := NewQSGD(4, r)
+	q := newOn(t, "qsgd:4", r)
 	for _, dim := range []int{0, 1, 256, 650} {
 		if _, err := q.Compress(make([]float64, dim)); err != nil {
 			t.Fatal(err)

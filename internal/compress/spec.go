@@ -10,11 +10,11 @@ import (
 
 // Kind enumerates the shipped compression schemes. The zero value None means
 // "no compressor": the wire carries the uncompressed vector, and consumers
-// ship it through Identity{} (NewWire), which reproduces it bit for bit. The
-// engines keep two uncompressed paths that are not the identity wire,
-// because their arithmetic or pricing differs and goldens pin it: the
-// cluster's full-averaging mean of raw vectors, and the parameter server's
-// free, unpriced model pull.
+// ship it through the zero Compressor (NewWire), the identity, which
+// reproduces it bit for bit. The engines keep two uncompressed paths that
+// are not the identity wire, because their arithmetic or pricing differs
+// and goldens pin it: the cluster's full-averaging mean of raw vectors, and
+// the parameter server's free, unpriced model pull.
 type Kind int
 
 const (
@@ -37,7 +37,7 @@ type Spec struct {
 	Kind          Kind
 	Ratio         float64    // keep-fraction for TopK/RandK, in (0, 1]
 	Bits          int        // bit-width for QSGD, in [1, 8]
-	ErrorFeedback bool       // wrap with residual accumulation
+	ErrorFeedback bool       // residual accumulation, outside the wire narrowing
 	Wire          WireFormat // value precision on the wire; zero = float64
 }
 
@@ -169,67 +169,48 @@ func ParseSpec(str string) (Spec, error) {
 	return s, nil
 }
 
-// New builds one compressor instance. Stochastic kinds (RandK, QSGD) draw
-// from r, which must not be shared with other consumers; deterministic kinds
-// ignore it. The None spec builds Identity{}, which a float32 wire narrows
-// like any other kind. Top-k selects in a private Selection; an engine
-// builds its compressors with NewWire and lends them its own.
+// New builds one compressor. Stochastic kinds (RandK, QSGD) draw from r,
+// which must not be shared with other consumers; deterministic kinds ignore
+// it. The None spec builds the identity, which a float32 wire narrows like
+// any other kind. Top-k selects in a private Selection; an engine builds its
+// compressors with NewWire and lends them its own.
 func (s Spec) New(r *rng.Rand) (Compressor, error) { return s.build(r, nil) }
 
 // build is New selecting in sel, or in a private Selection when sel is nil.
 func (s Spec) build(r *rng.Rand, sel *Selection) (Compressor, error) {
 	if err := s.Validate(); err != nil {
-		return nil, err
+		return Compressor{}, err
 	}
-	var c Compressor
-	switch s.Kind {
-	case None, KindIdentity:
-		c = Identity{}
-	case KindTopK:
-		if sel == nil {
-			c = NewTopK(s.Ratio)
-		} else {
-			c = newTopK(s.Ratio, sel)
-		}
-	case KindRandK:
-		if r == nil {
-			return nil, fmt.Errorf("compress: randk needs a random stream")
-		}
-		c = NewRandK(s.Ratio, r)
-	case KindQSGD:
-		if r == nil {
-			return nil, fmt.Errorf("compress: qsgd needs a random stream")
-		}
-		c = NewQSGD(s.Bits, r)
+	switch {
+	case s.Kind == KindTopK && sel == nil:
+		sel = new(Selection)
+	case (s.Kind == KindRandK || s.Kind == KindQSGD) && r == nil:
+		base, _, _ := strings.Cut(s.String(), ":")
+		return Compressor{}, fmt.Errorf("compress: %s needs a random stream", base)
 	}
-	if s.Wire == WireFloat32 {
-		c = wireNarrow{inner: c}
-	}
-	// ErrorFeedback wraps outermost so the residual captures everything the
-	// wire dropped, including float32 narrowing loss.
-	if s.ErrorFeedback {
-		c = WithErrorFeedback(c)
-	}
-	return c, nil
+	return Compressor{
+		kind: s.Kind, ratio: s.Ratio, bits: s.Bits, r: r, sel: sel,
+		f32: s.Wire == WireFloat32, ef: s.ErrorFeedback,
+	}, nil
 }
 
 // NewWire builds the compressor one worker ships its messages through: New's,
 // on a stream of its own drawn from split and selecting in the holder's sel,
-// or Identity{} for the None spec, which draws no stream — so an
-// uncompressed consumer runs the identity wire and keeps every RNG stream
-// where it was. Every compressor an engine builds shares the engine's one
-// Selection: it compresses one worker at a time.
+// or the zero Compressor (the identity) for the None spec, which draws no
+// stream — so an uncompressed consumer runs the identity wire and keeps every
+// RNG stream where it was. Every compressor an engine builds shares the
+// engine's one Selection: it compresses one worker at a time.
 func (s Spec) NewWire(split func() *rng.Rand, sel *Selection) (Compressor, error) {
 	if !s.Enabled() {
-		return Identity{}, nil
+		return Compressor{}, nil
 	}
 	return s.build(split(), sel)
 }
 
-// InitialRatio returns the keep-ratio the spec starts at, in the Adaptive
+// InitialRatio returns the keep-ratio the spec starts at, in SetRatio's
 // convention: the sparsifier's keep-fraction, the quantizer's bits/8, and 1
 // for lossless kinds. It seeds the joint controller's Ratio0 consistently
-// with what SetRatio/Ratio report on the built compressor.
+// with what SetRatio sets on the built compressor.
 func (s Spec) InitialRatio() float64 {
 	switch s.Kind {
 	case KindTopK, KindRandK:

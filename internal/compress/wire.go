@@ -54,70 +54,3 @@ func ParseWire(str string) (WireFormat, error) {
 // Narrow32 rounds v through float32 precision — the value a float32 wire
 // delivers to the receiver.
 func Narrow32(v float64) float64 { return float64(float32(v)) }
-
-// wireNarrow wraps a Compressor so its messages carry float32-rounded values
-// and 4-byte-per-value accounting. Decode needs no inverse: the
-// narrowed float64 values decode exactly. Like ErrorFeedback, it passes
-// Adaptive through to the inner compressor; wrap order in Spec.New puts
-// ErrorFeedback outermost so the residual also captures narrowing loss.
-type wireNarrow struct {
-	inner Compressor
-}
-
-// Name implements Compressor.
-func (w wireNarrow) Name() string { return w.inner.Name() + "+f32" }
-
-// Compress implements Compressor.
-func (w wireNarrow) Compress(vec []float64) (msg Message, err error) {
-	err = w.CompressInto(vec, &msg)
-	return msg, err
-}
-
-// CompressInto has the inner compressor fill msg and narrows the values in
-// place: msg's arrays are the caller's, aliasing neither vec nor any
-// compressor's scratch, so the rounding touches only the payload just
-// written.
-func (w wireNarrow) CompressInto(vec []float64, msg *Message) error {
-	if err := w.inner.CompressInto(vec, msg); err != nil {
-		return err
-	}
-	msg.Wire = WireFloat32
-	for i, v := range msg.Dense {
-		msg.Dense[i] = Narrow32(v)
-	}
-	for i, v := range msg.Values {
-		msg.Values[i] = Narrow32(v)
-	}
-	msg.Norm = Narrow32(msg.Norm)
-	return nil
-}
-
-// SetRatio implements Adaptive when the inner compressor does.
-func (w wireNarrow) SetRatio(r float64) {
-	if a, ok := w.inner.(Adaptive); ok {
-		a.SetRatio(r)
-	}
-}
-
-// Ratio implements Adaptive when the inner compressor does (1 otherwise).
-func (w wireNarrow) Ratio() float64 {
-	if a, ok := w.inner.(Adaptive); ok {
-		return a.Ratio()
-	}
-	return 1
-}
-
-// SetBits implements BitSetter when the inner compressor does.
-func (w wireNarrow) SetBits(b int) {
-	if s, ok := w.inner.(BitSetter); ok {
-		s.SetBits(b)
-	}
-}
-
-// Bits implements BitSetter when the inner compressor does (0 otherwise).
-func (w wireNarrow) Bits() int {
-	if s, ok := w.inner.(BitSetter); ok {
-		return s.Bits()
-	}
-	return 0
-}

@@ -227,10 +227,6 @@ func TestWireErrorFeedbackCapturesNarrowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ef, ok := c.(*ErrorFeedback)
-	if !ok {
-		t.Fatalf("expected ErrorFeedback outermost, got %T", c)
-	}
 	r := rng.New(17)
 	vec := make([]float64, dim)
 	for i := range vec {
@@ -251,31 +247,7 @@ func TestWireErrorFeedbackCapturesNarrowing(t *testing.T) {
 		wantResid += d * d
 	}
 	wantResid = math.Sqrt(wantResid)
-	if got := ef.ResidualNorm(); math.Abs(got-wantResid) > 1e-18 {
+	if got := norm(c.resid); math.Abs(got-wantResid) > 1e-18 {
 		t.Fatalf("residual norm %g, want narrowing loss %g", got, wantResid)
-	}
-}
-
-// TestWireAdaptivePassthrough: the narrowing wrapper forwards SetRatio/Ratio
-// to an adaptive inner compressor.
-func TestWireAdaptivePassthrough(t *testing.T) {
-	c, err := (Spec{Kind: KindTopK, Ratio: 0.5, Wire: WireFloat32}).New(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, ok := c.(Adaptive)
-	if !ok {
-		t.Fatalf("narrowed topk is not Adaptive (%T)", c)
-	}
-	a.SetRatio(0.125)
-	if got := a.Ratio(); got != 0.125 {
-		t.Fatalf("Ratio() = %g after SetRatio(0.125)", got)
-	}
-	msg, err := c.Compress(make([]float64, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(msg.Indices); got != 8 {
-		t.Fatalf("kept %d coordinates after SetRatio(0.125) on dim 64, want 8", got)
 	}
 }

@@ -42,7 +42,7 @@ const normBits0 = 4
 
 // AdaCommCompress jointly adapts the communication period tau AND the
 // compression keep-ratio per wall-clock interval, implementing
-// cluster.RatioController. Tau follows the standard AdaComm rules —
+// cluster.WireController. Tau follows the standard AdaComm rules —
 // including Config.LinkAware, which the embedded controller consumes
 // unchanged, so the joint controller is heterogeneity-aware for free; the
 // ratio follows CompressSchedule on the same interval boundaries, sharing
@@ -71,10 +71,10 @@ func NewAdaCommCompress(cfg Config, cs CompressSchedule) *AdaCommCompress {
 // Name implements cluster.Controller.
 func (a *AdaCommCompress) Name() string { return "AdaComm+Compress" }
 
-// CompressionRatio implements cluster.RatioController.
+// CompressionRatio implements cluster.WireController.
 func (a *AdaCommCompress) CompressionRatio() float64 { return a.ratio }
 
-// QuantBits implements cluster.BitsController: the norm-decay width when
+// QuantBits implements cluster.WireController: the norm-decay width when
 // CompressSchedule.NormBits is on and a gradient norm has been observed,
 // else 0 (leave the width to the ratio mapping).
 func (a *AdaCommCompress) QuantBits() int {

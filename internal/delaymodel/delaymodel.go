@@ -70,28 +70,6 @@ func (ConstantScaling) Factor(int) float64 { return 1 }
 
 func (ConstantScaling) String() string { return "s(m)=1" }
 
-// LinearScaling models a flat all-to-one gather: s(m) = m.
-type LinearScaling struct{}
-
-// Factor implements Scaling.
-func (LinearScaling) Factor(m int) float64 { return float64(m) }
-
-func (LinearScaling) String() string { return "s(m)=m" }
-
-// TreeScaling models a reduction tree: s(m) = 2*log2(m) for m >= 2, 1 for
-// m = 1 (paper's parameter-server example, citing FireCaffe).
-type TreeScaling struct{}
-
-// Factor implements Scaling.
-func (TreeScaling) Factor(m int) float64 {
-	if m <= 1 {
-		return 1
-	}
-	return 2 * math.Log2(float64(m))
-}
-
-func (TreeScaling) String() string { return "s(m)=2log2(m)" }
-
 // Link describes one worker's attachment to the network, for heterogeneous
 // clusters where stragglers are slow in bytes per second, not just compute
 // (Spiridonoff et al. 2020; Kas Hanna et al. 2022). The zero value is a

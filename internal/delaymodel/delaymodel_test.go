@@ -8,17 +8,38 @@ import (
 	"repro/internal/rng"
 )
 
+// The s(m) != 1 cases the pricer tests run: no shipped program scales the
+// sync delay with m, but the pricer must.
+
+// linearScaling models a flat all-to-one gather: s(m) = m.
+type linearScaling struct{}
+
+func (linearScaling) Factor(m int) float64 { return float64(m) }
+func (linearScaling) String() string       { return "s(m)=m" }
+
+// treeScaling models a reduction tree: s(m) = 2*log2(m) for m >= 2, 1 for
+// m = 1 (the paper's parameter-server example, citing FireCaffe).
+type treeScaling struct{}
+
+func (treeScaling) Factor(m int) float64 {
+	if m <= 1 {
+		return 1
+	}
+	return 2 * math.Log2(float64(m))
+}
+func (treeScaling) String() string { return "s(m)=2log2(m)" }
+
 func TestScalings(t *testing.T) {
 	if (ConstantScaling{}).Factor(16) != 1 {
 		t.Fatal("constant scaling")
 	}
-	if (LinearScaling{}).Factor(16) != 16 {
+	if (linearScaling{}).Factor(16) != 16 {
 		t.Fatal("linear scaling")
 	}
-	if got := (TreeScaling{}).Factor(16); math.Abs(got-8) > 1e-12 {
+	if got := (treeScaling{}).Factor(16); math.Abs(got-8) > 1e-12 {
 		t.Fatalf("tree scaling factor(16) = %v, want 8", got)
 	}
-	if (TreeScaling{}).Factor(1) != 1 {
+	if (treeScaling{}).Factor(1) != 1 {
 		t.Fatal("tree scaling m=1 should be 1")
 	}
 }
@@ -28,7 +49,7 @@ func TestAlpha(t *testing.T) {
 	if got := dm.MeanD() / dm.MeanY(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("alpha = %v, want 0.5", got)
 	}
-	dm2 := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, LinearScaling{})
+	dm2 := New(4, rng.Constant{Value: 1}, rng.Constant{Value: 1}, linearScaling{})
 	if got := dm2.MeanD() / dm2.MeanY(); math.Abs(got-4) > 1e-12 {
 		t.Fatalf("alpha with linear scaling = %v, want 4", got)
 	}
@@ -244,7 +265,7 @@ func TestSpeedupBoundsProperty(t *testing.T) {
 func TestSampleDRoundInfiniteBandwidthIdentical(t *testing.T) {
 	// Bandwidth 0 must reproduce the paper's size-free D = D0 * s(M)
 	// exactly: same values, same RNG consumption, for any payload size.
-	dm := New(4, rng.Constant{Value: 1}, rng.Exponential{MeanVal: 0.3}, TreeScaling{})
+	dm := New(4, rng.Constant{Value: 1}, rng.Exponential{MeanVal: 0.3}, treeScaling{})
 	r1, r2 := rng.New(17), rng.New(17)
 	for i := 0; i < 100; i++ {
 		a := dm.D0.Sample(r1) * dm.Scale.Factor(dm.M)
@@ -272,7 +293,7 @@ func TestSampleDRoundChargesTransfer(t *testing.T) {
 
 func TestSampleDRoundScalesTransferWithTopology(t *testing.T) {
 	// The transfer term is carried by every hop: s(m) multiplies it too.
-	dm := New(8, rng.Constant{Value: 1}, rng.Constant{Value: 0.1}, LinearScaling{})
+	dm := New(8, rng.Constant{Value: 1}, rng.Constant{Value: 0.1}, linearScaling{})
 	dm.Bandwidth = 100
 	r := rng.New(2)
 	got := dm.SampleDScheduleInto(r, dm.payloads(50), 1, 1, nil)
@@ -316,7 +337,7 @@ func TestFederatedProfileBandwidthBound(t *testing.T) {
 func TestSampleDScheduleHomogeneousMatchesSampleDBytes(t *testing.T) {
 	// With nil Links and unit hop multipliers the schedule sampler is the
 	// legacy per-link charge, bit for bit and draw for draw.
-	dm := New(4, rng.Constant{Value: 1}, rng.Exponential{MeanVal: 2}, TreeScaling{})
+	dm := New(4, rng.Constant{Value: 1}, rng.Exponential{MeanVal: 2}, treeScaling{})
 	dm.Bandwidth = 100
 	r1, r2 := rng.New(3), rng.New(3)
 	for i := 0; i < 50; i++ {
@@ -432,7 +453,7 @@ func TestSampleDScheduleIntoMatchesSampleDSchedule(t *testing.T) {
 	// consumption, on both the homogeneous and the per-link path.
 	bytes := []int{100, 640, 10, 5}
 	for _, links := range [][]Link{nil, {{}, {Bandwidth: 10}, {Latency: 5}, {}}} {
-		dm := New(4, rng.Constant{Value: 1}, rng.Exponential{MeanVal: 2}, TreeScaling{})
+		dm := New(4, rng.Constant{Value: 1}, rng.Exponential{MeanVal: 2}, treeScaling{})
 		dm.Bandwidth = 100
 		dm.Links = links
 		r1, r2 := rng.New(3), rng.New(3)

@@ -83,7 +83,7 @@ func FuzzRoundPricer(f *testing.F) {
 	f.Fuzz(func(t *testing.T, width uint8, bandwidth, lat, linkBW, edgeLat, edgeBW, factor, jitter float64,
 		steps uint8, bytes uint32, downBits uint16) {
 		m := 2 + int(width%7)
-		dm := New(m, rng.ShiftedExponential{Shift: 0.5, Scale: 0.25}, rng.Exponential{MeanVal: 0.1}, TreeScaling{})
+		dm := New(m, rng.ShiftedExponential{Shift: 0.5, Scale: 0.25}, rng.Exponential{MeanVal: 0.1}, treeScaling{})
 		dm.Bandwidth = bandwidth
 		dm.Links = make([]Link, m)
 		dm.Links[m-1] = Link{Latency: lat, Bandwidth: linkBW}

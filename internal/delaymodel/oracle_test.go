@@ -365,9 +365,9 @@ type pricerCase struct {
 // payloads with zeros, hop multipliers away from 1.
 func drawPricerCase(g *rng.Rand) pricerCase {
 	m := 1 + g.Intn(12)
-	c := pricerCase{dm: &Model{M: m, D0: rng.Exponential{MeanVal: 0.5}, Scale: TreeScaling{}}}
+	c := pricerCase{dm: &Model{M: m, D0: rng.Exponential{MeanVal: 0.5}, Scale: treeScaling{}}}
 	if g.Intn(2) == 0 {
-		c.dm.D0, c.dm.Scale = rng.Constant{Value: 0.25}, LinearScaling{}
+		c.dm.D0, c.dm.Scale = rng.Constant{Value: 0.25}, linearScaling{}
 	}
 	if g.Intn(3) > 0 {
 		c.dm.Bandwidth = 10 + 1000*g.Float64()

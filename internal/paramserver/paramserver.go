@@ -245,7 +245,7 @@ type Server struct {
 
 	// Communication state: all worker<->server exchange routes through com
 	// (a star-topology internal/comm communicator). comps[i] is worker i's
-	// gradient compressor (compress.Identity{} under the zero spec);
+	// gradient compressor (the identity under the zero spec);
 	// pushBytes and pullBytes are the per-exchange uplink and downlink
 	// payloads (wire sizes are data-independent, so the scheduler can price
 	// an exchange before the gradient exists; a free pull is 0 bytes).
@@ -321,11 +321,10 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	s.comps = make([]compress.Compressor, s.m)
 	s.sel = new(compress.Selection)
 	for i := range s.comps {
-		c, err := cfg.Compress.NewWire(root.Split, s.sel)
-		if err != nil {
+		var err error
+		if s.comps[i], err = cfg.Compress.NewWire(root.Split, s.sel); err != nil {
 			return nil, err
 		}
-		s.comps[i] = c
 	}
 	s.decBuf = make([]float64, dim)
 	if cfg.PullCompress.Enabled() {

@@ -2,6 +2,7 @@ package paramserver
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,7 +210,7 @@ func TestKSyncExactTiesServeEveryWorker(t *testing.T) {
 	// over all workers (index order would starve workers K..m-1 forever),
 	// and the run must still be a pure function of the seed.
 	const m = 8
-	run := func() *Server {
+	run := func() (*Server, []*data.Dataset, int) {
 		proto, shards, train := psSetup(t, m)
 		cfg := psConfig(KSync)
 		cfg.ComputeY = rng.Constant{Value: 1}
@@ -218,33 +219,26 @@ func TestKSyncExactTiesServeEveryWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A worker's compressor runs only when its arrival is collected.
-		for i, c := range s.comps {
-			s.comps[i] = &countingCompressor{Compressor: c}
+		// A worker draws a mini-batch only when its arrival is collected:
+		// each sampler restarts on a stream of the test's, so its next batch
+		// tells whether it ever drew one.
+		for i, w := range s.workers {
+			w.sampler.Reset(shards[i], rng.New(uint64(500+i)))
 		}
 		s.Run(FixedK{K: m / 2, LR: 0.1}, "ties")
-		return s
+		return s, shards, cfg.BatchSize
 	}
-	a, b := run(), run()
-	for i, c := range a.comps {
-		if c.(*countingCompressor).calls == 0 {
+	a, shards, batch := run()
+	b, _, _ := run()
+	for i, w := range a.workers {
+		first := data.NewSampler(shards[i], batch, rng.New(uint64(500+i))).Next()
+		if slices.Equal(w.sampler.Next().X.Data, first.X.Data) {
 			t.Errorf("worker %d never contributed a gradient", i)
 		}
 	}
 	if fnvParams(a.Params()) != fnvParams(b.Params()) {
 		t.Fatal("two runs of one seed diverged")
 	}
-}
-
-// countingCompressor counts the gradients a worker pushed.
-type countingCompressor struct {
-	compress.Compressor
-	calls int
-}
-
-func (c *countingCompressor) CompressInto(vec []float64, msg *compress.Message) error {
-	c.calls++
-	return c.Compressor.CompressInto(vec, msg)
 }
 
 func TestSmallerKFasterWallClock(t *testing.T) {

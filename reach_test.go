@@ -27,16 +27,12 @@ import (
 	"testing"
 )
 
-// The two reasons something no shipped program links may stay.
-const (
-	// A test needs it to check LIVE code: as the reference implementation
-	// the live one is held to, as the harness that drives it, as the
-	// accessor that observes it, or as the small model/dataset the live
-	// layers and engines are exercised on.
-	usedByTests = "a test uses it as a reference, harness, observer or subject of live code"
-	// benchmark/ may not change in an ordinary PR.
-	benchPinned = "benchmark/ pins the type it implements"
-)
+// The one reason something no shipped program links may stay: a test needs
+// it to check LIVE code, as the reference implementation the live one is
+// held to, as the harness that drives it, as the accessor that observes it,
+// or as the small model/dataset the live layers and engines are exercised
+// on.
+const usedByTests = "a test uses it as a reference, harness, observer or subject of live code"
 
 // reachAllow lists what no shipped program links and why it stays. An entry
 // is a function ("pkg.Func", "pkg.Type.Method") or, ending in a dot, a
@@ -59,38 +55,32 @@ var reachAllow = map[string]string{
 	"cli/clitest.": usedByTests,
 
 	// Observers: accessors through which tests read live state.
-	"events.Trace.String":                 usedByTests,
-	"events.Trace.Hash":                   usedByTests,
-	"events.Clocks.Time":                  usedByTests,
-	"cluster.AsyncEngine.EventTrace":      usedByTests,
-	"cluster.AsyncEngine.Version":         usedByTests,
-	"cluster.Engine.Dim":                  usedByTests,
-	"cluster.Engine.Workers":              usedByTests,
-	"cluster.Engine.EvalParamsLoss":       usedByTests,
-	"paramserver.Server.Clock":            usedByTests,
-	"paramserver.Server.Version":          usedByTests,
-	"paramserver.AdaSync.K":               usedByTests,
-	"core.AdaComm.LinkFactor":             usedByTests,
-	"comm.Communicator.ActiveCount":       usedByTests,
-	"compress.ErrorFeedback.Ratio":        usedByTests,
-	"compress.ErrorFeedback.ResidualNorm": usedByTests,
-	"compress.qsgdCompressor.Ratio":       usedByTests,
-	"compress.randKCompressor.Ratio":      usedByTests,
-	"compress.topKCompressor.Ratio":       usedByTests,
-	"compress.wireNarrow.Ratio":           usedByTests,
-	"opt.Global.Buf":                      usedByTests,
-	"opt.Optimizer.Steps":                 usedByTests,
-	"opt.Optimizer.Config":                usedByTests,
-	"graph.Graph.Weight":                  usedByTests,
-	"graph.Graph.Connected":               usedByTests,
-	"graph.Graph.MaxDegree":               usedByTests,
-	"graph.Sequence.At":                   usedByTests,
-	"graph.Sequence.N":                    usedByTests,
-	"graph.Sequence.Varying":              usedByTests,
-	"data.Dataset.Validate":               usedByTests,
-	"tensor.Fill":                         usedByTests,
-	"tensor.Matrix.At":                    usedByTests,
-	"rng.Histogram.Total":                 usedByTests,
+	"events.Trace.String":            usedByTests,
+	"events.Trace.Hash":              usedByTests,
+	"events.Clocks.Time":             usedByTests,
+	"cluster.AsyncEngine.EventTrace": usedByTests,
+	"cluster.AsyncEngine.Version":    usedByTests,
+	"cluster.Engine.Dim":             usedByTests,
+	"cluster.Engine.Workers":         usedByTests,
+	"cluster.Engine.EvalParamsLoss":  usedByTests,
+	"paramserver.Server.Clock":       usedByTests,
+	"paramserver.Server.Version":     usedByTests,
+	"paramserver.AdaSync.K":          usedByTests,
+	"core.AdaComm.LinkFactor":        usedByTests,
+	"comm.Communicator.ActiveCount":  usedByTests,
+	"opt.Global.Buf":                 usedByTests,
+	"opt.Optimizer.Steps":            usedByTests,
+	"opt.Optimizer.Config":           usedByTests,
+	"graph.Graph.Weight":             usedByTests,
+	"graph.Graph.Connected":          usedByTests,
+	"graph.Graph.MaxDegree":          usedByTests,
+	"graph.Sequence.At":              usedByTests,
+	"graph.Sequence.N":               usedByTests,
+	"graph.Sequence.Varying":         usedByTests,
+	"data.Dataset.Validate":          usedByTests,
+	"tensor.Fill":                    usedByTests,
+	"tensor.Matrix.At":               usedByTests,
+	"rng.Histogram.Total":            usedByTests,
 
 	// Test subjects: the small models and datasets the gradient checks, the
 	// evaluation oracle and the engine tests run the live layers on.
@@ -101,11 +91,6 @@ var reachAllow = map[string]string{
 	"nn.MSE.":                   usedByTests,
 	"data.LinearRegressionData": usedByTests,
 	"data.TwoSpirals":           usedByTests,
-
-	// delaymodel.Scaling: benchmark/ passes the interface, and these two are
-	// the pricer oracle's s(M) != 1 cases.
-	"delaymodel.LinearScaling.": benchPinned,
-	"delaymodel.TreeScaling.":   benchPinned,
 }
 
 func TestReachability(t *testing.T) {
