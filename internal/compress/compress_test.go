@@ -224,6 +224,31 @@ func TestErrorFeedbackResidualBounded(t *testing.T) {
 	}
 }
 
+// TestErrorFeedbackNameAndAdaptive: an error-feedback top-k's spec prints
+// back as the form it was typed in, and SetRatio retunes the inner
+// sparsifier through the feedback loop.
+func TestErrorFeedbackNameAndAdaptive(t *testing.T) {
+	s, err := ParseSpec("topk:0.2+ef")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.String() != "topk:0.2+ef" {
+		t.Fatalf("name %q", s.String())
+	}
+	ef := mustNew(t, "topk:0.2+ef", 0)
+	ef.SetRatio(0.5)
+	if ef.ratio != 0.5 {
+		t.Fatalf("ratio %v after SetRatio(0.5)", ef.ratio)
+	}
+	msg, err := ef.Compress(testVec(100, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msg.Indices) != 50 {
+		t.Fatalf("support %d after SetRatio(0.5) on dim 100, want 50", len(msg.Indices))
+	}
+}
+
 // TestSetRatioUnderEveryModifier: SetRatio retunes a sparsifier's
 // keep-fraction with or without error feedback and a float32 wire, and the
 // next message keeps that many coordinates; the identity has nothing to

@@ -251,3 +251,23 @@ func TestWireErrorFeedbackCapturesNarrowing(t *testing.T) {
 		t.Fatalf("residual norm %g, want narrowing loss %g", got, wantResid)
 	}
 }
+
+// TestWireAdaptivePassthrough: a sparsifier on a float32 wire takes SetRatio
+// like a plain one, and its next message keeps that many coordinates.
+func TestWireAdaptivePassthrough(t *testing.T) {
+	c, err := (Spec{Kind: KindTopK, Ratio: 0.5, Wire: WireFloat32}).New(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetRatio(0.125)
+	if c.ratio != 0.125 {
+		t.Fatalf("ratio %g after SetRatio(0.125)", c.ratio)
+	}
+	msg, err := c.Compress(make([]float64, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(msg.Indices); got != 8 {
+		t.Fatalf("kept %d coordinates after SetRatio(0.125) on dim 64, want 8", got)
+	}
+}
