@@ -76,16 +76,19 @@
 // "varying:ring,star@B=5" (cmd/adacomm -topology, -edge-links,
 // -adapt-gossip-gamma).
 //
-// All model/gradient exchange routes through the unified communication
-// layer in internal/comm: a Communicator (AllReduce / Push / PushMulti with
-// per-message payload accounting) whose aggregation hot path index-merges
-// sparse messages in O(k*m) instead of O(dim*m), plus routing topologies
+// The lock-step engine's collectives run through internal/comm: a
+// Communicator (AllReduce for full averaging, PushMulti for gossip, over the
+// engine's membership view) whose aggregation hot path index-merges sparse
+// messages in O(k*m) instead of O(dim*m), plus routing topologies
 // (all-gather, ring, tree, star) whose transfer schedules the delay model
-// prices. internal/delaymodel supports per-worker heterogeneous
-// Link{Latency, Bandwidth} — stragglers slow in bytes/s, not compute — with
-// the slowest link gating each round. A model pull is free or exact, and an
-// exact pull is priced at its wire size, never built. See
-// examples/heterogeneous and cmd/adacomm's -topology / -links flags.
+// prices. A single upload — elastic averaging's push, an async client's, a
+// parameter-server gradient — is a compress.Decode (or AddDecoded) on the
+// receiving side, priced at Message.Bytes on the sender's own link.
+// internal/delaymodel supports per-worker heterogeneous Link{Latency,
+// Bandwidth} — stragglers slow in bytes/s, not compute — with the slowest
+// link gating each round. A model pull is free or exact, and an exact pull is
+// priced at its wire size, never built. See examples/heterogeneous and
+// cmd/adacomm's -topology / -links flags.
 //
 // The adaptive controllers are heterogeneity-aware end to end: the engines
 // report observed timing back to the controllers — cluster.RoundInfo carries
@@ -188,26 +191,26 @@
 // Robustness is a first-class axis: internal/faults defines a seeded,
 // declarative fault schedule (faults.Parse — "crash:W@rR", "blip:W@rR1-R2",
 // "slow:WxF@rR1-R2", "drop:P") injecting permanent crashes, crash-recover
-// blips, slow-down episodes, and retried message drops into EVERY engine:
-// the lock-step cluster (serial and pooled), the event-driven
-// engine, and the parameter server (-faults on cmd/adacomm and cmd/sweep).
-// Membership is dynamic end to end — comm.Communicator carries
-// the active-set view (SetActive/ActiveCount; inactive endpoints are
-// rejected, inactive contributions skipped), full and elastic averaging
+// blips, slow-down episodes, and retried message drops into EVERY engine: the
+// lock-step cluster (serial and pooled), the event-driven engine, and the
+// parameter server (-faults on cmd/adacomm and cmd/sweep). Membership is
+// dynamic end to end — the lock-step engine installs its active set into
+// comm.Communicator (SetActive; AllReduce skips inactive contributions,
+// PushMulti rejects inactive endpoints), full and elastic averaging
 // renormalize over survivors, gossip mixes over the induced active subgraph
 // (graph.Subgraph re-derives Metropolis weights and the spectral gap on the
 // active block, so AdaptGossipGamma re-adapts; a disconnected survivor set
-// damps gamma to its floor), and the async engine expires in-flight work
-// from crashed clients. A rejoining worker reconciles by an exact pull,
-// priced at the dense vector's wire size, snapping to the shared state (CHOCO estimates
+// damps gamma to its floor), and the async engine expires in-flight work from
+// crashed clients. A rejoining worker reconciles by an exact pull, priced at
+// the dense vector's wire size, snapping to the shared state (CHOCO estimates
 // re-pin so its next wire message is a delta from common ground); in the
 // event-driven and parameter-server modes the dispatch-time pull IS the
 // reconcile. The schedule is a pure function of (spec, seed, round) and
 // consumes no RNG from the delay/jitter streams, so every zero-fault config
-// stays bit-identical to its golden; the churn ablation (cmd/sweep
-// -ablation churn) pins that under 20% mid-run
-// crash-recover churn plus drops every strategy completes without deadlock
-// and degrades gracefully on time-to-loss.
+// stays bit-identical to its golden; the churn ablation (cmd/sweep -ablation
+// churn) pins that under 20% mid-run crash-recover churn plus drops every
+// strategy completes without deadlock and degrades gracefully on
+// time-to-loss.
 //
 // Local update rules are a first-class layer: internal/opt defines the
 // Optimizer type (Step, enumerable state vectors with per-vector sync

@@ -70,7 +70,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/comm"
 	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/delaymodel"
@@ -269,7 +268,6 @@ type AsyncEngine struct {
 	slow      []float64
 	serverRng *rng.Rand
 
-	com *comm.Communicator
 	// comp encodes every upload (shared: compression happens serially at
 	// dispatch), in a Selection of the engine's own; the uncompressed wire is
 	// the identity scheme, so the dense and compressed paths are one.
@@ -364,7 +362,6 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		clocks:       events.NewClocks(n),
 		delay:        dm,
 		serverRng:    root.Split(),
-		com:          comm.New(comm.AllGather, n),
 		computeModel: proto.Clone(),
 		opt:          opt.New(cfg.Opt, proto.ParamLen()),
 		deltaBuf:     make([]float64, proto.ParamLen()),
@@ -393,9 +390,7 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		e.idlePos[i] = i // client i starts at position i
 	}
 	e.downVersion = -1
-	if e.comp, err = cfg.Compress.NewWire(root.Split, new(compress.Selection)); err != nil {
-		return nil, err
-	}
+	e.comp = cfg.Compress.NewWire(root.Split, new(compress.Selection))
 	if cfg.Compress.Wire == compress.WireFloat32 {
 		e.pullBuf = make([]float64, e.dim)
 		e.refreshPull()
@@ -611,9 +606,7 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 		c.msg = e.freeMsgs[k-1]
 		e.freeMsgs = e.freeMsgs[:k-1]
 	}
-	if err := e.comp.CompressInto(e.deltaBuf, &c.msg); err != nil {
-		panic(fmt.Sprintf("cluster: client %d compress: %v", i, err))
-	}
+	e.comp.CompressInto(e.deltaBuf, &c.msg)
 	c.base = e.version
 	c.steps = e.cfg.Tau
 	c.upTime = e.delay.SampleTransfer(c.delayR, i, c.msg.Bytes())
@@ -666,11 +659,12 @@ func (e *AsyncEngine) arrive(i int, t float64) (roundDone bool) {
 		e.dispatchNew(t)
 		return false
 	}
-	up, err := e.com.Push(i, c.msg, e.decodeBuf)
-	if err != nil {
+	// The upload is one transfer on the client's own link: the server
+	// decodes it and counts its bytes.
+	if err := compress.Decode(c.msg, e.decodeBuf); err != nil {
 		panic(fmt.Sprintf("cluster: client %d push: %v", i, err))
 	}
-	e.stats.UpBytes += int64(up)
+	e.stats.UpBytes += int64(c.msg.Bytes())
 	e.releaseMsg(c)
 
 	w := stalenessWeight(s)

@@ -13,13 +13,14 @@
 //
 // # Compressed averaging
 //
-// All model exchange — raw or compressed, full averaging, ring gossip, or
-// elastic averaging — routes through the unified communication layer in
-// internal/comm: workers contribute wire messages (internal/compress), the
-// communicator aggregates them by sparse index-merge, and the resulting
-// transfer schedule (per-worker wire bytes plus the configured topology's
-// hop multipliers) is what delaymodel prices, per worker when the model has
-// heterogeneous Links.
+// Every model exchange ships wire messages (internal/compress), and every
+// strategy writes the round's one transfer schedule: the wire bytes each
+// worker put on its link, which delaymodel prices under the configured
+// topology's hop multipliers, per worker when the model has heterogeneous
+// Links. The collectives run through internal/comm's Communicator over the
+// engine's membership view: full averaging's AllReduce, which aggregates by
+// sparse index-merge, and gossip's PushMulti. Elastic averaging's push is
+// one transfer on the worker's own link, decoded where it lands.
 //
 // When Config.Compress names a compressor (internal/compress), full
 // averaging exchanges compressed DELTAS instead of raw parameter vectors:
@@ -407,14 +408,18 @@ type Engine struct {
 	slow  []float64 // per-worker compute slowdown factors
 	r     *rng.Rand // delay sampling stream
 
-	// Communication state: every model exchange routes through com
-	// (internal/comm), and lastReport is the most recent round's transfer
-	// schedule, charged by roundTime in the same round (an all-reduce's
-	// Bytes are the communicator's scratch, rewritten by the next one — by
-	// which time lastReport has been replaced too). latHops/bytesFactor are
-	// the configured topology's schedule multipliers, fixed at construction.
+	// Communication state: com runs the collectives (full averaging's
+	// AllReduce, gossip's PushMulti) over the membership view. roundBytes is
+	// the round's transfer schedule, the wire bytes each worker put on its
+	// link, and roundMax its largest message: every strategy writes both
+	// each sync (an all-reduce's report is copied in, gossip and elastic
+	// write them directly, an all-down round clears them), and roundTime
+	// adds the rejoin-reconcile bytes into roundBytes before pricing it.
+	// latHops/bytesFactor are the configured topology's schedule
+	// multipliers, fixed at construction.
 	com         *comm.Communicator
-	lastReport  comm.Report
+	roundBytes  []int
+	roundMax    int
 	latHops     float64
 	bytesFactor float64
 	linkTimes   []float64 // per-worker transfer times of the last round
@@ -439,13 +444,11 @@ type Engine struct {
 
 	// Strategy scratch, engine-owned and reused every sync per the PR-4
 	// arena convention (steady-state rounds allocate nothing): meanVecs
-	// feeds gossip's evaluation mean under churn, pullBuf accumulates
-	// elastic's center displacement, and repBytes backs the strategies'
-	// per-sync transfer reports. gossip is the CHOCO-SGD estimate state of
-	// ring gossip.
+	// feeds gossip's evaluation mean under churn, and pullBuf accumulates
+	// elastic's center displacement. gossip is the CHOCO-SGD estimate state
+	// of ring gossip.
 	meanVecs [][]float64
 	pullBuf  []float64
-	repBytes []int
 	gossip   *gossipState
 
 	// Gossip mixing graphs (nil unless Strategy is RingGossip): gseq is the
@@ -485,24 +488,21 @@ type Engine struct {
 	// fltActive/fltDown are the round's membership view and its inverse
 	// (the delay model's mask convention), fltNActive its size, fltScale
 	// the per-worker transfer multipliers (slow-down episodes times drop
-	// retries), reconBytes the rejoin-reconcile payloads charged into the
-	// round's schedule, fltBytesBuf the schedule-bytes scratch that adds
-	// them in, and zeroRep the all-down round's empty transfer report.
+	// retries), and reconBytes the rejoin-reconcile payloads charged into
+	// the round's schedule.
 	// subGraph caches the induced active subgraph of the current gossip
 	// graph (re-derived only when the graph index or membership changes —
 	// subForIdx/subActive are the cache key) and subGamma its re-adapted
 	// consensus step.
-	fltActive   []bool
-	fltDown     []bool
-	fltNActive  int
-	fltScale    []float64
-	reconBytes  []int
-	fltBytesBuf []int
-	zeroRep     comm.Report
-	subGraph    *graph.Graph
-	subForIdx   int
-	subActive   []bool
-	subGamma    float64
+	fltActive  []bool
+	fltDown    []bool
+	fltNActive int
+	fltScale   []float64
+	reconBytes []int
+	subGraph   *graph.Graph
+	subForIdx  int
+	subActive  []bool
+	subGamma   float64
 
 	// Previous round's membership view of the shared global-momentum
 	// buffer (allocated only with faults AND gmom): the buffered
@@ -607,9 +607,10 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	e.com = comm.New(cfg.Topology, m)
 	e.latHops = cfg.Topology.LatencyHops(m)
 	e.bytesFactor = cfg.Topology.BytesFactor(m)
-	e.lastReport = comm.Report{Bytes: make([]int, m), Max: cfg.Compress.WireBytes(e.xdim)}
-	for i := range e.lastReport.Bytes {
-		e.lastReport.Bytes[i] = e.lastReport.Max
+	e.roundMax = cfg.Compress.WireBytes(e.xdim)
+	e.roundBytes = make([]int, m)
+	for i := range e.roundBytes {
+		e.roundBytes[i] = e.roundMax
 	}
 	e.linkTimes = make([]float64, m)
 	e.sumBuf = make([]float64, e.xdim)
@@ -634,9 +635,7 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	e.comps = make([]compress.Compressor, m)
 	e.sel = new(compress.Selection)
 	for i := range e.comps {
-		if e.comps[i], err = cfg.Compress.NewWire(root.Split, e.sel); err != nil {
-			return nil, err
-		}
+		e.comps[i] = cfg.Compress.NewWire(root.Split, e.sel)
 	}
 	e.deltaBuf = make([]float64, e.xdim)
 	switch cfg.Strategy {
@@ -660,20 +659,18 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 				e.gammas[i] = graph.AdaptiveGamma(e.gseq.Graph(i).SpectralGap())
 			}
 		}
-		// Lossless specs (None or identity, on a float64 wire) let the
-		// CHOCO protocol ship the parameters themselves and pin the
-		// estimates exactly; see averageRing. A float32 wire is lossy, so
-		// it takes the general estimate-delta path.
 		e.meanVecs = make([][]float64, m)
-		e.repBytes = make([]int, m)
-		// CHOCO estimates cover the synced state.
+		// CHOCO estimates cover the synced state. Lossless specs (None or
+		// identity, on a float64 wire) let the protocol ship the parameters
+		// themselves and pin the estimates exactly; see averageRing. A
+		// float32 wire is lossy, so it takes the general estimate-delta
+		// path.
 		e.gossip = newGossipState(m, e.extGlobal, cfg.GossipGamma, cfg.Compress.Lossless())
 		for i := range e.gossip.nodes {
 			e.gossip.nodes[i] = e.workers[i]
 		}
 	case ElasticAveraging:
 		e.pullBuf = make([]float64, e.dim)
-		e.repBytes = make([]int, m)
 	}
 	// The membership view starts with everyone up at transfer scale 1 and
 	// draws nothing: the schedule is a pure function of (Seed, round), so
@@ -691,8 +688,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	}
 	e.fltNActive = m
 	e.reconBytes = make([]int, m)
-	e.fltBytesBuf = make([]int, m)
-	e.zeroRep = comm.Report{Bytes: make([]int, m)}
 	e.subForIdx = -1
 	e.subActive = make([]bool, m)
 	if cfg.Faults.Enabled() && e.gmom != nil {
@@ -734,8 +729,9 @@ func (e *Engine) TestAccuracy() float64 {
 // roundTime prices a round of `steps` local iterations followed by one
 // synchronization with the delay model's two halves (see internal/delaymodel):
 // compute is the slowest up worker's scaled sum of compute draws, comm the
-// round's transfer schedule — the communicator's per-worker wire bytes under
-// the topology's hop multipliers, over the gossip graph just used
+// round's transfer schedule — roundBytes, the per-worker wire bytes the sync
+// just wrote, plus this round's rejoin pulls, under the topology's hop
+// multipliers, over the gossip graph just used
 // (e.activeAdj) when per-edge links are set — with the per-worker transfer
 // times landing in e.linkTimes for the next RoundInfo.
 func (e *Engine) roundTime(steps int) (compute, comm float64) {
@@ -743,16 +739,17 @@ func (e *Engine) roundTime(steps int) (compute, comm float64) {
 	// Rejoin-reconcile payloads ride the round's schedule, down workers ship
 	// nothing, and slow-down/drop-retry factors multiply the survivors'
 	// transfers. Fault-free the payloads are 0, nobody is down and every
-	// factor is 1: the same schedule, priced to the same bit.
-	for i, b := range e.lastReport.Bytes {
-		e.fltBytesBuf[i] = b + e.reconBytes[i]
+	// factor is 1: the same schedule, priced to the same bit. The add is in
+	// place: every sync rewrites the schedule before the next pricing.
+	for i, b := range e.reconBytes {
+		e.roundBytes[i] += b
 	}
-	return compute, e.delay.SampleDRound(e.r, e.fltBytesBuf, e.activeAdj, e.latHops, e.bytesFactor, e.fltDown, e.fltScale, e.linkTimes)
+	return compute, e.delay.SampleDRound(e.r, e.roundBytes, e.activeAdj, e.latHops, e.bytesFactor, e.fltDown, e.fltScale, e.linkTimes)
 }
 
 // CommBytesPerRound returns the per-link payload charged for the most
 // recent synchronization (the round's largest message).
-func (e *Engine) CommBytesPerRound() int { return e.lastReport.Max }
+func (e *Engine) CommBytesPerRound() int { return e.roundMax }
 
 // localUpdates advances every worker by `steps` local SGD iterations at lr,
 // fanning the compute slots across the bounded pool (Config.ComputeWorkers):
@@ -804,7 +801,8 @@ func (e *Engine) average() {
 		// Every worker is down: nothing is exchanged, the global model and
 		// all replicas stand, and the gossip sequence does not advance (no
 		// synchronization happened).
-		e.lastReport = e.zeroRep
+		clear(e.roundBytes)
+		e.roundMax = 0
 		return
 	}
 	switch e.cfg.Strategy {
@@ -838,11 +836,7 @@ func (e *Engine) averageFull() {
 		for i, w := range e.workers {
 			e.msgBuf[i] = compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: w.ext}
 		}
-		rep, err := e.com.AllReduce(e.msgBuf, e.sumBuf)
-		if err != nil {
-			panic(fmt.Sprintf("cluster: all-reduce: %v", err))
-		}
-		e.lastReport = rep
+		e.allReduce()
 		inv := 1 / float64(e.fltNActive)
 		for j := range avg {
 			avg[j] = e.sumBuf[j] * inv
@@ -891,19 +885,24 @@ func (e *Engine) compressedDeltaMean(avg []float64) {
 			continue
 		}
 		tensor.Sub(e.deltaBuf, w.ext, e.extGlobal)
-		if err := e.comps[i].CompressInto(e.deltaBuf, &e.msgBuf[i]); err != nil {
-			panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
-		}
+		e.comps[i].CompressInto(e.deltaBuf, &e.msgBuf[i])
 	}
-	rep, err := e.com.AllReduce(e.msgBuf, e.sumBuf)
-	if err != nil {
-		panic(fmt.Sprintf("cluster: all-reduce: %v", err))
-	}
-	e.lastReport = rep
+	e.allReduce()
 	inv, base := 1/float64(e.fltNActive), e.extGlobal
 	for j := range avg {
 		avg[j] = base[j] + e.sumBuf[j]*inv
 	}
+}
+
+// allReduce sums msgBuf's active messages into sumBuf through the
+// communicator and copies its report into the round's transfer schedule.
+func (e *Engine) allReduce() {
+	rep, err := e.com.AllReduce(e.msgBuf, e.sumBuf)
+	if err != nil {
+		panic(fmt.Sprintf("cluster: all-reduce: %v", err))
+	}
+	copy(e.roundBytes, rep.Bytes)
+	e.roundMax = rep.Max
 }
 
 // Run executes PASGD under the given controller until a stop condition is

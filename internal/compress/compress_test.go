@@ -540,18 +540,13 @@ func TestTopKKeysSizedToBucket(t *testing.T) {
 	sel := new(Selection)
 	cs := make([]Compressor, 4)
 	for i := range cs {
-		var err error
-		if cs[i], err = (Spec{Kind: KindTopK, Ratio: 0.25}).NewWire(func() *rng.Rand { return nil }, sel); err != nil {
-			t.Fatal(err)
-		}
+		cs[i] = (Spec{Kind: KindTopK, Ratio: 0.25}).NewWire(func() *rng.Rand { return nil }, sel)
 	}
 	var msg Message
 	grows, last := 0, 0
 	for round := 0; round < 50; round++ {
 		for i := range cs {
-			if err := cs[i].CompressInto(testVec(dim, uint64(round*len(cs)+i)), &msg); err != nil {
-				t.Fatal(err)
-			}
+			cs[i].CompressInto(testVec(dim, uint64(round*len(cs)+i)), &msg)
 			if cap(sel.keys) != last {
 				grows, last = grows+1, cap(sel.keys)
 			}
@@ -565,9 +560,7 @@ func TestTopKKeysSizedToBucket(t *testing.T) {
 		ties[i] = float64(1 - 2*(i%2))
 	}
 	for i := range cs[:2] {
-		if err := cs[i].CompressInto(ties, &msg); err != nil {
-			t.Fatal(err)
-		}
+		cs[i].CompressInto(ties, &msg)
 		if cap(sel.keys) != dim {
 			t.Fatalf("one magnitude: keys hold %d entries, want dim %d", cap(sel.keys), dim)
 		}
@@ -593,9 +586,7 @@ func TestSharedSelectionMatchesPrivate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shared[i], err = spec.NewWire(split, sel); err != nil {
-			t.Fatal(err)
-		}
+		shared[i] = spec.NewWire(split, sel)
 		if private[i], err = spec.New(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -611,12 +602,8 @@ func TestSharedSelectionMatchesPrivate(t *testing.T) {
 			case 2:
 				vec = clustered(dim, uint64(round+i))
 			}
-			if err := shared[i].CompressInto(vec, &got); err != nil {
-				t.Fatal(err)
-			}
-			if err := private[i].CompressInto(vec, &want); err != nil {
-				t.Fatal(err)
-			}
+			shared[i].CompressInto(vec, &got)
+			private[i].CompressInto(vec, &want)
 			if !identicalMessages(got, want) {
 				t.Fatalf("round %d, %s at dim %d: the shared selection's message differs from a private one's", round, specs[i], dim)
 			}
@@ -629,5 +616,26 @@ func TestSharedSelectionMatchesPrivate(t *testing.T) {
 		if !sameBits(shared[i].resid, private[i].resid) {
 			t.Errorf("%s: the shared selection's residual differs from a private one's", specs[i])
 		}
+	}
+}
+
+// TestNewWirePanicsOnInvalidSpec: NewWire's callers validate first, so a
+// spec that fails Validate is a caller's bug and panics; a valid spec never
+// does, and None draws no stream.
+func TestNewWirePanicsOnInvalidSpec(t *testing.T) {
+	split := func() *rng.Rand { return rng.New(1) }
+	for _, bad := range []Spec{{Kind: KindQSGD, Bits: 99}, {Kind: KindTopK, Ratio: 2}, {Kind: Kind(42)}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewWire did not panic", bad)
+				}
+			}()
+			bad.NewWire(split, new(Selection))
+		}()
+	}
+	noStream := func() *rng.Rand { t.Fatal("None drew a stream"); return nil }
+	if c := (Spec{}).NewWire(noStream, new(Selection)); c.kind != None || c.f32 || c.ef {
+		t.Fatalf("None built %+v, want the identity", c)
 	}
 }

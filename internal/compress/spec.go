@@ -199,12 +199,17 @@ func (s Spec) build(r *rng.Rand, sel *Selection) (Compressor, error) {
 // or the zero Compressor (the identity) for the None spec, which draws no
 // stream — so an uncompressed consumer runs the identity wire and keeps every
 // RNG stream where it was. Every compressor an engine builds shares the
-// engine's one Selection: it compresses one worker at a time.
-func (s Spec) NewWire(split func() *rng.Rand, sel *Selection) (Compressor, error) {
+// engine's one Selection: it compresses one worker at a time. The caller
+// validates the spec first; one that fails Validate panics here.
+func (s Spec) NewWire(split func() *rng.Rand, sel *Selection) Compressor {
 	if !s.Enabled() {
-		return Compressor{}, nil
+		return Compressor{}
 	}
-	return s.build(split(), sel)
+	c, err := s.build(split(), sel)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 // InitialRatio returns the keep-ratio the spec starts at, in SetRatio's

@@ -293,8 +293,8 @@ func (dm *Model) SampleCompute(r *rng.Rand, steps int, factor []float64, down []
 // engine round, fault-free or not, graph or collective, and every analytic
 // sampler's broadcast, is this loop.
 //
-// bytesPerWorker is each worker's wire volume (internal/comm's
-// Report.Bytes), latHops the topology's count of sequential message
+// bytesPerWorker is each worker's wire volume (the lock-step engine's
+// round schedule), latHops the topology's count of sequential message
 // launches, and bytesFactor the multiple of the payload each link carries
 // over the whole collective (comm.Topology.LatencyHops and BytesFactor;
 // both 1 for the legacy overlapped all-gather). A worker's transfer is

@@ -29,6 +29,36 @@
 // estimates it by power iteration on W deflated against the all-ones
 // eigenvector, and the cluster engine can adapt its CHOCO consensus step to
 // it (gamma = sqrt(delta), clamped — see cluster.Config.AdaptGossipGamma).
+//
+// # How the engine uses a graph
+//
+// The constructors are Ring, Torus, Expander, RandomRegular (seeded), Star
+// and Complete; a Sequence is a cyclic time-varying schedule of them, each
+// held for B syncs, whose union is connected. comm.Topology adapts the
+// spec strings ("graph:ring", "torus:4x4", "regular:4@seed", "expander",
+// "varying:ring,star@B=5"; comm.TopologyForms) beside the four collective
+// routings, and the cluster engine accepts a graph topology only under ring
+// gossip. The engine advances a sequence once per sync and draws no RNG
+// doing so, so a graph leaves every delay stream where it was.
+//
+// Both of the engine's mixing paths (the lossless CHOCO wire and the
+// estimate-delta one) run the bit-identity contract above through one
+// tensor.ChocoMix call per node. A degree-0 row (n == 1) is the exact
+// identity and is special-cased there: the CHOCO update
+// gamma*x̂ + (x - gamma*x̂) is not a bitwise no-op. The cluster goldens and
+// the triangle regressions (identity CHOCO on three nodes is the global
+// mean, and full averaging, bit for bit) pin all of it.
+//
+// delaymodel.Model.EdgeLinks prices the graph's links one by one: a node's
+// transfer is its slowest ACTIVE edge, and an unset table falls back to the
+// per-worker path with the same draws, bit for bit. Under churn the engine
+// mixes over Subgraph, the induced active block, whose weights and gap are
+// re-derived. The topology ablation (cmd/sweep -ablation topology,
+// internal/experiments/topology.go, examples/heterogeneous) shows why a
+// graph is worth pricing: under one 10x slow edge the 4x4 torus (gap 0.40)
+// routes around it and beats both the ring (gap 0.05) and full averaging on
+// time-to-loss, because both density endpoints contain the slow edge and
+// pay it every sync.
 package graph
 
 import (

@@ -9,9 +9,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// Golden traces captured from the pre-comm-layer server. The refactor that
-// routes pushes through internal/comm (and adds priced pulls plus
-// per-worker links) must keep every zero-value-config path —
+// Golden traces captured from the pre-comm-layer server. Every later
+// change to how a push travels (priced pulls, per-worker links, a decode
+// straight into the round's sum) must keep every zero-value-config path —
 // including the finite-bandwidth dense push — bit-identical.
 
 func fnvBits(h *uint64, v float64) {

@@ -22,11 +22,13 @@
 // of large tau) and raise K toward m as the loss decreases (the analog of
 // decaying tau), using the same loss-ratio rule and saturation refinement.
 //
-// All worker<->server exchange routes through a star-topology communicator
-// (internal/comm). Gradient pushes may be compressed (Config.Compress); a
-// model pull is free or exact, and an exact pull is priced at its dense wire
-// size without being built (Config.PullCompress); Config.Links gives workers
-// heterogeneous uplinks/downlinks. Every zero-value knob preserves the
+// A push is one transfer on its worker's own link, not a collective: the
+// server decodes each gradient message straight into the round's sum
+// (compress.AddDecoded), and the link is priced at the spec's wire size.
+// Gradient pushes may be compressed (Config.Compress); a model pull is free
+// or exact, and an exact pull is priced at its dense wire size without being
+// built (Config.PullCompress); Config.Links gives workers heterogeneous
+// uplinks/downlinks. Every zero-value knob preserves the
 // legacy protocol byte for byte (enforced by golden tests).
 //
 // Both modes are one pop-collect-apply-redispatch loop over the event
@@ -44,7 +46,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/comm"
 	"repro/internal/compress"
 	"repro/internal/data"
 	"repro/internal/delaymodel"
@@ -243,21 +244,17 @@ type Server struct {
 	delay     *delaymodel.Model
 	delayRand *rng.Rand
 
-	// Communication state: all worker<->server exchange routes through com
-	// (a star-topology internal/comm communicator). comps[i] is worker i's
-	// gradient compressor (the identity under the zero spec);
-	// pushBytes and pullBytes are the per-exchange uplink and downlink
-	// payloads (wire sizes are data-independent, so the scheduler can price
-	// an exchange before the gradient exists; a free pull is 0 bytes).
-	// pushMsg is the one uplink wire slot every worker compresses into: a
-	// message is decoded into decBuf before the next arrival is computed.
-	// For the same reason every top-k compressor selects in the server's one
-	// sel.
-	com       *comm.Communicator
+	// Communication state. comps[i] is worker i's gradient compressor (the
+	// identity under the zero spec); pushBytes and pullBytes are the
+	// per-exchange uplink and downlink payloads (wire sizes are
+	// data-independent, so the scheduler can price an exchange before the
+	// gradient exists; a free pull is 0 bytes). pushMsg is the one uplink
+	// wire slot every worker compresses into: a message is added into
+	// gradSum before the next arrival is computed. For the same reason every
+	// top-k compressor selects in the server's one sel.
 	comps     []compress.Compressor
 	sel       *compress.Selection
 	pushMsg   compress.Message
-	decBuf    []float64
 	pushBytes int
 	pullBytes int
 	linkTimes []float64 // per-worker transfer time of the latest dispatch
@@ -314,19 +311,14 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	s.nets = []*nn.Network{proto.Clone()}
 	s.grad = make([]float64, proto.ParamLen())
 	s.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
-	s.com = comm.New(comm.Star, s.m)
 	s.linkTimes = make([]float64, s.m)
 	dim := proto.ParamLen()
 	s.pushBytes = cfg.Compress.WireBytes(dim)
 	s.comps = make([]compress.Compressor, s.m)
 	s.sel = new(compress.Selection)
 	for i := range s.comps {
-		var err error
-		if s.comps[i], err = cfg.Compress.NewWire(root.Split, s.sel); err != nil {
-			return nil, err
-		}
+		s.comps[i] = cfg.Compress.NewWire(root.Split, s.sel)
 	}
-	s.decBuf = make([]float64, dim)
 	if cfg.PullCompress.Enabled() {
 		s.pullBytes = cfg.PullCompress.WireBytes(dim)
 	}
@@ -393,21 +385,20 @@ func (s *Server) dispatch(i int) {
 	s.queue.Push(events.Event{Time: s.clock + dur, Worker: i, Kind: events.Arrival})
 }
 
-// computeGradient materializes worker i's gradient on its next mini-batch
-// and pushes it through the worker's compressor (wire round-trip, with
-// per-worker error feedback); uncompressed, that is the identity, whose
-// decoded gradient is the gradient exactly.
-func (s *Server) computeGradient(i int) []float64 {
+// computeGradient materializes worker i's gradient on its next mini-batch,
+// pushes it through the worker's compressor (with per-worker error
+// feedback) and adds the decoded push into gradSum; uncompressed, that is
+// the identity, whose decoded gradient is the gradient exactly. Skipping
+// the coordinates a sparse or zero-norm message leaves at zero is exact:
+// the sum starts at +0 and so never holds a -0 that adding +0 would flip.
+func (s *Server) computeGradient(i int) {
 	w := s.workers[i]
 	w.sampler.NextInto(&s.batch)
 	s.nets[0].LossGradAt(w.params, s.batch, s.grad)
-	if err := s.comps[i].CompressInto(s.grad, &s.pushMsg); err != nil {
-		panic(fmt.Sprintf("paramserver: worker %d compress: %v", i, err))
-	}
-	if _, err := s.com.Push(i, s.pushMsg, s.decBuf); err != nil {
+	s.comps[i].CompressInto(s.grad, &s.pushMsg)
+	if err := compress.AddDecoded(s.pushMsg, s.gradSum); err != nil {
 		panic(fmt.Sprintf("paramserver: worker %d push: %v", i, err))
 	}
-	return s.decBuf // valid until the next arrival; the caller sums it at once
 }
 
 // cancelInflight drops every queued completion event.
@@ -455,7 +446,7 @@ func (s *Server) update(ctrl Controller, evalLoss func() float64) (k int, lr flo
 		if down {
 			continue
 		}
-		tensor.Axpy(1, s.computeGradient(ev.Worker), s.gradSum)
+		s.computeGradient(ev.Worker)
 		if async {
 			s.staleSamples = append(s.staleSamples, float64(s.version-s.workers[ev.Worker].version))
 		}

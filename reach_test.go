@@ -67,7 +67,6 @@ var reachAllow = map[string]string{
 	"paramserver.Server.Version":     usedByTests,
 	"paramserver.AdaSync.K":          usedByTests,
 	"core.AdaComm.LinkFactor":        usedByTests,
-	"comm.Communicator.ActiveCount":  usedByTests,
 	"opt.Global.Buf":                 usedByTests,
 	"opt.Optimizer.Steps":            usedByTests,
 	"opt.Optimizer.Config":           usedByTests,
