@@ -213,18 +213,18 @@
 // time-to-loss.
 //
 // Local update rules are a first-class layer: internal/opt defines the
-// Optimizer type (Step, enumerable state vectors with per-vector sync
-// policies, SyncReset at averaging points) with plain SGD, heavy-ball and
-// Nesterov momentum, and Local Adam; both cluster engines — lock-step and
-// event-driven — step through it (cluster.Config.Opt, AsyncConfig.Opt,
-// -optimizer on the cmds; zero values stay bit-identical to every
-// pre-optimizer golden).
+// Optimizer type (Step, and SyncReset, which the lock-step engine calls at
+// every averaging point and rejoin and the async engine at every dispatch)
+// with plain SGD, heavy-ball and Nesterov momentum, and Local Adam; both
+// cluster engines — lock-step and event-driven — step through it
+// (cluster.Config.Opt, AsyncConfig.Opt, -optimizer on the cmds; zero values
+// stay bit-identical to every pre-optimizer golden).
 // Adam's second moments are an ablation axis: worker-local, or SYNCED
-// through the averaging fabric (Opt.SyncedMoments) — synced vectors extend
-// every averaged payload from dim to dim+len(state), riding the SAME
-// compressed, narrowed, byte-priced CHOCO gossip messages the parameters
-// do, and rejoin reconciliation restores them so a recovered worker matches
-// a never-crashed one bit for bit, step clocks included. At sync points,
+// through the averaging fabric (Opt.SyncedMoments) — the synced v extends
+// every averaged payload from dim to 2*dim, riding the SAME compressed,
+// narrowed, byte-priced CHOCO gossip messages the parameters do, and
+// rejoin reconciliation restores it so a recovered worker matches a
+// never-crashed one bit for bit, step clocks included. At sync points,
 // cluster.Config.GlobalMomentum generalizes block momentum to every strategy
 // (SlowMo-style slow momentum: one shared buffer under full averaging,
 // per-node buffers under gossip/elastic, renormalized over the surviving

@@ -405,9 +405,12 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	if e.pullBuf != nil {
 		e.stats.ScratchVectors++ // narrowed-pull buffer
 	}
-	// The local rule's state (momentum buffer, if any) rides the single
-	// compute-slot optimizer — activation-scoped, never per-client.
-	e.stats.ScratchVectors += len(e.opt.State())
+	// The local rule's momentum buffer, if any, rides the single
+	// compute-slot optimizer — activation-scoped, never per-client (validate
+	// rejects the adaptive rule).
+	if r := cfg.Opt.Rule; r == opt.RuleMomentum || r == opt.RuleNesterov {
+		e.stats.ScratchVectors++
+	}
 	return e, nil
 }
 
@@ -586,7 +589,7 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 	} else {
 		e.sampler.Reset(c.shard, c.model)
 	}
-	e.opt.ResetState()
+	e.opt.SyncReset()
 	e.opt.SetLR(e.cfg.LR)
 	for k := 0; k < e.cfg.Tau; k++ {
 		b := e.sampler.Next()

@@ -346,6 +346,31 @@ func TestAsyncShardingFootprint(t *testing.T) {
 	}
 }
 
+// TestAsyncScratchVectorsCountTheRuleState pins the footprint the federated
+// example bounds: four aggregation vectors, one more for a narrowed pull, and
+// one more for a momentum rule's buffer on the single compute-slot optimizer.
+func TestAsyncScratchVectorsCountTheRuleState(t *testing.T) {
+	s := asyncSetup(t, 8)
+	f32 := compress.Spec{Wire: compress.WireFloat32}
+	for _, tc := range []struct {
+		rule opt.Config
+		wire compress.Spec
+		want int
+	}{
+		{opt.Config{}, compress.Spec{}, 4},
+		{opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9}, compress.Spec{}, 5},
+		{opt.Config{Rule: opt.RuleNesterov, Momentum: 0.9}, compress.Spec{}, 5},
+		{opt.Config{}, f32, 5},
+		{opt.Config{Rule: opt.RuleMomentum, Momentum: 0.9}, f32, 6},
+	} {
+		cfg := baseAsyncCfg()
+		cfg.Opt, cfg.Compress = tc.rule, tc.wire
+		if got := s.async(t, cfg).Stats().ScratchVectors; got != tc.want {
+			t.Errorf("%s over %s: %d scratch vectors, want %d", tc.rule, tc.wire, got, tc.want)
+		}
+	}
+}
+
 // TestAsyncStalenessExpiry forces a straggler so slow that its uploads are
 // always older than the staleness bound (lowered to 1 here): they must be
 // discarded, never applied, and the engine must keep making progress off the

@@ -358,12 +358,12 @@ func (f FixedTau) Name() string { return fmt.Sprintf("tau=%d", f.Tau) }
 
 // worker is one simulated node: its state, what outlives a local step — the
 // replica, the sampler's position and stream, the optimizer. A worker is its
-// extended vector ext = [replica | SyncAverage optimizer state] (xdim words):
-// params is its head, and the optimizer keeps its synced vectors in its tail
-// (opt.NewIn), so every averaging reads and writes the state the steps use,
-// in place. Its steps run on the scratch of the compute slot it belongs to
-// (Engine.nets, grads, batches), and its compressor (Engine.comps) selects
-// in the engine's Selection.
+// extended vector ext = [replica | synced optimizer state] (xdim words):
+// params is its head, and the optimizer keeps its synced second moment in
+// its tail (opt.NewIn), so every averaging reads and writes the state the
+// steps use, in place. Its steps run on the scratch of the compute slot it
+// belongs to (Engine.nets, grads, batches), and its compressor
+// (Engine.comps) selects in the engine's Selection.
 type worker struct {
 	ext     []float64 // [replica | synced optimizer state], what the wire averages
 	params  []float64 // the model replica, ext[:dim]
@@ -808,12 +808,20 @@ func (e *Engine) average() {
 	switch e.cfg.Strategy {
 	case RingGossip:
 		e.averageRing()
-		return
 	case ElasticAveraging:
 		e.averageElastic()
-		return
+	default:
+		e.averageFull()
 	}
-	e.averageFull()
+	// Restart every active worker's momentum buffer or Adam first moment
+	// after the sync so stale local state cannot side-track the first
+	// post-sync step (Sec 5.3.1). No strategy reads that state while it
+	// mixes, so one loop here serves them all.
+	for i, w := range e.workers {
+		if e.fltActive[i] {
+			w.opt.SyncReset()
+		}
+	}
 }
 
 // averageFull is PASGD's simple averaging (paper eq 3): global <- mean of
@@ -861,9 +869,6 @@ func (e *Engine) averageFull() {
 			continue // down replicas keep their stale state until rejoin
 		}
 		copy(w.ext, e.extGlobal)
-		// Restart local SyncReset state after averaging so the stale local
-		// buffer cannot side-track the first post-sync step (Sec 5.3.1).
-		w.opt.SyncReset()
 	}
 }
 

@@ -46,8 +46,11 @@ func TestOptimizerSerialPoolBitIdentical(t *testing.T) {
 // TestRejoinReconciliationAdamSynced pins the optimizer half of the rejoin
 // contract: with wire-synced Adam moments, a rejoining worker pulls the
 // extended vector (params + synced second moment, priced dense) and ends the
-// reconciliation matching a never-crashed worker BIT FOR BIT — parameters,
-// every optimizer state vector, and the bias-correction step clock.
+// reconciliation matching a never-crashed worker BIT FOR BIT — parameters
+// and synced second moment (the worker's extended vector) and the
+// bias-correction step clock. The first moment lives off the wire: the two
+// optimizers stepped in lockstep on one gradient must move identical
+// parameter copies, which they do only if m and both clocks agree too.
 func TestRejoinReconciliationAdamSynced(t *testing.T) {
 	s := newSetup(t, 4, 1)
 	cfg := baseCfg()
@@ -73,32 +76,41 @@ func TestRejoinReconciliationAdamSynced(t *testing.T) {
 	if got, want := e.reconBytes[1], 8*e.xdim; got != want {
 		t.Fatalf("reconcile payload %d bytes, want %d (the extended vector)", got, want)
 	}
-	if !floatsExact(e.LocalModelParams(1), e.LocalModelParams(0)) {
+	w0, w1 := e.workers[0], e.workers[1]
+	if !floatsExact(w1.ext[:e.dim], w0.ext[:e.dim]) {
 		t.Fatal("rejoined replica != never-crashed replica")
 	}
-	w0, w1 := e.workers[0].opt, e.workers[1].opt
-	if w0.Steps() != w1.Steps() {
-		t.Fatalf("step clocks diverge after reconcile: %d vs %d", w1.Steps(), w0.Steps())
+	if !floatsExact(w1.ext[e.dim:], w0.ext[e.dim:]) {
+		t.Fatal("synced second moment differs between rejoined and never-crashed workers")
 	}
-	s0, s1 := w0.State(), w1.State()
-	for k := range s0 {
-		if !floatsExact(s0[k].Vec, s1[k].Vec) {
-			t.Fatalf("optimizer state %q differs between rejoined and never-crashed workers", s0[k].Name)
+	if w0.opt.Steps() != w1.opt.Steps() {
+		t.Fatalf("step clocks diverge after reconcile: %d vs %d", w1.opt.Steps(), w0.opt.Steps())
+	}
+
+	p0 := append([]float64(nil), w0.ext[:e.dim]...)
+	p1 := append([]float64(nil), w1.ext[:e.dim]...)
+	g := make([]float64, e.dim)
+	for k := 0; k < 3; k++ {
+		for j := range g {
+			g[j] = float64((j+k)%7) - 3
+		}
+		w0.opt.Step(p0, g)
+		w1.opt.Step(p1, g)
+		if !floatsExact(p1, p0) || !floatsExact(w1.ext[e.dim:], w0.ext[e.dim:]) {
+			t.Fatalf("lockstep step %d on one gradient diverged: the rejoined optimizer's state differs", k)
 		}
 	}
 
 	// The restored state is not merely equal at the snapshot: the two
-	// workers march in lockstep through the next full round.
+	// workers come out of the next full round together.
 	e.localUpdates(5, lr)
 	e.optSteps += 5
 	e.average()
-	if !floatsExact(e.LocalModelParams(1), e.LocalModelParams(0)) {
-		t.Fatal("rejoined replica diverged one round after reconcile")
+	if !floatsExact(w1.ext, w0.ext) {
+		t.Fatal("rejoined worker diverged one round after reconcile")
 	}
-	for k := range s0 {
-		if !floatsExact(s0[k].Vec, s1[k].Vec) {
-			t.Fatalf("optimizer state %q diverged one round after reconcile", s0[k].Name)
-		}
+	if w0.opt.Steps() != w1.opt.Steps() {
+		t.Fatalf("step clocks diverge one round after reconcile: %d vs %d", w1.opt.Steps(), w0.opt.Steps())
 	}
 }
 

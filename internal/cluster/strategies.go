@@ -246,7 +246,6 @@ func (e *Engine) averageRing() {
 			// identity must stay exact — gamma*x̂ + (x - gamma*x̂) is not
 			// a bitwise no-op.
 			copy(prj, hs)
-			e.workers[i].opt.SyncReset()
 			continue
 		}
 		post := e.avgBuf
@@ -264,7 +263,6 @@ func (e *Engine) averageRing() {
 			}
 		}
 		copy(dst, post)
-		e.workers[i].opt.SyncReset()
 	}
 	// The evaluation model is the mean of the PROJECTED post-mix estimates
 	// x̃_i = x̂_i + gamma*(mix_i - x̂_i): every term comes off the wire, and
@@ -325,7 +323,6 @@ func (e *Engine) averageElastic() {
 		up := e.wireMsg.Bytes()
 		e.roundBytes[i] = up
 		e.roundMax = max(e.roundMax, up)
-		w.opt.SyncReset()
 	}
 	// The center moves toward the SURVIVORS' mean.
 	tensor.Axpy(beta/float64(e.fltNActive), centerPull, e.global)

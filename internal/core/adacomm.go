@@ -80,7 +80,7 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Gamma <= 0 || c.Gamma >= 1 {
+	if !(c.Gamma > 0 && c.Gamma < 1) { // negated so NaN defaults too
 		c.Gamma = 0.5
 	}
 	if c.Schedule == nil {
@@ -111,8 +111,8 @@ func NewAdaComm(cfg Config) *AdaComm {
 	if cfg.Tau0 < 1 {
 		panic("core: AdaComm needs Tau0 >= 1")
 	}
-	if cfg.Interval <= 0 {
-		panic("core: AdaComm needs a positive interval T0")
+	if !(cfg.Interval > 0 && cfg.Interval <= math.MaxFloat64) {
+		panic("core: AdaComm needs a positive finite interval T0")
 	}
 	return &AdaComm{cfg: cfg}
 }

@@ -170,6 +170,8 @@ func TestAdaCommConfigValidation(t *testing.T) {
 	for _, bad := range []Config{
 		{Tau0: 0, Interval: 10},
 		{Tau0: 5, Interval: 0},
+		{Tau0: 5, Interval: math.NaN()},
+		{Tau0: 5, Interval: math.Inf(1)},
 	} {
 		func() {
 			defer func() {
@@ -179,6 +181,12 @@ func TestAdaCommConfigValidation(t *testing.T) {
 			}()
 			NewAdaComm(bad)
 		}()
+	}
+	// An out-of-range gamma, NaN included, runs the default.
+	for _, g := range []float64{0, 1, -0.5, math.NaN(), math.Inf(1)} {
+		if got := NewAdaComm(Config{Tau0: 5, Interval: 10, Gamma: g}).cfg.Gamma; got != 0.5 {
+			t.Errorf("gamma %v ran as %v, want the default 0.5", g, got)
+		}
 	}
 }
 

@@ -62,7 +62,7 @@ type AdaCommCompress struct {
 // (tau/LR half) and a compression schedule (ratio half).
 func NewAdaCommCompress(cfg Config, cs CompressSchedule) *AdaCommCompress {
 	ada := NewAdaComm(cfg)
-	if cs.Ratio0 <= 0 || cs.Ratio0 > 1 {
+	if !(cs.Ratio0 > 0 && cs.Ratio0 <= 1) {
 		panic("core: AdaCommCompress needs Ratio0 in (0, 1]")
 	}
 	return &AdaCommCompress{ada: ada, cs: cs, ratio: cs.Ratio0}

@@ -98,12 +98,16 @@ func TestAdaCommCompressSingleEvalPerBoundary(t *testing.T) {
 }
 
 func TestAdaCommCompressRejectsBadRatio0(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("accepted Ratio0 = 0")
-		}
-	}()
-	NewAdaCommCompress(jointCfg(), CompressSchedule{})
+	for _, r := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("accepted Ratio0 = %v", r)
+				}
+			}()
+			NewAdaCommCompress(jointCfg(), CompressSchedule{Ratio0: r})
+		}()
+	}
 }
 
 func TestAdaCommCompressDrivesEngine(t *testing.T) {

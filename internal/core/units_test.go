@@ -1,0 +1,180 @@
+package core_test
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/comm"
+	"repro/internal/compress"
+	"repro/internal/core"
+	"repro/internal/data"
+	"repro/internal/delaymodel"
+	"repro/internal/faults"
+	"repro/internal/metrics"
+	"repro/internal/nn"
+	"repro/internal/paramserver"
+	"repro/internal/rng"
+	"repro/internal/sgd"
+)
+
+// TestUnitsLaw: simulated time has no preferred unit. Scaling every duration
+// the engines are given — compute Y, latency D0, link latencies, MaxTime and
+// the controller intervals — by c, and every bandwidth by 1/c, must replay
+// the same run on a clock c times as fast or slow: every trace point's loss,
+// accuracy, iteration, tau (K for the server) and LR bit-equal, and every
+// time exactly c times the base. c is a power of two, so the scaling is exact
+// in floating point; a constant in seconds anywhere in an engine, a pricer or
+// a controller breaks the law.
+//
+// The cases cover the three lock-step strategies, a tree all-reduce, the
+// async engine and both server modes, over per-worker and per-edge links,
+// jitter, blip/slow/drop faults, top-k with and without error feedback,
+// qsgd and randk wires, and link-aware AdaComm and AdaSync.
+func TestUnitsLaw(t *testing.T) {
+	train := data.GaussianBlobs(data.GaussianBlobsConfig{
+		Classes: 4, Dim: 10, N: 640, Separation: 4, Noise: 1.2, LabelNoise: 0.05,
+	}, rng.New(900))
+	proto := nn.NewLogisticRegression(10, 4)
+	proto.InitParams(rng.New(901))
+	const m = 4
+	shards := data.ShardIID(train, m, rng.New(902))
+
+	// model is the delay model at scale c: every latency times c, every
+	// bandwidth over c, the jitter (a dimensionless speed factor) as is.
+	model := func(c float64) *delaymodel.Model {
+		dm := delaymodel.New(m, rng.Exponential{MeanVal: c},
+			rng.ShiftedExponential{Shift: 0.5 * c, Scale: 0.25 * c}, delaymodel.ConstantScaling{})
+		dm.Bandwidth = 4096 / c
+		dm.Links = []delaymodel.Link{{}, {Latency: 0.75 * c}, {Bandwidth: 512 / c}, {Latency: 0.25 * c, Bandwidth: 1024 / c}}
+		dm.Jitter = rng.Pareto{Xm: 1, Alpha: 3}
+		dm.JitterSeed = 903
+		return dm
+	}
+	edgeModel := func(c float64) *delaymodel.Model {
+		dm := model(c)
+		dm.EdgeLinks = map[delaymodel.Edge]delaymodel.Link{
+			{From: 0, To: 1}: {Latency: 2 * c, Bandwidth: 256 / c},
+			{From: 3, To: 2}: {Bandwidth: 2048 / c},
+		}
+		return dm
+	}
+	schedule := func(t *testing.T, spec string) *faults.Schedule {
+		t.Helper()
+		s, err := faults.Parse(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	wire := func(t *testing.T, spec string) compress.Spec {
+		t.Helper()
+		s, err := compress.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	adaComm := func(c float64) cluster.Controller {
+		return core.NewAdaComm(core.Config{
+			Tau0: 8, Interval: 15 * c, Gamma: 0.5, Schedule: sgd.Const{Eta: 0.1}, LinkAware: true,
+		})
+	}
+	lockstep := func(dm func(float64) *delaymodel.Model, cfg func(*testing.T) cluster.Config,
+		ctrl func(float64) cluster.Controller) func(*testing.T, float64) *metrics.Trace {
+		return func(t *testing.T, c float64) *metrics.Trace {
+			k := cfg(t)
+			k.BatchSize, k.EvalEvery, k.Seed = 16, 5, 904
+			k.MaxTime = 400 * c
+			e, err := cluster.New(proto, shards, train, nil, dm(c), k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e.Run(ctrl(c), "units")
+		}
+	}
+	server := func(mode paramserver.Mode) func(*testing.T, float64) *metrics.Trace {
+		return func(t *testing.T, c float64) *metrics.Trace {
+			s, err := paramserver.New(proto, shards, train, paramserver.Config{
+				Mode: mode, BatchSize: 16,
+				PushDelay: rng.ShiftedExponential{Shift: 0.1 * c, Scale: 0.1 * c},
+				ComputeY:  rng.Exponential{MeanVal: c},
+				Bandwidth: 4096 / c,
+				Links:     []delaymodel.Link{{}, {Latency: 0.5 * c}, {Bandwidth: 256 / c}, {}},
+				Compress:  wire(t, "randk:0.5"),
+				MaxTime:   200 * c, MaxUpdates: 800, EvalEvery: 10, EvalSubset: 300,
+				Faults: schedule(t, "blip:1@r10-20,slow:2x3@r5-40,drop:0.1"),
+				Seed:   905,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ada := paramserver.NewAdaSync(paramserver.AdaSyncConfig{K0: 1, M: m, Interval: 10 * c, LR: 0.1, LinkAware: true})
+			tr, _ := s.Run(ada, "units")
+			return tr
+		}
+	}
+
+	cases := []struct {
+		name string
+		run  func(*testing.T, float64) *metrics.Trace
+	}{
+		{"full/topk+ef/adacomm", lockstep(model, func(t *testing.T) cluster.Config {
+			return cluster.Config{
+				Compress: wire(t, "topk:0.25+ef"),
+				Faults:   schedule(t, "blip:1@r3-5,slow:2x4@r2-8,drop:0.2"),
+			}
+		}, adaComm)},
+		{"full/tree/topk", lockstep(model, func(t *testing.T) cluster.Config {
+			return cluster.Config{Compress: wire(t, "topk:0.25"), Topology: comm.Tree,
+				Faults: schedule(t, "crash:3@r6,drop:0.1")}
+		}, adaComm)},
+		{"ring/qsgd/edges", lockstep(edgeModel, func(t *testing.T) cluster.Config {
+			return cluster.Config{Strategy: cluster.RingGossip, Compress: wire(t, "qsgd:4"), AdaptGossipGamma: true,
+				Faults: schedule(t, "blip:2@r2-4,slow:0x3@r1-6,drop:0.1")}
+		}, adaComm)},
+		{"elastic/randk", lockstep(model, func(t *testing.T) cluster.Config {
+			return cluster.Config{Strategy: cluster.ElasticAveraging, Compress: wire(t, "randk:0.5"),
+				Faults: schedule(t, "blip:0@r4-6,drop:0.1")}
+		}, func(float64) cluster.Controller { return cluster.FixedTau{Tau: 4, Schedule: sgd.Const{Eta: 0.1}} })},
+		{"async/topk", func(t *testing.T, c float64) *metrics.Trace {
+			e, err := cluster.NewAsync(proto, shards, train, nil, model(c), cluster.AsyncConfig{
+				Participation: 2, InFlight: 3, Tau: 4, BatchSize: 16, LR: 0.1,
+				MaxTime: 200 * c, MaxUpdates: 600, EvalEvery: 20, EvalSubset: 300,
+				Compress: wire(t, "topk:0.25"), LinkAware: true,
+				Faults: schedule(t, "blip:1@r10-30,slow:3x2@r5-50,drop:0.1"),
+				Seed:   906,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e.Run("units")
+		}},
+		{"server/k-sync", server(paramserver.KSync)},
+		{"server/k-async", server(paramserver.KAsync)},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := tc.run(t, 1)
+			if len(base.Points) < 3 || base.Points[len(base.Points)-1].Time == 0 {
+				t.Fatalf("the base run recorded %d points: too short to test", len(base.Points))
+			}
+			for _, c := range []float64{2, 0.5} {
+				got := tc.run(t, c)
+				if len(got.Points) != len(base.Points) {
+					t.Fatalf("c=%v: %d points, base %d", c, len(got.Points), len(base.Points))
+				}
+				for i, p := range got.Points {
+					q := base.Points[i]
+					if !same(p.Loss, q.Loss) || !same(p.Acc, q.Acc) || p.Iter != q.Iter || p.Tau != q.Tau || !same(p.LR, q.LR) {
+						t.Fatalf("c=%v point %d: %+v, base %+v (only the time may change)", c, i, p, q)
+					}
+					if p.Time != c*q.Time {
+						t.Fatalf("c=%v point %d: time %v, want exactly %v", c, i, p.Time, c*q.Time)
+					}
+				}
+			}
+		})
+	}
+}

@@ -143,13 +143,21 @@ func (g *Graph) SpectralGap() float64 { return g.gap }
 // String implements fmt.Stringer.
 func (g *Graph) String() string { return fmt.Sprintf("%s[n=%d]", g.name, g.n) }
 
-// build assembles a Graph from an adjacency table, computing
-// Metropolis-Hastings weights, per-row uniformity, mix orders, and the
-// spectral gap. mixOrder may be nil (rows default to ascending node ids
+// build assembles a Graph from an adjacency table (see assemble) and
+// estimates its spectral gap.
+func build(name string, adj [][]int, mixOrder [][]int) *Graph {
+	g := assemble(name, adj, mixOrder)
+	g.gap = spectralGap(g)
+	return g
+}
+
+// assemble builds a Graph from an adjacency table, computing
+// Metropolis-Hastings weights, per-row uniformity and mix orders, but not
+// the spectral gap. mixOrder may be nil (rows default to ascending node ids
 // with self in sorted position); constructors with a legacy accumulation
 // order (the ring) pass it explicitly. The adjacency must describe a simple
 // symmetric graph — a violation is a constructor bug and panics.
-func build(name string, adj [][]int, mixOrder [][]int) *Graph {
+func assemble(name string, adj [][]int, mixOrder [][]int) *Graph {
 	n := len(adj)
 	g := &Graph{n: n, name: name, adj: adj}
 	checkSimpleSymmetric(name, adj)
@@ -198,7 +206,6 @@ func build(name string, adj [][]int, mixOrder [][]int) *Graph {
 		}
 		g.w[i] = row
 	}
-	g.gap = spectralGap(g)
 	return g
 }
 
@@ -250,7 +257,7 @@ func (g *Graph) Subgraph(active []bool) *Graph {
 		}
 		mix[i] = mrow
 	}
-	sub := build(fmt.Sprintf("%s/active=%d", g.name, nActive), adj, mix)
+	sub := assemble(fmt.Sprintf("%s/active=%d", g.name, nActive), adj, mix)
 	sub.gap = activeBlockGap(adj, active, nActive)
 	return sub
 }

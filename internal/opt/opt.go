@@ -1,36 +1,35 @@
 // Package opt is the first-class optimizer layer: the per-worker local
 // update rule (plain SGD, heavy-ball and Nesterov momentum, Local Adam)
 // factored out of the engines into one type, Optimizer, plus the
-// slow/global momentum applied at sync points (global.go). Every rule owns
-// its state as enumerable named vectors with an explicit sync policy, so
-// the engines can reset, average, or ship that state over the wire without
-// knowing which rule is running: heavy-ball buffers and Adam first moments
-// reset at averaging points (the paper's Sec 5.3.1 discipline), while Adam
-// second moments are an ablation axis — kept local (the Local Adam default)
-// or synced through the averaging wire alongside the parameters
-// (SyncAverage), where they ride the same compression, payload accounting,
-// and float32 narrowing as the model itself.
+// slow/global momentum applied at sync points (global.go). A rule's sync
+// behaviour is its own: SyncReset zeroes the heavy-ball buffer and Adam's
+// first moment at averaging points (the paper's Sec 5.3.1 discipline), while
+// Adam's second moment is an ablation axis — kept local (the Local Adam
+// default) or synced through the averaging wire alongside the parameters
+// (Config.SyncedMoments), where it rides the same compression, payload
+// accounting, and float32 narrowing as the model itself.
 //
 // The zero-value Config is plain SGD and reproduces the legacy
 // internal/sgd update arithmetic bit for bit; engines preallocate all
 // state at construction (New takes the dimension) so a warm Step performs
 // zero heap allocations.
 //
-// The engines call SyncReset on every worker at every averaging point; on
-// plain SGD it touches nothing. SyncAverage vectors make every averaged
-// payload the extended vector of dim + Config.SyncedLen coordinates,
-// parameters then synced state, riding one wire; with nothing synced the
+// The lock-step engine calls SyncReset on every active worker once per
+// averaging point and on every rejoin; the async engine calls it on every
+// dispatch. On plain SGD it touches nothing. A synced second moment makes
+// every averaged payload the extended vector of dim + Config.SyncedLen
+// coordinates, parameters then v, riding one wire; with nothing synced the
 // extension is empty and the same path carries the parameters alone. A
 // worker IS its extended vector: the engine allocates it, and NewIn places
-// the SyncAverage vectors in its tail, so the wire reads and writes the
-// optimizer's own state in place. Adam keeps two step clocks: tm restarts
-// with the first moment at every sync, tv runs on for the second moment's
-// bias correction, and AlignSteps lets a rejoining worker match a
-// never-crashed one bit for bit. A synced second moment that crossed a lossy
-// wire can dip below zero, so Step clamps the square root's argument at 0;
-// aggressive QSGD on the extended vector is unstable anyway (v is tiny
-// beside the parameter deltas sharing its norm). The async engine rejects
-// adaptive rules: per-client moments are Theta(clients*dim) state.
+// the synced v in its tail, so the wire reads and writes the optimizer's
+// own state in place. Adam keeps two step clocks: tm restarts with the
+// first moment at every sync, tv runs on for the second moment's bias
+// correction, and AlignSteps lets a rejoining worker match a never-crashed
+// one bit for bit. A synced second moment that crossed a lossy wire can dip
+// below zero, so Step clamps the square root's argument at 0; aggressive
+// QSGD on the extended vector is unstable anyway (v is tiny beside the
+// parameter deltas sharing its norm). The async engine rejects adaptive
+// rules: per-client moments are Theta(clients*dim) state.
 package opt
 
 import (
@@ -89,10 +88,10 @@ type Config struct {
 	Momentum float64 // heavy-ball/Nesterov mu, or Adam beta1
 	Beta2    float64 // Adam second-moment decay (0 = 0.999)
 
-	// SyncedMoments marks the Adam second moment SyncAverage instead of
-	// SyncKeep: the engines then average v across workers at every sync
-	// point, shipping it over the same (compressed, byte-priced) wire as
-	// the parameters. Only meaningful for RuleAdam.
+	// SyncedMoments makes the Adam second moment synced instead of local:
+	// the engines then average v across workers at every sync point,
+	// shipping it over the same (compressed, byte-priced) wire as the
+	// parameters. Only meaningful for RuleAdam.
 	SyncedMoments bool
 }
 
@@ -123,7 +122,7 @@ func (c Config) Validate() error {
 // Adaptive reports whether the rule keeps second-moment state.
 func (c Config) Adaptive() bool { return c.Rule == RuleAdam }
 
-// SyncedLen returns the length of the SyncAverage state an optimizer built
+// SyncedLen returns the length of the synced state an optimizer built
 // from c carries for a dim-long parameter vector: the extension the engines
 // append to every averaged payload (dim for synced-moment Adam, 0 for every
 // other rule). Engines size a worker's extended vector with it before they
@@ -228,55 +227,17 @@ func Parse(spec string) (Config, error) {
 	return c, nil
 }
 
-// SyncPolicy says what an engine does with a state vector at a sync point.
-type SyncPolicy int
-
-const (
-	// SyncReset: zero the vector at every averaging point (heavy-ball
-	// buffers, Adam first moments — paper Sec 5.3.1 discipline).
-	SyncReset SyncPolicy = iota
-	// SyncAverage: average the vector across workers at every sync point,
-	// shipping it through the same wire as the parameters.
-	SyncAverage
-	// SyncKeep: per-worker state the sync leaves untouched (Local Adam's
-	// local second moments).
-	SyncKeep
-)
-
-func (p SyncPolicy) String() string {
-	switch p {
-	case SyncReset:
-		return "reset"
-	case SyncAverage:
-		return "average"
-	case SyncKeep:
-		return "keep"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// State is one named optimizer state vector. Vec aliases the optimizer's
-// arena: engines read and write it in place (e.g. overwriting a
-// SyncAverage vector with the across-worker mean).
-type State struct {
-	Name   string
-	Vec    []float64
-	Policy SyncPolicy
-}
-
-// Optimizer performs in-place updates on a model's flat parameters and
-// exposes its state vectors for the engines to reset, average, or restore.
-// One struct serves every rule, with the per-rule branch inside Step, so all
-// rules share arena and sync plumbing.
+// Optimizer performs in-place updates on a model's flat parameters. One
+// struct serves every rule, with the per-rule branch inside Step; a rule
+// leaves the state it does not keep nil.
 type Optimizer struct {
-	cfg   Config
-	lr    float64   // set by SetLR: every engine drives it from its schedule
-	buf   []float64 // heavy-ball / Nesterov momentum buffer
-	m     []float64 // Adam first moment
-	v     []float64 // Adam second moment
-	state []State
-	tm    int // steps since the last first-moment reset
-	tv    int // total steps (second-moment clock)
+	cfg Config
+	lr  float64   // set by SetLR: every engine drives it from its schedule
+	buf []float64 // heavy-ball / Nesterov momentum buffer
+	m   []float64 // Adam first moment
+	v   []float64 // Adam second moment (the synced tail under SyncedMoments)
+	tm  int       // steps since the last first-moment reset
+	tv  int       // total steps (second-moment clock)
 }
 
 // New builds an optimizer for a parameter vector of the given length,
@@ -286,7 +247,7 @@ func New(cfg Config, dim int) *Optimizer {
 	return NewIn(cfg, dim, make([]float64, cfg.SyncedLen(dim)))
 }
 
-// NewIn is New with the SyncAverage vectors placed in tail, which must be
+// NewIn is New with the synced second moment placed in tail, which must be
 // cfg.SyncedLen(dim) long: the lock-step engine hands every worker's
 // optimizer the tail of the worker's extended vector, so the state the wire
 // averages is the state Step reads and writes, with no copy between them.
@@ -302,7 +263,6 @@ func NewIn(cfg Config, dim int, tail []float64) *Optimizer {
 	switch cfg.Rule {
 	case RuleMomentum, RuleNesterov:
 		o.buf = make([]float64, dim)
-		o.state = []State{{Name: "momentum", Vec: o.buf, Policy: SyncReset}}
 	case RuleAdam:
 		if o.cfg.Momentum == 0 {
 			o.cfg.Momentum = DefaultBeta1
@@ -311,14 +271,9 @@ func NewIn(cfg Config, dim int, tail []float64) *Optimizer {
 			o.cfg.Beta2 = DefaultBeta2
 		}
 		o.m = make([]float64, dim)
-		vPolicy := SyncAverage
 		o.v = tail
 		if !cfg.SyncedMoments {
-			o.v, vPolicy = make([]float64, dim), SyncKeep
-		}
-		o.state = []State{
-			{Name: "adam.m", Vec: o.m, Policy: SyncReset},
-			{Name: "adam.v", Vec: o.v, Policy: vPolicy},
+			o.v = make([]float64, dim)
 		}
 	}
 	return o
@@ -330,10 +285,6 @@ func (o *Optimizer) Config() Config { return o.cfg }
 // SetLR changes the learning rate used by subsequent steps.
 func (o *Optimizer) SetLR(lr float64) { o.lr = lr }
 
-// State enumerates the state vectors. The returned slice and the vectors it
-// aliases are stable across calls.
-func (o *Optimizer) State() []State { return o.state }
-
 // Steps returns the total Step count (Adam's second-moment bias correction
 // clock; survives SyncReset).
 func (o *Optimizer) Steps() int { return o.tv }
@@ -342,30 +293,13 @@ func (o *Optimizer) Steps() int { return o.tv }
 // to re-derive a recovered worker's bias-correction clock.
 func (o *Optimizer) AlignSteps(n int) { o.tv = n }
 
-// SyncReset zeroes every SyncReset-policy vector and the step counter behind
-// Adam's first-moment bias correction. The engines call it on every worker at
-// every averaging point; on a rule without such state (plain SGD) it touches
-// nothing.
+// SyncReset zeroes the heavy-ball buffer, Adam's first moment and the step
+// counter behind its bias correction; the second moment and its clock run
+// on. On plain SGD it touches nothing.
 func (o *Optimizer) SyncReset() {
-	for _, s := range o.state {
-		if s.Policy != SyncReset {
-			continue
-		}
-		for i := range s.Vec {
-			s.Vec[i] = 0
-		}
-	}
+	clear(o.buf)
+	clear(o.m)
 	o.tm = 0
-}
-
-// ResetState zeroes all state vectors and counters.
-func (o *Optimizer) ResetState() {
-	for _, s := range o.state {
-		for i := range s.Vec {
-			s.Vec[i] = 0
-		}
-	}
-	o.tm, o.tv = 0, 0
 }
 
 // Step applies one update x -= lr * d(g). grad is not modified.

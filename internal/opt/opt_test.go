@@ -250,12 +250,11 @@ func TestAdamSyncResetKeepsSecondMomentClock(t *testing.T) {
 		t.Fatalf("Steps = %d, want 5", o.Steps())
 	}
 	o.SyncReset()
-	st := o.State()
-	if st[0].Name != "adam.m" || st[0].Vec[0] != 0 {
-		t.Fatalf("first moment not reset: %+v", st[0])
+	if o.m[0] != 0 {
+		t.Fatalf("first moment not reset: %v", o.m)
 	}
-	if st[1].Name != "adam.v" || st[1].Vec[0] == 0 {
-		t.Fatalf("second moment should survive SyncReset: %+v", st[1])
+	if o.v[0] == 0 {
+		t.Fatalf("second moment should survive SyncReset: %v", o.v)
 	}
 	if o.Steps() != 5 {
 		t.Fatalf("Steps after SyncReset = %d, want 5", o.Steps())
@@ -263,7 +262,7 @@ func TestAdamSyncResetKeepsSecondMomentClock(t *testing.T) {
 	// The next step's first-moment bias correction restarts at t=1 while
 	// the second moment continues at t=6: reproduce both by hand.
 	b1, b2, eps := DefaultBeta1, DefaultBeta2, adamEps
-	vBefore := st[1].Vec[0]
+	vBefore := o.v[0]
 	pBefore := p[0]
 	g := 0.5
 	o.Step(p, []float64{g})
@@ -273,43 +272,59 @@ func TestAdamSyncResetKeepsSecondMomentClock(t *testing.T) {
 	if p[0] != want {
 		t.Fatalf("post-reset step %v, want %v", p[0], want)
 	}
-	o.ResetState()
-	if o.Steps() != 0 || st[1].Vec[0] != 0 {
-		t.Fatalf("ResetState must zero everything")
-	}
 	o.AlignSteps(17)
 	if o.Steps() != 17 {
 		t.Fatalf("AlignSteps: %d", o.Steps())
 	}
 }
 
+// TestSyncPolicies: each rule keeps only its own state — plain SGD none,
+// heavy-ball a buffer, Adam both moments with v synced only under
+// SyncedMoments — and SyncReset zeroes the buffer and the first moment while
+// the second moment survives.
 func TestSyncPolicies(t *testing.T) {
-	hasResetState := func(o *Optimizer) bool {
-		for _, s := range o.State() {
-			if s.Policy == SyncReset {
+	g := []float64{0.5, -1, 2}
+	stepped := func(cfg Config) *Optimizer {
+		o := newAt(cfg, 0.01, 3)
+		o.Step(make([]float64, 3), g)
+		return o
+	}
+	nonzero := func(v []float64) bool {
+		for _, x := range v {
+			if x != 0 {
 				return true
 			}
 		}
 		return false
 	}
-	plain := New(Config{}, 3)
-	if len(plain.State()) != 0 || hasResetState(plain) || plain.Config().SyncedLen(3) != 0 {
+	plain := stepped(Config{})
+	if plain.buf != nil || plain.m != nil || plain.v != nil || plain.Config().SyncedLen(3) != 0 {
 		t.Fatalf("plain SGD must be stateless")
 	}
-	mom := New(Config{Rule: RuleMomentum, Momentum: 0.9}, 3)
-	if !hasResetState(mom) || mom.Config().SyncedLen(3) != 0 {
-		t.Fatalf("momentum: want reset-only state")
+	for _, cfg := range []Config{{Rule: RuleMomentum, Momentum: 0.9}, {Rule: RuleNesterov, Momentum: 0.9}} {
+		o := stepped(cfg)
+		if len(o.buf) != 3 || o.m != nil || o.v != nil || cfg.SyncedLen(3) != 0 {
+			t.Fatalf("%s: want a reset-only momentum buffer", cfg)
+		}
+		if o.SyncReset(); nonzero(o.buf) {
+			t.Fatalf("%s: SyncReset left the buffer %v", cfg, o.buf)
+		}
 	}
-	local := New(Config{Rule: RuleAdam}, 3)
-	if !hasResetState(local) || local.Config().SyncedLen(3) != 0 || local.State()[1].Policy != SyncKeep {
-		t.Fatalf("local adam: second moment must be SyncKeep")
-	}
-	synced := New(Config{Rule: RuleAdam, SyncedMoments: true}, 3)
-	if n := synced.Config().SyncedLen(3); n != 3 {
-		t.Fatalf("synced adam: SyncedLen = %d, want 3", n)
-	}
-	if st := synced.State()[1]; st.Name != "adam.v" || st.Policy != SyncAverage || len(st.Vec) != 3 {
-		t.Fatalf("synced adam: second moment %s %s of %d words, want adam.v average of 3", st.Name, st.Policy, len(st.Vec))
+	for _, cfg := range []Config{{Rule: RuleAdam}, {Rule: RuleAdam, SyncedMoments: true}} {
+		o := stepped(cfg)
+		if o.buf != nil || len(o.m) != 3 || len(o.v) != 3 {
+			t.Fatalf("%s: want two dim-long moments", cfg)
+		}
+		want := 0
+		if cfg.SyncedMoments {
+			want = 3
+		}
+		if n := cfg.SyncedLen(3); n != want {
+			t.Fatalf("%s: SyncedLen = %d, want %d", cfg, n, want)
+		}
+		if o.SyncReset(); nonzero(o.m) || !nonzero(o.v) {
+			t.Fatalf("%s: after SyncReset m %v (want zero), v %v (want kept)", cfg, o.m, o.v)
+		}
 	}
 }
 
@@ -324,7 +339,7 @@ func TestNewInPlacesSyncedStateInTheTail(t *testing.T) {
 	params, tail := ext[:dim], ext[dim:]
 	o := NewIn(cfg, dim, tail)
 	o.SetLR(lr)
-	if v := o.State()[1].Vec; &v[0] != &tail[0] || len(v) != dim {
+	if v := o.v; &v[0] != &tail[0] || len(v) != dim {
 		t.Fatalf("the synced second moment is not the tail")
 	}
 	g := []float64{0.5, -1, 2}
@@ -341,15 +356,15 @@ func TestNewInPlacesSyncedStateInTheTail(t *testing.T) {
 	twinParams := append([]float64(nil), params...)
 	for i := range tail {
 		tail[i] = float64(i + 1)
-		twin.State()[1].Vec[i] = float64(i + 1)
+		twin.v[i] = float64(i + 1)
 	}
 	twin.AlignSteps(o.Steps())
 	o.Step(params, g)
 	twin.Step(twinParams, g)
 	for i := range params {
-		if params[i] != twinParams[i] || tail[i] != twin.State()[1].Vec[i] {
+		if params[i] != twinParams[i] || tail[i] != twin.v[i] {
 			t.Fatalf("coordinate %d: param %v v %v, a twin with the same v planted reads %v and %v",
-				i, params[i], tail[i], twinParams[i], twin.State()[1].Vec[i])
+				i, params[i], tail[i], twinParams[i], twin.v[i])
 		}
 	}
 

@@ -55,8 +55,8 @@ func NewAdaSync(cfg AdaSyncConfig) *AdaSync {
 	if cfg.K0 < 1 || cfg.M < cfg.K0 {
 		panic("paramserver: AdaSync needs 1 <= K0 <= M")
 	}
-	if cfg.Interval <= 0 {
-		panic("paramserver: AdaSync needs a positive interval")
+	if !(cfg.Interval > 0 && cfg.Interval <= math.MaxFloat64) {
+		panic("paramserver: AdaSync needs a positive finite interval")
 	}
 	return &AdaSync{cfg: cfg}
 }

@@ -365,6 +365,8 @@ func TestAdaSyncValidation(t *testing.T) {
 		{K0: 0, M: 4, Interval: 1},
 		{K0: 5, M: 4, Interval: 1},
 		{K0: 1, M: 4, Interval: 0},
+		{K0: 1, M: 4, Interval: math.NaN()},
+		{K0: 1, M: 4, Interval: math.Inf(1)},
 	} {
 		func() {
 			defer func() {
