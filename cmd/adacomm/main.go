@@ -95,7 +95,9 @@ func main() {
 		"per-edge link overrides for gossip graph rounds as comma-separated I-J:latency:bandwidth "+
 			"entries, priced in both directions (empty part = inherit; e.g. \"3-4:10:\" makes edge 3-4 slow)")
 	linkAware := flag.Bool("link-aware", false,
-		"with -method adacomm: scale tau by the observed comm/compute ratio (slow links hold tau higher)")
+		"with -method adacomm: scale tau by the observed comm/compute ratio (slow links hold tau higher); "+
+			"with -async: wait each round only for the previous round's contributors whose upload was within 3x "+
+			"of the fastest (this cap can only fall: a passing slow-down lowers K for the rest of the run)")
 	strategyFlag := flag.String("strategy", "full",
 		"synchronization strategy: full | ring | elastic (ring runs CHOCO-SGD gossip, which rejects +ef)")
 	gossipGamma := flag.Float64("gossip-gamma", 0,

@@ -112,10 +112,10 @@
 // (priority queue over per-client virtual clocks, seeded tie-breaking, so
 // the event trace is a pure function of the seed at any GOMAXPROCS)
 // replaces the round barrier. Each update aggregates the FIRST K arrivals
-// (paramserver.ArrivalPolicy — the same K-of-m rule AdaSync's link-aware
-// cap uses), staleness-weighted by 1/(1+s) with arrivals more than 64
-// versions stale discarded; stragglers overlap later rounds instead of
-// gating them. Client sharding makes the population a memory non-issue:
+// (with LinkAware capped by delaymodel.FastLinkCap, the cap AdaSync's
+// link-aware mode uses), staleness-weighted by 1/(1+s) with arrivals more
+// than 64 versions stale discarded; stragglers overlap later rounds instead
+// of gating them. Client sharding makes the population a memory non-issue:
 // idle clients are a pair of RNG streams, in-flight clients a compressed
 // wire message (internal/compress, priced at dispatch via the size-aware
 // delay model), and only one compute replica is ever materialized — local

@@ -113,7 +113,7 @@ func asyncEvent(t *testing.T, e *AsyncEngine) {
 	case events.Arrival:
 		if e.arrive(ev.Worker, ev.Time) {
 			e.applyRound()
-			for e.nInFlight < e.inflight && e.dispatchNew(ev.Time) {
+			for e.n-len(e.idle) < e.cfg.InFlight && e.dispatchNew(ev.Time) {
 			}
 		}
 	}
@@ -123,7 +123,7 @@ func asyncEvent(t *testing.T, e *AsyncEngine) {
 // leaves it before the first event.
 func startedAsync(t *testing.T, cfg AsyncConfig) *AsyncEngine {
 	e := asyncSetup(t, 32).async(t, cfg)
-	for i := 0; i < e.inflight; i++ {
+	for i := 0; i < e.cfg.InFlight; i++ {
 		e.dispatchNew(0)
 	}
 	return e

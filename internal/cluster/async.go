@@ -7,9 +7,9 @@
 // per-client virtual clocks:
 //
 //   - K-of-m partial participation: each synchronization aggregates the
-//     FIRST K arrivals (paramserver.ArrivalPolicy — the same rule AdaSync
-//     applies on the server side), staleness-weighted by how many global
-//     versions elapsed since the contributor pulled its base model.
+//     FIRST K arrivals (under LinkAware K is delaymodel.FastLinkCap's, as
+//     in AdaSync), staleness-weighted by how many global versions elapsed
+//     since the contributor pulled its base model.
 //     Stragglers' in-flight work overlaps the next round instead of gating
 //     it; results more than 64 versions stale are discarded on arrival,
 //     which is what bounds the engine's version-history needs to ZERO (see
@@ -78,7 +78,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nn"
 	"repro/internal/opt"
-	"repro/internal/paramserver"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -128,10 +127,14 @@ type AsyncConfig struct {
 	// Theta(N*dim) state, exactly what client sharding exists to avoid.
 	Compress compress.Spec
 
-	// LinkAware caps the per-round arrival count at the number of links
-	// within 3x of the fastest observed upload, via the shared
-	// paramserver.ArrivalPolicy. Off, every round waits for exactly
-	// Participation arrivals.
+	// LinkAware caps a round's arrival count at the previous round's
+	// contributors whose upload was within 3x of the fastest of them
+	// (delaymodel.FastLinkCap); off, every round waits for Participation.
+	// The cap can only fall, since it counts among the previous round's K:
+	// a passing slow-down lowers K for good (P = InFlight = 8, Bandwidth 64,
+	// slow:0x50@r3-6: K stays 7, 284 arrivals in 40 updates against 320).
+	// Recovering needs a per-client memory of uplinks; P minus those seen
+	// slow recovers there but runs a permanent straggler 5x longer.
 	LinkAware bool
 
 	// RecordEvents retains the textual event trace (EventTrace), used by
@@ -207,11 +210,9 @@ type asyncClient struct {
 	model  *rng.Rand // sampler stream — the idle client's "seed"
 	delayR *rng.Rand // compute/transfer-time stream
 
-	inflight bool
-	msg      compress.Message
-	base     int     // global version pulled at dispatch
-	steps    int     // local iterations performed this activation
-	upTime   float64 // sampled upload transfer time (link-aware signal)
+	msg    compress.Message
+	base   int     // global version pulled at dispatch
+	upTime float64 // sampled upload transfer time (link-aware signal)
 }
 
 // AsyncStats summarizes a completed async run.
@@ -236,9 +237,8 @@ type AsyncStats struct {
 // AsyncEngine runs event-driven partial-participation training over a
 // population of sharded clients.
 type AsyncEngine struct {
-	cfg      AsyncConfig
-	n, dim   int
-	inflight int // target concurrently-active clients
+	cfg    AsyncConfig
+	n, dim int
 	// maxStaleness discards arrivals whose base model is more than this many
 	// versions old instead of applying them: the client goes idle and a
 	// replacement is dispatched, the drop-and-resample a production federated
@@ -250,7 +250,7 @@ type AsyncEngine struct {
 	version int
 
 	clients []asyncClient
-	idle    []int // idle client ids; sampled uniformly at dispatch
+	idle    []int // idle client ids, sampled at dispatch; the rest are in flight
 
 	// Membership, kept with or without a schedule (without one nobody is
 	// ever down): where each client sits on the idle list (-1 in flight), the
@@ -296,21 +296,16 @@ type AsyncEngine struct {
 	// once (AsyncStats.PeakInFlight) and the steady state allocates none.
 	freeMsgs []compress.Message
 
-	policy    paramserver.ArrivalPolicy
 	curK      int       // arrivals the current round waits for
-	arrivals  int       // arrivals accumulated toward the current round
 	wsum      float64   // staleness-weight mass of the current round
-	aggIters  int       // local iterations in the current round
-	linkTimes []float64 // contributors' upload times (current round)
-	lastLink  []float64 // previous round's upload times (policy input)
+	linkTimes []float64 // upload times of the current round's arrivals, one each
 
 	testSet   *data.Dataset
 	evalBatch data.Batch
 	testBatch data.Batch
 
-	stats     AsyncStats
-	staleSum  int64
-	nInFlight int
+	stats    AsyncStats
+	staleSum int64
 }
 
 // NewAsync builds an event-driven engine over len(shards) clients. The
@@ -354,7 +349,6 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		cfg:          cfg,
 		n:            n,
 		dim:          proto.ParamLen(),
-		inflight:     cfg.InFlight,
 		maxStaleness: 64,
 		global:       append([]float64(nil), proto.Params()...),
 		clients:      make([]asyncClient, n),
@@ -367,7 +361,6 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 		deltaBuf:     make([]float64, proto.ParamLen()),
 		decodeBuf:    make([]float64, proto.ParamLen()),
 		aggBuf:       make([]float64, proto.ParamLen()),
-		policy:       paramserver.ArrivalPolicy{K: cfg.Participation, LinkAware: cfg.LinkAware},
 		testSet:      test,
 	}
 	e.evalNets = []*nn.Network{e.computeModel}
@@ -503,11 +496,7 @@ func (e *AsyncEngine) dispatchNew(t float64) bool {
 	// The client is committed (off the idle list) the moment its Dispatch
 	// is scheduled — counting here, not at dispatch time, is what keeps the
 	// refill loop from over-committing past InFlight.
-	e.clients[id].inflight = true
-	e.nInFlight++
-	if e.nInFlight > e.stats.PeakInFlight {
-		e.stats.PeakInFlight = e.nInFlight
-	}
+	e.stats.PeakInFlight = max(e.stats.PeakInFlight, e.n-len(e.idle))
 	e.q.Push(events.Event{Time: t, Worker: id, Kind: events.Dispatch})
 	return true
 }
@@ -524,8 +513,9 @@ func (e *AsyncEngine) downNow() []int {
 }
 
 // armRound sets how many arrivals the round at the current version waits
-// for: the arrival policy's K given the previous round's upload times, and
-// no more than the clients that are up. Down clients are parked and
+// for: Participation, under LinkAware capped at the previous round's fast
+// links (delaymodel.FastLinkCap), and no more than the clients that are up.
+// Down clients are parked and
 // dispatching happens at round boundaries, so a barrier wider
 // than the surviving population could never fill: the queue would drain and
 // Run return as if finished — and since the schedule is keyed by the version
@@ -534,7 +524,10 @@ func (e *AsyncEngine) downNow() []int {
 // server clamps the same way.) With everyone down K stands, and the run
 // drains cleanly as documented.
 func (e *AsyncEngine) armRound(times []float64) {
-	e.curK = e.policy.Effective(times, e.cfg.Participation)
+	e.curK = e.cfg.Participation
+	if e.cfg.LinkAware {
+		e.curK = delaymodel.FastLinkCap(e.curK, times)
+	}
 	if up := e.n - len(e.downNow()); up > 0 && up < e.curK {
 		e.curK = up
 	}
@@ -611,7 +604,6 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 	}
 	e.comp.CompressInto(e.deltaBuf, &c.msg)
 	c.base = e.version
-	c.steps = e.cfg.Tau
 	c.upTime = e.delay.SampleTransfer(c.delayR, i, c.msg.Bytes())
 	// The fault multiplier (exactly 1 without a schedule) applies to both
 	// transfer legs, AFTER the draws, so the client's RNG streams stay
@@ -627,8 +619,6 @@ func (e *AsyncEngine) dispatch(i int, t float64) {
 
 // goIdle returns client i to the idle list.
 func (e *AsyncEngine) goIdle(i int) {
-	e.clients[i].inflight = false
-	e.nInFlight--
 	e.idlePos[i] = len(e.idle)
 	e.idle = append(e.idle, i)
 }
@@ -673,17 +663,15 @@ func (e *AsyncEngine) arrive(i int, t float64) (roundDone bool) {
 	w := stalenessWeight(s)
 	tensor.Axpy(w, e.decodeBuf, e.aggBuf)
 	e.wsum += w
-	e.arrivals++
-	e.aggIters += c.steps
 	e.staleSum += int64(s)
 	e.stats.Applied++
 	e.linkTimes = append(e.linkTimes, c.upTime)
-	return e.arrivals >= e.curK
+	return len(e.linkTimes) >= e.curK
 }
 
 // applyRound commits the staleness-weighted aggregate, advances the global
-// version, and re-arms the arrival policy with this round's observed upload
-// times.
+// version, re-arms the round with this round's observed upload times, and
+// returns the local iterations aggregated (Tau per arrival).
 func (e *AsyncEngine) applyRound() (iters int) {
 	scale := 1 / e.wsum
 	for j, v := range e.aggBuf {
@@ -693,14 +681,11 @@ func (e *AsyncEngine) applyRound() (iters int) {
 	e.refreshPull()
 	e.version++
 	e.stats.Updates++
-	iters = e.aggIters
+	iters = len(e.linkTimes) * e.cfg.Tau
 
-	e.lastLink = append(e.lastLink[:0], e.linkTimes...)
-	e.armRound(e.lastLink)
+	e.armRound(e.linkTimes)
 	e.linkTimes = e.linkTimes[:0]
 	e.wsum = 0
-	e.arrivals = 0
-	e.aggIters = 0
 	return iters
 }
 
@@ -727,7 +712,7 @@ func (e *AsyncEngine) Run(traceName string) *metrics.Trace {
 	record()
 	nextEval := e.cfg.EvalEvery
 
-	for i := 0; i < e.inflight; i++ {
+	for i := 0; i < e.cfg.InFlight; i++ {
 		e.dispatchNew(0)
 	}
 
@@ -757,7 +742,7 @@ func (e *AsyncEngine) Run(traceName string) *metrics.Trace {
 				}
 				// Refill the in-flight set from the idle population; the
 				// clients that just reported are eligible for resampling.
-				for e.nInFlight < e.inflight && e.dispatchNew(ev.Time) {
+				for e.n-len(e.idle) < e.cfg.InFlight && e.dispatchNew(ev.Time) {
 				}
 				if e.cfg.MaxUpdates > 0 && e.version >= e.cfg.MaxUpdates {
 					record()

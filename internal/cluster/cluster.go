@@ -52,7 +52,10 @@
 // the engine's: one, lent to every worker's compressor, because the engine
 // compresses one worker at a time. ComputeWorkers: 1 forces the legacy
 // serial loop; the golden and determinism tests pin serial and parallel
-// traces bit-identical at any worker count and width.
+// traces bit-identical at any worker count and width (internal/experiments'
+// parallel tests too, for AdaComm, fixed-tau and link-aware runs). A network
+// is never goroutine-shared: its layers are scratch arenas (internal/nn),
+// which is why a steady-state training step allocates nothing.
 //
 // # One path, whatever is absent
 //
@@ -457,13 +460,10 @@ type Engine struct {
 	// synchronizations (advancing the active graph), activeAdj is the
 	// adjacency of the most recent sync's graph (what the per-edge delay
 	// pricing charges; nil before the first sync and on non-gossip
-	// strategies, delegating to the per-worker path bit-identically),
-	// gammas holds the per-graph adaptive consensus steps when
-	// AdaptGossipGamma is set.
+	// strategies, delegating to the per-worker path bit-identically).
 	gseq      *graph.Sequence
 	syncs     int
 	activeAdj [][]int
-	gammas    []float64
 
 	// nets, grads and batches hold one network, gradient buffer and
 	// mini-batch buffer per compute slot: slot s runs the local steps of
@@ -492,8 +492,7 @@ type Engine struct {
 	// the round's schedule.
 	// subGraph caches the induced active subgraph of the current gossip
 	// graph (re-derived only when the graph index or membership changes —
-	// subForIdx/subActive are the cache key) and subGamma its re-adapted
-	// consensus step.
+	// subForIdx/subActive are the cache key).
 	fltActive  []bool
 	fltDown    []bool
 	fltNActive int
@@ -502,7 +501,6 @@ type Engine struct {
 	subGraph   *graph.Graph
 	subForIdx  int
 	subActive  []bool
-	subGamma   float64
 
 	// Previous round's membership view of the shared global-momentum
 	// buffer (allocated only with faults AND gmom): the buffered
@@ -653,19 +651,13 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		} else {
 			e.gseq = graph.Static(graph.Ring(m))
 		}
-		if cfg.AdaptGossipGamma {
-			e.gammas = make([]float64, e.gseq.Len())
-			for i := range e.gammas {
-				e.gammas[i] = graph.AdaptiveGamma(e.gseq.Graph(i).SpectralGap())
-			}
-		}
 		e.meanVecs = make([][]float64, m)
 		// CHOCO estimates cover the synced state. Lossless specs (None or
 		// identity, on a float64 wire) let the protocol ship the parameters
 		// themselves and pin the estimates exactly; see averageRing. A
 		// float32 wire is lossy, so it takes the general estimate-delta
 		// path.
-		e.gossip = newGossipState(m, e.extGlobal, cfg.GossipGamma, cfg.Compress.Lossless())
+		e.gossip = newGossipState(m, e.extGlobal, cfg.Compress.Lossless())
 		for i := range e.gossip.nodes {
 			e.gossip.nodes[i] = e.workers[i]
 		}

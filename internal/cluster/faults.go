@@ -94,21 +94,19 @@ func (e *Engine) reconcile(i int) {
 // arithmetic, bit for bit), or the induced subgraph over the active set —
 // down nodes isolated, Metropolis weights and spectral gap re-derived
 // (graph.Subgraph) — when membership shrank. The subgraph is cached on
-// (sequence index, active set) so steady churn rebuilds nothing, and its
-// re-adapted consensus step is published in e.subGamma for
-// AdaptGossipGamma. The published adjacency (per-edge delay pricing) always
-// matches the graph actually mixed on.
-func (e *Engine) activeGossipGraph() (*graph.Graph, int) {
+// (sequence index, active set) so steady churn rebuilds nothing. The
+// published adjacency (per-edge delay pricing) always matches the graph
+// actually mixed on.
+func (e *Engine) activeGossipGraph() *graph.Graph {
 	g, idx := e.nextGossipGraph()
 	if e.fltNActive == e.m {
-		return g, idx
+		return g
 	}
 	if idx != e.subForIdx || !slices.Equal(e.subActive, e.fltActive) {
 		e.subGraph = g.Subgraph(e.fltActive)
 		e.subForIdx = idx
 		copy(e.subActive, e.fltActive)
-		e.subGamma = graph.AdaptiveGamma(e.subGraph.SpectralGap())
 	}
 	e.activeAdj = e.subGraph.Adjacency()
-	return e.subGraph, idx
+	return e.subGraph
 }

@@ -351,7 +351,7 @@ func TestAsyncDispatchMatchesFilteredIdleList(t *testing.T) {
 			rate = 64
 		}
 		for id := range e.clients {
-			if e.clients[id].inflight && churn.Intn(rate) == 0 {
+			if e.idlePos[id] < 0 && churn.Intn(rate) == 0 {
 				e.goIdle(id)
 			}
 		}

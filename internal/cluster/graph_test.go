@@ -169,13 +169,14 @@ func TestAdaptGossipGammaFollowsSpectralGap(t *testing.T) {
 		graph.AdaptiveGamma(graph.Torus(4, 4).SpectralGap()),
 		graph.AdaptiveGamma(graph.Ring(16).SpectralGap()),
 	}
-	if len(e.gammas) != 2 || e.gammas[0] != want[0] || e.gammas[1] != want[1] {
-		t.Fatalf("adaptive gammas %v, want %v", e.gammas, want)
+	gammas := []float64{e.gossipGamma(e.gseq.Graph(0)), e.gossipGamma(e.gseq.Graph(1))}
+	if e.gseq.Len() != 2 || gammas[0] != want[0] || gammas[1] != want[1] {
+		t.Fatalf("adaptive gammas %v, want %v", gammas, want)
 	}
 	// The torus gap is far larger than the ring's, so its consensus step is
 	// more aggressive; both stay inside the clamp.
-	if !(e.gammas[0] > e.gammas[1]) || e.gammas[1] < 0.05 || e.gammas[0] > 1 {
-		t.Fatalf("adaptive gammas not ordered/clamped: %v", e.gammas)
+	if !(gammas[0] > gammas[1]) || gammas[1] < 0.05 || gammas[0] > 1 {
+		t.Fatalf("adaptive gammas not ordered/clamped: %v", gammas)
 	}
 	tr := e.Run(FixedTau{Tau: 5, Schedule: sgd.Const{Eta: 0.1}}, "adaptive")
 	if !(tr.FinalLoss() < tr.Points[0].Loss/2) {

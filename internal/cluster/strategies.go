@@ -112,7 +112,6 @@ type gossipReplica interface {
 // time-varying sequences need no estimate reshuffling: every node's estimate
 // exists every round, and an inactive edge simply goes unread.
 type gossipState struct {
-	gamma    float64     // consensus step size (Config.GossipGamma)
 	lossless bool        // lossless wire: nodes ship x_i, estimates pin exactly
 	hat      [][]float64 // hat[j] = x̂_j, updated only from wire messages
 	hatBack  []float64   // backing array for hat, the rows ChocoMix reads
@@ -125,10 +124,9 @@ type gossipState struct {
 // newGossipState builds the estimate state: every x̂_j starts at the initial
 // broadcast model (init), which all nodes know, so the state stays
 // wire-derivable from round zero.
-func newGossipState(m int, init []float64, gamma float64, lossless bool) *gossipState {
+func newGossipState(m int, init []float64, lossless bool) *gossipState {
 	dim := len(init)
 	g := &gossipState{
-		gamma:    gamma,
 		lossless: lossless,
 		hat:      make([][]float64, m),
 		hatBack:  make([]float64, m*dim),
@@ -150,8 +148,8 @@ func newGossipState(m int, init []float64, gamma float64, lossless bool) *gossip
 // executed, publishes its adjacency for the round's per-edge delay pricing
 // (roundTime runs after the mix, so the priced adjacency always matches the
 // sync just performed), and advances the sync counter that drives
-// time-varying sequences. The returned index selects the per-graph adaptive
-// gamma. It consumes no randomness, so graph topologies leave the engine's
+// time-varying sequences. The returned index keys the active-subgraph
+// cache. It consumes no randomness, so graph topologies leave the engine's
 // RNG streams untouched.
 func (e *Engine) nextGossipGraph() (*graph.Graph, int) {
 	idx := e.gseq.Index(e.syncs)
@@ -159,6 +157,15 @@ func (e *Engine) nextGossipGraph() (*graph.Graph, int) {
 	e.activeAdj = g.Adjacency()
 	e.syncs++
 	return g, idx
+}
+
+// gossipGamma is the consensus step of a mix on gr: GossipGamma, or under
+// AdaptGossipGamma the one gr's spectral gap gives (a subgraph's under churn).
+func (e *Engine) gossipGamma(gr *graph.Graph) float64 {
+	if e.cfg.AdaptGossipGamma {
+		return graph.AdaptiveGamma(gr.SpectralGap())
+	}
+	return e.cfg.GossipGamma
 }
 
 // averageRing is one CHOCO-SGD gossip round on the active mixing graph.
@@ -191,7 +198,7 @@ func (e *Engine) nextGossipGraph() (*graph.Graph, int) {
 // m = 3 the ring mix is the global mean, the "ring == full averaging"
 // anchor).
 func (e *Engine) averageRing() {
-	gr, idx := e.activeGossipGraph()
+	gr := e.activeGossipGraph()
 	g := e.gossip
 	e.roundMax = 0
 	for i, node := range g.nodes {
@@ -225,15 +232,7 @@ func (e *Engine) averageRing() {
 		e.roundBytes[i] = up
 		e.roundMax = max(e.roundMax, up)
 	}
-	gamma := g.gamma
-	if e.gammas != nil {
-		gamma = e.gammas[idx]
-		if e.fltNActive < e.m {
-			// AdaptGossipGamma re-adapts on every membership change: the
-			// consensus step follows the ACTIVE subgraph's spectral gap.
-			gamma = e.subGamma
-		}
-	}
+	gamma := e.gossipGamma(gr)
 	for i, node := range g.nodes {
 		if e.fltDown[i] {
 			continue

@@ -178,3 +178,57 @@ func TestUnitsLaw(t *testing.T) {
 		})
 	}
 }
+
+// TestCompleteGossipIsFullAveraging: on the complete graph every node's
+// Metropolis row is the uniform 1/m mean, so uncompressed gossip (the
+// identity wire, which pins every estimate to its replica) is full
+// averaging. Fault-free and under churn (the active subgraph of a complete
+// graph is complete on the active nodes), on finite links, every trace
+// point's time and iteration must be bit-equal and its loss equal up to the
+// summation order of the mean.
+func TestCompleteGossipIsFullAveraging(t *testing.T) {
+	train := data.GaussianBlobs(data.GaussianBlobsConfig{
+		Classes: 4, Dim: 10, N: 640, Separation: 4, Noise: 1.2, LabelNoise: 0.05,
+	}, rng.New(910))
+	proto := nn.NewLogisticRegression(10, 4)
+	proto.InitParams(rng.New(911))
+	const m = 4
+	shards := data.ShardIID(train, m, rng.New(912))
+	complete, err := comm.ParseTopology("complete")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(t *testing.T, cfg cluster.Config) *metrics.Trace {
+		dm := delaymodel.New(m, rng.Exponential{MeanVal: 1},
+			rng.ShiftedExponential{Shift: 0.5, Scale: 0.25}, delaymodel.ConstantScaling{})
+		dm.Bandwidth = 4096
+		cfg.BatchSize, cfg.EvalEvery, cfg.Seed, cfg.MaxTime = 16, 5, 913, 300
+		e, err := cluster.New(proto, shards, train, nil, dm, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.Run(cluster.FixedTau{Tau: 4, Schedule: sgd.Const{Eta: 0.1}}, "complete")
+	}
+	for _, spec := range []string{"", "blip:1@r3-6,slow:2x3@r2-9,drop:0.1"} {
+		t.Run("faults="+spec, func(t *testing.T) {
+			sched, err := faults.Parse(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := run(t, cluster.Config{Faults: sched})
+			gossip := run(t, cluster.Config{Strategy: cluster.RingGossip, Topology: complete, Faults: sched})
+			if len(full.Points) < 3 || len(gossip.Points) != len(full.Points) {
+				t.Fatalf("gossip recorded %d points, full averaging %d", len(gossip.Points), len(full.Points))
+			}
+			for i, p := range gossip.Points {
+				q := full.Points[i]
+				if p.Time != q.Time || p.Iter != q.Iter {
+					t.Fatalf("point %d: gossip at t=%v iter %d, full averaging at t=%v iter %d", i, p.Time, p.Iter, q.Time, q.Iter)
+				}
+				if d := math.Abs(p.Loss-q.Loss) / math.Abs(q.Loss); !(d <= 1e-12) {
+					t.Fatalf("point %d: gossip loss %v, full averaging %v (relative %.3g)", i, p.Loss, q.Loss, d)
+				}
+			}
+		})
+	}
+}

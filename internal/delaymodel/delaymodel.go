@@ -28,9 +28,10 @@
 // everywhere is an infinite link with no wire term. It returns the two terms
 // apart, so SampleDRound, SampleTransfer (one point-to-point transfer of the
 // event-driven engine) and the parameter server's exchange (TransferTerms)
-// each add them in the order their clocks always have. Check validates every
-// rate and latency the rule reads; a model it accepts, with non-negative
-// compute and delay distributions, never moves a clock backwards.
+// each add them in the order their clocks always have; FastLinkCap reads
+// such times back for the link-aware caps. Check validates every rate and
+// latency the rule reads; a model it accepts, with non-negative compute and
+// delay distributions, never moves a clock backwards.
 //
 // The one-D0-draw contract. A broadcast consumes exactly one D0 draw whatever
 // its arguments — masks, graphs, payloads and recording never shift the
@@ -421,6 +422,30 @@ func (dm *Model) ownLink(i int) Link {
 func (dm *Model) TransferTerms(worker, bytes int) (latency, wire float64) {
 	own := dm.ownLink(worker)
 	return dm.link(own, own, bytes, 1)
+}
+
+// FastLinkCap caps an arrival count k at the number of observed transfer
+// times within 3x (inclusive) of the fastest, and never below 1: wait only
+// for the links worth waiting for (Kas Hanna et al. 2022). With nothing
+// observed k stands; the cap never raises it.
+func FastLinkCap(k int, times []float64) int {
+	const slowCutoff = 3
+	if len(times) == 0 {
+		return k
+	}
+	fastest := math.Inf(1)
+	for _, t := range times {
+		if t < fastest {
+			fastest = t
+		}
+	}
+	n := 0
+	for _, t := range times {
+		if t <= fastest*slowCutoff {
+			n++
+		}
+	}
+	return min(k, max(n, 1))
 }
 
 // SampleTransfer draws the wall-clock cost of ONE point-to-point transfer

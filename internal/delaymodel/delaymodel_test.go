@@ -744,3 +744,30 @@ func TestSampleTransferPricesLinkAndBytes(t *testing.T) {
 		t.Fatalf("infinite-bandwidth transfer %v, want 0.5", got)
 	}
 }
+
+func TestFastLinkCap(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name  string
+		k     int
+		times []float64
+		want  int
+	}{
+		{"with nothing observed, K stands", 5, nil, 5},
+		{"free links are all fast", 4, []float64{0, 0, 0, 0}, 4},
+		{"homogeneous finite links", 4, []float64{2, 2, 2, 2}, 4},
+		{"a 10x straggler is excluded", 4, []float64{1, 1, 1, 10}, 3},
+		{"caps K at the fast links", 5, []float64{1, 1, 1, 100}, 3},
+		{"the cutoff is relative to the fastest", 4, []float64{1, 2.9, 3.1, 10}, 2},
+		{"2.9x is in", 4, []float64{1, 2.9, 10, 10}, 2},
+		{"the cutoff is inclusive: 3x is in, 3.1x is out", 4, []float64{1, 3, 3.1, 10}, 2},
+		{"one free link dwarfs the rest", 4, []float64{0, 5, 5, 5}, 1},
+		{"one fast link caps at 1", 4, []float64{1, 5, 5, 5}, 1},
+		{"the cap is never below 1", 4, []float64{nan, nan}, 1},
+		{"the cap never raises K", 2, []float64{1, 1, 1, 1}, 2},
+	} {
+		if got := FastLinkCap(tc.k, tc.times); got != tc.want {
+			t.Errorf("%s: FastLinkCap(%d, %v) = %d, want %d", tc.name, tc.k, tc.times, got, tc.want)
+		}
+	}
+}

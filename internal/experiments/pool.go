@@ -7,17 +7,6 @@ import (
 	"repro/internal/par"
 )
 
-// Shared experiment pool: every grid in this package — the RunComparison
-// baselines, the tau/gamma/coupling/interval/strategy ablations, the
-// compression cells, the link-aware configs — is a set of INDEPENDENT
-// configurations, each owning its seeds, its engine, and its controller.
-// forEach fans those configurations across a bounded goroutine pool and
-// writes results by index, so the rendered output is byte-identical to a
-// serial sweep regardless of pool width or scheduling (the determinism
-// tests assert this). Workloads shared across a grid's cells are read-only
-// once built; anything mutable (engines, controllers, RNG streams) is
-// constructed inside the per-index function.
-
 var poolWorkers int64 = int64(runtime.GOMAXPROCS(0))
 
 // SetWorkers bounds how many experiment configurations run concurrently

@@ -14,6 +14,15 @@
 // communication/computation ratio alpha, the gradient-noise floor, and the
 // number of adaptation intervals. Each driver takes a Scale knob:
 // ScaleQuick for unit tests, ScaleFull for the figures and examples.
+//
+// Concurrency: every grid's cells (the RunComparison baselines, the
+// ablations, the compression cells, the link-aware configs) are
+// independent configurations, each owning its seeds, engine and controller.
+// forEach (pool.go) runs them on a bounded pool (SetWorkers; -workers on
+// cmd/figures and cmd/sweep) and writes results by index, so the rendered
+// output is byte-identical to a serial sweep at any width. Workloads shared
+// across cells are read-only once built; parallel_test.go holds every grid
+// and registry row at pool widths 1 and 8, and engine pool widths too.
 package experiments
 
 import (

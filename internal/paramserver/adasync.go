@@ -3,6 +3,7 @@ package paramserver
 import (
 	"math"
 
+	"repro/internal/delaymodel"
 	"repro/internal/events"
 )
 
@@ -12,19 +13,14 @@ type AdaSyncConfig struct {
 	M        int     // worker count (upper bound for K)
 	Interval float64 // wall-clock adaptation interval T0
 	LR       float64 // learning rate (constant; schedules compose upstream)
-	// LinkAware caps K at the number of links within 3x (slowCutoff) of the
-	// fastest observed link (RoundInfo.LinkTimes) — the Kas Hanna et al.
-	// 2022 direction of waiting only for the K fastest workers, so one
-	// straggling link never gates every update. Off (the zero value) the
-	// controller is exactly the loss-ratio rule. The cap is the shared
-	// ArrivalPolicy rule, the same one the event-driven cluster engine
-	// applies to its K-of-m aggregation.
+	// LinkAware caps K at the number of links within 3x of the fastest
+	// observed link (RoundInfo.LinkTimes, delaymodel.FastLinkCap) — the Kas
+	// Hanna et al. 2022 direction of waiting only for the K fastest workers,
+	// so one straggling link never gates every update. Off (the zero value)
+	// the controller is exactly the loss-ratio rule. The event-driven cluster
+	// engine's K-of-m rounds apply the same cap.
 	LinkAware bool
 }
-
-// slowCutoff is the multiple of the fastest link's transfer time beyond which
-// a link-aware server considers a link too slow to wait for.
-const slowCutoff = 3
 
 // stallGrowth is the multiplicative bump applied to K when the loss-ratio
 // rule stalls (the mirror image of AdaComm's gamma decay).
@@ -73,61 +69,6 @@ func (a *AdaSync) K() int {
 	return a.curK
 }
 
-// ArrivalPolicy is the K-of-m arrival rule, factored out of this
-// controller so the event-driven cluster engine and the K-async server
-// share one definition of "how many arrivals is a sync worth waiting for":
-// aggregate the first K arrivals, and — when LinkAware — never wait for
-// more workers than have links within 3x (slowCutoff) of the fastest
-// observed one (Kas Hanna et al. 2022).
-type ArrivalPolicy struct {
-	K         int
-	LinkAware bool
-}
-
-// Effective returns the arrival count to wait for, given the most recent
-// per-worker transfer-time observations (nil before the first round): K
-// clamped into [1, m], then capped at FastLinkCount when LinkAware.
-func (p ArrivalPolicy) Effective(times []float64, m int) int {
-	k := p.K
-	if k < 1 {
-		k = 1
-	}
-	if k > m {
-		k = m
-	}
-	if p.LinkAware {
-		if fast := FastLinkCount(times, m, slowCutoff); k > fast {
-			k = fast
-		}
-	}
-	return k
-}
-
-// FastLinkCount returns how many of the given per-worker transfer times are
-// within cutoff of the fastest — the links a link-aware server is willing to
-// wait for. A nil/empty slice (no observations yet) counts every worker.
-func FastLinkCount(times []float64, m int, cutoff float64) int {
-	if len(times) == 0 {
-		return m
-	}
-	fastest := math.Inf(1)
-	for _, t := range times {
-		if t < fastest {
-			fastest = t
-		}
-	}
-	n := 0
-	for _, t := range times {
-		if t <= fastest*cutoff {
-			n++
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Next implements Controller.
 func (a *AdaSync) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
 	if !a.initialized {
@@ -162,10 +103,10 @@ func (a *AdaSync) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
 	return a.lastK, a.cfg.LR
 }
 
-// capped applies the link-aware ceiling to the loss-rule K via the shared
-// ArrivalPolicy (the loss rule keeps curK in [K0, M], so the policy's clamp
-// is a no-op here and the result is bit-identical to the pre-policy cap).
+// capped applies the link-aware ceiling to the loss-rule K.
 func (a *AdaSync) capped(k int, info RoundInfo) int {
-	p := ArrivalPolicy{K: k, LinkAware: a.cfg.LinkAware}
-	return p.Effective(info.LinkTimes, a.cfg.M)
+	if a.cfg.LinkAware {
+		return delaymodel.FastLinkCap(k, info.LinkTimes)
+	}
+	return k
 }

@@ -69,22 +69,79 @@ func TestAdaSyncStaticGoldenBitIdentical(t *testing.T) {
 	}
 }
 
+// firstK is the K a fresh AdaSync hands the server on its first round.
+func firstK(cfg AdaSyncConfig, times []float64) int {
+	k, _ := NewAdaSync(cfg).Next(RoundInfo{LinkTimes: times}, func() float64 { return 1 })
+	return k
+}
+
+// The fast-link count behind the link-aware cap (cutoff 3x the fastest
+// link), read both from delaymodel.FastLinkCap and through the K a
+// link-aware AdaSync starting at K0 = m hands the server.
 func TestFastLinkCount(t *testing.T) {
 	for _, tc := range []struct {
-		times  []float64
-		m      int
-		cutoff float64
-		want   int
+		times []float64
+		m     int
+		want  int
 	}{
-		{nil, 8, 3, 8},                        // no observations yet
-		{[]float64{0, 0, 0, 0}, 4, 3, 4},      // free links
-		{[]float64{1, 1, 1, 10}, 4, 3, 3},     // 10x straggler excluded
-		{[]float64{1, 2.9, 3.1, 10}, 4, 3, 2}, // cutoff is relative to fastest
-		{[]float64{0, 5, 5, 5}, 4, 3, 1},      // one free link dwarfs the rest
-		{[]float64{2, 2, 2, 2}, 4, 3, 4},      // homogeneous finite links
+		{nil, 8, 8},                        // no observations yet
+		{[]float64{0, 0, 0, 0}, 4, 4},      // free links
+		{[]float64{1, 1, 1, 10}, 4, 3},     // 10x straggler excluded
+		{[]float64{1, 2.9, 3.1, 10}, 4, 2}, // cutoff is relative to fastest
+		{[]float64{0, 5, 5, 5}, 4, 1},      // one free link dwarfs the rest
+		{[]float64{2, 2, 2, 2}, 4, 4},      // homogeneous finite links
 	} {
-		if got := FastLinkCount(tc.times, tc.m, tc.cutoff); got != tc.want {
-			t.Errorf("FastLinkCount(%v, %d, %v) = %d, want %d", tc.times, tc.m, tc.cutoff, got, tc.want)
+		if got := delaymodel.FastLinkCap(tc.m, tc.times); got != tc.want {
+			t.Errorf("FastLinkCap(%d, %v) = %d, want %d", tc.m, tc.times, got, tc.want)
+		}
+		cfg := AdaSyncConfig{K0: tc.m, M: tc.m, Interval: 10, LR: 0.1, LinkAware: true}
+		if got := firstK(cfg, tc.times); got != tc.want {
+			t.Errorf("link-aware AdaSync K0=M=%d on %v: K = %d, want %d", tc.m, tc.times, got, tc.want)
+		}
+	}
+}
+
+// The K AdaSync hands the server stays in [1, m]: a K0 outside it is
+// refused at construction, loss-rule growth stops at m, and the link-aware
+// cap neither drops K below 1 nor raises it.
+func TestArrivalPolicyClampsK(t *testing.T) {
+	for _, k0 := range []int{0, -3, 20} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewAdaSync(K0=%d, M=8) did not panic", k0)
+				}
+			}()
+			NewAdaSync(AdaSyncConfig{K0: k0, M: 8, Interval: 10, LR: 0.1})
+		}()
+	}
+
+	// Stalled loss doubles K each interval: 5 -> 10, which clamps to m = 8.
+	grow := NewAdaSync(AdaSyncConfig{K0: 5, M: 8, Interval: 1, LR: 0.1})
+	grow.Next(RoundInfo{}, func() float64 { return 1 })
+	if k, _ := grow.Next(RoundInfo{Time: 1}, func() float64 { return 1 }); k != 8 {
+		t.Errorf("K grown past m = %d, want m = 8", k)
+	}
+
+	cases := []struct {
+		name      string
+		k         int
+		linkAware bool
+		times     []float64
+		want      int
+	}{
+		{"plain K passes through", 5, false, []float64{1, 1, 100}, 5},
+		{"link-aware, no observations, no cap", 5, true, nil, 5},
+		{"link-aware caps at fast links", 5, true, []float64{1, 1, 1, 100}, 3},
+		{"link-aware cutoff 3 keeps 2.9x", 4, true, []float64{1, 2.9, 10, 10}, 2},
+		{"the cutoff is inclusive: 3x is in, 3.1x is out", 4, true, []float64{1, 3, 3.1, 10}, 2},
+		{"cap never below 1", 4, true, []float64{1, 5, 5, 5}, 1},
+		{"cap does not raise K", 2, true, []float64{1, 1, 1, 1}, 2},
+	}
+	for _, tc := range cases {
+		cfg := AdaSyncConfig{K0: tc.k, M: 8, Interval: 10, LR: 0.1, LinkAware: tc.linkAware}
+		if got := firstK(cfg, tc.times); got != tc.want {
+			t.Errorf("%s: K = %d, want %d", tc.name, got, tc.want)
 		}
 	}
 }
@@ -162,50 +219,42 @@ func TestAdaSyncLinkAwareEndToEnd(t *testing.T) {
 	}
 }
 
-func TestArrivalPolicyClampsK(t *testing.T) {
-	cases := []struct {
-		name  string
-		p     ArrivalPolicy
-		times []float64
-		m     int
-		want  int
-	}{
-		{"zero K clamps to 1", ArrivalPolicy{K: 0}, nil, 8, 1},
-		{"negative K clamps to 1", ArrivalPolicy{K: -3}, nil, 8, 1},
-		{"K above m clamps to m", ArrivalPolicy{K: 20}, nil, 8, 8},
-		{"plain K passes through", ArrivalPolicy{K: 5}, []float64{1, 1, 100}, 8, 5},
-		{"link-aware, no observations, no cap", ArrivalPolicy{K: 5, LinkAware: true}, nil, 8, 5},
-		{"link-aware caps at fast links", ArrivalPolicy{K: 5, LinkAware: true},
-			[]float64{1, 1, 1, 100}, 8, 3},
-		{"link-aware cutoff 3 keeps 2.9x", ArrivalPolicy{K: 4, LinkAware: true},
-			[]float64{1, 2.9, 10, 10}, 8, 2},
-		{"the cutoff is inclusive: 3x is in, 3.1x is out", ArrivalPolicy{K: 4, LinkAware: true},
-			[]float64{1, 3, 3.1, 10}, 8, 2},
-		{"cap never below 1", ArrivalPolicy{K: 4, LinkAware: true},
-			[]float64{1, 5, 5, 5}, 8, 1},
-		{"cap does not raise K", ArrivalPolicy{K: 2, LinkAware: true},
-			[]float64{1, 1, 1, 1}, 8, 2},
-	}
-	for _, tc := range cases {
-		if got := tc.p.Effective(tc.times, tc.m); got != tc.want {
-			t.Errorf("%s: Effective = %d, want %d", tc.name, got, tc.want)
-		}
-	}
+// kRecorder records the K its controller hands the server at each version.
+type kRecorder struct {
+	*AdaSync
+	ks []int
 }
 
-// TestArrivalPolicyMatchesAdaSyncCap pins the refactor: the policy applied
-// to raw (K, LinkTimes) must equal what AdaSync.capped historically
-// computed — K itself without observations, FastLinkCount-capped with.
-func TestArrivalPolicyMatchesAdaSyncCap(t *testing.T) {
-	times := []float64{1, 1.5, 2, 50}
-	for _, k := range []int{1, 2, 3, 4} {
-		p := ArrivalPolicy{K: k, LinkAware: true}
-		want := k
-		if fast := FastLinkCount(times, 4, 3); want > fast {
-			want = fast
-		}
-		if got := p.Effective(times, 4); got != want {
-			t.Errorf("K=%d: policy %d, legacy cap %d", k, got, want)
+func (r *kRecorder) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
+	k, lr := r.AdaSync.Next(info, evalLoss)
+	r.ks = append(r.ks, k)
+	return k, lr
+}
+
+// A worker down at version 0 has made no exchange, so its LinkTimes entry
+// must read its link's cost, not a free link that makes every real link look
+// slow: on homogeneous finite links link-aware AdaSync grows K past 1 long
+// before the blip ends at version 41 (fault-free it reaches 8 by the 9th
+// update).
+func TestAdaSyncLinkAwareUndispatchedWorkerIsNoFreeLink(t *testing.T) {
+	proto, shards, train := psSetup(t, 8)
+	cfg := psConfig(KAsync)
+	cfg.Bandwidth = 256
+	cfg.MaxUpdates = 60
+	cfg.Faults = mustFaults(t, "blip:0@r0-40")
+	s, err := New(proto, shards, train, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &kRecorder{AdaSync: NewAdaSync(AdaSyncConfig{K0: 1, M: 8, Interval: 2, LR: 0.1, LinkAware: true})}
+	s.Run(rec, "blip")
+	for v, k := range rec.ks {
+		if k > 1 {
+			if v >= 41 {
+				t.Fatalf("K first passed 1 at version %d, after the blip ended", v)
+			}
+			return
 		}
 	}
+	t.Fatalf("K never passed 1 in %d updates: %v", len(rec.ks), rec.ks)
 }

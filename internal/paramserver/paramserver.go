@@ -88,11 +88,12 @@ type RoundInfo struct {
 
 	// LinkTimes[i] is the deterministic transfer time of worker i's most
 	// recent exchange — its link latency plus the wire payload (gradient
-	// push plus any priced pull) over its link's effective bandwidth; the
-	// random compute and push-delay draws are excluded, so the entries
-	// characterize the LINKS, not the luck. All zeros on free homogeneous
-	// links. The slice is server-owned and refreshed in place; controllers
-	// must not retain or mutate it.
+	// push plus any priced pull) over its link's effective bandwidth, times
+	// any fault multiplier; the random compute and push-delay draws are
+	// excluded, so the entries characterize the LINKS, not the luck. A
+	// worker not yet dispatched reads its fault-free exchange cost. All
+	// zeros on free homogeneous links. The slice is server-owned and
+	// refreshed in place; controllers must not retain or mutate it.
 	LinkTimes []float64
 }
 
@@ -257,7 +258,7 @@ type Server struct {
 	pushMsg   compress.Message
 	pushBytes int
 	pullBytes int
-	linkTimes []float64 // per-worker transfer time of the latest dispatch
+	linkTimes []float64 // per-worker transfer time of the latest dispatch (RoundInfo.LinkTimes)
 
 	// Membership, kept with or without a schedule (without one nobody is
 	// ever down): fltDown is the version-keyed down mask and inflight tracks
@@ -311,7 +312,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	s.nets = []*nn.Network{proto.Clone()}
 	s.grad = make([]float64, proto.ParamLen())
 	s.evalBatch = data.EvalBatch(trainEval, cfg.EvalSubset, root)
-	s.linkTimes = make([]float64, s.m)
 	dim := proto.ParamLen()
 	s.pushBytes = cfg.Compress.WireBytes(dim)
 	s.comps = make([]compress.Compressor, s.m)
@@ -321,6 +321,13 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval *data.Dataset, cfg
 	}
 	if cfg.PullCompress.Enabled() {
 		s.pullBytes = cfg.PullCompress.WireBytes(dim)
+	}
+	// Until its first dispatch a worker's link reads the fault-free exchange
+	// cost: one down at version 0 must not look like a free link.
+	s.linkTimes = make([]float64, s.m)
+	for i := range s.linkTimes {
+		lat, wire := s.delay.TransferTerms(i, s.pushBytes+s.pullBytes)
+		s.linkTimes[i] = lat + wire
 	}
 	// Membership last; it consumes no RNG, so attaching a schedule cannot
 	// shift any existing stream.
