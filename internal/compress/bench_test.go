@@ -80,6 +80,33 @@ func BenchmarkTopKServed(b *testing.B) {
 	}
 }
 
+// BenchmarkCompressIntoTopKEF times top-k with error feedback at the two
+// shapes the engines run it, ps_adasync's push (650 coordinates, ratio 0.1)
+// and wire_mix's (16 400, ratio 0.25): CompressInto on one recycled
+// Message, after 100 rounds of the cycled stream have warmed the residual,
+// so the k-th bucket holds what an engine's does rather than a fresh
+// Gaussian's.
+func BenchmarkCompressIntoTopKEF(b *testing.B) {
+	for _, s := range []struct {
+		dim  int
+		spec string
+	}{{650, "topk:0.1+ef"}, {16400, "topk:0.25+ef"}} {
+		b.Run(fmt.Sprintf("%s/dim%d", s.spec, s.dim), func(b *testing.B) {
+			c := mustNew(b, s.spec, 1)
+			vs := benchVecs(s.dim)
+			msg := new(Message)
+			for i := 0; i < 100; i++ {
+				c.CompressInto(vs[i%benchCycle], msg)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.CompressInto(vs[i%benchCycle], msg)
+			}
+		})
+	}
+}
+
 // BenchmarkTopKSelection isolates the threshold step, the dominant cost of
 // top-k on large vectors.
 func BenchmarkTopKSelection(b *testing.B) {

@@ -55,6 +55,11 @@ type refCompressor interface {
 	Compress(vec []float64) (Message, error)
 }
 
+// refTopK is the quickselect and the two emission loops. The quickselect has
+// no defined answer on NaN, so a vector that holds one is thresholded by
+// selectBySort instead, and both loops compare |v|'s bit patterns: for every
+// non-NaN that is the float comparison, and with a NaN it is the order
+// contract the package comment states.
 type refTopK struct {
 	ratio  float64
 	magBuf []float64
@@ -70,17 +75,23 @@ func (t *refTopK) Compress(vec []float64) (Message, error) {
 	for i, v := range vec {
 		mags[i] = math.Abs(v)
 	}
-	thresh := refSelectKthLargest(mags, k)
+	var thresh uint64
+	if slices.ContainsFunc(vec, math.IsNaN) {
+		thresh = selectBySort(vec, k)
+	} else {
+		thresh = math.Float64bits(refSelectKthLargest(mags, k))
+	}
+	mag := func(v float64) uint64 { return math.Float64bits(math.Abs(v)) }
 	idx := make([]int32, 0, k)
 	vals := make([]float64, 0, k)
 	for i, v := range vec {
-		if math.Abs(v) > thresh {
+		if mag(v) > thresh {
 			idx = append(idx, int32(i))
 			vals = append(vals, v)
 		}
 	}
 	for i := 0; len(idx) < k && i < dim; i++ {
-		if math.Abs(vec[i]) == thresh {
+		if mag(vec[i]) == thresh {
 			idx = append(idx, int32(i))
 			vals = append(vals, vec[i])
 		}
@@ -331,6 +342,69 @@ func TestTopKMessagesMatchReference(t *testing.T) {
 							t.Fatalf("%s %s dim=%d round %d: residual[%d] = %v, reference %v",
 								spec, in.name, dim, round, i, resid[i], refEF.resid[i])
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// efStream is round r of a long error-feedback run's gradient stream at
+// dim: Gaussian coordinates, a quarter of them snapped to a few magnitudes
+// (exact ties, -0 among them), and every 23rd round one NaN, ±Inf or -0
+// planted at a coordinate that moves with the round. A NaN or infinity that
+// reaches the residual stays there as a NaN (Inf - Inf), so the late rounds
+// select among several.
+func efStream(dim, round int) []float64 {
+	r := rng.New(uint64(7919*dim + round))
+	snap := []float64{0.5, -0.5, 1, -1, 0, math.Copysign(0, -1)}
+	v := make([]float64, dim)
+	for i := range v {
+		v[i] = r.NormFloat64()
+		if r.Intn(4) == 0 {
+			v[i] = snap[r.Intn(len(snap))]
+		}
+	}
+	if round%23 == 11 {
+		plant := []float64{math.Float64frombits(0x7FF8000000000001), math.Inf(1), math.Float64frombits(0xFFF8000000000abc),
+			math.Inf(-1), math.Copysign(0, -1)}
+		v[(round*31)%dim] = plant[(round/23)%len(plant)]
+	}
+	return v
+}
+
+// TestTopKErrorFeedbackLongHorizon runs 200 rounds of CompressInto into one
+// recycled message against refTopK + refErrorFeedback (refNarrow on the
+// float32 wire) over efStream, and holds every message field, its Bytes and
+// the residual to the reference's bit for bit every round: a residual that
+// drifts by one bit shows in every later round's selection. CI's purego step
+// runs it on the Go loops.
+func TestTopKErrorFeedbackLongHorizon(t *testing.T) {
+	for _, spec := range []string{"topk:0.1+ef", "topk:0.25+ef", "topk:0.25+ef+f32"} {
+		s, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dim := range []int{5, 650, 16400} {
+			got := mustNew(t, spec, 0)
+			var inner refCompressor = &refTopK{ratio: s.Ratio}
+			if s.Wire == WireFloat32 {
+				inner = refNarrow{inner: inner}
+			}
+			ref := &refErrorFeedback{inner: inner}
+			var msg Message
+			for round := 0; round < 200; round++ {
+				vec := efStream(dim, round)
+				got.CompressInto(vec, &msg)
+				want, _ := ref.Compress(vec)
+				if !identicalMessages(msg, want) || msg.Bytes() != want.Bytes() {
+					t.Fatalf("%s dim=%d round %d: message %v %x (%d bytes), reference %v %x (%d bytes)", spec, dim, round,
+						msg.Indices, msg.Values, msg.Bytes(), want.Indices, want.Values, want.Bytes())
+				}
+				for i := range ref.resid {
+					if math.Float64bits(got.resid[i]) != math.Float64bits(ref.resid[i]) {
+						t.Fatalf("%s dim=%d round %d: residual[%d] = %#x, reference %#x", spec, dim, round, i,
+							math.Float64bits(got.resid[i]), math.Float64bits(ref.resid[i]))
 					}
 				}
 			}
