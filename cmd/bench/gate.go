@@ -48,9 +48,10 @@ type ratioPair struct {
 // that path) 1.1x. Axpy at 650: the four-lane kernel measures 2.7-4.2x over
 // the scalar loop written out where it was used, the Go tier 1.0-1.3x (its
 // loop is resliced, so it checks no bounds) — floors of 2 for the four.
-// Top-k's emission at wire_mix's 16 400 coordinates, ratio 0.25: the
-// four-lane compaction measures 2.2-2.6x over its Go loop written out, the
-// Go tier (which is that loop) 0.9-1.1x — a floor of 2. CHOCO's mix at the
+// Top-k's list at ps_adasync's 650 coordinates, ratio 0.1 (it replaced the
+// emission at wire_mix's 16 400, a pass top-k no longer runs): the four-lane
+// compaction of indices measures 2.58-2.75x over its Go loop written out,
+// the Go tier (which is that loop) 1.01-1.02x — a floor of 2. CHOCO's mix at the
 // torus row, five sources of 16 400 coordinates, the sixteen nodes' rows
 // taken in turn: the one fused pass measures 3.3-4.7x over the Go passes
 // written out, the Go tier (which is those passes) 0.9-1.07x — a floor of
@@ -82,7 +83,7 @@ var ratioPairs = []ratioPair{
 	{"Softmax4x10", "SoftmaxRef4x10", 2, 64, softmaxSetup},
 	{"GemmTA10x64k4", "GemmTAListRef10x64k4", 2, 64, gemmTAHeadSetup},
 	{"Axpy650", "AxpyRef650", 2, 32, axpySetup},
-	{"EmitAbove16400", "EmitAboveRef16400", 2, 4, emitSetup},
+	{"KeepFrom650", "KeepFromRef650", 2, 64, keepSetup},
 	{"ChocoMix16400", "ChocoMixRef16400", 2, 4, mixSetup},
 	{"Convolve8x8x8", "ConvolveRef8x8x8", 1.5, 16, convolveSetup},
 	{"MaxPool8x8x8", "MaxPoolRef8x8x8", 2, 64, maxPoolSetup},
@@ -104,7 +105,7 @@ const (
 // again, each row keeping its fastest round over every best-of, until it
 // clears the floor or has had verdictSamplings of them. A host busy with
 // other work — tier-1 runs other packages' test binaries on the same cores —
-// can slow a row through all sixteen rounds of one best-of (EmitAbove16400
+// can slow a row through all sixteen rounds of one best-of (a top-k pair
 // once read 1.97x against its 2.0x that way), while a kernel that lost its
 // margin stays under the floor however long it is sampled.
 func (p ratioPair) sample() (fast, ref Result) {

@@ -150,9 +150,10 @@ func TestGemmTARatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "GemmT
 // TestAxpyRatioFollowsTheTier: Axpy against the scalar loop.
 func TestAxpyRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "Axpy650") }
 
-// TestTopKRatioFollowsTheTier: top-k's emission against its Go loop, which
-// is all the Go tier runs.
-func TestTopKRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "EmitAbove16400") }
+// TestTopKRatioFollowsTheTier: top-k's second pass, which lists the
+// coordinates at or above the k-th bucket, against its Go loop, which is all
+// the Go tier runs.
+func TestTopKRatioFollowsTheTier(t *testing.T) { ratioFollowsTheTier(t, "KeepFrom650") }
 
 // TestMixRatioFollowsTheTier: CHOCO's fused mix against its Go passes,
 // which are all the Go tier runs.

@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"sort"
 
 	"repro/internal/compress"
 	"repro/internal/data"
@@ -425,42 +426,44 @@ func maxPoolSetup(kernel bool) func() {
 	}
 }
 
-// emitSetup is top-k's emission at wire_mix's shape, 16 400 coordinates at
-// ratio 0.25: the coordinates above the 4 100th largest magnitude as (index,
-// value) pairs, through EmitAbove, or by the Go loop it runs off the AVX2
-// tier, written out. Both cycle four Gaussian inputs, each with its own
-// threshold, small enough to stay in cache like a worker's vector.
-func emitSetup(kernel bool) func() {
-	const dim, k = 16400, 4100
+// keepSetup is top-k's second pass at ps_adasync's shape, 650 coordinates
+// at ratio 0.1, k = 65: the indices of the coordinates at or above the first
+// digit of the 65th largest magnitude, into a list four longer than the
+// longest such list, as top-k sizes it; through KeepFrom, or by the Go loop
+// it runs off the AVX2 tier, written out. Both cycle sixteen Gaussian
+// inputs, each with its own digit.
+func keepSetup(kernel bool) func() {
+	const dim, k, shift = 650, 65, 63 - tensor.DigitBits
 	r := rng.New(66)
-	vecs := make([][]float64, 4)
-	threshs := make([]uint64, len(vecs))
+	vecs := make([][]float64, 16)
+	digits := make([]uint64, len(vecs))
+	most := 0
 	for i := range vecs {
 		vecs[i] = make([]float64, dim)
-		keys := make([]uint64, dim)
+		pats := make([]uint64, dim)
 		for j := range vecs[i] {
 			vecs[i][j] = r.NormFloat64()
-			keys[j] = math.Float64bits(math.Abs(vecs[i][j]))
+			pats[j] = math.Float64bits(math.Abs(vecs[i][j]))
 		}
-		slices.Sort(keys)
-		threshs[i] = keys[dim-k]
+		slices.Sort(pats)
+		digits[i] = pats[dim-k] >> shift
+		most = max(most, dim-sort.Search(dim, func(j int) bool { return pats[j]>>shift >= digits[i] }))
 	}
-	idx, vals := make([]int32, k), make([]float64, k)
+	at := make([]int32, most+4)
 	i := 0
 	if kernel {
 		return func() {
-			tensor.EmitAbove(idx, vals, vecs[i%len(vecs)], threshs[i%len(vecs)])
+			tensor.KeepFrom(at, vecs[i%len(vecs)], digits[i%len(vecs)])
 			i++
 		}
 	}
 	return func() {
-		vec, thresh := vecs[i%len(vecs)], threshs[i%len(vecs)]
+		vec, lo := vecs[i%len(vecs)], digits[i%len(vecs)]<<shift
 		i++
 		n := 0
 		for j, v := range vec {
-			idx[n] = int32(j)
-			vals[n] = v
-			n += int((thresh - math.Float64bits(v)&(1<<63-1)) >> 63)
+			at[n] = int32(j)
+			n += int((math.Float64bits(v)&(1<<63-1)-lo)>>63) ^ 1
 		}
 	}
 }

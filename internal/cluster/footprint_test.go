@@ -311,9 +311,10 @@ func allocated(f func()) uint64 {
 
 // TestCompressedWireKeepsStateNotScratch: a compressed wire's per-worker
 // memory is its state — the error-feedback residual, the message — and
-// nothing else: top-k's candidate keys and histogram are one selection per
-// engine (compress.Selection), sized to the k-th radix bucket (about a fifth
-// of the vector), and the gradients and batches are one per compute slot.
+// nothing else: top-k's list, candidate keys and histogram are one
+// selection per engine (compress.Selection), the list sized to the
+// coordinates at or above the k-th radix bucket and the keys to the bucket,
+// and the gradients and batches are one per compute slot.
 // The first rounds of a 16-worker elastic engine on topk:0.25+ef, and a
 // 16-worker parameter server's first updates on topk:0.1+ef, must each
 // allocate under 1.5*m*dim float64 words. Keys per worker (on top of the

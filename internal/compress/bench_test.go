@@ -106,16 +106,3 @@ func BenchmarkCompressIntoTopKEF(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkTopKSelection isolates the threshold step, the dominant cost of
-// top-k on large vectors.
-func BenchmarkTopKSelection(b *testing.B) {
-	vs := benchVecs(benchDim)
-	var keys []uint64
-	var hist [1 << topBits]uint32
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		selectKthLargest(vs[i%benchCycle], benchDim/100, &keys, &hist)
-	}
-}

@@ -35,11 +35,11 @@
 //
 // Top-k runs once per worker per exchange on a vector the size of the
 // model, and once per gradient the parameter server receives, so its cost is
-// simulator overhead on every compressed run. It is four branch-free passes
+// simulator overhead on every compressed run. It is two branch-free passes
 // over the vector, each an AVX2 kernel in internal/tensor (four coordinates
 // per instruction where the CPU has them, the Go loops elsewhere and under
-// -tags purego, every bit the same on both), and a little work on what is
-// left, which stays here:
+// -tags purego, every bit the same on both), and a little work on the list
+// the second leaves, which stays here:
 //
 //   - Order. Magnitudes are compared as the IEEE-754 bit pattern of |v| (the
 //     word with its sign bit cleared) under unsigned integer order. For
@@ -55,67 +55,74 @@
 //     empty, zero-byte message. keepCount takes the ceiling of the decimal
 //     the ratio names: 0.14 * 650 evaluates to 91.00000000000001, and 91
 //     coordinates are kept, not 92.
-//   - Selection (selectKthLargest) is an exact radix select on those
-//     patterns. tensor.CountDigits counts the top 12 bits — exponent plus
-//     one mantissa bit, half-octave buckets — into a 4096-counter histogram
-//     and returns a 64-bit occupancy word of the 64-bucket groups it touched
-//     (digits and occupancy bits in lanes, the increments scalar), so the
-//     walk down from the top bucket to the one holding rank k, and the clear
-//     that restores the all-zero histogram, cost a few dozen counters on a
-//     bell-shaped vector instead of 4096 (a 650-wide vector cannot afford
-//     more). The walk also returns that bucket's count, and
-//     tensor.KeepDigit compacts the bucket's patterns into the selection's
-//     keys, which are sized to it (growKeys: at least count+4 entries,
-//     doubled when short, at most dim; a heavy-tie vector of one bucket
-//     takes dim). The candidates (about a fifth of a Gaussian vector)
-//     are then narrowed here by range-adaptive digits — their own [min, max]
-//     spread over about one counter each, at most 1024 — until 16 or fewer
-//     remain for an insertion sort, or all are equal. Range adaptation is
-//     what keeps clustered and heavily tied inputs at one or two tail
-//     passes; every tail pass strictly shrinks the range, so it terminates
-//     on any input. No pass branches on the data, which is the whole gain:
-//     to a comparison-based select every test against the pivot is a coin
-//     flip the branch predictor loses half the time — unless a benchmark
-//     feeds it one fixed vector and lets it learn the answers (bench_test.go
-//     cycles 64 inputs for that reason).
-//   - Emission. tensor.EmitAbove writes the strictly-greater coordinates as
-//     (index, value) pairs in ascending index order — fewer than k exist —
-//     then tensor.FillTies the coordinates tied with the threshold, lowest
-//     index first, from index 0 until there are k. That order and tie rule
-//     are the wire contract the goldens pin. The tie scan stores only the
-//     groups of four that hold a tie, so the search for the threshold's own
-//     coordinate, usually the one tie needed, takes four coordinates a step.
-//   - The store bound. The kernels store four lanes at a time into arrays
-//     sized to what they hold: a message's arrays are exactly k long with
-//     whatever capacity the holder gave them, and the keys only as long as
-//     the k-th bucket. A kernel stores only while its cursor is at least 4
-//     short of the array's length and leaves the rest to its Go loop, which
-//     stores one entry at a time. Nothing is written past len(Indices) or
-//     len(keys), whatever the capacity; the keys carry four entries of
-//     slack only so that KeepDigit's kernel runs to the last group instead
-//     of leaving the rest to its Go loop. TestTopKStoresNothingPastK holds the messages to that on
-//     both tiers with sentinels past k, and internal/tensor's
-//     TestKeepDigitStoresNothingPastKeys the keys, with sentinels past keys
-//     one entry longer than the bucket.
+//   - The count. tensor.CountDigits counts the top 13 bits of every pattern —
+//     exponent plus two mantissa bits, quarter-octave buckets — into an
+//     8192-counter histogram and returns a 64-bit occupancy word of the
+//     128-bucket groups it touched (digits and occupancy bits in lanes, the
+//     increments scalar), so the walk down from the top bucket to the one
+//     holding rank k, and the clear that restores the all-zero histogram,
+//     cost a few hundred counters on a bell-shaped vector instead of 8192.
+//     Under error feedback tensor.AddCountDigits forms the residual's sum in
+//     the same loop (below). The walk gives the k-th bucket, its count, and
+//     the rank of the k-th largest within it, so also how many coordinates
+//     lie above the bucket: k less that rank.
+//   - The list. tensor.KeepFrom writes the indices of the coordinates at or
+//     above the k-th bucket, in ascending order, into the selection's list:
+//     four lanes' indices per store, no values, so it is the cheapest pass
+//     there is. A 650-wide push at ratio 0.1 lists about 84 coordinates, 40
+//     above the bucket and 44 in it. Nothing after it reads the vector
+//     except at listed indices.
+//   - The tail. The bucket's patterns are gathered from the list into the
+//     selection's keys and narrowed by range-adaptive digits: the first
+//     spreads the bucket's own range, later ones the candidates' [min, max],
+//     each over about one counter per candidate (at most 1024), until 16 or
+//     fewer remain for an insertion sort, or all are equal. Range adaptation
+//     keeps clustered and heavily tied buckets at one or two passes; every
+//     pass strictly shrinks the range, so it terminates on any input.
+//   - Emission. One filter over the list writes the message: every listed
+//     coordinate is stored at the cursor, which advances past those strictly
+//     above the threshold, so they land in ascending index order (fewer than
+//     k exist); the threshold's ties are compacted to the front of the list
+//     as it is read, and fill the rest, lowest index first. That order and
+//     tie rule are the wire contract the goldens pin.
+//   - THE STORE BOUND. tensor.KeepFrom's kernel stores four indices at its
+//     cursor and advances it by the lanes kept, so it stores only while the
+//     cursor is at least 4 short of the list's length and leaves the rest to
+//     its Go loop, which stores one entry at a time. The list is sized to
+//     hold the listed coordinates plus 4 (grow: doubled when short, at most
+//     dim; a heavy-tie vector of one bucket takes dim), the keys to the
+//     bucket plus 1, and a message's arrays are exactly k long with whatever
+//     capacity the holder gave them: the filter's cursor never passes the
+//     count strictly above the threshold, which is below k. Nothing is
+//     written past any of those lengths. TestTopKStoresNothingPastK holds
+//     the messages and the selection to that on both tiers with sentinels
+//     past k and past a list and keys exactly as long as grow sizes them,
+//     and internal/tensor's TestKeepDigitStoresNothingPastKeys holds the
+//     kernel to a list one entry longer than it receives.
+//   - No pass branches on the data, which is the whole gain: to a
+//     comparison-based select every test against the pivot is a coin flip
+//     the branch predictor loses half the time — unless a benchmark feeds it
+//     one fixed vector and lets it learn the answers (bench_test.go cycles
+//     64 inputs for that reason).
 //
-// Error feedback forms vec + residual in the residual itself (tensor.Add,
-// four-wide and safe in place), and the scheme reads it there: a scheme
-// keeps no reference to its input, so no second dim-sized buffer is
-// needed. Fusing that add into the digit count measured 3.24 us against
-// 3.23 us per call at ps_adasync's shape (650 coordinates, ratio 0.1, best
-// of 30 runs of 20 000 calls): nothing, so the add stays a pass of its own.
+// Error feedback forms vec + residual in the residual itself, and the scheme
+// reads it there: a scheme keeps no reference to its input, so no second
+// dim-sized buffer is needed. Top-k forms it inside its count
+// (tensor.AddCountDigits, four-wide and safe in place, the add tensor.Add
+// does bit for bit); every other scheme adds first (tensor.Add).
 //
 // # A compressor keeps state, not scratch
 //
 // What a compressor owns outlives a call: its ratio or bit-width, its
 // stochastic stream, an error-feedback residual. What one call works in and
-// leaves behind — top-k's candidate keys and its 4096-counter histogram —
-// is a Selection, and a compressor built by Spec.NewWire borrows its
+// leaves behind — top-k's list, its candidate keys and its 8192-counter
+// histogram — is a Selection, and a compressor built by Spec.NewWire borrows its
 // holder's: the lock-step engine, the parameter server and the event-driven
 // engine each hold one and lend it to every compressor they build, so a
 // worker's wire costs its residual and its message, and m workers cost one
-// set of keys. That is safe because a call leaves nothing in a selection
-// that the next call reads (the keys are rewritten before they are read,
+// list and one set of keys. That is safe because a call leaves nothing in a
+// selection that the next call reads (the list and keys are rewritten
+// before they are read,
 // the histogram is all zero between calls), so which compressor ran last
 // cannot show in any bit. THE RULE: one selection is used by one goroutine
 // at a time, and two engines never share one. The engines compress in fixed
@@ -215,8 +222,8 @@
 // from AsyncEngine.freeMsgs before it builds one (so at most
 // AsyncStats.PeakInFlight exist). Tier-1 gates every spec's CompressInto and
 // each engine's exchange at zero allocations after warm-up; over a long run
-// a selection's keys can still double a handful of times, when a k-th
-// bucket outgrows every earlier one (growKeys). Compress(vec) is
+// a selection's list and keys can still double a handful of times, when a
+// k-th bucket outgrows every earlier one (Selection.grow). Compress(vec) is
 // CompressInto on a zero Message, for callers that want a fresh message and
 // accept the allocation of its arrays.
 //
@@ -387,7 +394,7 @@ type Compressor struct {
 // as it stands, a quantized one decoded first.
 func (c *Compressor) CompressInto(vec []float64, msg *Message) {
 	if !c.ef {
-		c.encode(vec, msg)
+		c.encode(vec, nil, msg)
 		return
 	}
 	dim := len(vec)
@@ -395,8 +402,7 @@ func (c *Compressor) CompressInto(vec []float64, msg *Message) {
 		c.resid = make([]float64, dim)
 	}
 	resid := c.resid
-	tensor.Add(resid, vec, resid)
-	c.encode(resid, msg)
+	c.encode(resid, vec, msg)
 	switch msg.Enc {
 	case EncSparse:
 		vals := msg.Values[:len(msg.Indices)]
@@ -424,11 +430,16 @@ func (c *Compressor) Compress(vec []float64) (Message, error) {
 // encode runs the scheme on vec into msg and narrows what it wrote on a
 // float32 wire: msg's arrays are the caller's, aliasing neither vec nor any
 // scratch, so the rounding touches only the payload just written. Decode
-// needs no inverse: the narrowed float64 values decode exactly.
-func (c *Compressor) encode(vec []float64, msg *Message) {
+// needs no inverse: the narrowed float64 values decode exactly. A non-nil
+// grad is added into vec first, vec[i] = grad[i] + vec[i] (error feedback's
+// sum, formed in the residual); top-k fuses that add into its digit count.
+func (c *Compressor) encode(vec, grad []float64, msg *Message) {
+	if grad != nil && c.kind != KindTopK {
+		tensor.Add(vec, grad, vec)
+	}
 	switch c.kind {
 	case KindTopK:
-		c.topK(vec, msg)
+		c.topK(vec, grad, msg)
 	case KindRandK:
 		c.randK(vec, msg)
 	case KindQSGD:
@@ -562,52 +573,128 @@ func checkDim(msg Message, dst []float64) error {
 // Top-k sparsification
 // ---------------------------------------------------------------------------
 
-// Selection is top-k's scratch: what one selectKthLargest call works in and
-// nothing that outlives it. A compressor borrows its holder's selection (see
-// "A compressor keeps state, not scratch" in the package comment): one
+// Selection is top-k's scratch: what one top-k call works in and nothing
+// that outlives it. A compressor borrows its holder's selection (see "A
+// compressor keeps state, not scratch" in the package comment): one
 // selection is used by one goroutine at a time, and two engines never share
 // one. The zero value is ready to use, and costs nothing until top-k first
 // selects in it.
 type Selection struct {
-	// keys holds the k-th bucket's |v| bit patterns, compacted in place to
-	// the candidates; it is sized to that bucket, not to the vector
-	// (growKeys).
+	// at lists the coordinates at or above the k-th bucket, ascending, as
+	// tensor.KeepFrom leaves them; the message is filtered from it, and its
+	// front then holds the threshold's ties. It is sized to that list, not
+	// to the vector (grow).
+	at []int32
+	// keys holds the k-th bucket's |v| bit patterns, compacted in place by
+	// the tail to the candidates; it is sized to the bucket.
 	keys []uint64
 	// hist is all zero between calls: each count clears the range it
-	// touched, so a 650-wide vector never pays for 4096 counters. Allocated
+	// touched, so a 650-wide vector never pays for 8192 counters. Allocated
 	// at the first selection, so an engine that never runs top-k holds none.
 	hist *[1 << topBits]uint32
 }
 
-// topK keeps the k = ceil(ratio*dim) largest-magnitude coordinates.
-// Magnitudes are ordered by the IEEE bit pattern of |v| (see the package
-// comment): for every non-NaN value that is the numeric order, and a NaN
-// ranks above +Inf. A message therefore always carries exactly k entries,
-// and a diverged (NaN) coordinate is shipped and priced like any other
-// instead of silently emptying the message. Entries strictly above the k-th
-// magnitude come first in ascending index order, then coordinates tied with
-// it, lowest index first.
-func (c *Compressor) topK(vec []float64, msg *Message) {
+// topK keeps the k = ceil(ratio*dim) largest-magnitude coordinates of vec,
+// after adding grad into it when grad is not nil. Magnitudes are ordered by
+// the IEEE bit pattern of |v| (see the package comment): for every non-NaN
+// value that is the numeric order, and a NaN ranks above +Inf. A message
+// therefore always carries exactly k entries, and a diverged (NaN)
+// coordinate is shipped and priced like any other instead of silently
+// emptying the message. Entries strictly above the k-th magnitude come first
+// in ascending index order, then coordinates tied with it, lowest index
+// first.
+func (c *Compressor) topK(vec, grad []float64, msg *Message) {
 	dim := len(vec)
 	msg.reset(dim, EncSparse)
 	if dim == 0 {
 		return
 	}
 	k := keepCount(c.ratio, dim)
-	sel := c.sel
-	if sel.hist == nil {
-		sel.hist = new([1 << topBits]uint32)
-	}
-	thresh := selectKthLargest(vec, k, &sel.keys, sel.hist)
-
-	// Fewer than k magnitudes are strictly above the k-th largest; then the
-	// coordinates tied with it fill the remaining slots, lowest index first,
-	// and at least k-n of them exist.
-	idx := grow(msg.Indices, k)
-	vals := grow(msg.Values, k)
-	n := tensor.EmitAbove(idx, vals, vec, thresh)
-	tensor.FillTies(idx, vals, n, vec, thresh)
+	idx, vals := grow(msg.Indices, k), grow(msg.Values, k)
+	c.sel.topK(idx, vals, vec, grad)
 	msg.Indices, msg.Values = idx, vals
+}
+
+// topK fills idx and vals, k = len(idx) entries with 1 <= k <= len(vec),
+// with vec's k largest magnitudes in topK's order, after vec[i] = grad[i] +
+// vec[i] when grad is not nil. hist must be all zero; it is all zero again
+// on return.
+//
+// It is an exact radix select in two passes over vec with no
+// data-dependent branch in either. The first counts the first digit of
+// every pattern (adding grad as it goes); the walk down from the top bucket
+// finds the k-th bucket, the rank of the k-th largest within it, and so
+// the number of coordinates above the bucket, k less that rank. The second
+// lists the coordinates at or above the bucket by index. Everything after
+// that reads only the list: the bucket's patterns are gathered from it, the
+// tail finds the threshold among them, and one filter over the list writes
+// the message.
+func (s *Selection) topK(idx []int32, vals []float64, vec, grad []float64) {
+	if s.hist == nil {
+		s.hist = new([1 << topBits]uint32)
+	}
+	var occ uint64
+	if grad != nil {
+		occ = tensor.AddCountDigits(vec, grad, s.hist)
+	} else {
+		occ = tensor.CountDigits(vec, s.hist)
+	}
+	// occ marks which groups of digits the vector reaches, so the walk and
+	// the clear touch those groups only.
+	base := uint64(bits.TrailingZeros64(occ)) * groupDigits
+	bucket, rank, members := walkDown(s.hist[base:bits.Len64(occ)*groupDigits], len(idx))
+	digit := bucket + base
+	above := len(idx) - rank
+	at, keys := s.grow(above+members, members, len(vec))
+	at = at[:tensor.KeepFrom(at, vec, digit)]
+
+	// The bucket's patterns, compacted from the list by a cursor that the
+	// coordinates above the bucket do not advance.
+	m := 0
+	for _, i := range at {
+		b := magnitude(vec[i])
+		keys[m] = b
+		m += int(((b>>digitShift ^ digit) - 1) >> 63)
+	}
+	thresh := selectInBucket(keys[:members], rank, digit<<digitShift, s.hist)
+
+	// The filter: every listed coordinate is stored at the message's cursor,
+	// which advances past those strictly above the threshold (fewer than k,
+	// so it stays below len(idx)), and the threshold's ties are
+	// compacted to the front of at (a store at or below the entry read).
+	// The ties then fill the rest of the message, lowest index first; at
+	// least that many exist.
+	n, t := 0, 0
+	for _, i := range at {
+		v := vec[i]
+		b := magnitude(v)
+		idx[n], vals[n] = i, v
+		n += int((thresh - b) >> 63)
+		at[t] = i
+		t += int(((b ^ thresh) - 1) >> 63)
+	}
+	for j, i := range at[:len(idx)-n] {
+		idx[n+j], vals[n+j] = i, vec[i]
+	}
+}
+
+// grow returns at and keys at their full capacity, grown first if they
+// cannot hold a list of listed coordinates, members of them in the bucket,
+// out of dim. tensor.KeepFrom needs one entry past the list (or dim in all),
+// and its kernel stores only at a cursor 4 short of the end, so listed+4
+// entries keep it running to the last group; the gather needs one key past
+// the members, or listed. A short array is replaced by one twice its
+// capacity, at least that long and at most dim: a run reallocates it a
+// handful of times at most, and only a list holding much of the vector
+// (heavy ties, or a ratio near 1) takes it to dim.
+func (s *Selection) grow(listed, members, dim int) (at []int32, keys []uint64) {
+	if need := min(listed+4, dim); cap(s.at) < need {
+		s.at = make([]int32, min(max(need, 2*cap(s.at)), dim))
+	}
+	if need := min(members+1, listed); cap(s.keys) < need {
+		s.keys = make([]uint64, min(max(need, 2*cap(s.keys)), dim))
+	}
+	return s.at[:cap(s.at)], s.keys[:cap(s.keys)]
 }
 
 func scatterSparse(msg Message, dst []float64) error {
@@ -625,44 +712,32 @@ func scatterSparse(msg Message, dst []float64) error {
 
 const (
 	// The first digit is tensor.DigitBits wide, the 11 exponent bits plus the
-	// top mantissa bit: half-octave buckets, so a bell-shaped vector leaves a
-	// fifth of itself in the k-th bucket and a 650-wide one clears a few
-	// dozen counters.
-	topBits = tensor.DigitBits
+	// top two mantissa bits: quarter-octave buckets, so a bell-shaped vector
+	// leaves about a tenth of itself in the k-th bucket.
+	topBits    = tensor.DigitBits
+	digitShift = 63 - topBits // a magnitude pattern's first digit
+	// groupDigits is how many digits one bit of the count's occupancy word
+	// covers: 64 bits for all of them.
+	groupDigits = 1 << topBits / 64
 
 	tailBuckets = 1024 // most counters a tail pass spreads a candidate range over
 	smallSelect = 16   // candidates left to an insertion sort
 )
 
-// selectKthLargest returns the bit pattern of the k-th largest |v| over vec
-// (1 <= k <= len(vec)) under the unsigned order of those patterns. *keys is
-// the caller's scratch, grown by growKeys when the k-th bucket outgrows it,
-// and hist must be all zero; it is all zero again on return.
-//
-// It is an exact radix select with no data-dependent branch in any pass
-// over the vector: count one digit into hist, walk down from the top bucket
-// to the one holding rank k, keep that bucket's members (compacted by
-// unconditional stores and a cursor that advances by what they kept), and
-// repeat on them. The first digit is fixed, and its count and keep are
-// tensor's four-lane CountDigits and KeepDigit over vec itself; every
-// later digit is range-adaptive — the candidates' own [lo, hi] spread over
-// about one counter per candidate — so a tightly clustered or heavily tied
-// vector converges as fast as a spread one.
-func selectKthLargest(vec []float64, k int, keys *[]uint64, hist *[1 << topBits]uint32) uint64 {
-	// occ marks which 64-bucket groups the vector reaches, so the walk and
-	// the clear touch those groups only.
-	occ := tensor.CountDigits(vec, hist)
-	base := uint64(bits.TrailingZeros64(occ)) * 64
-	bucket, rank, members := walkDown(hist[base:bits.Len64(occ)*64], k)
-	cand := growKeys(keys, members, len(vec))
-	cand = cand[:tensor.KeepDigit(cand, vec, bucket+base)]
-
+// selectInBucket returns the rank-th largest of the k-th bucket's patterns
+// (1 <= rank <= len(cand)), all of which have the first digit lo holds. It
+// compacts cand in place; hist must
+// be all zero, and is all zero again on return. Each pass spreads a range of
+// patterns over about one counter per candidate, walks down to the counter
+// holding the rank and keeps its candidates (unconditional stores, a cursor
+// that advances by what they kept); the candidates a pass drops above that
+// counter are what the walk takes off the rank. The first pass spreads the
+// bucket's own range, a fixed second digit; later ones, which only a tightly
+// clustered or heavily tied bucket reaches, the candidates' own [lo, hi], so
+// they converge as fast as a spread one.
+func selectInBucket(cand []uint64, rank int, lo uint64, hist *[1 << topBits]uint32) uint64 {
+	hi := lo | (1<<digitShift - 1)
 	for len(cand) > smallSelect {
-		lo, hi := cand[0], cand[0]
-		for _, c := range cand[1:] {
-			lo = min(lo, c)
-			hi = max(hi, c)
-		}
 		if lo == hi {
 			return lo
 		}
@@ -673,8 +748,17 @@ func selectKthLargest(vec []float64, k int, keys *[]uint64, hist *[1 << topBits]
 		for _, c := range cand {
 			hist[(c-lo)>>(shift&63)]++
 		}
+		var bucket uint64
 		bucket, rank, _ = walkDown(hist[:(hi-lo)>>shift+1], rank)
 		cand = keepBucket(cand, lo, shift, bucket)
+		if len(cand) <= smallSelect {
+			break
+		}
+		lo, hi = cand[0], cand[0]
+		for _, c := range cand[1:] {
+			lo = min(lo, c)
+			hi = max(hi, c)
+		}
 	}
 	// Insertion sort, descending.
 	for i := 1; i < len(cand); i++ {
@@ -688,12 +772,25 @@ func selectKthLargest(vec []float64, k int, keys *[]uint64, hist *[1 << topBits]
 	return cand[rank-1]
 }
 
+// magnitude is the bit pattern of |v|, top-k's order.
+func magnitude(v float64) uint64 { return math.Float64bits(v) &^ (1 << 63) }
+
 // walkDown finds the bucket holding the rank-th largest element given the
 // per-bucket counts, returns it with the rank restated within that bucket and
 // the bucket's count, and zeroes counts.
 func walkDown(counts []uint32, rank int) (bucket uint64, within, members int) {
 	b := len(counts) - 1
-	for above := 0; ; b-- {
+	above := 0
+	// Four counters a step while they hold fewer than the rank: the top of
+	// the range the count's occupancy word reaches is mostly empty.
+	for ; b >= 3; b -= 4 {
+		n := int(counts[b]) + int(counts[b-1]) + int(counts[b-2]) + int(counts[b-3])
+		if above+n >= rank {
+			break
+		}
+		above += n
+	}
+	for ; ; b-- {
 		members = int(counts[b])
 		if above+members >= rank {
 			within = rank - above
@@ -703,20 +800,6 @@ func walkDown(counts []uint32, rank int) (bucket uint64, within, members int) {
 	}
 	clear(counts)
 	return uint64(b), within, members
-}
-
-// growKeys returns *keys at its full capacity, grown first if it cannot hold
-// a bucket of members out of dim coordinates. tensor.KeepDigit needs one entry
-// past the members (or dim in all), and its kernel stores only at a cursor
-// 4 short of the end, so members+4 entries keep it running to the last group.
-// A short array is replaced by one twice its capacity, at least that long and
-// at most dim: a run reallocates it a handful of times at most, and only a
-// bucket holding much of the vector (heavy ties) takes it to dim.
-func growKeys(keys *[]uint64, members, dim int) []uint64 {
-	if need := min(members+4, dim); cap(*keys) < need {
-		*keys = make([]uint64, min(max(need, 2*cap(*keys)), dim))
-	}
-	return (*keys)[:cap(*keys)]
 }
 
 // keepBucket compacts keys in place to the members of one bucket, in their

@@ -529,12 +529,13 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 // TestTopKKeysSizedToBucket: a selection's candidate keys grow to the k-th
-// radix bucket, not to the vector. Four top-k compressors share one
+// radix bucket, and its list to the coordinates at or above that bucket,
+// not to the vector. Four top-k compressors at ratio 0.25 share one
 // selection, as an engine's workers do; over 50 rounds of Gaussian input at
-// dim 16 400 (the k-th half-octave bucket holds about a fifth of such a
-// vector) the keys are reallocated at most three times in all and stay under
-// half of dim. A vector of one magnitude is one bucket and grows them to
-// dim, and no further.
+// dim 16 400 each is reallocated at most three times in all, the keys stay
+// under a quarter of dim and the list (a quarter of dim and the bucket,
+// doubled once) under two thirds. A vector of one magnitude
+// is one bucket and grows both to dim, and no further.
 func TestTopKKeysSizedToBucket(t *testing.T) {
 	const dim = 16400
 	sel := new(Selection)
@@ -543,17 +544,23 @@ func TestTopKKeysSizedToBucket(t *testing.T) {
 		cs[i] = (Spec{Kind: KindTopK, Ratio: 0.25}).NewWire(func() *rng.Rand { return nil }, sel)
 	}
 	var msg Message
-	grows, last := 0, 0
+	grows, last, listGrows, lastList := 0, 0, 0, 0
 	for round := 0; round < 50; round++ {
 		for i := range cs {
 			cs[i].CompressInto(testVec(dim, uint64(round*len(cs)+i)), &msg)
 			if cap(sel.keys) != last {
 				grows, last = grows+1, cap(sel.keys)
 			}
+			if cap(sel.at) != lastList {
+				listGrows, lastList = listGrows+1, cap(sel.at)
+			}
 		}
 	}
-	if grows > 3 || last >= dim/2 {
-		t.Fatalf("keys grown %d times to %d of %d entries: want at most 3, under half", grows, last, dim)
+	if grows > 3 || last >= dim/4 {
+		t.Fatalf("keys grown %d times to %d of %d entries: want at most 3, under a quarter", grows, last, dim)
+	}
+	if listGrows > 3 || lastList >= 2*dim/3 {
+		t.Fatalf("list grown %d times to %d of %d entries: want at most 3, under two thirds", listGrows, lastList, dim)
 	}
 	ties := make([]float64, dim)
 	for i := range ties {
@@ -561,8 +568,8 @@ func TestTopKKeysSizedToBucket(t *testing.T) {
 	}
 	for i := range cs[:2] {
 		cs[i].CompressInto(ties, &msg)
-		if cap(sel.keys) != dim {
-			t.Fatalf("one magnitude: keys hold %d entries, want dim %d", cap(sel.keys), dim)
+		if cap(sel.keys) != dim || cap(sel.at) != dim {
+			t.Fatalf("one magnitude: keys hold %d entries and the list %d, want dim %d", cap(sel.keys), cap(sel.at), dim)
 		}
 	}
 }

@@ -229,9 +229,17 @@ func selectBySort(vec []float64, k int) uint64 {
 	return keys[len(keys)-k]
 }
 
+// runSelect is top-k's threshold: the smallest magnitude pattern of the k
+// coordinates a fresh Selection on hist keeps.
 func runSelect(vec []float64, k int, hist *[1 << topBits]uint32) uint64 {
-	var keys []uint64
-	return selectKthLargest(vec, k, &keys, hist)
+	sel := Selection{hist: hist}
+	idx, vals := make([]int32, k), make([]float64, k)
+	sel.topK(idx, vals, vec, nil)
+	thresh := magnitude(vals[0])
+	for _, v := range vals {
+		thresh = min(thresh, magnitude(v))
+	}
+	return thresh
 }
 
 func TestSelectKthLargest(t *testing.T) {
@@ -436,8 +444,13 @@ func tailTies(dim, a int, seed uint64) []float64 {
 // TestTopKStoresNothingPastK hands CompressInto messages whose Indices and
 // Values are the first k entries of longer arrays filled with sentinels, at
 // every k (every residue mod 4) of dims 1-19 and 64-67, on tail ties and
-// heavy ties: a four-lane store past a message's length would overwrite a
-// sentinel. Every message and residual must equal the reference's.
+// heavy ties, and a selection whose list and keys are exactly as long as
+// grow sizes them for the call, also followed by sentinels: a four-lane
+// store past any of those lengths would overwrite one. The tail-tie rounds
+// put k-1, k-2, k-3, 1 and 0 coordinates above the k-th bucket (as many as
+// there are; k of them cannot be, the k-th largest is in the bucket), the
+// bucket often one magnitude only. Every message and residual must equal
+// the reference's.
 func TestTopKStoresNothingPastK(t *testing.T) {
 	const sentinel = 0x5e7e5e7e
 	sentinelVal := math.Float64frombits(0x5e7e5e7e5e7e5e7e)
@@ -467,20 +480,43 @@ func TestTopKStoresNothingPastK(t *testing.T) {
 				}
 				idx, vals := make([]int32, k+5), make([]float64, k+5)
 				var msg Message
-				for round := 0; round < 6; round++ {
+				for round := 0; round < 10; round++ {
 					vec := heavyTies(dim, uint64(100*dim+round))
 					if round%2 == 0 {
-						// k-1, k-2 or k-3 above the ties, fewer where they cannot be.
-						vec = tailTies(dim, max(k-1-round/2, k-min(dim, 6), 0), uint64(100*dim+round))
+						// k-1, k-2 or k-3 above the ties, fewer where they cannot be;
+						// then 1 and 0.
+						a := []int{max(k-1, 0), max(k-2, k-min(dim, 6), 0), max(k-3, k-min(dim, 6), 0), 1, 0}[round/2]
+						vec = tailTies(dim, a, uint64(100*dim+round))
 					}
 					for i := range idx {
 						idx[i], vals[i] = sentinel, sentinelVal
 					}
 					msg.Indices, msg.Values = idx[:k], vals[:k]
+					sum := vec
+					if spec.ErrorFeedback && refEF.resid != nil {
+						sum = make([]float64, dim)
+						for i := range sum {
+							sum[i] = vec[i] + refEF.resid[i]
+						}
+					}
+					at, keys := exactSelection(got.sel, sum, k)
 					got.CompressInto(vec, &msg)
 					for i := k; i < len(idx); i++ {
 						if idx[i] != sentinel || math.Float64bits(vals[i]) != math.Float64bits(sentinelVal) {
 							t.Fatalf("%s dim=%d k=%d round %d: entry %d written, past the message's %d", spec, dim, k, round, i, k)
+						}
+					}
+					if &got.sel.at[0] != &at[0] || &got.sel.keys[0] != &keys[0] {
+						t.Fatalf("%s dim=%d k=%d round %d: the selection was regrown", spec, dim, k, round)
+					}
+					for i := cap(got.sel.at); i < len(at); i++ {
+						if at[i] != sentinel {
+							t.Fatalf("%s dim=%d k=%d round %d: list entry %d written, past its %d", spec, dim, k, round, i, cap(got.sel.at))
+						}
+					}
+					for i := cap(got.sel.keys); i < len(keys); i++ {
+						if keys[i] != keySentinel {
+							t.Fatalf("%s dim=%d k=%d round %d: key %d written, past the %d keys", spec, dim, k, round, i, cap(got.sel.keys))
 						}
 					}
 					rm, _ := ref.Compress(vec)
@@ -495,6 +531,37 @@ func TestTopKStoresNothingPastK(t *testing.T) {
 			}
 		}
 	}
+}
+
+const keySentinel = 0x5e7e5e7e5e7e5e7e
+
+// exactSelection gives sel a list and keys exactly as long as grow sizes
+// them for top-k of sum — the coordinates at or above the k-th largest's
+// first digit plus 4, the bucket's members plus 1, each capped as grow caps
+// it — as the front of longer arrays filled with sentinels, and returns
+// those arrays.
+func exactSelection(sel *Selection, sum []float64, k int) ([]int32, []uint64) {
+	digit := selectBySort(sum, k) >> digitShift
+	listed, members := 0, 0
+	for _, v := range sum {
+		d := magnitude(v) >> digitShift
+		if d >= digit {
+			listed++
+		}
+		if d == digit {
+			members++
+		}
+	}
+	nAt, nKeys := min(listed+4, len(sum)), min(members+1, listed)
+	at, keys := make([]int32, nAt+5), make([]uint64, nKeys+5)
+	for i := range at {
+		at[i] = 0x5e7e5e7e
+	}
+	for i := range keys {
+		keys[i] = keySentinel
+	}
+	sel.at, sel.keys = at[:nAt:nAt], keys[:nKeys:nKeys]
+	return at, keys
 }
 
 // TestErrorFeedbackDenseInnerMatchesReference pins the path sparse messages

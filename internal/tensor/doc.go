@@ -78,29 +78,27 @@
 //   - axpyAVX2 / addAVX2 / subAVX2 (Axpy, Add, Sub): the optimizer's plain
 //     step, the async aggregate, a dense message's decode-and-add, error
 //     feedback's vec + residual, the engines' deltas.
-//   - countAVX2 / keepAVX2 / aboveAVX2 / tiesAVX2 (CountDigits, KeepDigit,
-//     EmitAbove, FillTies: top-k's dim-wide passes, topk_amd64.s) on the
-//     magnitude pattern v AND absMask, whose clear sign bit makes the signed
-//     VPCMPGTQ the Go loops' unsigned order. The count computes the 12-bit
-//     digits and their occupancy bits (VPSLLVQ, OR-accumulated) in lanes and
-//     increments the counters scalar; the other three compact with
-//     axpyPanelAVX2's list idiom (VMOVMSKPD -> compressPerm -> VPERMD -> one
-//     four-lane store -> POPCNT), an emitted group's int32 indices being its
-//     mask's row of emitPerm plus the group's first index. THE STORE BOUND:
-//     an emitted message is exactly k long, its capacity the holder's, so
-//     aboveAVX2 and tiesAVX2 store a group only at a cursor n <= k-4 and
-//     hand the rest to their Go loops, which store one entry at a time below
-//     k; tiesAVX2 skips tie-free groups without storing, so a cursor already
-//     within 3 of k — the usual start, one tie short — still scans four
-//     coordinates a step to the first tie. keepAVX2 takes the same stop,
-//     len(keys)-4, and aboveAVX2's outer and inner loops: from cursor n the
-//     next (stop-n)/4+1 groups run unchecked, then the stop is tested again.
-//     THE OVERRUN HAZARD: top-k's keys are sized to the k-th bucket, not to
-//     vec, so a group starting at value t, which stores keys[n:n+4] with
-//     n <= t, would land past a short keys; KeepDigit's Go loop stores the
-//     rest one at a time below len(keys), which need only exceed the
-//     bucket's count (or equal len(vec)). Four entries of slack keep the
-//     kernel running to the last group.
+//   - countAVX2 / addCountAVX2 / keepFromAVX2 (CountDigits, AddCountDigits,
+//     KeepFrom: top-k's two dim-wide passes, topk_amd64.s) on the magnitude
+//     pattern v AND absMask, whose clear sign bit makes the signed VPCMPGTQ
+//     the Go loops' unsigned order. The count computes the 13-bit digits
+//     and their occupancy bits (VPSLLVQ, OR-accumulated) in lanes and
+//     increments the counters scalar; addCountAVX2 first forms and stores
+//     sum = vec + sum as addAVX2 does (vec the VADDPD's first source, so
+//     two NaNs keep vec's payload) and counts the sums — error feedback's
+//     add rides the count. keepFromAVX2 lists the indices of the values at
+//     or above a digit with axpyPanelAVX2's list idiom minus the permute: a
+//     kept group's int32 indices are its VMOVMSKPD mask's row of emitPerm
+//     plus the group's first index, one four-lane store at the cursor, which
+//     advances by the mask's POPCNT. THE STORE BOUND: it stores a group only
+//     at a cursor n <= len(at)-4; from cursor n the next (stop-n)/4+1 groups
+//     run unchecked, then the stop is tested again, and the Go loop stores
+//     the rest one at a time below len(at). THE OVERRUN HAZARD: top-k's list
+//     is sized to the coordinates at or above the k-th bucket, not to vec,
+//     so a group starting at value t, which stores at[n:n+4] with n <= t,
+//     would land past a short list; the list need only exceed its count (or
+//     equal len(vec)), and four entries of slack keep the kernel running to
+//     the last group.
 //   - chocoMixAVX2 (ChocoMix, mix_amd64.s): one node's CHOCO gossip mix in
 //     one pass over the coordinates, sixteen at a time in four registers
 //     (the Go loop takes len % 16; wire_mix's 16 400 leave none), the
@@ -307,8 +305,8 @@
 // its Go loops with the other rows' coefficients NaN and sentinels past C,
 // the mask and vector-update twins at
 // every misalignment, the conv lowering against per-element reference loops
-// with canaries past the patches and the padded images, the top-k passes with
-// sentinels past k and past keys one entry longer than the bucket, the dot
+// with canaries past the patches and the padded images, the top-k list with
+// sentinels past a list one entry longer than it receives, the dot
 // form's edge columns against
 // the 8-wide tile bit for bit with sentinels past C's last column and row,
 // and fuzz targets over raw float64 words and generator states
@@ -317,8 +315,8 @@
 // planted, canaries past logZ and the gradient — FuzzAxpyPanelTwin — a
 // random Gemm or GemmTA panel against its Go loops, the other rows'
 // coefficients NaN and sentinels past C — FuzzTopKTwin — whose
-// digit and threshold are the input's own patterns, so equal digits and ties
-// are the rule — FuzzMixTwin, whose planted NaNs meet in every add of the
+// digits are the input's own patterns, so equal digits and ties are the
+// rule — FuzzMixTwin, whose planted NaNs meet in every add of the
 // mix so that the surviving payload checks the operand order, and
 // FuzzLowerTwin, over random conv shapes against Im2Col
 // into a NaN-filled matrix and Zero + Col2Im; where one of Raise's adds meets

@@ -314,17 +314,16 @@ func TestMaskHelpersPanicOnMismatch(t *testing.T) {
 	w, x := NewMatrix(3, s.PatchLen()), NewMatrix(16, s.PatchLen())
 	img, pad, out := make([]float64, 32), make([]float64, s.PadLen()), make([]float64, 48)
 	for name, f := range map[string]func(){
-		"ReLU":          func() { ReLU(make([]float64, 3), make([]float64, 4)) },
-		"ReLUGrad/grad": func() { ReLUGrad(make([]float64, 4), make([]float64, 3), make([]float64, 4)) },
-		"ReLUGrad/dst":  func() { ReLUGrad(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
-		"Axpy":          func() { Axpy(1, make([]float64, 5), make([]float64, 4)) },
-		"Sub/b":         func() { Sub(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
-		"Sub/dst":       func() { Sub(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
-		"Add":           func() { Add(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
-		// As many members (zeros) as keys, then a coordinate to store.
-		"KeepDigit":     func() { KeepDigit(make([]uint64, 5), []float64{0, 0, 0, 0, 0, 1, 1, 1, 1}, 0) },
-		"EmitAbove":     func() { EmitAbove(make([]int32, 3), make([]float64, 4), make([]float64, 4), 0) },
-		"FillTies":      func() { FillTies(make([]int32, 4), make([]float64, 3), 0, make([]float64, 4), 0) },
+		"ReLU":           func() { ReLU(make([]float64, 3), make([]float64, 4)) },
+		"ReLUGrad/grad":  func() { ReLUGrad(make([]float64, 4), make([]float64, 3), make([]float64, 4)) },
+		"ReLUGrad/dst":   func() { ReLUGrad(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
+		"Axpy":           func() { Axpy(1, make([]float64, 5), make([]float64, 4)) },
+		"Sub/b":          func() { Sub(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
+		"Sub/dst":        func() { Sub(make([]float64, 5), make([]float64, 4), make([]float64, 4)) },
+		"Add":            func() { Add(make([]float64, 4), make([]float64, 4), make([]float64, 3)) },
+		"AddCountDigits": func() { AddCountDigits(make([]float64, 4), make([]float64, 5), new([1 << DigitBits]uint32)) },
+		// As many listed coordinates (ones) as places, then one to store.
+		"KeepFrom":      func() { KeepFrom(make([]int32, 5), []float64{1, 1, 1, 1, 1, 0, 0, 0, 0}, 1023<<(52-digitShift)) },
 		"Convolve/bias": func() { Convolve(s, w, make([]float64, 2), img, pad, x, out, false) },
 		"Convolve/out":  func() { Convolve(s, w, make([]float64, 3), img, pad, x, out[:47], true) },
 		"Convolve/w":    func() { Convolve(s, NewMatrix(3, 9), make([]float64, 3), img, pad, x, out, false) },

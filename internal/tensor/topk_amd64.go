@@ -8,25 +8,19 @@ package tensor
 //go:noescape
 func countAVX2(vec *float64, n int, hist *uint32) uint64
 
-// keepAVX2 is keepDigitGo over at most groups > 0 groups of four values from
-// an empty list, and stops before a group it would store at a cursor above
-// stop. It returns the count kept and how many values it took.
+// addCountAVX2 is addCountGo over n > 0 values, n a multiple of 4,
+// returning the occupancy word.
 //
 //go:noescape
-func keepAVX2(keys *uint64, vec *float64, stop, groups int, digit uint64) (count, done int)
+func addCountAVX2(sum, vec *float64, n int, hist *uint32) uint64
 
-// aboveAVX2 and tiesAVX2 are emitAboveGo and fillTiesGo over at most
-// groups > 0 groups of four values from index 0, with the cursor starting at
-// n, and stop before a group they would store at a cursor above stop;
-// tiesAVX2 stores only the groups that hold a tie and also stops once the
-// cursor reaches stop+4. Both return the cursor and how many values they
+// keepFromAVX2 is keepFromGo over at most groups > 0 groups of four values
+// from index 0 into an empty list, and stops before a group it would store
+// at a cursor above stop. It returns the count kept and how many values it
 // took.
 //
 //go:noescape
-func aboveAVX2(idx *int32, vals *float64, n, stop int, vec *float64, groups int, thresh uint64) (count, done int)
-
-//go:noescape
-func tiesAVX2(idx *int32, vals *float64, n, stop int, vec *float64, groups int, thresh uint64) (count, done int)
+func keepFromAVX2(at *int32, vec *float64, stop, groups int, digit uint64) (count, done int)
 
 // emitPerm[m] lists the lanes whose bit is set in m, in order: the offsets,
 // from a group's first index, of the indices the group emits.
@@ -59,28 +53,19 @@ func countDigitsBulk(vec []float64, hist *[1 << DigitBits]uint32) (int, uint64) 
 	return n, countAVX2(&vec[0], n, &hist[0])
 }
 
-func keepDigitBulk(keys []uint64, vec []float64, digit uint64) (n, done int) {
-	groups, stop := len(vec)/4, len(keys)-4
+func addCountBulk(sum, vec []float64, hist *[1 << DigitBits]uint32) (int, uint64) {
+	n := len(sum) &^ 3
+	if !useAVX2 || n == 0 {
+		return 0, 0
+	}
+	_ = vec[n-1]
+	return n, addCountAVX2(&sum[0], &vec[0], n, &hist[0])
+}
+
+func keepFromBulk(at []int32, vec []float64, digit uint64) (n, done int) {
+	groups, stop := len(vec)/4, len(at)-4
 	if !useAVX2 || groups == 0 || stop < 0 {
 		return 0, 0
 	}
-	return keepAVX2(&keys[0], &vec[0], stop, groups, digit)
-}
-
-func emitAboveBulk(idx []int32, vals []float64, vec []float64, thresh uint64) (n, done int) {
-	groups, stop := len(vec)/4, len(idx)-4
-	if !useAVX2 || groups == 0 || stop < 0 {
-		return 0, 0
-	}
-	_ = vals[len(idx)-1]
-	return aboveAVX2(&idx[0], &vals[0], 0, stop, &vec[0], groups, thresh)
-}
-
-func fillTiesBulk(idx []int32, vals []float64, n int, vec []float64, thresh uint64) (count, done int) {
-	groups := len(vec) / 4
-	if !useAVX2 || groups == 0 || n >= len(idx) {
-		return n, 0
-	}
-	_ = vals[len(idx)-1]
-	return tiesAVX2(&idx[0], &vals[0], n, len(idx)-4, &vec[0], groups, thresh)
+	return keepFromAVX2(&at[0], &vec[0], stop, groups, digit)
 }

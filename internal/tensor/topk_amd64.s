@@ -2,234 +2,163 @@
 
 #include "textflag.h"
 
+// A pattern's first digit is b >> DIGITSHIFT (topk.go's digitShift), its
+// occupancy bit b >> 57, the digit >> OCCSHIFT.
+#define DIGITSHIFT $50
+#define OCCSHIFT $7
+
 // The top-k passes of topk.go, four magnitude patterns per YMM register. A
 // lane's pattern is its value AND absMask; the sign bit is clear, so the
-// signed VPCMPGTQ is the Go loops' unsigned order. The compactions take the
-// kept lanes' 4-bit VMOVMSKPD mask, move those lanes to the front with the
-// mask's VPERMD pattern (compressPerm), store all four lanes at the cursor
-// and advance it by the mask's POPCNT: the axpy panel's list idiom. The emitted
-// indices are the mask's row of emitPerm, the kept lanes' numbers, plus the
-// group's first index.
+// signed VPCMPGTQ is the Go loops' unsigned order.
 
-// func countAVX2(vec *float64, n int, hist *uint32) uint64
-//
-// hist[b >> 51]++ for the pattern b of each of n > 0 values, n a multiple of
-// 4, and the OR of 1 << (b >> 57) over them. The digit and the occupancy bit
-// are computed in lanes; the four increments are scalar, in lane order.
-TEXT ·countAVX2(SB), NOSPLIT, $0-32
-	MOVQ         vec+0(FP), SI
-	MOVQ         n+8(FP), CX
-	MOVQ         hist+16(FP), DI
-	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
-	VMOVQ        AX, X15
-	VPBROADCASTQ X15, Y15 // |v| mask
-	VPCMPEQQ     Y14, Y14, Y14
-	VPSRLQ       $63, Y14, Y14 // 1 in every lane
-	VPXOR        Y13, Y13, Y13 // occupancy, per lane
+// COUNTGROUP counts the four values in Y0: hist[b >> 50]++ into the counters
+// at R9 for the pattern b of each (Y15 is the |v| mask), and the OR of
+// 1 << (b >> 57) into Y13 (Y14 holds 1 in every lane). The digits and the
+// occupancy bits are computed in lanes; the four increments are scalar, in
+// lane order.
+#define COUNTGROUP \
+	VPAND        Y15, Y0, Y0; \
+	VPSRLQ       DIGITSHIFT, Y0, Y0; \
+	VPSRLQ       OCCSHIFT, Y0, Y1; \
+	VPSLLVQ      Y1, Y14, Y1; \
+	VPOR         Y1, Y13, Y13; \
+	VMOVQ        X0, AX; \
+	VPEXTRQ      $1, X0, BX; \
+	VEXTRACTI128 $1, Y0, X0; \
+	VMOVQ        X0, DX; \
+	VPEXTRQ      $1, X0, R8; \
+	INCL         (R9)(AX*4); \
+	INCL         (R9)(BX*4); \
+	INCL         (R9)(DX*4); \
+	INCL         (R9)(R8*4)
 
-countloop:
-	VPAND        (SI), Y15, Y0
-	VPSRLQ       $51, Y0, Y0 // digits
-	VPSRLQ       $6, Y0, Y1  // their occupancy bits
-	VPSLLVQ      Y1, Y14, Y1
-	VPOR         Y1, Y13, Y13
-	VMOVQ        X0, AX
-	VPEXTRQ      $1, X0, BX
-	VEXTRACTI128 $1, Y0, X0
-	VMOVQ        X0, DX
-	VPEXTRQ      $1, X0, R8
-	INCL         (DI)(AX*4)
-	INCL         (DI)(BX*4)
-	INCL         (DI)(DX*4)
-	INCL         (DI)(R8*4)
-	ADDQ         $32, SI
-	SUBQ         $4, CX
-	JNZ          countloop
-
-	VEXTRACTI128 $1, Y13, X0
-	VPOR         X0, X13, X0
-	VPSHUFD      $0x4E, X0, X1
-	VPOR         X1, X0, X0
-	VMOVQ        X0, ret+24(FP)
-	VZEROUPPER
-	RET
-
-// func keepAVX2(keys *uint64, vec *float64, stop, groups int, digit uint64) (count, done int)
-//
-// Compacts to keys the patterns of the values whose digit b >> 51 is digit,
-// from value 0 over at most groups > 0 groups of four, every group stored
-// unconditionally, and stops before a group when the cursor is above stop:
-// aboveAVX2's bound, so keys need only be as long as the bucket.
-TEXT ·keepAVX2(SB), NOSPLIT, $0-56
-	MOVQ         keys+0(FP), DI
-	MOVQ         vec+8(FP), SI
-	MOVQ         stop+16(FP), R9
-	MOVQ         groups+24(FP), R8
-	VPBROADCASTQ digit+32(FP), Y14
-	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
-	VMOVQ        AX, X15
-	VPBROADCASTQ X15, Y15
-	LEAQ         ·compressPerm(SB), R12
-	XORQ         R13, R13     // the cursor
-	MOVQ         SI, R11      // vec, to count the values taken
-	SHLQ         $5, R8
-	ADDQ         SI, R8       // the end of the last group
-
-keepouter:
-	// As in aboveAVX2: from cursor n the next (stop - n) / 4 + 1 groups
-	// store at or below stop, so they run unchecked up to the group end CX.
-	MOVQ    R9, CX
-	SUBQ    R13, CX
-	JLT     keepdone
-	SHRQ    $2, CX
-	SHLQ    $5, CX
-	LEAQ    32(SI)(CX*1), CX
-	CMPQ    CX, R8
-	CMOVQGT R8, CX
-
-keeploop:
-	VPAND     (SI), Y15, Y0
-	VPSRLQ    $51, Y0, Y1
-	VPCMPEQQ  Y14, Y1, Y1
-	VMOVMSKPD Y1, DX
-	POPCNTQ   DX, BX
-	SHLQ      $5, DX
-	VMOVDQU   (R12)(DX*1), Y2
-	VPERMD    Y0, Y2, Y0
-	VMOVDQU   Y0, (DI)(R13*8)
-	ADDQ      BX, R13
-	ADDQ      $32, SI
-	CMPQ      SI, CX
-	JNE       keeploop
-	CMPQ      SI, R8
-	JNE       keepouter
-
-keepdone:
-	SUBQ R11, SI
-	SHRQ $3, SI
-	MOVQ R13, count+40(FP)
-	MOVQ SI, done+48(FP)
-	VZEROUPPER
-	RET
-
-// EMITSETUP loads the constants both emission kernels use: Y15 the |v| mask,
-// Y14 the threshold, X13 the group's first index in every int32 lane, X12
-// four in every lane, R12 and R11 the two pattern tables; AX is the index of
-// the next value, R8 the number of values.
-#define EMITSETUP \
+// COUNTSETUP loads COUNTGROUP's constants and clears its occupancy.
+#define COUNTSETUP \
 	MOVQ         $0x7FFFFFFFFFFFFFFF, AX; \
 	VMOVQ        AX, X15; \
 	VPBROADCASTQ X15, Y15; \
-	LEAQ         ·compressPerm(SB), R12; \
-	LEAQ         ·emitPerm(SB), R11; \
-	VPXOR        X13, X13, X13; \
-	MOVL         $4, AX; \
-	VMOVD        AX, X12; \
-	VPBROADCASTD X12, X12; \
-	XORQ         AX, AX; \
-	SHLQ         $2, R8
+	VPCMPEQQ     Y14, Y14, Y14; \
+	VPSRLQ       $63, Y14, Y14; \
+	VPXOR        Y13, Y13, Y13
 
-// EMITSTORE stores the group in Y0 whose kept lanes' mask is in DX: values
-// to R10 and int32 indices to DI, both at the cursor R13, which it advances.
-// The kept lanes' numbers are emitPerm's row, so their indices are that row
-// plus the group's first index (VPADDD rather than a second permute, which
-// would share VPERMD's port). compressPerm's rows are 32 bytes, emitPerm's
-// 16.
-#define EMITSTORE \
-	POPCNTQ   DX, BX; \
-	SHLQ      $4, DX; \
-	VMOVDQU   (R12)(DX*2), Y2; \
-	VPERMD    Y0, Y2, Y2; \
-	VMOVDQU   Y2, (R10)(R13*8); \
-	VPADDD    (R11)(DX*1), X13, X3; \
-	VMOVDQU   X3, (DI)(R13*4); \
-	ADDQ      BX, R13
+// COUNTDONE returns the OR of Y13's four lanes in AX.
+#define COUNTDONE \
+	VEXTRACTI128 $1, Y13, X0; \
+	VPOR         X0, X13, X0; \
+	VPSHUFD      $0x4E, X0, X1; \
+	VPOR         X1, X0, X0; \
+	VMOVQ        X0, AX
 
-// func aboveAVX2(idx *int32, vals *float64, n, stop int, vec *float64, groups int, thresh uint64) (count, done int)
+// func countAVX2(vec *float64, n int, hist *uint32) uint64
 //
-// Emits (i, vec[i]) for the values whose pattern is above thresh, from value
-// 0 over at most groups > 0 groups of four, every group stored
-// unconditionally, and stops before a group when the cursor is above stop.
-TEXT ·aboveAVX2(SB), NOSPLIT, $0-72
-	MOVQ         idx+0(FP), DI
-	MOVQ         vals+8(FP), R10
-	MOVQ         n+16(FP), R13
-	MOVQ         stop+24(FP), R9
-	MOVQ         vec+32(FP), SI
-	MOVQ         groups+40(FP), R8
-	VPBROADCASTQ thresh+48(FP), Y14
-	EMITSETUP
+// COUNTGROUP over n > 0 values, n a multiple of 4.
+TEXT ·countAVX2(SB), NOSPLIT, $0-32
+	MOVQ vec+0(FP), SI
+	MOVQ n+8(FP), CX
+	MOVQ hist+16(FP), R9
+	COUNTSETUP
 
-aboveouter:
+countloop:
+	VMOVDQU (SI), Y0
+	COUNTGROUP
+	ADDQ    $32, SI
+	SUBQ    $4, CX
+	JNZ     countloop
+
+	COUNTDONE
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func addCountAVX2(sum, vec *float64, n int, hist *uint32) uint64
+//
+// sum = vec + sum over n > 0 values, n a multiple of 4, as addAVX2 adds (vec
+// the VADDPD's first source, so two NaNs keep vec's payload), then
+// COUNTGROUP on the sums.
+TEXT ·addCountAVX2(SB), NOSPLIT, $0-40
+	MOVQ sum+0(FP), DI
+	MOVQ vec+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ hist+24(FP), R9
+	COUNTSETUP
+
+addcountloop:
+	VMOVUPD (SI), Y0
+	VADDPD  (DI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	COUNTGROUP
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JNZ     addcountloop
+
+	COUNTDONE
+	MOVQ AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func keepFromAVX2(at *int32, vec *float64, stop, groups int, digit uint64) (count, done int)
+//
+// Compacts to at the indices of the values whose pattern is at least
+// lo = digit << DIGITSHIFT, the digit's smallest pattern, from value 0 over
+// at most groups > 0 groups of four: the pattern is above lo-1 (for digit 0
+// that is -1, below every pattern). Every group stores its four lanes'
+// indices unconditionally, the kept ones first: the mask's row of emitPerm,
+// the kept lanes' numbers, plus the group's first index. It stops before a
+// group when the cursor is above stop, so at need only be as long as the
+// list.
+TEXT ·keepFromAVX2(SB), NOSPLIT, $0-56
+	MOVQ         at+0(FP), DI
+	MOVQ         vec+8(FP), SI
+	MOVQ         stop+16(FP), R9
+	MOVQ         groups+24(FP), R8
+	SHLQ         $2, R8        // the number of values
+	MOVQ         digit+32(FP), AX
+	SHLQ         DIGITSHIFT, AX
+	DECQ         AX
+	VMOVQ        AX, X14
+	VPBROADCASTQ X14, Y14      // lo-1
+	MOVQ         $0x7FFFFFFFFFFFFFFF, AX
+	VMOVQ        AX, X15
+	VPBROADCASTQ X15, Y15      // |v| mask
+	LEAQ         ·emitPerm(SB), R11
+	VPXOR        X13, X13, X13 // the group's first index, in every int32 lane
+	MOVL         $4, AX
+	VMOVD        AX, X12
+	VPBROADCASTD X12, X12
+	XORQ         AX, AX        // the next value
+	XORQ         R13, R13      // the cursor
+
+keepouter:
 	// Each group advances the cursor by at most 4, so from cursor n the next
-	// (stop - n) / 4 + 1 groups store at or below stop: run them unchecked.
+	// (stop - n) / 4 + 1 groups store at or below stop: run them unchecked
+	// up to CX.
 	MOVQ    R9, CX
 	SUBQ    R13, CX
-	JLT     abovedone
+	JLT     keepdone
 	SHRQ    $2, CX
 	LEAQ    4(AX)(CX*4), CX
 	CMPQ    CX, R8
 	CMOVQGT R8, CX
 
-aboveloop:
-	VMOVDQU   (SI)(AX*8), Y0
-	VPAND     Y15, Y0, Y1
+keeploop:
+	VPAND     (SI)(AX*8), Y15, Y1
 	VPCMPGTQ  Y14, Y1, Y1
 	VMOVMSKPD Y1, DX
-	EMITSTORE
+	POPCNTQ   DX, BX
+	SHLQ      $4, DX
+	VPADDD    (R11)(DX*1), X13, X3
+	VMOVDQU   X3, (DI)(R13*4)
+	ADDQ      BX, R13
 	VPADDD    X12, X13, X13
 	ADDQ      $4, AX
 	CMPQ      AX, CX
-	JNE       aboveloop
+	JNE       keeploop
 	CMPQ      AX, R8
-	JNE       aboveouter
+	JNE       keepouter
 
-abovedone:
-	MOVQ R13, count+56(FP)
-	MOVQ AX, done+64(FP)
-	VZEROUPPER
-	RET
-
-// func tiesAVX2(idx *int32, vals *float64, n, stop int, vec *float64, groups int, thresh uint64) (count, done int)
-//
-// aboveAVX2 on pattern == thresh, storing only the groups that hold a tie:
-// the cursor usually starts a lane or two short of k = stop+4, so it stops
-// before the first tie group it may not store rather than before the first
-// group, and after the group that fills the arrays.
-TEXT ·tiesAVX2(SB), NOSPLIT, $0-72
-	MOVQ         idx+0(FP), DI
-	MOVQ         vals+8(FP), R10
-	MOVQ         n+16(FP), R13
-	MOVQ         stop+24(FP), R9
-	MOVQ         vec+32(FP), SI
-	MOVQ         groups+40(FP), R8
-	VPBROADCASTQ thresh+48(FP), Y14
-	EMITSETUP
-
-tiesloop:
-	VMOVDQU   (SI)(AX*8), Y0
-	VPAND     Y15, Y0, Y1
-	VPCMPEQQ  Y14, Y1, Y1
-	VMOVMSKPD Y1, DX
-	TESTQ     DX, DX
-	JZ        tiesnext
-	CMPQ      R13, R9
-	JGT       tiesdone
-	EMITSTORE
-	LEAQ      4(R9), DX
-	CMPQ      R13, DX
-	JNE       tiesnext
-	ADDQ      $4, AX    // k entries: this group was the last one needed
-	JMP       tiesdone
-
-tiesnext:
-	VPADDD X12, X13, X13
-	ADDQ   $4, AX
-	CMPQ   AX, R8
-	JNE    tiesloop
-
-tiesdone:
-	MOVQ R13, count+56(FP)
-	MOVQ AX, done+64(FP)
+keepdone:
+	MOVQ R13, count+40(FP)
+	MOVQ AX, done+48(FP)
 	VZEROUPPER
 	RET

@@ -6,12 +6,6 @@ package tensor
 
 func countDigitsBulk(vec []float64, hist *[1 << DigitBits]uint32) (int, uint64) { return 0, 0 }
 
-func keepDigitBulk(keys []uint64, vec []float64, digit uint64) (n, done int) { return 0, 0 }
+func addCountBulk(sum, vec []float64, hist *[1 << DigitBits]uint32) (int, uint64) { return 0, 0 }
 
-func emitAboveBulk(idx []int32, vals []float64, vec []float64, thresh uint64) (n, done int) {
-	return 0, 0
-}
-
-func fillTiesBulk(idx []int32, vals []float64, n int, vec []float64, thresh uint64) (count, done int) {
-	return n, 0
-}
+func keepFromBulk(at []int32, vec []float64, digit uint64) (n, done int) { return 0, 0 }

@@ -16,13 +16,13 @@ const (
 
 var valSentinel = math.Float64frombits(keySentinel) // a normal, not a NaN
 
-// topkTwin holds the four top-k passes and Add, on whichever tier runs, to
-// their Go loops over vec: the digit counts and occupancy word, the kept keys
-// of one digit into keys as short as KeepDigit allows, the (index, value)
-// pairs above thresh, the tie fill that stops at k = above + 1 + kSeed%ties,
-// and a + b with NaN payloads in both operands, also in place into b. digit
-// and thresh come from vec's own patterns (at the picked positions), so equal
-// digits and ties are the common case, not luck.
+// topkTwin holds the top-k passes and Add, on whichever tier runs, to their
+// Go loops over vec: the digit counts and occupancy word, a + b with NaN
+// payloads in both operands (also in place into b), the fused add and count
+// against Add and CountDigits, and the list from two digits taken from
+// vec's own patterns (at the picked positions, so equal digits and ties are
+// the common case, not luck): once into an array as short as KeepFrom
+// allows, once with kSeed's slack past the count.
 func topkTwin(t *testing.T, vec []float64, pick uint16, kSeed uint8) {
 	t.Helper()
 	dim := len(vec)
@@ -40,7 +40,16 @@ func topkTwin(t *testing.T, vec []float64, pick uint16, kSeed uint8) {
 	if i, ok := bitsEqual(sum, want); !ok {
 		t.Fatalf("Add(%x, %x)[%d] = %x, Go loop %x", words(vec), words(b), i, math.Float64bits(sum[i]), math.Float64bits(want[i]))
 	}
-	// In place, as error feedback's resid = vec + resid does.
+	// Fused with the count, in place, as error feedback's resid += vec is.
+	fused := rotate(vec)
+	hist, wantHist = [1 << DigitBits]uint32{}, [1 << DigitBits]uint32{}
+	occ = AddCountDigits(fused, vec, &hist)
+	wantOcc := countDigitsGo(want, &wantHist)
+	if i, ok := bitsEqual(fused, want); !ok || occ != wantOcc || hist != wantHist {
+		t.Fatalf("AddCountDigits(%x, %x): sum off at %d (ok %v), occupancy %#x against %#x, counts equal: %v",
+			words(b), words(vec), i, ok, occ, wantOcc, hist == wantHist)
+	}
+	// In place, as the other schemes' error feedback does.
 	Add(b, vec, b)
 	if i, ok := bitsEqual(b, want); !ok {
 		t.Fatalf("Add in place (%x)[%d] = %x, Go loop %x", words(vec), i, math.Float64bits(b[i]), math.Float64bits(want[i]))
@@ -50,48 +59,36 @@ func topkTwin(t *testing.T, vec []float64, pick uint16, kSeed uint8) {
 	}
 
 	digit := math.Float64bits(vec[int(pick)%dim]) & absMask >> digitShift
-	keepTwin(t, vec, digit)
-
-	thresh := math.Float64bits(vec[int(pick>>8)%dim]) & absMask
-	above, ties := 0, 0
-	for _, v := range vec {
-		switch p := math.Float64bits(v) & absMask; {
-		case p > thresh:
-			above++
-		case p == thresh:
-			ties++
-		}
-	}
-	k := above + 1 + int(kSeed)%ties
-	idx, vals := filled[int32](k+5, idxSentinel), filled(k+5, valSentinel)
-	wantIdx, wantVals := make([]int32, k), make([]float64, k)
-	n := EmitAbove(idx[:k], vals[:k], vec, thresh)
-	if wantN := emitAboveGo(wantIdx, wantVals, 0, vec, 0, thresh); n != wantN || n != above {
-		t.Fatalf("EmitAbove(%x, %#x) emitted %d, Go loop %d, above %d", words(vec), thresh, n, wantN, above)
-	}
-	FillTies(idx[:k], vals[:k], n, vec, thresh)
-	fillTiesGo(wantIdx, wantVals, n, vec, 0, thresh)
-	if i, ok := bitsEqual(vals[:k], wantVals); !ok || !slices.Equal(idx[:k], wantIdx) {
-		t.Fatalf("EmitAbove+FillTies(%x, %#x, k=%d): pairs %v %x, Go loops %v %x (first value off at %d)",
-			words(vec), thresh, k, idx[:k], words(vals[:k]), wantIdx, words(wantVals), i)
-	}
-	intactPast(t, "the emitted indices", idx, k, idxSentinel)
-	intactPast(t, "the emitted values", vals, k, valSentinel)
+	keepTwin(t, vec, digit, 0)
+	digit = math.Float64bits(vec[int(pick>>8)%dim]) & absMask >> digitShift
+	keepTwin(t, vec, digit, int(kSeed)%8)
+	// Digit 0 lists every coordinate.
+	keepTwin(t, vec, 0, 0)
 }
 
-// keepTwin holds KeepDigit to its Go loop over keys exactly as short as its
-// contract allows — one entry past the members, or len(vec) when every
-// coordinate carries the digit — with sentinels past them.
-func keepTwin(t *testing.T, vec []float64, digit uint64) {
+// keepTwin holds KeepFrom to its Go loop over vec at digit, and the Go loop
+// to the digit comparison written out, into an array slack entries longer
+// than the contract's minimum — one past the listed coordinates, or
+// len(vec) — capped at len(vec) and followed by sentinels.
+func keepTwin(t *testing.T, vec []float64, digit uint64, slack int) {
 	t.Helper()
-	wantKeys := make([]uint64, len(vec))
-	wantN := keepDigitGo(wantKeys, 0, vec, digit)
-	short := min(wantN+1, len(vec))
-	keys := filled[uint64](short+5, keySentinel)
-	if n := KeepDigit(keys[:short], vec, digit); n != wantN || !slices.Equal(keys[:n], wantKeys[:n]) {
-		t.Fatalf("KeepDigit(%x, digit %#x) into %d keys = %x, Go loop %x", words(vec), digit, short, keys[:n], wantKeys[:wantN])
+	var spec []int32
+	for i, v := range vec {
+		if math.Float64bits(v)&absMask>>digitShift >= digit {
+			spec = append(spec, int32(i))
+		}
 	}
-	intactPast(t, "KeepDigit's keys", keys, short, keySentinel)
+	want := make([]int32, len(vec))
+	wantN := keepFromGo(want, 0, vec, 0, digit<<digitShift)
+	if !slices.Equal(want[:wantN], spec) {
+		t.Fatalf("keepFromGo(%x, digit %#x) = %v; the comparisons give %v", words(vec), digit, want[:wantN], spec)
+	}
+	short := min(wantN+1+slack, len(vec))
+	at := filled[int32](short+5, idxSentinel)
+	if n := KeepFrom(at[:short], vec, digit); n != wantN || !slices.Equal(at[:n], want[:n]) {
+		t.Fatalf("KeepFrom(%x, digit %#x) into %d = %v, Go loop %v", words(vec), digit, short, at[:n], want[:wantN])
+	}
+	intactPast(t, "KeepFrom's list", at, short, idxSentinel)
 }
 
 // filled returns n copies of s.
@@ -141,7 +138,7 @@ var topkSpecials = []float64{
 
 // TestTopKKernelsMatchGoLoops runs topkTwin on both tiers at every length
 // 0-67 and the served 650 and 16 400, over Gaussian-like values, heavy ties
-// and the specials, at many picks of digit, threshold and k.
+// and the specials, at many picks of digit and slack.
 func TestTopKKernelsMatchGoLoops(t *testing.T) {
 	eachTier(t, func(t *testing.T) {
 		r := parityRNG(17)
@@ -170,23 +167,27 @@ func TestTopKKernelsMatchGoLoops(t *testing.T) {
 	})
 }
 
-// TestKeepDigitStoresNothingPastKeys runs keepTwin on both tiers at dims 1-19
-// and 64-67 and every member count from none to all (so the keys' length
-// takes every residue mod 4, and a whole vector of one digit is the
-// heavy-tie case), with the members first, last and scattered, in three
-// families: finite members, NaN members, and ±Inf members beside a
-// signalling NaN of the same digit, each among coordinates of other digits
-// that include NaN, ±Inf, zero and subnormals.
+// TestKeepDigitStoresNothingPastKeys runs keepTwin on both tiers with the
+// list as short as KeepFrom allows, at dims 1-19 and 64-67 and every member
+// count from none to all, with the members first, last and scattered, and
+// with none, one, all or a random number of the other coordinates above the
+// digit: so the list's length takes every residue mod 4, a whole vector of
+// one digit is the heavy-tie case, and a list of every coordinate (no
+// member below) is as long as vec. Four families: finite members, members
+// that are all one magnitude (a bucket of exact ties), NaN members, and
+// ±Inf members beside a signalling NaN of the same digit, each among
+// coordinates of other digits that include NaN, ±Inf, zero and subnormals.
 func TestKeepDigitStoresNothingPastKeys(t *testing.T) {
 	nan, negNaN := math.Float64frombits(0x7FF8000000000001), math.Float64frombits(0xFFF8000000000abc)
 	sNaN, inf := math.Float64frombits(0x7FF4000000000001), math.Inf(1)
 	families := []struct {
-		name            string
-		members, others []float64
+		name                   string
+		members, above, others []float64
 	}{
-		{"finite", []float64{1, -1.25, 1.4999999999999998}, []float64{0, 3, -0.5, inf, nan, 5e-324}},
-		{"NaN", []float64{nan, negNaN}, []float64{inf, -inf, sNaN, 1, math.Copysign(0, -1)}},
-		{"Inf", []float64{inf, -inf, sNaN}, []float64{nan, math.MaxFloat64, -2, 5e-324}},
+		{"finite", []float64{1, -1.25, 1.4999999999999998}, []float64{3, inf, nan}, []float64{0, -0.5, 5e-324}},
+		{"ties", []float64{1, -1}, []float64{-3, nan, inf}, []float64{math.Copysign(0, -1), 0.5, 5e-324}},
+		{"NaN", []float64{nan, negNaN}, nil, []float64{inf, -inf, sNaN, 1, math.Copysign(0, -1)}},
+		{"Inf", []float64{inf, -inf, sNaN}, []float64{nan}, []float64{math.MaxFloat64, -2, 5e-324}},
 	}
 	var dims []int
 	for d := 1; d <= 19; d++ {
@@ -197,41 +198,40 @@ func TestKeepDigitStoresNothingPastKeys(t *testing.T) {
 		r := parityRNG(29)
 		for _, f := range families {
 			digit := math.Float64bits(f.members[0]) & absMask >> digitShift
+			for _, v := range f.above {
+				if math.Float64bits(v)&absMask>>digitShift <= digit {
+					t.Fatalf("%s: %v is not above the members' digit", f.name, v)
+				}
+			}
 			for _, v := range f.others {
-				if math.Float64bits(v)&absMask>>digitShift == digit {
-					t.Fatalf("%s: %v carries the members' digit", f.name, v)
+				if math.Float64bits(v)&absMask>>digitShift >= digit {
+					t.Fatalf("%s: %v is not below the members' digit", f.name, v)
 				}
 			}
 			for _, dim := range dims {
 				for members := 0; members <= dim; members++ {
 					for place := 0; place < 3; place++ {
-						member := make([]bool, dim)
-						switch place {
-						case 0:
-							for i := 0; i < members; i++ {
-								member[i] = true
+						member := pickPlaces(&r, dim, members, place)
+						for aboveMode := 0; aboveMode < 4; aboveMode++ {
+							if len(f.above) == 0 && aboveMode != 0 {
+								break
 							}
-						case 1:
-							for i := dim - members; i < dim; i++ {
-								member[i] = true
-							}
-						default:
-							for n := 0; n < members; {
-								if i := r.intn(dim); !member[i] {
-									member[i] = true
-									n++
+							vec := make([]float64, dim)
+							above := 0
+							for i := range vec {
+								switch {
+								case member[i]:
+									vec[i] = f.members[r.intn(len(f.members))]
+								case aboveMode == 1 && above == 0, aboveMode == 2,
+									aboveMode == 3 && len(f.above) > 0 && r.intn(2) == 0:
+									vec[i] = f.above[r.intn(len(f.above))]
+									above++
+								default:
+									vec[i] = f.others[r.intn(len(f.others))]
 								}
 							}
+							keepTwin(t, vec, digit, 0)
 						}
-						vec := make([]float64, dim)
-						for i := range vec {
-							if member[i] {
-								vec[i] = f.members[r.intn(len(f.members))]
-							} else {
-								vec[i] = f.others[r.intn(len(f.others))]
-							}
-						}
-						keepTwin(t, vec, digit)
 					}
 				}
 			}
@@ -239,9 +239,33 @@ func TestKeepDigitStoresNothingPastKeys(t *testing.T) {
 	})
 }
 
+// pickPlaces marks n of dim places: the first n, the last n, or n at random.
+func pickPlaces(r *parityRNG, dim, n, place int) []bool {
+	member := make([]bool, dim)
+	switch place {
+	case 0:
+		for i := 0; i < n; i++ {
+			member[i] = true
+		}
+	case 1:
+		for i := dim - n; i < dim; i++ {
+			member[i] = true
+		}
+	default:
+		for k := 0; k < n; {
+			if i := r.intn(dim); !member[i] {
+				member[i] = true
+				k++
+			}
+		}
+	}
+	return member
+}
+
 // FuzzTopKTwin reads up to 67 raw float64 words, so NaN payloads, subnormals,
 // exact ties and equal digits come straight from the fuzzer, and runs
-// topkTwin on both tiers.
+// topkTwin on both tiers: the count, the fused add and count, and the list,
+// each against its Go loop.
 func FuzzTopKTwin(f *testing.F) {
 	var seed []byte
 	for _, v := range topkSpecials {
