@@ -65,7 +65,7 @@ func main() {
 	method := flag.String("method", "adacomm", "method: adacomm | fixed")
 	tau := flag.Int("tau", 1, "communication period for -method fixed")
 	tau0 := flag.Int("tau0", 20, "initial period for -method adacomm")
-	interval := flag.Float64("interval", 30, "AdaComm interval T0 (sim seconds)")
+	interval := flag.Float64("interval", 30, "AdaComm interval T0 (sim seconds) for -method adacomm")
 	budget := flag.Float64("budget", 300, "simulated-time budget (seconds)")
 	lr := flag.Float64("lr", 0.08, "base learning rate")
 	variableLR := flag.Bool("variable-lr", false, "10x decay at epoch milestones 15/30/45")
@@ -157,14 +157,23 @@ func main() {
 	}
 	finitePositive("-lr", *lr)
 	finitePositive("-budget", *budget)
+	// Each method reads its own period flags; one given to the other method
+	// would be silently ignored.
+	given := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
 	switch {
 	case *method == "adacomm":
+		if given["tau"] && !*async {
+			fail("-tau is -method fixed's period; -method adacomm starts from -tau0")
+		}
 		if *tau0 < 1 {
 			fail("-tau0 %d must be >= 1", *tau0)
 		}
 		finitePositive("-interval", *interval)
 	case *method != "fixed":
 		fail("unknown -method %q (want adacomm | fixed)", *method)
+	case given["tau0"] || given["interval"]:
+		fail("-tau0 and -interval tune -method adacomm's controller; -method fixed runs -tau")
 	case *tau < 1:
 		fail("-tau %d must be >= 1", *tau)
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -36,9 +37,15 @@ func TestCommandLine(t *testing.T) {
 	}
 
 	// run executes a small logistic job plus extra flags (a later flag
-	// overrides an earlier one, so a case can replace -method or -tau).
+	// overrides an earlier one, so a case can replace -tau). The job is
+	// -method fixed -tau 5 unless the case names -method adacomm, which
+	// rejects -tau, so it runs without one.
 	run := func(extra ...string) (stdout, stderr string, code int) {
-		return bin(append(strings.Fields("-arch logistic -method fixed -tau 5 -quick -budget 20"), extra...)...)
+		base := "-arch logistic -method fixed -tau 5 -quick -budget 20"
+		if slices.Contains(extra, "adacomm") {
+			base = "-arch logistic -quick -budget 20"
+		}
+		return bin(append(strings.Fields(base), extra...)...)
 	}
 
 	// Every bad value a user can type exits 2 with one "adacomm: ..." line:
@@ -127,6 +134,11 @@ func TestCommandLine(t *testing.T) {
 		// An explicit zero beta ran the default (0.9, 0.999) in its place.
 		"-optimizer adam:0",
 		"-optimizer adam:0.9,0",
+		// Period flags of the other method, ignored: the run was byte for
+		// byte the one without them.
+		"-tau0 10",
+		"-interval 6",
+		"-method adacomm -tau 5",
 	} {
 		t.Run(bad, func(t *testing.T) {
 			stdout, stderr, code := run(strings.Fields(bad)...)

@@ -21,7 +21,8 @@ type ratioPair struct {
 	setup func(kernel bool) func() // true: the fast row, false: the reference
 }
 
-// ratioPairs are the thirteen margins.
+// ratioPairs are the thirteen margins. Retired pairs: ExpInto's (the softmax
+// and head-gradient pairs replaced it) and Lower's, which went with its kernel.
 //
 // Gemm-256: the AVX2 axpy kernel measures 3.9-5.7x over the retained naive
 // reference (naive scalar code is pinned at one multiply-add per cycle; the

@@ -13,7 +13,9 @@
 //	figures -csv out/       # also write trace CSVs into out/
 //	figures -workers 8      # run up to 8 methods per figure concurrently
 //
-// A -fig or -table number the paper does not have exits 2.
+// A -fig or -table number the paper does not have exits 2, and so does a
+// flag the selection would ignore: -bytes outside figures 5, 7 and 8,
+// -bandwidth without -bytes, -csv outside figures 1 and 9-13.
 //
 // Each figure's methods are independent training runs, so they execute
 // concurrently on the experiment pool (default width GOMAXPROCS); the
@@ -68,9 +70,8 @@ func main() {
 	if *bytes > 0 && *bandwidth <= 0 {
 		cli.Fatalf("figures", "-bytes needs a finite -bandwidth to price the transfer")
 	}
-	if *csvDir != "" {
-		// Now, not after the first panel has trained.
-		cli.Check("figures", os.MkdirAll(*csvDir, 0o755))
+	if *bandwidth > 0 && *bytes == 0 {
+		cli.Fatalf("figures", "-bandwidth prices the -bytes payload; without -bytes the figures are the size-free model")
 	}
 	scale := cli.Scale(*quick)
 	out := os.Stdout
@@ -124,12 +125,14 @@ func main() {
 
 	// The paper's evaluation in print order, one row per figure or table:
 	// what -fig / -table select from, and what an unknown number is checked
-	// against. A blank line follows each row.
+	// against. A blank line follows each row. Priced rows read -bytes and
+	// -bandwidth; traced rows write -csv files.
 	items := []struct {
-		fig, table int
-		run        func()
+		fig, table     int
+		run            func()
+		priced, traced bool
 	}{
-		{fig: 1, run: trains("fig1", experiments.Fig1Spec(scale))},
+		{fig: 1, run: trains("fig1", experiments.Fig1Spec(scale)), traced: true},
 		{fig: 4, run: func() { experiments.PrintFig4(out, experiments.Fig4()) }},
 		{fig: 5, run: func() {
 			trials := 200000
@@ -137,21 +140,21 @@ func main() {
 				trials = 20000
 			}
 			experiments.PrintFig5(out, experiments.Fig5Bytes(trials, 1, *bytes, *bandwidth))
-		}},
+		}, priced: true},
 		{fig: 6, run: func() { experiments.PrintFig6(out, experiments.Fig6(200)) }},
 		{fig: 7, run: func() {
 			c := experiments.SizeAwareConstants(experiments.Fig6Constants(), *bytes, *bandwidth)
 			experiments.PrintFig7(out, experiments.Fig7(c, 60, 10, 64))
-		}},
-		{fig: 8, run: func() { experiments.PrintFig8(out, experiments.Fig8Bytes(4, 2, *bytes, *bandwidth)) }},
+		}, priced: true},
+		{fig: 8, run: func() { experiments.PrintFig8(out, experiments.Fig8Bytes(4, 2, *bytes, *bandwidth)) }, priced: true},
 		{fig: 9, run: trains("fig9", experiments.Fig9Spec(10, true, scale),
-			experiments.Fig9Spec(10, false, scale), experiments.Fig9Spec(100, false, scale))},
+			experiments.Fig9Spec(10, false, scale), experiments.Fig9Spec(100, false, scale)), traced: true},
 		{fig: 10, run: trains("fig10", experiments.Fig10Spec(10, true, scale),
-			experiments.Fig10Spec(10, false, scale), experiments.Fig10Spec(100, false, scale))},
+			experiments.Fig10Spec(10, false, scale), experiments.Fig10Spec(100, false, scale)), traced: true},
 		{fig: 11, run: trains("fig11", experiments.Fig11Spec(experiments.ArchResNet, 10, scale),
-			experiments.Fig11Spec(experiments.ArchVGG, 10, scale), experiments.Fig11Spec(experiments.ArchResNet, 100, scale))},
-		{fig: 12, run: trains("fig12", experiments.Fig12Spec(10, true, scale), experiments.Fig12Spec(100, false, scale))},
-		{fig: 13, run: trains("fig13", experiments.Fig13Spec(10, true, scale), experiments.Fig13Spec(100, false, scale))},
+			experiments.Fig11Spec(experiments.ArchVGG, 10, scale), experiments.Fig11Spec(experiments.ArchResNet, 100, scale)), traced: true},
+		{fig: 12, run: trains("fig12", experiments.Fig12Spec(10, true, scale), experiments.Fig12Spec(100, false, scale)), traced: true},
+		{fig: 13, run: trains("fig13", experiments.Fig13Spec(10, true, scale), experiments.Fig13Spec(100, false, scale)), traced: true},
 		{fig: 14, run: func() { experiments.PrintFig14(out, experiments.Fig14(scale, 5)) }},
 		{table: 1, run: func() {
 			rows := experiments.Table1(run(experiments.Fig9Spec(10, false, scale)), run(experiments.Fig9Spec(10, true, scale)))
@@ -177,12 +180,29 @@ func main() {
 	if !tableOK {
 		cli.Fatalf("figures", "-table %d: the paper's evaluation has tables %v", *table, tables)
 	}
+	// A flag no selected row reads is a typo, not a no-op.
 	all := *fig == 0 && *table == 0
-	defer cli.StartCPUProfile("figures", *cpuProfile)()
+	var selected []func()
+	var priced, traced bool
 	for _, it := range items {
 		if all || (it.fig != 0 && it.fig == *fig) || (it.table != 0 && it.table == *table) {
-			it.run()
-			fmt.Fprintln(out)
+			selected = append(selected, it.run)
+			priced, traced = priced || it.priced, traced || it.traced
 		}
+	}
+	if *bytes > 0 && !priced {
+		cli.Fatalf("figures", "-bytes and -bandwidth price figures 5, 7 and 8 only")
+	}
+	if *csvDir != "" {
+		if !traced {
+			cli.Fatalf("figures", "-csv writes the training traces of figures 1 and 9-13 only")
+		}
+		// Now, not after the first panel has trained.
+		cli.Check("figures", os.MkdirAll(*csvDir, 0o755))
+	}
+	defer cli.StartCPUProfile("figures", *cpuProfile)()
+	for _, run := range selected {
+		run()
+		fmt.Fprintln(out)
 	}
 }

@@ -53,6 +53,12 @@ func TestCommandLine(t *testing.T) {
 		"-fig 7 -bytes 100 -bandwidth 1e-320",
 		"-fig 8 -bytes 100 -bandwidth 1e-320",
 		"-fig 5 -bytes 800000",
+		// Flags the selection ignored, exit 0: only figs 5, 7 and 8 price
+		// a payload, and -bandwidth without -bytes printed the size-free
+		// figure byte for byte.
+		"-fig 4 -bytes 800000 -bandwidth 4e6",
+		"-table 1 -bytes 800000 -bandwidth 4e6",
+		"-fig 5 -bandwidth 4e6",
 		"-fig 4 -cpuprofile /nonexistent-directory/cpu.prof",
 		// The ablations are cmd/sweep's, and -kernel-workers went with the
 		// kernel pool's knob: not flags here, so the flag package rejects
@@ -79,6 +85,17 @@ func TestCommandLine(t *testing.T) {
 		if code != 0 || stderr != "" || stdout != string(golden) {
 			t.Errorf("-quick -fig 1: exit %d, stderr %q, stdout differs from testdata/training-quick.golden:\n%s",
 				code, stderr, stdout)
+		}
+	})
+
+	// -csv under a figure that writes no trace made the directory, wrote
+	// nothing into it and exited 0.
+	t.Run("-fig 5 -csv DIR", func(t *testing.T) {
+		dir := filepath.Join(t.TempDir(), "csv")
+		stdout, stderr, code := run("-quick", "-fig", "5", "-csv", dir)
+		clitest.WantExit2(t, "figures", stdout, stderr, code)
+		if _, err := os.Stat(dir); !os.IsNotExist(err) {
+			t.Errorf("-csv %s exists after the exit (stat: %v)", dir, err)
 		}
 	})
 

@@ -11,9 +11,11 @@
 // harness in bench_test.go at this directory. An ablation is a row of the
 // registry in internal/experiments/registry.go and nothing else: its driver,
 // printer and sizing are unexported, and cmd/sweep -ablation NAME (sweep -h
-// lists them), examples/heterogeneous and BenchmarkAblations all select rows
-// by name; the three commands share their exit-2 contract for bad flag
-// values through internal/cli. Simulated time has ONE pricer, internal/delaymodel:
+// lists them), BenchmarkAblations and examples heterogeneous, paramserver and
+// stragglers select rows by name (stragglers and momentum print Figs 5 and 11
+// through cmd/figures' drivers: no table has a second copy); the three
+// commands share their exit-2 contract for bad flag values through
+// internal/cli. Simulated time has ONE pricer, internal/delaymodel:
 // a round's compute half is SampleCompute (the slowest up worker's scaled
 // sum of compute draws), its broadcast half SampleDRound (one D0 draw, the
 // slowest active transfer gates, nil fault masks mean everyone up at scale

@@ -1,8 +1,12 @@
 // Paramserver: the paper's concluding extension — adapting ASYNCHRONY in a
 // parameter-server framework the way AdaComm adapts the communication
-// period. K-async SGD applies an update per K gradient arrivals; small K is
-// fast but stale (high noise), large K is slow but clean. AdaSync starts at
-// K=1 and grows K toward m as the loss falls, mirroring AdaComm's tau decay.
+// period (the adaptive-K direction of Kas Hanna et al. 2022). K-async SGD
+// applies an update per K gradient arrivals; small K is fast but stale
+// (high noise), large K is slow but clean. AdaSync starts at K=1 and grows
+// K toward m as the loss falls, mirroring AdaComm's tau decay.
+//
+// The table is the adasync row of the ablation registry, run at full size:
+// `go run ./cmd/sweep -ablation adasync` prints it without the commentary.
 //
 //	go run ./examples/paramserver
 package main
@@ -11,69 +15,19 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/data"
-	"repro/internal/metrics"
-	"repro/internal/nn"
-	"repro/internal/paramserver"
-	"repro/internal/rng"
+	"repro/internal/experiments"
 )
 
 func main() {
-	const workers = 8
-	r := rng.New(17)
-	full := data.GaussianBlobs(data.GaussianBlobsConfig{
-		Classes: 4, Dim: 16, N: 1280, Separation: 4, Noise: 1.5, LabelNoise: 0.1,
-	}, r)
-	train, _ := data.SplitTrainTest(full, 256, r)
-	proto := nn.NewLogisticRegression(16, 4)
-	proto.InitParams(r.Split())
-	shards := data.ShardIID(train, workers, r.Split())
-
-	cfg := paramserver.Config{
-		Mode:       paramserver.KAsync,
-		BatchSize:  8,
-		ComputeY:   rng.Exponential{MeanVal: 1}, // straggler-prone workers
-		PushDelay:  rng.Constant{Value: 0.1},
-		MaxTime:    400,
-		EvalEvery:  25,
-		EvalSubset: 400,
-		Seed:       3,
+	sel, err := experiments.SelectAblations("adasync")
+	if err == nil {
+		err = sel[0].Run(os.Stdout, experiments.AblationOptions{Scale: experiments.ScaleFull})
 	}
-
-	run := func(name string, ctrl paramserver.Controller) *metrics.Trace {
-		s, err := paramserver.New(proto, shards, train, cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		tr, stale := s.Run(ctrl, name)
-		fmt.Printf("%-8s final loss %.4f  (%d updates in %.0f sim-s, mean staleness %.2f, p99 %.0f)\n",
-			name, tr.FinalLoss(), tr.Last().Iter, tr.Last().Time, stale.Mean, stale.P99)
-		return tr
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paramserver:", err)
+		os.Exit(1)
 	}
-
-	fmt.Println("K-async parameter server, m=8, exponential compute times:")
-	async := run("K=1", paramserver.FixedK{K: 1, LR: 0.1})
-	sync := run("K=8", paramserver.FixedK{K: 8, LR: 0.1})
-	ada := run("AdaSync", paramserver.NewAdaSync(paramserver.AdaSyncConfig{
-		K0: 1, M: workers, Interval: 40, LR: 0.1,
-	}))
-
-	target := worstMin(async, sync, ada) * 1.05
-	fmt.Printf("\ntime to reach loss %.4f:\n", target)
-	for _, tr := range []*metrics.Trace{async, sync, ada} {
-		fmt.Printf("  %-8s %6.0f sim-s\n", tr.Name, tr.TimeToLoss(target))
-	}
-	fmt.Println("\nK=1 races ahead early but plateaus on staleness noise; K=8 is")
+	fmt.Println()
+	fmt.Println("K=1 races ahead early but plateaus on staleness noise; K=8 is")
 	fmt.Println("slow but clean; AdaSync rides K=1's speed then grows K for the floor.")
-}
-
-func worstMin(traces ...*metrics.Trace) float64 {
-	worst := 0.0
-	for _, tr := range traces {
-		if l := tr.MinLoss(); l > worst {
-			worst = l
-		}
-	}
-	return worst
 }

@@ -5,61 +5,39 @@
 // per-round time is the max of per-worker *averages* instead of the max of
 // single draws.
 //
+// The first table is the paper's Fig 5 (`go run ./cmd/figures -fig 5`), the
+// second the delay row of the ablation registry at full size (`go run
+// ./cmd/sweep -ablation delay`); both print here without change.
+//
 //	go run ./examples/stragglers
 package main
 
 import (
 	"fmt"
-	"strings"
+	"os"
 
-	"repro/internal/delaymodel"
-	"repro/internal/rng"
+	"repro/internal/experiments"
 )
 
 func main() {
-	const (
-		workers = 16
-		meanY   = 1.0 // mean compute time per local step
-		delayD  = 1.0 // broadcast delay
-		trials  = 100000
-	)
-	dm := delaymodel.New(workers,
-		rng.Exponential{MeanVal: meanY},
-		rng.Constant{Value: delayD},
-		delaymodel.ConstantScaling{})
-	r := rng.New(42)
+	experiments.PrintFig5(os.Stdout, experiments.Fig5Bytes(200000, 1, 0, 0))
+	fmt.Println()
+	fmt.Println("sync SGD waits for the slowest of 16 exponential draws every")
+	fmt.Println("iteration: its mean is y*H_16 + D = 4.381 in closed form (Sec 3.2).")
+	fmt.Println("PASGD(tau=10) waits for the slowest of 16 ten-draw AVERAGES and pays")
+	fmt.Println("D once per ten steps, so its distribution is both lower and narrower.")
+	fmt.Println()
 
-	// Closed form for sync SGD: E[T] = y*H_m + D (paper Sec 3.2).
-	fmt.Printf("E[T_sync] closed form: %.3f (y*H_%d + D)\n",
-		dm.ExpectedSyncIterationExponential(), workers)
-
-	// Monte-Carlo per-iteration times for several communication periods.
-	fmt.Println("\ntau   E[T/iter]   speedup   eq-12 (ignores stragglers)")
-	sync := dm.MCMeanPerIteration(1, trials, r)
-	for _, tau := range []int{1, 2, 5, 10, 20, 50} {
-		perIter := dm.MCMeanPerIteration(tau, trials, r)
-		fmt.Printf("%3d   %9.3f   %7.2fx   %7.2fx\n",
-			tau, perIter, sync/perIter,
-			delaymodel.SpeedupConstant(delayD/meanY, tau))
+	sel, err := experiments.SelectAblations("delay")
+	if err == nil {
+		err = sel[0].Run(os.Stdout, experiments.AblationOptions{Scale: experiments.ScaleFull})
 	}
-	fmt.Println("\nThe measured speedup EXCEEDS the constant-delay formula: that")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "stragglers:", err)
+		os.Exit(1)
+	}
+	fmt.Println()
+	fmt.Println("The measured speedup EXCEEDS the constant-delay formula: that")
 	fmt.Println("gap is straggler mitigation (averaging tau draws shrinks the")
 	fmt.Println("variance of each worker's contribution by tau).")
-
-	// Distribution comparison, as in the paper's Fig 5.
-	hist := func(tau int) *rng.Histogram {
-		h := rng.NewHistogram(0, 8, 32)
-		for i := 0; i < trials; i++ {
-			h.Add(dm.SampleRoundBytes(tau, r, 0) / float64(tau))
-		}
-		return h
-	}
-	hSync, hPavg := hist(1), hist(10)
-	fmt.Println("\nruntime-per-iteration distribution (ASCII, # = sync, * = PASGD tau=10):")
-	for i := 0; i < 32; i += 2 {
-		bar := func(h *rng.Histogram, ch string) string {
-			return strings.Repeat(ch, int(h.Density(i)*400))
-		}
-		fmt.Printf("%5.2f | %-40s | %s\n", hSync.BinCenter(i), bar(hSync, "#"), bar(hPavg, "*"))
-	}
 }

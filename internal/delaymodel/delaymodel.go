@@ -42,8 +42,9 @@
 // The analytic samplers are the same two halves: SampleRoundBytes is one
 // round (pass tau = 1 for fully synchronous SGD, divide by tau for PASGD's
 // per-iteration time — the two distributions of Fig 5), MeasureBreakdownBytes
-// splits a run into the compute and comm bars of Fig 8, and the closed forms
-// (eq 12, exponential order statistics) are what they are checked against.
+// splits a run into the compute and comm bars of Fig 8, and SpeedupMC's
+// Monte-Carlo speed-up is set beside eq 12's constant-Y closed form,
+// SpeedupConstant.
 package delaymodel
 
 import (
@@ -246,9 +247,6 @@ func New(m int, y, d0 rng.Distribution, scale Scaling) *Model {
 	}
 	return &Model{M: m, Y: y, D0: d0, Scale: scale}
 }
-
-// MeanD returns E[D] = E[D0] * s(M).
-func (dm *Model) MeanD() float64 { return dm.D0.Mean() * dm.Scale.Factor(dm.M) }
 
 // MeanY returns E[Y].
 func (dm *Model) MeanY() float64 { return dm.Y.Mean() }
@@ -581,26 +579,6 @@ func (dm *Model) payloads(bytes int) []int {
 		s[i] = bytes
 	}
 	return s
-}
-
-// MCMeanPerIteration estimates E[T_PAvg] (eq 11) by Monte Carlo.
-func (dm *Model) MCMeanPerIteration(tau, trials int, r *rng.Rand) float64 {
-	sum := 0.0
-	for t := 0; t < trials; t++ {
-		sum += dm.SampleRoundBytes(tau, r, 0) / float64(tau)
-	}
-	return sum / float64(trials)
-}
-
-// ExpectedSyncIterationExponential returns the closed-form E[T_sync] =
-// y*H_m + E[D] when Y is exponential with mean y (paper Sec 3.2). It
-// panics if Y is not exponential.
-func (dm *Model) ExpectedSyncIterationExponential() float64 {
-	e, ok := dm.Y.(rng.Exponential)
-	if !ok {
-		panic("delaymodel: closed form requires exponential Y")
-	}
-	return rng.ExpectedMaxExponential(e.MeanVal, dm.M) + dm.MeanD()
 }
 
 // SpeedupConstant returns the paper's eq 12 speed-up of PASGD over fully

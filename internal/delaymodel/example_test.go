@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/delaymodel"
-	"repro/internal/rng"
 )
 
 // The eq-12 speedup of PASGD over fully synchronous SGD for a
@@ -17,16 +16,4 @@ func ExampleSpeedupConstant() {
 	// tau=1    speedup=1.000
 	// tau=10   speedup=1.743
 	// tau=100  speedup=1.883
-}
-
-// Closed-form expected per-iteration time of fully synchronous SGD with
-// exponential compute times: y*H_m + D (paper Sec 3.2).
-func ExampleModel_ExpectedSyncIterationExponential() {
-	dm := delaymodel.New(16,
-		rng.Exponential{MeanVal: 1},
-		rng.Constant{Value: 1},
-		delaymodel.ConstantScaling{})
-	fmt.Printf("%.4f\n", dm.ExpectedSyncIterationExponential())
-	// Output:
-	// 4.3807
 }

@@ -11,11 +11,12 @@ import (
 
 // The ablation registry: every ablation the repo ships is ONE row of the
 // table below, and this file is the only way to run one. cmd/sweep is parse
-// -> select -> validate -> loop over the rows; examples/heterogeneous and the
-// root benchmarks select rows by name. Its -ablation help, its unknown-name
-// error and its "flag X only tunes ablation Y" checks are all generated from
-// the rows, so adding an ablation is adding a row: a driver sized by literals
-// and handed the parsed params below, and a printer.
+// -> select -> validate -> loop over the rows; examples/heterogeneous,
+// paramserver and stragglers and the root benchmarks select rows by name.
+// Its -ablation help, its unknown-name error and its "flag X only tunes
+// ablation Y" checks are all generated from the rows, so adding an ablation
+// is adding a row: a driver sized by literals and handed the parsed params
+// below, and a printer.
 
 // Tuning is the set of cmd/sweep tuning options an ablation honours.
 type Tuning uint8

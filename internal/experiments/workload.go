@@ -2,9 +2,9 @@
 // paper's evaluation, plus the ablations beyond it. Every driver is
 // deterministic given its seed, returns a structured result, and can render
 // itself as text. cmd/figures and the benchmark module call the paper's
-// drivers directly; an ablation is reachable only as a row of the registry
-// in registry.go (Ablation, SelectAblations), which cmd/sweep,
-// examples/heterogeneous and the root benchmarks run.
+// drivers directly (so do examples/stragglers and examples/momentum); an
+// ablation is reachable only as a row of the registry in registry.go, which
+// cmd/sweep, three examples and the root benchmarks run.
 //
 // Sizing: the paper's experiments train VGG-16/ResNet-50 on CIFAR for tens
 // of GPU-minutes. The reproduction's workloads are miniaturized (synthetic

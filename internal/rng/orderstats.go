@@ -5,11 +5,11 @@ import (
 	"sort"
 )
 
-// Order-statistic utilities backing the paper's runtime analysis (Sec 3.1):
-// the per-iteration time of synchronous SGD is the maximum of m i.i.d.
-// compute times (eq 7), and PASGD replaces each compute time with the
-// average of tau draws (eq 9), shrinking the variance by tau and hence the
-// expected maximum.
+// Sample statistics for the runtime figures and summaries: Summarize's
+// moments and quantiles, the Histogram behind Fig 5, and the harmonic number
+// H_m, with which y*H_m is the expected maximum of m i.i.d. exponential
+// compute times of mean y (paper Sec 3.2) — the closed form the tests hold
+// the round pricer and the K-sync server's clock to.
 
 // HarmonicNumber returns H_n = sum_{i=1..n} 1/i. H_0 = 0.
 func HarmonicNumber(n int) float64 {
@@ -18,55 +18,6 @@ func HarmonicNumber(n int) float64 {
 		h += 1 / float64(i)
 	}
 	return h
-}
-
-// ExpectedMaxExponential returns E[max of m i.i.d. Exp(mean)] = mean * H_m,
-// the closed form the paper uses for E[Y_{m:m}] (Sec 3.2).
-func ExpectedMaxExponential(mean float64, m int) float64 {
-	return mean * HarmonicNumber(m)
-}
-
-// MonteCarloExpectedMax estimates E[max of m i.i.d. draws from d] from the
-// given number of trials.
-func MonteCarloExpectedMax(d Distribution, m, trials int, r *Rand) float64 {
-	if m < 1 || trials < 1 {
-		panic("rng: MonteCarloExpectedMax needs m >= 1 and trials >= 1")
-	}
-	sum := 0.0
-	for t := 0; t < trials; t++ {
-		mx := math.Inf(-1)
-		for i := 0; i < m; i++ {
-			if v := d.Sample(r); v > mx {
-				mx = v
-			}
-		}
-		sum += mx
-	}
-	return sum / float64(trials)
-}
-
-// MonteCarloExpectedMaxOfMean estimates E[max over m workers of the average
-// of tau i.i.d. draws from d] — the E[Ybar_{m:m}] term in the PASGD runtime
-// (paper eq 11).
-func MonteCarloExpectedMaxOfMean(d Distribution, m, tau, trials int, r *Rand) float64 {
-	if m < 1 || tau < 1 || trials < 1 {
-		panic("rng: MonteCarloExpectedMaxOfMean needs m, tau, trials >= 1")
-	}
-	sum := 0.0
-	for t := 0; t < trials; t++ {
-		mx := math.Inf(-1)
-		for i := 0; i < m; i++ {
-			acc := 0.0
-			for k := 0; k < tau; k++ {
-				acc += d.Sample(r)
-			}
-			if avg := acc / float64(tau); avg > mx {
-				mx = avg
-			}
-		}
-		sum += mx
-	}
-	return sum / float64(trials)
 }
 
 // Summary holds basic sample statistics.

@@ -296,32 +296,6 @@ func TestHarmonicNumber(t *testing.T) {
 	}
 }
 
-func TestExpectedMaxExponentialMatchesMC(t *testing.T) {
-	r := New(13)
-	for _, m := range []int{1, 4, 16} {
-		analytic := ExpectedMaxExponential(1, m)
-		mc := MonteCarloExpectedMax(Exponential{1}, m, 100000, r)
-		if math.Abs(analytic-mc) > 0.05 {
-			t.Fatalf("m=%d: analytic %v vs MC %v", m, analytic, mc)
-		}
-	}
-}
-
-func TestMaxOfMeanSmallerThanMax(t *testing.T) {
-	// E[max of means of tau draws] < E[max of single draws] for tau > 1:
-	// paper Sec 3.2's straggler-mitigation claim.
-	r := New(14)
-	maxSingle := MonteCarloExpectedMax(Exponential{1}, 16, 50000, r)
-	maxMean := MonteCarloExpectedMaxOfMean(Exponential{1}, 16, 10, 50000, r)
-	if maxMean >= maxSingle {
-		t.Fatalf("E[max of means] %v should be < E[max] %v", maxMean, maxSingle)
-	}
-	// And it should approach the mean (1.0) as tau grows.
-	if maxMean > 2.2 {
-		t.Fatalf("E[max of means] %v too large for tau=10", maxMean)
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 {

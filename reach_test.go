@@ -41,8 +41,7 @@ const usedByTests = "a test uses it as a reference, harness, observer or subject
 var reachAllow = map[string]string{
 	// Reference implementations live code is compared with.
 	"tensor.GemmTANaive":                  usedByTests,
-	"rng.MonteCarloExpectedMax":           usedByTests, // vs ExpectedMaxExponential
-	"rng.MonteCarloExpectedMaxOfMean":     usedByTests,
+	"rng.HarmonicNumber":                  usedByTests, // y*H_m + D vs SampleRoundBytes; ExpectedKSyncUpdateTime
 	"paramserver.ExpectedKSyncUpdateTime": usedByTests, // vs the K-sync server's clock
 	// One network at its own parameters, chunk by chunk: what nn.LossAt and
 	// nn.AccuracyAt over several networks and foreign parameters are held
