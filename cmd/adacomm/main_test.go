@@ -139,6 +139,9 @@ func TestCommandLine(t *testing.T) {
 		"-tau0 10",
 		"-interval 6",
 		"-method adacomm -tau 5",
+		// One activation of a billion steps outlasts any budget: the run
+		// never returned.
+		"-async -tau 1000000000",
 	} {
 		t.Run(bad, func(t *testing.T) {
 			stdout, stderr, code := run(strings.Fields(bad)...)
@@ -155,9 +158,17 @@ func TestCommandLine(t *testing.T) {
 		}
 	}
 
+	// A round of a billion steps never returned; the lock-step engine cuts
+	// it at 10x the 20 s budget's expected compute: 200 steps at one
+	// simulated second each.
+	stdout, stderr, code := run("-tau", "1000000000")
+	if code != 0 || !strings.HasSuffix(strings.TrimSpace(stderr), "200 iters in 201.0 sim-s") {
+		t.Errorf("-tau 1000000000: exit %d, stderr %q", code, stderr)
+	}
+
 	// A K-of-m barrier wider than the surviving population used to end the
 	// run silently after 16 of 100 simulated seconds.
-	stdout, stderr, code := run(strings.Fields("-budget 100 -async -tau 2 -workers 8 -participation 8 -faults crash:0@r3")...)
+	stdout, stderr, code = run(strings.Fields("-budget 100 -async -tau 2 -workers 8 -participation 8 -faults crash:0@r3")...)
 	rows := strings.Split(strings.TrimSpace(stdout), "\n")
 	last := rows[len(rows)-1] // name,time,iter,...
 	var at float64

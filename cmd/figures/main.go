@@ -14,8 +14,9 @@
 //	figures -workers 8      # run up to 8 methods per figure concurrently
 //
 // A -fig or -table number the paper does not have exits 2, and so does a
-// flag the selection would ignore: -bytes outside figures 5, 7 and 8,
-// -bandwidth without -bytes, -csv outside figures 1 and 9-13.
+// flag no selected figure or table reads (-bytes and -bandwidth outside
+// figures 5, 7 and 8, -csv outside 1 and 9-13, -quick outside 1, 5, 9-14 and
+// Table 1, -workers outside 1, 9-13 and Table 1) and -bandwidth without -bytes.
 //
 // Each figure's methods are independent training runs, so they execute
 // concurrently on the experiment pool (default width GOMAXPROCS); the
@@ -38,6 +39,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/cli"
 	"repro/internal/delaymodel"
@@ -124,15 +126,15 @@ func main() {
 	}
 
 	// The paper's evaluation in print order, one row per figure or table:
-	// what -fig / -table select from, and what an unknown number is checked
-	// against. A blank line follows each row. Priced rows read -bytes and
-	// -bandwidth; traced rows write -csv files.
+	// what -fig / -table select from, what an unknown number is checked
+	// against, and the flags each row reads. A blank line follows each row.
+	const trained = "csv quick workers" // a training figure's traces, scale and pool
 	items := []struct {
-		fig, table     int
-		run            func()
-		priced, traced bool
+		fig, table int
+		run        func()
+		reads      string
 	}{
-		{fig: 1, run: trains("fig1", experiments.Fig1Spec(scale)), traced: true},
+		{fig: 1, run: trains("fig1", experiments.Fig1Spec(scale)), reads: trained},
 		{fig: 4, run: func() { experiments.PrintFig4(out, experiments.Fig4()) }},
 		{fig: 5, run: func() {
 			trials := 200000
@@ -140,27 +142,27 @@ func main() {
 				trials = 20000
 			}
 			experiments.PrintFig5(out, experiments.Fig5Bytes(trials, 1, *bytes, *bandwidth))
-		}, priced: true},
+		}, reads: "bandwidth bytes quick"},
 		{fig: 6, run: func() { experiments.PrintFig6(out, experiments.Fig6(200)) }},
 		{fig: 7, run: func() {
 			c := experiments.SizeAwareConstants(experiments.Fig6Constants(), *bytes, *bandwidth)
 			experiments.PrintFig7(out, experiments.Fig7(c, 60, 10, 64))
-		}, priced: true},
-		{fig: 8, run: func() { experiments.PrintFig8(out, experiments.Fig8Bytes(4, 2, *bytes, *bandwidth)) }, priced: true},
+		}, reads: "bandwidth bytes"},
+		{fig: 8, run: func() { experiments.PrintFig8(out, experiments.Fig8Bytes(4, 2, *bytes, *bandwidth)) }, reads: "bandwidth bytes"},
 		{fig: 9, run: trains("fig9", experiments.Fig9Spec(10, true, scale),
-			experiments.Fig9Spec(10, false, scale), experiments.Fig9Spec(100, false, scale)), traced: true},
+			experiments.Fig9Spec(10, false, scale), experiments.Fig9Spec(100, false, scale)), reads: trained},
 		{fig: 10, run: trains("fig10", experiments.Fig10Spec(10, true, scale),
-			experiments.Fig10Spec(10, false, scale), experiments.Fig10Spec(100, false, scale)), traced: true},
+			experiments.Fig10Spec(10, false, scale), experiments.Fig10Spec(100, false, scale)), reads: trained},
 		{fig: 11, run: trains("fig11", experiments.Fig11Spec(experiments.ArchResNet, 10, scale),
-			experiments.Fig11Spec(experiments.ArchVGG, 10, scale), experiments.Fig11Spec(experiments.ArchResNet, 100, scale)), traced: true},
-		{fig: 12, run: trains("fig12", experiments.Fig12Spec(10, true, scale), experiments.Fig12Spec(100, false, scale)), traced: true},
-		{fig: 13, run: trains("fig13", experiments.Fig13Spec(10, true, scale), experiments.Fig13Spec(100, false, scale)), traced: true},
-		{fig: 14, run: func() { experiments.PrintFig14(out, experiments.Fig14(scale, 5)) }},
+			experiments.Fig11Spec(experiments.ArchVGG, 10, scale), experiments.Fig11Spec(experiments.ArchResNet, 100, scale)), reads: trained},
+		{fig: 12, run: trains("fig12", experiments.Fig12Spec(10, true, scale), experiments.Fig12Spec(100, false, scale)), reads: trained},
+		{fig: 13, run: trains("fig13", experiments.Fig13Spec(10, true, scale), experiments.Fig13Spec(100, false, scale)), reads: trained},
+		{fig: 14, run: func() { experiments.PrintFig14(out, experiments.Fig14(scale, 5)) }, reads: "quick"},
 		{table: 1, run: func() {
 			rows := experiments.Table1(run(experiments.Fig9Spec(10, false, scale)), run(experiments.Fig9Spec(10, true, scale)))
 			rows = append(rows, experiments.Table1(run(experiments.Fig10Spec(10, false, scale)), run(experiments.Fig10Spec(10, true, scale)))...)
 			experiments.PrintTable1(out, rows)
-		}},
+		}, reads: "quick workers"},
 	}
 
 	figOK, tableOK := *fig == 0, *table == 0
@@ -180,23 +182,31 @@ func main() {
 	if !tableOK {
 		cli.Fatalf("figures", "-table %d: the paper's evaluation has tables %v", *table, tables)
 	}
-	// A flag no selected row reads is a typo, not a no-op.
+	// A flag given on the command line that no selected row reads is a
+	// typo, not a no-op: readers lists the rows reading each flag, read the
+	// flags the selection reads.
 	all := *fig == 0 && *table == 0
 	var selected []func()
-	var priced, traced bool
+	readers, read := map[string][]string{}, map[string]bool{}
 	for _, it := range items {
-		if all || (it.fig != 0 && it.fig == *fig) || (it.table != 0 && it.table == *table) {
+		name, sel := fmt.Sprintf("figure %d", it.fig), all || it.fig != 0 && it.fig == *fig
+		if it.table != 0 {
+			name, sel = fmt.Sprintf("table %d", it.table), all || it.table == *table
+		}
+		if sel {
 			selected = append(selected, it.run)
-			priced, traced = priced || it.priced, traced || it.traced
+		}
+		for _, f := range strings.Fields(it.reads) {
+			readers[f] = append(readers[f], name)
+			read[f] = read[f] || sel
 		}
 	}
-	if *bytes > 0 && !priced {
-		cli.Fatalf("figures", "-bytes and -bandwidth price figures 5, 7 and 8 only")
-	}
+	flag.Visit(func(f *flag.Flag) {
+		if len(readers[f.Name]) > 0 && !read[f.Name] {
+			cli.Fatalf("figures", "-%s is read by %s only", f.Name, strings.Join(readers[f.Name], ", "))
+		}
+	})
 	if *csvDir != "" {
-		if !traced {
-			cli.Fatalf("figures", "-csv writes the training traces of figures 1 and 9-13 only")
-		}
 		// Now, not after the first panel has trained.
 		cli.Check("figures", os.MkdirAll(*csvDir, 0o755))
 	}

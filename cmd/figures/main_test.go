@@ -16,17 +16,18 @@ func TestCommandLine(t *testing.T) {
 	// figures take a minute at -quick; experiments_test.go covers them),
 	// and they print the numbers they printed when the golden was captured,
 	// byte for byte: Figs 6 and 7 draw internal/bound's Theorem 1 bound and
-	// Theorem 2's tau*. The golden is these runs' stdout in this order.
+	// Theorem 2's tau*. The golden is these runs' stdout in this order; only
+	// Fig 5 reads -quick (its trial count).
 	ok := func(args string) string {
-		stdout, stderr, code := run(append([]string{"-quick"}, strings.Fields(args)...)...)
+		stdout, stderr, code := run(strings.Fields(args)...)
 		if code != 0 || !strings.HasPrefix(stdout, "== ") || stderr != "" {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
 		}
 		return stdout
 	}
 	var printed strings.Builder
-	for _, args := range []string{"-fig 4", "-fig 5", "-fig 6", "-fig 7", "-fig 8",
-		"-fig 5 -bytes 800000 -bandwidth 4e6", "-fig 7 -bytes 800000 -bandwidth 4e6",
+	for _, args := range []string{"-fig 4", "-quick -fig 5", "-fig 6", "-fig 7", "-fig 8",
+		"-quick -fig 5 -bytes 800000 -bandwidth 4e6", "-fig 7 -bytes 800000 -bandwidth 4e6",
 		"-fig 8 -bytes 800000 -bandwidth 4e6"} {
 		printed.WriteString(ok(args))
 	}
@@ -37,8 +38,9 @@ func TestCommandLine(t *testing.T) {
 	if printed.String() != string(golden) {
 		t.Errorf("the analytic figures at -quick differ from testdata/analytic-quick.golden:\n%s", printed.String())
 	}
-	ok("-fig 4 -workers 1")
 
+	// Every row exits before anything trains, so none needs -quick, and
+	// none names it unless the row is about it: each exits on its own check.
 	for _, bad := range []string{
 		"-fig 99",
 		"-fig 2",
@@ -60,6 +62,16 @@ func TestCommandLine(t *testing.T) {
 		"-table 1 -bytes 800000 -bandwidth 4e6",
 		"-fig 5 -bandwidth 4e6",
 		"-fig 4 -cpuprofile /nonexistent-directory/cpu.prof",
+		// The same: figs 4, 6, 7 and 8 print the same bytes with and
+		// without -quick, Fig 5 runs no pool and Fig 14 trains one engine
+		// outside it.
+		"-fig 4 -workers 1",
+		"-quick -fig 4",
+		"-quick -fig 6",
+		"-quick -fig 7 -bytes 800000 -bandwidth 4e6",
+		"-quick -fig 8",
+		"-quick -fig 5 -workers 2",
+		"-quick -fig 14 -workers 2",
 		// The ablations are cmd/sweep's, and -kernel-workers went with the
 		// kernel pool's knob: not flags here, so the flag package rejects
 		// them.
@@ -67,7 +79,7 @@ func TestCommandLine(t *testing.T) {
 		"-wire float32", "-faults drop:0.1", "-adam-beta2 0.99", "-global-momentum 0.2",
 	} {
 		t.Run(bad, func(t *testing.T) {
-			stdout, stderr, code := run(append([]string{"-quick"}, strings.Fields(bad)...)...)
+			stdout, stderr, code := run(strings.Fields(bad)...)
 			clitest.WantExit2(t, "figures", stdout, stderr, code)
 		})
 	}

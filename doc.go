@@ -18,9 +18,10 @@
 // internal/cli. Simulated time has ONE pricer, internal/delaymodel:
 // a round's compute half is SampleCompute (the slowest up worker's scaled
 // sum of compute draws), its broadcast half SampleDRound (one D0 draw, the
-// slowest active transfer gates, nil fault masks mean everyone up at scale
-// 1), and one link rule resolves every transfer's bandwidth, for both
-// engines, the parameter server and the runtime figures alike.
+// slowest active transfer gates), both over the engines' one membership mask
+// (active[i] while worker i is up; nil masks mean everyone up at scale 1),
+// and one link rule resolves every transfer's bandwidth, for both engines,
+// the parameter server and the runtime figures alike.
 //
 // Beyond the paper, internal/compress models the communication-VOLUME axis
 // of the trade-off: gradient/delta compression (top-k, random-k, QSGD-style
@@ -94,9 +95,9 @@
 //
 // The adaptive controllers are heterogeneity-aware end to end: the engines
 // report observed timing back to the controllers — cluster.RoundInfo carries
-// the per-round communication/compute wall-clock split and the per-worker
-// transfer times of each round's schedule (delaymodel.SampleDRound),
-// and paramserver.RoundInfo the per-worker exchange transfer times. With
+// the cumulative communication/compute wall-clock split, which is all
+// AdaComm reads, and paramserver.RoundInfo the per-worker exchange transfer
+// times AdaSync's cap reads. With
 // core.Config.LinkAware, AdaComm (and the joint AdaCommCompress) scales its
 // proposed tau by sqrt of the measured comm/compute ratio alpha, so slow
 // links hold tau higher, per Theorem 2's tau* ~ sqrt(D) scaling; with

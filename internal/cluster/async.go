@@ -371,6 +371,11 @@ func NewAsync(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.D
 	if e.slow, err = dm.ComputeScales(); err != nil {
 		return nil, err
 	}
+	// An activation is never cut, so a tau past the lock-step engine's step
+	// cap (Engine.budgetSteps) is refused rather than run past its budget.
+	if act := float64(cfg.Tau) * dm.Y.Mean() * slices.Max(e.slow); cfg.MaxTime > 0 && act > budgetOvershoot*cfg.MaxTime {
+		return nil, fmt.Errorf("cluster: async tau %d: one activation is expected to take %g simulated seconds, over %d x the %g s budget", cfg.Tau, act, budgetOvershoot, cfg.MaxTime)
+	}
 	e.idle = make([]int, n)
 	e.idlePos = make([]int, n)
 	for i := 0; i < n; i++ {

@@ -72,6 +72,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 
 	"repro/internal/comm"
 	"repro/internal/compress"
@@ -283,25 +284,20 @@ func (c Config) validate() error {
 	return nil
 }
 
-// RoundInfo is the engine state visible to a Controller before each round.
+// RoundInfo is what a Controller reads of the engine's state before a round.
 type RoundInfo struct {
-	Round    int     // completed averaging rounds
-	Iter     int     // completed local iterations (per worker)
-	Time     float64 // simulated wall-clock seconds
-	Epoch    int     // completed passes over each worker's shard
-	LastTau  int     // tau used in the previous round (0 before first)
-	LastLR   float64 // learning rate used in the previous round
-	LastLoss float64 // most recent evaluated training loss (NaN if none)
+	Round int     // completed averaging rounds
+	Iter  int     // completed local iterations (per worker)
+	Time  float64 // simulated wall-clock seconds
+	Epoch int     // completed passes over each worker's shard
 
-	// Observed timing, populated by the engine (all zero before the first
-	// round). CommTime and ComputeTime split Time into the cumulative
-	// simulated wall-clock spent on synchronization versus local compute;
-	// LastCommTime is the previous round's synchronization delay alone.
-	// Their ratio is the controller-visible estimate of the paper's runtime
-	// term alpha = E[D]/E[Y], which link-aware controllers consume.
-	CommTime     float64
-	ComputeTime  float64
-	LastCommTime float64
+	// Observed timing (both zero before the first round): CommTime and
+	// ComputeTime split Time into the cumulative simulated wall-clock spent
+	// on synchronization versus local compute. Their ratio is the
+	// controller-visible estimate of the paper's runtime term
+	// alpha = E[D]/E[Y], which link-aware AdaComm consumes.
+	CommTime    float64
+	ComputeTime float64
 
 	// GradNorm is the l2 norm of worker 0's most recent mini-batch gradient
 	// (zero before the first round; under churn it may reflect a frozen
@@ -309,16 +305,6 @@ type RoundInfo struct {
 	// decay (compress.NormDecayBits) consume it; reading it costs no RNG
 	// and does not perturb any trajectory.
 	GradNorm float64
-
-	// LinkTimes[i] is worker i's own transfer time in the previous round's
-	// schedule (delaymodel.SampleDRound: link latency times the
-	// topology's hops plus wire bytes over the link's bandwidth, before the
-	// model's scale factor) — which link gated the round and by how much.
-	// Under per-edge pricing (delaymodel.Model.EdgeLinks on a gossip graph)
-	// it is instead worker i's slowest ACTIVE outgoing edge. The slice is
-	// engine-owned and overwritten every round; controllers must not retain
-	// or mutate it. Nil before the first round.
-	LinkTimes []float64
 }
 
 // Controller chooses the communication period and learning rate for the
@@ -425,7 +411,6 @@ type Engine struct {
 	roundMax    int
 	latHops     float64
 	bytesFactor float64
-	linkTimes   []float64 // per-worker transfer times of the last round
 
 	// Compression state: comps[i] is worker i's compressor (owning its
 	// error-feedback residual and stochastic stream), the identity under the
@@ -485,8 +470,8 @@ type Engine struct {
 
 	// Membership view, always present: fault-free it is everyone up at
 	// transfer scale 1, and every strategy runs its one path over it.
-	// fltActive/fltDown are the round's membership view and its inverse
-	// (the delay model's mask convention), fltNActive its size, fltScale
+	// fltActive is the round's membership mask (the one convention of
+	// faults, comm, graph and delaymodel), fltNActive its size, fltScale
 	// the per-worker transfer multipliers (slow-down episodes times drop
 	// retries), and reconBytes the rejoin-reconcile payloads charged into
 	// the round's schedule.
@@ -494,7 +479,6 @@ type Engine struct {
 	// graph (re-derived only when the graph index or membership changes —
 	// subForIdx/subActive are the cache key).
 	fltActive  []bool
-	fltDown    []bool
 	fltNActive int
 	fltScale   []float64
 	reconBytes []int
@@ -507,8 +491,7 @@ type Engine struct {
 	// dispersion was accumulated over gmomPrev's population, so a
 	// membership change renormalizes it by the surviving fraction
 	// |A_t ∩ A_prev| / |A_prev| before it is mixed again (beginRound).
-	gmomPrev  []bool
-	gmomPrevN int
+	gmomPrev []bool
 
 	cfg Config
 }
@@ -610,7 +593,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 	for i := range e.roundBytes {
 		e.roundBytes[i] = e.roundMax
 	}
-	e.linkTimes = make([]float64, m)
 	e.sumBuf = make([]float64, e.xdim)
 	e.msgBuf = make([]compress.Message, m)
 	e.avgBuf = make([]float64, e.xdim)
@@ -672,7 +654,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		return nil, err
 	}
 	e.fltActive = make([]bool, m)
-	e.fltDown = make([]bool, m)
 	e.fltScale = make([]float64, m)
 	for i := range e.fltActive {
 		e.fltActive[i] = true
@@ -687,7 +668,6 @@ func New(proto *nn.Network, shards []*data.Dataset, trainEval, test *data.Datase
 		for i := range e.gmomPrev {
 			e.gmomPrev[i] = true
 		}
-		e.gmomPrevN = m
 	}
 	return e, nil
 }
@@ -719,15 +699,14 @@ func (e *Engine) TestAccuracy() float64 {
 }
 
 // roundTime prices a round of `steps` local iterations followed by one
-// synchronization with the delay model's two halves (see internal/delaymodel):
-// compute is the slowest up worker's scaled sum of compute draws, comm the
-// round's transfer schedule — roundBytes, the per-worker wire bytes the sync
-// just wrote, plus this round's rejoin pulls, under the topology's hop
-// multipliers, over the gossip graph just used
-// (e.activeAdj) when per-edge links are set — with the per-worker transfer
-// times landing in e.linkTimes for the next RoundInfo.
+// synchronization with the delay model's two halves (see internal/delaymodel),
+// both over the round's membership mask: compute is the slowest up worker's
+// scaled sum of compute draws, comm the round's transfer schedule —
+// roundBytes, the per-worker wire bytes the sync just wrote, plus this
+// round's rejoin pulls, under the topology's hop multipliers, over the
+// gossip graph just used (e.activeAdj) when per-edge links are set.
 func (e *Engine) roundTime(steps int) (compute, comm float64) {
-	compute = e.delay.SampleCompute(e.r, steps, e.slow, e.fltDown)
+	compute = e.delay.SampleCompute(e.r, steps, e.slow, e.fltActive)
 	// Rejoin-reconcile payloads ride the round's schedule, down workers ship
 	// nothing, and slow-down/drop-retry factors multiply the survivors'
 	// transfers. Fault-free the payloads are 0, nobody is down and every
@@ -736,7 +715,7 @@ func (e *Engine) roundTime(steps int) (compute, comm float64) {
 	for i, b := range e.reconBytes {
 		e.roundBytes[i] += b
 	}
-	return compute, e.delay.SampleDRound(e.r, e.roundBytes, e.activeAdj, e.latHops, e.bytesFactor, e.fltDown, e.fltScale, e.linkTimes)
+	return compute, e.delay.SampleDRound(e.r, e.roundBytes, e.activeAdj, e.latHops, e.bytesFactor, e.fltActive, e.fltScale, nil)
 }
 
 // CommBytesPerRound returns the per-link payload charged for the most
@@ -906,37 +885,36 @@ func (e *Engine) allReduce() {
 // reached and returns the training trace. Deterministic given cfg.Seed.
 func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 	trace := metrics.NewTrace(traceName)
-	info := RoundInfo{LastLoss: math.NaN()}
-	nextEval := 0 // record once iter crosses this threshold
+	var info RoundInfo
 
 	// A controller's evaluation at the round a trace point was just taken
 	// at (AdaComm's F0, a probe landing on a recorded round) is that point's
 	// loss: the global model has not moved since.
-	recorded := -1 // the round of the last trace point
+	recorded, recordedLoss := -1, 0.0
 	evalLoss := func() float64 {
 		if info.Round == recorded {
-			return info.LastLoss
+			return recordedLoss
 		}
 		return e.TrainLoss()
 	}
 
 	record := func(tau int, lr float64) {
-		loss := e.TrainLoss()
-		recorded = info.Round
+		recorded, recordedLoss = info.Round, e.TrainLoss()
 		acc := math.NaN()
 		if e.cfg.AccEverySync > 0 && e.testSet != nil && info.Round%e.cfg.AccEverySync == 0 {
 			acc = e.TestAccuracy()
 		}
-		info.LastLoss = loss
 		trace.Add(metrics.Point{
-			Time: info.Time, Iter: info.Iter, Loss: loss, Acc: acc, Tau: tau, LR: lr,
+			Time: info.Time, Iter: info.Iter, Loss: recordedLoss, Acc: acc, Tau: tau, LR: lr,
 		})
 	}
 
 	// Record the starting point.
 	record(0, 0)
-	nextEval = e.cfg.EvalEvery
+	nextEval := e.cfg.EvalEvery // record once iter crosses this threshold
+	maxSteps := e.budgetSteps()
 
+	tau, lr := 0, 0.0 // the last round's, which the final point reports
 	for {
 		if e.cfg.MaxIters > 0 && info.Iter >= e.cfg.MaxIters {
 			break
@@ -944,7 +922,7 @@ func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 		if e.cfg.MaxTime > 0 && info.Time >= e.cfg.MaxTime {
 			break
 		}
-		tau, lr := ctrl.NextRound(info, evalLoss)
+		tau, lr = ctrl.NextRound(info, evalLoss)
 		if tau < 1 {
 			panic(fmt.Sprintf("cluster: controller %s returned tau=%d", ctrl.Name(), tau))
 		}
@@ -957,12 +935,11 @@ func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 				}
 			}
 		}
-		// Trim the round to the iteration budget so runs are comparable.
-		steps := tau
+		// Trim the round to the iteration budget so runs are comparable, and
+		// to the time budget's step cap so no round outruns it.
+		steps := min(tau, maxSteps)
 		if e.cfg.MaxIters > 0 {
-			if rem := e.cfg.MaxIters - info.Iter; rem < steps {
-				steps = rem
-			}
+			steps = min(steps, e.cfg.MaxIters-info.Iter)
 		}
 
 		e.beginRound(info.Round)
@@ -981,12 +958,8 @@ func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 		info.Time += compute + comm
 		info.ComputeTime += compute
 		info.CommTime += comm
-		info.LastCommTime = comm
-		info.LinkTimes = e.linkTimes
 		info.Round++
 		info.Epoch = e.workers[0].sampler.Epoch()
-		info.LastTau = tau
-		info.LastLR = lr
 
 		if info.Iter >= nextEval {
 			record(tau, lr)
@@ -996,8 +969,25 @@ func (e *Engine) Run(ctrl Controller, traceName string) *metrics.Trace {
 		}
 	}
 	// Always record the final state.
-	record(info.LastTau, info.LastLR)
+	record(tau, lr)
 	return trace
+}
+
+// budgetOvershoot is how far past MaxTime one round's expected compute may
+// reach before Run cuts the round. At 10 no golden run is cut; at 2 sweep's
+// full-coupling row is (its eq-19 tau of 6909 outruns an 800 s budget).
+const budgetOvershoot = 10
+
+// budgetSteps caps a round under a time budget, which a controller's tau
+// could otherwise outrun without bound: the step count whose expected
+// compute, steps x E[Y] x the largest compute factor, reaches
+// budgetOvershoot x MaxTime, and at least 1.
+func (e *Engine) budgetSteps() int {
+	n := math.Ceil(budgetOvershoot * e.cfg.MaxTime / (e.delay.Y.Mean() * slices.Max(e.slow)))
+	if e.cfg.MaxTime <= 0 || !(n < math.MaxInt32) { // no time budget, or free compute
+		return math.MaxInt
+	}
+	return max(int(n), 1)
 }
 
 // StepLocal advances every worker by k local SGD steps at the given

@@ -13,8 +13,8 @@ import (
 // here consumes RNG, so a fault-free run is the fault path with nobody down.
 
 // beginRound refreshes the round's membership view from the fault schedule:
-// the active set (installed into the communicator), the down mask and the
-// per-worker transfer multipliers roundTime charges, and the reconciliation
+// the active set (installed into the communicator), the per-worker
+// transfer multipliers roundTime charges, and the reconciliation
 // pulls of workers rejoining after a blip. Run calls it at the top of every
 // round; the manual StepLocal/SyncNow drivers do not. Without a schedule the
 // view cannot change, so the refresh is skipped outright: the per-worker
@@ -24,9 +24,6 @@ func (e *Engine) beginRound(round int) {
 		return
 	}
 	e.fltNActive = e.cfg.Faults.ActiveInto(round, e.fltActive)
-	for i := range e.fltDown {
-		e.fltDown[i] = !e.fltActive[i]
-	}
 	e.com.SetActive(e.fltActive)
 	for i := range e.fltScale {
 		e.fltScale[i] = e.cfg.Faults.TransferScale(e.cfg.Seed, round, i)
@@ -40,17 +37,19 @@ func (e *Engine) beginRound(round int) {
 		// pure-rejoin rounds give factor 1 (a bitwise no-op); crash rounds
 		// shrink the buffer so departed workers' stale contributions do not
 		// keep steering the global model.
-		inter := 0
-		for i := range e.fltActive {
-			if e.fltActive[i] && e.gmomPrev[i] {
-				inter++
+		inter, prev := 0, 0
+		for i, was := range e.gmomPrev {
+			if was {
+				prev++
+				if e.fltActive[i] {
+					inter++
+				}
 			}
 		}
-		if e.gmomPrevN > 0 {
-			e.gmom.Renormalize(float64(inter) / float64(e.gmomPrevN))
+		if prev > 0 {
+			e.gmom.Renormalize(float64(inter) / float64(prev))
 		}
 		copy(e.gmomPrev, e.fltActive)
-		e.gmomPrevN = e.fltNActive
 	}
 	for i := range e.workers {
 		if e.fltActive[i] && e.cfg.Faults.Rejoins(i, round) {

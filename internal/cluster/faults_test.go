@@ -186,42 +186,31 @@ func TestRejoinReconciliation(t *testing.T) {
 	}
 }
 
-// linkProbe runs fixed 5-step rounds and keeps a copy of every round's
-// RoundInfo.LinkTimes, indexed by the round they describe.
-type linkProbe struct{ times [][]float64 }
-
-func (p *linkProbe) Name() string { return "link-probe" }
-
-func (p *linkProbe) NextRound(info RoundInfo, _ func() float64) (int, float64) {
-	if info.Round > 0 {
-		p.times = append(p.times, append([]float64(nil), info.LinkTimes...))
-	}
-	return 5, 0.1
-}
-
 // TestRejoinPricedInItsRoundOnly: a rejoining worker's exact pull of the
 // 8*xdim-byte extended vector is charged to its link in the rejoin round,
-// on top of its push, and is gone from the schedule the round after.
+// on top of its push, and is gone from the schedule the round after. With
+// D0 = 0 a round's comm time is its slowest link's alone: a push while
+// worker 1 is down (the survivors still push), twice a push in its rejoin
+// round. That a down worker ships nothing is delaymodel's
+// TestSampleDScheduleFaultyExcludesDownAndScales.
 func TestRejoinPricedInItsRoundOnly(t *testing.T) {
 	const bw = 64
-	s := newSetup(t, 4, 1)
+	s := newSetup(t, 4, 0)
 	s.dm.Bandwidth = bw
 	cfg := baseCfg()
 	cfg.MaxIters = 30
 	cfg.Faults = mustFaults(t, "blip:1@r1-2")
 	e := s.engine(t, cfg)
-	probe := &linkProbe{}
+	probe := &timingProbe{}
 	e.Run(probe, "rejoin-pricing")
-	if len(probe.times) < 5 {
-		t.Fatalf("recorded %d rounds, want at least 5", len(probe.times))
+	comm := probe.roundComm()
+	if len(comm) < 5 {
+		t.Fatalf("recorded %d rounds, want at least 5", len(comm))
 	}
 	push := float64(8*e.xdim) / bw
-	for r, want := range []float64{push, 0, 0, 2 * push, push} {
-		if got := probe.times[r][1]; got != want {
-			t.Errorf("round %d: worker 1's link time %v, want %v", r, got, want)
-		}
-		if got := probe.times[r][0]; got != push {
-			t.Errorf("round %d: worker 0's link time %v, want %v", r, got, push)
+	for r, want := range []float64{push, push, push, 2 * push, push} {
+		if got := comm[r]; got != want {
+			t.Errorf("round %d: comm time %v, want %v", r, got, want)
 		}
 	}
 }

@@ -202,7 +202,7 @@ func (e *Engine) averageRing() {
 	g := e.gossip
 	e.roundMax = 0
 	for i, node := range g.nodes {
-		if e.fltDown[i] {
+		if !e.fltActive[i] {
 			// Down nodes send nothing; their estimates (and compressor
 			// streams) freeze with them until reconcile re-pins them.
 			e.roundBytes[i] = 0
@@ -234,7 +234,7 @@ func (e *Engine) averageRing() {
 	}
 	gamma := e.gossipGamma(gr)
 	for i, node := range g.nodes {
-		if e.fltDown[i] {
+		if !e.fltActive[i] {
 			continue
 		}
 		dst := node.Ext()
@@ -294,7 +294,7 @@ func (e *Engine) averageElastic() {
 	}
 	e.roundMax = 0
 	for i, w := range e.workers {
-		if e.fltDown[i] {
+		if !e.fltActive[i] {
 			e.roundBytes[i] = 0 // down replicas neither push nor get pulled
 			continue
 		}

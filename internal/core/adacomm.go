@@ -94,15 +94,12 @@ func (c Config) withDefaults() Config {
 type AdaComm struct {
 	cfg Config
 
-	initialized  bool
 	f0           float64 // F(x_{t=0})
 	eta0         float64
 	nextBoundary float64
-	curTau       int
+	curTau       int // 0 until the first round
 	curLR        float64
 	linkFactor   float64 // sqrt(alpha_obs) applied at the last boundary (LinkAware)
-	boundaries   int     // interval boundaries adapted at so far
-	boundaryLoss float64 // the last boundary's loss, clamped at 0
 }
 
 // NewAdaComm builds the controller.
@@ -114,7 +111,7 @@ func NewAdaComm(cfg Config) *AdaComm {
 	if !(cfg.Interval > 0 && cfg.Interval <= math.MaxFloat64) {
 		panic("core: AdaComm needs a positive finite interval T0")
 	}
-	return &AdaComm{cfg: cfg}
+	return &AdaComm{cfg: cfg, linkFactor: 1}
 }
 
 // Name implements cluster.Controller.
@@ -126,16 +123,19 @@ func (a *AdaComm) Tau() int { return a.curTau }
 // LinkFactor returns the link-aware tau scale applied at the most recent
 // interval boundary: sqrt(observed alpha), or 1 when LinkAware is off, the
 // cluster is compute-bound, or no boundary has passed yet.
-func (a *AdaComm) LinkFactor() float64 {
-	if !a.initialized {
-		return 1
-	}
-	return a.linkFactor
-}
+func (a *AdaComm) LinkFactor() float64 { return a.linkFactor }
 
 // NextRound implements cluster.Controller.
 func (a *AdaComm) NextRound(info cluster.RoundInfo, evalLoss func() float64) (int, float64) {
-	if !a.initialized {
+	tau, lr, _, _ := a.next(info, evalLoss)
+	return tau, lr
+}
+
+// next is NextRound with the boundary's report: adapted is true when an
+// interval boundary re-chose tau on this call, and f is the loss it adapted
+// at, clamped at 0 (the joint controller re-tunes its ratio from it).
+func (a *AdaComm) next(info cluster.RoundInfo, evalLoss func() float64) (tau int, lr, f float64, adapted bool) {
+	if a.curTau == 0 {
 		a.f0 = evalLoss()
 		if a.f0 <= 0 {
 			// Degenerate start (already at zero loss): communicate every
@@ -145,27 +145,24 @@ func (a *AdaComm) NextRound(info cluster.RoundInfo, evalLoss func() float64) (in
 		a.eta0 = a.cfg.Schedule.LR(0)
 		a.curTau = a.cfg.Tau0
 		a.curLR = a.eta0
-		a.linkFactor = 1
 		a.nextBoundary = a.cfg.Interval
-		a.initialized = true
-		return a.curTau, a.curLR
+		return a.curTau, a.curLR, 0, false
 	}
 
 	if info.Time >= a.nextBoundary {
-		a.adapt(info, evalLoss)
+		f, adapted = a.adapt(info, evalLoss), true
 		a.nextBoundary = events.NextBoundary(a.nextBoundary, info.Time, a.cfg.Interval)
 	}
-	return a.curTau, a.curLR
+	return a.curTau, a.curLR, f, adapted
 }
 
-// adapt recomputes tau (and the learning rate) at an interval boundary.
-func (a *AdaComm) adapt(info cluster.RoundInfo, evalLoss func() float64) {
+// adapt recomputes tau (and the learning rate) at an interval boundary and
+// returns the loss it adapted at, clamped at 0.
+func (a *AdaComm) adapt(info cluster.RoundInfo, evalLoss func() float64) float64 {
 	f := evalLoss()
 	if f < 0 {
 		f = 0
 	}
-	a.boundaries++
-	a.boundaryLoss = f
 
 	// Learning-rate scheduling with the optional deferral policy.
 	scheduled := a.cfg.Schedule.LR(info.Epoch)
@@ -231,6 +228,7 @@ func (a *AdaComm) adapt(info cluster.RoundInfo, evalLoss func() float64) {
 	}
 	a.curLR = lr
 	a.linkFactor = factor
+	return f
 }
 
 // linkFactorTol is the relative growth of the link factor below which a

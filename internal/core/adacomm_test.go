@@ -15,7 +15,7 @@ import (
 
 // fakeInfo builds a RoundInfo at the given simulated time/epoch.
 func fakeInfo(time float64, epoch int) cluster.RoundInfo {
-	return cluster.RoundInfo{Time: time, Epoch: epoch, Round: 1, Iter: 100, LastLoss: math.NaN()}
+	return cluster.RoundInfo{Time: time, Epoch: epoch, Round: 1, Iter: 100}
 }
 
 // lossSeq returns an evalLoss closure yielding scripted values.

@@ -51,8 +51,7 @@ type AdaCommCompress struct {
 	ada *AdaComm
 	cs  CompressSchedule
 
-	ratio      float64
-	boundaries int // ada.boundaries when the ratio was last re-tuned
+	ratio float64
 
 	norm0   float64 // first observed gradient norm (NormBits reference)
 	curBits int     // current norm-rule width (0 until a norm is observed)
@@ -88,16 +87,15 @@ func (a *AdaCommCompress) QuantBits() int {
 // from the embedded AdaComm; the ratio is re-chosen on the boundaries it
 // adapts at, from the loss it evaluated there.
 func (a *AdaCommCompress) NextRound(info cluster.RoundInfo, evalLoss func() float64) (int, float64) {
-	tau, lr := a.ada.NextRound(info, evalLoss)
+	tau, lr, f, adapted := a.ada.next(info, evalLoss)
 	if a.cs.NormBits && info.GradNorm > 0 {
 		if a.norm0 == 0 {
 			a.norm0 = info.GradNorm
 		}
 		a.curBits = compress.NormDecayBits(normBits0, a.norm0, info.GradNorm)
 	}
-	if a.boundaries != a.ada.boundaries {
-		a.boundaries = a.ada.boundaries
-		a.adaptRatio(a.ada.boundaryLoss)
+	if adapted {
+		a.adaptRatio(f)
 	}
 	return tau, lr
 }

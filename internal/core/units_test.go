@@ -232,3 +232,86 @@ func TestCompleteGossipIsFullAveraging(t *testing.T) {
 		})
 	}
 }
+
+// TestSynchronousEnginesCoincide: with full-shard batches (every step's
+// gradient is its shard's, so only the summation order can differ) and
+// plain SGD, three engines run the same synchronous algorithm, x <- x - lr *
+// mean_i grad_i(x): the lock-step engine at tau = 1 with full averaging, the
+// K-sync parameter server at K = m, and the async engine at Participation =
+// InFlight = N with Tau = 1 (its exact barrier). The loss after every update
+// must agree to a relative 1e-12. Times are not compared: the three clocks
+// price a round differently.
+func TestSynchronousEnginesCoincide(t *testing.T) {
+	train := data.GaussianBlobs(data.GaussianBlobsConfig{
+		Classes: 4, Dim: 10, N: 640, Separation: 4, Noise: 1.2, LabelNoise: 0.05,
+	}, rng.New(920))
+	proto := nn.NewLogisticRegression(10, 4)
+	proto.InitParams(rng.New(921))
+	const m, updates, lr = 4, 60, 0.1
+	shards := data.ShardIID(train, m, rng.New(922))
+	batch := shards[0].N() // every shard holds 160 examples
+	model := func() *delaymodel.Model {
+		return delaymodel.New(m, rng.Exponential{MeanVal: 1}, rng.Constant{Value: 0.5}, delaymodel.ConstantScaling{})
+	}
+
+	// losses maps a trace to its loss after each update: the starting point,
+	// then one point per update (every engine records each update here and
+	// repeats its last point as the final state).
+	losses := func(t *testing.T, tr *metrics.Trace, itersPerUpdate int) []float64 {
+		t.Helper()
+		if len(tr.Points) != updates+2 {
+			t.Fatalf("%s: %d points, want %d", tr.Name, len(tr.Points), updates+2)
+		}
+		var l []float64
+		for u, p := range tr.Points[:updates+1] {
+			if p.Iter != u*itersPerUpdate {
+				t.Fatalf("%s: point %d at iteration %d, want %d", tr.Name, u, p.Iter, u*itersPerUpdate)
+			}
+			l = append(l, p.Loss)
+		}
+		return l
+	}
+
+	e, err := cluster.New(proto, shards, train, nil, model(), cluster.Config{
+		BatchSize: batch, MaxIters: updates, EvalEvery: 1, Seed: 923,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := losses(t, e.Run(cluster.FixedTau{Tau: 1, Schedule: sgd.Const{Eta: lr}}, "lock-step"), 1)
+
+	s, err := paramserver.New(proto, shards, train, paramserver.Config{
+		Mode: paramserver.KSync, BatchSize: batch, ComputeY: rng.Exponential{MeanVal: 1},
+		PushDelay: rng.Constant{Value: 0.5}, MaxUpdates: updates, EvalEvery: 1, Seed: 924,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, _ := s.Run(paramserver.FixedK{K: m, LR: lr}, "k-sync")
+
+	a, err := cluster.NewAsync(proto, shards, train, nil, model(), cluster.AsyncConfig{
+		Participation: m, InFlight: m, Tau: 1, BatchSize: batch, LR: lr,
+		MaxUpdates: updates, EvalEvery: m, Seed: 925,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		got  []float64
+	}{
+		{"k-sync server", losses(t, server, 1)},
+		{"async barrier", losses(t, a.Run("async"), m)},
+	} {
+		worst := 0.0
+		for u, l := range c.got {
+			d := math.Abs(l-want[u]) / math.Abs(want[u])
+			if !(d <= 1e-12) {
+				t.Fatalf("%s: update %d loss %v, lock-step %v (relative %.3g)", c.name, u, l, want[u], d)
+			}
+			worst = max(worst, d)
+		}
+		t.Logf("%s: worst relative loss difference %.3g over %d updates", c.name, worst, updates)
+	}
+}

@@ -11,9 +11,14 @@
 // are up. Down workers still draw, so membership never shifts the stream;
 // with everyone down the round computes nothing and costs 0.
 //
+// Membership. Both halves take the engines' one membership mask: active[i]
+// is true while worker i is up, and nil means everyone up. It is the mask
+// faults.ActiveInto writes and comm.SetActive and graph.Subgraph read.
+//
 // Broadcast. SampleDRound prices a synchronization from its transfer
 // schedule (per-worker wire bytes, the topology's latency hops and bytes
-// factor, fault masks, optionally a mixing graph with per-edge links):
+// factor, the membership mask and transfer scales, optionally a mixing graph
+// with per-edge links):
 //
 //	D = (D0*latHops + slowest active transfer) * s(M)
 //
@@ -262,16 +267,16 @@ func (dm *Model) MeanDBytes(bytes int) float64 {
 // worker, in order, sums `steps` draws of Y — down workers too, so the round
 // consumes the same stream whatever the membership — and the round waits for
 // the slowest worker that is up, factor[i] times its sum (ComputeScales).
-// nil factor is 1 for everyone and nil down is everyone up; with every worker
-// down the round computes nothing and costs 0.
-func (dm *Model) SampleCompute(r *rng.Rand, steps int, factor []float64, down []bool) float64 {
+// nil factor is 1 for everyone and nil active (the membership mask) is
+// everyone up; with every worker down the round computes nothing and costs 0.
+func (dm *Model) SampleCompute(r *rng.Rand, steps int, factor []float64, active []bool) float64 {
 	mx := math.Inf(-1)
 	for i := 0; i < dm.M; i++ {
 		sum := 0.0
 		for k := 0; k < steps; k++ {
 			sum += dm.Y.Sample(r)
 		}
-		if down != nil && down[i] {
+		if active != nil && !active[i] {
 			continue
 		}
 		if factor != nil {
@@ -307,18 +312,19 @@ func (dm *Model) SampleCompute(r *rng.Rand, steps int, factor []float64, down []
 // and node i's transfer is its SLOWEST ACTIVE EDGE — so an expensive edge no
 // active graph uses costs nothing.
 //
-// down and scale are the fault masks; nil means everyone up, at scale 1.
-// down[i] excludes worker i entirely (it neither sends nor gates the round,
-// times[i] is 0) and deactivates every edge touching it; scale[i]
+// active (the membership mask) and scale are the fault masks; nil means
+// everyone up, at scale 1. A down worker neither sends nor gates the round
+// (times[i] is 0) and deactivates every edge touching it; scale[i]
 // multiplies worker i's transfer (slow-down episodes and retry charges).
 // times (when non-nil, len >= the schedule) receives each worker's own
-// transfer, BEFORE the Scale factor and the shared D0 draw — the signal
-// link-aware controllers consume.
+// transfer, BEFORE the Scale factor and the shared D0 draw: which link gated
+// the round and by how much. The lock-step engine passes nil; its
+// controllers read only the round's total.
 //
 // Exactly ONE D0 draw is consumed whatever the arguments, so masks, graphs
 // and recording never shift the delay stream, and the slowest active
 // transfer gates the round: D = (D0*latHops + slowest) * s(M).
-func (dm *Model) SampleDRound(r *rng.Rand, bytesPerWorker []int, adj [][]int, latHops, bytesFactor float64, down []bool, scale, times []float64) float64 {
+func (dm *Model) SampleDRound(r *rng.Rand, bytesPerWorker []int, adj [][]int, latHops, bytesFactor float64, active []bool, scale, times []float64) float64 {
 	byEdge := adj != nil && dm.EdgeLinks != nil
 	if byEdge && len(adj) < len(bytesPerWorker) {
 		panic(fmt.Sprintf("delaymodel: schedule for %d workers over a %d-node adjacency", len(bytesPerWorker), len(adj)))
@@ -327,13 +333,13 @@ func (dm *Model) SampleDRound(r *rng.Rand, bytesPerWorker []int, adj [][]int, la
 	slow := 0.0
 	for i, b := range bytesPerWorker {
 		t := 0.0
-		if down == nil || !down[i] {
+		if active == nil || active[i] {
 			own := dm.ownLink(i)
 			if !byEdge {
 				t = dm.transfer(own, own, b, latHops, bytesFactor)
 			} else {
 				for _, j := range adj[i] {
-					if down != nil && down[j] {
+					if active != nil && !active[j] {
 						continue
 					}
 					l, ok := dm.EdgeLinks[Edge{From: i, To: j}]

@@ -693,17 +693,17 @@ func TestSampleComputeMaxOverUpWorkers(t *testing.T) {
 	if got := dm.SampleCompute(r, 5, []float64{1, 3, 2}, nil); got != 30 {
 		t.Fatalf("straggler compute %v, want 30", got)
 	}
-	if got := dm.SampleCompute(r, 5, []float64{1, 3, 2}, []bool{false, true, false}); got != 20 {
+	if got := dm.SampleCompute(r, 5, []float64{1, 3, 2}, []bool{true, false, true}); got != 20 {
 		t.Fatalf("straggler down: compute %v, want 20", got)
 	}
-	if got := dm.SampleCompute(r, 5, nil, []bool{true, true, true}); got != 0 {
+	if got := dm.SampleCompute(r, 5, nil, []bool{false, false, false}); got != 0 {
 		t.Fatalf("everyone down: compute %v, want 0", got)
 	}
 	// Membership never shifts the stream: M*steps draws either way.
 	dm.Y = rng.Exponential{MeanVal: 1}
 	up, down := rng.New(9), rng.New(9)
 	dm.SampleCompute(up, 4, nil, nil)
-	dm.SampleCompute(down, 4, nil, []bool{true, false, true})
+	dm.SampleCompute(down, 4, nil, []bool{false, true, false})
 	if up.Uint64() != down.Uint64() {
 		t.Fatal("a down mask changed the number of compute draws")
 	}

@@ -26,7 +26,7 @@ func TestSampleDScheduleFaultyNilMasksDelegate(t *testing.T) {
 
 	// All-up masks with unit scales reproduce the legacy schedule exactly.
 	got = dm.SampleDRound(rng.New(1), bytes, nil, 1, 1,
-		[]bool{false, false, false}, []float64{1, 1, 1}, faulty)
+		[]bool{true, true, true}, []float64{1, 1, 1}, faulty)
 	if got != want {
 		t.Fatalf("all-up masks: %v != %v", got, want)
 	}
@@ -41,7 +41,7 @@ func TestSampleDScheduleFaultyExcludesDownAndScales(t *testing.T) {
 	// Worker 1 owns the slow link; taking it down hands the round to the
 	// survivors and zeroes its schedule entry.
 	d := dm.SampleDRound(rng.New(1), bytes, nil, 1, 1,
-		[]bool{false, true, false}, nil, times)
+		[]bool{true, false, true}, nil, times)
 	if times[1] != 0 {
 		t.Fatalf("down worker time %v, want 0", times[1])
 	}
@@ -52,7 +52,7 @@ func TestSampleDScheduleFaultyExcludesDownAndScales(t *testing.T) {
 
 	// A 3x slow-down episode on worker 0 triples its transfer time.
 	d = dm.SampleDRound(rng.New(1), bytes, nil, 1, 1,
-		[]bool{false, true, false}, []float64{3, 1, 1}, times)
+		[]bool{true, false, true}, []float64{3, 1, 1}, times)
 	if times[0] != 3*want {
 		t.Fatalf("scaled time %v, want %v", times[0], 3*want)
 	}
@@ -77,14 +77,14 @@ func TestSampleDEdgeScheduleFaultyDeactivatesEdgesOfDownNodes(t *testing.T) {
 
 	// With everyone up the slow 0<->1 edge gates the round.
 	d := dm.SampleDRound(rng.New(1), bytes, adj, 1, 1,
-		[]bool{false, false, false}, nil, times)
+		[]bool{true, true, true}, nil, times)
 	if d != 5 {
 		t.Fatalf("all-up edge round %v, want 5", d)
 	}
 	// Node 1 down: every edge touching it deactivates, the 0<->2 edge
 	// gates, and node 1's entry zeroes.
 	d = dm.SampleDRound(rng.New(1), bytes, adj, 1, 1,
-		[]bool{false, true, false}, nil, times)
+		[]bool{true, false, true}, nil, times)
 	if d != 1 || times[1] != 0 {
 		t.Fatalf("down-endpoint round %v times %v, want 1 / times[1]=0", d, times)
 	}

@@ -104,11 +104,11 @@ func FuzzRoundPricer(f *testing.F) {
 			return
 		}
 
-		down := make([]bool, m)
+		active := make([]bool, m)
 		adj := make([][]int, m)
 		payloads := make([]int, m)
-		for i := range down {
-			down[i] = downBits>>i&1 == 1
+		for i := range active {
+			active[i] = downBits>>i&1 == 0
 			adj[i] = []int{(i + m - 1) % m, (i + 1) % m}
 			payloads[i] = int(bytes)
 		}
@@ -116,8 +116,8 @@ func FuzzRoundPricer(f *testing.F) {
 		r := rng.New(uint64(downBits))
 		latHops := float64(1 + steps%3)
 		priced := map[string]float64{
-			"compute":  dm.SampleCompute(r, int(steps%16), scales, down),
-			"comm":     dm.SampleDRound(r, payloads, adj, latHops, 1.5, down, nil, times),
+			"compute":  dm.SampleCompute(r, int(steps%16), scales, active),
+			"comm":     dm.SampleDRound(r, payloads, adj, latHops, 1.5, active, nil, times),
 			"transfer": dm.SampleTransfer(r, m-1, int(bytes)),
 		}
 		for i, v := range times {

@@ -272,8 +272,9 @@ func refMeasureBreakdownBytes(p Profile, m, tau, iters int, r *rng.Rand, bytes i
 }
 
 // cluster.Engine.roundTime's compute loop, which always held a factor and a
-// down mask per worker (e.m == dm.M, e.r, e.slow, e.fltDown).
-func (dm *Model) refRoundCompute(r *rng.Rand, steps int, slow []float64, fltDown []bool) float64 {
+// down mask per worker (e.m == dm.M, e.r, e.slow, the inverse of
+// e.fltActive).
+func (dm *Model) refRoundCompute(r *rng.Rand, steps int, slow []float64, down []bool) float64 {
 	mx := math.Inf(-1)
 	for i := 0; i < dm.M; i++ {
 		sum := 0.0
@@ -283,7 +284,7 @@ func (dm *Model) refRoundCompute(r *rng.Rand, steps int, slow []float64, fltDown
 		// Down workers' compute draws still happen (stream alignment: the
 		// round consumes the same RNG regardless of membership) but do not
 		// gate the round.
-		if fltDown[i] {
+		if down[i] {
 			continue
 		}
 		if v := slow[i] * sum; v > mx {
@@ -347,6 +348,19 @@ func serverExchange(dm *Model, i, wire int, rw, rd *rng.Rand) (dur, transfer flo
 	dur += lat
 	dur += w
 	return dur, lat + w
+}
+
+// activeOf is the membership mask the pricers take for the references' down
+// mask: its inverse, nil staying nil (everyone up).
+func activeOf(down []bool) []bool {
+	if down == nil {
+		return nil
+	}
+	active := make([]bool, len(down))
+	for i, d := range down {
+		active[i] = !d
+	}
+	return active
 }
 
 // pricerCase is one randomly drawn pricing problem.
@@ -490,7 +504,7 @@ func TestSampleDRoundMatchesReferencePricers(t *testing.T) {
 			},
 			func(r *rng.Rand) []float64 {
 				return recorded(m, func(times []float64) float64 {
-					return dm.SampleDRound(r, c.bytes, c.adj, c.latHops, c.bytesFactor, c.down, c.scale, times)
+					return dm.SampleDRound(r, c.bytes, c.adj, c.latHops, c.bytesFactor, activeOf(c.down), c.scale, times)
 				})
 			})
 		// No adjacency: the per-worker faulty pricer.
@@ -502,7 +516,7 @@ func TestSampleDRoundMatchesReferencePricers(t *testing.T) {
 			},
 			func(r *rng.Rand) []float64 {
 				return recorded(m, func(times []float64) float64 {
-					return dm.SampleDRound(r, c.bytes, nil, c.latHops, c.bytesFactor, c.down, c.scale, times)
+					return dm.SampleDRound(r, c.bytes, nil, c.latHops, c.bytesFactor, activeOf(c.down), c.scale, times)
 				})
 			})
 		// Nil masks: the two surviving wrappers.
@@ -569,7 +583,7 @@ func TestComputeLinksAndSamplersMatchReferencePricers(t *testing.T) {
 
 		samePricing(t, what+" round compute", seed,
 			func(r *rng.Rand) []float64 { return one(dm.refRoundCompute(r, tau, slow, down)) },
-			func(r *rng.Rand) []float64 { return one(dm.SampleCompute(r, tau, slow, down)) })
+			func(r *rng.Rand) []float64 { return one(dm.SampleCompute(r, tau, slow, activeOf(down))) })
 		samePricing(t, what+" unit compute", seed,
 			func(r *rng.Rand) []float64 { return one(dm.refRoundCompute(r, tau, ones, make([]bool, m))) },
 			func(r *rng.Rand) []float64 { return one(dm.SampleCompute(r, tau, nil, nil)) })

@@ -39,11 +39,9 @@ const stallGrowth = 2
 type AdaSync struct {
 	cfg AdaSyncConfig
 
-	initialized  bool
 	f0           float64
 	nextBoundary float64
-	curK         int
-	lastK        int // K actually returned (after the link cap)
+	curK         int // 0 until the first round
 }
 
 // NewAdaSync builds the controller.
@@ -60,27 +58,16 @@ func NewAdaSync(cfg AdaSyncConfig) *AdaSync {
 // Name implements Controller.
 func (a *AdaSync) Name() string { return "AdaSync" }
 
-// K returns the aggregation size most recently handed to the server
-// (loss-rule K after the link cap, once running).
-func (a *AdaSync) K() int {
-	if a.lastK > 0 {
-		return a.lastK
-	}
-	return a.curK
-}
-
 // Next implements Controller.
 func (a *AdaSync) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
-	if !a.initialized {
+	if a.curK == 0 {
 		a.f0 = evalLoss()
 		if a.f0 <= 0 {
 			a.f0 = math.SmallestNonzeroFloat64
 		}
 		a.curK = a.cfg.K0
 		a.nextBoundary = a.cfg.Interval
-		a.initialized = true
-		a.lastK = a.capped(a.curK, info)
-		return a.lastK, a.cfg.LR
+		return a.capped(a.curK, info), a.cfg.LR
 	}
 	if info.Time >= a.nextBoundary {
 		f := evalLoss()
@@ -99,8 +86,7 @@ func (a *AdaSync) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
 		}
 		a.nextBoundary = events.NextBoundary(a.nextBoundary, info.Time, a.cfg.Interval)
 	}
-	a.lastK = a.capped(a.curK, info)
-	return a.lastK, a.cfg.LR
+	return a.capped(a.curK, info), a.cfg.LR
 }
 
 // capped applies the link-aware ceiling to the loss-rule K.

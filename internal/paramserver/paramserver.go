@@ -81,10 +81,10 @@ func (m Mode) String() string {
 }
 
 // RoundInfo is the server state a Controller sees before each update round —
-// the parameter-server analog of cluster.RoundInfo.
+// the parameter-server analog of cluster.RoundInfo, holding what AdaSync
+// reads: the clock its intervals run on, and the link times its cap reads.
 type RoundInfo struct {
-	Time    float64 // simulated clock
-	Version int     // server updates applied so far
+	Time float64 // simulated clock
 
 	// LinkTimes[i] is the deterministic transfer time of worker i's most
 	// recent exchange — its link latency plus the wire payload (gradient
@@ -422,7 +422,7 @@ func (s *Server) cancelInflight() {
 // arrival to staleSamples).
 func (s *Server) update(ctrl Controller, evalLoss func() float64) (k int, lr float64, ok bool) {
 	async := s.cfg.Mode == KAsync
-	k, lr = ctrl.Next(RoundInfo{Time: s.clock, Version: s.version, LinkTimes: s.linkTimes}, evalLoss)
+	k, lr = ctrl.Next(RoundInfo{Time: s.clock, LinkTimes: s.linkTimes}, evalLoss)
 	if k < 1 {
 		k = 1
 	}

@@ -147,7 +147,7 @@ type lossProbe struct {
 func (p lossProbe) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
 	for k := 0; k < 2; k++ {
 		if got, want := evalLoss(), p.s.Loss(); math.Float64bits(got) != math.Float64bits(want) {
-			p.t.Fatalf("version %d probe %d: evalLoss %v, the server model's loss %v", info.Version, k, got, want)
+			p.t.Fatalf("version %d probe %d: evalLoss %v, the server model's loss %v", p.s.Version(), k, got, want)
 		}
 	}
 	return p.FixedK.Next(info, evalLoss)
@@ -350,13 +350,13 @@ func TestAdaSyncGrowsK(t *testing.T) {
 // boundary catch-up forever; it means "adapt at every update".
 func TestAdaSyncTinyInterval(t *testing.T) {
 	a := NewAdaSync(AdaSyncConfig{K0: 1, M: 8, Interval: 1e-12, LR: 0.1})
-	evals := 0
+	evals, k := 0, 0
 	probe := func() float64 { evals++; return 2.0 }
 	for round := 0; round <= 50; round++ {
-		a.Next(RoundInfo{Time: 1e4 * float64(round)}, probe)
+		k, _ = a.Next(RoundInfo{Time: 1e4 * float64(round)}, probe)
 	}
-	if evals != 51 || a.K() != 8 { // F0, then a stalled-loss doubling per update
-		t.Fatalf("%d probes over 50 updates (want 51), K = %d (want the cap 8)", evals, a.K())
+	if evals != 51 || k != 8 { // F0, then a stalled-loss doubling per update
+		t.Fatalf("%d probes over 50 updates (want 51), K = %d (want the cap 8)", evals, k)
 	}
 }
 
@@ -379,6 +379,18 @@ func TestAdaSyncValidation(t *testing.T) {
 	}
 }
 
+// seenK records the K its controller's latest Next returned.
+type seenK struct {
+	Controller
+	k int
+}
+
+func (c *seenK) Next(info RoundInfo, evalLoss func() float64) (int, float64) {
+	k, lr := c.Controller.Next(info, evalLoss)
+	c.k = k
+	return k, lr
+}
+
 func TestAdaSyncEndToEnd(t *testing.T) {
 	// AdaSync on K-async must (a) grow K over the run and (b) reach a
 	// final loss comparable to full sync while being faster early.
@@ -389,10 +401,10 @@ func TestAdaSyncEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ada := NewAdaSync(AdaSyncConfig{K0: 1, M: 8, Interval: 30, LR: 0.1})
+	ada := &seenK{Controller: NewAdaSync(AdaSyncConfig{K0: 1, M: 8, Interval: 30, LR: 0.1})}
 	trace, _ := s.Run(ada, "adasync")
-	if ada.K() <= 1 {
-		t.Fatalf("AdaSync never grew K: %d", ada.K())
+	if ada.k <= 1 {
+		t.Fatalf("AdaSync never grew K: %d", ada.k)
 	}
 	if trace.FinalLoss() >= trace.Points[0].Loss/2 {
 		t.Fatalf("AdaSync failed to learn: %v -> %v",

@@ -6,8 +6,9 @@ package repro
 // and fails here by name, so "delete what nothing reaches" is `go test -run
 // Reach .` instead of a list somebody compiles by hand.
 //
-// The recipe: build each main with -gcflags=all=-l (an inlined function
-// leaves no symbol), union the text symbols `go tool nm` prints, and compare
+// The recipe: build the mains with -gcflags=all=-l (an inlined function
+// leaves no symbol; one go build for this module's eleven, one for the
+// benchmark's), union the text symbols `go tool nm` prints, and compare
 // with the function declarations go/parser finds in the files go/build
 // selects for this platform (a directory walk would list the purego and
 // non-amd64 twins, which are never linked here). Generic functions link
@@ -64,7 +65,6 @@ var reachAllow = map[string]string{
 	"cluster.Engine.EvalParamsLoss":  usedByTests,
 	"paramserver.Server.Clock":       usedByTests,
 	"paramserver.Server.Version":     usedByTests,
-	"paramserver.AdaSync.K":          usedByTests,
 	"core.AdaComm.LinkFactor":        usedByTests,
 	"opt.Global.Buf":                 usedByTests,
 	"opt.Optimizer.Steps":            usedByTests,
@@ -134,12 +134,8 @@ func linkedSymbols(t *testing.T) map[string]bool {
 	t.Helper()
 	tmp := t.TempDir()
 	linked := map[string]bool{}
-	// dir is the module the main belongs to: benchmark/ is one of its own.
-	build := func(name, dir, pkg string) {
-		bin := filepath.Join(tmp, strings.ReplaceAll(name, "/", "_"))
-		if out, err := exec.Command("go", "build", "-C", dir, "-gcflags=all=-l", "-o", bin, pkg).CombinedOutput(); err != nil {
-			t.Fatalf("%s does not build: %v\n%s", name, err, out)
-		}
+	// nm adds the text symbols of the binary bin, the main called name.
+	nm := func(name, bin string) {
 		out, err := exec.Command("go", "tool", "nm", bin).Output()
 		if err != nil {
 			t.Fatalf("go tool nm %s: %v", name, err)
@@ -152,18 +148,29 @@ func linkedSymbols(t *testing.T) map[string]bool {
 			}
 		}
 	}
-	for _, root := range []string{"cmd", "examples"} {
-		entries, err := os.ReadDir(root)
+	// One build writes every main of this module into root/ under its
+	// directory's name (a failing main is named in go build's output);
+	// benchmark/ is a module of its own.
+	root := filepath.Join(tmp, "root") + string(filepath.Separator)
+	if out, err := exec.Command("go", "build", "-gcflags=all=-l", "-o", root, "./cmd/...", "./examples/...").CombinedOutput(); err != nil {
+		t.Fatalf("the shipped mains do not build: %v\n%s", err, out)
+	}
+	for _, dir := range []string{"cmd", "examples"} {
+		entries, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
 			if e.IsDir() {
-				build(root+"/"+e.Name(), ".", "./"+root+"/"+e.Name())
+				nm(dir+"/"+e.Name(), filepath.Join(root, e.Name()))
 			}
 		}
 	}
-	build("benchmark", "benchmark", ".")
+	bench := filepath.Join(tmp, "benchmark")
+	if out, err := exec.Command("go", "build", "-C", "benchmark", "-gcflags=all=-l", "-o", bench, ".").CombinedOutput(); err != nil {
+		t.Fatalf("benchmark does not build: %v\n%s", err, out)
+	}
+	nm("benchmark", bench)
 	return linked
 }
 
